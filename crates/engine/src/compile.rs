@@ -1,10 +1,13 @@
 //! Expression compilation: binding names, lowering to primitive programs.
 //!
-//! An [`crate::expr::Expr`] is lowered into an [`ExprProg`]: a short
-//! SSA-style instruction list over a register file of reusable vectors.
-//! Each instruction corresponds to exactly one vectorized primitive
+//! An [`crate::expr::Expr`] is lowered into an [`ExprCode`]: a short
+//! SSA-style instruction list over a typed register file. Each
+//! instruction corresponds to exactly one vectorized primitive
 //! invocation per batch, identified by its signature string (what the
-//! paper's Table 5 traces per row).
+//! paper's Table 5 traces per row). The code is immutable and compiled
+//! once per query by the check walk ([`crate::check`]); every operator
+//! that runs it — one per morsel worker in a parallel run — wraps the
+//! shared code in its own [`ExprProg`], which owns the register vectors.
 //!
 //! The compiler also performs the paper's *compound primitive* rewrite
 //! (§4.2): expression sub-trees matching a fused kernel — e.g.
@@ -15,6 +18,7 @@
 use crate::batch::{Batch, OutField};
 use crate::expr::{ArithOp, Expr};
 use crate::profile::Profiler;
+use std::sync::Arc;
 use x100_vector::{map, CmpOp, ScalarType, SelVec, Value, Vector};
 
 /// A value source: an input column of the batch or a temp register.
@@ -103,15 +107,24 @@ pub enum Instr {
     StrContainsCV { s: Src, needle: String, dst: u16 },
 }
 
-/// A compiled expression: instructions + register file + result source.
+/// A compiled expression's immutable part: instructions, register
+/// types and result source. Holds no vector buffers, so the checked
+/// plan tree can keep it for the whole query and share it across
+/// workers.
 #[derive(Debug)]
-pub struct ExprProg {
+pub struct ExprCode {
     instrs: Vec<(Instr, String)>,
-    #[allow(dead_code)]
     reg_types: Vec<ScalarType>,
-    regs: Vec<Vector>,
     result: Src,
     ty: ScalarType,
+}
+
+/// One operator's runnable instance of an [`ExprCode`]: the shared code
+/// plus a private register file.
+#[derive(Debug)]
+pub struct ExprProg {
+    code: Arc<ExprCode>,
+    regs: Vec<Vector>,
 }
 
 /// Errors from binding / lowering an expression against a dataflow
@@ -317,7 +330,6 @@ fn rank_type(r: u8) -> ScalarType {
 struct Lowering<'a> {
     fields: &'a [OutField],
     instrs: Vec<(Instr, String)>,
-    #[allow(dead_code)]
     reg_types: Vec<ScalarType>,
     compound: bool,
 }
@@ -880,47 +892,114 @@ enum FusedShape {
 }
 
 impl ExprProg {
-    /// Compile `expr` against the input shape `fields`.
-    ///
-    /// `vector_size` pre-sizes the register file; `compound` enables the
-    /// fused-primitive rewrite.
+    /// Compile `expr` against the input shape `fields`; `compound`
+    /// enables the fused-primitive rewrite.
     pub fn compile(
         expr: &Expr,
         fields: &[OutField],
-        vector_size: usize,
         compound: bool,
-    ) -> Result<Self, PlanError> {
+    ) -> Result<Arc<ExprCode>, PlanError> {
+        Self::compile_as(expr, fields, compound, Ok)
+    }
+
+    /// Compile `expr` and coerce its result to the type `target` picks
+    /// from the expression's natural result type (the cast, if any, is
+    /// part of the same program — what `Cast(ty, expr)` would lower to).
+    pub fn compile_as(
+        expr: &Expr,
+        fields: &[OutField],
+        compound: bool,
+        target: impl FnOnce(ScalarType) -> Result<ScalarType, PlanError>,
+    ) -> Result<Arc<ExprCode>, PlanError> {
         let mut low = Lowering {
             fields,
             instrs: Vec::new(),
             reg_types: Vec::new(),
             compound,
         };
-        let (res, ty) = low.lower(expr)?;
+        let (res, natural) = low.lower(expr)?;
+        let ty = target(natural)?;
         let result = match res {
-            Lowered::Src(s) => s,
+            Lowered::Src(s) => low.coerce(s, ty)?,
             Lowered::Const(v) => {
                 // Pure-literal expression: broadcast per batch.
+                let v = if ty == natural {
+                    v
+                } else {
+                    Lowering::coerce_value(&v, ty)?
+                };
                 let dst = low.alloc(v.scalar_type());
                 low.instrs
                     .push((Instr::Fill { v, dst }, "map_fill_const".to_owned()));
                 Src::Reg(dst)
             }
         };
-        let regs = low
+        Ok(Arc::new(ExprCode {
+            instrs: low.instrs,
+            reg_types: low.reg_types,
+            result,
+            ty,
+        }))
+    }
+
+    /// A runnable instance of `code` with a register file pre-sized for
+    /// `vector_size`-value batches.
+    pub fn new(code: &Arc<ExprCode>, vector_size: usize) -> Self {
+        let regs = code
             .reg_types
             .iter()
             .map(|&t| Vector::with_capacity(t, vector_size))
             .collect();
-        Ok(ExprProg {
-            instrs: low.instrs,
-            reg_types: low.reg_types,
+        ExprProg {
+            code: code.clone(),
             regs,
-            result,
-            ty,
-        })
+        }
     }
 
+    /// The result type of the expression.
+    pub fn result_type(&self) -> ScalarType {
+        self.code.ty
+    }
+
+    /// Swap the result register's buffer with `buf` (zero-copy handoff
+    /// of a computed column into an output batch).
+    ///
+    /// # Panics
+    /// Panics if the program is a bare column reference
+    /// ([`ExprCode::as_col_ref`] returns `Some` in that case — share the
+    /// input column instead).
+    pub fn swap_result(&mut self, buf: &mut Vector) {
+        match self.code.result {
+            Src::Reg(i) => std::mem::swap(&mut self.regs[i as usize], buf),
+            Src::Col(_) => panic!("swap_result on a column reference"),
+        }
+    }
+
+    /// Evaluate over a batch under `sel`, returning the result vector.
+    ///
+    /// Results are positional: only selected positions are computed and
+    /// valid. The returned reference borrows either the batch (bare
+    /// column refs) or this program's register file.
+    pub fn eval<'a>(
+        &'a mut self,
+        batch: &'a Batch,
+        sel: Option<&SelVec>,
+        prof: &mut Profiler,
+    ) -> &'a Vector {
+        let n = batch.len;
+        for (instr, sig) in &self.code.instrs {
+            let t0 = prof.start();
+            let (tuples, bytes) = exec_instr(instr, batch, &mut self.regs, n, sel);
+            prof.record_prim(sig, t0, tuples, bytes);
+        }
+        match self.code.result {
+            Src::Col(i) => &batch.columns[i as usize],
+            Src::Reg(i) => &self.regs[i as usize],
+        }
+    }
+}
+
+impl ExprCode {
     /// The result type of the expression.
     pub fn result_type(&self) -> ScalarType {
         self.ty
@@ -960,43 +1039,6 @@ impl ExprProg {
     /// register), for the abstract interpreter ([`crate::facts`]).
     pub fn result_src(&self) -> Src {
         self.result
-    }
-
-    /// Swap the result register's buffer with `buf` (zero-copy handoff
-    /// of a computed column into an output batch).
-    ///
-    /// # Panics
-    /// Panics if the program is a bare column reference
-    /// ([`Self::as_col_ref`] returns `Some` in that case — share the
-    /// input column instead).
-    pub fn swap_result(&mut self, buf: &mut Vector) {
-        match self.result {
-            Src::Reg(i) => std::mem::swap(&mut self.regs[i as usize], buf),
-            Src::Col(_) => panic!("swap_result on a column reference"),
-        }
-    }
-
-    /// Evaluate over a batch under `sel`, returning the result vector.
-    ///
-    /// Results are positional: only selected positions are computed and
-    /// valid. The returned reference borrows either the batch (bare
-    /// column refs) or this program's register file.
-    pub fn eval<'a>(
-        &'a mut self,
-        batch: &'a Batch,
-        sel: Option<&SelVec>,
-        prof: &mut Profiler,
-    ) -> &'a Vector {
-        let n = batch.len;
-        for (instr, sig) in &self.instrs {
-            let t0 = prof.start();
-            let (tuples, bytes) = exec_instr(instr, batch, &mut self.regs, n, sel);
-            prof.record_prim(sig, t0, tuples, bytes);
-        }
-        match self.result {
-            Src::Col(i) => &batch.columns[i as usize],
-            Src::Reg(i) => &self.regs[i as usize],
-        }
     }
 }
 
@@ -1389,7 +1431,7 @@ mod tests {
 
     fn run(e: &Expr, compound: bool) -> Vector {
         let f = fields();
-        let mut prog = ExprProg::compile(e, &f, 4, compound).expect("compiles");
+        let mut prog = ExprProg::new(&ExprProg::compile(e, &f, compound).expect("compiles"), 4);
         let b = batch();
         let mut prof = Profiler::new(false);
         prog.eval(&b, None, &mut prof).clone()
@@ -1398,7 +1440,7 @@ mod tests {
     #[test]
     fn col_ref_is_zero_instr() {
         let f = fields();
-        let prog = ExprProg::compile(&col("a"), &f, 4, true).expect("compiles");
+        let prog = ExprProg::compile(&col("a"), &f, true).expect("compiles");
         assert_eq!(prog.num_instrs(), 0);
         assert_eq!(prog.as_col_ref(), Some(0));
         assert_eq!(prog.result_type(), ScalarType::F64);
@@ -1419,7 +1461,7 @@ mod tests {
         // i32 column + f64 literal promotes to f64 via an inserted cast.
         let e = add(col("n"), lit_f64(0.5));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, 4, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
         assert_eq!(prog.result_type(), ScalarType::F64);
         let sigs: Vec<&str> = prog.signatures().collect();
         assert!(sigs.contains(&"map_cast_i32_f64_col"), "{sigs:?}");
@@ -1428,10 +1470,29 @@ mod tests {
     }
 
     #[test]
+    fn compile_as_lowers_like_an_explicit_cast() {
+        // One program, same instructions as compiling `Cast(ty, e)`;
+        // the identity target adds nothing.
+        let f = fields();
+        let sigs = |c: &ExprCode| c.signatures().map(str::to_owned).collect::<Vec<_>>();
+        for e in [add(col("n"), lit_i32(1)), col("n"), lit_i32(7)] {
+            let cast = Expr::Cast(ScalarType::F64, Box::new(e.clone()));
+            let want = ExprProg::compile(&cast, &f, true).expect("compiles");
+            let got =
+                ExprProg::compile_as(&e, &f, true, |_| Ok(ScalarType::F64)).expect("compiles");
+            assert_eq!(sigs(&got), sigs(&want));
+            assert_eq!(got.result_type(), ScalarType::F64);
+            let plain = ExprProg::compile(&e, &f, true).expect("compiles");
+            let same = ExprProg::compile_as(&e, &f, true, Ok).expect("compiles");
+            assert_eq!(sigs(&same), sigs(&plain));
+        }
+    }
+
+    #[test]
     fn constant_folding() {
         let e = mul(add(lit_f64(1.0), lit_f64(2.0)), col("a"));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, 4, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
         // One instruction: 3.0 * a. No instruction for 1+2.
         assert_eq!(prog.num_instrs(), 1);
         let v = run(&e, true);
@@ -1443,19 +1504,19 @@ mod tests {
         // Q1's discountprice shape: (1.0 - a) * b.
         let e = mul(sub(lit_f64(1.0), col("a")), col("b"));
         let f = fields();
-        let fused = ExprProg::compile(&e, &f, 4, true).expect("compiles");
+        let fused = ExprProg::compile(&e, &f, true).expect("compiles");
         assert_eq!(fused.num_instrs(), 1);
         assert_eq!(
             fused.signatures().next(),
             Some("map_fused_sub_f64_val_f64_col_mul_f64_col")
         );
-        let unfused = ExprProg::compile(&e, &f, 4, false).expect("compiles");
+        let unfused = ExprProg::compile(&e, &f, false).expect("compiles");
         assert_eq!(unfused.num_instrs(), 2);
         // Both produce identical results.
         let b = batch();
         let mut p = Profiler::new(false);
-        let mut fused = fused;
-        let mut unfused = unfused;
+        let mut fused = ExprProg::new(&fused, 4);
+        let mut unfused = ExprProg::new(&unfused, 4);
         let rv1 = fused.eval(&b, None, &mut p).clone();
         let rv2 = unfused.eval(&b, None, &mut p).clone();
         assert_eq!(rv1.as_f64(), rv2.as_f64());
@@ -1467,7 +1528,7 @@ mod tests {
         // b * (1.0 + a) also fuses.
         let e = mul(col("b"), add(lit_f64(1.0), col("a")));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, 4, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
         assert_eq!(prog.num_instrs(), 1);
         let v = run(&e, true);
         assert_eq!(v.as_f64(), &[20.0, 60.0, 120.0, 200.0]);
@@ -1491,7 +1552,7 @@ mod tests {
         // u8 enum codes compared against a small literal: no cast emitted.
         let e = le(col("code"), lit_i64(1));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, 4, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
         let sigs: Vec<&str> = prog.signatures().collect();
         assert_eq!(sigs, vec!["map_le_u8_col_val"]);
         let v = run(&e, true);
@@ -1508,7 +1569,8 @@ mod tests {
     #[test]
     fn selection_vector_limits_evaluation() {
         let f = fields();
-        let mut prog = ExprProg::compile(&div(col("b"), col("a")), &f, 4, true).expect("compiles");
+        let code = ExprProg::compile(&div(col("b"), col("a")), &f, true).expect("compiles");
+        let mut prog = ExprProg::new(&code, 4);
         let b = batch();
         let sel = SelVec::from_positions(vec![1, 3]);
         let mut prof = Profiler::new(false);
@@ -1520,23 +1582,23 @@ mod tests {
     #[test]
     fn unknown_column_errors() {
         let f = fields();
-        let err = ExprProg::compile(&col("zz"), &f, 4, true).expect_err("must fail");
+        let err = ExprProg::compile(&col("zz"), &f, true).expect_err("must fail");
         assert_eq!(err, PlanError::UnknownColumn("zz".into()));
     }
 
     #[test]
     fn string_range_comparison_rejected() {
         let f = fields();
-        let err =
-            ExprProg::compile(&lt(col("s"), lit_str("m")), &f, 4, true).expect_err("must fail");
+        let err = ExprProg::compile(&lt(col("s"), lit_str("m")), &f, true).expect_err("must fail");
         assert!(matches!(err, PlanError::TypeMismatch(_)));
     }
 
     #[test]
     fn profiling_records_signatures() {
         let f = fields();
-        let mut prog = ExprProg::compile(&mul(sub(lit_f64(1.0), col("a")), col("b")), &f, 4, true)
+        let code = ExprProg::compile(&mul(sub(lit_f64(1.0), col("a")), col("b")), &f, true)
             .expect("compiles");
+        let mut prog = ExprProg::new(&code, 4);
         let b = batch();
         let mut prof = Profiler::new(true);
         prog.eval(&b, None, &mut prof);

@@ -11,12 +11,13 @@
 //! compiled expression programs via the per-primitive transfer
 //! functions declared in the registry ([`x100_vector::FactTransfer`]).
 //!
-//! Sinks (consumed by the binder):
+//! Sinks (decided in the same walk, recorded on the checked node the
+//! operators are instantiated from):
 //! * **fetch-bounds proofs** — when every `#rowId` a `Fetch1Join` /
 //!   `FetchNJoin` gathers is proven `< fragment_rows`, the op dispatches
 //!   the `_unchecked` kernel twins (paper-style "on the metal" loops);
-//! * **selection folding** — predicates proven always-true bind to a
-//!   pass-through, always-false to an empty scan;
+//! * **selection folding** — predicates proven always-true become a
+//!   pass-through, always-false an empty dataflow;
 //! * **no-overflow proofs** — integer interval arithmetic widens to ⊤
 //!   exactly when the result type could overflow, so a non-⊤ integer
 //!   range doubles as an overflow-freedom certificate.
@@ -27,9 +28,10 @@
 //! runs exactly as without the analyzer.
 
 use crate::batch::OutField;
-use crate::compile::{ExprProg, Instr, Src};
+use crate::compile::{ExprCode, Instr, Src};
 use crate::expr::{AggFunc, ArithOp, Expr};
-use std::collections::HashMap;
+use crate::ops::PredStep;
+use std::sync::Arc;
 use x100_storage::{ColumnStats, Table};
 use x100_vector::{CmpOp, FactTransfer, PrimitiveRegistry, ScalarType, Value};
 
@@ -145,68 +147,6 @@ impl NodeFacts {
             cols: vec![ColFact::top(); n],
             rows_max: None,
         }
-    }
-}
-
-/// All facts inferred for one plan: per-node states plus the proof
-/// sinks the binder consumes. Nodes are keyed by [`crate::plan::plan_key`]
-/// (the plan node's address — stable because plans are checked and
-/// bound behind the same immutable borrow).
-#[derive(Debug, Clone, Default)]
-pub struct PlanFacts {
-    /// Per-node abstract state.
-    pub nodes: HashMap<usize, NodeFacts>,
-    /// Fetch-bounds proofs per `Fetch1Join`/`FetchNJoin` node: `true`
-    /// when every gathered `#rowId` is proven within the fragment.
-    pub fetch_proofs: HashMap<usize, bool>,
-    /// Constant-fold verdicts per `Select` node: `Some(true)` =
-    /// provably always-true (pass-through), `Some(false)` = provably
-    /// always-false (empty result).
-    pub select_verdicts: HashMap<usize, bool>,
-    /// Human-readable per-node dump lines, in walk order (the
-    /// `--explain-facts` payload).
-    pub lines: Vec<String>,
-}
-
-impl PlanFacts {
-    /// The inferred abstract state at `node` (a node of the plan this
-    /// `PlanFacts` was computed for), if the walk recorded one.
-    pub fn node(&self, node: &crate::plan::Plan) -> Option<&NodeFacts> {
-        self.nodes.get(&crate::plan::plan_key(node))
-    }
-
-    /// The fetch-bounds verdict at a `Fetch1Join`/`FetchNJoin` node:
-    /// `Some(true)` when every gathered `#rowId` is proven within the
-    /// checkpointed fragment, `Some(false)` when the proof failed
-    /// (delta rows, unknown range), `None` for non-fetch nodes.
-    pub fn fetch_proved(&self, node: &crate::plan::Plan) -> Option<bool> {
-        self.fetch_proofs.get(&crate::plan::plan_key(node)).copied()
-    }
-
-    /// The constant-fold verdict at a `Select` node, when its predicate
-    /// was decided statically.
-    pub fn select_verdict(&self, node: &crate::plan::Plan) -> Option<bool> {
-        self.select_verdicts
-            .get(&crate::plan::plan_key(node))
-            .copied()
-    }
-
-    /// Render the per-node dump plus a summary footer.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for l in &self.lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        let proofs = self.fetch_proofs.values().filter(|p| **p).count();
-        let folds = self.select_verdicts.len();
-        out.push_str(&format!(
-            "facts: {} nodes, {} fetch-bound proofs, {} select folds\n",
-            self.nodes.len(),
-            proofs,
-            folds
-        ));
-        out
     }
 }
 
@@ -386,7 +326,7 @@ fn arith_range(
 /// operand ranges, `Some(Int(0,0))` when provably always false, else
 /// the boolean domain `[0,1]`.
 fn cmp_range(op: CmpOp, l: Option<FactRange>, r: Option<FactRange>) -> FactRange {
-    let bool_top = FactRange::Int(0, 1);
+    let bool_top = BOOL_TOP;
     let (Some(l), Some(r)) = (l, r) else {
         return bool_top;
     };
@@ -481,7 +421,7 @@ fn cast_range(to: ScalarType, r: Option<FactRange>) -> Option<FactRange> {
 /// signature or a [`FactTransfer::Opaque`] transfer yields ⊤ for that
 /// register (conservative soundness), and the interpretation continues
 /// — downstream instructions see `None` operands and stay ⊤.
-pub fn eval_prog(prog: &ExprProg, cols: &[ColFact], reg: &PrimitiveRegistry) -> ColFact {
+pub fn eval_prog(prog: &ExprCode, cols: &[ColFact], reg: &PrimitiveRegistry) -> ColFact {
     let nregs = prog.reg_types().len();
     let mut regs: Vec<Option<FactRange>> = vec![None; nregs];
     let col_range = |s: Src, regs: &[Option<FactRange>]| -> Option<FactRange> {
@@ -614,7 +554,7 @@ pub fn eval_prog(prog: &ExprProg, cols: &[ColFact], reg: &PrimitiveRegistry) -> 
 }
 
 /// Extract `col ⊙ lit` (flipping `lit ⊙ col`) from one conjunct.
-fn conjunct_parts(e: &Expr) -> Option<(&str, CmpOp, &Value)> {
+pub(crate) fn conjunct_parts(e: &Expr) -> Option<(&str, CmpOp, &Value)> {
     let Expr::Cmp(op, l, r) = e else { return None };
     match (l.as_ref(), r.as_ref()) {
         (Expr::Col(c), Expr::Lit(v)) => Some((c.as_str(), *op, v)),
@@ -633,7 +573,8 @@ fn conjunct_parts(e: &Expr) -> Option<(&str, CmpOp, &Value)> {
     }
 }
 
-fn flatten_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+/// Split an `And` tree into its conjunct list.
+pub(crate) fn flatten_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     match e {
         Expr::And(l, r) => {
             flatten_conjuncts(l, out);
@@ -721,27 +662,64 @@ pub fn refine_with_pred(pred: &Expr, fields: &[OutField], nf: &mut NodeFacts) {
     }
 }
 
-/// Try to prove a selection predicate always-true / always-false over
-/// the input facts. `None` = undecided.
-pub fn pred_verdict(
-    pred: &Expr,
-    fields: &[OutField],
-    nf: &NodeFacts,
+/// The boolean domain `[0, 1]`: a predicate part nothing is known about.
+const BOOL_TOP: FactRange = FactRange::Int(0, 1);
+
+/// Truth range of one selection step over the input column facts:
+/// `[1,1]` when every row passes, `[0,0]` when none does, else `[0,1]`.
+/// Gated on the step's `select_*` registry entry like every instruction
+/// in [`eval_prog`].
+pub(crate) fn step_truth(
+    step: &PredStep<Arc<ExprCode>>,
+    cols: &[ColFact],
     reg: &PrimitiveRegistry,
-) -> Option<bool> {
-    // A cheap throwaway compile (vector size 1, no fusion) — the checker
-    // verifies the real program separately; this one only feeds the
-    // abstract interpreter.
-    let prog = ExprProg::compile(pred, fields, 1, false).ok()?;
-    if prog.result_type() != ScalarType::Bool {
-        return None;
+) -> FactRange {
+    let modeled = |sig: &str| {
+        reg.get(sig)
+            .is_some_and(|d| d.info.transfer != FactTransfer::Opaque)
+    };
+    match step {
+        PredStep::CmpVal { lhs, op, v, sig } if modeled(sig) => {
+            cmp_range(*op, eval_prog(lhs, cols, reg).range, value_range(v))
+        }
+        PredStep::CmpCol { lhs, rhs, op, sig } if modeled(sig) => cmp_range(
+            *op,
+            eval_prog(lhs, cols, reg).range,
+            eval_prog(rhs, cols, reg).range,
+        ),
+        PredStep::Bool(prog) => eval_prog(prog, cols, reg).range.unwrap_or(BOOL_TOP),
+        PredStep::Never => FactRange::Int(0, 0),
+        _ => BOOL_TOP,
     }
-    let fact = eval_prog(&prog, &nf.cols, reg);
-    match fact.range {
-        Some(FactRange::Int(1, 1)) => Some(true),
-        Some(FactRange::Int(0, 0)) => Some(false),
-        _ => None,
+}
+
+/// Truth range of a `col ⊙ literal` conjunct (the shape an encoded-space
+/// pushdown consumes) over the input column facts.
+pub(crate) fn conjunct_truth(e: &Expr, fields: &[OutField], cols: &[ColFact]) -> FactRange {
+    let Some((name, op, lit)) = conjunct_parts(e) else {
+        return BOOL_TOP;
+    };
+    let col = fields
+        .iter()
+        .position(|f| f.name == name)
+        .and_then(|i| cols.get(i))
+        .and_then(|c| c.range);
+    cmp_range(op, col, value_range(lit))
+}
+
+/// Fold the truth ranges of a conjunction's parts into a verdict:
+/// `Some(true)` when every part always holds, `Some(false)` when some
+/// part never does, `None` when undecided.
+pub(crate) fn conjunction_verdict(parts: impl IntoIterator<Item = FactRange>) -> Option<bool> {
+    let mut all_true = true;
+    for r in parts {
+        match r {
+            FactRange::Int(0, 0) => return Some(false),
+            FactRange::Int(1, 1) => {}
+            _ => all_true = false,
+        }
     }
+    all_true.then_some(true)
 }
 
 /// Transfer for one aggregate output: `func(arg)` grouped with at most

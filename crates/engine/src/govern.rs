@@ -89,13 +89,12 @@ pub struct QueryContext {
     fault: Option<FaultState>,
     panic_probe: Option<u64>,
     panic_fired: AtomicBool,
-    /// Facts the bind-time analyzer proved for this query's plan
-    /// ([`crate::facts::PlanFacts`]), set once between `check_plan` and
-    /// binding. Binder sinks (unchecked fetch dispatch, selection
-    /// folding) read it; unset means no proofs (e.g. a bare
-    /// `bind_governed` without a prior check) and the binder stays on
-    /// the checked paths.
-    plan_facts: std::sync::OnceLock<crate::facts::PlanFacts>,
+    /// The checked plan tree a caller hands from `check_plan` to
+    /// `Plan::bind_governed` ([`crate::check::PlanFacts`]), set once.
+    /// `bind_governed` instantiates it only if it was checked for the
+    /// plan, catalog state and options it is asked to bind; otherwise
+    /// (or when unset) it runs the check itself.
+    plan_facts: std::sync::OnceLock<crate::check::PlanFacts>,
 }
 
 impl QueryContext {
@@ -127,16 +126,15 @@ impl QueryContext {
         }
     }
 
-    /// Attach the checker's plan facts (first caller wins; later calls
-    /// are ignored, keeping the proofs consistent with the checked
-    /// plan).
-    pub fn provide_plan_facts(&self, facts: crate::facts::PlanFacts) {
+    /// Attach the checked plan tree (first caller wins; later calls are
+    /// ignored).
+    pub fn provide_plan_facts(&self, facts: crate::check::PlanFacts) {
         let _ = self.plan_facts.set(facts);
     }
 
-    /// The plan facts attached by [`QueryContext::provide_plan_facts`],
-    /// if any.
-    pub fn plan_facts(&self) -> Option<&crate::facts::PlanFacts> {
+    /// The checked plan tree attached by
+    /// [`QueryContext::provide_plan_facts`], if any.
+    pub fn plan_facts(&self) -> Option<&crate::check::PlanFacts> {
         self.plan_facts.get()
     }
 

@@ -42,13 +42,15 @@ pub mod session;
 pub mod spill;
 
 pub use batch::{Batch, OutField};
-pub use check::{check_plan, explain_check, explain_facts, verify_program, CheckSummary};
+pub use check::{
+    check_plan, explain_check, explain_facts, verify_program, CheckSummary, CheckedNode, PlanFacts,
+};
 /// Typed engine error (alias of [`PlanError`]): binding, validation and
 /// execution failures that used to be panics surface as this.
 pub use compile::PlanError as EngineError;
-pub use compile::{CheckViolation, ExprProg, PlanError};
+pub use compile::{CheckViolation, ExprCode, ExprProg, PlanError};
 pub use expr::{AggExpr, AggFunc, ArithOp, Expr};
-pub use facts::{ColFact, FactRange, NodeFacts, PlanFacts};
+pub use facts::{ColFact, FactRange, NodeFacts};
 pub use govern::{CancelToken, MemTracker, QueryContext};
 pub use ops::{AggrPartial, MergeAggrOp, MergeSpec, Operator, PartialAcc};
 pub use parser::{parse_expr, parse_plan};

@@ -17,8 +17,8 @@
 //! (`avg = sum / count`), mirroring the paper's generated triples.
 
 use crate::batch::{Batch, OutField, VecPool};
-use crate::compile::ExprProg;
-use crate::expr::{AggExpr, AggFunc, Expr};
+use crate::compile::{ExprCode, ExprProg};
+use crate::expr::AggFunc;
 use crate::govern::{MemTracker, QueryContext};
 use crate::ops::parallel::MergeAggrOp;
 use crate::ops::{eq_at, extend_range, push_from, Operator};
@@ -135,91 +135,75 @@ impl AccData {
     }
 }
 
-/// One aggregate's compiled state.
-struct AggState {
-    name: String,
-    func: AggFunc,
-    /// Argument program (`None` for `Count`).
-    prog: Option<ExprProg>,
-    acc: AccData,
-    sig: String,
+/// One aggregate as the check walk typed it ([`crate::check`]): the
+/// verified argument program, the accumulator type and the update
+/// primitive. Operators instantiate their running state from this.
+#[derive(Debug, Clone)]
+pub(crate) struct AggSpec {
+    /// Output column name.
+    pub name: String,
+    /// Aggregate function.
+    pub func: AggFunc,
+    /// Argument program, already coerced to `acc_ty` (`None` for `Count`).
+    pub arg: Option<Arc<ExprCode>>,
+    /// Accumulator type: `F64` or `I64`.
+    pub acc_ty: ScalarType,
+    /// The `aggr_*` update primitive.
+    pub sig: String,
 }
 
-impl AggState {
-    fn bind(
-        spec: &AggExpr,
-        fields: &[OutField],
-        vector_size: usize,
-        compound: bool,
-    ) -> Result<Self, PlanError> {
-        let (prog, acc, sig) = match spec.func {
-            AggFunc::Count => (
-                None,
-                AccData::I64(Vec::new()),
-                "aggr_count_u32_col".to_owned(),
-            ),
-            _ => {
-                let arg = spec.arg.as_ref().ok_or_else(|| {
-                    PlanError::Invalid(format!("aggregate {} needs an argument", spec.name))
-                })?;
-                // AVG always accumulates in f64; integer SUM/MIN/MAX in
-                // i64; everything else in f64.
-                let raw = ExprProg::compile(arg, fields, vector_size, compound)?;
-                let want = match (spec.func, raw.result_type()) {
-                    (AggFunc::Avg, _) => ScalarType::F64,
-                    (_, t) if t.is_integer() => ScalarType::I64,
-                    _ => ScalarType::F64,
-                };
-                let prog = if raw.result_type() == want {
-                    raw
-                } else {
-                    ExprProg::compile(
-                        &Expr::Cast(want, Box::new(arg.clone())),
-                        fields,
-                        vector_size,
-                        compound,
-                    )?
-                };
-                let acc = match want {
-                    ScalarType::F64 => AccData::F64(Vec::new()),
-                    _ => AccData::I64(Vec::new()),
-                };
-                let fname = match spec.func {
-                    AggFunc::Sum | AggFunc::Avg => "sum",
-                    AggFunc::Min => "min",
-                    AggFunc::Max => "max",
-                    AggFunc::Count => unreachable!(),
-                };
-                let sig = format!("aggr_{}_{}_col_u32_col", fname, want.sig_name());
-                (Some(prog), acc, sig)
-            }
-        };
-        Ok(AggState {
-            name: spec.name.clone(),
-            func: spec.func,
-            prog,
-            acc,
-            sig,
-        })
-    }
-
+impl AggSpec {
     /// Accumulator init value for newly created groups.
-    fn init_value(&self) -> f64 {
-        match (self.func, &self.acc) {
-            (AggFunc::Min, AccData::F64(_)) => f64::MAX,
-            (AggFunc::Max, AccData::F64(_)) => f64::MIN,
-            (AggFunc::Min, AccData::I64(_)) => i64::MAX as f64,
-            (AggFunc::Max, AccData::I64(_)) => i64::MIN as f64,
+    pub(crate) fn init_value(&self) -> f64 {
+        match (self.func, self.acc_ty) {
+            (AggFunc::Min, ScalarType::F64) => f64::MAX,
+            (AggFunc::Max, ScalarType::F64) => f64::MIN,
+            (AggFunc::Min, _) => i64::MAX as f64,
+            (AggFunc::Max, _) => i64::MIN as f64,
             _ => 0.0,
         }
     }
 
     /// Output type: AVG emits f64, COUNT emits i64, others match acc.
-    fn out_type(&self) -> ScalarType {
+    pub(crate) fn out_type(&self) -> ScalarType {
         match self.func {
             AggFunc::Avg => ScalarType::F64,
             AggFunc::Count => ScalarType::I64,
-            _ => self.acc.ty(),
+            _ => self.acc_ty,
+        }
+    }
+
+    /// How the merge stage combines this aggregate's partials.
+    pub(crate) fn merge_rule(&self) -> MergeAgg {
+        MergeAgg {
+            func: self.func,
+            acc_ty: self.acc_ty,
+            init: self.init_value(),
+        }
+    }
+}
+
+/// One aggregate's running state.
+struct AggState {
+    func: AggFunc,
+    /// Argument program (`None` for `Count`).
+    prog: Option<ExprProg>,
+    acc: AccData,
+    sig: String,
+    init: f64,
+}
+
+impl AggState {
+    fn new(spec: &AggSpec, vector_size: usize) -> Self {
+        AggState {
+            func: spec.func,
+            prog: spec.arg.as_ref().map(|c| ExprProg::new(c, vector_size)),
+            acc: match spec.acc_ty {
+                ScalarType::F64 => AccData::F64(Vec::new()),
+                _ => AccData::I64(Vec::new()),
+            },
+            sig: spec.sig.clone(),
+            init: spec.init_value(),
         }
     }
 
@@ -232,7 +216,7 @@ impl AggState {
         n_groups: usize,
         prof: &mut Profiler,
     ) {
-        self.acc.grow(n_groups, self.init_value());
+        self.acc.grow(n_groups, self.init);
         let live = sel.map_or(batch.len, |s| s.len());
         match (&mut self.prog, self.func) {
             (None, AggFunc::Count) => {
@@ -430,11 +414,11 @@ pub(crate) fn ensure_capacity(
 pub struct HashAggrOp {
     child: Box<dyn Operator>,
     key_progs: Vec<ExprProg>,
-    /// Enum dictionaries for code-typed keys: grouping runs on the raw
-    /// codes, emission decodes to logical values.
-    key_dicts: Vec<Option<EnumDict>>,
     aggs: Vec<AggState>,
-    fields: Vec<OutField>,
+    /// Output shape, physical key types and the enum dictionaries of
+    /// code-typed keys (grouping runs on raw codes, emission decodes);
+    /// also the recipe the spilled emission re-aggregates with.
+    merge: MergeSpec,
     // Hash table: open addressing, bucket holds group_id + 1 (0 = empty).
     buckets: Vec<u32>,
     group_hashes: Vec<u64>,
@@ -460,61 +444,33 @@ pub struct HashAggrOp {
 }
 
 impl HashAggrOp {
-    /// Bind keys and aggregates against `child`'s shape.
-    ///
-    /// `key_dicts[i]` (when present, and the key is a code-typed bare
-    /// column reference) makes key `i` group on raw codes and decode
-    /// only at emission.
-    pub fn new(
+    /// A hash aggregation over `child` from the parts the check walk
+    /// verified: key and aggregate programs plus the `merge` recipe
+    /// (output fields, physical key types, key dictionaries).
+    pub(crate) fn new(
         child: Box<dyn Operator>,
-        keys: &[(String, Expr)],
-        key_dicts: Vec<Option<EnumDict>>,
-        aggs: &[AggExpr],
+        keys: &[Arc<ExprCode>],
+        aggs: &[AggSpec],
+        merge: MergeSpec,
         vector_size: usize,
-        compound: bool,
-        ctx: std::sync::Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        assert!(key_dicts.is_empty() || key_dicts.len() == keys.len());
-        let mut key_progs = Vec::new();
-        let mut fields = Vec::new();
-        let mut key_store = Vec::new();
-        let mut key_dicts = if key_dicts.is_empty() {
-            vec![None; keys.len()]
-        } else {
-            key_dicts
-        };
-        for (i, (name, e)) in keys.iter().enumerate() {
-            let prog = ExprProg::compile(e, child.fields(), vector_size, compound)?;
-            // Dictionaries only apply to code-typed keys.
-            if !matches!(prog.result_type(), ScalarType::U8 | ScalarType::U16) {
-                key_dicts[i] = None;
-            }
-            let out_ty = key_dicts[i]
-                .as_ref()
-                .map_or(prog.result_type(), |d| d.value_type());
-            fields.push(OutField::new(name.clone(), out_ty));
-            key_store.push(Vector::with_capacity(prog.result_type(), 16));
-            key_progs.push(prog);
-        }
-        let mut states = Vec::new();
-        for spec in aggs {
-            let st = AggState::bind(spec, child.fields(), vector_size, compound)?;
-            fields.push(OutField::new(st.name.clone(), st.out_type()));
-            states.push(st);
-        }
-        let pools = fields
+        ctx: Arc<QueryContext>,
+    ) -> Self {
+        let pools = merge
+            .fields
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
-        Ok(HashAggrOp {
+        HashAggrOp {
             child,
-            key_progs,
-            key_dicts,
-            aggs: states,
-            fields,
+            key_progs: keys.iter().map(|c| ExprProg::new(c, vector_size)).collect(),
+            aggs: aggs.iter().map(|a| AggState::new(a, vector_size)).collect(),
             buckets: vec![0; 1024],
             group_hashes: Vec::new(),
-            key_store,
+            key_store: merge
+                .key_types
+                .iter()
+                .map(|&ty| Vector::with_capacity(ty, 16))
+                .collect(),
             group_counts: Vec::new(),
             n_groups: 0,
             hash_buf: Vec::new(),
@@ -528,7 +484,8 @@ impl HashAggrOp {
             agg_runs: Vec::new(),
             spill_part: 0,
             spill_emit: None,
-        })
+            merge,
+        }
     }
 
     /// The hash table's current footprint, charged against the budget.
@@ -663,7 +620,7 @@ impl HashAggrOp {
     /// hash bits; first-seen order is preserved within a partition.
     fn spill_table(&mut self) -> Result<(), PlanError> {
         for agg in &mut self.aggs {
-            agg.acc.grow(self.n_groups, agg.init_value());
+            agg.acc.grow(self.n_groups, agg.init);
         }
         self.group_counts.resize(self.n_groups, 0);
         let ctx = Arc::clone(self.mem.context());
@@ -762,9 +719,7 @@ impl HashAggrOp {
             if partials.is_empty() {
                 continue;
             }
-            let mut spec = self
-                .partial_merge_spec()
-                .expect("hash aggregation always has a merge spec");
+            let mut spec = self.merge.clone();
             // A spilled build has at least one real group; never let a
             // per-partition merge synthesize the ungrouped-empty row.
             spec.ungrouped = false;
@@ -777,7 +732,7 @@ impl HashAggrOp {
 
 impl Operator for HashAggrOp {
     fn fields(&self) -> &[OutField] {
-        &self.fields
+        &self.merge.fields
     }
 
     fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
@@ -791,7 +746,7 @@ impl Operator for HashAggrOp {
                 self.n_groups = 1;
                 self.group_counts.push(0);
                 for agg in &mut self.aggs {
-                    agg.acc.grow(1, agg.init_value());
+                    agg.acc.grow(1, agg.init);
                 }
             }
         }
@@ -823,7 +778,7 @@ impl Operator for HashAggrOp {
         let nkeys = self.key_store.len();
         for k in 0..nkeys {
             let mut v = self.pools[k].writable();
-            match &self.key_dicts[k] {
+            match &self.merge.key_dicts[k] {
                 None => extend_range(&mut v, &self.key_store[k], start, n),
                 Some(dict) => {
                     // Grouped on codes; decode the emitted slice.
@@ -878,7 +833,7 @@ impl Operator for HashAggrOp {
         // No ungrouped-empty synthesis here: the merge stage decides
         // whether the *combined* result is empty.
         for agg in &mut self.aggs {
-            agg.acc.grow(self.n_groups, agg.init_value());
+            agg.acc.grow(self.n_groups, agg.init);
         }
         self.group_counts.resize(self.n_groups, 0);
         Ok(Some(AggrPartial {
@@ -898,27 +853,10 @@ impl Operator for HashAggrOp {
             runs: std::mem::take(&mut self.agg_runs),
         }))
     }
-
-    fn partial_merge_spec(&self) -> Option<MergeSpec> {
-        Some(MergeSpec {
-            fields: self.fields.clone(),
-            key_types: self.key_store.iter().map(|v| v.scalar_type()).collect(),
-            key_dicts: self.key_dicts.clone(),
-            aggs: self
-                .aggs
-                .iter()
-                .map(|a| MergeAgg {
-                    func: a.func,
-                    acc_ty: a.acc.ty(),
-                    init: a.init_value(),
-                })
-                .collect(),
-            ungrouped: self.key_progs.is_empty(),
-        })
-    }
 }
 
 /// One key of a direct aggregation: a small-domain code column.
+#[derive(Debug, Clone)]
 pub struct DirectKey {
     /// Output column name.
     pub name: String,
@@ -950,53 +888,30 @@ pub struct DirectAggrOp {
 }
 
 impl DirectAggrOp {
-    /// Maximum accumulator-table size the binder accepts.
+    /// Maximum accumulator-table size the check walk accepts.
     pub const MAX_SLOTS: usize = 1 << 20;
 
-    /// Bind a direct aggregation.
-    pub fn new(
+    /// A direct aggregation over `child` on the code-column `keys` the
+    /// check walk resolved (their domain product is within
+    /// [`Self::MAX_SLOTS`]); `fields` is the output shape.
+    pub(crate) fn new(
         child: Box<dyn Operator>,
         keys: Vec<DirectKey>,
-        aggs: &[AggExpr],
+        aggs: &[AggSpec],
+        fields: Vec<OutField>,
         vector_size: usize,
-        compound: bool,
-        ctx: std::sync::Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        let mut slots = 1usize;
-        let mut fields = Vec::new();
-        for k in &keys {
-            let f = &child.fields()[k.col];
-            if !matches!(f.ty, ScalarType::U8 | ScalarType::U16) {
-                return Err(PlanError::TypeMismatch(format!(
-                    "direct aggregation key `{}` must be u8/u16 codes, got {}",
-                    f.name, f.ty
-                )));
-            }
-            slots = slots.saturating_mul(k.card as usize);
-            let out_ty = k.dict.as_ref().map_or(f.ty, |d| d.value_type());
-            fields.push(OutField::new(k.name.clone(), out_ty));
-        }
-        if slots > Self::MAX_SLOTS {
-            return Err(PlanError::Invalid(format!(
-                "direct aggregation domain too large: {slots} slots"
-            )));
-        }
-        let mut states = Vec::new();
-        for spec in aggs {
-            let st = AggState::bind(spec, child.fields(), vector_size, compound)?;
-            fields.push(OutField::new(st.name.clone(), st.out_type()));
-            states.push(st);
-        }
+        ctx: Arc<QueryContext>,
+    ) -> Self {
         let pools = fields
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
-        Ok(DirectAggrOp {
+        DirectAggrOp {
             child,
+            slots: keys.iter().map(|k| k.card as usize).product(),
             keys,
-            aggs: states,
+            aggs: aggs.iter().map(|a| AggState::new(a, vector_size)).collect(),
             fields,
-            slots,
             group_counts: Vec::new(),
             grp_buf: Vec::new(),
             occupied: Vec::new(),
@@ -1006,7 +921,7 @@ impl DirectAggrOp {
             out: Batch::new(),
             vector_size,
             mem: MemTracker::new(ctx, "direct aggregation table"),
-        })
+        }
     }
 
     fn build(&mut self, prof: &mut Profiler) -> Result<(), PlanError> {
@@ -1017,7 +932,7 @@ impl DirectAggrOp {
             .ensure(self.slots * (8 + self.aggs.len() * 8 + 4))?;
         self.group_counts.resize(self.slots, 0);
         for agg in &mut self.aggs {
-            agg.acc.grow(self.slots, agg.init_value());
+            agg.acc.grow(self.slots, agg.init);
         }
         while let Some(batch) = self.child.next(prof)? {
             let t_op = prof.start();
@@ -1201,28 +1116,6 @@ impl Operator for DirectAggrOp {
             runs: Vec::new(),
         }))
     }
-
-    fn partial_merge_spec(&self) -> Option<MergeSpec> {
-        Some(MergeSpec {
-            fields: self.fields.clone(),
-            key_types: self
-                .keys
-                .iter()
-                .map(|k| self.child.fields()[k.col].ty)
-                .collect(),
-            key_dicts: self.keys.iter().map(|k| k.dict.clone()).collect(),
-            aggs: self
-                .aggs
-                .iter()
-                .map(|a| MergeAgg {
-                    func: a.func,
-                    acc_ty: a.acc.ty(),
-                    init: a.init_value(),
-                })
-                .collect(),
-            ungrouped: self.keys.is_empty(),
-        })
-    }
 }
 
 /// `OrdAggr` — ordered aggregation: "chosen if all group-members will
@@ -1248,42 +1141,32 @@ pub struct OrdAggrOp {
 }
 
 impl OrdAggrOp {
-    /// Bind an ordered aggregation (input must be clustered on the keys).
-    pub fn new(
+    /// An ordered aggregation over `child` (input must be clustered on
+    /// the keys) from the verified key and aggregate programs; `fields`
+    /// is the output shape.
+    pub(crate) fn new(
         child: Box<dyn Operator>,
-        keys: &[(String, Expr)],
-        aggs: &[AggExpr],
+        keys: &[Arc<ExprCode>],
+        aggs: &[AggSpec],
+        fields: Vec<OutField>,
         vector_size: usize,
-        compound: bool,
-        ctx: std::sync::Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        let mut key_progs = Vec::new();
-        let mut fields = Vec::new();
-        let mut done_keys = Vec::new();
-        for (name, e) in keys {
-            let prog = ExprProg::compile(e, child.fields(), vector_size, compound)?;
-            fields.push(OutField::new(name.clone(), prog.result_type()));
-            done_keys.push(Vector::with_capacity(prog.result_type(), 16));
-            key_progs.push(prog);
-        }
-        let mut states = Vec::new();
-        for spec in aggs {
-            let st = AggState::bind(spec, child.fields(), vector_size, compound)?;
-            fields.push(OutField::new(st.name.clone(), st.out_type()));
-            states.push(st);
-        }
+        ctx: Arc<QueryContext>,
+    ) -> Self {
         let pools = fields
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
-        Ok(OrdAggrOp {
+        OrdAggrOp {
             child,
-            key_progs,
-            aggs: states,
+            done_keys: keys
+                .iter()
+                .map(|c| Vector::with_capacity(c.result_type(), 16))
+                .collect(),
+            key_progs: keys.iter().map(|c| ExprProg::new(c, vector_size)).collect(),
+            aggs: aggs.iter().map(|a| AggState::new(a, vector_size)).collect(),
             fields,
             cur_keys: None,
             group_counts: Vec::new(),
-            done_keys,
             n_groups: 0,
             grp_buf: Vec::new(),
             emit_pos: 0,
@@ -1292,7 +1175,7 @@ impl OrdAggrOp {
             out: Batch::new(),
             vector_size,
             mem: MemTracker::new(ctx, "ordered aggregation state"),
-        })
+        }
     }
 
     fn build(&mut self, prof: &mut Profiler) -> Result<(), PlanError> {

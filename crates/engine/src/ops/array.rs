@@ -22,26 +22,15 @@ pub struct ArrayOp {
 }
 
 impl ArrayOp {
-    /// An `N`-dimensional array dataflow with the given extents; output
-    /// columns are named `d0, d1, …` (i64 coordinates).
-    pub fn new(dims: &[i64], vector_size: usize) -> Result<Self, PlanError> {
-        if dims.is_empty() || dims.iter().any(|&d| d <= 0) {
-            return Err(PlanError::Invalid(
-                "array dimensions must be positive".to_owned(),
-            ));
-        }
-        let total = dims
-            .iter()
-            .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
-            .ok_or_else(|| PlanError::Invalid("array coordinate space overflows u64".to_owned()))?;
-        let fields: Vec<OutField> = (0..dims.len())
-            .map(|i| OutField::new(format!("d{i}"), x100_vector::ScalarType::I64))
-            .collect();
+    /// An `N`-dimensional array dataflow with the given (positive)
+    /// extents and their product `total`, both validated by the check
+    /// walk; `fields` are the i64 coordinate columns `d0, d1, …`.
+    pub(crate) fn new(dims: &[i64], total: u64, fields: Vec<OutField>, vector_size: usize) -> Self {
         let pools = fields
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
-        Ok(ArrayOp {
+        ArrayOp {
             dims: dims.to_vec(),
             fields,
             total,
@@ -49,7 +38,7 @@ impl ArrayOp {
             pools,
             out: Batch::new(),
             vector_size,
-        })
+        }
     }
 }
 

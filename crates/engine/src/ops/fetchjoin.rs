@@ -11,8 +11,7 @@
 //! lineitems), which changes the dataflow cardinality.
 
 use crate::batch::{Batch, OutField, VecPool};
-use crate::compile::ExprProg;
-use crate::expr::Expr;
+use crate::compile::{ExprCode, ExprProg};
 use crate::ops::{push_from, Operator};
 use crate::profile::Profiler;
 use crate::PlanError;
@@ -20,20 +19,37 @@ use std::sync::Arc;
 use x100_storage::{ColumnData, DecodeCursor, Table};
 use x100_vector::{fetch as vfetch, ScalarType, SelVec, Vector};
 
-/// A column to fetch from the target table.
-struct FetchCol {
+/// A column to fetch from the target table, as the check walk resolved
+/// it ([`crate::check`]).
+#[derive(Debug, Clone)]
+pub(crate) struct FetchSpec {
     /// Column index in the target table.
-    col: usize,
-    /// Decode signature for the trace.
-    sig: String,
+    pub col: usize,
+    /// Gather signature for the trace (`…_unchecked` for the twin).
+    pub sig: String,
     /// Fetch raw enum codes instead of decoded values.
-    as_codes: bool,
-    /// Dispatch the `_unchecked` gather twin: set by the binder only
+    pub as_codes: bool,
+    /// Dispatch the `_unchecked` gather twin: set by the check walk only
     /// when the facts analyzer proved every `#rowId` within the
-    /// fragment (`engine::facts` fetch-bounds sink).
-    unchecked: bool,
+    /// fragment of *this* table (`engine::facts` fetch-bounds sink) and
+    /// the column has a twin ([`has_unchecked_twin`]).
+    pub unchecked: bool,
+}
+
+/// A fetch column plus its per-operator gather scratch.
+struct FetchCol {
+    spec: FetchSpec,
     /// Reused scratch for gathering straight from compressed chunks.
     gs: GatherState,
+}
+
+/// One [`FetchCol`] per resolved fetch column.
+fn fetch_cols(specs: &[FetchSpec]) -> Vec<FetchCol> {
+    let col = |spec: &FetchSpec| FetchCol {
+        spec: spec.clone(),
+        gs: GatherState::default(),
+    };
+    specs.iter().map(col).collect()
 }
 
 /// Per-fetch-column decode scratch: the PFOR-DELTA sync-point replay
@@ -60,10 +76,10 @@ fn fetch_gather(
     out: &mut Vector,
     prof: &mut Profiler,
 ) {
-    let sc = table.column(fc.col);
+    let sc = table.column(fc.spec.col);
     let frag_rows = table.fragment_rows() as u32;
     if sel.is_none()
-        && (fc.as_codes || sc.dict().is_none())
+        && (fc.spec.as_codes || sc.dict().is_none())
         && rowids[..n].iter().all(|&r| r < frag_rows)
     {
         if let Some(cc) = sc.compressed() {
@@ -86,16 +102,16 @@ fn fetch_gather(
         }
     }
     // Proven-bounds fast path: skip both the O(n) range scan and the
-    // per-element bounds checks. `fc.unchecked` is only ever set by the
-    // binder under a bind-time fetch-bounds proof.
-    if fc.unchecked && (fc.as_codes || sc.dict().is_none()) {
+    // per-element bounds checks. `fc.spec.unchecked` is only ever set by the
+    // check walk under a fetch-bounds proof against this very table.
+    if fc.spec.unchecked && (fc.spec.as_codes || sc.dict().is_none()) {
         out.resize_zeroed(n);
         if unchecked_gather(sc.physical(), out, &rowids[..n], sel) {
             prof.add_counter("fetch_unchecked_dispatches", 1);
             return;
         }
     }
-    gather_positional(table, fc.col, fc.as_codes, rowids, n, sel, out);
+    gather_positional(table, fc.spec.col, fc.spec.as_codes, rowids, n, sel, out);
 }
 
 /// Dispatch one `_unchecked` gather twin for a (column, output) type
@@ -145,7 +161,7 @@ fn unchecked_gather(
 /// Whether the `_unchecked` twin family covers this column's physical
 /// representation (it must also not be dictionary-decoded — code
 /// fetches and plain columns qualify, decoded enum fetches do not).
-fn has_unchecked_twin(data: &ColumnData) -> bool {
+pub(crate) fn has_unchecked_twin(data: &ColumnData) -> bool {
     matches!(
         data,
         ColumnData::I8(_)
@@ -411,106 +427,31 @@ pub struct Fetch1JoinOp {
 }
 
 impl Fetch1JoinOp {
-    /// Bind: `rowid_expr` must produce `u32` row ids (a join-index
-    /// column or an enum code widened to `u32`). `fetch_codes` columns
-    /// must be enum-typed and are gathered as raw codes.
-    pub fn new(
+    /// A 1:1 fetch from `table` over `child`: `rowid` produces `u32`
+    /// row ids (a join-index column or an enum code widened to `u32`),
+    /// `cols` are the resolved fetch columns and `fields` the output
+    /// shape (child columns, then one per fetch column).
+    pub(crate) fn new(
         child: Box<dyn Operator>,
         table: Arc<Table>,
-        rowid_expr: &Expr,
-        fetch: &[(String, String)],
-        fetch_codes: &[(String, String)],
+        rowid: &Arc<ExprCode>,
+        cols: &[FetchSpec],
+        fields: Vec<OutField>,
         vector_size: usize,
-        compound: bool,
-    ) -> Result<Self, PlanError> {
-        let raw = ExprProg::compile(rowid_expr, child.fields(), vector_size, compound)?;
-        let rowid_prog = if raw.result_type() == ScalarType::U32 {
-            raw
-        } else if matches!(raw.result_type(), ScalarType::U8 | ScalarType::U16) {
-            ExprProg::compile(
-                &Expr::Cast(ScalarType::U32, Box::new(rowid_expr.clone())),
-                child.fields(),
-                vector_size,
-                compound,
-            )?
-        } else {
-            return Err(PlanError::TypeMismatch(format!(
-                "Fetch1Join rowid expression must be u32 (join index), got {}",
-                raw.result_type()
-            )));
-        };
-        let mut fetch_cols = Vec::new();
-        let mut fields: Vec<OutField> = child.fields().to_vec();
-        let mut pools: Vec<VecPool> = Vec::new();
-        for (src, alias) in fetch {
-            let ci = table
-                .column_index(src)
-                .ok_or_else(|| PlanError::UnknownColumn(format!("{}.{}", table.name(), src)))?;
-            let sc = table.column(ci);
-            let ty = sc.field().logical;
-            let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
-            fetch_cols.push(FetchCol {
-                col: ci,
-                sig,
-                as_codes: false,
-                unchecked: false,
-                gs: GatherState::default(),
-            });
-            fields.push(OutField::new(alias.clone(), ty));
-            pools.push(VecPool::new(ty, vector_size));
-        }
-        for (src, alias) in fetch_codes {
-            let ci = table
-                .column_index(src)
-                .ok_or_else(|| PlanError::UnknownColumn(format!("{}.{}", table.name(), src)))?;
-            let sc = table.column(ci);
-            if sc.dict().is_none() {
-                return Err(PlanError::TypeMismatch(format!(
-                    "column `{src}` is not enum-typed; use a plain fetch"
-                )));
-            }
-            let ty = sc.physical_type();
-            let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
-            fetch_cols.push(FetchCol {
-                col: ci,
-                sig,
-                as_codes: true,
-                unchecked: false,
-                gs: GatherState::default(),
-            });
-            fields.push(OutField::new(alias.clone(), ty));
-            pools.push(VecPool::new(ty, vector_size));
-        }
-        Ok(Fetch1JoinOp {
+    ) -> Self {
+        let pools = fields[fields.len() - cols.len()..]
+            .iter()
+            .map(|f| VecPool::new(f.ty, vector_size))
+            .collect();
+        Fetch1JoinOp {
             child,
             table,
-            rowid_prog,
-            fetch_cols,
+            rowid_prog: ExprProg::new(rowid, vector_size),
+            fetch_cols: fetch_cols(cols),
             fields,
             pools,
             rowid_buf: Vec::new(),
             out: Batch::new(),
-        })
-    }
-
-    /// Switch eligible fetch columns to their `_unchecked` gather twins.
-    /// The binder calls this only when the facts analyzer proved every
-    /// `#rowId` this op gathers within `[0, fragment_rows)`
-    /// (`engine::facts`); columns without a twin (strings, u64, decoded
-    /// enums) keep the checked path.
-    pub fn set_unchecked(&mut self) {
-        set_unchecked_cols(&self.table, &mut self.fetch_cols);
-    }
-}
-
-/// Flip eligible fetch columns to their `_unchecked` twins (shared by
-/// both fetch-join ops; see [`Fetch1JoinOp::set_unchecked`]).
-fn set_unchecked_cols(table: &Table, fetch_cols: &mut [FetchCol]) {
-    for fc in fetch_cols {
-        let sc = table.column(fc.col);
-        if (fc.as_codes || sc.dict().is_none()) && has_unchecked_twin(sc.physical()) {
-            fc.unchecked = true;
-            fc.sig = format!("{}_unchecked", fc.sig);
         }
     }
 }
@@ -543,7 +484,7 @@ impl Operator for Fetch1JoinOp {
             let fc = &mut self.fetch_cols[k];
             fetch_gather(&self.table, fc, &self.rowid_buf, n, sel, &mut v, prof);
             let bytes = live * 4 + v.byte_size();
-            prof.record_prim(&fc.sig, t0, live, bytes);
+            prof.record_prim(&fc.spec.sig, t0, live, bytes);
             self.pools[k].publish(v, &mut self.out);
         }
         prof.record_op("Fetch1Join", t_op, live);
@@ -581,60 +522,30 @@ pub struct FetchNJoinOp {
 }
 
 impl FetchNJoinOp {
-    /// Bind: `lo` and `cnt` produce the `#rowId` range `[lo, lo+cnt)`.
-    pub fn new(
+    /// A 1:N fetch from `table` over `child`: `lo` and `cnt` produce the
+    /// `#rowId` range `[lo, lo+cnt)`; `cols` are the resolved fetch
+    /// columns and `fields` the output shape.
+    pub(crate) fn new(
         child: Box<dyn Operator>,
         table: Arc<Table>,
-        lo: &Expr,
-        cnt: &Expr,
-        fetch: &[(String, String)],
+        lo: &Arc<ExprCode>,
+        cnt: &Arc<ExprCode>,
+        cols: &[FetchSpec],
+        fields: Vec<OutField>,
         vector_size: usize,
-        compound: bool,
-    ) -> Result<Self, PlanError> {
-        let mk_u32 = |e: &Expr, child: &dyn Operator| -> Result<ExprProg, PlanError> {
-            let raw = ExprProg::compile(e, child.fields(), vector_size, compound)?;
-            if raw.result_type() == ScalarType::U32 {
-                Ok(raw)
-            } else {
-                Err(PlanError::TypeMismatch(format!(
-                    "FetchNJoin range expressions must be u32, got {}",
-                    raw.result_type()
-                )))
-            }
-        };
-        let lo_prog = mk_u32(lo, child.as_ref())?;
-        let cnt_prog = mk_u32(cnt, child.as_ref())?;
-        let child_arity = child.fields().len();
-        let mut fields: Vec<OutField> = child.fields().to_vec();
-        let mut fetch_cols = Vec::new();
-        let mut pools: Vec<VecPool> = fields
+    ) -> Self {
+        let pools = fields
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
-        for (src, alias) in fetch {
-            let ci = table
-                .column_index(src)
-                .ok_or_else(|| PlanError::UnknownColumn(format!("{}.{}", table.name(), src)))?;
-            let ty = table.column(ci).field().logical;
-            let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
-            fetch_cols.push(FetchCol {
-                col: ci,
-                sig,
-                as_codes: false,
-                unchecked: false,
-                gs: GatherState::default(),
-            });
-            fields.push(OutField::new(alias.clone(), ty));
-            pools.push(VecPool::new(ty, vector_size));
-        }
-        Ok(FetchNJoinOp {
+        FetchNJoinOp {
             child,
             table,
-            lo_prog,
-            cnt_prog,
-            fetch_cols,
+            lo_prog: ExprProg::new(lo, vector_size),
+            cnt_prog: ExprProg::new(cnt, vector_size),
+            fetch_cols: fetch_cols(cols),
+            child_arity: fields.len() - cols.len(),
             fields,
-            child_arity,
             pools,
             pending: Vec::new(),
             pend_idx: 0,
@@ -644,13 +555,7 @@ impl FetchNJoinOp {
             out: Batch::new(),
             vector_size,
             done: false,
-        })
-    }
-
-    /// Switch eligible fetch columns to their `_unchecked` gather twins
-    /// (see [`Fetch1JoinOp::set_unchecked`]).
-    pub fn set_unchecked(&mut self) {
-        set_unchecked_cols(&self.table, &mut self.fetch_cols);
+        }
     }
 
     /// Pull the next child batch and compute its expansion ranges.
@@ -742,7 +647,7 @@ impl Operator for FetchNJoinOp {
             let fc = &mut self.fetch_cols[j];
             fetch_gather(&self.table, fc, &self.rowid_scratch, n, None, &mut v, prof);
             let bytes = n * 4 + v.byte_size();
-            prof.record_prim(&fc.sig, t0, n, bytes);
+            prof.record_prim(&fc.spec.sig, t0, n, bytes);
             self.pools[self.child_arity + j].publish(v, &mut self.out);
         }
         prof.record_op("FetchNJoin", t_op, n);

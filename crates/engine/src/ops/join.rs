@@ -28,8 +28,7 @@
 
 use super::aggr::hash_keys;
 use crate::batch::{Batch, OutField, SelPool, VecPool};
-use crate::compile::ExprProg;
-use crate::expr::Expr;
+use crate::compile::{ExprCode, ExprProg};
 use crate::govern::{panic_cause, MemTracker, QueryContext};
 use crate::ops::{eq_at, push_from, Operator};
 use crate::profile::Profiler;
@@ -42,7 +41,7 @@ use x100_vector::partition::{
     map_scatter_u32_col_u32_col, offsets_from_histogram, radix_histogram_u32_col,
     radix_scatter_positions, BlockedBloom, MAX_RADIX_BITS,
 };
-use x100_vector::{ScalarType, Vector};
+use x100_vector::Vector;
 
 /// Join semantics for [`HashJoinOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,41 +81,27 @@ pub struct CartProdOp {
 }
 
 impl CartProdOp {
-    /// Bind a cross product fetching `fetch` columns of `table`.
-    pub fn new(
+    /// A cross product of `child` with `table` (no pending deletes —
+    /// the check walk rejects those), emitting `fetch_cols` of the table
+    /// after the child's columns; `fields` is the output shape.
+    pub(crate) fn new(
         child: Box<dyn Operator>,
         table: Arc<Table>,
-        fetch: &[(String, String)],
+        fetch_cols: Vec<usize>,
+        fields: Vec<OutField>,
         vector_size: usize,
         ctx: Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        if !table.deletes().is_empty() {
-            return Err(PlanError::Invalid(
-                "CartProd over a table with pending deletes; reorganize first".to_owned(),
-            ));
-        }
-        let child_arity = child.fields().len();
-        let mut fields: Vec<OutField> = child.fields().to_vec();
-        let mut pools: Vec<VecPool> = fields
+    ) -> Self {
+        let pools = fields
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
-        let mut fetch_cols = Vec::new();
-        for (src, alias) in fetch {
-            let ci = table
-                .column_index(src)
-                .ok_or_else(|| PlanError::UnknownColumn(format!("{}.{}", table.name(), src)))?;
-            let ty = table.column(ci).field().logical;
-            fields.push(OutField::new(alias.clone(), ty));
-            pools.push(VecPool::new(ty, vector_size));
-            fetch_cols.push(ci);
-        }
-        Ok(CartProdOp {
+        CartProdOp {
             child,
             table,
+            child_arity: fields.len() - fetch_cols.len(),
             fetch_cols,
             fields,
-            child_arity,
             pools,
             cur_cols: Vec::new(),
             cur_live: Vec::new(),
@@ -126,7 +111,7 @@ impl CartProdOp {
             vector_size,
             done: false,
             ctx,
-        })
+        }
     }
 
     fn refill(&mut self, prof: &mut Profiler) -> Result<bool, PlanError> {
@@ -226,17 +211,6 @@ pub(crate) struct JoinBuildConfig {
     pub probe_rows_hint: Option<usize>,
 }
 
-impl JoinBuildConfig {
-    pub(crate) fn from_opts(opts: &ExecOptions) -> Self {
-        JoinBuildConfig {
-            partition_bits: opts.join_partition_bits,
-            cache_budget: opts.join_cache_budget.max(1),
-            threads: opts.threads.max(1),
-            probe_rows_hint: None,
-        }
-    }
-}
-
 /// One radix partition's bucket array (heads index *global* rows + 1;
 /// `0` = empty).
 #[derive(Debug, Default)]
@@ -253,8 +227,6 @@ struct PartBuckets {
 /// no partition-local translation. `Send + Sync`: after `build` it is
 /// only ever read, so parallel probe workers share one `Arc` of it.
 pub struct JoinBuildTable {
-    key_types: Vec<ScalarType>,
-    payload_fields: Vec<OutField>,
     keys: Vec<Vector>,
     payload: Vec<Vector>,
     hashes: Vec<u64>,
@@ -273,16 +245,6 @@ pub struct JoinBuildTable {
 }
 
 impl JoinBuildTable {
-    /// Key result types, for probe-side validation.
-    pub(crate) fn key_types(&self) -> &[ScalarType] {
-        &self.key_types
-    }
-
-    /// Aliased payload output fields.
-    pub(crate) fn payload_fields(&self) -> &[OutField] {
-        &self.payload_fields
-    }
-
     /// Number of build rows.
     pub fn n_build(&self) -> usize {
         self.n_build
@@ -317,16 +279,15 @@ impl JoinBuildTable {
         build: &mut dyn Operator,
         build_keys: &mut [ExprProg],
         payload_cols: &[usize],
-        payload_fields: Vec<OutField>,
+        payload_fields: &[OutField],
         cfg: &JoinBuildConfig,
         ctx: &Arc<QueryContext>,
         prof: &mut Profiler,
     ) -> Result<JoinBuildTable, PlanError> {
         let mut mem = MemTracker::new(ctx.clone(), "hash-join build");
-        let key_types: Vec<ScalarType> = build_keys.iter().map(|p| p.result_type()).collect();
-        let mut keys: Vec<Vector> = key_types
+        let mut keys: Vec<Vector> = build_keys
             .iter()
-            .map(|&ty| Vector::with_capacity(ty, 16))
+            .map(|p| Vector::with_capacity(p.result_type(), 16))
             .collect();
         let mut payload: Vec<Vector> = payload_fields
             .iter()
@@ -537,8 +498,6 @@ impl JoinBuildTable {
         mem.ensure(col_bytes + n * 12 + bucket_bytes + bloom.byte_size())?;
 
         Ok(JoinBuildTable {
-            key_types,
-            payload_fields,
             keys,
             payload,
             hashes,
@@ -799,128 +758,101 @@ pub struct HashJoinOp {
     ctx: Arc<QueryContext>,
 }
 
-impl HashJoinOp {
-    /// Bind a hash join. `payload` lists build columns (by name) to
-    /// carry into the output for inner/outer joins (must be empty for
-    /// semi/anti joins).
-    #[allow(clippy::too_many_arguments)] // mirrors the algebra operator's arity
-    pub fn new(
-        build: Box<dyn Operator>,
-        probe: Box<dyn Operator>,
-        build_key_exprs: &[Expr],
-        probe_key_exprs: &[Expr],
-        payload: &[(String, String)],
-        join_type: JoinType,
-        opts: &ExecOptions,
-        ctx: Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        if build_key_exprs.len() != probe_key_exprs.len() || build_key_exprs.is_empty() {
-            return Err(PlanError::Invalid(
-                "hash join needs matching, non-empty key lists".to_owned(),
-            ));
-        }
-        if matches!(join_type, JoinType::LeftSemi | JoinType::LeftAnti) && !payload.is_empty() {
-            return Err(PlanError::Invalid(
-                "semi/anti joins cannot carry build payload".to_owned(),
-            ));
-        }
-        let vector_size = opts.vector_size;
-        let compound = opts.compound_primitives;
-        let mut build_keys = Vec::new();
-        for e in build_key_exprs {
-            build_keys.push(ExprProg::compile(e, build.fields(), vector_size, compound)?);
-        }
-        let mut probe_keys = Vec::new();
-        for (i, e) in probe_key_exprs.iter().enumerate() {
-            let p = ExprProg::compile(e, probe.fields(), vector_size, compound)?;
-            if p.result_type() != build_keys[i].result_type() {
-                return Err(PlanError::TypeMismatch(format!(
-                    "join key {} type mismatch: build {}, probe {}",
-                    i,
-                    build_keys[i].result_type(),
-                    p.result_type()
-                )));
-            }
-            probe_keys.push(p);
-        }
-        let mut payload_cols = Vec::new();
-        let mut payload_fields = Vec::new();
-        for (src, alias) in payload {
-            let ci = build
-                .fields()
-                .iter()
-                .position(|f| &f.name == src)
-                .ok_or_else(|| PlanError::UnknownColumn(src.clone()))?;
-            payload_cols.push(ci);
-            payload_fields.push(OutField::new(alias.clone(), build.fields()[ci].ty));
-        }
-        let core = ProbeCore::new(
-            probe.fields(),
-            &payload_fields,
-            probe_keys,
-            join_type,
-            vector_size,
-            ctx.clone(),
-        );
-        Ok(HashJoinOp {
-            build,
-            probe,
-            build_keys,
-            payload_cols,
-            payload_fields,
-            cfg: JoinBuildConfig::from_opts(opts),
-            table: None,
-            core,
-            ctx,
-        })
+/// A hash join as the check walk verified it ([`crate::check`]): typed
+/// key programs (probe key `i` has build key `i`'s type), the resolved
+/// build payload, and the probe-cardinality hint.
+#[derive(Debug, Clone)]
+pub(crate) struct JoinParts {
+    /// Build-side key programs.
+    pub build_keys: Vec<Arc<ExprCode>>,
+    /// Probe-side key programs.
+    pub probe_keys: Vec<Arc<ExprCode>>,
+    /// Build columns carried into the output (inner/outer joins only).
+    pub payload_cols: Vec<usize>,
+    /// The payload's aliased output fields.
+    pub payload_fields: Vec<OutField>,
+    /// Join semantics.
+    pub join_type: JoinType,
+    /// Upper bound on probe-side rows, when the probe shape allows one
+    /// (Bloom sizing feedback).
+    pub probe_rows_hint: Option<usize>,
+}
+
+impl JoinParts {
+    fn build_progs(&self, vector_size: usize) -> Vec<ExprProg> {
+        self.build_keys
+            .iter()
+            .map(|c| ExprProg::new(c, vector_size))
+            .collect()
     }
 
-    /// Supply the bind-time probe cardinality estimate (Bloom sizing
-    /// feedback). Only meaningful before the build side materializes.
-    pub(crate) fn set_probe_rows_hint(&mut self, hint: Option<usize>) {
-        self.cfg.probe_rows_hint = hint;
+    fn probe_core(
+        &self,
+        probe: &dyn Operator,
+        vector_size: usize,
+        ctx: Arc<QueryContext>,
+    ) -> ProbeCore {
+        ProbeCore::new(
+            probe.fields(),
+            &self.payload_fields,
+            self.probe_keys
+                .iter()
+                .map(|c| ExprProg::new(c, vector_size))
+                .collect(),
+            self.join_type,
+            vector_size,
+            ctx,
+        )
+    }
+
+    fn build_config(&self, opts: &ExecOptions) -> JoinBuildConfig {
+        JoinBuildConfig {
+            partition_bits: opts.join_partition_bits,
+            cache_budget: opts.join_cache_budget.max(1),
+            threads: opts.threads.max(1),
+            probe_rows_hint: self.probe_rows_hint,
+        }
+    }
+}
+
+impl HashJoinOp {
+    /// A hash join of `build` and `probe` from the verified `parts`.
+    pub(crate) fn new(
+        build: Box<dyn Operator>,
+        probe: Box<dyn Operator>,
+        parts: &JoinParts,
+        opts: &ExecOptions,
+        ctx: Arc<QueryContext>,
+    ) -> Self {
+        HashJoinOp {
+            build_keys: parts.build_progs(opts.vector_size),
+            payload_cols: parts.payload_cols.clone(),
+            payload_fields: parts.payload_fields.clone(),
+            cfg: parts.build_config(opts),
+            table: None,
+            core: parts.probe_core(probe.as_ref(), opts.vector_size, ctx.clone()),
+            build,
+            probe,
+            ctx,
+        }
     }
 
     /// Build the partitioned table without probing, handing it out for
     /// sharing across parallel probe pipelines (build once, probe many).
     pub(crate) fn build_shared(
         build: &mut dyn Operator,
-        build_key_exprs: &[Expr],
-        payload: &[(String, String)],
-        probe_rows_hint: Option<usize>,
+        parts: &JoinParts,
         opts: &ExecOptions,
         ctx: &Arc<QueryContext>,
         prof: &mut Profiler,
     ) -> Result<Arc<JoinBuildTable>, PlanError> {
-        let mut build_keys = Vec::new();
-        for e in build_key_exprs {
-            build_keys.push(ExprProg::compile(
-                e,
-                build.fields(),
-                opts.vector_size,
-                opts.compound_primitives,
-            )?);
-        }
-        let mut payload_cols = Vec::new();
-        let mut payload_fields = Vec::new();
-        for (src, alias) in payload {
-            let ci = build
-                .fields()
-                .iter()
-                .position(|f| &f.name == src)
-                .ok_or_else(|| PlanError::UnknownColumn(src.clone()))?;
-            payload_cols.push(ci);
-            payload_fields.push(OutField::new(alias.clone(), build.fields()[ci].ty));
-        }
-        let mut cfg = JoinBuildConfig::from_opts(opts);
-        cfg.probe_rows_hint = probe_rows_hint;
         let t0 = prof.start();
         let table = JoinBuildTable::build(
             build,
-            &mut build_keys,
-            &payload_cols,
-            payload_fields,
-            &cfg,
+            &mut parts.build_progs(opts.vector_size),
+            &parts.payload_cols,
+            &parts.payload_fields,
+            &parts.build_config(opts),
             ctx,
             prof,
         )?;
@@ -943,7 +875,7 @@ impl Operator for HashJoinOp {
                 self.build.as_mut(),
                 &mut self.build_keys,
                 &self.payload_cols,
-                self.payload_fields.clone(),
+                &self.payload_fields,
                 &self.cfg,
                 &self.ctx,
                 prof,
@@ -973,48 +905,16 @@ pub struct HashJoinProbeOp {
 }
 
 impl HashJoinProbeOp {
-    /// Bind a probe pipeline over `table`. Probe key expressions must
-    /// match the build-side key types recorded in the table.
+    /// A probe pipeline over the shared `table` built for `parts`.
     pub(crate) fn new(
         probe: Box<dyn Operator>,
         table: Arc<JoinBuildTable>,
-        probe_key_exprs: &[Expr],
-        join_type: JoinType,
-        opts: &ExecOptions,
+        parts: &JoinParts,
+        vector_size: usize,
         ctx: Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        if probe_key_exprs.len() != table.key_types().len() {
-            return Err(PlanError::Invalid(
-                "probe key count differs from shared build table".to_owned(),
-            ));
-        }
-        let mut probe_keys = Vec::new();
-        for (i, e) in probe_key_exprs.iter().enumerate() {
-            let p = ExprProg::compile(
-                e,
-                probe.fields(),
-                opts.vector_size,
-                opts.compound_primitives,
-            )?;
-            if p.result_type() != table.key_types()[i] {
-                return Err(PlanError::TypeMismatch(format!(
-                    "join key {} type mismatch: build {}, probe {}",
-                    i,
-                    table.key_types()[i],
-                    p.result_type()
-                )));
-            }
-            probe_keys.push(p);
-        }
-        let core = ProbeCore::new(
-            probe.fields(),
-            table.payload_fields(),
-            probe_keys,
-            join_type,
-            opts.vector_size,
-            ctx,
-        );
-        Ok(HashJoinProbeOp { probe, table, core })
+    ) -> Self {
+        let core = parts.probe_core(probe.as_ref(), vector_size, ctx);
+        HashJoinProbeOp { probe, table, core }
     }
 }
 

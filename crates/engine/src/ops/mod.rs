@@ -22,21 +22,26 @@ mod scan;
 mod select;
 mod sort;
 
+pub(crate) use aggr::AggSpec;
 pub use aggr::{
     AggrPartial, DirectAggrOp, DirectKey, HashAggrOp, MergeAgg, MergeSpec, OrdAggrOp, PartialAcc,
 };
 pub use array::ArrayOp;
+pub(crate) use fetchjoin::{has_unchecked_twin, FetchSpec};
 pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp};
+pub(crate) use join::JoinParts;
 pub use join::{CartProdOp, HashJoinOp, HashJoinProbeOp, JoinBuildTable, JoinType};
 pub use parallel::MergeAggrOp;
 pub use project::ProjectOp;
 pub use scan::ScanOp;
+pub(crate) use scan::{ScanCol, ScanSpec};
+pub(crate) use select::PredStep;
 pub use select::SelectOp;
-pub use sort::{OrdExp, OrderOp, SortOrder, TopNOp};
+pub use sort::{OrdExp, OrderOp, SortOrder};
 
 /// A dataflow with the right shape and zero rows: what a `Select` whose
-/// predicate the facts analyzer proved always-false binds to (the
-/// constant-folding sink of [`crate::facts`]).
+/// predicate the facts analyzer proved always-false is instantiated as
+/// (the constant-folding sink of [`crate::facts`]).
 #[derive(Debug)]
 pub struct EmptyOp {
     fields: Vec<crate::batch::OutField>,
@@ -86,13 +91,6 @@ pub trait Operator {
         _prof: &mut Profiler,
     ) -> Result<Option<AggrPartial>, PlanError> {
         Ok(None)
-    }
-
-    /// Parallel-execution hook: the merge recipe for partials produced
-    /// by [`Operator::take_partial_aggr`]. `None` for operators without
-    /// mergeable aggregation state.
-    fn partial_merge_spec(&self) -> Option<MergeSpec> {
-        None
     }
 }
 

@@ -5,9 +5,10 @@
 //! aggregation over a scan pipeline — without touching the sequential
 //! path:
 //!
-//! 1. [`decompose`] splits a plan into *wrappers* (`Order` / `TopN` /
-//!    `Project` / `Select` above the aggregation) and the aggregation
-//!    subtree (`Aggr`/`DirectAggr` over a
+//! 1. [`decompose`] splits the checked plan tree into *wrappers*
+//!    (`Order` / `TopN` / `Project` / `Select` nodes above the
+//!    aggregation) and the aggregation subtree (hash or direct
+//!    aggregation over a
 //!    `Select`/`Project`/`Fetch1Join`/`FetchNJoin`/`HashJoin`-probe
 //!    chain ending in a `Scan`). Any other shape falls back to
 //!    sequential execution. For each `HashJoin` on the chain the driver
@@ -19,13 +20,15 @@
 //!    `T` statically takes morsels `w, w+T, w+2T, …`: assignment does
 //!    not depend on thread timing, so a given `(threads, morsel_size)`
 //!    always aggregates the same rows in the same per-worker order.
-//! 3. Each worker binds its *own* clone of the vector pipeline (the
-//!    `Rc`-based batch machinery stays thread-local) over its morsels
-//!    and materializes partial aggregation state
-//!    ([`Operator::take_partial_aggr`]).
+//! 3. Each worker instantiates its *own* clone of the vector pipeline
+//!    from the shared checked tree (the `Rc`-based batch machinery stays
+//!    thread-local; the verified programs are shared, only their
+//!    register files are per worker) over its morsels and materializes
+//!    partial aggregation state ([`Operator::take_partial_aggr`]).
 //! 4. [`MergeAggrOp`] re-aggregates the partials in worker order —
 //!    sums/counts add, `min`/`max` fold, AVG divides merged sums by
-//!    merged counts at emission — and feeds the rebound wrappers.
+//!    merged counts at emission — and the wrapper nodes are instantiated
+//!    over it.
 //!
 //! Worker results merge in worker-index order, so output is
 //! deterministic for a fixed `(threads, morsel_size)`. Floating-point
@@ -33,142 +36,106 @@
 //! association order); integer results are exact.
 
 use crate::batch::{Batch, OutField, VecPool};
-use crate::expr::{AggFunc, Expr};
+use crate::check::{CheckedNode, CheckedOp};
+use crate::expr::AggFunc;
 use crate::govern::{panic_cause, QueryContext};
 use crate::ops::aggr::{ensure_capacity, hash_keys, AggrPartial, MergeSpec, PartialAcc};
 use crate::ops::join::HashJoinOp;
-use crate::ops::{eq_at, push_from, Operator, OrdExp, OrderOp, ProjectOp, SelectOp, TopNOp};
-use crate::plan::{plan_key, scan_prune_range, Plan, SharedJoinMap};
+use crate::ops::{eq_at, push_from, JoinParts, Operator, ScanSpec};
+use crate::plan::SharedJoins;
 use crate::profile::Profiler;
-use crate::session::{run_operator, Database, ExecOptions, QueryResult};
+use crate::session::{run_operator, ExecOptions, QueryResult};
 use crate::PlanError;
 use std::sync::Arc;
 use std::time::Instant;
 use x100_storage::{plan_morsels, Morsel};
 use x100_vector::{aggr as vaggr, Vector};
 
-/// A plan node sitting above the aggregation, to be rebound over the
-/// merge operator.
-enum Wrap<'a> {
-    Select(&'a Expr),
-    Project(&'a [(String, Expr)]),
-    TopN(&'a [OrdExp], usize),
-    Order(&'a [OrdExp]),
+/// The parallelizable shape of a checked plan.
+struct Decomposed<'a> {
+    /// Nodes above the aggregation, outermost first.
+    wrappers: Vec<&'a CheckedNode>,
+    /// The topmost hash / direct aggregation node and its merge recipe.
+    aggr: &'a CheckedNode,
+    merge: &'a MergeSpec,
+    /// The leaf scan of the aggregation's probe spine.
+    scan: &'a ScanSpec,
+    /// `HashJoin` nodes on the spine, outermost first.
+    joins: Vec<(&'a CheckedNode, &'a JoinParts)>,
 }
 
-/// Split `plan` into wrappers above the topmost `Aggr`/`DirectAggr`
-/// (outermost first), the aggregation subtree, its leaf `Scan`, and any
-/// `HashJoin` nodes on the probe spine between the aggregation and the
-/// scan (outermost first). `None` if the plan does not have the
-/// parallelizable shape.
-#[allow(clippy::type_complexity)] // one-shot internal decomposition tuple
-fn decompose(plan: &Plan) -> Option<(Vec<Wrap<'_>>, &Plan, &Plan, Vec<&Plan>)> {
+/// Split the checked tree at its topmost hash / direct aggregation;
+/// `None` if the plan does not have the parallelizable shape.
+fn decompose(root: &CheckedNode) -> Option<Decomposed<'_>> {
     let mut wrappers = Vec::new();
-    let mut cur = plan;
-    let aggr = loop {
-        match cur {
-            Plan::Order { input, keys } => {
-                wrappers.push(Wrap::Order(keys));
-                cur = input;
+    let mut cur = root;
+    let merge = loop {
+        match &cur.op {
+            CheckedOp::Sort { .. } | CheckedOp::Project { .. } | CheckedOp::Select { .. } => {
+                wrappers.push(cur);
+                cur = &cur.inputs[0];
             }
-            Plan::TopN { input, keys, limit } => {
-                wrappers.push(Wrap::TopN(keys, *limit));
-                cur = input;
-            }
-            Plan::Project { input, exprs } => {
-                wrappers.push(Wrap::Project(exprs));
-                cur = input;
-            }
-            Plan::Select { input, pred } => {
-                wrappers.push(Wrap::Select(pred));
-                cur = input;
-            }
-            Plan::Aggr { .. } | Plan::DirectAggr { .. } => break cur,
+            CheckedOp::HashAggr { merge, .. } | CheckedOp::DirectAggr { merge, .. } => break merge,
             _ => return None,
         }
-    };
-    // Wrong turn: a Select/Project consumed above was actually part of
-    // the pre-aggregation chain only if no aggregation exists — but the
-    // loop already required one, so wrappers are genuinely above it.
-    let below = match aggr {
-        Plan::Aggr { input, .. } | Plan::DirectAggr { input, .. } => input,
-        _ => unreachable!(),
     };
     let mut joins = Vec::new();
-    let mut leaf = below.as_ref();
+    let mut leaf = &cur.inputs[0];
     let scan = loop {
-        match leaf {
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Fetch1Join { input, .. }
-            | Plan::FetchNJoin { input, .. } => leaf = input,
-            Plan::HashJoin { probe, .. } => {
+        match &leaf.op {
+            CheckedOp::Select { .. }
+            | CheckedOp::Project { .. }
+            | CheckedOp::Fetch1Join { .. }
+            | CheckedOp::FetchNJoin { .. } => leaf = &leaf.inputs[0],
+            CheckedOp::HashJoin(parts) => {
                 // The morsel restriction follows the probe side; the
                 // build side materializes once, shared across workers.
-                joins.push(leaf);
-                leaf = probe;
+                joins.push((leaf, parts));
+                leaf = &leaf.inputs[1];
             }
-            Plan::Scan { .. } => break leaf,
+            CheckedOp::Scan(spec) => break spec,
             _ => return None,
         }
     };
-    Some((wrappers, aggr, scan, joins))
+    Some(Decomposed {
+        wrappers,
+        aggr: cur,
+        merge,
+        scan,
+        joins,
+    })
 }
 
-/// Execute `plan` with `opts.threads` morsel-parallel workers, if it
-/// has the supported shape. `Ok(None)` means "not parallelizable here —
-/// run sequentially"; errors are real binding/validation failures.
+/// Execute the checked plan with `opts.threads` morsel-parallel workers,
+/// if it has the supported shape. `Ok(None)` means "not parallelizable
+/// here — run sequentially".
 pub(crate) fn try_execute_parallel(
-    db: &Database,
-    plan: &Plan,
+    root: &CheckedNode,
     opts: &ExecOptions,
     ctx: &Arc<QueryContext>,
 ) -> Result<Option<(QueryResult, Profiler)>, PlanError> {
-    let Some((wrappers, aggr, scan, joins)) = decompose(plan) else {
+    let Some(d) = decompose(root) else {
         return Ok(None);
-    };
-    let Plan::Scan { table, prune, .. } = scan else {
-        unreachable!()
     };
     let mut prof = Profiler::new(opts.profile);
 
     // Build once, probe many: materialize each hash-join build side on
     // the main thread into a shared radix-partitioned table; workers
-    // then bind read-only probe pipelines against it.
-    let mut shared = SharedJoinMap::new();
-    for &jp in &joins {
-        let Plan::HashJoin {
-            build,
-            probe,
-            build_keys,
-            payload,
-            ..
-        } = jp
-        else {
-            unreachable!()
-        };
-        let (mut b, _) = build.bind_inner(db, opts, None, None, ctx)?;
-        let hint = crate::plan::probe_rows_estimate(probe, db);
-        let table =
-            HashJoinOp::build_shared(b.as_mut(), build_keys, payload, hint, opts, ctx, &mut prof)?;
-        shared.insert(plan_key(jp), table);
+    // then instantiate read-only probe pipelines against it.
+    let mut shared = SharedJoins::new();
+    for &(join, parts) in &d.joins {
+        let mut b = join.inputs[0].instantiate(opts, None, None, ctx)?;
+        let table = HashJoinOp::build_shared(b.as_mut(), parts, opts, ctx, &mut prof)?;
+        shared.insert(join.path(), table);
     }
 
-    // Template bind: validates the subtree once up front (surfacing
-    // bind errors on the caller's thread) and yields the merge recipe.
-    let (template, _) = aggr.bind_inner(db, opts, Some(&[]), Some(&shared), ctx)?;
-    let Some(spec) = template.partial_merge_spec() else {
-        return Ok(None);
-    };
-    drop(template);
-
-    let (t, range) = scan_prune_range(db, table, prune.as_ref())?;
-    let frag_range = range.unwrap_or((0, t.fragment_rows()));
+    let t = &d.scan.table;
+    let frag_range = d.scan.range.unwrap_or((0, t.fragment_rows()));
     let morsels = plan_morsels(frag_range, t.delta_rows(), opts.morsel_size);
     let nworkers = opts.threads.min(morsels.len()).max(1);
 
     let mut partials: Vec<AggrPartial> = Vec::with_capacity(nworkers);
-    let shared_ref = &shared;
+    let (aggr, shared_ref) = (d.aggr, &shared);
     // Panic containment: each worker runs under `catch_unwind`; the
     // first panic (or governor error) cancels the shared context, so
     // sibling workers unwind cleanly at their next per-vector check.
@@ -191,8 +158,8 @@ pub(crate) fn try_execute_parallel(
                     let t0 = Instant::now();
                     let mut wprof = Profiler::new(opts.profile);
                     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        aggr.bind_inner(db, opts, Some(&assigned), Some(shared_ref), ctx)
-                            .and_then(|(mut op, _)| op.take_partial_aggr(&mut wprof))
+                        aggr.instantiate(opts, Some(&assigned), Some(shared_ref), ctx)
+                            .and_then(|mut op| op.take_partial_aggr(&mut wprof))
                     }));
                     let partial = match caught {
                         Ok(res) => res,
@@ -254,26 +221,11 @@ pub(crate) fn try_execute_parallel(
         return Err(e);
     }
 
-    // Merge stage plus the rebound wrappers, innermost first. Aggregate
-    // outputs carry no enum-code dictionaries, so no literal rewriting
-    // is needed above the merge.
-    let vs = opts.vector_size;
-    let comp = opts.compound_primitives;
-    let mut op: Box<dyn Operator> = Box::new(MergeAggrOp::new(spec, partials, vs, ctx.clone()));
-    for w in wrappers.into_iter().rev() {
-        op = match w {
-            Wrap::Select(pred) => Box::new(SelectOp::new(
-                op,
-                pred,
-                vs,
-                comp,
-                opts.select_strategy,
-                ctx.clone(),
-            )?),
-            Wrap::Project(exprs) => Box::new(ProjectOp::new(op, exprs, vs, comp, ctx.clone())?),
-            Wrap::TopN(keys, limit) => Box::new(TopNOp::new(op, keys, limit, vs, ctx.clone())?),
-            Wrap::Order(keys) => Box::new(OrderOp::new(op, keys, vs, ctx.clone())?),
-        };
+    // Merge stage, then the wrapper nodes over it, innermost first.
+    let merge = MergeAggrOp::new(d.merge.clone(), partials, opts.vector_size, ctx.clone());
+    let mut op: Box<dyn Operator> = Box::new(merge);
+    for w in d.wrappers.into_iter().rev() {
+        op = w.over(op, opts, ctx);
     }
     let result = run_operator(op.as_mut(), &mut prof)?;
     Ok(Some((result, prof)))

@@ -12,8 +12,7 @@
 //! perform calculations only for relevant tuples" (§4.1.1).
 
 use crate::batch::{Batch, OutField};
-use crate::compile::ExprProg;
-use crate::expr::Expr;
+use crate::compile::{ExprCode, ExprProg};
 use crate::govern::QueryContext;
 use crate::ops::Operator;
 use crate::profile::Profiler;
@@ -43,32 +42,33 @@ pub struct ProjectOp {
 }
 
 impl ProjectOp {
-    /// Compile named expressions against `child`'s shape.
-    pub fn new(
+    /// A projection computing the verified `exprs` (one per output
+    /// field) over `child`.
+    pub(crate) fn new(
         child: Box<dyn Operator>,
-        exprs: &[(String, Expr)],
+        exprs: &[std::sync::Arc<ExprCode>],
+        fields: Vec<OutField>,
         vector_size: usize,
-        compound: bool,
         ctx: std::sync::Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        let mut cols = Vec::new();
-        let mut fields = Vec::new();
-        for (name, e) in exprs {
-            let prog = ExprProg::compile(e, child.fields(), vector_size, compound)?;
-            fields.push(OutField::new(name.clone(), prog.result_type()));
-            match prog.as_col_ref() {
-                Some(i) => cols.push(ProjCol::Pass(i)),
-                None => cols.push(ProjCol::Compute { prog, slot: None }),
-            }
-        }
-        Ok(ProjectOp {
+    ) -> Self {
+        let cols = exprs
+            .iter()
+            .map(|code| match code.as_col_ref() {
+                Some(i) => ProjCol::Pass(i),
+                None => ProjCol::Compute {
+                    prog: ExprProg::new(code, vector_size),
+                    slot: None,
+                },
+            })
+            .collect();
+        ProjectOp {
             child,
             cols,
             fields,
             vector_size,
             out: Batch::new(),
             ctx,
-        })
+        }
     }
 }
 

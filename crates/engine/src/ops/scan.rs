@@ -21,6 +21,36 @@ use std::sync::Arc;
 use x100_storage::{ColumnBM, ColumnData, DecodeCursor, Morsel, PushOp, Pushdown, Table};
 use x100_vector::{Value, Vector};
 
+/// A `Scan` as the check walk resolved it ([`crate::check`]): the table,
+/// which columns to read and how, the summary-pruned fragment range and
+/// the fused encoded-space predicate, if any.
+#[derive(Debug, Clone)]
+pub(crate) struct ScanSpec {
+    /// The scanned table.
+    pub table: Arc<Table>,
+    /// Per scanned column: its index in `table` and how it is surfaced.
+    pub cols: Vec<(usize, ScanCol)>,
+    /// Fragment row range left by summary-index pruning (`None` = all).
+    pub range: Option<(usize, usize)>,
+    /// `CompressedScanSelect` fusion: the scanned-column position and
+    /// the encoded-space predicate evaluated on refill. The column is a
+    /// plain checkpoint-compressed column whose codec supports it.
+    pub push: Option<(usize, Pushdown)>,
+    /// The catalog's buffer manager, if attached.
+    pub bm: Option<Arc<ColumnBM>>,
+}
+
+/// How a scanned column is surfaced.
+#[derive(Debug, Clone)]
+pub(crate) enum ScanCol {
+    /// Plain column, read as stored.
+    Plain,
+    /// Enum column surfaced as raw codes.
+    Codes,
+    /// Enum column decoded via the `Fetch1Join(ENUM)` gather `sig`.
+    Decode { sig: String },
+}
+
 /// How one scanned column is produced.
 enum ColMode {
     /// Plain column: memcpy fragment range into the vector.
@@ -104,116 +134,36 @@ pub struct ScanOp {
 }
 
 impl ScanOp {
-    /// Build a scan of `col_names` over `table`.
-    ///
-    /// `code_cols` lists enum columns to surface as raw codes;
-    /// `range` restricts the fragment rows scanned (summary-index
-    /// pruning); `None` scans everything.
-    pub fn new(
-        table: Arc<Table>,
-        col_names: &[&str],
-        code_cols: &[&str],
-        range: Option<(usize, usize)>,
+    /// A scan of `spec` producing `fields`. With `morsels`, only those
+    /// disjoint row ranges are scanned (one parallel worker's share) in
+    /// place of the pruned range plus the whole delta.
+    pub(crate) fn new(
+        spec: &ScanSpec,
+        fields: &[OutField],
+        morsels: Option<&[Morsel]>,
         vector_size: usize,
-        bm: Option<Arc<ColumnBM>>,
         ctx: Arc<QueryContext>,
-    ) -> Result<Self, crate::PlanError> {
-        Self::build(
-            table,
-            col_names,
-            code_cols,
-            range,
-            None,
-            vector_size,
-            bm,
-            ctx,
-        )
-    }
-
-    /// Build a scan restricted to `morsels` (disjoint row ranges handed
-    /// to one parallel worker). `range`/delta iteration is replaced by
-    /// the morsel list; everything else matches [`ScanOp::new`].
-    pub fn with_morsels(
-        table: Arc<Table>,
-        col_names: &[&str],
-        code_cols: &[&str],
-        morsels: Vec<Morsel>,
-        vector_size: usize,
-        bm: Option<Arc<ColumnBM>>,
-        ctx: Arc<QueryContext>,
-    ) -> Result<Self, crate::PlanError> {
-        Self::build(
-            table,
-            col_names,
-            code_cols,
-            None,
-            Some(morsels),
-            vector_size,
-            bm,
-            ctx,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        table: Arc<Table>,
-        col_names: &[&str],
-        code_cols: &[&str],
-        range: Option<(usize, usize)>,
-        morsels: Option<Vec<Morsel>>,
-        vector_size: usize,
-        bm: Option<Arc<ColumnBM>>,
-        ctx: Arc<QueryContext>,
-    ) -> Result<Self, crate::PlanError> {
-        let mut cols = Vec::new();
-        let mut modes = Vec::new();
-        let mut fields = Vec::new();
-        let mut pools = Vec::new();
-        for &name in col_names {
-            let ci = table
-                .column_index(name)
-                .ok_or_else(|| crate::PlanError::UnknownColumn(name.to_owned()))?;
-            let sc = table.column(ci);
-            let as_codes = code_cols.contains(&name);
-            let (mode, ty) = match (sc.dict(), as_codes) {
-                (None, _) => (ColMode::Plain, sc.field().logical),
-                (Some(_), true) => (ColMode::Codes, sc.physical_type()),
-                (Some(dict), false) => {
-                    let code_ty = sc.physical_type();
-                    let sig = format!(
-                        "map_fetch_{}_col_{}_col",
-                        code_ty.sig_name(),
-                        dict.value_type().sig_name()
-                    );
-                    (
-                        ColMode::Decode {
-                            codes: Vector::with_capacity(code_ty, vector_size),
-                            sig,
-                        },
-                        dict.value_type(),
-                    )
-                }
-            };
-            cols.push(ci);
-            fields.push(OutField::new(name, ty));
-            pools.push(VecPool::new(ty, vector_size));
-            modes.push(mode);
-        }
-        // Raw codes cannot be served from the (logical-value) insert
-        // delta: reject at bind time rather than panic mid-scan.
-        if table.delta_rows() > 0 {
-            if let Some((&name, _)) = col_names
-                .iter()
-                .zip(modes.iter())
-                .find(|(_, m)| matches!(m, ColMode::Codes))
-            {
-                return Err(crate::PlanError::Invalid(format!(
-                    "raw-code scan of column `{name}` with pending insert deltas; reorganize first"
-                )));
-            }
-        }
+    ) -> Result<Self, PlanError> {
+        let table = spec.table.clone();
+        let cols: Vec<usize> = spec.cols.iter().map(|(ci, _)| *ci).collect();
+        let modes = spec
+            .cols
+            .iter()
+            .map(|(ci, kind)| match kind {
+                ScanCol::Plain => ColMode::Plain,
+                ScanCol::Codes => ColMode::Codes,
+                ScanCol::Decode { sig } => ColMode::Decode {
+                    codes: Vector::with_capacity(table.column(*ci).physical_type(), vector_size),
+                    sig: sig.clone(),
+                },
+            })
+            .collect();
+        let pools = fields
+            .iter()
+            .map(|f| VecPool::new(f.ty, vector_size))
+            .collect();
         let frag = table.fragment_rows();
-        let range = match range {
+        let range = match spec.range {
             None => (0, frag),
             Some((s, e)) => (s.min(frag), e.min(frag)),
         };
@@ -244,52 +194,33 @@ impl ScanOp {
             table,
             cols,
             modes,
-            fields,
+            fields: fields.to_vec(),
             pools,
             sel_pool: SelPool::default(),
             out: Batch::new(),
             range,
             pos: range.0,
             delta_pos: 0,
-            morsels,
+            morsels: morsels.map(|m| m.to_vec()),
             mcur: 0,
             moff: 0,
             vector_size,
             scratch_del: Vec::new(),
             scratch_reads: Vec::new(),
             comp,
-            push: None,
+            push: spec.push.as_ref().map(|(k, p)| PushSpec {
+                k: *k,
+                p: p.clone(),
+                sel: Vec::new(),
+                tmp: Vec::new(),
+                abs: Vec::new(),
+                counted: false,
+            }),
             mem,
-            bm,
+            bm: spec.bm.clone(),
             ctx,
             placeholder: std::rc::Rc::new(Vector::Bool(Vec::new())),
         })
-    }
-
-    /// Attach a fused predicate pushdown on scanned column `col` (the
-    /// binder's `CompressedScanSelect` fusion). The column must be a
-    /// plain (non-enum) checkpoint-compressed column whose codec
-    /// supports encoded-space selection.
-    pub fn set_pushdown(&mut self, col: &str, p: Pushdown) -> Result<(), PlanError> {
-        let k = self
-            .fields
-            .iter()
-            .position(|f| f.name == col)
-            .ok_or_else(|| PlanError::UnknownColumn(col.to_owned()))?;
-        if !matches!(self.modes[k], ColMode::Plain) || self.comp[k].is_none() {
-            return Err(PlanError::Invalid(format!(
-                "pushdown on `{col}` requires a plain compressed column"
-            )));
-        }
-        self.push = Some(PushSpec {
-            k,
-            p,
-            sel: Vec::new(),
-            tmp: Vec::new(),
-            abs: Vec::new(),
-            counted: false,
-        });
-        Ok(())
     }
 
     /// Read `len` bytes of column `ci` at `offset` through the buffer

@@ -4,7 +4,8 @@
 //! of tuples that match our predicate" (§4.1.1). Column data is never
 //! copied: downstream primitives honor the selection vector.
 //!
-//! Predicate compilation:
+//! Predicate compilation (done once per query by the check walk,
+//! [`crate::check`], which hands the steps to every instance):
 //! * a conjunction of comparisons lowers to a chain of `select_*`
 //!   primitives, each *refining* the selection of the previous one;
 //! * each comparison's operands may themselves be computed expressions
@@ -16,219 +17,121 @@
 //! option threaded through here.
 
 use crate::batch::{Batch, OutField, SelPool};
-use crate::compile::ExprProg;
-use crate::expr::Expr;
+use crate::compile::{ExprCode, ExprProg};
 use crate::govern::QueryContext;
 use crate::ops::Operator;
 use crate::profile::Profiler;
 use crate::PlanError;
+use std::sync::Arc;
 use x100_vector::select::{select_cmp_col_col, select_cmp_col_val, select_str_eq, select_true};
-use x100_vector::{CmpOp, ScalarType, SelVec, SelectStrategy, Value, Vector};
+use x100_vector::{CmpOp, SelVec, SelectStrategy, Value, Vector};
 
-/// One conjunct of a compiled predicate.
-enum PredStep {
+/// One conjunct of a predicate, split by the check walk
+/// ([`crate::check`]). `P` is the program representation: shared
+/// [`ExprCode`] in the checked plan tree, a runnable [`ExprProg`] inside
+/// the operator.
+#[derive(Debug)]
+pub(crate) enum PredStep<P> {
     /// `lhs ⊙ literal` via a select primitive.
     CmpVal {
-        lhs: ExprProg,
+        lhs: P,
         op: CmpOp,
         v: Value,
         sig: String,
     },
     /// `lhs ⊙ rhs` (both columns/expressions) via a select primitive.
     CmpCol {
-        lhs: ExprProg,
-        rhs: ExprProg,
+        lhs: P,
+        rhs: P,
         op: CmpOp,
         sig: String,
     },
     /// String equality select.
-    StrEq {
-        lhs: ExprProg,
-        v: String,
-        negate: bool,
-    },
+    StrEq { lhs: P, v: String, negate: bool },
     /// General boolean expression + `select_true`.
-    Bool(ExprProg),
+    Bool(P),
     /// Statically empty (e.g. `enum_col = literal` not in the dictionary).
     Never,
+}
+
+impl PredStep<Arc<ExprCode>> {
+    /// The `select_*` signature this step runs (`None` for `Never`).
+    pub(crate) fn sig(&self) -> Option<&str> {
+        match self {
+            PredStep::CmpVal { sig, .. } | PredStep::CmpCol { sig, .. } => Some(sig),
+            PredStep::StrEq { .. } => Some("select_eq_str_col_val"),
+            PredStep::Bool(_) => Some("select_true_bool_col"),
+            PredStep::Never => None,
+        }
+    }
+
+    /// The expression programs this step evaluates.
+    pub(crate) fn programs(&self) -> Vec<&Arc<ExprCode>> {
+        match self {
+            PredStep::CmpVal { lhs, .. } | PredStep::StrEq { lhs, .. } | PredStep::Bool(lhs) => {
+                vec![lhs]
+            }
+            PredStep::CmpCol { lhs, rhs, .. } => vec![lhs, rhs],
+            PredStep::Never => Vec::new(),
+        }
+    }
+
+    fn instantiate(&self, vector_size: usize) -> PredStep<ExprProg> {
+        let run = |c: &Arc<ExprCode>| ExprProg::new(c, vector_size);
+        match self {
+            PredStep::CmpVal { lhs, op, v, sig } => PredStep::CmpVal {
+                lhs: run(lhs),
+                op: *op,
+                v: v.clone(),
+                sig: sig.clone(),
+            },
+            PredStep::CmpCol { lhs, rhs, op, sig } => PredStep::CmpCol {
+                lhs: run(lhs),
+                rhs: run(rhs),
+                op: *op,
+                sig: sig.clone(),
+            },
+            PredStep::StrEq { lhs, v, negate } => PredStep::StrEq {
+                lhs: run(lhs),
+                v: v.clone(),
+                negate: *negate,
+            },
+            PredStep::Bool(p) => PredStep::Bool(run(p)),
+            PredStep::Never => PredStep::Never,
+        }
+    }
 }
 
 /// The select operator.
 pub struct SelectOp {
     child: Box<dyn Operator>,
-    steps: Vec<PredStep>,
+    steps: Vec<PredStep<ExprProg>>,
     strategy: SelectStrategy,
     sel_pool: SelPool,
     scratch: SelVec,
     out: Batch,
-    ctx: std::sync::Arc<QueryContext>,
+    ctx: Arc<QueryContext>,
 }
 
 impl SelectOp {
-    /// Compile `pred` against `child`'s shape.
-    ///
-    /// Enum-predicate rewrites (string literal → dictionary code) are
-    /// the binder's job ([`crate::plan`]); by the time a predicate gets
-    /// here, comparisons on code columns are already numeric.
-    pub fn new(
+    /// A selection running the verified `steps` over `child`.
+    pub(crate) fn new(
         child: Box<dyn Operator>,
-        pred: &Expr,
+        steps: &[PredStep<Arc<ExprCode>>],
         vector_size: usize,
-        compound: bool,
         strategy: SelectStrategy,
-        ctx: std::sync::Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        let mut steps = Vec::new();
-        build_steps(pred, child.fields(), vector_size, compound, &mut steps)?;
-        Ok(SelectOp {
+        ctx: Arc<QueryContext>,
+    ) -> Self {
+        SelectOp {
             child,
-            steps,
+            steps: steps.iter().map(|s| s.instantiate(vector_size)).collect(),
             strategy,
             sel_pool: SelPool::default(),
             scratch: SelVec::default(),
             out: Batch::new(),
             ctx,
-        })
-    }
-}
-
-/// Split a conjunction into refinement steps.
-fn build_steps(
-    pred: &Expr,
-    fields: &[OutField],
-    vector_size: usize,
-    compound: bool,
-    out: &mut Vec<PredStep>,
-) -> Result<(), PlanError> {
-    match pred {
-        Expr::And(l, r) => {
-            build_steps(l, fields, vector_size, compound, out)?;
-            build_steps(r, fields, vector_size, compound, out)?;
-            Ok(())
-        }
-        // Constant-true conjuncts vanish; constant-false short-circuits
-        // (the binder's enum rewrite produces these for literals absent
-        // from a dictionary).
-        Expr::Lit(Value::Bool(true)) => Ok(()),
-        Expr::Lit(Value::Bool(false)) => {
-            out.push(PredStep::Never);
-            Ok(())
-        }
-        Expr::Cmp(op, l, r) => {
-            // String equality?
-            let lty = ExprProg::compile(l, fields, vector_size, compound)?;
-            if lty.result_type() == ScalarType::Str {
-                let (negate, v) = match (op, r.as_ref()) {
-                    (CmpOp::Eq, Expr::Lit(Value::Str(v))) => (false, v.clone()),
-                    (CmpOp::Ne, Expr::Lit(Value::Str(v))) => (true, v.clone()),
-                    _ => {
-                        return Err(PlanError::TypeMismatch(
-                            "string predicates support only = / != literal".to_owned(),
-                        ))
-                    }
-                };
-                out.push(PredStep::StrEq {
-                    lhs: lty,
-                    v,
-                    negate,
-                });
-                return Ok(());
-            }
-            match r.as_ref() {
-                Expr::Lit(v) => {
-                    // A float literal against an integer column needs the
-                    // promoting map path (the select primitive would
-                    // truncate the literal). Types without a select
-                    // primitive also fall back to the boolean map path,
-                    // whose compiler reports a typed error if the
-                    // comparison itself is unsupported.
-                    if (lty.result_type().is_integer() && v.scalar_type() == ScalarType::F64)
-                        || !select_val_supported(lty.result_type())
-                    {
-                        let prog = ExprProg::compile(pred, fields, vector_size, compound)?;
-                        out.push(PredStep::Bool(prog));
-                        return Ok(());
-                    }
-                    let sig = format!(
-                        "select_{}_{}_col_val",
-                        op.sig_name(),
-                        lty.result_type().sig_name()
-                    );
-                    out.push(PredStep::CmpVal {
-                        lhs: lty,
-                        op: *op,
-                        v: v.clone(),
-                        sig,
-                    });
-                    Ok(())
-                }
-                _ => {
-                    let rty = ExprProg::compile(r, fields, vector_size, compound)?;
-                    if rty.result_type() != lty.result_type()
-                        || !select_col_supported(lty.result_type())
-                    {
-                        // Fall back to the general boolean path, which
-                        // handles promotion in the map layer (and yields
-                        // a typed error for unsupported comparisons).
-                        let prog = ExprProg::compile(pred, fields, vector_size, compound)?;
-                        out.push(PredStep::Bool(prog));
-                        return Ok(());
-                    }
-                    let sig = format!(
-                        "select_{}_{}_col_col",
-                        op.sig_name(),
-                        lty.result_type().sig_name()
-                    );
-                    out.push(PredStep::CmpCol {
-                        lhs: lty,
-                        rhs: rty,
-                        op: *op,
-                        sig,
-                    });
-                    Ok(())
-                }
-            }
-        }
-        other => {
-            let prog = ExprProg::compile(other, fields, vector_size, compound)?;
-            if prog.result_type() != ScalarType::Bool {
-                return Err(PlanError::TypeMismatch(format!(
-                    "selection predicate must be boolean, got {}",
-                    prog.result_type()
-                )));
-            }
-            out.push(PredStep::Bool(prog));
-            Ok(())
         }
     }
-}
-
-/// Types with a `select_*_col_val` primitive ([`run_select_val`]).
-fn select_val_supported(ty: ScalarType) -> bool {
-    matches!(
-        ty,
-        ScalarType::I8
-            | ScalarType::I16
-            | ScalarType::I32
-            | ScalarType::I64
-            | ScalarType::U8
-            | ScalarType::U16
-            | ScalarType::U32
-            | ScalarType::F64
-    )
-}
-
-/// Types with a `select_*_col_col` primitive ([`run_select_col`]).
-fn select_col_supported(ty: ScalarType) -> bool {
-    matches!(
-        ty,
-        ScalarType::I32
-            | ScalarType::I64
-            | ScalarType::F64
-            | ScalarType::U8
-            | ScalarType::U16
-            | ScalarType::U32
-    )
 }
 
 /// Run one select primitive: vector dispatch on the lhs type.

@@ -4,8 +4,9 @@
 //! materializes; here [`OrderOp`] materializes its input dataflow,
 //! sorts a permutation, and re-emits vector-at-a-time.
 //!
-//! `TopN(Dataflow, List<OrdExp>, List<Exp>, int) : Dataflow` keeps a
-//! bounded heap and emits the `n` smallest (per the sort spec) rows.
+//! `TopN(Dataflow, List<OrdExp>, List<Exp>, int) : Dataflow` emits the
+//! `n` smallest (per the sort spec) rows: the same operator with a row
+//! limit.
 //!
 //! Under memory pressure (a failed [`MemTracker::try_ensure`] probe
 //! with a spill budget configured) the materializing buffer degrades
@@ -41,7 +42,7 @@ pub enum SortOrder {
 }
 
 /// One ordering key: column name + direction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrdExp {
     /// Column to sort on.
     pub col: String,
@@ -81,7 +82,9 @@ pub struct OrderOp {
     out: Batch,
     vector_size: usize,
     mem: MemTracker,
-    /// Bounded emission for TopN (set by [`TopNOp`]).
+    /// Bounded emission: `TopN` is a sort that stops after `limit` rows
+    /// (the paper's heap-based variant is an optimization with identical
+    /// semantics, and result sizes here are small).
     limit: Option<usize>,
     /// Sorted on-disk runs, in build order (earlier runs hold earlier
     /// input rows, which the merge tie-break relies on for stability).
@@ -199,22 +202,16 @@ fn sorted_perm(store: &[Vector], keys: &[(usize, SortOrder)]) -> Vec<u32> {
 }
 
 impl OrderOp {
-    /// Bind a sort on `keys` over `child`.
-    pub fn new(
+    /// A sort of `child` on `keys` (resolved column positions), with
+    /// emission bounded to `limit` rows when given (TopN).
+    pub(crate) fn new(
         child: Box<dyn Operator>,
-        keys: &[OrdExp],
+        keys: Vec<(usize, SortOrder)>,
+        limit: Option<usize>,
         vector_size: usize,
         ctx: std::sync::Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
+    ) -> Self {
         let fields = child.fields().to_vec();
-        let mut bound = Vec::new();
-        for k in keys {
-            let i = fields
-                .iter()
-                .position(|f| f.name == k.col)
-                .ok_or_else(|| PlanError::UnknownColumn(k.col.clone()))?;
-            bound.push((i, k.order));
-        }
         let store = fields
             .iter()
             .map(|f| Vector::with_capacity(f.ty, 0))
@@ -223,9 +220,9 @@ impl OrderOp {
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
-        Ok(OrderOp {
+        OrderOp {
             child,
-            keys: bound,
+            keys,
             fields,
             store,
             perm: Vec::new(),
@@ -235,10 +232,10 @@ impl OrderOp {
             out: Batch::new(),
             vector_size,
             mem: MemTracker::new(ctx, "order/top-n buffer"),
-            limit: None,
+            limit,
             runs: Vec::new(),
             merge: None,
-        })
+        }
     }
 
     fn build(&mut self, prof: &mut Profiler) -> Result<(), PlanError> {
@@ -458,43 +455,5 @@ impl Operator for OrderOp {
         self.built = false;
         self.emit_pos = 0;
         self.mem.release_all();
-    }
-}
-
-/// Bounded top-N operator: keeps the best `limit` rows by the sort spec.
-pub struct TopNOp {
-    inner: OrderOp,
-}
-
-impl TopNOp {
-    /// Bind a TopN over `child`.
-    ///
-    /// Implemented as a full sort with bounded emission: the paper's
-    /// heap-based variant is an optimization with identical semantics,
-    /// and result sizes here are small.
-    pub fn new(
-        child: Box<dyn Operator>,
-        keys: &[OrdExp],
-        limit: usize,
-        vector_size: usize,
-        ctx: std::sync::Arc<QueryContext>,
-    ) -> Result<Self, PlanError> {
-        let mut inner = OrderOp::new(child, keys, vector_size, ctx)?;
-        inner.limit = Some(limit);
-        Ok(TopNOp { inner })
-    }
-}
-
-impl Operator for TopNOp {
-    fn fields(&self) -> &[OutField] {
-        self.inner.fields()
-    }
-
-    fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
-        self.inner.next(prof)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
     }
 }

@@ -18,42 +18,42 @@
 //! Order(Table, List<OrdExp>, List<AggrExp>)          : Table
 //! ```
 //!
-//! [`Plan::bind`] resolves table and column names against a
-//! [`crate::session::Database`] and produces the operator pipeline. Like
-//! the paper's (planned) optimizer, the generic `Aggr` variant picks a
-//! physical aggregation: *direct* when every key is a small-domain code
-//! column, else *hash* (callers can force `OrdAggr`).
+//! A plan is checked once ([`crate::check::check_plan`]): that walk
+//! resolves table and column names against a
+//! [`crate::session::Database`], makes every physical decision — like the
+//! paper's (planned) optimizer, the generic `Aggr` variant becomes a
+//! *direct* aggregation when every key is a small-domain code column,
+//! else *hash* (callers can force `OrdAggr`) — and returns the verified
+//! tree. [`Plan::bind`] and [`CheckedNode::instantiate`] only construct
+//! the operator pipeline from that tree. The planning helpers the walk
+//! calls (predicate fusion, enum-literal rewriting, scan pruning) live
+//! here, next to the algebra they rewrite.
 
+use crate::check::{check_plan, CheckedNode, CheckedOp};
 use crate::expr::{AggExpr, Expr};
+use crate::facts::{conjunct_parts, flatten_conjuncts};
 use crate::govern::QueryContext;
 use crate::ops::{
     ArrayOp, CartProdOp, DirectAggrOp, EmptyOp, Fetch1JoinOp, FetchNJoinOp, HashAggrOp, HashJoinOp,
-    HashJoinProbeOp, JoinBuildTable, Operator, OrdAggrOp, OrdExp, ProjectOp, ScanOp, SelectOp,
-    TopNOp,
+    HashJoinProbeOp, JoinBuildTable, JoinType, Operator, OrdAggrOp, OrdExp, OrderOp, ProjectOp,
+    ScanOp, SelectOp,
 };
-use crate::ops::{DirectKey, JoinType, OrderOp};
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
 use std::collections::HashMap;
 use std::sync::Arc;
 use x100_storage::{EnumDict, Morsel, Table};
 
-/// Pre-built shared join tables, keyed by the address of the
-/// `Plan::HashJoin` node they were built for. The parallel driver builds
-/// each join's table once on the main thread; worker binds look their
-/// node up here and get a probe-only operator over the shared table.
-/// Addresses are stable because driver and workers traverse the *same*
-/// borrowed plan tree.
-pub(crate) type SharedJoinMap = HashMap<usize, Arc<JoinBuildTable>>;
-
-/// Key of a plan node in a [`SharedJoinMap`].
-pub(crate) fn plan_key(p: &Plan) -> usize {
-    p as *const Plan as usize
-}
+/// Pre-built shared join tables, keyed by the path of the checked
+/// `HashJoin` node they were built for. The parallel driver builds each
+/// join's table once on the main thread; worker instantiations look
+/// their node up here and get a probe-only operator over the shared
+/// table.
+pub(crate) type SharedJoins<'a> = HashMap<&'a str, Arc<JoinBuildTable>>;
 
 /// A key of a `DirectAggr`: must resolve to a code column with a known
 /// small domain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DirectKeySpec {
     /// Output column name.
     pub name: String,
@@ -64,7 +64,7 @@ pub struct DirectKeySpec {
 /// Range pruning hint for `Scan`: restricts fragment rows via the
 /// column's summary index (§4.3). Conservative — an exact `Select` above
 /// is still required.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangePrune {
     /// Clustered column carrying a summary index.
     pub col: String,
@@ -75,7 +75,7 @@ pub struct RangePrune {
 }
 
 /// A declarative plan tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Vector-at-a-time scan; enum columns listed in `code_cols` are
     /// surfaced as raw codes (for direct aggregation), all others decode
@@ -104,7 +104,7 @@ pub enum Plan {
         /// Named output expressions.
         exprs: Vec<(String, Expr)>,
     },
-    /// Generic aggregation: binder picks direct or hash.
+    /// Generic aggregation: the check walk picks direct or hash.
     Aggr {
         /// Input dataflow.
         input: Box<Plan>,
@@ -217,408 +217,200 @@ pub enum Plan {
     },
 }
 
-/// Binder output: the operator plus per-column enum dictionaries (for
-/// downstream direct aggregation).
-type Bound = (Box<dyn Operator>, Vec<Option<EnumDict>>);
-
 impl Plan {
-    /// Bind this plan against `db`, producing an executable pipeline
-    /// with its own (unshared) governor context derived from `opts`.
+    /// Check this plan against `db` and instantiate the verified tree as
+    /// an executable pipeline with its own (unshared) governor context
+    /// derived from `opts`.
     pub fn bind(&self, db: &Database, opts: &ExecOptions) -> Result<Box<dyn Operator>, PlanError> {
-        // Static verification first: ill-formed programs must never
-        // reach a kernel (see `crate::check`). The same walk runs the
-        // facts analyzer; its proofs flow to the binder via the context.
-        let summary = crate::check::check_plan(db, self, opts)?;
-        let ctx = opts.query_context();
-        ctx.provide_plan_facts(summary.facts);
-        Ok(self.bind_inner(db, opts, None, None, &ctx)?.0)
+        self.bind_governed(db, opts, &opts.query_context())
     }
 
-    /// Bind against an externally owned governor context (the executor
-    /// shares one context between the pipeline and its morsel workers,
-    /// and publishes its counters after the run).
+    /// Instantiate against an externally owned governor context (which a
+    /// caller publishes counters from after the run). Only a tree that
+    /// was checked for this plan, this catalog state and these options
+    /// is ever instantiated: the one `ctx` carries
+    /// ([`QueryContext::provide_plan_facts`]) when it is that, else a
+    /// fresh [`check_plan`] — ill-formed plans never reach a kernel, and
+    /// a proof never meets a table it was not proven against.
     pub fn bind_governed(
         &self,
         db: &Database,
         opts: &ExecOptions,
         ctx: &Arc<QueryContext>,
     ) -> Result<Box<dyn Operator>, PlanError> {
-        Ok(self.bind_inner(db, opts, None, None, ctx)?.0)
-    }
-
-    /// Bind with an optional morsel restriction on the leaf `Scan`
-    /// (parallel workers bind one pipeline clone per disjoint morsel
-    /// set) and an optional map of pre-built shared join tables
-    /// (`HashJoin` nodes present in the map bind as probe-only
-    /// operators). `None, None` reproduces the ordinary full-range bind.
-    pub(crate) fn bind_inner(
-        &self,
-        db: &Database,
-        opts: &ExecOptions,
-        morsels: Option<&[Morsel]>,
-        shared: Option<&SharedJoinMap>,
-        ctx: &Arc<QueryContext>,
-    ) -> Result<Bound, PlanError> {
-        let vs = opts.vector_size;
-        let comp = opts.compound_primitives;
-        match self {
-            Plan::Scan {
-                table,
-                cols,
-                code_cols,
-                prune,
-            } => {
-                let (op, dicts) = bind_scan(
-                    db,
-                    opts,
-                    morsels,
-                    ctx,
-                    table,
-                    cols,
-                    code_cols,
-                    prune.as_ref(),
-                )?;
-                Ok((Box::new(op), dicts))
+        let fresh;
+        let checked = match ctx.plan_facts() {
+            Some(f) if f.checked_for(db, self, opts) => f,
+            _ => {
+                fresh = check_plan(db, self, opts)?.facts;
+                &fresh
             }
-            Plan::Select { input, pred } => {
-                // Constant-fold sink (see `crate::facts`): a predicate
-                // proven always-true binds to the child alone; proven
-                // always-false binds to an empty pipeline. The verdict
-                // is keyed by node address, so every worker's bind of
-                // the same borrowed plan folds identically.
-                match ctx
-                    .plan_facts()
-                    .and_then(|f| f.select_verdicts.get(&plan_key(self)).copied())
-                {
-                    Some(true) => return input.bind_inner(db, opts, morsels, shared, ctx),
-                    Some(false) => {
-                        let (child, dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                        let op = EmptyOp::new(child.fields().to_vec());
-                        return Ok((Box::new(op), dicts));
-                    }
-                    None => {}
-                }
-                // Compression-aware fusion: Select over a Scan of a
-                // checkpoint-compressed column pushes (part of) the
-                // predicate into encoded space — the scan refill becomes
-                // a CompressedScanSelect and only surviving positions
-                // are decoded. Remaining conjuncts stay a normal Select.
-                if let Plan::Scan {
-                    table,
-                    cols,
-                    code_cols,
-                    prune,
-                } = input.as_ref()
-                {
-                    if let Some(f) = fuse_scan_select(db, table, cols, code_cols, pred, opts) {
-                        let (mut scan, dicts) = bind_scan(
-                            db,
-                            opts,
-                            morsels,
-                            ctx,
-                            table,
-                            cols,
-                            code_cols,
-                            prune.as_ref(),
-                        )?;
-                        scan.set_pushdown(&f.col, f.push)?;
-                        let child: Box<dyn Operator> = Box::new(scan);
-                        return match f.residual {
-                            None => Ok((child, dicts)),
-                            Some(res) => {
-                                let res = rewrite_enum_literals(&res, child.fields(), &dicts);
-                                let op = SelectOp::new(
-                                    child,
-                                    &res,
-                                    vs,
-                                    comp,
-                                    opts.select_strategy,
-                                    ctx.clone(),
-                                )?;
-                                Ok((Box::new(op), dicts))
-                            }
-                        };
-                    }
-                }
-                let (child, dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let pred = rewrite_enum_literals(pred, child.fields(), &dicts);
-                let op = SelectOp::new(child, &pred, vs, comp, opts.select_strategy, ctx.clone())?;
-                Ok((Box::new(op), dicts))
-            }
-            Plan::Project { input, exprs } => {
-                let (child, dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let exprs: Vec<(String, Expr)> = exprs
-                    .iter()
-                    .map(|(n, e)| (n.clone(), rewrite_enum_literals(e, child.fields(), &dicts)))
-                    .collect();
-                // Pass-through column refs keep their dict metadata.
-                let out_dicts = exprs
-                    .iter()
-                    .map(|(_, e)| match e {
-                        Expr::Col(name) => child
-                            .fields()
-                            .iter()
-                            .position(|f| &f.name == name)
-                            .and_then(|i| dicts[i].clone()),
-                        _ => None,
-                    })
-                    .collect();
-                let op = ProjectOp::new(child, &exprs, vs, comp, ctx.clone())?;
-                Ok((Box::new(op), out_dicts))
-            }
-            Plan::Aggr { input, keys, aggs } => {
-                let (child, dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                // Direct aggregation if *every* key is a bare reference to
-                // a code column with a dictionary.
-                let direct: Option<Vec<DirectKeySpec>> = keys
-                    .iter()
-                    .map(|(name, e)| match e {
-                        Expr::Col(c) => {
-                            let i = child.fields().iter().position(|f| &f.name == c)?;
-                            dicts[i].as_ref().map(|_| DirectKeySpec {
-                                name: name.clone(),
-                                col: c.clone(),
-                            })
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                match direct {
-                    Some(dkeys) if !dkeys.is_empty() => {
-                        bind_direct(child, &dicts, &dkeys, aggs, vs, comp, ctx)
-                    }
-                    _ => {
-                        // Mixed / non-code keys: hash aggregation, but
-                        // code-typed keys still group on codes and
-                        // decode only at emission.
-                        let key_dicts: Vec<Option<EnumDict>> = keys
-                            .iter()
-                            .map(|(_, e)| match e {
-                                Expr::Col(c) => child
-                                    .fields()
-                                    .iter()
-                                    .position(|f| &f.name == c)
-                                    .and_then(|i| dicts[i].clone()),
-                                _ => None,
-                            })
-                            .collect();
-                        let op =
-                            HashAggrOp::new(child, keys, key_dicts, aggs, vs, comp, ctx.clone())?;
-                        let nd = op.fields().len();
-                        Ok((Box::new(op), vec![None; nd]))
-                    }
-                }
-            }
-            Plan::DirectAggr { input, keys, aggs } => {
-                let (child, dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                bind_direct(child, &dicts, keys, aggs, vs, comp, ctx)
-            }
-            Plan::OrdAggr { input, keys, aggs } => {
-                let (child, _) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let op = OrdAggrOp::new(child, keys, aggs, vs, comp, ctx.clone())?;
-                let nd = op.fields().len();
-                Ok((Box::new(op), vec![None; nd]))
-            }
-            Plan::Fetch1Join {
-                input,
-                table,
-                rowid,
-                fetch,
-                fetch_codes,
-            } => {
-                let (child, mut dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let t = db.table(table)?;
-                if !fetch_codes.is_empty() && (t.delta_rows() > 0 || !t.deletes().is_empty()) {
-                    return Err(PlanError::Invalid(format!(
-                        "code fetch from `{table}` requires a reorganized table"
-                    )));
-                }
-                let mut op =
-                    Fetch1JoinOp::new(child, t.clone(), rowid, fetch, fetch_codes, vs, comp)?;
-                // Fetch-bounds sink: the analyzer proved every #rowId
-                // within the fragment, so eligible gathers dispatch the
-                // `_unchecked` kernel twins.
-                if opts.unchecked_fetch
-                    && ctx
-                        .plan_facts()
-                        .is_some_and(|f| f.fetch_proofs.get(&plan_key(self)) == Some(&true))
-                {
-                    op.set_unchecked();
-                }
-                dicts.extend(fetch.iter().map(|_| None));
-                dicts.extend(
-                    fetch_codes
-                        .iter()
-                        .map(|(src, _)| t.column_by_name(src).dict().cloned()),
-                );
-                Ok((Box::new(op), dicts))
-            }
-            Plan::FetchNJoin {
-                input,
-                table,
-                lo,
-                cnt,
-                fetch,
-            } => {
-                let (child, mut dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let t = db.table(table)?;
-                let mut op = FetchNJoinOp::new(child, t, lo, cnt, fetch, vs, comp)?;
-                if opts.unchecked_fetch
-                    && ctx
-                        .plan_facts()
-                        .is_some_and(|f| f.fetch_proofs.get(&plan_key(self)) == Some(&true))
-                {
-                    op.set_unchecked();
-                }
-                dicts.extend(fetch.iter().map(|_| None));
-                Ok((Box::new(op), dicts))
-            }
-            Plan::CartProd {
-                input,
-                table,
-                fetch,
-            } => {
-                let (child, mut dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let t = db.table(table)?;
-                let op = CartProdOp::new(child, t, fetch, vs, ctx.clone())?;
-                dicts.extend(fetch.iter().map(|_| None));
-                Ok((Box::new(op), dicts))
-            }
-            Plan::Join {
-                input,
-                table,
-                pred,
-                fetch,
-            } => {
-                // The paper's default join: CartProd with a Select on top.
-                let (child, mut dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let t = db.table(table)?;
-                let cart = CartProdOp::new(child, t, fetch, vs, ctx.clone())?;
-                let op = SelectOp::new(
-                    Box::new(cart),
-                    pred,
-                    vs,
-                    comp,
-                    opts.select_strategy,
-                    ctx.clone(),
-                )?;
-                dicts.extend(fetch.iter().map(|_| None));
-                Ok((Box::new(op), dicts))
-            }
-            Plan::HashJoin {
-                build,
-                probe,
-                build_keys,
-                probe_keys,
-                payload,
-                join_type,
-            } => {
-                // With a pre-built shared table for this node, bind only
-                // the probe side (over the worker's morsels) and probe
-                // the table through a shared-table operator.
-                if let Some(table) = shared.and_then(|m| m.get(&plan_key(self))) {
-                    let (p, pdicts) = probe.bind_inner(db, opts, morsels, shared, ctx)?;
-                    let op = HashJoinProbeOp::new(
-                        p,
-                        table.clone(),
-                        probe_keys,
-                        *join_type,
-                        opts,
-                        ctx.clone(),
-                    )?;
-                    let mut dicts = pdicts;
-                    dicts.extend(payload.iter().map(|_| None));
-                    return Ok((Box::new(op), dicts));
-                }
-                // The morsel restriction flows into the probe side only;
-                // the build side always materializes full-range.
-                let (b, _) = build.bind_inner(db, opts, None, shared, ctx)?;
-                let (p, pdicts) = probe.bind_inner(db, opts, morsels, shared, ctx)?;
-                let mut op = HashJoinOp::new(
-                    b,
-                    p,
-                    build_keys,
-                    probe_keys,
-                    payload,
-                    *join_type,
-                    opts,
-                    ctx.clone(),
-                )?;
-                // Bloom sizing feedback: a probe side that dwarfs the
-                // build justifies more filter bits per build key.
-                op.set_probe_rows_hint(probe_rows_estimate(probe, db));
-                let mut dicts = pdicts;
-                dicts.extend(payload.iter().map(|_| None));
-                Ok((Box::new(op), dicts))
-            }
-            Plan::TopN { input, keys, limit } => {
-                let (child, dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let op = TopNOp::new(child, keys, *limit, vs, ctx.clone())?;
-                Ok((Box::new(op), dicts))
-            }
-            Plan::Order { input, keys } => {
-                let (child, dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
-                let op = OrderOp::new(child, keys, vs, ctx.clone())?;
-                Ok((Box::new(op), dicts))
-            }
-            Plan::Array { dims } => {
-                let op = ArrayOp::new(dims, vs)?;
-                let nd = op.fields().len();
-                Ok((Box::new(op), vec![None; nd]))
-            }
-        }
+        };
+        checked.root().instantiate(opts, None, None, ctx)
     }
 }
 
-/// Construct the leaf `ScanOp` (full-range or morsel-restricted) and its
-/// per-column dictionary metadata. Shared between the `Scan` arm and the
-/// `Select`-fusion path.
-#[allow(clippy::too_many_arguments)]
-fn bind_scan(
-    db: &Database,
-    opts: &ExecOptions,
-    morsels: Option<&[Morsel]>,
-    ctx: &Arc<QueryContext>,
-    table: &str,
-    cols: &[String],
-    code_cols: &[String],
-    prune: Option<&RangePrune>,
-) -> Result<(ScanOp, Vec<Option<EnumDict>>), PlanError> {
-    let (t, range) = scan_prune_range(db, table, prune)?;
-    let col_refs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
-    let code_refs: Vec<&str> = code_cols.iter().map(|s| s.as_str()).collect();
-    let vs = opts.vector_size;
-    let op = match morsels {
-        None => ScanOp::new(
-            t.clone(),
-            &col_refs,
-            &code_refs,
-            range,
-            vs,
-            db.buffer_manager(),
-            ctx.clone(),
-        )?,
-        Some(ms) => ScanOp::with_morsels(
-            t.clone(),
-            &col_refs,
-            &code_refs,
-            ms.to_vec(),
-            vs,
-            db.buffer_manager(),
-            ctx.clone(),
-        )?,
-    };
-    let dicts = cols
-        .iter()
-        .map(|c| {
-            if code_cols.contains(c) {
-                t.column_by_name(c).dict().cloned()
-            } else {
-                None
+impl CheckedNode {
+    /// Construct this node's operator pipeline. Decision-free: every
+    /// table, program and physical variant was fixed by the check walk.
+    ///
+    /// `morsels` restricts the leaf `Scan` on the probe spine (parallel
+    /// workers instantiate one pipeline clone per disjoint morsel set);
+    /// `HashJoin` nodes present in `shared` become probe-only operators
+    /// over the pre-built table.
+    pub(crate) fn instantiate(
+        &self,
+        opts: &ExecOptions,
+        morsels: Option<&[Morsel]>,
+        shared: Option<&SharedJoins>,
+        ctx: &Arc<QueryContext>,
+    ) -> Result<Box<dyn Operator>, PlanError> {
+        let vs = opts.vector_size;
+        match &self.op {
+            CheckedOp::Scan(spec) => Ok(Box::new(ScanOp::new(
+                spec,
+                &self.fields,
+                morsels,
+                vs,
+                ctx.clone(),
+            )?)),
+            CheckedOp::Array { dims, total } => Ok(Box::new(ArrayOp::new(
+                dims,
+                *total,
+                self.fields.clone(),
+                vs,
+            ))),
+            CheckedOp::HashJoin(parts) => {
+                let (build, probe) = (&self.inputs[0], &self.inputs[1]);
+                if let Some(table) = shared.and_then(|m| m.get(self.path.as_str())) {
+                    let p = probe.instantiate(opts, morsels, shared, ctx)?;
+                    let op = HashJoinProbeOp::new(p, table.clone(), parts, vs, ctx.clone());
+                    return Ok(Box::new(op));
+                }
+                // The morsel restriction flows into the probe side only;
+                // the build side always materializes full-range.
+                let b = build.instantiate(opts, None, shared, ctx)?;
+                let p = probe.instantiate(opts, morsels, shared, ctx)?;
+                Ok(Box::new(HashJoinOp::new(b, p, parts, opts, ctx.clone())))
             }
-        })
-        .collect();
-    Ok((op, dicts))
+            _ => {
+                let child = self.inputs[0].instantiate(opts, morsels, shared, ctx)?;
+                Ok(self.over(child, opts, ctx))
+            }
+        }
+    }
+
+    /// Construct this single-input node's operator over an already built
+    /// `child` (the parallel driver stacks the nodes above the
+    /// aggregation onto its merge stage this way).
+    pub(crate) fn over(
+        &self,
+        child: Box<dyn Operator>,
+        opts: &ExecOptions,
+        ctx: &Arc<QueryContext>,
+    ) -> Box<dyn Operator> {
+        let vs = opts.vector_size;
+        let select = |child, steps| {
+            Box::new(SelectOp::new(
+                child,
+                steps,
+                vs,
+                opts.select_strategy,
+                ctx.clone(),
+            ))
+        };
+        match &self.op {
+            CheckedOp::Select { steps, verdict, .. } => match verdict {
+                Some(false) => Box::new(EmptyOp::new(self.fields.clone())),
+                // Proven always-true, or wholly pushed into the scan.
+                _ if steps.is_empty() => child,
+                _ => select(child, steps),
+            },
+            CheckedOp::Project { exprs, .. } => Box::new(ProjectOp::new(
+                child,
+                exprs,
+                self.fields.clone(),
+                vs,
+                ctx.clone(),
+            )),
+            CheckedOp::HashAggr {
+                keys, aggs, merge, ..
+            } => Box::new(HashAggrOp::new(
+                child,
+                keys,
+                aggs,
+                merge.clone(),
+                vs,
+                ctx.clone(),
+            )),
+            CheckedOp::DirectAggr { keys, aggs, .. } => Box::new(DirectAggrOp::new(
+                child,
+                keys.clone(),
+                aggs,
+                self.fields.clone(),
+                vs,
+                ctx.clone(),
+            )),
+            CheckedOp::OrdAggr { keys, aggs, .. } => Box::new(OrdAggrOp::new(
+                child,
+                keys,
+                aggs,
+                self.fields.clone(),
+                vs,
+                ctx.clone(),
+            )),
+            CheckedOp::Fetch1Join {
+                table, rowid, cols, ..
+            } => Box::new(Fetch1JoinOp::new(
+                child,
+                table.clone(),
+                rowid,
+                cols,
+                self.fields.clone(),
+                vs,
+            )),
+            CheckedOp::FetchNJoin {
+                table,
+                lo,
+                cnt,
+                cols,
+                ..
+            } => Box::new(FetchNJoinOp::new(
+                child,
+                table.clone(),
+                lo,
+                cnt,
+                cols,
+                self.fields.clone(),
+                vs,
+            )),
+            CheckedOp::CartProd {
+                table,
+                fetch_cols,
+                steps,
+                ..
+            } => {
+                let cart = Box::new(CartProdOp::new(
+                    child,
+                    table.clone(),
+                    fetch_cols.clone(),
+                    self.fields.clone(),
+                    vs,
+                    ctx.clone(),
+                ));
+                match steps {
+                    None => cart,
+                    Some(steps) => select(cart, steps),
+                }
+            }
+            CheckedOp::Sort { keys, limit, .. } => {
+                Box::new(OrderOp::new(child, keys.clone(), *limit, vs, ctx.clone()))
+            }
+            CheckedOp::Scan(_) | CheckedOp::Array { .. } | CheckedOp::HashJoin(_) => {
+                unreachable!("`over` applies to single-input nodes")
+            }
+        }
+    }
 }
 
 /// A successful `Scan→Select` fusion decision: the encoded-space
@@ -628,19 +420,19 @@ pub(crate) struct FusedPushdown {
     pub col: String,
     /// The compiled encoded-space predicate.
     pub push: x100_storage::Pushdown,
+    /// The `col ⊙ literal` conjuncts the pushdown consumed.
+    pub pushed: Vec<Expr>,
     /// Conjuncts left for a normal `Select` above the fused scan.
     pub residual: Option<Expr>,
 }
 
 /// Decide whether (part of) `pred` can run in encoded space over one of
-/// the scanned columns. Conservative: any doubt — unknown column, type
-/// mismatch, unsupported codec/op pair, pending deltas — declines and
-/// the ordinary decode-then-select pipeline binds instead. The same
-/// decision runs in [`crate::check`] so the plan verifier sees exactly
-/// the operators the binder will construct.
+/// the columns scanned from `t`. Conservative: any doubt — unknown
+/// column, type mismatch, unsupported codec/op pair, pending deltas —
+/// declines and the ordinary decode-then-select pipeline is planned
+/// instead.
 pub(crate) fn fuse_scan_select(
-    db: &Database,
-    table: &str,
+    t: &Table,
     cols: &[String],
     code_cols: &[String],
     pred: &Expr,
@@ -651,34 +443,33 @@ pub(crate) fn fuse_scan_select(
     if !opts.compressed_pushdown {
         return None;
     }
-    let t = db.table(table).ok()?;
     // Delta rows bypass the compressed fragments; fusing would leave
     // them unfiltered, so decline until the table is reorganized.
     if t.delta_rows() > 0 {
         return None;
     }
-    let mut conj: Vec<Expr> = Vec::new();
-    flatten_and(pred, &mut conj);
-    struct Cand {
+    let mut conj: Vec<&Expr> = Vec::new();
+    flatten_conjuncts(pred, &mut conj);
+    struct Cand<'a> {
         i: usize,
-        col: String,
+        col: &'a str,
         op: PushOp,
         v: x100_vector::Value,
     }
     let mut cands: Vec<Cand> = Vec::new();
     for (i, e) in conj.iter().enumerate() {
-        let Some((col, cmp, lit)) = cmp_parts(e) else {
+        let Some((col, cmp, lit)) = conjunct_parts(e) else {
             continue;
         };
-        if !cols.contains(&col) || code_cols.contains(&col) {
+        if !cols.iter().any(|c| c == col) || code_cols.iter().any(|c| c == col) {
             continue;
         }
-        let Some(ci) = t.column_index(&col) else {
+        let Some(ci) = t.column_index(col) else {
             continue;
         };
         let sc = t.column(ci);
-        // Enum columns have their own bind-time rewrite (string literal
-        // → dictionary code); the lane pushdown handles plain columns.
+        // Enum columns have their own rewrite (string literal →
+        // dictionary code); the lane pushdown handles plain columns.
         if sc.dict().is_some() {
             continue;
         }
@@ -696,7 +487,7 @@ pub(crate) fn fuse_scan_select(
             CmpOp::Gt => PushOp::Gt,
             CmpOp::Ge => PushOp::Ge,
         };
-        let Some(v) = coerce_lit(&lit, sc.physical_type()) else {
+        let Some(v) = coerce_lit(lit, sc.physical_type()) else {
             continue;
         };
         cands.push(Cand { i, col, op, v });
@@ -705,63 +496,29 @@ pub(crate) fn fuse_scan_select(
         let ci = t.column_index(col).expect("candidate column resolved");
         t.column(ci).compressed().expect("candidate is compressed")
     };
+    let fused = |col: &str, push, used: &[usize]| FusedPushdown {
+        col: col.to_owned(),
+        push,
+        pushed: used.iter().map(|&i| conj[i].clone()).collect(),
+        residual: rebuild_residual(&conj, used),
+    };
     // Prefer a range pair (`lo <= c AND c <= hi`) fused as one Between.
     for a in &cands {
         for b in &cands {
             if a.i == b.i || a.col != b.col || a.op != PushOp::Ge || b.op != PushOp::Le {
                 continue;
             }
-            if let Some(p) = cc_of(&a.col).compile_pushdown(PushOp::Between, &a.v, Some(&b.v)) {
-                return Some(FusedPushdown {
-                    col: a.col.clone(),
-                    push: p,
-                    residual: rebuild_residual(&conj, &[a.i, b.i]),
-                });
+            if let Some(p) = cc_of(a.col).compile_pushdown(PushOp::Between, &a.v, Some(&b.v)) {
+                return Some(fused(a.col, p, &[a.i, b.i]));
             }
         }
     }
     for c in &cands {
-        if let Some(p) = cc_of(&c.col).compile_pushdown(c.op, &c.v, None) {
-            return Some(FusedPushdown {
-                col: c.col.clone(),
-                push: p,
-                residual: rebuild_residual(&conj, &[c.i]),
-            });
+        if let Some(p) = cc_of(c.col).compile_pushdown(c.op, &c.v, None) {
+            return Some(fused(c.col, p, &[c.i]));
         }
     }
     None
-}
-
-/// Split an `And` tree into its conjunct list.
-fn flatten_and(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::And(l, r) => {
-            flatten_and(l, out);
-            flatten_and(r, out);
-        }
-        other => out.push(other.clone()),
-    }
-}
-
-/// Extract `col ⊙ literal` from a comparison, normalizing the literal
-/// to the right (flipping the operator when it was on the left).
-fn cmp_parts(e: &Expr) -> Option<(String, x100_vector::CmpOp, x100_vector::Value)> {
-    use x100_vector::CmpOp;
-    let flip = |op: CmpOp| match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        other => other,
-    };
-    let Expr::Cmp(op, l, r) = e else {
-        return None;
-    };
-    match (l.as_ref(), r.as_ref()) {
-        (Expr::Col(c), Expr::Lit(v)) => Some((c.clone(), *op, v.clone())),
-        (Expr::Lit(v), Expr::Col(c)) => Some((c.clone(), flip(*op), v.clone())),
-        _ => None,
-    }
 }
 
 /// Coerce a comparison literal to the column's physical type, declining
@@ -801,72 +558,67 @@ fn coerce_lit(v: &x100_vector::Value, ty: x100_vector::ScalarType) -> Option<x10
 }
 
 /// Re-`And` the conjuncts not consumed by the pushdown.
-fn rebuild_residual(conj: &[Expr], used: &[usize]) -> Option<Expr> {
+fn rebuild_residual(conj: &[&Expr], used: &[usize]) -> Option<Expr> {
     let mut it = conj
         .iter()
         .enumerate()
         .filter(|(i, _)| !used.contains(i))
-        .map(|(_, e)| e.clone());
+        .map(|(_, e)| (*e).clone());
     let first = it.next()?;
     Some(it.fold(first, |acc, e| Expr::And(Box::new(acc), Box::new(e))))
 }
 
-/// Resolve a `Scan`'s table and optional summary-index prune range.
-/// Shared between the sequential binder and the parallel driver (which
-/// needs the pruned range up front to plan morsels).
-#[allow(clippy::type_complexity)]
+/// A `Scan`'s summary-index prune range over its (resolved) table: the
+/// fragment rows that can hold qualifying values, `None` without a
+/// prune hint.
 pub(crate) fn scan_prune_range(
-    db: &Database,
-    table: &str,
+    t: &Table,
     prune: Option<&RangePrune>,
-) -> Result<(Arc<Table>, Option<(usize, usize)>), PlanError> {
-    let t = db.table(table)?;
-    let range = match prune {
-        None => None,
-        Some(p) => {
-            let ci = t
-                .column_index(&p.col)
-                .ok_or_else(|| PlanError::UnknownColumn(p.col.clone()))?;
-            let summary = t.column(ci).summary().ok_or_else(|| {
-                PlanError::Invalid(format!("column `{}` has no summary index", p.col))
-            })?;
-            Some(summary.range_candidates(p.lo, p.hi))
-        }
+) -> Result<Option<(usize, usize)>, PlanError> {
+    let Some(p) = prune else {
+        return Ok(None);
     };
-    Ok((t, range))
+    let ci = t
+        .column_index(&p.col)
+        .ok_or_else(|| PlanError::UnknownColumn(p.col.clone()))?;
+    let summary = t
+        .column(ci)
+        .summary()
+        .ok_or_else(|| PlanError::Invalid(format!("column `{}` has no summary index", p.col)))?;
+    Ok(Some(summary.range_candidates(p.lo, p.hi)))
 }
 
-/// Conservative bind-time upper bound on the rows a subtree can stream,
+/// Conservative upper bound on the rows a checked subtree can stream,
 /// used as the hash join's probe-cardinality hint for Bloom filter
-/// sizing. `Scan` reads the table cardinality (respecting a prune
+/// sizing. `Scan` reads the table cardinality (respecting its prune
 /// range); row-preserving and row-reducing shapes pass through or clamp;
 /// anything that can grow the stream or whose output cardinality is
 /// data-dependent in both directions (aggregation group counts, inner
 /// joins, cross products) gives up with `None`.
-pub(crate) fn probe_rows_estimate(plan: &Plan, db: &Database) -> Option<usize> {
-    match plan {
-        Plan::Scan { table, prune, .. } => {
-            let (t, range) = scan_prune_range(db, table, prune.as_ref()).ok()?;
-            let frag = match range {
+pub(crate) fn probe_rows_estimate(node: &CheckedNode) -> Option<usize> {
+    let input = || probe_rows_estimate(node.inputs.last()?);
+    match &node.op {
+        CheckedOp::Scan(spec) => {
+            let frag = match spec.range {
                 Some((s, e)) => e.saturating_sub(s),
-                None => t.fragment_rows(),
+                None => spec.table.fragment_rows(),
             };
-            Some(frag + t.delta_rows())
+            Some(frag + spec.table.delta_rows())
         }
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Fetch1Join { input, .. }
-        | Plan::Order { input, .. } => probe_rows_estimate(input, db),
-        Plan::TopN { input, limit, .. } => Some(probe_rows_estimate(input, db)?.min(*limit)),
+        CheckedOp::Select { .. } | CheckedOp::Project { .. } | CheckedOp::Fetch1Join { .. } => {
+            input()
+        }
+        CheckedOp::Sort { limit, .. } => {
+            let rows = input()?;
+            Some(limit.map_or(rows, |l| rows.min(l)))
+        }
         // Semi/anti joins emit at most one row per probe row.
-        Plan::HashJoin {
-            probe,
-            join_type: JoinType::LeftSemi | JoinType::LeftAnti,
-            ..
-        } => probe_rows_estimate(probe, db),
-        Plan::Array { dims } => dims
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(usize::try_from(d).ok()?)),
+        CheckedOp::HashJoin(parts)
+            if matches!(parts.join_type, JoinType::LeftSemi | JoinType::LeftAnti) =>
+        {
+            input()
+        }
+        CheckedOp::Array { total, .. } => usize::try_from(*total).ok(),
         _ => None,
     }
 }
@@ -878,7 +630,7 @@ pub(crate) fn probe_rows_estimate(plan: &Plan, db: &Database) -> Option<usize> {
 pub(crate) fn rewrite_enum_literals(
     e: &Expr,
     fields: &[crate::batch::OutField],
-    dicts: &[Option<EnumDict>],
+    dicts: &[Option<Arc<EnumDict>>],
 ) -> Expr {
     use x100_vector::{CmpOp, ScalarType, Value};
     let code_of = |name: &str, lit: &str| -> Option<Option<Value>> {
@@ -944,46 +696,6 @@ pub(crate) fn rewrite_enum_literals(
     }
 }
 
-fn bind_direct(
-    child: Box<dyn Operator>,
-    dicts: &[Option<EnumDict>],
-    keys: &[DirectKeySpec],
-    aggs: &[AggExpr],
-    vs: usize,
-    comp: bool,
-    ctx: &Arc<QueryContext>,
-) -> Result<Bound, PlanError> {
-    let mut dkeys = Vec::new();
-    for k in keys {
-        let i = child
-            .fields()
-            .iter()
-            .position(|f| f.name == k.col)
-            .ok_or_else(|| PlanError::UnknownColumn(k.col.clone()))?;
-        let dict = dicts[i].clone();
-        let card = match (&dict, child.fields()[i].ty) {
-            (Some(d), _) => d.cardinality() as u32,
-            (None, x100_vector::ScalarType::U8) => 256,
-            (None, x100_vector::ScalarType::U16) => 65536,
-            (None, ty) => {
-                return Err(PlanError::TypeMismatch(format!(
-                    "direct aggregation key `{}` is {ty}, not a code column",
-                    k.col
-                )))
-            }
-        };
-        dkeys.push(DirectKey {
-            name: k.name.clone(),
-            col: i,
-            card,
-            dict,
-        });
-    }
-    let op = DirectAggrOp::new(child, dkeys, aggs, vs, comp, ctx.clone())?;
-    let nd = op.fields().len();
-    Ok((Box::new(op), vec![None; nd]))
-}
-
 /// Fluent constructors, so plans read like the paper's Fig. 9.
 impl Plan {
     /// `Scan(table, cols)` with automatic enum decode.
@@ -1044,7 +756,7 @@ impl Plan {
         }
     }
 
-    /// `Aggr(self, keys, aggs)` — binder picks the physical operator.
+    /// `Aggr(self, keys, aggs)` — the check walk picks the physical operator.
     pub fn aggr(self, keys: Vec<(&str, Expr)>, aggs: Vec<AggExpr>) -> Plan {
         Plan::Aggr {
             input: Box::new(self),

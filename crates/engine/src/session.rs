@@ -7,6 +7,7 @@ use crate::plan::Plan;
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use x100_storage::{ColumnBM, FaultPlan, Table};
@@ -86,7 +87,7 @@ pub struct ExecOptions {
     /// the presence of the `X100_ENFORCE_FACTS` environment variable
     /// (the differential CI harness sets it).
     pub enforce_facts: bool,
-    /// Allow the binder to dispatch `_unchecked` gather twins where the
+    /// Allow the check walk to pick `_unchecked` gather twins where the
     /// facts analyzer proves the fetch bounds ([`crate::facts`]).
     /// `false` forces the checked kernels everywhere (ablation /
     /// differential baseline).
@@ -239,10 +240,27 @@ impl ExecOptions {
 }
 
 /// The catalog: named tables plus an optional buffer manager.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Arc<Table>>,
     bm: Option<Arc<ColumnBM>>,
+    /// Process-unique identity of this catalog and the number of changes
+    /// made to it: what a checked plan records so it is only ever
+    /// instantiated against the catalog state it was checked for.
+    id: u64,
+    version: u64,
+}
+
+impl Default for Database {
+    fn default() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Database {
+            tables: BTreeMap::new(),
+            bm: None,
+            id: NEXT_ID.fetch_add(1, Ordering::SeqCst),
+            version: 0,
+        }
+    }
 }
 
 impl Database {
@@ -251,15 +269,21 @@ impl Database {
         Database::default()
     }
 
+    /// `(identity, change count)` of this catalog.
+    pub(crate) fn stamp(&self) -> (u64, u64) {
+        (self.id, self.version)
+    }
+
     /// Register a table under its own name.
     pub fn register(&mut self, table: Table) -> Arc<Table> {
         let arc = Arc::new(table);
-        self.tables.insert(arc.name().to_owned(), arc.clone());
+        self.register_arc(arc.clone());
         arc
     }
 
     /// Register a pre-shared table.
     pub fn register_arc(&mut self, table: Arc<Table>) {
+        self.version += 1;
         self.tables.insert(table.name().to_owned(), table);
     }
 
@@ -279,6 +303,7 @@ impl Database {
     /// Attach a (simulated) ColumnBM buffer manager; scans will account
     /// their accesses against it.
     pub fn attach_buffer_manager(&mut self, bm: Arc<ColumnBM>) {
+        self.version += 1;
         self.bm = Some(bm);
     }
 
@@ -378,21 +403,22 @@ pub fn execute(
     opts: &ExecOptions,
 ) -> Result<(QueryResult, Profiler), PlanError> {
     // Static verification gate: every plan is checked against the
-    // primitive catalog before any operator is constructed. The same
-    // walk runs the facts analyzer; its proofs ride into the binder via
-    // the query context.
-    let summary = crate::check::check_plan(db, plan, opts)?;
+    // primitive catalog before any operator is constructed, and the
+    // operators are instantiated from the tree that check returns.
+    let checked = crate::check::check_plan(db, plan, opts)?.facts;
     let ctx = opts.query_context();
-    ctx.provide_plan_facts(summary.facts);
     if opts.threads > 1 {
         if let Some((result, mut prof)) =
-            crate::ops::parallel::try_execute_parallel(db, plan, opts, &ctx)?
+            crate::ops::parallel::try_execute_parallel(checked.root(), opts, &ctx)?
         {
             ctx.publish(&mut prof);
             return Ok((result, prof));
         }
     }
-    let mut op = plan.bind_governed(db, opts, &ctx)?;
+    let mut op = checked.root().instantiate(opts, None, None, &ctx)?;
+    // The operators share what they need of the tree; free the rest
+    // before the run allocates.
+    drop(checked);
     let mut prof = Profiler::new(opts.profile);
     let result = run_operator(op.as_mut(), &mut prof)?;
     ctx.publish(&mut prof);

@@ -7,7 +7,7 @@
 use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
-use x100_engine::{verify_program, CheckViolation, PlanError};
+use x100_engine::{check_plan, verify_program, CheckViolation, PlanError, QueryContext};
 use x100_storage::{ColumnData, TableBuilder};
 
 fn db() -> Database {
@@ -157,6 +157,31 @@ fn bind_is_gated_too() {
         .err()
         .expect("bind must fail");
     assert!(matches!(err, PlanError::PlanCheck { .. }), "got {err}");
+}
+
+/// `Plan::bind_governed` is public too, and it takes whatever context
+/// the caller built — with or without checked facts in it. It must be
+/// the same static wall: every ill-typed plan of this corpus yields
+/// exactly the `PlanCheck` that `check_plan` reports, never an operator.
+#[test]
+fn bind_governed_is_gated_too() {
+    let db = db();
+    let opts = ExecOptions::default();
+    let status_plus_one = || ("y", add(col("status"), lit_i64(1)));
+    for plan in [
+        Plan::scan("t", &["id", "x"]).select(add(col("id"), lit_i64(1))),
+        Plan::scan("t", &["status"]).project(vec![status_plus_one()]),
+        Plan::scan_with_codes("t", &["id", "status"], &["status"]).project(vec![status_plus_one()]),
+        Plan::scan("t", &["id", "h1", "h2"]).select(eq(col("h1"), col("h2"))),
+    ] {
+        let want = check_plan(&db, &plan, &opts).expect_err("ill-typed plan");
+        assert!(matches!(want, PlanError::PlanCheck { .. }), "got {want}");
+        let got = plan
+            .bind_governed(&db, &opts, &QueryContext::unbounded())
+            .err()
+            .expect("bind_governed must fail");
+        assert_eq!(got, want);
+    }
 }
 
 /// A `PlanCheck` error renders with its class, path and detail.

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use x100_engine::check_plan;
 use x100_engine::expr::*;
 use x100_engine::plan::Plan;
-use x100_engine::session::{execute, Database, ExecOptions};
-use x100_engine::{AggExpr, CheckViolation, PlanError};
+use x100_engine::session::{execute, run_operator, Database, ExecOptions};
+use x100_engine::{AggExpr, CheckViolation, PlanError, Profiler, QueryContext};
 use x100_storage::{ColumnData, Table, TableBuilder};
 use x100_vector::{ScalarType, Value};
 
@@ -64,7 +64,7 @@ fn gen_table(n: usize, lo: i64, span: i64, ckpt: bool, ndel: usize, nins: usize)
 fn assert_output_within_facts(db: &Database, plan: &Plan) {
     let opts = ExecOptions::default();
     let facts = check_plan(db, plan, &opts).expect("check").facts;
-    let nf = facts.node(plan).expect("root facts").clone();
+    let nf = facts.root().facts.clone();
     let (res, _) = execute(db, plan, &opts).expect("runs");
     if let Some(max) = nf.rows_max {
         assert!(
@@ -183,7 +183,7 @@ proptest! {
 
         let opts = ExecOptions::default().profiled();
         let facts = check_plan(&db, &plan, &opts).expect("check").facts;
-        let proved = facts.fetch_proved(&plan);
+        let proved = facts.root().fetch_proved();
         // Delta rows live outside the fragment, so any insert on the
         // dimension that the key can actually reach kills the proof.
         let fk_max = (0..fact_m).map(|i| (i * 31) % total).max().unwrap_or(0);
@@ -233,7 +233,7 @@ fn select_folds_are_exact() {
     let facts = check_plan(&db, &t, &ExecOptions::default())
         .expect("check")
         .facts;
-    assert_eq!(facts.select_verdict(&t), Some(true));
+    assert_eq!(facts.root().select_verdict(), Some(true));
     let (got, _) = execute(&db, &t, &ExecOptions::default()).expect("fold-true");
     assert_eq!(got.row_strings(), all.row_strings());
 
@@ -242,7 +242,7 @@ fn select_folds_are_exact() {
     let facts = check_plan(&db, &f, &ExecOptions::default())
         .expect("check")
         .facts;
-    assert_eq!(facts.select_verdict(&f), Some(false));
+    assert_eq!(facts.root().select_verdict(), Some(false));
     let (got, _) = execute(&db, &f, &ExecOptions::default()).expect("fold-false");
     assert_eq!(got.num_rows(), 0);
 
@@ -251,7 +251,7 @@ fn select_folds_are_exact() {
     let facts = check_plan(&db, &d, &ExecOptions::default())
         .expect("check")
         .facts;
-    assert_eq!(facts.select_verdict(&d), None);
+    assert_eq!(facts.root().select_verdict(), None);
 }
 
 /// `--enforce-facts` turns a statically out-of-bounds fetch into a
@@ -271,7 +271,7 @@ fn enforce_facts_rejects_certain_oob_fetch() {
 
     // Without enforcement the plan checks (proof simply fails)…
     let summary = check_plan(&db, &plan, &ExecOptions::default()).expect("lenient");
-    assert_eq!(summary.facts.fetch_proved(&plan), Some(false));
+    assert_eq!(summary.facts.root().fetch_proved(), Some(false));
 
     // …with enforcement it is rejected at bind time, node-precisely.
     let opts = ExecOptions::default().with_enforce_facts(true);
@@ -285,6 +285,54 @@ fn enforce_facts_rejects_certain_oob_fetch() {
         }
         other => panic!("expected FactViolation, got {other:?}"),
     }
+}
+
+/// A fetch-bounds proof is a statement about one table. Facts checked
+/// against a catalog whose dimension holds 1000 fragment rows, handed to
+/// `bind_governed` with a catalog whose same-named dimension holds 10
+/// (the other 990 rows pending in its insert delta), must not reach the
+/// `_unchecked` gather twins: they would read past the 10-row fragment
+/// from safe code. The bind re-checks against the catalog it is given
+/// and answers from it on the checked path.
+#[test]
+fn bind_governed_drops_proofs_made_for_another_catalog() {
+    let fact_table = || {
+        TableBuilder::new("facts")
+            .column(
+                "fk",
+                ColumnData::U32((0..5000u32).map(|i| (i * 17) % 1000).collect()),
+            )
+            .build()
+    };
+    let mut db_big = Database::new();
+    db_big.register(
+        TableBuilder::new("dim")
+            .column("pay", ColumnData::I64((0..1000).map(|i| i * 3).collect()))
+            .build(),
+    );
+    db_big.register(fact_table());
+    let mut small_dim = TableBuilder::new("dim")
+        .column("pay", ColumnData::I64((0..10).map(|i| i * 5).collect()))
+        .build();
+    for i in 10..1000 {
+        small_dim.insert(&[Value::I64(i * 5)]);
+    }
+    let mut db_small = Database::new();
+    db_small.register(small_dim);
+    db_small.register(fact_table());
+
+    let plan = Plan::scan("facts", &["fk"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
+    let opts = ExecOptions::default();
+    let ctx = QueryContext::unbounded();
+    ctx.provide_plan_facts(check_plan(&db_big, &plan, &opts).expect("check").facts);
+    let mut op = plan
+        .bind_governed(&db_small, &opts, &ctx)
+        .expect("binds against the small catalog");
+    let mut prof = Profiler::new(true);
+    let got = run_operator(op.as_mut(), &mut prof).expect("runs");
+    assert_eq!(prof.counter("fetch_unchecked_dispatches").unwrap_or(0), 0);
+    let (want, _) = execute(&db_small, &plan, &opts.with_unchecked_fetch(false)).expect("checked");
+    assert_eq!(got.row_strings(), want.row_strings());
 }
 
 /// i32 arithmetic keeps its range fact only when the analyzer can prove
@@ -305,7 +353,7 @@ fn i32_overflow_widens_to_top() {
 
     let safe = Plan::scan("t", &["small"]).project(vec![("s2", add(col("small"), lit_i32(1)))]);
     let facts = check_plan(&db, &safe, &opts).expect("check").facts;
-    let nf = facts.node(&safe).expect("facts");
+    let nf = &facts.root().facts;
     assert_eq!(
         nf.cols[0].range.as_ref().and_then(|r| r.as_int()),
         Some((1, 100)),
@@ -314,7 +362,7 @@ fn i32_overflow_widens_to_top() {
 
     let unsafe_p = Plan::scan("t", &["big"]).project(vec![("b2", add(col("big"), col("big")))]);
     let facts = check_plan(&db, &unsafe_p, &opts).expect("check").facts;
-    let nf = facts.node(&unsafe_p).expect("facts");
+    let nf = &facts.root().facts;
     assert!(
         nf.cols[0].range.is_none(),
         "possible i32 overflow must widen to ⊤, got {:?}",
