@@ -663,7 +663,7 @@ impl HashAggrOp {
                         }
                     });
                 }
-                w.write_block(&block)?;
+                w.write_block(block)?;
             }
             segments.push(AggSegment {
                 part: p,

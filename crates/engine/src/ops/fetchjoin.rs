@@ -12,11 +12,13 @@
 
 use crate::batch::{Batch, OutField, VecPool};
 use crate::compile::{ExprCode, ExprProg};
+use crate::govern::QueryContext;
+use crate::ops::scan::{read_compressed, CompRead};
 use crate::ops::{push_from, Operator};
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
-use x100_storage::{ColumnData, DecodeCursor, Table};
+use x100_storage::{ColumnData, Table};
 use x100_vector::{fetch as vfetch, ScalarType, SelVec, Vector};
 
 /// A column to fetch from the target table, as the check walk resolved
@@ -52,53 +54,50 @@ fn fetch_cols(specs: &[FetchSpec]) -> Vec<FetchCol> {
     specs.iter().map(col).collect()
 }
 
-/// Per-fetch-column decode scratch: the PFOR-DELTA sync-point replay
-/// buffer, the chunk-local position list, and the checksum cursor.
+/// Per-fetch-column decode scratch: the compressed-read state (sync
+/// replay buffer, checksum cursor, healed copy) and the chunk-local
+/// position list.
 #[derive(Default)]
 struct GatherState {
-    scratch: Vec<u64>,
+    read: CompRead,
     tmp: Vec<u32>,
-    cursor: DecodeCursor,
 }
 
 /// Positional fetch with the compressed fast path: dense (unselected)
 /// rowid vectors against a checkpointed fragment column gather directly
 /// from the packed chunks — PFOR-DELTA `#rowId` columns seek from the
-/// nearest sync point instead of decoding whole chunks. Falls back to
-/// the raw fragment on any decode error (torn chunk), counting a
-/// recovery.
+/// nearest sync point instead of decoding whole chunks. A torn chunk
+/// goes down the recovery ladder ([`read_compressed`]): replica heal,
+/// then the raw fragment below.
 fn fetch_gather(
     table: &Table,
     fc: &mut FetchCol,
     rowids: &[u32],
-    n: usize,
     sel: Option<&SelVec>,
     out: &mut Vector,
+    ctx: &QueryContext,
     prof: &mut Profiler,
-) {
+) -> Result<(), PlanError> {
+    let n = rowids.len();
     let sc = table.column(fc.spec.col);
     let frag_rows = table.fragment_rows() as u32;
     if sel.is_none()
+        && sc.compressed().is_some()
         && (fc.spec.as_codes || sc.dict().is_none())
-        && rowids[..n].iter().all(|&r| r < frag_rows)
+        && rowids.iter().all(|&r| r < frag_rows)
     {
-        if let Some(cc) = sc.compressed() {
-            match cc.gather(
-                &rowids[..n],
-                out,
-                &mut fc.gs.scratch,
-                &mut fc.gs.tmp,
-                &mut fc.gs.cursor,
-            ) {
-                Ok(()) => {
-                    prof.add_counter("fetch_compressed_gathers", 1);
-                    return;
-                }
-                Err(_) => {
-                    prof.add_counter("decode_recoveries", 1);
-                    fc.gs.cursor = DecodeCursor::default();
-                }
-            }
+        let GatherState { read, tmp } = &mut fc.gs;
+        let gathered = read_compressed(
+            table,
+            fc.spec.col,
+            read,
+            ctx,
+            prof,
+            |cc, cursor, scratch| cc.gather(rowids, out, scratch, tmp, cursor),
+        )?;
+        if gathered.is_some() {
+            prof.add_counter("fetch_compressed_gathers", 1);
+            return Ok(());
         }
     }
     // Proven-bounds fast path: skip both the O(n) range scan and the
@@ -106,12 +105,13 @@ fn fetch_gather(
     // check walk under a fetch-bounds proof against this very table.
     if fc.spec.unchecked && (fc.spec.as_codes || sc.dict().is_none()) {
         out.resize_zeroed(n);
-        if unchecked_gather(sc.physical(), out, &rowids[..n], sel) {
+        if unchecked_gather(sc.physical(), out, rowids, sel) {
             prof.add_counter("fetch_unchecked_dispatches", 1);
-            return;
+            return Ok(());
         }
     }
     gather_positional(table, fc.spec.col, fc.spec.as_codes, rowids, n, sel, out);
+    Ok(())
 }
 
 /// Dispatch one `_unchecked` gather twin for a (column, output) type
@@ -424,6 +424,7 @@ pub struct Fetch1JoinOp {
     pools: Vec<VecPool>,
     rowid_buf: Vec<u32>,
     out: Batch,
+    ctx: Arc<QueryContext>,
 }
 
 impl Fetch1JoinOp {
@@ -438,6 +439,7 @@ impl Fetch1JoinOp {
         cols: &[FetchSpec],
         fields: Vec<OutField>,
         vector_size: usize,
+        ctx: Arc<QueryContext>,
     ) -> Self {
         let pools = fields[fields.len() - cols.len()..]
             .iter()
@@ -452,6 +454,7 @@ impl Fetch1JoinOp {
             pools,
             rowid_buf: Vec::new(),
             out: Batch::new(),
+            ctx,
         }
     }
 }
@@ -482,7 +485,15 @@ impl Operator for Fetch1JoinOp {
             let t0 = prof.start();
             let mut v = self.pools[k].writable();
             let fc = &mut self.fetch_cols[k];
-            fetch_gather(&self.table, fc, &self.rowid_buf, n, sel, &mut v, prof);
+            fetch_gather(
+                &self.table,
+                fc,
+                &self.rowid_buf[..n],
+                sel,
+                &mut v,
+                &self.ctx,
+                prof,
+            )?;
             let bytes = live * 4 + v.byte_size();
             prof.record_prim(&fc.spec.sig, t0, live, bytes);
             self.pools[k].publish(v, &mut self.out);
@@ -519,12 +530,14 @@ pub struct FetchNJoinOp {
     out: Batch,
     vector_size: usize,
     done: bool,
+    ctx: Arc<QueryContext>,
 }
 
 impl FetchNJoinOp {
     /// A 1:N fetch from `table` over `child`: `lo` and `cnt` produce the
     /// `#rowId` range `[lo, lo+cnt)`; `cols` are the resolved fetch
     /// columns and `fields` the output shape.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         child: Box<dyn Operator>,
         table: Arc<Table>,
@@ -533,6 +546,7 @@ impl FetchNJoinOp {
         cols: &[FetchSpec],
         fields: Vec<OutField>,
         vector_size: usize,
+        ctx: Arc<QueryContext>,
     ) -> Self {
         let pools = fields
             .iter()
@@ -555,6 +569,7 @@ impl FetchNJoinOp {
             out: Batch::new(),
             vector_size,
             done: false,
+            ctx,
         }
     }
 
@@ -645,7 +660,15 @@ impl Operator for FetchNJoinOp {
             let t0 = prof.start();
             let mut v = self.pools[self.child_arity + j].writable();
             let fc = &mut self.fetch_cols[j];
-            fetch_gather(&self.table, fc, &self.rowid_scratch, n, None, &mut v, prof);
+            fetch_gather(
+                &self.table,
+                fc,
+                &self.rowid_scratch[..n],
+                None,
+                &mut v,
+                &self.ctx,
+                prof,
+            )?;
             let bytes = n * 4 + v.byte_size();
             prof.record_prim(&fc.spec.sig, t0, n, bytes);
             self.pools[self.child_arity + j].publish(v, &mut self.out);

@@ -18,7 +18,10 @@ use crate::ops::Operator;
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
-use x100_storage::{ColumnBM, ColumnData, DecodeCursor, Morsel, PushOp, Pushdown, Table};
+use x100_storage::{
+    ColumnBM, ColumnData, CompressedColumn, DecodeCursor, FaultSite, Morsel, PushOp, Pushdown,
+    Table,
+};
 use x100_vector::{Value, Vector};
 
 /// A `Scan` as the check walk resolved it ([`crate::check`]): the table,
@@ -66,16 +69,24 @@ enum ColMode {
 /// decode-on-refill replaces the raw `read_into` memcpy, keeping
 /// decompression inside the CPU cache at vector granularity (§5).
 struct CompState {
-    /// Sequential decode position (PFOR-DELTA continuation carry).
+    read: CompRead,
+    /// Registered decompress primitive this column resolves to.
+    sig: &'static str,
+}
+
+/// What one operator carries between reads of one compressed column —
+/// the state the recovery ladder ([`read_compressed`]) works on.
+#[derive(Default)]
+pub(crate) struct CompRead {
+    /// Sequential decode position (PFOR-DELTA continuation carry) and
+    /// checksum-verification state.
     cursor: DecodeCursor,
     /// Reused frame buffer; its bytes are charged to the governor.
     scratch: Vec<u64>,
-    /// Registered decompress primitive this column resolves to.
-    sig: &'static str,
     /// Verified replacement chunks healed from a durable-store replica
     /// after the in-memory copy failed its checksum; once set, every
-    /// later refill of this column decodes from the healed copy.
-    healed: Option<Arc<x100_storage::CompressedColumn>>,
+    /// later read of this column decodes from the healed copy.
+    healed: Option<Arc<CompressedColumn>>,
 }
 
 /// A predicate pushed into the compressed scan (the fused
@@ -175,10 +186,8 @@ impl ScanOp {
             .iter()
             .map(|&ci| {
                 table.column(ci).compressed().map(|cc| CompState {
-                    cursor: DecodeCursor::default(),
-                    scratch: Vec::new(),
+                    read: CompRead::default(),
                     sig: cc.decode_sig(),
-                    healed: None,
                 })
             })
             .collect();
@@ -229,7 +238,7 @@ impl ScanOp {
         if let Some(bm) = &self.bm {
             bm.try_access(ci as u32, offset, len, self.ctx.fault_state())
                 .map_err(|e| PlanError::Io {
-                    site: x100_storage::FaultSite::ChunkRead,
+                    site: FaultSite::ChunkRead,
                     unrecoverable: false,
                     detail: e.to_string(),
                 })?;
@@ -255,7 +264,6 @@ impl ScanOp {
         self.out.reset();
         self.out.len = n;
         let t_scan = prof.start();
-        let mut scan_bytes = 0usize;
         // Decode-on-refill accounting across all compressed columns in
         // this fragment (raw-equivalent bytes, compressed bytes touched,
         // exception patches applied).
@@ -267,176 +275,69 @@ impl ScanOp {
         let mut reads: Vec<(usize, u64, u64)> = Vec::with_capacity(self.cols.len());
         // Plain/code reads first (the "Scan" operator's own work).
         for (k, &ci) in self.cols.iter().enumerate() {
-            let sc = self.table.column(ci);
+            let compressed = self.comp[k].is_some();
             let cs = &mut self.comp[k];
-            // Compressed chunk reads are their own fault-injection site.
-            if cs.is_some() {
-                if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(x100_storage::FaultSite::CompressedRead, ci as u32)
-                        .map_err(site_io)?;
+            // Fill `out` with the window: decoded from the column's
+            // compressed chunks through the recovery ladder, or copied
+            // from the raw fragment (no chunks, or the ladder's raw rung).
+            let mut fill = |out: &mut Vector| -> Result<(), PlanError> {
+                let mut decoded = None;
+                if let (Some(cs), Some(cc)) = (&mut *cs, self.table.column(ci).compressed()) {
+                    // Compressed chunk reads are their own fault-injection site.
+                    if let Some(fs) = self.ctx.fault_state() {
+                        fs.check_site(FaultSite::CompressedRead, ci as u32)
+                            .map_err(site_io)?;
+                    }
+                    let t0 = prof.start();
+                    let window =
+                        |cc: &CompressedColumn, cur: &mut DecodeCursor, scr: &mut Vec<u64>| {
+                            cc.decode_range(start, n, out, cur, scr)
+                        };
+                    decoded =
+                        read_compressed(&self.table, ci, &mut cs.read, &self.ctx, prof, window)?;
+                    if let Some(st) = &decoded {
+                        prof.record_prim(cs.sig, t0, n, st.comp_len as usize + out.byte_size());
+                        prof.max_counter("compress_ratio", cc.ratio_pct());
+                    }
                 }
-            }
+                match decoded {
+                    Some(st) => {
+                        dec_raw += out.byte_size() as u64;
+                        dec_comp += st.comp_len;
+                        dec_exc += st.exceptions;
+                        reads.push((ci, st.comp_offset, st.comp_len));
+                    }
+                    None => {
+                        let sc = self.table.column(ci);
+                        sc.physical().read_into(start, n, out);
+                        let offset = (start * sc.physical_type().width()) as u64;
+                        reads.push((ci, offset, out.byte_size() as u64));
+                    }
+                }
+                Ok(())
+            };
             match &mut self.modes[k] {
                 ColMode::Plain | ColMode::Codes => {
                     // Dense decode overwrites every position, so the
                     // recycled vector can skip its clear + re-zero pass.
-                    let mut v = if cs.is_some() {
+                    let mut v = if compressed {
                         self.pools[k].writable_dirty()
                     } else {
                         self.pools[k].writable()
                     };
-                    if let Some(cs) = cs {
-                        let healed_cc = cs.healed.clone();
-                        let cc: &x100_storage::CompressedColumn = match healed_cc.as_deref() {
-                            Some(h) => h,
-                            None => sc
-                                .compressed()
-                                .expect("CompState without compressed column"),
-                        };
-                        let t0 = prof.start();
-                        let mut res =
-                            cc.decode_range(start, n, &mut v, &mut cs.cursor, &mut cs.scratch);
-                        // Heal ladder: a checksum mismatch (torn chunk
-                        // write) first tries the durable store's disk
-                        // replica — a verified copy restores compressed
-                        // refills for the rest of the query.
-                        if res.is_err() && cs.healed.is_none() {
-                            if let Some(hc) = try_heal(&self.table, &self.ctx, prof, ci as u32) {
-                                cs.cursor = DecodeCursor::default();
-                                res = hc.decode_range(
-                                    start,
-                                    n,
-                                    &mut v,
-                                    &mut cs.cursor,
-                                    &mut cs.scratch,
-                                );
-                                if res.is_ok() {
-                                    cs.healed = Some(hc);
-                                }
-                            }
-                        }
-                        match res {
-                            Ok(st) => {
-                                prof.record_prim(
-                                    cs.sig,
-                                    t0,
-                                    n,
-                                    st.comp_len as usize + v.byte_size(),
-                                );
-                                prof.max_counter("compress_ratio", cc.ratio_pct());
-                                dec_raw += v.byte_size() as u64;
-                                dec_comp += st.comp_len;
-                                dec_exc += st.exceptions;
-                                reads.push((ci, st.comp_offset, st.comp_len));
-                            }
-                            Err(_) => {
-                                // No replica could serve the rows: the
-                                // raw fragment is retained and intact,
-                                // so recover from it — wrong rows must
-                                // never escape a torn chunk. The
-                                // fallback is itself a faultable chunk
-                                // read: both failing at once is the
-                                // double-fault case, with no copy left
-                                // to serve the rows.
-                                if let Some(fs) = self.ctx.fault_state() {
-                                    fs.check_site(x100_storage::FaultSite::ChunkRead, ci as u32)
-                                        .map_err(|e| double_fault(ci as u32, e))?;
-                                }
-                                prof.add_counter("decode_recoveries", 1);
-                                cs.cursor = DecodeCursor::default();
-                                sc.physical().read_into(start, n, &mut v);
-                                reads.push((
-                                    ci,
-                                    (start * sc.physical_type().width()) as u64,
-                                    v.byte_size() as u64,
-                                ));
-                            }
-                        }
-                    } else {
-                        sc.physical().read_into(start, n, &mut v);
-                        reads.push((
-                            ci,
-                            (start * sc.physical_type().width()) as u64,
-                            v.byte_size() as u64,
-                        ));
-                    }
-                    scan_bytes += v.byte_size();
+                    fill(&mut v)?;
                     self.pools[k].publish(v, &mut self.out);
                 }
                 ColMode::Decode { codes, .. } => {
                     // Read raw codes now; decode in a second pass so the
                     // fetch cost is attributed to Fetch1Join(ENUM).
-                    if let Some(cs) = cs {
-                        let healed_cc = cs.healed.clone();
-                        let cc: &x100_storage::CompressedColumn = match healed_cc.as_deref() {
-                            Some(h) => h,
-                            None => sc
-                                .compressed()
-                                .expect("CompState without compressed column"),
-                        };
-                        let t0 = prof.start();
-                        let mut res =
-                            cc.decode_range(start, n, codes, &mut cs.cursor, &mut cs.scratch);
-                        if res.is_err() && cs.healed.is_none() {
-                            if let Some(hc) = try_heal(&self.table, &self.ctx, prof, ci as u32) {
-                                cs.cursor = DecodeCursor::default();
-                                res = hc.decode_range(
-                                    start,
-                                    n,
-                                    codes,
-                                    &mut cs.cursor,
-                                    &mut cs.scratch,
-                                );
-                                if res.is_ok() {
-                                    cs.healed = Some(hc);
-                                }
-                            }
-                        }
-                        match res {
-                            Ok(st) => {
-                                prof.record_prim(
-                                    cs.sig,
-                                    t0,
-                                    n,
-                                    st.comp_len as usize + codes.byte_size(),
-                                );
-                                prof.max_counter("compress_ratio", cc.ratio_pct());
-                                dec_raw += codes.byte_size() as u64;
-                                dec_comp += st.comp_len;
-                                dec_exc += st.exceptions;
-                                reads.push((ci, st.comp_offset, st.comp_len));
-                            }
-                            Err(_) => {
-                                if let Some(fs) = self.ctx.fault_state() {
-                                    fs.check_site(x100_storage::FaultSite::ChunkRead, ci as u32)
-                                        .map_err(|e| double_fault(ci as u32, e))?;
-                                }
-                                prof.add_counter("decode_recoveries", 1);
-                                cs.cursor = DecodeCursor::default();
-                                sc.physical().read_into(start, n, codes);
-                                reads.push((
-                                    ci,
-                                    (start * sc.physical_type().width()) as u64,
-                                    codes.byte_size() as u64,
-                                ));
-                            }
-                        }
-                    } else {
-                        sc.physical().read_into(start, n, codes);
-                        reads.push((
-                            ci,
-                            (start * sc.physical_type().width()) as u64,
-                            codes.byte_size() as u64,
-                        ));
-                    }
-                    scan_bytes += codes.byte_size();
+                    fill(codes)?;
                     // Placeholder slot; replaced by the decode pass below.
                     self.out.columns.push(self.placeholder.clone());
                 }
             }
         }
         prof.record_op("Scan", t_scan, n);
-        let _ = scan_bytes;
         if dec_raw > 0 {
             prof.add_counter("scan_bytes_raw", dec_raw);
             prof.add_counter("scan_bytes_compressed", dec_comp);
@@ -450,7 +351,7 @@ impl ScanOp {
                 .comp
                 .iter()
                 .flatten()
-                .map(|cs| cs.scratch.capacity() * std::mem::size_of::<u64>())
+                .map(|cs| cs.read.scratch.capacity() * std::mem::size_of::<u64>())
                 .sum();
             mem.ensure(total)?;
         }
@@ -462,7 +363,7 @@ impl ScanOp {
         for (k, &ci) in self.cols.iter().enumerate() {
             if let ColMode::Decode { codes, sig } = &self.modes[k] {
                 if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(x100_storage::FaultSite::DictLookup, ci as u32)
+                    fs.check_site(FaultSite::DictLookup, ci as u32)
                         .map_err(site_io)?;
                 }
                 let dict = self.table.column(ci).dict().ok_or_else(|| {
@@ -524,53 +425,27 @@ impl ScanOp {
         let kp = ps.k;
         let ci_p = self.cols[kp];
         if let Some(fs) = self.ctx.fault_state() {
-            fs.check_site(x100_storage::FaultSite::CompressedRead, ci_p as u32)
+            fs.check_site(FaultSite::CompressedRead, ci_p as u32)
                 .map_err(site_io)?;
         }
         let sc_p = self.table.column(ci_p);
+        let cc_p = sc_p.compressed().expect("pushdown on uncompressed column");
         let cs_p = self.comp[kp].as_mut().expect("pushdown without CompState");
-        let healed_p = cs_p.healed.clone();
-        let cc_p: &x100_storage::CompressedColumn = match healed_p.as_deref() {
-            Some(h) => h,
-            None => sc_p.compressed().expect("pushdown on uncompressed column"),
-        };
         let t0 = prof.start();
-        ps.sel.clear();
-        let mut recovered = false;
-        let mut res =
-            cc_p.select_range(&ps.p, start, n, &mut ps.sel, &mut ps.tmp, &mut cs_p.cursor);
-        // Heal ladder: retry the encoded-space select over a verified
-        // disk-replica copy before dropping to value space.
-        if res.is_err() && cs_p.healed.is_none() {
-            if let Some(hc) = try_heal(&self.table, &self.ctx, prof, ci_p as u32) {
-                cs_p.cursor = DecodeCursor::default();
-                ps.sel.clear();
-                res = hc.select_range(&ps.p, start, n, &mut ps.sel, &mut ps.tmp, &mut cs_p.cursor);
-                if res.is_ok() {
-                    cs_p.healed = Some(hc);
-                }
-            }
-        }
-        match res {
-            Ok(()) => {
-                prof.record_prim(ps.p.sig(), t0, n, n * sc_p.physical_type().width());
-            }
-            Err(_) => {
-                // Torn chunk with no replica to serve it: recover by
-                // filtering the retained raw fragment in value space —
-                // identical survivors, no wrong rows, one counter tick.
-                // A fault on the fallback read too is the unrecoverable
-                // double-fault case.
-                if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(x100_storage::FaultSite::ChunkRead, ci_p as u32)
-                        .map_err(|e| double_fault(ci_p as u32, e))?;
-                }
-                prof.add_counter("decode_recoveries", 1);
-                cs_p.cursor = DecodeCursor::default();
-                recovered = true;
-                ps.sel.clear();
-                raw_filter(sc_p.physical(), start, n, &ps.p, &mut ps.sel);
-            }
+        let select = |cc: &CompressedColumn, cursor: &mut DecodeCursor, _: &mut Vec<u64>| {
+            ps.sel.clear();
+            cc.select_range(&ps.p, start, n, &mut ps.sel, cursor)
+        };
+        let selected = read_compressed(&self.table, ci_p, &mut cs_p.read, &self.ctx, prof, select)?;
+        // Raw rung: filter the retained fragment in value space —
+        // identical survivors, no wrong rows; every column of this
+        // window then gathers from its raw fragment too.
+        let recovered = selected.is_none();
+        if recovered {
+            ps.sel.clear();
+            raw_filter(sc_p.physical(), start, n, &ps.p, &mut ps.sel);
+        } else {
+            prof.record_prim(ps.p.sig(), t0, n, n * sc_p.physical_type().width());
         }
         prof.add_counter("pushdown_vectors", 1);
         prof.max_counter("compress_ratio", cc_p.ratio_pct());
@@ -606,7 +481,7 @@ impl ScanOp {
             let cs = &mut self.comp[k];
             if cs.is_some() {
                 if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(x100_storage::FaultSite::CompressedRead, ci as u32)
+                    fs.check_site(FaultSite::CompressedRead, ci as u32)
                         .map_err(site_io)?;
                 }
             }
@@ -614,77 +489,47 @@ impl ScanOp {
                 ColMode::Plain | ColMode::Codes => {
                     let mut v = self.pools[k].writable();
                     let mut decoded = false;
-                    if !recovered {
-                        if let Some(cs) = cs {
-                            let healed_cc = cs.healed.clone();
-                            let cc: &x100_storage::CompressedColumn = match healed_cc.as_deref() {
-                                Some(h) => h,
-                                None => sc
-                                    .compressed()
-                                    .expect("CompState without compressed column"),
-                            };
-                            let t0 = prof.start();
-                            if cc.decode_sel_sig().is_some() {
-                                match cc.decode_positions(
-                                    start,
-                                    &ps.sel,
-                                    &mut v,
-                                    &mut ps.tmp,
-                                    &mut cs.cursor,
-                                ) {
-                                    Ok(st) => {
-                                        decoded = true;
-                                        let sig =
-                                            cc.decode_sel_sig().expect("checked decode_sel_sig");
-                                        prof.record_prim(
-                                            sig,
-                                            t0,
-                                            ps.sel.len(),
-                                            st.comp_len as usize + v.byte_size(),
-                                        );
-                                        reads.push((ci, st.comp_offset, st.comp_len));
-                                    }
-                                    Err(_) => {
-                                        if let Some(fs) = self.ctx.fault_state() {
-                                            fs.check_site(
-                                                x100_storage::FaultSite::ChunkRead,
-                                                ci as u32,
-                                            )
-                                            .map_err(|e| double_fault(ci as u32, e))?;
-                                        }
-                                        prof.add_counter("decode_recoveries", 1);
-                                        cs.cursor = DecodeCursor::default();
-                                    }
-                                }
-                            } else {
-                                // PFOR-DELTA co-column: positional seek
-                                // from the nearest sync point.
-                                ps.abs.clear();
-                                ps.abs.extend(ps.sel.iter().map(|&p| start as u32 + p));
-                                match cc.gather(
-                                    &ps.abs,
-                                    &mut v,
-                                    &mut cs.scratch,
-                                    &mut ps.tmp,
-                                    &mut cs.cursor,
-                                ) {
-                                    Ok(()) => {
-                                        decoded = true;
-                                        prof.record_prim(cs.sig, t0, ps.sel.len(), v.byte_size());
-                                        reads.push((ci, 0, v.byte_size() as u64));
-                                    }
-                                    Err(_) => {
-                                        if let Some(fs) = self.ctx.fault_state() {
-                                            fs.check_site(
-                                                x100_storage::FaultSite::ChunkRead,
-                                                ci as u32,
-                                            )
-                                            .map_err(|e| double_fault(ci as u32, e))?;
-                                        }
-                                        prof.add_counter("decode_recoveries", 1);
-                                        cs.cursor = DecodeCursor::default();
-                                    }
-                                }
+                    if let (false, Some(cs), Some(cc)) = (recovered, cs, sc.compressed()) {
+                        let t0 = prof.start();
+                        let (table, ctx, live) = (&self.table, &self.ctx, ps.sel.len());
+                        if let Some(sig) = cc.decode_sel_sig() {
+                            let st = read_compressed(
+                                table,
+                                ci,
+                                &mut cs.read,
+                                ctx,
+                                prof,
+                                |cc, cur, _| {
+                                    cc.decode_positions(start, &ps.sel, &mut v, &mut ps.tmp, cur)
+                                },
+                            )?;
+                            if let Some(st) = st {
+                                decoded = true;
+                                prof.record_prim(
+                                    sig,
+                                    t0,
+                                    live,
+                                    st.comp_len as usize + v.byte_size(),
+                                );
+                                reads.push((ci, st.comp_offset, st.comp_len));
+                            }
+                        } else {
+                            // PFOR-DELTA co-column: positional seek
+                            // from the nearest sync point.
+                            ps.abs.clear();
+                            ps.abs.extend(ps.sel.iter().map(|&p| start as u32 + p));
+                            let st = read_compressed(
+                                table,
+                                ci,
+                                &mut cs.read,
+                                ctx,
+                                prof,
+                                |cc, cur, scr| cc.gather(&ps.abs, &mut v, scr, &mut ps.tmp, cur),
+                            )?;
+                            if st.is_some() {
+                                decoded = true;
+                                prof.record_prim(cs.sig, t0, live, v.byte_size());
+                                reads.push((ci, 0, v.byte_size() as u64));
                             }
                         }
                     }
@@ -711,7 +556,7 @@ impl ScanOp {
                         codes.byte_size() as u64,
                     ));
                     if let Some(fs) = self.ctx.fault_state() {
-                        fs.check_site(x100_storage::FaultSite::DictLookup, ci as u32)
+                        fs.check_site(FaultSite::DictLookup, ci as u32)
                             .map_err(site_io)?;
                     }
                     let dict = self.table.column(ci).dict().ok_or_else(|| {
@@ -736,7 +581,7 @@ impl ScanOp {
                 .comp
                 .iter()
                 .flatten()
-                .map(|cs| cs.scratch.capacity() * std::mem::size_of::<u64>())
+                .map(|cs| cs.read.scratch.capacity() * std::mem::size_of::<u64>())
                 .sum::<usize>()
                 + (ps.sel.capacity() + ps.tmp.capacity() + ps.abs.capacity())
                     * std::mem::size_of::<u32>();
@@ -757,7 +602,7 @@ impl ScanOp {
         let t_scan = prof.start();
         for (k, &ci) in self.cols.iter().enumerate() {
             if let Some(fs) = self.ctx.fault_state() {
-                fs.check_site(x100_storage::FaultSite::DeltaRead, ci as u32)
+                fs.check_site(FaultSite::DeltaRead, ci as u32)
                     .map_err(site_io)?;
             }
             let mut v = self.pools[k].writable();
@@ -806,44 +651,85 @@ fn site_io(e: x100_storage::StorageFaultError) -> PlanError {
     }
 }
 
-/// Typed unrecoverable I/O error: a compressed chunk was torn *and* the
-/// raw-fragment fallback read faulted too — no intact copy remains, so
-/// recovery is impossible. (Durably checkpointed tables rarely get
-/// here: the heal ladder fetches a disk replica first.)
-fn double_fault(col: u32, e: x100_storage::StorageFaultError) -> PlanError {
-    PlanError::Io {
-        site: x100_storage::FaultSite::ChunkRead,
-        unrecoverable: true,
-        detail: format!(
-            "column {col}: torn compressed chunk and raw-fragment fallback both failed ({e})"
-        ),
+/// The recovery ladder (DESIGN.md §10, "Byte layer") — the one place
+/// its four rungs live; every compressed read of the engine goes
+/// through it. Runs `access` against column `ci`'s compressed chunks,
+/// the healed copy once there is one. When that fails (a torn chunk
+/// refusing its checksum):
+///
+/// 1. *heal* — fetch the column's verified copy from a durable-store
+///    replica, at most once per operator, and retry; a good copy serves
+///    compressed reads for the rest of the query;
+/// 2. *raw* — tick `decode_recoveries`, reset the cursor and return
+///    `Ok(None)`: the caller serves this window from the retained raw
+///    fragment, so wrong rows never escape a torn chunk;
+/// 3. *`Io`* — the raw fallback is itself a faultable chunk read
+///    ([`FaultSite::ChunkRead`]); a fault there too is the double
+///    fault, with no copy left to serve the rows.
+#[inline]
+pub(crate) fn read_compressed<T>(
+    table: &Table,
+    ci: usize,
+    st: &mut CompRead,
+    ctx: &QueryContext,
+    prof: &mut Profiler,
+    mut access: impl FnMut(&CompressedColumn, &mut DecodeCursor, &mut Vec<u64>) -> Result<T, String>,
+) -> Result<Option<T>, PlanError> {
+    let CompRead {
+        cursor,
+        scratch,
+        healed,
+    } = st;
+    let cc = healed
+        .as_deref()
+        .or_else(|| table.column(ci).compressed())
+        .expect("compressed read of a column without chunks");
+    if let Ok(v) = access(cc, cursor, scratch) {
+        return Ok(Some(v));
     }
+    if healed.is_none() {
+        if let Some(hc) = try_heal(table, ctx, prof, ci as u32) {
+            *cursor = DecodeCursor::default();
+            if let Ok(v) = access(&hc, cursor, scratch) {
+                *healed = Some(hc);
+                return Ok(Some(v));
+            }
+        }
+    }
+    if let Some(fs) = ctx.fault_state() {
+        fs.check_site(FaultSite::ChunkRead, ci as u32)
+            .map_err(|e| PlanError::Io {
+                site: FaultSite::ChunkRead,
+                unrecoverable: true,
+                detail: format!(
+                    "column {ci}: torn compressed chunk and raw-fragment fallback both failed ({e})"
+                ),
+            })?;
+    }
+    prof.add_counter("decode_recoveries", 1);
+    *cursor = DecodeCursor::default();
+    Ok(None)
 }
 
-/// First rung of the heal ladder (DESIGN.md §14): when a compressed
-/// chunk fails its checksum mid-query, fetch the column's verified
-/// copy from a durable-store replica. Returns `None` when the table
-/// has no durable checkpoint or every replica failed — the caller
-/// drops to the raw-fragment fallback (the PR 6 contract). Counts
-/// `chunk_heals` only when *this* query performed the heal; concurrent
-/// queries racing on the same damage share one heal via the source's
-/// cache.
+/// The heal rung (DESIGN.md §14): fetch the column's verified copy
+/// from a durable-store replica. `None` when the table has no durable
+/// checkpoint or every replica failed. Counts `chunk_heals` only when
+/// *this* query performed the heal; concurrent queries racing on the
+/// same damage share one heal via the source's cache.
 fn try_heal(
     table: &Table,
     ctx: &QueryContext,
     prof: &mut Profiler,
     ci: u32,
-) -> Option<Arc<x100_storage::CompressedColumn>> {
-    let ds = table.durable_source()?;
-    match ds.recover_column(ci, ctx.fault_state()) {
-        Ok((cc, healed_now)) => {
-            if healed_now {
-                prof.add_counter("chunk_heals", 1);
-            }
-            Some(cc)
-        }
-        Err(_) => None,
+) -> Option<Arc<CompressedColumn>> {
+    let (cc, healed_now) = table
+        .durable_source()?
+        .recover_column(ci, ctx.fault_state())
+        .ok()?;
+    if healed_now {
+        prof.add_counter("chunk_heals", 1);
     }
+    Some(cc)
 }
 
 fn decode_codes(codes: &Vector, dict: &ColumnData, out: &mut Vector) {
@@ -1035,7 +921,7 @@ impl Operator for ScanOp {
         self.moff = 0;
         // Drop sequential decode positions so a re-run starts clean.
         for cs in self.comp.iter_mut().flatten() {
-            cs.cursor = DecodeCursor::default();
+            cs.read.cursor = DecodeCursor::default();
         }
     }
 }

@@ -307,17 +307,15 @@ impl OrderOp {
         let ctx = Arc::clone(self.mem.context());
         let mgr = ctx.spill_manager()?;
         let mut w = mgr.start_run(&ctx, "order/top-n buffer")?;
-        let mut block: Vec<Vector> = Vec::new();
         for chunk in perm.chunks(SPILL_BLOCK_ROWS) {
-            block.clear();
-            for s in &self.store {
+            let gather = |s: &Vector| {
                 let mut v = Vector::with_capacity(s.scalar_type(), chunk.len());
                 for &p in chunk {
                     push_from(&mut v, s, p as usize);
                 }
-                block.push(v);
-            }
-            w.write_block(&block)?;
+                v
+            };
+            w.write_block(self.store.iter().map(gather).collect())?;
         }
         self.runs.push(w.finish()?);
         for (s, f) in self.store.iter_mut().zip(self.fields.iter()) {
@@ -346,11 +344,11 @@ impl OrderOp {
                     .map(|r| MergeCursor::open(r, &mgr, &ctx))
                     .collect::<Result<Vec<_>, _>>()?;
                 let mut w = mgr.start_run(&ctx, "order/top-n merge")?;
-                let mut block: Vec<Vector> = self
-                    .fields
-                    .iter()
-                    .map(|f| Vector::with_capacity(f.ty, SPILL_BLOCK_ROWS))
-                    .collect();
+                let fresh = || -> Vec<Vector> {
+                    let empty = |f: &OutField| Vector::with_capacity(f.ty, SPILL_BLOCK_ROWS);
+                    self.fields.iter().map(empty).collect()
+                };
+                let mut block = fresh();
                 let mut rows = 0usize;
                 while let Some(win) = pick_winner(&cursors, &self.keys) {
                     for (k, v) in block.iter_mut().enumerate() {
@@ -359,15 +357,12 @@ impl OrderOp {
                     cursors[win].advance()?;
                     rows += 1;
                     if rows == SPILL_BLOCK_ROWS {
-                        w.write_block(&block)?;
-                        for (v, f) in block.iter_mut().zip(self.fields.iter()) {
-                            *v = Vector::with_capacity(f.ty, SPILL_BLOCK_ROWS);
-                        }
+                        w.write_block(std::mem::replace(&mut block, fresh()))?;
                         rows = 0;
                     }
                 }
                 if rows > 0 {
-                    w.write_block(&block)?;
+                    w.write_block(block)?;
                 }
                 self.runs.push(w.finish()?);
             }

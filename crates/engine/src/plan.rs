@@ -368,6 +368,7 @@ impl CheckedNode {
                 cols,
                 self.fields.clone(),
                 vs,
+                ctx.clone(),
             )),
             CheckedOp::FetchNJoin {
                 table,
@@ -383,6 +384,7 @@ impl CheckedNode {
                 cols,
                 self.fields.clone(),
                 vs,
+                ctx.clone(),
             )),
             CheckedOp::CartProd {
                 table,

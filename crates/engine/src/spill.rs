@@ -3,12 +3,14 @@
 //!
 //! When an operator's [`MemTracker::try_ensure`] probe fails, it
 //! converts the coldest part of its state into a **spill run**: a
-//! temp file of self-describing blocks, each holding one column-frame
-//! per operator column. Frames reuse the storage layer's chunked
-//! codecs ([`choose_and_compress`] / [`CompressedColumn::to_bytes`])
-//! so spilled data stays compressed and checksummed on disk; columns
-//! the chooser declines (and `Bool`, which has no fragment twin) fall
-//! back to a raw little-endian frame guarded by [`fold_checksum`].
+//! temp file of blocks, each a sealed frame of the storage byte layer
+//! ([`x100_storage::frame`]) holding one column section per operator
+//! column — the same "raw or compressed column" sections a durable
+//! column file holds. Sections reuse the storage layer's chunked codecs
+//! ([`choose_and_compress`]) so spilled data stays compressed on disk;
+//! columns the chooser declines (and `Bool`, which has no fragment
+//! twin) fall back to the raw value codec. The frame's fold trailer
+//! covers both kinds.
 //!
 //! Every block write passes through the governor: cancellation and
 //! deadline are checked first, the [`FaultSite::SpillWrite`] injector
@@ -16,8 +18,9 @@
 //! bytes are charged against the query's *disk* budget —
 //! [`ResourceExhausted`](crate::compile::PlanError::ResourceExhausted)
 //! is only possible once both budgets are gone. Re-reads mirror the
-//! path with [`FaultSite::SpillRead`] and per-chunk (compressed) or
-//! per-frame (raw) checksum verification.
+//! path with [`FaultSite::SpillRead`], frame validation (length
+//! against the bytes left in the run, trailer, arity, row counts) and
+//! per-chunk checksum verification of compressed sections.
 //!
 //! Cleanup is scope-guarded: a [`RunWriter`] dropped before
 //! [`RunWriter::finish`] deletes its half-written file and refunds
@@ -29,14 +32,13 @@
 //! [`MemTracker::try_ensure`]: crate::govern::MemTracker::try_ensure
 
 use std::fs::{self, File};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use x100_storage::{
-    choose_and_compress, fold_checksum, ColumnData, CompressedColumn, DecodeCursor, FaultSite,
-};
+use x100_storage::frame::{read_frame, Reader, Writer, FRAME_OVERHEAD};
+use x100_storage::{choose_and_compress, ColumnData, CompressedColumn, DecodeCursor, FaultSite};
 use x100_vector::{ScalarType, Vector};
 
 use crate::compile::PlanError;
@@ -48,13 +50,13 @@ use crate::profile::Profiler;
 /// that the chunked codecs see real runs of values.
 pub const SPILL_BLOCK_ROWS: usize = 4096;
 
-/// Run file magic ("XSPR") + format version.
-const RUN_MAGIC: u32 = 0x5253_5058;
-const RUN_VERSION: u8 = 1;
-/// Per-block magic ("XSPB").
-const BLOCK_MAGIC: u32 = 0x4250_5358;
-/// Run header bytes (magic + version).
-const RUN_HEADER_BYTES: u64 = 5;
+/// Run header magic (an empty sealed frame opens every run file).
+const RUN_MAGIC: &[u8; 4] = b"XSPR";
+/// Per-block frame magic.
+const BLOCK_MAGIC: &[u8; 4] = b"XSPB";
+const SPILL_VERSION: u8 = 2;
+/// Run header bytes: the offset of a run's first block.
+const RUN_HEADER_BYTES: u64 = FRAME_OVERHEAD as u64;
 
 /// Distinguishes spill temp dirs of concurrent queries in one process.
 static SPILL_EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -316,10 +318,7 @@ impl SpillManager {
             finished: false,
             buf: Vec::new(),
         };
-        let mut header = Vec::with_capacity(RUN_HEADER_BYTES as usize);
-        header.extend_from_slice(&RUN_MAGIC.to_le_bytes());
-        header.push(RUN_VERSION);
-        w.write_charged(&header)?;
+        w.write_charged(&Writer::new(Vec::new(), RUN_MAGIC, SPILL_VERSION).seal())?;
         Ok(w)
     }
 }
@@ -381,7 +380,14 @@ impl SpillRun {
         mgr: &Arc<SpillManager>,
         ctx: &Arc<QueryContext>,
     ) -> Result<RunReader, PlanError> {
-        RunReader::open(&self.file, RUN_HEADER_BYTES, self.blocks, mgr, ctx)
+        RunReader::open(
+            &self.file,
+            RUN_HEADER_BYTES,
+            self.blocks,
+            self.n_cols,
+            mgr,
+            ctx,
+        )
     }
 }
 
@@ -433,7 +439,8 @@ pub(crate) fn read_agg_segment(
     ctx: &Arc<QueryContext>,
 ) -> Result<crate::ops::AggrPartial, PlanError> {
     use crate::ops::{AggrPartial, PartialAcc};
-    let mut rd = RunReader::open(file, seg.offset, seg.blocks, mgr, ctx)?;
+    let n_cols = n_keys + 1 + n_aggs;
+    let mut rd = RunReader::open(file, seg.offset, seg.blocks, n_cols, mgr, ctx)?;
     let mut cols: Vec<Vector> = Vec::new();
     let mut block: Vec<Vector> = Vec::new();
     while let Some(rows) = rd.next_block(&mut block)? {
@@ -447,7 +454,7 @@ pub(crate) fn read_agg_segment(
             crate::ops::extend_range(dst, src, 0, rows);
         }
     }
-    if cols.len() != n_keys + 1 + n_aggs {
+    if cols.len() != n_cols {
         return Err(read_err(
             true,
             "spilled aggregation segment has wrong column arity".to_string(),
@@ -551,10 +558,13 @@ impl RunWriter {
         Ok(())
     }
 
-    /// Append one block of equal-length column vectors.
-    pub fn write_block(&mut self, cols: &[Vector]) -> Result<(), PlanError> {
+    /// Append one block of equal-length column vectors (at most
+    /// [`SPILL_BLOCK_ROWS`] rows). The vectors are consumed: columns
+    /// reach the codec chooser by move, not by copy.
+    pub fn write_block(&mut self, cols: Vec<Vector>) -> Result<(), PlanError> {
         assert!(!cols.is_empty(), "spill block needs at least one column");
         let rows = cols[0].len();
+        assert!(rows <= SPILL_BLOCK_ROWS, "spill block of {rows} rows");
         debug_assert!(cols.iter().all(|c| c.len() == rows));
         if self.n_cols == 0 {
             self.n_cols = cols.len();
@@ -564,14 +574,13 @@ impl RunWriter {
         // query stops spilling immediately instead of finishing the
         // run first.
         self.ctx.check()?;
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        buf.extend_from_slice(&BLOCK_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&(rows as u32).to_le_bytes());
-        buf.extend_from_slice(&(cols.len() as u32).to_le_bytes());
+        let mut w = Writer::new(std::mem::take(&mut self.buf), BLOCK_MAGIC, SPILL_VERSION);
+        w.put(rows as u32);
+        w.put(cols.len() as u32);
         for col in cols {
-            encode_frame(col, &mut buf);
+            put_column_section(&mut w, col);
         }
+        let buf = w.seal();
         let res = self.write_charged(&buf);
         self.buf = buf;
         res?;
@@ -612,7 +621,7 @@ impl Drop for RunWriter {
 
 /// Streaming reader over a spill run (or a segment of one). Each
 /// block read checks cancellation, runs the `SpillRead` fault
-/// injector, and verifies frame checksums before returning rows.
+/// injector, and validates the block frame before returning rows.
 #[derive(Debug)]
 pub struct RunReader {
     file: File,
@@ -621,36 +630,37 @@ pub struct RunReader {
     mgr: Arc<SpillManager>,
     ctx: Arc<QueryContext>,
     remaining: u64,
+    /// Bytes of the run past the read position: no block may claim more.
+    left: u64,
+    n_cols: usize,
     block_no: u32,
     buf: Vec<u8>,
     scratch: Vec<u64>,
 }
 
 impl RunReader {
-    /// Open a reader over `blocks` blocks starting at byte `offset`.
-    /// Validates the run header regardless of where the window starts.
+    /// Open a reader over `blocks` blocks of `n_cols` columns starting
+    /// at byte `offset`. Validates the run header regardless of where
+    /// the window starts.
     pub fn open(
         file: &Arc<SpillFile>,
         offset: u64,
         blocks: u64,
+        n_cols: usize,
         mgr: &Arc<SpillManager>,
         ctx: &Arc<QueryContext>,
     ) -> Result<RunReader, PlanError> {
-        let mut f = File::open(file.path()).map_err(|e| {
-            read_err(
-                true,
-                format!("open spill run {}: {e}", file.path().display()),
-            )
+        let path = file.path().display();
+        let mut f = File::open(file.path())
+            .map_err(|e| read_err(true, format!("open spill run {path}: {e}")))?;
+        let mut buf = Vec::new();
+        read_frame(&mut f, file.bytes(), &mut buf)
+            .map_err(|e| e.to_string())
+            .and_then(|()| Reader::open(&buf, RUN_MAGIC, SPILL_VERSION)?.finish())
+            .map_err(|e| read_err(true, format!("bad spill run header in {path}: {e}")))?;
+        let left = file.bytes().checked_sub(offset).ok_or_else(|| {
+            read_err(true, format!("spill segment starts past the end of {path}"))
         })?;
-        let mut header = [0u8; RUN_HEADER_BYTES as usize];
-        f.read_exact(&mut header)
-            .map_err(|e| read_err(true, format!("read spill run header: {e}")))?;
-        if header[..4] != RUN_MAGIC.to_le_bytes() || header[4] != RUN_VERSION {
-            return Err(read_err(
-                true,
-                format!("bad spill run header in {}", file.path().display()),
-            ));
-        }
         f.seek(SeekFrom::Start(offset))
             .map_err(|e| read_err(true, format!("seek spill run: {e}")))?;
         Ok(RunReader {
@@ -659,8 +669,10 @@ impl RunReader {
             mgr: Arc::clone(mgr),
             ctx: Arc::clone(ctx),
             remaining: blocks,
+            left,
+            n_cols,
             block_no: 0,
-            buf: Vec::new(),
+            buf,
             scratch: Vec::new(),
         })
     }
@@ -674,243 +686,75 @@ impl RunReader {
         }
         self.ctx.check()?;
         fault_check(&self.ctx, &self.mgr, FaultSite::SpillRead, self.block_no)?;
-        let mut head = [0u8; 12];
-        self.file
-            .read_exact(&mut head)
-            .map_err(|e| read_err(true, format!("read spill block header: {e}")))?;
-        let magic = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-        if magic != BLOCK_MAGIC {
-            return Err(read_err(true, "torn spill block (bad magic)".to_string()));
-        }
-        let rows = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-        let n_cols = u32::from_le_bytes([head[8], head[9], head[10], head[11]]) as usize;
-        out.resize_with(n_cols, || Vector::I64(Vec::new()));
-        for slot in out.iter_mut().take(n_cols) {
-            self.read_frame(rows, slot)?;
-        }
+        let rows = read_frame(&mut self.file, self.left, &mut self.buf)
+            .map_err(|e| e.to_string())
+            .and_then(|()| self.parse_block(out))
+            .map_err(|e| read_err(true, format!("spill block {}: {e}", self.block_no)))?;
+        self.left -= self.buf.len() as u64;
         self.remaining -= 1;
         self.block_no += 1;
         Ok(Some(rows))
     }
 
-    fn read_frame(&mut self, rows: usize, out: &mut Vector) -> Result<(), PlanError> {
-        let mut head = [0u8; 9];
-        self.file
-            .read_exact(&mut head)
-            .map_err(|e| read_err(true, format!("read spill frame header: {e}")))?;
-        let tag = head[0];
-        let len = u64::from_le_bytes([
-            head[1], head[2], head[3], head[4], head[5], head[6], head[7], head[8],
-        ]) as usize;
-        self.buf.clear();
-        self.buf.resize(len, 0);
-        self.file
-            .read_exact(&mut self.buf)
-            .map_err(|e| read_err(true, format!("read spill frame payload: {e}")))?;
-        match tag {
-            1 => {
-                let cc = CompressedColumn::from_bytes(&self.buf)
-                    .map_err(|e| read_err(true, format!("spill frame: {e}")))?;
+    /// Parse the block frame in `self.buf`: arity against the run, row
+    /// counts against the block header, every section consumed whole.
+    fn parse_block(&mut self, out: &mut Vec<Vector>) -> Result<usize, String> {
+        let mut r = Reader::open(&self.buf, BLOCK_MAGIC, SPILL_VERSION)?;
+        let rows = r.get::<u32>()? as usize;
+        let n_cols = r.get::<u32>()? as usize;
+        if n_cols != self.n_cols || rows > SPILL_BLOCK_ROWS {
+            return Err(format!(
+                "{n_cols} columns × {rows} rows in a run of {}-column blocks",
+                self.n_cols
+            ));
+        }
+        out.clear();
+        for _ in 0..n_cols {
+            let compressed = r.get::<bool>()?;
+            let mut s = r.section()?;
+            let v = if compressed {
+                let cc = CompressedColumn::read(&mut s)?;
                 if cc.rows() != rows {
-                    return Err(read_err(true, "spill frame row-count mismatch".to_string()));
+                    return Err("compressed section row-count mismatch".into());
                 }
-                *out = Vector::with_capacity(cc.physical_type(), rows);
+                let mut v = Vector::with_capacity(cc.physical_type(), rows);
                 let mut cursor = DecodeCursor::default();
-                cc.decode_range(0, rows, out, &mut cursor, &mut self.scratch)
-                    .map_err(|e| read_err(true, format!("spill frame: {e}")))?;
-                Ok(())
+                cc.decode_range(0, rows, &mut v, &mut cursor, &mut self.scratch)?;
+                v
+            } else {
+                s.vector()?
+            };
+            s.finish()?;
+            if v.len() != rows {
+                return Err("raw section row-count mismatch".into());
             }
-            0 => raw_decode(&self.buf, rows, out).map_err(|e| read_err(true, e)),
-            other => Err(read_err(true, format!("unknown spill frame tag {other}"))),
+            out.push(v);
         }
+        r.finish()?;
+        Ok(rows)
     }
 }
 
-/// Borrow a vector as an immutable column fragment for the
-/// compression chooser. `Bool` has no fragment twin — those frames
-/// stay raw.
-fn vector_to_column(v: &Vector) -> Option<ColumnData> {
-    Some(match v {
-        Vector::I8(d) => ColumnData::I8(d.clone()),
-        Vector::I16(d) => ColumnData::I16(d.clone()),
-        Vector::I32(d) => ColumnData::I32(d.clone()),
-        Vector::I64(d) => ColumnData::I64(d.clone()),
-        Vector::U8(d) => ColumnData::U8(d.clone()),
-        Vector::U16(d) => ColumnData::U16(d.clone()),
-        Vector::U32(d) => ColumnData::U32(d.clone()),
-        Vector::U64(d) => ColumnData::U64(d.clone()),
-        Vector::F64(d) => ColumnData::F64(d.clone()),
-        Vector::Str(s) => ColumnData::Str(s.clone()),
-        Vector::Bool(_) => return None,
-    })
-}
-
-fn ty_tag(ty: ScalarType) -> u8 {
-    match ty {
-        ScalarType::I8 => 0,
-        ScalarType::I16 => 1,
-        ScalarType::I32 => 2,
-        ScalarType::I64 => 3,
-        ScalarType::U8 => 4,
-        ScalarType::U16 => 5,
-        ScalarType::U32 => 6,
-        ScalarType::U64 => 7,
-        ScalarType::F64 => 8,
-        ScalarType::Str => 9,
-        ScalarType::Bool => 10,
-    }
-}
-
-/// Serialize one column frame: compressed via the storage codecs when
-/// the chooser takes it, raw (checksummed little-endian) otherwise.
-fn encode_frame(col: &Vector, buf: &mut Vec<u8>) {
-    if let Some(cd) = vector_to_column(col) {
-        if let Some(cc) = choose_and_compress(&cd) {
-            let payload = cc.to_bytes();
-            buf.push(1);
-            buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            buf.extend_from_slice(&payload);
-            return;
-        }
-    }
-    buf.push(0);
-    let len_at = buf.len();
-    buf.extend_from_slice(&[0u8; 8]);
-    let start = buf.len();
-    raw_encode(col, buf);
-    let len = (buf.len() - start) as u64;
-    buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
-}
-
-macro_rules! raw_numeric {
-    ($data:expr, $buf:expr) => {
-        for v in $data {
-            $buf.extend_from_slice(&v.to_le_bytes());
-        }
-    };
-}
-
-fn raw_encode(col: &Vector, buf: &mut Vec<u8>) {
-    buf.push(ty_tag(col.scalar_type()));
-    buf.extend_from_slice(&(col.len() as u32).to_le_bytes());
-    let start = buf.len();
-    match col {
-        Vector::I8(d) => raw_numeric!(d, buf),
-        Vector::I16(d) => raw_numeric!(d, buf),
-        Vector::I32(d) => raw_numeric!(d, buf),
-        Vector::I64(d) => raw_numeric!(d, buf),
-        Vector::U8(d) => buf.extend_from_slice(d),
-        Vector::U16(d) => raw_numeric!(d, buf),
-        Vector::U32(d) => raw_numeric!(d, buf),
-        Vector::U64(d) => raw_numeric!(d, buf),
-        Vector::F64(d) => {
-            for v in d {
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
+/// Serialize one column section: compressed via the storage codecs
+/// when the chooser takes it, the raw value codec otherwise (and for
+/// `Bool`, which has no fragment twin).
+fn put_column_section(w: &mut Writer, col: Vector) {
+    match ColumnData::try_from(col) {
+        Ok(data) => match choose_and_compress(&data) {
+            Some(cc) => {
+                w.put(true);
+                w.section(|w| cc.put(w));
             }
-        }
-        Vector::Bool(d) => {
-            for v in d {
-                buf.push(u8::from(*v));
+            None => {
+                w.put(false);
+                w.section(|w| w.put_column(&data));
             }
-        }
-        Vector::Str(s) => {
-            for v in s.iter() {
-                buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                buf.extend_from_slice(v.as_bytes());
-            }
+        },
+        Err(bools) => {
+            w.put(false);
+            w.section(|w| w.put_array(ScalarType::Bool, &bools));
         }
     }
-    let ck = fold_checksum(&buf[start..]);
-    buf.push(ck);
-}
-
-/// Byte cursor over one raw frame payload.
-struct Cur<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.at + n > self.b.len() {
-            return Err("raw spill frame truncated".to_string());
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-}
-
-macro_rules! raw_read {
-    ($cur:expr, $rows:expr, $ty:ty) => {{
-        let width = std::mem::size_of::<$ty>();
-        let bytes = $cur.take($rows * width)?;
-        let mut v: Vec<$ty> = Vec::with_capacity($rows);
-        for c in bytes.chunks_exact(width) {
-            let mut le = [0u8; std::mem::size_of::<$ty>()];
-            le.copy_from_slice(c);
-            v.push(<$ty>::from_le_bytes(le));
-        }
-        v
-    }};
-}
-
-fn raw_decode(b: &[u8], rows: usize, out: &mut Vector) -> Result<(), String> {
-    if b.len() < 6 {
-        return Err("raw spill frame truncated".to_string());
-    }
-    let tag = b[0];
-    let n = u32::from_le_bytes([b[1], b[2], b[3], b[4]]) as usize;
-    if n != rows {
-        return Err("raw spill frame row-count mismatch".to_string());
-    }
-    let stored = b[b.len() - 1];
-    let body = &b[5..b.len() - 1];
-    if fold_checksum(body) != stored {
-        return Err("raw spill frame checksum mismatch".to_string());
-    }
-    let mut cur = Cur { b: body, at: 0 };
-    *out = match tag {
-        0 => Vector::I8(raw_read!(cur, rows, i8)),
-        1 => Vector::I16(raw_read!(cur, rows, i16)),
-        2 => Vector::I32(raw_read!(cur, rows, i32)),
-        3 => Vector::I64(raw_read!(cur, rows, i64)),
-        4 => Vector::U8(cur.take(rows)?.to_vec()),
-        5 => Vector::U16(raw_read!(cur, rows, u16)),
-        6 => Vector::U32(raw_read!(cur, rows, u32)),
-        7 => Vector::U64(raw_read!(cur, rows, u64)),
-        8 => {
-            let bits = raw_read!(cur, rows, u64);
-            Vector::F64(bits.into_iter().map(f64::from_bits).collect())
-        }
-        10 => {
-            let bytes = cur.take(rows)?;
-            Vector::Bool(bytes.iter().map(|&x| x != 0).collect())
-        }
-        9 => {
-            let mut s = Vector::with_capacity(ScalarType::Str, rows);
-            if let Vector::Str(sv) = &mut s {
-                for _ in 0..rows {
-                    let len = cur.u32()? as usize;
-                    let raw = cur.take(len)?;
-                    let text = std::str::from_utf8(raw)
-                        .map_err(|_| "raw spill frame: invalid utf-8".to_string())?;
-                    sv.push(text);
-                }
-            }
-            s
-        }
-        other => return Err(format!("raw spill frame: unknown type tag {other}")),
-    };
-    if cur.at != body.len() {
-        return Err("raw spill frame has trailing bytes".to_string());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -969,8 +813,8 @@ mod tests {
                 v
             })
             .collect();
-        w.write_block(&first).unwrap();
-        w.write_block(&second).unwrap();
+        w.write_block(first).unwrap();
+        w.write_block(second).unwrap();
         let run = w.finish().unwrap();
         assert_eq!(run.rows, (SPILL_BLOCK_ROWS + 100) as u64);
         assert_eq!(run.blocks, 2);
@@ -1005,6 +849,81 @@ mod tests {
         }
     }
 
+    /// Spill twin of the storage mutation suite
+    /// (`storage/tests/properties.rs`): truncate the run at every
+    /// prefix, overwrite every field-sized span of the run header and
+    /// the first block with {0, 1, MAX} and re-seal the frame so the
+    /// damage reaches the parser. Every read must finish with rows or a
+    /// typed unrecoverable `SpillRead` error — never a panic, and never
+    /// an allocation sized by a damaged field.
+    #[test]
+    fn run_mutants_read_typed_or_clean() {
+        use x100_storage::fold_checksum;
+        use x100_storage::frame::Le;
+        let ctx = ctx_with_spill(64 << 20);
+        let mgr = ctx.spill_manager().unwrap();
+        let mut w = mgr.start_run(&ctx, "test").unwrap();
+        w.write_block(sample_cols(300)).unwrap();
+        let first_end = w.offset() as usize;
+        w.write_block(sample_cols(50)).unwrap();
+        let run = w.finish().unwrap();
+        let path = run.file.path().to_path_buf();
+        let image = fs::read(&path).unwrap();
+        let read_all = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            let mut r = run.reader(&mgr, &ctx)?;
+            let (mut block, mut total) = (Vec::new(), 0);
+            while let Some(rows) = r.next_block(&mut block)? {
+                total += rows;
+            }
+            Ok(total)
+        };
+        let check = |bytes: &[u8]| match read_all(bytes) {
+            Ok(_)
+            | Err(PlanError::Io {
+                site: FaultSite::SpillRead,
+                unrecoverable: true,
+                ..
+            }) => {}
+            Err(other) => panic!("untyped spill read failure: {other}"),
+        };
+        assert_eq!(read_all(&image).unwrap(), 350);
+        for cut in 0..image.len() {
+            assert!(read_all(&image[..cut]).is_err(), "run truncated at {cut}");
+        }
+        let header = RUN_HEADER_BYTES as usize;
+        fn overwrite<T: Le>(m: &mut [u8], at: usize, v: T) -> bool {
+            m.get_mut(at..at + T::W).map(|s| v.write(s)).is_some()
+        }
+        for at in 0..first_end {
+            // The frame the offset falls in: its trailer is re-folded.
+            let (lo, hi) = if at < header {
+                (0, header)
+            } else {
+                (header, first_end)
+            };
+            for pick in 0..9 {
+                let mut m = image.clone();
+                let hit = match pick {
+                    0 => overwrite(&mut m, at, 0u8),
+                    1 => overwrite(&mut m, at, 1u8),
+                    2 => overwrite(&mut m, at, u8::MAX),
+                    3 => overwrite(&mut m, at, 0u32),
+                    4 => overwrite(&mut m, at, 1u32),
+                    5 => overwrite(&mut m, at, u32::MAX),
+                    6 => overwrite(&mut m, at, 0u64),
+                    7 => overwrite(&mut m, at, 1u64),
+                    _ => overwrite(&mut m, at, u64::MAX),
+                };
+                if hit {
+                    m[hi - 1] = fold_checksum(&m[lo..hi - 1]);
+                    check(&m);
+                }
+            }
+        }
+        fs::write(&path, &image).unwrap();
+    }
+
     #[test]
     fn dropped_writer_removes_file_and_refunds_budget() {
         let ctx = ctx_with_spill(64 << 20);
@@ -1012,7 +931,7 @@ mod tests {
         let path;
         {
             let mut w = mgr.start_run(&ctx, "test").unwrap();
-            w.write_block(&sample_cols(128)).unwrap();
+            w.write_block(sample_cols(128)).unwrap();
             path = w.path.clone();
             assert!(path.exists());
             assert!(ctx.spill_peak() > 0);
@@ -1028,7 +947,7 @@ mod tests {
         let ctx = ctx_with_spill(64 << 20);
         let mgr = ctx.spill_manager().unwrap();
         let mut w = mgr.start_run(&ctx, "test").unwrap();
-        w.write_block(&sample_cols(64)).unwrap();
+        w.write_block(sample_cols(64)).unwrap();
         let run = w.finish().unwrap();
         let path = run.file.path().to_path_buf();
         assert!(path.exists());
@@ -1041,7 +960,7 @@ mod tests {
         let ctx = ctx_with_spill(64);
         let mgr = ctx.spill_manager().unwrap();
         let mut w = mgr.start_run(&ctx, "order-by").unwrap();
-        let err = w.write_block(&sample_cols(4096)).unwrap_err();
+        let err = w.write_block(sample_cols(4096)).unwrap_err();
         match err {
             PlanError::ResourceExhausted { operator, .. } => {
                 assert!(operator.contains("spill budget"), "got operator {operator}");

@@ -287,6 +287,28 @@ impl ColumnData {
     }
 }
 
+/// A vector becomes a fragment by move (same buffers). `Bool` is a
+/// vector-only type and comes back as the error.
+impl TryFrom<Vector> for ColumnData {
+    type Error = Vec<bool>;
+
+    fn try_from(v: Vector) -> Result<ColumnData, Vec<bool>> {
+        Ok(match v {
+            Vector::I8(d) => ColumnData::I8(d),
+            Vector::I16(d) => ColumnData::I16(d),
+            Vector::I32(d) => ColumnData::I32(d),
+            Vector::I64(d) => ColumnData::I64(d),
+            Vector::U8(d) => ColumnData::U8(d),
+            Vector::U16(d) => ColumnData::U16(d),
+            Vector::U32(d) => ColumnData::U32(d),
+            Vector::U64(d) => ColumnData::U64(d),
+            Vector::F64(d) => ColumnData::F64(d),
+            Vector::Str(s) => ColumnData::Str(s),
+            Vector::Bool(b) => return Err(b),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

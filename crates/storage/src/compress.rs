@@ -12,6 +12,7 @@
 //! vectors.
 
 use crate::column::ColumnData;
+use crate::frame::{fold_checksum, fold_values, Le, Reader, Writer};
 use x100_vector::compress as k;
 use x100_vector::{ScalarType, StrVec, Value, Vector};
 
@@ -23,9 +24,11 @@ pub const CHUNK_ROWS: usize = 65536;
 pub const HEADER_BYTES: usize = 32;
 
 const HEADER_MAGIC: u8 = 0xCB;
+const COLUMN_MAGIC: &[u8; 4] = b"XCPC";
+const COLUMN_VERSION: u8 = 2;
 
 /// Physical format of one compressed chunk (or of a whole column, as
-/// the chooser's verdict).
+/// the chooser's verdict). The discriminant is the on-disk tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkFormat {
     /// Uncompressed — the chooser's fallback when compression won't pay.
@@ -39,6 +42,12 @@ pub enum ChunkFormat {
 }
 
 impl ChunkFormat {
+    fn from_tag(tag: u8) -> Result<ChunkFormat, String> {
+        use ChunkFormat::*;
+        let known = [Raw, Pfor, PforDelta, Pdict].get(tag as usize).copied();
+        known.ok_or_else(|| format!("unknown chunk format tag {tag}"))
+    }
+
     /// Short lowercase name (bench JSON, stats display).
     pub fn name(self) -> &'static str {
         match self {
@@ -81,53 +90,69 @@ pub struct ChunkHeader {
 }
 
 impl ChunkHeader {
-    /// Serialize to the on-chunk byte layout.
-    pub fn encode(&self) -> [u8; HEADER_BYTES] {
-        let mut b = [0u8; HEADER_BYTES];
-        b[0] = HEADER_MAGIC;
-        b[1] = match self.format {
-            ChunkFormat::Raw => 0,
-            ChunkFormat::Pfor => 1,
-            ChunkFormat::PforDelta => 2,
-            ChunkFormat::Pdict => 3,
-        };
-        b[2] = self.lane;
-        b[3] = self.checksum;
-        b[4..8].copy_from_slice(&self.rows.to_le_bytes());
-        b[8..12].copy_from_slice(&self.scale.to_le_bytes());
-        b[12..20].copy_from_slice(&self.base.to_le_bytes());
-        b[20..24].copy_from_slice(&self.payload_bytes.to_le_bytes());
-        b[24..28].copy_from_slice(&self.exceptions.to_le_bytes());
-        b[28..32].copy_from_slice(&self.sync_points.to_le_bytes());
-        b
+    /// Serialize to the on-chunk byte layout ([`HEADER_BYTES`] long).
+    fn put(&self, w: &mut Writer) {
+        w.put(HEADER_MAGIC);
+        w.put(self.format as u8);
+        w.put(self.lane);
+        w.put(self.checksum);
+        w.put(self.rows);
+        w.put(self.scale);
+        w.put(self.base);
+        w.put(self.payload_bytes);
+        w.put(self.exceptions);
+        w.put(self.sync_points);
     }
 
     /// Parse the on-chunk byte layout back.
-    pub fn decode(b: &[u8; HEADER_BYTES]) -> Result<ChunkHeader, String> {
-        if b[0] != HEADER_MAGIC {
-            return Err(format!("bad chunk magic 0x{:02x}", b[0]));
+    fn read(r: &mut Reader<'_>) -> Result<ChunkHeader, String> {
+        let magic = r.get::<u8>()?;
+        if magic != HEADER_MAGIC {
+            return Err(format!("bad chunk magic 0x{magic:02x}"));
         }
-        let format = match b[1] {
-            0 => ChunkFormat::Raw,
-            1 => ChunkFormat::Pfor,
-            2 => ChunkFormat::PforDelta,
-            3 => ChunkFormat::Pdict,
-            t => return Err(format!("unknown chunk format tag {t}")),
-        };
-        let word32 = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
-        let mut base = [0u8; 8];
-        base.copy_from_slice(&b[12..20]);
         Ok(ChunkHeader {
-            format,
-            lane: b[2],
-            checksum: b[3],
-            rows: word32(4),
-            scale: word32(8),
-            base: u64::from_le_bytes(base),
-            payload_bytes: word32(20),
-            exceptions: word32(24),
-            sync_points: word32(28),
+            format: ChunkFormat::from_tag(r.get()?)?,
+            lane: r.get()?,
+            checksum: r.get()?,
+            rows: r.get()?,
+            scale: r.get()?,
+            base: r.get()?,
+            payload_bytes: r.get()?,
+            exceptions: r.get()?,
+            sync_points: r.get()?,
         })
+    }
+
+    /// Check every field a decode kernel later trusts, for a chunk of
+    /// `rows` rows inside a column of format `column`: the kernels index
+    /// payload, patch and sync lists from these numbers without looking
+    /// back. Payload *contents* stay guarded by `checksum`.
+    fn validate(&self, column: ChunkFormat, dict_lane: u32, rows: u64) -> Result<(), String> {
+        use ChunkFormat::*;
+        let format_ok = self.format == column || (column == PforDelta && self.format == Pfor);
+        let lane_ok = match self.format {
+            Pdict => self.lane as u32 == dict_lane,
+            _ => matches!(self.lane, 0 | 8 | 16 | 32 | 64),
+        };
+        let lists_ok = match self.format {
+            PforDelta => self.sync_points as u64 == rows.div_ceil(k::DELTA_SYNC as u64),
+            Pfor => self.sync_points == 0,
+            _ => self.sync_points == 0 && self.exceptions == 0,
+        };
+        if format_ok
+            && lane_ok
+            && lists_ok
+            && self.rows as u64 == rows
+            && self.payload_bytes as u64 == rows * self.lane as u64 / 8
+            && self.exceptions as u64 <= rows
+        {
+            Ok(())
+        } else {
+            Err(format!(
+                "inconsistent header for a {rows}-row {} chunk: {self:?}",
+                column.name()
+            ))
+        }
     }
 }
 
@@ -160,26 +185,6 @@ impl CompressedChunk {
                 ChunkBody::PforDelta(c) => c.byte_size(),
                 ChunkBody::Pdict(p) => p.len(),
             }
-    }
-}
-
-/// Column-wide sorted dictionary for PDICT columns.
-#[derive(Debug, Clone)]
-pub enum PdictValues {
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-    F64(Vec<f64>),
-    Str(StrVec),
-}
-
-impl PdictValues {
-    fn byte_size(&self) -> usize {
-        match self {
-            PdictValues::I32(v) => v.len() * 4,
-            PdictValues::I64(v) => v.len() * 8,
-            PdictValues::F64(v) => v.len() * 8,
-            PdictValues::Str(v) => v.byte_size(),
-        }
     }
 }
 
@@ -217,7 +222,8 @@ pub struct CompressedColumn {
     chunks: Vec<CompressedChunk>,
     /// Byte offset of each chunk in the compressed stream.
     chunk_offsets: Vec<u64>,
-    dict: Option<PdictValues>,
+    /// Column-wide sorted dictionary (PDICT columns only).
+    dict: Option<ColumnData>,
     dict_lane: u32,
     raw_bytes: u64,
     compressed_bytes: u64,
@@ -290,202 +296,17 @@ impl CompressedColumn {
         }
     }
 
-    /// Serialize the whole column to a self-describing byte stream:
-    /// a column preamble (format, physical type, rows, dictionary)
-    /// followed by every chunk as `header.encode()` + body blocks in
-    /// the order the chunk checksum folds them. The per-chunk checksums
-    /// travel inside the headers, so a torn byte anywhere in a body is
-    /// caught by [`CompressedColumn::decode_range`] after
-    /// [`CompressedColumn::from_bytes`] — exactly the guarantee spill
-    /// runs need when they cross a (faultable) disk boundary.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(self.compressed_bytes as usize + 64);
-        b.extend_from_slice(b"XCPC");
-        b.push(1); // version
-        b.push(match self.format {
-            ChunkFormat::Raw => 0,
-            ChunkFormat::Pfor => 1,
-            ChunkFormat::PforDelta => 2,
-            ChunkFormat::Pdict => 3,
-        });
-        b.push(scalar_tag(self.physical));
-        b.push(match &self.dict {
-            None => 0,
-            Some(PdictValues::I32(_)) => 1,
-            Some(PdictValues::I64(_)) => 2,
-            Some(PdictValues::F64(_)) => 3,
-            Some(PdictValues::Str(_)) => 4,
-        });
-        b.extend_from_slice(&(self.rows as u64).to_le_bytes());
-        b.extend_from_slice(&self.raw_bytes.to_le_bytes());
-        b.extend_from_slice(&self.dict_lane.to_le_bytes());
-        b.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        match &self.dict {
-            None => {}
-            Some(PdictValues::I32(v)) => {
-                b.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for x in v {
-                    b.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            Some(PdictValues::I64(v)) => {
-                b.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for x in v {
-                    b.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            Some(PdictValues::F64(v)) => {
-                b.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for x in v {
-                    b.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-            }
-            Some(PdictValues::Str(v)) => {
-                b.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for s in v.iter() {
-                    b.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    b.extend_from_slice(s.as_bytes());
-                }
-            }
-        }
-        for c in &self.chunks {
-            b.extend_from_slice(&c.header.encode());
-            match &c.body {
-                ChunkBody::Pfor(p) => {
-                    b.extend_from_slice(&p.payload);
-                    for &x in &p.exc_pos {
-                        b.extend_from_slice(&x.to_le_bytes());
-                    }
-                    for &x in &p.exc_frames {
-                        b.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                ChunkBody::PforDelta(p) => {
-                    b.extend_from_slice(&p.payload);
-                    for &x in &p.sync {
-                        b.extend_from_slice(&x.to_le_bytes());
-                    }
-                    for &x in &p.exc_pos {
-                        b.extend_from_slice(&x.to_le_bytes());
-                    }
-                    for &x in &p.exc_frames {
-                        b.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                ChunkBody::Pdict(p) => b.extend_from_slice(p),
-            }
-        }
-        b
-    }
-
-    /// Rebuild a column serialized by [`CompressedColumn::to_bytes`].
-    /// Structural damage (bad magic, truncation, impossible counts)
-    /// fails here; payload corruption inside a chunk body is deferred
-    /// to the per-chunk checksum on the first `decode_range` touch.
-    pub fn from_bytes(b: &[u8]) -> Result<CompressedColumn, String> {
-        let mut r = ByteReader { b, at: 0 };
-        if r.take(4)? != b"XCPC" {
-            return Err("bad compressed-column magic".into());
-        }
-        let version = r.u8()?;
-        if version != 1 {
-            return Err(format!("unknown compressed-column version {version}"));
-        }
-        let format = match r.u8()? {
-            0 => ChunkFormat::Raw,
-            1 => ChunkFormat::Pfor,
-            2 => ChunkFormat::PforDelta,
-            3 => ChunkFormat::Pdict,
-            t => return Err(format!("unknown column format tag {t}")),
-        };
-        let physical = scalar_from_tag(r.u8()?)?;
-        let dict_tag = r.u8()?;
-        let rows = r.u64()? as usize;
-        let raw_bytes = r.u64()?;
-        let dict_lane = r.u32()?;
-        let n_chunks = r.u32()? as usize;
-        let dict = match dict_tag {
-            0 => None,
-            1 => {
-                let n = r.u32()? as usize;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(r.u32()? as i32);
-                }
-                Some(PdictValues::I32(v))
-            }
-            2 => {
-                let n = r.u32()? as usize;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(r.u64()? as i64);
-                }
-                Some(PdictValues::I64(v))
-            }
-            3 => {
-                let n = r.u32()? as usize;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(f64::from_bits(r.u64()?));
-                }
-                Some(PdictValues::F64(v))
-            }
-            4 => {
-                let n = r.u32()? as usize;
-                let mut v = StrVec::new();
-                for _ in 0..n {
-                    let len = r.u32()? as usize;
-                    let s = std::str::from_utf8(r.take(len)?)
-                        .map_err(|_| "non-UTF-8 dictionary entry".to_string())?;
-                    v.push(s);
-                }
-                Some(PdictValues::Str(v))
-            }
-            t => return Err(format!("unknown dictionary tag {t}")),
-        };
-        let mut chunks = Vec::with_capacity(n_chunks);
-        let mut covered = 0usize;
-        for _ in 0..n_chunks {
-            let mut hb = [0u8; HEADER_BYTES];
-            hb.copy_from_slice(r.take(HEADER_BYTES)?);
-            let header = ChunkHeader::decode(&hb)?;
-            let payload = r.take(header.payload_bytes as usize)?.to_vec();
-            let body = match header.format {
-                ChunkFormat::Raw => return Err("raw tag inside compressed chunk".into()),
-                ChunkFormat::Pfor => {
-                    let (exc_pos, exc_frames) = r.exceptions(header.exceptions as usize)?;
-                    ChunkBody::Pfor(k::PforChunk {
-                        lane: header.lane as u32,
-                        base: header.base,
-                        scale: header.scale,
-                        payload,
-                        exc_pos,
-                        exc_frames,
-                    })
-                }
-                ChunkFormat::PforDelta => {
-                    let mut sync = Vec::with_capacity(header.sync_points as usize);
-                    for _ in 0..header.sync_points {
-                        sync.push(r.u64()?);
-                    }
-                    let (exc_pos, exc_frames) = r.exceptions(header.exceptions as usize)?;
-                    ChunkBody::PforDelta(k::PforDeltaChunk {
-                        lane: header.lane as u32,
-                        base: header.base,
-                        payload,
-                        sync,
-                        exc_pos,
-                        exc_frames,
-                    })
-                }
-                ChunkFormat::Pdict => ChunkBody::Pdict(payload),
-            };
-            covered += header.rows as usize;
-            chunks.push(CompressedChunk { header, body });
-        }
-        if covered != rows {
-            return Err(format!("chunk rows {covered} != column rows {rows}"));
-        }
+    /// Finish a column from its parts: chunk offsets and the compressed
+    /// footprint are derived, never stored.
+    fn assemble(
+        format: ChunkFormat,
+        physical: ScalarType,
+        rows: usize,
+        raw_bytes: u64,
+        chunks: Vec<CompressedChunk>,
+        dict: Option<ColumnData>,
+        dict_lane: u32,
+    ) -> CompressedColumn {
         let mut chunk_offsets = Vec::with_capacity(chunks.len());
         let mut off = 0u64;
         for c in &chunks {
@@ -493,7 +314,7 @@ impl CompressedColumn {
             off += c.byte_size() as u64;
         }
         let compressed_bytes = off + dict.as_ref().map_or(0, |d| d.byte_size() as u64);
-        Ok(CompressedColumn {
+        CompressedColumn {
             format,
             physical,
             rows,
@@ -503,7 +324,164 @@ impl CompressedColumn {
             dict_lane,
             raw_bytes,
             compressed_bytes,
-        })
+        }
+    }
+
+    /// Serialize the whole column as a sealed `XCPC` frame (see
+    /// [`CompressedColumn::put`] for the body).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let buf = Vec::with_capacity(self.compressed_bytes as usize + 64);
+        let mut w = Writer::new(buf, COLUMN_MAGIC, COLUMN_VERSION);
+        self.put(&mut w);
+        w.seal()
+    }
+
+    /// Rebuild a column serialized by [`CompressedColumn::to_bytes`].
+    pub fn from_bytes(b: &[u8]) -> Result<CompressedColumn, String> {
+        let mut r = Reader::open(b, COLUMN_MAGIC, COLUMN_VERSION)?;
+        let col = CompressedColumn::read(&mut r)?;
+        r.finish()?;
+        Ok(col)
+    }
+
+    /// Write the column as one self-describing section: a preamble
+    /// (format, physical type, rows, dictionary) followed by every chunk
+    /// as header + body blocks in the order the chunk checksum folds
+    /// them. Durable column files and spill blocks embed exactly this.
+    /// The per-chunk checksums travel inside the headers, so a byte torn
+    /// in a body *before* it was serialized is still caught on the first
+    /// decode touch after [`CompressedColumn::read`].
+    pub fn put(&self, w: &mut Writer) {
+        w.put(self.format as u8);
+        w.put_type(self.physical);
+        w.put(self.rows as u64);
+        w.put(self.raw_bytes);
+        w.put(self.dict_lane);
+        w.put(self.chunks.len() as u32);
+        w.put(self.dict.is_some());
+        if let Some(d) = &self.dict {
+            w.put_column(d);
+        }
+        for c in &self.chunks {
+            c.header.put(w);
+            match &c.body {
+                ChunkBody::Pfor(p) => {
+                    w.put_slice(&p.payload);
+                    w.put_slice(&p.exc_pos);
+                    w.put_slice(&p.exc_frames);
+                }
+                ChunkBody::PforDelta(p) => {
+                    w.put_slice(&p.payload);
+                    w.put_slice(&p.sync);
+                    w.put_slice(&p.exc_pos);
+                    w.put_slice(&p.exc_frames);
+                }
+                ChunkBody::Pdict(p) => w.put_slice(p),
+            }
+        }
+    }
+
+    /// Parse a section written by [`CompressedColumn::put`], validating
+    /// every preamble and header field a decode kernel later trusts
+    /// (see [`ChunkHeader::validate`]) — a column this returns can be
+    /// decoded without panicking whatever the input bytes were. Payload
+    /// corruption inside a chunk body is deferred to the per-chunk
+    /// checksum on the first decode touch.
+    pub fn read(r: &mut Reader<'_>) -> Result<CompressedColumn, String> {
+        use ScalarType::{Str, F64, I32, I64};
+        let format = ChunkFormat::from_tag(r.get()?)?;
+        let physical = r.get_type()?;
+        let rows = r.get::<u64>()?;
+        let raw_bytes = r.get::<u64>()?;
+        let dict_lane = r.get::<u32>()?;
+        let n_chunks = r.count::<u32>(HEADER_BYTES)?;
+        let dict = if r.get()? { Some(r.column()?) } else { None };
+        let typed = match format {
+            ChunkFormat::Raw => false,
+            ChunkFormat::Pfor => physical.is_numeric(),
+            ChunkFormat::PforDelta => physical.is_integer(),
+            ChunkFormat::Pdict => matches!(physical, I32 | I64 | F64 | Str),
+        };
+        let dict_ok = match &dict {
+            None => format != ChunkFormat::Pdict && dict_lane == 0,
+            Some(d) => {
+                format == ChunkFormat::Pdict
+                    && d.scalar_type() == physical
+                    && matches!(dict_lane, 8 | 16)
+                    && d.len() <= 1 << dict_lane
+            }
+        };
+        if !typed || !dict_ok || n_chunks as u64 != rows.div_ceil(CHUNK_ROWS as u64) {
+            return Err(format!(
+                "inconsistent column preamble: {} over {physical}, {rows} rows in {n_chunks} \
+                 chunks, dictionary {:?} at lane {dict_lane}",
+                format.name(),
+                dict.as_ref().map(ColumnData::scalar_type)
+            ));
+        }
+        let mut chunks = Vec::with_capacity(n_chunks);
+        let mut left = rows;
+        for _ in 0..n_chunks {
+            let header = ChunkHeader::read(r)?;
+            header.validate(format, dict_lane, left.min(CHUNK_ROWS as u64))?;
+            left -= header.rows as u64;
+            let payload = r.take(header.payload_bytes as usize)?.to_vec();
+            let sync = r.slice(header.sync_points as usize)?;
+            let exc_pos: Vec<u32> = r.slice(header.exceptions as usize)?;
+            let exc_frames = r.slice(header.exceptions as usize)?;
+            if !exc_pos.windows(2).all(|w| w[0] < w[1])
+                || exc_pos.last().is_some_and(|&p| p >= header.rows)
+            {
+                return Err("exception positions not ascending within the chunk".into());
+            }
+            let lane = header.lane as u32;
+            let base = header.base;
+            let body = match header.format {
+                ChunkFormat::Pfor => ChunkBody::Pfor(k::PforChunk {
+                    lane,
+                    base,
+                    scale: header.scale,
+                    payload,
+                    exc_pos,
+                    exc_frames,
+                }),
+                ChunkFormat::PforDelta => ChunkBody::PforDelta(k::PforDeltaChunk {
+                    lane,
+                    base,
+                    payload,
+                    sync,
+                    exc_pos,
+                    exc_frames,
+                }),
+                ChunkFormat::Pdict => {
+                    // The one payload property a kernel indexes by:
+                    // every code must name a dictionary entry.
+                    let top = match lane {
+                        8 => payload.iter().max().map(|&c| c as usize),
+                        _ => payload
+                            .chunks_exact(2)
+                            .map(u16::read)
+                            .max()
+                            .map(usize::from),
+                    };
+                    if top >= dict.as_ref().map(ColumnData::len) {
+                        return Err(format!("dictionary code {top:?} has no entry"));
+                    }
+                    ChunkBody::Pdict(payload)
+                }
+                ChunkFormat::Raw => return Err("raw tag inside compressed chunk".into()),
+            };
+            chunks.push(CompressedChunk { header, body });
+        }
+        Ok(CompressedColumn::assemble(
+            format,
+            physical,
+            rows as usize,
+            raw_bytes,
+            chunks,
+            dict,
+            dict_lane,
+        ))
     }
 
     /// Decompress rows `[start, start + rows)` into `out` (cleared and
@@ -533,16 +511,9 @@ impl CompressedColumn {
             // pass per refill once the vector reaches steady state.
             out.resize_zeroed(rows);
         }
-        let mut done = 0usize;
-        while done < rows {
-            let abs = start + done;
-            let ci = abs / CHUNK_ROWS;
-            let chunk = &self.chunks[ci];
-            let local = abs - ci * CHUNK_ROWS;
-            let n = rows - done;
-            let n = n.min(chunk.header.rows as usize - local);
-            self.decode_chunk(ci, local, n, done, out, cursor, scratch, &mut stats)?;
-            done += n;
+        for (ci, local, n) in chunk_pieces(start, rows) {
+            let at = ci * CHUNK_ROWS + local - start;
+            self.decode_chunk(ci, local, n, at, out, cursor, scratch, &mut stats)?;
         }
         if stats.comp_offset == u64::MAX {
             stats.comp_offset = 0;
@@ -564,11 +535,7 @@ impl CompressedColumn {
         scratch: &mut Vec<u64>,
         stats: &mut DecodeStats,
     ) -> Result<(), String> {
-        if cursor.verified != Some(ci) {
-            self.verify_chunk(ci)?;
-            cursor.verified = Some(ci);
-        }
-        let chunk = &self.chunks[ci];
+        let chunk = self.verified(ci, cursor)?;
         let lane_bytes = (chunk.header.lane as u64) / 8;
         let mut touched = HEADER_BYTES as u64 + n as u64 * lane_bytes;
         match &chunk.body {
@@ -637,7 +604,7 @@ impl CompressedColumn {
                 let dict = self.dict.as_ref().expect("pdict column has a dictionary");
                 let lane = self.dict_lane;
                 match (out, dict) {
-                    (Vector::I32(dst), PdictValues::I32(d)) => k::decompress_pdict_i32_col(
+                    (Vector::I32(dst), ColumnData::I32(d)) => k::decompress_pdict_i32_col(
                         &mut dst[at..at + n],
                         payload,
                         lane,
@@ -645,7 +612,7 @@ impl CompressedColumn {
                         d,
                         scratch,
                     ),
-                    (Vector::I64(dst), PdictValues::I64(d)) => k::decompress_pdict_i64_col(
+                    (Vector::I64(dst), ColumnData::I64(d)) => k::decompress_pdict_i64_col(
                         &mut dst[at..at + n],
                         payload,
                         lane,
@@ -653,7 +620,7 @@ impl CompressedColumn {
                         d,
                         scratch,
                     ),
-                    (Vector::F64(dst), PdictValues::F64(d)) => k::decompress_pdict_f64_col(
+                    (Vector::F64(dst), ColumnData::F64(d)) => k::decompress_pdict_f64_col(
                         &mut dst[at..at + n],
                         payload,
                         lane,
@@ -661,7 +628,7 @@ impl CompressedColumn {
                         d,
                         scratch,
                     ),
-                    (Vector::Str(dst), PdictValues::Str(d)) => {
+                    (Vector::Str(dst), ColumnData::Str(d)) => {
                         k::decompress_pdict_str_col(dst, payload, lane, local, n, d, scratch)
                     }
                     (o, _) => panic!("pdict decode into {:?}", o.scalar_type()),
@@ -672,6 +639,17 @@ impl CompressedColumn {
         stats.comp_offset = stats.comp_offset.min(off);
         stats.comp_len += touched;
         Ok(())
+    }
+
+    /// Chunk `ci`, its checksum verified at most once per cursor —
+    /// sequential scans pay the verification pass per chunk, not per
+    /// refill. Every decode path enters a chunk through here.
+    fn verified(&self, ci: usize, cursor: &mut DecodeCursor) -> Result<&CompressedChunk, String> {
+        if cursor.verified != Some(ci) {
+            self.verify_chunk(ci)?;
+            cursor.verified = Some(ci);
+        }
+        Ok(&self.chunks[ci])
     }
 
     /// Recompute chunk `ci`'s body checksum and compare with the header
@@ -750,7 +728,7 @@ impl CompressedColumn {
             return None;
         }
         let opn = op.name();
-        let ty = ty_name(self.physical);
+        let ty = self.physical.sig_name();
         match self.format {
             ChunkFormat::Pfor => {
                 if op == PushOp::Ne || self.physical == ScalarType::Str {
@@ -804,16 +782,16 @@ impl CompressedColumn {
             };
         }
         match (dict, v) {
-            (PdictValues::I32(d), Value::I32(x)) => {
+            (ColumnData::I32(d), Value::I32(x)) => {
                 Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
             }
-            (PdictValues::I64(d), Value::I64(x)) => {
+            (ColumnData::I64(d), Value::I64(x)) => {
                 Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
             }
-            (PdictValues::F64(d), Value::F64(x)) => {
+            (ColumnData::F64(d), Value::F64(x)) => {
                 Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
             }
-            (PdictValues::Str(d), Value::Str(x)) => Some(k::DictSel::from_pred(d.len(), |c| {
+            (ColumnData::Str(d), Value::Str(x)) => Some(k::DictSel::from_pred(d.len(), |c| {
                 pred!(d.get(c), x.as_str())
             })),
             _ => None,
@@ -823,8 +801,7 @@ impl CompressedColumn {
     /// Evaluate a compiled pushdown over rows `[start, start + rows)`
     /// entirely in encoded space: appends the *window-relative*
     /// ascending positions (0 = row `start`) of qualifying rows to
-    /// `out` without decoding a single value. `_tmp` is kept for
-    /// call-site symmetry with `decode_positions`; `cursor` shares
+    /// `out` without decoding a single value. `cursor` shares
     /// checksum-verification state with `decode_range` /
     /// `decode_positions`.
     pub fn select_range(
@@ -833,21 +810,11 @@ impl CompressedColumn {
         start: usize,
         rows: usize,
         out: &mut Vec<u32>,
-        _tmp: &mut Vec<u32>,
         cursor: &mut DecodeCursor,
     ) -> Result<(), String> {
         assert!(start + rows <= self.rows, "select_range beyond fragment");
-        let mut done = 0usize;
-        while done < rows {
-            let abs = start + done;
-            let ci = abs / CHUNK_ROWS;
-            let chunk = &self.chunks[ci];
-            let local = abs - ci * CHUNK_ROWS;
-            let n = (rows - done).min(chunk.header.rows as usize - local);
-            if cursor.verified != Some(ci) {
-                self.verify_chunk(ci)?;
-                cursor.verified = Some(ci);
-            }
+        for (ci, local, n) in chunk_pieces(start, rows) {
+            let chunk = self.verified(ci, cursor)?;
             let before = out.len();
             match &chunk.body {
                 ChunkBody::Pfor(c) => pfor_chunk_select(p, c, local, n, out),
@@ -861,13 +828,75 @@ impl CompressedColumn {
             }
             // Chunk-relative → window-relative, adjusted in place over
             // the freshly appended tail (no bounce buffer).
-            let rebase = done as i64 - local as i64;
+            let rebase = (ci * CHUNK_ROWS) as i64 - start as i64;
             if rebase != 0 {
                 for pos in &mut out[before..] {
                     *pos = (*pos as i64 + rebase) as u32;
                 }
             }
-            done += n;
+        }
+        Ok(())
+    }
+
+    /// Gather-decode the chunk-local ascending positions `sel` of one
+    /// PFOR or PDICT chunk into `out[at..at + sel.len()]` (strings
+    /// append) — the `decode_sel_*` dispatch behind both
+    /// [`CompressedColumn::decode_positions`] and
+    /// [`CompressedColumn::gather`].
+    fn decode_sel(
+        &self,
+        chunk: &CompressedChunk,
+        out: &mut Vector,
+        at: usize,
+        sel: &[u32],
+    ) -> Result<(), String> {
+        let to = at + sel.len();
+        match &chunk.body {
+            ChunkBody::Pfor(c) => {
+                macro_rules! arm {
+                    ($($variant:ident => $dec:path),+ $(,)?) => {
+                        match out {
+                            $(Vector::$variant(dst) => $dec(&mut dst[at..to], c, sel),)+
+                            other => {
+                                return Err(format!("pfor decode_sel into {:?}", other.scalar_type()));
+                            }
+                        }
+                    };
+                }
+                arm! {
+                    I8 => k::decode_sel_pfor_i8_col,
+                    I16 => k::decode_sel_pfor_i16_col,
+                    I32 => k::decode_sel_pfor_i32_col,
+                    I64 => k::decode_sel_pfor_i64_col,
+                    U8 => k::decode_sel_pfor_u8_col,
+                    U16 => k::decode_sel_pfor_u16_col,
+                    U32 => k::decode_sel_pfor_u32_col,
+                    U64 => k::decode_sel_pfor_u64_col,
+                    F64 => k::decode_sel_pfor_f64_col,
+                }
+            }
+            ChunkBody::Pdict(payload) => {
+                let dict = self.dict.as_ref().expect("pdict column has a dictionary");
+                let lane = self.dict_lane;
+                match (out, dict) {
+                    (Vector::I32(dst), ColumnData::I32(d)) => {
+                        k::decode_sel_pdict_i32_col(&mut dst[at..to], payload, lane, d, sel)
+                    }
+                    (Vector::I64(dst), ColumnData::I64(d)) => {
+                        k::decode_sel_pdict_i64_col(&mut dst[at..to], payload, lane, d, sel)
+                    }
+                    (Vector::F64(dst), ColumnData::F64(d)) => {
+                        k::decode_sel_pdict_f64_col(&mut dst[at..to], payload, lane, d, sel)
+                    }
+                    (Vector::Str(dst), ColumnData::Str(d)) => {
+                        k::decode_sel_pdict_str_col(dst, payload, lane, d, sel)
+                    }
+                    (o, _) => return Err(format!("pdict decode_sel into {:?}", o.scalar_type())),
+                }
+            }
+            ChunkBody::PforDelta(_) => {
+                return Err("no selective decode over PFOR-DELTA chunks (prefix sums)".into());
+            }
         }
         Ok(())
     }
@@ -898,100 +927,26 @@ impl CompressedColumn {
         while i < sel.len() {
             let ci = (start + sel[i] as usize) / CHUNK_ROWS;
             tmp.clear();
-            let mut j = sel.len();
-            if (start + sel[j - 1] as usize) / CHUNK_ROWS == ci {
+            if (start + sel[sel.len() - 1] as usize) / CHUNK_ROWS == ci {
                 // Common case: the whole remaining selection lives in
                 // one chunk — rebase it with a single vectorizable add
                 // instead of dividing per position.
                 let d = start as i64 - (ci * CHUNK_ROWS) as i64;
                 tmp.extend(sel[i..].iter().map(|&p| (p as i64 + d) as u32));
             } else {
-                j = i;
-                while j < sel.len() {
-                    let abs = start + sel[j] as usize;
-                    if abs / CHUNK_ROWS != ci {
-                        break;
-                    }
-                    tmp.push((abs - ci * CHUNK_ROWS) as u32);
-                    j += 1;
-                }
+                let in_chunk = |&&p: &&u32| (start + p as usize) / CHUNK_ROWS == ci;
+                let local = |&p: &u32| (start + p as usize - ci * CHUNK_ROWS) as u32;
+                tmp.extend(sel[i..].iter().take_while(in_chunk).map(local));
             }
-            if cursor.verified != Some(ci) {
-                self.verify_chunk(ci)?;
-                cursor.verified = Some(ci);
+            let chunk = self.verified(ci, cursor)?;
+            if let ChunkBody::Pfor(c) = &chunk.body {
+                stats.exceptions += sel_exceptions(&c.exc_pos, tmp);
             }
-            let chunk = &self.chunks[ci];
-            match &chunk.body {
-                ChunkBody::Pfor(c) => {
-                    stats.exceptions += sel_exceptions(&c.exc_pos, tmp);
-                    macro_rules! arm {
-                        ($($variant:ident => $dec:path),+ $(,)?) => {
-                            match &mut *out {
-                                $(Vector::$variant(dst) => {
-                                    $dec(&mut dst[i..i + tmp.len()], c, tmp)
-                                })+
-                                other => {
-                                    return Err(format!(
-                                        "pfor decode_sel into {:?}",
-                                        other.scalar_type()
-                                    ));
-                                }
-                            }
-                        };
-                    }
-                    arm! {
-                        I8 => k::decode_sel_pfor_i8_col,
-                        I16 => k::decode_sel_pfor_i16_col,
-                        I32 => k::decode_sel_pfor_i32_col,
-                        I64 => k::decode_sel_pfor_i64_col,
-                        U8 => k::decode_sel_pfor_u8_col,
-                        U16 => k::decode_sel_pfor_u16_col,
-                        U32 => k::decode_sel_pfor_u32_col,
-                        U64 => k::decode_sel_pfor_u64_col,
-                        F64 => k::decode_sel_pfor_f64_col,
-                    }
-                }
-                ChunkBody::Pdict(payload) => {
-                    let dict = self.dict.as_ref().expect("pdict column has a dictionary");
-                    let lane = self.dict_lane;
-                    match (&mut *out, dict) {
-                        (Vector::I32(dst), PdictValues::I32(d)) => k::decode_sel_pdict_i32_col(
-                            &mut dst[i..i + tmp.len()],
-                            payload,
-                            lane,
-                            d,
-                            tmp,
-                        ),
-                        (Vector::I64(dst), PdictValues::I64(d)) => k::decode_sel_pdict_i64_col(
-                            &mut dst[i..i + tmp.len()],
-                            payload,
-                            lane,
-                            d,
-                            tmp,
-                        ),
-                        (Vector::F64(dst), PdictValues::F64(d)) => k::decode_sel_pdict_f64_col(
-                            &mut dst[i..i + tmp.len()],
-                            payload,
-                            lane,
-                            d,
-                            tmp,
-                        ),
-                        (Vector::Str(dst), PdictValues::Str(d)) => {
-                            k::decode_sel_pdict_str_col(dst, payload, lane, d, tmp)
-                        }
-                        (o, _) => {
-                            return Err(format!("pdict decode_sel into {:?}", o.scalar_type()));
-                        }
-                    }
-                }
-                ChunkBody::PforDelta(_) => {
-                    return Err("no selective decode over PFOR-DELTA chunks (prefix sums)".into());
-                }
-            }
+            self.decode_sel(chunk, out, i, tmp)?;
             let lane_bytes = (chunk.header.lane as u64) / 8;
             stats.comp_len += HEADER_BYTES as u64 + tmp.len() as u64 * lane_bytes;
             stats.comp_offset = stats.comp_offset.min(self.chunk_offsets[ci]);
-            i = j;
+            i += tmp.len();
         }
         if stats.comp_offset == u64::MAX {
             stats.comp_offset = 0;
@@ -1021,11 +976,11 @@ impl CompressedColumn {
         let mut i = 0usize;
         while i < rowids.len() {
             let ci = rowids[i] as usize / CHUNK_ROWS;
-            let is_delta = matches!(self.chunks[ci].body, ChunkBody::PforDelta(_));
+            let chunk = self.verified(ci, cursor)?;
+            let is_delta = matches!(chunk.body, ChunkBody::PforDelta(_));
             tmp.clear();
             tmp.push((rowids[i] as usize - ci * CHUNK_ROWS) as u32);
-            let mut j = i + 1;
-            while j < rowids.len() {
+            for j in i + 1..rowids.len() {
                 let abs = rowids[j] as usize;
                 if abs / CHUNK_ROWS != ci || abs <= rowids[j - 1] as usize {
                     break;
@@ -1036,42 +991,8 @@ impl CompressedColumn {
                     break;
                 }
                 tmp.push((abs - ci * CHUNK_ROWS) as u32);
-                j += 1;
             }
-            if cursor.verified != Some(ci) {
-                self.verify_chunk(ci)?;
-                cursor.verified = Some(ci);
-            }
-            let chunk = &self.chunks[ci];
             match &chunk.body {
-                ChunkBody::Pfor(c) => {
-                    macro_rules! arm {
-                        ($($variant:ident => $dec:path),+ $(,)?) => {
-                            match &mut *out {
-                                $(Vector::$variant(dst) => {
-                                    $dec(&mut dst[i..i + tmp.len()], c, tmp)
-                                })+
-                                other => {
-                                    return Err(format!(
-                                        "pfor gather into {:?}",
-                                        other.scalar_type()
-                                    ));
-                                }
-                            }
-                        };
-                    }
-                    arm! {
-                        I8 => k::decode_sel_pfor_i8_col,
-                        I16 => k::decode_sel_pfor_i16_col,
-                        I32 => k::decode_sel_pfor_i32_col,
-                        I64 => k::decode_sel_pfor_i64_col,
-                        U8 => k::decode_sel_pfor_u8_col,
-                        U16 => k::decode_sel_pfor_u16_col,
-                        U32 => k::decode_sel_pfor_u32_col,
-                        U64 => k::decode_sel_pfor_u64_col,
-                        F64 => k::decode_sel_pfor_f64_col,
-                    }
-                }
                 ChunkBody::PforDelta(c) => {
                     // Seek: replay packed deltas from the sync carry
                     // preceding the run, then pick the selected rows.
@@ -1113,39 +1034,7 @@ impl CompressedColumn {
                         U64: u64 => k::decompress_pfordelta_u64_col,
                     }
                 }
-                ChunkBody::Pdict(payload) => {
-                    let dict = self.dict.as_ref().expect("pdict column has a dictionary");
-                    let lane = self.dict_lane;
-                    match (&mut *out, dict) {
-                        (Vector::I32(dst), PdictValues::I32(d)) => k::decode_sel_pdict_i32_col(
-                            &mut dst[i..i + tmp.len()],
-                            payload,
-                            lane,
-                            d,
-                            tmp,
-                        ),
-                        (Vector::I64(dst), PdictValues::I64(d)) => k::decode_sel_pdict_i64_col(
-                            &mut dst[i..i + tmp.len()],
-                            payload,
-                            lane,
-                            d,
-                            tmp,
-                        ),
-                        (Vector::F64(dst), PdictValues::F64(d)) => k::decode_sel_pdict_f64_col(
-                            &mut dst[i..i + tmp.len()],
-                            payload,
-                            lane,
-                            d,
-                            tmp,
-                        ),
-                        (Vector::Str(dst), PdictValues::Str(d)) => {
-                            k::decode_sel_pdict_str_col(dst, payload, lane, d, tmp)
-                        }
-                        (o, _) => {
-                            return Err(format!("pdict gather into {:?}", o.scalar_type()));
-                        }
-                    }
-                }
+                _ => self.decode_sel(chunk, out, i, tmp)?,
             }
             i += tmp.len();
         }
@@ -1361,170 +1250,14 @@ fn pfor_chunk_select(p: &Pushdown, c: &k::PforChunk, local: usize, n: usize, out
     }
 }
 
-/// Lowercase type name used in primitive signatures.
-fn ty_name(t: ScalarType) -> &'static str {
-    match t {
-        ScalarType::I8 => "i8",
-        ScalarType::I16 => "i16",
-        ScalarType::I32 => "i32",
-        ScalarType::I64 => "i64",
-        ScalarType::U8 => "u8",
-        ScalarType::U16 => "u16",
-        ScalarType::U32 => "u32",
-        ScalarType::U64 => "u64",
-        ScalarType::F64 => "f64",
-        ScalarType::Str => "str",
-        ScalarType::Bool => "bool",
-    }
-}
-
-/// 8-bit fold of a byte block (torn-write detector, not crypto).
-///
-/// Folds eight bytes per step instead of one: a rotate/xor over 64-bit
-/// words with a byte-wise tail, reduced to 8 bits by xoring the lanes
-/// together. The whole pipeline is *linear* over GF(2) — rotates and
-/// xors never cancel an injected difference against the original data —
-/// so a single flipped bit anywhere in the block always flips the
-/// checksum, exactly the guarantee the torn-write fault plan exercises.
-/// Verification runs once per chunk per cursor, ahead of every decode
-/// path; the word-at-a-time fold keeps that fixed cost from dominating
-/// selective decodes that only touch a handful of rows per chunk.
-fn byte_fold(acc: u8, bytes: &[u8]) -> u8 {
-    // Four independent rotate/xor accumulators hide the serial
-    // dependency of a single fold chain; distinct rotations at the
-    // merge keep the combination linear but lane-position-sensitive.
-    let mut l = [acc as u64, 0u64, 0u64, 0u64];
-    let mut blocks = bytes.chunks_exact(32);
-    for blk in blocks.by_ref() {
-        for (j, ch) in blk.chunks_exact(8).enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(ch);
-            l[j] = l[j].rotate_left(7) ^ u64::from_le_bytes(b);
-        }
-    }
-    let mut w = l[0].rotate_left(31) ^ l[1].rotate_left(19) ^ l[2].rotate_left(9) ^ l[3];
-    for &b in blocks.remainder() {
-        w = w.rotate_left(7) ^ b as u64;
-    }
-    let f = w ^ (w >> 32);
-    let f = f ^ (f >> 16);
-    (f ^ (f >> 8)) as u8
-}
-
-/// 8-bit fold over one raw byte block — the chunk-checksum fold with
-/// its standard seed, exposed so spill-run frames that store *raw*
-/// (incompressible) column bytes get the same torn-byte detection as
-/// compressed chunks.
-pub fn fold_checksum(bytes: &[u8]) -> u8 {
-    byte_fold(0xA5, bytes)
-}
-
-/// Stable on-disk tag of a physical scalar type (spill/serialize use).
-pub(crate) fn scalar_tag(t: ScalarType) -> u8 {
-    match t {
-        ScalarType::I8 => 0,
-        ScalarType::I16 => 1,
-        ScalarType::I32 => 2,
-        ScalarType::I64 => 3,
-        ScalarType::U8 => 4,
-        ScalarType::U16 => 5,
-        ScalarType::U32 => 6,
-        ScalarType::U64 => 7,
-        ScalarType::F64 => 8,
-        ScalarType::Str => 9,
-        ScalarType::Bool => 10,
-    }
-}
-
-pub(crate) fn scalar_from_tag(tag: u8) -> Result<ScalarType, String> {
-    Ok(match tag {
-        0 => ScalarType::I8,
-        1 => ScalarType::I16,
-        2 => ScalarType::I32,
-        3 => ScalarType::I64,
-        4 => ScalarType::U8,
-        5 => ScalarType::U16,
-        6 => ScalarType::U32,
-        7 => ScalarType::U64,
-        8 => ScalarType::F64,
-        9 => ScalarType::Str,
-        t => return Err(format!("unknown scalar tag {t}")),
-    })
-}
-
-/// Bounds-checked little-endian reader over a serialized column.
-pub(crate) struct ByteReader<'a> {
-    pub(crate) b: &'a [u8],
-    pub(crate) at: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.at + n > self.b.len() {
-            return Err(format!(
-                "truncated column stream: need {} bytes at {}, have {}",
-                n,
-                self.at,
-                self.b.len()
-            ));
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn exceptions(&mut self, n: usize) -> Result<(Vec<u32>, Vec<u64>), String> {
-        let mut pos = Vec::with_capacity(n);
-        for _ in 0..n {
-            pos.push(self.u32()?);
-        }
-        let mut frames = Vec::with_capacity(n);
-        for _ in 0..n {
-            frames.push(self.u64()?);
-        }
-        Ok((pos, frames))
-    }
-}
-
 fn pfor_checksum(c: &k::PforChunk) -> u8 {
-    let mut a = byte_fold(0xA5, &c.payload);
-    for &p in &c.exc_pos {
-        a = byte_fold(a, &p.to_le_bytes());
-    }
-    for &f in &c.exc_frames {
-        a = byte_fold(a, &f.to_le_bytes());
-    }
-    a
+    let a = fold_values(fold_checksum(&c.payload), &c.exc_pos);
+    fold_values(a, &c.exc_frames)
 }
 
 fn pfordelta_checksum(c: &k::PforDeltaChunk) -> u8 {
-    let mut a = byte_fold(0xA5, &c.payload);
-    for &p in &c.exc_pos {
-        a = byte_fold(a, &p.to_le_bytes());
-    }
-    for &f in &c.exc_frames {
-        a = byte_fold(a, &f.to_le_bytes());
-    }
-    for &s in &c.sync {
-        a = byte_fold(a, &s.to_le_bytes());
-    }
-    a
+    let a = fold_values(fold_checksum(&c.payload), &c.exc_pos);
+    fold_values(fold_values(a, &c.exc_frames), &c.sync)
 }
 
 /// The checksum stored in a chunk's header: an 8-bit fold over every
@@ -1533,8 +1266,24 @@ fn chunk_checksum(body: &ChunkBody) -> u8 {
     match body {
         ChunkBody::Pfor(c) => pfor_checksum(c),
         ChunkBody::PforDelta(c) => pfordelta_checksum(c),
-        ChunkBody::Pdict(p) => byte_fold(0xA5, p),
+        ChunkBody::Pdict(p) => fold_checksum(p),
     }
+}
+
+/// The per-chunk pieces `(chunk, chunk-local start, rows)` covering rows
+/// `[start, start + rows)` of a column. Every chunk but the last holds
+/// exactly [`CHUNK_ROWS`] rows, so no header needs consulting.
+fn chunk_pieces(start: usize, rows: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let end = start + rows;
+    let mut abs = start;
+    std::iter::from_fn(move || {
+        (abs < end).then(|| {
+            let (ci, local) = (abs / CHUNK_ROWS, abs % CHUNK_ROWS);
+            let n = (end - abs).min(CHUNK_ROWS - local);
+            abs += n;
+            (ci, local, n)
+        })
+    })
 }
 
 /// Exact exception count among the gathered (ascending) positions.
@@ -1576,24 +1325,15 @@ pub fn compress_column_as(data: &ColumnData, format: ChunkFormat) -> Option<Comp
             (chunks, Some(dict), lane)
         }
     };
-    let mut chunk_offsets = Vec::with_capacity(chunks.len());
-    let mut off = 0u64;
-    for c in &chunks {
-        chunk_offsets.push(off);
-        off += c.byte_size() as u64;
-    }
-    let compressed_bytes = off + dict.as_ref().map_or(0, |d| d.byte_size() as u64);
-    Some(CompressedColumn {
+    Some(CompressedColumn::assemble(
         format,
-        physical: data.scalar_type(),
-        rows: data.len(),
+        data.scalar_type(),
+        data.len(),
+        data.byte_size() as u64,
         chunks,
-        chunk_offsets,
         dict,
         dict_lane,
-        raw_bytes: data.byte_size() as u64,
-        compressed_bytes,
-    })
+    ))
 }
 
 /// The per-column format chooser: samples sort order and cardinality,
@@ -1738,7 +1478,7 @@ const PDICT_NUMERIC_CAP: usize = 4096;
 /// Cardinality cap for PDICT on string columns (2-byte codes).
 const PDICT_STR_CAP: usize = 65536;
 
-fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, PdictValues, u32)> {
+fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, ColumnData, u32)> {
     macro_rules! numeric {
         ($v:expr, $variant:ident, $comp:path) => {{
             let mut dict: Vec<_> = $v.clone();
@@ -1758,7 +1498,7 @@ fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, PdictValues,
                     }
                 })
                 .collect();
-            Some((chunks, PdictValues::$variant(dict), lane))
+            Some((chunks, ColumnData::$variant(dict), lane))
         }};
     }
     match data {
@@ -1783,7 +1523,7 @@ fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, PdictValues,
                     }
                 })
                 .collect();
-            Some((chunks, PdictValues::F64(dict), lane))
+            Some((chunks, ColumnData::F64(dict), lane))
         }
         ColumnData::Str(v) => {
             let mut sorted: Vec<&str> = v.iter().collect();
@@ -1810,7 +1550,7 @@ fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, PdictValues,
                 });
                 start += n;
             }
-            Some((chunks, PdictValues::Str(dict), lane))
+            Some((chunks, ColumnData::Str(dict), lane))
         }
         _ => None,
     }
@@ -1820,7 +1560,7 @@ fn pdict_header(rows: usize, lane: u32, payload: &[u8]) -> ChunkHeader {
     ChunkHeader {
         format: ChunkFormat::Pdict,
         lane: lane as u8,
-        checksum: byte_fold(0xA5, payload),
+        checksum: fold_checksum(payload),
         rows: rows as u32,
         scale: 0,
         base: 0,
@@ -1852,28 +1592,6 @@ mod tests {
             at += n;
         }
         col
-    }
-
-    #[test]
-    fn header_roundtrip() {
-        let h = ChunkHeader {
-            format: ChunkFormat::PforDelta,
-            lane: 16,
-            checksum: 0x5A,
-            rows: 65536,
-            scale: 100,
-            base: 0xDEAD_BEEF,
-            payload_bytes: 131072,
-            exceptions: 17,
-            sync_points: 64,
-        };
-        assert_eq!(ChunkHeader::decode(&h.encode()), Ok(h));
-        let mut bad = h.encode();
-        bad[0] = 0;
-        assert!(ChunkHeader::decode(&bad).is_err());
-        bad = h.encode();
-        bad[1] = 9;
-        assert!(ChunkHeader::decode(&bad).is_err());
     }
 
     #[test]
@@ -2036,7 +1754,7 @@ mod tests {
             while at < v.len() {
                 let n = (v.len() - at).min(1000);
                 let mut got = Vec::new();
-                col.select_range(&p, at, n, &mut got, &mut tmp, &mut cursor)
+                col.select_range(&p, at, n, &mut got, &mut cursor)
                     .expect("checksum verifies");
                 let want: Vec<u32> = (0..n).filter(|&i| f(v[at + i])).map(|i| i as u32).collect();
                 assert_eq!(got, want, "{op:?} window at {at}");
@@ -2075,7 +1793,7 @@ mod tests {
             let mut tmp = Vec::new();
             let mut got = Vec::new();
             // A window crossing the 65536-row chunk boundary.
-            col.select_range(&p, 64_000, 3_000, &mut got, &mut tmp, &mut cursor)
+            col.select_range(&p, 64_000, 3_000, &mut got, &mut cursor)
                 .expect("checksum verifies");
             let want: Vec<u32> = (0..3_000)
                 .filter(|&i| f(name(64_000 + i)))
@@ -2170,10 +1888,9 @@ mod tests {
             .compile_pushdown(PushOp::Ge, &Value::I64(50), None)
             .expect("compiles");
         let mut got = Vec::new();
-        let mut tmp = Vec::new();
         let mut cursor = DecodeCursor::default();
         assert!(col
-            .select_range(&p, 66_000, 100, &mut got, &mut tmp, &mut cursor)
+            .select_range(&p, 66_000, 100, &mut got, &mut cursor)
             .is_err());
     }
 

@@ -19,10 +19,10 @@
 //! whose files all made it. Orphan `.tmp` and stale-version files are
 //! pruned on the next successful commit.
 //!
-//! Each chunk file carries the column's raw fragment, its compressed
-//! rewrite (the XCPC stream of `compress.rs`, when the codec chooser
-//! found a paying format), and its enum dictionary, sealed by a
-//! trailing whole-file fold checksum. [`DurableOptions::replicas`]
+//! Each chunk file is one sealed frame of the byte layer
+//! ([`crate::frame`]) carrying the column's raw fragment, its compressed
+//! rewrite (when the codec chooser found a paying format) and its enum
+//! dictionary as sections. [`DurableOptions::replicas`]
 //! (default 2) copies of every file are kept: a checksum, torn-write,
 //! or IO failure on one copy transparently heals from another —
 //! rewriting the bad copy in place and counting `chunk_heals` — and a
@@ -30,9 +30,10 @@
 
 use crate::column::ColumnData;
 use crate::columnbm::{retry_with_backoff, FaultSite, FaultState, StorageFaultError};
-use crate::compress::{fold_checksum, scalar_from_tag, scalar_tag, ByteReader, CompressedColumn};
+use crate::compress::CompressedColumn;
 use crate::delta::{DeleteList, InsertDelta};
-use crate::enumcol::EnumDict;
+use crate::enumcol::{EnumDict, MAX_ENUM_CARD};
+use crate::frame::{Reader, Writer};
 use crate::summary::SummaryIndex;
 use crate::table::{ColumnStats, Field, StoredColumn, Table};
 use std::collections::HashMap;
@@ -40,18 +41,21 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use x100_vector::ScalarType;
+use x100_vector::{ScalarType, Value};
 
 /// Magic + version of one on-disk column-replica file.
 const CHUNK_MAGIC: &[u8; 4] = b"XDCF";
 /// Magic + version of the committing manifest.
 const MANIFEST_MAGIC: &[u8; 4] = b"XMAN";
-const FORMAT_VERSION: u8 = 1;
+const FORMAT_VERSION: u8 = 2;
 
 /// Retry budget for *real* IO errors when no fault plan supplies one
 /// (mirrors `FaultPlan::default()`).
 const DEFAULT_MAX_RETRIES: u32 = 6;
 const DEFAULT_BACKOFF_US: u64 = 20;
+/// Most copies a checkpoint keeps of one file; a manifest claiming more
+/// is corrupt (recovery probes every replica it names).
+const MAX_REPLICAS: u32 = 8;
 
 /// Tuning knobs of the durable checkpoint path.
 #[derive(Debug, Clone)]
@@ -69,9 +73,9 @@ impl Default for DurableOptions {
 }
 
 impl DurableOptions {
-    /// Set the replication factor (clamped to at least 1).
+    /// Set the replication factor (clamped to 1..=8).
     pub fn with_replicas(mut self, replicas: u32) -> Self {
-        self.replicas = replicas.max(1);
+        self.replicas = replicas.clamp(1, MAX_REPLICAS);
         self
     }
 }
@@ -115,91 +119,6 @@ impl From<StorageFaultError> for DurableError {
 }
 
 // ---------------------------------------------------------------------------
-// Raw ColumnData serialization (type tag + rows + LE values)
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn encode_column_data(data: &ColumnData, out: &mut Vec<u8>) {
-    out.push(scalar_tag(data.scalar_type()));
-    put_u64(out, data.len() as u64);
-    fn ints<T: Copy, const W: usize>(v: &[T], le: impl Fn(T) -> [u8; W], out: &mut Vec<u8>) {
-        out.reserve(v.len() * W);
-        for &x in v {
-            out.extend_from_slice(&le(x));
-        }
-    }
-    match data {
-        ColumnData::I8(v) => ints(v, i8::to_le_bytes, out),
-        ColumnData::I16(v) => ints(v, i16::to_le_bytes, out),
-        ColumnData::I32(v) => ints(v, i32::to_le_bytes, out),
-        ColumnData::I64(v) => ints(v, i64::to_le_bytes, out),
-        ColumnData::U8(v) => ints(v, u8::to_le_bytes, out),
-        ColumnData::U16(v) => ints(v, u16::to_le_bytes, out),
-        ColumnData::U32(v) => ints(v, u32::to_le_bytes, out),
-        ColumnData::U64(v) => ints(v, u64::to_le_bytes, out),
-        ColumnData::F64(v) => ints(v, f64::to_le_bytes, out),
-        ColumnData::Str(s) => {
-            for x in s.iter() {
-                put_u32(out, x.len() as u32);
-                out.extend_from_slice(x.as_bytes());
-            }
-        }
-    }
-}
-
-fn decode_column_data(r: &mut ByteReader<'_>) -> Result<ColumnData, String> {
-    let ty = scalar_from_tag(r.u8()?)?;
-    let rows = r.u64()? as usize;
-    fn ints<T: Copy, const W: usize>(
-        r: &mut ByteReader<'_>,
-        rows: usize,
-        de: impl Fn([u8; W]) -> T,
-    ) -> Result<Vec<T>, String> {
-        let s = r.take(rows * W)?;
-        Ok(s.chunks_exact(W)
-            .map(|c| {
-                let mut b = [0u8; W];
-                b.copy_from_slice(c);
-                de(b)
-            })
-            .collect())
-    }
-    Ok(match ty {
-        ScalarType::I8 => ColumnData::I8(ints(r, rows, i8::from_le_bytes)?),
-        ScalarType::I16 => ColumnData::I16(ints(r, rows, i16::from_le_bytes)?),
-        ScalarType::I32 => ColumnData::I32(ints(r, rows, i32::from_le_bytes)?),
-        ScalarType::I64 => ColumnData::I64(ints(r, rows, i64::from_le_bytes)?),
-        ScalarType::U8 => ColumnData::U8(ints(r, rows, u8::from_le_bytes)?),
-        ScalarType::U16 => ColumnData::U16(ints(r, rows, u16::from_le_bytes)?),
-        ScalarType::U32 => ColumnData::U32(ints(r, rows, u32::from_le_bytes)?),
-        ScalarType::U64 => ColumnData::U64(ints(r, rows, u64::from_le_bytes)?),
-        ScalarType::F64 => ColumnData::F64(ints(r, rows, f64::from_le_bytes)?),
-        ScalarType::Str => {
-            let mut col = ColumnData::new(ScalarType::Str);
-            let ColumnData::Str(sv) = &mut col else {
-                unreachable!("ColumnData::new(Str) is Str");
-            };
-            for _ in 0..rows {
-                let n = r.u32()? as usize;
-                let bytes = r.take(n)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|e| format!("non-UTF-8 string payload: {e}"))?;
-                sv.push(s);
-            }
-            col
-        }
-        ScalarType::Bool => return Err("bool columns are not storable".into()),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Chunk file (one column replica): XDCF
 // ---------------------------------------------------------------------------
 
@@ -218,87 +137,59 @@ struct ColFile {
 }
 
 fn encode_col_file(col: u32, sc: &StoredColumn) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.extend_from_slice(CHUNK_MAGIC);
-    b.push(FORMAT_VERSION);
-    put_u32(&mut b, col);
-    put_u64(&mut b, sc.data.len() as u64);
-    b.push(scalar_tag(sc.field.logical));
-    b.push(u8::from(sc.summary.is_some()));
-    b.push(u8::from(sc.codec_epoch == Some(sc.epoch)));
-    let mut raw = Vec::new();
-    encode_column_data(&sc.data, &mut raw);
-    put_u64(&mut b, raw.len() as u64);
-    b.extend_from_slice(&raw);
-    match &sc.compressed {
-        Some(c) => {
-            b.push(1);
-            let blob = c.to_bytes();
-            put_u64(&mut b, blob.len() as u64);
-            b.extend_from_slice(&blob);
-        }
-        None => b.push(0),
+    let mut w = Writer::new(Vec::new(), CHUNK_MAGIC, FORMAT_VERSION);
+    w.put(col);
+    w.put(sc.data.len() as u64);
+    w.put_type(sc.field.logical);
+    w.put(sc.summary.is_some());
+    w.put(sc.codec_epoch == Some(sc.epoch));
+    w.section(|w| w.put_column(&sc.data));
+    w.put(sc.compressed.is_some());
+    if let Some(c) = &sc.compressed {
+        w.section(|w| c.put(w));
     }
-    match &sc.dict {
-        Some(d) => {
-            b.push(1);
-            let mut dv = Vec::new();
-            encode_column_data(d.values(), &mut dv);
-            put_u64(&mut b, dv.len() as u64);
-            b.extend_from_slice(&dv);
-        }
-        None => b.push(0),
+    w.put(sc.dict.is_some());
+    if let Some(d) = &sc.dict {
+        w.section(|w| w.put_column(d.values()));
     }
-    let sum = fold_checksum(&b);
-    b.push(sum);
-    b
+    w.seal()
+}
+
+/// One flag-guarded section: present iff the flag byte is set, parsed
+/// by `parse`, which must consume it whole.
+fn optional<'a, T>(
+    r: &mut Reader<'a>,
+    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    if !r.get::<bool>()? {
+        return Ok(None);
+    }
+    let mut s = r.section()?;
+    let v = parse(&mut s)?;
+    s.finish()?;
+    Ok(Some(v))
 }
 
 fn decode_col_file(bytes: &[u8]) -> Result<ColFile, String> {
-    let Some((&sum, body)) = bytes.split_last() else {
-        return Err("empty chunk file".into());
-    };
-    let got = fold_checksum(body);
-    if got != sum {
+    let mut r = Reader::open(bytes, CHUNK_MAGIC, FORMAT_VERSION)?;
+    let col = r.get()?;
+    let rows = r.get()?;
+    let logical = r.get_type()?;
+    let has_summary = r.get()?;
+    let codec_done = r.get()?;
+    let mut raw = r.section()?;
+    let data = raw.column()?;
+    raw.finish()?;
+    let compressed = optional(&mut r, CompressedColumn::read)?;
+    let dict = optional(&mut r, Reader::column)?;
+    r.finish()?;
+    let covered = compressed.as_ref().map_or(rows, |c| c.rows() as u64);
+    if data.len() as u64 != rows || covered != rows {
         return Err(format!(
-            "file checksum mismatch: trailer 0x{sum:02x}, body 0x{got:02x} (torn write)"
-        ));
-    }
-    let mut r = ByteReader { b: body, at: 0 };
-    if r.take(4)? != CHUNK_MAGIC {
-        return Err("bad chunk-file magic".into());
-    }
-    if r.u8()? != FORMAT_VERSION {
-        return Err("unsupported chunk-file version".into());
-    }
-    let col = r.u32()?;
-    let rows = r.u64()?;
-    let logical = scalar_from_tag(r.u8()?)?;
-    let has_summary = r.u8()? != 0;
-    let codec_done = r.u8()? != 0;
-    let raw_len = r.u64()? as usize;
-    let raw = r.take(raw_len)?;
-    let data = decode_column_data(&mut ByteReader { b: raw, at: 0 })?;
-    if data.len() as u64 != rows {
-        return Err(format!(
-            "row count mismatch: header {rows}, payload {}",
+            "row count mismatch: header {rows}, fragment {}, chunks {covered}",
             data.len()
         ));
     }
-    let compressed = if r.u8()? != 0 {
-        let n = r.u64()? as usize;
-        let blob = r.take(n)?;
-        Some(CompressedColumn::from_bytes(blob)?)
-    } else {
-        None
-    };
-    let dict = if r.u8()? != 0 {
-        let n = r.u64()? as usize;
-        let dv = r.take(n)?;
-        Some(decode_column_data(&mut ByteReader { b: dv, at: 0 })?)
-    } else {
-        None
-    };
     Ok(ColFile {
         col,
         rows,
@@ -336,64 +227,39 @@ struct Manifest {
 }
 
 fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.extend_from_slice(MANIFEST_MAGIC);
-    b.push(FORMAT_VERSION);
-    put_u64(&mut b, m.version);
-    put_u32(&mut b, m.replicas);
-    put_u32(&mut b, m.table.len() as u32);
-    b.extend_from_slice(m.table.as_bytes());
-    put_u64(&mut b, m.frag_rows);
-    put_u32(&mut b, m.cols.len() as u32);
+    let mut w = Writer::new(Vec::new(), MANIFEST_MAGIC, FORMAT_VERSION);
+    w.put(m.version);
+    w.put(m.replicas);
+    w.put_str(&m.table);
+    w.put(m.frag_rows);
+    w.put(m.cols.len() as u32);
     for c in &m.cols {
-        put_u32(&mut b, c.name.len() as u32);
-        b.extend_from_slice(c.name.as_bytes());
-        put_u64(&mut b, c.file_bytes);
-        b.push(c.checksum);
+        w.put_str(&c.name);
+        w.put(c.file_bytes);
+        w.put(c.checksum);
     }
-    let sum = fold_checksum(&b);
-    b.push(sum);
-    b
+    w.seal()
 }
 
 fn decode_manifest(bytes: &[u8]) -> Result<Manifest, String> {
-    let Some((&sum, body)) = bytes.split_last() else {
-        return Err("empty manifest".into());
-    };
-    let got = fold_checksum(body);
-    if got != sum {
-        return Err(format!(
-            "manifest checksum mismatch: trailer 0x{sum:02x}, body 0x{got:02x}"
-        ));
-    }
-    let mut r = ByteReader { b: body, at: 0 };
-    if r.take(4)? != MANIFEST_MAGIC {
-        return Err("bad manifest magic".into());
-    }
-    if r.u8()? != FORMAT_VERSION {
-        return Err("unsupported manifest version".into());
-    }
-    let version = r.u64()?;
-    let replicas = r.u32()?;
-    let name_len = r.u32()? as usize;
-    let table = std::str::from_utf8(r.take(name_len)?)
-        .map_err(|e| format!("non-UTF-8 table name: {e}"))?
-        .to_owned();
-    let frag_rows = r.u64()?;
-    let ncols = r.u32()? as usize;
+    let mut r = Reader::open(bytes, MANIFEST_MAGIC, FORMAT_VERSION)?;
+    let version = r.get()?;
+    let replicas = r.get()?;
+    let table = r.str()?.to_owned();
+    let frag_rows = r.get()?;
+    // A column entry is at least its name length, size and checksum.
+    let ncols = r.count::<u32>(4 + 8 + 1)?;
     let mut cols = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let n = r.u32()? as usize;
-        let name = std::str::from_utf8(r.take(n)?)
-            .map_err(|e| format!("non-UTF-8 column name: {e}"))?
-            .to_owned();
-        let file_bytes = r.u64()?;
-        let checksum = r.u8()?;
         cols.push(ManifestCol {
-            name,
-            file_bytes,
-            checksum,
+            name: r.str()?.to_owned(),
+            file_bytes: r.get()?,
+            checksum: r.get()?,
         });
+    }
+    r.finish()?;
+    if !(1..=MAX_REPLICAS).contains(&replicas) {
+        return Err(format!("manifest claims {replicas} replicas"));
     }
     Ok(Manifest {
         version,
@@ -549,7 +415,7 @@ pub(crate) fn commit_checkpoint(
         site: FaultSite::DurableChunkWrite,
         detail: format!("create {}: {e}", dir.display()),
     })?;
-    let replicas = opts.replicas.max(1);
+    let replicas = opts.replicas.clamp(1, MAX_REPLICAS);
     let version = newest_version_in_dir(dir) + 1;
     let mut cols = Vec::with_capacity(table.columns.len());
     for (i, sc) in table.columns.iter().enumerate() {
@@ -611,83 +477,66 @@ fn prune_stale(dir: &Path, keep_version: u64) {
 // Open (recovery path)
 // ---------------------------------------------------------------------------
 
-/// Read one column of manifest version `m` from the first replica that
-/// passes validation, healing bad copies from the good one. Returns the
-/// decoded file plus how many replicas were rewritten.
-fn read_column_replicas(
+/// Read column `col` of manifest `m` from its first replica that is
+/// readable, matches the manifest's size and checksum, parses,
+/// identifies as this column and passes `accept`. Every copy that failed
+/// before it is then rewritten from the good bytes — best-effort: a
+/// failed rewrite leaves the bad copy for the next heal to retry.
+/// Returns `accept`'s value and how many copies were rewritten, or a
+/// typed `Io` once *all* replicas have failed.
+fn read_replicas<T>(
     dir: &Path,
     m: &Manifest,
     col: u32,
     fault: Option<&FaultState>,
-) -> Result<(ColFile, u64), DurableError> {
+    accept: impl Fn(ColFile) -> Result<T, String>,
+) -> Result<(T, u64), DurableError> {
     let meta = &m.cols[col as usize];
-    let mut bad: Vec<PathBuf> = Vec::new();
+    let site = FaultSite::DurableChunkRead;
+    let mut bad: Vec<String> = Vec::new();
     let mut last_err = String::new();
     for r in 0..m.replicas {
-        let path = dir.join(col_file_name(col, m.version, r));
+        let name = col_file_name(col, m.version, r);
+        let path = dir.join(&name);
         // A read fault that exhausts its retry budget marks this copy
         // bad and falls over to the next replica — replication is the
         // second line of defense after retry.
-        if let Some(f) = fault {
-            if let Err(e) = f.check_site(FaultSite::DurableChunkRead, col) {
-                last_err = e.to_string();
-                bad.push(path);
-                continue;
-            }
-        }
-        let bytes = match read_file_retrying(&path, fault, FaultSite::DurableChunkRead) {
-            Ok(b) => b,
-            Err(e) => {
-                last_err = e.to_string();
-                bad.push(path);
-                continue;
-            }
-        };
-        let valid = if bytes.len() as u64 != meta.file_bytes {
-            Err(format!(
-                "size mismatch: manifest {} bytes, file {}",
-                meta.file_bytes,
-                bytes.len()
-            ))
-        } else if bytes.last() != Some(&meta.checksum) {
-            Err("checksum differs from manifest".into())
-        } else {
-            decode_col_file(&bytes).and_then(|cf| {
+        let parsed = fault
+            .map_or(Ok(()), |f| f.check_site(site, col))
+            .map_err(DurableError::from)
+            .and_then(|()| read_file_retrying(&path, fault, site))
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| {
+                if bytes.len() as u64 != meta.file_bytes || bytes.last() != Some(&meta.checksum) {
+                    return Err(format!(
+                        "{} bytes, size or checksum differs from manifest",
+                        bytes.len()
+                    ));
+                }
+                let cf = decode_col_file(&bytes)?;
                 if cf.col != col || cf.rows != m.frag_rows {
-                    Err(format!(
+                    return Err(format!(
                         "file identifies as col {} × {} rows, manifest says col {col} × {}",
                         cf.col, cf.rows, m.frag_rows
-                    ))
-                } else {
-                    Ok(cf)
+                    ));
                 }
-            })
-        };
-        match valid {
-            Ok(cf) => {
-                // Heal: rewrite every bad copy seen so far from this
-                // good one. Best-effort — a failed heal leaves the bad
-                // copy for the next open to retry.
-                let mut heals = 0;
-                for bp in &bad {
-                    let Some(name) = bp.file_name().and_then(|n| n.to_str()) else {
-                        continue;
-                    };
-                    if write_atomic(dir, name, &bytes, FaultSite::DurableChunkWrite, fault).is_ok()
-                    {
-                        heals += 1;
-                    }
-                }
-                return Ok((cf, heals));
+                Ok((accept(cf)?, bytes))
+            });
+        match parsed {
+            Ok((v, bytes)) => {
+                let rewrite = |n: &&String| {
+                    write_atomic(dir, n, &bytes, FaultSite::DurableChunkWrite, fault).is_ok()
+                };
+                return Ok((v, bad.iter().filter(rewrite).count() as u64));
             }
             Err(e) => {
                 last_err = format!("{}: {e}", path.display());
-                bad.push(path);
+                bad.push(name);
             }
         }
     }
     Err(DurableError::Io {
-        site: FaultSite::DurableChunkRead,
+        site,
         detail: format!(
             "column {col} (`{}`): all {} replicas failed; last: {last_err}",
             meta.name, m.replicas
@@ -695,20 +544,37 @@ fn read_column_replicas(
     })
 }
 
-/// Rebuild a [`StoredColumn`] from a decoded replica file: dictionary
-/// re-wrapped, summary index and fragment stats recomputed (both are
-/// derived data — cheaper to rebuild than to verify).
-fn restore_column(cf: ColFile) -> Result<StoredColumn, DurableError> {
+/// Rebuild a [`StoredColumn`] named `name` from a decoded replica file:
+/// dictionary re-wrapped, summary index and fragment stats recomputed
+/// (both are derived data — cheaper to rebuild than to verify). The
+/// stats pass doubles as the check that every enum code has a
+/// dictionary entry.
+fn restore_column(cf: ColFile, name: &str) -> Result<StoredColumn, String> {
+    let stats = ColumnStats::compute(&cf.data);
+    if let Some(values) = &cf.dict {
+        let codes_fit = match (&cf.data, &stats.max) {
+            (ColumnData::U8(_) | ColumnData::U16(_), None) => true,
+            (_, Some(Value::U8(c))) => (*c as usize) < values.len(),
+            (_, Some(Value::U16(c))) => (*c as usize) < values.len(),
+            _ => false,
+        };
+        if !codes_fit || values.len() > MAX_ENUM_CARD {
+            return Err(format!(
+                "enum codes do not fit the {}-entry dictionary",
+                values.len()
+            ));
+        }
+    }
     let dict = cf.dict.map(EnumDict::new);
     let logical = match &dict {
         Some(d) => d.value_type(),
         None => cf.data.scalar_type(),
     };
     if logical != cf.logical {
-        return Err(DurableError::Corrupt(format!(
-            "column {}: logical type {:?} does not match payload {:?}",
-            cf.col, cf.logical, logical
-        )));
+        return Err(format!(
+            "logical type {:?} does not match payload {:?}",
+            cf.logical, logical
+        ));
     }
     let summary = if cf.has_summary {
         let widened: Vec<i64> = match &cf.data {
@@ -724,16 +590,15 @@ fn restore_column(cf: ColFile) -> Result<StoredColumn, DurableError> {
     } else {
         None
     };
-    let stats = Some(ColumnStats::compute(&cf.data));
     Ok(StoredColumn {
         field: Field {
-            name: String::new(), // patched from the manifest by the caller
+            name: name.to_owned(),
             logical,
         },
         data: cf.data,
         dict,
         summary,
-        stats,
+        stats: Some(stats),
         compressed: cf.compressed,
         epoch: 0,
         codec_epoch: cf.codec_done.then_some(0),
@@ -796,11 +661,10 @@ fn open_from_manifest(
 ) -> Result<Table, DurableError> {
     let mut columns = Vec::with_capacity(manifest.cols.len());
     let mut heals = 0u64;
-    for i in 0..manifest.cols.len() as u32 {
-        let (cf, h) = read_column_replicas(dir, &manifest, i, fault)?;
+    for (i, meta) in manifest.cols.iter().enumerate() {
+        let restore = |cf| restore_column(cf, &meta.name);
+        let (sc, h) = read_replicas(dir, &manifest, i as u32, fault, restore)?;
         heals += h;
-        let mut sc = restore_column(cf)?;
-        sc.field.name = manifest.cols[i as usize].name.clone();
         columns.push(sc);
     }
     let types: Vec<ScalarType> = columns.iter().map(|c| c.field.logical).collect();
@@ -897,82 +761,15 @@ impl DurableSource {
         if let Some(c) = healed.get(&col) {
             return Ok((Arc::clone(c), false));
         }
-        let meta = &self.manifest.cols[col as usize];
-        let mut bad: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut last_err = String::new();
-        let mut recovered: Option<(Arc<CompressedColumn>, Vec<u8>)> = None;
-        for r in 0..self.manifest.replicas {
-            let name = col_file_name(col, self.manifest.version, r);
-            let path = self.dir.join(&name);
-            if let Some(f) = fault {
-                if let Err(e) = f.check_site(FaultSite::DurableChunkRead, col) {
-                    last_err = e.to_string();
-                    bad.push((name, Vec::new()));
-                    continue;
-                }
-            }
-            let bytes = match read_file_retrying(&path, fault, FaultSite::DurableChunkRead) {
-                Ok(b) => b,
-                Err(e) => {
-                    last_err = e.to_string();
-                    bad.push((name, Vec::new()));
-                    continue;
-                }
-            };
-            let parsed =
-                if bytes.len() as u64 != meta.file_bytes || bytes.last() != Some(&meta.checksum) {
-                    Err("file differs from manifest".to_string())
-                } else {
-                    decode_col_file(&bytes)
-                };
-            match parsed {
-                Ok(cf) => match cf.compressed {
-                    Some(c) => {
-                        // The whole-file fold proves the *disk bytes*
-                        // match what was written; the per-chunk pass
-                        // additionally rejects a copy that was already
-                        // torn in memory before it was written.
-                        if let Err(e) = c.verify_all() {
-                            last_err = format!("{}: {e}", path.display());
-                            bad.push((name, Vec::new()));
-                            continue;
-                        }
-                        recovered = Some((Arc::new(c), bytes));
-                        break;
-                    }
-                    None => {
-                        return Err(DurableError::Corrupt(format!(
-                            "column {col} (`{}`) has no compressed chunks on disk",
-                            meta.name
-                        )))
-                    }
-                },
-                Err(e) => {
-                    last_err = format!("{}: {e}", path.display());
-                    bad.push((name, Vec::new()));
-                }
-            }
-        }
-        let Some((arc, good_bytes)) = recovered else {
-            return Err(DurableError::Io {
-                site: FaultSite::DurableChunkRead,
-                detail: format!(
-                    "column {col} (`{}`): all {} replicas failed; last: {last_err}",
-                    meta.name, self.manifest.replicas
-                ),
-            });
-        };
-        // Rewrite every bad disk copy from the verified one
-        // (best-effort; a failed rewrite is retried at the next heal).
-        for (name, _) in &bad {
-            let _ = write_atomic(
-                &self.dir,
-                name,
-                &good_bytes,
-                FaultSite::DurableChunkWrite,
-                fault,
-            );
-        }
+        let (arc, _) = read_replicas(&self.dir, &self.manifest, col, fault, |cf| {
+            // The whole-file fold proves the *disk bytes* match what
+            // was written; the per-chunk pass additionally rejects a
+            // copy that was already torn in memory before it was
+            // written.
+            let c = cf.compressed.ok_or("no compressed chunks on disk")?;
+            c.verify_all()?;
+            Ok(Arc::new(c))
+        })?;
         self.heals.fetch_add(1, Ordering::SeqCst);
         healed.insert(col, Arc::clone(&arc));
         Ok((arc, true))

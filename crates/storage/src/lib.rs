@@ -23,6 +23,7 @@ pub mod compress;
 pub mod delta;
 pub mod durable;
 pub mod enumcol;
+pub mod frame;
 pub mod morsel;
 pub mod summary;
 pub mod table;
@@ -33,12 +34,13 @@ pub use columnbm::{
     PinnedFault, StorageFaultError, TornWrite, DEFAULT_CHUNK_BYTES,
 };
 pub use compress::{
-    choose_and_compress, compress_column_as, fold_checksum, ChunkFormat, ChunkHeader,
-    CompressedColumn, DecodeCursor, DecodeStats, PushOp, Pushdown, CHUNK_ROWS, HEADER_BYTES,
+    choose_and_compress, compress_column_as, ChunkFormat, ChunkHeader, CompressedColumn,
+    DecodeCursor, DecodeStats, PushOp, Pushdown, CHUNK_ROWS, HEADER_BYTES,
 };
 pub use delta::{DeleteList, InsertDelta};
 pub use durable::{DurableError, DurableOptions, DurableSource};
 pub use enumcol::{encode_f64, encode_i64, encode_str, Encoded, EnumDict, MAX_ENUM_CARD};
+pub use frame::fold_checksum;
 pub use morsel::{plan_morsels, Morsel};
 pub use summary::{SummaryIndex, DEFAULT_GRANULARITY};
 pub use table::{ColumnStats, Field, StoredColumn, Table, TableBuilder};

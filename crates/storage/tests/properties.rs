@@ -409,7 +409,7 @@ fn assert_pushdown_matches(
         let n = sizes[k % sizes.len()].clamp(1, rows - at);
         k += 1;
         sel.clear();
-        cc.select_range(&p, at, n, &mut sel, &mut tmp, &mut cursor)
+        cc.select_range(&p, at, n, &mut sel, &mut cursor)
             .expect("select_range");
         let expect = ref_filter(data, at, n, &p);
         prop_assert_eq!(
@@ -586,5 +586,345 @@ proptest! {
             prop_assert!(delta.compile_pushdown(op, &Value::I64(5), Some(&Value::I64(9))).is_none());
             prop_assert!(delta.compile_pushdown(op, &Value::I64(5), None).is_none());
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Structure-aware mutation suite over the one decoder (`x100_storage::
+// frame`): for a valid image of every container — `XCPC` column streams
+// per codec × type, `XDCF` column files, `XMAN` manifests — truncate at
+// every prefix, overwrite every field-sized span with {0, 1, MAX}, flip
+// random bytes, and re-seal so the mutation reaches the parser. Every
+// outcome must be a typed `Err`, or an `Ok` whose every decode path then
+// runs to completion: never a panic, abort or out-of-bounds access.
+// (The spill-block twin lives beside `engine/src/spill.rs`'s round-trip
+// test.)
+// ---------------------------------------------------------------------------
+
+use x100_storage::frame::{Writer, FRAME_OVERHEAD};
+use x100_storage::{fold_checksum, DurableError, DurableOptions, EnumDict, Table};
+
+/// Stride of the exhaustive offset sweeps: every byte natively, a
+/// sample under the (slow) miri interpreter.
+const SWEEP_STRIDE: usize = if cfg!(miri) { 97 } else { 1 };
+
+/// Recompute a mutated frame's fold trailer — and, when `len` is set,
+/// its declared length — so it gets past the seal to the field parser.
+fn reseal(mut image: Vec<u8>, len: bool) -> Vec<u8> {
+    if image.len() >= FRAME_OVERHEAD {
+        if len {
+            let body = (image.len() - FRAME_OVERHEAD) as u64;
+            image[5..13].copy_from_slice(&body.to_le_bytes());
+        }
+        let end = image.len() - 1;
+        image[end] = fold_checksum(&image[..end]);
+    }
+    image
+}
+
+/// Every structural mutant of `image`, each already re-sealed: all
+/// prefixes, and {0, 1, MAX, MAX − 3} written 1, 4 and 8 bytes wide at
+/// every offset — whatever the layout, each header, count and length
+/// field is hit at its own offset and width.
+fn for_each_mutant(image: &[u8], mut check: impl FnMut(Vec<u8>)) {
+    for cut in (0..image.len()).step_by(SWEEP_STRIDE) {
+        check(image[..cut].to_vec());
+        check(reseal(image[..cut].to_vec(), true));
+    }
+    for at in (0..image.len()).step_by(SWEEP_STRIDE) {
+        for width in [1usize, 4, 8] {
+            let Some(field) = image.get(at..at + width) else {
+                continue;
+            };
+            for v in [0u64, 1, u64::MAX, u64::MAX - 3] {
+                let bytes = &v.to_le_bytes()[..width];
+                if bytes != field {
+                    let mut m = image.to_vec();
+                    m[at..at + width].copy_from_slice(bytes);
+                    check(reseal(m, false));
+                }
+            }
+        }
+    }
+}
+
+/// Run every decode path of a parsed column to completion. Results may
+/// be errors (a chunk refusing its checksum) — the point is that they
+/// return.
+fn drive_column(cc: &CompressedColumn) {
+    let rows = cc.rows();
+    let mut out = Vector::with_capacity(cc.physical_type(), 0);
+    let mut cursor = DecodeCursor::default();
+    let (mut scratch, mut tmp, mut sel) = (Vec::new(), Vec::new(), Vec::new());
+    let mut first = None;
+    // Windows deliberately misaligned with chunk and sync boundaries.
+    for at in (0..rows).step_by(1000) {
+        let n = (rows - at).min(1000);
+        if cc
+            .decode_range(at, n, &mut out, &mut cursor, &mut scratch)
+            .is_ok()
+            && first.is_none()
+        {
+            first = Some(out.get_value(0));
+        }
+    }
+    let rowids: Vec<u32> = [0, rows / 3, rows / 2, rows.saturating_sub(1), 0]
+        .iter()
+        .filter(|&&r| r < rows)
+        .map(|&r| r as u32)
+        .collect();
+    let _ = cc.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor);
+    let pushed = first.and_then(|v| cc.compile_pushdown(PushOp::Ge, &v, None));
+    if let Some(p) = pushed {
+        let n = rows.min(1500);
+        if cc.select_range(&p, 0, n, &mut sel, &mut cursor).is_ok() {
+            let _ = cc.decode_positions(0, &sel, &mut out, &mut tmp, &mut cursor);
+        }
+    }
+}
+
+/// One valid `XCPC` image per codec × type the chooser can produce,
+/// patch lists and sync blocks populated, plus two multi-chunk images
+/// small enough to sweep (lane-0 payloads).
+fn column_images() -> &'static [(String, CompressedColumn)] {
+    static IMAGES: std::sync::OnceLock<Vec<(String, CompressedColumn)>> =
+        std::sync::OnceLock::new();
+    IMAGES.get_or_init(build_column_images)
+}
+
+fn build_column_images() -> Vec<(String, CompressedColumn)> {
+    let mut out = Vec::new();
+    let mut add = |name: &str, data: ColumnData, format: ChunkFormat| {
+        let cc = compress_column_as(&data, format).expect("format applies");
+        out.push((format!("{name}/{}", format.name()), cc));
+    };
+    macro_rules! ints {
+        ($($t:ty => $v:ident),*) => {$(
+            // A tight cluster plus two outliers: dense lanes and a
+            // non-empty exception list.
+            let mut v: Vec<$t> = (0..150).map(|i| (i % 23) as $t).collect();
+            v[7] = <$t>::MAX;
+            v[90] = <$t>::MIN;
+            add(stringify!($t), ColumnData::$v(v), ChunkFormat::Pfor);
+            // Two sync intervals, one delta exception.
+            let v: Vec<$t> = (0..1100u32).map(|i| (i / 10 + (i / 1000) * 20) as $t).collect();
+            add(stringify!($t), ColumnData::$v(v), ChunkFormat::PforDelta);
+        )*};
+    }
+    ints!(i8 => I8, i16 => I16, i32 => I32, i64 => I64, u8 => U8, u16 => U16, u32 => U32, u64 => U64);
+    let cents: Vec<f64> = (0..150).map(|i| (i % 40) as f64 / 100.0).collect();
+    let mut odd = cents.clone();
+    odd[11] = std::f64::consts::PI;
+    add("f64", ColumnData::F64(odd), ChunkFormat::Pfor);
+    add("f64", ColumnData::F64(cents), ChunkFormat::Pdict);
+    let i32s = (0..150).map(|i| (i % 9) * 1000).collect();
+    add("i32", ColumnData::I32(i32s), ChunkFormat::Pdict);
+    let i64s = (0..150).map(|i| (i % 9) * 1_000_000_007).collect();
+    add("i64", ColumnData::I64(i64s), ChunkFormat::Pdict);
+    let strs = (0..150)
+        .map(|i| ["AIR", "MAIL", "RAIL", "SHIP"][i % 4])
+        .collect();
+    add("str", ColumnData::Str(strs), ChunkFormat::Pdict);
+    let rows = x100_storage::CHUNK_ROWS + 5;
+    add(
+        "i64×2chunks",
+        ColumnData::I64(vec![42; rows]),
+        ChunkFormat::Pfor,
+    );
+    let stride = (0..rows as i64).map(|i| i * 3).collect();
+    add(
+        "i64×2chunks",
+        ColumnData::I64(stride),
+        ChunkFormat::PforDelta,
+    );
+    out
+}
+
+#[test]
+fn column_stream_mutants_never_panic() {
+    for (name, cc) in column_images() {
+        let image = cc.to_bytes();
+        // The untouched image round-trips, byte for byte.
+        let back = CompressedColumn::from_bytes(&image).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(back.to_bytes(), image, "{name}");
+        assert_eq!(back.compressed_bytes(), cc.compressed_bytes(), "{name}");
+        drive_column(&back);
+        // The seal alone refuses every single-byte flip.
+        for at in (0..image.len()).step_by(SWEEP_STRIDE) {
+            let mut m = image.clone();
+            m[at] ^= 0x10;
+            assert!(
+                CompressedColumn::from_bytes(&m).is_err(),
+                "{name} flip at {at}"
+            );
+        }
+        for_each_mutant(&image, |m| {
+            if let Ok(col) = CompressedColumn::from_bytes(&m) {
+                drive_column(&col);
+            }
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: if cfg!(miri) { 4 } else { 256 },
+        ..ProptestConfig::default()
+    })]
+
+    /// Random single-byte damage anywhere in a re-sealed image: parse
+    /// errors, chunk-checksum errors or clean decodes — all return.
+    #[test]
+    fn column_stream_random_flips_never_panic(
+        which in 0usize..64,
+        at in any::<usize>(),
+        mask in 1u16..256,
+    ) {
+        let images = column_images();
+        let mut m = images[which % images.len()].1.to_bytes();
+        let at = at % m.len();
+        m[at] ^= mask as u8;
+        if let Ok(col) = CompressedColumn::from_bytes(&reseal(m, false)) {
+            drive_column(&col);
+        }
+    }
+}
+
+/// A small durably checkpointed table with one column of each stored
+/// shape: PFOR-DELTA keys, PFOR decimals, an enum-coded string column.
+fn durable_fixture(tag: &str, replicas: u32) -> (std::path::PathBuf, Vec<Vec<Value>>) {
+    let dir = std::env::temp_dir().join(format!("x100-mutate-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let enc = x100_storage::encode_str((0..64).map(|i| format!("F{}", i % 5))).expect("enum");
+    let mut t = TableBuilder::new("m")
+        .column("id", ColumnData::I64((0..64).collect()))
+        .column(
+            "val",
+            ColumnData::F64((0..64).map(|i| (i % 7) as f64 * 0.25).collect()),
+        )
+        .enum_column("flag", enc.codes, EnumDict::new(enc.dict.values().clone()))
+        .build();
+    t.checkpoint_durable(&dir, &DurableOptions::default().with_replicas(replicas))
+        .expect("durable checkpoint");
+    let rows = (0..64).map(|r| t.get_row(r)).collect();
+    (dir, rows)
+}
+
+/// The `XMAN` layout, rebuilt with the public writer: the test both
+/// pins the documented layout and can point a manifest at a mutated
+/// column file (size and trailer are cross-checked at open).
+fn manifest_image(replicas: u32, files: &[(&str, &[u8])]) -> Vec<u8> {
+    let mut w = Writer::new(Vec::new(), b"XMAN", 2);
+    w.put(1u64); // checkpoint version
+    w.put(replicas);
+    w.put_str("m");
+    w.put(64u64); // fragment rows
+    w.put(files.len() as u32);
+    for (name, bytes) in files {
+        w.put_str(name);
+        w.put(bytes.len() as u64);
+        w.put(bytes.last().copied().unwrap_or(0));
+    }
+    w.seal()
+}
+
+/// `Table::open` must return — a typed error, or a table every row of
+/// which reads back and every compressed column of which decodes.
+fn open_and_drive(dir: &std::path::Path) -> Result<Table, DurableError> {
+    let t = Table::open(dir)?;
+    for r in 0..t.fragment_rows() {
+        let _ = t.get_row(r as u32);
+    }
+    for c in 0..t.num_columns() {
+        if let Some(cc) = t.column(c).compressed() {
+            drive_column(cc);
+        }
+    }
+    Ok(t)
+}
+
+#[test]
+fn durable_file_mutants_open_typed_or_readable() {
+    let (dir, want) = durable_fixture("files", 1);
+    let names = ["id", "val", "flag"];
+    let paths: Vec<_> = (0..3)
+        .map(|c| dir.join(format!("col{c:03}-v0000000001-r0.chunks")))
+        .collect();
+    let files: Vec<Vec<u8>> = paths
+        .iter()
+        .map(|p| std::fs::read(p).expect("file"))
+        .collect();
+    let manifest = dir.join("manifest-0000000001.xman");
+    let entries = |files: &[Vec<u8>]| -> Vec<u8> {
+        let e: Vec<_> = names
+            .iter()
+            .copied()
+            .zip(files.iter().map(Vec::as_slice))
+            .collect();
+        manifest_image(1, &e)
+    };
+    assert_eq!(std::fs::read(&manifest).expect("manifest"), entries(&files));
+    for c in 0..3 {
+        for_each_mutant(&files[c], |m| {
+            // Point the manifest at the mutant so the size and trailer
+            // cross-checks pass and the damage reaches the file parser.
+            let mut mutated = files.clone();
+            mutated[c] = m;
+            std::fs::write(&paths[c], &mutated[c]).expect("write mutant");
+            std::fs::write(&manifest, entries(&mutated)).expect("write manifest");
+            if let Ok(t) = open_and_drive(&dir) {
+                assert_eq!(t.fragment_rows(), 64);
+            }
+        });
+        std::fs::write(&paths[c], &files[c]).expect("restore");
+    }
+    // Manifest mutants over intact files.
+    for_each_mutant(&entries(&files), |m| {
+        std::fs::write(&manifest, m).expect("write manifest");
+        let _ = open_and_drive(&dir);
+    });
+    std::fs::write(&manifest, entries(&files)).expect("restore manifest");
+    let t = open_and_drive(&dir).expect("restored directory opens");
+    assert_eq!((0..64).map(|r| t.get_row(r)).collect::<Vec<_>>(), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The probes of ISSUE 14: a wrapped section length whose tear keeps
+/// the fold intact used to panic `Table::open`; with a second replica it
+/// must now fall over and heal, without one it is a typed `Io`.
+#[test]
+fn wrapped_length_in_column_file_is_typed_and_heals_from_replica() {
+    for replicas in [1u32, 2] {
+        let (dir, want) = durable_fixture(&format!("wrap{replicas}"), replicas);
+        let path = dir.join("col000-v0000000001-r0.chunks");
+        let mut bytes = std::fs::read(&path).expect("replica 0");
+        // The raw fragment's section length: head (13), col u32, rows
+        // u64, logical tag, two flags.
+        let at = 13 + 4 + 8 + 3;
+        bytes[at..at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        // Re-tear a don't-care byte until the file's fold matches the
+        // manifest again: only the parser can catch the damage now.
+        let want_sum = *bytes.last().expect("trailer");
+        let end = bytes.len() - 1;
+        let fixed = (0..=255u8).any(|b| {
+            bytes[end - 1] = b;
+            fold_checksum(&bytes[..end]) == want_sum
+        });
+        assert!(fixed, "some byte value restores the 8-bit fold");
+        std::fs::write(&path, &bytes).expect("write torn replica");
+        match (replicas, open_and_drive(&dir)) {
+            (1, Err(DurableError::Io { detail, .. })) => {
+                assert!(detail.contains("all 1 replicas failed"), "{detail}")
+            }
+            (2, Ok(t)) => {
+                assert_eq!((0..64).map(|r| t.get_row(r)).collect::<Vec<_>>(), want);
+                assert_eq!(t.durable_source().expect("durable").heals(), 1);
+            }
+            (_, other) => panic!(
+                "{replicas} replicas: unexpected {:?}",
+                other.map(|t| t.name().to_owned())
+            ),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

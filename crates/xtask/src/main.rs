@@ -55,6 +55,12 @@
 //!    models a step a dying process can leave half-done on disk, so a
 //!    new durable write/read step cannot land without a kill-and-recover
 //!    (or replica-failover) test.
+//! 9. **Byte-layer discipline** — on-disk bytes become integers (and
+//!    back) in `storage/src/frame.rs` only: no `from_le_bytes` /
+//!    `to_le_bytes` in `storage/src/compress.rs`,
+//!    `storage/src/durable.rs` or `engine/src/spill.rs`, tests included.
+//!    The four containers share one bounds-checked cursor and one
+//!    writer; a hand-rolled field read is how they fragmented before.
 //!
 //! Run as `cargo xtask lint` (alias in `.cargo/config.toml`).
 
@@ -177,6 +183,7 @@ fn lint() -> Vec<String> {
     fault_site_coverage(&root, &mut failures);
     fact_transfer_totality(&mut failures);
     durable_crash_coverage(&root, &mut failures);
+    byte_layer_discipline(&root, &mut failures);
     failures
 }
 
@@ -688,9 +695,55 @@ fn durable_crash_coverage(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// Rule 9: the container code reads and writes fields through
+/// `storage::frame`, never by hand.
+fn byte_layer_discipline(root: &Path, failures: &mut Vec<String>) {
+    const FRAMED: &[&str] = &[
+        "crates/storage/src/compress.rs",
+        "crates/storage/src/durable.rs",
+        "crates/engine/src/spill.rs",
+    ];
+    for rel in FRAMED {
+        let path = root.join(rel);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        for ln in hand_rolled_le_sites(&text) {
+            failures.push(format!(
+                "byte-layer discipline: {rel}:{ln} converts bytes by hand \
+                 (from_le_bytes/to_le_bytes) — go through storage::frame's \
+                 Reader/Writer so the field is bounds-checked in one place"
+            ));
+        }
+    }
+}
+
+/// 1-based numbers of the non-comment lines of `text` that convert
+/// little-endian bytes by hand (test modules count too).
+fn hand_rolled_le_sites(text: &str) -> Vec<usize> {
+    let by_hand = |l: &str| l.contains("from_le_bytes") || l.contains("to_le_bytes");
+    let code = |l: &str| !l.trim_start().starts_with("//");
+    let lines = text.lines().enumerate();
+    let hits = lines.filter(|(_, l)| code(l) && by_hand(l));
+    hits.map(|(i, _)| i + 1).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn byte_layer_rule_flags_hand_rolled_fields() {
+        let fixture = "fn parse(b: &[u8]) -> u32 {\n\
+                       \x20   // u32::from_le_bytes in a comment is fine\n\
+                       \x20   u32::from_le_bytes([b[0], b[1], b[2], b[3]])\n\
+                       }\n\
+                       #[cfg(test)]\n\
+                       mod tests {\n\
+                       \x20   fn image() -> [u8; 4] { 7u32.to_le_bytes() }\n\
+                       }\n";
+        assert_eq!(hand_rolled_le_sites(fixture), vec![3, 7]);
+        assert!(hand_rolled_le_sites("let n = r.get::<u32>()?;\n").is_empty());
+    }
 
     #[test]
     fn lint_passes_on_this_workspace() {
