@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use x100_vector::{aggr, fetch, hash, map, SelVec};
+use x100_vector::{aggr, fetch, hash, map, GroupTable, ScalarType, SelVec, Vector};
 
 const N: usize = 1024;
 
@@ -92,5 +92,102 @@ fn bench_primitives(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_primitives);
+/// The aggregation inner loops: hash → group id at four group counts,
+/// and N grouped f64 sums + the count, fused against one pass each.
+fn bench_aggr(c: &mut Criterion) {
+    const BATCHES: usize = 256;
+    let mut g = c.benchmark_group("aggr");
+    g.throughput(Throughput::Elements(N as u64));
+
+    // Group lookup in the steady state (every key already present).
+    // `clustered` repeats each key for a run of ~16 tuples, the shape of
+    // a group-by on a clustered column; the others draw keys at random.
+    for (name, groups, clustered) in [
+        ("4", 4usize, false),
+        ("1.3K clustered", 1_300, true),
+        ("28K", 28_000, false),
+        ("1M random", 1_000_000, false),
+    ] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut key = 0i64;
+        let batches: Vec<(Vector, Vec<u64>)> = (0..BATCHES)
+            .map(|_| {
+                let keys: Vec<i64> = (0..N)
+                    .map(|i| {
+                        if !clustered || i % 16 == 0 {
+                            key = rng.gen_range(0..groups as i64);
+                        }
+                        key
+                    })
+                    .collect();
+                let mut hashes = vec![0u64; N];
+                hash::map_hash_i64_col(&mut hashes, &keys, None);
+                (Vector::I64(keys), hashes)
+            })
+            .collect();
+        let mut table = GroupTable::new(&[ScalarType::I64]);
+        let mut grp = vec![0u32; N];
+        let all: Vec<i64> = (0..groups as i64).collect();
+        for chunk in all.chunks(N) {
+            let mut hashes = vec![0u64; chunk.len()];
+            hash::map_hash_i64_col(&mut hashes, chunk, None);
+            let keys = Vector::I64(chunk.to_vec());
+            table.lookup(&mut grp, &hashes, &[&keys], chunk.len(), None);
+        }
+        let mut at = 0;
+        g.bench_function(format!("group lookup ({name} groups)"), |bch| {
+            bch.iter(|| {
+                let (keys, hashes) = &batches[at % BATCHES];
+                at += 1;
+                table.lookup(black_box(&mut grp), hashes, &[keys], N, None);
+            })
+        });
+    }
+
+    // Q1's shape: 4 groups arriving in short runs (the lineitems of one
+    // order share their flags), under a 98 % selection.
+    let grp: Vec<u32> = {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut cur = 0;
+        (0..N)
+            .map(|i| {
+                if i % 4 == 0 {
+                    cur = rng.gen_range(0..4);
+                }
+                cur
+            })
+            .collect()
+    };
+    let sel = SelVec::from_positions((0..N as u32).filter(|i| i % 50 != 7).collect());
+    let cols: Vec<Vec<f64>> = (0..8).map(|k| data_f64(10 + k)).collect();
+    for n in [1usize, 2, 5, 8] {
+        let vals: Vec<&[f64]> = cols[..n].iter().map(|c| c.as_slice()).collect();
+        let mut accs = vec![vec![0.0f64; 4]; n];
+        let mut counts = vec![0i64; 4];
+        g.bench_function(format!("{n} sums + count, one pass each"), |bch| {
+            bch.iter(|| {
+                aggr::aggr_count(black_box(&mut counts), black_box(&grp), Some(&sel));
+                for (acc, val) in accs.iter_mut().zip(&vals) {
+                    aggr::aggr_sum_f64_col(black_box(acc), val, black_box(&grp), Some(&sel));
+                }
+            })
+        });
+        g.bench_function(format!("{n} sums + count, fused"), |bch| {
+            bch.iter(|| {
+                let mut accs: Vec<&mut [f64]> = accs.iter_mut().map(|a| a.as_mut_slice()).collect();
+                aggr::fused_sum_f64(
+                    black_box(&mut accs),
+                    &vals,
+                    black_box(&mut counts),
+                    None,
+                    black_box(&grp),
+                    Some(&sel),
+                );
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_primitives, bench_aggr);
 criterion_main!(benches);

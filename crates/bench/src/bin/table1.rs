@@ -8,6 +8,7 @@
 //! Usage: `table1 [--sf 0.05] [--reps 3]`
 
 use tpch::gen::{generate_lineitem_q1, GenConfig};
+use tpch::hardcoded::{collect_q1, tpch_query1, AggrT1};
 use tpch::queries::q01;
 use x100_bench::{arg_sf, arg_usize, secs, time_best_of};
 use x100_engine::session::{execute, ExecOptions};
@@ -41,9 +42,28 @@ fn main() {
     });
     rows.push(("MonetDB/X100", secs(d), r.num_rows()));
 
-    // Hard-coded UDF (Figure 4).
-    let (d, r) = time_best_of(reps, || tpch::run_hardcoded_q1(&li, hi));
-    rows.push(("hard-coded", secs(d), r.len()));
+    // Hard-coded UDF (Figure 4): the loop alone is timed, over columns
+    // laid out as the UDF takes them and a table allocated up front —
+    // what the other engines' load steps above also leave untimed.
+    let first_byte = |v: &[String]| -> Vec<u8> { v.iter().map(|s| s.as_bytes()[0]).collect() };
+    let (returnflag, linestatus) = (first_byte(&li.returnflag), first_byte(&li.linestatus));
+    let mut slots = vec![AggrT1::default(); 65536];
+    let (d, ()) = time_best_of(reps, || {
+        slots.fill(AggrT1::default());
+        tpch_query1(
+            li.len(),
+            hi,
+            &returnflag,
+            &linestatus,
+            &li.quantity,
+            &li.extendedprice,
+            &li.discount,
+            &li.tax,
+            &li.shipdate,
+            &mut slots,
+        );
+    });
+    rows.push(("hard-coded", secs(d), collect_q1(&slots).len()));
 
     let x100_time = rows[2].1;
     println!(

@@ -52,8 +52,8 @@ use crate::compile::{CheckViolation, ExprCode, ExprProg, Instr, Src};
 use crate::expr::{AggExpr, AggFunc, Expr};
 use crate::facts::{self, ColFact, FactRange, NodeFacts};
 use crate::ops::{
-    has_unchecked_twin, AggSpec, DirectAggrOp, DirectKey, FetchSpec, JoinParts, JoinType,
-    MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
+    fused_signature, has_unchecked_twin, AggSpec, DirectAggrOp, DirectKey, FetchSpec, JoinParts,
+    JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
 };
 use crate::plan::{self, DirectKeySpec, Plan};
 use crate::session::{Database, ExecOptions};
@@ -833,8 +833,6 @@ impl<'a> Checker<'a> {
         out_fields: &mut Vec<OutField>,
         col_facts: &mut Vec<ColFact>,
     ) -> Result<Vec<AggSpec>, PlanError> {
-        // Every aggregation operator counts tuples per group.
-        self.require("aggr_count_u32_col", || format!("{path}.{kind}"))?;
         let mut specs = Vec::with_capacity(aggs.len());
         for (i, spec) in aggs.iter().enumerate() {
             let (spec, fact) = self.check_agg(
@@ -849,6 +847,10 @@ impl<'a> Checker<'a> {
             col_facts.push(fact);
             specs.push(spec);
         }
+        // Every aggregation operator counts tuples per group, in the
+        // one fused pass that also updates its f64 sums.
+        let fused = specs.iter().filter(|s| s.fuses()).count();
+        self.require(&fused_signature(fused), || format!("{path}.{kind}"))?;
         Ok(specs)
     }
 

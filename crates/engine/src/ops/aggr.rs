@@ -6,15 +6,18 @@
 //! * [`DirectAggrOp`] — for small-domain keys whose bit representation
 //!   directly indexes the accumulator table (the hard-coded Q1 trick of
 //!   §3.3: `(returnflag << 8) + linestatus`).
-//! * [`HashAggrOp`] — the general case: vectorized hashing, scalar
-//!   hash-table maintenance, vectorized accumulator updates.
+//! * [`HashAggrOp`] — the general case: vectorized hashing, a
+//!   vectorized [`GroupTable`] lookup, vectorized accumulator updates.
 //! * [`OrdAggrOp`] — groups arrive consecutively (input clustered on the
 //!   keys); constant memory, streaming emission.
 //!
-//! All three share the aggregate-state machinery: per aggregate an
-//! *initialization* (accumulator growth), vectorized *update*
-//! primitives (`aggr_sum_*`, `aggr_count`), and an *epilogue*
-//! (`avg = sum / count`), mirroring the paper's generated triples.
+//! All three share the aggregate-state machinery ([`AggStates`]): per
+//! aggregate an *initialization* (accumulator growth), vectorized
+//! *update* primitives, and an *epilogue* (`avg = sum / count`),
+//! mirroring the paper's generated triples. The update is one fused
+//! pass for the per-group tuple count and the f64 sums
+//! (`aggr_sum_f64_x{N}_col`), then one single-aggregate primitive each
+//! for MIN / MAX / integer sums; COUNT is the tuple count.
 
 use crate::batch::{Batch, OutField, VecPool};
 use crate::compile::{ExprCode, ExprProg};
@@ -27,17 +30,11 @@ use crate::spill::{agg_partition, read_agg_segment, AggRun, AggSegment, SPILL_BL
 use crate::PlanError;
 use std::sync::Arc;
 use x100_storage::EnumDict;
-use x100_vector::{aggr as vaggr, hash as vhash, ScalarType, SelVec, Vector};
+use x100_vector::{aggr as vaggr, hash as vhash, GroupTable, ScalarType, SelVec, Vector};
 
-/// Typed accumulator storage.
-enum AccData {
-    F64(Vec<f64>),
-    I64(Vec<i64>),
-}
-
-/// An aggregate accumulator detached from its operator: the
-/// thread-safe (no `Rc`) payload a parallel worker ships to the merge
-/// stage. Same layout as the internal accumulator storage.
+/// One aggregate's accumulator column, indexed by group: the operators'
+/// running state and, detached (all owned data, no `Rc`), what a
+/// parallel worker ships to the merge stage.
 #[derive(Debug, Clone)]
 pub enum PartialAcc {
     /// f64 accumulators (sums, f64 min/max).
@@ -47,11 +44,27 @@ pub enum PartialAcc {
 }
 
 impl PartialAcc {
+    /// An empty accumulator column of type `ty` (`F64`, else `I64`).
+    pub fn new(ty: ScalarType) -> Self {
+        match ty {
+            ScalarType::F64 => PartialAcc::F64(Vec::new()),
+            _ => PartialAcc::I64(Vec::new()),
+        }
+    }
+
     /// Accumulator scalar type.
     pub fn ty(&self) -> ScalarType {
         match self {
             PartialAcc::F64(_) => ScalarType::F64,
             PartialAcc::I64(_) => ScalarType::I64,
+        }
+    }
+
+    /// The accumulators of the groups `ids`, in that order.
+    fn gather(&self, ids: &[u32]) -> PartialAcc {
+        match self {
+            PartialAcc::F64(a) => PartialAcc::F64(ids.iter().map(|&g| a[g as usize]).collect()),
+            PartialAcc::I64(a) => PartialAcc::I64(ids.iter().map(|&g| a[g as usize]).collect()),
         }
     }
 
@@ -111,30 +124,6 @@ pub struct MergeSpec {
     pub ungrouped: bool,
 }
 
-impl AccData {
-    #[allow(dead_code)]
-    fn len(&self) -> usize {
-        match self {
-            AccData::F64(v) => v.len(),
-            AccData::I64(v) => v.len(),
-        }
-    }
-
-    fn ty(&self) -> ScalarType {
-        match self {
-            AccData::F64(_) => ScalarType::F64,
-            AccData::I64(_) => ScalarType::I64,
-        }
-    }
-
-    fn grow(&mut self, n: usize, init: f64) {
-        match self {
-            AccData::F64(v) => v.resize(n, init),
-            AccData::I64(v) => v.resize(n, init as i64),
-        }
-    }
-}
-
 /// One aggregate as the check walk typed it ([`crate::check`]): the
 /// verified argument program, the accumulator type and the update
 /// primitive. Operators instantiate their running state from this.
@@ -173,6 +162,11 @@ impl AggSpec {
         }
     }
 
+    /// Whether the fused update pass covers this aggregate: an f64 sum.
+    pub(crate) fn fuses(&self) -> bool {
+        matches!(self.func, AggFunc::Sum | AggFunc::Avg) && self.acc_ty == ScalarType::F64
+    }
+
     /// How the merge stage combines this aggregate's partials.
     pub(crate) fn merge_rule(&self) -> MergeAgg {
         MergeAgg {
@@ -183,98 +177,241 @@ impl AggSpec {
     }
 }
 
+/// `func`'s single-aggregate update primitive over f64 accumulators.
+/// Merging partial states goes through here too: partial sums and
+/// counts add, partial minima and maxima fold.
+pub(crate) fn update_f64(
+    func: AggFunc,
+    acc: &mut [f64],
+    vals: &[f64],
+    grp: &[u32],
+    sel: Option<&SelVec>,
+) {
+    match func {
+        AggFunc::Min => vaggr::aggr_min_f64_col(acc, vals, grp, sel),
+        AggFunc::Max => vaggr::aggr_max_f64_col(acc, vals, grp, sel),
+        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
+            vaggr::aggr_sum_f64_col(acc, vals, grp, sel)
+        }
+    }
+}
+
+/// `func`'s single-aggregate update primitive over i64 accumulators.
+pub(crate) fn update_i64(
+    func: AggFunc,
+    acc: &mut [i64],
+    vals: &[i64],
+    grp: &[u32],
+    sel: Option<&SelVec>,
+) {
+    match func {
+        AggFunc::Min => vaggr::aggr_min_i64_col(acc, vals, grp, sel),
+        AggFunc::Max => vaggr::aggr_max_i64_col(acc, vals, grp, sel),
+        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
+            vaggr::aggr_sum_i64_col(acc, vals, grp, sel)
+        }
+    }
+}
+
+/// Signature of the fused update pass over `n` f64 sums (capped at
+/// [`vaggr::FUSED_SUM_MAX`]); with none it is the plain count.
+pub(crate) fn fused_signature(n: usize) -> String {
+    match n.min(vaggr::FUSED_SUM_MAX) {
+        0 => "aggr_count_u32_col".to_owned(),
+        n => format!("aggr_sum_f64_x{n}_col_u32_col"),
+    }
+}
+
 /// One aggregate's running state.
 struct AggState {
     func: AggFunc,
     /// Argument program (`None` for `Count`).
     prog: Option<ExprProg>,
-    acc: AccData,
+    /// Accumulator column; stays empty for `Count`, which is the
+    /// operator's per-group tuple count.
+    acc: PartialAcc,
     sig: String,
     init: f64,
+    /// Updated by the fused pass rather than its own primitive.
+    fused: bool,
 }
 
-impl AggState {
-    fn new(spec: &AggSpec, vector_size: usize) -> Self {
-        AggState {
-            func: spec.func,
-            prog: spec.arg.as_ref().map(|c| ExprProg::new(c, vector_size)),
-            acc: match spec.acc_ty {
-                ScalarType::F64 => AccData::F64(Vec::new()),
-                _ => AccData::I64(Vec::new()),
-            },
-            sig: spec.sig.clone(),
-            init: spec.init_value(),
+/// The running state of an operator's aggregate list.
+struct AggStates {
+    aggs: Vec<AggState>,
+    /// Signature the fused pass records under, and how many sums it
+    /// covers: the first [`vaggr::FUSED_SUM_MAX`] f64 SUM/AVG
+    /// aggregates (with none, the pass is the tuple count alone).
+    fused_sig: String,
+    fused_n: usize,
+}
+
+impl AggStates {
+    fn new(specs: &[AggSpec], vector_size: usize) -> Self {
+        let mut fused_n = 0;
+        let aggs = specs
+            .iter()
+            .map(|spec| {
+                let fused = spec.fuses() && fused_n < vaggr::FUSED_SUM_MAX;
+                fused_n += fused as usize;
+                AggState {
+                    func: spec.func,
+                    prog: spec.arg.as_ref().map(|c| ExprProg::new(c, vector_size)),
+                    acc: PartialAcc::new(spec.acc_ty),
+                    sig: spec.sig.clone(),
+                    init: spec.init_value(),
+                    fused,
+                }
+            })
+            .collect();
+        AggStates {
+            aggs,
+            fused_sig: fused_signature(fused_n),
+            fused_n,
         }
     }
 
-    /// Vectorized update for one batch.
+    /// Accumulator columns held (every aggregate but `Count`).
+    fn acc_columns(&self) -> usize {
+        self.aggs.iter().filter(|a| a.prog.is_some()).count()
+    }
+
+    /// Size the accumulators for `n_groups` groups.
+    fn grow(&mut self, n_groups: usize) {
+        for agg in self.aggs.iter_mut().filter(|a| a.prog.is_some()) {
+            agg.acc.grow(n_groups, agg.init);
+        }
+    }
+
+    /// Drop every accumulator and its memory.
+    fn clear(&mut self) {
+        for agg in &mut self.aggs {
+            agg.acc = PartialAcc::new(agg.acc.ty());
+        }
+    }
+
+    /// Vectorized update for one batch whose live tuples fall in the
+    /// groups `grp` names: count them into `counts` (recording
+    /// first-hit slots in `occupied`, for direct aggregation) and fold
+    /// every aggregate's argument into its accumulator.
+    #[allow(clippy::too_many_arguments)] // one batch's worth of operator state
     fn update(
         &mut self,
         batch: &Batch,
         grp: &[u32],
         sel: Option<&SelVec>,
         n_groups: usize,
+        counts: &mut Vec<i64>,
+        occupied: Option<&mut Vec<u32>>,
         prof: &mut Profiler,
     ) {
-        self.acc.grow(n_groups, self.init);
+        counts.resize(n_groups, 0);
+        self.grow(n_groups);
         let live = sel.map_or(batch.len, |s| s.len());
-        match (&mut self.prog, self.func) {
-            (None, AggFunc::Count) => {
-                let AccData::I64(acc) = &mut self.acc else {
-                    unreachable!()
-                };
-                let t0 = prof.start();
-                vaggr::aggr_count(acc, grp, sel);
-                prof.record_prim(&self.sig, t0, live, live * 4 + live * 8);
+        // All fused arguments first, then one pass over `grp`.
+        let mut accs: [&mut [f64]; vaggr::FUSED_SUM_MAX] = Default::default();
+        let mut vals: [&[f64]; vaggr::FUSED_SUM_MAX] = Default::default();
+        let fused = self.aggs.iter_mut().filter(|a| a.fused);
+        for ((acc, val), agg) in accs.iter_mut().zip(vals.iter_mut()).zip(fused) {
+            let (Some(prog), PartialAcc::F64(a)) = (&mut agg.prog, &mut agg.acc) else {
+                unreachable!("fused aggregates are f64 sums")
+            };
+            *val = prog.eval(batch, sel, prof).as_f64();
+            *acc = a;
+        }
+        let n = self.fused_n;
+        let t0 = prof.start();
+        vaggr::fused_sum_f64(&mut accs[..n], &vals[..n], counts, occupied, grp, sel);
+        prof.record_prim(
+            &self.fused_sig,
+            t0,
+            live * n.max(1),
+            live * (4 + 8 + n * 16),
+        );
+        for agg in self.aggs.iter_mut().filter(|a| !a.fused) {
+            let Some(prog) = &mut agg.prog else {
+                continue; // Count
+            };
+            let vals = prog.eval(batch, sel, prof);
+            let t0 = prof.start();
+            match (&mut agg.acc, vals) {
+                (PartialAcc::F64(acc), Vector::F64(v)) => update_f64(agg.func, acc, v, grp, sel),
+                (PartialAcc::I64(acc), Vector::I64(v)) => update_i64(agg.func, acc, v, grp, sel),
+                (acc, v) => panic!(
+                    "aggregate type mismatch: acc {:?}, values {:?}",
+                    acc.ty(),
+                    v.scalar_type()
+                ),
             }
-            (Some(prog), func) => {
-                let vals = prog.eval(batch, sel, prof);
-                let t0 = prof.start();
-                let bytes = live * (vals.scalar_type().width() + 4 + 8);
-                match (&mut self.acc, vals) {
-                    (AccData::F64(acc), Vector::F64(v)) => match func {
-                        AggFunc::Sum | AggFunc::Avg => vaggr::aggr_sum_f64_col(acc, v, grp, sel),
-                        AggFunc::Min => vaggr::aggr_min_f64_col(acc, v, grp, sel),
-                        AggFunc::Max => vaggr::aggr_max_f64_col(acc, v, grp, sel),
-                        AggFunc::Count => unreachable!(),
-                    },
-                    (AccData::I64(acc), Vector::I64(v)) => match func {
-                        AggFunc::Sum => vaggr::aggr_sum_i64_col(acc, v, grp, sel),
-                        AggFunc::Min => vaggr::aggr_min_i64_col(acc, v, grp, sel),
-                        AggFunc::Max => vaggr::aggr_max_i64_col(acc, v, grp, sel),
-                        AggFunc::Avg | AggFunc::Count => unreachable!(),
-                    },
-                    (acc, v) => panic!(
-                        "aggregate type mismatch: acc {:?}, values {:?}",
-                        acc.ty(),
-                        v.scalar_type()
-                    ),
-                }
-                prof.record_prim(&self.sig, t0, live, bytes);
-            }
-            (None, _) => unreachable!("only Count has no argument"),
+            prof.record_prim(&agg.sig, t0, live, live * (agg.acc.ty().width() + 4 + 8));
         }
     }
 
-    /// Emit `[start, start+n)` of the final values into `out`,
-    /// applying the AVG epilogue against `counts`.
-    fn emit(&self, out: &mut Vector, start: usize, n: usize, counts: &[i64], prof: &mut Profiler) {
-        match (self.func, &self.acc) {
-            (AggFunc::Avg, AccData::F64(sums)) => {
-                let t0 = prof.start();
-                let o = out.as_f64_mut();
-                let base = o.len();
-                o.resize(base + n, 0.0);
-                vaggr::aggr_avg_epilogue(
-                    &mut o[base..],
-                    &sums[start..start + n],
-                    &counts[start..start + n],
-                );
-                prof.record_prim("aggr_avg_epilogue", t0, n, n * 24);
-            }
-            (_, AccData::F64(v)) => out.as_f64_mut().extend_from_slice(&v[start..start + n]),
-            (_, AccData::I64(v)) => out.as_i64_mut().extend_from_slice(&v[start..start + n]),
+    /// The accumulators of the groups `ids`, one column per aggregate
+    /// as a partial ships them: `Count`'s column is the tuple counts.
+    fn gather(&self, counts: &[i64], ids: &[u32]) -> Vec<PartialAcc> {
+        self.aggs
+            .iter()
+            .map(|a| match a.func {
+                AggFunc::Count => {
+                    PartialAcc::I64(ids.iter().map(|&g| counts[g as usize]).collect())
+                }
+                _ => a.acc.gather(ids),
+            })
+            .collect()
+    }
+
+    /// Surrender every group's accumulators, shaped like [`Self::gather`].
+    fn take(&mut self, counts: &[i64]) -> Vec<PartialAcc> {
+        self.aggs
+            .iter_mut()
+            .map(|a| match a.func {
+                AggFunc::Count => PartialAcc::I64(counts.to_vec()),
+                _ => {
+                    let empty = PartialAcc::new(a.acc.ty());
+                    std::mem::replace(&mut a.acc, empty)
+                }
+            })
+            .collect()
+    }
+}
+
+impl AggState {
+    /// [`emit_agg`] of this aggregate.
+    fn emit(&self, counts: &[i64], out: &mut Vector, start: usize, n: usize, prof: &mut Profiler) {
+        emit_agg(self.func, &self.acc, counts, out, start, n, prof);
+    }
+}
+
+/// Emit `[start, start+n)` of one aggregate's final values into `out`:
+/// COUNT is `counts`, AVG goes through the epilogue against them.
+pub(crate) fn emit_agg(
+    func: AggFunc,
+    acc: &PartialAcc,
+    counts: &[i64],
+    out: &mut Vector,
+    start: usize,
+    n: usize,
+    prof: &mut Profiler,
+) {
+    match (func, acc) {
+        (AggFunc::Count, _) => out
+            .as_i64_mut()
+            .extend_from_slice(&counts[start..start + n]),
+        (AggFunc::Avg, PartialAcc::F64(sums)) => {
+            let t0 = prof.start();
+            let o = out.as_f64_mut();
+            let base = o.len();
+            o.resize(base + n, 0.0);
+            vaggr::aggr_avg_epilogue(
+                &mut o[base..],
+                &sums[start..start + n],
+                &counts[start..start + n],
+            );
+            prof.record_prim("aggr_avg_epilogue", t0, n, n * 24);
         }
+        (_, PartialAcc::F64(v)) => out.as_f64_mut().extend_from_slice(&v[start..start + n]),
+        (_, PartialAcc::I64(v)) => out.as_i64_mut().extend_from_slice(&v[start..start + n]),
     }
 }
 
@@ -382,48 +519,41 @@ pub(crate) fn hash_keys(
     }
 }
 
-/// Grow an open-addressing bucket array until it can absorb `target`
-/// groups at ≤70% load, rehashing the existing `n_groups` entries.
-#[allow(clippy::needless_range_loop)] // indexing both hash and bucket arrays
-pub(crate) fn ensure_capacity(
-    buckets: &mut Vec<u32>,
-    group_hashes: &[u64],
-    n_groups: usize,
-    target: usize,
+/// Append the keys of groups `[start, start+n)` to `out`, decoding
+/// code-typed keys through their dictionary.
+pub(crate) fn emit_key(
+    out: &mut Vector,
+    keys: &Vector,
+    dict: Option<&EnumDict>,
+    start: usize,
+    n: usize,
 ) {
-    let mut cap = buckets.len();
-    while cap * 7 <= target * 10 {
-        cap *= 4;
+    let Some(dict) = dict else {
+        return extend_range(out, keys, start, n);
+    };
+    for g in start..start + n {
+        let code = match keys {
+            Vector::U8(c) => c[g] as usize,
+            Vector::U16(c) => c[g] as usize,
+            other => panic!("code key is {:?}", other.scalar_type()),
+        };
+        out.push_value(&dict.decode(code));
     }
-    if cap == buckets.len() {
-        return;
-    }
-    let mask = (cap - 1) as u64;
-    let mut grown = vec![0u32; cap];
-    for g in 0..n_groups {
-        let mut b = (group_hashes[g] & mask) as usize;
-        while grown[b] != 0 {
-            b = (b + 1) & mask as usize;
-        }
-        grown[b] = g as u32 + 1;
-    }
-    *buckets = grown;
 }
 
 /// `HashAggr(Dataflow, List<Exp>, List<AggrExp>)` — general grouping.
 pub struct HashAggrOp {
     child: Box<dyn Operator>,
     key_progs: Vec<ExprProg>,
-    aggs: Vec<AggState>,
+    aggs: AggStates,
     /// Output shape, physical key types and the enum dictionaries of
     /// code-typed keys (grouping runs on raw codes, emission decodes);
     /// also the recipe the spilled emission re-aggregates with.
     merge: MergeSpec,
-    // Hash table: open addressing, bucket holds group_id + 1 (0 = empty).
-    buckets: Vec<u32>,
-    group_hashes: Vec<u64>,
-    key_store: Vec<Vector>,
+    table: GroupTable,
     group_counts: Vec<i64>,
+    /// Groups to emit: the table's, or the one synthetic row of an
+    /// ungrouped aggregation over no input.
     n_groups: usize,
     // Scratch.
     hash_buf: Vec<u64>,
@@ -463,14 +593,8 @@ impl HashAggrOp {
         HashAggrOp {
             child,
             key_progs: keys.iter().map(|c| ExprProg::new(c, vector_size)).collect(),
-            aggs: aggs.iter().map(|a| AggState::new(a, vector_size)).collect(),
-            buckets: vec![0; 1024],
-            group_hashes: Vec::new(),
-            key_store: merge
-                .key_types
-                .iter()
-                .map(|&ty| Vector::with_capacity(ty, 16))
-                .collect(),
+            aggs: AggStates::new(aggs, vector_size),
+            table: GroupTable::new(&merge.key_types),
             group_counts: Vec::new(),
             n_groups: 0,
             hash_buf: Vec::new(),
@@ -490,11 +614,7 @@ impl HashAggrOp {
 
     /// The hash table's current footprint, charged against the budget.
     fn footprint(&self) -> usize {
-        self.buckets.len() * 4
-            + self.group_hashes.len() * 8
-            + self.key_store.iter().map(|v| v.byte_size()).sum::<usize>()
-            + self.group_counts.len() * 8
-            + self.aggs.len() * self.n_groups * 8
+        self.table.byte_size() + (1 + self.aggs.acc_columns()) * self.table.len() * 8
     }
 
     /// Consume the whole child dataflow into the hash table.
@@ -503,16 +623,7 @@ impl HashAggrOp {
             let t_op = prof.start();
             let n = batch.len;
             let sel = batch.sel.as_deref();
-            // Reserve table capacity for the worst case of this batch
-            // (every live tuple a new group) before the insertion loop:
-            // the open-addressing probe must never face a full table.
-            let live_worst = sel.map_or(n, |s| s.len());
-            ensure_capacity(
-                &mut self.buckets,
-                &self.group_hashes,
-                self.n_groups,
-                self.n_groups + live_worst,
-            );
+            let live = sel.map_or(n, |s| s.len());
             // 1. Evaluate key expressions.
             let key_vecs: Vec<&Vector> = self
                 .key_progs
@@ -523,94 +634,40 @@ impl HashAggrOp {
             self.hash_buf.resize(n, 0);
             self.grp_buf.resize(n, 0);
             hash_keys(&key_vecs, &mut self.hash_buf, n, sel, prof);
-            // 3. Hash table maintenance (scalar loop, like Fig. 6).
+            // 3. Hash table maintenance (Fig. 6): hashes → group ids.
             let t0 = prof.start();
-            let mask = (self.buckets.len() - 1) as u64;
-            let mut maintain = |i: usize,
-                                buckets: &mut Vec<u32>,
-                                key_store: &mut Vec<Vector>,
-                                group_hashes: &mut Vec<u64>,
-                                n_groups: &mut usize| {
-                let h = self.hash_buf[i];
-                let mut b = (h & mask) as usize;
-                loop {
-                    let slot = buckets[b];
-                    if slot == 0 {
-                        let g = *n_groups;
-                        *n_groups += 1;
-                        for (ks, kv) in key_store.iter_mut().zip(key_vecs.iter()) {
-                            push_from(ks, kv, i);
-                        }
-                        group_hashes.push(h);
-                        buckets[b] = g as u32 + 1;
-                        self.grp_buf[i] = g as u32;
-                        break;
-                    }
-                    let g = (slot - 1) as usize;
-                    if group_hashes[g] == h
-                        && key_store
-                            .iter()
-                            .zip(key_vecs.iter())
-                            .all(|(ks, kv)| eq_at(ks, g, kv, i))
-                    {
-                        self.grp_buf[i] = g as u32;
-                        break;
-                    }
-                    b = (b + 1) & mask as usize;
-                }
-            };
-            let live = sel.map_or(n, |s| s.len());
-            match sel {
-                None => {
-                    for i in 0..n {
-                        maintain(
-                            i,
-                            &mut self.buckets,
-                            &mut self.key_store,
-                            &mut self.group_hashes,
-                            &mut self.n_groups,
-                        );
-                    }
-                }
-                Some(s) => {
-                    for i in s.iter() {
-                        maintain(
-                            i,
-                            &mut self.buckets,
-                            &mut self.key_store,
-                            &mut self.group_hashes,
-                            &mut self.n_groups,
-                        );
-                    }
-                }
-            }
+            self.table
+                .lookup(&mut self.grp_buf, &self.hash_buf, &key_vecs, n, sel);
             prof.record_prim("aggr_hashtable_maintain", t0, live, live * 12);
             // 4. Vectorized accumulator updates.
-            self.group_counts.resize(self.n_groups, 0);
-            let tc = prof.start();
-            vaggr::aggr_count(&mut self.group_counts, &self.grp_buf, sel);
-            prof.record_prim("aggr_count_u32_col", tc, live, live * 12);
-            for agg in &mut self.aggs {
-                agg.update(batch, &self.grp_buf, sel, self.n_groups, prof);
-            }
+            self.aggs.update(
+                batch,
+                &self.grp_buf,
+                sel,
+                self.table.len(),
+                &mut self.group_counts,
+                None,
+                prof,
+            );
             prof.record_op("Aggr(HASH)", t_op, live);
             let fp = self.footprint();
             if !self.mem.try_ensure(fp) {
                 // Memory budget exhausted. With a spill budget, evict
                 // the table as a partitioned on-disk run; without one,
                 // abort exactly as before the spill subsystem.
-                if self.mem.context().spill_budget().is_some() && self.n_groups > 0 {
+                if self.mem.context().spill_budget().is_some() && !self.table.is_empty() {
                     self.spill_table()?;
                 } else {
                     self.mem.ensure(fp)?;
                 }
             }
         }
-        if !self.agg_runs.is_empty() && self.n_groups > 0 {
+        if !self.agg_runs.is_empty() && !self.table.is_empty() {
             // The in-memory remainder joins the runs so emission sees
             // one uniform source list per partition.
             self.spill_table()?;
         }
+        self.n_groups = self.table.len();
         self.built = true;
         Ok(())
     }
@@ -619,16 +676,12 @@ impl HashAggrOp {
     /// its memory charge. Groups are radix-partitioned by the top
     /// hash bits; first-seen order is preserved within a partition.
     fn spill_table(&mut self) -> Result<(), PlanError> {
-        for agg in &mut self.aggs {
-            agg.acc.grow(self.n_groups, agg.init);
-        }
-        self.group_counts.resize(self.n_groups, 0);
         let ctx = Arc::clone(self.mem.context());
         let mgr = ctx.spill_manager()?;
         let mut w = mgr.start_run(&ctx, "hash aggregation table")?;
         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); crate::spill::AGG_SPILL_PARTS];
-        for g in 0..self.n_groups {
-            parts[agg_partition(self.group_hashes[g])].push(g as u32);
+        for (g, &h) in self.table.hashes().iter().enumerate() {
+            parts[agg_partition(h)].push(g as u32);
         }
         let mut segments = Vec::new();
         for (p, gids) in parts.iter().enumerate() {
@@ -638,9 +691,8 @@ impl HashAggrOp {
             let offset = w.offset();
             let blocks_before = w.blocks();
             for chunk in gids.chunks(SPILL_BLOCK_ROWS) {
-                let mut block: Vec<Vector> =
-                    Vec::with_capacity(self.key_store.len() + 1 + self.aggs.len());
-                for ks in &self.key_store {
+                let mut block: Vec<Vector> = Vec::new();
+                for ks in self.table.keys() {
                     let mut v = Vector::with_capacity(ks.scalar_type(), chunk.len());
                     for &g in chunk {
                         push_from(&mut v, ks, g as usize);
@@ -653,16 +705,11 @@ impl HashAggrOp {
                         .map(|&g| self.group_counts[g as usize])
                         .collect(),
                 ));
-                for agg in &self.aggs {
-                    block.push(match &agg.acc {
-                        AccData::F64(a) => {
-                            Vector::F64(chunk.iter().map(|&g| a[g as usize]).collect())
-                        }
-                        AccData::I64(a) => {
-                            Vector::I64(chunk.iter().map(|&g| a[g as usize]).collect())
-                        }
-                    });
-                }
+                let accs = self.aggs.gather(&self.group_counts, chunk);
+                block.extend(accs.into_iter().map(|acc| match acc {
+                    PartialAcc::F64(a) => Vector::F64(a),
+                    PartialAcc::I64(a) => Vector::I64(a),
+                }));
                 w.write_block(block)?;
             }
             segments.push(AggSegment {
@@ -677,19 +724,9 @@ impl HashAggrOp {
             file: run.file,
             segments,
         });
-        self.buckets = vec![0; 1024];
-        self.group_hashes = Vec::new();
-        for ks in &mut self.key_store {
-            *ks = Vector::with_capacity(ks.scalar_type(), 16);
-        }
+        self.table.clear();
         self.group_counts = Vec::new();
-        self.n_groups = 0;
-        for agg in &mut self.aggs {
-            agg.acc = match &agg.acc {
-                AccData::F64(_) => AccData::F64(Vec::new()),
-                AccData::I64(_) => AccData::I64(Vec::new()),
-            };
-        }
+        self.aggs.clear();
         self.mem.release_all();
         Ok(())
     }
@@ -709,8 +746,8 @@ impl HashAggrOp {
                     partials.push(read_agg_segment(
                         &run.file,
                         seg,
-                        self.key_store.len(),
-                        self.aggs.len(),
+                        self.key_progs.len(),
+                        self.aggs.aggs.len(),
                         &mgr,
                         &ctx,
                     )?);
@@ -745,9 +782,7 @@ impl Operator for HashAggrOp {
             if self.agg_runs.is_empty() && self.key_progs.is_empty() && self.n_groups == 0 {
                 self.n_groups = 1;
                 self.group_counts.push(0);
-                for agg in &mut self.aggs {
-                    agg.acc.grow(1, agg.init);
-                }
+                self.aggs.grow(1);
             }
         }
         if !self.agg_runs.is_empty() {
@@ -775,28 +810,15 @@ impl Operator for HashAggrOp {
         self.emit_pos += n;
         self.out.reset();
         self.out.len = n;
-        let nkeys = self.key_store.len();
-        for k in 0..nkeys {
+        let nkeys = self.key_progs.len();
+        for (k, keys) in self.table.keys().iter().enumerate() {
             let mut v = self.pools[k].writable();
-            match &self.merge.key_dicts[k] {
-                None => extend_range(&mut v, &self.key_store[k], start, n),
-                Some(dict) => {
-                    // Grouped on codes; decode the emitted slice.
-                    for g in start..start + n {
-                        let code = match &self.key_store[k] {
-                            Vector::U8(c) => c[g] as usize,
-                            Vector::U16(c) => c[g] as usize,
-                            other => panic!("code key is {:?}", other.scalar_type()),
-                        };
-                        v.push_value(&dict.decode(code));
-                    }
-                }
-            }
+            emit_key(&mut v, keys, self.merge.key_dicts[k].as_ref(), start, n);
             self.pools[k].publish(v, &mut self.out);
         }
-        for (a, agg) in self.aggs.iter().enumerate() {
+        for (a, agg) in self.aggs.aggs.iter().enumerate() {
             let mut v = self.pools[nkeys + a].writable();
-            agg.emit(&mut v, start, n, &self.group_counts, prof);
+            agg.emit(&self.group_counts, &mut v, start, n, prof);
             self.pools[nkeys + a].publish(v, &mut self.out);
         }
         Ok(Some(&self.out))
@@ -805,11 +827,7 @@ impl Operator for HashAggrOp {
     fn reset(&mut self) {
         self.child.reset();
         self.mem.release_all();
-        self.buckets = vec![0; 1024];
-        self.group_hashes.clear();
-        for v in &mut self.key_store {
-            v.clear();
-        }
+        self.table.clear();
         self.group_counts.clear();
         self.n_groups = 0;
         self.built = false;
@@ -817,13 +835,7 @@ impl Operator for HashAggrOp {
         self.agg_runs.clear();
         self.spill_part = 0;
         self.spill_emit = None;
-        for agg in &mut self.aggs {
-            agg.acc.grow(0, 0.0);
-            match &mut agg.acc {
-                AccData::F64(v) => v.clear(),
-                AccData::I64(v) => v.clear(),
-            }
-        }
+        self.aggs.clear();
     }
 
     fn take_partial_aggr(&mut self, prof: &mut Profiler) -> Result<Option<AggrPartial>, PlanError> {
@@ -832,23 +844,10 @@ impl Operator for HashAggrOp {
         }
         // No ungrouped-empty synthesis here: the merge stage decides
         // whether the *combined* result is empty.
-        for agg in &mut self.aggs {
-            agg.acc.grow(self.n_groups, agg.init);
-        }
-        self.group_counts.resize(self.n_groups, 0);
         Ok(Some(AggrPartial {
-            keys: std::mem::take(&mut self.key_store),
+            accs: self.aggs.take(&self.group_counts),
             counts: std::mem::take(&mut self.group_counts),
-            accs: self
-                .aggs
-                .iter_mut()
-                .map(
-                    |a| match std::mem::replace(&mut a.acc, AccData::I64(Vec::new())) {
-                        AccData::F64(v) => PartialAcc::F64(v),
-                        AccData::I64(v) => PartialAcc::I64(v),
-                    },
-                )
-                .collect(),
+            keys: self.table.take_keys(),
             n_groups: self.n_groups,
             runs: std::mem::take(&mut self.agg_runs),
         }))
@@ -872,7 +871,7 @@ pub struct DirectKey {
 pub struct DirectAggrOp {
     child: Box<dyn Operator>,
     keys: Vec<DirectKey>,
-    aggs: Vec<AggState>,
+    aggs: AggStates,
     fields: Vec<OutField>,
     slots: usize,
     group_counts: Vec<i64>,
@@ -910,7 +909,7 @@ impl DirectAggrOp {
             child,
             slots: keys.iter().map(|k| k.card as usize).product(),
             keys,
-            aggs: aggs.iter().map(|a| AggState::new(a, vector_size)).collect(),
+            aggs: AggStates::new(aggs, vector_size),
             fields,
             group_counts: Vec::new(),
             grp_buf: Vec::new(),
@@ -929,11 +928,7 @@ impl DirectAggrOp {
         // table is charged up front (its size is fixed by the key
         // domain, not the data).
         self.mem
-            .ensure(self.slots * (8 + self.aggs.len() * 8 + 4))?;
-        self.group_counts.resize(self.slots, 0);
-        for agg in &mut self.aggs {
-            agg.acc.grow(self.slots, agg.init);
-        }
+            .ensure(self.slots * (8 + self.aggs.acc_columns() * 8 + 4))?;
         while let Some(batch) = self.child.next(prof)? {
             let t_op = prof.start();
             let n = batch.len;
@@ -956,9 +951,7 @@ impl DirectAggrOp {
                     }
                     Vector::U16(codes) => {
                         if ki == 0 {
-                            for (g, &c) in self.grp_buf.iter_mut().zip(codes.iter()) {
-                                *g = c as u32;
-                            }
+                            vhash::map_directgrp_u16_col(&mut self.grp_buf, codes, sel);
                             ("map_uidx_u16_col", live * 6)
                         } else {
                             vhash::map_directgrp_u16_chain(&mut self.grp_buf, codes, key.card, sel);
@@ -969,31 +962,16 @@ impl DirectAggrOp {
                 };
                 prof.record_prim(sig, t0, live, bytes);
             }
-            // Track first-seen occupancy, then update counts.
-            let t0 = prof.start();
-            let track = |i: usize, counts: &mut [i64], occupied: &mut Vec<u32>, grp: &[u32]| {
-                let g = grp[i] as usize;
-                if counts[g] == 0 {
-                    occupied.push(g as u32);
-                }
-                counts[g] += 1;
-            };
-            match sel {
-                None => {
-                    for i in 0..n {
-                        track(i, &mut self.group_counts, &mut self.occupied, &self.grp_buf);
-                    }
-                }
-                Some(s) => {
-                    for i in s.iter() {
-                        track(i, &mut self.group_counts, &mut self.occupied, &self.grp_buf);
-                    }
-                }
-            }
-            prof.record_prim("aggr_count_u32_col", t0, live, live * 12);
-            for agg in &mut self.aggs {
-                agg.update(batch, &self.grp_buf, sel, self.slots, prof);
-            }
+            // Counts, first-seen occupancy and accumulators.
+            self.aggs.update(
+                batch,
+                &self.grp_buf,
+                sel,
+                self.slots,
+                &mut self.group_counts,
+                Some(&mut self.occupied),
+                prof,
+            );
             prof.record_op("Aggr(DIRECT)", t_op, live);
         }
         self.built = true;
@@ -1045,10 +1023,10 @@ impl Operator for DirectAggrOp {
             self.pools[ki].publish(v, &mut self.out);
         }
         // Compact the aggregate slots for occupied groups.
-        for (a, agg) in self.aggs.iter().enumerate() {
+        for (a, agg) in self.aggs.aggs.iter().enumerate() {
             let mut v = self.pools[nkeys + a].writable();
             for &slot in &self.occupied[start..start + n] {
-                agg.emit(&mut v, slot as usize, 1, &self.group_counts, prof);
+                agg.emit(&self.group_counts, &mut v, slot as usize, 1, prof);
             }
             self.pools[nkeys + a].publish(v, &mut self.out);
         }
@@ -1062,12 +1040,7 @@ impl Operator for DirectAggrOp {
         self.occupied.clear();
         self.built = false;
         self.emit_pos = 0;
-        for agg in &mut self.aggs {
-            match &mut agg.acc {
-                AccData::F64(v) => v.clear(),
-                AccData::I64(v) => v.clear(),
-            }
-        }
+        self.aggs.clear();
     }
 
     fn take_partial_aggr(&mut self, prof: &mut Profiler) -> Result<Option<AggrPartial>, PlanError> {
@@ -1096,18 +1069,7 @@ impl Operator for DirectAggrOp {
             .iter()
             .map(|&s| self.group_counts[s as usize])
             .collect();
-        let accs: Vec<PartialAcc> = self
-            .aggs
-            .iter()
-            .map(|a| match &a.acc {
-                AccData::F64(v) => {
-                    PartialAcc::F64(self.occupied.iter().map(|&s| v[s as usize]).collect())
-                }
-                AccData::I64(v) => {
-                    PartialAcc::I64(self.occupied.iter().map(|&s| v[s as usize]).collect())
-                }
-            })
-            .collect();
+        let accs = self.aggs.gather(&self.group_counts, &self.occupied);
         Ok(Some(AggrPartial {
             keys,
             counts,
@@ -1123,7 +1085,7 @@ impl Operator for DirectAggrOp {
 pub struct OrdAggrOp {
     child: Box<dyn Operator>,
     key_progs: Vec<ExprProg>,
-    aggs: Vec<AggState>,
+    aggs: AggStates,
     fields: Vec<OutField>,
     /// Current group's key values (length-1 vectors), if any group open.
     cur_keys: Option<Vec<Vector>>,
@@ -1163,7 +1125,7 @@ impl OrdAggrOp {
                 .map(|c| Vector::with_capacity(c.result_type(), 16))
                 .collect(),
             key_progs: keys.iter().map(|c| ExprProg::new(c, vector_size)).collect(),
-            aggs: aggs.iter().map(|a| AggState::new(a, vector_size)).collect(),
+            aggs: AggStates::new(aggs, vector_size),
             fields,
             cur_keys: None,
             group_counts: Vec::new(),
@@ -1228,16 +1190,18 @@ impl OrdAggrOp {
                 }
             }
             prof.record_prim("aggr_ordered_boundaries", t0, live, live * 8);
-            self.group_counts.resize(self.n_groups, 0);
-            let tc = prof.start();
-            vaggr::aggr_count(&mut self.group_counts, &self.grp_buf, sel);
-            prof.record_prim("aggr_count_u32_col", tc, live, live * 12);
-            for agg in &mut self.aggs {
-                agg.update(batch, &self.grp_buf, sel, self.n_groups, prof);
-            }
+            self.aggs.update(
+                batch,
+                &self.grp_buf,
+                sel,
+                self.n_groups,
+                &mut self.group_counts,
+                None,
+                prof,
+            );
             prof.record_op("Aggr(ORDERED)", t_op, live);
             let bytes = self.done_keys.iter().map(|v| v.byte_size()).sum::<usize>()
-                + self.n_groups * (8 + self.aggs.len() * 8);
+                + self.n_groups * (8 + self.aggs.acc_columns() * 8);
             self.mem.ensure(bytes)?;
         }
         self.input_done = true;
@@ -1268,9 +1232,9 @@ impl Operator for OrdAggrOp {
             extend_range(&mut v, &self.done_keys[k], start, n);
             self.pools[k].publish(v, &mut self.out);
         }
-        for (a, agg) in self.aggs.iter().enumerate() {
+        for (a, agg) in self.aggs.aggs.iter().enumerate() {
             let mut v = self.pools[nkeys + a].writable();
-            agg.emit(&mut v, start, n, &self.group_counts, prof);
+            agg.emit(&self.group_counts, &mut v, start, n, prof);
             self.pools[nkeys + a].publish(v, &mut self.out);
         }
         Ok(Some(&self.out))
@@ -1287,11 +1251,6 @@ impl Operator for OrdAggrOp {
         self.n_groups = 0;
         self.emit_pos = 0;
         self.input_done = false;
-        for agg in &mut self.aggs {
-            match &mut agg.acc {
-                AccData::F64(v) => v.clear(),
-                AccData::I64(v) => v.clear(),
-            }
-        }
+        self.aggs.clear();
     }
 }

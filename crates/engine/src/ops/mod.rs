@@ -22,7 +22,7 @@ mod scan;
 mod select;
 mod sort;
 
-pub(crate) use aggr::AggSpec;
+pub(crate) use aggr::{fused_signature, AggSpec};
 pub use aggr::{
     AggrPartial, DirectAggrOp, DirectKey, HashAggrOp, MergeAgg, MergeSpec, OrdAggrOp, PartialAcc,
 };

@@ -39,9 +39,11 @@ use crate::batch::{Batch, OutField, VecPool};
 use crate::check::{CheckedNode, CheckedOp};
 use crate::expr::AggFunc;
 use crate::govern::{panic_cause, QueryContext};
-use crate::ops::aggr::{ensure_capacity, hash_keys, AggrPartial, MergeSpec, PartialAcc};
+use crate::ops::aggr::{
+    emit_agg, emit_key, hash_keys, update_f64, update_i64, AggrPartial, MergeSpec, PartialAcc,
+};
 use crate::ops::join::HashJoinOp;
-use crate::ops::{eq_at, push_from, JoinParts, Operator, ScanSpec};
+use crate::ops::{extend_range, JoinParts, Operator, ScanSpec};
 use crate::plan::SharedJoins;
 use crate::profile::Profiler;
 use crate::session::{run_operator, ExecOptions, QueryResult};
@@ -49,7 +51,7 @@ use crate::PlanError;
 use std::sync::Arc;
 use std::time::Instant;
 use x100_storage::{plan_morsels, Morsel};
-use x100_vector::{aggr as vaggr, Vector};
+use x100_vector::{aggr as vaggr, GroupTable, Vector};
 
 /// The parallelizable shape of a checked plan.
 struct Decomposed<'a> {
@@ -233,20 +235,23 @@ pub(crate) fn try_execute_parallel(
 
 /// `MergeAggr` — re-aggregates worker partials into final groups.
 ///
-/// Keys are re-grouped through a hash table (raw codes for enum keys,
-/// decoded only at emission, like `HashAggr`); accumulators merge by
-/// function: SUM/COUNT/AVG add, MIN/MAX fold. Partials are consumed in
-/// worker-index order, so group emission order is deterministic.
+/// A partial is a relation of (keys, count, accumulators) rows, so the
+/// merge is an aggregation over it: the same [`GroupTable`] lookup as
+/// `HashAggr` (raw codes for enum keys, decoded only at emission) and
+/// the same update primitives on the accumulator columns — SUM/COUNT/AVG
+/// add, MIN/MAX fold. Partials are consumed in worker-index order, so
+/// group emission order is deterministic.
 pub struct MergeAggrOp {
     spec: MergeSpec,
     partials: Vec<AggrPartial>,
-    buckets: Vec<u32>,
-    group_hashes: Vec<u64>,
-    key_store: Vec<Vector>,
+    table: GroupTable,
     group_counts: Vec<i64>,
     accs: Vec<PartialAcc>,
     n_groups: usize,
+    /// One vector of a partial's keys, their hashes and group ids.
+    key_buf: Vec<Vector>,
     hash_buf: Vec<u64>,
+    grp_buf: Vec<u32>,
     built: bool,
     emit_pos: usize,
     pools: Vec<VecPool>,
@@ -263,34 +268,29 @@ impl MergeAggrOp {
         vector_size: usize,
         ctx: Arc<QueryContext>,
     ) -> Self {
-        let key_store = spec
-            .key_types
-            .iter()
-            .map(|&ty| Vector::with_capacity(ty, 16))
-            .collect();
-        let accs = spec
-            .aggs
-            .iter()
-            .map(|a| match a.acc_ty {
-                x100_vector::ScalarType::F64 => PartialAcc::F64(Vec::new()),
-                _ => PartialAcc::I64(Vec::new()),
-            })
-            .collect();
         let pools = spec
             .fields
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
         MergeAggrOp {
+            table: GroupTable::new(&spec.key_types),
+            group_counts: Vec::new(),
+            accs: spec
+                .aggs
+                .iter()
+                .map(|a| PartialAcc::new(a.acc_ty))
+                .collect(),
+            n_groups: 0,
+            key_buf: spec
+                .key_types
+                .iter()
+                .map(|&ty| Vector::with_capacity(ty, vector_size))
+                .collect(),
+            hash_buf: Vec::new(),
+            grp_buf: Vec::new(),
             spec,
             partials,
-            buckets: vec![0; 1024],
-            group_hashes: Vec::new(),
-            key_store,
-            group_counts: Vec::new(),
-            accs,
-            n_groups: 0,
-            hash_buf: Vec::new(),
             built: false,
             emit_pos: 0,
             pools,
@@ -300,132 +300,56 @@ impl MergeAggrOp {
         }
     }
 
-    /// Fold `partial` group `g` into global group `target` (which must
-    /// already exist).
-    fn merge_into(&mut self, target: usize, partial: &AggrPartial, g: usize) {
-        self.group_counts[target] += partial.counts[g];
-        for (ai, spec) in self.spec.aggs.iter().enumerate() {
-            match (&mut self.accs[ai], &partial.accs[ai]) {
-                (PartialAcc::F64(dst), PartialAcc::F64(src)) => {
-                    let v = src[g];
-                    match spec.func {
-                        AggFunc::Min => {
-                            if v < dst[target] {
-                                dst[target] = v;
-                            }
-                        }
-                        AggFunc::Max => {
-                            if v > dst[target] {
-                                dst[target] = v;
-                            }
-                        }
-                        _ => dst[target] += v,
-                    }
-                }
-                (PartialAcc::I64(dst), PartialAcc::I64(src)) => {
-                    let v = src[g];
-                    match spec.func {
-                        AggFunc::Min => {
-                            if v < dst[target] {
-                                dst[target] = v;
-                            }
-                        }
-                        AggFunc::Max => {
-                            if v > dst[target] {
-                                dst[target] = v;
-                            }
-                        }
-                        _ => dst[target] += v,
-                    }
-                }
-                (dst, src) => panic!(
-                    "merge accumulator type mismatch: {:?} <- {:?}",
-                    dst.ty(),
-                    src.ty()
-                ),
-            }
-        }
-    }
-
-    /// Open a new global group from `partial` group `g`; returns its id.
-    fn insert_group(&mut self, hash: u64, partial: &AggrPartial, g: usize) -> usize {
-        let id = self.n_groups;
-        self.n_groups += 1;
-        for (ks, kv) in self.key_store.iter_mut().zip(partial.keys.iter()) {
-            push_from(ks, kv, g);
-        }
-        self.group_hashes.push(hash);
-        self.group_counts.push(partial.counts[g]);
-        for (dst, src) in self.accs.iter_mut().zip(partial.accs.iter()) {
-            match (dst, src) {
-                (PartialAcc::F64(d), PartialAcc::F64(s)) => d.push(s[g]),
-                (PartialAcc::I64(d), PartialAcc::I64(s)) => d.push(s[g]),
-                (d, s) => panic!(
-                    "merge accumulator type mismatch: {:?} <- {:?}",
-                    d.ty(),
-                    s.ty()
-                ),
-            }
-        }
-        id
-    }
-
-    /// Fold one partial's groups into the global table. Returns the
-    /// number of input groups folded.
+    /// Fold one partial's groups into the global table, a vector at a
+    /// time. Returns the number of input groups folded.
     fn fold_partial(
         &mut self,
         partial: &AggrPartial,
         prof: &mut Profiler,
     ) -> Result<usize, PlanError> {
         self.ctx.check()?;
-        let n = partial.n_groups;
-        if n == 0 {
-            return Ok(0);
-        }
-        if self.spec.key_types.is_empty() {
-            // Ungrouped: everything folds into global group 0.
-            if self.n_groups == 0 {
-                self.insert_group(0, partial, 0);
-            } else {
-                self.merge_into(0, partial, 0);
+        for base in (0..partial.n_groups).step_by(self.vector_size) {
+            let n = self.vector_size.min(partial.n_groups - base);
+            for (buf, keys) in self.key_buf.iter_mut().zip(&partial.keys) {
+                buf.clear();
+                extend_range(buf, keys, base, n);
             }
-            return Ok(n);
-        }
-        ensure_capacity(
-            &mut self.buckets,
-            &self.group_hashes,
-            self.n_groups,
-            self.n_groups + n,
-        );
-        self.hash_buf.resize(n, 0);
-        let key_refs: Vec<&Vector> = partial.keys.iter().collect();
-        hash_keys(&key_refs, &mut self.hash_buf, n, None, prof);
-        let mask = (self.buckets.len() - 1) as u64;
-        for g in 0..n {
-            let h = self.hash_buf[g];
-            let mut b = (h & mask) as usize;
-            loop {
-                let slot = self.buckets[b];
-                if slot == 0 {
-                    let id = self.insert_group(h, partial, g);
-                    self.buckets[b] = id as u32 + 1;
-                    break;
+            let keys: Vec<&Vector> = self.key_buf.iter().collect();
+            self.hash_buf.resize(n, 0);
+            self.grp_buf.resize(n, 0);
+            hash_keys(&keys, &mut self.hash_buf, n, None, prof);
+            self.table
+                .lookup(&mut self.grp_buf, &self.hash_buf, &keys, n, None);
+            let grp = &self.grp_buf[..n];
+            let groups = self.table.len();
+            self.group_counts.resize(groups, 0);
+            vaggr::aggr_sum_i64_col(
+                &mut self.group_counts,
+                &partial.counts[base..base + n],
+                grp,
+                None,
+            );
+            for ((acc, src), agg) in self.accs.iter_mut().zip(&partial.accs).zip(&self.spec.aggs) {
+                if agg.func == AggFunc::Count {
+                    continue; // emitted from the merged tuple counts
                 }
-                let cand = (slot - 1) as usize;
-                if self.group_hashes[cand] == h
-                    && self
-                        .key_store
-                        .iter()
-                        .zip(partial.keys.iter())
-                        .all(|(ks, kv)| eq_at(ks, cand, kv, g))
-                {
-                    self.merge_into(cand, partial, g);
-                    break;
+                acc.grow(groups, agg.init);
+                match (acc, src) {
+                    (PartialAcc::F64(acc), PartialAcc::F64(src)) => {
+                        update_f64(agg.func, acc, &src[base..base + n], grp, None)
+                    }
+                    (PartialAcc::I64(acc), PartialAcc::I64(src)) => {
+                        update_i64(agg.func, acc, &src[base..base + n], grp, None)
+                    }
+                    (acc, src) => panic!(
+                        "merge accumulator type mismatch: {:?} <- {:?}",
+                        acc.ty(),
+                        src.ty()
+                    ),
                 }
-                b = (b + 1) & mask as usize;
             }
         }
-        Ok(n)
+        Ok(partial.n_groups)
     }
 
     fn build(&mut self, prof: &mut Profiler) -> Result<(), PlanError> {
@@ -452,6 +376,7 @@ impl MergeAggrOp {
             }
             total_in += self.fold_partial(partial, prof)?;
         }
+        self.n_groups = self.table.len();
         // SQL semantics: an ungrouped aggregation over an empty input
         // still yields one row (count 0, sums 0) — the sequential
         // HashAggr synthesizes the same row.
@@ -492,46 +417,16 @@ impl Operator for MergeAggrOp {
         self.emit_pos += n;
         self.out.reset();
         self.out.len = n;
-        let nkeys = self.key_store.len();
-        for k in 0..nkeys {
+        let nkeys = self.spec.key_types.len();
+        for (k, keys) in self.table.keys().iter().enumerate() {
             let mut v = self.pools[k].writable();
-            match &self.spec.key_dicts[k] {
-                None => crate::ops::extend_range(&mut v, &self.key_store[k], start, n),
-                Some(dict) => {
-                    for g in start..start + n {
-                        let code = match &self.key_store[k] {
-                            Vector::U8(c) => c[g] as usize,
-                            Vector::U16(c) => c[g] as usize,
-                            other => panic!("code key is {:?}", other.scalar_type()),
-                        };
-                        v.push_value(&dict.decode(code));
-                    }
-                }
-            }
+            emit_key(&mut v, keys, self.spec.key_dicts[k].as_ref(), start, n);
             self.pools[k].publish(v, &mut self.out);
         }
         for (a, spec) in self.spec.aggs.iter().enumerate() {
             let mut v = self.pools[nkeys + a].writable();
-            match (spec.func, &self.accs[a]) {
-                (AggFunc::Avg, PartialAcc::F64(sums)) => {
-                    let t0 = prof.start();
-                    let o = v.as_f64_mut();
-                    let base = o.len();
-                    o.resize(base + n, 0.0);
-                    vaggr::aggr_avg_epilogue(
-                        &mut o[base..],
-                        &sums[start..start + n],
-                        &self.group_counts[start..start + n],
-                    );
-                    prof.record_prim("aggr_avg_epilogue", t0, n, n * 24);
-                }
-                (_, PartialAcc::F64(vals)) => {
-                    v.as_f64_mut().extend_from_slice(&vals[start..start + n])
-                }
-                (_, PartialAcc::I64(vals)) => {
-                    v.as_i64_mut().extend_from_slice(&vals[start..start + n])
-                }
-            }
+            let (acc, counts) = (&self.accs[a], &self.group_counts);
+            emit_agg(spec.func, acc, counts, &mut v, start, n, prof);
             self.pools[nkeys + a].publish(v, &mut self.out);
         }
         Ok(Some(&self.out))

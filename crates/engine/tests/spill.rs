@@ -137,6 +137,131 @@ fn q1_aggregation_is_byte_identical_across_budgets_and_threads() {
     assert!(live_spill_dirs().is_empty(), "spill dirs leaked");
 }
 
+/// An aggregate list that interleaves everything the update pass
+/// treats differently — f64 sums and averages (fused, and more of them
+/// than one fused pass takes), an i64 sum, f64 and i64 MIN/MAX, COUNT —
+/// against a scalar fold of the same rows, on one and two threads, in
+/// memory and spilled.
+#[test]
+fn interleaved_aggregate_list_matches_a_scalar_fold() {
+    use std::collections::BTreeMap;
+    use x100_vector::Value;
+    let _g = lock();
+    let n = 60_000i64;
+    let db = db(n);
+    let qp = || add(col("qty"), col("price"));
+    let plan = Plan::scan("lineitem", &["id", "flag", "qty", "price"])
+        .aggr(
+            vec![("flag", col("flag"))],
+            vec![
+                AggExpr::sum("sum_qty", col("qty")),
+                AggExpr::sum("sum_id", col("id")),
+                AggExpr::min("min_price", col("price")),
+                AggExpr::avg("avg_qty", col("qty")),
+                AggExpr::count("n"),
+                AggExpr::max("max_id", col("id")),
+                AggExpr::sum("sum_price", col("price")),
+                AggExpr::avg("avg_price", col("price")),
+                AggExpr::max("max_qty", col("qty")),
+                AggExpr::sum("sum_qp", qp()),
+                AggExpr::min("min_id", col("id")),
+                AggExpr::sum("sum_qq", add(col("qty"), col("qty"))),
+                AggExpr::avg("avg_qp", qp()),
+                AggExpr::sum("sum_pp", add(col("price"), col("price"))),
+                AggExpr::sum("sum_qqp", add(col("qty"), qp())),
+                AggExpr::count("n_again"),
+            ],
+        )
+        .order(vec![OrdExp::asc("flag")]);
+
+    // (count, Σqty, Σprice, Σid, min/max price/qty/id) per flag; every
+    // f64 is a multiple of 0.25, so any summation order is exact.
+    #[derive(Clone, Copy)]
+    struct Fold {
+        n: i64,
+        qty: f64,
+        price: f64,
+        id: i64,
+        min_price: f64,
+        max_qty: f64,
+        min_id: i64,
+        max_id: i64,
+    }
+    let mut want: BTreeMap<i64, Fold> = BTreeMap::new();
+    for i in 0..n {
+        let (qty, price) = (
+            ((i * 31) % 400) as f64 * 0.25,
+            ((i * 17) % 800) as f64 * 0.25,
+        );
+        let f = want.entry((i * 7919) % 500).or_insert(Fold {
+            n: 0,
+            qty: 0.0,
+            price: 0.0,
+            id: 0,
+            min_price: f64::MAX,
+            max_qty: f64::MIN,
+            min_id: i64::MAX,
+            max_id: i64::MIN,
+        });
+        f.n += 1;
+        f.qty += qty;
+        f.price += price;
+        f.id += i;
+        f.min_price = f.min_price.min(price);
+        f.max_qty = f.max_qty.max(qty);
+        f.min_id = f.min_id.min(i);
+        f.max_id = f.max_id.max(i);
+    }
+
+    let (_, ladder) = budget_ladder(&db, &plan);
+    let budgets = [None, Some(ladder[2].1)];
+    for threads in [1, 2] {
+        for budget in budgets {
+            let mut opts = ExecOptions::default().profiled().parallel(threads);
+            if let Some(b) = budget {
+                opts = opts.with_mem_budget(b).with_spill_budget(256 << 20);
+            }
+            let (res, prof) = execute(&db, &plan, &opts)
+                .unwrap_or_else(|e| panic!("threads {threads} budget {budget:?}: {e:?}"));
+            if budget.is_some() {
+                assert!(prof.counter("spill_runs").unwrap_or(0) > 0, "should spill");
+            }
+            assert_eq!(res.num_rows(), want.len());
+            for (r, (flag, f)) in want.iter().enumerate() {
+                let nf = f.n as f64;
+                let expect = [
+                    ("flag", Value::I64(*flag)),
+                    ("sum_qty", Value::F64(f.qty)),
+                    ("sum_id", Value::I64(f.id)),
+                    ("min_price", Value::F64(f.min_price)),
+                    ("avg_qty", Value::F64(f.qty / nf)),
+                    ("n", Value::I64(f.n)),
+                    ("max_id", Value::I64(f.max_id)),
+                    ("sum_price", Value::F64(f.price)),
+                    ("avg_price", Value::F64(f.price / nf)),
+                    ("max_qty", Value::F64(f.max_qty)),
+                    ("sum_qp", Value::F64(f.qty + f.price)),
+                    ("min_id", Value::I64(f.min_id)),
+                    ("sum_qq", Value::F64(f.qty + f.qty)),
+                    ("avg_qp", Value::F64((f.qty + f.price) / nf)),
+                    ("sum_pp", Value::F64(f.price + f.price)),
+                    ("sum_qqp", Value::F64(f.qty + f.qty + f.price)),
+                    ("n_again", Value::I64(f.n)),
+                ];
+                for (c, (name, value)) in expect.iter().enumerate() {
+                    assert_eq!(res.col_index(name), Some(c), "column order");
+                    assert_eq!(
+                        &res.value(r, c),
+                        value,
+                        "{name} of flag {flag}, threads {threads}, budget {budget:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(live_spill_dirs().is_empty(), "spill dirs leaked");
+}
+
 #[test]
 fn order_and_topn_are_byte_identical_across_budgets_and_threads() {
     let _g = lock();

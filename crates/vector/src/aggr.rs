@@ -10,6 +10,13 @@
 //! * epilogue = finalization helpers (`avg` from sum+count).
 //!
 //! All update primitives honor an optional selection vector, like maps.
+//!
+//! An operator with several f64 sums does not walk the group-id vector
+//! once per aggregate: the *fused* family `aggr_sum_f64_x{N}_col`
+//! (N = 1..=8) updates N column-major accumulators, the per-group tuple
+//! count and, for direct aggregation, the first-seen list of occupied
+//! slots in one pass. Every accumulator still receives its values in
+//! position order, so each sum is bit-identical to N separate passes.
 
 use crate::sel::SelVec;
 
@@ -123,6 +130,122 @@ pub fn aggr_count(counts: &mut [i64], grp: &[u32], sel: Option<&SelVec>) {
         }
     }
 }
+
+/// Most f64 sums one fused update covers.
+pub const FUSED_SUM_MAX: usize = 8;
+
+/// Fused update pattern: one pass over the live `positions` that counts
+/// the tuple, records a slot the first time it is hit (`OCC`) and adds
+/// `vals[k][i]` to `accs[k][grp[i]]` for every `k`.
+#[inline(always)]
+fn fused_update<const N: usize, const OCC: bool>(
+    accs: &mut [&mut [f64]; N],
+    vals: &[&[f64]; N],
+    counts: &mut [i64],
+    occupied: &mut Vec<u32>,
+    grp: &[u32],
+    positions: impl Iterator<Item = usize>,
+) {
+    // Every accumulator column and every value column is cut to one
+    // common length, so a single bounds check on the group id and one on
+    // the position cover all `N` of them.
+    let (groups, len) = (counts.len(), grp.len());
+    let mut accs = accs.each_mut().map(|a| &mut a[..groups]);
+    let vals = vals.map(|v| &v[..len]);
+    for i in positions {
+        let g = grp[i];
+        let slot = g as usize;
+        if OCC && counts[slot] == 0 {
+            occupied.push(g);
+        }
+        counts[slot] += 1;
+        for (acc, val) in accs.iter_mut().zip(vals.iter()) {
+            acc[slot] += val[i];
+        }
+    }
+}
+
+/// [`fused_update`] over a selection or the dense range, with or
+/// without the occupancy list — one monomorphic loop each.
+#[inline(always)]
+fn fused<const N: usize>(
+    accs: &mut [&mut [f64]; N],
+    vals: &[&[f64]; N],
+    counts: &mut [i64],
+    occupied: Option<&mut Vec<u32>>,
+    grp: &[u32],
+    sel: Option<&SelVec>,
+) {
+    let dense = 0..grp.len();
+    match (occupied, sel) {
+        (Some(occ), Some(sel)) => fused_update::<N, true>(accs, vals, counts, occ, grp, sel.iter()),
+        (Some(occ), None) => fused_update::<N, true>(accs, vals, counts, occ, grp, dense),
+        (None, Some(sel)) => {
+            fused_update::<N, false>(accs, vals, counts, &mut Vec::new(), grp, sel.iter())
+        }
+        (None, None) => fused_update::<N, false>(accs, vals, counts, &mut Vec::new(), grp, dense),
+    }
+}
+
+macro_rules! fused_sum_instances {
+    ($($name:ident => $n:literal),*) => {
+        $(
+            /// Macro-generated fused instance: `counts[grp[i]] += 1` and
+            /// `accs[k][grp[i]] += vals[k][i]` for every `k`, for selected
+            /// `i`; with `occupied`, a slot whose count was 0 is appended
+            /// to it first (first-seen order).
+            #[inline]
+            pub fn $name(
+                accs: &mut [&mut [f64]; $n],
+                vals: &[&[f64]; $n],
+                counts: &mut [i64],
+                occupied: Option<&mut Vec<u32>>,
+                grp: &[u32],
+                sel: Option<&SelVec>,
+            ) {
+                fused(accs, vals, counts, occupied, grp, sel)
+            }
+        )*
+
+        /// The fused instance for `accs.len()` sums (at most
+        /// [`FUSED_SUM_MAX`]); with none it is the count pass alone.
+        ///
+        /// # Panics
+        /// Panics if `accs` and `vals` differ in length or exceed
+        /// [`FUSED_SUM_MAX`].
+        pub fn fused_sum_f64(
+            accs: &mut [&mut [f64]],
+            vals: &[&[f64]],
+            counts: &mut [i64],
+            occupied: Option<&mut Vec<u32>>,
+            grp: &[u32],
+            sel: Option<&SelVec>,
+        ) {
+            assert_eq!(accs.len(), vals.len(), "one value column per accumulator");
+            match accs.len() {
+                0 => fused(&mut [], &[], counts, occupied, grp, sel),
+                $($n => {
+                    let (Ok(accs), Ok(vals)) = (accs.try_into(), vals.try_into()) else {
+                        unreachable!("lengths matched above")
+                    };
+                    $name(accs, vals, counts, occupied, grp, sel)
+                })*
+                n => panic!("no fused instance for {n} sums"),
+            }
+        }
+    };
+}
+
+fused_sum_instances!(
+    aggr_sum_f64_x1_col => 1,
+    aggr_sum_f64_x2_col => 2,
+    aggr_sum_f64_x3_col => 3,
+    aggr_sum_f64_x4_col => 4,
+    aggr_sum_f64_x5_col => 5,
+    aggr_sum_f64_x6_col => 6,
+    aggr_sum_f64_x7_col => 7,
+    aggr_sum_f64_x8_col => 8
+);
 
 /// Ungrouped (scalar) SUM over a vector — the degenerate single-group case.
 #[inline]

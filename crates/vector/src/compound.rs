@@ -103,30 +103,6 @@ pub fn map_chained_mahalanobis_f64_col(
     crate::map::map_div_f64_col_f64_col(res, tmp2, c, sel);
 }
 
-/// Fused `a[i] * b[i]` + grouped-SUM update: the aggregation edge of a
-/// compound expression graph (`sum(x * y)` without materializing `x*y`).
-#[inline]
-pub fn aggr_fused_sum_mul_f64_col(
-    acc: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    grp: &[u32],
-    sel: Option<&SelVec>,
-) {
-    match sel {
-        None => {
-            for ((&x, &y), &g) in a.iter().zip(b.iter()).zip(grp.iter()) {
-                acc[g as usize] += x * y;
-            }
-        }
-        Some(sel) => {
-            for i in sel.iter() {
-                acc[grp[i] as usize] += a[i] * b[i];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,19 +157,5 @@ mod tests {
         let mut r = [-1.0, -1.0];
         map_fused_sub_f64_val_f64_col_mul_f64_col(&mut r, 1.0, &a, &b, Some(&sel));
         assert_eq!(r, [-1.0, 5.0]);
-    }
-
-    #[test]
-    fn fused_aggr_sum_mul() {
-        let a = [2.0, 3.0, 4.0];
-        let b = [10.0, 10.0, 10.0];
-        let grp = [0, 1, 0];
-        let mut acc = [0.0; 2];
-        aggr_fused_sum_mul_f64_col(&mut acc, &a, &b, &grp, None);
-        assert_eq!(acc, [60.0, 30.0]);
-        let sel = SelVec::from_positions(vec![0]);
-        let mut acc2 = [0.0; 2];
-        aggr_fused_sum_mul_f64_col(&mut acc2, &a, &b, &grp, Some(&sel));
-        assert_eq!(acc2, [20.0, 0.0]);
     }
 }

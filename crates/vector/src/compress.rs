@@ -505,6 +505,11 @@ fn pfor_encode_f64(values: &[f64]) -> PforChunk {
             .map(|&v| f64_frame(v, scale_f).ok_or(v.to_bits())),
     );
     c.scale = scale;
+    // A float exception is stored as its raw bits, also when the value
+    // has a frame that merely fell outside the lane.
+    for (frame, &p) in c.exc_frames.iter_mut().zip(&c.exc_pos) {
+        *frame = values[p as usize].to_bits();
+    }
     // The decoder will take the double-product path for this chunk
     // shape; verify every dense value against that exact expression and
     // demote the (rare) near-halfway mismatches to exceptions.
@@ -1869,6 +1874,26 @@ mod tests {
         decompress_pfor_f64_col(&mut out, &c, 1024, &mut scratch);
         for (a, b) in out.iter().zip(&v[1024..1536]) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn pfor_f64_out_of_lane_value_is_a_raw_exception() {
+        // Representable at the chunk's scale, but outside the byte lane
+        // the cluster picks: the exception must hold the value's bits,
+        // like every float exception, not its frame. Both decimal scale
+        // 1 and a scale the double-product decode path takes.
+        for scale in [1.0, 100.0] {
+            let mut v: Vec<f64> = (0..400).map(|i| (100 + i % 50) as f64 / scale).collect();
+            v[7] = 1.0e6 / scale;
+            v[311] = -1.0e6 / scale;
+            let c = compress_pfor_f64_col(&v);
+            assert_eq!((c.lane, c.exc_pos.as_slice()), (8, &[7, 311][..]));
+            let mut out = vec![0f64; v.len()];
+            decompress_pfor_f64_col(&mut out, &c, 0, &mut Vec::new());
+            for (a, b) in out.iter().zip(&v) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

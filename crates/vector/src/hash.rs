@@ -8,6 +8,11 @@
 //! `map_directgrp` implements the *direct aggregation* trick of §4.1.2 /
 //! §3.3: for small-domain keys the bit-concatenation of the key bytes is
 //! itself the aggregate-table slot (no hashing, no collision handling).
+//!
+//! `aggr_grouptable_*` are the vectorized lookup kernels of
+//! [`crate::group::GroupTable`]: a probe round that gathers one tagged
+//! bucket word per pending tuple and splits the tuples three ways
+//! without branching, and one typed key-verify loop per key column.
 
 use crate::sel::SelVec;
 
@@ -152,6 +157,12 @@ pub fn map_directgrp_u8_col(res: &mut [u32], col: &[u8], sel: Option<&SelVec>) {
     crate::map::map1(res, col, sel, |x| x as u32);
 }
 
+/// Direct-grouping start over u16 codes.
+#[inline]
+pub fn map_directgrp_u16_col(res: &mut [u32], col: &[u16], sel: Option<&SelVec>) {
+    crate::map::map1(res, col, sel, |x| x as u32);
+}
+
 /// Direct-grouping chain: `res[i] = res[i] * card + code[i]`
 /// (paper `map_directgrp_uidx_col_uchr_col`; §3.3's
 /// `(returnflag << 8) + linestatus` is the `card = 256` case).
@@ -186,6 +197,203 @@ pub fn map_directgrp_u16_chain(res: &mut [u32], col: &[u16], card: u32, sel: Opt
             }
         }
     }
+}
+
+/// Tag field of a bucket word for `hash` in a table of `1 << bits`
+/// buckets: bits `32..64 - bits` of the hash, held above the `bits`
+/// low bits that carry `group id + 1` (0 = empty bucket). The bucket
+/// index uses the hash's low bits and the spill partition its top
+/// four, so the tag is independent of both.
+#[inline(always)]
+pub fn bucket_tag(hash: u64, bits: u32) -> u32 {
+    ((hash >> 32) as u32) << bits
+}
+
+/// Tuples a probe round resolved, per outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeCounts {
+    /// Tag matched: `grp` holds the candidate group, keys unverified.
+    pub cand: usize,
+    /// Reached an empty bucket: the key is not in the table.
+    pub miss: usize,
+    /// Occupied bucket with another tag: probe the next bucket.
+    pub next: usize,
+}
+
+/// One probe round over `positions`: gather the bucket word `round`
+/// buckets past each tuple's home bucket `hash & mask`, write the
+/// word's group id to `grp`, and append the position to exactly one of
+/// `cand` / `miss` / `next` by bumping three counters — no branch
+/// depends on the data.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one flat kernel signature, like every primitive
+fn probe_round(
+    buckets: &[u32],
+    bits: u32,
+    hashes: &[u64],
+    round: usize,
+    positions: impl Iterator<Item = usize>,
+    grp: &mut [u32],
+    cand: &mut [u32],
+    miss: &mut [u32],
+    next: &mut [u32],
+) -> ProbeCounts {
+    let mask = buckets.len() - 1;
+    let idmask = (1u32 << bits) - 1;
+    let mut c = ProbeCounts::default();
+    for i in positions {
+        let hash = hashes[i];
+        let word = buckets[(hash as usize).wrapping_add(round) & mask];
+        let id = word & idmask;
+        let occupied = id != 0;
+        let hit = occupied & ((word ^ bucket_tag(hash, bits)) & !idmask == 0);
+        grp[i] = id.wrapping_sub(1);
+        cand[c.cand] = i as u32;
+        c.cand += hit as usize;
+        miss[c.miss] = i as u32;
+        c.miss += !occupied as usize;
+        next[c.next] = i as u32;
+        c.next += (occupied & !hit) as usize;
+    }
+    c
+}
+
+/// First probe round of a group-table lookup: every live tuple probes
+/// its home bucket. `buckets.len()` is `1 << bits`; `grp` is
+/// positional, `cand` / `miss` / `next` need room for every live tuple.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn aggr_grouptable_probe_u64_col(
+    buckets: &[u32],
+    bits: u32,
+    hashes: &[u64],
+    sel: Option<&SelVec>,
+    grp: &mut [u32],
+    cand: &mut [u32],
+    miss: &mut [u32],
+    next: &mut [u32],
+) -> ProbeCounts {
+    match sel {
+        None => probe_round(
+            buckets,
+            bits,
+            hashes,
+            0,
+            0..hashes.len(),
+            grp,
+            cand,
+            miss,
+            next,
+        ),
+        Some(sel) => probe_round(buckets, bits, hashes, 0, sel.iter(), grp, cand, miss, next),
+    }
+}
+
+/// Probe round `round` (≥ 1): every tuple at `pending` has been turned
+/// away from `round` buckets — by a foreign tag or a failed key verify
+/// — and probes the next one.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn aggr_grouptable_reprobe_u64_col(
+    buckets: &[u32],
+    bits: u32,
+    hashes: &[u64],
+    round: usize,
+    pending: &[u32],
+    grp: &mut [u32],
+    cand: &mut [u32],
+    miss: &mut [u32],
+    next: &mut [u32],
+) -> ProbeCounts {
+    probe_round(
+        buckets,
+        bits,
+        hashes,
+        round,
+        pending.iter().map(|&p| p as usize),
+        grp,
+        cand,
+        miss,
+        next,
+    )
+}
+
+/// A fixed-width group key: equality is bit equality, the `total_cmp`
+/// the engine groups by (`0.0` and `-0.0` are two groups, a NaN equals
+/// the NaN with the same bits).
+pub trait GroupKey: Copy {
+    /// Whether two keys fall in the same group.
+    fn same(self, other: Self) -> bool;
+}
+
+macro_rules! group_key {
+    ($($ty:ty),*) => {$(
+        impl GroupKey for $ty {
+            #[inline(always)]
+            fn same(self, other: Self) -> bool {
+                self == other
+            }
+        }
+    )*};
+}
+group_key!(u8, u16, u32, i32, i64);
+
+impl GroupKey for f64 {
+    #[inline(always)]
+    fn same(self, other: Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+/// Key verify pattern: for each candidate tuple compare its key with
+/// the stored key of its candidate group. `ne[i]` is set when they
+/// differ (`first` overwrites, later key columns accumulate); returns
+/// whether any candidate differed.
+#[inline(always)]
+fn verify_keys(
+    cand: &[u32],
+    grp: &[u32],
+    ne: &mut [u8],
+    first: bool,
+    differ: impl Fn(usize, usize) -> bool,
+) -> bool {
+    let keep = if first { 0 } else { u8::MAX };
+    let mut any = 0u8;
+    for &p in cand {
+        let i = p as usize;
+        let d = differ(grp[i] as usize, i) as u8;
+        ne[i] = (ne[i] & keep) | d;
+        any |= d;
+    }
+    any != 0
+}
+
+/// Key verify over one fixed-width key column (the
+/// `aggr_grouptable_verify_<ty>_col` instances): `ne[i]` is set where
+/// `store[grp[i]]` and `key[i]` differ, for the candidate positions.
+#[inline]
+pub fn aggr_grouptable_verify_col<T: GroupKey>(
+    store: &[T],
+    key: &[T],
+    grp: &[u32],
+    cand: &[u32],
+    ne: &mut [u8],
+    first: bool,
+) -> bool {
+    verify_keys(cand, grp, ne, first, |g, i| !store[g].same(key[i]))
+}
+
+/// Key verify over string keys.
+#[inline]
+pub fn aggr_grouptable_verify_str_col(
+    store: &crate::StrVec,
+    key: &crate::StrVec,
+    grp: &[u32],
+    cand: &[u32],
+    ne: &mut [u8],
+    first: bool,
+) -> bool {
+    verify_keys(cand, grp, ne, first, |g, i| store.get(g) != key.get(i))
 }
 
 #[cfg(test)]
@@ -293,6 +501,59 @@ mod tests {
         let mut g = [100u32, 100, 100];
         map_directgrp_u8_chain(&mut g, &codes, 10, Some(&sel));
         assert_eq!(g, [100, 1002, 100]);
+    }
+
+    #[test]
+    fn directgrp_u16_start_respects_sel() {
+        let sel = SelVec::from_positions(vec![0, 2]);
+        let mut g = [9u32; 3];
+        map_directgrp_u16_col(&mut g, &[300, 301, 302], Some(&sel));
+        assert_eq!(g, [300, 9, 302]);
+    }
+
+    #[test]
+    fn probe_round_splits_three_ways_and_verify_flags_foreign_keys() {
+        // Four buckets (bits = 2): group 0 sits in bucket 1, group 1 in
+        // bucket 2; bucket 3 is empty.
+        let bits = 2;
+        let hash = |bucket: u64, tag: u64| tag << 32 | bucket;
+        let (h0, h1) = (hash(1, 7), hash(2, 9));
+        let buckets = [0, bucket_tag(h0, bits) | 1, bucket_tag(h1, bits) | 2, 0];
+        // Position 0 finds group 0, 1 hits an empty bucket, 2 meets a
+        // foreign tag, 3 matches group 1's tag with another key.
+        let hashes = [h0, hash(3, 1), hash(1, 8), h1];
+        let (mut grp, mut cand, mut miss, mut next) = ([0u32; 4], [0u32; 4], [0u32; 4], [0u32; 4]);
+        let c = aggr_grouptable_probe_u64_col(
+            &buckets, bits, &hashes, None, &mut grp, &mut cand, &mut miss, &mut next,
+        );
+        assert_eq!((c.cand, c.miss, c.next), (2, 1, 1));
+        assert_eq!((&cand[..2], miss[0], next[0]), (&[0, 3][..], 1, 2));
+        assert_eq!((grp[0], grp[3]), (0, 1));
+        let mut ne = [0u8; 4];
+        let store = [10i64, 11];
+        let keys = [10i64, 0, 0, 12];
+        assert!(aggr_grouptable_verify_col(
+            &store,
+            &keys,
+            &grp,
+            &cand[..2],
+            &mut ne,
+            true
+        ));
+        assert_eq!(ne, [0, 0, 0, 1]);
+        // The turned-away tuple probes on: bucket 2 holds another tag too.
+        let c = aggr_grouptable_reprobe_u64_col(
+            &buckets,
+            bits,
+            &hashes,
+            1,
+            &[2],
+            &mut grp,
+            &mut cand,
+            &mut miss,
+            &mut next,
+        );
+        assert_eq!((c.cand, c.miss, c.next), (0, 0, 1));
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub mod aggr;
 pub mod compound;
 pub mod compress;
 pub mod fetch;
+pub mod group;
 pub mod hash;
 pub mod map;
 pub mod partition;
@@ -36,6 +37,7 @@ pub mod select;
 pub mod types;
 pub mod vector;
 
+pub use group::GroupTable;
 pub use map::CmpOp;
 pub use registry::{
     parse_signature, ArgTy, FactTransfer, OutTy, PrimitiveDesc, PrimitiveKind, PrimitiveRegistry,

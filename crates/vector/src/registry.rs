@@ -368,8 +368,13 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
         "map_uidx_u8_col" | "map_directgrp_u8_col" => {
             return Ok(selful(vec![ArgTy::col(U8)], OutTy::Vec(U32), T::Positions))
         }
-        "map_uidx_u16_col" => {
+        "map_uidx_u16_col" | "map_directgrp_u16_col" => {
             return Ok(selful(vec![ArgTy::col(U16)], OutTy::Vec(U32), T::Positions))
+        }
+        "aggr_grouptable_probe_u64_col" | "aggr_grouptable_reprobe_u64_col" => {
+            // Hash column in, candidate group ids out; driven by
+            // position lists, never by a selection vector.
+            return Ok(dense(vec![ArgTy::col(U64)], OutTy::Vec(U32), T::Positions));
         }
         "map_directgrp_u8_chain" | "map_directgrp_uidx_col_u8_col" => {
             return Ok(selful(
@@ -404,15 +409,6 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
                 T::Opaque,
             );
             s.fusable = sig.starts_with("map_fused");
-            return Ok(s);
-        }
-        "aggr_fused_sum_mul_f64_col" => {
-            let mut s = selful(
-                vec![ArgTy::col(F64), ArgTy::col(F64), ArgTy::col(U32)],
-                OutTy::State,
-                T::Aggregate,
-            );
-            s.fusable = true;
             return Ok(s);
         }
         _ => {}
@@ -590,6 +586,39 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             }
             Ok(dense(vec![ArgTy::col(ty)], OutTy::Vec(ty), T::Passthrough))
         }
+        ("aggr", "grouptable") => {
+            // aggr_grouptable_verify_<ty>_col: stored key column, probe
+            // key column and candidate group ids in, a 0/1 mismatch
+            // flag per candidate out.
+            let ["verify", ty, "col"] = rest else {
+                return Err(format!("group-table signature `{sig}` malformed"));
+            };
+            let ty = ty_token(ty).ok_or_else(|| format!("bad key type in `{sig}`"))?;
+            if !matches!(ty, U8 | U16 | U32 | I32 | I64 | F64 | Str) {
+                return Err(format!("type is not a group key in `{sig}`"));
+            }
+            Ok(dense(
+                vec![ArgTy::col(ty), ArgTy::col(ty), ArgTy::col(U32)],
+                OutTy::Vec(U8),
+                T::Compare,
+            ))
+        }
+        ("aggr", "sum") if rest.get(1).is_some_and(|t| t.starts_with('x')) => {
+            // aggr_sum_f64_x<N>_col_u32_col: the fused family — N f64
+            // value columns and the group-id column update N sums and
+            // the group's tuple count in one pass.
+            let ["f64", width, "col", "u32", "col"] = rest else {
+                return Err(format!("fused aggregate signature `{sig}` malformed"));
+            };
+            let n = width[1..]
+                .parse::<usize>()
+                .ok()
+                .filter(|n| (1..=crate::aggr::FUSED_SUM_MAX).contains(n))
+                .ok_or_else(|| format!("fused aggregate width out of range in `{sig}`"))?;
+            let mut inputs = vec![ArgTy::col(F64); n];
+            inputs.push(ArgTy::col(U32));
+            Ok(selful(inputs, OutTy::State, T::Aggregate))
+        }
         ("aggr", a) if ["sum", "min", "max"].contains(&a) => {
             // aggr_<agg>_<ty>_col_u32_col: value column + group-id column.
             let args = parse_args(rest)?;
@@ -689,6 +718,13 @@ impl PrimitiveRegistry {
                 );
             }
         }
+        for n in 1..=crate::aggr::FUSED_SUM_MAX {
+            reg.register_owned(
+                format!("aggr_sum_f64_x{n}_col_u32_col"),
+                PrimitiveKind::Aggr,
+                "fused update: N f64 sums + group count in one pass (generated)",
+            );
+        }
         reg.register(
             "aggr_count_u32_col",
             PrimitiveKind::Aggr,
@@ -773,6 +809,11 @@ impl PrimitiveRegistry {
             "direct-group start",
         );
         reg.register(
+            "map_directgrp_u16_col",
+            PrimitiveKind::Hash,
+            "direct-group start (u16)",
+        );
+        reg.register(
             "map_directgrp_u8_chain",
             PrimitiveKind::Hash,
             "direct-group chain",
@@ -807,8 +848,25 @@ impl PrimitiveRegistry {
         reg.register(
             "aggr_hashtable_maintain",
             PrimitiveKind::Aggr,
-            "hash-table probe/insert loop (Fig. 6's 'hash table maintenance')",
+            "group-table lookup + insert (Fig. 6's 'hash table maintenance')",
         );
+        reg.register(
+            "aggr_grouptable_probe_u64_col",
+            PrimitiveKind::Aggr,
+            "group-table probe round from the home bucket",
+        );
+        reg.register(
+            "aggr_grouptable_reprobe_u64_col",
+            PrimitiveKind::Aggr,
+            "group-table probe round over the pending list",
+        );
+        for ty in ["u8", "u16", "u32", "i32", "i64", "f64", "str"] {
+            reg.register_owned(
+                format!("aggr_grouptable_verify_{ty}_col"),
+                PrimitiveKind::Aggr,
+                "group-table key verify (generated)",
+            );
+        }
         reg.register(
             "aggr_ordered_boundaries",
             PrimitiveKind::Aggr,
@@ -865,11 +923,6 @@ impl PrimitiveRegistry {
             "map_fused_mahalanobis_f64_col",
             PrimitiveKind::Compound,
             "fused ((a-b)^2)/c",
-        );
-        reg.register(
-            "aggr_fused_sum_mul_f64_col",
-            PrimitiveKind::Compound,
-            "fused grouped sum(a*b)",
         );
         // Chunk codec instances: like the arithmetic maps, each signature
         // list is emitted by the same macro expansion that instantiates
@@ -1033,7 +1086,7 @@ mod tests {
         .sum();
         assert_eq!(total, reg.len());
         assert!(reg.count_kind(PrimitiveKind::Select) >= 84);
-        assert_eq!(reg.count_kind(PrimitiveKind::Compound), 4);
+        assert_eq!(reg.count_kind(PrimitiveKind::Compound), 3);
         // 9 PFOR pairs + 8 PFOR-DELTA pairs + 4 PDICT pairs, plus 13
         // selective-decode gathers (9 PFOR + 4 PDICT).
         assert_eq!(reg.count_kind(PrimitiveKind::Compress), 55);
@@ -1133,6 +1186,9 @@ mod tests {
             ("decompress_pfor_i64_col", FactTransfer::Passthrough),
             ("decode_sel_pdict_str_col", FactTransfer::Passthrough),
             ("aggr_sum_f64_col_u32_col", FactTransfer::Aggregate),
+            ("aggr_sum_f64_x5_col_u32_col", FactTransfer::Aggregate),
+            ("aggr_grouptable_probe_u64_col", FactTransfer::Positions),
+            ("aggr_grouptable_verify_f64_col", FactTransfer::Compare),
             ("map_scatter_u32_col_i64_col", FactTransfer::Sink),
             ("compress_pdict_str_col", FactTransfer::Sink),
             ("aggr_avg_epilogue", FactTransfer::Opaque),
@@ -1196,6 +1252,9 @@ mod tests {
             "map_add_f64_col_i32_col",           // mixed arith types
             "select_lt_f64",                     // missing shape
             "aggr_sum_f64_col_i64_col",          // group arg must be u32
+            "aggr_sum_f64_x9_col_u32_col",       // fused family stops at 8
+            "aggr_sum_i64_x2_col_u32_col",       // fused sums are f64
+            "aggr_grouptable_verify_bool_col",   // not a group key type
             "cmp_pfor_ne_i64_col_val",           // != is not a frame range
             "cmp_pfor_eq_str_col_val",           // PFOR is numeric-only
             "cmp_pdict_between_i64_col_val_val", // between is PFOR-only

@@ -5,12 +5,16 @@
 //! 2. a primitive run under a selection vector equals the dense run
 //!    restricted to the selected positions;
 //! 3. chained selects equal one conjunctive filter;
-//! 4. fused compound primitives equal their chained expansions.
+//! 4. fused compound primitives equal their chained expansions;
+//! 5. the vectorized group table assigns the ids a tuple-at-a-time
+//!    `HashMap` would, in first-seen order;
+//! 6. the fused aggregate update equals N single-aggregate passes, bit
+//!    for bit.
 
 use proptest::prelude::*;
 use x100_vector::map::{self, CmpOp};
 use x100_vector::select::{select_cmp_col_val, SelectStrategy};
-use x100_vector::{aggr, compound, fetch, hash, SelVec};
+use x100_vector::{aggr, compound, fetch, hash, GroupTable, ScalarType, SelVec, StrVec, Vector};
 
 /// Strategy: a data vector plus a valid ascending selection over it.
 fn data_and_sel() -> impl Strategy<Value = (Vec<i64>, Vec<u32>)> {
@@ -28,7 +32,235 @@ fn data_and_sel() -> impl Strategy<Value = (Vec<i64>, Vec<u32>)> {
     })
 }
 
+/// Key column `ty` (index into the seven group-key types) from small
+/// integer draws. The f64 domain starts with both zeroes and two NaNs:
+/// four distinct keys under bit equality, the zeroes sharing a hash.
+fn key_column(ty: usize, draws: &[u32]) -> Vector {
+    const F64_EDGES: [u64; 4] = [
+        0,                     // 0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x7ff8_0000_0000_0000, // NaN
+        0x7ff8_0000_0000_0001, // another NaN
+    ];
+    match ty {
+        0 => Vector::U8(draws.iter().map(|&d| d as u8).collect()),
+        1 => Vector::U16(draws.iter().map(|&d| d as u16).collect()),
+        2 => Vector::U32(draws.to_vec()),
+        3 => Vector::I32(draws.iter().map(|&d| d as i32 - 7).collect()),
+        4 => Vector::I64(draws.iter().map(|&d| (d as i64 - 7) << 33).collect()),
+        5 => Vector::F64(
+            draws
+                .iter()
+                .map(|&d| match F64_EDGES.get(d as usize) {
+                    Some(&bits) => f64::from_bits(bits),
+                    None => d as f64 * 0.25,
+                })
+                .collect(),
+        ),
+        _ => Vector::Str(
+            draws
+                .iter()
+                .map(|&d| format!("k{}", d % 97))
+                .collect::<Vec<_>>()
+                .iter()
+                .map(String::as_str)
+                .collect::<StrVec>(),
+        ),
+    }
+}
+
+/// The hash + rehash chain the engine runs over key columns.
+fn hash_key_columns(keys: &[Vector], n: usize, sel: Option<&SelVec>) -> Vec<u64> {
+    let mut h = vec![0u64; n];
+    for (k, key) in keys.iter().enumerate() {
+        match (key, k == 0) {
+            (Vector::U8(v), true) => hash::map_hash_u8_col(&mut h, v, sel),
+            (Vector::U8(v), false) => hash::map_rehash_u8_col(&mut h, v, sel),
+            (Vector::U16(v), true) => hash::map_hash_u16_col(&mut h, v, sel),
+            (Vector::U16(v), false) => hash::map_rehash_u16_col(&mut h, v, sel),
+            (Vector::U32(v), true) => hash::map_hash_u32_col(&mut h, v, sel),
+            (Vector::U32(v), false) => hash::map_rehash_u32_col(&mut h, v, sel),
+            (Vector::I32(v), true) => hash::map_hash_i32_col(&mut h, v, sel),
+            (Vector::I32(v), false) => hash::map_rehash_i32_col(&mut h, v, sel),
+            (Vector::I64(v), true) => hash::map_hash_i64_col(&mut h, v, sel),
+            (Vector::I64(v), false) => hash::map_rehash_i64_col(&mut h, v, sel),
+            (Vector::F64(v), true) => hash::map_hash_f64_col(&mut h, v, sel),
+            (Vector::F64(v), false) => hash::map_rehash_f64_col(&mut h, v, sel),
+            (Vector::Str(v), true) => hash::map_hash_str_col(&mut h, v, sel),
+            (Vector::Str(v), false) => hash::map_rehash_str_col(&mut h, v, sel),
+            (other, _) => panic!("not a key type: {:?}", other.scalar_type()),
+        }
+    }
+    h
+}
+
+/// What makes two keys the same group: the value's bits, or the string.
+fn key_identity(keys: &[Vector], i: usize) -> Vec<(u64, String)> {
+    keys.iter()
+        .map(|k| match k {
+            Vector::F64(v) => (v[i].to_bits(), String::new()),
+            Vector::Str(v) => (0, v.get(i).to_owned()),
+            other => match other.get_value(i) {
+                x100_vector::Value::U8(x) => (x as u64, String::new()),
+                x100_vector::Value::U16(x) => (x as u64, String::new()),
+                x100_vector::Value::U32(x) => (x as u64, String::new()),
+                x100_vector::Value::I32(x) => (x as u64, String::new()),
+                x100_vector::Value::I64(x) => (x as u64, String::new()),
+                v => panic!("not a key value: {v:?}"),
+            },
+        })
+        .collect()
+}
+
+/// A batch of a group-table run: three columns of draws, a selection
+/// mask (`None` = dense).
+type GroupBatch = (Vec<(u32, u32, u32)>, Option<Vec<bool>>);
+
+fn group_batches() -> impl Strategy<Value = (u32, Vec<GroupBatch>)> {
+    // Small domains repeat a new key inside one vector; the large one
+    // outgrows the initial bucket array several times over.
+    prop_oneof![Just(3u32), Just(40u32), Just(5000u32)].prop_flat_map(|domain| {
+        let rows = prop::collection::vec((0..domain, 0..domain.min(7), 0..2u32), 0..400);
+        let batch = rows.prop_flat_map(|rows| {
+            let n = rows.len();
+            let mask = prop_oneof![
+                Just(None),
+                prop::collection::vec(prop::bool::ANY, n).prop_map(Some)
+            ];
+            (Just(rows), mask)
+        });
+        (Just(domain), prop::collection::vec(batch, 1..7))
+    })
+}
+
 proptest! {
+    #[test]
+    fn group_table_matches_hashmap_oracle(
+        types in prop::collection::vec(0usize..7, 1..4),
+        (_, batches) in group_batches(),
+        // 0 = real hashes; otherwise every hash is cut to this many
+        // distinct values with equal high halves, so distinct keys
+        // share home bucket *and* tag and only the key verify tells
+        // them apart.
+        collide in prop_oneof![Just(0u64), Just(0u64), Just(1u64), Just(5u64)],
+    ) {
+        let (types, collide): (Vec<usize>, u64) = (types, collide);
+        let key_types: Vec<ScalarType> = types
+            .iter()
+            .map(|&t| key_column(t, &[]).scalar_type())
+            .collect();
+        let mut table = GroupTable::new(&key_types);
+        let mut oracle = std::collections::HashMap::new();
+        let mut first_seen: Vec<Vec<(u64, String)>> = Vec::new();
+        for (rows, mask) in &batches {
+            let n = rows.len();
+            let cols = [
+                rows.iter().map(|r| r.0).collect::<Vec<_>>(),
+                rows.iter().map(|r| r.1).collect(),
+                rows.iter().map(|r| r.2).collect(),
+            ];
+            let keys: Vec<Vector> = types
+                .iter()
+                .zip(&cols)
+                .map(|(&t, c)| key_column(t, c))
+                .collect();
+            let sel = mask.as_ref().map(|m| {
+                SelVec::from_positions((0..n as u32).filter(|&i| m[i as usize]).collect())
+            });
+            let mut hashes = hash_key_columns(&keys, n, sel.as_ref());
+            if collide > 0 {
+                for h in &mut hashes {
+                    *h %= collide;
+                }
+            }
+            let mut grp = vec![u32::MAX; n];
+            let refs: Vec<&Vector> = keys.iter().collect();
+            table.lookup(&mut grp, &hashes, &refs, n, sel.as_ref());
+            for i in 0..n {
+                if mask.as_ref().is_some_and(|m| !m[i]) {
+                    prop_assert_eq!(grp[i], u32::MAX, "unselected position written");
+                    continue;
+                }
+                let id = key_identity(&keys, i);
+                let next = oracle.len() as u32;
+                let want = *oracle.entry(id.clone()).or_insert_with(|| {
+                    first_seen.push(id);
+                    next
+                });
+                prop_assert_eq!(grp[i], want, "row {} of a batch of {}", i, n);
+            }
+        }
+        // The stored keys are the first-seen keys, in id order.
+        prop_assert_eq!(table.len(), first_seen.len());
+        for (g, id) in first_seen.iter().enumerate() {
+            prop_assert_eq!(&key_identity(table.keys(), g), id);
+        }
+    }
+
+    #[test]
+    fn fused_update_equals_single_aggregate_passes(
+        n_sums in 0usize..9,
+        // Long same-group runs are the store-to-load chain the fused
+        // pass must not reorder; run length 1 is random arrival.
+        run in prop_oneof![Just(1usize), Just(5usize), Just(300usize)],
+        draws in prop::collection::vec((0u32..6, -1.0e6f64..1.0e6), 0..700),
+        keep_one_in in prop_oneof![Just(1u32), Just(2u32), Just(40u32)],
+        track in prop::bool::ANY,
+    ) {
+        let draws: Vec<(u32, f64)> = draws;
+        let (n, run, keep_one_in): (usize, usize, u32) = (draws.len(), run, keep_one_in);
+        let grp: Vec<u32> = (0..n).map(|i| draws[i - i % run].0).collect();
+        let vals: Vec<Vec<f64>> = (0..n_sums)
+            .map(|k| draws.iter().map(|d| d.1 * (k as f64 + 0.1) + 1e-3).collect())
+            .collect();
+        let sel = (keep_one_in > 1).then(|| {
+            SelVec::from_positions((0..n as u32).filter(|i| i % keep_one_in == 0).collect())
+        });
+        let sel = sel.as_ref();
+
+        // Reference: the count pass and one sum pass per accumulator,
+        // over two batches' worth of state (updates accumulate).
+        let mut want_counts = vec![0i64; 6];
+        let mut want_accs = vec![vec![0.0f64; 6]; n_sums];
+        let mut want_occupied: Vec<u32> = Vec::new();
+        let mut counts = vec![0i64; 6];
+        let mut accs = vec![vec![0.0f64; 6]; n_sums];
+        let mut occupied: Vec<u32> = Vec::new();
+        for _ in 0..2 {
+            let live: Vec<usize> = match sel {
+                None => (0..n).collect(),
+                Some(s) => s.iter().collect(),
+            };
+            for &i in &live {
+                if want_counts[grp[i] as usize] == 0 && !want_occupied.contains(&grp[i]) {
+                    want_occupied.push(grp[i]);
+                }
+            }
+            aggr::aggr_count(&mut want_counts, &grp, sel);
+            for (acc, val) in want_accs.iter_mut().zip(&vals) {
+                aggr::aggr_sum_f64_col(acc, val, &grp, sel);
+            }
+            let mut acc_refs: Vec<&mut [f64]> = accs.iter_mut().map(|a| a.as_mut_slice()).collect();
+            let val_refs: Vec<&[f64]> = vals.iter().map(|v| v.as_slice()).collect();
+            aggr::fused_sum_f64(
+                &mut acc_refs,
+                &val_refs,
+                &mut counts,
+                track.then_some(&mut occupied),
+                &grp,
+                sel,
+            );
+        }
+        prop_assert_eq!(&counts, &want_counts);
+        for (acc, want) in accs.iter().zip(&want_accs) {
+            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(acc), bits(want));
+        }
+        if track {
+            prop_assert_eq!(occupied, want_occupied);
+        }
+    }
+
     #[test]
     fn branch_equals_predicated((data, _) in data_and_sel(), v in -1000i64..1000) {
         let mut s1 = SelVec::default();

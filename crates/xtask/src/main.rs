@@ -288,12 +288,14 @@ fn registry_parity(root: &Path, failures: &mut Vec<String>) {
             || sig.starts_with("map_scatter_")    // generic scatter (fetch.rs)
             || sig.starts_with("map_hash_")       // generic hash_col (hash.rs)
             || sig.starts_with("map_rehash_")     // generic rehash_col (hash.rs)
-            || sig.starts_with("aggr_sum_")       // generic accumulate (aggr.rs)
+            || sig.starts_with("aggr_sum_")       // generic accumulate and the
+                                                  // fused x{N} instances (aggr.rs)
             || sig.starts_with("aggr_min_")
             || sig.starts_with("aggr_max_")
+            || sig.starts_with("aggr_grouptable_verify_") // generic key verify (hash.rs)
             || sig.starts_with("map_uidx_")       // generic widen (fetch.rs)
             || sig == "map_fill_const"            // interpreter inline fill
-            || sig == "aggr_hashtable_maintain"   // HashAggrOp infrastructure
+            || sig == "aggr_hashtable_maintain"   // GroupTable::lookup (group.rs)
             || sig == "aggr_ordered_boundaries"   // OrdAggrOp infrastructure
             || sig == "sort_permutation"          // OrderOp infrastructure
             || sig == "radix_scatter_positions"   // partition.rs infrastructure
@@ -408,6 +410,7 @@ fn kernel_hygiene(root: &Path, failures: &mut Vec<String>) {
         "aggr.rs",
         "fetch.rs",
         "hash.rs",
+        "group.rs",
         "compound.rs",
         "partition.rs",
         "sel.rs",
