@@ -4,7 +4,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use x100_vector::{aggr, fetch, hash, map, GroupTable, ScalarType, SelVec, Vector};
+use x100_vector::select::{select_cmp_col_val, SelectStrategy};
+use x100_vector::{aggr, fetch, hash, map, CmpOp, GroupTable, ScalarType, SelVec, Vector};
 
 const N: usize = 1024;
 
@@ -189,5 +190,99 @@ fn bench_aggr(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_primitives, bench_aggr);
+/// Ordered aggregation's group-id pass (run boundaries, then the
+/// group-opening positions) against the group-table lookup it replaces,
+/// on the same clustered keys, at run lengths 1 / 4 / 1 K.
+fn bench_ordaggr(c: &mut Criterion) {
+    const BATCHES: usize = 64;
+    let mut g = c.benchmark_group("ordaggr");
+    g.throughput(Throughput::Elements(N as u64));
+    for run in [1usize, 4, 1024] {
+        // Sorted keys, each repeated `run` times, continuing across
+        // batches like a scan of a clustered column.
+        let batches: Vec<(Vec<i64>, Vec<u64>)> = (0..BATCHES)
+            .map(|b| {
+                let keys: Vec<i64> = (0..N).map(|i| ((b * N + i) / run) as i64).collect();
+                let mut hashes = vec![0u64; N];
+                hash::map_hash_i64_col(&mut hashes, &keys, None);
+                (keys, hashes)
+            })
+            .collect();
+        let mut grp = vec![0u32; N];
+        let mut starts = Vec::with_capacity(N);
+        let mut at = 0;
+        g.bench_function(format!("boundaries + starts (run {run})"), |bch| {
+            bch.iter(|| {
+                let (keys, _) = &batches[at % BATCHES];
+                let open = (at % BATCHES > 0).then(|| batches[at % BATCHES - 1].0[N - 1]);
+                at += 1;
+                hash::aggr_ordered_boundaries_i64_col(black_box(&mut grp), keys, open, None, true);
+                hash::aggr_ordered_starts_u32_col(&mut starts, &grp, None, open.is_some());
+                black_box(starts.len())
+            })
+        });
+        // The hash variant in its steady state: hash the keys, then
+        // look every one of them up (all present).
+        let mut table = GroupTable::new(&[ScalarType::I64]);
+        let vectors: Vec<Vector> = batches
+            .iter()
+            .map(|(k, _)| Vector::I64(k.clone()))
+            .collect();
+        for (keys, (_, hashes)) in vectors.iter().zip(&batches) {
+            table.lookup(&mut grp, hashes, &[keys], N, None);
+        }
+        let mut hashes = vec![0u64; N];
+        let mut at = 0;
+        g.bench_function(format!("hash + group lookup (run {run})"), |bch| {
+            bch.iter(|| {
+                let keys = &vectors[at % BATCHES];
+                at += 1;
+                hash::map_hash_i64_col(black_box(&mut hashes), keys.as_i64(), None);
+                table.lookup(black_box(&mut grp), &hashes, &[keys], N, None);
+            })
+        });
+    }
+    g.finish();
+}
+
+/// Figure 2 at vector granularity: the two select code shapes at the
+/// selectivities that decide which one the engine runs (`fig2` sweeps
+/// the same kernels over 4 M values).
+fn bench_select(c: &mut Criterion) {
+    let col: Vec<i32> = {
+        let mut rng = StdRng::seed_from_u64(9);
+        (0..N).map(|_| rng.gen_range(0..1000)).collect()
+    };
+    let mut out = SelVec::default();
+    let mut g = c.benchmark_group("select");
+    g.throughput(Throughput::Elements(N as u64));
+    for pct in [0, 1, 3, 10, 50, 99] {
+        for (name, shape) in [
+            ("branch", SelectStrategy::Branch),
+            ("predicated", SelectStrategy::Predicated),
+        ] {
+            g.bench_function(format!("select_lt_i32_col_val {name} ({pct} %)"), |bch| {
+                bch.iter(|| {
+                    select_cmp_col_val(
+                        black_box(&mut out),
+                        black_box(&col),
+                        pct * 10,
+                        CmpOp::Lt,
+                        None,
+                        shape,
+                    )
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_primitives,
+    bench_aggr,
+    bench_ordaggr,
+    bench_select
+);
 criterion_main!(benches);

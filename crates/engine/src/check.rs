@@ -9,8 +9,9 @@
 //! [`check_plan`] walks a [`Plan`] once, resolves its tables, derives each
 //! node's output shape and enum-dictionary metadata, rewrites enum
 //! literals, splits predicates, types aggregates, picks the physical
-//! variant (direct / hash aggregation, fused compressed scan-select,
-//! constant-folded selection, unchecked fetch), compiles every expression
+//! variant (direct / hash / ordered aggregation, fused compressed
+//! scan-select, constant-folded selection, unchecked fetch, selection
+//! before fetch), compiles every expression
 //! exactly once, validates each emitted primitive instruction against the
 //! typed catalog ([`x100_vector::PrimitiveRegistry`]) and threads the
 //! facts analyzer ([`crate::facts`]) through the same pass.
@@ -45,15 +46,20 @@
 //!    `map_eq_u64_col_col` projection would panic in kernel dispatch;
 //!    here it is rejected before execution).
 //!
-//! [`explain_check`] renders the walk for humans.
+//! The walk also applies the engine's rewrite [`RULES`]: where a plan
+//! node and its already-checked input match a rule and the facts prove
+//! its conditions, the node is planned as the rule's cheaper shape —
+//! still ordinary [`CheckedNode`]s — and the decision is a line of the
+//! walk log. [`explain_check`] renders the walk for humans.
 
 use crate::batch::OutField;
 use crate::compile::{CheckViolation, ExprCode, ExprProg, Instr, Src};
 use crate::expr::{AggExpr, AggFunc, Expr};
 use crate::facts::{self, ColFact, FactRange, NodeFacts};
+use crate::ops::parallel::morsel_spine;
 use crate::ops::{
-    fused_signature, has_unchecked_twin, AggSpec, DirectAggrOp, DirectKey, FetchSpec, JoinParts,
-    JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
+    fused_signature, has_unchecked_twin, AggSpec, DerivedCol, DirectAggrOp, DirectKey, FetchSource,
+    FetchSpec, JoinParts, JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
 };
 use crate::plan::{self, DirectKeySpec, Plan};
 use crate::session::{Database, ExecOptions};
@@ -65,6 +71,33 @@ use x100_vector::{CmpOp, PrimitiveDesc, PrimitiveRegistry, ScalarType, Value, Ve
 
 /// A predicate conjunct over verified (shared, register-free) programs.
 type SelStep = PredStep<Arc<ExprCode>>;
+
+/// `(table column, output alias)` entries of one `Fetch1Join` plan
+/// node: of its decoded fetches, and of its code fetches.
+type FetchLists<'p> = (Vec<&'p (String, String)>, Vec<&'p (String, String)>);
+
+/// The rewrite rules of the plan walk, by id, in the order a node tries
+/// them. A rule matches one plan node against its already-checked
+/// input, fires only on what [`crate::facts`] proves, plans the node as
+/// ordinary [`CheckedNode`]s, and records every decision under its id
+/// in the walk log (`--explain-check`); DESIGN.md "Rules" has the
+/// soundness argument of each. `cargo xtask lint` rule 10 keeps every
+/// id in a walk-log message and in the rewritten-vs-as-given
+/// differential test.
+pub const RULES: [&str; 2] = [
+    // `Select` over `Fetch1Join`s: columns the predicate does not need
+    // are fetched above the selection, and a predicate that reads only
+    // one small, delta-free table is evaluated over that table once.
+    "select-before-fetch",
+    // `Aggr` whose keys are all proven sorted: the streaming ordered
+    // aggregation instead of the hash table.
+    "sorted-keys-ordered-aggr",
+];
+
+/// Name stem of the one-byte column rule `select-before-fetch` gathers
+/// in place of the predicate's operands (`#` cannot start a column name
+/// in the textual algebra; a serial number keeps two apart).
+const KEEP_COL: &str = "#keep";
 
 /// Per output column: the enum dictionary when the column carries raw
 /// codes. Shared, because every node above a code column passes it on.
@@ -117,17 +150,18 @@ pub struct PlanFacts {
     root: CheckedNode,
     plan: Plan,
     db_stamp: (u64, u64),
-    opts_key: [bool; 5],
+    opts_key: [bool; 6],
 }
 
 /// The options that shape the checked tree.
-fn opts_key(opts: &ExecOptions) -> [bool; 5] {
+fn opts_key(opts: &ExecOptions) -> [bool; 6] {
     [
         opts.compound_primitives,
         opts.compressed_pushdown,
         opts.unchecked_fetch,
         opts.enforce_facts,
         opts.spill_budget.is_some(),
+        opts.threads > 1,
     ]
 }
 
@@ -216,9 +250,14 @@ pub(crate) enum CheckedOp {
         aggs: Vec<AggSpec>,
         merge: MergeSpec,
     },
+    /// With `morsel`, rule `sorted-keys-ordered-aggr` chose this variant
+    /// over a pipeline the morsel driver can split: if it splits the
+    /// plan at this node, its workers group by hash and ship partials
+    /// under that recipe.
     OrdAggr {
         keys: Vec<Arc<ExprCode>>,
         aggs: Vec<AggSpec>,
+        morsel: Option<MergeSpec>,
     },
     Fetch1Join {
         table: Arc<Table>,
@@ -275,6 +314,8 @@ impl CheckedOp {
                 aggr_programs(keys, aggs)
             }
             CheckedOp::DirectAggr { aggs, .. } => aggr_programs(&[], aggs),
+            // A derived fetch column's predicate is instantiated when the
+            // column is first gathered, not with the operator.
             CheckedOp::Fetch1Join { rowid, .. } => vec![rowid],
             CheckedOp::FetchNJoin { lo, cnt, .. } => vec![lo, cnt],
             CheckedOp::HashJoin(parts) => {
@@ -351,10 +392,33 @@ pub fn check_plan(
     plan: &Plan,
     opts: &ExecOptions,
 ) -> Result<CheckSummary, PlanError> {
+    check_with(db, plan, opts, true)
+}
+
+/// [`check_plan`] with the rule list off: every node is planned as the
+/// plan wrote it. Hidden — it exists as the reference side of the
+/// rewritten-vs-as-given differential test, not as an option.
+#[doc(hidden)]
+pub fn check_plan_as_given(
+    db: &Database,
+    plan: &Plan,
+    opts: &ExecOptions,
+) -> Result<CheckSummary, PlanError> {
+    check_with(db, plan, opts, false)
+}
+
+fn check_with(
+    db: &Database,
+    plan: &Plan,
+    opts: &ExecOptions,
+    rules: bool,
+) -> Result<CheckSummary, PlanError> {
     let mut c = Checker {
         db,
         opts,
         reg: registry(),
+        rules,
+        keeps: 0,
         nodes: 0,
         instrs: 0,
         report: Vec::new(),
@@ -456,6 +520,10 @@ struct Checker<'a> {
     db: &'a Database,
     opts: &'a ExecOptions,
     reg: &'static PrimitiveRegistry,
+    /// Whether the [`RULES`] apply (off only for the as-given reference).
+    rules: bool,
+    /// [`KEEP_COL`] columns named so far.
+    keeps: usize,
     nodes: usize,
     instrs: usize,
     report: Vec<String>,
@@ -582,8 +650,8 @@ impl<'a> Checker<'a> {
             }
         };
         for (i, (instr, sig)) in prog.instr_list().iter().enumerate() {
-            let ipath = format!("{path}.instr[{i}]");
-            let desc = self.require_instr(sig, || ipath.clone())?;
+            let ipath = || format!("{path}.instr[{i}]");
+            let desc = self.require_instr(sig, ipath)?;
             let (context, srcs) = col_operands(instr);
             // Positional typing: the instruction's column operands must
             // match the registered signature's column inputs.
@@ -599,7 +667,7 @@ impl<'a> Checker<'a> {
                     let got = src_ty(s);
                     if got != *want {
                         return Err(PlanError::PlanCheck {
-                            path: ipath,
+                            path: ipath(),
                             violation: CheckViolation::TypeMismatch {
                                 signature: sig.clone(),
                                 detail: format!("operand is {got}, primitive expects {want}"),
@@ -625,7 +693,7 @@ impl<'a> Checker<'a> {
                     if let Src::Col(ci) = s {
                         if dicts.get(ci as usize).is_some_and(|d| d.is_some()) {
                             return Err(PlanError::PlanCheck {
-                                path: ipath,
+                                path: ipath(),
                                 violation: CheckViolation::UndecodedEnumColumn {
                                     column: fields[ci as usize].name.clone(),
                                     context: context.to_owned(),
@@ -859,6 +927,12 @@ impl<'a> Checker<'a> {
         self.report.push(format!("{path}: {what}"));
     }
 
+    /// Record a decision of one of the [`RULES`] in the walk log.
+    fn rule_note(&mut self, rule: &str, path: &str, what: String) {
+        debug_assert!(RULES.contains(&rule), "`{rule}` is not in RULES");
+        self.report.push(format!("{path}: rule {rule}: {what}"));
+    }
+
     /// When a spill budget is configured, the buffering kernel this
     /// operator leans on must advertise spill capability in the catalog
     /// (`SigInfo::spills`) — otherwise the budget is a promise the
@@ -888,17 +962,17 @@ impl<'a> Checker<'a> {
     /// gather specs, appending output fields, dictionaries and facts.
     /// `proved` (a fetch-bounds proof against `t`) switches eligible
     /// columns to the `_unchecked` gather twins.
-    fn fetch_specs(
+    fn fetch_specs<'p>(
         &mut self,
         t: &Table,
-        fetch: &[(String, String)],
+        fetch: impl IntoIterator<Item = &'p (String, String)>,
         as_codes: bool,
         proved: bool,
         path: &str,
         node: &mut NodeShape,
     ) -> Result<Vec<FetchSpec>, PlanError> {
-        let mut specs = Vec::with_capacity(fetch.len());
-        for (i, (src, alias)) in fetch.iter().enumerate() {
+        let mut specs = Vec::new();
+        for (i, (src, alias)) in fetch.into_iter().enumerate() {
             let ci = fetch_column(t, src)?;
             let sc = t.column(ci);
             let (ty, dict) = if as_codes {
@@ -928,7 +1002,7 @@ impl<'a> Checker<'a> {
             );
             self.require(&sig, || format!("{path}[{i}]"))?;
             specs.push(FetchSpec {
-                col: ci,
+                src: FetchSource::Column(ci),
                 sig,
                 as_codes,
                 unchecked,
@@ -951,209 +1025,29 @@ impl<'a> Checker<'a> {
                 cols,
                 code_cols,
                 prune,
-            } => {
-                let t = self.db.table(table)?;
-                let mut node = NodeShape::default();
-                let mut scan_cols = Vec::new();
-                for name in cols {
-                    let ci = t
-                        .column_index(name)
-                        .ok_or_else(|| PlanError::UnknownColumn(name.clone()))?;
-                    let sc = t.column(ci);
-                    // Checkpoint-compressed columns decode on refill:
-                    // the decompress primitive the scan will call must
-                    // be cataloged, same rule as the enum fetch below.
-                    if let Some(cc) = sc.compressed() {
-                        self.require_instr(cc.decode_sig(), || format!("{path}.Scan.col[{name}]"))?;
-                    }
-                    let as_codes = code_cols.contains(name);
-                    let (kind, ty) = match (sc.dict(), as_codes) {
-                        (None, _) => (ScanCol::Plain, sc.field().logical),
-                        (Some(_), true) => (ScanCol::Codes, sc.physical_type()),
-                        (Some(dict), false) => {
-                            // Auto-decode via Fetch1Join(ENUM): the
-                            // gather signature must be cataloged.
-                            let sig = format!(
-                                "map_fetch_{}_col_{}_col",
-                                sc.physical_type().sig_name(),
-                                dict.value_type().sig_name()
-                            );
-                            self.require_instr(&sig, || format!("{path}.Scan.col[{name}]"))?;
-                            (ScanCol::Decode { sig }, dict.value_type())
-                        }
-                    };
-                    scan_cols.push((ci, kind));
-                    node.dicts
-                        .push(sc.dict().filter(|_| as_codes).cloned().map(Arc::new));
-                    node.fields.push(OutField::new(name.clone(), ty));
-                    node.cols.push(facts::source_col_fact(&t, ci, as_codes));
-                }
-                // Raw codes cannot be served from the (logical-value)
-                // insert delta: reject here rather than panic mid-scan.
-                if t.delta_rows() > 0 {
-                    if let Some(name) = cols
-                        .iter()
-                        .find(|c| code_cols.contains(c) && t.column_by_name(c).dict().is_some())
-                    {
-                        return Err(PlanError::Invalid(format!(
-                            "raw-code scan of column `{name}` with pending insert deltas; reorganize first"
-                        )));
-                    }
-                }
-                let spec = ScanSpec {
-                    range: plan::scan_prune_range(&t, prune.as_ref())?,
-                    cols: scan_cols,
-                    push: None,
-                    bm: self.db.buffer_manager(),
-                    table: t.clone(),
-                };
-                self.note(path, format!("Scan `{table}` → {} cols", cols.len()));
-                Ok(node.finish(
-                    path,
-                    u64::try_from(t.total_rows()).ok(),
-                    Vec::new(),
-                    CheckedOp::Scan(spec),
-                ))
-            }
+            } => self.scan_node(table, cols, code_cols, prune.as_ref(), path),
             Plan::Select { input, pred } => {
-                let mut input_node = self.walk(input, &format!("{path}.Select.input"))?;
-                let (fields, dicts) = (input_node.fields.clone(), input_node.dicts.clone());
-                let full = plan::rewrite_enum_literals(pred, &fields, &dicts);
-                // Compression-aware fusion: Select over a Scan of a
-                // checkpoint-compressed column pushes (part of) the
-                // predicate into encoded space — the scan refill becomes
-                // a `CompressedScanSelect` and only surviving positions
-                // are decoded; remaining conjuncts stay a normal Select.
-                // The encoded-space comparison and the selective decode
-                // it triggers must both be cataloged primitives.
-                let fused = match (input.as_ref(), &input_node.op) {
-                    (
-                        Plan::Scan {
-                            cols, code_cols, ..
-                        },
-                        CheckedOp::Scan(spec),
-                    ) => plan::fuse_scan_select(&spec.table, cols, code_cols, pred, self.opts).map(
-                        |f| {
-                            // Co-columns materialize lazily: each
-                            // compressed column with a positional decode
-                            // kernel will call it.
-                            let decode_sels: Vec<(usize, &'static str)> = spec
-                                .cols
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(k, (ci, _))| {
-                                    let cc = spec.table.column(*ci).compressed()?;
-                                    Some((k, cc.decode_sel_sig()?))
-                                })
-                                .collect();
-                            (f, decode_sels)
-                        },
-                    ),
-                    _ => None,
-                };
-                let (steps, push, mut truths, what) = match fused {
-                    Some((f, decode_sels)) => {
-                        self.require_instr(f.push.sig(), || {
-                            format!("{path}.Select.pushdown[{}]", f.col)
-                        })?;
-                        for (k, sig) in decode_sels {
-                            self.require_instr(sig, || {
-                                format!("{path}.Select.decode_sel[{}]", fields[k].name)
-                            })?;
-                        }
-                        let steps = match &f.residual {
-                            None => Vec::new(),
-                            Some(res) => {
-                                let res = plan::rewrite_enum_literals(res, &fields, &dicts);
-                                self.check_select(
-                                    &res,
-                                    &fields,
-                                    &dicts,
-                                    &format!("{path}.Select.residual"),
-                                )?
-                            }
-                        };
-                        let what = format!(
-                            "CompressedScanSelect `{}` [{}] residual [{}]",
-                            f.col,
-                            f.push.sig(),
-                            step_sigs(&steps)
-                        );
-                        let truths: Vec<FactRange> = f
-                            .pushed
-                            .iter()
-                            .map(|e| facts::conjunct_truth(e, &fields, &input_node.facts.cols))
-                            .collect();
-                        let k = fields
-                            .iter()
-                            .position(|fl| fl.name == f.col)
-                            .expect("fused column is scanned");
-                        (steps, Some((k, f.push)), truths, what)
-                    }
-                    None => {
-                        let steps = self.check_select(
-                            &full,
-                            &fields,
-                            &dicts,
-                            &format!("{path}.Select.pred"),
-                        )?;
-                        let what = format!("Select → steps [{}]", step_sigs(&steps));
-                        (steps, None, Vec::new(), what)
-                    }
-                };
-                // Constant-fold sink: a predicate proven always-true is a
-                // pass-through of the input, proven always-false an empty
-                // dataflow; either way no step (nor pushdown) runs.
-                truths.extend(
-                    steps
-                        .iter()
-                        .map(|s| facts::step_truth(s, &input_node.facts.cols, self.reg)),
-                );
-                let verdict = facts::conjunction_verdict(truths);
-                let mut nf = input_node.facts.clone();
-                if verdict == Some(false) {
-                    nf.rows_max = Some(0);
+                // Rule `select-before-fetch` looks through the
+                // `Fetch1Join`s under the selection (innermost first),
+                // so the walk resumes below them.
+                let mut fetches = Vec::new();
+                let mut base = input.as_ref();
+                while let Plan::Fetch1Join { input, .. } = base {
+                    fetches.push(base);
+                    base = input;
                 }
-                facts::refine_with_pred(&full, &fields, &mut nf);
-                let steps = if verdict.is_some() { Vec::new() } else { steps };
-                if let (None, CheckedOp::Scan(spec)) = (verdict, &mut input_node.op) {
-                    spec.push = push;
+                if fetches.is_empty() {
+                    let node = self.walk(base, &format!("{path}.Select.input"))?;
+                    return self.select_node(node, Some(base), pred, path);
                 }
-                self.note(path, what);
-                Ok(CheckedNode {
-                    path: path.to_owned(),
-                    fields,
-                    dicts,
-                    facts: nf,
-                    inputs: vec![input_node],
-                    op: CheckedOp::Select { steps, verdict },
-                })
+                fetches.reverse();
+                let hops = ".Fetch1Join.input".repeat(fetches.len());
+                let node = self.walk(base, &format!("{path}.Select.input{hops}"))?;
+                self.select_over_fetches(node, &fetches, pred, path)
             }
             Plan::Project { input, exprs } => {
                 let input = self.walk(input, &format!("{path}.Project.input"))?;
-                let mut node = NodeShape::default();
-                let mut progs = Vec::with_capacity(exprs.len());
-                for (i, (name, e)) in exprs.iter().enumerate() {
-                    let e = plan::rewrite_enum_literals(e, &input.fields, &input.dicts);
-                    let epath = format!("{path}.Project.expr[{i}]");
-                    let prog = self.compile_verified(&e, &input.fields, &input.dicts, &epath)?;
-                    // Pass-through column refs keep their dict metadata.
-                    node.dicts
-                        .push(prog.as_col_ref().and_then(|ci| input.dicts[ci].clone()));
-                    node.cols
-                        .push(facts::eval_prog(&prog, &input.facts.cols, self.reg));
-                    node.fields
-                        .push(OutField::new(name.clone(), prog.result_type()));
-                    progs.push(prog);
-                }
-                self.note(path, format!("Project → {} exprs", exprs.len()));
-                let rows_max = input.facts.rows_max;
-                Ok(node.finish(
-                    path,
-                    rows_max,
-                    vec![input],
-                    CheckedOp::Project { exprs: progs },
-                ))
+                self.project_node(input, exprs, path)
             }
             Plan::Aggr { input, keys, aggs } => {
                 let input = self.walk(input, &format!("{path}.Aggr.input"))?;
@@ -1176,7 +1070,7 @@ impl<'a> Checker<'a> {
                     Some(dkeys) if !dkeys.is_empty() => {
                         self.check_direct(input, &dkeys, aggs, path)
                     }
-                    _ => self.check_hash_aggr(input, keys, aggs, path),
+                    _ => self.keyed_aggr(input, keys, aggs, path, false),
                 }
             }
             Plan::DirectAggr { input, keys, aggs } => {
@@ -1185,150 +1079,11 @@ impl<'a> Checker<'a> {
             }
             Plan::OrdAggr { input, keys, aggs } => {
                 let input = self.walk(input, &format!("{path}.OrdAggr.input"))?;
-                let mut node = NodeShape::default();
-                let mut key_progs = Vec::with_capacity(keys.len());
-                for (i, (name, e)) in keys.iter().enumerate() {
-                    let kpath = format!("{path}.OrdAggr.key[{i}]");
-                    let prog = self.compile_verified(e, &input.fields, &input.dicts, &kpath)?;
-                    // Ordered aggregation emits groups in input key
-                    // order, so a sorted input key stays sorted.
-                    node.cols
-                        .push(facts::eval_prog(&prog, &input.facts.cols, self.reg));
-                    node.fields
-                        .push(OutField::new(name.clone(), prog.result_type()));
-                    key_progs.push(prog);
-                }
-                self.require("aggr_ordered_boundaries", || format!("{path}.OrdAggr"))?;
-                let aggs = self.check_aggs(
-                    aggs,
-                    &input,
-                    "OrdAggr",
-                    path,
-                    &mut node.fields,
-                    &mut node.cols,
-                )?;
-                self.note(
-                    path,
-                    format!("OrdAggr → {} keys, {} aggs", keys.len(), aggs.len()),
-                );
-                node.dicts = vec![None; node.fields.len()];
-                let rows_max = input.facts.rows_max;
-                Ok(node.finish(
-                    path,
-                    rows_max,
-                    vec![input],
-                    CheckedOp::OrdAggr {
-                        keys: key_progs,
-                        aggs,
-                    },
-                ))
+                self.keyed_aggr(input, keys, aggs, path, true)
             }
-            Plan::Fetch1Join {
-                input,
-                table,
-                rowid,
-                fetch,
-                fetch_codes,
-            } => {
+            Plan::Fetch1Join { input, .. } => {
                 let input = self.walk(input, &format!("{path}.Fetch1Join.input"))?;
-                let t = self.db.table(table)?;
-                let rpath = format!("{path}.Fetch1Join.rowid");
-                // A join index is u32; an enum code column widens to it
-                // — that cast IS the sanctioned decode, so the
-                // enum-escape rule does not apply to the rowid program.
-                let mut natural = ScalarType::U32;
-                let rowid = self.compile_as_at(rowid, &input.fields, &rpath, |ty| match ty {
-                    ScalarType::U32 | ScalarType::U8 | ScalarType::U16 => {
-                        natural = ty;
-                        Ok(ScalarType::U32)
-                    }
-                    other => Err(PlanError::PlanCheck {
-                        path: rpath.clone(),
-                        violation: CheckViolation::TypeMismatch {
-                            signature: "map_fetch_u32_col".to_owned(),
-                            detail: format!(
-                                "Fetch1Join rowid expression must be u32 (join index), got {other}"
-                            ),
-                        },
-                    }),
-                })?;
-                self.verify_prog(&rowid, &input.fields, &input.dicts, &rpath, true)?;
-                // Fetch-bounds proof: the `_unchecked` gather twins read
-                // only the contiguous fragment arrays, so the proof
-                // obligation is `#rowId ⊆ [0, fragment_rows)` (delta rows
-                // would be out of bounds for the raw-slice kernels). The
-                // proof is only attempted for true u32 join indexes; enum
-                // code rowids decode against the dictionary instead.
-                let rid_range = if natural == ScalarType::U32 {
-                    facts::eval_prog(&rowid, &input.facts.cols, self.reg)
-                        .range
-                        .and_then(|r| r.as_int())
-                } else {
-                    None
-                };
-                let frag = t.fragment_rows() as u64;
-                let total = t.total_rows() as u64;
-                let proved = rid_range
-                    .is_some_and(|(lo, hi)| lo >= 0 && u64::try_from(hi).is_ok_and(|h| h < frag));
-                if self.opts.enforce_facts && input.facts.rows_max != Some(0) {
-                    if let Some((lo, _)) = rid_range {
-                        if u64::try_from(lo).is_ok_and(|l| l >= total) {
-                            return Err(PlanError::PlanCheck {
-                                path: rpath,
-                                violation: CheckViolation::FactViolation {
-                                    detail: format!(
-                                        "every #rowId is proven >= {total}, but table \
-                                         `{table}` has only {total} rows: the fetch is \
-                                         certainly out of bounds"
-                                    ),
-                                },
-                            });
-                        }
-                    }
-                }
-                let mut node = NodeShape::from_input(&input);
-                let mut cols = self.fetch_specs(
-                    &t,
-                    fetch,
-                    false,
-                    proved,
-                    &format!("{path}.Fetch1Join.fetch"),
-                    &mut node,
-                )?;
-                self.instrs += cols.len();
-                cols.extend(self.fetch_specs(
-                    &t,
-                    fetch_codes,
-                    true,
-                    proved,
-                    &format!("{path}.Fetch1Join.fetch_codes"),
-                    &mut node,
-                )?);
-                if !fetch_codes.is_empty() && (t.delta_rows() > 0 || !t.deletes().is_empty()) {
-                    return Err(PlanError::Invalid(format!(
-                        "code fetch from `{table}` requires a reorganized table"
-                    )));
-                }
-                self.note(
-                    path,
-                    format!(
-                        "Fetch1Join `{table}` → +{} fetched, +{} code cols",
-                        fetch.len(),
-                        fetch_codes.len()
-                    ),
-                );
-                let rows_max = input.facts.rows_max;
-                Ok(node.finish(
-                    path,
-                    rows_max,
-                    vec![input],
-                    CheckedOp::Fetch1Join {
-                        table: t,
-                        rowid,
-                        cols,
-                        proved,
-                    },
-                ))
+                self.fetch1_node(input, plan, None, None, path)
             }
             Plan::FetchNJoin {
                 input,
@@ -1629,9 +1384,9 @@ impl<'a> Checker<'a> {
                     node.cols.push(ColFact {
                         range: Some(FactRange::Int(0, d - 1)),
                         distinct_max: Some(d as u64),
-                        // Row-major enumeration: the outermost dimension
-                        // is non-decreasing.
-                        sorted: i == 0,
+                        // Dimension 0 varies fastest (`ArrayOp`), so only
+                        // the last dimension is non-decreasing.
+                        sorted: i + 1 == dims.len(),
                         ..ColFact::top()
                     });
                 }
@@ -1647,6 +1402,549 @@ impl<'a> Checker<'a> {
                 ))
             }
         }
+    }
+
+    /// `Scan(table, cols)`, the `code_cols` among them surfaced as raw
+    /// enum codes.
+    fn scan_node(
+        &mut self,
+        table: &str,
+        cols: &[String],
+        code_cols: &[String],
+        prune: Option<&plan::RangePrune>,
+        path: &str,
+    ) -> Result<CheckedNode, PlanError> {
+        let t = self.db.table(table)?;
+        let mut node = NodeShape::default();
+        let mut scan_cols = Vec::new();
+        for name in cols {
+            let ci = t
+                .column_index(name)
+                .ok_or_else(|| PlanError::UnknownColumn(name.clone()))?;
+            let sc = t.column(ci);
+            // Checkpoint-compressed columns decode on refill:
+            // the decompress primitive the scan will call must
+            // be cataloged, same rule as the enum fetch below.
+            if let Some(cc) = sc.compressed() {
+                self.require_instr(cc.decode_sig(), || format!("{path}.Scan.col[{name}]"))?;
+            }
+            let as_codes = code_cols.contains(name);
+            let (kind, ty) = match (sc.dict(), as_codes) {
+                (None, _) => (ScanCol::Plain, sc.field().logical),
+                (Some(_), true) => (ScanCol::Codes, sc.physical_type()),
+                (Some(dict), false) => {
+                    // Auto-decode via Fetch1Join(ENUM): the
+                    // gather signature must be cataloged.
+                    let sig = format!(
+                        "map_fetch_{}_col_{}_col",
+                        sc.physical_type().sig_name(),
+                        dict.value_type().sig_name()
+                    );
+                    self.require_instr(&sig, || format!("{path}.Scan.col[{name}]"))?;
+                    (ScanCol::Decode { sig }, dict.value_type())
+                }
+            };
+            scan_cols.push((ci, kind));
+            node.dicts
+                .push(sc.dict().filter(|_| as_codes).cloned().map(Arc::new));
+            node.fields.push(OutField::new(name.clone(), ty));
+            node.cols.push(facts::source_col_fact(&t, ci, as_codes));
+        }
+        // Raw codes cannot be served from the (logical-value)
+        // insert delta: reject here rather than panic mid-scan.
+        if t.delta_rows() > 0 {
+            if let Some(name) = cols
+                .iter()
+                .find(|c| code_cols.contains(c) && t.column_by_name(c).dict().is_some())
+            {
+                return Err(PlanError::Invalid(format!(
+                    "raw-code scan of column `{name}` with pending insert deltas; reorganize first"
+                )));
+            }
+        }
+        let spec = ScanSpec {
+            range: plan::scan_prune_range(&t, prune)?,
+            cols: scan_cols,
+            push: None,
+            bm: self.db.buffer_manager(),
+            table: t.clone(),
+        };
+        self.note(path, format!("Scan `{table}` → {} cols", cols.len()));
+        Ok(node.finish(
+            path,
+            u64::try_from(t.total_rows()).ok(),
+            Vec::new(),
+            CheckedOp::Scan(spec),
+        ))
+    }
+
+    /// `Select(pred)` over `fetches` (a non-empty chain of `Fetch1Join`
+    /// plan nodes, innermost first) over the checked `base`, planned by
+    /// rule `select-before-fetch`:
+    ///
+    /// * a fetched column that neither the predicate nor the `#rowId`
+    ///   of a fetch the predicate depends on reads is fetched *above*
+    ///   the selection, for the survivors only;
+    /// * when all the predicate reads is what one fetch brings in, the
+    ///   predicate runs once over that fetch's table
+    ///   ([`Self::dimension_side`]) and the fetch gathers its one-byte
+    ///   result for a `select_ne_u8_col_val`.
+    ///
+    /// A closing `Project` restores the columns the plan wrote, in its
+    /// order. With the rule off or nothing to move, every node is as
+    /// written.
+    fn select_over_fetches(
+        &mut self,
+        base: CheckedNode,
+        fetches: &[&Plan],
+        pred: &Expr,
+        path: &str,
+    ) -> Result<CheckedNode, PlanError> {
+        let as_given: Vec<FetchLists> = fetches.iter().map(|f| fetch_lists(f)).collect();
+        let mut early = as_given.clone();
+        let mut late = vec![FetchLists::default(); fetches.len()];
+        let mut derived = None;
+        if let Some(split) =
+            split_fetches(&base.fields, &as_given, fetches, pred).filter(|_| self.rules)
+        {
+            (early, late) = (split.early, split.late);
+            if let Some(j) = split.only {
+                let d = self.dimension_side(fetches[j], &early[j], &base, pred, path)?;
+                if let Some(d) = d {
+                    // The byte stands in for the predicate's operands
+                    // below the selection; they are fetched above it
+                    // with the rest.
+                    early[j] = FetchLists::default();
+                    late[j] = as_given[j].clone();
+                    self.keeps += 1;
+                    derived = Some((j, d, format!("{KEEP_COL}{}", self.keeps)));
+                }
+            }
+        }
+        // The pieces, bottom-up: the fetches the selection needs, the
+        // selection, the late fetches (in the plan's order, so one whose
+        // `#rowId` another brings in follows it), the restoring
+        // projection.
+        let any = |(f, c): &FetchLists| !f.is_empty() || !c.is_empty();
+        let holds_derived = |j: usize| derived.as_ref().is_some_and(|(dj, ..)| *dj == j);
+        let below = (0..fetches.len()).filter(|&j| any(&early[j]) || holds_derived(j));
+        let above = (0..fetches.len()).filter(|&j| any(&late[j]));
+        // The projection is there iff the pieces' columns are not the
+        // plan's: a late fetch moved past a later one, or the byte.
+        let restore = derived.is_some()
+            || (fetched_aliases(&early).chain(fetched_aliases(&late)))
+                .ne(fetched_aliases(&as_given));
+        let mut kinds = vec!["Fetch1Join"; below.clone().count()];
+        kinds.push("Select");
+        kinds.resize(kinds.len() + above.clone().count(), "Fetch1Join");
+        kinds.extend(restore.then_some("Project"));
+        // A piece's path names the pieces above it; the top one's is `path`.
+        let mut paths = vec![path.to_owned()];
+        for kind in kinds[1..].iter().rev() {
+            paths.push(format!("{}.{kind}.input", paths[paths.len() - 1]));
+        }
+        let mut paths = paths.iter().rev();
+        let mut next_path = || paths.next().expect("one path per piece");
+        if early != as_given {
+            let mut what = Vec::new();
+            if let Some((_, d, _)) = &derived {
+                let t = &d.scan.table;
+                what.push(format!(
+                    "predicate runs once over `{}` ({} rows) and the fetch gathers its result",
+                    t.name(),
+                    t.total_rows()
+                ));
+            }
+            let late: Vec<&str> = fetched_aliases(&late).collect();
+            what.push(format!(
+                "fetched after the selection: [{}]",
+                late.join(", ")
+            ));
+            self.rule_note("select-before-fetch", path, what.join("; "));
+        }
+        let written: Vec<(String, Expr)> = (base.fields.iter().map(|f| f.name.as_str()))
+            .chain(fetched_aliases(&as_given))
+            .filter(|_| restore)
+            .map(|n| (n.to_owned(), Expr::Col(n.to_owned())))
+            .collect();
+        let mut node = base;
+        for j in below {
+            let d = derived.as_ref().filter(|_| holds_derived(j));
+            let d = d.map(|(_, d, name)| (name.as_str(), d.clone()));
+            node = self.fetch1_node(node, fetches[j], Some(&early[j]), d, next_path())?;
+        }
+        let keep = derived.as_ref().map(|(_, _, name)| {
+            let (name, zero) = (Expr::Col(name.clone()), Expr::Lit(Value::U8(0)));
+            Expr::Cmp(CmpOp::Ne, Box::new(name), Box::new(zero))
+        });
+        node = self.select_node(node, None, keep.as_ref().unwrap_or(pred), next_path())?;
+        for j in above {
+            node = self.fetch1_node(node, fetches[j], Some(&late[j]), None, next_path())?;
+        }
+        if restore {
+            node = self.project_node(node, &written, next_path())?;
+        }
+        Ok(node)
+    }
+
+    /// The dimension side of rule `select-before-fetch`: `pred` reads
+    /// only the columns `reads` that `fetch` brings in, so it can be
+    /// evaluated over the fetch's table instead of the gathered copies —
+    /// if scan position there is `#rowId` (no pending insert or delete
+    /// deltas), and the table is at most an eighth of `base`'s row bound
+    /// (the query has already produced that many rows, so one pass over
+    /// the table is noise even when an earlier filter was selective).
+    /// `None` keeps the predicate on the stream.
+    fn dimension_side(
+        &mut self,
+        fetch: &Plan,
+        reads: &FetchLists,
+        base: &CheckedNode,
+        pred: &Expr,
+        path: &str,
+    ) -> Result<Option<Arc<DerivedCol>>, PlanError> {
+        let Plan::Fetch1Join { table, .. } = fetch else {
+            unreachable!("the chain holds Fetch1Join nodes")
+        };
+        let t = self.db.table(table)?;
+        let rows = t.total_rows() as u64;
+        let small = |so_far: u64| rows.saturating_mul(8) <= so_far;
+        if !base.facts.rows_max.is_some_and(small) {
+            return Ok(None);
+        }
+        if t.delta_rows() > 0 || !t.deletes().is_empty() {
+            let what = format!("predicate stays on the stream: `{table}` has pending deltas");
+            self.rule_note("select-before-fetch", path, what);
+            return Ok(None);
+        }
+        let (decoded, codes) = reads;
+        let srcs: Vec<String> = (decoded.iter().chain(codes))
+            .map(|(src, _)| src.clone())
+            .collect();
+        if srcs.iter().collect::<BTreeSet<_>>().len() != srcs.len() {
+            return Ok(None); // one column under two aliases
+        }
+        let dpath = format!("{path}.Select.dimension");
+        let mut scan = self.scan_node(table, &srcs, &srcs[decoded.len()..], None, &dpath)?;
+        // The predicate names the columns by their fetch aliases.
+        let aliases = decoded.iter().chain(codes).map(|(_, alias)| alias);
+        for (f, alias) in scan.fields.iter_mut().zip(aliases) {
+            f.name.clone_from(alias);
+        }
+        let pred = plan::rewrite_enum_literals(pred, &scan.fields, &scan.dicts);
+        let steps = self.check_select(&pred, &scan.fields, &scan.dicts, &dpath)?;
+        // What the facts decide folds as written; no byte column.
+        let truths = (steps.iter()).map(|s| facts::step_truth(s, &scan.facts.cols, self.reg));
+        if steps.is_empty() || facts::conjunction_verdict(truths).is_some() {
+            return Ok(None);
+        }
+        let CheckedOp::Scan(spec) = scan.op else {
+            unreachable!("a Scan plan checks to a Scan node")
+        };
+        Ok(Some(Arc::new(DerivedCol::new(spec, scan.fields, steps))))
+    }
+
+    /// `Select(pred)` over the checked `input_node`; `scan_below` is the
+    /// plan of a `Scan` directly under it, whose refill can take (part
+    /// of) the predicate in encoded space.
+    fn select_node(
+        &mut self,
+        mut input_node: CheckedNode,
+        scan_below: Option<&Plan>,
+        pred: &Expr,
+        path: &str,
+    ) -> Result<CheckedNode, PlanError> {
+        let (fields, dicts) = (input_node.fields.clone(), input_node.dicts.clone());
+        let full = plan::rewrite_enum_literals(pred, &fields, &dicts);
+        // Compression-aware fusion: Select over a Scan of a
+        // checkpoint-compressed column pushes (part of) the
+        // predicate into encoded space — the scan refill becomes
+        // a `CompressedScanSelect` and only surviving positions
+        // are decoded; remaining conjuncts stay a normal Select.
+        // The encoded-space comparison and the selective decode
+        // it triggers must both be cataloged primitives.
+        let fused = match (scan_below, &input_node.op) {
+            (
+                Some(Plan::Scan {
+                    cols, code_cols, ..
+                }),
+                CheckedOp::Scan(spec),
+            ) => plan::fuse_scan_select(&spec.table, cols, code_cols, pred, self.opts).map(|f| {
+                // Co-columns materialize lazily: each
+                // compressed column with a positional decode
+                // kernel will call it.
+                let decode_sels: Vec<(usize, &'static str)> = spec
+                    .cols
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, (ci, _))| {
+                        let cc = spec.table.column(*ci).compressed()?;
+                        Some((k, cc.decode_sel_sig()?))
+                    })
+                    .collect();
+                (f, decode_sels)
+            }),
+            _ => None,
+        };
+        let (steps, push, mut truths, what) = match fused {
+            Some((f, decode_sels)) => {
+                self.require_instr(f.push.sig(), || {
+                    format!("{path}.Select.pushdown[{}]", f.col)
+                })?;
+                for (k, sig) in decode_sels {
+                    self.require_instr(sig, || {
+                        format!("{path}.Select.decode_sel[{}]", fields[k].name)
+                    })?;
+                }
+                let steps = match &f.residual {
+                    None => Vec::new(),
+                    Some(res) => {
+                        let res = plan::rewrite_enum_literals(res, &fields, &dicts);
+                        self.check_select(
+                            &res,
+                            &fields,
+                            &dicts,
+                            &format!("{path}.Select.residual"),
+                        )?
+                    }
+                };
+                let what = format!(
+                    "CompressedScanSelect `{}` [{}] residual [{}]",
+                    f.col,
+                    f.push.sig(),
+                    step_sigs(&steps)
+                );
+                let truths: Vec<FactRange> = f
+                    .pushed
+                    .iter()
+                    .map(|e| facts::conjunct_truth(e, &fields, &input_node.facts.cols))
+                    .collect();
+                let k = fields
+                    .iter()
+                    .position(|fl| fl.name == f.col)
+                    .expect("fused column is scanned");
+                (steps, Some((k, f.push)), truths, what)
+            }
+            None => {
+                let steps =
+                    self.check_select(&full, &fields, &dicts, &format!("{path}.Select.pred"))?;
+                let what = format!("Select → steps [{}]", step_sigs(&steps));
+                (steps, None, Vec::new(), what)
+            }
+        };
+        // Constant-fold sink: a predicate proven always-true is a
+        // pass-through of the input, proven always-false an empty
+        // dataflow; either way no step (nor pushdown) runs.
+        truths.extend(
+            steps
+                .iter()
+                .map(|s| facts::step_truth(s, &input_node.facts.cols, self.reg)),
+        );
+        let verdict = facts::conjunction_verdict(truths);
+        let mut nf = input_node.facts.clone();
+        if verdict == Some(false) {
+            nf.rows_max = Some(0);
+        }
+        facts::refine_with_pred(&full, &fields, &mut nf);
+        let steps = if verdict.is_some() { Vec::new() } else { steps };
+        if let (None, CheckedOp::Scan(spec)) = (verdict, &mut input_node.op) {
+            spec.push = push;
+        }
+        self.note(path, what);
+        Ok(CheckedNode {
+            path: path.to_owned(),
+            fields,
+            dicts,
+            facts: nf,
+            inputs: vec![input_node],
+            op: CheckedOp::Select { steps, verdict },
+        })
+    }
+
+    /// `Project(exprs)` over the checked `input`.
+    fn project_node(
+        &mut self,
+        input: CheckedNode,
+        exprs: &[(String, Expr)],
+        path: &str,
+    ) -> Result<CheckedNode, PlanError> {
+        let mut node = NodeShape::default();
+        let mut progs = Vec::with_capacity(exprs.len());
+        for (i, (name, e)) in exprs.iter().enumerate() {
+            let e = plan::rewrite_enum_literals(e, &input.fields, &input.dicts);
+            let epath = format!("{path}.Project.expr[{i}]");
+            let prog = self.compile_verified(&e, &input.fields, &input.dicts, &epath)?;
+            // Pass-through column refs keep their dict metadata.
+            node.dicts
+                .push(prog.as_col_ref().and_then(|ci| input.dicts[ci].clone()));
+            node.cols
+                .push(facts::eval_prog(&prog, &input.facts.cols, self.reg));
+            node.fields
+                .push(OutField::new(name.clone(), prog.result_type()));
+            progs.push(prog);
+        }
+        self.note(path, format!("Project → {} exprs", exprs.len()));
+        let rows_max = input.facts.rows_max;
+        Ok(node.finish(
+            path,
+            rows_max,
+            vec![input],
+            CheckedOp::Project { exprs: progs },
+        ))
+    }
+
+    /// The `Fetch1Join` plan node `plan` over the checked `input`,
+    /// fetching `lists` in place of the columns the plan names (rule
+    /// `select-before-fetch` splits them between two nodes) and, with
+    /// `derived`, gathering that byte column under the given name.
+    fn fetch1_node(
+        &mut self,
+        input: CheckedNode,
+        plan: &Plan,
+        lists: Option<&FetchLists>,
+        derived: Option<(&str, Arc<DerivedCol>)>,
+        path: &str,
+    ) -> Result<CheckedNode, PlanError> {
+        let Plan::Fetch1Join {
+            table,
+            rowid,
+            fetch,
+            fetch_codes,
+            ..
+        } = plan
+        else {
+            unreachable!("fetch1_node takes a Fetch1Join plan node")
+        };
+        let (fetch, fetch_codes) = match lists {
+            Some(lists) => lists.clone(),
+            None => (fetch.iter().collect(), fetch_codes.iter().collect()),
+        };
+        let t = self.db.table(table)?;
+        let rpath = format!("{path}.Fetch1Join.rowid");
+        // A join index is u32; an enum code column widens to it
+        // — that cast IS the sanctioned decode, so the
+        // enum-escape rule does not apply to the rowid program.
+        let mut natural = ScalarType::U32;
+        let rowid = self.compile_as_at(rowid, &input.fields, &rpath, |ty| match ty {
+            ScalarType::U32 | ScalarType::U8 | ScalarType::U16 => {
+                natural = ty;
+                Ok(ScalarType::U32)
+            }
+            other => Err(PlanError::PlanCheck {
+                path: rpath.clone(),
+                violation: CheckViolation::TypeMismatch {
+                    signature: "map_fetch_u32_col".to_owned(),
+                    detail: format!(
+                        "Fetch1Join rowid expression must be u32 (join index), got {other}"
+                    ),
+                },
+            }),
+        })?;
+        self.verify_prog(&rowid, &input.fields, &input.dicts, &rpath, true)?;
+        // Fetch-bounds proof: the `_unchecked` gather twins read
+        // only the contiguous fragment arrays, so the proof
+        // obligation is `#rowId ⊆ [0, fragment_rows)` (delta rows
+        // would be out of bounds for the raw-slice kernels). The
+        // proof is only attempted for true u32 join indexes; enum
+        // code rowids decode against the dictionary instead.
+        let rid_range = if natural == ScalarType::U32 {
+            facts::eval_prog(&rowid, &input.facts.cols, self.reg)
+                .range
+                .and_then(|r| r.as_int())
+        } else {
+            None
+        };
+        let frag = t.fragment_rows() as u64;
+        let total = t.total_rows() as u64;
+        let proved =
+            rid_range.is_some_and(|(lo, hi)| lo >= 0 && u64::try_from(hi).is_ok_and(|h| h < frag));
+        if self.opts.enforce_facts && input.facts.rows_max != Some(0) {
+            if let Some((lo, _)) = rid_range {
+                if u64::try_from(lo).is_ok_and(|l| l >= total) {
+                    return Err(PlanError::PlanCheck {
+                        path: rpath,
+                        violation: CheckViolation::FactViolation {
+                            detail: format!(
+                                "every #rowId is proven >= {total}, but table \
+                                 `{table}` has only {total} rows: the fetch is \
+                                 certainly out of bounds"
+                            ),
+                        },
+                    });
+                }
+            }
+        }
+        let mut node = NodeShape::from_input(&input);
+        let mut cols = self.fetch_specs(
+            &t,
+            fetch.iter().copied(),
+            false,
+            proved,
+            &format!("{path}.Fetch1Join.fetch"),
+            &mut node,
+        )?;
+        self.instrs += cols.len();
+        cols.extend(self.fetch_specs(
+            &t,
+            fetch_codes.iter().copied(),
+            true,
+            proved,
+            &format!("{path}.Fetch1Join.fetch_codes"),
+            &mut node,
+        )?);
+        if let Some((name, d)) = derived {
+            // One byte per fragment row, so the bounds proof
+            // above covers this gather like any other.
+            let unchecked = proved && self.opts.unchecked_fetch;
+            let sig = format!(
+                "map_fetch_u32_col_u8_col{}",
+                if unchecked { "_unchecked" } else { "" }
+            );
+            self.require_instr(&sig, || format!("{path}.Fetch1Join.derived"))?;
+            cols.push(FetchSpec {
+                src: FetchSource::Derived(d),
+                sig,
+                as_codes: false,
+                unchecked,
+            });
+            node.fields.push(OutField::new(name, ScalarType::U8));
+            node.dicts.push(None);
+            node.cols.push(ColFact {
+                range: Some(FactRange::Int(0, 1)),
+                distinct_max: Some(2),
+                ..ColFact::top()
+            });
+        }
+        if !fetch_codes.is_empty() && (t.delta_rows() > 0 || !t.deletes().is_empty()) {
+            return Err(PlanError::Invalid(format!(
+                "code fetch from `{table}` requires a reorganized table"
+            )));
+        }
+        self.note(
+            path,
+            format!(
+                "Fetch1Join `{table}` → +{} fetched, +{} code cols{}",
+                fetch.len(),
+                fetch_codes.len(),
+                if cols.len() > fetch.len() + fetch_codes.len() {
+                    ", +1 derived"
+                } else {
+                    ""
+                }
+            ),
+        );
+        let rows_max = input.facts.rows_max;
+        Ok(node.finish(
+            path,
+            rows_max,
+            vec![input],
+            CheckedOp::Fetch1Join {
+                table: t,
+                rowid,
+                cols,
+                proved,
+            },
+        ))
     }
 
     /// `CartProd(input, table, fetch)`, optionally with the join
@@ -1714,27 +2012,39 @@ impl<'a> Checker<'a> {
         })
     }
 
-    /// Hash aggregation: mixed / non-code keys. Code-typed keys still
-    /// group on codes and decode only at emission.
-    fn check_hash_aggr(
+    /// Aggregation grouped on computed keys: the generic `Aggr` (code
+    /// keys mixed with others; code-typed keys still group on codes and
+    /// decode only at emission) and the `forced` `OrdAggr`. Rule
+    /// `sorted-keys-ordered-aggr` picks the variant of the former: every
+    /// key proven sorted — each non-decreasing, so equal key tuples are
+    /// adjacent — takes the streaming ordered aggregation, anything else
+    /// the hash table.
+    fn keyed_aggr(
         &mut self,
         input: CheckedNode,
         keys: &[(String, Expr)],
         aggs: &[AggExpr],
         path: &str,
+        forced: bool,
     ) -> Result<CheckedNode, PlanError> {
+        let kind = if forced { "OrdAggr" } else { "Aggr" };
         let mut node = NodeShape::default();
         let mut key_progs = Vec::with_capacity(keys.len());
         let mut key_dicts = Vec::with_capacity(keys.len());
         // Group count ≤ input rows, and ≤ the product of the keys'
         // distinct bounds when all are known.
         let mut key_distinct = Some(1u64);
+        let mut proven_sorted = !keys.is_empty();
+        // Sortedness is by `<=`, grouping by bits: `0.0` and `-0.0` may
+        // interleave in a sorted f64 column, so runs are not groups.
+        let mut runs_are_groups = true;
         for (i, (name, e)) in keys.iter().enumerate() {
-            let kpath = format!("{path}.Aggr.key[{i}]");
+            let kpath = format!("{path}.{kind}.key[{i}]");
             let prog = self.compile_verified(e, &input.fields, &input.dicts, &kpath)?;
             // Dictionaries only apply to code-typed bare column keys.
             let key_dict = prog
                 .as_col_ref()
+                .filter(|_| !forced)
                 .filter(|_| matches!(prog.result_type(), ScalarType::U8 | ScalarType::U16))
                 .and_then(|ci| input.dicts[ci].clone());
             let kf = match &key_dict {
@@ -1744,12 +2054,10 @@ impl<'a> Checker<'a> {
                     distinct_max: Some(d.cardinality() as u64),
                     ..ColFact::top()
                 },
-                None => {
-                    let mut kf = facts::eval_prog(&prog, &input.facts.cols, self.reg);
-                    kf.sorted = false; // hash order is arbitrary
-                    kf
-                }
+                None => facts::eval_prog(&prog, &input.facts.cols, self.reg),
             };
+            proven_sorted &= kf.sorted;
+            runs_are_groups &= key_dict.is_none() && prog.result_type() != ScalarType::F64;
             key_distinct =
                 key_distinct.and_then(|p| kf.distinct_max.and_then(|d| p.checked_mul(d)));
             node.cols.push(kf);
@@ -1760,38 +2068,84 @@ impl<'a> Checker<'a> {
             key_progs.push(prog);
             key_dicts.push(key_dict.as_deref().cloned());
         }
-        let specs =
-            self.check_aggs(aggs, &input, "Aggr", path, &mut node.fields, &mut node.cols)?;
-        let apath = format!("{path}.Aggr");
-        self.check_spill_capable("aggr_hashtable_maintain", "HashAggr", &apath)?;
         let key_types: Vec<ScalarType> = key_progs.iter().map(|p| p.result_type()).collect();
-        self.require_hash(key_types.iter().copied(), &apath)?;
-        let rows_max = match (input.facts.rows_max, key_distinct) {
-            (Some(r), Some(k)) => Some(r.min(k)),
-            (r, k) => r.or(k),
+        let apath = format!("{path}.{kind}");
+        let by_rule = self.rules && !forced && proven_sorted && runs_are_groups;
+        // A morsel worker sees a slice of the rows and ships a partial
+        // table to `MergeAggr`; that protocol is the hash variant's. The
+        // driver (`ops::parallel`) decides where it splits a plan, so a
+        // node it may split at carries both.
+        let may_split = by_rule && self.opts.threads > 1 && morsel_spine(&input).is_some();
+        if forced && !proven_sorted {
+            // Legal — clustered is weaker than sorted, and facts are
+            // conservative — but unclustered input repeats groups.
+            self.report
+                .push(format!("{path}: OrdAggr keys not proven sorted"));
+        } else if by_rule {
+            let what = if may_split {
+                "keys proven sorted → ordered aggregation; hash + MergeAggr kept for morsel workers"
+            } else {
+                "keys proven sorted → ordered aggregation"
+            };
+            self.rule_note("sorted-keys-ordered-aggr", path, what.to_owned());
+        }
+        let ordered = forced || by_rule;
+        let specs = self.check_aggs(aggs, &input, kind, path, &mut node.fields, &mut node.cols)?;
+        node.dicts = vec![None; node.fields.len()];
+        let merge = if !ordered || may_split {
+            self.check_spill_capable("aggr_hashtable_maintain", "HashAggr", &apath)?;
+            self.require_hash(key_types.iter().copied(), &apath)?;
+            for kf in &mut node.cols[..keys.len()] {
+                kf.sorted = false; // hash (and worker) order is arbitrary
+            }
+            Some(MergeSpec {
+                fields: node.fields.clone(),
+                key_types: key_types.clone(),
+                key_dicts,
+                aggs: specs.iter().map(|a| a.merge_rule()).collect(),
+                ungrouped: keys.is_empty(),
+            })
+        } else {
+            None
         };
+        let morsel = match merge {
+            Some(merge) if !ordered => {
+                self.note(
+                    path,
+                    format!("HashAggr → {} keys, {} aggs", keys.len(), aggs.len()),
+                );
+                let rows_max = match (input.facts.rows_max, key_distinct) {
+                    (Some(r), Some(k)) => Some(r.min(k)),
+                    (r, k) => r.or(k),
+                };
+                let op = CheckedOp::HashAggr {
+                    keys: key_progs,
+                    aggs: specs,
+                    merge,
+                };
+                return Ok(node.finish(path, rows_max, vec![input], op));
+            }
+            for_workers => for_workers,
+        };
+        // Groups leave in input key order, so a sorted key stays
+        // sorted; runs of an unclustered input may repeat a key, so only
+        // the input's row bound holds.
+        for ty in &key_types {
+            let sig = format!("aggr_ordered_boundaries_{}_col", ty.sig_name());
+            self.require(&sig, || apath.clone())?;
+        }
+        self.require("aggr_ordered_starts_u32_col", || apath.clone())?;
         self.note(
             path,
-            format!("HashAggr → {} keys, {} aggs", keys.len(), aggs.len()),
+            format!("OrdAggr → {} keys, {} aggs", keys.len(), aggs.len()),
         );
-        node.dicts = vec![None; node.fields.len()];
-        let merge = MergeSpec {
-            fields: node.fields.clone(),
-            key_types,
-            key_dicts,
-            aggs: specs.iter().map(|a| a.merge_rule()).collect(),
-            ungrouped: keys.is_empty(),
+        let rows_max = input.facts.rows_max;
+        let op = CheckedOp::OrdAggr {
+            keys: key_progs,
+            aggs: specs,
+            morsel,
         };
-        Ok(node.finish(
-            path,
-            rows_max,
-            vec![input],
-            CheckedOp::HashAggr {
-                keys: key_progs,
-                aggs: specs,
-                merge,
-            },
-        ))
+        Ok(node.finish(path, rows_max, vec![input], op))
     }
 
     /// Direct (array-indexed) aggregation: keys must be code columns
@@ -1919,6 +2273,76 @@ impl<'a> Checker<'a> {
             },
         ))
     }
+}
+
+/// The output names of fetch lists, in output order.
+fn fetched_aliases<'a, 'p>(lists: &'a [FetchLists<'p>]) -> impl Iterator<Item = &'p str> + 'a {
+    let cols = lists.iter().flat_map(|(f, c)| f.iter().chain(c));
+    cols.map(|(_, alias)| alias.as_str())
+}
+
+/// The fetch lists a `Fetch1Join` plan node wrote.
+fn fetch_lists(f: &Plan) -> FetchLists<'_> {
+    match f {
+        Plan::Fetch1Join {
+            fetch, fetch_codes, ..
+        } => (fetch.iter().collect(), fetch_codes.iter().collect()),
+        _ => unreachable!("the chain holds Fetch1Join nodes"),
+    }
+}
+
+/// How rule `select-before-fetch` divides the columns of a chain of
+/// fetches under a selection.
+struct FetchSplit<'p> {
+    /// Per fetch: what the selection needs below it — the predicate's
+    /// operands, and the `#rowId` operands of every fetch that brings
+    /// one of those in.
+    early: Vec<FetchLists<'p>>,
+    /// Per fetch: the rest, fetched above the selection.
+    late: Vec<FetchLists<'p>>,
+    /// The fetch that brings in everything the predicate reads, if one
+    /// does.
+    only: Option<usize>,
+}
+
+/// Divide the columns that `fetches` (innermost first, over a dataflow
+/// of `base_fields`; `lists` are their fetch lists) bring in by whether
+/// `Select(pred)` above them needs them. `None` when a name occurs
+/// twice: moving a fetch could then change which column a name
+/// resolves to.
+fn split_fetches<'p>(
+    base_fields: &[OutField],
+    lists: &[FetchLists<'p>],
+    fetches: &[&'p Plan],
+    pred: &'p Expr,
+) -> Option<FetchSplit<'p>> {
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
+    let names = (base_fields.iter().map(|f| f.name.as_str())).chain(fetched_aliases(lists));
+    for name in names {
+        if !seen.insert(name) {
+            return None;
+        }
+    }
+    let reads = pred.columns();
+    let brings = |j: usize, c: &str| fetched_aliases(&lists[j..=j]).any(|a| a == c);
+    let only = (0..lists.len()).find(|&j| !reads.is_empty() && reads.iter().all(|c| brings(j, c)));
+    let mut needed = reads;
+    let (mut early, mut late) = (Vec::new(), Vec::new());
+    for (f, (decoded, codes)) in fetches.iter().zip(lists).rev() {
+        let part = |cols: &[&'p (String, String)], want: bool| -> Vec<&'p (String, String)> {
+            let wanted = |(_, alias): &&&(String, String)| needed.contains(&alias.as_str()) == want;
+            cols.iter().filter(wanted).copied().collect()
+        };
+        let e = (part(decoded, true), part(codes, true));
+        late.push((part(decoded, false), part(codes, false)));
+        if let (false, Plan::Fetch1Join { rowid, .. }) = (e.0.is_empty() && e.1.is_empty(), f) {
+            needed.extend(rowid.columns());
+        }
+        early.push(e);
+    }
+    early.reverse();
+    late.reverse();
+    Some(FetchSplit { early, late, only })
 }
 
 /// The `select_*` chain of a step list, as the walk log prints it.

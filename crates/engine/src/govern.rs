@@ -370,6 +370,13 @@ impl MemTracker {
         self.charged
     }
 
+    /// Leave the charge on the query for the rest of its life: for state
+    /// that outlives the operator that built it (a buffer cached in the
+    /// checked tree, which the context itself may own).
+    pub(crate) fn keep_for_query(mut self) {
+        self.charged = 0;
+    }
+
     /// Return the full charge to the budget (e.g. on operator reset).
     pub fn release_all(&mut self) {
         self.ctx.release(self.charged);

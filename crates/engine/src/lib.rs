@@ -22,7 +22,7 @@
 //!   cancellation/deadlines, worker-panic containment, fault injection.
 //! * [`profile`] — per-primitive and per-operator tracing (Table 5).
 //! * [`session`] — the catalog ([`Database`]), execution options
-//!   (vector size, select strategy, compound toggle), and result
+//!   (vector size, compound toggle, budgets), and result
 //!   materialization.
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -42,8 +42,11 @@ pub mod session;
 pub mod spill;
 
 pub use batch::{Batch, OutField};
+#[doc(hidden)]
+pub use check::check_plan_as_given;
 pub use check::{
     check_plan, explain_check, explain_facts, verify_program, CheckSummary, CheckedNode, PlanFacts,
+    RULES,
 };
 /// Typed engine error (alias of [`PlanError`]): binding, validation and
 /// execution failures that used to be panics surface as this.

@@ -9,7 +9,8 @@
 //! * [`HashAggrOp`] — the general case: vectorized hashing, a
 //!   vectorized [`GroupTable`] lookup, vectorized accumulator updates.
 //! * [`OrdAggrOp`] — groups arrive consecutively (input clustered on the
-//!   keys); constant memory, streaming emission.
+//!   keys): run boundaries are the group ids, one vector of groups is
+//!   the whole state, emission streams.
 //!
 //! All three share the aggregate-state machinery ([`AggStates`]): per
 //! aggregate an *initialization* (accumulator growth), vectorized
@@ -24,12 +25,13 @@ use crate::compile::{ExprCode, ExprProg};
 use crate::expr::AggFunc;
 use crate::govern::{MemTracker, QueryContext};
 use crate::ops::parallel::MergeAggrOp;
-use crate::ops::{eq_at, extend_range, push_from, Operator};
+use crate::ops::{extend_range, push_from, Operator};
 use crate::profile::Profiler;
 use crate::spill::{agg_partition, read_agg_segment, AggRun, AggSegment, SPILL_BLOCK_ROWS};
 use crate::PlanError;
 use std::sync::Arc;
 use x100_storage::EnumDict;
+use x100_vector::partition::gather_rows;
 use x100_vector::{aggr as vaggr, hash as vhash, GroupTable, ScalarType, SelVec, Vector};
 
 /// One aggregate's accumulator column, indexed by group: the operators'
@@ -280,6 +282,17 @@ impl AggStates {
     fn grow(&mut self, n_groups: usize) {
         for agg in self.aggs.iter_mut().filter(|a| a.prog.is_some()) {
             agg.acc.grow(n_groups, agg.init);
+        }
+    }
+
+    /// Drop the accumulators of the first `n` groups (ordered
+    /// aggregation retiring the groups it has emitted).
+    fn drain_front(&mut self, n: usize) {
+        for agg in self.aggs.iter_mut().filter(|a| a.prog.is_some()) {
+            match &mut agg.acc {
+                PartialAcc::F64(v) => drop(v.drain(..n)),
+                PartialAcc::I64(v) => drop(v.drain(..n)),
+            }
         }
     }
 
@@ -1082,24 +1095,83 @@ impl Operator for DirectAggrOp {
 
 /// `OrdAggr` — ordered aggregation: "chosen if all group-members will
 /// arrive right after each other in the source Dataflow" (§4.1.2).
+///
+/// **Precondition:** the input is clustered on the keys — equal key
+/// tuples are adjacent. Every run of equal keys becomes one output
+/// group, so unclustered input yields the same key more than once. The
+/// check walk picks this operator for a generic `Aggr` only when every
+/// key is proven sorted; a forced `Plan::OrdAggr` over keys it cannot
+/// prove sorted stays legal (clustered is weaker than sorted) and is
+/// noted in `--explain-check`.
+///
+/// Streaming: group ids are the run numbers within one input vector
+/// (`aggr_ordered_boundaries_*`), with the group the previous vector
+/// left open in slot 0. After each vector every group but the last is
+/// complete and is emitted; the last one's key and accumulators move to
+/// slot 0. The state is one vector of groups whatever the group count,
+/// so this operator never spills.
 pub struct OrdAggrOp {
     child: Box<dyn Operator>,
-    key_progs: Vec<ExprProg>,
-    aggs: AggStates,
+    groups: OrdGroups,
     fields: Vec<OutField>,
-    /// Current group's key values (length-1 vectors), if any group open.
-    cur_keys: Option<Vec<Vector>>,
-    group_counts: Vec<i64>,
-    /// Completed groups' keys, pending emission.
-    done_keys: Vec<Vector>,
-    n_groups: usize,
-    grp_buf: Vec<u32>,
-    emit_pos: usize,
     input_done: bool,
     pools: Vec<VecPool>,
     out: Batch,
     vector_size: usize,
+}
+
+/// The groups an [`OrdAggrOp`] has in flight.
+struct OrdGroups {
+    key_progs: Vec<ExprProg>,
+    aggs: AggStates,
+    /// Keys, tuple counts and (in `aggs`) accumulators of the groups
+    /// `[0, n)`, of which `[emit_pos, emit_end)` are complete and not
+    /// yet emitted.
+    keys: Vec<Vector>,
+    counts: Vec<i64>,
+    n: usize,
+    emit_pos: usize,
+    emit_end: usize,
+    // Scratch.
+    grp_buf: Vec<u32>,
+    starts: Vec<u32>,
+    key_scratch: Vec<Vector>,
     mem: MemTracker,
+}
+
+/// Run `aggr_ordered_boundaries_<ty>_col` for one key column; `open` is
+/// the stored key column of the groups in flight when its slot 0 is a
+/// group the previous vector left open.
+fn ordered_boundaries(
+    grp: &mut [u32],
+    key: &Vector,
+    open: Option<&Vector>,
+    sel: Option<&SelVec>,
+    first: bool,
+) -> (usize, &'static str) {
+    macro_rules! dispatch {
+        ($($variant:ident $kernel:ident $first:expr,)*) => {
+            match key {
+                $(Vector::$variant(k) => (
+                    vhash::$kernel(grp, k, open.map($first), sel, first),
+                    stringify!($kernel),
+                ),)*
+            }
+        };
+    }
+    dispatch! {
+        I8 aggr_ordered_boundaries_i8_col |o| o.as_i8()[0],
+        I16 aggr_ordered_boundaries_i16_col |o| o.as_i16()[0],
+        I32 aggr_ordered_boundaries_i32_col |o| o.as_i32()[0],
+        I64 aggr_ordered_boundaries_i64_col |o| o.as_i64()[0],
+        U8 aggr_ordered_boundaries_u8_col |o| o.as_u8()[0],
+        U16 aggr_ordered_boundaries_u16_col |o| o.as_u16()[0],
+        U32 aggr_ordered_boundaries_u32_col |o| o.as_u32()[0],
+        U64 aggr_ordered_boundaries_u64_col |o| o.as_u64()[0],
+        F64 aggr_ordered_boundaries_f64_col |o| o.as_f64()[0],
+        Bool aggr_ordered_boundaries_bool_col |o| o.as_bool()[0],
+        Str aggr_ordered_boundaries_str_col |o| o.as_str().get(0),
+    }
 }
 
 impl OrdAggrOp {
@@ -1118,94 +1190,108 @@ impl OrdAggrOp {
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
+        let key_store = || -> Vec<Vector> {
+            keys.iter()
+                .map(|c| Vector::with_capacity(c.result_type(), 16))
+                .collect()
+        };
         OrdAggrOp {
             child,
-            done_keys: keys
-                .iter()
-                .map(|c| Vector::with_capacity(c.result_type(), 16))
-                .collect(),
-            key_progs: keys.iter().map(|c| ExprProg::new(c, vector_size)).collect(),
-            aggs: AggStates::new(aggs, vector_size),
+            groups: OrdGroups {
+                keys: key_store(),
+                key_scratch: key_store(),
+                key_progs: keys.iter().map(|c| ExprProg::new(c, vector_size)).collect(),
+                aggs: AggStates::new(aggs, vector_size),
+                counts: Vec::new(),
+                n: 0,
+                emit_pos: 0,
+                emit_end: 0,
+                grp_buf: Vec::new(),
+                starts: Vec::new(),
+                mem: MemTracker::new(ctx, "ordered aggregation state"),
+            },
             fields,
-            cur_keys: None,
-            group_counts: Vec::new(),
-            n_groups: 0,
-            grp_buf: Vec::new(),
-            emit_pos: 0,
             input_done: false,
             pools,
             out: Batch::new(),
             vector_size,
-            mem: MemTracker::new(ctx, "ordered aggregation state"),
         }
     }
+}
 
-    fn build(&mut self, prof: &mut Profiler) -> Result<(), PlanError> {
-        while let Some(batch) = self.child.next(prof)? {
-            let t_op = prof.start();
-            let n = batch.len;
-            let sel = batch.sel.as_deref();
-            let live = sel.map_or(n, |s| s.len());
-            let key_vecs: Vec<&Vector> = self
-                .key_progs
-                .iter_mut()
-                .map(|p| p.eval(batch, sel, prof))
-                .collect();
-            // Assign group ids by detecting boundaries in arrival order.
+impl OrdGroups {
+    /// Fold one input vector in; every group but the last becomes
+    /// emittable.
+    fn consume(&mut self, batch: &Batch, prof: &mut Profiler) -> Result<(), PlanError> {
+        let t_op = prof.start();
+        let n = batch.len;
+        let sel = batch.sel.as_deref();
+        let live = sel.map_or(n, |s| s.len());
+        let key_vecs: Vec<&Vector> = self
+            .key_progs
+            .iter_mut()
+            .map(|p| p.eval(batch, sel, prof))
+            .collect();
+        // Group ids: the run number of each live tuple, counting from
+        // the open group in slot 0 (no key: everything is one run).
+        debug_assert!(
+            self.n <= 1,
+            "emitted groups are retired before the next vector"
+        );
+        let open = self.n == 1;
+        self.grp_buf.clear();
+        self.grp_buf.resize(n, 0);
+        let mut in_use = (live > 0) as usize;
+        for (k, kv) in key_vecs.iter().enumerate() {
             let t0 = prof.start();
-            self.grp_buf.resize(n, 0);
-            let mut assign = |i: usize| {
-                let same = match &self.cur_keys {
-                    None => false,
-                    Some(cur) => cur
-                        .iter()
-                        .zip(key_vecs.iter())
-                        .all(|(c, kv)| eq_at(c, 0, kv, i)),
-                };
-                if !same {
-                    // Open a new group: record its keys.
-                    let mut newcur = Vec::with_capacity(key_vecs.len());
-                    for kv in &key_vecs {
-                        let mut one = Vector::with_capacity(kv.scalar_type(), 1);
-                        push_from(&mut one, kv, i);
-                        // Also append to the done-key store (group order).
-                        push_from(&mut self.done_keys[newcur.len()], kv, i);
-                        newcur.push(one);
-                    }
-                    self.cur_keys = Some(newcur);
-                    self.n_groups += 1;
-                }
-                self.grp_buf[i] = (self.n_groups - 1) as u32;
-            };
-            match sel {
-                None => {
-                    for i in 0..n {
-                        assign(i);
-                    }
-                }
-                Some(s) => {
-                    for i in s.iter() {
-                        assign(i);
-                    }
-                }
-            }
-            prof.record_prim("aggr_ordered_boundaries", t0, live, live * 8);
-            self.aggs.update(
-                batch,
-                &self.grp_buf,
-                sel,
-                self.n_groups,
-                &mut self.group_counts,
-                None,
-                prof,
-            );
-            prof.record_op("Aggr(ORDERED)", t_op, live);
-            let bytes = self.done_keys.iter().map(|v| v.byte_size()).sum::<usize>()
-                + self.n_groups * (8 + self.aggs.acc_columns() * 8);
-            self.mem.ensure(bytes)?;
+            let stored = open.then(|| &self.keys[k]);
+            let (ids, sig) = ordered_boundaries(&mut self.grp_buf, kv, stored, sel, k == 0);
+            in_use = ids;
+            prof.record_prim(sig, t0, live, live * (kv.scalar_type().width() + 4));
         }
-        self.input_done = true;
-        Ok(())
+        // The keys of the groups this vector opened, in group order.
+        let t0 = prof.start();
+        vhash::aggr_ordered_starts_u32_col(&mut self.starts, &self.grp_buf, sel, open);
+        prof.record_prim("aggr_ordered_starts_u32_col", t0, live, live * 4);
+        for ((store, scratch), kv) in self
+            .keys
+            .iter_mut()
+            .zip(&mut self.key_scratch)
+            .zip(&key_vecs)
+        {
+            gather_rows(scratch, kv, &self.starts);
+            extend_range(store, scratch, 0, self.starts.len());
+        }
+        self.n = self.n.max(in_use);
+        self.aggs.update(
+            batch,
+            &self.grp_buf,
+            sel,
+            self.n,
+            &mut self.counts,
+            None,
+            prof,
+        );
+        self.emit_end = self.n.saturating_sub(1);
+        prof.record_op("Aggr(ORDERED)", t_op, live);
+        let bytes = self.keys.iter().map(|v| v.byte_size()).sum::<usize>()
+            + self.n * (8 + self.aggs.acc_columns() * 8);
+        self.mem.ensure(bytes)
+    }
+
+    /// Drop the emitted groups; an open one (the last) moves to slot 0.
+    fn retire_emitted(&mut self) {
+        let keep = self.n - self.emit_end;
+        for (store, scratch) in self.keys.iter_mut().zip(&mut self.key_scratch) {
+            scratch.clear();
+            extend_range(scratch, store, self.emit_end, keep);
+            std::mem::swap(store, scratch);
+        }
+        self.counts.drain(..self.emit_end);
+        self.aggs.drain_front(self.emit_end);
+        self.n = keep;
+        self.emit_pos = 0;
+        self.emit_end = 0;
     }
 }
 
@@ -1215,26 +1301,37 @@ impl Operator for OrdAggrOp {
     }
 
     fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
-        if !self.input_done {
-            self.build(prof)?;
+        let g = &mut self.groups;
+        while g.emit_pos == g.emit_end {
+            if g.emit_end > 0 {
+                g.retire_emitted();
+            }
+            if self.input_done {
+                return Ok(None);
+            }
+            match self.child.next(prof)? {
+                Some(batch) => g.consume(batch, prof)?,
+                None => {
+                    // The open group has seen its last tuple.
+                    self.input_done = true;
+                    g.emit_end = g.n;
+                }
+            }
         }
-        if self.emit_pos >= self.n_groups {
-            return Ok(None);
-        }
-        let start = self.emit_pos;
-        let n = (self.n_groups - start).min(self.vector_size);
-        self.emit_pos += n;
+        let start = g.emit_pos;
+        let n = (g.emit_end - start).min(self.vector_size);
+        g.emit_pos += n;
         self.out.reset();
         self.out.len = n;
-        let nkeys = self.done_keys.len();
-        for k in 0..nkeys {
+        let nkeys = g.keys.len();
+        for (k, keys) in g.keys.iter().enumerate() {
             let mut v = self.pools[k].writable();
-            extend_range(&mut v, &self.done_keys[k], start, n);
+            extend_range(&mut v, keys, start, n);
             self.pools[k].publish(v, &mut self.out);
         }
-        for (a, agg) in self.aggs.aggs.iter().enumerate() {
+        for (a, agg) in g.aggs.aggs.iter().enumerate() {
             let mut v = self.pools[nkeys + a].writable();
-            agg.emit(&self.group_counts, &mut v, start, n, prof);
+            agg.emit(&g.counts, &mut v, start, n, prof);
             self.pools[nkeys + a].publish(v, &mut self.out);
         }
         Ok(Some(&self.out))
@@ -1242,15 +1339,16 @@ impl Operator for OrdAggrOp {
 
     fn reset(&mut self) {
         self.child.reset();
-        self.mem.release_all();
-        self.cur_keys = None;
-        self.group_counts.clear();
-        for v in &mut self.done_keys {
+        let g = &mut self.groups;
+        g.mem.release_all();
+        g.counts.clear();
+        for v in &mut g.keys {
             v.clear();
         }
-        self.n_groups = 0;
-        self.emit_pos = 0;
+        g.n = 0;
+        g.emit_pos = 0;
+        g.emit_end = 0;
+        g.aggs.clear();
         self.input_done = false;
-        self.aggs.clear();
     }
 }

@@ -12,12 +12,13 @@
 
 use crate::batch::{Batch, OutField, VecPool};
 use crate::compile::{ExprCode, ExprProg};
-use crate::govern::QueryContext;
+use crate::govern::{MemTracker, QueryContext};
 use crate::ops::scan::{read_compressed, CompRead};
-use crate::ops::{push_from, Operator};
+use crate::ops::select::PredChain;
+use crate::ops::{push_from, Operator, PredStep, ScanOp, ScanSpec};
 use crate::profile::Profiler;
 use crate::PlanError;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use x100_storage::{ColumnData, Table};
 use x100_vector::{fetch as vfetch, ScalarType, SelVec, Vector};
 
@@ -25,8 +26,8 @@ use x100_vector::{fetch as vfetch, ScalarType, SelVec, Vector};
 /// it ([`crate::check`]).
 #[derive(Debug, Clone)]
 pub(crate) struct FetchSpec {
-    /// Column index in the target table.
-    pub col: usize,
+    /// What the gather reads.
+    pub src: FetchSource,
     /// Gather signature for the trace (`…_unchecked` for the twin).
     pub sig: String,
     /// Fetch raw enum codes instead of decoded values.
@@ -38,18 +39,108 @@ pub(crate) struct FetchSpec {
     pub unchecked: bool,
 }
 
+/// What a fetch column gathers from.
+#[derive(Debug, Clone)]
+pub(crate) enum FetchSource {
+    /// A stored column of the target table, by index.
+    Column(usize),
+    /// A one-byte column computed over the target table (rule
+    /// `select-before-fetch`).
+    Derived(Arc<DerivedCol>),
+}
+
+/// The dimension side of a selection that reads only what one fetch
+/// brings in: the predicate over the target table's own columns,
+/// evaluated once over the whole table (which has no pending deltas —
+/// the check walk's condition — so scan position = `#rowId`) into one
+/// byte per row, 1 where the row passes. The fetch gathers that byte and
+/// the selection above it keeps the non-zero ones.
+#[derive(Debug)]
+pub(crate) struct DerivedCol {
+    /// Scan of the columns the predicate reads, `fields` naming them by
+    /// the fetch aliases the predicate uses.
+    pub scan: ScanSpec,
+    pub fields: Vec<OutField>,
+    /// The predicate, split and verified against `fields`.
+    pub steps: Vec<PredStep<Arc<ExprCode>>>,
+    /// Computed at run time by the first operator that gathers from it
+    /// (never by the check walk) and shared by every operator
+    /// instantiated from the node, morsel workers included; charged
+    /// once, to the query that computes it, for the rest of that query.
+    bytes: Mutex<Option<Arc<Vec<u8>>>>,
+}
+
+impl DerivedCol {
+    pub(crate) fn new(
+        scan: ScanSpec,
+        fields: Vec<OutField>,
+        steps: Vec<PredStep<Arc<ExprCode>>>,
+    ) -> Self {
+        DerivedCol {
+            scan,
+            fields,
+            steps,
+            bytes: Mutex::new(None),
+        }
+    }
+
+    /// The byte column; the caller that finds it missing computes it
+    /// while the others (who could do nothing without it) wait. An error
+    /// (cancellation, a budget) leaves it missing and uncharged.
+    fn bytes(
+        &self,
+        vector_size: usize,
+        ctx: &Arc<QueryContext>,
+        prof: &mut Profiler,
+    ) -> Result<Arc<Vec<u8>>, PlanError> {
+        // The slot is only ever replaced whole, so a poisoned lock
+        // still guards a valid value.
+        let mut slot = self.bytes.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(b) = slot.as_ref() {
+            return Ok(b.clone());
+        }
+        let rows = self.scan.table.fragment_rows();
+        let mut mem = MemTracker::new(ctx.clone(), "derived fetch column");
+        mem.ensure(rows)?;
+        let mut scan = ScanOp::new(&self.scan, &self.fields, None, vector_size, ctx.clone())?;
+        let mut chain = PredChain::new(&self.steps, vector_size);
+        let mut keep = vec![0u8; rows];
+        let mut base = 0;
+        while let Some(batch) = scan.next(prof)? {
+            ctx.check()?;
+            if let Some(sel) = chain.run(batch, prof) {
+                for i in sel.iter() {
+                    keep[base + i] = 1;
+                }
+                chain.recycle(sel);
+            }
+            base += batch.len;
+        }
+        let b = Arc::new(keep);
+        *slot = Some(b.clone());
+        mem.keep_for_query();
+        Ok(b)
+    }
+}
+
 /// A fetch column plus its per-operator gather scratch.
 struct FetchCol {
     spec: FetchSpec,
     /// Reused scratch for gathering straight from compressed chunks.
     gs: GatherState,
+    /// A derived source's byte column once this operator has asked for
+    /// it.
+    derived: Option<Arc<Vec<u8>>>,
+    vector_size: usize,
 }
 
 /// One [`FetchCol`] per resolved fetch column.
-fn fetch_cols(specs: &[FetchSpec]) -> Vec<FetchCol> {
+fn fetch_cols(specs: &[FetchSpec], vector_size: usize) -> Vec<FetchCol> {
     let col = |spec: &FetchSpec| FetchCol {
         spec: spec.clone(),
         gs: GatherState::default(),
+        derived: None,
+        vector_size,
     };
     specs.iter().map(col).collect()
 }
@@ -75,11 +166,32 @@ fn fetch_gather(
     rowids: &[u32],
     sel: Option<&SelVec>,
     out: &mut Vector,
-    ctx: &QueryContext,
+    ctx: &Arc<QueryContext>,
     prof: &mut Profiler,
 ) -> Result<(), PlanError> {
     let n = rowids.len();
-    let sc = table.column(fc.spec.col);
+    let col = match &fc.spec.src {
+        FetchSource::Column(col) => *col,
+        FetchSource::Derived(d) => {
+            if fc.derived.is_none() {
+                fc.derived = Some(d.bytes(fc.vector_size, ctx, prof)?);
+            }
+            let bytes = fc.derived.as_ref().expect("just fetched");
+            out.resize_zeroed(n);
+            let o = out.as_u8_mut();
+            if fc.spec.unchecked {
+                // SAFETY: as in `unchecked_gather` — the same bind-time
+                // proof covers every gathered rowid, against this
+                // table's fragment length, which is `bytes.len()`.
+                unsafe { vfetch::map_fetch_u32_col_u8_col_unchecked(o, bytes, rowids, sel) };
+                prof.add_counter("fetch_unchecked_dispatches", 1);
+            } else {
+                vfetch::map_fetch_u32_col_u8_col(o, bytes, rowids, sel);
+            }
+            return Ok(());
+        }
+    };
+    let sc = table.column(col);
     let frag_rows = table.fragment_rows() as u32;
     if sel.is_none()
         && sc.compressed().is_some()
@@ -87,14 +199,9 @@ fn fetch_gather(
         && rowids.iter().all(|&r| r < frag_rows)
     {
         let GatherState { read, tmp } = &mut fc.gs;
-        let gathered = read_compressed(
-            table,
-            fc.spec.col,
-            read,
-            ctx,
-            prof,
-            |cc, cursor, scratch| cc.gather(rowids, out, scratch, tmp, cursor),
-        )?;
+        let gathered = read_compressed(table, col, read, ctx, prof, |cc, cursor, scratch| {
+            cc.gather(rowids, out, scratch, tmp, cursor)
+        })?;
         if gathered.is_some() {
             prof.add_counter("fetch_compressed_gathers", 1);
             return Ok(());
@@ -110,7 +217,7 @@ fn fetch_gather(
             return Ok(());
         }
     }
-    gather_positional(table, fc.spec.col, fc.spec.as_codes, rowids, n, sel, out);
+    gather_positional(table, col, fc.spec.as_codes, rowids, n, sel, out);
     Ok(())
 }
 
@@ -212,29 +319,27 @@ fn gather_positional(
                     (ColumnData::F64(b), Vector::F64(o)) => vfetch::fetch(o, b, rowids, sel),
                     (ColumnData::Str(b), Vector::Str(o)) => {
                         o.clear();
-                        let mut strs = Vec::new();
                         match sel {
                             None => {
                                 for &r in &rowids[..n] {
-                                    strs.push(b.get(r as usize));
+                                    o.push(b.get(r as usize));
                                 }
                             }
                             Some(s) => {
                                 // Positional write into a StrVec: fill
                                 // unselected with empties.
-                                let mut next = s.iter().peekable();
-                                for i in 0..n {
-                                    if next.peek() == Some(&i) {
-                                        next.next();
-                                        strs.push(b.get(rowids[i] as usize));
-                                    } else {
-                                        strs.push("");
+                                let mut at = 0;
+                                for i in s.iter() {
+                                    for _ in at..i {
+                                        o.push("");
                                     }
+                                    o.push(b.get(rowids[i] as usize));
+                                    at = i + 1;
+                                }
+                                for _ in at..n {
+                                    o.push("");
                                 }
                             }
-                        }
-                        for st in strs {
-                            o.push(st);
                         }
                     }
                     (d, o) => panic!(
@@ -449,7 +554,7 @@ impl Fetch1JoinOp {
             child,
             table,
             rowid_prog: ExprProg::new(rowid, vector_size),
-            fetch_cols: fetch_cols(cols),
+            fetch_cols: fetch_cols(cols, vector_size),
             fields,
             pools,
             rowid_buf: Vec::new(),
@@ -557,7 +662,7 @@ impl FetchNJoinOp {
             table,
             lo_prog: ExprProg::new(lo, vector_size),
             cnt_prog: ExprProg::new(cnt, vector_size),
-            fetch_cols: fetch_cols(cols),
+            fetch_cols: fetch_cols(cols, vector_size),
             child_arity: fields.len() - cols.len(),
             fields,
             pools,

@@ -27,7 +27,7 @@ pub use aggr::{
     AggrPartial, DirectAggrOp, DirectKey, HashAggrOp, MergeAgg, MergeSpec, OrdAggrOp, PartialAcc,
 };
 pub use array::ArrayOp;
-pub(crate) use fetchjoin::{has_unchecked_twin, FetchSpec};
+pub(crate) use fetchjoin::{has_unchecked_twin, DerivedCol, FetchSource, FetchSpec};
 pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp};
 pub(crate) use join::JoinParts;
 pub use join::{CartProdOp, HashJoinOp, HashJoinProbeOp, JoinBuildTable, JoinType};

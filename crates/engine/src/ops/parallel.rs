@@ -66,7 +66,8 @@ struct Decomposed<'a> {
     joins: Vec<(&'a CheckedNode, &'a JoinParts)>,
 }
 
-/// Split the checked tree at its topmost hash / direct aggregation;
+/// Split the checked tree at its topmost hash / direct aggregation (or
+/// ordered one that carries the hash variant's merge recipe for this);
 /// `None` if the plan does not have the parallelizable shape.
 fn decompose(root: &CheckedNode) -> Option<Decomposed<'_>> {
     let mut wrappers = Vec::new();
@@ -77,13 +78,35 @@ fn decompose(root: &CheckedNode) -> Option<Decomposed<'_>> {
                 wrappers.push(cur);
                 cur = &cur.inputs[0];
             }
-            CheckedOp::HashAggr { merge, .. } | CheckedOp::DirectAggr { merge, .. } => break merge,
+            CheckedOp::HashAggr { merge, .. }
+            | CheckedOp::DirectAggr { merge, .. }
+            | CheckedOp::OrdAggr {
+                morsel: Some(merge),
+                ..
+            } => break merge,
             _ => return None,
         }
     };
+    let (scan, joins) = morsel_spine(&cur.inputs[0])?;
+    Some(Decomposed {
+        wrappers,
+        aggr: cur,
+        merge,
+        scan,
+        joins,
+    })
+}
+
+/// The pipeline a morsel worker can clone under an aggregation: a
+/// `Select` / `Project` / `Fetch1Join` / `FetchNJoin` / `HashJoin`-probe
+/// chain ending in a `Scan`. Returns that scan and the joins on the way
+/// (outermost first), `None` for any other shape. The check walk asks
+/// this too: an aggregation over anything else is never split here.
+pub(crate) fn morsel_spine(
+    mut leaf: &CheckedNode,
+) -> Option<(&ScanSpec, Vec<(&CheckedNode, &JoinParts)>)> {
     let mut joins = Vec::new();
-    let mut leaf = &cur.inputs[0];
-    let scan = loop {
+    loop {
         match &leaf.op {
             CheckedOp::Select { .. }
             | CheckedOp::Project { .. }
@@ -95,17 +118,10 @@ fn decompose(root: &CheckedNode) -> Option<Decomposed<'_>> {
                 joins.push((leaf, parts));
                 leaf = &leaf.inputs[1];
             }
-            CheckedOp::Scan(spec) => break spec,
+            CheckedOp::Scan(spec) => return Some((spec, joins)),
             _ => return None,
         }
-    };
-    Some(Decomposed {
-        wrappers,
-        aggr: cur,
-        merge,
-        scan,
-        joins,
-    })
+    }
 }
 
 /// Execute the checked plan with `opts.threads` morsel-parallel workers,

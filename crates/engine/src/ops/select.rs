@@ -13,8 +13,7 @@
 //! * anything else (OR / NOT trees) falls back to a boolean map followed
 //!   by `select_true`.
 //!
-//! The select strategy (branching vs predicated, Fig. 2) is a session
-//! option threaded through here.
+//! Every select primitive runs in the predicated code shape (Fig. 2).
 
 use crate::batch::{Batch, OutField, SelPool};
 use crate::compile::{ExprCode, ExprProg};
@@ -102,13 +101,132 @@ impl PredStep<Arc<ExprCode>> {
     }
 }
 
+/// The code shape every select primitive of the engine runs (Fig. 2):
+/// predicated. On cache-resident vectors it costs the same at every
+/// selectivity and is never behind the branching shape by more than the
+/// case of a vector nothing survives (`results/fig2.txt` has the sweep,
+/// the `select` Criterion group the numbers at vector size).
+const SHAPE: SelectStrategy = SelectStrategy::Predicated;
+
+/// A runnable refinement chain: the conjuncts of one predicate, each
+/// narrowing the selection the previous one left.
+pub(crate) struct PredChain {
+    steps: Vec<PredStep<ExprProg>>,
+    scratch: SelVec,
+}
+
+impl PredChain {
+    pub(crate) fn new(steps: &[PredStep<Arc<ExprCode>>], vector_size: usize) -> Self {
+        PredChain {
+            steps: steps.iter().map(|s| s.instantiate(vector_size)).collect(),
+            scratch: SelVec::default(),
+        }
+    }
+
+    /// Hand a selection buffer back for reuse.
+    pub(crate) fn recycle(&mut self, sel: SelVec) {
+        self.scratch = sel;
+    }
+
+    /// The positions of `batch` that pass every conjunct (`None`: the
+    /// chain is empty and the batch has no selection — all of them).
+    pub(crate) fn run(&mut self, batch: &Batch, prof: &mut Profiler) -> Option<SelVec> {
+        let n = batch.len;
+        // Refinement chain: `cur` is the live selection so far.
+        // `None` means "all of 0..n".
+        let mut cur: Option<SelVec> = batch.sel.as_deref().cloned();
+        for step in &mut self.steps {
+            let t_op = prof.start();
+            let live_in = cur.as_ref().map_or(n, |s| s.len());
+            let mut next_sel = std::mem::take(&mut self.scratch);
+            let survivors = match step {
+                PredStep::CmpVal { lhs, op, v, sig } => {
+                    let lv = lhs.eval(batch, cur.as_ref(), prof);
+                    let t0 = prof.start();
+                    let cnt = run_select_val(&mut next_sel, lv, *op, v, cur.as_ref());
+                    prof.record_prim(
+                        sig,
+                        t0,
+                        live_in,
+                        live_in * lv.scalar_type().width() + cnt * 4,
+                    );
+                    cnt
+                }
+                PredStep::CmpCol { lhs, rhs, op, sig } => {
+                    // Evaluate both sides under the current selection.
+                    // The programs own disjoint register files.
+                    let lv = lhs.eval(batch, cur.as_ref(), prof);
+                    let rv = rhs.eval(batch, cur.as_ref(), prof);
+                    let t0 = prof.start();
+                    let cnt = run_select_col(&mut next_sel, lv, rv, *op, cur.as_ref());
+                    prof.record_prim(
+                        sig,
+                        t0,
+                        live_in,
+                        2 * live_in * lv.scalar_type().width() + cnt * 4,
+                    );
+                    cnt
+                }
+                PredStep::StrEq { lhs, v, negate } => {
+                    let lv = lhs.eval(batch, cur.as_ref(), prof);
+                    let t0 = prof.start();
+                    let cnt = if *negate {
+                        // select where != v: run eq then complement
+                        // against the current selection.
+                        let strv = lv.as_str();
+                        let buf = next_sel.buf_mut();
+                        match cur.as_ref() {
+                            None => {
+                                for i in 0..n {
+                                    if strv.get(i) != v.as_str() {
+                                        buf.push(i as u32);
+                                    }
+                                }
+                            }
+                            Some(s) => {
+                                for i in s.iter() {
+                                    if strv.get(i) != v.as_str() {
+                                        buf.push(i as u32);
+                                    }
+                                }
+                            }
+                        }
+                        buf.len()
+                    } else {
+                        select_str_eq(&mut next_sel, lv.as_str(), v, cur.as_ref())
+                    };
+                    prof.record_prim("select_eq_str_col_val", t0, live_in, live_in * 16 + cnt * 4);
+                    cnt
+                }
+                PredStep::Bool(prog) => {
+                    let bv = prog.eval(batch, cur.as_ref(), prof);
+                    let t0 = prof.start();
+                    let cnt = select_true(&mut next_sel, bv.as_bool(), cur.as_ref(), SHAPE);
+                    prof.record_prim("select_true_bool_col", t0, live_in, live_in + cnt * 4);
+                    cnt
+                }
+                PredStep::Never => {
+                    next_sel.clear();
+                    0
+                }
+            };
+            prof.record_op("Select", t_op, live_in);
+            // Recycle the previous selection buffer as scratch.
+            self.scratch = cur.take().unwrap_or_default();
+            cur = Some(next_sel);
+            if survivors == 0 {
+                break;
+            }
+        }
+        cur
+    }
+}
+
 /// The select operator.
 pub struct SelectOp {
     child: Box<dyn Operator>,
-    steps: Vec<PredStep<ExprProg>>,
-    strategy: SelectStrategy,
+    chain: PredChain,
     sel_pool: SelPool,
-    scratch: SelVec,
     out: Batch,
     ctx: Arc<QueryContext>,
 }
@@ -119,15 +237,12 @@ impl SelectOp {
         child: Box<dyn Operator>,
         steps: &[PredStep<Arc<ExprCode>>],
         vector_size: usize,
-        strategy: SelectStrategy,
         ctx: Arc<QueryContext>,
     ) -> Self {
         SelectOp {
             child,
-            steps: steps.iter().map(|s| s.instantiate(vector_size)).collect(),
-            strategy,
+            chain: PredChain::new(steps, vector_size),
             sel_pool: SelPool::default(),
-            scratch: SelVec::default(),
             out: Batch::new(),
             ctx,
         }
@@ -141,17 +256,16 @@ fn run_select_val(
     op: CmpOp,
     v: &Value,
     sel: Option<&SelVec>,
-    strategy: SelectStrategy,
 ) -> usize {
     match lhs {
-        Vector::I8(a) => select_cmp_col_val(out, a, v.as_i64() as i8, op, sel, strategy),
-        Vector::I16(a) => select_cmp_col_val(out, a, v.as_i64() as i16, op, sel, strategy),
-        Vector::I32(a) => select_cmp_col_val(out, a, v.as_i64() as i32, op, sel, strategy),
-        Vector::I64(a) => select_cmp_col_val(out, a, v.as_i64(), op, sel, strategy),
-        Vector::U8(a) => select_cmp_col_val(out, a, v.as_i64() as u8, op, sel, strategy),
-        Vector::U16(a) => select_cmp_col_val(out, a, v.as_i64() as u16, op, sel, strategy),
-        Vector::U32(a) => select_cmp_col_val(out, a, v.as_i64() as u32, op, sel, strategy),
-        Vector::F64(a) => select_cmp_col_val(out, a, v.as_f64(), op, sel, strategy),
+        Vector::I8(a) => select_cmp_col_val(out, a, v.as_i64() as i8, op, sel, SHAPE),
+        Vector::I16(a) => select_cmp_col_val(out, a, v.as_i64() as i16, op, sel, SHAPE),
+        Vector::I32(a) => select_cmp_col_val(out, a, v.as_i64() as i32, op, sel, SHAPE),
+        Vector::I64(a) => select_cmp_col_val(out, a, v.as_i64(), op, sel, SHAPE),
+        Vector::U8(a) => select_cmp_col_val(out, a, v.as_i64() as u8, op, sel, SHAPE),
+        Vector::U16(a) => select_cmp_col_val(out, a, v.as_i64() as u16, op, sel, SHAPE),
+        Vector::U32(a) => select_cmp_col_val(out, a, v.as_i64() as u32, op, sel, SHAPE),
+        Vector::F64(a) => select_cmp_col_val(out, a, v.as_f64(), op, sel, SHAPE),
         other => unreachable!(
             "select_val on {:?}: unsupported types are routed to the boolean path at bind",
             other.scalar_type()
@@ -165,15 +279,14 @@ fn run_select_col(
     rhs: &Vector,
     op: CmpOp,
     sel: Option<&SelVec>,
-    strategy: SelectStrategy,
 ) -> usize {
     match (lhs, rhs) {
-        (Vector::I32(a), Vector::I32(b)) => select_cmp_col_col(out, a, b, op, sel, strategy),
-        (Vector::I64(a), Vector::I64(b)) => select_cmp_col_col(out, a, b, op, sel, strategy),
-        (Vector::F64(a), Vector::F64(b)) => select_cmp_col_col(out, a, b, op, sel, strategy),
-        (Vector::U8(a), Vector::U8(b)) => select_cmp_col_col(out, a, b, op, sel, strategy),
-        (Vector::U16(a), Vector::U16(b)) => select_cmp_col_col(out, a, b, op, sel, strategy),
-        (Vector::U32(a), Vector::U32(b)) => select_cmp_col_col(out, a, b, op, sel, strategy),
+        (Vector::I32(a), Vector::I32(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
+        (Vector::I64(a), Vector::I64(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
+        (Vector::F64(a), Vector::F64(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
+        (Vector::U8(a), Vector::U8(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
+        (Vector::U16(a), Vector::U16(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
+        (Vector::U32(a), Vector::U32(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
         (a, b) => unreachable!(
             "select_col on {:?} vs {:?}: unsupported pairs are routed to the boolean path at bind",
             a.scalar_type(),
@@ -195,112 +308,20 @@ impl Operator for SelectOp {
                 None => return Ok(None),
                 Some(b) => b,
             };
-            let n = batch.len;
-            // Refinement chain: `cur` is the live selection so far.
-            // `None` means "all of 0..n".
-            let mut cur: Option<SelVec> = batch.sel.as_deref().cloned();
-            let mut empty = false;
-            for step in &mut self.steps {
-                let t_op = prof.start();
-                let live_in = cur.as_ref().map_or(n, |s| s.len());
-                let mut next_sel = std::mem::take(&mut self.scratch);
-                let survivors = match step {
-                    PredStep::CmpVal { lhs, op, v, sig } => {
-                        let lv = lhs.eval(batch, cur.as_ref(), prof);
-                        let t0 = prof.start();
-                        let cnt =
-                            run_select_val(&mut next_sel, lv, *op, v, cur.as_ref(), self.strategy);
-                        prof.record_prim(
-                            sig,
-                            t0,
-                            live_in,
-                            live_in * lv.scalar_type().width() + cnt * 4,
-                        );
-                        cnt
-                    }
-                    PredStep::CmpCol { lhs, rhs, op, sig } => {
-                        // Evaluate both sides under the current selection.
-                        // The programs own disjoint register files.
-                        let lv = lhs.eval(batch, cur.as_ref(), prof);
-                        let rv = rhs.eval(batch, cur.as_ref(), prof);
-                        let t0 = prof.start();
-                        let cnt =
-                            run_select_col(&mut next_sel, lv, rv, *op, cur.as_ref(), self.strategy);
-                        prof.record_prim(
-                            sig,
-                            t0,
-                            live_in,
-                            2 * live_in * lv.scalar_type().width() + cnt * 4,
-                        );
-                        cnt
-                    }
-                    PredStep::StrEq { lhs, v, negate } => {
-                        let lv = lhs.eval(batch, cur.as_ref(), prof);
-                        let t0 = prof.start();
-                        let cnt = if *negate {
-                            // select where != v: run eq then complement
-                            // against the current selection.
-                            let strv = lv.as_str();
-                            let buf = next_sel.buf_mut();
-                            match cur.as_ref() {
-                                None => {
-                                    for i in 0..n {
-                                        if strv.get(i) != v.as_str() {
-                                            buf.push(i as u32);
-                                        }
-                                    }
-                                }
-                                Some(s) => {
-                                    for i in s.iter() {
-                                        if strv.get(i) != v.as_str() {
-                                            buf.push(i as u32);
-                                        }
-                                    }
-                                }
-                            }
-                            buf.len()
-                        } else {
-                            select_str_eq(&mut next_sel, lv.as_str(), v, cur.as_ref())
-                        };
-                        prof.record_prim(
-                            "select_eq_str_col_val",
-                            t0,
-                            live_in,
-                            live_in * 16 + cnt * 4,
-                        );
-                        cnt
-                    }
-                    PredStep::Bool(prog) => {
-                        let bv = prog.eval(batch, cur.as_ref(), prof);
-                        let t0 = prof.start();
-                        let cnt = select_true(&mut next_sel, bv.as_bool(), cur.as_ref());
-                        prof.record_prim("select_true_bool_col", t0, live_in, live_in + cnt * 4);
-                        cnt
-                    }
-                    PredStep::Never => {
-                        next_sel.clear();
-                        0
-                    }
-                };
-                prof.record_op("Select", t_op, live_in);
-                // Recycle the previous selection buffer as scratch.
-                self.scratch = cur.take().unwrap_or_default();
-                cur = Some(next_sel);
-                if survivors == 0 {
-                    empty = true;
-                    break;
+            let sel = match self.chain.run(batch, prof) {
+                Some(sel) if sel.is_empty() => {
+                    // Entire vector filtered out: pull the next one (the
+                    // paper's operators also skip empty vectors).
+                    self.chain.recycle(sel);
+                    continue;
                 }
-            }
-            if empty {
-                // Entire vector filtered out: pull the next one (the
-                // paper's operators also skip empty vectors).
-                continue;
-            }
+                sel => sel,
+            };
             // Publish: pass through columns, narrow the selection.
             self.out.reset();
-            self.out.len = n;
+            self.out.len = batch.len;
             self.out.columns.extend(batch.columns.iter().cloned());
-            if let Some(sel) = cur {
+            if let Some(sel) = sel {
                 self.sel_pool.publish(sel, &mut self.out);
             }
             return Ok(Some(&self.out));

@@ -23,8 +23,8 @@
 //! [`crate::session::Database`], makes every physical decision — like the
 //! paper's (planned) optimizer, the generic `Aggr` variant becomes a
 //! *direct* aggregation when every key is a small-domain code column,
-//! else *hash* (callers can force `OrdAggr`) — and returns the verified
-//! tree. [`Plan::bind`] and [`CheckedNode::instantiate`] only construct
+//! *ordered* when every key is proven sorted, else *hash* — and returns
+//! the verified tree. [`Plan::bind`] and [`CheckedNode::instantiate`] only construct
 //! the operator pipeline from that tree. The planning helpers the walk
 //! calls (predicate fusion, enum-literal rewriting, scan pruning) live
 //! here, next to the algebra they rewrite.
@@ -293,6 +293,18 @@ impl CheckedNode {
                 let p = probe.instantiate(opts, morsels, shared, ctx)?;
                 Ok(Box::new(HashJoinOp::new(b, p, parts, opts, ctx.clone())))
             }
+            // A morsel worker's slice of a sorted-key aggregation groups
+            // by hash: partials are the hash variant's protocol.
+            CheckedOp::OrdAggr {
+                keys,
+                aggs,
+                morsel: Some(merge),
+            } if morsels.is_some() => {
+                let child = self.inputs[0].instantiate(opts, morsels, shared, ctx)?;
+                let merge = merge.clone();
+                let op = HashAggrOp::new(child, keys, aggs, merge, vs, ctx.clone());
+                Ok(Box::new(op))
+            }
             _ => {
                 let child = self.inputs[0].instantiate(opts, morsels, shared, ctx)?;
                 Ok(self.over(child, opts, ctx))
@@ -310,15 +322,7 @@ impl CheckedNode {
         ctx: &Arc<QueryContext>,
     ) -> Box<dyn Operator> {
         let vs = opts.vector_size;
-        let select = |child, steps| {
-            Box::new(SelectOp::new(
-                child,
-                steps,
-                vs,
-                opts.select_strategy,
-                ctx.clone(),
-            ))
-        };
+        let select = |child, steps| Box::new(SelectOp::new(child, steps, vs, ctx.clone()));
         match &self.op {
             CheckedOp::Select { steps, verdict, .. } => match verdict {
                 Some(false) => Box::new(EmptyOp::new(self.fields.clone())),

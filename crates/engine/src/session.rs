@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use x100_storage::{ColumnBM, FaultPlan, Table};
-use x100_vector::{SelectStrategy, Value, Vector, DEFAULT_VECTOR_SIZE};
+use x100_vector::{Value, Vector, DEFAULT_VECTOR_SIZE};
 
 /// Default morsel size for parallel scans: large enough to amortize
 /// per-morsel dispatch, small enough to balance skewed selections.
@@ -32,8 +32,6 @@ pub struct ExecOptions {
     pub profile: bool,
     /// Enable compound-primitive fusion (§4.2; off for ablation).
     pub compound_primitives: bool,
-    /// Select primitive code shape (Fig. 2).
-    pub select_strategy: SelectStrategy,
     /// Fuse `Select` over a `Scan` of a checkpoint-compressed column
     /// into a compressed-execution path: the predicate is evaluated in
     /// encoded space over the packed lanes (or rewritten against the
@@ -100,7 +98,6 @@ impl Default for ExecOptions {
             vector_size: DEFAULT_VECTOR_SIZE,
             profile: false,
             compound_primitives: true,
-            select_strategy: SelectStrategy::Branch,
             compressed_pushdown: true,
             threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
@@ -405,7 +402,28 @@ pub fn execute(
     // Static verification gate: every plan is checked against the
     // primitive catalog before any operator is constructed, and the
     // operators are instantiated from the tree that check returns.
-    let checked = crate::check::check_plan(db, plan, opts)?.facts;
+    run_checked(crate::check::check_plan(db, plan, opts)?.facts, opts)
+}
+
+/// [`execute`] with the plan run as written, no rewrite rule applied:
+/// the reference side of the rewritten-vs-as-given differential test.
+#[doc(hidden)]
+pub fn execute_as_given(
+    db: &Database,
+    plan: &Plan,
+    opts: &ExecOptions,
+) -> Result<(QueryResult, Profiler), PlanError> {
+    run_checked(
+        crate::check::check_plan_as_given(db, plan, opts)?.facts,
+        opts,
+    )
+}
+
+/// Run a tree the check walk returned for `opts`.
+fn run_checked(
+    checked: crate::check::PlanFacts,
+    opts: &ExecOptions,
+) -> Result<(QueryResult, Profiler), PlanError> {
     let ctx = opts.query_context();
     if opts.threads > 1 {
         if let Some((result, mut prof)) =

@@ -175,18 +175,71 @@ fn join_build_respects_memory_budget() {
 fn aggregation_respects_memory_budget() {
     let n = 50_000i64;
     let t = TableBuilder::new("wide")
-        // One group per row: the hash table grows with the input.
-        .column("g", ColumnData::I64((0..n).collect()))
+        // One group per row, in no order: the hash table grows with
+        // the input.
+        .column("g", ColumnData::I64((0..n).map(|i| i * 7919 % n).collect()))
+        .column("sorted_g", ColumnData::I64((0..n).collect()))
         .column("v", ColumnData::F64((0..n).map(|i| i as f64).collect()))
         .build();
     let mut db = Database::new();
     db.register(t);
-    let plan = Plan::scan("wide", &["g", "v"])
-        .aggr(vec![("g", col("g"))], vec![AggExpr::sum("s", col("v"))]);
+    let by = |key: &str| {
+        Plan::scan("wide", &[key, "v"])
+            .aggr(vec![("g", col(key))], vec![AggExpr::sum("s", col("v"))])
+    };
     let opts = ExecOptions::default().with_mem_budget(32 * 1024);
-    match execute(&db, &plan, &opts) {
+    match execute(&db, &by("g"), &opts) {
         Err(EngineError::ResourceExhausted { operator, .. }) => {
             assert_eq!(operator, "hash aggregation table");
+        }
+        other => panic!("expected ResourceExhausted, got {other:?}"),
+    }
+    // As many groups on a key proven sorted: the ordered aggregation
+    // holds one vector of them at a time, and the budget is simply met.
+    let (res, _) = execute(&db, &by("sorted_g"), &opts).expect("streams");
+    assert_eq!(res.num_rows(), n as usize);
+}
+
+/// Rule `select-before-fetch` evaluates a predicate over the dimension
+/// table into one byte per row, shared by every morsel worker: the
+/// query is charged for it once, whatever the thread count.
+#[test]
+fn derived_fetch_column_is_charged_once_across_workers() {
+    let (dim_rows, fact_rows) = (1u32 << 16, 1u32 << 19);
+    let dim = TableBuilder::new("dim")
+        .column("d", ColumnData::I64((0..dim_rows as i64).collect()))
+        .build();
+    let fact = TableBuilder::new("fact")
+        .column(
+            "rid",
+            ColumnData::U32((0..fact_rows).map(|i| i * 31 % dim_rows).collect()),
+        )
+        .build();
+    let mut db = Database::new();
+    db.register(dim);
+    db.register(fact);
+    let plan = Plan::scan("fact", &["rid"])
+        .fetch1("dim", col("rid"), &[("d", "d")])
+        .select(lt(col("d"), lit_i64(1000)))
+        .aggr(vec![], vec![AggExpr::count("n")]);
+    let small = ExecOptions::with_vector_size(64).profiled();
+    let mut counts = Vec::new();
+    for threads in [1usize, 4] {
+        let (res, prof) = execute(&db, &plan, &small.clone().parallel(threads)).expect("runs");
+        let peak = prof.counter("gov_mem_peak").expect("tracked") as usize;
+        let bytes = dim_rows as usize;
+        assert!(
+            (bytes..2 * bytes).contains(&peak),
+            "threads {threads}: peak {peak} for a {bytes}-byte column"
+        );
+        counts.push(format!("{res:?}"));
+    }
+    assert_eq!(counts[0], counts[1]);
+    // A budget the byte column does not fit in fails typed, on its name.
+    let tight = small.with_mem_budget(dim_rows as usize / 2);
+    match execute(&db, &plan, &tight) {
+        Err(EngineError::ResourceExhausted { operator, .. }) => {
+            assert_eq!(operator, "derived fetch column");
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }

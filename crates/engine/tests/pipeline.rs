@@ -199,6 +199,101 @@ fn ordered_aggregation_on_clustered_input() {
     assert_eq!(res.column_by_name("cnt").as_i64(), &[10, 10]);
 }
 
+/// A table clustered on `k`: one group of ten vectors' worth of rows,
+/// then a run of `vector_size + 1` single-row groups (one more group
+/// than an output vector holds), then short groups — with `m` to filter
+/// on and `v` to sum.
+fn clustered_db(vs: usize) -> (Database, Vec<i64>, Vec<f64>) {
+    let mut k: Vec<i64> = vec![5; 10 * vs];
+    k.extend((0..=vs as i64).map(|i| 6 + i));
+    let top = *k.last().expect("non-empty");
+    k.extend((0..3 * vs as i64).map(|i| top + 1 + i / 3));
+    let v: Vec<f64> = (0..k.len()).map(|i| i as f64 * 0.5 + 0.1).collect();
+    let m: Vec<i64> = (0..k.len() as i64).map(|i| i % 3).collect();
+    let t = TableBuilder::new("c")
+        .column("k", ColumnData::I64(k.clone()))
+        .column("m", ColumnData::I64(m))
+        .column("v", ColumnData::F64(v.clone()))
+        .build();
+    let mut db = Database::new();
+    db.register(t);
+    (db, k, v)
+}
+
+#[test]
+fn ordered_aggregation_streams_long_groups_and_runs_of_single_rows() {
+    for vs in [16usize, 1024] {
+        let (db, k, v) = clustered_db(vs);
+        let opts = ExecOptions::with_vector_size(vs).profiled();
+        let aggs = || {
+            vec![
+                AggExpr::count("n"),
+                AggExpr::sum("s", col("v")),
+                AggExpr::min("lo", col("v")),
+                AggExpr::avg("mean", col("v")),
+            ]
+        };
+        for filtered in [false, true] {
+            let mut input = Plan::scan("c", &["k", "m", "v"]);
+            if filtered {
+                input = input.select(ne(col("m"), lit_i64(0)));
+            }
+            // The same fold, tuple at a time, in arrival order.
+            let mut want: Vec<(i64, i64, f64, f64)> = Vec::new();
+            for i in (0..k.len()).filter(|i| !filtered || i % 3 != 0) {
+                match want.last_mut() {
+                    Some(g) if g.0 == k[i] => {
+                        g.1 += 1;
+                        g.2 += v[i];
+                    }
+                    _ => want.push((k[i], 1, v[i], v[i])),
+                }
+            }
+            let forced = Plan::OrdAggr {
+                input: Box::new(input.clone()),
+                keys: vec![("k".into(), col("k"))],
+                aggs: aggs(),
+            };
+            let chosen = input.aggr(vec![("k", col("k"))], aggs());
+            for plan in [forced, chosen] {
+                let (res, prof) = execute(&db, &plan, &opts).expect("runs");
+                let ops: Vec<&str> = prof.operators().map(|(name, _)| name).collect();
+                assert!(ops.contains(&"Aggr(ORDERED)"), "{ops:?}");
+                assert!(!ops.contains(&"Aggr(HASH)"), "{ops:?}");
+                assert_eq!(res.num_rows(), want.len(), "vs {vs} filtered {filtered}");
+                for (r, (key, n, sum, lo)) in want.iter().enumerate() {
+                    assert_eq!(res.column_by_name("k").as_i64()[r], *key);
+                    assert_eq!(res.column_by_name("n").as_i64()[r], *n);
+                    assert_eq!(res.column_by_name("s").as_f64()[r], *sum, "group {key}");
+                    assert_eq!(res.column_by_name("lo").as_f64()[r], *lo);
+                    assert_eq!(res.column_by_name("mean").as_f64()[r], sum / *n as f64);
+                }
+                // One vector of groups in flight, however many there are.
+                let peak = prof.counter("gov_mem_peak").expect("tracked") as usize;
+                assert!(peak <= (2 * vs + 2) * 8 * 4, "vs {vs}: peak {peak}");
+            }
+        }
+    }
+}
+
+#[test]
+fn forced_ordered_aggregation_over_unsorted_keys_is_noted() {
+    let db = sales_db();
+    let by = |key: &str| Plan::OrdAggr {
+        input: Box::new(Plan::scan("sales", &[key, "qty"])),
+        keys: vec![("g".into(), col(key))],
+        aggs: vec![AggExpr::count("cnt")],
+    };
+    let note = "OrdAggr keys not proven sorted";
+    // `qty` cycles 0..5: legal, every run is a group, and the walk says so.
+    let text = x100_engine::explain_check(&db, &by("qty"), &opts());
+    assert!(text.contains(note), "{text}");
+    let (res, _) = execute(&db, &by("qty"), &opts()).expect("runs");
+    assert_eq!(res.num_rows(), 20, "one group per run");
+    let text = x100_engine::explain_check(&db, &by("day"), &opts());
+    assert!(!text.contains(note), "{text}");
+}
+
 #[test]
 fn aggregation_without_groups() {
     let db = sales_db();
@@ -549,17 +644,44 @@ fn compound_toggle_changes_trace_not_result() {
     assert!(p2.primitive("map_mul_f64_col_f64_col").is_some());
 }
 
+/// The select primitives run predicated at every selectivity: runs of
+/// 0 %, 50 % and 100 % several vectors long, on dense input, under an
+/// earlier step's selection, column-vs-column and through `select_true`,
+/// give the rows a scalar filter gives.
 #[test]
-fn predicated_strategy_equals_branch() {
-    let db = sales_db();
-    let plan = Plan::scan("sales", &["id"]).select(lt(col("id"), lit_i64(9)));
-    let o = ExecOptions {
-        select_strategy: x100_vector::SelectStrategy::Predicated,
-        ..Default::default()
-    };
-    let (r1, _) = execute(&db, &plan, &ExecOptions::default()).expect("runs");
-    let (r2, _) = execute(&db, &plan, &o).expect("runs");
-    assert_eq!(r1.row_strings(), r2.row_strings());
+fn predicated_selects_agree_with_a_scalar_filter_at_every_selectivity() {
+    let n = 64 * 1024i64;
+    let band = |i: i64| (i / 4096) % 3; // 4 vectors each of 0 / 50 / 100 %
+    let a: Vec<i64> = (0..n)
+        .map(|i| match band(i) {
+            0 => 100,
+            1 => i % 2,
+            _ => 0,
+        })
+        .collect();
+    let b: Vec<i64> = (0..n).map(|i| (i * 7) % 5).collect();
+    let t = TableBuilder::new("t")
+        .column("id", ColumnData::I64((0..n).collect()))
+        .column("a", ColumnData::I64(a.clone()))
+        .column("b", ColumnData::I64(b.clone()))
+        .build();
+    let mut db = Database::new();
+    db.register(t);
+    let plan = Plan::scan("t", &["id", "a", "b"])
+        .select(lt(col("a"), lit_i64(1)))
+        .select(and(
+            lt(col("a"), col("b")),
+            or(eq(col("b"), lit_i64(1)), eq(col("b"), lit_i64(3))),
+        ));
+    let (res, _) = execute(&db, &plan, &ExecOptions::default()).expect("runs");
+    let want: Vec<i64> = (0..n)
+        .filter(|&i| {
+            let (a, b) = (a[i as usize], b[i as usize]);
+            a < 1 && a < b && (b == 1 || b == 3)
+        })
+        .collect();
+    assert!(want.len() > 1000);
+    assert_eq!(res.column_by_name("id").as_i64(), &want[..]);
 }
 
 #[test]

@@ -13,6 +13,10 @@
 //! [`crate::group::GroupTable`]: a probe round that gathers one tagged
 //! bucket word per pending tuple and splits the tuples three ways
 //! without branching, and one typed key-verify loop per key column.
+//!
+//! `aggr_ordered_*` are the kernels of ordered aggregation: run
+//! boundaries of clustered keys become group ids, one typed pass per
+//! key column.
 
 use crate::sel::SelVec;
 
@@ -336,7 +340,7 @@ macro_rules! group_key {
         }
     )*};
 }
-group_key!(u8, u16, u32, i32, i64);
+group_key!(u8, u16, u32, u64, i8, i16, i32, i64, bool);
 
 impl GroupKey for f64 {
     #[inline(always)]
@@ -394,6 +398,141 @@ pub fn aggr_grouptable_verify_str_col(
     first: bool,
 ) -> bool {
     verify_keys(cand, grp, ne, first, |g, i| store.get(g) != key.get(i))
+}
+
+/// Ordered-aggregation group ids: walk the live positions in arrival
+/// order and number the runs of equal keys, `grp[i] = grp[prev] +
+/// (key differs)`. The tuple before the first live one is the group the
+/// previous vector left open, id 0 — `head(i)` says whether the first
+/// live tuple leaves it, `differs(p, i)` whether tuple `i` leaves the
+/// group of the live tuple `p` before it. With `first = false` a
+/// further key column is folded in: `grp` holds the ids the earlier
+/// columns produced, and a boundary is one in either. Returns the
+/// number of ids in use (0 without a live tuple).
+#[inline(always)]
+fn ordered_boundaries(
+    grp: &mut [u32],
+    mut positions: impl Iterator<Item = usize>,
+    first: bool,
+    head: impl FnOnce(usize) -> bool,
+    differs: impl Fn(usize, usize) -> bool,
+) -> usize {
+    let Some(i0) = positions.next() else {
+        return 0;
+    };
+    let earlier = |grp: &[u32], i: usize| if first { 0 } else { grp[i] };
+    let mut was = earlier(grp, i0);
+    let mut id = ((was != 0) | head(i0)) as u32;
+    grp[i0] = id;
+    let mut prev = i0;
+    for i in positions {
+        let old = earlier(grp, i);
+        id += ((old != was) | differs(prev, i)) as u32;
+        grp[i] = id;
+        (prev, was) = (i, old);
+    }
+    id as usize + 1
+}
+
+/// Ordered-aggregation group ids over one fixed-width key column (the
+/// `aggr_ordered_boundaries_<ty>_col` instances; see
+/// [`ordered_boundaries`]). `open` is the key of the group the previous
+/// vector left open (it keeps id 0); `None` lets the first live tuple
+/// open group 0. Keys compare like [`GroupKey`]: by bits.
+#[inline]
+pub fn aggr_ordered_boundaries_col<T: GroupKey>(
+    grp: &mut [u32],
+    key: &[T],
+    open: Option<T>,
+    sel: Option<&SelVec>,
+    first: bool,
+) -> usize {
+    let head = |i: usize| open.is_some_and(|o| !o.same(key[i]));
+    let differs = |p: usize, i: usize| !key[p].same(key[i]);
+    match sel {
+        None => ordered_boundaries(grp, 0..key.len(), first, head, differs),
+        Some(sel) => ordered_boundaries(grp, sel.iter(), first, head, differs),
+    }
+}
+
+macro_rules! ordered_boundaries_instance {
+    ($name:ident, $ty:ty) => {
+        /// Macro-generated ordered-boundaries instance.
+        #[inline]
+        pub fn $name(
+            grp: &mut [u32],
+            key: &[$ty],
+            open: Option<$ty>,
+            sel: Option<&SelVec>,
+            first: bool,
+        ) -> usize {
+            aggr_ordered_boundaries_col(grp, key, open, sel, first)
+        }
+    };
+}
+
+ordered_boundaries_instance!(aggr_ordered_boundaries_i8_col, i8);
+ordered_boundaries_instance!(aggr_ordered_boundaries_i16_col, i16);
+ordered_boundaries_instance!(aggr_ordered_boundaries_i32_col, i32);
+ordered_boundaries_instance!(aggr_ordered_boundaries_i64_col, i64);
+ordered_boundaries_instance!(aggr_ordered_boundaries_u8_col, u8);
+ordered_boundaries_instance!(aggr_ordered_boundaries_u16_col, u16);
+ordered_boundaries_instance!(aggr_ordered_boundaries_u32_col, u32);
+ordered_boundaries_instance!(aggr_ordered_boundaries_u64_col, u64);
+ordered_boundaries_instance!(aggr_ordered_boundaries_f64_col, f64);
+ordered_boundaries_instance!(aggr_ordered_boundaries_bool_col, bool);
+
+/// Ordered-aggregation group ids over a string key column.
+#[inline]
+pub fn aggr_ordered_boundaries_str_col(
+    grp: &mut [u32],
+    key: &crate::StrVec,
+    open: Option<&str>,
+    sel: Option<&SelVec>,
+    first: bool,
+) -> usize {
+    let head = |i: usize| open.is_some_and(|o| o != key.get(i));
+    let differs = |p: usize, i: usize| key.get(p) != key.get(i);
+    match sel {
+        None => ordered_boundaries(grp, 0..key.len(), first, head, differs),
+        Some(sel) => ordered_boundaries(grp, sel.iter(), first, head, differs),
+    }
+}
+
+/// The positions whose tuple opens a group, given the ids an
+/// `aggr_ordered_boundaries_*` chain assigned: the live positions where
+/// the id steps up, plus the first live one when no group was `open`.
+/// Branch-free, like a predicated select.
+#[inline]
+pub fn aggr_ordered_starts_u32_col(
+    starts: &mut Vec<u32>,
+    grp: &[u32],
+    sel: Option<&SelVec>,
+    open: bool,
+) {
+    #[inline(always)]
+    fn run(
+        starts: &mut Vec<u32>,
+        grp: &[u32],
+        live: usize,
+        pos: impl Iterator<Item = usize>,
+        open: bool,
+    ) {
+        starts.clear();
+        starts.resize(live, 0);
+        let mut prev = if open { 0 } else { u32::MAX };
+        let mut j = 0usize;
+        for i in pos {
+            starts[j] = i as u32;
+            j += (grp[i] != prev) as usize;
+            prev = grp[i];
+        }
+        starts.truncate(j);
+    }
+    match sel {
+        None => run(starts, grp, grp.len(), 0..grp.len(), open),
+        Some(sel) => run(starts, grp, sel.len(), sel.iter(), open),
+    }
 }
 
 #[cfg(test)]

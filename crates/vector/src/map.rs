@@ -316,8 +316,8 @@ pub fn map_not(res: &mut [bool], a: &[bool], sel: Option<&SelVec>) {
 }
 
 /// Extract the calendar year from days-since-epoch values
-/// (`map_year_i32_col`). Dates are dense i32 days, so this is a small
-/// search over year boundaries rather than a full calendar conversion.
+/// (`map_year_i32_col`): the loop-free year part of
+/// [`crate::types::date::from_days`].
 #[inline]
 pub fn map_year_i32_col(res: &mut [i32], days: &[i32], sel: Option<&SelVec>) {
     map1(res, days, sel, |d| crate::types::date::from_days(d).0);

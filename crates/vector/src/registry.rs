@@ -345,7 +345,10 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             s.spills = true;
             return Ok(s);
         }
-        "aggr_ordered_boundaries" => return Ok(dense(vec![], OutTy::State, T::Aggregate)),
+        "aggr_ordered_starts_u32_col" => {
+            // Group-id column in, the positions that open a group out.
+            return Ok(selful(vec![ArgTy::col(U32)], OutTy::Vec(U32), T::Positions));
+        }
         "sort_permutation" => {
             // Unbounded buffering: Order/TopN degrades to an external
             // merge sort over spilled sorted runs under pressure.
@@ -602,6 +605,19 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
                 OutTy::Vec(U8),
                 T::Compare,
             ))
+        }
+        ("aggr", "ordered") => {
+            // aggr_ordered_boundaries_<ty>_col: one clustered key column
+            // in, the run number of each live tuple out — a group index
+            // below the vector length, like direct grouping's. Streaming:
+            // the state is one vector of groups, so it never spills.
+            let ["boundaries", ty, "col"] = rest else {
+                return Err(format!("ordered-aggregation signature `{sig}` malformed"));
+            };
+            // Any vector type compares for equality, so any can key.
+            let ty = Some(*ty).filter(|t| *t != "uidx").and_then(ty_token);
+            let ty = ty.ok_or_else(|| format!("bad key type in `{sig}`"))?;
+            Ok(selful(vec![ArgTy::col(ty)], OutTy::Vec(U32), T::Positions))
         }
         ("aggr", "sum") if rest.get(1).is_some_and(|t| t.starts_with('x')) => {
             // aggr_sum_f64_x<N>_col_u32_col: the fused family — N f64
@@ -867,10 +883,19 @@ impl PrimitiveRegistry {
                 "group-table key verify (generated)",
             );
         }
+        for ty in [
+            "i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64", "f64", "bool", "str",
+        ] {
+            reg.register_owned(
+                format!("aggr_ordered_boundaries_{ty}_col"),
+                PrimitiveKind::Aggr,
+                "ordered-aggregation run boundaries → group ids (generated)",
+            );
+        }
         reg.register(
-            "aggr_ordered_boundaries",
+            "aggr_ordered_starts_u32_col",
             PrimitiveKind::Aggr,
-            "ordered-aggregation boundary detection",
+            "ordered-aggregation group-opening positions",
         );
         reg.register(
             "sort_permutation",
@@ -1189,6 +1214,8 @@ mod tests {
             ("aggr_sum_f64_x5_col_u32_col", FactTransfer::Aggregate),
             ("aggr_grouptable_probe_u64_col", FactTransfer::Positions),
             ("aggr_grouptable_verify_f64_col", FactTransfer::Compare),
+            ("aggr_ordered_boundaries_i64_col", FactTransfer::Positions),
+            ("aggr_ordered_starts_u32_col", FactTransfer::Positions),
             ("map_scatter_u32_col_i64_col", FactTransfer::Sink),
             ("compress_pdict_str_col", FactTransfer::Sink),
             ("aggr_avg_epilogue", FactTransfer::Opaque),
@@ -1255,6 +1282,8 @@ mod tests {
             "aggr_sum_f64_x9_col_u32_col",       // fused family stops at 8
             "aggr_sum_i64_x2_col_u32_col",       // fused sums are f64
             "aggr_grouptable_verify_bool_col",   // not a group key type
+            "aggr_ordered_boundaries_uidx_col",  // an alias, not a vector type
+            "aggr_ordered_boundaries",           // the typed family replaced it
             "cmp_pfor_ne_i64_col_val",           // != is not a frame range
             "cmp_pfor_eq_str_col_val",           // PFOR is numeric-only
             "cmp_pdict_between_i64_col_val_val", // between is PFOR-only

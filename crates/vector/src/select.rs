@@ -91,9 +91,10 @@ fn select_sel_pred<T: Copy, F: Fn(T) -> bool>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectStrategy {
     /// Data-dependent branch; best at very low/high selectivity.
-    #[default]
     Branch,
-    /// Branch-free boolean arithmetic; selectivity-independent.
+    /// Branch-free boolean arithmetic; selectivity-independent. The
+    /// shape the engine runs (`engine::ops::select`).
+    #[default]
     Predicated,
 }
 
@@ -160,12 +161,21 @@ pub fn select_cmp_col_col<T: Copy + PartialOrd>(
                     }
                     out.truncate(j);
                 }
-                (Some(s), _) => {
+                (Some(s), SelectStrategy::Branch) => {
                     for i in s.iter() {
                         if $pred(a[i], b[i]) {
                             out.push(i as u32);
                         }
                     }
+                }
+                (Some(s), SelectStrategy::Predicated) => {
+                    out.resize(s.len(), 0);
+                    let mut j = 0usize;
+                    for i in s.iter() {
+                        out[j] = i as u32;
+                        j += $pred(a[i], b[i]) as usize;
+                    }
+                    out.truncate(j);
                 }
             }
         };
@@ -183,10 +193,17 @@ pub fn select_cmp_col_col<T: Copy + PartialOrd>(
 
 /// Select on a boolean column (result of a nested boolean expression).
 #[inline]
-pub fn select_true(out: &mut SelVec, a: &[bool], sel: Option<&SelVec>) -> usize {
-    match sel {
-        None => select_dense_branch(out.buf_mut(), a, |x| x),
-        Some(s) => select_sel_branch(out.buf_mut(), a, s, |x| x),
+pub fn select_true(
+    out: &mut SelVec,
+    a: &[bool],
+    sel: Option<&SelVec>,
+    strategy: SelectStrategy,
+) -> usize {
+    match (sel, strategy) {
+        (None, SelectStrategy::Branch) => select_dense_branch(out.buf_mut(), a, |x| x),
+        (None, SelectStrategy::Predicated) => select_dense_pred(out.buf_mut(), a, |x| x),
+        (Some(s), SelectStrategy::Branch) => select_sel_branch(out.buf_mut(), a, s, |x| x),
+        (Some(s), SelectStrategy::Predicated) => select_sel_pred(out.buf_mut(), a, s, |x| x),
     }
 }
 
@@ -303,17 +320,25 @@ mod tests {
         let n2 = select_cmp_col_col(&mut s, &a, &b, CmpOp::Lt, None, SelectStrategy::Predicated);
         assert_eq!(n2, 2);
         assert_eq!(s.positions(), &[0, 2]);
+        let pre = SelVec::from_positions(vec![1, 2, 3]);
+        for strategy in [SelectStrategy::Branch, SelectStrategy::Predicated] {
+            let n = select_cmp_col_col(&mut s, &a, &b, CmpOp::Le, Some(&pre), strategy);
+            assert_eq!(n, 2);
+            assert_eq!(s.positions(), &[2, 3]);
+        }
     }
 
     #[test]
     fn select_true_on_bools() {
         let a = [true, false, true, true];
         let mut s = SelVec::default();
-        assert_eq!(select_true(&mut s, &a, None), 3);
-        assert_eq!(s.positions(), &[0, 2, 3]);
         let pre = SelVec::from_positions(vec![1, 2]);
-        assert_eq!(select_true(&mut s, &a, Some(&pre)), 1);
-        assert_eq!(s.positions(), &[2]);
+        for strategy in [SelectStrategy::Branch, SelectStrategy::Predicated] {
+            assert_eq!(select_true(&mut s, &a, None, strategy), 3);
+            assert_eq!(s.positions(), &[0, 2, 3]);
+            assert_eq!(select_true(&mut s, &a, Some(&pre), strategy), 1);
+            assert_eq!(s.positions(), &[2]);
+        }
     }
 
     #[test]

@@ -221,35 +221,23 @@ pub mod date {
     }
 
     /// Convert days since 1970-01-01 back to `(year, month, day)`.
-    #[allow(clippy::needless_range_loop)] // month arithmetic reads better indexed
-    pub fn from_days(mut days: i32) -> (i32, u32, u32) {
-        let mut year: i32 = 1970;
-        loop {
-            let ylen = if is_leap(year as i64) { 366 } else { 365 };
-            if days >= ylen {
-                days -= ylen;
-                year += 1;
-            } else if days < 0 {
-                year -= 1;
-                days += if is_leap(year as i64) { 366 } else { 365 };
-            } else {
-                break;
-            }
-        }
-        let mut month = 1u32;
-        for m in 0..12 {
-            let mut mlen = MDAYS[m] as i32;
-            if m == 1 && is_leap(year as i64) {
-                mlen += 1;
-            }
-            if days >= mlen {
-                days -= mlen;
-                month += 1;
-            } else {
-                break;
-            }
-        }
-        (year, month, days as u32 + 1)
+    ///
+    /// Closed form (no loop over years or months): shift the epoch to
+    /// 0000-03-01 so a 400-year era is exactly 146 097 days and leap
+    /// days fall at the end of a March-based year, then peel era, year
+    /// of era and month by division.
+    #[inline]
+    pub fn from_days(days: i32) -> (i32, u32, u32) {
+        let z = days as i64 + 719_468; // days since 0000-03-01
+        let era = z.div_euclid(146_097);
+        let doe = z.rem_euclid(146_097); // day of era, [0, 146096]
+        let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365; // [0, 399]
+        let doy = doe - (365 * yoe + yoe / 4 - yoe / 100); // March-based, [0, 365]
+        let mp = (5 * doy + 2) / 153; // March = 0
+        let day = doy - (153 * mp + 2) / 5 + 1;
+        let month = if mp < 10 { mp + 3 } else { mp - 9 };
+        let year = yoe + era * 400 + i64::from(month <= 2);
+        (year as i32, month as u32, day as u32)
     }
 
     /// Render days-since-epoch as `YYYY-MM-DD`.
@@ -321,6 +309,57 @@ mod tests {
         for days in date::to_days(1992, 1, 1)..=date::to_days(2002, 12, 31) {
             let (y, m, d) = date::from_days(days);
             assert_eq!(date::to_days(y, m, d), days, "roundtrip failed at {days}");
+        }
+    }
+
+    /// The year-by-year, month-by-month walk `from_days` used to be: the
+    /// reference its closed form must agree with.
+    fn from_days_by_walking(mut days: i32) -> (i32, u32, u32) {
+        let is_leap = |y: i32| (y % 4 == 0 && y % 100 != 0) || y % 400 == 0;
+        let mut year = 1970;
+        loop {
+            let ylen = if is_leap(year) { 366 } else { 365 };
+            if days >= ylen {
+                days -= ylen;
+                year += 1;
+            } else if days < 0 {
+                year -= 1;
+                days += if is_leap(year) { 366 } else { 365 };
+            } else {
+                break;
+            }
+        }
+        let mut month = 1u32;
+        for (m, len) in [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+            .into_iter()
+            .enumerate()
+        {
+            let len = len + i32::from(m == 1 && is_leap(year));
+            if days < len {
+                break;
+            }
+            days -= len;
+            month += 1;
+        }
+        (year, month, days as u32 + 1)
+    }
+
+    #[test]
+    fn from_days_closed_form_matches_the_walk_over_800_years() {
+        // Every day of 1570-01-01 ..= 2370-12-31: two full 400-year
+        // eras, so every leap-day boundary (and both kinds of century)
+        // is crossed.
+        let (lo, hi) = (date::to_days(1570, 1, 1), date::to_days(2370, 12, 31));
+        assert!(lo < -146_000 && hi > 146_000);
+        for days in lo..=hi {
+            let want = from_days_by_walking(days);
+            assert_eq!(date::from_days(days), want, "day {days}");
+        }
+        for year in 1570..=2370 {
+            let feb28 = date::to_days(year, 2, 28);
+            let leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
+            let next = if leap { (year, 2, 29) } else { (year, 3, 1) };
+            assert_eq!(date::from_days(feb28 + 1), next, "leap boundary of {year}");
         }
     }
 

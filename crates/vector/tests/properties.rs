@@ -9,7 +9,9 @@
 //! 5. the vectorized group table assigns the ids a tuple-at-a-time
 //!    `HashMap` would, in first-seen order;
 //! 6. the fused aggregate update equals N single-aggregate passes, bit
-//!    for bit.
+//!    for bit;
+//! 7. the ordered-aggregation kernels number the runs of equal keys the
+//!    way a tuple-at-a-time comparison with the previous tuple does.
 
 use proptest::prelude::*;
 use x100_vector::map::{self, CmpOp};
@@ -112,6 +114,55 @@ fn key_identity(keys: &[Vector], i: usize) -> Vec<(u64, String)> {
         .collect()
 }
 
+/// Value `i` of a key column, as a one-value column.
+fn key_column_at(key: &Vector, i: usize) -> Vector {
+    match key {
+        Vector::Str(v) => Vector::Str([v.get(i)].into_iter().collect()),
+        Vector::F64(v) => Vector::F64(vec![v[i]]),
+        other => {
+            let mut one = Vector::with_capacity(other.scalar_type(), 1);
+            one.push_value(&other.get_value(i));
+            one
+        }
+    }
+}
+
+/// One `aggr_ordered_boundaries_<ty>_col` call; `open` holds the key of
+/// the group left open, as a one-value column.
+fn ordered_boundaries(
+    grp: &mut [u32],
+    key: &Vector,
+    open: Option<&Vector>,
+    sel: Option<&SelVec>,
+    first: bool,
+) -> usize {
+    match key {
+        Vector::U8(k) => {
+            hash::aggr_ordered_boundaries_u8_col(grp, k, open.map(|o| o.as_u8()[0]), sel, first)
+        }
+        Vector::U16(k) => {
+            hash::aggr_ordered_boundaries_u16_col(grp, k, open.map(|o| o.as_u16()[0]), sel, first)
+        }
+        Vector::U32(k) => {
+            hash::aggr_ordered_boundaries_u32_col(grp, k, open.map(|o| o.as_u32()[0]), sel, first)
+        }
+        Vector::I32(k) => {
+            hash::aggr_ordered_boundaries_i32_col(grp, k, open.map(|o| o.as_i32()[0]), sel, first)
+        }
+        Vector::I64(k) => {
+            hash::aggr_ordered_boundaries_i64_col(grp, k, open.map(|o| o.as_i64()[0]), sel, first)
+        }
+        Vector::F64(k) => {
+            hash::aggr_ordered_boundaries_f64_col(grp, k, open.map(|o| o.as_f64()[0]), sel, first)
+        }
+        Vector::Str(k) => {
+            let open = open.map(|o| o.as_str().get(0));
+            hash::aggr_ordered_boundaries_str_col(grp, k, open, sel, first)
+        }
+        other => panic!("not a key column: {:?}", other.scalar_type()),
+    }
+}
+
 /// A batch of a group-table run: three columns of draws, a selection
 /// mask (`None` = dense).
 type GroupBatch = (Vec<(u32, u32, u32)>, Option<Vec<bool>>);
@@ -194,6 +245,71 @@ proptest! {
         prop_assert_eq!(table.len(), first_seen.len());
         for (g, id) in first_seen.iter().enumerate() {
             prop_assert_eq!(&key_identity(table.keys(), g), id);
+        }
+    }
+
+    #[test]
+    fn ordered_boundaries_number_the_runs_of_equal_keys(
+        types in prop::collection::vec(0usize..7, 1..4),
+        (_, batches) in group_batches(),
+        // Run length of the first key column: 1 is unclustered input
+        // (every tuple may open a group), 400 spans whole batches.
+        run in prop_oneof![Just(1usize), Just(4usize), Just(400usize)],
+    ) {
+        let (types, run): (Vec<usize>, usize) = (types, run);
+        // The key of the group the previous batch left open (that of its
+        // last live tuple) and how many groups have been opened so far.
+        let mut open: Option<Vec<Vector>> = None;
+        let mut opened = 0usize;
+        for (rows, mask) in &batches {
+            let n = rows.len();
+            let cols = [
+                (0..n).map(|i| rows[i - i % run].0).collect::<Vec<_>>(),
+                rows.iter().map(|r| r.1 / 4).collect(),
+                rows.iter().map(|r| r.2).collect(),
+            ];
+            let keys: Vec<Vector> = types
+                .iter()
+                .zip(&cols)
+                .map(|(&t, c)| key_column(t, c))
+                .collect();
+            let sel = mask.as_ref().map(|m| {
+                SelVec::from_positions((0..n as u32).filter(|&i| m[i as usize]).collect())
+            });
+            let sel = sel.as_ref();
+            let mut grp = vec![u32::MAX; n];
+            let mut in_use = 0;
+            for (k, key) in keys.iter().enumerate() {
+                let stored = open.as_ref().map(|o| &o[k]);
+                in_use = ordered_boundaries(&mut grp, key, stored, sel, k == 0);
+            }
+            let mut starts = vec![77u32; 3];
+            hash::aggr_ordered_starts_u32_col(&mut starts, &grp, sel, open.is_some());
+
+            // Oracle: compare every live tuple with the one before it.
+            let base = opened - open.is_some() as usize;
+            let mut prev = open.as_ref().map(|o| key_identity(o, 0));
+            let mut want_starts = Vec::new();
+            let mut last = None;
+            for i in 0..n {
+                if mask.as_ref().is_some_and(|m| !m[i]) {
+                    prop_assert_eq!(grp[i], u32::MAX, "unselected position written");
+                    continue;
+                }
+                let id = key_identity(&keys, i);
+                if prev.as_ref() != Some(&id) {
+                    opened += 1;
+                    want_starts.push(i as u32);
+                    prev = Some(id);
+                }
+                prop_assert_eq!(grp[i] as usize + base, opened - 1, "row {} of {}", i, n);
+                last = Some(i);
+            }
+            prop_assert_eq!(&starts, &want_starts);
+            prop_assert_eq!(in_use, last.map_or(0, |i| grp[i] as usize + 1));
+            if let Some(i) = last {
+                open = Some(keys.iter().map(|k| key_column_at(k, i)).collect());
+            }
         }
     }
 

@@ -61,6 +61,13 @@
 //!    `storage/src/durable.rs` or `engine/src/spill.rs`, tests included.
 //!    The four containers share one bounds-checked cursor and one
 //!    writer; a hand-rolled field read is how they fragmented before.
+//! 10. **Rule-list coverage** — every id in `engine::check::RULES` (the
+//!     plan walk's rewrite rules) is the subject of a walk-log message
+//!     (a `rule_note("<id>", …)` call in `engine/src/check.rs`, which is
+//!     what `--explain-check` prints) and appears by name in the
+//!     rewritten-vs-as-given differential test
+//!     (`tpch/tests/differential.rs`). A rule cannot land silent or
+//!     untested against the plan as written.
 //!
 //! Run as `cargo xtask lint` (alias in `.cargo/config.toml`).
 
@@ -184,6 +191,7 @@ fn lint() -> Vec<String> {
     fact_transfer_totality(&mut failures);
     durable_crash_coverage(&root, &mut failures);
     byte_layer_discipline(&root, &mut failures);
+    rule_list_coverage(&root, &mut failures);
     failures
 }
 
@@ -296,7 +304,6 @@ fn registry_parity(root: &Path, failures: &mut Vec<String>) {
             || sig.starts_with("map_uidx_")       // generic widen (fetch.rs)
             || sig == "map_fill_const"            // interpreter inline fill
             || sig == "aggr_hashtable_maintain"   // GroupTable::lookup (group.rs)
-            || sig == "aggr_ordered_boundaries"   // OrdAggrOp infrastructure
             || sig == "sort_permutation"          // OrderOp infrastructure
             || sig == "radix_scatter_positions"   // partition.rs infrastructure
             || sig.starts_with("bloom_")          // hash.rs bloom filter
@@ -720,6 +727,53 @@ fn byte_layer_discipline(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// Rule 10: every rewrite rule of the plan walk explains itself and is
+/// differentially tested.
+fn rule_list_coverage(root: &Path, failures: &mut Vec<String>) {
+    let read = |rel: &str| {
+        let path = root.join(rel);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    };
+    let check = read("crates/engine/src/check.rs");
+    let test = read("crates/tpch/tests/differential.rs");
+    let ids = rule_ids(&check);
+    if ids.is_empty() {
+        failures.push("rule-list coverage: no ids parsed from `RULES` in check.rs".into());
+    }
+    // rustfmt may break a call after its opening parenthesis.
+    let squeezed: String = check.chars().filter(|c| !c.is_whitespace()).collect();
+    for id in ids {
+        if !squeezed.contains(&format!("rule_note(\"{id}\",")) {
+            failures.push(format!(
+                "rule-list coverage: rule `{id}` has no `rule_note(\"{id}\", …)` in \
+                 crates/engine/src/check.rs (--explain-check would not show it)"
+            ));
+        }
+        if !test.contains(&format!("\"{id}\"")) {
+            failures.push(format!(
+                "rule-list coverage: rule `{id}` does not appear by name in \
+                 crates/tpch/tests/differential.rs (rewritten vs as given)"
+            ));
+        }
+    }
+}
+
+/// The string literals of the `pub const RULES` array in `check.rs`.
+fn rule_ids(check_rs: &str) -> Vec<String> {
+    let Some(start) = check_rs.find("pub const RULES") else {
+        return Vec::new();
+    };
+    let body = &check_rs[start..];
+    let body = &body[..body.find("];").unwrap_or(body.len())];
+    let code = body.lines().filter(|l| !l.trim_start().starts_with("//"));
+    let mut ids = Vec::new();
+    for line in code.skip(1) {
+        let mut quoted = line.split('"').skip(1).step_by(2);
+        ids.extend(quoted.by_ref().map(str::to_owned));
+    }
+    ids
+}
+
 /// 1-based numbers of the non-comment lines of `text` that convert
 /// little-endian bytes by hand (test modules count too).
 fn hand_rolled_le_sites(text: &str) -> Vec<usize> {
@@ -746,6 +800,19 @@ mod tests {
                        }\n";
         assert_eq!(hand_rolled_le_sites(fixture), vec![3, 7]);
         assert!(hand_rolled_le_sites("let n = r.get::<u32>()?;\n").is_empty());
+    }
+
+    #[test]
+    fn rule_ids_are_the_literals_of_the_rules_array() {
+        let fixture = "/// Docs mentioning \"not-a-rule\".\n\
+                       pub const RULES: [&str; 2] = [\n\
+                       \x20   // a comment with \"quotes\"\n\
+                       \x20   \"first-rule\",\n\
+                       \x20   \"second-rule\",\n\
+                       ];\n\
+                       const OTHER: &str = \"other\";\n";
+        assert_eq!(rule_ids(fixture), vec!["first-rule", "second-rule"]);
+        assert!(rule_ids("no table here").is_empty());
     }
 
     #[test]
