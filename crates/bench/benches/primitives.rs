@@ -5,7 +5,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use x100_vector::select::{select_cmp_col_val, SelectStrategy};
-use x100_vector::{aggr, fetch, hash, map, CmpOp, GroupTable, ScalarType, SelVec, Vector};
+use x100_vector::{
+    aggr, fetch, hash, map, CmpOp, GroupTable, ProbeScratch, ScalarType, SelVec, Vector,
+};
 
 const N: usize = 1024;
 
@@ -127,20 +129,21 @@ fn bench_aggr(c: &mut Criterion) {
             })
             .collect();
         let mut table = GroupTable::new(&[ScalarType::I64]);
+        let mut scratch = ProbeScratch::default();
         let mut grp = vec![0u32; N];
         let all: Vec<i64> = (0..groups as i64).collect();
         for chunk in all.chunks(N) {
             let mut hashes = vec![0u64; chunk.len()];
             hash::map_hash_i64_col(&mut hashes, chunk, None);
             let keys = Vector::I64(chunk.to_vec());
-            table.lookup(&mut grp, &hashes, &[&keys], chunk.len(), None);
+            table.lookup(&mut scratch, &mut grp, &hashes, &[&keys], chunk.len(), None);
         }
         let mut at = 0;
         g.bench_function(format!("group lookup ({name} groups)"), |bch| {
             bch.iter(|| {
                 let (keys, hashes) = &batches[at % BATCHES];
                 at += 1;
-                table.lookup(black_box(&mut grp), hashes, &[keys], N, None);
+                table.lookup(&mut scratch, black_box(&mut grp), hashes, &[keys], N, None);
             })
         });
     }
@@ -224,12 +227,13 @@ fn bench_ordaggr(c: &mut Criterion) {
         // The hash variant in its steady state: hash the keys, then
         // look every one of them up (all present).
         let mut table = GroupTable::new(&[ScalarType::I64]);
+        let mut scratch = ProbeScratch::default();
         let vectors: Vec<Vector> = batches
             .iter()
             .map(|(k, _)| Vector::I64(k.clone()))
             .collect();
         for (keys, (_, hashes)) in vectors.iter().zip(&batches) {
-            table.lookup(&mut grp, hashes, &[keys], N, None);
+            table.lookup(&mut scratch, &mut grp, hashes, &[keys], N, None);
         }
         let mut hashes = vec![0u64; N];
         let mut at = 0;
@@ -238,9 +242,66 @@ fn bench_ordaggr(c: &mut Criterion) {
                 let keys = &vectors[at % BATCHES];
                 at += 1;
                 hash::map_hash_i64_col(black_box(&mut hashes), keys.as_i64(), None);
-                table.lookup(black_box(&mut grp), &hashes, &[keys], N, None);
+                table.lookup(&mut scratch, black_box(&mut grp), &hashes, &[keys], N, None);
             })
         });
+    }
+    g.finish();
+}
+
+/// The hash join's two halves on the group table: building it over
+/// unique keys (`lookup`, ns per build row) and probing it (`hash` +
+/// `find`, ns per probe tuple) at build sides that fit L1, L2 and
+/// neither, with every probe key present and with half of them absent.
+fn bench_join(c: &mut Criterion) {
+    const BATCHES: usize = 256;
+    let mut g = c.benchmark_group("join");
+    for (name, rows) in [("10K", 10_000usize), ("100K", 100_000), ("1M", 1_000_000)] {
+        // Build keys in no order, as a scan under a predicate brings them.
+        let build: Vec<(Vector, Vec<u64>)> = (0..rows as i64)
+            .map(|i| i * 7919 % rows as i64)
+            .collect::<Vec<_>>()
+            .chunks(N)
+            .map(|chunk| {
+                let mut hashes = vec![0u64; chunk.len()];
+                hash::map_hash_i64_col(&mut hashes, chunk, None);
+                (Vector::I64(chunk.to_vec()), hashes)
+            })
+            .collect();
+        let mut scratch = ProbeScratch::default();
+        let mut grp = vec![0u32; N];
+        let build_table = |scratch: &mut ProbeScratch, grp: &mut [u32]| {
+            let mut table = GroupTable::new(&[ScalarType::I64]);
+            for (keys, hashes) in &build {
+                table.lookup(scratch, grp, hashes, &[keys], keys.len(), None);
+            }
+            table
+        };
+        g.throughput(Throughput::Elements(rows as u64));
+        g.bench_function(format!("build ({name} rows)"), |bch| {
+            bch.iter(|| build_table(&mut scratch, &mut grp).len())
+        });
+        let table = build_table(&mut scratch, &mut grp);
+        g.throughput(Throughput::Elements(N as u64));
+        for hit_pct in [50, 100] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let domain = (rows * 100 / hit_pct) as i64;
+            let probes: Vec<Vector> = (0..BATCHES)
+                .map(|_| Vector::I64((0..N).map(|_| rng.gen_range(0..domain)).collect()))
+                .collect();
+            let mut hashes = vec![0u64; N];
+            let mut at = 0;
+            g.bench_function(format!("probe ({name} rows, {hit_pct}% hit)"), |bch| {
+                bch.iter(|| {
+                    let keys = &probes[at % BATCHES];
+                    at += 1;
+                    hash::map_hash_i64_col(black_box(&mut hashes), keys.as_i64(), None);
+                    table
+                        .find(&mut scratch, black_box(&mut grp), &hashes, &[keys], N, None)
+                        .len()
+                })
+            });
+        }
     }
     g.finish();
 }
@@ -283,6 +344,7 @@ criterion_group!(
     bench_primitives,
     bench_aggr,
     bench_ordaggr,
+    bench_join,
     bench_select
 );
 criterion_main!(benches);

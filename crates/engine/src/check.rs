@@ -32,7 +32,7 @@
 //!    signature, or an expression that cannot type at all.
 //! 2. **Selection-vector misuse** ([`CheckViolation::SelVectorMisuse`])
 //!    — a `select_*` output fed where a dense vector is required (e.g. a
-//!    position-dependent scatter running under a selection); see
+//!    position-defined chunk codec running under a selection); see
 //!    [`verify_program`].
 //! 3. **Undecoded enum columns**
 //!    ([`CheckViolation::UndecodedEnumColumn`]) — a dictionary-code
@@ -446,8 +446,8 @@ fn check_with(
 ///
 /// The discipline: a `select_*` (or any selection-producing) primitive
 /// switches the rest of the program to run *under* that selection;
-/// dense-only position-dependent primitives (scatters, Bloom inserts,
-/// sort permutations, hash-table maintenance — `consumes_sel == false`
+/// dense-only position-dependent primitives (chunk codecs, sort
+/// permutations, hash-table maintenance — `consumes_sel == false`
 /// in the catalog) must never appear there, because they would read a
 /// selection vector where a dense vector is required.
 pub fn verify_program<'a, I>(sigs: I) -> Result<(), PlanError>
@@ -1261,30 +1261,27 @@ impl<'a> Checker<'a> {
                         "semi/anti joins cannot carry build payload".to_owned(),
                     ));
                 }
-                // The build and probe loops: key hashing, the Bloom
-                // prepass, and the radix scatter into partition order.
+                // The build and probe loops: key hashing, the group
+                // table's insert and its read-only probe rounds, and —
+                // where matches carry rows — one gather per output
+                // column. That kernel is total over vector types, so
+                // types outside the fetch catalog are legal and simply
+                // go untraced.
                 let jpath = format!("{path}.HashJoin");
                 self.require_hash(bprogs.iter().map(|p| p.result_type()), &jpath)?;
-                for sig in [
-                    "bloom_insert_u64_col",
-                    "bloom_test_u64_col",
-                    "map_radix_partition_u64_col",
-                    "radix_scatter_positions",
-                    "map_scatter_u32_col_u32_col",
-                ] {
-                    self.require(sig, || jpath.clone())?;
-                }
-                // The partition reorder gathers every stored column; its
-                // kernel is total over vector types, so types outside the
-                // fetch catalog are legal here.
-                for ty in bprogs
-                    .iter()
-                    .map(|p| p.result_type())
-                    .chain(payload_fields.iter().map(|f| f.ty))
-                {
-                    if let Some(d) = self.reg.get(&format!("map_fetch_u32_col_{ty}_col")) {
-                        self.verified.insert(d.signature);
+                self.require("aggr_hashtable_maintain", || jpath.clone())?;
+                self.require("aggr_grouptable_probe_u64_col", || jpath.clone())?;
+                let mut gather_sigs = Vec::new();
+                if join_type.keeps_rows() {
+                    for f in &node.fields {
+                        let desc = self.reg.get(&format!("map_fetch_u32_col_{}_col", f.ty));
+                        gather_sigs.push(desc.map(|d| d.signature));
+                        self.verified.extend(desc.map(|d| d.signature));
                     }
+                }
+                // The probe positions whose key the table holds.
+                if matches!(join_type, JoinType::Inner | JoinType::LeftSemi) {
+                    self.require("select_ne_u32_col_val", || jpath.clone())?;
                 }
                 let rows_max = match join_type {
                     // Semi/anti emit each probe row at most once;
@@ -1314,9 +1311,7 @@ impl<'a> Checker<'a> {
                     payload_cols,
                     payload_fields,
                     join_type: *join_type,
-                    // Bloom sizing feedback: a probe side that dwarfs the
-                    // build justifies more filter bits per build key.
-                    probe_rows_hint: plan::probe_rows_estimate(&probe),
+                    gather_sigs,
                 };
                 Ok(node.finish(
                     path,

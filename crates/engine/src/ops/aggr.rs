@@ -31,8 +31,10 @@ use crate::spill::{agg_partition, read_agg_segment, AggRun, AggSegment, SPILL_BL
 use crate::PlanError;
 use std::sync::Arc;
 use x100_storage::EnumDict;
-use x100_vector::partition::gather_rows;
-use x100_vector::{aggr as vaggr, hash as vhash, GroupTable, ScalarType, SelVec, Vector};
+use x100_vector::fetch::gather_rows;
+use x100_vector::{
+    aggr as vaggr, hash as vhash, GroupTable, ProbeScratch, ScalarType, SelVec, Vector,
+};
 
 /// One aggregate's accumulator column, indexed by group: the operators'
 /// running state and, detached (all owned data, no `Rc`), what a
@@ -571,6 +573,7 @@ pub struct HashAggrOp {
     // Scratch.
     hash_buf: Vec<u64>,
     grp_buf: Vec<u32>,
+    scratch: ProbeScratch,
     // Emission.
     built: bool,
     emit_pos: usize,
@@ -612,6 +615,7 @@ impl HashAggrOp {
             n_groups: 0,
             hash_buf: Vec::new(),
             grp_buf: Vec::new(),
+            scratch: ProbeScratch::default(),
             built: false,
             emit_pos: 0,
             pools,
@@ -649,8 +653,14 @@ impl HashAggrOp {
             hash_keys(&key_vecs, &mut self.hash_buf, n, sel, prof);
             // 3. Hash table maintenance (Fig. 6): hashes → group ids.
             let t0 = prof.start();
-            self.table
-                .lookup(&mut self.grp_buf, &self.hash_buf, &key_vecs, n, sel);
+            self.table.lookup(
+                &mut self.scratch,
+                &mut self.grp_buf,
+                &self.hash_buf,
+                &key_vecs,
+                n,
+                sel,
+            );
             prof.record_prim("aggr_hashtable_maintain", t0, live, live * 12);
             // 4. Vectorized accumulator updates.
             self.aggs.update(

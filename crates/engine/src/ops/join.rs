@@ -1,4 +1,4 @@
-//! Joins: `CartProd` and the radix-partitioned hash join.
+//! Joins: `CartProd` and the hash join over the group table.
 //!
 //! "X100 currently only supports left-deep joins. The default physical
 //! implementation is a CartProd operator with a Select on top (i.e.
@@ -13,35 +13,32 @@
 //! semi/anti output *selection vectors* over the probe dataflow, so they
 //! are zero-copy like `Select`.
 //!
-//! The build side is **radix-partitioned** on the top bits of the key
-//! hash (paper §3: the hot loop must stay cache-resident): instead of
-//! one monolithic bucket array that thrashes L2 for large build sides,
-//! rows are scattered into `2^B` partition ranges, each with its own
-//! bucket array sized under [`crate::ExecOptions::join_cache_budget`].
-//! Partition bucket chains build in parallel across worker threads. A
-//! blocked Bloom filter over all build hashes is probed *before* the
-//! hash table so probe tuples with no possible match skip the chain
-//! walk entirely. The finished [`JoinBuildTable`] is immutable and
-//! `Send + Sync`: the morsel-parallel driver builds it once and lets
-//! every worker probe it through [`HashJoinProbeOp`] (build once,
-//! probe many).
+//! The join has no hash table of its own: the build side's keys go
+//! through [`GroupTable::lookup`] — the table under `HashAggr` and
+//! `MergeAggr` — which numbers the distinct keys, and the build rows of
+//! one key hang off its group id as a chain of row numbers, newest
+//! first. The probe side runs [`GroupTable::find`], the same vectorized
+//! probe rounds without the insert, and expands the chains of the keys
+//! it found into `(probe position, build row)` pair lists of at most
+//! one vector, which one typed gather per output column materializes.
+//! The finished [`JoinTable`] is immutable and `Send + Sync`: the
+//! morsel-parallel driver builds it once and every worker's
+//! [`HashJoinOp`] probes the same `Arc` with its own scratch (build
+//! once, probe many).
 
 use super::aggr::hash_keys;
 use crate::batch::{Batch, OutField, SelPool, VecPool};
 use crate::compile::{ExprCode, ExprProg};
-use crate::govern::{panic_cause, MemTracker, QueryContext};
-use crate::ops::{eq_at, push_from, Operator};
+use crate::govern::{MemTracker, QueryContext};
+use crate::ops::{extend_range, push_from, Operator};
 use crate::profile::Profiler;
-use crate::session::ExecOptions;
 use crate::PlanError;
+use std::rc::Rc;
 use std::sync::Arc;
 use x100_storage::Table;
-use x100_vector::partition::{
-    self, bloom_insert_u64_col, bloom_test_u64_col, gather_rows, map_radix_partition_u64_col,
-    map_scatter_u32_col_u32_col, offsets_from_histogram, radix_histogram_u32_col,
-    radix_scatter_positions, BlockedBloom, MAX_RADIX_BITS,
-};
-use x100_vector::Vector;
+use x100_vector::fetch::gather_rows;
+use x100_vector::select::select_cmp_col_val;
+use x100_vector::{CmpOp, GroupTable, ProbeScratch, ScalarType, SelVec, SelectStrategy, Vector};
 
 /// Join semantics for [`HashJoinOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,573 +191,12 @@ impl Operator for CartProdOp {
     }
 }
 
-/// Build-phase configuration, extracted from [`ExecOptions`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct JoinBuildConfig {
-    /// Explicit partition bits (`Some(0)` = monolithic), or `None` to
-    /// derive from the cache budget.
-    pub partition_bits: Option<u32>,
-    /// Per-partition byte budget when deriving the bit count.
-    pub cache_budget: usize,
-    /// Worker threads for the per-partition bucket-chain build.
-    pub threads: usize,
-    /// Bind-time estimate of probe-side rows (from table cardinalities;
-    /// `None` when the probe shape defies estimation). A probe far
-    /// larger than the build makes every Bloom bit cheaper per lookup,
-    /// so the filter sizing steps up a tier.
-    pub probe_rows_hint: Option<usize>,
-}
-
-/// One radix partition's bucket array (heads index *global* rows + 1;
-/// `0` = empty).
-#[derive(Debug, Default)]
-struct PartBuckets {
-    buckets: Vec<u32>,
-    mask: u64,
-}
-
-/// The immutable, partition-ordered build side of a hash join.
-///
-/// Rows are stored in partition order: partition `p` owns global rows
-/// `offsets[p]..offsets[p+1]` of `keys` / `payload` / `hashes`. Bucket
-/// heads and chain links hold *global* row ids, so match emission needs
-/// no partition-local translation. `Send + Sync`: after `build` it is
-/// only ever read, so parallel probe workers share one `Arc` of it.
-pub struct JoinBuildTable {
-    keys: Vec<Vector>,
-    payload: Vec<Vector>,
-    hashes: Vec<u64>,
-    /// `chain[r]` = next global row + 1 within `r`'s partition (0 = end).
-    chain: Vec<u32>,
-    /// Partition row offsets (`len == nparts + 1`).
-    offsets: Vec<u32>,
-    parts: Vec<PartBuckets>,
-    bloom: BlockedBloom,
-    bits: u32,
-    n_build: usize,
-    /// Held for its `Drop`: releases the build side's budget charge
-    /// when the table itself goes away.
-    #[allow(dead_code)]
-    mem: MemTracker,
-}
-
-impl JoinBuildTable {
-    /// Number of build rows.
-    pub fn n_build(&self) -> usize {
-        self.n_build
-    }
-
-    /// Radix partition bits in effect (0 = monolithic).
-    pub fn partition_bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Partition boundaries in the partition-ordered store: partition
-    /// `p` owns rows `offsets[p]..offsets[p+1]`. `[0, n]` when
-    /// monolithic.
-    pub fn partition_offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    #[inline(always)]
-    fn first_slot(&self, h: u64) -> u32 {
-        let p = if self.bits == 0 {
-            0
-        } else {
-            (h >> (64 - self.bits)) as usize
-        };
-        let pt = &self.parts[p];
-        pt.buckets[(h & pt.mask) as usize]
-    }
-
-    /// Drain `build`, hash its keys, radix-partition the rows, and build
-    /// per-partition bucket chains (in parallel when `cfg.threads > 1`).
-    fn build(
-        build: &mut dyn Operator,
-        build_keys: &mut [ExprProg],
-        payload_cols: &[usize],
-        payload_fields: &[OutField],
-        cfg: &JoinBuildConfig,
-        ctx: &Arc<QueryContext>,
-        prof: &mut Profiler,
-    ) -> Result<JoinBuildTable, PlanError> {
-        let mut mem = MemTracker::new(ctx.clone(), "hash-join build");
-        let mut keys: Vec<Vector> = build_keys
-            .iter()
-            .map(|p| Vector::with_capacity(p.result_type(), 16))
-            .collect();
-        let mut payload: Vec<Vector> = payload_fields
-            .iter()
-            .map(|f| Vector::with_capacity(f.ty, 16))
-            .collect();
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut hash_buf: Vec<u64> = Vec::new();
-        while let Some(batch) = build.next(prof)? {
-            ctx.check()?;
-            let n = batch.len;
-            let sel = batch.sel.as_deref();
-            let key_vecs: Vec<&Vector> = build_keys
-                .iter_mut()
-                .map(|p| p.eval(batch, sel, prof))
-                .collect();
-            hash_buf.resize(n, 0);
-            hash_keys(&key_vecs, &mut hash_buf, n, sel, prof);
-            let mut insert = |i: usize| {
-                for (ks, kv) in keys.iter_mut().zip(key_vecs.iter()) {
-                    push_from(ks, kv, i);
-                }
-                for (bs, &ci) in payload.iter_mut().zip(payload_cols.iter()) {
-                    push_from(bs, &batch.columns[ci], i);
-                }
-                hashes.push(hash_buf[i]);
-            };
-            match sel {
-                None => {
-                    for i in 0..n {
-                        insert(i);
-                    }
-                }
-                Some(s) => {
-                    for i in s.iter() {
-                        insert(i);
-                    }
-                }
-            }
-            let col_bytes: usize = keys
-                .iter()
-                .chain(payload.iter())
-                .map(|v| v.byte_size())
-                .sum();
-            mem.ensure(col_bytes + hashes.len() * 8)?;
-        }
-        let n = hashes.len();
-
-        // Blocked Bloom filter over every build hash, sized adaptively
-        // from the observed build cardinality: small builds afford a
-        // generous 16 bits/key (false-positive rate well under 1%),
-        // huge builds drop to 8 bits/key to stay cache-friendly. A
-        // negative probe test later proves absence, skipping the chain
-        // walk.
-        let mut bits_per_key: usize = if n <= 1 << 16 {
-            16
-        } else if n <= 1 << 20 {
-            12
-        } else {
-            8
-        };
-        // Probe/build ratio feedback: when the bind-time estimate says
-        // the probe side outnumbers the build 32:1 or more, each filter
-        // bit is amortized over many lookups — one extra tier of bits
-        // per key buys a lower false-positive rate for the whole stream.
-        if let Some(probe) = cfg.probe_rows_hint {
-            if n > 0 && probe / n >= 32 {
-                bits_per_key = (bits_per_key + 4).min(16);
-            }
-        }
-        let mut bloom = BlockedBloom::with_bits_per_key(n, bits_per_key);
-        prof.max_counter("join_bloom_bits_per_key", bits_per_key as u64);
-        let t0 = prof.start();
-        bloom_insert_u64_col(&mut bloom, &hashes, None);
-        prof.record_prim("bloom_insert_u64_col", t0, n, n * 8 + bloom.byte_size());
-
-        let bits = match cfg.partition_bits {
-            Some(b) => b.min(MAX_RADIX_BITS),
-            None => derive_partition_bits(&keys, &payload, n, cfg.cache_budget),
-        };
-
-        let (keys, payload, hashes, offsets) = if bits == 0 {
-            (keys, payload, hashes, vec![0, n as u32])
-        } else {
-            // Radix scatter: partition ids from top hash bits, histogram,
-            // stable scatter positions, then reorder every column (and
-            // the hashes) into partition order with one gather each.
-            let nparts = 1usize << bits;
-            let mut parts_ids = vec![0u32; n];
-            let t0 = prof.start();
-            map_radix_partition_u64_col(&mut parts_ids, &hashes, bits, None);
-            prof.record_prim("map_radix_partition_u64_col", t0, n, n * 12);
-            let mut hist = vec![0u32; nparts];
-            radix_histogram_u32_col(&mut hist, &parts_ids, n, None);
-            let offsets = offsets_from_histogram(&hist);
-            let mut pos = vec![0u32; n];
-            let t0 = prof.start();
-            radix_scatter_positions(&mut pos, &parts_ids, &offsets, n, None);
-            prof.record_prim("radix_scatter_positions", t0, n, n * 8);
-            let rowids: Vec<u32> = (0..n as u32).collect();
-            let mut order = vec![0u32; n];
-            let t0 = prof.start();
-            map_scatter_u32_col_u32_col(&mut order, &pos, &rowids, None);
-            prof.record_prim("map_scatter_u32_col_u32_col", t0, n, n * 8);
-            let reorder = |src: Vec<Vector>, prof: &mut Profiler| -> Vec<Vector> {
-                src.into_iter()
-                    .map(|v| {
-                        let mut dst = Vector::with_capacity(v.scalar_type(), n);
-                        let t0 = prof.start();
-                        gather_rows(&mut dst, &v, &order);
-                        prof.record_prim(
-                            &format!("map_fetch_u32_col_{}_col", v.scalar_type()),
-                            t0,
-                            n,
-                            v.byte_size(),
-                        );
-                        dst
-                    })
-                    .collect()
-            };
-            let keys = reorder(keys, prof);
-            let payload = reorder(payload, prof);
-            let mut h2 = vec![0u64; n];
-            partition::scatter(&mut h2, &pos, &hashes, None);
-            (keys, payload, h2, offsets)
-        };
-
-        // Per-partition bucket chains over contiguous row ranges. Each
-        // partition's chain slice is disjoint, so partitions build in
-        // parallel with plain scoped threads.
-        type PartitionTask<'a> = (usize, u32, &'a [u64], &'a mut [u32]);
-        let nparts = offsets.len() - 1;
-        let mut chain = vec![0u32; n];
-        let mut parts: Vec<PartBuckets> = (0..nparts).map(|_| PartBuckets::default()).collect();
-        let t0 = prof.start();
-        {
-            // Carve (partition id, base row, hash slice, chain slice) tasks.
-            let mut tasks: Vec<PartitionTask> = Vec::with_capacity(nparts);
-            let mut rest: &mut [u32] = &mut chain;
-            for p in 0..nparts {
-                let base = offsets[p];
-                let end = offsets[p + 1];
-                let (head, tail) = rest.split_at_mut((end - base) as usize);
-                rest = tail;
-                tasks.push((p, base, &hashes[base as usize..end as usize], head));
-            }
-            let nworkers = cfg.threads.min(nparts);
-            if nworkers > 1 {
-                let mut groups: Vec<Vec<PartitionTask>> =
-                    (0..nworkers).map(|_| Vec::new()).collect();
-                for (k, task) in tasks.into_iter().enumerate() {
-                    groups[k % nworkers].push(task);
-                }
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|group| {
-                            s.spawn(move || {
-                                group
-                                    .into_iter()
-                                    .map(|(p, base, h, c)| (p, build_partition(base, h, c)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    let mut res = Ok(());
-                    for (w, h) in handles.into_iter().enumerate() {
-                        match h.join() {
-                            Ok(built) => {
-                                for (p, pb) in built {
-                                    parts[p] = pb;
-                                }
-                            }
-                            Err(e) => {
-                                ctx.cancel();
-                                if res.is_ok() {
-                                    res = Err(PlanError::WorkerPanic {
-                                        worker: w,
-                                        cause: panic_cause(e.as_ref()),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    res
-                })?;
-            } else {
-                for (p, base, h, c) in tasks {
-                    parts[p] = build_partition(base, h, c);
-                }
-            }
-        }
-        prof.record_op("HashJoin(partition)", t0, n);
-        prof.add_counter("join_partitions", nparts as u64);
-        let max_rows = (0..nparts)
-            .map(|p| (offsets[p + 1] - offsets[p]) as u64)
-            .max()
-            .unwrap_or(0);
-        prof.max_counter("join_partition_max_rows", max_rows);
-
-        // Final footprint: columns + hashes + chain links + bucket
-        // arrays + the Bloom filter.
-        let col_bytes: usize = keys
-            .iter()
-            .chain(payload.iter())
-            .map(|v| v.byte_size())
-            .sum();
-        let bucket_bytes: usize = parts.iter().map(|p| p.buckets.len() * 4).sum();
-        mem.ensure(col_bytes + n * 12 + bucket_bytes + bloom.byte_size())?;
-
-        Ok(JoinBuildTable {
-            keys,
-            payload,
-            hashes,
-            chain,
-            offsets,
-            parts,
-            bloom,
-            bits,
-            n_build: n,
-            mem,
-        })
-    }
-}
-
-/// Build one partition's bucket array over its contiguous hash slice.
-/// Bucket heads and chain links are *global* row ids + 1; rows chain in
-/// reverse arrival order, so the probe walk emits matches newest-first —
-/// identical to the pre-partitioned layout within a partition.
-fn build_partition(base: u32, hashes: &[u64], chain: &mut [u32]) -> PartBuckets {
-    let cap = (hashes.len().max(1) * 2).next_power_of_two();
-    let mask = (cap - 1) as u64;
-    let mut buckets = vec![0u32; cap];
-    for (j, &h) in hashes.iter().enumerate() {
-        let b = (h & mask) as usize;
-        chain[j] = buckets[b];
-        buckets[b] = base + j as u32 + 1;
-    }
-    PartBuckets { buckets, mask }
-}
-
-/// Pick the smallest partition-bit count whose average partition stays
-/// under `budget` bytes (keys + payload + hash/bucket/chain overhead:
-/// 8 B hash + ~12 B bucket/chain slots per row).
-fn derive_partition_bits(keys: &[Vector], payload: &[Vector], n: usize, budget: usize) -> u32 {
-    let col_bytes: usize = keys
-        .iter()
-        .chain(payload.iter())
-        .map(|v| v.byte_size())
-        .sum();
-    let total = col_bytes + n * 20;
-    let nparts = total.div_ceil(budget).max(1);
-    (nparts.next_power_of_two().trailing_zeros()).min(MAX_RADIX_BITS)
-}
-
-/// The probe-side machinery shared by [`HashJoinOp`] (which owns its
-/// build) and [`HashJoinProbeOp`] (which probes a shared table).
-struct ProbeCore {
-    ctx: Arc<QueryContext>,
-    probe_keys: Vec<ExprProg>,
-    join_type: JoinType,
-    fields: Vec<OutField>,
-    probe_arity: usize,
-    hash_buf: Vec<u64>,
-    bloom_ok: Vec<bool>,
-    pools: Vec<VecPool>,
-    sel_pool: SelPool,
-    out: Batch,
-}
-
-impl ProbeCore {
-    fn new(
-        probe_fields: &[OutField],
-        payload_fields: &[OutField],
-        probe_keys: Vec<ExprProg>,
-        join_type: JoinType,
-        vector_size: usize,
-        ctx: Arc<QueryContext>,
-    ) -> Self {
-        let probe_arity = probe_fields.len();
-        let mut fields: Vec<OutField> = probe_fields.to_vec();
-        fields.extend(payload_fields.iter().cloned());
-        let pools = fields
-            .iter()
-            .map(|f| VecPool::new(f.ty, vector_size))
-            .collect();
-        ProbeCore {
-            ctx,
-            probe_keys,
-            join_type,
-            fields,
-            probe_arity,
-            hash_buf: Vec::new(),
-            bloom_ok: Vec::new(),
-            pools,
-            sel_pool: SelPool::default(),
-            out: Batch::new(),
-        }
-    }
-
-    /// Pull probe batches and emit join output against `table`.
-    fn next(
-        &mut self,
-        probe: &mut dyn Operator,
-        table: &JoinBuildTable,
-        prof: &mut Profiler,
-    ) -> Result<Option<&Batch>, PlanError> {
-        loop {
-            self.ctx.check()?;
-            let Some(batch) = probe.next(prof)? else {
-                return Ok(None);
-            };
-            let n = batch.len;
-            let sel = batch.sel.as_deref();
-            let live = batch.live();
-            let t_op = prof.start();
-            let key_vecs: Vec<&Vector> = self
-                .probe_keys
-                .iter_mut()
-                .map(|p| p.eval(batch, sel, prof))
-                .collect();
-            self.hash_buf.resize(n, 0);
-            hash_keys(&key_vecs, &mut self.hash_buf, n, sel, prof);
-            // Bloom prepass: a negative test proves the key misses the
-            // whole build side, so the chain walk is skipped.
-            self.bloom_ok.clear();
-            self.bloom_ok.resize(n, false);
-            let t_bloom = prof.start();
-            let rejected =
-                bloom_test_u64_col(&mut self.bloom_ok, &table.bloom, &self.hash_buf, sel);
-            prof.record_prim("bloom_test_u64_col", t_bloom, live, live * 9);
-            prof.add_counter("join_bloom_tested", live as u64);
-            prof.add_counter("join_bloom_rejected", rejected);
-            // Collect matches.
-            let mut m_probe: Vec<u32> = Vec::new();
-            let mut m_build: Vec<u32> = Vec::new();
-            let semi = matches!(self.join_type, JoinType::LeftSemi | JoinType::LeftAnti);
-            let hash_buf = &self.hash_buf;
-            let bloom_ok = &self.bloom_ok;
-            let probe_one = |i: usize, m_probe: &mut Vec<u32>, m_build: &mut Vec<u32>| {
-                if !bloom_ok[i] {
-                    return false;
-                }
-                let h = hash_buf[i];
-                let mut slot = table.first_slot(h);
-                let mut matched = false;
-                while slot != 0 {
-                    let r = (slot - 1) as usize;
-                    if table.hashes[r] == h
-                        && table
-                            .keys
-                            .iter()
-                            .zip(key_vecs.iter())
-                            .all(|(ks, kv)| eq_at(ks, r, kv, i))
-                    {
-                        matched = true;
-                        if semi {
-                            break;
-                        }
-                        m_probe.push(i as u32);
-                        m_build.push(r as u32);
-                    }
-                    slot = table.chain[r];
-                }
-                matched
-            };
-            match self.join_type {
-                JoinType::Inner | JoinType::LeftOuter => {
-                    let outer = self.join_type == JoinType::LeftOuter;
-                    let one = |i: usize, m_probe: &mut Vec<u32>, m_build: &mut Vec<u32>| {
-                        if !probe_one(i, m_probe, m_build) && outer {
-                            m_probe.push(i as u32);
-                            m_build.push(u32::MAX); // no-match sentinel
-                        }
-                    };
-                    match sel {
-                        None => {
-                            for i in 0..n {
-                                one(i, &mut m_probe, &mut m_build);
-                            }
-                        }
-                        Some(s) => {
-                            for i in s.iter() {
-                                one(i, &mut m_probe, &mut m_build);
-                            }
-                        }
-                    }
-                    prof.record_op("HashJoin(probe)", t_op, live);
-                    if m_probe.is_empty() {
-                        continue;
-                    }
-                    let outn = m_probe.len();
-                    self.out.reset();
-                    self.out.len = outn;
-                    for (k, colv) in batch.columns.iter().enumerate() {
-                        let mut v = self.pools[k].writable();
-                        for &p in &m_probe {
-                            push_from(&mut v, colv, p as usize);
-                        }
-                        self.pools[k].publish(v, &mut self.out);
-                    }
-                    for (j, bs) in table.payload.iter().enumerate() {
-                        let mut v = self.pools[self.probe_arity + j].writable();
-                        for &r in &m_build {
-                            if r == u32::MAX {
-                                push_default(&mut v);
-                            } else {
-                                push_from(&mut v, bs, r as usize);
-                            }
-                        }
-                        self.pools[self.probe_arity + j].publish(v, &mut self.out);
-                    }
-                    return Ok(Some(&self.out));
-                }
-                JoinType::LeftSemi | JoinType::LeftAnti => {
-                    let want = self.join_type == JoinType::LeftSemi;
-                    let mut newsel = self.sel_pool.writable();
-                    {
-                        let buf = newsel.buf_mut();
-                        match sel {
-                            None => {
-                                for i in 0..n {
-                                    if probe_one(i, &mut m_probe, &mut m_build) == want {
-                                        buf.push(i as u32);
-                                    }
-                                }
-                            }
-                            Some(s) => {
-                                for i in s.iter() {
-                                    if probe_one(i, &mut m_probe, &mut m_build) == want {
-                                        buf.push(i as u32);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    prof.record_op("HashJoin(probe)", t_op, live);
-                    if newsel.is_empty() {
-                        // Recycle and pull the next probe batch.
-                        continue;
-                    }
-                    self.out.reset();
-                    self.out.len = n;
-                    self.out.columns.extend(batch.columns.iter().cloned());
-                    self.sel_pool.publish(newsel, &mut self.out);
-                    return Ok(Some(&self.out));
-                }
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.hash_buf.clear();
-        self.bloom_ok.clear();
-    }
-}
-
-/// Hash equi-join: build side fully consumed into a radix-partitioned
-/// hash table, probe side streamed.
-pub struct HashJoinOp {
-    build: Box<dyn Operator>,
-    probe: Box<dyn Operator>,
-    build_keys: Vec<ExprProg>,
-    payload_cols: Vec<usize>,
-    payload_fields: Vec<OutField>,
-    cfg: JoinBuildConfig,
-    table: Option<Arc<JoinBuildTable>>,
-    core: ProbeCore,
-    ctx: Arc<QueryContext>,
-}
+/// End of a build-row chain.
+const END: u32 = u32::MAX;
 
 /// A hash join as the check walk verified it ([`crate::check`]): typed
-/// key programs (probe key `i` has build key `i`'s type), the resolved
-/// build payload, and the probe-cardinality hint.
+/// key programs (probe key `i` has build key `i`'s type) and the
+/// resolved build payload.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinParts {
     /// Build-side key programs.
@@ -773,186 +209,412 @@ pub(crate) struct JoinParts {
     pub payload_fields: Vec<OutField>,
     /// Join semantics.
     pub join_type: JoinType,
-    /// Upper bound on probe-side rows, when the probe shape allows one
-    /// (Bloom sizing feedback).
-    pub probe_rows_hint: Option<usize>,
+    /// Per output column of an inner/outer join, the catalogued gather
+    /// that materializes it (`None`: a type outside the fetch catalog).
+    pub gather_sigs: Vec<Option<&'static str>>,
 }
 
 impl JoinParts {
-    fn build_progs(&self, vector_size: usize) -> Vec<ExprProg> {
-        self.build_keys
-            .iter()
-            .map(|c| ExprProg::new(c, vector_size))
-            .collect()
-    }
-
-    fn probe_core(
-        &self,
-        probe: &dyn Operator,
-        vector_size: usize,
-        ctx: Arc<QueryContext>,
-    ) -> ProbeCore {
-        ProbeCore::new(
-            probe.fields(),
-            &self.payload_fields,
-            self.probe_keys
+    /// What building this join's table takes, with fresh key programs.
+    pub(crate) fn build_spec(&self, vector_size: usize) -> BuildSpec {
+        BuildSpec {
+            key_progs: self
+                .build_keys
                 .iter()
                 .map(|c| ExprProg::new(c, vector_size))
                 .collect(),
-            self.join_type,
-            vector_size,
-            ctx,
-        )
-    }
-
-    fn build_config(&self, opts: &ExecOptions) -> JoinBuildConfig {
-        JoinBuildConfig {
-            partition_bits: opts.join_partition_bits,
-            cache_budget: opts.join_cache_budget.max(1),
-            threads: opts.threads.max(1),
-            probe_rows_hint: self.probe_rows_hint,
+            payload_cols: self.payload_cols.clone(),
+            payload_types: self.payload_fields.iter().map(|f| f.ty).collect(),
+            keeps_rows: self.join_type.keeps_rows(),
         }
     }
+}
+
+impl JoinType {
+    /// Whether matches carry build rows (inner/outer) or only decide
+    /// which probe rows survive (semi/anti).
+    pub(crate) fn keeps_rows(self) -> bool {
+        matches!(self, JoinType::Inner | JoinType::LeftOuter)
+    }
+}
+
+/// The build side of a join, minus its input: key programs, and the
+/// build columns to keep (none for a semi/anti join, which keeps no
+/// rows at all).
+pub(crate) struct BuildSpec {
+    key_progs: Vec<ExprProg>,
+    payload_cols: Vec<usize>,
+    payload_types: Vec<ScalarType>,
+    keeps_rows: bool,
+}
+
+/// The immutable build side of a hash join: the distinct keys in a
+/// [`GroupTable`], and — unless the join is semi/anti, which needs the
+/// keys alone — the build rows in arrival order, chained per key.
+#[derive(Debug)]
+pub(crate) struct JoinTable {
+    keys: GroupTable,
+    /// The rows of each key. `None` while no key repeats: the rows are
+    /// numbered as the groups are, and a group's one row is its id.
+    chains: Option<Chains>,
+    /// Payload columns, one value per build row plus the trailing
+    /// default row (0 / empty string) an unmatched outer tuple takes:
+    /// `LeftOuter` files its misses under the group past the last.
+    payload: Vec<Vector>,
+    /// Held for its `Drop`: releases the build side's budget charge
+    /// when the table itself goes away.
+    _mem: MemTracker,
+}
+
+/// Build rows chained per key, newest first — the order a probe emits
+/// a key's matches in.
+#[derive(Debug)]
+struct Chains {
+    /// Per group, its newest build row.
+    head: Vec<u32>,
+    /// Per build row, the next-older row of the same key, or [`END`].
+    next: Vec<u32>,
+}
+
+impl JoinTable {
+    #[inline]
+    fn first_row(&self, group: u32) -> u32 {
+        self.chains
+            .as_ref()
+            .map_or(group, |c| c.head[group as usize])
+    }
+
+    #[inline]
+    fn next_row(&self, row: u32) -> u32 {
+        self.chains.as_ref().map_or(END, |c| c.next[row as usize])
+    }
+
+    /// Drain `build` into a table: every vector's keys through
+    /// [`GroupTable::lookup`], its rows linked in front of their group's
+    /// chain once a key has repeated, its payload appended. The charge
+    /// grows with the table.
+    pub(crate) fn build(
+        build: &mut dyn Operator,
+        spec: &mut BuildSpec,
+        ctx: &Arc<QueryContext>,
+        prof: &mut Profiler,
+    ) -> Result<JoinTable, PlanError> {
+        let t_build = prof.start();
+        let mut mem = MemTracker::new(ctx.clone(), "hash-join build");
+        let key_types: Vec<ScalarType> = spec.key_progs.iter().map(|p| p.result_type()).collect();
+        let mut keys = GroupTable::new(&key_types);
+        let mut chains: Option<Chains> = None;
+        let mut payload: Vec<Vector> = spec
+            .payload_types
+            .iter()
+            .map(|&ty| Vector::with_capacity(ty, 16))
+            .collect();
+        let mut scratch = ProbeScratch::default();
+        let (mut hash_buf, mut grp_buf) = (Vec::new(), Vec::new());
+        // Under a selection a payload vector is compacted here first.
+        let mut selected: Vec<Vector> = payload
+            .iter()
+            .map(|v| Vector::with_capacity(v.scalar_type(), 0))
+            .collect();
+        let mut n_build = 0;
+        while let Some(batch) = build.next(prof)? {
+            ctx.check()?;
+            let n = batch.len;
+            let sel = batch.sel.as_deref();
+            let live = batch.live();
+            let key_vecs: Vec<&Vector> = spec
+                .key_progs
+                .iter_mut()
+                .map(|p| p.eval(batch, sel, prof))
+                .collect();
+            hash_buf.resize(n, 0);
+            grp_buf.resize(n, 0);
+            hash_keys(&key_vecs, &mut hash_buf, n, sel, prof);
+            let t0 = prof.start();
+            keys.lookup(&mut scratch, &mut grp_buf, &hash_buf, &key_vecs, n, sel);
+            prof.record_prim("aggr_hashtable_maintain", t0, live, live * 12);
+            if spec.keeps_rows && (chains.is_some() || keys.len() < n_build + live) {
+                let c = chains.get_or_insert_with(|| Chains {
+                    head: (0..n_build as u32).collect(),
+                    next: vec![END; n_build],
+                });
+                c.head.resize(keys.len(), END);
+                let mut link = |i: usize| {
+                    let newest = &mut c.head[grp_buf[i] as usize];
+                    c.next.push(*newest);
+                    *newest = c.next.len() as u32 - 1;
+                };
+                match sel {
+                    None => (0..n).for_each(&mut link),
+                    Some(s) => s.iter().for_each(&mut link),
+                }
+            }
+            n_build += live;
+            if spec.keeps_rows {
+                for (j, &ci) in spec.payload_cols.iter().enumerate() {
+                    let col = &batch.columns[ci];
+                    match sel {
+                        None => extend_range(&mut payload[j], col, 0, n),
+                        Some(s) => {
+                            gather_rows(&mut selected[j], col, s.positions());
+                            extend_range(&mut payload[j], &selected[j], 0, live);
+                        }
+                    }
+                }
+            }
+            let rows: usize = payload.iter().map(|v| v.byte_size()).sum();
+            let links = chains.as_ref().map_or(0, |c| c.head.len() + c.next.len());
+            mem.ensure(keys.byte_size() + links * 4 + rows)?;
+        }
+        if spec.keeps_rows {
+            // The default row, and the group that leads to it.
+            if let Some(c) = &mut chains {
+                c.head.push(n_build as u32);
+                c.next.push(END);
+            }
+            for col in &mut payload {
+                col.resize_zeroed(n_build + 1);
+            }
+        }
+        prof.record_op("HashJoin(build)", t_build, n_build);
+        Ok(JoinTable {
+            keys,
+            chains,
+            payload,
+            _mem: mem,
+        })
+    }
+}
+
+/// Where a [`HashJoinOp`] gets its table.
+pub(crate) enum BuildSide {
+    /// Build it from this input on the first `next`, again after `reset`.
+    Input(Box<dyn Operator>),
+    /// The morsel driver built it once for every worker.
+    Shared(Arc<JoinTable>),
+}
+
+/// Hash equi-join: build side fully consumed into a [`JoinTable`] (or
+/// handed in pre-built), probe side streamed.
+pub struct HashJoinOp {
+    /// The build input; `None` when `table` was handed in.
+    build: Option<(Box<dyn Operator>, BuildSpec)>,
+    probe: Box<dyn Operator>,
+    table: Option<Arc<JoinTable>>,
+    probe_keys: Vec<ExprProg>,
+    join_type: JoinType,
+    fields: Vec<OutField>,
+    gather_sigs: Vec<Option<&'static str>>,
+    // Probe scratch, all O(vector size).
+    scratch: ProbeScratch,
+    hash_buf: Vec<u64>,
+    grp_buf: Vec<u32>,
+    // Inner/outer: the probe vector being expanded — its columns, the
+    // positions that have build rows, and where the expansion stands
+    // (`pos[cursor]`'s chain continues at build row `link`).
+    cur_cols: Vec<Rc<Vector>>,
+    pos: SelVec,
+    cursor: usize,
+    link: u32,
+    m_probe: Vec<u32>,
+    m_build: Vec<u32>,
+    pools: Vec<VecPool>,
+    sel_pool: SelPool,
+    out: Batch,
+    vector_size: usize,
+    ctx: Arc<QueryContext>,
 }
 
 impl HashJoinOp {
     /// A hash join of `build` and `probe` from the verified `parts`.
     pub(crate) fn new(
-        build: Box<dyn Operator>,
+        build: BuildSide,
         probe: Box<dyn Operator>,
         parts: &JoinParts,
-        opts: &ExecOptions,
+        vector_size: usize,
         ctx: Arc<QueryContext>,
     ) -> Self {
+        let mut fields: Vec<OutField> = probe.fields().to_vec();
+        fields.extend(parts.payload_fields.iter().cloned());
+        let (build, table) = match build {
+            BuildSide::Input(op) => (Some((op, parts.build_spec(vector_size))), None),
+            BuildSide::Shared(table) => (None, Some(table)),
+        };
         HashJoinOp {
-            build_keys: parts.build_progs(opts.vector_size),
-            payload_cols: parts.payload_cols.clone(),
-            payload_fields: parts.payload_fields.clone(),
-            cfg: parts.build_config(opts),
-            table: None,
-            core: parts.probe_core(probe.as_ref(), opts.vector_size, ctx.clone()),
             build,
             probe,
+            table,
+            probe_keys: parts
+                .probe_keys
+                .iter()
+                .map(|c| ExprProg::new(c, vector_size))
+                .collect(),
+            pools: fields
+                .iter()
+                .map(|f| VecPool::new(f.ty, vector_size))
+                .collect(),
+            fields,
+            join_type: parts.join_type,
+            gather_sigs: parts.gather_sigs.clone(),
+            scratch: ProbeScratch::default(),
+            hash_buf: Vec::new(),
+            grp_buf: Vec::new(),
+            cur_cols: Vec::new(),
+            pos: SelVec::default(),
+            cursor: 0,
+            link: END,
+            m_probe: Vec::with_capacity(vector_size),
+            m_build: Vec::with_capacity(vector_size),
+            sel_pool: SelPool::default(),
+            out: Batch::new(),
+            vector_size,
             ctx,
         }
     }
 
-    /// Build the partitioned table without probing, handing it out for
-    /// sharing across parallel probe pipelines (build once, probe many).
-    pub(crate) fn build_shared(
-        build: &mut dyn Operator,
-        parts: &JoinParts,
-        opts: &ExecOptions,
-        ctx: &Arc<QueryContext>,
-        prof: &mut Profiler,
-    ) -> Result<Arc<JoinBuildTable>, PlanError> {
-        let t0 = prof.start();
-        let table = JoinBuildTable::build(
-            build,
-            &mut parts.build_progs(opts.vector_size),
-            &parts.payload_cols,
-            &parts.payload_fields,
-            &parts.build_config(opts),
-            ctx,
-            prof,
-        )?;
-        prof.record_op("HashJoin(build)", t0, table.n_build);
-        Ok(Arc::new(table))
+    /// Emit the next at most `vector_size` (probe position, build row)
+    /// pairs of the probe vector being expanded: walk the chains from
+    /// where the last call stopped, then gather every output column.
+    fn emit_pairs(&mut self, table: &JoinTable, prof: &mut Profiler) {
+        let t_op = prof.start();
+        let pos = self.pos.positions();
+        self.m_probe.clear();
+        self.m_build.clear();
+        'vector: while self.cursor < pos.len() {
+            let p = pos[self.cursor];
+            while self.link != END {
+                if self.m_probe.len() == self.vector_size {
+                    break 'vector;
+                }
+                self.m_probe.push(p);
+                self.m_build.push(self.link);
+                self.link = table.next_row(self.link);
+            }
+            self.cursor += 1;
+            if let Some(&p) = pos.get(self.cursor) {
+                self.link = table.first_row(self.grp_buf[p as usize]);
+            }
+        }
+        let n = self.m_probe.len();
+        self.out.reset();
+        self.out.len = n;
+        let probe_cols = self.cur_cols.iter().map(|c| (&**c, &self.m_probe));
+        let payload = table.payload.iter().map(|c| (c, &self.m_build));
+        for (k, (src, rows)) in probe_cols.chain(payload).enumerate() {
+            let mut v = self.pools[k].writable();
+            let t0 = prof.start();
+            gather_rows(&mut v, src, rows);
+            if let Some(sig) = self.gather_sigs[k] {
+                prof.record_prim(sig, t0, n, n * (4 + 2 * v.scalar_type().width()));
+            }
+            self.pools[k].publish(v, &mut self.out);
+        }
+        prof.record_op("HashJoin(probe)", t_op, 0);
     }
 }
 
 impl Operator for HashJoinOp {
     fn fields(&self) -> &[OutField] {
-        &self.core.fields
+        &self.fields
     }
 
     fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
-        let table = if let Some(t) = &self.table {
-            t.clone()
-        } else {
-            let t0 = prof.start();
-            let table = Arc::new(JoinBuildTable::build(
-                self.build.as_mut(),
-                &mut self.build_keys,
-                &self.payload_cols,
-                &self.payload_fields,
-                &self.cfg,
-                &self.ctx,
-                prof,
-            )?);
-            prof.record_op("HashJoin(build)", t0, table.n_build);
-            self.table = Some(table.clone());
-            table
+        let table = match (&self.table, &mut self.build) {
+            (Some(t), _) => t.clone(),
+            (None, Some((build, spec))) => {
+                let t = JoinTable::build(build.as_mut(), spec, &self.ctx, prof)?;
+                self.table.insert(Arc::new(t)).clone()
+            }
+            (None, None) => unreachable!("a join has a build input or a shared table"),
         };
-        self.core.next(self.probe.as_mut(), &table, prof)
+        loop {
+            self.ctx.check()?;
+            if self.cursor < self.pos.len() {
+                self.emit_pairs(&table, prof);
+                return Ok(Some(&self.out));
+            }
+            // Let the probe side recycle the vectors just expanded.
+            self.cur_cols.clear();
+            let Some(batch) = self.probe.next(prof)? else {
+                return Ok(None);
+            };
+            let n = batch.len;
+            let sel = batch.sel.as_deref();
+            let live = batch.live();
+            let t_op = prof.start();
+            let key_vecs: Vec<&Vector> = self
+                .probe_keys
+                .iter_mut()
+                .map(|p| p.eval(batch, sel, prof))
+                .collect();
+            self.hash_buf.resize(n, 0);
+            self.grp_buf.resize(n, 0);
+            hash_keys(&key_vecs, &mut self.hash_buf, n, sel, prof);
+            let grp = &mut self.grp_buf[..n];
+            let t0 = prof.start();
+            let absent = table
+                .keys
+                .find(&mut self.scratch, grp, &self.hash_buf, &key_vecs, n, sel);
+            prof.record_prim("aggr_grouptable_probe_u64_col", t0, live, live * 12);
+            // The positions that survive (semi/anti) or have build rows
+            // to pair with (inner/outer).
+            let mut found = if self.join_type.keeps_rows() {
+                std::mem::take(&mut self.pos)
+            } else {
+                self.sel_pool.writable()
+            };
+            found.clear();
+            match self.join_type {
+                JoinType::LeftAnti => found.buf_mut().extend_from_slice(absent),
+                JoinType::LeftOuter => {
+                    let default_group = table.keys.len() as u32;
+                    absent.iter().for_each(|&p| grp[p as usize] = default_group);
+                    live_positions(found.buf_mut(), n, sel);
+                }
+                JoinType::Inner | JoinType::LeftSemi if absent.is_empty() => {
+                    live_positions(found.buf_mut(), n, sel)
+                }
+                JoinType::Inner | JoinType::LeftSemi => {
+                    let t0 = prof.start();
+                    let (ne, pred) = (CmpOp::Ne, SelectStrategy::Predicated);
+                    select_cmp_col_val(&mut found, grp, GroupTable::ABSENT, ne, sel, pred);
+                    prof.record_prim("select_ne_u32_col_val", t0, live, live * 8);
+                }
+            }
+            prof.record_op("HashJoin(probe)", t_op, live);
+            if self.join_type.keeps_rows() {
+                if let Some(&p) = found.positions().first() {
+                    self.link = table.first_row(grp[p as usize]);
+                    self.cur_cols.clone_from(&batch.columns);
+                }
+                self.cursor = 0;
+                self.pos = found;
+            } else if !found.is_empty() {
+                self.out.reset();
+                self.out.len = n;
+                self.out.columns.extend(batch.columns.iter().cloned());
+                self.sel_pool.publish(found, &mut self.out);
+                return Ok(Some(&self.out));
+            }
+        }
     }
 
     fn reset(&mut self) {
-        self.build.reset();
+        if let Some((build, _)) = &mut self.build {
+            build.reset();
+            self.table = None;
+        }
         self.probe.reset();
-        self.table = None;
-        self.core.reset();
+        self.cur_cols.clear();
+        self.pos.clear();
+        self.cursor = 0;
     }
 }
 
-/// Probe-only hash join against a pre-built shared [`JoinBuildTable`] —
-/// the worker-side half of the morsel-parallel join (build once on the
-/// main thread, probe many across workers).
-pub struct HashJoinProbeOp {
-    probe: Box<dyn Operator>,
-    table: Arc<JoinBuildTable>,
-    core: ProbeCore,
-}
-
-impl HashJoinProbeOp {
-    /// A probe pipeline over the shared `table` built for `parts`.
-    pub(crate) fn new(
-        probe: Box<dyn Operator>,
-        table: Arc<JoinBuildTable>,
-        parts: &JoinParts,
-        vector_size: usize,
-        ctx: Arc<QueryContext>,
-    ) -> Self {
-        let core = parts.probe_core(probe.as_ref(), vector_size, ctx);
-        HashJoinProbeOp { probe, table, core }
-    }
-}
-
-impl Operator for HashJoinProbeOp {
-    fn fields(&self) -> &[OutField] {
-        &self.core.fields
-    }
-
-    fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
-        let table = self.table.clone();
-        self.core.next(self.probe.as_mut(), &table, prof)
-    }
-
-    fn reset(&mut self) {
-        self.probe.reset();
-        self.core.reset();
-    }
-}
-
-/// Default value appended for unmatched outer-join payload slots.
-/// Exhaustive over every [`Vector`] variant — a new variant must fail to
-/// compile here rather than panic at runtime on the first unmatched
-/// outer tuple. Enum-coded (`U8`/`U16`) payload columns default to code
-/// 0 like any other unsigned column; the binder keeps their output
-/// dictionary-free, so no decode can turn that 0 into a spurious
-/// dictionary entry.
-fn push_default(v: &mut Vector) {
-    match v {
-        Vector::I8(b) => b.push(0),
-        Vector::I16(b) => b.push(0),
-        Vector::I32(b) => b.push(0),
-        Vector::I64(b) => b.push(0),
-        Vector::U8(b) => b.push(0),
-        Vector::U16(b) => b.push(0),
-        Vector::U32(b) => b.push(0),
-        Vector::U64(b) => b.push(0),
-        Vector::F64(b) => b.push(0.0),
-        Vector::Bool(b) => b.push(false),
-        Vector::Str(b) => b.push(""),
+/// The live positions of a vector, as a list.
+fn live_positions(out: &mut Vec<u32>, n: usize, sel: Option<&SelVec>) {
+    match sel {
+        None => out.extend(0..n as u32),
+        Some(s) => out.extend_from_slice(s.positions()),
     }
 }

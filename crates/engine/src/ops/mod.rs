@@ -29,8 +29,8 @@ pub use aggr::{
 pub use array::ArrayOp;
 pub(crate) use fetchjoin::{has_unchecked_twin, DerivedCol, FetchSource, FetchSpec};
 pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp};
-pub(crate) use join::JoinParts;
-pub use join::{CartProdOp, HashJoinOp, HashJoinProbeOp, JoinBuildTable, JoinType};
+pub(crate) use join::{BuildSide, JoinParts, JoinTable};
+pub use join::{CartProdOp, HashJoinOp, JoinType};
 pub use parallel::MergeAggrOp;
 pub use project::ProjectOp;
 pub use scan::ScanOp;
@@ -142,12 +142,6 @@ pub(crate) fn cmp_at(a: &Vector, i: usize, b: &Vector, j: usize) -> std::cmp::Or
             )
         }
     }
-}
-
-/// Equality of value `i` of `a` and value `j` of `b` (same types).
-#[inline]
-pub(crate) fn eq_at(a: &Vector, i: usize, b: &Vector, j: usize) -> bool {
-    cmp_at(a, i, b, j) == std::cmp::Ordering::Equal
 }
 
 /// Append `src[start..start+n]` to `dst` (same types). Typed bulk copy

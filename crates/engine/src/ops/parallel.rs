@@ -12,9 +12,9 @@
 //!    `Select`/`Project`/`Fetch1Join`/`FetchNJoin`/`HashJoin`-probe
 //!    chain ending in a `Scan`). Any other shape falls back to
 //!    sequential execution. For each `HashJoin` on the chain the driver
-//!    builds the radix-partitioned [`crate::ops::JoinBuildTable`] *once*
-//!    on the main thread; workers probe it through read-only
-//!    [`crate::ops::HashJoinProbeOp`]s (build once, probe many).
+//!    builds the join's table *once* on the main thread; every worker's
+//!    [`crate::ops::HashJoinOp`] probes that one table, which it only
+//!    reads (build once, probe many).
 //! 2. The scan's row space — the (summary-pruned) fragment range plus
 //!    the insert-delta tail — is cut into [`Morsel`]s. Worker `w` of
 //!    `T` statically takes morsels `w, w+T, w+2T, …`: assignment does
@@ -42,8 +42,7 @@ use crate::govern::{panic_cause, QueryContext};
 use crate::ops::aggr::{
     emit_agg, emit_key, hash_keys, update_f64, update_i64, AggrPartial, MergeSpec, PartialAcc,
 };
-use crate::ops::join::HashJoinOp;
-use crate::ops::{extend_range, JoinParts, Operator, ScanSpec};
+use crate::ops::{extend_range, JoinParts, JoinTable, Operator, ScanSpec};
 use crate::plan::SharedJoins;
 use crate::profile::Profiler;
 use crate::session::{run_operator, ExecOptions, QueryResult};
@@ -51,7 +50,7 @@ use crate::PlanError;
 use std::sync::Arc;
 use std::time::Instant;
 use x100_storage::{plan_morsels, Morsel};
-use x100_vector::{aggr as vaggr, GroupTable, Vector};
+use x100_vector::{aggr as vaggr, GroupTable, ProbeScratch, Vector};
 
 /// The parallelizable shape of a checked plan.
 struct Decomposed<'a> {
@@ -138,13 +137,13 @@ pub(crate) fn try_execute_parallel(
     let mut prof = Profiler::new(opts.profile);
 
     // Build once, probe many: materialize each hash-join build side on
-    // the main thread into a shared radix-partitioned table; workers
-    // then instantiate read-only probe pipelines against it.
+    // the main thread; the workers' joins then probe the shared table.
     let mut shared = SharedJoins::new();
     for &(join, parts) in &d.joins {
         let mut b = join.inputs[0].instantiate(opts, None, None, ctx)?;
-        let table = HashJoinOp::build_shared(b.as_mut(), parts, opts, ctx, &mut prof)?;
-        shared.insert(join.path(), table);
+        let mut spec = parts.build_spec(opts.vector_size);
+        let table = JoinTable::build(b.as_mut(), &mut spec, ctx, &mut prof)?;
+        shared.insert(join.path(), Arc::new(table));
     }
 
     let t = &d.scan.table;
@@ -268,6 +267,7 @@ pub struct MergeAggrOp {
     key_buf: Vec<Vector>,
     hash_buf: Vec<u64>,
     grp_buf: Vec<u32>,
+    scratch: ProbeScratch,
     built: bool,
     emit_pos: usize,
     pools: Vec<VecPool>,
@@ -305,6 +305,7 @@ impl MergeAggrOp {
                 .collect(),
             hash_buf: Vec::new(),
             grp_buf: Vec::new(),
+            scratch: ProbeScratch::default(),
             spec,
             partials,
             built: false,
@@ -334,8 +335,14 @@ impl MergeAggrOp {
             self.hash_buf.resize(n, 0);
             self.grp_buf.resize(n, 0);
             hash_keys(&keys, &mut self.hash_buf, n, None, prof);
-            self.table
-                .lookup(&mut self.grp_buf, &self.hash_buf, &keys, n, None);
+            self.table.lookup(
+                &mut self.scratch,
+                &mut self.grp_buf,
+                &self.hash_buf,
+                &keys,
+                n,
+                None,
+            );
             let grp = &self.grp_buf[..n];
             let groups = self.table.len();
             self.group_counts.resize(groups, 0);

@@ -34,9 +34,9 @@ use crate::expr::{AggExpr, Expr};
 use crate::facts::{conjunct_parts, flatten_conjuncts};
 use crate::govern::QueryContext;
 use crate::ops::{
-    ArrayOp, CartProdOp, DirectAggrOp, EmptyOp, Fetch1JoinOp, FetchNJoinOp, HashAggrOp, HashJoinOp,
-    HashJoinProbeOp, JoinBuildTable, JoinType, Operator, OrdAggrOp, OrdExp, OrderOp, ProjectOp,
-    ScanOp, SelectOp,
+    ArrayOp, BuildSide, CartProdOp, DirectAggrOp, EmptyOp, Fetch1JoinOp, FetchNJoinOp, HashAggrOp,
+    HashJoinOp, JoinTable, JoinType, Operator, OrdAggrOp, OrdExp, OrderOp, ProjectOp, ScanOp,
+    SelectOp,
 };
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
@@ -47,9 +47,8 @@ use x100_storage::{EnumDict, Morsel, Table};
 /// Pre-built shared join tables, keyed by the path of the checked
 /// `HashJoin` node they were built for. The parallel driver builds each
 /// join's table once on the main thread; worker instantiations look
-/// their node up here and get a probe-only operator over the shared
-/// table.
-pub(crate) type SharedJoins<'a> = HashMap<&'a str, Arc<JoinBuildTable>>;
+/// their node up here and get a join that probes the shared table.
+pub(crate) type SharedJoins<'a> = HashMap<&'a str, Arc<JoinTable>>;
 
 /// A key of a `DirectAggr`: must resolve to a code column with a known
 /// small domain.
@@ -256,8 +255,8 @@ impl CheckedNode {
     ///
     /// `morsels` restricts the leaf `Scan` on the probe spine (parallel
     /// workers instantiate one pipeline clone per disjoint morsel set);
-    /// `HashJoin` nodes present in `shared` become probe-only operators
-    /// over the pre-built table.
+    /// `HashJoin` nodes present in `shared` probe the pre-built table
+    /// instead of building their own.
     pub(crate) fn instantiate(
         &self,
         opts: &ExecOptions,
@@ -282,16 +281,14 @@ impl CheckedNode {
             ))),
             CheckedOp::HashJoin(parts) => {
                 let (build, probe) = (&self.inputs[0], &self.inputs[1]);
-                if let Some(table) = shared.and_then(|m| m.get(self.path.as_str())) {
-                    let p = probe.instantiate(opts, morsels, shared, ctx)?;
-                    let op = HashJoinProbeOp::new(p, table.clone(), parts, vs, ctx.clone());
-                    return Ok(Box::new(op));
-                }
                 // The morsel restriction flows into the probe side only;
                 // the build side always materializes full-range.
-                let b = build.instantiate(opts, None, shared, ctx)?;
+                let b = match shared.and_then(|m| m.get(self.path.as_str())) {
+                    Some(table) => BuildSide::Shared(table.clone()),
+                    None => BuildSide::Input(build.instantiate(opts, None, shared, ctx)?),
+                };
                 let p = probe.instantiate(opts, morsels, shared, ctx)?;
-                Ok(Box::new(HashJoinOp::new(b, p, parts, opts, ctx.clone())))
+                Ok(Box::new(HashJoinOp::new(b, p, parts, vs, ctx.clone())))
             }
             // A morsel worker's slice of a sorted-key aggregation groups
             // by hash: partials are the hash variant's protocol.
@@ -592,41 +589,6 @@ pub(crate) fn scan_prune_range(
         .summary()
         .ok_or_else(|| PlanError::Invalid(format!("column `{}` has no summary index", p.col)))?;
     Ok(Some(summary.range_candidates(p.lo, p.hi)))
-}
-
-/// Conservative upper bound on the rows a checked subtree can stream,
-/// used as the hash join's probe-cardinality hint for Bloom filter
-/// sizing. `Scan` reads the table cardinality (respecting its prune
-/// range); row-preserving and row-reducing shapes pass through or clamp;
-/// anything that can grow the stream or whose output cardinality is
-/// data-dependent in both directions (aggregation group counts, inner
-/// joins, cross products) gives up with `None`.
-pub(crate) fn probe_rows_estimate(node: &CheckedNode) -> Option<usize> {
-    let input = || probe_rows_estimate(node.inputs.last()?);
-    match &node.op {
-        CheckedOp::Scan(spec) => {
-            let frag = match spec.range {
-                Some((s, e)) => e.saturating_sub(s),
-                None => spec.table.fragment_rows(),
-            };
-            Some(frag + spec.table.delta_rows())
-        }
-        CheckedOp::Select { .. } | CheckedOp::Project { .. } | CheckedOp::Fetch1Join { .. } => {
-            input()
-        }
-        CheckedOp::Sort { limit, .. } => {
-            let rows = input()?;
-            Some(limit.map_or(rows, |l| rows.min(l)))
-        }
-        // Semi/anti joins emit at most one row per probe row.
-        CheckedOp::HashJoin(parts)
-            if matches!(parts.join_type, JoinType::LeftSemi | JoinType::LeftAnti) =>
-        {
-            input()
-        }
-        CheckedOp::Array { total, .. } => usize::try_from(*total).ok(),
-        _ => None,
-    }
 }
 
 /// Rewrite string-literal equality comparisons on enum *code* columns

@@ -82,7 +82,7 @@ pub struct Profiler {
     op_order: Vec<String>,
     /// Per-worker summaries of a parallel run (empty when sequential).
     workers: Vec<WorkerTrace>,
-    /// Named event counters (Bloom rejects, partition stats, …).
+    /// Named event counters (pushed-down vectors, governor peaks, …).
     counters: BTreeMap<String, u64>,
     counter_order: Vec<String>,
     /// Counters with high-water-mark semantics (`max_counter`): worker
@@ -378,21 +378,21 @@ mod tests {
     #[test]
     fn counters_aggregate_and_render() {
         let mut p = Profiler::new(true);
-        p.add_counter("join_bloom_rejected", 10);
-        p.add_counter("join_bloom_rejected", 5);
-        p.max_counter("join_partition_max_rows", 100);
-        p.max_counter("join_partition_max_rows", 40);
-        assert_eq!(p.counter("join_bloom_rejected"), Some(15));
-        assert_eq!(p.counter("join_partition_max_rows"), Some(100));
+        p.add_counter("pushdown_vectors", 10);
+        p.add_counter("pushdown_vectors", 5);
+        p.max_counter("gov_mem_peak", 100);
+        p.max_counter("gov_mem_peak", 40);
+        assert_eq!(p.counter("pushdown_vectors"), Some(15));
+        assert_eq!(p.counter("gov_mem_peak"), Some(100));
         // Worker counters fold in additively — except high-water marks,
         // which take the max (summing would scale with thread count).
         let mut w = Profiler::new(true);
-        w.add_counter("join_bloom_rejected", 7);
-        w.max_counter("join_partition_max_rows", 60);
+        w.add_counter("pushdown_vectors", 7);
+        w.max_counter("gov_mem_peak", 60);
         w.max_counter("compress_ratio", 65);
         p.absorb_worker("worker-0", 1, w);
-        assert_eq!(p.counter("join_bloom_rejected"), Some(22));
-        assert_eq!(p.counter("join_partition_max_rows"), Some(100));
+        assert_eq!(p.counter("pushdown_vectors"), Some(22));
+        assert_eq!(p.counter("gov_mem_peak"), Some(100));
         assert_eq!(p.counter("compress_ratio"), Some(65));
         let mut w2 = Profiler::new(true);
         w2.max_counter("compress_ratio", 65);
@@ -400,14 +400,14 @@ mod tests {
         assert_eq!(p.counter("compress_ratio"), Some(65), "max, not sum");
         let out = p.render_table5();
         assert!(out.contains("event counter"));
-        assert!(out.contains("join_bloom_rejected"));
+        assert!(out.contains("pushdown_vectors"));
     }
 
     #[test]
     fn disabled_profiler_skips_counters() {
         let mut p = Profiler::new(false);
-        p.add_counter("join_bloom_rejected", 3);
-        assert_eq!(p.counter("join_bloom_rejected"), None);
+        p.add_counter("pushdown_vectors", 3);
+        assert_eq!(p.counter("pushdown_vectors"), None);
     }
 
     #[test]

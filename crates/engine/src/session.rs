@@ -17,12 +17,6 @@ use x100_vector::{Value, Vector, DEFAULT_VECTOR_SIZE};
 /// per-morsel dispatch, small enough to balance skewed selections.
 pub const DEFAULT_MORSEL_SIZE: usize = 64 * 1024;
 
-/// Default cache budget for one join hash-table partition: roughly half
-/// of a (paper-era) 256 KiB L2 cache, leaving the other half for the
-/// probe-side working set (paper §3, Table 2: the hot loop must stay
-/// cache-resident).
-pub const DEFAULT_JOIN_CACHE_BUDGET: usize = 128 * 1024;
-
 /// Execution options of one query run.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
@@ -46,15 +40,6 @@ pub struct ExecOptions {
     /// Rows per morsel for parallel scans (`0` = one morsel per whole
     /// fragment range / delta). Ignored when `threads == 1`.
     pub morsel_size: usize,
-    /// Byte budget one radix partition of a join build table should fit
-    /// in (keys + payload + hash/bucket/chain overhead). The build phase
-    /// picks the smallest partition-bit count that keeps the average
-    /// partition under this budget.
-    pub join_cache_budget: usize,
-    /// Explicit radix partition bits for join builds (`Some(0)` forces
-    /// the monolithic single-table layout; `None` derives the bit count
-    /// from `join_cache_budget`).
-    pub join_partition_bits: Option<u32>,
     /// Byte budget for governed operator state (hash-join builds,
     /// aggregation tables, Order/TopN buffers). Exceeding it aborts the
     /// query with [`PlanError::ResourceExhausted`]. `None` = unbounded.
@@ -101,8 +86,6 @@ impl Default for ExecOptions {
             compressed_pushdown: true,
             threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
-            join_cache_budget: DEFAULT_JOIN_CACHE_BUDGET,
-            join_partition_bits: None,
             mem_budget: None,
             spill_budget: None,
             timeout: None,
@@ -146,19 +129,6 @@ impl ExecOptions {
     /// Use `morsel_size`-row morsels for parallel scans.
     pub fn with_morsel_size(mut self, morsel_size: usize) -> Self {
         self.morsel_size = morsel_size;
-        self
-    }
-
-    /// Use an explicit radix partition-bit count for join builds
-    /// (`0` forces the monolithic table).
-    pub fn with_join_partition_bits(mut self, bits: u32) -> Self {
-        self.join_partition_bits = Some(bits);
-        self
-    }
-
-    /// Use `bytes` as the per-partition cache budget for join builds.
-    pub fn with_join_cache_budget(mut self, bytes: usize) -> Self {
-        self.join_cache_budget = bytes.max(1);
         self
     }
 

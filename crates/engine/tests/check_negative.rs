@@ -71,18 +71,18 @@ fn rejects_arithmetic_on_strings() {
 }
 
 /// Defect class 2: selection-vector misuse. A dense-only
-/// position-dependent primitive (here a scatter) must never run under a
-/// `select_*` output.
+/// position-dependent primitive (here a chunk compressor, whose output
+/// is defined by position) must never run under a `select_*` output.
 #[test]
 fn rejects_sel_vector_misuse() {
-    let err = verify_program(["select_gt_f64_col_val", "map_scatter_u32_col_f64_col"])
-        .expect_err("scatter under a selection must be rejected");
+    let err = verify_program(["select_gt_i64_col_val", "compress_pfor_i64_col"])
+        .expect_err("a chunk codec under a selection must be rejected");
     match err {
         PlanError::PlanCheck { path, violation } => {
             assert_eq!(path, "program.instr[1]");
             match violation {
                 CheckViolation::SelVectorMisuse { signature, .. } => {
-                    assert_eq!(signature, "map_scatter_u32_col_f64_col")
+                    assert_eq!(signature, "compress_pfor_i64_col")
                 }
                 other => panic!("expected SelVectorMisuse, got {other}"),
             }

@@ -1,10 +1,10 @@
 //! Determinism suite for morsel-parallel hash-join pipelines.
 //!
-//! The build side materializes once into a shared radix-partitioned
-//! table; workers probe it over disjoint morsels and the partials merge
-//! in worker-index order. For every `(threads, partition_bits)`
-//! combination the result must therefore be *exactly* the sequential
-//! result (integer aggregates — no float reassociation in these plans).
+//! The build side materializes once into a shared table; workers probe
+//! it over disjoint morsels and the partials merge in worker-index
+//! order. For every thread count the result must therefore be *exactly*
+//! the sequential result (integer aggregates — no float reassociation
+//! in these plans).
 
 use x100_engine::expr::*;
 use x100_engine::ops::JoinType;
@@ -14,10 +14,7 @@ use x100_engine::AggExpr;
 use x100_storage::{ColumnData, TableBuilder};
 use x100_vector::{ScalarType, Value};
 
-/// Sweep required by the issue: threads {1,2,4,8} × partition bits
-/// {0 (monolithic), 4, 8}.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-const BITS: [u32; 3] = [0, 4, 8];
 
 fn sorted_rows(res: &x100_engine::QueryResult) -> Vec<String> {
     let mut rows = res.row_strings();
@@ -74,25 +71,21 @@ fn sweep(db: &Database, plan: &Plan) {
     let (seq, _) = execute(db, plan, &ExecOptions::default()).expect("sequential");
     let expected = sorted_rows(&seq);
     for threads in THREADS {
-        for bits in BITS {
-            let opts = ExecOptions::default()
-                .parallel(threads)
-                .with_join_partition_bits(bits);
-            let (par, _) = execute(db, plan, &opts).expect("parallel");
-            assert_eq!(
-                sorted_rows(&par),
-                expected,
-                "threads={threads} bits={bits} diverged from sequential"
-            );
-        }
+        let opts = ExecOptions::default().parallel(threads);
+        let (par, _) = execute(db, plan, &opts).expect("parallel");
+        assert_eq!(
+            sorted_rows(&par),
+            expected,
+            "threads={threads} diverged from sequential"
+        );
     }
 }
 
 #[test]
 fn inner_join_aggregate_matches_sequential() {
     let db = star_db();
-    // Only codes 0..64 match (k cycles 0..100): the Bloom prepass and
-    // chain walks both get real negative traffic.
+    // Only codes 0..64 match (k cycles 0..100): the probe gets real
+    // negative traffic.
     let plan = join_plan(JoinType::Inner, &[("grp", "g"), ("label", "lbl")]).aggr(
         vec![("g", col("g"))],
         vec![
@@ -147,13 +140,9 @@ fn select_and_project_between_join_and_aggregate() {
     let (seq, _) = execute(&db, &plan, &ExecOptions::default()).expect("sequential");
     let expected = seq.row_strings();
     for threads in THREADS {
-        for bits in BITS {
-            let opts = ExecOptions::default()
-                .parallel(threads)
-                .with_join_partition_bits(bits);
-            let (par, _) = execute(&db, &plan, &opts).expect("parallel");
-            assert_eq!(par.row_strings(), expected, "threads={threads} bits={bits}");
-        }
+        let opts = ExecOptions::default().parallel(threads);
+        let (par, _) = execute(&db, &plan, &opts).expect("parallel");
+        assert_eq!(par.row_strings(), expected, "threads={threads}");
     }
 }
 
@@ -236,7 +225,7 @@ fn fetch_join_above_hash_join_probe() {
 }
 
 #[test]
-fn parallel_join_engages_workers_and_reports_bloom_stats() {
+fn parallel_join_engages_workers() {
     let db = star_db();
     let plan = join_plan(JoinType::Inner, &[("grp", "g")]).aggr(
         vec![("g", col("g"))],
@@ -245,56 +234,60 @@ fn parallel_join_engages_workers_and_reports_bloom_stats() {
     let opts = ExecOptions::default()
         .profiled()
         .parallel(4)
-        .with_morsel_size(1024)
-        .with_join_partition_bits(4);
+        .with_morsel_size(1024);
     let (_, prof) = execute(&db, &plan, &opts).expect("parallel");
     assert!(
         !prof.workers().is_empty(),
         "join pipeline must not fall back to sequential under threads>1"
     );
-    // Every probe row passes the Bloom prepass exactly once (8_000 facts),
-    // and codes 64..100 (36% of rows) have no build match — most of them
-    // must be rejected by the filter without touching a bucket chain.
-    assert_eq!(prof.counter("join_bloom_tested"), Some(8_000));
-    let rejected = prof.counter("join_bloom_rejected").expect("reject count");
-    assert!(rejected > 0, "expected Bloom rejections for codes 64..100");
-    assert_eq!(prof.counter("join_partitions"), Some(16));
-    assert!(prof.counter("join_partition_max_rows").unwrap_or(0) >= 4);
     let ops: Vec<String> = prof.operators().map(|(k, _)| k.to_owned()).collect();
     assert!(ops.iter().any(|o| o == "HashJoin(build)"), "{ops:?}");
     assert!(ops.iter().any(|o| o == "HashJoin(probe)"), "{ops:?}");
-    let table = prof.render_table5();
-    assert!(table.contains("event counter"), "{table}");
-    assert!(table.contains("join_bloom_rejected"), "{table}");
+    // One build on the main thread, every fact row probed once.
+    let stat = |name: &str| prof.operators().find(|(k, _)| *k == name).expect(name).1;
+    assert_eq!(stat("HashJoin(build)").tuples, 64);
+    assert_eq!(stat("HashJoin(probe)").tuples, 8_000);
 }
 
 #[test]
-fn derived_partition_bits_stay_within_budget_and_match_monolithic() {
-    // Default opts derive partition bits from the cache budget; a tiny
-    // budget forces the maximum split. All configurations must agree.
+fn label_grouped_join_matches_sequential() {
+    // The answer check of the retired partition-budget cases, folded
+    // into the sweep.
     let db = star_db();
     let plan = join_plan(JoinType::Inner, &[("grp", "g"), ("label", "lbl")]).aggr(
         vec![("lbl", col("lbl"))],
         vec![AggExpr::count("cnt"), AggExpr::sum("sv", col("v"))],
     );
-    let (mono, _) = execute(
-        &db,
-        &plan,
-        &ExecOptions::default().with_join_partition_bits(0),
-    )
-    .expect("monolithic");
-    let expected = sorted_rows(&mono);
-    for budget in [1, 512, 1 << 20] {
-        for threads in [1, 4] {
-            let opts = ExecOptions::default()
-                .parallel(threads)
-                .with_join_cache_budget(budget);
-            let (res, _) = execute(&db, &plan, &opts).expect("budgeted");
-            assert_eq!(
-                sorted_rows(&res),
-                expected,
-                "budget={budget} threads={threads}"
-            );
+    sweep(&db, &plan);
+}
+
+#[test]
+fn duplicate_build_keys_fan_out_identically_on_every_thread_count() {
+    // Every dimension code appears three times on the build side, so the
+    // shared table carries row chains and each matching fact row fans
+    // out 1:3 (unmatched ones take the outer default once).
+    let mut db = star_db();
+    db.register(
+        TableBuilder::new("dim3")
+            .column("code", ColumnData::I64((0..192).map(|i| i % 64).collect()))
+            .column("w", ColumnData::I64((0..192).collect()))
+            .build(),
+    );
+    for jt in [JoinType::Inner, JoinType::LeftOuter] {
+        let plan = Plan::HashJoin {
+            build: Box::new(Plan::scan("dim3", &["code", "w"])),
+            probe: Box::new(Plan::scan("facts", &["k", "v"])),
+            build_keys: vec![col("code")],
+            probe_keys: vec![col("k")],
+            payload: vec![("w".into(), "w".into())],
+            join_type: jt,
         }
+        .aggr(
+            vec![("k", col("k"))],
+            vec![AggExpr::count("cnt"), AggExpr::sum("sw", col("w"))],
+        );
+        let (seq, _) = execute(&db, &plan, &ExecOptions::default()).expect("sequential");
+        assert_eq!(seq.num_rows(), if jt == JoinType::Inner { 64 } else { 100 });
+        sweep(&db, &plan);
     }
 }

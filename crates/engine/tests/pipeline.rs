@@ -881,8 +881,8 @@ fn hash_aggr_survives_dense_new_groups_after_selection() {
 
 #[test]
 fn hash_join_empty_build_side() {
-    // An empty build table: the Bloom filter rejects every probe hash,
-    // so each join type must resolve without touching a bucket chain.
+    // An empty build table: every probe key is absent, and each join
+    // type must resolve that without a row to pair with.
     let mut db = Database::new();
     db.register(
         TableBuilder::new("p")
@@ -904,15 +904,8 @@ fn hash_join_empty_build_side() {
         join_type,
     };
     let pay = vec![("v".to_string(), "v".to_string())];
-    let (res, prof) = execute(
-        &db,
-        &mk(JoinType::Inner, pay.clone()),
-        &ExecOptions::default().profiled(),
-    )
-    .expect("inner");
+    let (res, _) = execute(&db, &mk(JoinType::Inner, pay.clone()), &opts()).expect("inner");
     assert_eq!(res.num_rows(), 0);
-    assert_eq!(prof.counter("join_bloom_tested"), Some(3));
-    assert_eq!(prof.counter("join_bloom_rejected"), Some(3));
     let (res, _) = execute(&db, &mk(JoinType::LeftOuter, pay), &opts()).expect("outer");
     assert_eq!(res.column_by_name("k").as_i64(), &[1, 2, 3]);
     assert_eq!(res.column_by_name("v").as_i64(), &[0, 0, 0]);
@@ -923,10 +916,10 @@ fn hash_join_empty_build_side() {
 }
 
 #[test]
-fn hash_join_build_larger_than_cache_budget_partitions() {
-    // A 20_000-row build side under a 1 KiB budget must split into the
-    // maximum number of radix partitions and still agree with the
-    // monolithic layout.
+fn hash_join_build_side_of_many_vectors() {
+    // A 20_000-row build side: the table grows through several
+    // doublings while it is built, and every probe key still finds its
+    // one row.
     let n = 20_000i64;
     let mut db = Database::new();
     db.register(
@@ -948,28 +941,156 @@ fn hash_join_build_larger_than_cache_budget_partitions() {
         payload: vec![("v".into(), "v".into())],
         join_type: JoinType::Inner,
     };
-    let (mono, _) = execute(
-        &db,
-        &plan,
-        &ExecOptions::default().with_join_partition_bits(0),
-    )
-    .expect("monolithic");
-    let (part, prof) = execute(
-        &db,
-        &plan,
-        &ExecOptions::default()
-            .profiled()
-            .with_join_cache_budget(1024),
-    )
-    .expect("partitioned");
-    assert_eq!(part.row_strings(), mono.row_strings());
-    assert_eq!(part.num_rows(), 500);
-    let nparts = prof.counter("join_partitions").expect("partition count");
-    assert!(nparts > 1, "1 KiB budget must force partitioning");
-    assert!(
-        prof.counter("join_partition_max_rows").unwrap_or(0) < 20_000,
-        "partitioning must actually split the build rows"
+    let (res, _) = execute(&db, &plan, &opts()).expect("runs");
+    let keys: Vec<i64> = (0..500).map(|i| i * 40).collect();
+    assert_eq!(res.column_by_name("k").as_i64(), keys);
+    let tripled: Vec<i64> = keys.iter().map(|k| k * 3).collect();
+    assert_eq!(res.column_by_name("v").as_i64(), tripled);
+}
+
+#[test]
+fn hash_join_emits_at_most_one_vector_per_next() {
+    // One build key with 5 000 duplicates: a probe vector's matches
+    // are far more than a vector, and must arrive a vector at a time —
+    // the pair expansion stops at `vector_size` and resumes where it
+    // stopped on the next call.
+    let dups = 5_000i64;
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("b")
+            .column("k", ColumnData::I64(vec![7; dups as usize]))
+            .column("id", ColumnData::I64((0..dups).collect()))
+            .build(),
     );
+    // Keys 7 (matches) and 8 (does not), three of each.
+    db.register(
+        TableBuilder::new("p")
+            .column("k", ColumnData::I64(vec![7, 8, 7, 8, 8, 7]))
+            .column("v", ColumnData::I64((0..6).collect()))
+            .build(),
+    );
+    for join_type in [JoinType::Inner, JoinType::LeftOuter] {
+        let plan = Plan::HashJoin {
+            build: Box::new(Plan::scan("b", &["k", "id"])),
+            probe: Box::new(Plan::scan("p", &["k", "v"])),
+            build_keys: vec![col("k")],
+            probe_keys: vec![col("k")],
+            payload: vec![("id".into(), "id".into())],
+            join_type,
+        };
+        let eopts = ExecOptions::with_vector_size(1024);
+        let mut op = plan.bind(&db, &eopts).expect("binds");
+        let mut prof = x100_engine::Profiler::new(false);
+        let mut got: Vec<(i64, i64)> = Vec::new();
+        while let Some(batch) = op.next(&mut prof).expect("no error") {
+            assert!(batch.sel.is_none());
+            assert!(
+                (1..=1024).contains(&batch.len),
+                "{join_type:?}: batch of {} rows",
+                batch.len
+            );
+            let (v, id) = (batch.columns[1].as_i64(), batch.columns[2].as_i64());
+            got.extend(v.iter().copied().zip(id.iter().copied()));
+        }
+        let mut expected: Vec<(i64, i64)> = Vec::new();
+        for v in 0..6 {
+            if v == 0 || v == 2 || v == 5 {
+                expected.extend((0..dups).map(|id| (v, id)));
+            } else if join_type == JoinType::LeftOuter {
+                expected.push((v, 0)); // the default row
+            }
+        }
+        // A probe row's matches arrive newest-first; the multiset is
+        // what the join promises.
+        got.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(got, expected, "{join_type:?}");
+    }
+}
+
+#[test]
+fn hash_join_first_duplicate_key_arrives_after_unique_vectors() {
+    // While no build key has repeated the table keeps no row chains (a
+    // group's one row is its id); the first duplicate, here in the
+    // third 8-row build vector, makes it link every row seen so far.
+    // Keys 0..20 once, then 3, 3 and 11 again.
+    let mut build_keys: Vec<i64> = (0..20).collect();
+    build_keys.extend([3, 3, 11]);
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("b")
+            .column("k", ColumnData::I64(build_keys.clone()))
+            .column("id", ColumnData::I64((100..123).collect()))
+            .build(),
+    );
+    db.register(
+        TableBuilder::new("p")
+            .column("k", ColumnData::I64(vec![3, 50, 11, 19, 0]))
+            .build(),
+    );
+    let mk = |join_type| Plan::HashJoin {
+        build: Box::new(Plan::scan("b", &["k", "id"])),
+        probe: Box::new(Plan::scan("p", &["k"])),
+        build_keys: vec![col("k")],
+        probe_keys: vec![col("k")],
+        payload: vec![("id".into(), "id".into())],
+        join_type,
+    };
+    let small = ExecOptions::with_vector_size(8);
+    let (res, _) = execute(&db, &mk(JoinType::Inner), &small).expect("inner");
+    // A key's rows newest first, probe rows in order.
+    assert_eq!(res.column_by_name("k").as_i64(), &[3, 3, 3, 11, 11, 19, 0]);
+    assert_eq!(
+        res.column_by_name("id").as_i64(),
+        &[121, 120, 103, 122, 111, 119, 100]
+    );
+    let (res, _) = execute(&db, &mk(JoinType::LeftOuter), &small).expect("outer");
+    assert_eq!(
+        res.column_by_name("k").as_i64(),
+        &[3, 3, 3, 50, 11, 11, 19, 0]
+    );
+    assert_eq!(
+        res.column_by_name("id").as_i64(),
+        &[121, 120, 103, 0, 122, 111, 119, 100]
+    );
+}
+
+#[test]
+fn hash_join_semi_and_anti_on_string_keys_under_a_selection() {
+    // The probe arrives under a selection vector; semi and anti refine
+    // it without copying a column.
+    let names = ["ash", "birch", "cedar", "fir", "gum", "hazel"];
+    let strs = |vals: Vec<&str>| {
+        let mut c = ColumnData::new(ScalarType::Str);
+        for v in vals {
+            c.push_value(&Value::Str(v.into()));
+        }
+        c
+    };
+    let mut db = Database::new();
+    db.register(
+        TableBuilder::new("p")
+            .column("name", strs((0..24).map(|i| names[i % 6]).collect()))
+            .column("v", ColumnData::I64((0..24).collect()))
+            .build(),
+    );
+    db.register(
+        TableBuilder::new("b")
+            .column("name", strs(vec!["cedar", "oak", "ash", "cedar"]))
+            .build(),
+    );
+    let mk = |join_type| Plan::HashJoin {
+        build: Box::new(Plan::scan("b", &["name"])),
+        probe: Box::new(Plan::scan("p", &["name", "v"]).select(lt(col("v"), lit_i64(9)))),
+        build_keys: vec![col("name")],
+        probe_keys: vec![col("name")],
+        payload: vec![],
+        join_type,
+    };
+    let (res, _) = execute(&db, &mk(JoinType::LeftSemi), &opts()).expect("semi");
+    assert_eq!(res.column_by_name("v").as_i64(), &[0, 2, 6, 8]);
+    let (res, _) = execute(&db, &mk(JoinType::LeftAnti), &opts()).expect("anti");
+    assert_eq!(res.column_by_name("v").as_i64(), &[1, 3, 4, 5, 7]);
 }
 
 #[test]

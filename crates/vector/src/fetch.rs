@@ -6,7 +6,7 @@
 //! `map_fetch_uchr_col_flt_col` rows of the paper's Table 5 trace).
 
 use crate::sel::SelVec;
-use crate::vector::StrVec;
+use crate::vector::{StrVec, Vector};
 
 /// Generic gather: `res[i] = base[idx[i]]` at selected positions.
 #[inline]
@@ -163,6 +163,38 @@ pub fn fetch_str(res: &mut StrVec, base: &StrVec, idx: &[u32], n: usize, sel: Op
     }
 }
 
+/// Typed gather over a whole [`Vector`]: `dst[i] = src[idx[i]]`, resizing
+/// `dst` to `idx.len()`. Strings rebuild through the `StrVec` gather path;
+/// every fixed-width type routes through the macro-generated fetch
+/// kernels. How cardinality-changing operators (hash join, ordered
+/// aggregation) materialize a column: one typed loop per vector.
+pub fn gather_rows(dst: &mut Vector, src: &Vector, idx: &[u32]) {
+    let n = idx.len();
+    match (dst, src) {
+        (Vector::Str(d), Vector::Str(s)) => fetch_str(d, s, idx, n, None),
+        (d, s) => {
+            d.resize_zeroed(n);
+            match (d, s) {
+                (Vector::I8(d), Vector::I8(s)) => map_fetch_u32_col_i8_col(d, s, idx, None),
+                (Vector::I16(d), Vector::I16(s)) => map_fetch_u32_col_i16_col(d, s, idx, None),
+                (Vector::I32(d), Vector::I32(s)) => map_fetch_u32_col_i32_col(d, s, idx, None),
+                (Vector::I64(d), Vector::I64(s)) => map_fetch_u32_col_i64_col(d, s, idx, None),
+                (Vector::U8(d), Vector::U8(s)) => map_fetch_u32_col_u8_col(d, s, idx, None),
+                (Vector::U16(d), Vector::U16(s)) => map_fetch_u32_col_u16_col(d, s, idx, None),
+                (Vector::U32(d), Vector::U32(s)) => map_fetch_u32_col_u32_col(d, s, idx, None),
+                (Vector::U64(d), Vector::U64(s)) => fetch(d, s, idx, None),
+                (Vector::F64(d), Vector::F64(s)) => map_fetch_u32_col_f64_col(d, s, idx, None),
+                (Vector::Bool(d), Vector::Bool(s)) => fetch(d, s, idx, None),
+                (d, s) => panic!(
+                    "gather_rows type mismatch: dst {:?}, src {:?}",
+                    d.scalar_type(),
+                    s.scalar_type()
+                ),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,5 +280,23 @@ mod tests {
         let mut res = StrVec::new();
         fetch_str(&mut res, &base, &idx, 3, Some(&sel));
         assert_eq!(res.iter().collect::<Vec<_>>(), vec!["b", "", "b"]);
+    }
+
+    #[test]
+    fn gather_rows_all_types() {
+        let idx = [2u32, 0, 2];
+        let src = Vector::I32(vec![5, 6, 7]);
+        let mut dst = Vector::with_capacity(crate::ScalarType::I32, 0);
+        gather_rows(&mut dst, &src, &idx);
+        assert_eq!(dst.as_i32(), &[7, 5, 7]);
+
+        let s: StrVec = ["a", "b", "c"].into_iter().collect();
+        let mut dst = Vector::Str(StrVec::new());
+        gather_rows(&mut dst, &Vector::Str(s), &idx);
+        assert_eq!(dst.as_str().iter().collect::<Vec<_>>(), vec!["c", "a", "c"]);
+
+        let mut dst = Vector::Bool(vec![]);
+        gather_rows(&mut dst, &Vector::Bool(vec![true, false, true]), &idx);
+        assert_eq!(dst.as_bool(), &[true, true, true]);
     }
 }

@@ -1,22 +1,24 @@
 //! The group table: key vectors + hashes → dense group ids.
 //!
-//! One open-addressing table under hash aggregation and the parallel
-//! merge stage. A bucket is one `u32` word: the low `bits` bits hold
-//! `group id + 1` (0 = empty), the bits above a tag cut from the hash
-//! ([`hash::bucket_tag`]), so a probe that lands on another group's
-//! bucket is rejected from the word alone, without touching the stored
-//! hashes or keys. `bits` is `log2(buckets)`, which always leaves room
+//! One open-addressing table under hash aggregation, the parallel
+//! merge stage and the hash join. A bucket is one `u32` word: the low
+//! `bits` bits hold `group id + 1` (0 = empty), the bits above a tag
+//! cut from the hash ([`hash::bucket_tag`]), so a probe that lands on
+//! another group's bucket is rejected from the word alone, without
+//! touching the stored hashes or keys. `bits` is `log2(buckets)`, which always leaves room
 //! for every id the load bound admits; a rebuild re-cuts the tags.
 //!
-//! [`GroupTable::lookup`] is vectorized the X100 way: probe rounds
-//! over a shrinking pending list ([`hash::aggr_grouptable_probe_u64_col`]),
-//! one typed key-verify loop per key column, and a scalar
-//! find-or-insert only for the tuples that reached an empty bucket.
-//! The rounds run against the table as it stood when the vector
-//! arrived, so they find exactly the tuples whose key was already
-//! present; the rest are inserted in ascending position. Group ids are
-//! therefore dense in first-seen order — what a tuple-at-a-time loop
-//! would assign.
+//! [`GroupTable::find`] is vectorized the X100 way: probe rounds over a
+//! shrinking pending list ([`hash::aggr_grouptable_probe_u64_col`]) and
+//! one typed key-verify loop per key column. It only reads the table —
+//! its working lists live in a caller-owned [`ProbeScratch`] — so
+//! morsel workers probe one shared table, each with its own scratch.
+//! [`GroupTable::lookup`] is `find` plus a scalar find-or-insert for
+//! the tuples that reached an empty bucket. The rounds run against the
+//! table as it stood when the vector arrived, so they find exactly the
+//! tuples whose key was already present; the rest are inserted in
+//! ascending position. Group ids are therefore dense in first-seen
+//! order — what a tuple-at-a-time loop would assign.
 //!
 //! The rounds pay off when most keys are known. While a table is being
 //! populated, or a clustered high-cardinality key brings each group's
@@ -61,6 +63,18 @@ macro_rules! with_key_column {
     };
 }
 
+/// The working lists of one vector's probe rounds: positional mismatch
+/// flags and position lists, O(vector size). Owned by whoever probes, so
+/// a table shared read-only needs no interior state.
+#[derive(Debug, Default)]
+pub struct ProbeScratch {
+    ne: Vec<u8>,
+    pending: Vec<u32>,
+    next: Vec<u32>,
+    cand: Vec<u32>,
+    miss: Vec<u32>,
+}
+
 /// Hash-group table: maps key tuples to dense first-seen group ids.
 #[derive(Debug)]
 pub struct GroupTable {
@@ -72,15 +86,13 @@ pub struct GroupTable {
     keys: Vec<Vector>,
     /// The last vector's tuples fell mostly in groups it created.
     building: bool,
-    // Per-lookup scratch: positional mismatch flags and position lists.
-    ne: Vec<u8>,
-    pending: Vec<u32>,
-    next: Vec<u32>,
-    cand: Vec<u32>,
-    miss: Vec<u32>,
 }
 
 impl GroupTable {
+    /// What [`GroupTable::find`] leaves in `grp` where the key is not
+    /// in the table.
+    pub const ABSENT: u32 = u32::MAX;
+
     /// An empty table over keys of the given types.
     ///
     /// # Panics
@@ -110,11 +122,6 @@ impl GroupTable {
                 .map(|&ty| Vector::with_capacity(ty, 16))
                 .collect(),
             building: false,
-            ne: Vec::new(),
-            pending: Vec::new(),
-            next: Vec::new(),
-            cand: Vec::new(),
-            miss: Vec::new(),
         }
     }
 
@@ -138,8 +145,7 @@ impl GroupTable {
         &self.hashes
     }
 
-    /// Bytes the table holds per its contents (buckets, hashes, keys);
-    /// the per-vector scratch is bounded by the vector size.
+    /// Bytes the table holds (buckets, hashes, keys).
     pub fn byte_size(&self) -> usize {
         self.buckets.len() * 4
             + self.hashes.len() * 8
@@ -167,49 +173,63 @@ impl GroupTable {
     /// `hashes` / `grp` are shorter than `n`.
     pub fn lookup(
         &mut self,
+        scratch: &mut ProbeScratch,
         grp: &mut [u32],
         hashes: &[u64],
         keys: &[&Vector],
         n: usize,
         sel: Option<&SelVec>,
     ) {
-        assert_eq!(keys.len(), self.keys.len(), "group key arity");
         let (hashes, grp) = (&hashes[..n], &mut grp[..n]);
         let live = sel.map_or(n, |s| s.len());
-        self.miss.resize(live, 0);
         let n_miss = if self.building {
             // The last vector brought mostly unknown keys: probing the
             // table as it stands would turn nearly every tuple away.
+            assert_eq!(keys.len(), self.keys.len(), "group key arity");
+            scratch.miss.clear();
             match sel {
-                None => self.miss.iter_mut().zip(0..).for_each(|(m, i)| *m = i),
-                Some(sel) => self.miss.copy_from_slice(sel.positions()),
+                None => scratch.miss.extend(0..n as u32),
+                Some(sel) => scratch.miss.extend_from_slice(sel.positions()),
             }
             live
         } else {
-            self.probe(grp, hashes, keys, n, sel)
+            self.find(scratch, grp, hashes, keys, n, sel).len()
         };
         let known = self.len() as u32;
         let mut found = live - n_miss;
         if n_miss > 0 {
-            found += self.insert(grp, hashes, keys, n_miss, known);
+            found += self.insert(&scratch.miss[..n_miss], grp, hashes, keys, known);
         }
         self.building = found * 2 < live;
     }
 
-    /// The vectorized phase: probe rounds and key verifies against the
-    /// table as it stands. Returns how many live tuples reached an
-    /// empty bucket — their positions lead `self.miss`, ascending.
-    fn probe(
-        &mut self,
+    /// Look every live tuple's key up without touching the table — the
+    /// vectorized phase of [`GroupTable::lookup`], probe rounds and key
+    /// verifies: `grp[i]` receives the key's group id, or
+    /// [`GroupTable::ABSENT`]. Returns the positions whose key is
+    /// absent, ascending.
+    ///
+    /// # Panics
+    /// Like [`GroupTable::lookup`].
+    pub fn find<'s>(
+        &self,
+        scratch: &'s mut ProbeScratch,
         grp: &mut [u32],
         hashes: &[u64],
         keys: &[&Vector],
         n: usize,
         sel: Option<&SelVec>,
-    ) -> usize {
-        let live = self.miss.len();
-        self.ne.resize(n, 0);
-        for list in [&mut self.pending, &mut self.next, &mut self.cand] {
+    ) -> &'s [u32] {
+        assert_eq!(keys.len(), self.keys.len(), "group key arity");
+        let (hashes, grp) = (&hashes[..n], &mut grp[..n]);
+        let live = sel.map_or(n, |s| s.len());
+        scratch.ne.resize(n, 0);
+        for list in [
+            &mut scratch.pending,
+            &mut scratch.next,
+            &mut scratch.cand,
+            &mut scratch.miss,
+        ] {
             list.resize(live, 0);
         }
         let mut c = hash::aggr_grouptable_probe_u64_col(
@@ -218,48 +238,64 @@ impl GroupTable {
             hashes,
             sel,
             grp,
-            &mut self.cand,
-            &mut self.miss,
-            &mut self.next,
+            &mut scratch.cand,
+            &mut scratch.miss,
+            &mut scratch.next,
         );
+        let in_order = c.miss;
         let mut n_miss = c.miss;
         let mut round = 0;
         loop {
-            let n_pending = c.next + self.verify(keys, grp, c);
+            let n_pending = c.next + self.verify(scratch, keys, grp, c);
             if n_pending == 0 {
                 break;
             }
-            std::mem::swap(&mut self.pending, &mut self.next);
+            std::mem::swap(&mut scratch.pending, &mut scratch.next);
             round += 1;
             c = hash::aggr_grouptable_reprobe_u64_col(
                 &self.buckets,
                 self.bits,
                 hashes,
                 round,
-                &self.pending[..n_pending],
+                &scratch.pending[..n_pending],
                 grp,
-                &mut self.cand,
-                &mut self.miss[n_miss..],
-                &mut self.next,
+                &mut scratch.cand,
+                &mut scratch.miss[n_miss..],
+                &mut scratch.next,
             );
             n_miss += c.miss;
         }
-        if round > 0 {
+        if in_order < n_miss {
             // Round 0 reports its misses in ascending position, later
-            // rounds append theirs: restore insertion order.
-            self.miss[..n_miss].sort_unstable();
+            // rounds appended theirs: collect them all again, in order
+            // (cheaper than sorting, and as branch-free as the rounds).
+            let mut k = 0;
+            let mut collect = |i: usize| {
+                scratch.miss[k] = i as u32;
+                k += (grp[i] == Self::ABSENT) as usize;
+            };
+            match sel {
+                None => (0..n).for_each(&mut collect),
+                Some(sel) => sel.iter().for_each(&mut collect),
+            }
         }
-        n_miss
+        &scratch.miss[..n_miss]
     }
 
     /// Verify the keys of the round's candidates column by column;
     /// candidates whose key differs join `next` behind the round's own
     /// `c.next` entries. Returns how many were added.
-    fn verify(&mut self, keys: &[&Vector], grp: &[u32], c: ProbeCounts) -> usize {
-        let cand = &self.cand[..c.cand];
+    fn verify(
+        &self,
+        scratch: &mut ProbeScratch,
+        keys: &[&Vector],
+        grp: &[u32],
+        c: ProbeCounts,
+    ) -> usize {
+        let cand = &scratch.cand[..c.cand];
         let mut differ = false;
         for (k, (store, key)) in self.keys.iter().zip(keys).enumerate() {
-            let ne = &mut self.ne;
+            let ne = &mut scratch.ne;
             differ |= with_key_column!(
                 store,
                 *key,
@@ -272,26 +308,26 @@ impl GroupTable {
         }
         let mut added = 0;
         for &p in cand {
-            self.next[c.next + added] = p;
-            added += (self.ne[p as usize] != 0) as usize;
+            scratch.next[c.next + added] = p;
+            added += (scratch.ne[p as usize] != 0) as usize;
         }
         added
     }
 
-    /// Scalar find-or-insert of the first `n_miss` positions of
-    /// `self.miss`, in order. A new key may repeat inside the vector, so
-    /// every tuple probes the live table — unless it repeats the key
-    /// of the tuple before it, the common case on clustered input.
+    /// Scalar find-or-insert of the positions `miss`, in order. A new
+    /// key may repeat inside the vector, so every tuple probes the live
+    /// table — unless it repeats the key of the tuple before it, the
+    /// common case on clustered input.
     /// Returns how many tuples fell in a group below `known`.
     fn insert(
         &mut self,
+        miss: &[u32],
         grp: &mut [u32],
         hashes: &[u64],
         keys: &[&Vector],
-        n_miss: usize,
         known: u32,
     ) -> usize {
-        self.reserve(self.len() + n_miss);
+        self.reserve(self.len() + miss.len());
         let mask = self.buckets.len() - 1;
         let idmask = (1u32 << self.bits) - 1;
         let same_key = |stores: &[Vector], g: usize, i: usize| {
@@ -302,7 +338,7 @@ impl GroupTable {
         };
         let mut found = 0;
         let mut last: Option<(u64, u32)> = None;
-        for &p in &self.miss[..n_miss] {
+        for &p in miss {
             let i = p as usize;
             let h = hashes[i];
             let g = match last {
@@ -359,5 +395,63 @@ impl GroupTable {
         }
         self.buckets = grown;
         self.bits = bits;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hash::map_hash_i64_col;
+
+    fn hashed(keys: &[i64]) -> (Vector, Vec<u64>) {
+        let mut hashes = vec![0u64; keys.len()];
+        map_hash_i64_col(&mut hashes, keys, None);
+        (Vector::I64(keys.to_vec()), hashes)
+    }
+
+    #[test]
+    fn find_on_an_empty_table_reports_every_live_position() {
+        let table = GroupTable::new(&[ScalarType::I64]);
+        let mut scratch = ProbeScratch::default();
+        let (keys, hashes) = hashed(&[5, 6, 7, 8]);
+        let sel = SelVec::from_positions(vec![1, 3]);
+        let mut grp = [7u32; 4];
+        let absent = table.find(&mut scratch, &mut grp, &hashes, &[&keys], 4, Some(&sel));
+        assert_eq!(absent, &[1, 3]);
+        assert_eq!(grp, [7, GroupTable::ABSENT, 7, GroupTable::ABSENT]);
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    fn find_agrees_with_lookup_and_never_inserts() {
+        let mut table = GroupTable::new(&[ScalarType::I64]);
+        let mut scratch = ProbeScratch::default();
+        let (keys, hashes) = hashed(&[10, 20, 10, 30]);
+        let mut grp = [0u32; 4];
+        table.lookup(&mut scratch, &mut grp, &hashes, &[&keys], 4, None);
+        assert_eq!(grp, [0, 1, 0, 2]);
+        let (probe, hashes) = hashed(&[30, 99, 10, 98, 20]);
+        let mut found = [0u32; 5];
+        let absent = table.find(&mut scratch, &mut found, &hashes, &[&probe], 5, None);
+        assert_eq!(absent, &[1, 3]);
+        assert_eq!(found, [2, GroupTable::ABSENT, 0, GroupTable::ABSENT, 1]);
+        assert_eq!(table.len(), 3);
+    }
+
+    #[test]
+    fn misses_of_later_rounds_come_back_in_position_order() {
+        // Every hash equal: one bucket chain, one tag. Known keys are
+        // found rounds apart, unknown ones miss only after walking the
+        // whole chain — the absent list must still ascend.
+        let mut table = GroupTable::new(&[ScalarType::I64]);
+        let mut scratch = ProbeScratch::default();
+        let known = Vector::I64((0..6).collect());
+        let mut grp = [0u32; 6];
+        table.lookup(&mut scratch, &mut grp, &[42; 6], &[&known], 6, None);
+        let probe = Vector::I64(vec![77, 5, 88, 0, 99, 3, 66]);
+        let mut found = [0u32; 7];
+        let absent = table.find(&mut scratch, &mut found, &[42; 7], &[&probe], 7, None);
+        assert_eq!(absent, &[0, 2, 4, 6]);
+        assert_eq!([found[1], found[3], found[5]], [5, 0, 3]);
     }
 }

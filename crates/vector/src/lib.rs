@@ -30,14 +30,13 @@ pub mod fetch;
 pub mod group;
 pub mod hash;
 pub mod map;
-pub mod partition;
 pub mod registry;
 pub mod sel;
 pub mod select;
 pub mod types;
 pub mod vector;
 
-pub use group::GroupTable;
+pub use group::{GroupTable, ProbeScratch};
 pub use map::CmpOp;
 pub use registry::{
     parse_signature, ArgTy, FactTransfer, OutTy, PrimitiveDesc, PrimitiveKind, PrimitiveRegistry,

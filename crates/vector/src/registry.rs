@@ -91,8 +91,8 @@ pub enum OutTy {
     Vec(ScalarType),
     /// A selection vector (positions of qualifying tuples).
     Sel,
-    /// In-place state update (aggregate tables, Bloom filters,
-    /// scatter targets) — no result vector flows downstream.
+    /// In-place state update (aggregate tables, compressed chunks) —
+    /// no result vector flows downstream.
     State,
     /// Polymorphic output (e.g. `map_fill_const` broadcasts any type).
     Poly,
@@ -129,8 +129,8 @@ pub enum FactTransfer {
     Fetch,
     /// Output covers the full domain of its type (hash / rehash).
     Domain,
-    /// Valid-position output: a permutation, partition id, or group
-    /// index in `[0, n)` (sorts, radix scatter, direct grouping).
+    /// Valid-position output: a permutation or group index in
+    /// `[0, n)` (sorts, direct grouping, group-table probes).
     Positions,
     /// Produces a selection vector: downstream facts are refined (a
     /// subset of positions survives), never widened.
@@ -141,8 +141,8 @@ pub enum FactTransfer {
     /// Aggregate-state update: folded by the aggregation transfer at
     /// the plan node (sum/min/max/count range algebra).
     Aggregate,
-    /// Side-effecting state sink (scatter, compress, Bloom insert): no
-    /// value facts flow downstream.
+    /// Side-effecting state sink (compress): no value facts flow
+    /// downstream.
     Sink,
     /// Explicitly unmodeled: facts widen to ⊤. Every `Opaque` primitive
     /// must appear in the xtask lint allowlist — no silent defaults.
@@ -162,7 +162,7 @@ pub struct SigInfo {
     pub output: OutTy,
     /// Whether the kernel honors an incoming selection vector
     /// (`Option<&SelVec>` parameter). `false` marks *dense-only*
-    /// position-dependent kernels (scatter, Bloom, sort permutation,
+    /// position-dependent kernels (chunk codecs, sort permutation,
     /// hash-table maintenance) that must never run under a selection.
     pub consumes_sel: bool,
     /// Whether the kernel's output is a selection vector. Only a
@@ -266,9 +266,9 @@ const CMP_OPS: [&str; 6] = ["eq", "ne", "lt", "le", "gt", "ge"];
 ///
 /// This is the single definition of the signature grammar the primitive
 /// generator follows. Regular families (arith / comparison / cast /
-/// fetch / scatter / hash / aggregate-update signatures) parse
-/// structurally; the small set of irregular kernel names (sorts, Bloom
-/// filters, direct grouping, compounds) is typed explicitly here.
+/// fetch / hash / aggregate-update signatures) parse structurally; the
+/// small set of irregular kernel names (sorts, direct grouping,
+/// compounds) is typed explicitly here.
 /// Unknown shapes are an error — the registry panics on them at
 /// construction, so a new primitive cannot be cataloged without also
 /// extending the grammar.
@@ -356,18 +356,6 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             s.spills = true;
             return Ok(s);
         }
-        "radix_scatter_positions" => {
-            return Ok(dense(vec![ArgTy::col(U32)], OutTy::Vec(U32), T::Positions))
-        }
-        "bloom_insert_u64_col" => return Ok(dense(vec![ArgTy::col(U64)], OutTy::State, T::Sink)),
-        "bloom_test_u64_col" => {
-            let mut s = selful(vec![ArgTy::col(U64)], OutTy::Sel, T::Refine);
-            s.produces_sel = true;
-            return Ok(s);
-        }
-        "map_radix_partition_u64_col" => {
-            return Ok(selful(vec![ArgTy::col(U64)], OutTy::Vec(U32), T::Positions))
-        }
         "map_uidx_u8_col" | "map_directgrp_u8_col" => {
             return Ok(selful(vec![ArgTy::col(U8)], OutTy::Vec(U32), T::Positions))
         }
@@ -436,25 +424,19 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             }
             Ok(selful(vec![ArgTy::col(from)], OutTy::Vec(to), T::Cast))
         }
-        ("map", "fetch") | ("map", "scatter") => {
+        ("map", "fetch") => {
             // map_fetch_<idx>_col_<val>_col[_unchecked]: gathers `<val>`
             // by `<idx>` positions; the trailing pair names the *output*.
             // The `_unchecked` twin elides per-element bounds checks and
             // may only be dispatched when `engine::facts` proves the
-            // index range in-bounds. Scatter is the position-dependent
-            // inverse and is dense-only.
+            // index range in-bounds.
             let (rest, unchecked) = match rest.split_last() {
                 Some((&"unchecked", head)) => (head, true),
                 _ => (rest, false),
             };
-            if unchecked && op != "fetch" {
-                return Err(format!("only fetch gathers have unchecked twins: `{sig}`"));
-            }
             let args = parse_args(rest)?;
             let [idx, out] = args.as_slice() else {
-                return Err(format!(
-                    "fetch/scatter signature `{sig}` needs 2 typed args"
-                ));
+                return Err(format!("fetch signature `{sig}` needs 2 typed args"));
             };
             if !idx.ty.is_integer() {
                 return Err(format!("fetch index type must be integral in `{sig}`"));
@@ -464,11 +446,7 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
                     "unchecked gathers are u32-indexed and numeric-valued: `{sig}`"
                 ));
             }
-            if op == "fetch" {
-                Ok(selful(vec![*idx], OutTy::Vec(out.ty), T::Fetch))
-            } else {
-                Ok(dense(vec![*idx, ArgTy::col(out.ty)], OutTy::State, T::Sink))
-            }
+            Ok(selful(vec![*idx], OutTy::Vec(out.ty), T::Fetch))
         }
         ("map", "hash") | ("map", "rehash") => {
             let args = parse_args(rest)?;
@@ -793,33 +771,6 @@ impl PrimitiveRegistry {
             );
         }
         reg.register(
-            "map_radix_partition_u64_col",
-            PrimitiveKind::Hash,
-            "radix partition id from top hash bits",
-        );
-        reg.register(
-            "radix_scatter_positions",
-            PrimitiveKind::Hash,
-            "stable scatter-position pass (histogram cursors)",
-        );
-        reg.register(
-            "bloom_insert_u64_col",
-            PrimitiveKind::Hash,
-            "blocked Bloom filter insert",
-        );
-        reg.register(
-            "bloom_test_u64_col",
-            PrimitiveKind::Hash,
-            "blocked Bloom filter prepass test",
-        );
-        for ty in ["i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64", "f64"] {
-            reg.register_owned(
-                format!("map_scatter_u32_col_{ty}_col"),
-                PrimitiveKind::Fetch,
-                "positional scatter (generated)",
-            );
-        }
-        reg.register(
             "map_directgrp_u8_col",
             PrimitiveKind::Hash,
             "direct-group start",
@@ -1005,8 +956,7 @@ impl PrimitiveRegistry {
             Err(e) => panic!("unparseable primitive signature `{signature}`: {e}"),
         };
         debug_assert!(
-            (kind == PrimitiveKind::Select) == (info.output == OutTy::Sel)
-                || signature.starts_with("bloom_test"),
+            (kind == PrimitiveKind::Select) == (info.output == OutTy::Sel),
             "kind/typing mismatch for `{signature}`"
         );
         let prev = self.by_sig.insert(
@@ -1083,10 +1033,7 @@ mod tests {
             "map_fetch_u8_col_f64_col",
             "map_hash_str_col",
             "map_rehash_f64_col",
-            "map_radix_partition_u64_col",
-            "map_scatter_u32_col_i64_col",
-            "bloom_insert_u64_col",
-            "bloom_test_u64_col",
+            "aggr_grouptable_probe_u64_col",
             "map_fused_sub_f64_val_f64_col_mul_f64_col",
         ] {
             assert!(reg.contains(sig), "missing {sig}");
@@ -1179,11 +1126,9 @@ mod tests {
 
         // Dense-only position-dependent kernels never consume a selection.
         for dense in [
-            "radix_scatter_positions",
-            "bloom_insert_u64_col",
             "sort_permutation",
             "aggr_hashtable_maintain",
-            "map_scatter_u32_col_f64_col",
+            "compress_pfor_i64_col",
         ] {
             assert!(
                 !reg.get(dense).expect("registered").info.consumes_sel,
@@ -1216,7 +1161,6 @@ mod tests {
             ("aggr_grouptable_verify_f64_col", FactTransfer::Compare),
             ("aggr_ordered_boundaries_i64_col", FactTransfer::Positions),
             ("aggr_ordered_starts_u32_col", FactTransfer::Positions),
-            ("map_scatter_u32_col_i64_col", FactTransfer::Sink),
             ("compress_pdict_str_col", FactTransfer::Sink),
             ("aggr_avg_epilogue", FactTransfer::Opaque),
         ] {
@@ -1241,7 +1185,6 @@ mod tests {
         // No unchecked string gather, and no unchecked enum-code index.
         assert!(!reg.contains("map_fetch_u32_col_str_col_unchecked"));
         assert!(parse_signature("map_fetch_u8_col_i64_col_unchecked").is_err());
-        assert!(parse_signature("map_scatter_u32_col_i64_col_unchecked").is_err());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 use proptest::prelude::*;
 use x100_vector::map::{self, CmpOp};
 use x100_vector::select::{select_cmp_col_val, SelectStrategy};
-use x100_vector::{aggr, compound, fetch, hash, GroupTable, ScalarType, SelVec, StrVec, Vector};
+use x100_vector::{
+    aggr, compound, fetch, hash, GroupTable, ProbeScratch, ScalarType, SelVec, StrVec, Vector,
+};
 
 /// Strategy: a data vector plus a valid ascending selection over it.
 fn data_and_sel() -> impl Strategy<Value = (Vec<i64>, Vec<u32>)> {
@@ -201,8 +203,11 @@ proptest! {
             .map(|&t| key_column(t, &[]).scalar_type())
             .collect();
         let mut table = GroupTable::new(&key_types);
+        let mut scratch = ProbeScratch::default();
         let mut oracle = std::collections::HashMap::new();
         let mut first_seen: Vec<Vec<(u64, String)>> = Vec::new();
+        // Every batch as looked up, for the shared read-only pass.
+        let mut seen = Vec::new();
         for (rows, mask) in &batches {
             let n = rows.len();
             let cols = [
@@ -224,12 +229,33 @@ proptest! {
                     *h %= collide;
                 }
             }
-            let mut grp = vec![u32::MAX; n];
             let refs: Vec<&Vector> = keys.iter().collect();
-            table.lookup(&mut grp, &hashes, &refs, n, sel.as_ref());
+            let live = |i: usize| mask.as_ref().is_none_or(|m| m[i]);
+            // `find` against the table as the batch meets it: the known
+            // keys get their ids, the rest are reported absent in
+            // ascending position, and nothing is inserted.
+            let mut found = vec![77u32; n];
+            let groups = table.len();
+            let absent = table.find(&mut scratch, &mut found, &hashes, &refs, n, sel.as_ref());
+            let mut want_absent = Vec::new();
+            for i in (0..n).filter(|&i| live(i)) {
+                match oracle.get(&key_identity(&keys, i)) {
+                    Some(&g) => prop_assert_eq!(found[i], g, "find, row {} of {}", i, n),
+                    None => {
+                        prop_assert_eq!(found[i], GroupTable::ABSENT);
+                        want_absent.push(i as u32);
+                    }
+                }
+            }
+            prop_assert_eq!(absent, &want_absent[..]);
+            prop_assert_eq!(table.len(), groups, "find inserted");
+
+            let mut grp = vec![u32::MAX; n];
+            table.lookup(&mut scratch, &mut grp, &hashes, &refs, n, sel.as_ref());
             for i in 0..n {
-                if mask.as_ref().is_some_and(|m| !m[i]) {
+                if !live(i) {
                     prop_assert_eq!(grp[i], u32::MAX, "unselected position written");
+                    prop_assert_eq!(found[i], 77, "find wrote an unselected position");
                     continue;
                 }
                 let id = key_identity(&keys, i);
@@ -240,7 +266,32 @@ proptest! {
                 });
                 prop_assert_eq!(grp[i], want, "row {} of a batch of {}", i, n);
             }
+            seen.push((keys, hashes, sel, grp));
         }
+        // Two threads share the finished table, each with its own
+        // scratch: every key is known now, and `find` agrees with what
+        // `lookup` answered.
+        let table = std::sync::Arc::new(table);
+        let agree = |table: &GroupTable| {
+            let mut scratch = ProbeScratch::default();
+            seen.iter().all(|(keys, hashes, sel, grp)| {
+                let refs: Vec<&Vector> = keys.iter().collect();
+                let mut found = vec![u32::MAX; grp.len()];
+                let sel = sel.as_ref();
+                table
+                    .find(&mut scratch, &mut found, hashes, &refs, grp.len(), sel)
+                    .is_empty()
+                    && found == *grp
+            })
+        };
+        let both = std::thread::scope(|s| {
+            let workers = [(); 2].map(|()| {
+                let table = std::sync::Arc::clone(&table);
+                s.spawn(move || agree(&table))
+            });
+            workers.map(|w| w.join().expect("no panic"))
+        });
+        prop_assert_eq!(both, [true, true]);
         // The stored keys are the first-seen keys, in id order.
         prop_assert_eq!(table.len(), first_seen.len());
         for (g, id) in first_seen.iter().enumerate() {

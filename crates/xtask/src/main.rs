@@ -16,7 +16,7 @@
 //!    (`map.rs`, `aggr.rs`, `compound.rs`, `hash.rs`): dense loops must
 //!    be iterator zips so LLVM auto-vectorizes without bounds checks.
 //!    Position-producing/consuming kernels (`select.rs`, `fetch.rs`,
-//!    `sel.rs`, `partition.rs`) index by design.
+//!    `sel.rs`) index by design.
 //! 3. **Ordering discipline** — `Ordering::Relaxed` appears only in the
 //!    governor's counters (`engine/src/govern.rs`), the buffer-manager
 //!    statistics (`storage/src/columnbm.rs`), and the loom shim's own
@@ -293,7 +293,6 @@ fn registry_parity(root: &Path, failures: &mut Vec<String>) {
             || cmp("select")
             || sig.starts_with("map_cast_")       // interpreter inline cast
             || sig.starts_with("map_fetch_")      // generic gather (fetch.rs)
-            || sig.starts_with("map_scatter_")    // generic scatter (fetch.rs)
             || sig.starts_with("map_hash_")       // generic hash_col (hash.rs)
             || sig.starts_with("map_rehash_")     // generic rehash_col (hash.rs)
             || sig.starts_with("aggr_sum_")       // generic accumulate and the
@@ -305,8 +304,6 @@ fn registry_parity(root: &Path, failures: &mut Vec<String>) {
             || sig == "map_fill_const"            // interpreter inline fill
             || sig == "aggr_hashtable_maintain"   // GroupTable::lookup (group.rs)
             || sig == "sort_permutation"          // OrderOp infrastructure
-            || sig == "radix_scatter_positions"   // partition.rs infrastructure
-            || sig.starts_with("bloom_")          // hash.rs bloom filter
             || sig.starts_with("map_directgrp_")  // aggr.rs direct grouping
             || sig == "select_true_bool_col"      // select_true kernel
             || sig == "select_eq_str_col_val"     // select_str_eq kernel
@@ -419,7 +416,6 @@ fn kernel_hygiene(root: &Path, failures: &mut Vec<String>) {
         "hash.rs",
         "group.rs",
         "compound.rs",
-        "partition.rs",
         "sel.rs",
         "compress.rs",
     ];
