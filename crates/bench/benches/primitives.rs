@@ -339,12 +339,125 @@ fn bench_select(c: &mut Criterion) {
     g.finish();
 }
 
+/// The scan refill under a pushed selection, per codec and selectivity:
+/// the dense decode of every window (what the scan runs) against
+/// decoding only the survivors through the `decode_sel_*` gathers (what
+/// it ran before PR 21, and what fetch-joins still run), plus — for
+/// PDICT strings — the window decoded under the selection. ns per row
+/// of one 64 K-row chunk, read in 1024-row windows; `chunk_checksum` is
+/// the verification pass of a Q1-shaped f64 chunk (22 % exceptions).
+fn bench_refill(c: &mut Criterion) {
+    use x100_storage::{compress_column_as, ChunkFormat, ColumnData, DecodeCursor};
+    const ROWS: usize = 65_536;
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut strs = x100_vector::StrVec::new();
+    for _ in 0..ROWS {
+        strs.push(
+            ["AIR", "MAIL", "RAIL", "SHIP", "TRUCK", "FOB", "REG AIR"][rng.gen_range(0..7usize)],
+        );
+    }
+    // l_extendedprice's shape: two in nine products that no decimal
+    // scale round-trips.
+    let prices: Vec<f64> = (0..ROWS)
+        .map(|i| match i % 9 {
+            0 | 1 => rng.gen_range(900.0..100_000.0f64).sqrt() * 37.1,
+            _ => rng.gen_range(90_000..10_000_000) as f64 / 100.0,
+        })
+        .collect();
+    let columns = [
+        (
+            "pfor u8",
+            ChunkFormat::Pfor,
+            ColumnData::U8((0..ROWS).map(|_| rng.gen_range(0..50)).collect()),
+        ),
+        (
+            "pfor i32",
+            ChunkFormat::Pfor,
+            ColumnData::I32((0..ROWS).map(|_| rng.gen_range(8_000..11_000)).collect()),
+        ),
+        ("pfor f64", ChunkFormat::Pfor, ColumnData::F64(prices)),
+        (
+            "pdict i64",
+            ChunkFormat::Pdict,
+            ColumnData::I64(
+                (0..ROWS)
+                    .map(|_| rng.gen_range(0..11i64) * 1_000_003)
+                    .collect(),
+            ),
+        ),
+        ("pdict str", ChunkFormat::Pdict, ColumnData::Str(strs)),
+    ];
+    let mut g = c.benchmark_group("refill");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    for (name, format, data) in &columns {
+        let cc = compress_column_as(data, *format).expect("codec applies");
+        let mut out = Vector::with_capacity(data.scalar_type(), N);
+        let (mut cursor, mut scratch, mut tmp) = (DecodeCursor::default(), Vec::new(), Vec::new());
+        for pct in [0.5, 2.0, 10.0, 50.0, 98.0] {
+            let windows: Vec<Vec<u32>> = (0..ROWS / N)
+                .map(|_| {
+                    (0..N as u32)
+                        .filter(|_| rng.gen_range(0.0..100.0) < pct)
+                        .collect()
+                })
+                .collect();
+            g.bench_function(format!("{name} dense ({pct} %)"), |bch| {
+                bch.iter(|| {
+                    cursor = DecodeCursor::default(); // one verification per chunk, as a scan
+                    for w in 0..windows.len() {
+                        let st =
+                            cc.decode_range(w * N, N, None, &mut out, &mut cursor, &mut scratch);
+                        black_box(st.expect("verifies"));
+                    }
+                })
+            });
+            if data.scalar_type() == ScalarType::Str {
+                g.bench_function(format!("{name} under the selection ({pct} %)"), |bch| {
+                    bch.iter(|| {
+                        cursor = DecodeCursor::default();
+                        for (w, sel) in windows.iter().enumerate() {
+                            let st = cc.decode_range(
+                                w * N,
+                                N,
+                                Some(sel),
+                                &mut out,
+                                &mut cursor,
+                                &mut scratch,
+                            );
+                            black_box(st.expect("verifies"));
+                        }
+                    })
+                });
+            }
+            let rowids: Vec<Vec<u32>> = (windows.iter().enumerate())
+                .map(|(w, sel)| sel.iter().map(|&p| (w * N) as u32 + p).collect())
+                .collect();
+            g.bench_function(format!("{name} survivors only ({pct} %)"), |bch| {
+                bch.iter(|| {
+                    cursor = DecodeCursor::default();
+                    for ids in &rowids {
+                        let st = cc.gather(ids, &mut out, &mut scratch, &mut tmp, &mut cursor);
+                        black_box(st.expect("verifies"));
+                    }
+                })
+            });
+        }
+        if *name == "pfor f64" {
+            g.bench_function("chunk_checksum (pfor f64, 22 % exceptions)", |bch| {
+                bch.iter(|| cc.verify_chunk(black_box(0)).expect("verifies"))
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_primitives,
     bench_aggr,
     bench_ordaggr,
     bench_join,
-    bench_select
+    bench_select,
+    bench_refill
 );
 criterion_main!(benches);

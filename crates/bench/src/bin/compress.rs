@@ -293,9 +293,10 @@ fn main() {
     // Same codec tables, same `Select(k < t) → Aggr` pipeline, but now
     // the interesting axis is *execution strategy* on the compressed
     // table: the fused `CompressedScanSelect` (predicate evaluated over
-    // packed lanes / dictionary codes, survivors decoded lazily)
-    // against the decode-everything ablation. Low selectivity is where
-    // lazy materialization pays; every cell also checks the answer
+    // packed lanes / dictionary codes into a selection vector, the
+    // predicate column never decoded) against the decode-then-select
+    // ablation. Low selectivity is where skipping the `Select` pays;
+    // every cell also checks the answer
     // against the raw table, and thread counts {1, 2, 4, 8} must agree
     // byte for byte.
     let push_sels: &[f64] = if smoke {

@@ -166,6 +166,11 @@ impl SelPool {
         self.slot = Some(rc.clone());
         batch.sel = Some(rc);
     }
+
+    /// Keep a selection vector that was not published, for reuse.
+    pub fn recycle(&mut self, s: SelVec) {
+        self.slot = Some(Rc::new(s));
+    }
 }
 
 #[cfg(test)]

@@ -1654,43 +1654,24 @@ impl<'a> Checker<'a> {
         // Compression-aware fusion: Select over a Scan of a
         // checkpoint-compressed column pushes (part of) the
         // predicate into encoded space — the scan refill becomes
-        // a `CompressedScanSelect` and only surviving positions
-        // are decoded; remaining conjuncts stay a normal Select.
-        // The encoded-space comparison and the selective decode
-        // it triggers must both be cataloged primitives.
+        // a `CompressedScanSelect` whose selection vector comes
+        // from the packed lanes; the columns refill as in any scan.
+        // Remaining conjuncts stay a normal Select. The
+        // encoded-space comparison must be a cataloged primitive.
         let fused = match (scan_below, &input_node.op) {
             (
                 Some(Plan::Scan {
                     cols, code_cols, ..
                 }),
                 CheckedOp::Scan(spec),
-            ) => plan::fuse_scan_select(&spec.table, cols, code_cols, pred, self.opts).map(|f| {
-                // Co-columns materialize lazily: each
-                // compressed column with a positional decode
-                // kernel will call it.
-                let decode_sels: Vec<(usize, &'static str)> = spec
-                    .cols
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(k, (ci, _))| {
-                        let cc = spec.table.column(*ci).compressed()?;
-                        Some((k, cc.decode_sel_sig()?))
-                    })
-                    .collect();
-                (f, decode_sels)
-            }),
+            ) => plan::fuse_scan_select(&spec.table, cols, code_cols, pred, self.opts),
             _ => None,
         };
         let (steps, push, mut truths, what) = match fused {
-            Some((f, decode_sels)) => {
+            Some(f) => {
                 self.require_instr(f.push.sig(), || {
                     format!("{path}.Select.pushdown[{}]", f.col)
                 })?;
-                for (k, sig) in decode_sels {
-                    self.require_instr(sig, || {
-                        format!("{path}.Select.decode_sel[{}]", fields[k].name)
-                    })?;
-                }
                 let steps = match &f.residual {
                     None => Vec::new(),
                     Some(res) => {

@@ -202,8 +202,9 @@ fn fetch_gather(
         let gathered = read_compressed(table, col, read, ctx, prof, |cc, cursor, scratch| {
             cc.gather(rowids, out, scratch, tmp, cursor)
         })?;
-        if gathered.is_some() {
+        if let Some(exceptions) = gathered {
             prof.add_counter("fetch_compressed_gathers", 1);
+            prof.add_counter("decode_exceptions", exceptions);
             return Ok(());
         }
     }

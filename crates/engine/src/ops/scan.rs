@@ -22,7 +22,7 @@ use x100_storage::{
     ColumnBM, ColumnData, CompressedColumn, DecodeCursor, FaultSite, Morsel, PushOp, Pushdown,
     Table,
 };
-use x100_vector::{Value, Vector};
+use x100_vector::{SelVec, StrVec, Value, Vector};
 
 /// A `Scan` as the check walk resolved it ([`crate::check`]): the table,
 /// which columns to read and how, the summary-pruned fragment range and
@@ -90,20 +90,14 @@ pub(crate) struct CompRead {
 }
 
 /// A predicate pushed into the compressed scan (the fused
-/// `CompressedScanSelect` refill path): the comparison runs in encoded
-/// space over the packed lanes before anything is decoded, and only
-/// surviving positions are ever materialized.
+/// `CompressedScanSelect` refill): the comparison runs in encoded space
+/// over the packed lanes and yields the batch's selection vector; the
+/// columns then refill exactly as in a plain scan (DESIGN.md §11).
 struct PushSpec {
     /// Index (into `cols`) of the predicate column.
     k: usize,
     /// The compiled encoded-space predicate.
     p: Pushdown,
-    /// Window-relative surviving positions of the current vector.
-    sel: Vec<u32>,
-    /// Per-chunk scratch shared by the selective-decode kernels.
-    tmp: Vec<u32>,
-    /// Absolute-rowid scratch for PFOR-DELTA co-column seeks.
-    abs: Vec<u32>,
     /// Whether the one-time dictionary-rewrite counter fired.
     counted: bool,
 }
@@ -133,7 +127,7 @@ pub struct ScanOp {
     /// rewritten as compressed chunks by `Table::checkpoint`.
     comp: Vec<Option<CompState>>,
     /// Fused predicate pushdown; `Some` turns fragment refills into the
-    /// `CompressedScanSelect` path (encoded-space select, lazy decode).
+    /// `CompressedScanSelect` path (encoded-space select, then refill).
     push: Option<PushSpec>,
     /// Governor charge for the decode scratch buffers.
     mem: Option<MemTracker>,
@@ -220,9 +214,6 @@ impl ScanOp {
             push: spec.push.as_ref().map(|(k, p)| PushSpec {
                 k: *k,
                 p: p.clone(),
-                sel: Vec::new(),
-                tmp: Vec::new(),
-                abs: Vec::new(),
                 counted: false,
             }),
             mem,
@@ -247,23 +238,71 @@ impl ScanOp {
     }
 
     /// Produce one batch from the fragment region `[start, start+n)`.
+    ///
+    /// With a fused predicate (`CompressedScanSelect`) the window's
+    /// selection comes first, in encoded space, with the deletion mask
+    /// folded in; the columns then refill exactly as in a plain scan —
+    /// numeric codecs decode the whole window, PDICT strings only the
+    /// survivors' slots — and the batch carries the selection vector.
     fn emit_fragment(
         &mut self,
         start: usize,
         n: usize,
         prof: &mut Profiler,
     ) -> Result<(), PlanError> {
-        if self.push.is_some() {
-            // Fused CompressedScanSelect: the spec is taken out for the
-            // duration of the emit so the column loop can borrow freely.
-            let mut ps = self.push.take().expect("checked is_some");
-            let r = self.emit_fragment_pushed(&mut ps, start, n, prof);
-            self.push = Some(ps);
-            return r;
-        }
         self.out.reset();
         self.out.len = n;
         let t_scan = prof.start();
+        // Deletion mask of the window, folded into its selection.
+        self.scratch_del.clear();
+        self.table.deletes().deleted_in_range(
+            start as u32,
+            (start + n) as u32,
+            &mut self.scratch_del,
+        );
+        let pushed = self.push.is_some();
+        let op = if pushed {
+            "CompressedScanSelect"
+        } else {
+            "Scan"
+        };
+        let filtered = pushed || !self.scratch_del.is_empty();
+        let mut sel = if filtered {
+            self.sel_pool.writable()
+        } else {
+            SelVec::default()
+        };
+        let buf = sel.buf_mut();
+        let mut raw = false;
+        if let Some(mut ps) = self.push.take() {
+            let r = self.select_pushed(&mut ps, start, n, buf, prof);
+            self.push = Some(ps);
+            raw = r?;
+        } else if filtered {
+            buf.extend(0..n as u32);
+        }
+        if !self.scratch_del.is_empty() {
+            let dels = &self.scratch_del;
+            let mut d = 0usize;
+            buf.retain(|&p| {
+                while d < dels.len() && dels[d] < p {
+                    d += 1;
+                }
+                !(d < dels.len() && dels[d] == p)
+            });
+        }
+        if filtered && buf.is_empty() {
+            // Nothing survives: no column is read.
+            self.out.len = 0;
+            for pool in &mut self.pools {
+                let v = pool.writable();
+                pool.publish(v, &mut self.out);
+            }
+            self.sel_pool.recycle(sel);
+            prof.record_op(op, t_scan, n);
+            return Ok(());
+        }
+        let live = filtered.then_some(&buf[..]);
         // Decode-on-refill accounting across all compressed columns in
         // this fragment (raw-equivalent bytes, compressed bytes touched,
         // exception patches applied).
@@ -272,17 +311,19 @@ impl ScanOp {
         let mut dec_exc = 0u64;
         // Column reads to route through the buffer manager; collected
         // so the fallible I/O happens outside the &mut modes borrow.
-        let mut reads: Vec<(usize, u64, u64)> = Vec::with_capacity(self.cols.len());
-        // Plain/code reads first (the "Scan" operator's own work).
+        let mut reads = std::mem::take(&mut self.scratch_reads);
+        reads.clear();
         for (k, &ci) in self.cols.iter().enumerate() {
             let compressed = self.comp[k].is_some();
             let cs = &mut self.comp[k];
             // Fill `out` with the window: decoded from the column's
             // compressed chunks through the recovery ladder, or copied
-            // from the raw fragment (no chunks, or the ladder's raw rung).
+            // from the raw fragment (no chunks, or the ladder's raw rung
+            // — for the predicate column's, the whole window).
             let mut fill = |out: &mut Vector| -> Result<(), PlanError> {
                 let mut decoded = None;
-                if let (Some(cs), Some(cc)) = (&mut *cs, self.table.column(ci).compressed()) {
+                let cc = self.table.column(ci).compressed();
+                if let (false, Some(cs), Some(cc)) = (raw, &mut *cs, cc) {
                     // Compressed chunk reads are their own fault-injection site.
                     if let Some(fs) = self.ctx.fault_state() {
                         fs.check_site(FaultSite::CompressedRead, ci as u32)
@@ -291,7 +332,7 @@ impl ScanOp {
                     let t0 = prof.start();
                     let window =
                         |cc: &CompressedColumn, cur: &mut DecodeCursor, scr: &mut Vec<u64>| {
-                            cc.decode_range(start, n, out, cur, scr)
+                            cc.decode_range(start, n, live, out, cur, scr)
                         };
                     decoded =
                         read_compressed(&self.table, ci, &mut cs.read, &self.ctx, prof, window)?;
@@ -337,7 +378,7 @@ impl ScanOp {
                 }
             }
         }
-        prof.record_op("Scan", t_scan, n);
+        prof.record_op(op, t_scan, n);
         if dec_raw > 0 {
             prof.add_counter("scan_bytes_raw", dec_raw);
             prof.add_counter("scan_bytes_compressed", dec_comp);
@@ -355,9 +396,10 @@ impl ScanOp {
                 .sum();
             mem.ensure(total)?;
         }
-        for (ci, offset, len) in reads {
+        for &(ci, offset, len) in &reads {
             self.bm_read(ci, offset, len)?;
         }
+        self.scratch_reads = reads;
         // Decode pass: one Fetch1Join(ENUM) per enum column. The
         // dictionary gather is its own fault-injection site.
         for (k, &ci) in self.cols.iter().enumerate() {
@@ -375,223 +417,68 @@ impl ScanOp {
                 let t0 = prof.start();
                 let mut v = self.pools[k].writable();
                 v.resize_zeroed(n);
-                decode_codes(codes, dict.values(), &mut v);
+                decode_codes(codes, dict.values(), live, &mut v);
                 let bytes = codes.byte_size() + v.byte_size();
                 prof.record_prim(sig, t0, n, bytes);
                 prof.record_op("Fetch1Join(ENUM)", t0, n);
                 self.pools[k].publish_at(v, &mut self.out, k);
             }
         }
-        // Deletion mask.
-        self.scratch_del.clear();
-        self.table.deletes().deleted_in_range(
-            start as u32,
-            (start + n) as u32,
-            &mut self.scratch_del,
-        );
-        if !self.scratch_del.is_empty() {
-            let mut sel = self.sel_pool.writable();
-            let buf = sel.buf_mut();
-            let mut d = 0usize;
-            for i in 0..n as u32 {
-                if d < self.scratch_del.len() && self.scratch_del[d] == i {
-                    d += 1;
-                } else {
-                    buf.push(i);
-                }
-            }
+        // A window every row survives goes on without a selection, so
+        // the operators above take their dense primitives.
+        if filtered && sel.len() < n {
             self.sel_pool.publish(sel, &mut self.out);
+        } else if filtered {
+            self.sel_pool.recycle(sel);
         }
         Ok(())
     }
 
-    /// Fused `CompressedScanSelect` refill: evaluate the pushed
-    /// predicate in encoded space over `[start, start+n)` — PFOR lanes
-    /// are compared packed, PDICT predicates were rewritten against the
-    /// dictionary at bind — then decode *only* the surviving positions
-    /// of every scanned column. The batch comes out compacted (no
-    /// selection vector): unselected values are never materialized.
-    fn emit_fragment_pushed(
+    /// The fused predicate over `[start, start+n)`, in encoded space —
+    /// PFOR lanes compared packed, PDICT predicates rewritten against
+    /// the dictionary at bind — filling `out` with the window-relative
+    /// survivors. Returns `true` when the predicate column took the
+    /// ladder's raw rung: the survivors then come from the retained raw
+    /// fragment in value space (identical, never wrong rows), and the
+    /// whole window is served raw with that one `decode_recoveries`.
+    fn select_pushed(
         &mut self,
         ps: &mut PushSpec,
         start: usize,
         n: usize,
+        out: &mut Vec<u32>,
         prof: &mut Profiler,
-    ) -> Result<(), PlanError> {
-        self.out.reset();
-        let t_op = prof.start();
-        // Phase 1: selection over the packed lanes of the predicate
-        // column, without unpacking.
-        let kp = ps.k;
-        let ci_p = self.cols[kp];
+    ) -> Result<bool, PlanError> {
+        let ci = self.cols[ps.k];
         if let Some(fs) = self.ctx.fault_state() {
-            fs.check_site(FaultSite::CompressedRead, ci_p as u32)
+            fs.check_site(FaultSite::CompressedRead, ci as u32)
                 .map_err(site_io)?;
         }
-        let sc_p = self.table.column(ci_p);
-        let cc_p = sc_p.compressed().expect("pushdown on uncompressed column");
-        let cs_p = self.comp[kp].as_mut().expect("pushdown without CompState");
+        let sc = self.table.column(ci);
+        let cc = sc.compressed().expect("pushdown on uncompressed column");
+        let cs = self.comp[ps.k]
+            .as_mut()
+            .expect("pushdown without CompState");
         let t0 = prof.start();
         let select = |cc: &CompressedColumn, cursor: &mut DecodeCursor, _: &mut Vec<u64>| {
-            ps.sel.clear();
-            cc.select_range(&ps.p, start, n, &mut ps.sel, cursor)
+            out.clear();
+            cc.select_range(&ps.p, start, n, out, cursor)
         };
-        let selected = read_compressed(&self.table, ci_p, &mut cs_p.read, &self.ctx, prof, select)?;
-        // Raw rung: filter the retained fragment in value space —
-        // identical survivors, no wrong rows; every column of this
-        // window then gathers from its raw fragment too.
-        let recovered = selected.is_none();
-        if recovered {
-            ps.sel.clear();
-            raw_filter(sc_p.physical(), start, n, &ps.p, &mut ps.sel);
+        let raw =
+            read_compressed(&self.table, ci, &mut cs.read, &self.ctx, prof, select)?.is_none();
+        if raw {
+            out.clear();
+            raw_filter(sc.physical(), start, n, &ps.p, out);
         } else {
-            prof.record_prim(ps.p.sig(), t0, n, n * sc_p.physical_type().width());
+            prof.record_prim(ps.p.sig(), t0, n, n * sc.physical_type().width());
         }
         prof.add_counter("pushdown_vectors", 1);
-        prof.max_counter("compress_ratio", cc_p.ratio_pct());
+        prof.max_counter("compress_ratio", cc.ratio_pct());
         if ps.p.is_dict_rewrite() && !ps.counted {
             ps.counted = true;
             prof.add_counter("dict_predicate_rewrites", 1);
         }
-        // Deletion mask folds into the selection before any decode.
-        self.scratch_del.clear();
-        self.table.deletes().deleted_in_range(
-            start as u32,
-            (start + n) as u32,
-            &mut self.scratch_del,
-        );
-        if !self.scratch_del.is_empty() {
-            let dels = &self.scratch_del;
-            let mut d = 0usize;
-            ps.sel.retain(|&p| {
-                while d < dels.len() && dels[d] < p {
-                    d += 1;
-                }
-                !(d < dels.len() && dels[d] == p)
-            });
-        }
-        prof.add_counter("decode_skipped_values", (n - ps.sel.len()) as u64);
-        // Phase 2: lazy materialization — decode/gather only the
-        // surviving positions of every scanned column.
-        self.out.len = ps.sel.len();
-        let mut reads = std::mem::take(&mut self.scratch_reads);
-        reads.clear();
-        for (k, &ci) in self.cols.iter().enumerate() {
-            let sc = self.table.column(ci);
-            let cs = &mut self.comp[k];
-            if cs.is_some() {
-                if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(FaultSite::CompressedRead, ci as u32)
-                        .map_err(site_io)?;
-                }
-            }
-            match &mut self.modes[k] {
-                ColMode::Plain | ColMode::Codes => {
-                    let mut v = self.pools[k].writable();
-                    let mut decoded = false;
-                    if let (false, Some(cs), Some(cc)) = (recovered, cs, sc.compressed()) {
-                        let t0 = prof.start();
-                        let (table, ctx, live) = (&self.table, &self.ctx, ps.sel.len());
-                        if let Some(sig) = cc.decode_sel_sig() {
-                            let st = read_compressed(
-                                table,
-                                ci,
-                                &mut cs.read,
-                                ctx,
-                                prof,
-                                |cc, cur, _| {
-                                    cc.decode_positions(start, &ps.sel, &mut v, &mut ps.tmp, cur)
-                                },
-                            )?;
-                            if let Some(st) = st {
-                                decoded = true;
-                                prof.record_prim(
-                                    sig,
-                                    t0,
-                                    live,
-                                    st.comp_len as usize + v.byte_size(),
-                                );
-                                reads.push((ci, st.comp_offset, st.comp_len));
-                            }
-                        } else {
-                            // PFOR-DELTA co-column: positional seek
-                            // from the nearest sync point.
-                            ps.abs.clear();
-                            ps.abs.extend(ps.sel.iter().map(|&p| start as u32 + p));
-                            let st = read_compressed(
-                                table,
-                                ci,
-                                &mut cs.read,
-                                ctx,
-                                prof,
-                                |cc, cur, scr| cc.gather(&ps.abs, &mut v, scr, &mut ps.tmp, cur),
-                            )?;
-                            if st.is_some() {
-                                decoded = true;
-                                prof.record_prim(cs.sig, t0, live, v.byte_size());
-                                reads.push((ci, 0, v.byte_size() as u64));
-                            }
-                        }
-                    }
-                    if !decoded {
-                        // Raw fragment gather: only selected positions
-                        // are touched (also the torn-chunk recovery).
-                        gather_raw(sc.physical(), start, &ps.sel, &mut v);
-                        reads.push((
-                            ci,
-                            (start * sc.physical_type().width()) as u64,
-                            v.byte_size() as u64,
-                        ));
-                    }
-                    self.pools[k].publish(v, &mut self.out);
-                }
-                ColMode::Decode { codes, sig } => {
-                    // Gather surviving codes, then dictionary-decode the
-                    // compacted code vector (Fetch1Join(ENUM) as usual,
-                    // but over survivors only).
-                    gather_raw(sc.physical(), start, &ps.sel, codes);
-                    reads.push((
-                        ci,
-                        (start * sc.physical_type().width()) as u64,
-                        codes.byte_size() as u64,
-                    ));
-                    if let Some(fs) = self.ctx.fault_state() {
-                        fs.check_site(FaultSite::DictLookup, ci as u32)
-                            .map_err(site_io)?;
-                    }
-                    let dict = self.table.column(ci).dict().ok_or_else(|| {
-                        PlanError::Invalid(format!(
-                            "decode mode without dictionary on column `{}`",
-                            self.fields[k].name
-                        ))
-                    })?;
-                    let t0 = prof.start();
-                    let mut v = self.pools[k].writable();
-                    v.resize_zeroed(ps.sel.len());
-                    decode_codes(codes, dict.values(), &mut v);
-                    prof.record_prim(sig, t0, ps.sel.len(), codes.byte_size() + v.byte_size());
-                    prof.record_op("Fetch1Join(ENUM)", t0, ps.sel.len());
-                    self.pools[k].publish(v, &mut self.out);
-                }
-            }
-        }
-        prof.record_op("CompressedScanSelect", t_op, n);
-        if let Some(mem) = &mut self.mem {
-            let total: usize = self
-                .comp
-                .iter()
-                .flatten()
-                .map(|cs| cs.read.scratch.capacity() * std::mem::size_of::<u64>())
-                .sum::<usize>()
-                + (ps.sel.capacity() + ps.tmp.capacity() + ps.abs.capacity())
-                    * std::mem::size_of::<u32>();
-            mem.ensure(total)?;
-        }
-        for &(ci, offset, len) in &reads {
-            self.bm_read(ci, offset, len)?;
-        }
-        self.scratch_reads = reads;
-        Ok(())
+        Ok(raw)
     }
 
     /// Produce one batch from the delta region. Delta reads are their
@@ -641,7 +528,6 @@ impl ScanOp {
     }
 }
 
-/// Decode enum codes through the dictionary into a logical vector.
 /// Typed I/O error for a storage-fault site that exhausted its retries.
 fn site_io(e: x100_storage::StorageFaultError) -> PlanError {
     PlanError::Io {
@@ -732,8 +618,21 @@ fn try_heal(
     Some(cc)
 }
 
-fn decode_codes(codes: &Vector, dict: &ColumnData, out: &mut Vector) {
+/// Decode enum codes through the dictionary into a logical vector.
+/// Under `sel` only the selected slots of a string column get their
+/// value, the rest the empty string (as `gather_positional` fills them).
+fn decode_codes(codes: &Vector, dict: &ColumnData, sel: Option<&[u32]>, out: &mut Vector) {
     use x100_vector::fetch::{fetch_u16_codes, fetch_u8_codes};
+    fn strs(o: &mut StrVec, d: &StrVec, codes: impl Iterator<Item = usize>, sel: Option<&[u32]>) {
+        o.clear();
+        let mut live = sel.map(|s| s.iter().peekable());
+        for (i, code) in codes.enumerate() {
+            let keep = live
+                .as_mut()
+                .is_none_or(|l| l.next_if(|&&p| p as usize == i).is_some());
+            o.push(if keep { d.get(code) } else { "" });
+        }
+    }
     match (codes, dict, out) {
         (Vector::U8(c), ColumnData::F64(d), Vector::F64(o)) => fetch_u8_codes(o, d, c, None),
         (Vector::U8(c), ColumnData::I64(d), Vector::I64(o)) => fetch_u8_codes(o, d, c, None),
@@ -742,53 +641,14 @@ fn decode_codes(codes: &Vector, dict: &ColumnData, out: &mut Vector) {
         (Vector::U16(c), ColumnData::I64(d), Vector::I64(o)) => fetch_u16_codes(o, d, c, None),
         (Vector::U16(c), ColumnData::I32(d), Vector::I32(o)) => fetch_u16_codes(o, d, c, None),
         (Vector::U8(c), ColumnData::Str(d), Vector::Str(o)) => {
-            o.clear();
-            for &code in c {
-                o.push(d.get(code as usize));
-            }
+            strs(o, d, c.iter().map(|&x| x as usize), sel)
         }
         (Vector::U16(c), ColumnData::Str(d), Vector::Str(o)) => {
-            o.clear();
-            for &code in c {
-                o.push(d.get(code as usize));
-            }
+            strs(o, d, c.iter().map(|&x| x as usize), sel)
         }
         (c, d, o) => panic!(
             "decode mismatch: codes {:?}, dict {:?}, out {:?}",
             c.scalar_type(),
-            d.scalar_type(),
-            o.scalar_type()
-        ),
-    }
-}
-
-/// Gather `data[start + sel[j]]` into a compacted vector: the raw-side
-/// half of the lazy-materialization path (only survivors are touched).
-fn gather_raw(data: &ColumnData, start: usize, sel: &[u32], out: &mut Vector) {
-    macro_rules! g {
-        ($b:expr, $o:expr) => {{
-            $o.clear();
-            $o.extend(sel.iter().map(|&p| $b[start + p as usize]));
-        }};
-    }
-    match (data, out) {
-        (ColumnData::I8(b), Vector::I8(o)) => g!(b, o),
-        (ColumnData::I16(b), Vector::I16(o)) => g!(b, o),
-        (ColumnData::I32(b), Vector::I32(o)) => g!(b, o),
-        (ColumnData::I64(b), Vector::I64(o)) => g!(b, o),
-        (ColumnData::U8(b), Vector::U8(o)) => g!(b, o),
-        (ColumnData::U16(b), Vector::U16(o)) => g!(b, o),
-        (ColumnData::U32(b), Vector::U32(o)) => g!(b, o),
-        (ColumnData::U64(b), Vector::U64(o)) => g!(b, o),
-        (ColumnData::F64(b), Vector::F64(o)) => g!(b, o),
-        (ColumnData::Str(b), Vector::Str(o)) => {
-            o.clear();
-            for &p in sel {
-                o.push(b.get(start + p as usize));
-            }
-        }
-        (d, o) => panic!(
-            "gather_raw mismatch: column {:?}, out {:?}",
             d.scalar_type(),
             o.scalar_type()
         ),

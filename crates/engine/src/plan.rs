@@ -505,13 +505,22 @@ pub(crate) fn fuse_scan_select(
         pushed: used.iter().map(|&i| conj[i].clone()).collect(),
         residual: rebuild_residual(&conj, used),
     };
-    // Prefer a range pair (`lo <= c AND c <= hi`) fused as one Between.
+    // Prefer a range pair fused as one Between: `lo <= c AND c <= hi`,
+    // or over integers `lo <= c AND c < hi` as `Between(lo, hi − 1)`.
     for a in &cands {
         for b in &cands {
-            if a.i == b.i || a.col != b.col || a.op != PushOp::Ge || b.op != PushOp::Le {
+            if a.i == b.i || a.col != b.col || a.op != PushOp::Ge {
                 continue;
             }
-            if let Some(p) = cc_of(a.col).compile_pushdown(PushOp::Between, &a.v, Some(&b.v)) {
+            let hi = match b.op {
+                PushOp::Le => Some(b.v.clone()),
+                PushOp::Lt => int_below(&b.v),
+                _ => None,
+            };
+            let Some(hi) = hi else {
+                continue;
+            };
+            if let Some(p) = cc_of(a.col).compile_pushdown(PushOp::Between, &a.v, Some(&hi)) {
                 return Some(fused(a.col, p, &[a.i, b.i]));
             }
         }
@@ -558,6 +567,23 @@ fn coerce_lit(v: &x100_vector::Value, ty: x100_vector::ScalarType) -> Option<x10
         ScalarType::F64 => Some(Value::F64(as_i as f64)),
         _ => None,
     }
+}
+
+/// The integer just below `v` — `c < v` is `c <= v − 1` — or `None` for
+/// a non-integer or the type's minimum (nothing lies below it).
+fn int_below(v: &x100_vector::Value) -> Option<x100_vector::Value> {
+    use x100_vector::Value;
+    Some(match v {
+        Value::I8(x) => Value::I8(x.checked_sub(1)?),
+        Value::I16(x) => Value::I16(x.checked_sub(1)?),
+        Value::I32(x) => Value::I32(x.checked_sub(1)?),
+        Value::I64(x) => Value::I64(x.checked_sub(1)?),
+        Value::U8(x) => Value::U8(x.checked_sub(1)?),
+        Value::U16(x) => Value::U16(x.checked_sub(1)?),
+        Value::U32(x) => Value::U32(x.checked_sub(1)?),
+        Value::U64(x) => Value::U64(x.checked_sub(1)?),
+        _ => return None,
+    })
 }
 
 /// Re-`And` the conjuncts not consumed by the pushdown.

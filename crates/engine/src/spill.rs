@@ -719,7 +719,7 @@ impl RunReader {
                 }
                 let mut v = Vector::with_capacity(cc.physical_type(), rows);
                 let mut cursor = DecodeCursor::default();
-                cc.decode_range(0, rows, &mut v, &mut cursor, &mut self.scratch)?;
+                cc.decode_range(0, rows, None, &mut v, &mut cursor, &mut self.scratch)?;
                 v
             } else {
                 s.vector()?

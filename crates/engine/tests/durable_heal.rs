@@ -188,9 +188,10 @@ fn mid_query_rot_without_durable_copy_falls_back_to_raw() {
 const DIM: i64 = 5_000;
 
 /// `fact` widened with a sorted join index (PFOR-DELTA, fetched through
-/// `dim`) and an enum column whose two-byte *codes* compress (mostly
+/// `dim`), an enum column whose two-byte *codes* compress (mostly
 /// below 256: one-byte PFOR lanes plus a few exceptions), so the scan's
-/// `Fetch1Join(ENUM)` arm reads compressed chunks too.
+/// `Fetch1Join(ENUM)` arm reads compressed chunks too, and a PDICT
+/// string column the pushed refill decodes under its selection.
 fn wide_fact() -> Table {
     TableBuilder::new("fact")
         // Ascending with uneven gaps: PFOR-DELTA with one-byte lanes.
@@ -223,6 +224,14 @@ fn wide_fact() -> Table {
                 .map(|g| format!("G{g:03}"))
                 .collect(),
         )
+        .column("tag", {
+            let mut c = ColumnData::new(ScalarType::Str);
+            for i in 0..N {
+                let s = ["alpha", "beta", "gamma", "delta"][(i % 4) as usize];
+                c.push_value(&Value::Str(s.into()));
+            }
+            c
+        })
         .build()
 }
 
@@ -238,7 +247,8 @@ fn dim_table() -> Table {
 /// One compressed-read site: the plan that reaches it and the
 /// `(table, column)` whose first chunk is torn to trip it.
 fn ladder_sites() -> Vec<(&'static str, Plan, (&'static str, usize))> {
-    let pushed = || Plan::scan("fact", &["id", "k", "qty"]).select(lt(col("k"), lit_i64(500)));
+    let pushed =
+        || Plan::scan("fact", &["id", "k", "qty", "tag"]).select(lt(col("k"), lit_i64(500)));
     vec![
         ("scan plain", Plan::scan("fact", &["id", "k"]), ("fact", 1)),
         (
@@ -247,8 +257,9 @@ fn ladder_sites() -> Vec<(&'static str, Plan, (&'static str, usize))> {
             ("fact", 4),
         ),
         ("pushed select", pushed(), ("fact", 1)),
-        ("pushed decode_positions", pushed(), ("fact", 2)),
-        ("pushed gather", pushed(), ("fact", 0)),
+        ("pushed dense co-column", pushed(), ("fact", 2)),
+        ("pushed PFOR-DELTA co-column", pushed(), ("fact", 0)),
+        ("pushed PDICT-str co-column", pushed(), ("fact", 5)),
         (
             "fetch gather",
             Plan::scan("fact", &["fk"]).fetch1("dim", col("fk"), &[("val", "val")]),

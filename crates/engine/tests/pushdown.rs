@@ -109,15 +109,45 @@ fn pfor_predicates_match_ablation_per_operator() {
         // Literal-on-the-left normalizes by flipping the operator.
         gt(lit_i64(50), col("k")),
     ];
+    let windows = (N as usize).div_ceil(fused().vector_size) as u64;
     for pred in preds {
         let plan = Plan::scan("fact", &["id", "k", "qty"]).select(pred.clone());
         let prof = assert_fused_matches(&db, &plan);
-        // Lazy materialization: skipped values were never decoded.
-        assert!(
-            prof.counter("decode_skipped_values").unwrap_or(0) > 0,
-            "{pred:?}"
-        );
+        // One encoded-space selection per refill; the columns then
+        // refill as in any scan and report the same decode counters.
+        assert_eq!(prof.counter("pushdown_vectors"), Some(windows), "{pred:?}");
+        assert!(prof.counter("scan_bytes_compressed").unwrap_or(0) > 0);
+        assert!(prof.counter("decode_exceptions").is_some());
+        // One operator row covers select + refill.
+        let ops: Vec<&str> = prof.operators().map(|(op, _)| op).collect();
+        assert_eq!(ops, ["CompressedScanSelect"], "{pred:?}");
     }
+}
+
+#[test]
+fn ge_lt_over_integers_fuses_as_one_between() {
+    let db = fact_db();
+    // `k >= 200 AND k < 251` is `k BETWEEN 200 AND 250`.
+    let plan = Plan::scan("fact", &["id", "k"])
+        .select(and(ge(col("k"), lit_i64(200)), lt(col("k"), lit_i64(251))));
+    let prof = assert_fused_matches(&db, &plan);
+    assert!(prof.primitive("cmp_pfor_between_i64_col_val_val").is_some());
+    let log = check_plan(&db, &plan, &fused()).expect("checks").render();
+    assert!(log.contains("residual []"), "no conjunct left above: {log}");
+    // Below the type's minimum there is no `hi − 1`: the pair stays two
+    // conjuncts (one pushed, one residual), and still selects nothing.
+    let plan = Plan::scan("fact", &["id", "k"]).select(and(
+        ge(col("k"), lit_i64(200)),
+        lt(col("k"), lit_i64(i64::MIN)),
+    ));
+    let summary = check_plan(&db, &plan, &fused()).expect("checks");
+    assert!(
+        !summary.render().contains("between"),
+        "{}",
+        summary.render()
+    );
+    let (got, _) = execute(&db, &plan, &fused()).expect("runs");
+    assert_eq!(got.num_rows(), 0);
 }
 
 #[test]
@@ -226,6 +256,165 @@ fn deletes_fold_into_the_encoded_selection() {
     db.register(t);
     let plan = Plan::scan("fact", &["id", "k", "tag"]).select(lt(col("k"), lit_i64(100)));
     assert_fused_matches(&db, &plan);
+}
+
+/// The pushed refill ≡ the ablation over the whole space its decisions
+/// span: selectivity {0, one row, ~2 %, ~50 %, all} × predicate codec
+/// {PFOR i32, PFOR f64 with 22 % exceptions, PDICT i64, PDICT str} with
+/// every other codec riding along as a co-column (incl. PFOR-DELTA) ×
+/// deletes × threads {1, 2, 4, 8} × vector size {7, 1024}.
+mod matrix {
+    use super::*;
+
+    const ROWS: usize = 6_000;
+    const ONE: usize = 4_321;
+
+    /// `id` sorted → PFOR-DELTA; `p` even numbers, unsorted → PFOR i32;
+    /// `f` Q1-shaped f64 → PFOR, two in nine values exceptions; `g` five
+    /// wide values → PDICT i64; `s` four strings → PDICT str. Row `ONE`
+    /// holds the one odd `p`, the maximum `f`, the one `g` = 42 and the
+    /// one `s` = "zeta".
+    fn table(deletes: bool) -> Table {
+        let gs = |i: usize| match i {
+            ONE => 42,
+            _ if i.is_multiple_of(50) => 5,
+            _ if i.is_multiple_of(2) => 1_000_000_007,
+            _ => 123_456_789i64,
+        };
+        let mut s = ColumnData::new(ScalarType::Str);
+        for i in 0..ROWS {
+            let v = match i {
+                ONE => "zeta",
+                _ if i.is_multiple_of(50) => "beta",
+                _ if i.is_multiple_of(2) => "alpha",
+                _ => "gamma",
+            };
+            s.push_value(&Value::Str(v.into()));
+        }
+        let mut t = TableBuilder::new("m")
+            .column("id", ColumnData::I64((0..ROWS as i64).collect()))
+            .column("p", ColumnData::I32((0..ROWS).map(p_at).collect()))
+            .column(
+                "f",
+                ColumnData::F64(
+                    (0..ROWS)
+                        .map(|i| match i % 9 {
+                            _ if i == ONE => 1_000.5,
+                            0 | 1 => (i as f64 * 0.731).sqrt(),
+                            _ => (i % 5_000) as f64 / 100.0,
+                        })
+                        .collect(),
+                ),
+            )
+            .column("g", ColumnData::I64((0..ROWS).map(gs).collect()))
+            .column("s", s)
+            .build();
+        let verdicts = t.checkpoint();
+        let want = [
+            ("id", ChunkFormat::PforDelta),
+            ("p", ChunkFormat::Pfor),
+            ("f", ChunkFormat::Pfor),
+            ("g", ChunkFormat::Pdict),
+            ("s", ChunkFormat::Pdict),
+        ];
+        for (name, fmt) in want {
+            let got = verdicts.iter().find(|(n, _, _)| n == name).map(|v| v.1);
+            assert_eq!(got, Some(fmt), "{name}: {verdicts:?}");
+        }
+        if deletes {
+            for r in (3..ROWS as u32).step_by(13) {
+                assert!(t.delete(r));
+            }
+        }
+        t
+    }
+
+    /// `p` of row `i`: distinct even numbers, but an odd one at `ONE`.
+    fn p_at(i: usize) -> i32 {
+        if i == ONE {
+            7_777
+        } else {
+            2 * ((i * 7_919) % 10_007) as i32
+        }
+    }
+
+    /// Per predicate column: predicates selecting no row, one row,
+    /// ~2 %, ~50 % and every row. A predicate true on every row is
+    /// folded away by the facts before it could be pushed, so "all" is
+    /// every row but the one holding the extreme value.
+    fn predicates() -> Vec<(&'static str, Expr)> {
+        let p_max = (0..ROWS).map(p_at).max().expect("rows");
+        vec![
+            ("p none", eq(col("p"), lit_i32(5_001))),
+            ("p one", eq(col("p"), lit_i32(7_777))),
+            ("p 2%", lt(col("p"), lit_i32(400))),
+            ("p 50%", lt(col("p"), lit_i32(10_007))),
+            ("p all", lt(col("p"), lit_i32(p_max))),
+            ("f none", eq(col("f"), lit_f64(12.345))),
+            ("f one", gt(col("f"), lit_f64(500.0))),
+            ("f 2%", lt(col("f"), lit_f64(1.0))),
+            ("f 50%", lt(col("f"), lit_f64(25.0))),
+            ("f all", lt(col("f"), lit_f64(1_000.0))),
+            ("g none", eq(col("g"), lit_i64(6))),
+            ("g one", eq(col("g"), lit_i64(42))),
+            ("g 2%", eq(col("g"), lit_i64(5))),
+            ("g 50%", eq(col("g"), lit_i64(123_456_789))),
+            ("g all", ne(col("g"), lit_i64(42))),
+            ("s none", eq(col("s"), lit_str("omega"))),
+            ("s one", eq(col("s"), lit_str("zeta"))),
+            ("s 2%", eq(col("s"), lit_str("beta"))),
+            ("s 50%", eq(col("s"), lit_str("gamma"))),
+            ("s all", ne(col("s"), lit_str("zeta"))),
+        ]
+    }
+
+    #[test]
+    fn pushed_refill_matches_ablation_across_the_matrix() {
+        for deletes in [false, true] {
+            let mut db = Database::new();
+            db.register(table(deletes));
+            for (what, pred) in predicates() {
+                let rows = Plan::scan("m", &["id", "p", "f", "g", "s"]).select(pred.clone());
+                let grouped = rows.clone().aggr(
+                    vec![("s", col("s"))],
+                    vec![
+                        AggExpr::sum("fs", col("f")),
+                        AggExpr::min("lo", col("id")),
+                        AggExpr::max("hi", col("p")),
+                        AggExpr::max("gm", col("g")),
+                        AggExpr::count("c"),
+                    ],
+                );
+                let grouped = grouped.order(vec![OrdExp::asc("s")]);
+                for vs in [7usize, 1024] {
+                    for threads in [1usize, 2, 4, 8] {
+                        let on = ExecOptions::with_vector_size(vs)
+                            .profiled()
+                            .parallel(threads)
+                            .with_morsel_size(1_000);
+                        let off = on.clone().with_compressed_pushdown(false);
+                        let case = format!("{what}, deletes {deletes}, vs {vs}, threads {threads}");
+                        // Rows once per vector size; the grouped plan at
+                        // every thread count.
+                        let plans = if threads == 1 {
+                            vec![&rows, &grouped]
+                        } else {
+                            vec![&grouped]
+                        };
+                        for plan in plans {
+                            let (want, _) = execute(&db, plan, &off).expect("ablated");
+                            let (got, prof) = execute(&db, plan, &on).expect("pushed");
+                            assert_eq!(got.row_strings(), want.row_strings(), "{case}");
+                            assert!(
+                                prof.counter("pushdown_vectors").unwrap_or(0) > 0,
+                                "{case}: not pushed"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

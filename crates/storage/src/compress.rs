@@ -489,10 +489,19 @@ impl CompressedColumn {
     /// sequential decode state between refills; `scratch` is the reused
     /// frame buffer the governor charges. Fails (typed upstream as
     /// `Io`) when a chunk's stored checksum no longer matches its body.
+    ///
+    /// `sel` (window-relative, ascending) is the selection the caller
+    /// will apply. Only PDICT *string* columns use it: selected slots get
+    /// their dictionary value, every other slot the empty string (the
+    /// positional-gather convention), so a selective scan never copies
+    /// the strings it drops. Every other codec decodes the whole window
+    /// — a dense decode is cheaper than gathering even a few survivors
+    /// (DESIGN.md §11).
     pub fn decode_range(
         &self,
         start: usize,
         rows: usize,
+        sel: Option<&[u32]>,
         out: &mut Vector,
         cursor: &mut DecodeCursor,
         scratch: &mut Vec<u64>,
@@ -513,7 +522,7 @@ impl CompressedColumn {
         }
         for (ci, local, n) in chunk_pieces(start, rows) {
             let at = ci * CHUNK_ROWS + local - start;
-            self.decode_chunk(ci, local, n, at, out, cursor, scratch, &mut stats)?;
+            self.decode_chunk(ci, local, n, at, sel, out, cursor, scratch, &mut stats)?;
         }
         if stats.comp_offset == u64::MAX {
             stats.comp_offset = 0;
@@ -522,7 +531,7 @@ impl CompressedColumn {
     }
 
     /// Decode `n` rows of chunk `ci` starting at chunk-local `local`
-    /// into `out` at position `at`.
+    /// into `out` at position `at` (`sel` as in `decode_range`).
     #[allow(clippy::too_many_arguments)]
     fn decode_chunk(
         &self,
@@ -530,6 +539,7 @@ impl CompressedColumn {
         local: usize,
         n: usize,
         at: usize,
+        sel: Option<&[u32]>,
         out: &mut Vector,
         cursor: &mut DecodeCursor,
         scratch: &mut Vec<u64>,
@@ -604,33 +614,34 @@ impl CompressedColumn {
                 let dict = self.dict.as_ref().expect("pdict column has a dictionary");
                 let lane = self.dict_lane;
                 match (out, dict) {
-                    (Vector::I32(dst), ColumnData::I32(d)) => k::decompress_pdict_i32_col(
-                        &mut dst[at..at + n],
-                        payload,
-                        lane,
-                        local,
-                        d,
-                        scratch,
-                    ),
-                    (Vector::I64(dst), ColumnData::I64(d)) => k::decompress_pdict_i64_col(
-                        &mut dst[at..at + n],
-                        payload,
-                        lane,
-                        local,
-                        d,
-                        scratch,
-                    ),
-                    (Vector::F64(dst), ColumnData::F64(d)) => k::decompress_pdict_f64_col(
-                        &mut dst[at..at + n],
-                        payload,
-                        lane,
-                        local,
-                        d,
-                        scratch,
-                    ),
-                    (Vector::Str(dst), ColumnData::Str(d)) => {
-                        k::decompress_pdict_str_col(dst, payload, lane, local, n, d, scratch)
+                    (Vector::I32(dst), ColumnData::I32(d)) => {
+                        k::decompress_pdict_i32_col(&mut dst[at..at + n], payload, lane, local, d)
                     }
+                    (Vector::I64(dst), ColumnData::I64(d)) => {
+                        k::decompress_pdict_i64_col(&mut dst[at..at + n], payload, lane, local, d)
+                    }
+                    (Vector::F64(dst), ColumnData::F64(d)) => {
+                        k::decompress_pdict_f64_col(&mut dst[at..at + n], payload, lane, local, d)
+                    }
+                    (Vector::Str(dst), ColumnData::Str(d)) => match sel {
+                        None => {
+                            k::decompress_pdict_str_col(dst, payload, lane, local, n, d, scratch)
+                        }
+                        Some(sel) => {
+                            // Survivors of this piece, as window positions;
+                            // the slots between them stay empty strings.
+                            let lo = sel.partition_point(|&p| (p as usize) < at);
+                            let hi = sel.partition_point(|&p| (p as usize) < at + n);
+                            let mut next = at;
+                            for &p in &sel[lo..hi] {
+                                (next..p as usize).for_each(|_| dst.push(""));
+                                let pos = (p as usize - at + local) as u32;
+                                k::decode_sel_pdict_str_col(dst, payload, lane, d, &[pos]);
+                                next = p as usize + 1;
+                            }
+                            (next..at + n).for_each(|_| dst.push(""));
+                        }
+                    },
                     (o, _) => panic!("pdict decode into {:?}", o.scalar_type()),
                 }
             }
@@ -802,8 +813,7 @@ impl CompressedColumn {
     /// entirely in encoded space: appends the *window-relative*
     /// ascending positions (0 = row `start`) of qualifying rows to
     /// `out` without decoding a single value. `cursor` shares
-    /// checksum-verification state with `decode_range` /
-    /// `decode_positions`.
+    /// checksum-verification state with `decode_range`.
     pub fn select_range(
         &self,
         p: &Pushdown,
@@ -840,23 +850,22 @@ impl CompressedColumn {
 
     /// Gather-decode the chunk-local ascending positions `sel` of one
     /// PFOR or PDICT chunk into `out[at..at + sel.len()]` (strings
-    /// append) — the `decode_sel_*` dispatch behind both
-    /// [`CompressedColumn::decode_positions`] and
-    /// [`CompressedColumn::gather`].
+    /// append) — the `decode_sel_*` dispatch behind
+    /// [`CompressedColumn::gather`]. Returns the exceptions patched.
     fn decode_sel(
         &self,
         chunk: &CompressedChunk,
         out: &mut Vector,
         at: usize,
         sel: &[u32],
-    ) -> Result<(), String> {
+    ) -> Result<u64, String> {
         let to = at + sel.len();
         match &chunk.body {
             ChunkBody::Pfor(c) => {
                 macro_rules! arm {
                     ($($variant:ident => $dec:path),+ $(,)?) => {
                         match out {
-                            $(Vector::$variant(dst) => $dec(&mut dst[at..to], c, sel),)+
+                            $(Vector::$variant(dst) => return Ok($dec(&mut dst[at..to], c, sel) as u64),)+
                             other => {
                                 return Err(format!("pfor decode_sel into {:?}", other.scalar_type()));
                             }
@@ -898,60 +907,7 @@ impl CompressedColumn {
                 return Err("no selective decode over PFOR-DELTA chunks (prefix sums)".into());
             }
         }
-        Ok(())
-    }
-
-    /// Gather-decode the rows at window-relative positions `sel`
-    /// (ascending; 0 = row `start`) into `out`, compacted: `out[i]`
-    /// becomes row `start + sel[i]`. This is the lazy-materialization
-    /// half of a pushed-down selection — only surviving positions are
-    /// ever decoded, everything else is skipped while still packed.
-    pub fn decode_positions(
-        &self,
-        start: usize,
-        sel: &[u32],
-        out: &mut Vector,
-        tmp: &mut Vec<u32>,
-        cursor: &mut DecodeCursor,
-    ) -> Result<DecodeStats, String> {
-        let mut stats = DecodeStats {
-            comp_offset: u64::MAX,
-            ..DecodeStats::default()
-        };
-        if self.physical == ScalarType::Str {
-            out.clear();
-        } else {
-            out.resize_zeroed(sel.len());
-        }
-        let mut i = 0usize;
-        while i < sel.len() {
-            let ci = (start + sel[i] as usize) / CHUNK_ROWS;
-            tmp.clear();
-            if (start + sel[sel.len() - 1] as usize) / CHUNK_ROWS == ci {
-                // Common case: the whole remaining selection lives in
-                // one chunk — rebase it with a single vectorizable add
-                // instead of dividing per position.
-                let d = start as i64 - (ci * CHUNK_ROWS) as i64;
-                tmp.extend(sel[i..].iter().map(|&p| (p as i64 + d) as u32));
-            } else {
-                let in_chunk = |&&p: &&u32| (start + p as usize) / CHUNK_ROWS == ci;
-                let local = |&p: &u32| (start + p as usize - ci * CHUNK_ROWS) as u32;
-                tmp.extend(sel[i..].iter().take_while(in_chunk).map(local));
-            }
-            let chunk = self.verified(ci, cursor)?;
-            if let ChunkBody::Pfor(c) = &chunk.body {
-                stats.exceptions += sel_exceptions(&c.exc_pos, tmp);
-            }
-            self.decode_sel(chunk, out, i, tmp)?;
-            let lane_bytes = (chunk.header.lane as u64) / 8;
-            stats.comp_len += HEADER_BYTES as u64 + tmp.len() as u64 * lane_bytes;
-            stats.comp_offset = stats.comp_offset.min(self.chunk_offsets[ci]);
-            i += tmp.len();
-        }
-        if stats.comp_offset == u64::MAX {
-            stats.comp_offset = 0;
-        }
-        Ok(stats)
+        Ok(0)
     }
 
     /// Positional gather through the codec: decode row `rowids[i]`
@@ -959,7 +915,9 @@ impl CompressedColumn {
     /// same-chunk runs batch through the `decode_sel` kernels;
     /// PFOR-DELTA runs replay from the nearest sync carry — the
     /// sync-point seek path that join-index position reads ride.
-    /// `cursor` only carries checksum-verification state here.
+    /// `cursor` only carries checksum-verification state here. Returns
+    /// the exception patches applied (those of the gathered rows, and of
+    /// every replayed PFOR-DELTA span).
     pub fn gather(
         &self,
         rowids: &[u32],
@@ -967,12 +925,13 @@ impl CompressedColumn {
         scratch: &mut Vec<u64>,
         tmp: &mut Vec<u32>,
         cursor: &mut DecodeCursor,
-    ) -> Result<(), String> {
+    ) -> Result<u64, String> {
         if self.physical == ScalarType::Str {
             out.clear();
         } else {
             out.resize_zeroed(rowids.len());
         }
+        let mut exceptions = 0u64;
         let mut i = 0usize;
         while i < rowids.len() {
             let ci = rowids[i] as usize / CHUNK_ROWS;
@@ -1033,16 +992,17 @@ impl CompressedColumn {
                         U32: u32 => k::decompress_pfordelta_u32_col,
                         U64: u64 => k::decompress_pfordelta_u64_col,
                     }
+                    exceptions += window_exceptions(&c.exc_pos, seek, last + 1 - seek);
                 }
-                _ => self.decode_sel(chunk, out, i, tmp)?,
+                _ => exceptions += self.decode_sel(chunk, out, i, tmp)?,
             }
             i += tmp.len();
         }
-        Ok(())
+        Ok(exceptions)
     }
 
-    /// The registered gather-decode signature the lazy materialization
-    /// runs (`decode_sel_*`), or `None` for formats without one.
+    /// The registered gather-decode signature positional gathers run
+    /// (`decode_sel_*`), or `None` for formats without one.
     pub fn decode_sel_sig(&self) -> Option<&'static str> {
         macro_rules! sig {
             ($codec:literal, $($t:ident => $n:literal),+ $(,)?) => {
@@ -1284,22 +1244,6 @@ fn chunk_pieces(start: usize, rows: usize) -> impl Iterator<Item = (usize, usize
             (ci, local, n)
         })
     })
-}
-
-/// Exact exception count among the gathered (ascending) positions.
-/// Iterates the (few) exceptions inside the selection's span and
-/// binary-searches each one, so the cost scales with the patch list,
-/// not with the number of selected positions.
-fn sel_exceptions(exc_pos: &[u32], sel: &[u32]) -> u64 {
-    let (Some(&first), Some(&last)) = (sel.first(), sel.last()) else {
-        return 0;
-    };
-    let lo = exc_pos.partition_point(|&p| p < first);
-    let hi = exc_pos.partition_point(|&p| p <= last);
-    exc_pos[lo..hi]
-        .iter()
-        .filter(|&&p| sel.binary_search(&p).is_ok())
-        .count() as u64
 }
 
 /// Exceptions falling in `[start, start + n)` of a sorted patch list.
@@ -1585,7 +1529,7 @@ mod tests {
         let mut at = 0usize;
         while at < data.len() {
             let n = (data.len() - at).min(1000);
-            col.decode_range(at, n, &mut out, &mut cursor, &mut scratch)
+            col.decode_range(at, n, None, &mut out, &mut cursor, &mut scratch)
                 .expect("checksum verifies");
             data.read_into(at, n, &mut want);
             assert_eq!(out, want, "window at {at}");
@@ -1639,7 +1583,7 @@ mod tests {
                 verified: None,
             };
             let n = 10.min(v.len() - start);
-            col.decode_range(start, n, &mut out, &mut cursor, &mut scratch)
+            col.decode_range(start, n, None, &mut out, &mut cursor, &mut scratch)
                 .expect("checksum verifies");
             assert_eq!(out.as_u64(), &v[start..start + n]);
         }
@@ -1712,7 +1656,7 @@ mod tests {
         let mut cursor = DecodeCursor::default();
         let mut scratch = Vec::new();
         let stats = col
-            .decode_range(66_000, 1024, &mut out, &mut cursor, &mut scratch)
+            .decode_range(66_000, 1024, None, &mut out, &mut cursor, &mut scratch)
             .expect("checksum verifies");
         // Lane-8 frames: ~1 byte per row plus the header, far below raw.
         assert!(stats.comp_len >= 1024);
@@ -1749,7 +1693,7 @@ mod tests {
                 .expect("pfor i64 pushdown compiles");
             assert!(!p.is_dict_rewrite());
             let mut cursor = DecodeCursor::default();
-            let mut tmp = Vec::new();
+            let (mut tmp, mut scratch) = (Vec::new(), Vec::new());
             let mut at = 0usize;
             while at < v.len() {
                 let n = (v.len() - at).min(1000);
@@ -1758,8 +1702,9 @@ mod tests {
                     .expect("checksum verifies");
                 let want: Vec<u32> = (0..n).filter(|&i| f(v[at + i])).map(|i| i as u32).collect();
                 assert_eq!(got, want, "{op:?} window at {at}");
+                let rowids: Vec<u32> = got.iter().map(|&i| at as u32 + i).collect();
                 let mut out = Vector::with_capacity(ScalarType::I64, 64);
-                col.decode_positions(at, &got, &mut out, &mut tmp, &mut cursor)
+                col.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor)
                     .expect("checksum verifies");
                 let wantv: Vec<i64> = got.iter().map(|&i| v[at + i as usize]).collect();
                 assert_eq!(out.as_i64(), &wantv[..], "{op:?} values at {at}");
@@ -1790,7 +1735,7 @@ mod tests {
             assert!(p.is_dict_rewrite());
             assert_eq!(p.sig(), format!("cmp_pdict_{}_str_col_val", op.name()));
             let mut cursor = DecodeCursor::default();
-            let mut tmp = Vec::new();
+            let mut scratch = Vec::new();
             let mut got = Vec::new();
             // A window crossing the 65536-row chunk boundary.
             col.select_range(&p, 64_000, 3_000, &mut got, &mut cursor)
@@ -1800,17 +1745,27 @@ mod tests {
                 .map(|i| i as u32)
                 .collect();
             assert_eq!(got, want, "{op:?}");
+            // Decoding under the selection copies only the survivors;
+            // every other slot is the empty string.
             let mut out = Vector::with_capacity(ScalarType::Str, 8);
-            col.decode_positions(64_000, &got, &mut out, &mut tmp, &mut cursor)
-                .expect("checksum verifies");
-            match &out {
-                Vector::Str(sv) => {
-                    assert_eq!(sv.len(), got.len());
-                    for (o, &i) in got.iter().enumerate() {
-                        assert_eq!(sv.get(o), name(64_000 + i as usize), "{op:?}");
-                    }
-                }
-                other => panic!("str gather into {:?}", other.scalar_type()),
+            col.decode_range(
+                64_000,
+                3_000,
+                Some(&got),
+                &mut out,
+                &mut cursor,
+                &mut scratch,
+            )
+            .expect("checksum verifies");
+            let sv = out.as_str();
+            assert_eq!(sv.len(), 3_000);
+            let mut live = got.iter().peekable();
+            for i in 0..3_000 {
+                let expect = match live.next_if(|&&p| p == i as u32) {
+                    Some(_) => name(64_000 + i),
+                    None => "",
+                };
+                assert_eq!(sv.get(i), expect, "{op:?} slot {i}");
             }
         }
     }
@@ -1877,11 +1832,11 @@ mod tests {
         // The intact chunk still reads; any window touching the torn
         // chunk refuses — wrong rows can never escape.
         let mut cursor = DecodeCursor::default();
-        col.decode_range(0, 1000, &mut out, &mut cursor, &mut scratch)
+        col.decode_range(0, 1000, None, &mut out, &mut cursor, &mut scratch)
             .expect("chunk 0 is intact");
         let mut cursor = DecodeCursor::default();
         let err = col
-            .decode_range(66_000, 100, &mut out, &mut cursor, &mut scratch)
+            .decode_range(66_000, 100, None, &mut out, &mut cursor, &mut scratch)
             .unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
         let p = col
@@ -1892,6 +1847,40 @@ mod tests {
         assert!(col
             .select_range(&p, 66_000, 100, &mut got, &mut cursor)
             .is_err());
+    }
+
+    /// Chunk checksums are stored bytes: these were written by the
+    /// per-value fold the closed form replaced (PR 21's parent), so every
+    /// header, `XCPC` image and durable file written before still
+    /// verifies. The f64 column has Q1's shape: 22 % of its values do not
+    /// round-trip any decimal scale and ride the patch list.
+    #[test]
+    fn golden_chunk_checksums_are_unchanged() {
+        let f: Vec<f64> = (0..70_000)
+            .map(|i| match i % 9 {
+                0 | 1 => (i as f64 * 0.731).sqrt(),
+                _ => (i % 5000) as f64 / 100.0,
+            })
+            .collect();
+        let pfor = compress_column_as(&ColumnData::F64(f), ChunkFormat::Pfor).expect("applies");
+        let exc: usize = (pfor.chunks.iter())
+            .map(|c| c.header.exceptions as usize)
+            .sum();
+        assert!((15_000..16_000).contains(&exc), "{exc} exceptions");
+        // Sorted with a jump every 1000 rows: delta exceptions + syncs.
+        let d: Vec<u64> = (0..70_000u64)
+            .map(|i| i * 3 + (i / 1000) * 1_000_000)
+            .collect();
+        let delta =
+            compress_column_as(&ColumnData::U64(d), ChunkFormat::PforDelta).expect("sorted");
+        let sums = |c: &CompressedColumn| -> Vec<u8> {
+            c.verify_all().expect("verifies");
+            c.chunks.iter().map(|c| c.header.checksum).collect()
+        };
+        assert_eq!(sums(&pfor), [0x33, 0x71]);
+        assert_eq!(sums(&delta), [0x55, 0x85]);
+        assert_eq!(pfor.to_bytes().last(), Some(&0x72));
+        assert_eq!(delta.to_bytes().last(), Some(&0x28));
     }
 
     #[test]

@@ -65,13 +65,44 @@ pub fn fold_checksum(bytes: &[u8]) -> u8 {
 }
 
 /// Continue a fold over the little-endian image of each value in turn
-/// (how chunk checksums cover their patch and sync lists).
+/// (how chunk checksums cover their patch and sync lists): the same
+/// byte as `byte_fold`-ing each image on its own (the tests keep that
+/// loop as the oracle), computed in closed form (DESIGN.md §10).
+///
+/// An image of `W < 32` bytes never reaches `byte_fold`'s block loop,
+/// so one step is `rotl8(a, R) ^ m(image)` with `R = (31 + 7W) mod 8`
+/// and `m(b) = XOR_i rotl8(b_i, 7(W−1−i) mod 8)`, linear in the image.
+/// Over `n` values the image at distance `j` from the end is rotated by
+/// `R·j`, which only matters mod 8 — so the images are XORed into eight
+/// lanes by position (independent, at memory speed) and `m` and the
+/// rotation run once per lane.
 pub(crate) fn fold_values<T: Le>(acc: u8, values: &[T]) -> u8 {
-    let mut b = [0u8; 8];
-    values.iter().fold(acc, |a, v| {
-        v.write(&mut b[..T::W]);
-        byte_fold(a, &b[..T::W])
-    })
+    debug_assert!(T::W < 32, "an image must stay below one fold block");
+    let mut lanes = [0u64; 8];
+    let mut blocks = values.chunks_exact(8);
+    for blk in blocks.by_ref() {
+        for (l, v) in lanes.iter_mut().zip(blk) {
+            *l ^= v.image();
+        }
+    }
+    for (l, v) in lanes.iter_mut().zip(blocks.remainder()) {
+        *l ^= v.image();
+    }
+    let r = ((31 + 7 * T::W) % 8) as u32;
+    let m = |x: u64| {
+        (0..T::W).fold(0u8, |f, i| {
+            f ^ ((x >> (8 * i)) as u8).rotate_left((7 * (T::W - 1 - i) % 8) as u32)
+        })
+    };
+    let n = values.len();
+    let mut f = acc.rotate_left(r * (n % 8) as u32);
+    for (p, &l) in lanes.iter().enumerate() {
+        // Lane `p` holds the values at distance (n − 1 − p) mod 8 from
+        // the end.
+        let j = ((n + 7 - p) % 8) as u32;
+        f ^= m(l).rotate_left(r * j);
+    }
+    f
 }
 
 /// A fixed-width scalar with a little-endian byte image.
@@ -82,6 +113,13 @@ pub trait Le: Copy {
     fn write(self, out: &mut [u8]);
     /// Read a value back from exactly `W` bytes.
     fn read(b: &[u8]) -> Self;
+    /// The image as the low `W` bytes of a `u64`.
+    #[inline(always)]
+    fn image(self) -> u64 {
+        let mut b = [0u8; 8];
+        self.write(&mut b[..Self::W]);
+        u64::from_le_bytes(b)
+    }
 }
 
 macro_rules! le_scalars {
@@ -384,6 +422,73 @@ impl<'a> Reader<'a> {
         match self.left() {
             0 => Ok(()),
             n => Err(format!("{n} trailing bytes")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The definition `fold_values` must reproduce: each image folded
+    /// on its own, one serial `byte_fold` per value.
+    fn fold_values_oracle<T: Le>(acc: u8, values: &[T]) -> u8 {
+        let mut b = [0u8; 8];
+        values.iter().fold(acc, |a, v| {
+            v.write(&mut b[..T::W]);
+            byte_fold(a, &b[..T::W])
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(miri) { 4 } else { 256 },
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn closed_form_fold_values_matches_the_per_value_loop(
+            acc in any::<u8>(),
+            words in prop::collection::vec(any::<u32>(), 0..301),
+            wide in prop::collection::vec(any::<u64>(), 0..301),
+        ) {
+            prop_assert_eq!(fold_values(acc, &words), fold_values_oracle(acc, &words));
+            prop_assert_eq!(fold_values(acc, &wide), fold_values_oracle(acc, &wide));
+        }
+    }
+
+    #[test]
+    fn closed_form_covers_every_width_and_length() {
+        for n in 0..=if cfg!(miri) { 20 } else { 300 } {
+            let v: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let w: Vec<i32> = v.iter().map(|&x| x as i32).collect();
+            let h: Vec<i16> = v.iter().map(|&x| x as i16).collect();
+            let b: Vec<u8> = v.iter().map(|&x| x as u8).collect();
+            for acc in [0u8, 0xA5, 0xFF] {
+                assert_eq!(
+                    fold_values(acc, &v),
+                    fold_values_oracle(acc, &v),
+                    "u64 n={n}"
+                );
+                assert_eq!(
+                    fold_values(acc, &w),
+                    fold_values_oracle(acc, &w),
+                    "i32 n={n}"
+                );
+                assert_eq!(
+                    fold_values(acc, &h),
+                    fold_values_oracle(acc, &h),
+                    "i16 n={n}"
+                );
+                assert_eq!(
+                    fold_values(acc, &b),
+                    fold_values_oracle(acc, &b),
+                    "u8 n={n}"
+                );
+            }
         }
     }
 }

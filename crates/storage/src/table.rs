@@ -1102,10 +1102,10 @@ mod tests {
         let mut v = Vector::zeroed(ScalarType::I64, 0);
         let mut cur = DecodeCursor::default();
         let mut scratch = Vec::new();
-        c.decode_range(0, 1024, &mut v, &mut cur, &mut scratch)
+        c.decode_range(0, 1024, None, &mut v, &mut cur, &mut scratch)
             .expect("chunk 0 is intact");
         let err = c
-            .decode_range(65_536, 1024, &mut v, &mut cur, &mut scratch)
+            .decode_range(65_536, 1024, None, &mut v, &mut cur, &mut scratch)
             .expect_err("chunk 1 is torn");
         assert!(err.contains("checksum mismatch"), "typed mismatch: {err}");
         // The raw fragment is untouched: recovery reads stay correct.

@@ -57,7 +57,7 @@ fn assert_decode_matches(cc: &CompressedColumn, data: &ColumnData, sizes: &[usiz
     while at < rows {
         let n = sizes[k % sizes.len()].clamp(1, rows - at);
         k += 1;
-        cc.decode_range(at, n, &mut got, &mut cursor, &mut scratch)
+        cc.decode_range(at, n, None, &mut got, &mut cursor, &mut scratch)
             .expect("decode");
         data.read_into(at, n, &mut want);
         prop_assert!(
@@ -277,7 +277,7 @@ proptest! {
         for (start, n) in seeks {
             let start = start % sorted.len();
             let n = n.min(sorted.len() - start).max(1);
-            cc.decode_range(start, n, &mut got, &mut cursor, &mut scratch).expect("decode");
+            cc.decode_range(start, n, None, &mut got, &mut cursor, &mut scratch).expect("decode");
             data.read_into(start, n, &mut want);
             prop_assert!(bits_eq(&got, &want), "seek mismatch at [{start}, {})", start + n);
         }
@@ -325,8 +325,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Encoded-space predicate pushdown: `select_range` + `decode_positions`
-// must be observationally equivalent to decode-then-select, across
+// Encoded-space predicate pushdown: `select_range` + the refill under
+// its selection must be observationally equivalent to decode-then-select, across
 // codec × type × predicate × selectivity — including all-exception
 // chunks and windowed refills that stride chunk boundaries.
 // ---------------------------------------------------------------------------
@@ -386,8 +386,9 @@ fn ref_filter(data: &ColumnData, start: usize, n: usize, p: &Pushdown) -> Vec<u3
 
 /// Drive `select_range` in refills of the (cycled) `sizes` — sharing
 /// one cursor, exactly like a scan — and demand window-relative
-/// positions identical to the reference filter; then decode only the
-/// survivors via `decode_positions` and demand bit-identical values.
+/// positions identical to the reference filter; then read the survivors
+/// through the scan's refill and the positional gather and demand the
+/// reference values.
 fn assert_pushdown_matches(
     cc: &CompressedColumn,
     data: &ColumnData,
@@ -401,7 +402,7 @@ fn assert_pushdown_matches(
     };
     let rows = data.len();
     let mut cursor = DecodeCursor::default();
-    let (mut sel, mut tmp) = (Vec::new(), Vec::new());
+    let (mut sel, mut tmp, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
     let mut got = Vector::with_capacity(data.scalar_type(), 0);
     let mut want = Vector::with_capacity(data.scalar_type(), 0);
     let (mut at, mut k) = (0usize, 0usize);
@@ -420,20 +421,33 @@ fn assert_pushdown_matches(
             at,
             at + n
         );
-        if cc.decode_sel_sig().is_some() && !sel.is_empty() {
-            cc.decode_positions(at, &sel, &mut got, &mut tmp, &mut cursor)
-                .expect("decode_positions");
-            data.read_into(at, n, &mut want);
-            let dense: Vec<Value> = sel.iter().map(|&i| want.get_value(i as usize)).collect();
-            let lazy: Vec<Value> = (0..got.len()).map(|i| got.get_value(i)).collect();
-            prop_assert_eq!(
-                lazy,
-                dense,
-                "lazy decode diverged in window [{}, {})",
-                at,
-                at + n
-            );
-        }
+        data.read_into(at, n, &mut want);
+        // The scan's refill: the window decoded under the selection —
+        // every survivor must read its value (strings leave the other
+        // slots empty).
+        cc.decode_range(at, n, Some(&sel), &mut got, &mut cursor, &mut scratch)
+            .expect("decode_range");
+        let dense: Vec<Value> = sel.iter().map(|&i| want.get_value(i as usize)).collect();
+        let refill: Vec<Value> = sel.iter().map(|&i| got.get_value(i as usize)).collect();
+        prop_assert_eq!(
+            refill,
+            dense.clone(),
+            "refill diverged in window [{}, {})",
+            at,
+            at + n
+        );
+        // The positional gather over the survivors' rowids.
+        let rowids: Vec<u32> = sel.iter().map(|&i| (at as u32) + i).collect();
+        cc.gather(&rowids, &mut got, &mut scratch, &mut tmp, &mut cursor)
+            .expect("gather");
+        let gathered: Vec<Value> = (0..got.len()).map(|i| got.get_value(i)).collect();
+        prop_assert_eq!(
+            gathered,
+            dense,
+            "gather diverged in window [{}, {})",
+            at,
+            at + n
+        );
         at += n;
     }
 }
@@ -661,7 +675,7 @@ fn drive_column(cc: &CompressedColumn) {
     for at in (0..rows).step_by(1000) {
         let n = (rows - at).min(1000);
         if cc
-            .decode_range(at, n, &mut out, &mut cursor, &mut scratch)
+            .decode_range(at, n, None, &mut out, &mut cursor, &mut scratch)
             .is_ok()
             && first.is_none()
         {
@@ -678,7 +692,7 @@ fn drive_column(cc: &CompressedColumn) {
     if let Some(p) = pushed {
         let n = rows.min(1500);
         if cc.select_range(&p, 0, n, &mut sel, &mut cursor).is_ok() {
-            let _ = cc.decode_positions(0, &sel, &mut out, &mut tmp, &mut cursor);
+            let _ = cc.decode_range(0, n, Some(&sel), &mut out, &mut cursor, &mut scratch);
         }
     }
 }

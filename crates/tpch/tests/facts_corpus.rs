@@ -98,7 +98,7 @@ fn checkpointed(db: &Database) -> Database {
 
 /// Verified ⊇ executed, table-driven over storage form and thread
 /// count: every primitive signature a profiled run records (unchecked
-/// gather twins, encoded-space compares, selective decodes, the AVG
+/// gather twins, encoded-space compares, chunk decodes, the AVG
 /// epilogue and the merge stage's rehash included) was validated by the
 /// check walk of that very plan; and, sequentially, each program the
 /// walk compiled is held by exactly one instantiated operator — none is
@@ -124,7 +124,7 @@ fn verified_covers_executed_for_entire_corpus() {
             "checkpointed",
             &compressed,
             &sequential,
-            &["cmp_pfor_", "decode_sel_", "decompress_"][..],
+            &["cmp_pfor_", "decompress_"][..],
         ),
         ("threads=2", &raw, &two_threads, &["map_rehash_"][..]),
     ] {

@@ -809,22 +809,19 @@ macro_rules! pdict_numeric {
                 Some(payload)
             }
 
-            /// PDICT chunk decompressor: unpacks codes and gathers the
-            /// dictionary values positionally.
+            /// PDICT chunk decompressor: gathers the dictionary value of
+            /// each code straight off its packed lane, with no scratch
+            /// round-trip (the scan's dense refill runs this under a
+            /// pushed selection too).
             pub fn $decomp(
                 out: &mut [$ty],
                 payload: &[u8],
                 lane: u32,
                 start: usize,
                 dict: &[$ty],
-                scratch: &mut Vec<u64>,
             ) {
-                let n = out.len();
-                scratch.resize(n, 0);
-                unpack_codes(&mut scratch[..n], payload, lane, start);
-                for (o, &code) in out.iter_mut().zip(scratch.iter()) {
-                    *o = dict[code as usize];
-                }
+                let lane = if lane <= 8 { 8 } else { 16 };
+                unpack_map(out, payload, lane, start, |code| dict[code as usize]);
             }
         )*
     };
@@ -1625,99 +1622,112 @@ fn lane_rel(payload: &[u8], lane: u32, i: usize) -> u64 {
     }
 }
 
-/// Gather-decode of an integer PFOR chunk: `out[i]` becomes the value
-/// at chunk-relative position `sel[i]` (`sel` ascending), merging the
-/// exception list in one pass. Only the selected positions are touched.
-fn pfor_gather_int<T: FrameValue>(out: &mut [T], c: &PforChunk, sel: &[u32]) {
-    debug_assert_eq!(out.len(), sel.len());
-    let mut e = c
-        .exc_pos
-        .partition_point(|&p| p < sel.first().copied().unwrap_or(0));
-    if e == c.exc_pos.len() || sel.last().is_none_or(|&l| c.exc_pos[e] > l) {
-        // No exceptions under the selection: straight-line gather.
-        for (o, &p) in out.iter_mut().zip(sel) {
-            *o = T::from_frame(
-                c.base
-                    .wrapping_add(lane_rel(&c.payload, c.lane, p as usize)),
-            );
-        }
-        return;
+/// First index `>= from` of the ascending `exc` whose position is
+/// `>= p`, galloping: probes `from`, `from + 1`, `from + 3`, … and
+/// binary-searches the last gap, so skipping `g` exceptions costs
+/// `O(log g)` — a sparse selection over a dense patch list no longer
+/// walks every exception between two survivors.
+#[inline(always)]
+fn gallop_to(exc: &[u32], from: usize, p: u32) -> usize {
+    if from >= exc.len() || exc[from] >= p {
+        return from;
     }
-    for (o, &p) in out.iter_mut().zip(sel) {
-        while e < c.exc_pos.len() && c.exc_pos[e] < p {
-            e += 1;
-        }
-        if e < c.exc_pos.len() && c.exc_pos[e] == p {
-            *o = T::from_frame(c.exc_frames[e]);
-        } else {
-            *o = T::from_frame(
-                c.base
-                    .wrapping_add(lane_rel(&c.payload, c.lane, p as usize)),
-            );
-        }
+    // Invariant: exc[lo] < p; the answer lies in (lo, hi].
+    let (mut lo, mut step) = (from, 1usize);
+    let mut hi = lo + step;
+    while hi < exc.len() && exc[hi] < p {
+        lo = hi;
+        step *= 2;
+        hi = lo + step;
+    }
+    let hi = hi.min(exc.len());
+    lo + 1 + exc[lo + 1..hi].partition_point(|&x| x < p)
+}
+
+/// Gather-decode of one PFOR chunk: `out[i]` becomes `dense(frame)` of
+/// chunk-relative position `sel[i]` (`sel` ascending), or `patch` of
+/// its exception frame; returns how many exceptions it patched. The
+/// caller picks `dense` once per chunk and the lane width is matched
+/// here once, so the per-element loop never re-branches on either.
+#[inline(always)]
+fn pfor_gather<T>(
+    out: &mut [T],
+    c: &PforChunk,
+    sel: &[u32],
+    dense: impl Fn(u64) -> T,
+    patch: impl Fn(u64) -> T,
+) -> usize {
+    match c.lane {
+        0 => pfor_gather_lane::<0, T>(out, c, sel, dense, patch),
+        8 => pfor_gather_lane::<8, T>(out, c, sel, dense, patch),
+        16 => pfor_gather_lane::<16, T>(out, c, sel, dense, patch),
+        32 => pfor_gather_lane::<32, T>(out, c, sel, dense, patch),
+        _ => pfor_gather_lane::<64, T>(out, c, sel, dense, patch),
     }
 }
 
-/// Gather-decode of a scaled-f64 PFOR chunk, byte-identical to the
-/// dense decoder: the same three-way fast-path selection, with
-/// exceptions restored from their raw bit patterns.
-fn pfor_gather_f64(out: &mut [f64], c: &PforChunk, sel: &[u32]) {
+/// [`pfor_gather`] at one lane width. The exception list is merged in
+/// the same pass, galloping across the exceptions no survivor hits.
+#[inline(always)]
+fn pfor_gather_lane<const LANE: u32, T>(
+    out: &mut [T],
+    c: &PforChunk,
+    sel: &[u32],
+    dense: impl Fn(u64) -> T,
+    patch: impl Fn(u64) -> T,
+) -> usize {
     debug_assert_eq!(out.len(), sel.len());
+    let frame = |p: u32| dense(lane_rel(&c.payload, LANE, p as usize));
+    let exc = &c.exc_pos;
+    let mut e = exc.partition_point(|&p| p < sel.first().copied().unwrap_or(0));
+    if e == exc.len() || sel.last().is_none_or(|&l| exc[e] > l) {
+        // No exceptions under the selection: straight-line gather.
+        for (o, &p) in out.iter_mut().zip(sel) {
+            *o = frame(p);
+        }
+        return 0;
+    }
+    let mut hits = 0;
+    for (o, &p) in out.iter_mut().zip(sel) {
+        e = gallop_to(exc, e, p);
+        if e < exc.len() && exc[e] == p {
+            *o = patch(c.exc_frames[e]);
+            hits += 1;
+        } else {
+            *o = frame(p);
+        }
+    }
+    hits
+}
+
+/// Gather-decode of an integer PFOR chunk (see [`pfor_gather`]).
+fn pfor_gather_int<T: FrameValue>(out: &mut [T], c: &PforChunk, sel: &[u32]) -> usize {
+    let base = c.base;
+    let dense = move |rel: u64| T::from_frame(base.wrapping_add(rel));
+    pfor_gather(out, c, sel, dense, T::from_frame)
+}
+
+/// Gather-decode of a scaled-f64 PFOR chunk, byte-identical to the
+/// dense decoder: the same three-way fast-path selection, made once,
+/// with exceptions restored from their raw bit patterns.
+fn pfor_gather_f64(out: &mut [f64], c: &PforChunk, sel: &[u32]) -> usize {
     let scale_u = c.scale.max(1);
     let pre = (c.base ^ SIGN).wrapping_add(CVT_MAGIC_BITS);
     let within = pfor_f64_range_within(c.base, c.lane, (1 << 51) - 1);
-    let (rhi, rlo) = if scale_u > 1 && within {
-        recip_split_for(scale_u as f64, c.base, c.lane)
-    } else {
-        (0.0, 0.0)
-    };
-    let scale = scale_u as f64;
-    let base = c.base;
-    let dense = move |rel: u64| -> f64 {
-        if scale_u == 1 && within {
-            f64::from_bits(pre.wrapping_add(rel)) - CVT_MAGIC
-        } else if scale_u > 1 && within {
+    if scale_u == 1 && within {
+        let dense = move |rel: u64| f64::from_bits(pre.wrapping_add(rel)) - CVT_MAGIC;
+        pfor_gather(out, c, sel, dense, f64::from_bits)
+    } else if scale_u > 1 && within {
+        let (hi, lo) = recip_split_for(scale_u as f64, c.base, c.lane);
+        let dense = move |rel: u64| {
             let x = f64::from_bits(pre.wrapping_add(rel)) - CVT_MAGIC;
-            x * rhi + x * rlo
-        } else {
-            ((base.wrapping_add(rel) ^ SIGN) as i64) as f64 / scale
-        }
-    };
-    let mut e = c
-        .exc_pos
-        .partition_point(|&p| p < sel.first().copied().unwrap_or(0));
-    if e == c.exc_pos.len() || sel.last().is_none_or(|&l| c.exc_pos[e] > l) {
-        // No exceptions under the selection: pick the decode expression
-        // once and run a straight-line gather, instead of re-branching
-        // on the chunk's fast-path eligibility for every element.
-        if scale_u == 1 && within {
-            for (o, &p) in out.iter_mut().zip(sel) {
-                let rel = lane_rel(&c.payload, c.lane, p as usize);
-                *o = f64::from_bits(pre.wrapping_add(rel)) - CVT_MAGIC;
-            }
-        } else if scale_u > 1 && within {
-            for (o, &p) in out.iter_mut().zip(sel) {
-                let rel = lane_rel(&c.payload, c.lane, p as usize);
-                let x = f64::from_bits(pre.wrapping_add(rel)) - CVT_MAGIC;
-                *o = x * rhi + x * rlo;
-            }
-        } else {
-            for (o, &p) in out.iter_mut().zip(sel) {
-                let rel = lane_rel(&c.payload, c.lane, p as usize);
-                *o = ((base.wrapping_add(rel) ^ SIGN) as i64) as f64 / scale;
-            }
-        }
-        return;
-    }
-    for (o, &p) in out.iter_mut().zip(sel) {
-        while e < c.exc_pos.len() && c.exc_pos[e] < p {
-            e += 1;
-        }
-        if e < c.exc_pos.len() && c.exc_pos[e] == p {
-            *o = f64::from_bits(c.exc_frames[e]);
-        } else {
-            *o = dense(lane_rel(&c.payload, c.lane, p as usize));
-        }
+            x * hi + x * lo
+        };
+        pfor_gather(out, c, sel, dense, f64::from_bits)
+    } else {
+        let (base, scale) = (c.base, scale_u as f64);
+        let dense = move |rel: u64| ((base.wrapping_add(rel) ^ SIGN) as i64) as f64 / scale;
+        pfor_gather(out, c, sel, dense, f64::from_bits)
     }
 }
 
@@ -1725,8 +1735,9 @@ macro_rules! decode_sel_pfor_instances {
     ($( $ty:ty : $name:ident );* $(;)?) => {
         $(
             /// Macro-generated selective PFOR decoder: decodes only the
-            /// (ascending, chunk-relative) positions in `sel`, compacted.
-            pub fn $name(out: &mut [$ty], chunk: &PforChunk, sel: &[u32]) {
+            /// (ascending, chunk-relative) positions in `sel`, compacted;
+            /// returns the exceptions it patched.
+            pub fn $name(out: &mut [$ty], chunk: &PforChunk, sel: &[u32]) -> usize {
                 pfor_gather_int(out, chunk, sel)
             }
         )*
@@ -1745,7 +1756,7 @@ decode_sel_pfor_instances! {
 }
 
 /// Selective PFOR decoder for scaled floats (see [`pfor_gather_f64`]).
-pub fn decode_sel_pfor_f64_col(out: &mut [f64], chunk: &PforChunk, sel: &[u32]) {
+pub fn decode_sel_pfor_f64_col(out: &mut [f64], chunk: &PforChunk, sel: &[u32]) -> usize {
     pfor_gather_f64(out, chunk, sel)
 }
 
@@ -1964,8 +1975,7 @@ mod tests {
         let v: Vec<i64> = (0..500).map(|i| dict[i % 4]).collect();
         let payload = compress_pdict_i64_col(&v, &dict, 8).expect("all in dict");
         let mut out = vec![0i64; 100];
-        let mut scratch = Vec::new();
-        decompress_pdict_i64_col(&mut out, &payload, 8, 250, &dict, &mut scratch);
+        decompress_pdict_i64_col(&mut out, &payload, 8, 250, &dict);
         assert_eq!(out, v[250..350]);
         assert!(compress_pdict_i64_col(&[99], &dict, 8).is_none());
     }
@@ -2175,6 +2185,72 @@ mod tests {
         decompress_pfor_f64_col(&mut dense, &cf, 0, &mut scratch);
         for (o, &p) in fout.iter().zip(&sel) {
             assert_eq!(o.to_bits(), dense[p as usize].to_bits());
+        }
+    }
+
+    /// Sparse survivors over a dense patch list: the gallop skips the
+    /// exceptions between survivors, every survivor still reads its
+    /// dense-decode bits, and the returned count is exactly the
+    /// survivors that were exceptions.
+    #[test]
+    fn decode_sel_gallops_and_counts_patched_survivors() {
+        let f: Vec<f64> = (0..8192)
+            .map(|i| match i % 9 {
+                0 | 1 => (i as f64 * 0.731).sqrt(),
+                _ => (i % 3000) as f64 / 100.0,
+            })
+            .collect();
+        let c = compress_pfor_f64_col(&f);
+        assert!(c.exc_pos.len() > 1500, "{} exceptions", c.exc_pos.len());
+        let mut dense = vec![0f64; f.len()];
+        decompress_pfor_f64_col(&mut dense, &c, 0, &mut Vec::new());
+        for stride in [1u32, 3, 37, 500, 4097] {
+            let sel: Vec<u32> = (0..f.len() as u32).step_by(stride as usize).collect();
+            let mut out = vec![0f64; sel.len()];
+            let hits = decode_sel_pfor_f64_col(&mut out, &c, &sel);
+            let want = sel
+                .iter()
+                .filter(|p| c.exc_pos.binary_search(p).is_ok())
+                .count();
+            assert_eq!(hits, want, "stride {stride}");
+            for (o, &p) in out.iter().zip(&sel) {
+                assert_eq!(
+                    o.to_bits(),
+                    dense[p as usize].to_bits(),
+                    "stride {stride} at {p}"
+                );
+            }
+        }
+        let v: Vec<i32> = (0..5000)
+            .map(|i| {
+                if i % 10 == 0 {
+                    1_000_000 + i * 101
+                } else {
+                    i % 40
+                }
+            })
+            .collect();
+        let c = compress_pfor_i32_col(&v);
+        assert_eq!(c.exc_pos.len(), 500);
+        let sel: Vec<u32> = (0..5000).step_by(101).collect();
+        let mut out = vec![0i32; sel.len()];
+        let hits = decode_sel_pfor_i32_col(&mut out, &c, &sel);
+        assert_eq!(out, sel.iter().map(|&p| v[p as usize]).collect::<Vec<_>>());
+        let want = sel
+            .iter()
+            .filter(|p| c.exc_pos.binary_search(p).is_ok())
+            .count();
+        assert_eq!(hits, want);
+    }
+
+    #[test]
+    fn gallop_finds_the_first_position_not_below() {
+        let exc: Vec<u32> = (0..200).map(|i| i * 3).collect();
+        for from in [0usize, 1, 57, 199, 200] {
+            for p in [0u32, 1, 3, 4, 170, 171, 597, 598, 1000] {
+                let want = from.max(exc.partition_point(|&x| x < p));
+                assert_eq!(gallop_to(&exc, from, p), want, "from {from} p {p}");
+            }
         }
     }
 

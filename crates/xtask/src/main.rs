@@ -32,11 +32,13 @@
 //!    selection and `decode_sel_*` selective-decode gather in
 //!    `crates/vector` resolves to a registry descriptor; every
 //!    registered `decode_sel_<codec>_<ty>_col` has its dense
-//!    `decompress_<codec>_<ty>_col` twin (the recovery path when a
-//!    torn chunk forces a decode-then-select fallback); and every
-//!    registered `cmp_<codec>_…_<ty>_…` selection has the matching
-//!    gather, so a predicate can never select survivors the engine has
-//!    no way to materialize.
+//!    `decompress_<codec>_<ty>_col` twin; and every registered
+//!    `cmp_<codec>_…_<ty>_…` selection has the matching gather. The
+//!    scan refill under a pushed selection is the dense twin (a
+//!    `CompressedScanSelect` only produces a selection vector); the
+//!    `decode_sel_*` gathers serve positional reads — fetch-joins
+//!    through `CompressedColumn::gather` — so a column a predicate can
+//!    select on can also be fetched from without leaving its codec.
 //! 6. **Fault-site coverage** — every `FaultSite` variant declared in
 //!    `storage/src/columnbm.rs` is exercised by name in the engine's
 //!    fault-injection suite (`engine/tests/fault_sites.rs`). A new
@@ -583,15 +585,14 @@ fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
     }
 
     // 5b. Every selective-decode gather has its dense decompress twin —
-    // the recovery path `engine::check` falls back to when a chunk
-    // fails verification mid-pushdown.
+    // what the scan refill runs, under a pushed selection too.
     for sig in &registered {
         if let Some(rest) = sig.strip_prefix("decode_sel_") {
             let twin = format!("decompress_{rest}");
             if !registered.contains(twin.as_str()) {
                 failures.push(format!(
                     "compressed-exec parity: `{sig}` is registered with no dense \
-                     `{twin}` twin (no recovery path for a torn chunk)"
+                     `{twin}` twin (the scan refill would have nothing to run)"
                 ));
             }
         }
@@ -599,8 +600,8 @@ fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
 
     // 5c. Every encoded-space selection has the matching gather for its
     // codec/type: `cmp_<codec>_<op>_<ty>_col_val…` ⇒
-    // `decode_sel_<codec>_<ty>_col`, so pushdown survivors can always
-    // be materialized lazily.
+    // `decode_sel_<codec>_<ty>_col`, so the positional reads of a
+    // column a predicate selects on stay in its codec too.
     for sig in &registered {
         let Some(rest) = sig.strip_prefix("cmp_") else {
             continue;
@@ -613,7 +614,7 @@ fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
         if !registered.contains(gather.as_str()) {
             failures.push(format!(
                 "compressed-exec parity: `{sig}` selects in {codec} code space but \
-                 `{gather}` is missing — its survivors could not be decoded"
+                 `{gather}` is missing — its column could not be gathered positionally"
             ));
         }
     }
