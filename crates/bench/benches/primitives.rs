@@ -51,14 +51,7 @@ fn bench_primitives(c: &mut Criterion) {
         (0..N).map(|_| rng.gen_range(0..N as u32)).collect()
     };
     g.bench_function("map_fetch_u32_col_f64_col", |bch| {
-        bch.iter(|| {
-            fetch::map_fetch_u32_col_f64_col(
-                black_box(&mut res),
-                black_box(&base),
-                black_box(&idx),
-                None,
-            )
-        })
+        bch.iter(|| fetch::fetch(black_box(&mut res), black_box(&base), black_box(&idx), None))
     });
     let codes: Vec<u8> = {
         let mut rng = StdRng::seed_from_u64(5);
@@ -67,7 +60,7 @@ fn bench_primitives(c: &mut Criterion) {
     let dict: Vec<f64> = (0..11).map(|i| i as f64 / 100.0).collect();
     g.bench_function("map_fetch_u8_col_f64_col (enum decode)", |bch| {
         bch.iter(|| {
-            fetch::fetch_u8_codes(
+            fetch::fetch(
                 black_box(&mut res),
                 black_box(&dict),
                 black_box(&codes),

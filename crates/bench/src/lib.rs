@@ -11,8 +11,9 @@
 //! | `table5` | Table 5 — X100 per-primitive trace |
 //! | `fig2`   | Figure 2 — branch vs predicated selection |
 //! | `fig10`  | Figure 10 — Q1 time vs vector size |
-//! | `parallel` | beyond the paper — morsel-parallel Q1 thread sweep |
-//! | `join`   | beyond the paper — radix hash join cardinality × bits × threads |
+//! | `compress` | beyond the paper — codec × selectivity × vector size sweep, pushdown rows |
+//! | `durable` | beyond the paper — kill-and-restart durability smoke |
+//! | `suite_check` | all 22 TPC-H queries once; `--explain-check` / `--explain-facts` |
 //!
 //! plus Criterion micro-benchmarks (`benches/`) covering primitives and
 //! the ablations called out in `DESIGN.md`.

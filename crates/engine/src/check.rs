@@ -10,11 +10,11 @@
 //! node's output shape and enum-dictionary metadata, rewrites enum
 //! literals, splits predicates, types aggregates, picks the physical
 //! variant (direct / hash / ordered aggregation, fused compressed
-//! scan-select, constant-folded selection, unchecked fetch, selection
-//! before fetch), compiles every expression
-//! exactly once, validates each emitted primitive instruction against the
-//! typed catalog ([`x100_vector::PrimitiveRegistry`]) and threads the
-//! facts analyzer ([`crate::facts`]) through the same pass.
+//! scan-select, constant-folded selection, selection before fetch),
+//! compiles every expression exactly once, validates each emitted
+//! primitive instruction against the typed catalog
+//! ([`x100_vector::PrimitiveRegistry`]) and threads the facts analyzer
+//! ([`crate::facts`]) through the same pass.
 //!
 //! The walk returns a verified tree of [`CheckedNode`]s — one per
 //! physical operator, holding the resolved table, the output fields and
@@ -58,8 +58,8 @@ use crate::expr::{AggExpr, AggFunc, Expr};
 use crate::facts::{self, ColFact, FactRange, NodeFacts};
 use crate::ops::parallel::morsel_spine;
 use crate::ops::{
-    fused_signature, has_unchecked_twin, AggSpec, DerivedCol, DirectAggrOp, DirectKey, FetchSource,
-    FetchSpec, JoinParts, JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
+    fused_signature, AggSpec, DerivedCol, DirectAggrOp, DirectKey, FetchSource, FetchSpec,
+    JoinParts, JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
 };
 use crate::plan::{self, DirectKeySpec, Plan};
 use crate::session::{Database, ExecOptions};
@@ -150,15 +150,14 @@ pub struct PlanFacts {
     root: CheckedNode,
     plan: Plan,
     db_stamp: (u64, u64),
-    opts_key: [bool; 6],
+    opts_key: [bool; 5],
 }
 
 /// The options that shape the checked tree.
-fn opts_key(opts: &ExecOptions) -> [bool; 6] {
+fn opts_key(opts: &ExecOptions) -> [bool; 5] {
     [
         opts.compound_primitives,
         opts.compressed_pushdown,
-        opts.unchecked_fetch,
         opts.enforce_facts,
         opts.spill_budget.is_some(),
         opts.threads > 1,
@@ -259,6 +258,8 @@ pub(crate) enum CheckedOp {
         aggs: Vec<AggSpec>,
         morsel: Option<MergeSpec>,
     },
+    /// `proved` is the fetch-bounds verdict ([`CheckedNode::fetch_proved`]):
+    /// it explains the plan, no operator reads it.
     Fetch1Join {
         table: Arc<Table>,
         rowid: Arc<ExprCode>,
@@ -960,14 +961,11 @@ impl<'a> Checker<'a> {
 
     /// Resolve the columns an operator fetches from `t` into their
     /// gather specs, appending output fields, dictionaries and facts.
-    /// `proved` (a fetch-bounds proof against `t`) switches eligible
-    /// columns to the `_unchecked` gather twins.
     fn fetch_specs<'p>(
         &mut self,
         t: &Table,
         fetch: impl IntoIterator<Item = &'p (String, String)>,
         as_codes: bool,
-        proved: bool,
         path: &str,
         node: &mut NodeShape,
     ) -> Result<Vec<FetchSpec>, PlanError> {
@@ -991,21 +989,12 @@ impl<'a> Checker<'a> {
             } else {
                 (sc.field().logical, None)
             };
-            let unchecked = proved
-                && self.opts.unchecked_fetch
-                && (as_codes || sc.dict().is_none())
-                && has_unchecked_twin(sc.physical());
-            let sig = format!(
-                "map_fetch_u32_col_{}_col{}",
-                ty.sig_name(),
-                if unchecked { "_unchecked" } else { "" }
-            );
+            let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
             self.require(&sig, || format!("{path}[{i}]"))?;
             specs.push(FetchSpec {
                 src: FetchSource::Column(ci),
                 sig,
                 as_codes,
-                unchecked,
             });
             node.fields.push(OutField::new(alias.clone(), ty));
             node.dicts.push(dict);
@@ -1117,7 +1106,7 @@ impl<'a> Checker<'a> {
                 }
                 let (cnt, cnt_r) = bounds.pop().expect("two range programs");
                 let (lo, lo_r) = bounds.pop().expect("two range programs");
-                // Fetch-bounds proof: every gathered position is
+                // Fetch-bounds verdict: every gathered position is
                 // `lo + k, k < cnt`, so the obligation is
                 // `max(lo) + max(cnt) <= fragment_rows`.
                 let frag = t.fragment_rows() as u64;
@@ -1138,7 +1127,6 @@ impl<'a> Checker<'a> {
                     &t,
                     fetch,
                     false,
-                    proved,
                     &format!("{path}.FetchNJoin.fetch"),
                     &mut node,
                 )?;
@@ -1817,12 +1805,11 @@ impl<'a> Checker<'a> {
             }),
         })?;
         self.verify_prog(&rowid, &input.fields, &input.dicts, &rpath, true)?;
-        // Fetch-bounds proof: the `_unchecked` gather twins read
-        // only the contiguous fragment arrays, so the proof
-        // obligation is `#rowId ⊆ [0, fragment_rows)` (delta rows
-        // would be out of bounds for the raw-slice kernels). The
-        // proof is only attempted for true u32 join indexes; enum
-        // code rowids decode against the dictionary instead.
+        // Fetch-bounds verdict (`--explain-facts`; the gather kernel
+        // checks its own bounds): `#rowId ⊆ [0, fragment_rows)`, i.e.
+        // no gathered row in the delta region. Only attempted for true
+        // u32 join indexes; enum code rowids decode against the
+        // dictionary instead.
         let rid_range = if natural == ScalarType::U32 {
             facts::eval_prog(&rowid, &input.facts.cols, self.reg)
                 .range
@@ -1855,7 +1842,6 @@ impl<'a> Checker<'a> {
             &t,
             fetch.iter().copied(),
             false,
-            proved,
             &format!("{path}.Fetch1Join.fetch"),
             &mut node,
         )?;
@@ -1864,24 +1850,16 @@ impl<'a> Checker<'a> {
             &t,
             fetch_codes.iter().copied(),
             true,
-            proved,
             &format!("{path}.Fetch1Join.fetch_codes"),
             &mut node,
         )?);
         if let Some((name, d)) = derived {
-            // One byte per fragment row, so the bounds proof
-            // above covers this gather like any other.
-            let unchecked = proved && self.opts.unchecked_fetch;
-            let sig = format!(
-                "map_fetch_u32_col_u8_col{}",
-                if unchecked { "_unchecked" } else { "" }
-            );
+            let sig = "map_fetch_u32_col_u8_col".to_owned();
             self.require_instr(&sig, || format!("{path}.Fetch1Join.derived"))?;
             cols.push(FetchSpec {
                 src: FetchSource::Derived(d),
                 sig,
                 as_codes: false,
-                unchecked,
             });
             node.fields.push(OutField::new(name, ScalarType::U8));
             node.dicts.push(None);

@@ -13,9 +13,12 @@
 //!
 //! Sinks (decided in the same walk, recorded on the checked node the
 //! operators are instantiated from):
-//! * **fetch-bounds proofs** — when every `#rowId` a `Fetch1Join` /
-//!   `FetchNJoin` gathers is proven `< fragment_rows`, the op dispatches
-//!   the `_unchecked` kernel twins (paper-style "on the metal" loops);
+//! * **fetch-bounds verdicts** — whether every `#rowId` a `Fetch1Join`
+//!   / `FetchNJoin` gathers is proven `< fragment_rows`. Facts explain,
+//!   the kernel checks: `--explain-facts` prints the verdict, and the
+//!   gather checks its own bounds once per vector, so no operator reads
+//!   it. With enforcement on, a fetch proven certainly out of bounds is
+//!   rejected;
 //! * **selection folding** — predicates proven always-true become a
 //!   pass-through, always-false an empty dataflow;
 //! * **no-overflow proofs** — integer interval arithmetic widens to ⊤

@@ -16,8 +16,8 @@
 //! * [`parser`] / [`render`] — the textual X100 algebra of the paper's
 //!   Figs. 6 & 9: parse it, and pretty-print plans back (EXPLAIN).
 //! * [`facts`] — plan-level abstract interpretation: value-range /
-//!   sortedness / row-count facts that prove fetch bounds (unchecked
-//!   gather twins) and constant-fold provable selections.
+//!   sortedness / row-count facts that choose plans, explain fetch
+//!   bounds and constant-fold provable selections.
 //! * [`govern`] — the per-query resource governor: memory budgets,
 //!   cancellation/deadlines, worker-panic containment, fault injection.
 //! * [`profile`] — per-primitive and per-operator tracing (Table 5).
@@ -26,6 +26,7 @@
 //!   materialization.
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod check;

@@ -28,15 +28,10 @@ use x100_vector::{fetch as vfetch, ScalarType, SelVec, Vector};
 pub(crate) struct FetchSpec {
     /// What the gather reads.
     pub src: FetchSource,
-    /// Gather signature for the trace (`…_unchecked` for the twin).
+    /// Gather signature for the trace.
     pub sig: String,
     /// Fetch raw enum codes instead of decoded values.
     pub as_codes: bool,
-    /// Dispatch the `_unchecked` gather twin: set by the check walk only
-    /// when the facts analyzer proved every `#rowId` within the
-    /// fragment of *this* table (`engine::facts` fetch-bounds sink) and
-    /// the column has a twin ([`has_unchecked_twin`]).
-    pub unchecked: bool,
 }
 
 /// What a fetch column gathers from.
@@ -159,7 +154,10 @@ struct GatherState {
 /// from the packed chunks — PFOR-DELTA `#rowId` columns seek from the
 /// nearest sync point instead of decoding whole chunks. A torn chunk
 /// goes down the recovery ladder ([`read_compressed`]): replica heal,
-/// then the raw fragment below.
+/// then the raw fragment below. Every other vector takes
+/// [`gather_positional`]; one that lies inside the fragment counts as
+/// `fetch_unchecked_dispatches` (the kernel checked it once, not per
+/// tuple).
 fn fetch_gather(
     table: &Table,
     fc: &mut FetchCol,
@@ -178,25 +176,19 @@ fn fetch_gather(
             }
             let bytes = fc.derived.as_ref().expect("just fetched");
             out.resize_zeroed(n);
-            let o = out.as_u8_mut();
-            if fc.spec.unchecked {
-                // SAFETY: as in `unchecked_gather` — the same bind-time
-                // proof covers every gathered rowid, against this
-                // table's fragment length, which is `bytes.len()`.
-                unsafe { vfetch::map_fetch_u32_col_u8_col_unchecked(o, bytes, rowids, sel) };
-                prof.add_counter("fetch_unchecked_dispatches", 1);
-            } else {
-                vfetch::map_fetch_u32_col_u8_col(o, bytes, rowids, sel);
-            }
+            // One byte per fragment row of a delta-free table: every
+            // `#rowId` the join index holds is in range.
+            let in_range = vfetch::fetch(out.as_u8_mut(), bytes, rowids, sel);
+            assert!(in_range, "derived fetch column: #rowId out of range");
+            prof.add_counter("fetch_unchecked_dispatches", 1);
             return Ok(());
         }
     };
     let sc = table.column(col);
-    let frag_rows = table.fragment_rows() as u32;
     if sel.is_none()
         && sc.compressed().is_some()
         && (fc.spec.as_codes || sc.dict().is_none())
-        && rowids.iter().all(|&r| r < frag_rows)
+        && vfetch::in_range(rowids, n, None, table.fragment_rows())
     {
         let GatherState { read, tmp } = &mut fc.gs;
         let gathered = read_compressed(table, col, read, ctx, prof, |cc, cursor, scratch| {
@@ -208,84 +200,18 @@ fn fetch_gather(
             return Ok(());
         }
     }
-    // Proven-bounds fast path: skip both the O(n) range scan and the
-    // per-element bounds checks. `fc.spec.unchecked` is only ever set by the
-    // check walk under a fetch-bounds proof against this very table.
-    if fc.spec.unchecked && (fc.spec.as_codes || sc.dict().is_none()) {
-        out.resize_zeroed(n);
-        if unchecked_gather(sc.physical(), out, rowids, sel) {
-            prof.add_counter("fetch_unchecked_dispatches", 1);
-            return Ok(());
-        }
+    if gather_positional(table, col, fc.spec.as_codes, rowids, n, sel, out) {
+        prof.add_counter("fetch_unchecked_dispatches", 1);
     }
-    gather_positional(table, col, fc.spec.as_codes, rowids, n, sel, out);
     Ok(())
 }
 
-/// Dispatch one `_unchecked` gather twin for a (column, output) type
-/// pair; `false` when no twin exists (strings, u64, bool) and the caller
-/// must fall back to the checked path.
-fn unchecked_gather(
-    data: &ColumnData,
-    out: &mut Vector,
-    rowids: &[u32],
-    sel: Option<&SelVec>,
-) -> bool {
-    // SAFETY (every arm): the bind-time facts proof guarantees each
-    // gathered rowid < fragment length (`engine::facts` fetch-bounds
-    // sink — under a selection only selected positions are gathered,
-    // which are exactly the positions the proof covers), and the caller
-    // resized `out` to cover every gathered position.
-    match (data, out) {
-        (ColumnData::I8(b), Vector::I8(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i8_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::I16(b), Vector::I16(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i16_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::I32(b), Vector::I32(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i32_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::I64(b), Vector::I64(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i64_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::U8(b), Vector::U8(o)) => unsafe {
-            vfetch::map_fetch_u32_col_u8_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::U16(b), Vector::U16(o)) => unsafe {
-            vfetch::map_fetch_u32_col_u16_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::U32(b), Vector::U32(o)) => unsafe {
-            vfetch::map_fetch_u32_col_u32_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::F64(b), Vector::F64(o)) => unsafe {
-            vfetch::map_fetch_u32_col_f64_col_unchecked(o, b, rowids, sel)
-        },
-        _ => return false,
-    }
-    true
-}
-
-/// Whether the `_unchecked` twin family covers this column's physical
-/// representation (it must also not be dictionary-decoded — code
-/// fetches and plain columns qualify, decoded enum fetches do not).
-pub(crate) fn has_unchecked_twin(data: &ColumnData) -> bool {
-    matches!(
-        data,
-        ColumnData::I8(_)
-            | ColumnData::I16(_)
-            | ColumnData::I32(_)
-            | ColumnData::I64(_)
-            | ColumnData::U8(_)
-            | ColumnData::U16(_)
-            | ColumnData::U32(_)
-            | ColumnData::F64(_)
-    )
-}
-
-/// Fetch `table[rowids[i]].col` positionally into `out` under `sel`.
-/// Fragment-region fast path per type; enum columns decode through the
-/// dictionary; delta-region rowids take the slow value path.
+/// Fetch `table[rowids[i]].col` positionally into `out` under `sel`;
+/// `true` when every gathered rowid was inside the fragment. The gather
+/// kernel's one range check per vector is the fragment-vs-delta test:
+/// fixed-width columns gather in the same call, enum columns decode
+/// through the dictionary, strings rebuild, and a vector reaching into
+/// the delta region takes the slow value path.
 #[allow(clippy::needless_range_loop)] // positional writes under a selection
 fn gather_positional(
     table: &Table,
@@ -295,158 +221,154 @@ fn gather_positional(
     n: usize,
     sel: Option<&SelVec>,
     out: &mut Vector,
-) {
+) -> bool {
     let sc = table.column(col);
-    let frag_rows = table.fragment_rows() as u32;
-    let in_frag = match sel {
-        None => rowids[..n].iter().all(|&r| r < frag_rows),
-        Some(s) => s.iter().all(|i| rowids[i] < frag_rows),
-    };
+    let frag_rows = table.fragment_rows();
     out.resize_zeroed(n);
-    if in_frag {
-        // Code fetch: gather the physical code column directly.
-        let dict = if as_codes { None } else { sc.dict() };
-        match (dict, sc.physical()) {
-            (None, data) => {
-                match (data, &mut *out) {
-                    (ColumnData::I8(b), Vector::I8(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::I16(b), Vector::I16(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::I32(b), Vector::I32(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::I64(b), Vector::I64(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U8(b), Vector::U8(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U16(b), Vector::U16(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U32(b), Vector::U32(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U64(b), Vector::U64(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::F64(b), Vector::F64(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::Str(b), Vector::Str(o)) => {
-                        o.clear();
-                        match sel {
-                            None => {
-                                for &r in &rowids[..n] {
-                                    o.push(b.get(r as usize));
-                                }
+    // Code fetch: gather the physical code column directly.
+    let dict = if as_codes { None } else { sc.dict() };
+    let in_frag = match (dict, sc.physical(), &mut *out) {
+        (None, ColumnData::I8(b), Vector::I8(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::I16(b), Vector::I16(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::I32(b), Vector::I32(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::I64(b), Vector::I64(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::U8(b), Vector::U8(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::U16(b), Vector::U16(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::U32(b), Vector::U32(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::U64(b), Vector::U64(o)) => vfetch::fetch(o, b, rowids, sel),
+        (None, ColumnData::F64(b), Vector::F64(o)) => vfetch::fetch(o, b, rowids, sel),
+        _ if !vfetch::in_range(rowids, n, sel, frag_rows) => false,
+        (None, ColumnData::Str(b), Vector::Str(o)) => {
+            o.clear();
+            match sel {
+                None => {
+                    for &r in &rowids[..n] {
+                        o.push(b.get(r as usize));
+                    }
+                }
+                Some(s) => {
+                    // Positional write into a StrVec: fill unselected
+                    // with empties.
+                    let mut at = 0;
+                    for i in s.iter() {
+                        for _ in at..i {
+                            o.push("");
+                        }
+                        o.push(b.get(rowids[i] as usize));
+                        at = i + 1;
+                    }
+                    for _ in at..n {
+                        o.push("");
+                    }
+                }
+            }
+            true
+        }
+        (None, d, o) => panic!(
+            "fetch mismatch: column {:?}, out {:?}",
+            d.scalar_type(),
+            o.scalar_type()
+        ),
+        // Two-step: gather code, then decode via dictionary.
+        (Some(dict), codes, out) => {
+            match (codes, dict.values(), out) {
+                (ColumnData::U8(c), ColumnData::F64(d), Vector::F64(o)) => {
+                    gather_decode(c, d, rowids, n, sel, o)
+                }
+                (ColumnData::U8(c), ColumnData::I64(d), Vector::I64(o)) => {
+                    gather_decode(c, d, rowids, n, sel, o)
+                }
+                (ColumnData::U8(c), ColumnData::I32(d), Vector::I32(o)) => {
+                    gather_decode(c, d, rowids, n, sel, o)
+                }
+                (ColumnData::U16(c), ColumnData::F64(d), Vector::F64(o)) => {
+                    gather_decode16(c, d, rowids, n, sel, o)
+                }
+                (ColumnData::U16(c), ColumnData::I64(d), Vector::I64(o)) => {
+                    gather_decode16(c, d, rowids, n, sel, o)
+                }
+                (ColumnData::U16(c), ColumnData::I32(d), Vector::I32(o)) => {
+                    gather_decode16(c, d, rowids, n, sel, o)
+                }
+                (_, ColumnData::Str(d), Vector::Str(o)) => {
+                    o.clear();
+                    let code_of = |r: usize| -> usize {
+                        match codes {
+                            ColumnData::U8(c) => c[r] as usize,
+                            ColumnData::U16(c) => c[r] as usize,
+                            _ => unreachable!("codes are U8/U16"),
+                        }
+                    };
+                    match sel {
+                        None => {
+                            for &r in &rowids[..n] {
+                                o.push(d.get(code_of(r as usize)));
                             }
-                            Some(s) => {
-                                // Positional write into a StrVec: fill
-                                // unselected with empties.
-                                let mut at = 0;
-                                for i in s.iter() {
-                                    for _ in at..i {
-                                        o.push("");
-                                    }
-                                    o.push(b.get(rowids[i] as usize));
-                                    at = i + 1;
-                                }
-                                for _ in at..n {
+                        }
+                        Some(s) => {
+                            let mut next = s.iter().peekable();
+                            for i in 0..n {
+                                if next.peek() == Some(&i) {
+                                    next.next();
+                                    o.push(d.get(code_of(rowids[i] as usize)));
+                                } else {
                                     o.push("");
                                 }
                             }
                         }
                     }
-                    (d, o) => panic!(
-                        "fetch mismatch: column {:?}, out {:?}",
-                        d.scalar_type(),
-                        o.scalar_type()
-                    ),
                 }
+                (c, d, o) => panic!(
+                    "enum fetch mismatch: codes {:?}, dict {:?}, out {:?}",
+                    c.scalar_type(),
+                    d.scalar_type(),
+                    o.scalar_type()
+                ),
             }
-            (Some(dict), codes) => {
-                // Two-step: gather code, then decode via dictionary.
-                match (codes, dict.values(), &mut *out) {
-                    (ColumnData::U8(c), ColumnData::F64(d), Vector::F64(o)) => {
-                        gather_decode(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U8(c), ColumnData::I64(d), Vector::I64(o)) => {
-                        gather_decode(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U8(c), ColumnData::I32(d), Vector::I32(o)) => {
-                        gather_decode(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U16(c), ColumnData::F64(d), Vector::F64(o)) => {
-                        gather_decode16(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U16(c), ColumnData::I64(d), Vector::I64(o)) => {
-                        gather_decode16(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U16(c), ColumnData::I32(d), Vector::I32(o)) => {
-                        gather_decode16(c, d, rowids, n, sel, o)
-                    }
-                    (_, ColumnData::Str(d), Vector::Str(o)) => {
-                        o.clear();
-                        let code_of = |r: usize| -> usize {
-                            match codes {
-                                ColumnData::U8(c) => c[r] as usize,
-                                ColumnData::U16(c) => c[r] as usize,
-                                _ => unreachable!("codes are U8/U16"),
-                            }
-                        };
-                        match sel {
-                            None => {
-                                for &r in &rowids[..n] {
-                                    o.push(d.get(code_of(r as usize)));
-                                }
-                            }
-                            Some(s) => {
-                                let mut next = s.iter().peekable();
-                                for i in 0..n {
-                                    if next.peek() == Some(&i) {
-                                        next.next();
-                                        o.push(d.get(code_of(rowids[i] as usize)));
-                                    } else {
-                                        o.push("");
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (c, d, o) => panic!(
-                        "enum fetch mismatch: codes {:?}, dict {:?}, out {:?}",
-                        c.scalar_type(),
-                        d.scalar_type(),
-                        o.scalar_type()
-                    ),
-                }
+            true
+        }
+    };
+    if in_frag {
+        return true;
+    }
+    assert!(
+        !as_codes,
+        "code fetch into the delta region (binder forbids this)"
+    );
+    // Slow path: some rowids live in the delta region.
+    match sel {
+        None => {
+            out.clear();
+            for &r in &rowids[..n] {
+                out.push_value(&row_value(table, col, r));
             }
         }
-    } else {
-        assert!(
-            !as_codes,
-            "code fetch into the delta region (binder forbids this)"
-        );
-        // Slow path: some rowids live in the delta region.
-        match sel {
-            None => {
-                out.clear();
-                for &r in &rowids[..n] {
-                    out.push_value(&row_value(table, col, r));
-                }
-            }
-            Some(s) => {
-                // Positional writes for fixed-width types only; strings
-                // with deltas + selection are handled valuewise.
-                if out.scalar_type() == ScalarType::Str {
-                    let strvec = out.as_str_mut();
-                    strvec.clear();
-                    let mut next = s.iter().peekable();
-                    for i in 0..n {
-                        if next.peek() == Some(&i) {
-                            next.next();
-                            match row_value(table, col, rowids[i]) {
-                                x100_vector::Value::Str(v) => strvec.push(&v),
-                                other => panic!("expected string, got {other:?}"),
-                            }
-                        } else {
-                            strvec.push("");
+        Some(s) => {
+            // Positional writes for fixed-width types only; strings
+            // with deltas + selection are handled valuewise.
+            if out.scalar_type() == ScalarType::Str {
+                let strvec = out.as_str_mut();
+                strvec.clear();
+                let mut next = s.iter().peekable();
+                for i in 0..n {
+                    if next.peek() == Some(&i) {
+                        next.next();
+                        match row_value(table, col, rowids[i]) {
+                            x100_vector::Value::Str(v) => strvec.push(&v),
+                            other => panic!("expected string, got {other:?}"),
                         }
+                    } else {
+                        strvec.push("");
                     }
-                } else {
-                    for i in s.iter() {
-                        set_value_at(out, i, &row_value(table, col, rowids[i]));
-                    }
+                }
+            } else {
+                for i in s.iter() {
+                    set_value_at(out, i, &row_value(table, col, rowids[i]));
                 }
             }
         }
     }
+    false
 }
 
 fn gather_decode<T: Copy>(

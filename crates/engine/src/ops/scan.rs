@@ -622,7 +622,7 @@ fn try_heal(
 /// Under `sel` only the selected slots of a string column get their
 /// value, the rest the empty string (as `gather_positional` fills them).
 fn decode_codes(codes: &Vector, dict: &ColumnData, sel: Option<&[u32]>, out: &mut Vector) {
-    use x100_vector::fetch::{fetch_u16_codes, fetch_u8_codes};
+    use x100_vector::fetch::fetch;
     fn strs(o: &mut StrVec, d: &StrVec, codes: impl Iterator<Item = usize>, sel: Option<&[u32]>) {
         o.clear();
         let mut live = sel.map(|s| s.iter().peekable());
@@ -633,18 +633,20 @@ fn decode_codes(codes: &Vector, dict: &ColumnData, sel: Option<&[u32]>, out: &mu
             o.push(if keep { d.get(code) } else { "" });
         }
     }
-    match (codes, dict, out) {
-        (Vector::U8(c), ColumnData::F64(d), Vector::F64(o)) => fetch_u8_codes(o, d, c, None),
-        (Vector::U8(c), ColumnData::I64(d), Vector::I64(o)) => fetch_u8_codes(o, d, c, None),
-        (Vector::U8(c), ColumnData::I32(d), Vector::I32(o)) => fetch_u8_codes(o, d, c, None),
-        (Vector::U16(c), ColumnData::F64(d), Vector::F64(o)) => fetch_u16_codes(o, d, c, None),
-        (Vector::U16(c), ColumnData::I64(d), Vector::I64(o)) => fetch_u16_codes(o, d, c, None),
-        (Vector::U16(c), ColumnData::I32(d), Vector::I32(o)) => fetch_u16_codes(o, d, c, None),
+    let in_dict = match (codes, dict, out) {
+        (Vector::U8(c), ColumnData::F64(d), Vector::F64(o)) => fetch(o, d, c, None),
+        (Vector::U8(c), ColumnData::I64(d), Vector::I64(o)) => fetch(o, d, c, None),
+        (Vector::U8(c), ColumnData::I32(d), Vector::I32(o)) => fetch(o, d, c, None),
+        (Vector::U16(c), ColumnData::F64(d), Vector::F64(o)) => fetch(o, d, c, None),
+        (Vector::U16(c), ColumnData::I64(d), Vector::I64(o)) => fetch(o, d, c, None),
+        (Vector::U16(c), ColumnData::I32(d), Vector::I32(o)) => fetch(o, d, c, None),
         (Vector::U8(c), ColumnData::Str(d), Vector::Str(o)) => {
-            strs(o, d, c.iter().map(|&x| x as usize), sel)
+            strs(o, d, c.iter().map(|&x| x as usize), sel);
+            true
         }
         (Vector::U16(c), ColumnData::Str(d), Vector::Str(o)) => {
-            strs(o, d, c.iter().map(|&x| x as usize), sel)
+            strs(o, d, c.iter().map(|&x| x as usize), sel);
+            true
         }
         (c, d, o) => panic!(
             "decode mismatch: codes {:?}, dict {:?}, out {:?}",
@@ -652,7 +654,8 @@ fn decode_codes(codes: &Vector, dict: &ColumnData, sel: Option<&[u32]>, out: &mu
             d.scalar_type(),
             o.scalar_type()
         ),
-    }
+    };
+    assert!(in_dict, "enum code outside its dictionary");
 }
 
 /// Value-space twin of the encoded-space pushdown, over the retained raw

@@ -29,8 +29,8 @@ pub struct ExecOptions {
     /// Fuse `Select` over a `Scan` of a checkpoint-compressed column
     /// into a compressed-execution path: the predicate is evaluated in
     /// encoded space over the packed lanes (or rewritten against the
-    /// dictionary) and only surviving positions are ever decoded. Off
-    /// for ablation (decode-then-select).
+    /// dictionary) and produces only the batch's selection vector over
+    /// the ordinary dense refill. Off for ablation (decode-then-select).
     pub compressed_pushdown: bool,
     /// Worker threads for morsel-driven parallel execution. `1` (the
     /// default) runs the unchanged single-threaded pipeline; `> 1`
@@ -70,11 +70,6 @@ pub struct ExecOptions {
     /// the presence of the `X100_ENFORCE_FACTS` environment variable
     /// (the differential CI harness sets it).
     pub enforce_facts: bool,
-    /// Allow the check walk to pick `_unchecked` gather twins where the
-    /// facts analyzer proves the fetch bounds ([`crate::facts`]).
-    /// `false` forces the checked kernels everywhere (ablation /
-    /// differential baseline).
-    pub unchecked_fetch: bool,
 }
 
 impl Default for ExecOptions {
@@ -93,7 +88,6 @@ impl Default for ExecOptions {
             fault_plan: None,
             panic_probe: None,
             enforce_facts: std::env::var_os("X100_ENFORCE_FACTS").is_some(),
-            unchecked_fetch: true,
         }
     }
 }
@@ -176,13 +170,6 @@ impl ExecOptions {
     /// (see [`ExecOptions::enforce_facts`]).
     pub fn with_enforce_facts(mut self, on: bool) -> Self {
         self.enforce_facts = on;
-        self
-    }
-
-    /// Enable or disable fact-proven `_unchecked` gather dispatch
-    /// (enabled by default; see [`ExecOptions::unchecked_fetch`]).
-    pub fn with_unchecked_fetch(mut self, on: bool) -> Self {
-        self.unchecked_fetch = on;
         self
     }
 

@@ -5,9 +5,10 @@
 //! random tables (raw and checkpoint-compressed, with delta inserts,
 //! deletes, and enum columns) and random plans, then check the executed
 //! output against the inferred facts: observed values inside the value
-//! range, observed row counts under `rows_max`, and — the sharp edge —
-//! that the `_unchecked` fetch twins never dispatch where the checked
-//! twin would have trapped.
+//! range, observed row counts under `rows_max`, and fetch-bounds
+//! verdicts that hold. The gather kernel checks its own bounds, so a
+//! fetch reaching into pending inserts must answer what a row loop
+//! answers whatever the verdict says.
 
 use proptest::prelude::*;
 use x100_engine::check_plan;
@@ -141,18 +142,22 @@ proptest! {
         assert_output_within_facts(&db, &plan);
     }
 
-    /// Fetch-bounds proofs: a star join where the foreign key provably
-    /// stays inside the dimension fragment must dispatch the
-    /// `_unchecked` twins and return byte-identical rows; any delta on
-    /// the dimension must defeat the proof (the twins read only the
-    /// checkpointed fragment).
+    /// A fetch into a dimension with 0–2 pending inserts answers what a
+    /// row loop over the tables answers, at every thread count, and the
+    /// gather takes its in-range path (`fetch_unchecked_dispatches`)
+    /// exactly for the vectors that lie inside the dimension's fragment.
+    /// Foreign keys before `split` stay inside the fragment; later ones
+    /// may reach the inserts. The verdict says whether any key can.
+    /// "Unchecked" names that in-range path: the kernel's one bounds
+    /// check per vector, then a loop with none.
     #[test]
     fn unchecked_fetch_sound_and_byte_identical(
-        dim_n in 4usize..200,
-        fact_m in 1usize..400,
-        dim_ins in 0usize..3,
+        (dim_n, dim_ins) in (4usize..200, 0usize..3),
+        fact_m in 1usize..700,
+        split in 0usize..700,
         fact_ckpt in proptest::bool::ANY,
     ) {
+        const VS: usize = 64;
         let mut dim = TableBuilder::new("dim")
             .column(
                 "pay",
@@ -162,12 +167,13 @@ proptest! {
         for i in 0..dim_ins {
             dim.insert(&[Value::I64(2000 + i as i64)]);
         }
+        let pay = |r: usize| if r < dim_n { keyed(r, -50, 900) } else { 2000 + (r - dim_n) as i64 };
         let total = dim_n + dim_ins;
+        let fk: Vec<u32> = (0..fact_m)
+            .map(|i| ((i * 31) % if i < split { dim_n } else { total }) as u32)
+            .collect();
         let mut facts_t = TableBuilder::new("facts")
-            .column(
-                "fk",
-                ColumnData::U32((0..fact_m).map(|i| ((i * 31) % total) as u32).collect()),
-            )
+            .column("fk", ColumnData::U32(fk.clone()))
             .column(
                 "m",
                 ColumnData::F64((0..fact_m).map(|i| i as f64 * 0.25).collect()),
@@ -179,35 +185,37 @@ proptest! {
         let mut db = Database::new();
         db.register(dim);
         db.register(facts_t);
-        let plan = Plan::scan("facts", &["fk", "m"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
+        let fetch = Plan::scan("facts", &["fk", "m"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
+        let summed = fetch.clone().aggr(
+            vec![],
+            vec![AggExpr::sum("s", col("pay")), AggExpr::count("c")],
+        );
 
-        let opts = ExecOptions::default().profiled();
-        let facts = check_plan(&db, &plan, &opts).expect("check").facts;
-        let proved = facts.root().fetch_proved();
-        // Delta rows live outside the fragment, so any insert on the
-        // dimension that the key can actually reach kills the proof.
-        let fk_max = (0..fact_m).map(|i| (i * 31) % total).max().unwrap_or(0);
-        if fk_max >= dim_n {
-            prop_assert_eq!(proved, Some(false));
-        } else {
-            prop_assert_eq!(proved, Some(true));
-        }
-
-        let (fast, fp) = execute(&db, &plan, &opts).expect("unchecked run");
-        let (slow, sp) = execute(
-            &db,
-            &plan,
-            &ExecOptions::default().profiled().with_unchecked_fetch(false),
-        )
-        .expect("checked run");
-        prop_assert_eq!(fast.row_strings(), slow.row_strings());
-        prop_assert_eq!(sp.counter("fetch_unchecked_dispatches"), None);
-        if proved == Some(true) && !fact_ckpt {
-            // Raw scan of a proven plan must actually take the twins.
-            prop_assert!(fp.counter("fetch_unchecked_dispatches").unwrap_or(0) > 0);
-        }
-        if proved != Some(true) {
-            prop_assert_eq!(fp.counter("fetch_unchecked_dispatches"), None);
+        let base = ExecOptions::with_vector_size(VS).profiled().with_morsel_size(2 * VS);
+        let proved = check_plan(&db, &fetch, &base).expect("check").facts.root().fetch_proved();
+        prop_assert_eq!(proved, Some(fk.iter().all(|&r| (r as usize) < dim_n)));
+        let inside = fk
+            .chunks(VS)
+            .filter(|v| v.iter().all(|&r| (r as usize) < dim_n))
+            .count() as u64;
+        let want_sum: i64 = fk.iter().map(|&r| pay(r as usize)).sum();
+        for threads in [1, 2, 4, 8] {
+            let opts = base.clone().parallel(threads);
+            let (res, prof) = execute(&db, &fetch, &opts).expect("fetch");
+            prop_assert_eq!(res.num_rows(), fact_m);
+            for (i, &r) in fk.iter().enumerate() {
+                prop_assert_eq!(res.value(i, 2).as_i64(), pay(r as usize), "row {}", i);
+            }
+            prop_assert_eq!(prof.counter("fetch_unchecked_dispatches").unwrap_or(0), inside);
+            let (res, prof) = execute(&db, &summed, &opts).expect("summed");
+            prop_assert_eq!(res.value(0, 0).as_i64(), want_sum, "threads={}", threads);
+            prop_assert_eq!(res.value(0, 1).as_i64(), fact_m as i64);
+            prop_assert_eq!(
+                prof.counter("fetch_unchecked_dispatches").unwrap_or(0),
+                inside,
+                "threads={}",
+                threads
+            );
         }
     }
 }
@@ -287,13 +295,13 @@ fn enforce_facts_rejects_certain_oob_fetch() {
     }
 }
 
-/// A fetch-bounds proof is a statement about one table. Facts checked
+/// A checked tree is a statement about one catalog. Facts checked
 /// against a catalog whose dimension holds 1000 fragment rows, handed to
 /// `bind_governed` with a catalog whose same-named dimension holds 10
-/// (the other 990 rows pending in its insert delta), must not reach the
-/// `_unchecked` gather twins: they would read past the 10-row fragment
-/// from safe code. The bind re-checks against the catalog it is given
-/// and answers from it on the checked path.
+/// (the other 990 rows pending in its insert delta), are not
+/// instantiated: the bind re-checks against the catalog it is given and
+/// answers from it. Every vector reaches into the inserts, so the
+/// gather never takes its in-range path.
 #[test]
 fn bind_governed_drops_proofs_made_for_another_catalog() {
     let fact_table = || {
@@ -331,7 +339,7 @@ fn bind_governed_drops_proofs_made_for_another_catalog() {
     let mut prof = Profiler::new(true);
     let got = run_operator(op.as_mut(), &mut prof).expect("runs");
     assert_eq!(prof.counter("fetch_unchecked_dispatches").unwrap_or(0), 0);
-    let (want, _) = execute(&db_small, &plan, &opts.with_unchecked_fetch(false)).expect("checked");
+    let (want, _) = execute(&db_small, &plan, &opts).expect("checked");
     assert_eq!(got.row_strings(), want.row_strings());
 }
 
@@ -371,18 +379,17 @@ fn i32_overflow_widens_to_top() {
     assert_output_within_facts(&db, &safe);
 }
 
-/// The unchecked twins behave identically under parallel morsel
-/// execution — same proof, same bytes at every thread count.
+/// The gather's in-range path behaves identically under parallel morsel
+/// execution: every thread count takes it, and all answer the same bytes
+/// as one thread and the same sum as a row loop.
 #[test]
 fn unchecked_fetch_parallel_byte_identical() {
+    let fk = |i: u32| (i * 17) % 1000;
     let dim = TableBuilder::new("dim")
         .column("pay", ColumnData::I64((0..1000).map(|i| i * 3).collect()))
         .build();
     let facts_t = TableBuilder::new("facts")
-        .column(
-            "fk",
-            ColumnData::U32((0..20_000u32).map(|i| (i * 17) % 1000).collect()),
-        )
+        .column("fk", ColumnData::U32((0..20_000u32).map(fk).collect()))
         .column(
             "m",
             ColumnData::F64((0..20_000).map(|i| i as f64).collect()),
@@ -397,21 +404,23 @@ fn unchecked_fetch_parallel_byte_identical() {
             vec![],
             vec![AggExpr::sum("s", col("pay")), AggExpr::count("c")],
         );
-    let baseline = execute(
-        &db,
-        &plan,
-        &ExecOptions::default().with_unchecked_fetch(false),
-    )
-    .expect("checked")
-    .0
-    .row_strings();
+    let want_sum: i64 = (0..20_000u32).map(|i| fk(i) as i64 * 3).sum();
+    let baseline = execute(&db, &plan, &ExecOptions::default())
+        .expect("serial")
+        .0;
+    assert_eq!(baseline.value(0, 0).as_i64(), want_sum);
+    assert_eq!(baseline.value(0, 1).as_i64(), 20_000);
     for threads in [1, 2, 4, 8] {
         let opts = ExecOptions::default().parallel(threads).profiled();
         let (res, prof) = execute(&db, &plan, &opts).expect("parallel");
-        assert_eq!(res.row_strings(), baseline, "threads={threads}");
+        assert_eq!(
+            res.row_strings(),
+            baseline.row_strings(),
+            "threads={threads}"
+        );
         assert!(
             prof.counter("fetch_unchecked_dispatches").unwrap_or(0) > 0,
-            "threads={threads}: unchecked twins never dispatched"
+            "threads={threads}: in-range path never taken"
         );
     }
 }

@@ -424,7 +424,8 @@ mod faults {
         let db = db(60_000);
         // 5% of spill writes and reads fail transiently; the bounded
         // retry (deterministic seeded RNG, no real sleeps) absorbs them
-        // and results stay byte-identical. The external sort runs at a
+        // and results stay byte-identical, sequential and with morsel
+        // workers spilling concurrently. The external sort runs at a
         // hostile budget so the merge re-reads dozens of blocks — enough
         // IO volume that a 5% rate is certain to fire at least once.
         let mut total_retries = 0u64;
@@ -437,22 +438,28 @@ mod faults {
             ),
         ] {
             let (base, _) = execute(&db, &plan, &ExecOptions::default()).expect("unbounded");
-            let fp = FaultPlan {
-                max_retries: 6,
-                backoff_base_us: 0,
-                ..FaultPlan::default()
+            for threads in [1, 4] {
+                // Four workers share the budget; a quarter of it keeps
+                // each one's share as tight as the sequential run's.
+                let mem = mem / threads;
+                let fp = FaultPlan {
+                    max_retries: 6,
+                    backoff_base_us: 0,
+                    ..FaultPlan::default()
+                }
+                .spill_write_rate(0.05)
+                .spill_read_rate(0.05);
+                let opts = ExecOptions::default()
+                    .profiled()
+                    .parallel(threads)
+                    .with_mem_budget(mem)
+                    .with_spill_budget(256 << 20)
+                    .with_fault_plan(fp);
+                let (res, prof) = execute(&db, &plan, &opts).expect("faults are transient");
+                assert_eq!(render(&res), render(&base), "threads {threads}");
+                assert!(prof.counter("spill_runs").unwrap_or(0) > 0, "must spill");
+                total_retries += prof.counter("spill_retries").unwrap_or(0);
             }
-            .spill_write_rate(0.05)
-            .spill_read_rate(0.05);
-            let opts = ExecOptions::default()
-                .profiled()
-                .with_mem_budget(mem)
-                .with_spill_budget(256 << 20)
-                .with_fault_plan(fp);
-            let (res, prof) = execute(&db, &plan, &opts).expect("faults are transient");
-            assert_eq!(render(&res), render(&base));
-            assert!(prof.counter("spill_runs").unwrap_or(0) > 0, "must spill");
-            total_retries += prof.counter("spill_retries").unwrap_or(0);
         }
         assert!(
             total_retries > 0,

@@ -16,6 +16,7 @@
 //!   accounting chunk loads, cache hits and bandwidth amplification.
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+#![forbid(unsafe_code)]
 
 pub mod column;
 pub mod columnbm;

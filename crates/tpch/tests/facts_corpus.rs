@@ -2,8 +2,8 @@
 //! interpretation (`engine::facts`) must prove the fetch bounds of
 //! EVERY `Fetch1Join`/`FetchNJoin` in every query — zero false
 //! rejections — every query must run identically with
-//! `--enforce-facts` on and the unchecked twins disabled, and the
-//! checked tree must account for everything execution does: every
+//! `--enforce-facts` on, and the checked tree must account for
+//! everything execution does: every
 //! primitive a run traces was validated by the walk, and every program
 //! the walk compiled is the one an operator runs.
 
@@ -36,8 +36,8 @@ fn corpus_plans(
 }
 
 /// Every fetch node in every TPC-H plan gets a `true` proof: the
-/// analyzer must never reject a bound it could have proven (the
-/// acceptance bar for dispatching the `_unchecked` twins suite-wide).
+/// analyzer must never reject a bound it could have proven (what
+/// `--explain-facts` reports must be as sharp as the data allows).
 #[test]
 fn fetch_bounds_proven_for_entire_corpus() {
     let data = generate(&GenConfig { sf: 0.002, seed: 3 });
@@ -63,25 +63,25 @@ fn fetch_bounds_proven_for_entire_corpus() {
 }
 
 /// `--enforce-facts` must be a no-op on well-formed plans, and the
-/// unchecked twins must not change a single output byte.
+/// corpus's fetches must take the gather's in-range path.
 #[test]
-fn corpus_byte_identical_under_enforcement_and_ablation() {
+fn corpus_byte_identical_under_enforcement() {
     let data = generate(&GenConfig { sf: 0.002, seed: 3 });
     let db = tpch::build_x100_db(&data);
-    let baseline = ExecOptions::default().with_unchecked_fetch(false);
+    let baseline = ExecOptions::default().with_enforce_facts(false);
     let enforced = ExecOptions::default().with_enforce_facts(true).profiled();
-    let mut dispatched = 0u64;
+    let mut in_range = 0u64;
     for (q, phase, plan) in corpus_plans(&db, &baseline) {
-        let (want, _) = execute(&db, &plan, &baseline).expect("checked run");
+        let (want, _) = execute(&db, &plan, &baseline).expect("baseline run");
         let (got, prof) = execute(&db, &plan, &enforced).expect("enforced run");
         assert_eq!(
             want.row_strings(),
             got.row_strings(),
-            "q{q}{phase}: unchecked twins changed the output"
+            "q{q}{phase}: enforcement changed the output"
         );
-        dispatched += prof.counter("fetch_unchecked_dispatches").unwrap_or(0);
+        in_range += prof.counter("fetch_unchecked_dispatches").unwrap_or(0);
     }
-    assert!(dispatched > 0, "no unchecked dispatches across the corpus");
+    assert!(in_range > 0, "no in-range gathers across the corpus");
 }
 
 /// The corpus database with every table checkpoint-compressed.
@@ -97,8 +97,8 @@ fn checkpointed(db: &Database) -> Database {
 }
 
 /// Verified ⊇ executed, table-driven over storage form and thread
-/// count: every primitive signature a profiled run records (unchecked
-/// gather twins, encoded-space compares, chunk decodes, the AVG
+/// count: every primitive signature a profiled run records (positional
+/// gathers, encoded-space compares, chunk decodes, the AVG
 /// epilogue and the merge stage's rehash included) was validated by the
 /// check walk of that very plan; and, sequentially, each program the
 /// walk compiled is held by exactly one instantiated operator — none is
@@ -118,7 +118,7 @@ fn verified_covers_executed_for_entire_corpus() {
             "raw",
             &raw,
             &sequential,
-            &["_unchecked", "aggr_avg_epilogue", "map_rehash_"][..],
+            &["map_fetch_u32_col_", "aggr_avg_epilogue", "map_rehash_"][..],
         ),
         (
             "checkpointed",

@@ -4,138 +4,101 @@
 //! `Fetch1Join` (positional join on `#rowId`, §4.1.2) and behind
 //! automatic enumeration-type decompression (§4.3, and the three
 //! `map_fetch_uchr_col_flt_col` rows of the paper's Table 5 trace).
+//!
+//! Every fixed-width `map_fetch_*` instance — by `#rowId` (`u32`) or by
+//! enum code (`u8`, `u16`) — is the one generic kernel [`fetch`]: it
+//! bounds a whole vector with one max, then gathers with no per-tuple
+//! check. Its inner loop is the only `unsafe` block of the engine's
+//! crates.
 
 use crate::sel::SelVec;
 use crate::vector::{StrVec, Vector};
 
-/// Generic gather: `res[i] = base[idx[i]]` at selected positions.
-#[inline]
-pub fn fetch<T: Copy>(res: &mut [T], base: &[T], idx: &[u32], sel: Option<&SelVec>) {
-    match sel {
-        None => {
-            for (r, &j) in res.iter_mut().zip(idx.iter()) {
-                *r = base[j as usize];
+/// A gather position: a `#rowId` or an enum code (`default()` is 0).
+pub trait Position: Copy + Ord + Default {
+    /// The position as a slice index.
+    fn index(self) -> usize;
+}
+
+macro_rules! position {
+    ($($ty:ty),*) => {$(
+        impl Position for $ty {
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
             }
         }
+    )*};
+}
+
+position!(u8, u16, u32);
+
+/// Whether every position a gather of `idx` into `n` slots under `sel`
+/// reads lies in `0..len` — the one bounds check of a gather, made once
+/// per vector.
+///
+/// Dense, it is one branch-free max over `idx[..n]`. Under a selection
+/// the same max runs over the whole vector; only when that max is out of
+/// range are the selected positions checked exactly, because unselected
+/// slots may hold delta-row ids. A selected position at or past the end
+/// of the vector reads as out of range.
+#[inline]
+pub fn in_range<P: Position>(idx: &[P], n: usize, sel: Option<&SelVec>, len: usize) -> bool {
+    let idx = &idx[..n.min(idx.len())];
+    let below = |p: P| p.index() < len;
+    match sel {
+        None => idx.is_empty() || below(max(idx)),
         Some(sel) => {
-            for i in sel.iter() {
-                res[i] = base[idx[i] as usize];
-            }
+            let pos = sel.positions();
+            pos.is_empty()
+                || (max(pos).index() < idx.len()
+                    && (below(max(idx)) || pos.iter().all(|&i| below(idx[i as usize]))))
         }
     }
 }
 
-macro_rules! fetch_instance {
-    ($name:ident, $ty:ty) => {
-        /// Macro-generated fetch instance.
-        #[inline]
-        pub fn $name(res: &mut [$ty], base: &[$ty], idx: &[u32], sel: Option<&SelVec>) {
-            fetch(res, base, idx, sel);
-        }
-    };
+/// Branch-free max (LLVM vectorizes the fold).
+#[inline]
+fn max<P: Position>(xs: &[P]) -> P {
+    xs.iter().fold(P::default(), |m, &x| m.max(x))
 }
 
-fetch_instance!(map_fetch_u32_col_i8_col, i8);
-fetch_instance!(map_fetch_u32_col_i16_col, i16);
-fetch_instance!(map_fetch_u32_col_i32_col, i32);
-fetch_instance!(map_fetch_u32_col_i64_col, i64);
-fetch_instance!(map_fetch_u32_col_u8_col, u8);
-fetch_instance!(map_fetch_u32_col_u16_col, u16);
-fetch_instance!(map_fetch_u32_col_u32_col, u32);
-fetch_instance!(map_fetch_u32_col_f64_col, f64);
-
-/// Generic unchecked gather: `res[i] = base[idx[i]]` with no per-element
-/// bounds check — the `_unchecked` twin the engine dispatches when the
-/// facts analyzer proved every index within `base` (paper-style "on the
-/// metal" loops: no checks the compiler cannot hoist).
-///
-/// # Safety
-/// Every `idx` value read (all of `idx[..res.len()]` when `sel` is
-/// `None`, else `idx[i]` for each selected `i`) must be `< base.len()`,
-/// and under a selection every selected `i` must be `< res.len()` and
-/// `< idx.len()`. The engine only reaches this through a bind-time
-/// range proof (`engine::facts`); debug builds re-assert the contract.
+/// The positional gather: `res[i] = base[idx[i]]` at selected positions
+/// (all of `res` when `sel` is `None`), with no per-tuple check. Returns
+/// `false` and writes nothing when some position is out of `base` (a
+/// `#rowId` in the delta region, a code outside its dictionary) —
+/// [`in_range`] decides that once for the whole vector.
 #[inline]
-pub unsafe fn fetch_unchecked<T: Copy>(
+#[must_use]
+#[allow(unsafe_code)]
+pub fn fetch<T: Copy, P: Position>(
     res: &mut [T],
     base: &[T],
-    idx: &[u32],
+    idx: &[P],
     sel: Option<&SelVec>,
-) {
-    match sel {
-        None => {
-            for (r, &j) in res.iter_mut().zip(idx.iter()) {
-                debug_assert!((j as usize) < base.len());
-                *r = *base.get_unchecked(j as usize);
+) -> bool {
+    if !in_range(idx, res.len(), sel, base.len()) {
+        return false;
+    }
+    // SAFETY: `in_range` above returned true, so every `idx` value read
+    // below is `< base.len()` and every selected `i` is `< res.len()` and
+    // `< idx.len()`.
+    unsafe {
+        match sel {
+            None => {
+                for (r, &j) in res.iter_mut().zip(idx) {
+                    *r = *base.get_unchecked(j.index());
+                }
             }
-        }
-        Some(sel) => {
-            for i in sel.iter() {
-                debug_assert!(i < res.len() && i < idx.len());
-                let j = *idx.get_unchecked(i) as usize;
-                debug_assert!(j < base.len());
-                *res.get_unchecked_mut(i) = *base.get_unchecked(j);
+            Some(sel) => {
+                for i in sel.iter() {
+                    let j = idx.get_unchecked(i).index();
+                    *res.get_unchecked_mut(i) = *base.get_unchecked(j);
+                }
             }
         }
     }
-}
-
-macro_rules! fetch_unchecked_instance {
-    ($name:ident, $ty:ty) => {
-        /// Macro-generated unchecked fetch twin.
-        ///
-        /// # Safety
-        /// See [`fetch_unchecked`]: every gathered index must be within
-        /// `base`, as proven at bind time by `engine::facts`.
-        #[inline]
-        pub unsafe fn $name(res: &mut [$ty], base: &[$ty], idx: &[u32], sel: Option<&SelVec>) {
-            fetch_unchecked(res, base, idx, sel);
-        }
-    };
-}
-
-fetch_unchecked_instance!(map_fetch_u32_col_i8_col_unchecked, i8);
-fetch_unchecked_instance!(map_fetch_u32_col_i16_col_unchecked, i16);
-fetch_unchecked_instance!(map_fetch_u32_col_i32_col_unchecked, i32);
-fetch_unchecked_instance!(map_fetch_u32_col_i64_col_unchecked, i64);
-fetch_unchecked_instance!(map_fetch_u32_col_u8_col_unchecked, u8);
-fetch_unchecked_instance!(map_fetch_u32_col_u16_col_unchecked, u16);
-fetch_unchecked_instance!(map_fetch_u32_col_u32_col_unchecked, u32);
-fetch_unchecked_instance!(map_fetch_u32_col_f64_col_unchecked, f64);
-
-/// Gather via 1-byte enum codes: `res[i] = base[code[i]]`
-/// (the paper's `map_fetch_uchr_col_flt_col` for `f64` payloads).
-#[inline]
-pub fn fetch_u8_codes<T: Copy>(res: &mut [T], base: &[T], codes: &[u8], sel: Option<&SelVec>) {
-    match sel {
-        None => {
-            for (r, &c) in res.iter_mut().zip(codes.iter()) {
-                *r = base[c as usize];
-            }
-        }
-        Some(sel) => {
-            for i in sel.iter() {
-                res[i] = base[codes[i] as usize];
-            }
-        }
-    }
-}
-
-/// Gather via 2-byte enum codes (`map_fetch_usht_col_*`).
-#[inline]
-pub fn fetch_u16_codes<T: Copy>(res: &mut [T], base: &[T], codes: &[u16], sel: Option<&SelVec>) {
-    match sel {
-        None => {
-            for (r, &c) in res.iter_mut().zip(codes.iter()) {
-                *r = base[c as usize];
-            }
-        }
-        Some(sel) => {
-            for i in sel.iter() {
-                res[i] = base[codes[i] as usize];
-            }
-        }
-    }
+    true
 }
 
 /// String gather: rebuilds a `StrVec` positionally (unselected positions
@@ -165,25 +128,32 @@ pub fn fetch_str(res: &mut StrVec, base: &StrVec, idx: &[u32], n: usize, sel: Op
 
 /// Typed gather over a whole [`Vector`]: `dst[i] = src[idx[i]]`, resizing
 /// `dst` to `idx.len()`. Strings rebuild through the `StrVec` gather path;
-/// every fixed-width type routes through the macro-generated fetch
-/// kernels. How cardinality-changing operators (hash join, ordered
+/// every fixed-width type runs the [`fetch`] kernel. How
+/// cardinality-changing operators (hash join pair lists, ordered
 /// aggregation) materialize a column: one typed loop per vector.
+///
+/// # Panics
+/// When a position is out of `src` (the callers' positions are in range
+/// by construction).
 pub fn gather_rows(dst: &mut Vector, src: &Vector, idx: &[u32]) {
     let n = idx.len();
-    match (dst, src) {
-        (Vector::Str(d), Vector::Str(s)) => fetch_str(d, s, idx, n, None),
+    let in_range = match (dst, src) {
+        (Vector::Str(d), Vector::Str(s)) => {
+            fetch_str(d, s, idx, n, None);
+            true
+        }
         (d, s) => {
             d.resize_zeroed(n);
             match (d, s) {
-                (Vector::I8(d), Vector::I8(s)) => map_fetch_u32_col_i8_col(d, s, idx, None),
-                (Vector::I16(d), Vector::I16(s)) => map_fetch_u32_col_i16_col(d, s, idx, None),
-                (Vector::I32(d), Vector::I32(s)) => map_fetch_u32_col_i32_col(d, s, idx, None),
-                (Vector::I64(d), Vector::I64(s)) => map_fetch_u32_col_i64_col(d, s, idx, None),
-                (Vector::U8(d), Vector::U8(s)) => map_fetch_u32_col_u8_col(d, s, idx, None),
-                (Vector::U16(d), Vector::U16(s)) => map_fetch_u32_col_u16_col(d, s, idx, None),
-                (Vector::U32(d), Vector::U32(s)) => map_fetch_u32_col_u32_col(d, s, idx, None),
+                (Vector::I8(d), Vector::I8(s)) => fetch(d, s, idx, None),
+                (Vector::I16(d), Vector::I16(s)) => fetch(d, s, idx, None),
+                (Vector::I32(d), Vector::I32(s)) => fetch(d, s, idx, None),
+                (Vector::I64(d), Vector::I64(s)) => fetch(d, s, idx, None),
+                (Vector::U8(d), Vector::U8(s)) => fetch(d, s, idx, None),
+                (Vector::U16(d), Vector::U16(s)) => fetch(d, s, idx, None),
+                (Vector::U32(d), Vector::U32(s)) => fetch(d, s, idx, None),
                 (Vector::U64(d), Vector::U64(s)) => fetch(d, s, idx, None),
-                (Vector::F64(d), Vector::F64(s)) => map_fetch_u32_col_f64_col(d, s, idx, None),
+                (Vector::F64(d), Vector::F64(s)) => fetch(d, s, idx, None),
                 (Vector::Bool(d), Vector::Bool(s)) => fetch(d, s, idx, None),
                 (d, s) => panic!(
                     "gather_rows type mismatch: dst {:?}, src {:?}",
@@ -192,7 +162,8 @@ pub fn gather_rows(dst: &mut Vector, src: &Vector, idx: &[u32]) {
                 ),
             }
         }
-    }
+    };
+    assert!(in_range, "gather_rows: a position is out of range");
 }
 
 #[cfg(test)]
@@ -202,43 +173,35 @@ mod tests {
     #[test]
     fn dense_gather() {
         let base = [10.0, 20.0, 30.0, 40.0];
-        let idx = [3, 0, 2];
+        let idx = [3u32, 0, 2];
         let mut res = [0.0; 3];
-        map_fetch_u32_col_f64_col(&mut res, &base, &idx, None);
+        assert!(fetch(&mut res, &base, &idx, None));
         assert_eq!(res, [40.0, 10.0, 30.0]);
     }
 
     #[test]
     fn selected_gather_preserves_other_positions() {
         let base = [10i64, 20, 30];
-        let idx = [2, 1, 0];
+        let idx = [2u32, 1, 0];
         let sel = SelVec::from_positions(vec![0, 2]);
         let mut res = [-1i64; 3];
-        map_fetch_u32_col_i64_col(&mut res, &base, &idx, Some(&sel));
+        assert!(fetch(&mut res, &base, &idx, Some(&sel)));
         assert_eq!(res, [30, -1, 10]);
     }
 
     #[test]
-    fn unchecked_twin_matches_checked_gather() {
-        let base = [10.0, 20.0, 30.0, 40.0];
-        let idx = [3, 0, 2];
-        let mut checked = [0.0; 3];
-        let mut unchecked = [0.0; 3];
-        map_fetch_u32_col_f64_col(&mut checked, &base, &idx, None);
-        // SAFETY: every index in `idx` is < base.len().
-        unsafe { map_fetch_u32_col_f64_col_unchecked(&mut unchecked, &base, &idx, None) };
-        assert_eq!(checked, unchecked);
-
+    fn out_of_range_writes_nothing() {
+        let base = [10i64, 20, 30];
+        let mut res = [-1i64; 3];
+        assert!(!fetch(&mut res, &base, &[0u32, 3, 1], None));
+        assert_eq!(res, [-1, -1, -1]);
+        // Unselected slots may hold delta-row ids; a selected position
+        // past the vector is out of range, never read.
         let sel = SelVec::from_positions(vec![0, 2]);
-        let mut c2 = [-1i64; 3];
-        let mut u2 = [-1i64; 3];
-        let ibase = [10i64, 20, 30];
-        let idx2 = [2, 1, 0];
-        map_fetch_u32_col_i64_col(&mut c2, &ibase, &idx2, Some(&sel));
-        // SAFETY: every selected index in `idx2` is < ibase.len().
-        unsafe { map_fetch_u32_col_i64_col_unchecked(&mut u2, &ibase, &idx2, Some(&sel)) };
-        assert_eq!(c2[0], u2[0]);
-        assert_eq!(c2[2], u2[2]);
+        assert!(fetch(&mut res, &base, &[2u32, 99, 1], Some(&sel)));
+        assert_eq!(res, [30, -1, 20]);
+        let past = SelVec::from_positions(vec![0, 3]);
+        assert!(!fetch(&mut res, &base, &[0u32; 4], Some(&past)));
     }
 
     #[test]
@@ -247,8 +210,9 @@ mod tests {
         let dict = [0.0, 0.01, 0.02, 0.05];
         let codes = [3u8, 0, 1, 1];
         let mut res = [0.0; 4];
-        fetch_u8_codes(&mut res, &dict, &codes, None);
+        assert!(fetch(&mut res, &dict, &codes, None));
         assert_eq!(res, [0.05, 0.0, 0.01, 0.01]);
+        assert!(!fetch(&mut res, &dict, &[4u8], None));
     }
 
     #[test]
@@ -256,7 +220,7 @@ mod tests {
         let dict: Vec<i32> = (0..1000).collect();
         let codes = [999u16, 500, 0];
         let mut res = [0i32; 3];
-        fetch_u16_codes(&mut res, &dict, &codes, None);
+        assert!(fetch(&mut res, &dict, &codes, None));
         assert_eq!(res, [999, 500, 0]);
     }
 

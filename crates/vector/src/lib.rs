@@ -22,6 +22,8 @@
 //!    [`PrimitiveRegistry`].
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+// The gather kernel `fetch::fetch` is the one exception.
+#![deny(unsafe_code)]
 
 pub mod aggr;
 pub mod compound;

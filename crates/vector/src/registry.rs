@@ -425,26 +425,14 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             Ok(selful(vec![ArgTy::col(from)], OutTy::Vec(to), T::Cast))
         }
         ("map", "fetch") => {
-            // map_fetch_<idx>_col_<val>_col[_unchecked]: gathers `<val>`
-            // by `<idx>` positions; the trailing pair names the *output*.
-            // The `_unchecked` twin elides per-element bounds checks and
-            // may only be dispatched when `engine::facts` proves the
-            // index range in-bounds.
-            let (rest, unchecked) = match rest.split_last() {
-                Some((&"unchecked", head)) => (head, true),
-                _ => (rest, false),
-            };
+            // map_fetch_<idx>_col_<val>_col: gathers `<val>` by `<idx>`
+            // positions; the trailing pair names the *output*.
             let args = parse_args(rest)?;
             let [idx, out] = args.as_slice() else {
                 return Err(format!("fetch signature `{sig}` needs 2 typed args"));
             };
             if !idx.ty.is_integer() {
                 return Err(format!("fetch index type must be integral in `{sig}`"));
-            }
-            if unchecked && (idx.ty != ScalarType::U32 || out.ty == Str) {
-                return Err(format!(
-                    "unchecked gathers are u32-indexed and numeric-valued: `{sig}`"
-                ));
             }
             Ok(selful(vec![*idx], OutTy::Vec(out.ty), T::Fetch))
         }
@@ -744,18 +732,6 @@ impl PrimitiveRegistry {
                 format!("map_fetch_u16_col_{ty}_col"),
                 PrimitiveKind::Fetch,
                 "2-byte enum decompression gather",
-            );
-        }
-        // Unchecked gather twins: same kernels minus the per-element
-        // bounds check. The engine dispatches them only when the facts
-        // analyzer proves the row-id range within the fragment (see
-        // `engine::facts`); string gathers stay checked (their slow path
-        // is allocation-bound, not bounds-check-bound).
-        for ty in ["i8", "i16", "i32", "i64", "u8", "u16", "u32", "f64"] {
-            reg.register_owned(
-                format!("map_fetch_u32_col_{ty}_col_unchecked"),
-                PrimitiveKind::Fetch,
-                "positional gather, bounds proven statically (generated)",
             );
         }
         for ty in ["u8", "u16", "u32", "i32", "i64", "f64", "str"] {
@@ -1148,7 +1124,6 @@ mod tests {
             ("map_cast_u16_u32_col", FactTransfer::Cast),
             ("map_year_i32_col", FactTransfer::Monotone),
             ("map_fetch_u32_col_f64_col", FactTransfer::Fetch),
-            ("map_fetch_u32_col_f64_col_unchecked", FactTransfer::Fetch),
             ("map_hash_i64_col", FactTransfer::Domain),
             ("sort_permutation", FactTransfer::Positions),
             ("select_ge_i32_col_val", FactTransfer::Refine),
@@ -1170,21 +1145,6 @@ mod tests {
                 "{sig}"
             );
         }
-    }
-
-    #[test]
-    fn unchecked_twins_mirror_their_checked_gathers() {
-        let reg = PrimitiveRegistry::builtin();
-        for ty in ["i8", "i16", "i32", "i64", "u8", "u16", "u32", "f64"] {
-            let twin = format!("map_fetch_u32_col_{ty}_col_unchecked");
-            let checked = format!("map_fetch_u32_col_{ty}_col");
-            let t = reg.get(&twin).expect("unchecked twin registered");
-            let c = reg.get(&checked).expect("checked gather registered");
-            assert_eq!(t.info, c.info, "{twin} typing drifted from {checked}");
-        }
-        // No unchecked string gather, and no unchecked enum-code index.
-        assert!(!reg.contains("map_fetch_u32_col_str_col_unchecked"));
-        assert!(parse_signature("map_fetch_u8_col_i64_col_unchecked").is_err());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! 6. the fused aggregate update equals N single-aggregate passes, bit
 //!    for bit;
 //! 7. the ordered-aggregation kernels number the runs of equal keys the
-//!    way a tuple-at-a-time comparison with the previous tuple does.
+//!    way a tuple-at-a-time comparison with the previous tuple does;
+//! 8. the gather kernel reads what a scalar loop reads when every read
+//!    position is in range, and otherwise refuses the vector untouched.
 
 use proptest::prelude::*;
 use x100_vector::map::{self, CmpOp};
@@ -184,6 +186,95 @@ fn group_batches() -> impl Strategy<Value = (u32, Vec<GroupBatch>)> {
         });
         (Just(domain), prop::collection::vec(batch, 1..7))
     })
+}
+
+/// Scalar oracle of `fetch::fetch` over `res`: the gathered vector, or
+/// `None` when a position it must read — an index slot inside the
+/// vector, or a base row — does not exist.
+fn gather_oracle(res: &[i64], base: &[i64], idx: &[u32], sel: Option<&[u32]>) -> Option<Vec<i64>> {
+    let n = res.len().min(idx.len());
+    let read: Vec<usize> = match sel {
+        None => (0..n).collect(),
+        Some(pos) => pos.iter().map(|&i| i as usize).collect(),
+    };
+    let mut out = res.to_vec();
+    for i in read {
+        if i >= n {
+            return None;
+        }
+        out[i] = *base.get(idx[i] as usize)?;
+    }
+    Some(out)
+}
+
+proptest! {
+    // Small vectors and few cases under miri, which audits the kernel's
+    // one `unsafe` block through this test.
+    #![proptest_config(ProptestConfig {
+        cases: if cfg!(miri) { 16 } else { 512 },
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn fetch_kernel_matches_scalar_oracle(
+        (base_len, n) in (0usize..40, 0usize..40),
+        draws in prop::collection::vec(0u32..1000, 40),
+        mask in prop::collection::vec(prop::bool::ANY, 40),
+        case in 0usize..7,
+    ) {
+        let (base_len, n) = match case {
+            0 => (base_len.max(1), n),    // all in range
+            1 => (base_len, n.max(1)),    // one position equal to base.len()
+            4 => (base_len, 0),           // empty vector
+            5 => (0, n),                  // empty base
+            _ => (base_len, n),
+        };
+        let base: Vec<i64> = (0..base_len as i64).map(|j| j * 10 + 1).collect();
+        let len = base_len as u32;
+        let mut idx: Vec<u32> = draws[..n].iter().map(|&d| d % len.max(1)).collect();
+        let masked = || (0..n as u32).filter(|&i| mask[i as usize]).collect::<Vec<_>>();
+        let mut sel = None;
+        match case {
+            1 => idx[draws[0] as usize % n] = len,
+            2 => {
+                // Unselected slots hold ids past the base (delta rows).
+                for (i, j) in idx.iter_mut().enumerate() {
+                    if !mask[i] {
+                        *j = len + draws[i];
+                    }
+                }
+                sel = Some(masked());
+            }
+            3 => {
+                // A selected position past the vector.
+                let mut pos = masked();
+                pos.push(n as u32);
+                sel = Some(pos);
+            }
+            4 => sel = mask[0].then(Vec::new),
+            6 => {
+                for (i, j) in idx.iter_mut().enumerate() {
+                    *j = draws[i] % (len + 3);
+                }
+                sel = mask[39].then(masked);
+            }
+            _ => {}
+        }
+        let before = vec![-7i64; n];
+        let mut res = before.clone();
+        let sv = sel.clone().map(SelVec::from_positions);
+        let gathered = fetch::fetch(&mut res, &base, &idx, sv.as_ref());
+        match gather_oracle(&before, &base, &idx, sel.as_deref()) {
+            Some(want) => {
+                prop_assert!(gathered, "case {case}: refused an in-range vector");
+                prop_assert_eq!(res, want);
+            }
+            None => {
+                prop_assert!(!gathered, "case {case}: gathered out of range");
+                prop_assert_eq!(res, before);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -494,7 +585,7 @@ proptest! {
     fn fetch_is_index_map(base in prop::collection::vec(any::<i32>(), 1..100), picks in prop::collection::vec(0usize..99, 0..50)) {
         let idx: Vec<u32> = picks.iter().map(|&p| (p % base.len()) as u32).collect();
         let mut res = vec![0i32; idx.len()];
-        fetch::map_fetch_u32_col_i32_col(&mut res, &base, &idx, None);
+        prop_assert!(fetch::fetch(&mut res, &base, &idx, None));
         for (k, &j) in idx.iter().enumerate() {
             prop_assert_eq!(res[k], base[j as usize]);
         }

@@ -9,14 +9,18 @@
 //!    a descriptor in `PrimitiveRegistry::builtin()`, every identifier
 //!    that *parses* as a primitive signature is registered, and every
 //!    registered signature is backed by code (a literal symbol, a
-//!    generic kernel family, or the interpreter's inline dispatch).
+//!    generic kernel family — every fixed-width `map_fetch_*` gather is
+//!    the one kernel `fetch::fetch` — or the interpreter's inline
+//!    dispatch).
 //! 2. **Kernel hygiene** — no `.unwrap()` / `.expect(` in vector kernel
 //!    modules outside tests (kernels must be total over their slices),
 //!    and no counted `for _ in 0..` loops in the *dense* kernel modules
 //!    (`map.rs`, `aggr.rs`, `compound.rs`, `hash.rs`): dense loops must
 //!    be iterator zips so LLVM auto-vectorizes without bounds checks.
 //!    Position-producing/consuming kernels (`select.rs`, `fetch.rs`,
-//!    `sel.rs`) index by design.
+//!    `sel.rs`) index by design; the gather kernel bounds its positions
+//!    once per vector and holds the crate's one `unsafe` block (the
+//!    crate denies `unsafe_code` everywhere else).
 //! 3. **Ordering discipline** — `Ordering::Relaxed` appears only in the
 //!    governor's counters (`engine/src/govern.rs`), the buffer-manager
 //!    statistics (`storage/src/columnbm.rs`), and the loom shim's own

@@ -44,7 +44,7 @@ fn q1_parallel_matches_serial_under_faults() {
     let plan = tpch::queries::q01::x100_plan();
 
     let (clean, _) = execute(&db, &plan, &ExecOptions::default()).expect("no-fault Q1");
-    for threads in [2usize, 4] {
+    for threads in [2usize, 4, 8] {
         let fault = FaultPlan {
             max_retries: 32,
             backoff_base_us: 0,
