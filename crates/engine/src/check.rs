@@ -10,8 +10,9 @@
 //! node's output shape and enum-dictionary metadata, rewrites enum
 //! literals, splits predicates, types aggregates, picks the physical
 //! variant (direct / hash / ordered aggregation, fused compressed
-//! scan-select, constant-folded selection, selection before fetch),
-//! compiles every expression exactly once, validates each emitted
+//! scan-select, constant-folded selection, selection before fetch, the
+//! `Exchange` that runs an aggregation on morsel workers at `threads >
+//! 1`), compiles every expression exactly once, validates each emitted
 //! primitive instruction against the typed catalog
 //! ([`x100_vector::PrimitiveRegistry`]) and threads the facts analyzer
 //! ([`crate::facts`]) through the same pass.
@@ -56,7 +57,7 @@ use crate::batch::OutField;
 use crate::compile::{CheckViolation, ExprCode, ExprProg, Instr, Src};
 use crate::expr::{AggExpr, AggFunc, Expr};
 use crate::facts::{self, ColFact, FactRange, NodeFacts};
-use crate::ops::parallel::morsel_spine;
+use crate::ops::parallel::{morsel_spine, spine_morsels};
 use crate::ops::{
     fused_signature, AggSpec, DerivedCol, DirectAggrOp, DirectKey, FetchSource, FetchSpec,
     JoinParts, JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
@@ -150,18 +151,20 @@ pub struct PlanFacts {
     root: CheckedNode,
     plan: Plan,
     db_stamp: (u64, u64),
-    opts_key: [bool; 5],
+    opts_key: ([bool; 5], usize),
 }
 
-/// The options that shape the checked tree.
-fn opts_key(opts: &ExecOptions) -> [bool; 5] {
-    [
+/// The options that shape the checked tree (`morsel_size` decides where
+/// an `Exchange` has more than one morsel to hand out).
+fn opts_key(opts: &ExecOptions) -> ([bool; 5], usize) {
+    let flags = [
         opts.compound_primitives,
         opts.compressed_pushdown,
         opts.enforce_facts,
         opts.spill_budget.is_some(),
         opts.threads > 1,
-    ]
+    ];
+    (flags, opts.morsel_size)
 }
 
 impl PlanFacts {
@@ -221,8 +224,9 @@ pub struct CheckedNode {
     /// output.
     pub facts: NodeFacts,
     /// Input nodes: none for leaves, `[build, probe]` for a hash join,
-    /// one otherwise.
-    pub(crate) inputs: Vec<CheckedNode>,
+    /// one otherwise. Shared, so an `Exchange`'s operator holds its
+    /// input subtree itself rather than a copy.
+    pub(crate) inputs: Vec<Arc<CheckedNode>>,
     pub(crate) op: CheckedOp,
 }
 
@@ -247,16 +251,16 @@ pub(crate) enum CheckedOp {
     DirectAggr {
         keys: Vec<DirectKey>,
         aggs: Vec<AggSpec>,
-        merge: MergeSpec,
     },
-    /// With `morsel`, rule `sorted-keys-ordered-aggr` chose this variant
-    /// over a pipeline the morsel driver can split: if it splits the
-    /// plan at this node, its workers group by hash and ship partials
-    /// under that recipe.
     OrdAggr {
         keys: Vec<Arc<ExprCode>>,
         aggs: Vec<AggSpec>,
-        morsel: Option<MergeSpec>,
+    },
+    /// Morsel parallelism over the input aggregation: each worker runs
+    /// it over a share of its scan's morsels, `merge` re-aggregates the
+    /// partials ([`crate::ops::ExchangeOp`]).
+    Exchange {
+        merge: MergeSpec,
     },
     /// `proved` is the fetch-bounds verdict ([`CheckedNode::fetch_proved`]):
     /// it explains the plan, no operator reads it.
@@ -322,7 +326,10 @@ impl CheckedOp {
             CheckedOp::HashJoin(parts) => {
                 parts.build_keys.iter().chain(&parts.probe_keys).collect()
             }
-            CheckedOp::Scan(_) | CheckedOp::Sort { .. } | CheckedOp::Array { .. } => Vec::new(),
+            CheckedOp::Scan(_)
+            | CheckedOp::Sort { .. }
+            | CheckedOp::Array { .. }
+            | CheckedOp::Exchange { .. } => Vec::new(),
         }
     }
 }
@@ -339,7 +346,7 @@ impl CheckedNode {
     }
 
     /// The node's input nodes (a hash join's build side first).
-    pub fn inputs(&self) -> &[CheckedNode] {
+    pub fn inputs(&self) -> &[Arc<CheckedNode>] {
         &self.inputs
     }
 
@@ -1720,7 +1727,7 @@ impl<'a> Checker<'a> {
             fields,
             dicts,
             facts: nf,
-            inputs: vec![input_node],
+            inputs: vec![Arc::new(input_node)],
             op: CheckedOp::Select { steps, verdict },
         })
     }
@@ -1957,7 +1964,7 @@ impl<'a> Checker<'a> {
             fields: node.fields,
             dicts: node.dicts,
             facts: nf,
-            inputs: vec![input],
+            inputs: vec![Arc::new(input)],
             op: CheckedOp::CartProd {
                 table: t,
                 fetch_cols,
@@ -2024,63 +2031,55 @@ impl<'a> Checker<'a> {
         }
         let key_types: Vec<ScalarType> = key_progs.iter().map(|p| p.result_type()).collect();
         let apath = format!("{path}.{kind}");
-        let by_rule = self.rules && !forced && proven_sorted && runs_are_groups;
-        // A morsel worker sees a slice of the rows and ships a partial
-        // table to `MergeAggr`; that protocol is the hash variant's. The
-        // driver (`ops::parallel`) decides where it splits a plan, so a
-        // node it may split at carries both.
-        let may_split = by_rule && self.opts.threads > 1 && morsel_spine(&input).is_some();
+        // Runs are groups: the ordered aggregation streams them at a
+        // fraction of a hash lookup, so no Exchange splits them, with
+        // the rule on (`OrdAggr`) or off (a `HashAggr` as given).
+        let streams = proven_sorted && runs_are_groups;
+        let by_rule = self.rules && !forced && streams;
         if forced && !proven_sorted {
             // Legal — clustered is weaker than sorted, and facts are
             // conservative — but unclustered input repeats groups.
             self.report
                 .push(format!("{path}: OrdAggr keys not proven sorted"));
         } else if by_rule {
-            let what = if may_split {
-                "keys proven sorted → ordered aggregation; hash + MergeAggr kept for morsel workers"
-            } else {
-                "keys proven sorted → ordered aggregation"
-            };
-            self.rule_note("sorted-keys-ordered-aggr", path, what.to_owned());
+            let what = "keys proven sorted → ordered aggregation".to_owned();
+            self.rule_note("sorted-keys-ordered-aggr", path, what);
         }
-        let ordered = forced || by_rule;
         let specs = self.check_aggs(aggs, &input, kind, path, &mut node.fields, &mut node.cols)?;
         node.dicts = vec![None; node.fields.len()];
-        let merge = if !ordered || may_split {
+        if !forced && !by_rule {
             self.check_spill_capable("aggr_hashtable_maintain", "HashAggr", &apath)?;
             self.require_hash(key_types.iter().copied(), &apath)?;
             for kf in &mut node.cols[..keys.len()] {
                 kf.sorted = false; // hash (and worker) order is arbitrary
             }
-            Some(MergeSpec {
+            let merge = MergeSpec {
                 fields: node.fields.clone(),
-                key_types: key_types.clone(),
+                key_types,
                 key_dicts,
                 aggs: specs.iter().map(|a| a.merge_rule()).collect(),
                 ungrouped: keys.is_empty(),
-            })
-        } else {
-            None
-        };
-        let morsel = match merge {
-            Some(merge) if !ordered => {
-                self.note(
-                    path,
-                    format!("HashAggr → {} keys, {} aggs", keys.len(), aggs.len()),
-                );
-                let rows_max = match (input.facts.rows_max, key_distinct) {
-                    (Some(r), Some(k)) => Some(r.min(k)),
-                    (r, k) => r.or(k),
-                };
-                let op = CheckedOp::HashAggr {
-                    keys: key_progs,
-                    aggs: specs,
-                    merge,
-                };
-                return Ok(node.finish(path, rows_max, vec![input], op));
-            }
-            for_workers => for_workers,
-        };
+            };
+            self.note(
+                path,
+                format!("HashAggr → {} keys, {} aggs", keys.len(), aggs.len()),
+            );
+            let rows_max = match (input.facts.rows_max, key_distinct) {
+                (Some(r), Some(k)) => Some(r.min(k)),
+                (r, k) => r.or(k),
+            };
+            let op = CheckedOp::HashAggr {
+                keys: key_progs,
+                aggs: specs,
+                merge: merge.clone(),
+            };
+            let node = node.finish(path, rows_max, vec![input], op);
+            return if streams {
+                Ok(node)
+            } else {
+                self.exchange(node, merge)
+            };
+        }
         // Groups leave in input key order, so a sorted key stays
         // sorted; runs of an unclustered input may repeat a key, so only
         // the input's row bound holds.
@@ -2097,9 +2096,32 @@ impl<'a> Checker<'a> {
         let op = CheckedOp::OrdAggr {
             keys: key_progs,
             aggs: specs,
-            morsel,
         };
         Ok(node.finish(path, rows_max, vec![input], op))
+    }
+
+    /// Physical planning at `threads > 1`, decided from an aggregation
+    /// `node` and its input alone: when that input is a morsel spine
+    /// ([`morsel_spine`]) whose scan cuts into more than one morsel,
+    /// `node` runs under an `Exchange` whose workers each aggregate a
+    /// share of the morsels and ship partials `merge` re-aggregates.
+    /// Not one of the [`RULES`]: both walk modes place it alike.
+    fn exchange(&mut self, node: CheckedNode, merge: MergeSpec) -> Result<CheckedNode, PlanError> {
+        let spine = morsel_spine(&node.inputs[0]).filter(|_| self.opts.threads > 1);
+        let Some((scan, _)) = spine else {
+            return Ok(node);
+        };
+        let morsels = spine_morsels(scan, self.opts.morsel_size).len();
+        if morsels <= 1 {
+            return Ok(node);
+        }
+        // `MergeAggr` looks the partials' keys up by hash.
+        self.require_hash(merge.key_types.iter().copied(), &node.path)?;
+        let (path, table) = (node.path.clone(), scan.table.name());
+        let what = format!("{path}: Exchange → {morsels} morsels of `{table}`, MergeAggr");
+        self.report.push(what);
+        let (shape, rows_max) = (NodeShape::from_input(&node), node.facts.rows_max);
+        Ok(shape.finish(&path, rows_max, vec![node], CheckedOp::Exchange { merge }))
     }
 
     /// Direct (array-indexed) aggregation: keys must be code columns
@@ -2191,8 +2213,6 @@ impl<'a> Checker<'a> {
             &mut node.fields,
             &mut node.cols,
         )?;
-        // The parallel merge stage re-groups the key codes by hash.
-        self.require_hash(key_types.iter().copied(), &format!("{path}.DirectAggr"))?;
         if slots > DirectAggrOp::MAX_SLOTS {
             return Err(PlanError::Invalid(format!(
                 "direct aggregation domain too large: {slots} slots"
@@ -2209,6 +2229,7 @@ impl<'a> Checker<'a> {
             format!("DirectAggr → {} keys, {} aggs", keys.len(), aggs.len()),
         );
         node.dicts = vec![None; node.fields.len()];
+        // Partials merge on the key codes, by hash.
         let merge = MergeSpec {
             fields: node.fields.clone(),
             key_types,
@@ -2216,16 +2237,12 @@ impl<'a> Checker<'a> {
             aggs: specs.iter().map(|a| a.merge_rule()).collect(),
             ungrouped: keys.is_empty(),
         };
-        Ok(node.finish(
-            path,
-            rows_max,
-            vec![input],
-            CheckedOp::DirectAggr {
-                keys: dkeys,
-                aggs: specs,
-                merge,
-            },
-        ))
+        let op = CheckedOp::DirectAggr {
+            keys: dkeys,
+            aggs: specs,
+        };
+        let node = node.finish(path, rows_max, vec![input], op);
+        self.exchange(node, merge)
     }
 }
 
@@ -2340,7 +2357,7 @@ impl NodeShape {
                 cols: self.cols,
                 rows_max,
             },
-            inputs,
+            inputs: inputs.into_iter().map(Arc::new).collect(),
             op,
         }
     }

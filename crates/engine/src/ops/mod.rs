@@ -31,7 +31,7 @@ pub(crate) use fetchjoin::{DerivedCol, FetchSource, FetchSpec};
 pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp};
 pub(crate) use join::{BuildSide, JoinParts, JoinTable};
 pub use join::{CartProdOp, HashJoinOp, JoinType};
-pub use parallel::MergeAggrOp;
+pub use parallel::{ExchangeOp, MergeAggrOp};
 pub use project::ProjectOp;
 pub use scan::ScanOp;
 pub(crate) use scan::{ScanCol, ScanSpec};

@@ -1,39 +1,37 @@
-//! Morsel-driven parallel execution (beyond the paper).
+//! Morsel-driven parallel execution (beyond the paper): the `Exchange`
+//! operator.
 //!
-//! The paper's engine is single-threaded; this module adds intra-query
-//! parallelism for the most bandwidth-hungry plan shape — an
-//! aggregation over a scan pipeline — without touching the sequential
-//! path:
+//! The paper's engine is single-threaded. Here parallelism is one more
+//! node of the checked tree: at `threads > 1` the check walk
+//! ([`crate::check`]) places an `Exchange` over every hash or direct
+//! aggregation whose input is a [`morsel_spine`] of more than one morsel
+//! — at any depth, on a join's build side and under another aggregation
+//! alike — and one thread is simply the tree without one. On its first
+//! `next`, [`ExchangeOp`]
 //!
-//! 1. [`decompose`] splits the checked plan tree into *wrappers*
-//!    (`Order` / `TopN` / `Project` / `Select` nodes above the
-//!    aggregation) and the aggregation subtree (hash or direct
-//!    aggregation over a
-//!    `Select`/`Project`/`Fetch1Join`/`FetchNJoin`/`HashJoin`-probe
-//!    chain ending in a `Scan`). Any other shape falls back to
-//!    sequential execution. For each `HashJoin` on the chain the driver
-//!    builds the join's table *once* on the main thread; every worker's
+//! 1. builds each `HashJoin` table of the spine *once*; every worker's
 //!    [`crate::ops::HashJoinOp`] probes that one table, which it only
-//!    reads (build once, probe many).
-//! 2. The scan's row space — the (summary-pruned) fragment range plus
-//!    the insert-delta tail — is cut into [`Morsel`]s. Worker `w` of
-//!    `T` statically takes morsels `w, w+T, w+2T, …`: assignment does
-//!    not depend on thread timing, so a given `(threads, morsel_size)`
-//!    always aggregates the same rows in the same per-worker order.
-//! 3. Each worker instantiates its *own* clone of the vector pipeline
-//!    from the shared checked tree (the `Rc`-based batch machinery stays
-//!    thread-local; the verified programs are shared, only their
-//!    register files are per worker) over its morsels and materializes
-//!    partial aggregation state ([`Operator::take_partial_aggr`]).
-//! 4. [`MergeAggrOp`] re-aggregates the partials in worker order —
-//!    sums/counts add, `min`/`max` fold, AVG divides merged sums by
-//!    merged counts at emission — and the wrapper nodes are instantiated
-//!    over it.
+//!    reads (build once, probe many);
+//! 2. cuts the scan's row space — the (summary-pruned) fragment range
+//!    plus the insert-delta tail — into [`Morsel`]s ([`spine_morsels`]).
+//!    Worker `w` of `T` statically takes morsels `w, w+T, w+2T, …`, so
+//!    assignment does not depend on thread timing;
+//! 3. has each worker instantiate its *own* clone of the aggregation
+//!    pipeline from the shared checked subtree (the `Rc`-based batch
+//!    machinery stays thread-local; verified programs and derived fetch
+//!    columns are shared, only register files are per worker) over its
+//!    morsels and materialize partial aggregation state
+//!    ([`Operator::take_partial_aggr`]);
+//! 4. re-aggregates the partials in worker order through [`MergeAggrOp`]
+//!    — sums/counts add, `min`/`max` fold, AVG divides merged sums by
+//!    merged counts at emission — and streams the merged groups.
 //!
-//! Worker results merge in worker-index order, so output is
-//! deterministic for a fixed `(threads, morsel_size)`. Floating-point
-//! sums may differ from the sequential plan in the last ulp (different
-//! association order); integer results are exact.
+//! **Determinism contract.** An answer is a function of (plan, data,
+//! `threads`, `morsel_size`, budgets): they fix the morsels, which
+//! worker aggregates which rows in which order, and the merge order.
+//! Integer results are exact at every thread count. f64 sums (and
+//! averages) may differ across thread counts in their last ulp only:
+//! the same additions, associated differently.
 
 use crate::batch::{Batch, OutField, VecPool};
 use crate::check::{CheckedNode, CheckedOp};
@@ -45,62 +43,18 @@ use crate::ops::aggr::{
 use crate::ops::{extend_range, JoinParts, JoinTable, Operator, ScanSpec};
 use crate::plan::SharedJoins;
 use crate::profile::Profiler;
-use crate::session::{run_operator, ExecOptions, QueryResult};
+use crate::session::ExecOptions;
 use crate::PlanError;
 use std::sync::Arc;
 use std::time::Instant;
 use x100_storage::{plan_morsels, Morsel};
 use x100_vector::{aggr as vaggr, GroupTable, ProbeScratch, Vector};
 
-/// The parallelizable shape of a checked plan.
-struct Decomposed<'a> {
-    /// Nodes above the aggregation, outermost first.
-    wrappers: Vec<&'a CheckedNode>,
-    /// The topmost hash / direct aggregation node and its merge recipe.
-    aggr: &'a CheckedNode,
-    merge: &'a MergeSpec,
-    /// The leaf scan of the aggregation's probe spine.
-    scan: &'a ScanSpec,
-    /// `HashJoin` nodes on the spine, outermost first.
-    joins: Vec<(&'a CheckedNode, &'a JoinParts)>,
-}
-
-/// Split the checked tree at its topmost hash / direct aggregation (or
-/// ordered one that carries the hash variant's merge recipe for this);
-/// `None` if the plan does not have the parallelizable shape.
-fn decompose(root: &CheckedNode) -> Option<Decomposed<'_>> {
-    let mut wrappers = Vec::new();
-    let mut cur = root;
-    let merge = loop {
-        match &cur.op {
-            CheckedOp::Sort { .. } | CheckedOp::Project { .. } | CheckedOp::Select { .. } => {
-                wrappers.push(cur);
-                cur = &cur.inputs[0];
-            }
-            CheckedOp::HashAggr { merge, .. }
-            | CheckedOp::DirectAggr { merge, .. }
-            | CheckedOp::OrdAggr {
-                morsel: Some(merge),
-                ..
-            } => break merge,
-            _ => return None,
-        }
-    };
-    let (scan, joins) = morsel_spine(&cur.inputs[0])?;
-    Some(Decomposed {
-        wrappers,
-        aggr: cur,
-        merge,
-        scan,
-        joins,
-    })
-}
-
 /// The pipeline a morsel worker can clone under an aggregation: a
 /// `Select` / `Project` / `Fetch1Join` / `FetchNJoin` / `HashJoin`-probe
 /// chain ending in a `Scan`. Returns that scan and the joins on the way
-/// (outermost first), `None` for any other shape. The check walk asks
-/// this too: an aggregation over anything else is never split here.
+/// (outermost first), `None` for any other shape: the check walk places
+/// no `Exchange` over it.
 pub(crate) fn morsel_spine(
     mut leaf: &CheckedNode,
 ) -> Option<(&ScanSpec, Vec<(&CheckedNode, &JoinParts)>)> {
@@ -123,129 +77,167 @@ pub(crate) fn morsel_spine(
     }
 }
 
-/// Execute the checked plan with `opts.threads` morsel-parallel workers,
-/// if it has the supported shape. `Ok(None)` means "not parallelizable
-/// here — run sequentially".
-pub(crate) fn try_execute_parallel(
-    root: &CheckedNode,
-    opts: &ExecOptions,
-    ctx: &Arc<QueryContext>,
-) -> Result<Option<(QueryResult, Profiler)>, PlanError> {
-    let Some(d) = decompose(root) else {
-        return Ok(None);
-    };
-    let mut prof = Profiler::new(opts.profile);
+/// The morsels of a spine's scan: its (pruned) fragment range and its
+/// pending insert-delta rows, `morsel_size` rows each.
+pub(crate) fn spine_morsels(scan: &ScanSpec, morsel_size: usize) -> Vec<Morsel> {
+    let t = &scan.table;
+    let range = scan.range.unwrap_or((0, t.fragment_rows()));
+    plan_morsels(range, t.delta_rows(), morsel_size)
+}
 
-    // Build once, probe many: materialize each hash-join build side on
-    // the main thread; the workers' joins then probe the shared table.
-    let mut shared = SharedJoins::new();
-    for &(join, parts) in &d.joins {
-        let mut b = join.inputs[0].instantiate(opts, None, None, ctx)?;
-        let mut spec = parts.build_spec(opts.vector_size);
-        let table = JoinTable::build(b.as_mut(), &mut spec, ctx, &mut prof)?;
-        shared.insert(join.path(), Arc::new(table));
-    }
+/// `Exchange` — runs its input aggregation on `opts.threads` morsel
+/// workers and streams the merged groups (module docs).
+pub struct ExchangeOp {
+    /// The aggregation each worker instantiates: the checked tree's own
+    /// node, not a copy.
+    aggr: Arc<CheckedNode>,
+    merge: MergeSpec,
+    opts: ExecOptions,
+    ctx: Arc<QueryContext>,
+    /// The merge stage, once the workers have run.
+    merged: Option<MergeAggrOp>,
+}
 
-    let t = &d.scan.table;
-    let frag_range = d.scan.range.unwrap_or((0, t.fragment_rows()));
-    let morsels = plan_morsels(frag_range, t.delta_rows(), opts.morsel_size);
-    let nworkers = opts.threads.min(morsels.len()).max(1);
-
-    let mut partials: Vec<AggrPartial> = Vec::with_capacity(nworkers);
-    let (aggr, shared_ref) = (d.aggr, &shared);
-    // Panic containment: each worker runs under `catch_unwind`; the
-    // first panic (or governor error) cancels the shared context, so
-    // sibling workers unwind cleanly at their next per-vector check.
-    // Every worker is always joined before any error is reported.
-    //
-    // Temp-resource audit: the worker's operator tree lives entirely
-    // inside the `catch_unwind` closure. On panic the unwind drops the
-    // partially-built operator state — including any spill runs it
-    // holds, whose `SpillFile` drops delete the on-disk file and refund
-    // the disk budget — *before* the closure returns, i.e. before the
-    // sibling join below. A successful worker moves its runs into the
-    // returned `AggrPartial`, whose own drop (on a later sibling error)
-    // cleans up the same way. Nothing here leaks temp files.
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nworkers)
-            .map(|w| {
-                let assigned: Vec<Morsel> =
-                    morsels.iter().copied().skip(w).step_by(nworkers).collect();
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    let mut wprof = Profiler::new(opts.profile);
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        aggr.instantiate(opts, Some(&assigned), Some(shared_ref), ctx)
-                            .and_then(|mut op| op.take_partial_aggr(&mut wprof))
-                    }));
-                    let partial = match caught {
-                        Ok(res) => res,
-                        Err(payload) => Err(PlanError::WorkerPanic {
-                            worker: w,
-                            cause: panic_cause(payload.as_ref()),
-                        }),
-                    };
-                    if partial.is_err() {
-                        ctx.cancel();
-                    }
-                    (partial, wprof, t0.elapsed().as_nanos() as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    // catch_unwind inside the worker makes this
-                    // unreachable short of an abort, but stay typed.
-                    (
-                        Err(PlanError::WorkerPanic {
-                            worker: w,
-                            cause: panic_cause(payload.as_ref()),
-                        }),
-                        Profiler::new(false),
-                        0,
-                    )
-                })
-            })
-            .collect::<Vec<_>>()
-    });
-    // Prefer the root-cause error: a sibling's `Cancelled` is a
-    // side-effect of whichever worker failed first.
-    let mut first_err: Option<PlanError> = None;
-    for (w, (partial, wprof, wall)) in results.into_iter().enumerate() {
-        match partial {
-            Ok(Some(p)) => {
-                if opts.profile {
-                    prof.absorb_worker(format!("worker-{w}"), wall, wprof);
-                }
-                partials.push(p);
-            }
-            Ok(None) => {
-                first_err.get_or_insert(PlanError::Invalid(
-                    "parallel worker produced no partial aggregate".into(),
-                ));
-            }
-            Err(e) => match &first_err {
-                None => first_err = Some(e),
-                Some(PlanError::Cancelled) if e != PlanError::Cancelled => first_err = Some(e),
-                _ => {}
-            },
+impl ExchangeOp {
+    /// An exchange over the checked aggregation `aggr`, whose partials
+    /// `merge` re-aggregates.
+    pub(crate) fn new(
+        aggr: Arc<CheckedNode>,
+        merge: MergeSpec,
+        opts: ExecOptions,
+        ctx: Arc<QueryContext>,
+    ) -> Self {
+        ExchangeOp {
+            aggr,
+            merge,
+            opts,
+            ctx,
+            merged: None,
         }
     }
-    if let Some(e) = first_err {
-        return Err(e);
+
+    /// Build the spine's join tables, run the workers and return their
+    /// partials in worker order; worker profiles fold into `prof`.
+    fn run_workers(&self, prof: &mut Profiler) -> Result<Vec<AggrPartial>, PlanError> {
+        let (opts, ctx, aggr) = (&self.opts, &self.ctx, &*self.aggr);
+        let (scan, joins) =
+            morsel_spine(&aggr.inputs[0]).expect("the walk places an Exchange over a morsel spine");
+        let mut shared = SharedJoins::new();
+        for (join, parts) in joins {
+            let mut b = join.inputs[0].instantiate(opts, None, None, ctx)?;
+            let mut spec = parts.build_spec(opts.vector_size);
+            let table = JoinTable::build(b.as_mut(), &mut spec, ctx, prof)?;
+            shared.insert(join.path(), Arc::new(table));
+        }
+        let morsels = spine_morsels(scan, opts.morsel_size);
+        let nworkers = opts.threads.min(morsels.len()).max(1);
+        let (profile, shared) = (prof.enabled(), &shared);
+        // Panic containment: each worker runs under `catch_unwind`; the
+        // first panic (or governor error) cancels the shared context, so
+        // sibling workers unwind cleanly at their next per-vector check.
+        // Every worker is always joined before any error is reported.
+        //
+        // Temp-resource audit: the worker's operator tree lives entirely
+        // inside the `catch_unwind` closure. On panic the unwind drops the
+        // partially-built operator state — including any spill runs it
+        // holds, whose `SpillFile` drops delete the on-disk file and refund
+        // the disk budget — *before* the closure returns, i.e. before the
+        // sibling join below. A successful worker moves its runs into the
+        // returned `AggrPartial`, whose own drop (on a later sibling error)
+        // cleans up the same way. Nothing here leaks temp files.
+        let results = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..nworkers)
+                .map(|w| {
+                    let assigned: Vec<Morsel> =
+                        morsels.iter().copied().skip(w).step_by(nworkers).collect();
+                    s.spawn(move || {
+                        let t0 = Instant::now();
+                        let mut wprof = Profiler::new(profile);
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            aggr.instantiate(opts, Some(&assigned), Some(shared), ctx)
+                                .and_then(|mut op| op.take_partial_aggr(&mut wprof))
+                        }));
+                        let partial = match caught {
+                            Ok(res) => res,
+                            Err(payload) => Err(PlanError::WorkerPanic {
+                                worker: w,
+                                cause: panic_cause(payload.as_ref()),
+                            }),
+                        };
+                        if partial.is_err() {
+                            ctx.cancel();
+                        }
+                        (partial, wprof, t0.elapsed().as_nanos() as u64)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(w, h)| {
+                    h.join().unwrap_or_else(|payload| {
+                        // catch_unwind inside the worker makes this
+                        // unreachable short of an abort, but stay typed.
+                        (
+                            Err(PlanError::WorkerPanic {
+                                worker: w,
+                                cause: panic_cause(payload.as_ref()),
+                            }),
+                            Profiler::new(false),
+                            0,
+                        )
+                    })
+                })
+                .collect::<Vec<_>>()
+        });
+        // Prefer the root-cause error: a sibling's `Cancelled` is a
+        // side-effect of whichever worker failed first.
+        let mut partials = Vec::with_capacity(nworkers);
+        let mut first_err: Option<PlanError> = None;
+        for (w, (partial, wprof, wall)) in results.into_iter().enumerate() {
+            match partial {
+                Ok(Some(p)) => {
+                    if profile {
+                        prof.absorb_worker(format!("worker-{w}"), wall, wprof);
+                    }
+                    partials.push(p);
+                }
+                Ok(None) => {
+                    first_err.get_or_insert(PlanError::Invalid(
+                        "parallel worker produced no partial aggregate".into(),
+                    ));
+                }
+                Err(e) => match &first_err {
+                    None => first_err = Some(e),
+                    Some(PlanError::Cancelled) if e != PlanError::Cancelled => first_err = Some(e),
+                    _ => {}
+                },
+            }
+        }
+        first_err.map_or(Ok(partials), Err)
+    }
+}
+
+impl Operator for ExchangeOp {
+    fn fields(&self) -> &[OutField] {
+        &self.merge.fields
     }
 
-    // Merge stage, then the wrapper nodes over it, innermost first.
-    let merge = MergeAggrOp::new(d.merge.clone(), partials, opts.vector_size, ctx.clone());
-    let mut op: Box<dyn Operator> = Box::new(merge);
-    for w in d.wrappers.into_iter().rev() {
-        op = w.over(op, opts, ctx);
+    fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
+        if self.merged.is_none() {
+            let partials = self.run_workers(prof)?;
+            let (merge, vs, ctx) = (self.merge.clone(), self.opts.vector_size, self.ctx.clone());
+            self.merged = Some(MergeAggrOp::new(merge, partials, vs, ctx));
+        }
+        self.merged.as_mut().expect("merged above").next(prof)
     }
-    let result = run_operator(op.as_mut(), &mut prof)?;
-    Ok(Some((result, prof)))
+
+    fn reset(&mut self) {
+        // The merge consumed the partials; reset only rewinds emission.
+        if let Some(m) = &mut self.merged {
+            m.reset();
+        }
+    }
 }
 
 /// `MergeAggr` — re-aggregates worker partials into final groups.

@@ -34,9 +34,9 @@ use crate::expr::{AggExpr, Expr};
 use crate::facts::{conjunct_parts, flatten_conjuncts};
 use crate::govern::QueryContext;
 use crate::ops::{
-    ArrayOp, BuildSide, CartProdOp, DirectAggrOp, EmptyOp, Fetch1JoinOp, FetchNJoinOp, HashAggrOp,
-    HashJoinOp, JoinTable, JoinType, Operator, OrdAggrOp, OrdExp, OrderOp, ProjectOp, ScanOp,
-    SelectOp,
+    ArrayOp, BuildSide, CartProdOp, DirectAggrOp, EmptyOp, ExchangeOp, Fetch1JoinOp, FetchNJoinOp,
+    HashAggrOp, HashJoinOp, JoinTable, JoinType, Operator, OrdAggrOp, OrdExp, OrderOp, ProjectOp,
+    ScanOp, SelectOp,
 };
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
@@ -45,9 +45,9 @@ use std::sync::Arc;
 use x100_storage::{EnumDict, Morsel, Table};
 
 /// Pre-built shared join tables, keyed by the path of the checked
-/// `HashJoin` node they were built for. The parallel driver builds each
-/// join's table once on the main thread; worker instantiations look
-/// their node up here and get a join that probes the shared table.
+/// `HashJoin` node they were built for. An `Exchange` builds each join
+/// table of its spine once; worker instantiations look their node up
+/// here and get a join that probes the shared table.
 pub(crate) type SharedJoins<'a> = HashMap<&'a str, Arc<JoinTable>>;
 
 /// A key of a `DirectAggr`: must resolve to a code column with a known
@@ -253,10 +253,10 @@ impl CheckedNode {
     /// Construct this node's operator pipeline. Decision-free: every
     /// table, program and physical variant was fixed by the check walk.
     ///
-    /// `morsels` restricts the leaf `Scan` on the probe spine (parallel
-    /// workers instantiate one pipeline clone per disjoint morsel set);
-    /// `HashJoin` nodes present in `shared` probe the pre-built table
-    /// instead of building their own.
+    /// `morsels` restricts the leaf `Scan` on the probe spine (an
+    /// `Exchange`'s workers instantiate one pipeline clone per disjoint
+    /// morsel set); `HashJoin` nodes present in `shared` probe the
+    /// pre-built table instead of building their own.
     pub(crate) fn instantiate(
         &self,
         opts: &ExecOptions,
@@ -265,20 +265,15 @@ impl CheckedNode {
         ctx: &Arc<QueryContext>,
     ) -> Result<Box<dyn Operator>, PlanError> {
         let vs = opts.vector_size;
-        match &self.op {
-            CheckedOp::Scan(spec) => Ok(Box::new(ScanOp::new(
-                spec,
-                &self.fields,
-                morsels,
-                vs,
-                ctx.clone(),
-            )?)),
-            CheckedOp::Array { dims, total } => Ok(Box::new(ArrayOp::new(
-                dims,
-                *total,
-                self.fields.clone(),
-                vs,
-            ))),
+        let child = match &self.op {
+            CheckedOp::Scan(spec) => {
+                let scan = ScanOp::new(spec, &self.fields, morsels, vs, ctx.clone())?;
+                return Ok(Box::new(scan));
+            }
+            CheckedOp::Array { dims, total } => {
+                let array = ArrayOp::new(dims, *total, self.fields.clone(), vs);
+                return Ok(Box::new(array));
+            }
             CheckedOp::HashJoin(parts) => {
                 let (build, probe) = (&self.inputs[0], &self.inputs[1]);
                 // The morsel restriction flows into the probe side only;
@@ -288,39 +283,22 @@ impl CheckedNode {
                     None => BuildSide::Input(build.instantiate(opts, None, shared, ctx)?),
                 };
                 let p = probe.instantiate(opts, morsels, shared, ctx)?;
-                Ok(Box::new(HashJoinOp::new(b, p, parts, vs, ctx.clone())))
+                return Ok(Box::new(HashJoinOp::new(b, p, parts, vs, ctx.clone())));
             }
-            // A morsel worker's slice of a sorted-key aggregation groups
-            // by hash: partials are the hash variant's protocol.
-            CheckedOp::OrdAggr {
-                keys,
-                aggs,
-                morsel: Some(merge),
-            } if morsels.is_some() => {
-                let child = self.inputs[0].instantiate(opts, morsels, shared, ctx)?;
-                let merge = merge.clone();
-                let op = HashAggrOp::new(child, keys, aggs, merge, vs, ctx.clone());
-                Ok(Box::new(op))
+            CheckedOp::Exchange { merge } => {
+                let (input, merge) = (self.inputs[0].clone(), merge.clone());
+                return Ok(Box::new(ExchangeOp::new(
+                    input,
+                    merge,
+                    opts.clone(),
+                    ctx.clone(),
+                )));
             }
-            _ => {
-                let child = self.inputs[0].instantiate(opts, morsels, shared, ctx)?;
-                Ok(self.over(child, opts, ctx))
-            }
-        }
-    }
-
-    /// Construct this single-input node's operator over an already built
-    /// `child` (the parallel driver stacks the nodes above the
-    /// aggregation onto its merge stage this way).
-    pub(crate) fn over(
-        &self,
-        child: Box<dyn Operator>,
-        opts: &ExecOptions,
-        ctx: &Arc<QueryContext>,
-    ) -> Box<dyn Operator> {
-        let vs = opts.vector_size;
+            // Every other node streams over its one input.
+            _ => self.inputs[0].instantiate(opts, morsels, shared, ctx)?,
+        };
         let select = |child, steps| Box::new(SelectOp::new(child, steps, vs, ctx.clone()));
-        match &self.op {
+        let op: Box<dyn Operator> = match &self.op {
             CheckedOp::Select { steps, verdict, .. } => match verdict {
                 Some(false) => Box::new(EmptyOp::new(self.fields.clone())),
                 // Proven always-true, or wholly pushed into the scan.
@@ -409,10 +387,12 @@ impl CheckedNode {
             CheckedOp::Sort { keys, limit, .. } => {
                 Box::new(OrderOp::new(child, keys.clone(), *limit, vs, ctx.clone()))
             }
-            CheckedOp::Scan(_) | CheckedOp::Array { .. } | CheckedOp::HashJoin(_) => {
-                unreachable!("`over` applies to single-input nodes")
-            }
-        }
+            CheckedOp::Scan(_)
+            | CheckedOp::Array { .. }
+            | CheckedOp::HashJoin(_)
+            | CheckedOp::Exchange { .. } => unreachable!("instantiated above"),
+        };
+        Ok(op)
     }
 }
 

@@ -32,13 +32,19 @@ pub struct ExecOptions {
     /// dictionary) and produces only the batch's selection vector over
     /// the ordinary dense refill. Off for ablation (decode-then-select).
     pub compressed_pushdown: bool,
-    /// Worker threads for morsel-driven parallel execution. `1` (the
-    /// default) runs the unchanged single-threaded pipeline; `> 1`
-    /// parallelizes aggregation-rooted scan pipelines (other plan
-    /// shapes silently fall back to single-threaded execution).
+    /// Worker threads for morsel-driven parallel execution. With `> 1`
+    /// the check walk places an `Exchange` over every hash or direct
+    /// aggregation, at any depth, whose input is a
+    /// `Select`/`Project`/`Fetch1Join`/`FetchNJoin`/`HashJoin`-probe
+    /// chain over a scan of more than one morsel; up to `threads`
+    /// workers each aggregate a share of the morsels and `MergeAggr`
+    /// combines them ([`crate::ops::ExchangeOp`]). Aggregations whose
+    /// keys are proven sorted stream on one thread. `1` (the default)
+    /// is the same tree without an `Exchange`.
     pub threads: usize,
     /// Rows per morsel for parallel scans (`0` = one morsel per whole
-    /// fragment range / delta). Ignored when `threads == 1`.
+    /// fragment range / delta). A scan of one morsel gets no
+    /// `Exchange`. Ignored when `threads == 1`.
     pub morsel_size: usize,
     /// Byte budget for governed operator state (hash-join builds,
     /// aggregation tables, Order/TopN buffers). Exceeding it aborts the
@@ -348,9 +354,8 @@ impl QueryResult {
 
 /// Execute a plan to completion, materializing the result.
 ///
-/// With `opts.threads > 1`, aggregation-rooted scan pipelines run
-/// morsel-parallel (see [`crate::ops::MergeAggrOp`]); unsupported plan
-/// shapes transparently fall back to the single-threaded path.
+/// With `opts.threads > 1`, the checked tree runs its aggregations over
+/// morsel spines on that many workers ([`crate::ops::ExchangeOp`]).
 pub fn execute(
     db: &Database,
     plan: &Plan,
@@ -382,14 +387,6 @@ fn run_checked(
     opts: &ExecOptions,
 ) -> Result<(QueryResult, Profiler), PlanError> {
     let ctx = opts.query_context();
-    if opts.threads > 1 {
-        if let Some((result, mut prof)) =
-            crate::ops::parallel::try_execute_parallel(checked.root(), opts, &ctx)?
-        {
-            ctx.publish(&mut prof);
-            return Ok((result, prof));
-        }
-    }
     let mut op = checked.root().instantiate(opts, None, None, &ctx)?;
     // The operators share what they need of the tree; free the rest
     // before the run allocates.

@@ -262,10 +262,11 @@ fn order_buffer_respects_memory_budget() {
 fn budget_errors_prefer_root_cause_over_sibling_cancellation() {
     // Parallel aggregation under a tiny budget: one worker trips the
     // budget and cancels the rest; the reported error must still be
-    // ResourceExhausted, not the siblings' Cancelled.
+    // ResourceExhausted, not the siblings' Cancelled. The keys are a
+    // permutation: sorted ones would stream on one thread, unsplit.
     let n = 200_000i64;
     let t = TableBuilder::new("wide")
-        .column("g", ColumnData::I64((0..n).collect()))
+        .column("g", ColumnData::I64((0..n).map(|i| i * 7919 % n).collect()))
         .column("v", ColumnData::F64((0..n).map(|i| i as f64).collect()))
         .build();
     let mut db = Database::new();

@@ -9,9 +9,10 @@
 //! tolerance.
 
 use x100_engine::expr::*;
+use x100_engine::ops::JoinType;
 use x100_engine::plan::Plan;
-use x100_engine::session::{execute, Database, ExecOptions};
-use x100_engine::AggExpr;
+use x100_engine::session::{execute, run_operator, Database, ExecOptions};
+use x100_engine::{check_plan, AggExpr, Profiler, QueryContext};
 use x100_storage::{ColumnData, TableBuilder};
 use x100_vector::Value;
 
@@ -348,6 +349,16 @@ fn projection_between_select_and_aggr() {
     }
 }
 
+/// The walk-log lines of the `Exchange`s the check walk placed in `plan`.
+fn exchanges(db: &Database, plan: &Plan, opts: &ExecOptions) -> Vec<String> {
+    let walk = check_plan(db, plan, opts).expect("checks");
+    let lines = walk
+        .report
+        .into_iter()
+        .filter(|l| l.contains(": Exchange → "));
+    lines.collect()
+}
+
 #[test]
 fn threads_one_is_the_untouched_sequential_path() {
     let db = facts_db();
@@ -357,6 +368,11 @@ fn threads_one_is_the_untouched_sequential_path() {
             vec![("k", col("k"))],
             vec![AggExpr::count("cnt"), AggExpr::sum("sv", col("v"))],
         );
+    // One thread is the tree without an Exchange; more threads put one
+    // over the same aggregation.
+    let small = ExecOptions::default().with_morsel_size(1024);
+    assert!(exchanges(&db, &plan, &small).is_empty());
+    assert_eq!(exchanges(&db, &plan, &small.clone().parallel(2)).len(), 1);
     let (a, pa) = execute(&db, &plan, &ExecOptions::default().profiled()).expect("default");
     let (b, pb) =
         execute(&db, &plan, &ExecOptions::default().profiled().parallel(1)).expect("threads=1");
@@ -411,20 +427,125 @@ fn parallel_profiler_reports_worker_traces() {
     assert!(quiet.workers().is_empty());
 }
 
+/// `Plan::bind` and `Plan::bind_governed` instantiate the same tree
+/// `execute` runs, Exchange included — with the checker's facts handed
+/// over in the context or checked afresh.
 #[test]
-fn unsupported_shapes_fall_back_to_sequential() {
+fn bind_governed_runs_the_exchange() {
     let db = facts_db();
-    // No aggregation root: plain scan+select is not parallelized, but
-    // must still run correctly with threads > 1.
+    let plan = Plan::scan("facts", &["k", "v"])
+        .aggr(vec![("k", col("k"))], vec![AggExpr::sum("sv", col("v"))]);
+    let opts = ExecOptions::default()
+        .profiled()
+        .parallel(4)
+        .with_morsel_size(1024);
+    let (want, _) = execute(&db, &plan, &ExecOptions::default()).expect("sequential");
+    for provided in [false, true] {
+        let ctx = QueryContext::unbounded();
+        if provided {
+            ctx.provide_plan_facts(check_plan(&db, &plan, &opts).expect("checks").facts);
+        }
+        let mut op = plan.bind_governed(&db, &opts, &ctx).expect("binds");
+        let mut prof = Profiler::new(true);
+        let got = run_operator(op.as_mut(), &mut prof).expect("runs");
+        assert_eq!(sorted_rows(&got), sorted_rows(&want), "provided={provided}");
+        assert_eq!(prof.workers().len(), 4, "provided={provided}");
+        assert!(prof.operators().any(|(op, _)| op == "MergeAggr"));
+    }
+    let mut op = plan.bind(&db, &opts).expect("binds");
+    let mut prof = Profiler::new(true);
+    run_operator(op.as_mut(), &mut prof).expect("runs");
+    assert_eq!(prof.workers().len(), 4);
+}
+
+#[test]
+fn plans_without_an_aggregation_run_on_one_thread() {
+    let db = facts_db();
+    // No aggregation: plain scan+select gets no Exchange, but must still
+    // run correctly with threads > 1.
     let plan = Plan::scan("facts", &["k", "v"]).select(lt(col("v"), lit_i64(10)));
+    let opts = ExecOptions::default().profiled().parallel(8);
+    assert!(exchanges(&db, &plan, &opts).is_empty());
     let (seq, _) = execute(&db, &plan, &ExecOptions::default()).expect("sequential");
-    let (par, prof) =
-        execute(&db, &plan, &ExecOptions::default().profiled().parallel(8)).expect("fallback");
+    let (par, prof) = execute(&db, &plan, &opts).expect("threads 8");
     assert_eq!(par.row_strings(), seq.row_strings());
-    assert!(
-        prof.workers().is_empty(),
-        "fallback path must not spawn workers"
+    assert!(prof.workers().is_empty(), "no Exchange, no workers");
+}
+
+/// The walk places no Exchange over a scan of at most one morsel: a
+/// summary-pruned range, or a table no larger than `morsel_size`.
+#[test]
+fn one_morsel_scan_gets_no_exchange() {
+    let mut db = Database::new();
+    let t = TableBuilder::new("t")
+        .column("k", ColumnData::I64((0..100_000).map(|i| i % 7).collect()))
+        .column("d", ColumnData::I64((0..100_000).collect()))
+        .with_summary()
+        .build();
+    db.register(t);
+    let per_k = |scan: Plan| {
+        scan.select(and(
+            ge(col("d"), lit_i64(50_000)),
+            le(col("d"), lit_i64(50_099)),
+        ))
+        .aggr(vec![("k", col("k"))], vec![AggExpr::count("n")])
+    };
+    let pruned = per_k(Plan::scan("t", &["k", "d"]).pruned("d", Some(50_000), Some(50_099)));
+    let whole = per_k(Plan::scan("t", &["k", "d"]));
+    let opts = ExecOptions::default().profiled().parallel(4);
+    let (want, _) = execute(&db, &pruned, &ExecOptions::default()).expect("sequential");
+    for (plan, morsels) in [(&pruned, 1), (&whole, 2)] {
+        let split = morsels > 1;
+        assert_eq!(exchanges(&db, plan, &opts).len(), usize::from(split));
+        let (got, prof) = execute(&db, plan, &opts).expect("runs");
+        assert_eq!(sorted_rows(&got), sorted_rows(&want));
+        assert_eq!(prof.workers().len(), if split { morsels } else { 0 });
+    }
+    let whole_table = opts.clone().with_morsel_size(0);
+    assert!(exchanges(&db, &whole, &whole_table).is_empty());
+}
+
+/// Exchanges sit at any depth: on a hash join's build side (and over the
+/// probe spine above it), and under another aggregation — each with its
+/// own workers, every thread count answering what one thread does.
+#[test]
+fn build_side_and_nested_aggregations_run_under_exchanges() {
+    let db = facts_db();
+    let per_k = Plan::scan("facts", &["k", "v"]).aggr(
+        vec![("k", col("k"))],
+        vec![AggExpr::sum("sv", col("v")), AggExpr::count("n")],
     );
+    let joined = Plan::HashJoin {
+        build: Box::new(per_k.clone()),
+        probe: Box::new(Plan::scan("facts", &["k", "v"])),
+        build_keys: vec![col("k")],
+        probe_keys: vec![col("k")],
+        payload: vec![("sv".into(), "sv".into())],
+        join_type: JoinType::Inner,
+    }
+    .aggr(
+        vec![("k", col("k"))],
+        vec![AggExpr::max("msv", col("sv")), AggExpr::sum("v", col("v"))],
+    );
+    let nested = per_k.aggr(
+        vec![],
+        vec![AggExpr::count("groups"), AggExpr::sum("total", col("sv"))],
+    );
+    for (plan, placed) in [(&joined, 2), (&nested, 1)] {
+        let (seq, _) = execute(&db, plan, &ExecOptions::default()).expect("sequential");
+        for threads in [2, 4, 8] {
+            let opts = ExecOptions::default()
+                .profiled()
+                .parallel(threads)
+                .with_morsel_size(1024);
+            let lines = exchanges(&db, plan, &opts);
+            assert_eq!(lines.len(), placed, "threads={threads}: {lines:?}");
+            let (par, prof) = execute(&db, plan, &opts).expect("parallel");
+            assert_eq!(sorted_rows(&par), sorted_rows(&seq), "threads={threads}");
+            assert_eq!(prof.workers().len(), placed * threads, "threads={threads}");
+            assert!(prof.operators().any(|(op, _)| op == "MergeAggr"));
+        }
+    }
 }
 
 #[test]

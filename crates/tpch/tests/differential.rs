@@ -531,26 +531,38 @@ fn rules_fire_on_their_conditions_only() {
         assert!(fired.is_empty(), "{rule} fired although {why}: {fired:?}");
         assert_rewritten_matches_as_given(&db, &by(keys), &opts, why);
     }
-    // The morsel driver decides where it splits a plan: its workers at
-    // this node keep hash + MergeAggr; where it does not split (here it
-    // is not the topmost aggregation), the ordered aggregation runs.
-    let two = ExecOptions::default().parallel(2).profiled();
+    // A proven-sorted-key aggregation is never under an Exchange — as
+    // the rule's `OrdAggr` nor as the `HashAggr` the plan wrote — and
+    // runs `Aggr(ORDERED)` on one thread, at the top or under another
+    // aggregation; the same scan grouped by an unsorted key is split.
+    let two = ExecOptions::default()
+        .parallel(2)
+        .with_morsel_size(16)
+        .profiled();
     let by_k = by(vec![("k", col("k"))]);
-    let fired = rule_lines(&db, &by_k, &two, rule);
-    assert!(
-        fired.len() == 1 && fired[0].contains("hash + MergeAggr kept for morsel workers"),
-        "{fired:?}"
-    );
     let counted = by_k.clone().aggr(vec![], vec![AggExpr::count("groups")]);
-    for (plan, split) in [(by_k, true), (counted, false)] {
+    for (plan, sorted) in [
+        (by_k, true),
+        (counted, true),
+        (by(vec![("a", col("a"))]), false),
+    ] {
+        let shown = x100_engine::render_plan(&plan);
+        assert_eq!(
+            rule_lines(&db, &plan, &two, rule).len(),
+            usize::from(sorted)
+        );
+        for walk in [
+            check_plan(&db, &plan, &two),
+            check_plan_as_given(&db, &plan, &two),
+        ] {
+            let walk = walk.expect("checks").render();
+            assert_eq!(walk.contains(": Exchange → "), !sorted, "{shown}{walk}");
+        }
         let (_, prof) = execute(&db, &plan, &two).expect("runs");
         let ran = |op: &str| prof.operators().any(|(name, _)| name == op);
-        assert_eq!(
-            (ran("MergeAggr"), ran("Aggr(ORDERED)")),
-            (split, !split),
-            "{}",
-            x100_engine::render_plan(&plan)
-        );
+        assert_eq!(ran("Aggr(ORDERED)"), sorted, "{shown}");
+        assert_eq!(ran("MergeAggr"), !sorted, "{shown}");
+        assert_eq!(prof.workers().is_empty(), sorted, "{shown}");
         assert_rewritten_matches_as_given(&db, &plan, &two, "threads 2");
     }
     // As given, no rule leaves a line.

@@ -1,11 +1,14 @@
-//! TPC-H Q1 determinism under morsel-driven parallel execution: every
-//! `(threads, morsel_size)` combination must reproduce the sequential
-//! answer (float aggregates within last-ulp tolerance, counts exactly).
+//! TPC-H determinism under morsel-driven parallel execution — the
+//! contract of `x100_engine::ops::parallel`: an answer is a function of
+//! (plan, data, threads, morsel size, budgets); every `(threads,
+//! morsel_size)` combination reproduces the sequential answer, counts
+//! exactly and float aggregates within last-ulp tolerance.
 
-use tpch::gen::{generate_lineitem_q1, GenConfig};
-use tpch::queries::q01;
+use tpch::gen::{generate, generate_lineitem_q1, GenConfig};
+use tpch::queries::{all_specs, q01, QuerySpec};
 use tpch::{build_x100_q1_db, Q1Row};
 use x100_engine::session::{execute, ExecOptions};
+use x100_vector::Vector;
 
 fn close(a: f64, b: f64, what: &str) {
     let tol = 1e-6 * (1.0 + a.abs().max(b.abs()));
@@ -74,4 +77,48 @@ fn q1_parallel_uses_workers_and_merge() {
         "profiled parallel Q1 must record worker traces"
     );
     assert!(prof.operators().any(|(op, _)| op == "MergeAggr"));
+}
+
+/// All 22 TPC-H queries on four threads: two runs give bit-identical
+/// f64 columns (the same morsels, workers and merge order), and the
+/// answer is one thread's at display precision.
+#[test]
+fn tpch_parallel_answers_are_deterministic() {
+    let data = generate(&GenConfig { sf: 0.005, seed: 7 });
+    let db = tpch::build_x100_db(&data);
+    let one = ExecOptions::default();
+    let four = ExecOptions::default().parallel(4).with_morsel_size(4096);
+    let sorted = |res: &x100_engine::QueryResult| {
+        let mut rows = res.row_strings();
+        rows.sort();
+        rows
+    };
+    let floats = |res: &x100_engine::QueryResult| -> Vec<Vec<u64>> {
+        let cols = (0..res.fields().len()).map(|c| res.column(c));
+        let bits = cols.filter_map(|v| match v {
+            Vector::F64(x) => Some(x.iter().map(|f| f.to_bits()).collect()),
+            _ => None,
+        });
+        bits.collect()
+    };
+    let mut plans = Vec::new();
+    for (q, spec) in all_specs() {
+        match spec {
+            QuerySpec::Single(p) => plans.push((q, p)),
+            QuerySpec::TwoPhase(tp) => {
+                let (r1, _) = execute(&db, &tp.phase1, &one).expect("phase 1");
+                let scalar = r1.value(0, r1.col_index(tp.scalar_col).expect("scalar"));
+                plans.push((q, (tp.phase2)(scalar.as_f64())));
+                plans.push((q, tp.phase1));
+            }
+        }
+    }
+    for (q, plan) in &plans {
+        let (a, _) = execute(&db, plan, &four).expect("threads 4");
+        let (b, _) = execute(&db, plan, &four).expect("threads 4, again");
+        assert_eq!(floats(&a), floats(&b), "q{q}: f64 columns across runs");
+        assert_eq!(a.row_strings(), b.row_strings(), "q{q}: rows across runs");
+        let (seq, _) = execute(&db, plan, &one).expect("threads 1");
+        assert_eq!(sorted(&a), sorted(&seq), "q{q}: threads 4 vs 1");
+    }
 }
