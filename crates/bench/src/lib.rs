@@ -11,7 +11,6 @@
 //! | `table5` | Table 5 — X100 per-primitive trace |
 //! | `fig2`   | Figure 2 — branch vs predicated selection |
 //! | `fig10`  | Figure 10 — Q1 time vs vector size |
-//! | `compress` | beyond the paper — codec × selectivity × vector size sweep, pushdown rows |
 //! | `durable` | beyond the paper — kill-and-restart durability smoke |
 //! | `suite_check` | all 22 TPC-H queries once; `--explain-check` / `--explain-facts` |
 //!
@@ -43,11 +42,6 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// True when the bare flag `name` appears in argv (e.g. `--smoke`).
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }
 
 /// Run `f` `reps` times, returning the best wall-clock duration and the
@@ -88,6 +82,5 @@ mod tests {
     fn arg_parsing_defaults() {
         assert_eq!(arg_sf(0.5), 0.5);
         assert_eq!(arg_usize("--none", 7), 7);
-        assert!(!arg_flag("--absent"));
     }
 }

@@ -151,20 +151,17 @@ pub struct PlanFacts {
     root: CheckedNode,
     plan: Plan,
     db_stamp: (u64, u64),
-    opts_key: ([bool; 5], usize),
+    opts_key: (bool, Option<usize>),
 }
 
-/// The options that shape the checked tree (`morsel_size` decides where
-/// an `Exchange` has more than one morsel to hand out).
-fn opts_key(opts: &ExecOptions) -> ([bool; 5], usize) {
-    let flags = [
-        opts.compound_primitives,
-        opts.compressed_pushdown,
-        opts.enforce_facts,
+/// The options that shape the checked tree: whether a spill budget is
+/// set, and with `threads > 1` the morsel size (it decides where an
+/// `Exchange` has more than one morsel to hand out).
+fn opts_key(opts: &ExecOptions) -> (bool, Option<usize>) {
+    (
         opts.spill_budget.is_some(),
-        opts.threads > 1,
-    ];
-    (flags, opts.morsel_size)
+        (opts.threads > 1).then_some(opts.morsel_size),
+    )
 }
 
 impl PlanFacts {
@@ -503,7 +500,6 @@ pub fn explain_check(db: &Database, plan: &Plan, opts: &ExecOptions) -> String {
                 CheckViolation::UndecodedEnumColumn { .. } => "undecoded-enum-column",
                 CheckViolation::UnknownSignature { .. } => "unknown-signature",
                 CheckViolation::SpillUnsupported { .. } => "spill-unsupported",
-                CheckViolation::FactViolation { .. } => "fact-violation",
             };
             format!("plan check FAILED [{class}]\n  at   {path}\n  why  {violation}\n")
         }
@@ -611,17 +607,15 @@ impl<'a> Checker<'a> {
         path: &str,
         target: impl FnOnce(ScalarType) -> Result<ScalarType, PlanError>,
     ) -> Result<Arc<ExprCode>, PlanError> {
-        ExprProg::compile_as(e, fields, self.opts.compound_primitives, target).map_err(|err| {
-            match err {
-                PlanError::TypeMismatch(detail) => PlanError::PlanCheck {
-                    path: path.to_owned(),
-                    violation: CheckViolation::TypeMismatch {
-                        signature: format!("{e:?}"),
-                        detail,
-                    },
+        ExprProg::compile_as(e, fields, target).map_err(|err| match err {
+            PlanError::TypeMismatch(detail) => PlanError::PlanCheck {
+                path: path.to_owned(),
+                violation: CheckViolation::TypeMismatch {
+                    signature: format!("{e:?}"),
+                    detail,
                 },
-                other => other,
-            }
+            },
+            other => other,
         })
     }
 
@@ -1659,7 +1653,7 @@ impl<'a> Checker<'a> {
                     cols, code_cols, ..
                 }),
                 CheckedOp::Scan(spec),
-            ) => plan::fuse_scan_select(&spec.table, cols, code_cols, pred, self.opts),
+            ) => plan::fuse_scan_select(&spec.table, cols, code_cols, pred),
             _ => None,
         };
         let (steps, push, mut truths, what) = match fused {
@@ -1825,25 +1819,8 @@ impl<'a> Checker<'a> {
             None
         };
         let frag = t.fragment_rows() as u64;
-        let total = t.total_rows() as u64;
         let proved =
             rid_range.is_some_and(|(lo, hi)| lo >= 0 && u64::try_from(hi).is_ok_and(|h| h < frag));
-        if self.opts.enforce_facts && input.facts.rows_max != Some(0) {
-            if let Some((lo, _)) = rid_range {
-                if u64::try_from(lo).is_ok_and(|l| l >= total) {
-                    return Err(PlanError::PlanCheck {
-                        path: rpath,
-                        violation: CheckViolation::FactViolation {
-                            detail: format!(
-                                "every #rowId is proven >= {total}, but table \
-                                 `{table}` has only {total} rows: the fetch is \
-                                 certainly out of bounds"
-                            ),
-                        },
-                    });
-                }
-            }
-        }
         let mut node = NodeShape::from_input(&input);
         let mut cols = self.fetch_specs(
             &t,

@@ -12,8 +12,9 @@
 //! The compiler also performs the paper's *compound primitive* rewrite
 //! (§4.2): expression sub-trees matching a fused kernel — e.g.
 //! `*( -(const, col), col)` — compile to a single fused instruction,
-//! keeping intermediates in CPU registers. Fusion is on by default and
-//! can be disabled for ablation (`ExecOptions::compound_primitives`).
+//! keeping intermediates in CPU registers. Fusion always applies; the
+//! `compound` Criterion bench (ablation A1) times the fused kernels
+//! against their chained expansions.
 
 use crate::batch::{Batch, OutField};
 use crate::expr::{ArithOp, Expr};
@@ -222,13 +223,6 @@ pub enum CheckViolation {
         /// The plan operator that relies on it.
         operator: String,
     },
-    /// The facts analyzer ([`crate::facts`]) proved a defect: e.g. a
-    /// fetch whose `#rowId` range lies entirely outside the table.
-    /// Only raised under `ExecOptions::enforce_facts`.
-    FactViolation {
-        /// What the analyzer proved wrong.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for CheckViolation {
@@ -258,9 +252,6 @@ impl std::fmt::Display for CheckViolation {
                 "spill budget set but `{operator}` relies on `{signature}`, \
                  which does not advertise spill capability"
             ),
-            CheckViolation::FactViolation { detail } => {
-                write!(f, "fact violation: {detail}")
-            }
         }
     }
 }
@@ -331,7 +322,6 @@ struct Lowering<'a> {
     fields: &'a [OutField],
     instrs: Vec<(Instr, String)>,
     reg_types: Vec<ScalarType>,
-    compound: bool,
 }
 
 impl<'a> Lowering<'a> {
@@ -581,7 +571,7 @@ impl<'a> Lowering<'a> {
             return Ok((Lowered::Const(folded), ty));
         }
         // Compound fusion: *( -(const, a), b ) and *( +(const, a), b ).
-        if self.compound && op == ArithOp::Mul && ty == ScalarType::F64 {
+        if op == ArithOp::Mul && ty == ScalarType::F64 {
             if let Some((fused, sig)) = self.try_fuse(&ll, &rl)? {
                 let dst = self.alloc(ScalarType::F64);
                 let instr = match fused {
@@ -892,14 +882,10 @@ enum FusedShape {
 }
 
 impl ExprProg {
-    /// Compile `expr` against the input shape `fields`; `compound`
-    /// enables the fused-primitive rewrite.
-    pub fn compile(
-        expr: &Expr,
-        fields: &[OutField],
-        compound: bool,
-    ) -> Result<Arc<ExprCode>, PlanError> {
-        Self::compile_as(expr, fields, compound, Ok)
+    /// Compile `expr` against the input shape `fields`, fusing every
+    /// sub-tree a compound kernel covers.
+    pub fn compile(expr: &Expr, fields: &[OutField]) -> Result<Arc<ExprCode>, PlanError> {
+        Self::compile_as(expr, fields, Ok)
     }
 
     /// Compile `expr` and coerce its result to the type `target` picks
@@ -908,14 +894,12 @@ impl ExprProg {
     pub fn compile_as(
         expr: &Expr,
         fields: &[OutField],
-        compound: bool,
         target: impl FnOnce(ScalarType) -> Result<ScalarType, PlanError>,
     ) -> Result<Arc<ExprCode>, PlanError> {
         let mut low = Lowering {
             fields,
             instrs: Vec::new(),
             reg_types: Vec::new(),
-            compound,
         };
         let (res, natural) = low.lower(expr)?;
         let ty = target(natural)?;
@@ -1429,9 +1413,9 @@ mod tests {
         b
     }
 
-    fn run(e: &Expr, compound: bool) -> Vector {
+    fn run(e: &Expr) -> Vector {
         let f = fields();
-        let mut prog = ExprProg::new(&ExprProg::compile(e, &f, compound).expect("compiles"), 4);
+        let mut prog = ExprProg::new(&ExprProg::compile(e, &f).expect("compiles"), 4);
         let b = batch();
         let mut prof = Profiler::new(false);
         prog.eval(&b, None, &mut prof).clone()
@@ -1440,7 +1424,7 @@ mod tests {
     #[test]
     fn col_ref_is_zero_instr() {
         let f = fields();
-        let prog = ExprProg::compile(&col("a"), &f, true).expect("compiles");
+        let prog = ExprProg::compile(&col("a"), &f).expect("compiles");
         assert_eq!(prog.num_instrs(), 0);
         assert_eq!(prog.as_col_ref(), Some(0));
         assert_eq!(prog.result_type(), ScalarType::F64);
@@ -1448,11 +1432,11 @@ mod tests {
 
     #[test]
     fn arithmetic_eval() {
-        let v = run(&add(col("a"), col("b")), true);
+        let v = run(&add(col("a"), col("b")));
         assert_eq!(v.as_f64(), &[11.0, 22.0, 33.0, 44.0]);
-        let v = run(&mul(col("a"), lit_f64(2.0)), true);
+        let v = run(&mul(col("a"), lit_f64(2.0)));
         assert_eq!(v.as_f64(), &[2.0, 4.0, 6.0, 8.0]);
-        let v = run(&sub(lit_f64(1.0), col("a")), true);
+        let v = run(&sub(lit_f64(1.0), col("a")));
         assert_eq!(v.as_f64(), &[0.0, -1.0, -2.0, -3.0]);
     }
 
@@ -1461,11 +1445,11 @@ mod tests {
         // i32 column + f64 literal promotes to f64 via an inserted cast.
         let e = add(col("n"), lit_f64(0.5));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f).expect("compiles");
         assert_eq!(prog.result_type(), ScalarType::F64);
         let sigs: Vec<&str> = prog.signatures().collect();
         assert!(sigs.contains(&"map_cast_i32_f64_col"), "{sigs:?}");
-        let v = run(&e, true);
+        let v = run(&e);
         assert_eq!(v.as_f64(), &[5.5, 6.5, 7.5, 8.5]);
     }
 
@@ -1477,13 +1461,12 @@ mod tests {
         let sigs = |c: &ExprCode| c.signatures().map(str::to_owned).collect::<Vec<_>>();
         for e in [add(col("n"), lit_i32(1)), col("n"), lit_i32(7)] {
             let cast = Expr::Cast(ScalarType::F64, Box::new(e.clone()));
-            let want = ExprProg::compile(&cast, &f, true).expect("compiles");
-            let got =
-                ExprProg::compile_as(&e, &f, true, |_| Ok(ScalarType::F64)).expect("compiles");
+            let want = ExprProg::compile(&cast, &f).expect("compiles");
+            let got = ExprProg::compile_as(&e, &f, |_| Ok(ScalarType::F64)).expect("compiles");
             assert_eq!(sigs(&got), sigs(&want));
             assert_eq!(got.result_type(), ScalarType::F64);
-            let plain = ExprProg::compile(&e, &f, true).expect("compiles");
-            let same = ExprProg::compile_as(&e, &f, true, Ok).expect("compiles");
+            let plain = ExprProg::compile(&e, &f).expect("compiles");
+            let same = ExprProg::compile_as(&e, &f, Ok).expect("compiles");
             assert_eq!(sigs(&same), sigs(&plain));
         }
     }
@@ -1492,10 +1475,10 @@ mod tests {
     fn constant_folding() {
         let e = mul(add(lit_f64(1.0), lit_f64(2.0)), col("a"));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f).expect("compiles");
         // One instruction: 3.0 * a. No instruction for 1+2.
         assert_eq!(prog.num_instrs(), 1);
-        let v = run(&e, true);
+        let v = run(&e);
         assert_eq!(v.as_f64(), &[3.0, 6.0, 9.0, 12.0]);
     }
 
@@ -1504,23 +1487,13 @@ mod tests {
         // Q1's discountprice shape: (1.0 - a) * b.
         let e = mul(sub(lit_f64(1.0), col("a")), col("b"));
         let f = fields();
-        let fused = ExprProg::compile(&e, &f, true).expect("compiles");
+        let fused = ExprProg::compile(&e, &f).expect("compiles");
         assert_eq!(fused.num_instrs(), 1);
         assert_eq!(
             fused.signatures().next(),
             Some("map_fused_sub_f64_val_f64_col_mul_f64_col")
         );
-        let unfused = ExprProg::compile(&e, &f, false).expect("compiles");
-        assert_eq!(unfused.num_instrs(), 2);
-        // Both produce identical results.
-        let b = batch();
-        let mut p = Profiler::new(false);
-        let mut fused = ExprProg::new(&fused, 4);
-        let mut unfused = ExprProg::new(&unfused, 4);
-        let rv1 = fused.eval(&b, None, &mut p).clone();
-        let rv2 = unfused.eval(&b, None, &mut p).clone();
-        assert_eq!(rv1.as_f64(), rv2.as_f64());
-        assert_eq!(rv1.as_f64(), &[0.0, -20.0, -60.0, -120.0]);
+        assert_eq!(run(&e).as_f64(), &[0.0, -20.0, -60.0, -120.0]);
     }
 
     #[test]
@@ -1528,22 +1501,22 @@ mod tests {
         // b * (1.0 + a) also fuses.
         let e = mul(col("b"), add(lit_f64(1.0), col("a")));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f).expect("compiles");
         assert_eq!(prog.num_instrs(), 1);
-        let v = run(&e, true);
+        let v = run(&e);
         assert_eq!(v.as_f64(), &[20.0, 60.0, 120.0, 200.0]);
     }
 
     #[test]
     fn comparisons_and_logic() {
-        let v = run(&lt(col("a"), lit_f64(2.5)), true);
+        let v = run(&lt(col("a"), lit_f64(2.5)));
         assert_eq!(v.as_bool(), &[true, true, false, false]);
-        let v = run(
-            &and(gt(col("a"), lit_f64(1.5)), lt(col("b"), lit_f64(35.0))),
-            true,
-        );
+        let v = run(&and(
+            gt(col("a"), lit_f64(1.5)),
+            lt(col("b"), lit_f64(35.0)),
+        ));
         assert_eq!(v.as_bool(), &[false, true, true, false]);
-        let v = run(&not(eq(col("s"), lit_str("x"))), true);
+        let v = run(&not(eq(col("s"), lit_str("x"))));
         assert_eq!(v.as_bool(), &[false, true, false, true]);
     }
 
@@ -1552,24 +1525,24 @@ mod tests {
         // u8 enum codes compared against a small literal: no cast emitted.
         let e = le(col("code"), lit_i64(1));
         let f = fields();
-        let prog = ExprProg::compile(&e, &f, true).expect("compiles");
+        let prog = ExprProg::compile(&e, &f).expect("compiles");
         let sigs: Vec<&str> = prog.signatures().collect();
         assert_eq!(sigs, vec!["map_le_u8_col_val"]);
-        let v = run(&e, true);
+        let v = run(&e);
         assert_eq!(v.as_bool(), &[true, true, false, false]);
     }
 
     #[test]
     fn flipped_constant_comparison() {
         // 2.5 > a  ≡  a < 2.5
-        let v = run(&gt(lit_f64(2.5), col("a")), true);
+        let v = run(&gt(lit_f64(2.5), col("a")));
         assert_eq!(v.as_bool(), &[true, true, false, false]);
     }
 
     #[test]
     fn selection_vector_limits_evaluation() {
         let f = fields();
-        let code = ExprProg::compile(&div(col("b"), col("a")), &f, true).expect("compiles");
+        let code = ExprProg::compile(&div(col("b"), col("a")), &f).expect("compiles");
         let mut prog = ExprProg::new(&code, 4);
         let b = batch();
         let sel = SelVec::from_positions(vec![1, 3]);
@@ -1582,22 +1555,22 @@ mod tests {
     #[test]
     fn unknown_column_errors() {
         let f = fields();
-        let err = ExprProg::compile(&col("zz"), &f, true).expect_err("must fail");
+        let err = ExprProg::compile(&col("zz"), &f).expect_err("must fail");
         assert_eq!(err, PlanError::UnknownColumn("zz".into()));
     }
 
     #[test]
     fn string_range_comparison_rejected() {
         let f = fields();
-        let err = ExprProg::compile(&lt(col("s"), lit_str("m")), &f, true).expect_err("must fail");
+        let err = ExprProg::compile(&lt(col("s"), lit_str("m")), &f).expect_err("must fail");
         assert!(matches!(err, PlanError::TypeMismatch(_)));
     }
 
     #[test]
     fn profiling_records_signatures() {
         let f = fields();
-        let code = ExprProg::compile(&mul(sub(lit_f64(1.0), col("a")), col("b")), &f, true)
-            .expect("compiles");
+        let code =
+            ExprProg::compile(&mul(sub(lit_f64(1.0), col("a")), col("b")), &f).expect("compiles");
         let mut prog = ExprProg::new(&code, 4);
         let b = batch();
         let mut prof = Profiler::new(true);
@@ -1611,7 +1584,7 @@ mod tests {
 
     #[test]
     fn literal_only_expression_broadcasts() {
-        let v = run(&lit_f64(7.0), true);
+        let v = run(&lit_f64(7.0));
         assert_eq!(v.as_f64(), &[7.0; 4]);
     }
 }

@@ -17,8 +17,7 @@
 //!   / `FetchNJoin` gathers is proven `< fragment_rows`. Facts explain,
 //!   the kernel checks: `--explain-facts` prints the verdict, and the
 //!   gather checks its own bounds once per vector, so no operator reads
-//!   it. With enforcement on, a fetch proven certainly out of bounds is
-//!   rejected;
+//!   it, and a `#rowId` past the table's end is a typed run-time error;
 //! * **selection folding** — predicates proven always-true become a
 //!   pass-through, always-false an empty dataflow;
 //! * **no-overflow proofs** — integer interval arithmetic widens to ⊤

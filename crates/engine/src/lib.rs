@@ -22,7 +22,7 @@
 //!   cancellation/deadlines, worker-panic containment, fault injection.
 //! * [`profile`] — per-primitive and per-operator tracing (Table 5).
 //! * [`session`] — the catalog ([`Database`]), execution options
-//!   (vector size, compound toggle, budgets), and result
+//!   (vector size, threads, budgets), and result
 //!   materialization.
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

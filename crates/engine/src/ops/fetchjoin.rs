@@ -20,7 +20,7 @@ use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::{Arc, Mutex};
 use x100_storage::{ColumnData, Table};
-use x100_vector::{fetch as vfetch, ScalarType, SelVec, Vector};
+use x100_vector::{fetch as vfetch, SelVec, Vector};
 
 /// A column to fetch from the target table, as the check walk resolved
 /// it ([`crate::check`]).
@@ -176,10 +176,11 @@ fn fetch_gather(
             }
             let bytes = fc.derived.as_ref().expect("just fetched");
             out.resize_zeroed(n);
-            // One byte per fragment row of a delta-free table: every
-            // `#rowId` the join index holds is in range.
-            let in_range = vfetch::fetch(out.as_u8_mut(), bytes, rowids, sel);
-            assert!(in_range, "derived fetch column: #rowId out of range");
+            // One byte per fragment row of a delta-free table: a rowid
+            // the kernel refuses is past the table's end.
+            if !vfetch::fetch(out.as_u8_mut(), bytes, rowids, sel) {
+                return Err(out_of_range(table, "derived predicate", rowids, n, sel));
+            }
             prof.add_counter("fetch_unchecked_dispatches", 1);
             return Ok(());
         }
@@ -200,18 +201,42 @@ fn fetch_gather(
             return Ok(());
         }
     }
-    if gather_positional(table, col, fc.spec.as_codes, rowids, n, sel, out) {
+    if gather_positional(table, col, fc.spec.as_codes, rowids, n, sel, out)? {
         prof.add_counter("fetch_unchecked_dispatches", 1);
     }
     Ok(())
 }
 
+/// The typed error for a vector holding a live `#rowId` past the end of
+/// `table` (the largest one is named).
+fn out_of_range(
+    table: &Table,
+    col: &str,
+    rowids: &[u32],
+    n: usize,
+    sel: Option<&SelVec>,
+) -> PlanError {
+    let live = |i: usize| rowids[i];
+    let max = match sel {
+        None => (0..n).map(live).max(),
+        Some(s) => s.iter().map(live).max(),
+    };
+    PlanError::Invalid(format!(
+        "fetch from `{}`.`{col}`: #rowId {} is out of range ({} rows)",
+        table.name(),
+        max.unwrap_or_default(),
+        table.total_rows()
+    ))
+}
+
 /// Fetch `table[rowids[i]].col` positionally into `out` under `sel`;
-/// `true` when every gathered rowid was inside the fragment. The gather
-/// kernel's one range check per vector is the fragment-vs-delta test:
-/// fixed-width columns gather in the same call, enum columns decode
-/// through the dictionary, strings rebuild, and a vector reaching into
-/// the delta region takes the slow value path.
+/// `Ok(true)` when every gathered rowid was inside the fragment. The
+/// gather kernel's one range check per vector is the fragment-vs-delta
+/// test: fixed-width columns gather in the same call, enum columns
+/// decode through the dictionary, strings rebuild, and a vector reaching
+/// past the fragment takes the slow value path, which reads the one
+/// column's value of each live rowid from the fragment or the insert
+/// delta — or fails with a typed error for one past the table's end.
 #[allow(clippy::needless_range_loop)] // positional writes under a selection
 fn gather_positional(
     table: &Table,
@@ -221,7 +246,7 @@ fn gather_positional(
     n: usize,
     sel: Option<&SelVec>,
     out: &mut Vector,
-) -> bool {
+) -> Result<bool, PlanError> {
     let sc = table.column(col);
     let frag_rows = table.fragment_rows();
     out.resize_zeroed(n);
@@ -329,46 +354,43 @@ fn gather_positional(
         }
     };
     if in_frag {
-        return true;
+        return Ok(true);
     }
-    assert!(
-        !as_codes,
-        "code fetch into the delta region (binder forbids this)"
-    );
-    // Slow path: some rowids live in the delta region.
-    match sel {
-        None => {
-            out.clear();
-            for &r in &rowids[..n] {
-                out.push_value(&row_value(table, col, r));
+    let name = &sc.field().name;
+    if as_codes {
+        // Code fetches run over delta-free tables only (the check walk's
+        // condition): past the fragment is past the end.
+        return Err(out_of_range(table, name, rowids, n, sel));
+    }
+    let value = |r: u32| {
+        table
+            .value(col, r)
+            .ok_or_else(|| out_of_range(table, name, rowids, n, sel))
+    };
+    let live: Vec<usize> = match sel {
+        None => (0..n).collect(),
+        Some(s) => s.iter().collect(),
+    };
+    if let Vector::Str(o) = out {
+        // Unselected positions hold empty strings.
+        o.clear();
+        let mut live = live.into_iter().peekable();
+        for i in 0..n {
+            if live.next_if_eq(&i).is_none() {
+                o.push("");
+                continue;
+            }
+            match value(rowids[i])? {
+                x100_vector::Value::Str(v) => o.push(&v),
+                other => panic!("expected string, got {other:?}"),
             }
         }
-        Some(s) => {
-            // Positional writes for fixed-width types only; strings
-            // with deltas + selection are handled valuewise.
-            if out.scalar_type() == ScalarType::Str {
-                let strvec = out.as_str_mut();
-                strvec.clear();
-                let mut next = s.iter().peekable();
-                for i in 0..n {
-                    if next.peek() == Some(&i) {
-                        next.next();
-                        match row_value(table, col, rowids[i]) {
-                            x100_vector::Value::Str(v) => strvec.push(&v),
-                            other => panic!("expected string, got {other:?}"),
-                        }
-                    } else {
-                        strvec.push("");
-                    }
-                }
-            } else {
-                for i in s.iter() {
-                    set_value_at(out, i, &row_value(table, col, rowids[i]));
-                }
-            }
+    } else {
+        for i in live {
+            set_value_at(out, i, &value(rowids[i])?);
         }
     }
-    false
+    Ok(false)
 }
 
 fn gather_decode<T: Copy>(
@@ -413,11 +435,6 @@ fn gather_decode16<T: Copy>(
             }
         }
     }
-}
-
-fn row_value(table: &Table, col: usize, rowid: u32) -> x100_vector::Value {
-    // get_row is row-at-a-time; extract just one column.
-    table.get_row(rowid)[col].clone()
 }
 
 fn set_value_at(out: &mut Vector, i: usize, v: &x100_vector::Value) {

@@ -419,13 +419,9 @@ pub(crate) fn fuse_scan_select(
     cols: &[String],
     code_cols: &[String],
     pred: &Expr,
-    opts: &ExecOptions,
 ) -> Option<FusedPushdown> {
     use x100_storage::{ChunkFormat, PushOp};
     use x100_vector::CmpOp;
-    if !opts.compressed_pushdown {
-        return None;
-    }
     // Delta rows bypass the compressed fragments; fusing would leave
     // them unfiltered, so decline until the table is reorganized.
     if t.delta_rows() > 0 {

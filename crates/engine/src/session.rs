@@ -24,14 +24,6 @@ pub struct ExecOptions {
     pub vector_size: usize,
     /// Enable per-primitive / per-operator tracing (Table 5).
     pub profile: bool,
-    /// Enable compound-primitive fusion (§4.2; off for ablation).
-    pub compound_primitives: bool,
-    /// Fuse `Select` over a `Scan` of a checkpoint-compressed column
-    /// into a compressed-execution path: the predicate is evaluated in
-    /// encoded space over the packed lanes (or rewritten against the
-    /// dictionary) and produces only the batch's selection vector over
-    /// the ordinary dense refill. Off for ablation (decode-then-select).
-    pub compressed_pushdown: bool,
     /// Worker threads for morsel-driven parallel execution. With `> 1`
     /// the check walk places an `Exchange` over every hash or direct
     /// aggregation, at any depth, whose input is a
@@ -70,12 +62,6 @@ pub struct ExecOptions {
     /// Testing aid: deliberately panic inside the pipeline after this
     /// many governor checks (exercises worker-panic containment).
     pub panic_probe: Option<u64>,
-    /// Escalate provable fact violations (e.g. a `Fetch1Join` whose
-    /// every `#rowId` is proven out of bounds) from runtime errors to
-    /// bind-time [`crate::CheckViolation::FactViolation`]s. Defaults to
-    /// the presence of the `X100_ENFORCE_FACTS` environment variable
-    /// (the differential CI harness sets it).
-    pub enforce_facts: bool,
 }
 
 impl Default for ExecOptions {
@@ -83,8 +69,6 @@ impl Default for ExecOptions {
         ExecOptions {
             vector_size: DEFAULT_VECTOR_SIZE,
             profile: false,
-            compound_primitives: true,
-            compressed_pushdown: true,
             threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
             mem_budget: None,
@@ -93,7 +77,6 @@ impl Default for ExecOptions {
             cancel: None,
             fault_plan: None,
             panic_probe: None,
-            enforce_facts: std::env::var_os("X100_ENFORCE_FACTS").is_some(),
         }
     }
 }
@@ -110,13 +93,6 @@ impl ExecOptions {
     /// Enable tracing.
     pub fn profiled(mut self) -> Self {
         self.profile = true;
-        self
-    }
-
-    /// Enable or disable compressed-execution predicate pushdown
-    /// (enabled by default; `false` forces decode-then-select).
-    pub fn with_compressed_pushdown(mut self, on: bool) -> Self {
-        self.compressed_pushdown = on;
         self
     }
 
@@ -169,13 +145,6 @@ impl ExecOptions {
     /// checkpoints (see [`ExecOptions::panic_probe`]).
     pub fn with_panic_probe(mut self, checks: u64) -> Self {
         self.panic_probe = Some(checks);
-        self
-    }
-
-    /// Turn provable fact violations into bind-time errors
-    /// (see [`ExecOptions::enforce_facts`]).
-    pub fn with_enforce_facts(mut self, on: bool) -> Self {
-        self.enforce_facts = on;
         self
     }
 

@@ -15,7 +15,7 @@ use x100_engine::check_plan;
 use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, run_operator, Database, ExecOptions};
-use x100_engine::{AggExpr, CheckViolation, PlanError, Profiler, QueryContext};
+use x100_engine::{AggExpr, PlanError, Profiler, QueryContext};
 use x100_storage::{ColumnData, Table, TableBuilder};
 use x100_vector::{ScalarType, Value};
 
@@ -262,36 +262,45 @@ fn select_folds_are_exact() {
     assert_eq!(facts.root().select_verdict(), None);
 }
 
-/// `--enforce-facts` turns a statically out-of-bounds fetch into a
-/// bind-time `FactViolation` instead of a runtime trap.
+/// A `#rowId` past the dimension's end is not a panic: the plan checks
+/// (its fetch-bounds verdict is simply unproven) and the run fails with
+/// a typed error naming the table, the column and the row id — for
+/// `Fetch1Join` (values or enum codes) and `FetchNJoin` alike.
 #[test]
-fn enforce_facts_rejects_certain_oob_fetch() {
+fn out_of_range_rowid_is_a_typed_run_time_error() {
     let dim = TableBuilder::new("dim")
         .column("pay", ColumnData::I64(vec![1, 2, 3]))
+        .auto_enum_str("tag", vec!["a".into(), "b".into(), "c".into()])
         .build();
     let facts_t = TableBuilder::new("facts")
-        .column("fk", ColumnData::U32(vec![7, 8, 9])) // all ≥ dim.total_rows()
+        .column("fk", ColumnData::U32(vec![0, 1, 9]))
+        .column("cnt", ColumnData::U32(vec![1, 1, 2]))
         .build();
     let mut db = Database::new();
     db.register(dim);
     db.register(facts_t);
-    let plan = Plan::scan("facts", &["fk"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
-
-    // Without enforcement the plan checks (proof simply fails)…
-    let summary = check_plan(&db, &plan, &ExecOptions::default()).expect("lenient");
+    let fetch1 = Plan::scan("facts", &["fk"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
+    let summary = check_plan(&db, &fetch1, &ExecOptions::default()).expect("checks");
     assert_eq!(summary.facts.root().fetch_proved(), Some(false));
-
-    // …with enforcement it is rejected at bind time, node-precisely.
-    let opts = ExecOptions::default().with_enforce_facts(true);
-    match check_plan(&db, &plan, &opts) {
-        Err(PlanError::PlanCheck {
-            path,
-            violation: CheckViolation::FactViolation { detail },
-        }) => {
-            assert!(path.contains("Fetch1Join"), "path: {path}");
-            assert!(detail.contains("rowId"), "detail: {detail}");
+    // Row ids 0, 1, 9, 10.
+    let fetchn = Plan::FetchNJoin {
+        input: Box::new(Plan::scan("facts", &["fk", "cnt"])),
+        table: "dim".into(),
+        lo: col("fk"),
+        cnt: col("cnt"),
+        fetch: vec![("pay".into(), "pay".into())],
+    };
+    let codes =
+        Plan::scan("facts", &["fk"]).fetch1_with_codes("dim", col("fk"), &[], &[("tag", "tag")]);
+    for (plan, column, rowid) in [(fetch1, "pay", 9), (codes, "tag", 9), (fetchn, "pay", 10)] {
+        match execute(&db, &plan, &ExecOptions::default()).map(|(r, _)| r.row_strings()) {
+            Err(PlanError::Invalid(why)) => assert!(
+                why.contains(&format!("`dim`.`{column}`"))
+                    && why.contains(&format!("#rowId {rowid} ")),
+                "{why}"
+            ),
+            other => panic!("expected a typed error, got {other:?}"),
         }
-        other => panic!("expected FactViolation, got {other:?}"),
     }
 }
 

@@ -379,6 +379,33 @@ fn fetchnjoin_expands_ranges() {
     );
 }
 
+/// A fetch reads a deleted dimension row's stored value whichever path
+/// its vector takes: the kernel when every rowid is in the fragment, the
+/// one-column value path when one reaches the insert delta.
+#[test]
+fn fetch_of_a_deleted_row_is_the_same_on_both_paths() {
+    let mut dim = TableBuilder::new("dim")
+        .column("pay", ColumnData::I64(vec![1, 2, 3]))
+        .build();
+    assert!(dim.delete(1));
+    dim.insert(&[Value::I64(4)]);
+    let mut db = Database::new();
+    db.register(dim);
+    for (fk, want) in [
+        (vec![0, 1], vec!["0|1", "1|2"]),
+        (vec![0, 1, 3], vec!["0|1", "1|2", "3|4"]),
+    ] {
+        db.register(
+            TableBuilder::new("facts")
+                .column("fk", ColumnData::U32(fk))
+                .build(),
+        );
+        let plan = Plan::scan("facts", &["fk"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
+        let (res, _) = execute(&db, &plan, &opts()).expect("runs");
+        assert_eq!(res.row_strings(), want);
+    }
+}
+
 #[test]
 fn nested_loop_join_is_cartprod_plus_select() {
     let db = dim_db();
@@ -596,19 +623,13 @@ fn compressed_scan_reports_counters_and_matches_plain() {
         "expected at least one column to compress: {verdicts:?}"
     );
     comp.register(t);
-    // Default options fuse the Select into the compressed scan: same
-    // rows, and the pushdown counter proves the encoded-space path ran.
+    // The Select fuses into the compressed scan: same rows, the pushdown
+    // counter proves the encoded-space path ran, and the dense refill
+    // under its selection reports its counters — every scanned byte came
+    // from compressed chunks, and the ratio reflects the worst column.
     let (res, prof) = execute(&comp, &plan, &ExecOptions::default().profiled()).expect("comp");
     assert_eq!(res.row_strings(), base.row_strings());
     assert!(prof.counter("pushdown_vectors").is_some());
-    // Ablate the pushdown to exercise the dense decode path and its
-    // counters: every scanned byte came from compressed chunks, and the
-    // ratio reflects the worst column.
-    let ablate = ExecOptions::default()
-        .profiled()
-        .with_compressed_pushdown(false);
-    let (res, prof) = execute(&comp, &plan, &ablate).expect("comp ablation");
-    assert_eq!(res.row_strings(), base.row_strings());
     let raw = prof.counter("scan_bytes_raw").expect("scan_bytes_raw");
     let cmp = prof
         .counter("scan_bytes_compressed")
@@ -618,30 +639,6 @@ fn compressed_scan_reports_counters_and_matches_plain() {
     let ratio = prof.counter("compress_ratio").expect("compress_ratio");
     assert!(ratio > 0 && ratio < 100, "ratio_pct {ratio}");
     assert!(prof.counter("decode_exceptions").is_some());
-}
-
-#[test]
-fn compound_toggle_changes_trace_not_result() {
-    let db = sales_db();
-    let plan = Plan::scan("sales", &["qty", "price"]).project(vec![(
-        "rev",
-        mul(sub(lit_f64(1.0), col("qty")), col("price")),
-    )]);
-    let mut o1 = ExecOptions::default().profiled();
-    o1.compound_primitives = true;
-    let mut o2 = ExecOptions::default().profiled();
-    o2.compound_primitives = false;
-    let (r1, p1) = execute(&db, &plan, &o1).expect("runs");
-    let (r2, p2) = execute(&db, &plan, &o2).expect("runs");
-    assert_eq!(r1.row_strings(), r2.row_strings());
-    assert!(p1
-        .primitive("map_fused_sub_f64_val_f64_col_mul_f64_col")
-        .is_some());
-    assert!(p2
-        .primitive("map_fused_sub_f64_val_f64_col_mul_f64_col")
-        .is_none());
-    assert!(p2.primitive("map_sub_f64_val_f64_col").is_some());
-    assert!(p2.primitive("map_mul_f64_col_f64_col").is_some());
 }
 
 /// The select primitives run predicated at every selectivity: runs of

@@ -1,11 +1,11 @@
 //! Compression-aware execution: fused `CompressedScanSelect` tests.
 //!
-//! Every test compares the fused encoded-space path against the
-//! decode-then-select ablation (`with_compressed_pushdown(false)`),
-//! which binds the exact operator pipeline previous releases ran — the
-//! two must be byte-identical in all circumstances: residual
-//! conjuncts, deletes, string predicates, parallel morsels, and torn
-//! chunk writes.
+//! Every test compares a plan over a checkpoint-compressed table, where
+//! the predicate runs in encoded space, against the same plan over a
+//! never-checkpointed copy of the same rows, which has no compressed
+//! column and so runs the ordinary decode-then-select pipeline — the two
+//! must be byte-identical in all circumstances: residual conjuncts,
+//! deletes, string predicates, parallel morsels, and torn chunk writes.
 
 use x100_engine::check_plan;
 use x100_engine::expr::*;
@@ -52,6 +52,27 @@ fn fact_table() -> Table {
         .build()
 }
 
+/// `t` alone in a catalog.
+fn db_of(t: Table) -> Database {
+    let mut db = Database::new();
+    db.register(t);
+    db
+}
+
+/// The fact table, checkpoint-compressed or never (the oracle).
+fn fact_table_as(checkpoint: bool) -> Table {
+    let mut t = fact_table();
+    if checkpoint {
+        t.checkpoint();
+    }
+    t
+}
+
+/// The fact table, never checkpointed.
+fn raw_db() -> Database {
+    db_of(fact_table())
+}
+
 fn fact_db() -> Database {
     let mut t = fact_table();
     let verdicts = t.checkpoint();
@@ -67,28 +88,20 @@ fn fact_db() -> Database {
     assert_eq!(fmt("grp"), ChunkFormat::Pdict, "{verdicts:?}");
     assert_eq!(fmt("tag"), ChunkFormat::Pdict, "{verdicts:?}");
     assert_eq!(fmt("qty"), ChunkFormat::Pfor, "{verdicts:?}");
-    let mut db = Database::new();
-    db.register(t);
-    db
+    db_of(t)
 }
 
-fn fused() -> ExecOptions {
+fn profiled() -> ExecOptions {
     ExecOptions::default().profiled()
 }
 
-fn ablated() -> ExecOptions {
-    ExecOptions::default()
-        .profiled()
-        .with_compressed_pushdown(false)
-}
-
-/// Run `plan` fused and ablated; assert identical rows and that the
-/// fused run actually took the pushdown path. Returns the fused
-/// profiler for extra counter assertions.
-fn assert_fused_matches(db: &Database, plan: &Plan) -> x100_engine::Profiler {
-    let (want, ap) = execute(db, plan, &ablated()).expect("ablated");
-    assert!(ap.counter("pushdown_vectors").is_none(), "ablation pushed");
-    let (got, fp) = execute(db, plan, &fused()).expect("fused");
+/// Run `plan` over the raw copy and the compressed table; assert
+/// identical rows and that the compressed run actually took the
+/// pushdown path. Returns its profiler for extra counter assertions.
+fn assert_fused_matches(raw: &Database, db: &Database, plan: &Plan) -> x100_engine::Profiler {
+    let (want, rp) = execute(raw, plan, &profiled()).expect("raw");
+    assert!(rp.counter("pushdown_vectors").is_none(), "raw scan pushed");
+    let (got, fp) = execute(db, plan, &profiled()).expect("fused");
     assert_eq!(want.row_strings(), got.row_strings());
     assert!(
         fp.counter("pushdown_vectors").unwrap_or(0) > 0,
@@ -99,7 +112,7 @@ fn assert_fused_matches(db: &Database, plan: &Plan) -> x100_engine::Profiler {
 
 #[test]
 fn pfor_predicates_match_ablation_per_operator() {
-    let db = fact_db();
+    let (raw, db) = (raw_db(), fact_db());
     let preds = [
         lt(col("k"), lit_i64(100)),
         le(col("k"), lit_i64(99)),
@@ -109,10 +122,10 @@ fn pfor_predicates_match_ablation_per_operator() {
         // Literal-on-the-left normalizes by flipping the operator.
         gt(lit_i64(50), col("k")),
     ];
-    let windows = (N as usize).div_ceil(fused().vector_size) as u64;
+    let windows = (N as usize).div_ceil(profiled().vector_size) as u64;
     for pred in preds {
         let plan = Plan::scan("fact", &["id", "k", "qty"]).select(pred.clone());
-        let prof = assert_fused_matches(&db, &plan);
+        let prof = assert_fused_matches(&raw, &db, &plan);
         // One encoded-space selection per refill; the columns then
         // refill as in any scan and report the same decode counters.
         assert_eq!(prof.counter("pushdown_vectors"), Some(windows), "{pred:?}");
@@ -126,13 +139,15 @@ fn pfor_predicates_match_ablation_per_operator() {
 
 #[test]
 fn ge_lt_over_integers_fuses_as_one_between() {
-    let db = fact_db();
+    let (raw, db) = (raw_db(), fact_db());
     // `k >= 200 AND k < 251` is `k BETWEEN 200 AND 250`.
     let plan = Plan::scan("fact", &["id", "k"])
         .select(and(ge(col("k"), lit_i64(200)), lt(col("k"), lit_i64(251))));
-    let prof = assert_fused_matches(&db, &plan);
+    let prof = assert_fused_matches(&raw, &db, &plan);
     assert!(prof.primitive("cmp_pfor_between_i64_col_val_val").is_some());
-    let log = check_plan(&db, &plan, &fused()).expect("checks").render();
+    let log = check_plan(&db, &plan, &profiled())
+        .expect("checks")
+        .render();
     assert!(log.contains("residual []"), "no conjunct left above: {log}");
     // Below the type's minimum there is no `hi − 1`: the pair stays two
     // conjuncts (one pushed, one residual), and still selects nothing.
@@ -140,22 +155,22 @@ fn ge_lt_over_integers_fuses_as_one_between() {
         ge(col("k"), lit_i64(200)),
         lt(col("k"), lit_i64(i64::MIN)),
     ));
-    let summary = check_plan(&db, &plan, &fused()).expect("checks");
+    let summary = check_plan(&db, &plan, &profiled()).expect("checks");
     assert!(
         !summary.render().contains("between"),
         "{}",
         summary.render()
     );
-    let (got, _) = execute(&db, &plan, &fused()).expect("runs");
+    let (got, _) = execute(&db, &plan, &profiled()).expect("runs");
     assert_eq!(got.num_rows(), 0);
 }
 
 #[test]
 fn ge_le_conjunction_fuses_as_one_between() {
-    let db = fact_db();
+    let (raw, db) = (raw_db(), fact_db());
     let plan = Plan::scan("fact", &["id", "k"])
         .select(and(ge(col("k"), lit_i64(200)), le(col("k"), lit_i64(250))));
-    let prof = assert_fused_matches(&db, &plan);
+    let prof = assert_fused_matches(&raw, &db, &plan);
     assert!(
         prof.primitive("cmp_pfor_between_i64_col_val_val").is_some(),
         "range pair should collapse into a single encoded Between"
@@ -164,7 +179,7 @@ fn ge_le_conjunction_fuses_as_one_between() {
 
 #[test]
 fn pdict_predicates_rewrite_once_over_the_dictionary() {
-    let db = fact_db();
+    let (raw, db) = (raw_db(), fact_db());
     for pred in [
         eq(col("tag"), lit_str("beta")),
         ne(col("tag"), lit_str("gamma")),
@@ -172,7 +187,7 @@ fn pdict_predicates_rewrite_once_over_the_dictionary() {
         eq(col("grp"), lit_i64(123_456_789)),
     ] {
         let plan = Plan::scan("fact", &["id", "tag", "grp"]).select(pred);
-        let prof = assert_fused_matches(&db, &plan);
+        let prof = assert_fused_matches(&raw, &db, &plan);
         // The predicate collapsed to a code-set test at bind: exactly
         // one dictionary evaluation per query, not one per vector.
         assert_eq!(prof.counter("dict_predicate_rewrites"), Some(1));
@@ -184,33 +199,31 @@ fn string_range_predicates_only_exist_in_encoded_space() {
     // The decode-then-select path supports only `=` / `!=` on strings;
     // the dictionary rewrite evaluates any ordering once over the
     // sorted dictionary, so `<` works — without ever touching a StrVec.
-    let db = fact_db();
+    let (raw, db) = (raw_db(), fact_db());
     let range = Plan::scan("fact", &["id", "tag"]).select(lt(col("tag"), lit_str("c")));
     // `tag < "c"` keeps exactly {alpha, beta}; express that with two
     // stacked `!=` selects the classic path can run.
     let equiv = Plan::scan("fact", &["id", "tag"])
         .select(ne(col("tag"), lit_str("gamma")))
         .select(ne(col("tag"), lit_str("delta")));
-    let (want, _) = execute(&db, &equiv, &ablated()).expect("equiv");
-    let (got, prof) = execute(&db, &range, &fused()).expect("fused");
+    let (want, _) = execute(&raw, &equiv, &profiled()).expect("equiv");
+    let (got, prof) = execute(&db, &range, &profiled()).expect("fused");
     assert_eq!(want.row_strings(), got.row_strings());
     assert_eq!(prof.counter("dict_predicate_rewrites"), Some(1));
     // And the classic path indeed cannot run the range form.
-    assert!(execute(&db, &range, &ablated()).is_err());
+    assert!(execute(&raw, &range, &profiled()).is_err());
 }
 
 #[test]
 fn int_literal_coerces_to_narrow_and_float_columns() {
-    let db = fact_db();
     // `k` is I64 so this exercises same-type; `qty` is F64 and the
     // I64 literal must coerce rather than falling back.
     let plan = Plan::scan("fact", &["k", "qty"]).select(lt(col("qty"), lit_i64(10)));
-    assert_fused_matches(&db, &plan);
+    assert_fused_matches(&raw_db(), &fact_db(), &plan);
 }
 
 #[test]
 fn residual_conjuncts_run_as_a_select_above_the_fused_scan() {
-    let db = fact_db();
     // `qty * 2 < k` is not pushable (expression over two columns); it
     // must survive as a residual Select over compacted batches.
     let plan = Plan::scan("fact", &["id", "k", "qty"]).select(and(
@@ -220,7 +233,7 @@ fn residual_conjuncts_run_as_a_select_above_the_fused_scan() {
             cast(ScalarType::F64, col("k")),
         ),
     ));
-    assert_fused_matches(&db, &plan);
+    assert_fused_matches(&raw_db(), &fact_db(), &plan);
 }
 
 #[test]
@@ -233,9 +246,9 @@ fn pushdown_under_aggregation_across_threads() {
             vec![AggExpr::sum("s", col("qty")), AggExpr::count("c")],
         )
         .order(vec![OrdExp::asc("grp")]);
-    let (want, _) = execute(&db, &plan, &ablated()).expect("ablated");
+    let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("raw");
     for threads in [1usize, 2, 4, 8] {
-        let (got, prof) = execute(&db, &plan, &fused().parallel(threads)).expect("fused");
+        let (got, prof) = execute(&db, &plan, &profiled().parallel(threads)).expect("fused");
         assert_eq!(want.row_strings(), got.row_strings(), "threads={threads}");
         assert!(
             prof.counter("pushdown_vectors").unwrap_or(0) > 0,
@@ -246,23 +259,24 @@ fn pushdown_under_aggregation_across_threads() {
 
 #[test]
 fn deletes_fold_into_the_encoded_selection() {
-    let mut t = fact_table();
-    t.checkpoint();
     // Delete a mix of rows that would and would not pass `k < 100`.
-    for r in (0..N as u32).step_by(17) {
-        assert!(t.delete(r));
-    }
-    let mut db = Database::new();
-    db.register(t);
+    let deleted = |checkpoint: bool| {
+        let mut t = fact_table_as(checkpoint);
+        for r in (0..N as u32).step_by(17) {
+            assert!(t.delete(r));
+        }
+        db_of(t)
+    };
     let plan = Plan::scan("fact", &["id", "k", "tag"]).select(lt(col("k"), lit_i64(100)));
-    assert_fused_matches(&db, &plan);
+    assert_fused_matches(&deleted(false), &deleted(true), &plan);
 }
 
-/// The pushed refill ≡ the ablation over the whole space its decisions
+/// The pushed refill ≡ the raw table over the whole space its decisions
 /// span: selectivity {0, one row, ~2 %, ~50 %, all} × predicate codec
 /// {PFOR i32, PFOR f64 with 22 % exceptions, PDICT i64, PDICT str} with
-/// every other codec riding along as a co-column (incl. PFOR-DELTA) ×
-/// deletes × threads {1, 2, 4, 8} × vector size {7, 1024}.
+/// every other codec riding along as a co-column (incl. PFOR-DELTA and
+/// PDICT f64, aggregated under the select) × deletes × threads
+/// {1, 2, 4, 8} × vector size {7, 1024}.
 mod matrix {
     use super::*;
 
@@ -271,10 +285,11 @@ mod matrix {
 
     /// `id` sorted → PFOR-DELTA; `p` even numbers, unsorted → PFOR i32;
     /// `f` Q1-shaped f64 → PFOR, two in nine values exceptions; `g` five
-    /// wide values → PDICT i64; `s` four strings → PDICT str. Row `ONE`
-    /// holds the one odd `p`, the maximum `f`, the one `g` = 42 and the
-    /// one `s` = "zeta".
-    fn table(deletes: bool) -> Table {
+    /// wide values → PDICT i64; `s` four strings → PDICT str; `d` 97
+    /// square roots, which no decimal scale makes exact → PDICT f64. Row
+    /// `ONE` holds the one odd `p`, the maximum `f`, the one `g` = 42 and
+    /// the one `s` = "zeta". Checkpointed or never (the oracle).
+    fn table(deletes: bool, checkpoint: bool) -> Table {
         let gs = |i: usize| match i {
             ONE => 42,
             _ if i.is_multiple_of(50) => 5,
@@ -308,18 +323,25 @@ mod matrix {
             )
             .column("g", ColumnData::I64((0..ROWS).map(gs).collect()))
             .column("s", s)
+            .column(
+                "d",
+                ColumnData::F64((0..ROWS).map(|i| ((i % 97) as f64 + 2.0).sqrt()).collect()),
+            )
             .build();
-        let verdicts = t.checkpoint();
-        let want = [
-            ("id", ChunkFormat::PforDelta),
-            ("p", ChunkFormat::Pfor),
-            ("f", ChunkFormat::Pfor),
-            ("g", ChunkFormat::Pdict),
-            ("s", ChunkFormat::Pdict),
-        ];
-        for (name, fmt) in want {
-            let got = verdicts.iter().find(|(n, _, _)| n == name).map(|v| v.1);
-            assert_eq!(got, Some(fmt), "{name}: {verdicts:?}");
+        if checkpoint {
+            let verdicts = t.checkpoint();
+            let want = [
+                ("id", ChunkFormat::PforDelta),
+                ("p", ChunkFormat::Pfor),
+                ("f", ChunkFormat::Pfor),
+                ("g", ChunkFormat::Pdict),
+                ("s", ChunkFormat::Pdict),
+                ("d", ChunkFormat::Pdict),
+            ];
+            for (name, fmt) in want {
+                let got = verdicts.iter().find(|(n, _, _)| n == name).map(|v| v.1);
+                assert_eq!(got, Some(fmt), "{name}: {verdicts:?}");
+            }
         }
         if deletes {
             for r in (3..ROWS as u32).step_by(13) {
@@ -371,10 +393,9 @@ mod matrix {
     #[test]
     fn pushed_refill_matches_ablation_across_the_matrix() {
         for deletes in [false, true] {
-            let mut db = Database::new();
-            db.register(table(deletes));
+            let (raw, db) = (db_of(table(deletes, false)), db_of(table(deletes, true)));
             for (what, pred) in predicates() {
-                let rows = Plan::scan("m", &["id", "p", "f", "g", "s"]).select(pred.clone());
+                let rows = Plan::scan("m", &["id", "p", "f", "g", "s", "d"]).select(pred.clone());
                 let grouped = rows.clone().aggr(
                     vec![("s", col("s"))],
                     vec![
@@ -382,17 +403,17 @@ mod matrix {
                         AggExpr::min("lo", col("id")),
                         AggExpr::max("hi", col("p")),
                         AggExpr::max("gm", col("g")),
+                        AggExpr::min("dm", col("d")),
                         AggExpr::count("c"),
                     ],
                 );
                 let grouped = grouped.order(vec![OrdExp::asc("s")]);
                 for vs in [7usize, 1024] {
                     for threads in [1usize, 2, 4, 8] {
-                        let on = ExecOptions::with_vector_size(vs)
+                        let opts = ExecOptions::with_vector_size(vs)
                             .profiled()
                             .parallel(threads)
                             .with_morsel_size(1_000);
-                        let off = on.clone().with_compressed_pushdown(false);
                         let case = format!("{what}, deletes {deletes}, vs {vs}, threads {threads}");
                         // Rows once per vector size; the grouped plan at
                         // every thread count.
@@ -402,8 +423,8 @@ mod matrix {
                             vec![&grouped]
                         };
                         for plan in plans {
-                            let (want, _) = execute(&db, plan, &off).expect("ablated");
-                            let (got, prof) = execute(&db, plan, &on).expect("pushed");
+                            let (want, _) = execute(&raw, plan, &opts).expect("raw");
+                            let (got, prof) = execute(&db, plan, &opts).expect("pushed");
                             assert_eq!(got.row_strings(), want.row_strings(), "{case}");
                             assert!(
                                 prof.counter("pushdown_vectors").unwrap_or(0) > 0,
@@ -419,20 +440,20 @@ mod matrix {
 
 #[test]
 fn delta_rows_disable_fusion_until_reorganize() {
-    let mut t = fact_table();
-    t.checkpoint();
-    t.insert(&[
-        Value::I64(N),
-        Value::I64(42),
-        Value::I64(5),
-        Value::Str("beta".into()),
-        Value::F64(1.5),
-    ]);
-    let mut db = Database::new();
-    db.register(t);
+    let inserted = |checkpoint: bool| {
+        let mut t = fact_table_as(checkpoint);
+        t.insert(&[
+            Value::I64(N),
+            Value::I64(42),
+            Value::I64(5),
+            Value::Str("beta".into()),
+            Value::F64(1.5),
+        ]);
+        db_of(t)
+    };
     let plan = Plan::scan("fact", &["id", "k"]).select(lt(col("k"), lit_i64(100)));
-    let (want, _) = execute(&db, &plan, &ablated()).expect("ablated");
-    let (got, prof) = execute(&db, &plan, &fused()).expect("fused opts");
+    let (want, _) = execute(&inserted(false), &plan, &profiled()).expect("raw");
+    let (got, prof) = execute(&inserted(true), &plan, &profiled()).expect("fused opts");
     assert_eq!(want.row_strings(), got.row_strings());
     // Unfiltered delta rows must never leak: with pending inserts the
     // binder declines to fuse.
@@ -449,12 +470,12 @@ fn checker_reports_the_fused_operator() {
             cast(ScalarType::F64, col("k")),
         ),
     ));
-    let summary = check_plan(&db, &plan, &fused()).expect("checks");
+    let summary = check_plan(&db, &plan, &profiled()).expect("checks");
     let log = summary.render();
     assert!(log.contains("CompressedScanSelect"), "{log}");
     assert!(log.contains("cmp_pfor_lt_i64_col_val"), "{log}");
-    // The ablation checks (and binds) the classic Scan→Select shape.
-    let summary = check_plan(&db, &plan, &ablated()).expect("checks");
+    // The raw table checks (and binds) the classic Scan→Select shape.
+    let summary = check_plan(&raw_db(), &plan, &profiled()).expect("checks");
     let log = summary.render();
     assert!(!log.contains("CompressedScanSelect"), "{log}");
 }
@@ -525,8 +546,8 @@ mod star {
             col("fk"),
             &[("val", "val"), ("name", "name")],
         );
-        let (want, _) = execute(&star_db(false), &plan, &fused()).expect("raw");
-        let (got, prof) = execute(&star_db(true), &plan, &fused()).expect("compressed");
+        let (want, _) = execute(&star_db(false), &plan, &profiled()).expect("raw");
+        let (got, prof) = execute(&star_db(true), &plan, &profiled()).expect("compressed");
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("fetch_compressed_gathers").unwrap_or(0) > 0);
     }
@@ -557,8 +578,8 @@ mod star {
             cnt: col("ocnt"),
             fetch: vec![("val".into(), "val".into()), ("name".into(), "name".into())],
         };
-        let (want, _) = execute(&mk(false), &plan, &fused()).expect("raw");
-        let (got, prof) = execute(&mk(true), &plan, &fused()).expect("compressed");
+        let (want, _) = execute(&mk(false), &plan, &profiled()).expect("raw");
+        let (got, prof) = execute(&mk(true), &plan, &profiled()).expect("compressed");
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("fetch_compressed_gathers").unwrap_or(0) > 0);
     }
@@ -575,7 +596,7 @@ mod star {
             col("fk"),
             &[("val", "val"), ("name", "name")],
         );
-        let (want, _) = execute(&star_db(false), &plan, &fused()).expect("raw");
+        let (want, _) = execute(&star_db(false), &plan, &profiled()).expect("raw");
         let (mut f, mut d) = (facts(), dim());
         f.checkpoint();
         let fs = FaultState::new(FaultPlan::default().tear(0, 0, 7));
@@ -585,7 +606,7 @@ mod star {
         let mut db = Database::new();
         db.register(f);
         db.register(d);
-        let (got, prof) = execute(&db, &plan, &fused()).expect("recovers");
+        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
     }
@@ -607,42 +628,37 @@ mod torn {
         t.try_checkpoint(Some(&fs))
             .expect("torn write appears to succeed");
         assert_eq!(fs.injected(), 1);
-        let mut db = Database::new();
-        db.register(t);
-        db
+        db_of(t)
     }
 
     #[test]
     fn torn_predicate_column_recovers_with_correct_rows() {
-        let clean = fact_db();
         let plan = Plan::scan("fact", &["id", "k", "tag"]).select(lt(col("k"), lit_i64(100)));
-        let (want, _) = execute(&clean, &plan, &ablated()).expect("clean");
+        let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("clean");
         // Column 1 is `k`, the pushdown target (one chunk at 50k rows).
         let db = torn_db(1, 0, 13);
-        let (got, prof) = execute(&db, &plan, &fused()).expect("recovers");
+        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
     }
 
     #[test]
     fn torn_payload_column_recovers_with_correct_rows() {
-        let clean = fact_db();
         let plan = Plan::scan("fact", &["id", "k", "qty"]).select(lt(col("k"), lit_i64(100)));
-        let (want, _) = execute(&clean, &plan, &ablated()).expect("clean");
+        let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("clean");
         // Column 4 is `qty`, a lazily-decoded co-column.
         let db = torn_db(4, 0, 21);
-        let (got, prof) = execute(&db, &plan, &fused()).expect("recovers");
+        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
     }
 
     #[test]
     fn torn_chunk_on_dense_scan_recovers_too() {
-        let clean = fact_db();
         let plan = Plan::scan("fact", &["id", "k", "qty"]);
-        let (want, _) = execute(&clean, &plan, &ablated()).expect("clean");
+        let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("clean");
         let db = torn_db(4, 0, 3);
-        let (got, prof) = execute(&db, &plan, &fused()).expect("recovers");
+        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
     }

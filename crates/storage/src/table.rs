@@ -556,6 +556,12 @@ impl Table {
         }
     }
 
+    /// Column `col`'s logical value at `rowid`, from the fragment or the
+    /// insert delta (a deleted row still answers); `None` past the end.
+    pub fn value(&self, col: usize, rowid: u32) -> Option<Value> {
+        ((rowid as usize) < self.total_rows()).then(|| self.column_value(col, rowid))
+    }
+
     fn column_value(&self, col: usize, rowid: u32) -> Value {
         let r = rowid as usize;
         if r < self.frag_rows {

@@ -318,14 +318,6 @@ proptest! {
             }
             prop_assert_eq!(&rr, &base_rows, "vector size {} diverged", vs);
         }
-        // Compound-primitive toggle invariance.
-        let o = ExecOptions { compound_primitives: false, ..Default::default() };
-        let (r, _) = execute(&db, &plan, &o).expect("x100 nofuse");
-        let mut rr = r.row_strings();
-        if !ordered {
-            rr.sort();
-        }
-        prop_assert_eq!(&rr, &base_rows, "compound toggle diverged");
         // Rule invariance: the tree the rule list plans and the tree as
         // the plan wrote it give the same rows in the same order — also
         // with pending deltas on the dimension table, where

@@ -1,8 +1,7 @@
 //! Check-walk coverage on the TPC-H corpus: the abstract
 //! interpretation (`engine::facts`) must prove the fetch bounds of
 //! EVERY `Fetch1Join`/`FetchNJoin` in every query — zero false
-//! rejections — every query must run identically with
-//! `--enforce-facts` on, and the checked tree must account for
+//! rejections — and the checked tree must account for
 //! everything execution does: every
 //! primitive a run traces was validated by the walk, and every program
 //! the walk compiled is the one an operator runs.
@@ -62,28 +61,6 @@ fn fetch_bounds_proven_for_entire_corpus() {
     );
 }
 
-/// `--enforce-facts` must be a no-op on well-formed plans, and the
-/// corpus's fetches must take the gather's in-range path.
-#[test]
-fn corpus_byte_identical_under_enforcement() {
-    let data = generate(&GenConfig { sf: 0.002, seed: 3 });
-    let db = tpch::build_x100_db(&data);
-    let baseline = ExecOptions::default().with_enforce_facts(false);
-    let enforced = ExecOptions::default().with_enforce_facts(true).profiled();
-    let mut in_range = 0u64;
-    for (q, phase, plan) in corpus_plans(&db, &baseline) {
-        let (want, _) = execute(&db, &plan, &baseline).expect("baseline run");
-        let (got, prof) = execute(&db, &plan, &enforced).expect("enforced run");
-        assert_eq!(
-            want.row_strings(),
-            got.row_strings(),
-            "q{q}{phase}: enforcement changed the output"
-        );
-        in_range += prof.counter("fetch_unchecked_dispatches").unwrap_or(0);
-    }
-    assert!(in_range > 0, "no in-range gathers across the corpus");
-}
-
 /// The corpus database with every table checkpoint-compressed.
 fn checkpointed(db: &Database) -> Database {
     let names: Vec<String> = db.table_names().map(str::to_owned).collect();
@@ -103,7 +80,8 @@ fn checkpointed(db: &Database) -> Database {
 /// check walk of that very plan; and, sequentially, each program the
 /// walk compiled is held by exactly one instantiated operator — none is
 /// compiled again, none is dead code (bare column references need no
-/// holder: they have no instructions).
+/// holder: they have no instructions). The corpus's fetches take the
+/// gather's in-range path.
 #[test]
 fn verified_covers_executed_for_entire_corpus() {
     let data = generate(&GenConfig { sf: 0.002, seed: 3 });
@@ -111,6 +89,7 @@ fn verified_covers_executed_for_entire_corpus() {
     let compressed = checkpointed(&raw);
     let sequential = ExecOptions::default().profiled();
     let two_threads = sequential.clone().parallel(2).with_morsel_size(1024);
+    let mut in_range = 0u64;
     // Per variant: signature families its runs must have traced, so the
     // containment below is known to cover them.
     for (label, db, opts, families) in [
@@ -142,6 +121,7 @@ fn verified_covers_executed_for_entire_corpus() {
                 "{label} q{q}{phase}: traced but never verified: {unverified:?}"
             );
             traced.extend(prof.primitives().map(|(sig, _)| sig.to_owned()));
+            in_range += prof.counter("fetch_unchecked_dispatches").unwrap_or(0);
             if opts.threads > 1 {
                 continue;
             }
@@ -165,4 +145,5 @@ fn verified_covers_executed_for_entire_corpus() {
             );
         }
     }
+    assert!(in_range > 0, "no in-range gathers across the corpus");
 }

@@ -244,53 +244,21 @@ proptest! {
 
     /// Compression-aware execution joins the differential: the fused
     /// `CompressedScanSelect` path (predicates evaluated in encoded
-    /// space, survivors decoded lazily) must agree bit-for-bit with
-    /// both the decode-then-select ablation and the tuple-at-a-time
-    /// baseline, for any random plan.
+    /// space) over the checkpointed table must agree bit-for-bit with
+    /// the same plan over the never-checkpointed copy (decode-then-
+    /// select) and with the tuple-at-a-time baseline, for any random
+    /// plan.
     #[test]
-    fn compressed_pushdown_matches_volcano_bit_for_bit(
+    fn checkpointed_table_matches_raw_and_volcano_bit_for_bit(
         rows in prop::collection::vec(
             (0u8..6, -8i8..9, 0u8..4).prop_map(|(k, v, w)| (k, v as f64, w as f64 * 0.25)),
             1..300,
         ),
         preds in prop::collection::vec(pred_strategy(), 0..3),
     ) {
-        let (_, rt) = make_both(&rows);
-        let volcano = run_volcano(&rt, &preds);
-        let db = make_compressed(&rows);
-        let mut plan = Plan::scan("t", &["k", "v", "w"]);
-        for p in &preds {
-            let c = if p.on_w { col("w") } else { col("v") };
-            plan = plan.select(cmp(p.op, c, lit_f64(p.lit as f64)));
-        }
-        plan = plan.aggr(
-            vec![("k", col("k"))],
-            vec![
-                AggExpr::count("n"),
-                AggExpr::sum("s", mul(col("v"), sub(lit_f64(1.0), col("w")))),
-                AggExpr::avg("a", col("v")),
-            ],
-        );
-        let collect = |res: &monetdb_x100::engine::session::QueryResult| {
-            let k = res.column_by_name("k").as_i64();
-            let n = res.column_by_name("n").as_i64();
-            let s = res.column_by_name("s").as_f64();
-            let a = res.column_by_name("a").as_f64();
-            let mut rows: Vec<CmpRow> = (0..res.num_rows())
-                .map(|i| (k[i] as u8, n[i], s[i].to_bits(), a[i].to_bits()))
-                .collect();
-            rows.sort_unstable();
-            rows
-        };
-        let fused_opts = ExecOptions::default();
-        check_plan(&db, &plan, &fused_opts).expect("fused plan passes the verifier");
-        let (res, _) = execute(&db, &plan, &fused_opts).expect("fused");
-        let fused = collect(&res);
-        let ablated_opts = ExecOptions::default().with_compressed_pushdown(false);
-        check_plan(&db, &plan, &ablated_opts).expect("ablated plan passes the verifier");
-        let (res, _) = execute(&db, &plan, &ablated_opts).expect("ablated");
-        let ablated = collect(&res);
-        prop_assert_eq!(&fused, &ablated, "pushdown vs decode-then-select diverged");
-        prop_assert_eq!(&fused, &volcano, "pushdown vs volcano diverged");
+        let (raw, rt) = make_both(&rows);
+        let fused = run_x100(&make_compressed(&rows), &preds);
+        prop_assert_eq!(&fused, &run_x100(&raw, &preds), "pushdown vs decode-then-select diverged");
+        prop_assert_eq!(&fused, &run_volcano(&rt, &preds), "pushdown vs volcano diverged");
     }
 }
