@@ -332,11 +332,9 @@ fn bench_select(c: &mut Criterion) {
     g.finish();
 }
 
-/// The scan refill under a pushed selection, per codec and selectivity:
-/// the dense decode of every window (what the scan runs) against
-/// decoding only the survivors through the `decode_sel_*` gathers (what
-/// it ran before PR 21, and what fetch-joins still run), plus — for
-/// PDICT strings — the window decoded under the selection. ns per row
+/// The scan refill, per codec: the dense decode of every window (what
+/// the scan runs, under a pushed selection too) and — for PDICT strings,
+/// per selectivity — the window decoded under the selection. ns per row
 /// of one 64 K-row chunk, read in 1024-row windows; `chunk_checksum` is
 /// the verification pass of a Q1-shaped f64 chunk (22 % exceptions).
 fn bench_refill(c: &mut Criterion) {
@@ -385,26 +383,25 @@ fn bench_refill(c: &mut Criterion) {
     for (name, format, data) in &columns {
         let cc = compress_column_as(data, *format).expect("codec applies");
         let mut out = Vector::with_capacity(data.scalar_type(), N);
-        let (mut cursor, mut scratch, mut tmp) = (DecodeCursor::default(), Vec::new(), Vec::new());
-        for pct in [0.5, 2.0, 10.0, 50.0, 98.0] {
-            let windows: Vec<Vec<u32>> = (0..ROWS / N)
-                .map(|_| {
-                    (0..N as u32)
-                        .filter(|_| rng.gen_range(0.0..100.0) < pct)
-                        .collect()
-                })
-                .collect();
-            g.bench_function(format!("{name} dense ({pct} %)"), |bch| {
-                bch.iter(|| {
-                    cursor = DecodeCursor::default(); // one verification per chunk, as a scan
-                    for w in 0..windows.len() {
-                        let st =
-                            cc.decode_range(w * N, N, None, &mut out, &mut cursor, &mut scratch);
-                        black_box(st.expect("verifies"));
-                    }
-                })
-            });
-            if data.scalar_type() == ScalarType::Str {
+        let (mut cursor, mut scratch) = (DecodeCursor::default(), Vec::new());
+        g.bench_function(format!("{name} dense"), |bch| {
+            bch.iter(|| {
+                cursor = DecodeCursor::default(); // one verification per chunk, as a scan
+                for w in 0..ROWS / N {
+                    let st = cc.decode_range(w * N, N, None, &mut out, &mut cursor, &mut scratch);
+                    black_box(st.expect("verifies"));
+                }
+            })
+        });
+        if data.scalar_type() == ScalarType::Str {
+            for pct in [0.5, 2.0, 10.0, 50.0, 98.0] {
+                let windows: Vec<Vec<u32>> = (0..ROWS / N)
+                    .map(|_| {
+                        (0..N as u32)
+                            .filter(|_| rng.gen_range(0.0..100.0) < pct)
+                            .collect()
+                    })
+                    .collect();
                 g.bench_function(format!("{name} under the selection ({pct} %)"), |bch| {
                     bch.iter(|| {
                         cursor = DecodeCursor::default();
@@ -422,18 +419,6 @@ fn bench_refill(c: &mut Criterion) {
                     })
                 });
             }
-            let rowids: Vec<Vec<u32>> = (windows.iter().enumerate())
-                .map(|(w, sel)| sel.iter().map(|&p| (w * N) as u32 + p).collect())
-                .collect();
-            g.bench_function(format!("{name} survivors only ({pct} %)"), |bch| {
-                bch.iter(|| {
-                    cursor = DecodeCursor::default();
-                    for ids in &rowids {
-                        let st = cc.gather(ids, &mut out, &mut scratch, &mut tmp, &mut cursor);
-                        black_box(st.expect("verifies"));
-                    }
-                })
-            });
         }
         if *name == "pfor f64" {
             g.bench_function("chunk_checksum (pfor f64, 22 % exceptions)", |bch| {

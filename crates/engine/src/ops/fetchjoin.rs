@@ -13,7 +13,6 @@
 use crate::batch::{Batch, OutField, VecPool};
 use crate::compile::{ExprCode, ExprProg};
 use crate::govern::{MemTracker, QueryContext};
-use crate::ops::scan::{read_compressed, CompRead};
 use crate::ops::select::PredChain;
 use crate::ops::{push_from, Operator, PredStep, ScanOp, ScanSpec};
 use crate::profile::Profiler;
@@ -118,11 +117,9 @@ impl DerivedCol {
     }
 }
 
-/// A fetch column plus its per-operator gather scratch.
+/// A fetch column plus the derived byte column it has asked for.
 struct FetchCol {
     spec: FetchSpec,
-    /// Reused scratch for gathering straight from compressed chunks.
-    gs: GatherState,
     /// A derived source's byte column once this operator has asked for
     /// it.
     derived: Option<Arc<Vec<u8>>>,
@@ -133,31 +130,19 @@ struct FetchCol {
 fn fetch_cols(specs: &[FetchSpec], vector_size: usize) -> Vec<FetchCol> {
     let col = |spec: &FetchSpec| FetchCol {
         spec: spec.clone(),
-        gs: GatherState::default(),
         derived: None,
         vector_size,
     };
     specs.iter().map(col).collect()
 }
 
-/// Per-fetch-column decode scratch: the compressed-read state (sync
-/// replay buffer, checksum cursor, healed copy) and the chunk-local
-/// position list.
-#[derive(Default)]
-struct GatherState {
-    read: CompRead,
-    tmp: Vec<u32>,
-}
-
-/// Positional fetch with the compressed fast path: dense (unselected)
-/// rowid vectors against a checkpointed fragment column gather directly
-/// from the packed chunks — PFOR-DELTA `#rowId` columns seek from the
-/// nearest sync point instead of decoding whole chunks. A torn chunk
-/// goes down the recovery ladder ([`read_compressed`]): replica heal,
-/// then the raw fragment below. Every other vector takes
-/// [`gather_positional`]; one that lies inside the fragment counts as
-/// `fetch_unchecked_dispatches` (the kernel checked it once, not per
-/// tuple).
+/// Positional fetch (§4.1.2: a lookup into the resident fragment). Every
+/// stored column gathers from its fragment through
+/// [`gather_positional`], checkpointed or not — a column's compressed
+/// chunks serve scans only, so a fetch never reads one; a derived
+/// source gathers its byte column. `fetch_unchecked_dispatches` counts
+/// the vectors that lay inside the fragment (the kernel checked each
+/// once, not per tuple).
 fn fetch_gather(
     table: &Table,
     fc: &mut FetchCol,
@@ -168,8 +153,10 @@ fn fetch_gather(
     prof: &mut Profiler,
 ) -> Result<(), PlanError> {
     let n = rowids.len();
-    let col = match &fc.spec.src {
-        FetchSource::Column(col) => *col,
+    let in_frag = match &fc.spec.src {
+        FetchSource::Column(col) => {
+            gather_positional(table, *col, fc.spec.as_codes, rowids, n, sel, out)?
+        }
         FetchSource::Derived(d) => {
             if fc.derived.is_none() {
                 fc.derived = Some(d.bytes(fc.vector_size, ctx, prof)?);
@@ -181,27 +168,10 @@ fn fetch_gather(
             if !vfetch::fetch(out.as_u8_mut(), bytes, rowids, sel) {
                 return Err(out_of_range(table, "derived predicate", rowids, n, sel));
             }
-            prof.add_counter("fetch_unchecked_dispatches", 1);
-            return Ok(());
+            true
         }
     };
-    let sc = table.column(col);
-    if sel.is_none()
-        && sc.compressed().is_some()
-        && (fc.spec.as_codes || sc.dict().is_none())
-        && vfetch::in_range(rowids, n, None, table.fragment_rows())
-    {
-        let GatherState { read, tmp } = &mut fc.gs;
-        let gathered = read_compressed(table, col, read, ctx, prof, |cc, cursor, scratch| {
-            cc.gather(rowids, out, scratch, tmp, cursor)
-        })?;
-        if let Some(exceptions) = gathered {
-            prof.add_counter("fetch_compressed_gathers", 1);
-            prof.add_counter("decode_exceptions", exceptions);
-            return Ok(());
-        }
-    }
-    if gather_positional(table, col, fc.spec.as_codes, rowids, n, sel, out)? {
+    if in_frag {
         prof.add_counter("fetch_unchecked_dispatches", 1);
     }
     Ok(())

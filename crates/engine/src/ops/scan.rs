@@ -77,7 +77,7 @@ struct CompState {
 /// What one operator carries between reads of one compressed column —
 /// the state the recovery ladder ([`read_compressed`]) works on.
 #[derive(Default)]
-pub(crate) struct CompRead {
+struct CompRead {
     /// Sequential decode position (PFOR-DELTA continuation carry) and
     /// checksum-verification state.
     cursor: DecodeCursor,
@@ -553,7 +553,7 @@ fn site_io(e: x100_storage::StorageFaultError) -> PlanError {
 ///    ([`FaultSite::ChunkRead`]); a fault there too is the double
 ///    fault, with no copy left to serve the rows.
 #[inline]
-pub(crate) fn read_compressed<T>(
+fn read_compressed<T>(
     table: &Table,
     ci: usize,
     st: &mut CompRead,

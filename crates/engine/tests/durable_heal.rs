@@ -185,13 +185,10 @@ fn mid_query_rot_without_durable_copy_falls_back_to_raw() {
 // one function, so each site must show the same rungs.
 // ---------------------------------------------------------------------------
 
-const DIM: i64 = 5_000;
-
-/// `fact` widened with a sorted join index (PFOR-DELTA, fetched through
-/// `dim`), an enum column whose two-byte *codes* compress (mostly
-/// below 256: one-byte PFOR lanes plus a few exceptions), so the scan's
-/// `Fetch1Join(ENUM)` arm reads compressed chunks too, and a PDICT
-/// string column the pushed refill decodes under its selection.
+/// `fact` widened with an enum column whose two-byte *codes* compress
+/// (mostly below 256: one-byte PFOR lanes plus a few exceptions), so the
+/// scan's `Fetch1Join(ENUM)` arm reads compressed chunks too, and a
+/// PDICT string column the pushed refill decodes under its selection.
 fn wide_fact() -> Table {
     TableBuilder::new("fact")
         // Ascending with uneven gaps: PFOR-DELTA with one-byte lanes.
@@ -206,10 +203,6 @@ fn wide_fact() -> Table {
         .column(
             "qty",
             ColumnData::F64((0..N).map(|i| (i % 997) as f64 * 0.25).collect()),
-        )
-        .column(
-            "fk",
-            ColumnData::U32((0..N).map(|i| (i * DIM / N) as u32).collect()),
         )
         .auto_enum_str(
             "grade",
@@ -235,68 +228,45 @@ fn wide_fact() -> Table {
         .build()
 }
 
-fn dim_table() -> Table {
-    TableBuilder::new("dim")
-        .column(
-            "val",
-            ColumnData::I64((0..DIM).map(|c| c * 3 % 1009).collect()),
-        )
-        .build()
-}
-
-/// One compressed-read site: the plan that reaches it and the
-/// `(table, column)` whose first chunk is torn to trip it.
-fn ladder_sites() -> Vec<(&'static str, Plan, (&'static str, usize))> {
+/// One compressed-read site: the plan that reaches it and the `fact`
+/// column whose first chunk is torn to trip it.
+fn ladder_sites() -> Vec<(&'static str, Plan, usize)> {
     let pushed =
         || Plan::scan("fact", &["id", "k", "qty", "tag"]).select(lt(col("k"), lit_i64(500)));
     vec![
-        ("scan plain", Plan::scan("fact", &["id", "k"]), ("fact", 1)),
-        (
-            "scan enum codes",
-            Plan::scan("fact", &["grade"]),
-            ("fact", 4),
-        ),
-        ("pushed select", pushed(), ("fact", 1)),
-        ("pushed dense co-column", pushed(), ("fact", 2)),
-        ("pushed PFOR-DELTA co-column", pushed(), ("fact", 0)),
-        ("pushed PDICT-str co-column", pushed(), ("fact", 5)),
-        (
-            "fetch gather",
-            Plan::scan("fact", &["fk"]).fetch1("dim", col("fk"), &[("val", "val")]),
-            ("dim", 0),
-        ),
+        ("scan plain", Plan::scan("fact", &["id", "k"]), 1),
+        ("scan enum codes", Plan::scan("fact", &["grade"]), 3),
+        ("pushed select", pushed(), 1),
+        ("pushed dense co-column", pushed(), 2),
+        ("pushed PFOR-DELTA co-column", pushed(), 0),
+        ("pushed PDICT-str co-column", pushed(), 4),
     ]
 }
 
-/// Both tables checkpointed (durably under `dir`, if given), one chunk
-/// torn in memory.
-fn ladder_db(dir: Option<&std::path::Path>, torn: Option<(&str, usize)>) -> Database {
-    let mut db = Database::new();
-    for mut t in [wide_fact(), dim_table()] {
-        match dir {
-            Some(d) => {
-                t.checkpoint_durable(&d.join(t.name()), &DurableOptions::default())
-                    .expect("durable checkpoint");
-            }
-            None => {
-                t.checkpoint();
-            }
+/// `fact` checkpointed (durably under `dir`, if given), one chunk torn
+/// in memory.
+fn ladder_db(dir: Option<&std::path::Path>, torn: Option<usize>) -> Database {
+    let mut t = wide_fact();
+    match dir {
+        Some(d) => {
+            t.checkpoint_durable(&d.join(t.name()), &DurableOptions::default())
+                .expect("durable checkpoint");
         }
-        for c in 0..t.num_columns() {
-            assert!(
-                t.column(c).compressed().is_some(),
-                "{}.{c} compresses",
-                t.name()
-            );
+        None => {
+            t.checkpoint();
         }
-        if let Some((name, c)) = torn.filter(|(name, _)| *name == t.name()) {
-            assert!(
-                t.corrupt_compressed_payload(c, 0, 5),
-                "{name}.{c} has payload"
-            );
-        }
-        db.register(t);
     }
+    for c in 0..t.num_columns() {
+        assert!(t.column(c).compressed().is_some(), "fact.{c} compresses");
+    }
+    if let Some(c) = torn {
+        assert!(
+            t.corrupt_compressed_payload(c, 0, 5),
+            "fact.{c} has payload"
+        );
+    }
+    let mut db = Database::new();
+    db.register(t);
     db
 }
 
@@ -317,7 +287,6 @@ fn every_site_heals_once_from_the_replica_then_stays_compressed() {
         // The plan really took the path the site is named for.
         let routed = match site.split(' ').next() {
             Some("pushed") => prof.counter("pushdown_vectors"),
-            Some("fetch") => prof.counter("fetch_compressed_gathers"),
             _ => prof.counter("scan_bytes_compressed"),
         };
         assert!(routed.unwrap_or(0) > 0, "{site}: compressed path not taken");

@@ -480,10 +480,10 @@ fn checker_reports_the_fused_operator() {
     assert!(!log.contains("CompressedScanSelect"), "{log}");
 }
 
-/// A star schema for the positional-join routing: the join-index
-/// `#rowId` column is sorted so the chooser PFOR-DELTA-encodes it, and
-/// the dimension's payload columns compress too, so `Fetch1Join`
-/// position reads go through the compressed sync-point seek path.
+/// A star schema for the positional joins: the join-index `#rowId`
+/// column is sorted so the chooser PFOR-DELTA-encodes it, and the
+/// dimension's payload columns compress too. A fetch still gathers from
+/// the dimension's resident fragment; its chunks serve scans only.
 mod star {
     use super::*;
 
@@ -518,7 +518,24 @@ mod star {
             .build()
     }
 
-    fn star_db(checkpoint: bool) -> Database {
+    /// Orders each owning a contiguous `[olo, olo + ocnt)` range of
+    /// `dim` rows (never checkpointed: only `dim` is fetched from).
+    fn orders() -> Table {
+        TableBuilder::new("orders")
+            .column(
+                "olo",
+                ColumnData::U32((0..1000u32).map(|i| i * 5 % DIM).collect()),
+            )
+            .column(
+                "ocnt",
+                ColumnData::U32((0..1000u32).map(|i| i % 4).collect()),
+            )
+            .build()
+    }
+
+    /// The star, checkpointed or not; `tear` then flips a payload byte
+    /// of every dimension column's chunk in memory.
+    fn star_db(checkpoint: bool, tear: bool) -> Database {
         let (mut f, mut d) = (facts(), dim());
         if checkpoint {
             let vf = f.checkpoint();
@@ -533,70 +550,76 @@ mod star {
                 "dimension columns should compress: {vd:?}"
             );
         }
+        if tear {
+            for col in 0..2 {
+                assert!(d.corrupt_compressed_payload(col, 0, 7), "column {col}");
+            }
+        }
         let mut db = Database::new();
         db.register(f);
         db.register(d);
+        db.register(orders());
         db
     }
 
-    #[test]
-    fn fetch1join_gathers_from_compressed_chunks() {
-        let plan = Plan::scan("facts", &["fk", "v"]).fetch1(
+    fn fetch1_plan() -> Plan {
+        Plan::scan("facts", &["fk", "v"]).fetch1(
             "dim",
             col("fk"),
             &[("val", "val"), ("name", "name")],
-        );
-        let (want, _) = execute(&star_db(false), &plan, &profiled()).expect("raw");
-        let (got, prof) = execute(&star_db(true), &plan, &profiled()).expect("compressed");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert!(prof.counter("fetch_compressed_gathers").unwrap_or(0) > 0);
+        )
     }
 
-    #[test]
-    fn fetchnjoin_ranges_seek_from_sync_points() {
-        // Orders each own a contiguous [lo, lo+cnt) range of `dim`
-        // rows; the range fetch reads positionally via sync-point seek.
-        let mk = |checkpoint: bool| {
-            let t = TableBuilder::new("orders")
-                .column(
-                    "olo",
-                    ColumnData::U32((0..1000u32).map(|i| i * 5 % DIM).collect()),
-                )
-                .column(
-                    "ocnt",
-                    ColumnData::U32((0..1000u32).map(|i| i % 4).collect()),
-                )
-                .build();
-            let mut db = star_db(checkpoint);
-            db.register(t);
-            db
-        };
-        let plan = Plan::FetchNJoin {
+    fn fetchn_plan() -> Plan {
+        Plan::FetchNJoin {
             input: Box::new(Plan::scan("orders", &["olo", "ocnt"])),
             table: "dim".into(),
             lo: col("olo"),
             cnt: col("ocnt"),
             fetch: vec![("val".into(), "val".into()), ("name".into(), "name".into())],
-        };
-        let (want, _) = execute(&mk(false), &plan, &profiled()).expect("raw");
-        let (got, prof) = execute(&mk(true), &plan, &profiled()).expect("compressed");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert!(prof.counter("fetch_compressed_gathers").unwrap_or(0) > 0);
+        }
     }
 
-    /// Torn dimension chunk: the positional gather hits the checksum,
-    /// recovers from the raw fragment, and yields identical rows.
+    #[test]
+    fn fetch1join_gathers_from_compressed_chunks() {
+        let plan = fetch1_plan();
+        let (want, _) = execute(&star_db(false, false), &plan, &profiled()).expect("raw");
+        let (got, _) = execute(&star_db(true, false), &plan, &profiled()).expect("compressed");
+        assert_eq!(want.row_strings(), got.row_strings());
+    }
+
+    #[test]
+    fn fetchnjoin_ranges_seek_from_sync_points() {
+        let plan = fetchn_plan();
+        let (want, _) = execute(&star_db(false, false), &plan, &profiled()).expect("raw");
+        let (got, _) = execute(&star_db(true, false), &plan, &profiled()).expect("compressed");
+        assert_eq!(want.row_strings(), got.row_strings());
+    }
+
+    /// A fetch never reads chunks: with every dimension chunk torn in
+    /// memory, both fetch-joins return the never-checkpointed answer and
+    /// the recovery ladder never runs — no recovery, no heal.
+    #[test]
+    fn fetches_never_read_torn_dimension_chunks() {
+        for plan in [fetch1_plan(), fetchn_plan()] {
+            let (want, _) = execute(&star_db(false, false), &plan, &profiled()).expect("raw");
+            let (got, prof) = execute(&star_db(true, true), &plan, &profiled()).expect("torn");
+            assert_eq!(want.row_strings(), got.row_strings());
+            assert_eq!(prof.counter("decode_recoveries"), None);
+            assert_eq!(prof.counter("chunk_heals"), None);
+            assert!(prof.counter("fetch_unchecked_dispatches").unwrap_or(0) > 0);
+        }
+    }
+
+    /// A dimension chunk torn by the checkpoint write itself: the fetch
+    /// gathers from the fragment, so it never meets the torn chunk.
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn torn_dimension_chunk_recovers_during_fetch() {
+    fn torn_checkpoint_write_never_reaches_a_fetch() {
         use x100_engine::FaultPlan;
         use x100_storage::FaultState;
-        let plan = Plan::scan("facts", &["fk", "v"]).fetch1(
-            "dim",
-            col("fk"),
-            &[("val", "val"), ("name", "name")],
-        );
-        let (want, _) = execute(&star_db(false), &plan, &profiled()).expect("raw");
+        let plan = fetch1_plan();
+        let (want, _) = execute(&star_db(false, false), &plan, &profiled()).expect("raw");
         let (mut f, mut d) = (facts(), dim());
         f.checkpoint();
         let fs = FaultState::new(FaultPlan::default().tear(0, 0, 7));
@@ -606,9 +629,9 @@ mod star {
         let mut db = Database::new();
         db.register(f);
         db.register(d);
-        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
+        let (got, prof) = execute(&db, &plan, &profiled()).expect("fetches");
         assert_eq!(want.row_strings(), got.row_strings());
-        assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
+        assert_eq!(prof.counter("decode_recoveries"), None);
     }
 }
 

@@ -847,185 +847,6 @@ impl CompressedColumn {
         }
         Ok(())
     }
-
-    /// Gather-decode the chunk-local ascending positions `sel` of one
-    /// PFOR or PDICT chunk into `out[at..at + sel.len()]` (strings
-    /// append) — the `decode_sel_*` dispatch behind
-    /// [`CompressedColumn::gather`]. Returns the exceptions patched.
-    fn decode_sel(
-        &self,
-        chunk: &CompressedChunk,
-        out: &mut Vector,
-        at: usize,
-        sel: &[u32],
-    ) -> Result<u64, String> {
-        let to = at + sel.len();
-        match &chunk.body {
-            ChunkBody::Pfor(c) => {
-                macro_rules! arm {
-                    ($($variant:ident => $dec:path),+ $(,)?) => {
-                        match out {
-                            $(Vector::$variant(dst) => return Ok($dec(&mut dst[at..to], c, sel) as u64),)+
-                            other => {
-                                return Err(format!("pfor decode_sel into {:?}", other.scalar_type()));
-                            }
-                        }
-                    };
-                }
-                arm! {
-                    I8 => k::decode_sel_pfor_i8_col,
-                    I16 => k::decode_sel_pfor_i16_col,
-                    I32 => k::decode_sel_pfor_i32_col,
-                    I64 => k::decode_sel_pfor_i64_col,
-                    U8 => k::decode_sel_pfor_u8_col,
-                    U16 => k::decode_sel_pfor_u16_col,
-                    U32 => k::decode_sel_pfor_u32_col,
-                    U64 => k::decode_sel_pfor_u64_col,
-                    F64 => k::decode_sel_pfor_f64_col,
-                }
-            }
-            ChunkBody::Pdict(payload) => {
-                let dict = self.dict.as_ref().expect("pdict column has a dictionary");
-                let lane = self.dict_lane;
-                match (out, dict) {
-                    (Vector::I32(dst), ColumnData::I32(d)) => {
-                        k::decode_sel_pdict_i32_col(&mut dst[at..to], payload, lane, d, sel)
-                    }
-                    (Vector::I64(dst), ColumnData::I64(d)) => {
-                        k::decode_sel_pdict_i64_col(&mut dst[at..to], payload, lane, d, sel)
-                    }
-                    (Vector::F64(dst), ColumnData::F64(d)) => {
-                        k::decode_sel_pdict_f64_col(&mut dst[at..to], payload, lane, d, sel)
-                    }
-                    (Vector::Str(dst), ColumnData::Str(d)) => {
-                        k::decode_sel_pdict_str_col(dst, payload, lane, d, sel)
-                    }
-                    (o, _) => return Err(format!("pdict decode_sel into {:?}", o.scalar_type())),
-                }
-            }
-            ChunkBody::PforDelta(_) => {
-                return Err("no selective decode over PFOR-DELTA chunks (prefix sums)".into());
-            }
-        }
-        Ok(0)
-    }
-
-    /// Positional gather through the codec: decode row `rowids[i]`
-    /// (any order, duplicates allowed) into `out[i]`. Ascending
-    /// same-chunk runs batch through the `decode_sel` kernels;
-    /// PFOR-DELTA runs replay from the nearest sync carry — the
-    /// sync-point seek path that join-index position reads ride.
-    /// `cursor` only carries checksum-verification state here. Returns
-    /// the exception patches applied (those of the gathered rows, and of
-    /// every replayed PFOR-DELTA span).
-    pub fn gather(
-        &self,
-        rowids: &[u32],
-        out: &mut Vector,
-        scratch: &mut Vec<u64>,
-        tmp: &mut Vec<u32>,
-        cursor: &mut DecodeCursor,
-    ) -> Result<u64, String> {
-        if self.physical == ScalarType::Str {
-            out.clear();
-        } else {
-            out.resize_zeroed(rowids.len());
-        }
-        let mut exceptions = 0u64;
-        let mut i = 0usize;
-        while i < rowids.len() {
-            let ci = rowids[i] as usize / CHUNK_ROWS;
-            let chunk = self.verified(ci, cursor)?;
-            let is_delta = matches!(chunk.body, ChunkBody::PforDelta(_));
-            tmp.clear();
-            tmp.push((rowids[i] as usize - ci * CHUNK_ROWS) as u32);
-            for j in i + 1..rowids.len() {
-                let abs = rowids[j] as usize;
-                if abs / CHUNK_ROWS != ci || abs <= rowids[j - 1] as usize {
-                    break;
-                }
-                // Bound the replay span so the delta scratch stays
-                // cache-resident even for scattered rowids.
-                if is_delta && abs - rowids[i] as usize >= 8192 {
-                    break;
-                }
-                tmp.push((abs - ci * CHUNK_ROWS) as u32);
-            }
-            match &chunk.body {
-                ChunkBody::PforDelta(c) => {
-                    // Seek: replay packed deltas from the sync carry
-                    // preceding the run, then pick the selected rows.
-                    let first = tmp[0] as usize;
-                    let last = tmp[tmp.len() - 1] as usize;
-                    let sk = first / k::DELTA_SYNC;
-                    let seek = sk * k::DELTA_SYNC;
-                    let carry = c.sync[sk];
-                    let span = last - first + 1;
-                    macro_rules! arm {
-                        ($($variant:ident : $t:ty => $dec:path),+ $(,)?) => {
-                            match &mut *out {
-                                $(Vector::$variant(dst) => {
-                                    let mut buf: Vec<$t> = vec![0 as $t; span];
-                                    let _ = $dec(&mut buf, c, seek, carry, first, scratch);
-                                    for (o, &p) in
-                                        dst[i..i + tmp.len()].iter_mut().zip(tmp.iter())
-                                    {
-                                        *o = buf[p as usize - first];
-                                    }
-                                })+
-                                other => {
-                                    return Err(format!(
-                                        "pfordelta gather into {:?}",
-                                        other.scalar_type()
-                                    ));
-                                }
-                            }
-                        };
-                    }
-                    arm! {
-                        I8: i8 => k::decompress_pfordelta_i8_col,
-                        I16: i16 => k::decompress_pfordelta_i16_col,
-                        I32: i32 => k::decompress_pfordelta_i32_col,
-                        I64: i64 => k::decompress_pfordelta_i64_col,
-                        U8: u8 => k::decompress_pfordelta_u8_col,
-                        U16: u16 => k::decompress_pfordelta_u16_col,
-                        U32: u32 => k::decompress_pfordelta_u32_col,
-                        U64: u64 => k::decompress_pfordelta_u64_col,
-                    }
-                    exceptions += window_exceptions(&c.exc_pos, seek, last + 1 - seek);
-                }
-                _ => exceptions += self.decode_sel(chunk, out, i, tmp)?,
-            }
-            i += tmp.len();
-        }
-        Ok(exceptions)
-    }
-
-    /// The registered gather-decode signature positional gathers run
-    /// (`decode_sel_*`), or `None` for formats without one.
-    pub fn decode_sel_sig(&self) -> Option<&'static str> {
-        macro_rules! sig {
-            ($codec:literal, $($t:ident => $n:literal),+ $(,)?) => {
-                match self.physical {
-                    $(ScalarType::$t => Some(concat!("decode_sel_", $codec, "_", $n, "_col")),)+
-                    _ => None,
-                }
-            };
-        }
-        match self.format {
-            ChunkFormat::Pfor => sig!(
-                "pfor",
-                I8 => "i8", I16 => "i16", I32 => "i32", I64 => "i64",
-                U8 => "u8", U16 => "u16", U32 => "u32", U64 => "u64",
-                F64 => "f64",
-            ),
-            ChunkFormat::Pdict => sig!(
-                "pdict",
-                I32 => "i32", I64 => "i64", F64 => "f64", Str => "str",
-            ),
-            ChunkFormat::Raw | ChunkFormat::PforDelta => None,
-        }
-    }
 }
 
 /// Comparison operator of a pushed-down predicate.
@@ -1693,7 +1514,7 @@ mod tests {
                 .expect("pfor i64 pushdown compiles");
             assert!(!p.is_dict_rewrite());
             let mut cursor = DecodeCursor::default();
-            let (mut tmp, mut scratch) = (Vec::new(), Vec::new());
+            let mut scratch = Vec::new();
             let mut at = 0usize;
             while at < v.len() {
                 let n = (v.len() - at).min(1000);
@@ -1702,12 +1523,14 @@ mod tests {
                     .expect("checksum verifies");
                 let want: Vec<u32> = (0..n).filter(|&i| f(v[at + i])).map(|i| i as u32).collect();
                 assert_eq!(got, want, "{op:?} window at {at}");
-                let rowids: Vec<u32> = got.iter().map(|&i| at as u32 + i).collect();
+                // The refill the selection is applied over: the dense
+                // window decode, sharing the select's cursor.
                 let mut out = Vector::with_capacity(ScalarType::I64, 64);
-                col.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor)
+                col.decode_range(at, n, None, &mut out, &mut cursor, &mut scratch)
                     .expect("checksum verifies");
+                let gotv: Vec<i64> = got.iter().map(|&i| out.as_i64()[i as usize]).collect();
                 let wantv: Vec<i64> = got.iter().map(|&i| v[at + i as usize]).collect();
-                assert_eq!(out.as_i64(), &wantv[..], "{op:?} values at {at}");
+                assert_eq!(gotv, wantv, "{op:?} values at {at}");
                 at += n;
             }
         }
@@ -1881,72 +1704,5 @@ mod tests {
         assert_eq!(sums(&delta), [0x55, 0x85]);
         assert_eq!(pfor.to_bytes().last(), Some(&0x72));
         assert_eq!(delta.to_bytes().last(), Some(&0x28));
-    }
-
-    #[test]
-    fn gather_seeks_all_formats() {
-        let mut scratch = Vec::new();
-        let mut tmp = Vec::new();
-        // PFOR-DELTA: the rowid-column shape — runs seek from sync
-        // carries, order and duplicates preserved.
-        let v: Vec<u64> = (0..200_000u64).map(|i| i * 3 / 2).collect();
-        let col =
-            compress_column_as(&ColumnData::U64(v.clone()), ChunkFormat::PforDelta).expect("ok");
-        let rowids: Vec<u32> = vec![5, 9, 70_000, 70_001, 65_535, 65_536, 199_999, 0, 0];
-        let mut out = Vector::with_capacity(ScalarType::U64, 16);
-        let mut cursor = DecodeCursor::default();
-        col.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor)
-            .expect("checksum verifies");
-        let want: Vec<u64> = rowids.iter().map(|&r| v[r as usize]).collect();
-        assert_eq!(out.as_u64(), &want[..]);
-        // PFOR f64 goes through the selective decoder.
-        let f: Vec<f64> = (0..80_000).map(|i| (i % 5000) as f64 / 100.0).collect();
-        let col = compress_column_as(&ColumnData::F64(f.clone()), ChunkFormat::Pfor).expect("ok");
-        let rowids: Vec<u32> = vec![0, 4_999, 70_000, 3, 79_999];
-        let mut out = Vector::with_capacity(ScalarType::F64, 16);
-        let mut cursor = DecodeCursor::default();
-        col.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor)
-            .expect("checksum verifies");
-        let want: Vec<f64> = rowids.iter().map(|&r| f[r as usize]).collect();
-        assert_eq!(out.as_f64(), &want[..]);
-        // PDICT strings gather by code.
-        let name = |i: usize| ["AIR", "MAIL", "RAIL", "SHIP", "TRUCK"][i % 5];
-        let mut s = StrVec::new();
-        for i in 0..70_000 {
-            s.push(name(i));
-        }
-        let col = compress_column_as(&ColumnData::Str(s), ChunkFormat::Pdict).expect("ok");
-        let rowids: Vec<u32> = vec![3, 69_999, 65_536, 1, 2];
-        let mut out = Vector::with_capacity(ScalarType::Str, 8);
-        let mut cursor = DecodeCursor::default();
-        col.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor)
-            .expect("checksum verifies");
-        match &out {
-            Vector::Str(sv) => {
-                assert_eq!(sv.len(), rowids.len());
-                for (o, &r) in rowids.iter().enumerate() {
-                    assert_eq!(sv.get(o), name(r as usize));
-                }
-            }
-            other => panic!("str gather into {:?}", other.scalar_type()),
-        }
-    }
-
-    #[test]
-    fn decode_sel_sig_matches_format() {
-        let v: Vec<i64> = (0..80_000).map(|i| i % 100).collect();
-        let pfor = compress_column_as(&ColumnData::I64(v.clone()), ChunkFormat::Pfor).expect("ok");
-        assert_eq!(pfor.decode_sel_sig(), Some("decode_sel_pfor_i64_col"));
-        let pdict =
-            compress_column_as(&ColumnData::I64(v.clone()), ChunkFormat::Pdict).expect("ok");
-        assert_eq!(pdict.decode_sel_sig(), Some("decode_sel_pdict_i64_col"));
-        let sorted: Vec<i64> = (0..80_000).collect();
-        let delta =
-            compress_column_as(&ColumnData::I64(sorted), ChunkFormat::PforDelta).expect("ok");
-        assert_eq!(
-            delta.decode_sel_sig(),
-            None,
-            "prefix sums: no gather decode"
-        );
     }
 }

@@ -37,7 +37,7 @@ const HEAD_BYTES: usize = 4 + 1 + 8;
 /// checksum, exactly the guarantee the torn-write fault plan exercises.
 /// Verification runs once per chunk per cursor, ahead of every decode
 /// path; the word-at-a-time fold keeps that fixed cost from dominating
-/// selective decodes that only touch a handful of rows per chunk.
+/// short reads that touch only part of a chunk.
 pub(crate) fn byte_fold(acc: u8, bytes: &[u8]) -> u8 {
     // Four independent rotate/xor accumulators hide the serial
     // dependency of a single fold chain; distinct rotations at the

@@ -386,9 +386,9 @@ fn ref_filter(data: &ColumnData, start: usize, n: usize, p: &Pushdown) -> Vec<u3
 
 /// Drive `select_range` in refills of the (cycled) `sizes` — sharing
 /// one cursor, exactly like a scan — and demand window-relative
-/// positions identical to the reference filter; then read the survivors
-/// through the scan's refill and the positional gather and demand the
-/// reference values.
+/// positions identical to the reference filter; then read the window
+/// through the scan's refill, under the selection and dense, and demand
+/// the reference values.
 fn assert_pushdown_matches(
     cc: &CompressedColumn,
     data: &ColumnData,
@@ -402,7 +402,7 @@ fn assert_pushdown_matches(
     };
     let rows = data.len();
     let mut cursor = DecodeCursor::default();
-    let (mut sel, mut tmp, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut sel, mut scratch) = (Vec::new(), Vec::new());
     let mut got = Vector::with_capacity(data.scalar_type(), 0);
     let mut want = Vector::with_capacity(data.scalar_type(), 0);
     let (mut at, mut k) = (0usize, 0usize);
@@ -431,20 +431,18 @@ fn assert_pushdown_matches(
         let refill: Vec<Value> = sel.iter().map(|&i| got.get_value(i as usize)).collect();
         prop_assert_eq!(
             refill,
-            dense.clone(),
+            dense,
             "refill diverged in window [{}, {})",
             at,
             at + n
         );
-        // The positional gather over the survivors' rowids.
-        let rowids: Vec<u32> = sel.iter().map(|&i| (at as u32) + i).collect();
-        cc.gather(&rowids, &mut got, &mut scratch, &mut tmp, &mut cursor)
-            .expect("gather");
-        let gathered: Vec<Value> = (0..got.len()).map(|i| got.get_value(i)).collect();
+        // The dense refill of the same window: every row reads its value.
+        cc.decode_range(at, n, None, &mut got, &mut cursor, &mut scratch)
+            .expect("decode_range");
         prop_assert_eq!(
-            gathered,
-            dense,
-            "gather diverged in window [{}, {})",
+            &got,
+            &want,
+            "dense refill diverged in window [{}, {})",
             at,
             at + n
         );
@@ -547,14 +545,18 @@ proptest! {
         assert_pushdown_matches(&cc, &data, op, &lo, None, &sizes);
     }
 
-    /// `gather` (the positional sync-point seek path) agrees with the
-    /// raw column for arbitrary rowid sequences — ascending runs,
-    /// restarts, and duplicates — across every codec the chooser picks.
+    /// `decode_range` agrees with the raw column for windows in any
+    /// order — ascending runs, restarts, repeats — across every codec
+    /// the chooser picks, dense and under a selection, sharing one
+    /// cursor: a window that does not continue the last one seeks from
+    /// the nearest PFOR-DELTA sync point.
     #[test]
-    fn gather_matches_raw_for_any_rowids(
-        values in prop::collection::vec(-5000i64..5000, 1..400),
+    fn decode_range_matches_raw_for_any_windows(
+        values in prop::collection::vec(-5000i64..5000, 1..3000),
         sort in any::<bool>(),
-        rowids in prop::collection::vec(0usize..400, 1..200),
+        starts in prop::collection::vec(0usize..3000, 1..50),
+        len in 1usize..90,
+        stride in 1u32..5,
     ) {
         let mut values = values;
         if sort {
@@ -562,14 +564,18 @@ proptest! {
         }
         let data = ColumnData::I64(values.clone());
         if let Some(cc) = choose_and_compress(&data) {
-            let rowids: Vec<u32> = rowids.iter().map(|&r| (r % values.len()) as u32).collect();
             let mut out = Vector::with_capacity(data.scalar_type(), 0);
-            let (mut scratch, mut tmp) = (Vec::new(), Vec::new());
+            let mut scratch = Vec::new();
             let mut cursor = DecodeCursor::default();
-            cc.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor).expect("gather");
-            let got = out.as_i64();
-            for (i, &r) in rowids.iter().enumerate() {
-                prop_assert_eq!(got[i], values[r as usize], "rowid {} at {}", r, i);
+            for &s in &starts {
+                let at = s % values.len();
+                let n = len.min(values.len() - at);
+                let sel: Vec<u32> = (0..n as u32).step_by(stride as usize).collect();
+                for sel in [None, Some(&sel[..])] {
+                    cc.decode_range(at, n, sel, &mut out, &mut cursor, &mut scratch)
+                        .expect("decode_range");
+                    prop_assert_eq!(out.as_i64(), &values[at..at + n], "window at {}", at);
+                }
             }
         }
     }
@@ -669,7 +675,7 @@ fn drive_column(cc: &CompressedColumn) {
     let rows = cc.rows();
     let mut out = Vector::with_capacity(cc.physical_type(), 0);
     let mut cursor = DecodeCursor::default();
-    let (mut scratch, mut tmp, mut sel) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut scratch, mut sel) = (Vec::new(), Vec::new());
     let mut first = None;
     // Windows deliberately misaligned with chunk and sync boundaries.
     for at in (0..rows).step_by(1000) {
@@ -682,12 +688,21 @@ fn drive_column(cc: &CompressedColumn) {
             first = Some(out.get_value(0));
         }
     }
-    let rowids: Vec<u32> = [0, rows / 3, rows / 2, rows.saturating_sub(1), 0]
-        .iter()
-        .filter(|&&r| r < rows)
-        .map(|&r| r as u32)
-        .collect();
-    let _ = cc.gather(&rowids, &mut out, &mut scratch, &mut tmp, &mut cursor);
+    // Out-of-order windows, dense and under a selection: each seeks
+    // afresh (PFOR-DELTA from its nearest sync point).
+    for at in [rows / 2, rows / 3, rows.saturating_sub(1), 0] {
+        let n = (rows - at).min(70);
+        let every_other: Vec<u32> = (0..n as u32).step_by(2).collect();
+        let _ = cc.decode_range(at, n, None, &mut out, &mut cursor, &mut scratch);
+        let _ = cc.decode_range(
+            at,
+            n,
+            Some(&every_other),
+            &mut out,
+            &mut cursor,
+            &mut scratch,
+        );
+    }
     let pushed = first.and_then(|v| cc.compile_pushdown(PushOp::Ge, &v, None));
     if let Some(p) = pushed {
         let n = rows.min(1500);

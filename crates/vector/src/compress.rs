@@ -886,9 +886,10 @@ fn str_dict_search(dict: &StrVec, v: &str) -> Option<usize> {
 //
 // Pushdown half of the codec design: a comparison constant is
 // translated into the chunk's frame (or code) domain once, the packed
-// lanes are scanned *without* materializing values, and only the
-// surviving positions are ever decoded — by the gather-style
-// `decode_sel_*` kernels at the bottom of this section. Exceptions take
+// lanes are scanned *without* materializing values into a selection
+// vector. The refill under it decodes densely, except PDICT strings,
+// which copy only the survivors through `decode_sel_pdict_str_col` at
+// the bottom of this section. Exceptions take
 // a patched slow lane: the merged walk substitutes each exception's
 // absolute payload at its position, so an all-exception chunk degrades
 // to decode-then-select cost, never to wrong answers.
@@ -1599,187 +1600,13 @@ pub const CMP_PDICT_SIGNATURES: &[&str] = &[
 
 // -- selective decode -------------------------------------------------
 
-/// Random-access read of one packed relative frame.
+/// Random-access read of one packed PDICT code (8- or 16-bit lane).
 #[inline(always)]
 fn lane_rel(payload: &[u8], lane: u32, i: usize) -> u64 {
-    // Single-slice reads keep each access down to one bounds check and
-    // one aligned-width load instead of per-byte indexing.
     match lane {
-        0 => 0,
         8 => payload[i] as u64,
-        16 => {
-            let s = &payload[i * 2..i * 2 + 2];
-            u16::from_le_bytes([s[0], s[1]]) as u64
-        }
-        32 => {
-            let s = &payload[i * 4..i * 4 + 4];
-            u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as u64
-        }
-        _ => {
-            let s = &payload[i * 8..i * 8 + 8];
-            u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
-        }
+        _ => u16::from_le_bytes([payload[i * 2], payload[i * 2 + 1]]) as u64,
     }
-}
-
-/// First index `>= from` of the ascending `exc` whose position is
-/// `>= p`, galloping: probes `from`, `from + 1`, `from + 3`, … and
-/// binary-searches the last gap, so skipping `g` exceptions costs
-/// `O(log g)` — a sparse selection over a dense patch list no longer
-/// walks every exception between two survivors.
-#[inline(always)]
-fn gallop_to(exc: &[u32], from: usize, p: u32) -> usize {
-    if from >= exc.len() || exc[from] >= p {
-        return from;
-    }
-    // Invariant: exc[lo] < p; the answer lies in (lo, hi].
-    let (mut lo, mut step) = (from, 1usize);
-    let mut hi = lo + step;
-    while hi < exc.len() && exc[hi] < p {
-        lo = hi;
-        step *= 2;
-        hi = lo + step;
-    }
-    let hi = hi.min(exc.len());
-    lo + 1 + exc[lo + 1..hi].partition_point(|&x| x < p)
-}
-
-/// Gather-decode of one PFOR chunk: `out[i]` becomes `dense(frame)` of
-/// chunk-relative position `sel[i]` (`sel` ascending), or `patch` of
-/// its exception frame; returns how many exceptions it patched. The
-/// caller picks `dense` once per chunk and the lane width is matched
-/// here once, so the per-element loop never re-branches on either.
-#[inline(always)]
-fn pfor_gather<T>(
-    out: &mut [T],
-    c: &PforChunk,
-    sel: &[u32],
-    dense: impl Fn(u64) -> T,
-    patch: impl Fn(u64) -> T,
-) -> usize {
-    match c.lane {
-        0 => pfor_gather_lane::<0, T>(out, c, sel, dense, patch),
-        8 => pfor_gather_lane::<8, T>(out, c, sel, dense, patch),
-        16 => pfor_gather_lane::<16, T>(out, c, sel, dense, patch),
-        32 => pfor_gather_lane::<32, T>(out, c, sel, dense, patch),
-        _ => pfor_gather_lane::<64, T>(out, c, sel, dense, patch),
-    }
-}
-
-/// [`pfor_gather`] at one lane width. The exception list is merged in
-/// the same pass, galloping across the exceptions no survivor hits.
-#[inline(always)]
-fn pfor_gather_lane<const LANE: u32, T>(
-    out: &mut [T],
-    c: &PforChunk,
-    sel: &[u32],
-    dense: impl Fn(u64) -> T,
-    patch: impl Fn(u64) -> T,
-) -> usize {
-    debug_assert_eq!(out.len(), sel.len());
-    let frame = |p: u32| dense(lane_rel(&c.payload, LANE, p as usize));
-    let exc = &c.exc_pos;
-    let mut e = exc.partition_point(|&p| p < sel.first().copied().unwrap_or(0));
-    if e == exc.len() || sel.last().is_none_or(|&l| exc[e] > l) {
-        // No exceptions under the selection: straight-line gather.
-        for (o, &p) in out.iter_mut().zip(sel) {
-            *o = frame(p);
-        }
-        return 0;
-    }
-    let mut hits = 0;
-    for (o, &p) in out.iter_mut().zip(sel) {
-        e = gallop_to(exc, e, p);
-        if e < exc.len() && exc[e] == p {
-            *o = patch(c.exc_frames[e]);
-            hits += 1;
-        } else {
-            *o = frame(p);
-        }
-    }
-    hits
-}
-
-/// Gather-decode of an integer PFOR chunk (see [`pfor_gather`]).
-fn pfor_gather_int<T: FrameValue>(out: &mut [T], c: &PforChunk, sel: &[u32]) -> usize {
-    let base = c.base;
-    let dense = move |rel: u64| T::from_frame(base.wrapping_add(rel));
-    pfor_gather(out, c, sel, dense, T::from_frame)
-}
-
-/// Gather-decode of a scaled-f64 PFOR chunk, byte-identical to the
-/// dense decoder: the same three-way fast-path selection, made once,
-/// with exceptions restored from their raw bit patterns.
-fn pfor_gather_f64(out: &mut [f64], c: &PforChunk, sel: &[u32]) -> usize {
-    let scale_u = c.scale.max(1);
-    let pre = (c.base ^ SIGN).wrapping_add(CVT_MAGIC_BITS);
-    let within = pfor_f64_range_within(c.base, c.lane, (1 << 51) - 1);
-    if scale_u == 1 && within {
-        let dense = move |rel: u64| f64::from_bits(pre.wrapping_add(rel)) - CVT_MAGIC;
-        pfor_gather(out, c, sel, dense, f64::from_bits)
-    } else if scale_u > 1 && within {
-        let (hi, lo) = recip_split_for(scale_u as f64, c.base, c.lane);
-        let dense = move |rel: u64| {
-            let x = f64::from_bits(pre.wrapping_add(rel)) - CVT_MAGIC;
-            x * hi + x * lo
-        };
-        pfor_gather(out, c, sel, dense, f64::from_bits)
-    } else {
-        let (base, scale) = (c.base, scale_u as f64);
-        let dense = move |rel: u64| ((base.wrapping_add(rel) ^ SIGN) as i64) as f64 / scale;
-        pfor_gather(out, c, sel, dense, f64::from_bits)
-    }
-}
-
-macro_rules! decode_sel_pfor_instances {
-    ($( $ty:ty : $name:ident );* $(;)?) => {
-        $(
-            /// Macro-generated selective PFOR decoder: decodes only the
-            /// (ascending, chunk-relative) positions in `sel`, compacted;
-            /// returns the exceptions it patched.
-            pub fn $name(out: &mut [$ty], chunk: &PforChunk, sel: &[u32]) -> usize {
-                pfor_gather_int(out, chunk, sel)
-            }
-        )*
-    };
-}
-
-decode_sel_pfor_instances! {
-    i8:  decode_sel_pfor_i8_col;
-    i16: decode_sel_pfor_i16_col;
-    i32: decode_sel_pfor_i32_col;
-    i64: decode_sel_pfor_i64_col;
-    u8:  decode_sel_pfor_u8_col;
-    u16: decode_sel_pfor_u16_col;
-    u32: decode_sel_pfor_u32_col;
-    u64: decode_sel_pfor_u64_col;
-}
-
-/// Selective PFOR decoder for scaled floats (see [`pfor_gather_f64`]).
-pub fn decode_sel_pfor_f64_col(out: &mut [f64], chunk: &PforChunk, sel: &[u32]) -> usize {
-    pfor_gather_f64(out, chunk, sel)
-}
-
-macro_rules! decode_sel_pdict_numeric {
-    ($( $ty:ty : $name:ident );* $(;)?) => {
-        $(
-            /// Selective PDICT decoder: gathers dictionary values at the
-            /// packed codes of the selected positions only.
-            pub fn $name(out: &mut [$ty], payload: &[u8], lane: u32, dict: &[$ty], sel: &[u32]) {
-                debug_assert_eq!(out.len(), sel.len());
-                let lane = if lane <= 8 { 8 } else { 16 };
-                for (o, &p) in out.iter_mut().zip(sel) {
-                    *o = dict[lane_rel(payload, lane, p as usize) as usize];
-                }
-            }
-        )*
-    };
-}
-
-decode_sel_pdict_numeric! {
-    i32: decode_sel_pdict_i32_col;
-    i64: decode_sel_pdict_i64_col;
-    f64: decode_sel_pdict_f64_col;
 }
 
 /// Selective PDICT decoder for strings: appends the dictionary value of
@@ -1800,21 +1627,7 @@ pub fn decode_sel_pdict_str_col(
 
 /// Catalog of the selective-decode kernels; each has a dense
 /// `decompress_*` twin (lint rule 5 checks the pairing).
-pub const DECODE_SEL_SIGNATURES: &[&str] = &[
-    "decode_sel_pfor_i8_col",
-    "decode_sel_pfor_i16_col",
-    "decode_sel_pfor_i32_col",
-    "decode_sel_pfor_i64_col",
-    "decode_sel_pfor_u8_col",
-    "decode_sel_pfor_u16_col",
-    "decode_sel_pfor_u32_col",
-    "decode_sel_pfor_u64_col",
-    "decode_sel_pfor_f64_col",
-    "decode_sel_pdict_i32_col",
-    "decode_sel_pdict_i64_col",
-    "decode_sel_pdict_f64_col",
-    "decode_sel_pdict_str_col",
-];
+pub const DECODE_SEL_SIGNATURES: &[&str] = &["decode_sel_pdict_str_col"];
 
 #[cfg(test)]
 mod tests {
@@ -2164,106 +1977,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_sel_matches_dense_decode() {
-        let mut v: Vec<i64> = (0..5000).map(|i| 100 + (i % 50)).collect();
-        v[17] = i64::MAX;
-        v[4032] = i64::MIN;
-        let c = compress_pfor_i64_col(&v);
-        let sel: Vec<u32> = vec![0, 17, 18, 1000, 4031, 4032, 4999];
-        let mut out = vec![0i64; sel.len()];
-        decode_sel_pfor_i64_col(&mut out, &c, &sel);
-        let want: Vec<i64> = sel.iter().map(|&p| v[p as usize]).collect();
-        assert_eq!(out, want);
-
-        let f: Vec<f64> = (0..4096).map(|i| (i % 3000) as f64 / 100.0).collect();
-        let cf = compress_pfor_f64_col(&f);
-        let sel: Vec<u32> = vec![0, 17, 18, 1000, 4031, 4095];
-        let mut fout = vec![0f64; sel.len()];
-        decode_sel_pfor_f64_col(&mut fout, &cf, &sel);
-        let mut dense = vec![0f64; f.len()];
-        let mut scratch = Vec::new();
-        decompress_pfor_f64_col(&mut dense, &cf, 0, &mut scratch);
-        for (o, &p) in fout.iter().zip(&sel) {
-            assert_eq!(o.to_bits(), dense[p as usize].to_bits());
-        }
-    }
-
-    /// Sparse survivors over a dense patch list: the gallop skips the
-    /// exceptions between survivors, every survivor still reads its
-    /// dense-decode bits, and the returned count is exactly the
-    /// survivors that were exceptions.
-    #[test]
-    fn decode_sel_gallops_and_counts_patched_survivors() {
-        let f: Vec<f64> = (0..8192)
-            .map(|i| match i % 9 {
-                0 | 1 => (i as f64 * 0.731).sqrt(),
-                _ => (i % 3000) as f64 / 100.0,
-            })
-            .collect();
-        let c = compress_pfor_f64_col(&f);
-        assert!(c.exc_pos.len() > 1500, "{} exceptions", c.exc_pos.len());
-        let mut dense = vec![0f64; f.len()];
-        decompress_pfor_f64_col(&mut dense, &c, 0, &mut Vec::new());
-        for stride in [1u32, 3, 37, 500, 4097] {
-            let sel: Vec<u32> = (0..f.len() as u32).step_by(stride as usize).collect();
-            let mut out = vec![0f64; sel.len()];
-            let hits = decode_sel_pfor_f64_col(&mut out, &c, &sel);
-            let want = sel
-                .iter()
-                .filter(|p| c.exc_pos.binary_search(p).is_ok())
-                .count();
-            assert_eq!(hits, want, "stride {stride}");
-            for (o, &p) in out.iter().zip(&sel) {
-                assert_eq!(
-                    o.to_bits(),
-                    dense[p as usize].to_bits(),
-                    "stride {stride} at {p}"
-                );
-            }
-        }
-        let v: Vec<i32> = (0..5000)
-            .map(|i| {
-                if i % 10 == 0 {
-                    1_000_000 + i * 101
-                } else {
-                    i % 40
-                }
-            })
-            .collect();
-        let c = compress_pfor_i32_col(&v);
-        assert_eq!(c.exc_pos.len(), 500);
-        let sel: Vec<u32> = (0..5000).step_by(101).collect();
-        let mut out = vec![0i32; sel.len()];
-        let hits = decode_sel_pfor_i32_col(&mut out, &c, &sel);
-        assert_eq!(out, sel.iter().map(|&p| v[p as usize]).collect::<Vec<_>>());
-        let want = sel
-            .iter()
-            .filter(|p| c.exc_pos.binary_search(p).is_ok())
-            .count();
-        assert_eq!(hits, want);
-    }
-
-    #[test]
-    fn gallop_finds_the_first_position_not_below() {
-        let exc: Vec<u32> = (0..200).map(|i| i * 3).collect();
-        for from in [0usize, 1, 57, 199, 200] {
-            for p in [0u32, 1, 3, 4, 170, 171, 597, 598, 1000] {
-                let want = from.max(exc.partition_point(|&x| x < p));
-                assert_eq!(gallop_to(&exc, from, p), want, "from {from} p {p}");
-            }
-        }
-    }
-
-    #[test]
     fn decode_sel_pdict_gathers() {
-        let dict = vec![-5i64, 0, 17, 250];
-        let v: Vec<i64> = (0..500).map(|i| dict[(i * 3) % 4]).collect();
-        let payload = compress_pdict_i64_col(&v, &dict, 8).expect("all in dict");
-        let sel = vec![1u32, 7, 250, 499];
-        let mut out = vec![0i64; sel.len()];
-        decode_sel_pdict_i64_col(&mut out, &payload, 8, &dict, &sel);
-        assert_eq!(out, sel.iter().map(|&p| v[p as usize]).collect::<Vec<_>>());
-
         let mut sdict = StrVec::with_capacity(2, 4);
         sdict.push("AA");
         sdict.push("BB");

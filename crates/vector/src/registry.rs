@@ -136,7 +136,7 @@ pub enum FactTransfer {
     /// subset of positions survives), never widened.
     Refine,
     /// Codec round trip: values pass through unchanged (decompress and
-    /// selective-decode gathers).
+    /// the PDICT string decode under a selection).
     Passthrough,
     /// Aggregate-state update: folded by the aggregation transfer at
     /// the plan node (sum/min/max/count range algebra).
@@ -534,26 +534,19 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             Ok(selful(args, OutTy::Sel, T::Refine))
         }
         ("decode", "sel") => {
-            // decode_sel_<codec>_<ty>_col: gather-style selective decode
-            // — expands only the positions a pushdown selection
-            // survived, compacted. Dense-only like its decompress twin.
-            let [codec, ty, shape] = rest else {
-                return Err(format!("decode_sel signature `{sig}` malformed"));
+            // decode_sel_pdict_str_col: the PDICT string refill under a
+            // pushdown selection — copies only the survivors' strings.
+            // Every other column decodes densely, so it is the only one.
+            let ["pdict", "str", "col"] = rest else {
+                return Err(format!(
+                    "only PDICT strings decode under a selection: `{sig}`"
+                ));
             };
-            if !["pfor", "pdict"].contains(codec) {
-                return Err(format!("bad decode_sel codec in `{sig}`"));
-            }
-            let ty = ty_token(ty).ok_or_else(|| format!("bad decode_sel type in `{sig}`"))?;
-            if shape_token(shape) != Some(VecShape::Col) {
-                return Err(format!("decode_sel signature `{sig}` must end in _col"));
-            }
-            if *codec == "pdict" && !matches!(ty, I32 | I64 | F64 | Str) {
-                return Err(format!("type not dictionary-codable in `{sig}`"));
-            }
-            if *codec == "pfor" && ty == Str {
-                return Err(format!("PFOR decode_sel is numeric-only: `{sig}`"));
-            }
-            Ok(dense(vec![ArgTy::col(ty)], OutTy::Vec(ty), T::Passthrough))
+            Ok(dense(
+                vec![ArgTy::col(Str)],
+                OutTy::Vec(Str),
+                T::Passthrough,
+            ))
         }
         ("aggr", "grouptable") => {
             // aggr_grouptable_verify_<ty>_col: stored key column, probe
@@ -895,9 +888,9 @@ impl PrimitiveRegistry {
         }
         // Compression-aware execution: encoded-space selections (typed
         // like any other select primitive, so the bind-time verifier can
-        // reject codec/type mismatches) and their selective-decode
-        // gathers. Signature lists are emitted next to the kernels in
-        // `compress.rs`.
+        // reject codec/type mismatches) and the PDICT string decode
+        // under a selection. Signature lists are emitted next to the
+        // kernels in `compress.rs`.
         for sig in crate::compress::CMP_PFOR_SIGNATURES {
             reg.register(
                 sig,
@@ -916,7 +909,7 @@ impl PrimitiveRegistry {
             reg.register(
                 sig,
                 PrimitiveKind::Compress,
-                "selective decode gather (generated)",
+                "PDICT string decode under a selection",
             );
         }
         reg
@@ -1035,17 +1028,17 @@ mod tests {
         assert_eq!(total, reg.len());
         assert!(reg.count_kind(PrimitiveKind::Select) >= 84);
         assert_eq!(reg.count_kind(PrimitiveKind::Compound), 3);
-        // 9 PFOR pairs + 8 PFOR-DELTA pairs + 4 PDICT pairs, plus 13
-        // selective-decode gathers (9 PFOR + 4 PDICT).
-        assert_eq!(reg.count_kind(PrimitiveKind::Compress), 55);
+        // 9 PFOR pairs + 8 PFOR-DELTA pairs + 4 PDICT pairs, plus the
+        // PDICT string decode under a selection.
+        assert_eq!(reg.count_kind(PrimitiveKind::Compress), 43);
     }
 
     #[test]
     fn every_compress_kernel_has_decompress_counterpart() {
         let reg = PrimitiveRegistry::builtin();
         for d in reg.iter().filter(|d| d.kind == PrimitiveKind::Compress) {
-            // A selective-decode gather twins with the dense decoder of
-            // the same codec/type; compress/decompress twin each other.
+            // The selective decode twins with the dense decoder of the
+            // same codec/type; compress/decompress twin each other.
             let twin = if let Some(rest) = d.signature.strip_prefix("decode_sel_") {
                 format!("decompress_{rest}")
             } else if let Some(rest) = d.signature.strip_prefix("de") {
@@ -1191,7 +1184,7 @@ mod tests {
             "cmp_pfor_eq_str_col_val",           // PFOR is numeric-only
             "cmp_pdict_between_i64_col_val_val", // between is PFOR-only
             "cmp_pdict_eq_u8_col_val",           // not a dictionary-coded type
-            "decode_sel_pfordelta_i64_col",      // prefix sums defeat gathers
+            "decode_sel_pdict_u8_col",           // only strings decode under a selection
         ] {
             assert!(parse_signature(bad).is_err(), "{bad} should not parse");
         }

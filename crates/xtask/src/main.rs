@@ -33,16 +33,14 @@
 //!    macro-generated PFOR/PDICT/PFOR-DELTA instances cannot drift from
 //!    the catalog that `engine::check` trusts for decode placement.
 //! 5. **Compressed-execution parity** — every `cmp_*` encoded-space
-//!    selection and `decode_sel_*` selective-decode gather in
-//!    `crates/vector` resolves to a registry descriptor; every
-//!    registered `decode_sel_<codec>_<ty>_col` has its dense
-//!    `decompress_<codec>_<ty>_col` twin; and every registered
-//!    `cmp_<codec>_…_<ty>_…` selection has the matching gather. The
-//!    scan refill under a pushed selection is the dense twin (a
-//!    `CompressedScanSelect` only produces a selection vector); the
-//!    `decode_sel_*` gathers serve positional reads — fetch-joins
-//!    through `CompressedColumn::gather` — so a column a predicate can
-//!    select on can also be fetched from without leaving its codec.
+//!    selection and `decode_sel_*` selective decode in `crates/vector`
+//!    resolves to a registry descriptor, and every registered
+//!    `decode_sel_<codec>_<ty>_col` (today only the PDICT string one)
+//!    has its dense `decompress_<codec>_<ty>_col` twin. The scan refill
+//!    under a pushed selection is the dense twin (a
+//!    `CompressedScanSelect` only produces a selection vector); PDICT
+//!    strings decode under it to copy only the survivors. Fetch-joins
+//!    never read chunks: they gather from the resident fragment.
 //! 6. **Fault-site coverage** — every `FaultSite` variant declared in
 //!    `storage/src/columnbm.rs` is exercised by name in the engine's
 //!    fault-injection suite (`engine/tests/fault_sites.rs`). A new
@@ -588,8 +586,8 @@ fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
         }
     }
 
-    // 5b. Every selective-decode gather has its dense decompress twin —
-    // what the scan refill runs, under a pushed selection too.
+    // 5b. Every selective decode has its dense decompress twin — what
+    // the scan refill runs for every other column.
     for sig in &registered {
         if let Some(rest) = sig.strip_prefix("decode_sel_") {
             let twin = format!("decompress_{rest}");
@@ -599,27 +597,6 @@ fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
                      `{twin}` twin (the scan refill would have nothing to run)"
                 ));
             }
-        }
-    }
-
-    // 5c. Every encoded-space selection has the matching gather for its
-    // codec/type: `cmp_<codec>_<op>_<ty>_col_val…` ⇒
-    // `decode_sel_<codec>_<ty>_col`, so the positional reads of a
-    // column a predicate selects on stay in its codec too.
-    for sig in &registered {
-        let Some(rest) = sig.strip_prefix("cmp_") else {
-            continue;
-        };
-        let parts: Vec<&str> = rest.split('_').collect();
-        let [codec, _op, ty, ..] = parts.as_slice() else {
-            continue;
-        };
-        let gather = format!("decode_sel_{codec}_{ty}_col");
-        if !registered.contains(gather.as_str()) {
-            failures.push(format!(
-                "compressed-exec parity: `{sig}` selects in {codec} code space but \
-                 `{gather}` is missing — its column could not be gathered positionally"
-            ));
         }
     }
 }
