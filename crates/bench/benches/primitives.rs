@@ -338,7 +338,7 @@ fn bench_select(c: &mut Criterion) {
 /// of one 64 K-row chunk, read in 1024-row windows; `chunk_checksum` is
 /// the verification pass of a Q1-shaped f64 chunk (22 % exceptions).
 fn bench_refill(c: &mut Criterion) {
-    use x100_storage::{compress_column_as, ChunkFormat, ColumnData, DecodeCursor};
+    use x100_storage::{compress_column_as, ChunkFormat, DecodeCursor};
     const ROWS: usize = 65_536;
     let mut rng = StdRng::seed_from_u64(12);
     let mut strs = x100_vector::StrVec::new();
@@ -359,24 +359,24 @@ fn bench_refill(c: &mut Criterion) {
         (
             "pfor u8",
             ChunkFormat::Pfor,
-            ColumnData::U8((0..ROWS).map(|_| rng.gen_range(0..50)).collect()),
+            Vector::U8((0..ROWS).map(|_| rng.gen_range(0..50)).collect()),
         ),
         (
             "pfor i32",
             ChunkFormat::Pfor,
-            ColumnData::I32((0..ROWS).map(|_| rng.gen_range(8_000..11_000)).collect()),
+            Vector::I32((0..ROWS).map(|_| rng.gen_range(8_000..11_000)).collect()),
         ),
-        ("pfor f64", ChunkFormat::Pfor, ColumnData::F64(prices)),
+        ("pfor f64", ChunkFormat::Pfor, Vector::F64(prices)),
         (
             "pdict i64",
             ChunkFormat::Pdict,
-            ColumnData::I64(
+            Vector::I64(
                 (0..ROWS)
                     .map(|_| rng.gen_range(0..11i64) * 1_000_003)
                     .collect(),
             ),
         ),
-        ("pdict str", ChunkFormat::Pdict, ColumnData::Str(strs)),
+        ("pdict str", ChunkFormat::Pdict, Vector::Str(strs)),
     ];
     let mut g = c.benchmark_group("refill");
     g.throughput(Throughput::Elements(ROWS as u64));

@@ -7,7 +7,8 @@ use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::AggExpr;
-use x100_storage::{ColumnData, TableBuilder};
+use x100_storage::TableBuilder;
+use x100_vector::Vector;
 
 fn bench_summary(c: &mut Criterion) {
     const N: i64 = 1_000_000;
@@ -15,12 +16,9 @@ fn bench_summary(c: &mut Criterion) {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("t")
-            .column("d", ColumnData::I32((0..N as i32).collect()))
+            .column("d", Vector::I32((0..N as i32).collect()))
             .with_summary()
-            .column(
-                "v",
-                ColumnData::F64((0..N).map(|i| (i % 97) as f64).collect()),
-            )
+            .column("v", Vector::F64((0..N).map(|i| (i % 97) as f64).collect()))
             .build(),
     );
     let pred = and(

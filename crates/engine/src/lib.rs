@@ -56,7 +56,7 @@ pub use compile::{CheckViolation, ExprCode, ExprProg, PlanError};
 pub use expr::{AggExpr, AggFunc, ArithOp, Expr};
 pub use facts::{ColFact, FactRange, NodeFacts};
 pub use govern::{CancelToken, MemTracker, QueryContext};
-pub use ops::{AggrPartial, MergeAggrOp, MergeSpec, Operator, PartialAcc};
+pub use ops::{AggrPartial, MergeAggrOp, MergeSpec, Operator};
 pub use parser::{parse_expr, parse_plan};
 pub use plan::Plan;
 pub use profile::{Profiler, TraceStat, WorkerTrace};

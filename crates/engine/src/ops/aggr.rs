@@ -25,7 +25,7 @@ use crate::compile::{ExprCode, ExprProg};
 use crate::expr::AggFunc;
 use crate::govern::{MemTracker, QueryContext};
 use crate::ops::parallel::MergeAggrOp;
-use crate::ops::{extend_range, push_from, Operator};
+use crate::ops::Operator;
 use crate::profile::Profiler;
 use crate::spill::{agg_partition, read_agg_segment, AggRun, AggSegment, SPILL_BLOCK_ROWS};
 use crate::PlanError;
@@ -36,48 +36,14 @@ use x100_vector::{
     aggr as vaggr, hash as vhash, GroupTable, ProbeScratch, ScalarType, SelVec, Vector,
 };
 
-/// One aggregate's accumulator column, indexed by group: the operators'
-/// running state and, detached (all owned data, no `Rc`), what a
-/// parallel worker ships to the merge stage.
-#[derive(Debug, Clone)]
-pub enum PartialAcc {
-    /// f64 accumulators (sums, f64 min/max).
-    F64(Vec<f64>),
-    /// i64 accumulators (counts, integer sums/min/max).
-    I64(Vec<i64>),
-}
-
-impl PartialAcc {
-    /// An empty accumulator column of type `ty` (`F64`, else `I64`).
-    pub fn new(ty: ScalarType) -> Self {
-        match ty {
-            ScalarType::F64 => PartialAcc::F64(Vec::new()),
-            _ => PartialAcc::I64(Vec::new()),
-        }
-    }
-
-    /// Accumulator scalar type.
-    pub fn ty(&self) -> ScalarType {
-        match self {
-            PartialAcc::F64(_) => ScalarType::F64,
-            PartialAcc::I64(_) => ScalarType::I64,
-        }
-    }
-
-    /// The accumulators of the groups `ids`, in that order.
-    fn gather(&self, ids: &[u32]) -> PartialAcc {
-        match self {
-            PartialAcc::F64(a) => PartialAcc::F64(ids.iter().map(|&g| a[g as usize]).collect()),
-            PartialAcc::I64(a) => PartialAcc::I64(ids.iter().map(|&g| a[g as usize]).collect()),
-        }
-    }
-
-    /// Resize to `n` entries, filling new ones with `init`.
-    pub fn grow(&mut self, n: usize, init: f64) {
-        match self {
-            PartialAcc::F64(v) => v.resize(n, init),
-            PartialAcc::I64(v) => v.resize(n, init as i64),
-        }
+/// Resize one aggregate's accumulator column — an `F64` or `I64`
+/// vector indexed by group, the operators' running state and what a
+/// parallel worker ships to the merge stage — to `n` groups, the new
+/// ones at `init`.
+pub(crate) fn grow_acc(acc: &mut Vector, n: usize, init: f64) {
+    match acc {
+        Vector::F64(v) => v.resize(n, init),
+        v => v.as_i64_mut().resize(n, init as i64),
     }
 }
 
@@ -90,8 +56,9 @@ pub struct AggrPartial {
     pub keys: Vec<Vector>,
     /// Per-group tuple counts (drives the AVG epilogue).
     pub counts: Vec<i64>,
-    /// Per-aggregate accumulator arrays, indexed like `keys`' groups.
-    pub accs: Vec<PartialAcc>,
+    /// Per-aggregate accumulator arrays (`F64` or `I64`), indexed like
+    /// `keys`' groups.
+    pub accs: Vec<Vector>,
     /// Number of groups (every array above has this length).
     pub n_groups: usize,
     /// Spilled table images evicted during the build, oldest first
@@ -233,7 +200,7 @@ struct AggState {
     prog: Option<ExprProg>,
     /// Accumulator column; stays empty for `Count`, which is the
     /// operator's per-group tuple count.
-    acc: PartialAcc,
+    acc: Vector,
     sig: String,
     init: f64,
     /// Updated by the fused pass rather than its own primitive.
@@ -261,7 +228,7 @@ impl AggStates {
                 AggState {
                     func: spec.func,
                     prog: spec.arg.as_ref().map(|c| ExprProg::new(c, vector_size)),
-                    acc: PartialAcc::new(spec.acc_ty),
+                    acc: Vector::with_capacity(spec.acc_ty, 0),
                     sig: spec.sig.clone(),
                     init: spec.init_value(),
                     fused,
@@ -283,7 +250,7 @@ impl AggStates {
     /// Size the accumulators for `n_groups` groups.
     fn grow(&mut self, n_groups: usize) {
         for agg in self.aggs.iter_mut().filter(|a| a.prog.is_some()) {
-            agg.acc.grow(n_groups, agg.init);
+            grow_acc(&mut agg.acc, n_groups, agg.init);
         }
     }
 
@@ -292,8 +259,8 @@ impl AggStates {
     fn drain_front(&mut self, n: usize) {
         for agg in self.aggs.iter_mut().filter(|a| a.prog.is_some()) {
             match &mut agg.acc {
-                PartialAcc::F64(v) => drop(v.drain(..n)),
-                PartialAcc::I64(v) => drop(v.drain(..n)),
+                Vector::F64(v) => drop(v.drain(..n)),
+                v => drop(v.as_i64_mut().drain(..n)),
             }
         }
     }
@@ -301,7 +268,7 @@ impl AggStates {
     /// Drop every accumulator and its memory.
     fn clear(&mut self) {
         for agg in &mut self.aggs {
-            agg.acc = PartialAcc::new(agg.acc.ty());
+            agg.acc = Vector::with_capacity(agg.acc.scalar_type(), 0);
         }
     }
 
@@ -328,7 +295,7 @@ impl AggStates {
         let mut vals: [&[f64]; vaggr::FUSED_SUM_MAX] = Default::default();
         let fused = self.aggs.iter_mut().filter(|a| a.fused);
         for ((acc, val), agg) in accs.iter_mut().zip(vals.iter_mut()).zip(fused) {
-            let (Some(prog), PartialAcc::F64(a)) = (&mut agg.prog, &mut agg.acc) else {
+            let (Some(prog), Vector::F64(a)) = (&mut agg.prog, &mut agg.acc) else {
                 unreachable!("fused aggregates are f64 sums")
             };
             *val = prog.eval(batch, sel, prof).as_f64();
@@ -350,40 +317,43 @@ impl AggStates {
             let vals = prog.eval(batch, sel, prof);
             let t0 = prof.start();
             match (&mut agg.acc, vals) {
-                (PartialAcc::F64(acc), Vector::F64(v)) => update_f64(agg.func, acc, v, grp, sel),
-                (PartialAcc::I64(acc), Vector::I64(v)) => update_i64(agg.func, acc, v, grp, sel),
+                (Vector::F64(acc), Vector::F64(v)) => update_f64(agg.func, acc, v, grp, sel),
+                (Vector::I64(acc), Vector::I64(v)) => update_i64(agg.func, acc, v, grp, sel),
                 (acc, v) => panic!(
                     "aggregate type mismatch: acc {:?}, values {:?}",
-                    acc.ty(),
+                    acc.scalar_type(),
                     v.scalar_type()
                 ),
             }
-            prof.record_prim(&agg.sig, t0, live, live * (agg.acc.ty().width() + 4 + 8));
+            let width = agg.acc.scalar_type().width();
+            prof.record_prim(&agg.sig, t0, live, live * (width + 4 + 8));
         }
     }
 
     /// The accumulators of the groups `ids`, one column per aggregate
     /// as a partial ships them: `Count`'s column is the tuple counts.
-    fn gather(&self, counts: &[i64], ids: &[u32]) -> Vec<PartialAcc> {
+    fn gather(&self, counts: &[i64], ids: &[u32]) -> Vec<Vector> {
         self.aggs
             .iter()
             .map(|a| match a.func {
-                AggFunc::Count => {
-                    PartialAcc::I64(ids.iter().map(|&g| counts[g as usize]).collect())
+                AggFunc::Count => gather_counts(counts, ids),
+                _ => {
+                    let mut v = Vector::with_capacity(a.acc.scalar_type(), ids.len());
+                    assert!(gather_rows(&mut v, &a.acc, ids, None));
+                    v
                 }
-                _ => a.acc.gather(ids),
             })
             .collect()
     }
 
     /// Surrender every group's accumulators, shaped like [`Self::gather`].
-    fn take(&mut self, counts: &[i64]) -> Vec<PartialAcc> {
+    fn take(&mut self, counts: &[i64]) -> Vec<Vector> {
         self.aggs
             .iter_mut()
             .map(|a| match a.func {
-                AggFunc::Count => PartialAcc::I64(counts.to_vec()),
+                AggFunc::Count => Vector::I64(counts.to_vec()),
                 _ => {
-                    let empty = PartialAcc::new(a.acc.ty());
+                    let empty = Vector::with_capacity(a.acc.scalar_type(), 0);
                     std::mem::replace(&mut a.acc, empty)
                 }
             })
@@ -398,11 +368,18 @@ impl AggState {
     }
 }
 
+/// The tuple counts of the groups `ids`, in that order.
+fn gather_counts(counts: &[i64], ids: &[u32]) -> Vector {
+    let mut out = vec![0; ids.len()];
+    assert!(x100_vector::fetch::fetch(&mut out, counts, ids, None));
+    Vector::I64(out)
+}
+
 /// Emit `[start, start+n)` of one aggregate's final values into `out`:
 /// COUNT is `counts`, AVG goes through the epilogue against them.
 pub(crate) fn emit_agg(
     func: AggFunc,
-    acc: &PartialAcc,
+    acc: &Vector,
     counts: &[i64],
     out: &mut Vector,
     start: usize,
@@ -413,7 +390,7 @@ pub(crate) fn emit_agg(
         (AggFunc::Count, _) => out
             .as_i64_mut()
             .extend_from_slice(&counts[start..start + n]),
-        (AggFunc::Avg, PartialAcc::F64(sums)) => {
+        (AggFunc::Avg, Vector::F64(sums)) => {
             let t0 = prof.start();
             let o = out.as_f64_mut();
             let base = o.len();
@@ -425,8 +402,7 @@ pub(crate) fn emit_agg(
             );
             prof.record_prim("aggr_avg_epilogue", t0, n, n * 24);
         }
-        (_, PartialAcc::F64(v)) => out.as_f64_mut().extend_from_slice(&v[start..start + n]),
-        (_, PartialAcc::I64(v)) => out.as_i64_mut().extend_from_slice(&v[start..start + n]),
+        (_, acc) => out.append_range(acc, start, n),
     }
 }
 
@@ -544,7 +520,7 @@ pub(crate) fn emit_key(
     n: usize,
 ) {
     let Some(dict) = dict else {
-        return extend_range(out, keys, start, n);
+        return out.append_range(keys, start, n);
     };
     for g in start..start + n {
         let code = match keys {
@@ -717,22 +693,11 @@ impl HashAggrOp {
                 let mut block: Vec<Vector> = Vec::new();
                 for ks in self.table.keys() {
                     let mut v = Vector::with_capacity(ks.scalar_type(), chunk.len());
-                    for &g in chunk {
-                        push_from(&mut v, ks, g as usize);
-                    }
+                    assert!(gather_rows(&mut v, ks, chunk, None));
                     block.push(v);
                 }
-                block.push(Vector::I64(
-                    chunk
-                        .iter()
-                        .map(|&g| self.group_counts[g as usize])
-                        .collect(),
-                ));
-                let accs = self.aggs.gather(&self.group_counts, chunk);
-                block.extend(accs.into_iter().map(|acc| match acc {
-                    PartialAcc::F64(a) => Vector::F64(a),
-                    PartialAcc::I64(a) => Vector::I64(a),
-                }));
+                block.push(gather_counts(&self.group_counts, chunk));
+                block.extend(self.aggs.gather(&self.group_counts, chunk));
                 w.write_block(block)?;
             }
             segments.push(AggSegment {
@@ -1269,8 +1234,8 @@ impl OrdGroups {
             .zip(&mut self.key_scratch)
             .zip(&key_vecs)
         {
-            gather_rows(scratch, kv, &self.starts);
-            extend_range(store, scratch, 0, self.starts.len());
+            assert!(gather_rows(scratch, kv, &self.starts, None));
+            store.append_range(scratch, 0, self.starts.len());
         }
         self.n = self.n.max(in_use);
         self.aggs.update(
@@ -1294,7 +1259,7 @@ impl OrdGroups {
         let keep = self.n - self.emit_end;
         for (store, scratch) in self.keys.iter_mut().zip(&mut self.key_scratch) {
             scratch.clear();
-            extend_range(scratch, store, self.emit_end, keep);
+            scratch.append_range(store, self.emit_end, keep);
             std::mem::swap(store, scratch);
         }
         self.counts.drain(..self.emit_end);
@@ -1336,7 +1301,7 @@ impl Operator for OrdAggrOp {
         let nkeys = g.keys.len();
         for (k, keys) in g.keys.iter().enumerate() {
             let mut v = self.pools[k].writable();
-            extend_range(&mut v, keys, start, n);
+            v.append_range(keys, start, n);
             self.pools[k].publish(v, &mut self.out);
         }
         for (a, agg) in g.aggs.aggs.iter().enumerate() {

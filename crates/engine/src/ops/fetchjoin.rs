@@ -13,12 +13,13 @@
 use crate::batch::{Batch, OutField, VecPool};
 use crate::compile::{ExprCode, ExprProg};
 use crate::govern::{MemTracker, QueryContext};
+use crate::ops::scan::decode_codes;
 use crate::ops::select::PredChain;
-use crate::ops::{push_from, Operator, PredStep, ScanOp, ScanSpec};
+use crate::ops::{Operator, PredStep, ScanOp, ScanSpec};
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::{Arc, Mutex};
-use x100_storage::{ColumnData, Table};
+use x100_storage::{StoredColumn, Table};
 use x100_vector::{fetch as vfetch, SelVec, Vector};
 
 /// A column to fetch from the target table, as the check walk resolved
@@ -155,7 +156,7 @@ fn fetch_gather(
     let n = rowids.len();
     let in_frag = match &fc.spec.src {
         FetchSource::Column(col) => {
-            gather_positional(table, *col, fc.spec.as_codes, rowids, n, sel, out)?
+            gather_positional(table, *col, fc.spec.as_codes, rowids, sel, out)?
         }
         FetchSource::Derived(d) => {
             if fc.derived.is_none() {
@@ -202,229 +203,82 @@ fn out_of_range(
 /// Fetch `table[rowids[i]].col` positionally into `out` under `sel`;
 /// `Ok(true)` when every gathered rowid was inside the fragment. The
 /// gather kernel's one range check per vector is the fragment-vs-delta
-/// test: fixed-width columns gather in the same call, enum columns
-/// decode through the dictionary, strings rebuild, and a vector reaching
-/// past the fragment takes the slow value path, which reads the one
-/// column's value of each live rowid from the fragment or the insert
-/// delta — or fails with a typed error for one past the table's end.
-#[allow(clippy::needless_range_loop)] // positional writes under a selection
-fn gather_positional(
+/// test ([`gather_fragment`]). A vector reaching past the fragment
+/// gathers its fragment rows and its insert-delta rows apart, each
+/// under its own selection, and one more gather over the two results
+/// side by side takes each position from its region; a rowid past the
+/// table's end is a typed error.
+pub(crate) fn gather_positional(
     table: &Table,
     col: usize,
     as_codes: bool,
     rowids: &[u32],
-    n: usize,
     sel: Option<&SelVec>,
     out: &mut Vector,
 ) -> Result<bool, PlanError> {
     let sc = table.column(col);
-    let frag_rows = table.fragment_rows();
-    out.resize_zeroed(n);
-    // Code fetch: gather the physical code column directly.
-    let dict = if as_codes { None } else { sc.dict() };
-    let in_frag = match (dict, sc.physical(), &mut *out) {
-        (None, ColumnData::I8(b), Vector::I8(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::I16(b), Vector::I16(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::I32(b), Vector::I32(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::I64(b), Vector::I64(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::U8(b), Vector::U8(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::U16(b), Vector::U16(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::U32(b), Vector::U32(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::U64(b), Vector::U64(o)) => vfetch::fetch(o, b, rowids, sel),
-        (None, ColumnData::F64(b), Vector::F64(o)) => vfetch::fetch(o, b, rowids, sel),
-        _ if !vfetch::in_range(rowids, n, sel, frag_rows) => false,
-        (None, ColumnData::Str(b), Vector::Str(o)) => {
-            o.clear();
-            match sel {
-                None => {
-                    for &r in &rowids[..n] {
-                        o.push(b.get(r as usize));
-                    }
-                }
-                Some(s) => {
-                    // Positional write into a StrVec: fill unselected
-                    // with empties.
-                    let mut at = 0;
-                    for i in s.iter() {
-                        for _ in at..i {
-                            o.push("");
-                        }
-                        o.push(b.get(rowids[i] as usize));
-                        at = i + 1;
-                    }
-                    for _ in at..n {
-                        o.push("");
-                    }
-                }
-            }
-            true
-        }
-        (None, d, o) => panic!(
-            "fetch mismatch: column {:?}, out {:?}",
-            d.scalar_type(),
-            o.scalar_type()
-        ),
-        // Two-step: gather code, then decode via dictionary.
-        (Some(dict), codes, out) => {
-            match (codes, dict.values(), out) {
-                (ColumnData::U8(c), ColumnData::F64(d), Vector::F64(o)) => {
-                    gather_decode(c, d, rowids, n, sel, o)
-                }
-                (ColumnData::U8(c), ColumnData::I64(d), Vector::I64(o)) => {
-                    gather_decode(c, d, rowids, n, sel, o)
-                }
-                (ColumnData::U8(c), ColumnData::I32(d), Vector::I32(o)) => {
-                    gather_decode(c, d, rowids, n, sel, o)
-                }
-                (ColumnData::U16(c), ColumnData::F64(d), Vector::F64(o)) => {
-                    gather_decode16(c, d, rowids, n, sel, o)
-                }
-                (ColumnData::U16(c), ColumnData::I64(d), Vector::I64(o)) => {
-                    gather_decode16(c, d, rowids, n, sel, o)
-                }
-                (ColumnData::U16(c), ColumnData::I32(d), Vector::I32(o)) => {
-                    gather_decode16(c, d, rowids, n, sel, o)
-                }
-                (_, ColumnData::Str(d), Vector::Str(o)) => {
-                    o.clear();
-                    let code_of = |r: usize| -> usize {
-                        match codes {
-                            ColumnData::U8(c) => c[r] as usize,
-                            ColumnData::U16(c) => c[r] as usize,
-                            _ => unreachable!("codes are U8/U16"),
-                        }
-                    };
-                    match sel {
-                        None => {
-                            for &r in &rowids[..n] {
-                                o.push(d.get(code_of(r as usize)));
-                            }
-                        }
-                        Some(s) => {
-                            let mut next = s.iter().peekable();
-                            for i in 0..n {
-                                if next.peek() == Some(&i) {
-                                    next.next();
-                                    o.push(d.get(code_of(rowids[i] as usize)));
-                                } else {
-                                    o.push("");
-                                }
-                            }
-                        }
-                    }
-                }
-                (c, d, o) => panic!(
-                    "enum fetch mismatch: codes {:?}, dict {:?}, out {:?}",
-                    c.scalar_type(),
-                    d.scalar_type(),
-                    o.scalar_type()
-                ),
-            }
-            true
-        }
-    };
-    if in_frag {
+    if gather_fragment(sc, as_codes, rowids, sel, out) {
         return Ok(true);
     }
-    let name = &sc.field().name;
-    if as_codes {
-        // Code fetches run over delta-free tables only (the check walk's
-        // condition): past the fragment is past the end.
-        return Err(out_of_range(table, name, rowids, n, sel));
+    let n = rowids.len();
+    // Code fetches run over delta-free tables only (the check walk's
+    // condition): past the fragment is past the end.
+    if as_codes || !vfetch::in_range(rowids, n, sel, table.total_rows()) {
+        return Err(out_of_range(table, &sc.field().name, rowids, n, sel));
     }
-    let value = |r: u32| {
-        table
-            .value(col, r)
-            .ok_or_else(|| out_of_range(table, name, rowids, n, sel))
-    };
-    let live: Vec<usize> = match sel {
-        None => (0..n).collect(),
-        Some(s) => s.iter().collect(),
-    };
-    if let Vector::Str(o) = out {
-        // Unselected positions hold empty strings.
-        o.clear();
-        let mut live = live.into_iter().peekable();
-        for i in 0..n {
-            if live.next_if_eq(&i).is_none() {
-                o.push("");
-                continue;
+    let frag = table.fragment_rows() as u32;
+    let live = sel.map_or_else(|| (0..n as u32).collect(), |s| s.positions().to_vec());
+    let (in_frag, in_delta): (Vec<u32>, Vec<u32>) =
+        live.into_iter().partition(|&i| rowids[i as usize] < frag);
+    let delta_ids: Vec<u32> = rowids.iter().map(|&r| r.wrapping_sub(frag)).collect();
+    let in_frag = SelVec::from_positions(in_frag);
+    let in_delta = SelVec::from_positions(in_delta);
+    let mut both = Vector::with_capacity(out.scalar_type(), 2 * n);
+    let mut tail = Vector::with_capacity(out.scalar_type(), n);
+    let gathered = gather_fragment(sc, false, rowids, Some(&in_frag), &mut both)
+        && vfetch::gather_rows(
+            &mut tail,
+            table.inserts().column(col),
+            &delta_ids,
+            Some(&in_delta),
+        );
+    assert!(gathered, "each live rowid lies in its region");
+    both.append_range(&tail, 0, n);
+    let pick: Vec<u32> = (0..n as u32)
+        .map(|i| {
+            if rowids[i as usize] < frag {
+                i
+            } else {
+                n as u32 + i
             }
-            match value(rowids[i])? {
-                x100_vector::Value::Str(v) => o.push(&v),
-                other => panic!("expected string, got {other:?}"),
-            }
-        }
-    } else {
-        for i in live {
-            set_value_at(out, i, &value(rowids[i])?);
-        }
-    }
+        })
+        .collect();
+    assert!(vfetch::gather_rows(out, &both, &pick, sel));
     Ok(false)
 }
 
-fn gather_decode<T: Copy>(
-    codes: &[u8],
-    dict: &[T],
+/// Gather `sc`'s fragment at `rowids` under `sel` into `out`: the
+/// physical values, or for an enum column (unless `as_codes`) a code
+/// gather plus the scan's dictionary decode under the same selection.
+/// `false`, with nothing gathered, when a selected rowid lies past the
+/// fragment.
+fn gather_fragment(
+    sc: &StoredColumn,
+    as_codes: bool,
     rowids: &[u32],
-    n: usize,
     sel: Option<&SelVec>,
-    out: &mut [T],
-) {
-    match sel {
-        None => {
-            for (o, &r) in out.iter_mut().zip(rowids.iter()).take(n) {
-                *o = dict[codes[r as usize] as usize];
+    out: &mut Vector,
+) -> bool {
+    match sc.dict().filter(|_| !as_codes) {
+        None => vfetch::gather_rows(out, sc.physical(), rowids, sel),
+        Some(dict) => {
+            let mut codes = Vector::with_capacity(sc.physical_type(), rowids.len());
+            let in_frag = vfetch::gather_rows(&mut codes, sc.physical(), rowids, sel);
+            if in_frag {
+                decode_codes(&codes, dict.values(), sel, out);
             }
+            in_frag
         }
-        Some(s) => {
-            for i in s.iter() {
-                out[i] = dict[codes[rowids[i] as usize] as usize];
-            }
-        }
-    }
-}
-
-fn gather_decode16<T: Copy>(
-    codes: &[u16],
-    dict: &[T],
-    rowids: &[u32],
-    n: usize,
-    sel: Option<&SelVec>,
-    out: &mut [T],
-) {
-    match sel {
-        None => {
-            for (o, &r) in out.iter_mut().zip(rowids.iter()).take(n) {
-                *o = dict[codes[r as usize] as usize];
-            }
-        }
-        Some(s) => {
-            for i in s.iter() {
-                out[i] = dict[codes[rowids[i] as usize] as usize];
-            }
-        }
-    }
-}
-
-fn set_value_at(out: &mut Vector, i: usize, v: &x100_vector::Value) {
-    use x100_vector::Value;
-    match (out, v) {
-        (Vector::I8(o), Value::I8(x)) => o[i] = *x,
-        (Vector::I16(o), Value::I16(x)) => o[i] = *x,
-        (Vector::I32(o), Value::I32(x)) => o[i] = *x,
-        (Vector::I64(o), Value::I64(x)) => o[i] = *x,
-        (Vector::U8(o), Value::U8(x)) => o[i] = *x,
-        (Vector::U16(o), Value::U16(x)) => o[i] = *x,
-        (Vector::U32(o), Value::U32(x)) => o[i] = *x,
-        (Vector::U64(o), Value::U64(x)) => o[i] = *x,
-        (Vector::F64(o), Value::F64(x)) => o[i] = *x,
-        (Vector::Bool(o), Value::Bool(x)) => o[i] = *x,
-        (o, v) => panic!(
-            "set_value_at mismatch: {:?} <- {:?}",
-            o.scalar_type(),
-            v.scalar_type()
-        ),
     }
 }
 
@@ -665,9 +519,7 @@ impl Operator for FetchNJoinOp {
         // Replicate child columns by position.
         for (k, colv) in self.cur_cols.iter().enumerate() {
             let mut v = self.pools[k].writable();
-            for &cp in &child_pos {
-                push_from(&mut v, colv, cp as usize);
-            }
+            assert!(vfetch::gather_rows(&mut v, colv, &child_pos, None));
             self.pools[k].publish(v, &mut self.out);
         }
         // Fetch target columns.

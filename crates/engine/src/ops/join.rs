@@ -30,7 +30,8 @@ use super::aggr::hash_keys;
 use crate::batch::{Batch, OutField, SelPool, VecPool};
 use crate::compile::{ExprCode, ExprProg};
 use crate::govern::{MemTracker, QueryContext};
-use crate::ops::{extend_range, push_from, Operator};
+use crate::ops::fetchjoin::gather_positional;
+use crate::ops::Operator;
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::rc::Rc;
@@ -167,14 +168,12 @@ impl Operator for CartProdOp {
         self.out.len = n;
         for (k, colv) in self.cur_cols.iter().enumerate() {
             let mut v = self.pools[k].writable();
-            for &cp in &cpos {
-                push_from(&mut v, colv, cp as usize);
-            }
+            assert!(gather_rows(&mut v, colv, &cpos, None));
             self.pools[k].publish(v, &mut self.out);
         }
         for (j, &ci) in self.fetch_cols.iter().enumerate() {
             let mut v = self.pools[self.child_arity + j].writable();
-            self.table.gather_logical(ci, &trows, &mut v);
+            gather_positional(&self.table, ci, false, &trows, None, &mut v)?;
             self.pools[self.child_arity + j].publish(v, &mut self.out);
         }
         prof.record_op("CartProd", t_op, n);
@@ -354,10 +353,10 @@ impl JoinTable {
                 for (j, &ci) in spec.payload_cols.iter().enumerate() {
                     let col = &batch.columns[ci];
                     match sel {
-                        None => extend_range(&mut payload[j], col, 0, n),
+                        None => payload[j].append_range(col, 0, n),
                         Some(s) => {
-                            gather_rows(&mut selected[j], col, s.positions());
-                            extend_range(&mut payload[j], &selected[j], 0, live);
+                            assert!(gather_rows(&mut selected[j], col, s.positions(), None));
+                            payload[j].append_range(&selected[j], 0, live);
                         }
                     }
                 }
@@ -503,7 +502,7 @@ impl HashJoinOp {
         for (k, (src, rows)) in probe_cols.chain(payload).enumerate() {
             let mut v = self.pools[k].writable();
             let t0 = prof.start();
-            gather_rows(&mut v, src, rows);
+            assert!(gather_rows(&mut v, src, rows, None));
             if let Some(sig) = self.gather_sigs[k] {
                 prof.record_prim(sig, t0, n, n * (4 + 2 * v.scalar_type().width()));
             }

@@ -23,9 +23,7 @@ mod select;
 mod sort;
 
 pub(crate) use aggr::{fused_signature, AggSpec};
-pub use aggr::{
-    AggrPartial, DirectAggrOp, DirectKey, HashAggrOp, MergeAgg, MergeSpec, OrdAggrOp, PartialAcc,
-};
+pub use aggr::{AggrPartial, DirectAggrOp, DirectKey, HashAggrOp, MergeAgg, MergeSpec, OrdAggrOp};
 pub use array::ArrayOp;
 pub(crate) use fetchjoin::{DerivedCol, FetchSource, FetchSpec};
 pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp};
@@ -141,32 +139,5 @@ pub(crate) fn cmp_at(a: &Vector, i: usize, b: &Vector, j: usize) -> std::cmp::Or
                 b.scalar_type()
             )
         }
-    }
-}
-
-/// Append `src[start..start+n]` to `dst` (same types). Typed bulk copy
-/// used when emitting aggregate results vector-at-a-time.
-pub(crate) fn extend_range(dst: &mut Vector, src: &Vector, start: usize, n: usize) {
-    match (dst, src) {
-        (Vector::I8(d), Vector::I8(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::I16(d), Vector::I16(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::I32(d), Vector::I32(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::I64(d), Vector::I64(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::U8(d), Vector::U8(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::U16(d), Vector::U16(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::U32(d), Vector::U32(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::U64(d), Vector::U64(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::F64(d), Vector::F64(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::Bool(d), Vector::Bool(s)) => d.extend_from_slice(&s[start..start + n]),
-        (Vector::Str(d), Vector::Str(s)) => {
-            for i in start..start + n {
-                d.push(s.get(i));
-            }
-        }
-        (d, s) => panic!(
-            "extend_range type mismatch: {:?} <- {:?}",
-            d.scalar_type(),
-            s.scalar_type()
-        ),
     }
 }

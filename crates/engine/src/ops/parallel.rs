@@ -38,9 +38,9 @@ use crate::check::{CheckedNode, CheckedOp};
 use crate::expr::AggFunc;
 use crate::govern::{panic_cause, QueryContext};
 use crate::ops::aggr::{
-    emit_agg, emit_key, hash_keys, update_f64, update_i64, AggrPartial, MergeSpec, PartialAcc,
+    emit_agg, emit_key, grow_acc, hash_keys, update_f64, update_i64, AggrPartial, MergeSpec,
 };
-use crate::ops::{extend_range, JoinParts, JoinTable, Operator, ScanSpec};
+use crate::ops::{JoinParts, JoinTable, Operator, ScanSpec};
 use crate::plan::SharedJoins;
 use crate::profile::Profiler;
 use crate::session::ExecOptions;
@@ -253,7 +253,7 @@ pub struct MergeAggrOp {
     partials: Vec<AggrPartial>,
     table: GroupTable,
     group_counts: Vec<i64>,
-    accs: Vec<PartialAcc>,
+    accs: Vec<Vector>,
     n_groups: usize,
     /// One vector of a partial's keys, their hashes and group ids.
     key_buf: Vec<Vector>,
@@ -287,7 +287,7 @@ impl MergeAggrOp {
             accs: spec
                 .aggs
                 .iter()
-                .map(|a| PartialAcc::new(a.acc_ty))
+                .map(|a| Vector::with_capacity(a.acc_ty, 0))
                 .collect(),
             n_groups: 0,
             key_buf: spec
@@ -321,7 +321,7 @@ impl MergeAggrOp {
             let n = self.vector_size.min(partial.n_groups - base);
             for (buf, keys) in self.key_buf.iter_mut().zip(&partial.keys) {
                 buf.clear();
-                extend_range(buf, keys, base, n);
+                buf.append_range(keys, base, n);
             }
             let keys: Vec<&Vector> = self.key_buf.iter().collect();
             self.hash_buf.resize(n, 0);
@@ -348,18 +348,18 @@ impl MergeAggrOp {
                 if agg.func == AggFunc::Count {
                     continue; // emitted from the merged tuple counts
                 }
-                acc.grow(groups, agg.init);
+                grow_acc(acc, groups, agg.init);
                 match (acc, src) {
-                    (PartialAcc::F64(acc), PartialAcc::F64(src)) => {
+                    (Vector::F64(acc), Vector::F64(src)) => {
                         update_f64(agg.func, acc, &src[base..base + n], grp, None)
                     }
-                    (PartialAcc::I64(acc), PartialAcc::I64(src)) => {
+                    (Vector::I64(acc), Vector::I64(src)) => {
                         update_i64(agg.func, acc, &src[base..base + n], grp, None)
                     }
                     (acc, src) => panic!(
                         "merge accumulator type mismatch: {:?} <- {:?}",
-                        acc.ty(),
-                        src.ty()
+                        acc.scalar_type(),
+                        src.scalar_type()
                     ),
                 }
             }
@@ -399,7 +399,7 @@ impl MergeAggrOp {
             self.n_groups = 1;
             self.group_counts.push(0);
             for (acc, spec) in self.accs.iter_mut().zip(self.spec.aggs.iter()) {
-                acc.grow(1, spec.init);
+                grow_acc(acc, 1, spec.init);
             }
         }
         prof.record_op("MergeAggr", t_op, total_in);

@@ -19,10 +19,9 @@ use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
 use x100_storage::{
-    ColumnBM, ColumnData, CompressedColumn, DecodeCursor, FaultSite, Morsel, PushOp, Pushdown,
-    Table,
+    ColumnBM, CompressedColumn, DecodeCursor, FaultSite, Morsel, PushOp, Pushdown, Table,
 };
-use x100_vector::{SelVec, StrVec, Value, Vector};
+use x100_vector::{ScalarType, SelVec, Value, Vector};
 
 /// A `Scan` as the check walk resolved it ([`crate::check`]): the table,
 /// which columns to read and how, the summary-pruned fragment range and
@@ -416,8 +415,12 @@ impl ScanOp {
                 })?;
                 let t0 = prof.start();
                 let mut v = self.pools[k].writable();
-                v.resize_zeroed(n);
-                decode_codes(codes, dict.values(), live, &mut v);
+                // Every code of a refilled window is valid, so fixed-width
+                // values decode densely (faster than the selection's
+                // loop); strings copy only the survivors.
+                let is_str = dict.value_type() == ScalarType::Str;
+                let dsel = filtered.then_some(&sel).filter(|_| is_str);
+                decode_codes(codes, dict.values(), dsel, &mut v);
                 let bytes = codes.byte_size() + v.byte_size();
                 prof.record_prim(sig, t0, n, bytes);
                 prof.record_op("Fetch1Join(ENUM)", t0, n);
@@ -618,50 +621,18 @@ fn try_heal(
     Some(cc)
 }
 
-/// Decode enum codes through the dictionary into a logical vector.
-/// Under `sel` only the selected slots of a string column get their
-/// value, the rest the empty string (as `gather_positional` fills them).
-fn decode_codes(codes: &Vector, dict: &ColumnData, sel: Option<&[u32]>, out: &mut Vector) {
-    use x100_vector::fetch::fetch;
-    fn strs(o: &mut StrVec, d: &StrVec, codes: impl Iterator<Item = usize>, sel: Option<&[u32]>) {
-        o.clear();
-        let mut live = sel.map(|s| s.iter().peekable());
-        for (i, code) in codes.enumerate() {
-            let keep = live
-                .as_mut()
-                .is_none_or(|l| l.next_if(|&&p| p as usize == i).is_some());
-            o.push(if keep { d.get(code) } else { "" });
-        }
-    }
-    let in_dict = match (codes, dict, out) {
-        (Vector::U8(c), ColumnData::F64(d), Vector::F64(o)) => fetch(o, d, c, None),
-        (Vector::U8(c), ColumnData::I64(d), Vector::I64(o)) => fetch(o, d, c, None),
-        (Vector::U8(c), ColumnData::I32(d), Vector::I32(o)) => fetch(o, d, c, None),
-        (Vector::U16(c), ColumnData::F64(d), Vector::F64(o)) => fetch(o, d, c, None),
-        (Vector::U16(c), ColumnData::I64(d), Vector::I64(o)) => fetch(o, d, c, None),
-        (Vector::U16(c), ColumnData::I32(d), Vector::I32(o)) => fetch(o, d, c, None),
-        (Vector::U8(c), ColumnData::Str(d), Vector::Str(o)) => {
-            strs(o, d, c.iter().map(|&x| x as usize), sel);
-            true
-        }
-        (Vector::U16(c), ColumnData::Str(d), Vector::Str(o)) => {
-            strs(o, d, c.iter().map(|&x| x as usize), sel);
-            true
-        }
-        (c, d, o) => panic!(
-            "decode mismatch: codes {:?}, dict {:?}, out {:?}",
-            c.scalar_type(),
-            d.scalar_type(),
-            o.scalar_type()
-        ),
-    };
+/// Decode enum codes through the dictionary into a logical vector —
+/// the gather with the codes as positions, under `sel` (a string column
+/// leaves its unselected slots empty).
+pub(crate) fn decode_codes(codes: &Vector, dict: &Vector, sel: Option<&SelVec>, out: &mut Vector) {
+    let in_dict = x100_vector::fetch::gather_at(out, dict, codes, sel);
     assert!(in_dict, "enum code outside its dictionary");
 }
 
 /// Value-space twin of the encoded-space pushdown, over the retained raw
 /// fragment — the torn-chunk recovery path. Semantics match the
 /// compressed kernels exactly (native comparisons, `Between` inclusive).
-fn raw_filter(data: &ColumnData, start: usize, n: usize, p: &Pushdown, out: &mut Vec<u32>) {
+fn raw_filter(data: &Vector, start: usize, n: usize, p: &Pushdown, out: &mut Vec<u32>) {
     fn keep<T: PartialOrd + Copy>(a: &[T], lo: T, hi: Option<T>, op: PushOp, out: &mut Vec<u32>) {
         for (i, &x) in a.iter().enumerate() {
             let hit = match op {
@@ -692,16 +663,17 @@ fn raw_filter(data: &ColumnData, start: usize, n: usize, p: &Pushdown, out: &mut
         }};
     }
     match data {
-        ColumnData::I8(b) => f!(b, I8),
-        ColumnData::I16(b) => f!(b, I16),
-        ColumnData::I32(b) => f!(b, I32),
-        ColumnData::I64(b) => f!(b, I64),
-        ColumnData::U8(b) => f!(b, U8),
-        ColumnData::U16(b) => f!(b, U16),
-        ColumnData::U32(b) => f!(b, U32),
-        ColumnData::U64(b) => f!(b, U64),
-        ColumnData::F64(b) => f!(b, F64),
-        ColumnData::Str(b) => {
+        Vector::I8(b) => f!(b, I8),
+        Vector::I16(b) => f!(b, I16),
+        Vector::I32(b) => f!(b, I32),
+        Vector::I64(b) => f!(b, I64),
+        Vector::U8(b) => f!(b, U8),
+        Vector::U16(b) => f!(b, U16),
+        Vector::U32(b) => f!(b, U32),
+        Vector::U64(b) => f!(b, U64),
+        Vector::F64(b) => f!(b, F64),
+        Vector::Bool(_) => unreachable!("bool columns are not storable"),
+        Vector::Str(b) => {
             let lo = match p.lo() {
                 Value::Str(x) => x.as_str(),
                 _ => unreachable!("pushdown constant type-checked at compile"),

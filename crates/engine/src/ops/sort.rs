@@ -25,6 +25,7 @@ use crate::spill::{RunReader, SpillManager, SpillRun, SPILL_BLOCK_ROWS};
 use crate::PlanError;
 use std::cmp::Ordering;
 use std::sync::Arc;
+use x100_vector::fetch::gather_rows;
 use x100_vector::Vector;
 
 /// Maximum runs merged in one pass: keeps merge state at
@@ -246,14 +247,14 @@ impl OrderOp {
             match batch.sel.as_deref() {
                 None => {
                     for (s, c) in self.store.iter_mut().zip(batch.columns.iter()) {
-                        crate::ops::extend_range(s, c, 0, batch.len);
+                        s.append_range(c, 0, batch.len);
                     }
                 }
                 Some(sel) => {
                     for (s, c) in self.store.iter_mut().zip(batch.columns.iter()) {
-                        for i in sel.iter() {
-                            push_from(s, c, i);
-                        }
+                        let mut live = Vector::with_capacity(c.scalar_type(), sel.len());
+                        assert!(gather_rows(&mut live, c, sel.positions(), None));
+                        s.append_range(&live, 0, sel.len());
                     }
                 }
             }
@@ -310,9 +311,7 @@ impl OrderOp {
         for chunk in perm.chunks(SPILL_BLOCK_ROWS) {
             let gather = |s: &Vector| {
                 let mut v = Vector::with_capacity(s.scalar_type(), chunk.len());
-                for &p in chunk {
-                    push_from(&mut v, s, p as usize);
-                }
+                assert!(gather_rows(&mut v, s, chunk, None));
                 v
             };
             w.write_block(self.store.iter().map(gather).collect())?;
@@ -431,9 +430,7 @@ impl Operator for OrderOp {
         self.out.len = n;
         for (k, s) in self.store.iter().enumerate() {
             let mut v = self.pools[k].writable();
-            for &p in &self.perm[start..start + n] {
-                push_from(&mut v, s, p as usize);
-            }
+            assert!(gather_rows(&mut v, s, &self.perm[start..start + n], None));
             self.pools[k].publish(v, &mut self.out);
         }
         Ok(Some(&self.out))

@@ -610,7 +610,7 @@ pub(crate) fn rewrite_enum_literals(
         if !matches!(fields[i].ty, ScalarType::U8 | ScalarType::U16) {
             return None;
         }
-        let x100_storage::ColumnData::Str(d) = dict.values() else {
+        let x100_vector::Vector::Str(d) = dict.values() else {
             return None;
         };
         let code = (0..d.len()).find(|&c| d.get(c) == lit);

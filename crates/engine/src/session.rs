@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use x100_storage::{ColumnBM, FaultPlan, Table};
+use x100_vector::fetch::gather_rows;
 use x100_vector::{Value, Vector, DEFAULT_VECTOR_SIZE};
 
 /// Default morsel size for parallel scans: large enough to amortize
@@ -378,15 +379,15 @@ pub fn run_operator(op: &mut dyn Operator, prof: &mut Profiler) -> Result<QueryR
         match batch.sel.as_deref() {
             None => {
                 for (dst, src) in cols.iter_mut().zip(batch.columns.iter()) {
-                    crate::ops::extend_range(dst, src, 0, batch.len);
+                    dst.append_range(src, 0, batch.len);
                 }
                 rows += batch.len;
             }
             Some(sel) => {
                 for (dst, src) in cols.iter_mut().zip(batch.columns.iter()) {
-                    for i in sel.iter() {
-                        crate::ops::push_from(dst, src, i);
-                    }
+                    let mut live = Vector::with_capacity(src.scalar_type(), sel.len());
+                    assert!(gather_rows(&mut live, src, sel.positions(), None));
+                    dst.append_range(&live, 0, sel.len());
                 }
                 rows += sel.len();
             }

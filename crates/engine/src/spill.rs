@@ -38,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use x100_storage::frame::{read_frame, Reader, Writer, FRAME_OVERHEAD};
-use x100_storage::{choose_and_compress, ColumnData, CompressedColumn, DecodeCursor, FaultSite};
-use x100_vector::{ScalarType, Vector};
+use x100_storage::{choose_and_compress, CompressedColumn, DecodeCursor, FaultSite};
+use x100_vector::Vector;
 
 use crate::compile::PlanError;
 use crate::govern::QueryContext;
@@ -438,7 +438,7 @@ pub(crate) fn read_agg_segment(
     mgr: &Arc<SpillManager>,
     ctx: &Arc<QueryContext>,
 ) -> Result<crate::ops::AggrPartial, PlanError> {
-    use crate::ops::{AggrPartial, PartialAcc};
+    use crate::ops::AggrPartial;
     let n_cols = n_keys + 1 + n_aggs;
     let mut rd = RunReader::open(file, seg.offset, seg.blocks, n_cols, mgr, ctx)?;
     let mut cols: Vec<Vector> = Vec::new();
@@ -451,7 +451,7 @@ pub(crate) fn read_agg_segment(
                 .collect();
         }
         for (dst, src) in cols.iter_mut().zip(block.iter()) {
-            crate::ops::extend_range(dst, src, 0, rows);
+            dst.append_range(src, 0, rows);
         }
     }
     if cols.len() != n_cols {
@@ -473,8 +473,7 @@ pub(crate) fn read_agg_segment(
     };
     let accs = it
         .map(|v| match v {
-            Vector::F64(a) => Ok(PartialAcc::F64(a)),
-            Vector::I64(a) => Ok(PartialAcc::I64(a)),
+            v @ (Vector::F64(_) | Vector::I64(_)) => Ok(v),
             other => Err(read_err(
                 true,
                 format!(
@@ -736,23 +735,17 @@ impl RunReader {
 }
 
 /// Serialize one column section: compressed via the storage codecs
-/// when the chooser takes it, the raw value codec otherwise (and for
-/// `Bool`, which has no fragment twin).
+/// when the chooser takes it, the raw value codec otherwise (always for
+/// `Bool`, which no codec takes).
 fn put_column_section(w: &mut Writer, col: Vector) {
-    match ColumnData::try_from(col) {
-        Ok(data) => match choose_and_compress(&data) {
-            Some(cc) => {
-                w.put(true);
-                w.section(|w| cc.put(w));
-            }
-            None => {
-                w.put(false);
-                w.section(|w| w.put_column(&data));
-            }
-        },
-        Err(bools) => {
+    match choose_and_compress(&col) {
+        Some(cc) => {
+            w.put(true);
+            w.section(|w| cc.put(w));
+        }
+        None => {
             w.put(false);
-            w.section(|w| w.put_array(ScalarType::Bool, &bools));
+            w.section(|w| w.put_column(&col));
         }
     }
 }
@@ -777,7 +770,7 @@ mod tests {
         let ints: Vec<i64> = (0..rows as i64).map(|i| i * 3 % 257).collect();
         let floats: Vec<f64> = (0..rows).map(|i| (i % 100) as f64 * 0.25).collect();
         let bools: Vec<bool> = (0..rows).map(|i| i % 3 == 0).collect();
-        let mut sv = Vector::with_capacity(ScalarType::Str, rows);
+        let mut sv = Vector::with_capacity(x100_vector::ScalarType::Str, rows);
         if let Vector::Str(s) = &mut sv {
             for i in 0..rows {
                 s.push(&format!("g{}", i % 7));
@@ -801,7 +794,7 @@ mod tests {
             .iter()
             .map(|c| {
                 let mut v = Vector::with_capacity(c.scalar_type(), SPILL_BLOCK_ROWS);
-                crate::ops::extend_range(&mut v, c, 0, SPILL_BLOCK_ROWS);
+                v.append_range(c, 0, SPILL_BLOCK_ROWS);
                 v
             })
             .collect();
@@ -809,7 +802,7 @@ mod tests {
             .iter()
             .map(|c| {
                 let mut v = Vector::with_capacity(c.scalar_type(), 100);
-                crate::ops::extend_range(&mut v, c, SPILL_BLOCK_ROWS, 100);
+                v.append_range(c, SPILL_BLOCK_ROWS, 100);
                 v
             })
             .collect();
@@ -832,7 +825,7 @@ mod tests {
                     .collect();
             }
             for (dst, src) in got.iter_mut().zip(block.iter()) {
-                crate::ops::extend_range(dst, src, 0, rows);
+                dst.append_range(src, 0, rows);
             }
             at += rows;
         }

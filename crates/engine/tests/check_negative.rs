@@ -8,17 +8,18 @@ use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::{check_plan, verify_program, CheckViolation, PlanError, QueryContext};
-use x100_storage::{ColumnData, TableBuilder};
+use x100_storage::TableBuilder;
+use x100_vector::Vector;
 
 fn db() -> Database {
     let n = 64i64;
     let mut db = Database::new();
     db.register(
         TableBuilder::new("t")
-            .column("id", ColumnData::I64((0..n).collect()))
-            .column("x", ColumnData::F64((0..n).map(|i| i as f64).collect()))
-            .column("h1", ColumnData::U64((0..n as u64).collect()))
-            .column("h2", ColumnData::U64((0..n as u64).rev().collect()))
+            .column("id", Vector::I64((0..n).collect()))
+            .column("x", Vector::F64((0..n).map(|i| i as f64).collect()))
+            .column("h1", Vector::U64((0..n as u64).collect()))
+            .column("h2", Vector::U64((0..n as u64).rev().collect()))
             .auto_enum_str(
                 "status",
                 (0..n)

@@ -10,8 +10,8 @@ use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::DurableOptions;
-use x100_storage::{ColumnData, Table, TableBuilder};
-use x100_vector::{ScalarType, Value};
+use x100_storage::{Table, TableBuilder};
+use x100_vector::{ScalarType, Value, Vector};
 
 const N: i64 = 20_000;
 
@@ -25,13 +25,10 @@ fn scratch(tag: &str) -> PathBuf {
 /// Same shape as the pushdown suite's fact table: a codec per column.
 fn fact_table() -> Table {
     TableBuilder::new("fact")
-        .column("id", ColumnData::I64((0..N).collect()))
-        .column(
-            "k",
-            ColumnData::I64((0..N).map(|i| (i * 7) % 1000).collect()),
-        )
+        .column("id", Vector::I64((0..N).collect()))
+        .column("k", Vector::I64((0..N).map(|i| (i * 7) % 1000).collect()))
         .column("tag", {
-            let mut c = ColumnData::new(ScalarType::Str);
+            let mut c = Vector::with_capacity(ScalarType::Str, 0);
             for i in 0..N {
                 let s = ["alpha", "beta", "gamma", "delta"][(i % 4) as usize];
                 c.push_value(&Value::Str(s.into()));
@@ -40,7 +37,7 @@ fn fact_table() -> Table {
         })
         .column(
             "qty",
-            ColumnData::F64((0..N).map(|i| (i % 997) as f64 * 0.25).collect()),
+            Vector::F64((0..N).map(|i| (i % 997) as f64 * 0.25).collect()),
         )
         .build()
 }
@@ -192,17 +189,11 @@ fn mid_query_rot_without_durable_copy_falls_back_to_raw() {
 fn wide_fact() -> Table {
     TableBuilder::new("fact")
         // Ascending with uneven gaps: PFOR-DELTA with one-byte lanes.
-        .column(
-            "id",
-            ColumnData::I64((0..N).map(|i| i * 10 + i % 7).collect()),
-        )
-        .column(
-            "k",
-            ColumnData::I64((0..N).map(|i| (i * 7) % 1000).collect()),
-        )
+        .column("id", Vector::I64((0..N).map(|i| i * 10 + i % 7).collect()))
+        .column("k", Vector::I64((0..N).map(|i| (i * 7) % 1000).collect()))
         .column(
             "qty",
-            ColumnData::F64((0..N).map(|i| (i % 997) as f64 * 0.25).collect()),
+            Vector::F64((0..N).map(|i| (i % 997) as f64 * 0.25).collect()),
         )
         .auto_enum_str(
             "grade",
@@ -218,7 +209,7 @@ fn wide_fact() -> Table {
                 .collect(),
         )
         .column("tag", {
-            let mut c = ColumnData::new(ScalarType::Str);
+            let mut c = Vector::with_capacity(ScalarType::Str, 0);
             for i in 0..N {
                 let s = ["alpha", "beta", "gamma", "delta"][(i % 4) as usize];
                 c.push_value(&Value::Str(s.into()));

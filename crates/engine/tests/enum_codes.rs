@@ -7,15 +7,15 @@ use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::AggExpr;
-use x100_storage::{ColumnData, TableBuilder};
-use x100_vector::ScalarType;
+use x100_storage::TableBuilder;
+use x100_vector::{ScalarType, Vector};
 
 fn db() -> Database {
     let n = 1000i64;
     let mut db = Database::new();
     db.register(
         TableBuilder::new("orders")
-            .column("id", ColumnData::I64((0..n).collect()))
+            .column("id", Vector::I64((0..n).collect()))
             .auto_enum_str(
                 "status",
                 (0..n)
@@ -24,17 +24,14 @@ fn db() -> Database {
             )
             .column(
                 "dim_idx",
-                ColumnData::U32((0..n as u32).map(|i| i % 4).collect()),
+                Vector::U32((0..n as u32).map(|i| i % 4).collect()),
             )
-            .column(
-                "amount",
-                ColumnData::F64((0..n).map(|i| i as f64).collect()),
-            )
+            .column("amount", Vector::F64((0..n).map(|i| i as f64).collect()))
             .build(),
     );
     db.register(
         TableBuilder::new("dim")
-            .column("k", ColumnData::I64(vec![0, 1, 2, 3]))
+            .column("k", Vector::I64(vec![0, 1, 2, 3]))
             .auto_enum_str(
                 "grade",
                 vec![

@@ -16,8 +16,8 @@ use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, run_operator, Database, ExecOptions};
 use x100_engine::{AggExpr, PlanError, Profiler, QueryContext};
-use x100_storage::{ColumnData, Table, TableBuilder};
-use x100_vector::{ScalarType, Value};
+use x100_storage::{Table, TableBuilder};
+use x100_vector::{ScalarType, Value, Vector};
 
 /// Deterministic pseudo-data: spreads `i` over `[lo, lo+span]`.
 fn keyed(i: usize, lo: i64, span: i64) -> i64 {
@@ -30,14 +30,14 @@ fn gen_table(n: usize, lo: i64, span: i64, ckpt: bool, ndel: usize, nins: usize)
     let mut t = TableBuilder::new("t")
         .column(
             "k",
-            ColumnData::I64((0..n).map(|i| keyed(i, lo, span)).collect()),
+            Vector::I64((0..n).map(|i| keyed(i, lo, span)).collect()),
         )
         .column(
             "v",
-            ColumnData::F64((0..n).map(|i| (i % 997) as f64 * 0.5 - 100.0).collect()),
+            Vector::F64((0..n).map(|i| (i % 997) as f64 * 0.5 - 100.0).collect()),
         )
         .column("tag", {
-            let mut c = ColumnData::new(ScalarType::Str);
+            let mut c = Vector::with_capacity(ScalarType::Str, 0);
             for i in 0..n {
                 c.push_value(&Value::Str(["a", "b", "c"][i % 3].into()));
             }
@@ -161,7 +161,7 @@ proptest! {
         let mut dim = TableBuilder::new("dim")
             .column(
                 "pay",
-                ColumnData::I64((0..dim_n).map(|i| keyed(i, -50, 900)).collect()),
+                Vector::I64((0..dim_n).map(|i| keyed(i, -50, 900)).collect()),
             )
             .build();
         for i in 0..dim_ins {
@@ -173,10 +173,10 @@ proptest! {
             .map(|i| ((i * 31) % if i < split { dim_n } else { total }) as u32)
             .collect();
         let mut facts_t = TableBuilder::new("facts")
-            .column("fk", ColumnData::U32(fk.clone()))
+            .column("fk", Vector::U32(fk.clone()))
             .column(
                 "m",
-                ColumnData::F64((0..fact_m).map(|i| i as f64 * 0.25).collect()),
+                Vector::F64((0..fact_m).map(|i| i as f64 * 0.25).collect()),
             )
             .build();
         if fact_ckpt {
@@ -269,12 +269,12 @@ fn select_folds_are_exact() {
 #[test]
 fn out_of_range_rowid_is_a_typed_run_time_error() {
     let dim = TableBuilder::new("dim")
-        .column("pay", ColumnData::I64(vec![1, 2, 3]))
+        .column("pay", Vector::I64(vec![1, 2, 3]))
         .auto_enum_str("tag", vec!["a".into(), "b".into(), "c".into()])
         .build();
     let facts_t = TableBuilder::new("facts")
-        .column("fk", ColumnData::U32(vec![0, 1, 9]))
-        .column("cnt", ColumnData::U32(vec![1, 1, 2]))
+        .column("fk", Vector::U32(vec![0, 1, 9]))
+        .column("cnt", Vector::U32(vec![1, 1, 2]))
         .build();
     let mut db = Database::new();
     db.register(dim);
@@ -317,19 +317,19 @@ fn bind_governed_drops_proofs_made_for_another_catalog() {
         TableBuilder::new("facts")
             .column(
                 "fk",
-                ColumnData::U32((0..5000u32).map(|i| (i * 17) % 1000).collect()),
+                Vector::U32((0..5000u32).map(|i| (i * 17) % 1000).collect()),
             )
             .build()
     };
     let mut db_big = Database::new();
     db_big.register(
         TableBuilder::new("dim")
-            .column("pay", ColumnData::I64((0..1000).map(|i| i * 3).collect()))
+            .column("pay", Vector::I64((0..1000).map(|i| i * 3).collect()))
             .build(),
     );
     db_big.register(fact_table());
     let mut small_dim = TableBuilder::new("dim")
-        .column("pay", ColumnData::I64((0..10).map(|i| i * 5).collect()))
+        .column("pay", Vector::I64((0..10).map(|i| i * 5).collect()))
         .build();
     for i in 10..1000 {
         small_dim.insert(&[Value::I64(i * 5)]);
@@ -359,10 +359,10 @@ fn i32_overflow_widens_to_top() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("t")
-            .column("small", ColumnData::I32((0..100).collect()))
+            .column("small", Vector::I32((0..100).collect()))
             .column(
                 "big",
-                ColumnData::I32((0..100).map(|i| i * 21_000_000).collect()),
+                Vector::I32((0..100).map(|i| i * 21_000_000).collect()),
             )
             .build(),
     );
@@ -395,14 +395,11 @@ fn i32_overflow_widens_to_top() {
 fn unchecked_fetch_parallel_byte_identical() {
     let fk = |i: u32| (i * 17) % 1000;
     let dim = TableBuilder::new("dim")
-        .column("pay", ColumnData::I64((0..1000).map(|i| i * 3).collect()))
+        .column("pay", Vector::I64((0..1000).map(|i| i * 3).collect()))
         .build();
     let facts_t = TableBuilder::new("facts")
-        .column("fk", ColumnData::U32((0..20_000u32).map(fk).collect()))
-        .column(
-            "m",
-            ColumnData::F64((0..20_000).map(|i| i as f64).collect()),
-        )
+        .column("fk", Vector::U32((0..20_000u32).map(fk).collect()))
+        .column("m", Vector::F64((0..20_000).map(|i| i as f64).collect()))
         .build();
     let mut db = Database::new();
     db.register(dim);

@@ -9,18 +9,15 @@ use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::{FaultPlan, FaultSite, PlanError};
-use x100_storage::{ColumnData, FaultState, TableBuilder};
-use x100_vector::Value;
+use x100_storage::{FaultState, TableBuilder};
+use x100_vector::{Value, Vector};
 
 fn db_with_delta_and_enum() -> Database {
     let n = 500i64;
     let mut db = Database::new();
     let mut t = TableBuilder::new("orders")
-        .column("id", ColumnData::I64((0..n).collect()))
-        .column(
-            "amount",
-            ColumnData::F64((0..n).map(|i| i as f64).collect()),
-        )
+        .column("id", Vector::I64((0..n).collect()))
+        .column("amount", Vector::F64((0..n).map(|i| i as f64).collect()))
         .auto_enum_str(
             "status",
             (0..n)
@@ -103,10 +100,10 @@ fn chunk_read_fault_still_surfaces_typed_io() {
 fn compressed_read_fault_surfaces_typed_io() {
     let n = 500i64;
     let mut t = TableBuilder::new("orders")
-        .column("id", ColumnData::I64((0..n).collect()))
+        .column("id", Vector::I64((0..n).collect()))
         .column(
             "amount",
-            ColumnData::F64((0..n).map(|i| (i % 7) as f64).collect()),
+            Vector::F64((0..n).map(|i| (i % 7) as f64).collect()),
         )
         .build();
     t.checkpoint();
@@ -139,7 +136,7 @@ fn compressed_read_fault_surfaces_typed_io() {
 fn checkpoint_write_fault_is_typed_and_recoverable() {
     let n = 200i64;
     let mut t = TableBuilder::new("t")
-        .column("id", ColumnData::I64((0..n).collect()))
+        .column("id", Vector::I64((0..n).collect()))
         .build();
     let fs = FaultState::new(certain(|p| p.checkpoint_rate(1.0)));
     let err = t

@@ -9,21 +9,19 @@ use x100_engine::ops::{JoinType, OrdExp};
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::{AggExpr, CancelToken, EngineError};
-use x100_storage::{ColumnData, TableBuilder};
+use x100_storage::TableBuilder;
+use x100_vector::Vector;
 
 /// A numeric fact table big enough to span many vectors and morsels.
 fn fact_db(n: i64) -> Database {
     let t = TableBuilder::new("fact")
-        .column("k", ColumnData::I64((0..n).map(|i| i % 97).collect()))
-        .column(
-            "v",
-            ColumnData::F64((0..n).map(|i| (i % 13) as f64).collect()),
-        )
-        .column("w", ColumnData::I64((0..n).collect()))
+        .column("k", Vector::I64((0..n).map(|i| i % 97).collect()))
+        .column("v", Vector::F64((0..n).map(|i| (i % 13) as f64).collect()))
+        .column("w", Vector::I64((0..n).collect()))
         .build();
     let d = TableBuilder::new("dim")
-        .column("k", ColumnData::I64((0..97).collect()))
-        .column("label", ColumnData::I64((0..97).map(|i| i * 10).collect()))
+        .column("k", Vector::I64((0..97).collect()))
+        .column("label", Vector::I64((0..97).map(|i| i * 10).collect()))
         .build();
     let mut db = Database::new();
     db.register(t);
@@ -177,9 +175,9 @@ fn aggregation_respects_memory_budget() {
     let t = TableBuilder::new("wide")
         // One group per row, in no order: the hash table grows with
         // the input.
-        .column("g", ColumnData::I64((0..n).map(|i| i * 7919 % n).collect()))
-        .column("sorted_g", ColumnData::I64((0..n).collect()))
-        .column("v", ColumnData::F64((0..n).map(|i| i as f64).collect()))
+        .column("g", Vector::I64((0..n).map(|i| i * 7919 % n).collect()))
+        .column("sorted_g", Vector::I64((0..n).collect()))
+        .column("v", Vector::F64((0..n).map(|i| i as f64).collect()))
         .build();
     let mut db = Database::new();
     db.register(t);
@@ -207,12 +205,12 @@ fn aggregation_respects_memory_budget() {
 fn derived_fetch_column_is_charged_once_across_workers() {
     let (dim_rows, fact_rows) = (1u32 << 16, 1u32 << 19);
     let dim = TableBuilder::new("dim")
-        .column("d", ColumnData::I64((0..dim_rows as i64).collect()))
+        .column("d", Vector::I64((0..dim_rows as i64).collect()))
         .build();
     let fact = TableBuilder::new("fact")
         .column(
             "rid",
-            ColumnData::U32((0..fact_rows).map(|i| i * 31 % dim_rows).collect()),
+            Vector::U32((0..fact_rows).map(|i| i * 31 % dim_rows).collect()),
         )
         .build();
     let mut db = Database::new();
@@ -266,8 +264,8 @@ fn budget_errors_prefer_root_cause_over_sibling_cancellation() {
     // permutation: sorted ones would stream on one thread, unsplit.
     let n = 200_000i64;
     let t = TableBuilder::new("wide")
-        .column("g", ColumnData::I64((0..n).map(|i| i * 7919 % n).collect()))
-        .column("v", ColumnData::F64((0..n).map(|i| i as f64).collect()))
+        .column("g", Vector::I64((0..n).map(|i| i * 7919 % n).collect()))
+        .column("v", Vector::F64((0..n).map(|i| i as f64).collect()))
         .build();
     let mut db = Database::new();
     db.register(t);

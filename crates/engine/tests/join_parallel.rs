@@ -11,8 +11,8 @@ use x100_engine::ops::JoinType;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::AggExpr;
-use x100_storage::{ColumnData, TableBuilder};
-use x100_vector::{ScalarType, Value};
+use x100_storage::TableBuilder;
+use x100_vector::{ScalarType, Value, Vector};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -29,20 +29,20 @@ fn star_db() -> Database {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("facts")
-            .column("k", ColumnData::I64((0..n).map(|i| i % 100).collect()))
-            .column("v", ColumnData::I64((0..n).collect()))
+            .column("k", Vector::I64((0..n).map(|i| i % 100).collect()))
+            .column("v", Vector::I64((0..n).collect()))
             .column(
                 "fk",
-                ColumnData::U32((0..n).map(|i| (i % 100) as u32).collect()),
+                Vector::U32((0..n).map(|i| (i % 100) as u32).collect()),
             )
             .build(),
     );
     db.register(
         TableBuilder::new("dim")
-            .column("code", ColumnData::I64((0..64).collect()))
-            .column("grp", ColumnData::I64((0..64).map(|i| i % 7).collect()))
+            .column("code", Vector::I64((0..64).collect()))
+            .column("grp", Vector::I64((0..64).map(|i| i % 7).collect()))
             .column("label", {
-                let mut c = ColumnData::new(ScalarType::Str);
+                let mut c = Vector::with_capacity(ScalarType::Str, 0);
                 for i in 0..64 {
                     c.push_value(&Value::Str(format!("label-{i:02}")));
                 }
@@ -157,7 +157,7 @@ fn enum_string_keys_with_deletes_and_deltas() {
             "species",
             (0..3000).map(|i| species[i % 6].to_owned()).collect(),
         )
-        .column("v", ColumnData::I64((0..3000).collect()))
+        .column("v", Vector::I64((0..3000).collect()))
         .build();
     probe.delete(0);
     probe.delete(1500);
@@ -175,7 +175,7 @@ fn enum_string_keys_with_deletes_and_deltas() {
                 "species",
                 vec!["ash".into(), "cedar".into(), "gum".into(), "oak".into()],
             )
-            .column("density", ColumnData::I64(vec![67, 58, 80, 75]))
+            .column("density", Vector::I64(vec![67, 58, 80, 75]))
             .build(),
     );
     let plan = Plan::HashJoin {
@@ -269,8 +269,8 @@ fn duplicate_build_keys_fan_out_identically_on_every_thread_count() {
     let mut db = star_db();
     db.register(
         TableBuilder::new("dim3")
-            .column("code", ColumnData::I64((0..192).map(|i| i % 64).collect()))
-            .column("w", ColumnData::I64((0..192).collect()))
+            .column("code", Vector::I64((0..192).map(|i| i % 64).collect()))
+            .column("w", Vector::I64((0..192).collect()))
             .build(),
     );
     for jt in [JoinType::Inner, JoinType::LeftOuter] {

@@ -15,37 +15,37 @@ use x100_engine::ops::JoinType;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::AggExpr;
-use x100_storage::{ColumnData, Table, TableBuilder};
-use x100_vector::{ScalarType, Value};
+use x100_storage::{Table, TableBuilder};
+use x100_vector::{ScalarType, Value, Vector};
 
 /// One side's table: per row the two integers its keys derive from
 /// (`<p>a`, `<p>b`), the typed keys, and a row id (`<p>v`, from 1 so the
 /// outer join's default 0 is no row's).
 fn side(name: &str, p: &str, rows: &[(u32, u32)], extra: Option<(&str, Vec<i64>)>) -> Table {
     let strs = |f: fn(&(u32, u32)) -> u32| {
-        let mut c = ColumnData::new(ScalarType::Str);
+        let mut c = Vector::with_capacity(ScalarType::Str, 0);
         for r in rows {
             c.push_value(&Value::Str(format!("key-{}", f(r))));
         }
         c
     };
-    let ints = |f: fn(&(u32, u32)) -> i64| ColumnData::I64(rows.iter().map(f).collect());
+    let ints = |f: fn(&(u32, u32)) -> i64| Vector::I64(rows.iter().map(f).collect());
     let mut t = TableBuilder::new(name)
         .column(format!("{p}a"), ints(|r| r.0 as i64))
         .column(format!("{p}b"), ints(|r| r.1 as i64))
         .column(
             format!("{p}_i32"),
-            ColumnData::I32(rows.iter().map(|r| r.0 as i32 - 7).collect()),
+            Vector::I32(rows.iter().map(|r| r.0 as i32 - 7).collect()),
         )
         .column(format!("{p}_i64"), ints(|r| r.0 as i64 * 1_000_003))
         .column(format!("{p}_s"), strs(|r| r.0))
         .column(format!("{p}_s2"), strs(|r| r.1))
         .column(
             format!("{p}v"),
-            ColumnData::I64((1..=rows.len() as i64).collect()),
+            Vector::I64((1..=rows.len() as i64).collect()),
         );
     if let Some((col, vals)) = extra {
-        t = t.column(col, ColumnData::I64(vals));
+        t = t.column(col, Vector::I64(vals));
     }
     t.build()
 }

@@ -13,8 +13,8 @@ use x100_engine::ops::JoinType;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, run_operator, Database, ExecOptions};
 use x100_engine::{check_plan, AggExpr, Profiler, QueryContext};
-use x100_storage::{ColumnData, TableBuilder};
-use x100_vector::Value;
+use x100_storage::TableBuilder;
+use x100_vector::{Value, Vector};
 
 /// The sweep required by the issue: threads {1,2,4,8} × morsel_size
 /// {one vector, 4K rows, whole fragment (0 = unbounded)}.
@@ -33,11 +33,11 @@ fn facts_db() -> Database {
     let n = 10_000i64;
     let mut db = Database::new();
     let t = TableBuilder::new("facts")
-        .column("k", ColumnData::I64((0..n).map(|i| i % 97).collect()))
-        .column("v", ColumnData::I64((0..n).collect()))
+        .column("k", Vector::I64((0..n).map(|i| i % 97).collect()))
+        .column("v", Vector::I64((0..n).collect()))
         .column(
             "f",
-            ColumnData::F64((0..n).map(|i| (i as f64) * 0.25 - 7.0).collect()),
+            Vector::F64((0..n).map(|i| (i as f64) * 0.25 - 7.0).collect()),
         )
         .build();
     db.register(t);
@@ -137,8 +137,8 @@ fn float_aggregates_match_sequential_within_tolerance() {
 fn parallel_sees_deletes_and_insert_deltas() {
     let mut db = Database::new();
     let mut t = TableBuilder::new("t")
-        .column("k", ColumnData::I64((0..1000).map(|i| i % 5).collect()))
-        .column("v", ColumnData::I64((0..1000).collect()))
+        .column("k", Vector::I64((0..1000).map(|i| i % 5).collect()))
+        .column("v", Vector::I64((0..1000).collect()))
         .build();
     // Fragment deletes, a batch of insert deltas, and a deleted delta row.
     t.delete(0);
@@ -191,7 +191,7 @@ fn parallel_enum_string_keys_with_deltas() {
             "species",
             (0..400).map(|i| names[i % 4].to_owned()).collect(),
         )
-        .column("v", ColumnData::I64((0..400).collect()))
+        .column("v", Vector::I64((0..400).collect()))
         .build();
     t.delete(3);
     t.insert(&[Value::Str("cedar".into()), Value::I64(5000)]);
@@ -227,7 +227,7 @@ fn parallel_direct_aggregation_on_enum_codes() {
     let mut db = Database::new();
     let t = TableBuilder::new("t")
         .auto_enum_str("flag", (0..3000).map(|i| names[i % 3].to_owned()).collect())
-        .column("v", ColumnData::I64((0..3000).collect()))
+        .column("v", Vector::I64((0..3000).collect()))
         .build();
     db.register(t);
 
@@ -478,8 +478,8 @@ fn plans_without_an_aggregation_run_on_one_thread() {
 fn one_morsel_scan_gets_no_exchange() {
     let mut db = Database::new();
     let t = TableBuilder::new("t")
-        .column("k", ColumnData::I64((0..100_000).map(|i| i % 7).collect()))
-        .column("d", ColumnData::I64((0..100_000).collect()))
+        .column("k", Vector::I64((0..100_000).map(|i| i % 7).collect()))
+        .column("d", Vector::I64((0..100_000).collect()))
         .with_summary()
         .build();
     db.register(t);
@@ -552,8 +552,8 @@ fn build_side_and_nested_aggregations_run_under_exchanges() {
 fn more_threads_than_morsels_is_fine() {
     let mut db = Database::new();
     let t = TableBuilder::new("tiny")
-        .column("k", ColumnData::I64(vec![1, 2, 1, 2, 1]))
-        .column("v", ColumnData::I64(vec![10, 20, 30, 40, 50]))
+        .column("k", Vector::I64(vec![1, 2, 1, 2, 1]))
+        .column("v", Vector::I64(vec![10, 20, 30, 40, 50]))
         .build();
     db.register(t);
     let plan = Plan::scan("tiny", &["k", "v"]).aggr(
@@ -571,7 +571,7 @@ fn raw_code_scan_with_pending_deltas_is_a_typed_error() {
     let mut db = Database::new();
     let mut t = TableBuilder::new("t")
         .auto_enum_str("flag", vec!["A".into(), "B".into(), "A".into()])
-        .column("v", ColumnData::I64(vec![1, 2, 3]))
+        .column("v", Vector::I64(vec![1, 2, 3]))
         .build();
     t.insert(&[Value::Str("B".into()), Value::I64(4)]);
     db.register(t);

@@ -5,29 +5,26 @@ use x100_engine::ops::{JoinType, OrdExp};
 use x100_engine::plan::{DirectKeySpec, Plan};
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::AggExpr;
-use x100_storage::{ColumnData, TableBuilder};
-use x100_vector::{CmpOp, ScalarType, Value};
+use x100_storage::TableBuilder;
+use x100_vector::{CmpOp, ScalarType, Value, Vector};
 
 /// A small "sales" table: 20 rows, enum-coded flag, plain numerics.
 fn sales_db() -> Database {
     let n = 20i64;
     let t = TableBuilder::new("sales")
-        .column("id", ColumnData::I64((0..n).collect()))
+        .column("id", Vector::I64((0..n).collect()))
         .auto_enum_str(
             "flag",
             (0..n)
                 .map(|i| if i % 3 == 0 { "A".into() } else { "B".into() })
                 .collect(),
         )
-        .column(
-            "qty",
-            ColumnData::F64((0..n).map(|i| (i % 5) as f64).collect()),
-        )
+        .column("qty", Vector::F64((0..n).map(|i| (i % 5) as f64).collect()))
         .column(
             "price",
-            ColumnData::F64((0..n).map(|i| 10.0 + i as f64).collect()),
+            Vector::F64((0..n).map(|i| 10.0 + i as f64).collect()),
         )
-        .column("day", ColumnData::I32((0..n as i32).collect()))
+        .column("day", Vector::I32((0..n as i32).collect()))
         .build();
     let mut db = Database::new();
     db.register(t);
@@ -38,9 +35,9 @@ fn sales_db() -> Database {
 fn dim_db() -> Database {
     let mut db = sales_db();
     let d = TableBuilder::new("dim")
-        .column("code", ColumnData::I64(vec![0, 1, 2, 3, 4]))
+        .column("code", Vector::I64(vec![0, 1, 2, 3, 4]))
         .column("label", {
-            let mut c = ColumnData::new(ScalarType::Str);
+            let mut c = Vector::with_capacity(ScalarType::Str, 0);
             for s in ["zero", "one", "two", "three", "four"] {
                 c.push_value(&Value::Str(s.into()));
             }
@@ -211,9 +208,9 @@ fn clustered_db(vs: usize) -> (Database, Vec<i64>, Vec<f64>) {
     let v: Vec<f64> = (0..k.len()).map(|i| i as f64 * 0.5 + 0.1).collect();
     let m: Vec<i64> = (0..k.len() as i64).map(|i| i % 3).collect();
     let t = TableBuilder::new("c")
-        .column("k", ColumnData::I64(k.clone()))
-        .column("m", ColumnData::I64(m))
-        .column("v", ColumnData::F64(v.clone()))
+        .column("k", Vector::I64(k.clone()))
+        .column("m", Vector::I64(m))
+        .column("v", Vector::F64(v.clone()))
         .build();
     let mut db = Database::new();
     db.register(t);
@@ -317,8 +314,8 @@ fn fetch1join_by_rowid() {
     // join-index column.
     let mut db2 = Database::new();
     let t = TableBuilder::new("facts")
-        .column("fk", ColumnData::U32(vec![4, 3, 3, 0, 1]))
-        .column("v", ColumnData::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
+        .column("fk", Vector::U32(vec![4, 3, 3, 0, 1]))
+        .column("v", Vector::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
         .build();
     db2.register(t);
     db2.register_arc(db.table("dim").expect("dim"));
@@ -333,12 +330,12 @@ fn fetch1join_by_rowid() {
 fn fetch1join_after_select_is_positional() {
     let mut db = Database::new();
     let t = TableBuilder::new("facts")
-        .column("fk", ColumnData::U32(vec![0, 1, 2, 3, 4]))
-        .column("keep", ColumnData::I64(vec![0, 1, 0, 1, 0]))
+        .column("fk", Vector::U32(vec![0, 1, 2, 3, 4]))
+        .column("keep", Vector::I64(vec![0, 1, 0, 1, 0]))
         .build();
     db.register(t);
     let d = TableBuilder::new("dim")
-        .column("val", ColumnData::I64(vec![100, 101, 102, 103, 104]))
+        .column("val", Vector::I64(vec![100, 101, 102, 103, 104]))
         .build();
     db.register(d);
     let plan = Plan::scan("facts", &["fk", "keep"])
@@ -354,13 +351,13 @@ fn fetchnjoin_expands_ranges() {
     let mut db = Database::new();
     // "orders": each with a [lo, lo+cnt) range of lineitems.
     let t = TableBuilder::new("orders")
-        .column("olo", ColumnData::U32(vec![0, 2, 5]))
-        .column("ocnt", ColumnData::U32(vec![2, 3, 0]))
-        .column("okey", ColumnData::I64(vec![10, 20, 30]))
+        .column("olo", Vector::U32(vec![0, 2, 5]))
+        .column("ocnt", Vector::U32(vec![2, 3, 0]))
+        .column("okey", Vector::I64(vec![10, 20, 30]))
         .build();
     db.register(t);
     let li = TableBuilder::new("items")
-        .column("price", ColumnData::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
+        .column("price", Vector::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
         .build();
     db.register(li);
     let plan = Plan::FetchNJoin {
@@ -385,7 +382,7 @@ fn fetchnjoin_expands_ranges() {
 #[test]
 fn fetch_of_a_deleted_row_is_the_same_on_both_paths() {
     let mut dim = TableBuilder::new("dim")
-        .column("pay", ColumnData::I64(vec![1, 2, 3]))
+        .column("pay", Vector::I64(vec![1, 2, 3]))
         .build();
     assert!(dim.delete(1));
     dim.insert(&[Value::I64(4)]);
@@ -397,12 +394,85 @@ fn fetch_of_a_deleted_row_is_the_same_on_both_paths() {
     ] {
         db.register(
             TableBuilder::new("facts")
-                .column("fk", ColumnData::U32(fk))
+                .column("fk", Vector::U32(fk))
                 .build(),
         );
         let plan = Plan::scan("facts", &["fk"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
         let (res, _) = execute(&db, &plan, &opts()).expect("runs");
         assert_eq!(res.row_strings(), want);
+    }
+}
+
+/// An enum string column, a plain string column and a plain `f64`,
+/// fetched through `Fetch1Join` (under a selection, some vectors inside
+/// the fragment, some reaching the insert delta) and through `CartProd`
+/// over a dimension with pending inserts: every output row holds the
+/// dimension row the row oracle (`Table::get_row`) reads at its rowid.
+#[test]
+fn enum_fetches_across_fragment_and_delta_match_the_row_oracle() {
+    let modes = ["AIR", "MAIL", "SHIP"];
+    let names: Vec<String> = (0..6).map(|i| format!("n{i}")).collect();
+    let mut dim = TableBuilder::new("dim")
+        .auto_enum_str("mode", (0..6).map(|i| modes[i % 3].to_owned()).collect())
+        .column(
+            "name",
+            Vector::Str(names.iter().map(String::as_str).collect()),
+        )
+        .column(
+            "price",
+            Vector::F64((0..6).map(|i| i as f64 * 1.5).collect()),
+        )
+        .build();
+    dim.insert(&[
+        Value::Str("RAIL".into()),
+        Value::Str("new".into()),
+        Value::F64(-1.0),
+    ]);
+    dim.insert(&[
+        Value::Str("AIR".into()),
+        Value::Str(String::new()),
+        Value::F64(2.5),
+    ]);
+    let oracle: Vec<Vec<Value>> = (0..8).map(|r| dim.get_row(r)).collect();
+    let fetch = [("mode", "mode"), ("name", "name"), ("price", "price")];
+    let mut db = Database::new();
+    db.register(dim);
+    // Each fk vector: all in the fragment, all in the delta, mixed.
+    for fk in [
+        vec![5, 0, 3, 3, 1],
+        vec![7, 6, 7],
+        vec![7, 0, 6, 3, 7, 1, 5, 6],
+    ] {
+        db.register(
+            TableBuilder::new("facts")
+                .column("fk", Vector::U32(fk.clone()))
+                .build(),
+        );
+        // Dropping every fk = 3 row leaves a selection on the fetch.
+        let plan = Plan::scan("facts", &["fk"])
+            .select(ne(col("fk"), lit(Value::U32(3))))
+            .fetch1("dim", col("fk"), &fetch);
+        let (res, _) = execute(&db, &plan, &opts()).expect("fetch1 runs");
+        let want: Vec<u32> = fk.iter().copied().filter(|&r| r != 3).collect();
+        assert_eq!(res.num_rows(), want.len());
+        for (i, &r) in want.iter().enumerate() {
+            let got: Vec<Value> = (1..4).map(|c| res.value(i, c)).collect();
+            assert_eq!(got, oracle[r as usize], "fetch1 of row {r}");
+        }
+    }
+    // CartProd pairs each input row with all 8 dimension rows, fragment
+    // and delta alike; a 3-row vector size makes vectors straddle the
+    // fragment's end.
+    let plan = Plan::CartProd {
+        input: Box::new(Plan::scan("facts", &["fk"])),
+        table: "dim".into(),
+        fetch: fetch.iter().map(|&(a, b)| (a.into(), b.into())).collect(),
+    };
+    let (res, _) = execute(&db, &plan, &ExecOptions::with_vector_size(3)).expect("cartprod runs");
+    assert_eq!(res.num_rows(), 8 * 8);
+    for i in 0..res.num_rows() {
+        let got: Vec<Value> = (1..4).map(|c| res.value(i, c)).collect();
+        assert_eq!(got, oracle[i % 8], "cartprod row {i}");
     }
 }
 
@@ -452,10 +522,10 @@ fn hash_join_inner() {
 fn hash_join_semi_and_anti() {
     let mut db = Database::new();
     let probe = TableBuilder::new("p")
-        .column("k", ColumnData::I64(vec![1, 2, 3, 4, 5]))
+        .column("k", Vector::I64(vec![1, 2, 3, 4, 5]))
         .build();
     let build = TableBuilder::new("b")
-        .column("k", ColumnData::I64(vec![2, 4, 9]))
+        .column("k", Vector::I64(vec![2, 4, 9]))
         .build();
     db.register(probe);
     db.register(build);
@@ -509,7 +579,7 @@ fn array_coordinates_column_major() {
 fn scan_sees_deltas_and_masks_deletes() {
     let mut db = Database::new();
     let mut t = TableBuilder::new("t")
-        .column("v", ColumnData::I64((0..10).collect()))
+        .column("v", Vector::I64((0..10).collect()))
         .build();
     t.delete(0);
     t.delete(5);
@@ -529,7 +599,7 @@ fn scan_sees_deltas_and_masks_deletes() {
 fn summary_prune_limits_scan() {
     let mut db = Database::new();
     let t = TableBuilder::new("t")
-        .column("d", ColumnData::I32((0..100_000).collect()))
+        .column("d", Vector::I32((0..100_000).collect()))
         .with_summary()
         .build();
     db.register(t);
@@ -599,10 +669,10 @@ fn compressed_scan_reports_counters_and_matches_plain() {
     let n = 4000i64;
     let build = || {
         TableBuilder::new("m")
-            .column("id", ColumnData::I64((0..n).collect()))
+            .column("id", Vector::I64((0..n).collect()))
             .column(
                 "qty",
-                ColumnData::F64((0..n).map(|i| 1.0 + (i % 50) as f64).collect()),
+                Vector::F64((0..n).map(|i| 1.0 + (i % 50) as f64).collect()),
             )
             .build()
     };
@@ -658,9 +728,9 @@ fn predicated_selects_agree_with_a_scalar_filter_at_every_selectivity() {
         .collect();
     let b: Vec<i64> = (0..n).map(|i| (i * 7) % 5).collect();
     let t = TableBuilder::new("t")
-        .column("id", ColumnData::I64((0..n).collect()))
-        .column("a", ColumnData::I64(a.clone()))
-        .column("b", ColumnData::I64(b.clone()))
+        .column("id", Vector::I64((0..n).collect()))
+        .column("a", Vector::I64(a.clone()))
+        .column("b", Vector::I64(b.clone()))
         .build();
     let mut db = Database::new();
     db.register(t);
@@ -696,9 +766,9 @@ fn binder_errors_are_reported() {
 fn direct_aggr_rejects_wide_domains() {
     let mut db = Database::new();
     let t = TableBuilder::new("t")
-        .column("a", ColumnData::U8(vec![0; 4]))
-        .column("b", ColumnData::U16(vec![0; 4]))
-        .column("c", ColumnData::U16(vec![0; 4]))
+        .column("a", Vector::U8(vec![0; 4]))
+        .column("b", Vector::U16(vec![0; 4]))
+        .column("c", Vector::U16(vec![0; 4]))
         .build();
     db.register(t);
     // 256 * 65536 * 65536 slots — must be rejected.
@@ -745,13 +815,13 @@ fn cmp_op_between_columns() {
 fn hash_join_left_outer_fills_defaults() {
     let mut db = Database::new();
     let probe = TableBuilder::new("p")
-        .column("k", ColumnData::I64(vec![1, 2, 3, 4]))
+        .column("k", Vector::I64(vec![1, 2, 3, 4]))
         .build();
     let build = TableBuilder::new("b")
-        .column("k", ColumnData::I64(vec![2, 4]))
-        .column("v", ColumnData::F64(vec![20.0, 40.0]))
+        .column("k", Vector::I64(vec![2, 4]))
+        .column("v", Vector::F64(vec![20.0, 40.0]))
         .column("s", {
-            let mut c = ColumnData::new(ScalarType::Str);
+            let mut c = Vector::with_capacity(ScalarType::Str, 0);
             c.push_value(&Value::Str("two".into()));
             c.push_value(&Value::Str("four".into()));
             c
@@ -783,14 +853,14 @@ fn year_and_contains_expressions() {
     let t = TableBuilder::new("t")
         .column(
             "d",
-            ColumnData::I32(vec![
+            Vector::I32(vec![
                 to_days(1995, 3, 14),
                 to_days(1996, 12, 31),
                 to_days(1995, 1, 1),
             ]),
         )
         .column("note", {
-            let mut c = ColumnData::new(ScalarType::Str);
+            let mut c = Vector::with_capacity(ScalarType::Str, 0);
             for s in ["urgent green order", "plain order", "forest green"] {
                 c.push_value(&Value::Str(s.into()));
             }
@@ -862,8 +932,8 @@ fn hash_aggr_survives_dense_new_groups_after_selection() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("t")
-            .column("k", ColumnData::I64((0..n).collect())) // all distinct
-            .column("r", ColumnData::I32((0..n as i32).collect())) // clustered
+            .column("k", Vector::I64((0..n).collect())) // all distinct
+            .column("r", Vector::I32((0..n as i32).collect())) // clustered
             .build(),
     );
     // Select a contiguous region larger than the initial table capacity,
@@ -883,13 +953,13 @@ fn hash_join_empty_build_side() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("p")
-            .column("k", ColumnData::I64(vec![1, 2, 3]))
+            .column("k", Vector::I64(vec![1, 2, 3]))
             .build(),
     );
     db.register(
         TableBuilder::new("b")
-            .column("k", ColumnData::I64(vec![]))
-            .column("v", ColumnData::I64(vec![]))
+            .column("k", Vector::I64(vec![]))
+            .column("v", Vector::I64(vec![]))
             .build(),
     );
     let mk = |join_type, payload: Vec<(String, String)>| Plan::HashJoin {
@@ -921,13 +991,13 @@ fn hash_join_build_side_of_many_vectors() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("b")
-            .column("k", ColumnData::I64((0..n).collect()))
-            .column("v", ColumnData::I64((0..n).map(|i| i * 3).collect()))
+            .column("k", Vector::I64((0..n).collect()))
+            .column("v", Vector::I64((0..n).map(|i| i * 3).collect()))
             .build(),
     );
     db.register(
         TableBuilder::new("p")
-            .column("k", ColumnData::I64((0..500).map(|i| i * 40).collect()))
+            .column("k", Vector::I64((0..500).map(|i| i * 40).collect()))
             .build(),
     );
     let plan = Plan::HashJoin {
@@ -955,15 +1025,15 @@ fn hash_join_emits_at_most_one_vector_per_next() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("b")
-            .column("k", ColumnData::I64(vec![7; dups as usize]))
-            .column("id", ColumnData::I64((0..dups).collect()))
+            .column("k", Vector::I64(vec![7; dups as usize]))
+            .column("id", Vector::I64((0..dups).collect()))
             .build(),
     );
     // Keys 7 (matches) and 8 (does not), three of each.
     db.register(
         TableBuilder::new("p")
-            .column("k", ColumnData::I64(vec![7, 8, 7, 8, 8, 7]))
-            .column("v", ColumnData::I64((0..6).collect()))
+            .column("k", Vector::I64(vec![7, 8, 7, 8, 8, 7]))
+            .column("v", Vector::I64((0..6).collect()))
             .build(),
     );
     for join_type in [JoinType::Inner, JoinType::LeftOuter] {
@@ -1016,13 +1086,13 @@ fn hash_join_first_duplicate_key_arrives_after_unique_vectors() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("b")
-            .column("k", ColumnData::I64(build_keys.clone()))
-            .column("id", ColumnData::I64((100..123).collect()))
+            .column("k", Vector::I64(build_keys.clone()))
+            .column("id", Vector::I64((100..123).collect()))
             .build(),
     );
     db.register(
         TableBuilder::new("p")
-            .column("k", ColumnData::I64(vec![3, 50, 11, 19, 0]))
+            .column("k", Vector::I64(vec![3, 50, 11, 19, 0]))
             .build(),
     );
     let mk = |join_type| Plan::HashJoin {
@@ -1058,7 +1128,7 @@ fn hash_join_semi_and_anti_on_string_keys_under_a_selection() {
     // it without copying a column.
     let names = ["ash", "birch", "cedar", "fir", "gum", "hazel"];
     let strs = |vals: Vec<&str>| {
-        let mut c = ColumnData::new(ScalarType::Str);
+        let mut c = Vector::with_capacity(ScalarType::Str, 0);
         for v in vals {
             c.push_value(&Value::Str(v.into()));
         }
@@ -1068,7 +1138,7 @@ fn hash_join_semi_and_anti_on_string_keys_under_a_selection() {
     db.register(
         TableBuilder::new("p")
             .column("name", strs((0..24).map(|i| names[i % 6]).collect()))
-            .column("v", ColumnData::I64((0..24).collect()))
+            .column("v", Vector::I64((0..24).collect()))
             .build(),
     );
     db.register(
@@ -1097,14 +1167,14 @@ fn hash_join_reset_midstream_and_rerun() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("p")
-            .column("k", ColumnData::I64((0..100).map(|i| i % 10).collect()))
-            .column("v", ColumnData::I64((0..100).collect()))
+            .column("k", Vector::I64((0..100).map(|i| i % 10).collect()))
+            .column("v", Vector::I64((0..100).collect()))
             .build(),
     );
     db.register(
         TableBuilder::new("b")
-            .column("k", ColumnData::I64(vec![0, 2, 4, 6, 8]))
-            .column("w", ColumnData::I64(vec![10, 12, 14, 16, 18]))
+            .column("k", Vector::I64(vec![0, 2, 4, 6, 8]))
+            .column("w", Vector::I64(vec![10, 12, 14, 16, 18]))
             .build(),
     );
     let plan = Plan::HashJoin {
@@ -1139,18 +1209,15 @@ fn hash_join_n_to_m_duplicates_across_vector_boundaries() {
     let build_keys = [1i64, 9, 1, 7, 2, 1, 2, 5, 11, 13];
     db.register(
         TableBuilder::new("b")
-            .column("k", ColumnData::I64(build_keys.to_vec()))
-            .column(
-                "id",
-                ColumnData::I64((0..build_keys.len() as i64).collect()),
-            )
+            .column("k", Vector::I64(build_keys.to_vec()))
+            .column("id", Vector::I64((0..build_keys.len() as i64).collect()))
             .build(),
     );
     let probe_keys: Vec<i64> = (0..60).map(|i| i % 5).collect();
     db.register(
         TableBuilder::new("p")
-            .column("k", ColumnData::I64(probe_keys.clone()))
-            .column("v", ColumnData::I64((0..60).collect()))
+            .column("k", Vector::I64(probe_keys.clone()))
+            .column("v", Vector::I64((0..60).collect()))
             .build(),
     );
     let plan = Plan::HashJoin {
@@ -1195,23 +1262,23 @@ fn left_outer_defaults_cover_every_payload_type() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("p")
-            .column("k", ColumnData::I64(vec![1, 2]))
+            .column("k", Vector::I64(vec![1, 2]))
             .build(),
     );
     db.register(
         TableBuilder::new("b")
-            .column("k", ColumnData::I64(vec![2]))
-            .column("c_i8", ColumnData::I8(vec![-8]))
-            .column("c_i16", ColumnData::I16(vec![-16]))
-            .column("c_i32", ColumnData::I32(vec![-32]))
-            .column("c_i64", ColumnData::I64(vec![-64]))
-            .column("c_u8", ColumnData::U8(vec![8]))
-            .column("c_u16", ColumnData::U16(vec![16]))
-            .column("c_u32", ColumnData::U32(vec![32]))
-            .column("c_u64", ColumnData::U64(vec![64]))
-            .column("c_f64", ColumnData::F64(vec![6.4]))
+            .column("k", Vector::I64(vec![2]))
+            .column("c_i8", Vector::I8(vec![-8]))
+            .column("c_i16", Vector::I16(vec![-16]))
+            .column("c_i32", Vector::I32(vec![-32]))
+            .column("c_i64", Vector::I64(vec![-64]))
+            .column("c_u8", Vector::U8(vec![8]))
+            .column("c_u16", Vector::U16(vec![16]))
+            .column("c_u32", Vector::U32(vec![32]))
+            .column("c_u64", Vector::U64(vec![64]))
+            .column("c_f64", Vector::F64(vec![6.4]))
             .column("c_str", {
-                let mut c = ColumnData::new(ScalarType::Str);
+                let mut c = Vector::with_capacity(ScalarType::Str, 0);
                 c.push_value(&Value::Str("match".into()));
                 c
             })

@@ -13,8 +13,8 @@ use x100_engine::ops::OrdExp;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::AggExpr;
-use x100_storage::{ChunkFormat, ColumnData, Table, TableBuilder};
-use x100_vector::{ScalarType, Value};
+use x100_storage::{ChunkFormat, Table, TableBuilder};
+use x100_vector::{ScalarType, Value, Vector};
 
 const N: i64 = 50_000;
 
@@ -24,21 +24,18 @@ const N: i64 = 50_000;
 /// `qty` → PFOR (scaled f64).
 fn fact_table() -> Table {
     TableBuilder::new("fact")
-        .column("id", ColumnData::I64((0..N).collect()))
-        .column(
-            "k",
-            ColumnData::I64((0..N).map(|i| (i * 7) % 1000).collect()),
-        )
+        .column("id", Vector::I64((0..N).collect()))
+        .column("k", Vector::I64((0..N).map(|i| (i * 7) % 1000).collect()))
         .column(
             "grp",
-            ColumnData::I64(
+            Vector::I64(
                 (0..N)
                     .map(|i| [1_000_000_007, 5, 123_456_789][(i % 3) as usize])
                     .collect(),
             ),
         )
         .column("tag", {
-            let mut c = ColumnData::new(ScalarType::Str);
+            let mut c = Vector::with_capacity(ScalarType::Str, 0);
             for i in 0..N {
                 let s = ["alpha", "beta", "gamma", "delta"][(i % 4) as usize];
                 c.push_value(&Value::Str(s.into()));
@@ -47,7 +44,7 @@ fn fact_table() -> Table {
         })
         .column(
             "qty",
-            ColumnData::F64((0..N).map(|i| (i % 9973) as f64 * 0.25).collect()),
+            Vector::F64((0..N).map(|i| (i % 9973) as f64 * 0.25).collect()),
         )
         .build()
 }
@@ -296,7 +293,7 @@ mod matrix {
             _ if i.is_multiple_of(2) => 1_000_000_007,
             _ => 123_456_789i64,
         };
-        let mut s = ColumnData::new(ScalarType::Str);
+        let mut s = Vector::with_capacity(ScalarType::Str, 0);
         for i in 0..ROWS {
             let v = match i {
                 ONE => "zeta",
@@ -307,11 +304,11 @@ mod matrix {
             s.push_value(&Value::Str(v.into()));
         }
         let mut t = TableBuilder::new("m")
-            .column("id", ColumnData::I64((0..ROWS as i64).collect()))
-            .column("p", ColumnData::I32((0..ROWS).map(p_at).collect()))
+            .column("id", Vector::I64((0..ROWS as i64).collect()))
+            .column("p", Vector::I32((0..ROWS).map(p_at).collect()))
             .column(
                 "f",
-                ColumnData::F64(
+                Vector::F64(
                     (0..ROWS)
                         .map(|i| match i % 9 {
                             _ if i == ONE => 1_000.5,
@@ -321,11 +318,11 @@ mod matrix {
                         .collect(),
                 ),
             )
-            .column("g", ColumnData::I64((0..ROWS).map(gs).collect()))
+            .column("g", Vector::I64((0..ROWS).map(gs).collect()))
             .column("s", s)
             .column(
                 "d",
-                ColumnData::F64((0..ROWS).map(|i| ((i % 97) as f64 + 2.0).sqrt()).collect()),
+                Vector::F64((0..ROWS).map(|i| ((i % 97) as f64 + 2.0).sqrt()).collect()),
             )
             .build();
         if checkpoint {
@@ -493,11 +490,8 @@ mod star {
     fn facts() -> Table {
         TableBuilder::new("facts")
             // Sorted join index → PFOR-DELTA.
-            .column(
-                "fk",
-                ColumnData::U32((0..ROWS).map(|i| i as u32 / 6).collect()),
-            )
-            .column("v", ColumnData::I64((0..ROWS).map(|i| i % 311).collect()))
+            .column("fk", Vector::U32((0..ROWS).map(|i| i as u32 / 6).collect()))
+            .column("v", Vector::I64((0..ROWS).map(|i| i % 311).collect()))
             .build()
     }
 
@@ -505,10 +499,10 @@ mod star {
         TableBuilder::new("dim")
             .column(
                 "val",
-                ColumnData::I64((0..DIM as i64).map(|c| c * 3 % 1009).collect()),
+                Vector::I64((0..DIM as i64).map(|c| c * 3 % 1009).collect()),
             )
             .column("name", {
-                let mut c = ColumnData::new(ScalarType::Str);
+                let mut c = Vector::with_capacity(ScalarType::Str, 0);
                 for i in 0..DIM {
                     let s = ["red", "green", "blue", "cyan", "teal"][(i % 5) as usize];
                     c.push_value(&Value::Str(s.into()));
@@ -524,12 +518,9 @@ mod star {
         TableBuilder::new("orders")
             .column(
                 "olo",
-                ColumnData::U32((0..1000u32).map(|i| i * 5 % DIM).collect()),
+                Vector::U32((0..1000u32).map(|i| i * 5 % DIM).collect()),
             )
-            .column(
-                "ocnt",
-                ColumnData::U32((0..1000u32).map(|i| i % 4).collect()),
-            )
+            .column("ocnt", Vector::U32((0..1000u32).map(|i| i % 4).collect()))
             .build()
     }
 

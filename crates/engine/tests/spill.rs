@@ -20,7 +20,8 @@ use x100_engine::ops::OrdExp;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::{AggExpr, CancelToken, EngineError};
-use x100_storage::{ColumnData, TableBuilder};
+use x100_storage::TableBuilder;
+use x100_vector::Vector;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -52,18 +53,18 @@ fn live_spill_dirs() -> Vec<String> {
 /// different merge orders is exact, not approximate.
 fn db(n: i64) -> Database {
     let t = TableBuilder::new("lineitem")
-        .column("id", ColumnData::I64((0..n).collect()))
+        .column("id", Vector::I64((0..n).collect()))
         .column(
             "flag",
-            ColumnData::I64((0..n).map(|i| (i * 7919) % 500).collect()),
+            Vector::I64((0..n).map(|i| (i * 7919) % 500).collect()),
         )
         .column(
             "qty",
-            ColumnData::F64((0..n).map(|i| ((i * 31) % 400) as f64 * 0.25).collect()),
+            Vector::F64((0..n).map(|i| ((i * 31) % 400) as f64 * 0.25).collect()),
         )
         .column(
             "price",
-            ColumnData::F64((0..n).map(|i| ((i * 17) % 800) as f64 * 0.25).collect()),
+            Vector::F64((0..n).map(|i| ((i * 17) % 800) as f64 * 0.25).collect()),
         )
         .build();
     let mut db = Database::new();

@@ -11,18 +11,19 @@ use x100_engine::{
     gc_stale_spill_dirs, global_spill_used, set_global_spill_budget, spill_root, AggExpr,
     EngineError,
 };
-use x100_storage::{ColumnData, TableBuilder};
+use x100_storage::TableBuilder;
+use x100_vector::Vector;
 
 fn db(n: i64) -> Database {
     let t = TableBuilder::new("lineitem")
-        .column("id", ColumnData::I64((0..n).collect()))
+        .column("id", Vector::I64((0..n).collect()))
         .column(
             "flag",
-            ColumnData::I64((0..n).map(|i| (i * 7919) % 500).collect()),
+            Vector::I64((0..n).map(|i| (i * 7919) % 500).collect()),
         )
         .column(
             "qty",
-            ColumnData::F64((0..n).map(|i| ((i * 31) % 400) as f64 * 0.25).collect()),
+            Vector::F64((0..n).map(|i| ((i * 31) % 400) as f64 * 0.25).collect()),
         )
         .build();
     let mut db = Database::new();

@@ -7,7 +7,7 @@
 //! `reverse`/`mark` plumbing that MonetDB uses to renumber heads is
 //! zero-cost there and implicit here.
 
-use x100_vector::{ScalarType, Value};
+use x100_vector::{ScalarType, Value, Vector};
 
 /// A `BAT[void, T]`: dense virtual head, typed tail.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,16 +138,15 @@ impl Bat {
 
     /// Build a BAT view of a stored column (zero-copy conceptually; we
     /// copy once at load time because MonetDB shares the same memory).
-    pub fn from_column(col: &x100_storage::ColumnData) -> Bat {
-        use x100_storage::ColumnData as C;
+    pub fn from_column(col: &Vector) -> Bat {
         match col {
-            C::U8(v) => Bat::U8(v.clone()),
-            C::U16(v) => Bat::U16(v.clone()),
-            C::U32(v) => Bat::Oid(v.clone()),
-            C::I32(v) => Bat::I32(v.clone()),
-            C::I64(v) => Bat::I64(v.clone()),
-            C::F64(v) => Bat::F64(v.clone()),
-            C::Str(v) => Bat::Str(v.clone()),
+            Vector::U8(v) => Bat::U8(v.clone()),
+            Vector::U16(v) => Bat::U16(v.clone()),
+            Vector::U32(v) => Bat::Oid(v.clone()),
+            Vector::I32(v) => Bat::I32(v.clone()),
+            Vector::I64(v) => Bat::I64(v.clone()),
+            Vector::F64(v) => Bat::F64(v.clone()),
+            Vector::Str(v) => Bat::Str(v.clone()),
             other => panic!("unsupported BAT source {:?}", other.scalar_type()),
         }
     }
@@ -169,7 +168,7 @@ mod tests {
 
     #[test]
     fn from_column_roundtrip() {
-        let col = x100_storage::ColumnData::I64(vec![5, 6]);
+        let col = Vector::I64(vec![5, 6]);
         let b = Bat::from_column(&col);
         assert_eq!(b.as_i64(), &[5, 6]);
     }

@@ -11,7 +11,6 @@
 //! compressed in the buffer pool and expands only into cache-resident
 //! vectors.
 
-use crate::column::ColumnData;
 use crate::frame::{fold_checksum, fold_values, Le, Reader, Writer};
 use x100_vector::compress as k;
 use x100_vector::{ScalarType, StrVec, Value, Vector};
@@ -223,7 +222,7 @@ pub struct CompressedColumn {
     /// Byte offset of each chunk in the compressed stream.
     chunk_offsets: Vec<u64>,
     /// Column-wide sorted dictionary (PDICT columns only).
-    dict: Option<ColumnData>,
+    dict: Option<Vector>,
     dict_lane: u32,
     raw_bytes: u64,
     compressed_bytes: u64,
@@ -304,7 +303,7 @@ impl CompressedColumn {
         rows: usize,
         raw_bytes: u64,
         chunks: Vec<CompressedChunk>,
-        dict: Option<ColumnData>,
+        dict: Option<Vector>,
         dict_lane: u32,
     ) -> CompressedColumn {
         let mut chunk_offsets = Vec::with_capacity(chunks.len());
@@ -416,7 +415,7 @@ impl CompressedColumn {
                 "inconsistent column preamble: {} over {physical}, {rows} rows in {n_chunks} \
                  chunks, dictionary {:?} at lane {dict_lane}",
                 format.name(),
-                dict.as_ref().map(ColumnData::scalar_type)
+                dict.as_ref().map(Vector::scalar_type)
             ));
         }
         let mut chunks = Vec::with_capacity(n_chunks);
@@ -464,7 +463,7 @@ impl CompressedColumn {
                             .max()
                             .map(usize::from),
                     };
-                    if top >= dict.as_ref().map(ColumnData::len) {
+                    if top >= dict.as_ref().map(Vector::len) {
                         return Err(format!("dictionary code {top:?} has no entry"));
                     }
                     ChunkBody::Pdict(payload)
@@ -485,7 +484,7 @@ impl CompressedColumn {
     }
 
     /// Decompress rows `[start, start + rows)` into `out` (cleared and
-    /// refilled, mirroring `ColumnData::read_into`). `cursor` carries
+    /// refilled, mirroring `Vector::read_into`). `cursor` carries
     /// sequential decode state between refills; `scratch` is the reused
     /// frame buffer the governor charges. Fails (typed upstream as
     /// `Io`) when a chunk's stored checksum no longer matches its body.
@@ -614,16 +613,16 @@ impl CompressedColumn {
                 let dict = self.dict.as_ref().expect("pdict column has a dictionary");
                 let lane = self.dict_lane;
                 match (out, dict) {
-                    (Vector::I32(dst), ColumnData::I32(d)) => {
+                    (Vector::I32(dst), Vector::I32(d)) => {
                         k::decompress_pdict_i32_col(&mut dst[at..at + n], payload, lane, local, d)
                     }
-                    (Vector::I64(dst), ColumnData::I64(d)) => {
+                    (Vector::I64(dst), Vector::I64(d)) => {
                         k::decompress_pdict_i64_col(&mut dst[at..at + n], payload, lane, local, d)
                     }
-                    (Vector::F64(dst), ColumnData::F64(d)) => {
+                    (Vector::F64(dst), Vector::F64(d)) => {
                         k::decompress_pdict_f64_col(&mut dst[at..at + n], payload, lane, local, d)
                     }
-                    (Vector::Str(dst), ColumnData::Str(d)) => match sel {
+                    (Vector::Str(dst), Vector::Str(d)) => match sel {
                         None => {
                             k::decompress_pdict_str_col(dst, payload, lane, local, n, d, scratch)
                         }
@@ -793,16 +792,16 @@ impl CompressedColumn {
             };
         }
         match (dict, v) {
-            (ColumnData::I32(d), Value::I32(x)) => {
+            (Vector::I32(d), Value::I32(x)) => {
                 Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
             }
-            (ColumnData::I64(d), Value::I64(x)) => {
+            (Vector::I64(d), Value::I64(x)) => {
                 Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
             }
-            (ColumnData::F64(d), Value::F64(x)) => {
+            (Vector::F64(d), Value::F64(x)) => {
                 Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
             }
-            (ColumnData::Str(d), Value::Str(x)) => Some(k::DictSel::from_pred(d.len(), |c| {
+            (Vector::Str(d), Value::Str(x)) => Some(k::DictSel::from_pred(d.len(), |c| {
                 pred!(d.get(c), x.as_str())
             })),
             _ => None,
@@ -1077,7 +1076,7 @@ fn window_exceptions(exc_pos: &[u32], start: usize, n: usize) -> u64 {
 /// Compress `data` in a specific format, or `None` when the format does
 /// not apply to this column (wrong type, unsorted for PFOR-DELTA,
 /// cardinality too high for PDICT). `Raw` always yields `None`.
-pub fn compress_column_as(data: &ColumnData, format: ChunkFormat) -> Option<CompressedColumn> {
+pub fn compress_column_as(data: &Vector, format: ChunkFormat) -> Option<CompressedColumn> {
     if data.is_empty() {
         return None;
     }
@@ -1105,11 +1104,12 @@ pub fn compress_column_as(data: &ColumnData, format: ChunkFormat) -> Option<Comp
 /// compresses with every applicable format, and keeps the smallest
 /// result — unless even the winner saves less than 10% of the raw
 /// bytes, in which case the column stays raw (`None`).
-pub fn choose_and_compress(data: &ColumnData) -> Option<CompressedColumn> {
+pub fn choose_and_compress(data: &Vector) -> Option<CompressedColumn> {
     let mut candidates: Vec<ChunkFormat> = Vec::new();
     match data {
-        ColumnData::Str(_) => candidates.push(ChunkFormat::Pdict),
-        ColumnData::F64(_) => {
+        Vector::Bool(_) => return None,
+        Vector::Str(_) => candidates.push(ChunkFormat::Pdict),
+        Vector::F64(_) => {
             candidates.push(ChunkFormat::Pfor);
             candidates.push(ChunkFormat::Pdict);
         }
@@ -1118,7 +1118,7 @@ pub fn choose_and_compress(data: &ColumnData) -> Option<CompressedColumn> {
             if is_sorted(data) {
                 candidates.push(ChunkFormat::PforDelta);
             }
-            if matches!(data, ColumnData::I32(_) | ColumnData::I64(_)) {
+            if matches!(data, Vector::I32(_) | Vector::I64(_)) {
                 candidates.push(ChunkFormat::Pdict);
             }
         }
@@ -1135,17 +1135,17 @@ pub fn choose_and_compress(data: &ColumnData) -> Option<CompressedColumn> {
     }
 }
 
-fn is_sorted(data: &ColumnData) -> bool {
+fn is_sorted(data: &Vector) -> bool {
     match data {
-        ColumnData::I8(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::I16(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::I32(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::I64(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::U8(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::U16(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::U32(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::U64(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::F64(_) | ColumnData::Str(_) => false,
+        Vector::I8(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::I16(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::I32(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::I64(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::U8(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::U16(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::U32(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::U64(v) => v.windows(2).all(|w| w[0] <= w[1]),
+        Vector::F64(_) | Vector::Str(_) | Vector::Bool(_) => false,
     }
 }
 
@@ -1163,7 +1163,7 @@ fn pfor_header(format: ChunkFormat, rows: usize, c: &k::PforChunk) -> ChunkHeade
     }
 }
 
-fn pfor_chunks(data: &ColumnData) -> Option<Vec<CompressedChunk>> {
+fn pfor_chunks(data: &Vector) -> Option<Vec<CompressedChunk>> {
     macro_rules! chunked {
         ($v:expr, $comp:path) => {
             $v.chunks(CHUNK_ROWS)
@@ -1178,20 +1178,20 @@ fn pfor_chunks(data: &ColumnData) -> Option<Vec<CompressedChunk>> {
         };
     }
     Some(match data {
-        ColumnData::I8(v) => chunked!(v, k::compress_pfor_i8_col),
-        ColumnData::I16(v) => chunked!(v, k::compress_pfor_i16_col),
-        ColumnData::I32(v) => chunked!(v, k::compress_pfor_i32_col),
-        ColumnData::I64(v) => chunked!(v, k::compress_pfor_i64_col),
-        ColumnData::U8(v) => chunked!(v, k::compress_pfor_u8_col),
-        ColumnData::U16(v) => chunked!(v, k::compress_pfor_u16_col),
-        ColumnData::U32(v) => chunked!(v, k::compress_pfor_u32_col),
-        ColumnData::U64(v) => chunked!(v, k::compress_pfor_u64_col),
-        ColumnData::F64(v) => chunked!(v, k::compress_pfor_f64_col),
-        ColumnData::Str(_) => return None,
+        Vector::I8(v) => chunked!(v, k::compress_pfor_i8_col),
+        Vector::I16(v) => chunked!(v, k::compress_pfor_i16_col),
+        Vector::I32(v) => chunked!(v, k::compress_pfor_i32_col),
+        Vector::I64(v) => chunked!(v, k::compress_pfor_i64_col),
+        Vector::U8(v) => chunked!(v, k::compress_pfor_u8_col),
+        Vector::U16(v) => chunked!(v, k::compress_pfor_u16_col),
+        Vector::U32(v) => chunked!(v, k::compress_pfor_u32_col),
+        Vector::U64(v) => chunked!(v, k::compress_pfor_u64_col),
+        Vector::F64(v) => chunked!(v, k::compress_pfor_f64_col),
+        Vector::Str(_) | Vector::Bool(_) => return None,
     })
 }
 
-fn pfordelta_chunks(data: &ColumnData) -> Option<Vec<CompressedChunk>> {
+fn pfordelta_chunks(data: &Vector) -> Option<Vec<CompressedChunk>> {
     macro_rules! chunked {
         ($v:expr, $comp:path, $pfor:path) => {
             $v.chunks(CHUNK_ROWS)
@@ -1224,15 +1224,15 @@ fn pfordelta_chunks(data: &ColumnData) -> Option<Vec<CompressedChunk>> {
         };
     }
     Some(match data {
-        ColumnData::I8(v) => chunked!(v, k::compress_pfordelta_i8_col, k::compress_pfor_i8_col),
-        ColumnData::I16(v) => chunked!(v, k::compress_pfordelta_i16_col, k::compress_pfor_i16_col),
-        ColumnData::I32(v) => chunked!(v, k::compress_pfordelta_i32_col, k::compress_pfor_i32_col),
-        ColumnData::I64(v) => chunked!(v, k::compress_pfordelta_i64_col, k::compress_pfor_i64_col),
-        ColumnData::U8(v) => chunked!(v, k::compress_pfordelta_u8_col, k::compress_pfor_u8_col),
-        ColumnData::U16(v) => chunked!(v, k::compress_pfordelta_u16_col, k::compress_pfor_u16_col),
-        ColumnData::U32(v) => chunked!(v, k::compress_pfordelta_u32_col, k::compress_pfor_u32_col),
-        ColumnData::U64(v) => chunked!(v, k::compress_pfordelta_u64_col, k::compress_pfor_u64_col),
-        ColumnData::F64(_) | ColumnData::Str(_) => return None,
+        Vector::I8(v) => chunked!(v, k::compress_pfordelta_i8_col, k::compress_pfor_i8_col),
+        Vector::I16(v) => chunked!(v, k::compress_pfordelta_i16_col, k::compress_pfor_i16_col),
+        Vector::I32(v) => chunked!(v, k::compress_pfordelta_i32_col, k::compress_pfor_i32_col),
+        Vector::I64(v) => chunked!(v, k::compress_pfordelta_i64_col, k::compress_pfor_i64_col),
+        Vector::U8(v) => chunked!(v, k::compress_pfordelta_u8_col, k::compress_pfor_u8_col),
+        Vector::U16(v) => chunked!(v, k::compress_pfordelta_u16_col, k::compress_pfor_u16_col),
+        Vector::U32(v) => chunked!(v, k::compress_pfordelta_u32_col, k::compress_pfor_u32_col),
+        Vector::U64(v) => chunked!(v, k::compress_pfordelta_u64_col, k::compress_pfor_u64_col),
+        Vector::F64(_) | Vector::Str(_) | Vector::Bool(_) => return None,
     })
 }
 
@@ -1243,7 +1243,7 @@ const PDICT_NUMERIC_CAP: usize = 4096;
 /// Cardinality cap for PDICT on string columns (2-byte codes).
 const PDICT_STR_CAP: usize = 65536;
 
-fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, ColumnData, u32)> {
+fn pdict_chunks(data: &Vector) -> Option<(Vec<CompressedChunk>, Vector, u32)> {
     macro_rules! numeric {
         ($v:expr, $variant:ident, $comp:path) => {{
             let mut dict: Vec<_> = $v.clone();
@@ -1263,13 +1263,13 @@ fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, ColumnData, 
                     }
                 })
                 .collect();
-            Some((chunks, ColumnData::$variant(dict), lane))
+            Some((chunks, Vector::$variant(dict), lane))
         }};
     }
     match data {
-        ColumnData::I32(v) => numeric!(v, I32, k::compress_pdict_i32_col),
-        ColumnData::I64(v) => numeric!(v, I64, k::compress_pdict_i64_col),
-        ColumnData::F64(v) => {
+        Vector::I32(v) => numeric!(v, I32, k::compress_pdict_i32_col),
+        Vector::I64(v) => numeric!(v, I64, k::compress_pdict_i64_col),
+        Vector::F64(v) => {
             let mut dict: Vec<f64> = v.clone();
             dict.sort_unstable_by(|a, b| a.total_cmp(b));
             dict.dedup_by(|a, b| a.to_bits() == b.to_bits());
@@ -1288,9 +1288,9 @@ fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, ColumnData, 
                     }
                 })
                 .collect();
-            Some((chunks, ColumnData::F64(dict), lane))
+            Some((chunks, Vector::F64(dict), lane))
         }
-        ColumnData::Str(v) => {
+        Vector::Str(v) => {
             let mut sorted: Vec<&str> = v.iter().collect();
             sorted.sort_unstable();
             sorted.dedup();
@@ -1315,7 +1315,7 @@ fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, ColumnData, 
                 });
                 start += n;
             }
-            Some((chunks, ColumnData::Str(dict), lane))
+            Some((chunks, Vector::Str(dict), lane))
         }
         _ => None,
     }
@@ -1339,7 +1339,7 @@ fn pdict_header(rows: usize, lane: u32, payload: &[u8]) -> ChunkHeader {
 mod tests {
     use super::*;
 
-    fn roundtrip(data: &ColumnData, format: ChunkFormat) -> CompressedColumn {
+    fn roundtrip(data: &Vector, format: ChunkFormat) -> CompressedColumn {
         let col = compress_column_as(data, format).expect("format applies");
         let mut out = Vector::with_capacity(data.scalar_type(), 1024);
         let mut cursor = DecodeCursor::default();
@@ -1362,7 +1362,7 @@ mod tests {
     #[test]
     fn pfor_column_roundtrip_multi_chunk() {
         let v: Vec<i64> = (0..150_000).map(|i| 50 + (i * 7) % 200).collect();
-        let col = roundtrip(&ColumnData::I64(v), ChunkFormat::Pfor);
+        let col = roundtrip(&Vector::I64(v), ChunkFormat::Pfor);
         assert_eq!(col.num_chunks(), 3);
         assert!(col.ratio_pct() < 20, "8-byte ints in a 1-byte range");
         assert_eq!(col.decode_sig(), "decompress_pfor_i64_col");
@@ -1371,7 +1371,7 @@ mod tests {
     #[test]
     fn pfor_f64_column_roundtrip() {
         let v: Vec<f64> = (0..80_000).map(|i| (i % 5000) as f64 / 100.0).collect();
-        let col = roundtrip(&ColumnData::F64(v), ChunkFormat::Pfor);
+        let col = roundtrip(&Vector::F64(v), ChunkFormat::Pfor);
         assert!(
             col.ratio_pct() <= 30,
             "cents fit 2 bytes: {}",
@@ -1382,7 +1382,7 @@ mod tests {
     #[test]
     fn pfordelta_column_roundtrip_with_cursor() {
         let v: Vec<i32> = (0..200_000).map(|i| i * 2).collect();
-        let col = roundtrip(&ColumnData::I32(v), ChunkFormat::PforDelta);
+        let col = roundtrip(&Vector::I32(v), ChunkFormat::PforDelta);
         assert!(col.ratio_pct() < 40, "constant deltas: {}", col.ratio_pct());
         assert_eq!(col.decode_sig(), "decompress_pfordelta_i32_col");
     }
@@ -1390,7 +1390,7 @@ mod tests {
     #[test]
     fn pfordelta_random_access_ignores_cursor() {
         let v: Vec<u64> = (0..100_000u64).map(|i| i * i / 1000).collect();
-        let data = ColumnData::U64(v.clone());
+        let data = Vector::U64(v.clone());
         let col = compress_column_as(&data, ChunkFormat::PforDelta).expect("sorted");
         let mut out = Vector::with_capacity(ScalarType::U64, 64);
         let mut scratch = Vec::new();
@@ -1416,7 +1416,7 @@ mod tests {
         for i in 0..70_000 {
             s.push(["AIR", "MAIL", "RAIL", "SHIP", "TRUCK"][i % 5]);
         }
-        let col = roundtrip(&ColumnData::Str(s), ChunkFormat::Pdict);
+        let col = roundtrip(&Vector::Str(s), ChunkFormat::Pdict);
         assert_eq!(col.decode_sig(), "decompress_pdict_str_col");
         assert!(col.ratio_pct() < 30, "1-byte codes vs 4+-byte strings");
     }
@@ -1426,14 +1426,14 @@ mod tests {
         let v: Vec<f64> = (0..50_000)
             .map(|i| [0.0, -0.0, 0.04, 0.07][i % 4])
             .collect();
-        let col = roundtrip(&ColumnData::F64(v), ChunkFormat::Pdict);
+        let col = roundtrip(&Vector::F64(v), ChunkFormat::Pdict);
         assert_eq!(col.format(), ChunkFormat::Pdict);
     }
 
     #[test]
     fn chooser_prefers_delta_on_sorted_keys() {
         let v: Vec<i64> = (0..100_000).collect();
-        let col = choose_and_compress(&ColumnData::I64(v)).expect("compresses");
+        let col = choose_and_compress(&Vector::I64(v)).expect("compresses");
         assert_eq!(col.format(), ChunkFormat::PforDelta);
     }
 
@@ -1449,7 +1449,7 @@ mod tests {
                 x
             })
             .collect();
-        assert!(choose_and_compress(&ColumnData::U64(v)).is_none());
+        assert!(choose_and_compress(&Vector::U64(v)).is_none());
     }
 
     #[test]
@@ -1458,20 +1458,20 @@ mod tests {
         for i in 0..30_000 {
             s.push(if i % 2 == 0 { "YES" } else { "NO" });
         }
-        let col = choose_and_compress(&ColumnData::Str(s)).expect("compresses");
+        let col = choose_and_compress(&Vector::Str(s)).expect("compresses");
         assert_eq!(col.format(), ChunkFormat::Pdict);
     }
 
     #[test]
     fn empty_column_stays_raw() {
-        assert!(choose_and_compress(&ColumnData::I64(Vec::new())).is_none());
-        assert!(compress_column_as(&ColumnData::I64(Vec::new()), ChunkFormat::Pfor).is_none());
+        assert!(choose_and_compress(&Vector::I64(Vec::new())).is_none());
+        assert!(compress_column_as(&Vector::I64(Vec::new()), ChunkFormat::Pfor).is_none());
     }
 
     #[test]
     fn decode_stats_account_compressed_bytes() {
         let v: Vec<i64> = (0..70_000).map(|i| i % 100).collect();
-        let data = ColumnData::I64(v);
+        let data = Vector::I64(v);
         let col = compress_column_as(&data, ChunkFormat::Pfor).expect("compresses");
         let mut out = Vector::with_capacity(ScalarType::I64, 1024);
         let mut cursor = DecodeCursor::default();
@@ -1491,7 +1491,7 @@ mod tests {
         // Outliers become exception-patched slow-lane entries.
         v[123] = 1_000_000;
         v[70_000] = -5;
-        let data = ColumnData::I64(v.clone());
+        let data = Vector::I64(v.clone());
         let col = compress_column_as(&data, ChunkFormat::Pfor).expect("applies");
         type Pred = Box<dyn Fn(i64) -> bool>;
         let cases: Vec<(PushOp, i64, Option<i64>, Pred)> = vec![
@@ -1543,7 +1543,7 @@ mod tests {
         for i in 0..70_000 {
             s.push(name(i));
         }
-        let col = compress_column_as(&ColumnData::Str(s), ChunkFormat::Pdict).expect("applies");
+        let col = compress_column_as(&Vector::Str(s), ChunkFormat::Pdict).expect("applies");
         type Pred = Box<dyn Fn(&str) -> bool>;
         let cases: Vec<(PushOp, Pred)> = vec![
             (PushOp::Eq, Box::new(|x| x == "SHIP")),
@@ -1597,7 +1597,7 @@ mod tests {
     fn pushdown_rejects_unsupported_triples() {
         let sorted: Vec<i64> = (0..100_000).collect();
         let delta =
-            compress_column_as(&ColumnData::I64(sorted), ChunkFormat::PforDelta).expect("sorted");
+            compress_column_as(&Vector::I64(sorted), ChunkFormat::PforDelta).expect("sorted");
         assert!(
             delta
                 .compile_pushdown(PushOp::Eq, &Value::I64(5), None)
@@ -1605,7 +1605,7 @@ mod tests {
             "prefix sums cannot be compared in place"
         );
         let v: Vec<i64> = (0..80_000).map(|i| i % 100).collect();
-        let pfor = compress_column_as(&ColumnData::I64(v.clone()), ChunkFormat::Pfor).expect("ok");
+        let pfor = compress_column_as(&Vector::I64(v.clone()), ChunkFormat::Pfor).expect("ok");
         assert!(
             pfor.compile_pushdown(PushOp::Ne, &Value::I64(5), None)
                 .is_none(),
@@ -1626,7 +1626,7 @@ mod tests {
                 .is_none(),
             "missing upper bound"
         );
-        let pdict = compress_column_as(&ColumnData::I64(v), ChunkFormat::Pdict).expect("ok");
+        let pdict = compress_column_as(&Vector::I64(v), ChunkFormat::Pdict).expect("ok");
         assert!(
             pdict
                 .compile_pushdown(PushOp::Between, &Value::I64(5), Some(&Value::I64(9)))
@@ -1644,7 +1644,7 @@ mod tests {
     #[test]
     fn checksum_detects_torn_write() {
         let v: Vec<i64> = (0..150_000).map(|i| i % 100).collect();
-        let data = ColumnData::I64(v);
+        let data = Vector::I64(v);
         let mut col = compress_column_as(&data, ChunkFormat::Pfor).expect("applies");
         assert!(col.verify_chunk(1).is_ok());
         assert!(col.corrupt_payload_byte(1, 7), "chunk 1 has payload");
@@ -1685,7 +1685,7 @@ mod tests {
                 _ => (i % 5000) as f64 / 100.0,
             })
             .collect();
-        let pfor = compress_column_as(&ColumnData::F64(f), ChunkFormat::Pfor).expect("applies");
+        let pfor = compress_column_as(&Vector::F64(f), ChunkFormat::Pfor).expect("applies");
         let exc: usize = (pfor.chunks.iter())
             .map(|c| c.header.exceptions as usize)
             .sum();
@@ -1694,8 +1694,7 @@ mod tests {
         let d: Vec<u64> = (0..70_000u64)
             .map(|i| i * 3 + (i / 1000) * 1_000_000)
             .collect();
-        let delta =
-            compress_column_as(&ColumnData::U64(d), ChunkFormat::PforDelta).expect("sorted");
+        let delta = compress_column_as(&Vector::U64(d), ChunkFormat::PforDelta).expect("sorted");
         let sums = |c: &CompressedColumn| -> Vec<u8> {
             c.verify_all().expect("verifies");
             c.chunks.iter().map(|c| c.header.checksum).collect()

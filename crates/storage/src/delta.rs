@@ -3,13 +3,12 @@
 //! Paper §4.3 / Figure 8: vertical fragments are immutable objects.
 //! *Deletes* add the tuple id to a deletion list; *inserts* append to
 //! separate, uncompressed delta columns (stored together chunk-wise,
-//! which equates PAX — here: parallel `ColumnData` appenders); an
+//! which equates PAX — here: parallel [`Vector`] appenders); an
 //! *update* is a delete followed by an insert. When the deltas exceed a
 //! small percentile of the table, storage is reorganized
 //! ([`crate::table::Table::reorganize`]) and the deltas become empty.
 
-use crate::column::ColumnData;
-use x100_vector::{ScalarType, Value};
+use x100_vector::{ScalarType, Value, Vector};
 
 /// The deletion list: row ids (into the *stable* row id space:
 /// fragment rows first, then delta rows) that are deleted.
@@ -74,15 +73,22 @@ impl DeleteList {
 /// compression scheme").
 #[derive(Debug, Clone)]
 pub struct InsertDelta {
-    cols: Vec<ColumnData>,
+    cols: Vec<Vector>,
     rows: usize,
 }
 
 impl InsertDelta {
     /// Empty deltas for a table with the given column types.
+    ///
+    /// # Panics
+    /// Panics on `Bool`, a vector-only type (store it as `U8`).
     pub fn new(types: &[ScalarType]) -> Self {
+        assert!(
+            !types.contains(&ScalarType::Bool),
+            "Bool is a vector-only type; store as U8"
+        );
         InsertDelta {
-            cols: types.iter().map(|&t| ColumnData::new(t)).collect(),
+            cols: types.iter().map(|&t| Vector::with_capacity(t, 0)).collect(),
             rows: 0,
         }
     }
@@ -110,14 +116,14 @@ impl InsertDelta {
     }
 
     /// The delta column for table column `i`.
-    pub fn column(&self, i: usize) -> &ColumnData {
+    pub fn column(&self, i: usize) -> &Vector {
         &self.cols[i]
     }
 
     /// Drop all rows (after a reorganize), keeping column types.
     pub fn clear(&mut self) {
         let types: Vec<ScalarType> = self.cols.iter().map(|c| c.scalar_type()).collect();
-        self.cols = types.iter().map(|&t| ColumnData::new(t)).collect();
+        self.cols = types.iter().map(|&t| Vector::with_capacity(t, 0)).collect();
         self.rows = 0;
     }
 }
@@ -166,6 +172,12 @@ mod tests {
         d.clear();
         assert!(d.is_empty());
         assert_eq!(d.column(0).scalar_type(), ScalarType::I32);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector-only")]
+    fn bool_deltas_are_refused() {
+        InsertDelta::new(&[ScalarType::I32, ScalarType::Bool]);
     }
 
     #[test]

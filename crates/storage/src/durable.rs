@@ -28,20 +28,18 @@
 //! rewriting the bad copy in place and counting `chunk_heals` — and a
 //! typed [`DurableError::Io`] surfaces only when *all* copies fail.
 
-use crate::column::ColumnData;
 use crate::columnbm::{retry_with_backoff, FaultSite, FaultState, StorageFaultError};
 use crate::compress::CompressedColumn;
 use crate::delta::{DeleteList, InsertDelta};
 use crate::enumcol::{EnumDict, MAX_ENUM_CARD};
 use crate::frame::{Reader, Writer};
-use crate::summary::SummaryIndex;
-use crate::table::{ColumnStats, Field, StoredColumn, Table};
+use crate::table::{StoredColumn, Table};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use x100_vector::{ScalarType, Value};
+use x100_vector::{ScalarType, Value, Vector};
 
 /// Magic + version of one on-disk column-replica file.
 const CHUNK_MAGIC: &[u8; 4] = b"XDCF";
@@ -127,9 +125,9 @@ struct ColFile {
     col: u32,
     rows: u64,
     logical: ScalarType,
-    data: ColumnData,
+    data: Vector,
     compressed: Option<CompressedColumn>,
-    dict: Option<ColumnData>,
+    dict: Option<Vector>,
     has_summary: bool,
     /// Whether the codec chooser's verdict (including "stay raw") was
     /// current at checkpoint time — restores the sweep cache at open.
@@ -546,63 +544,47 @@ fn read_replicas<T>(
 
 /// Rebuild a [`StoredColumn`] named `name` from a decoded replica file:
 /// dictionary re-wrapped, summary index and fragment stats recomputed
-/// (both are derived data — cheaper to rebuild than to verify). The
-/// stats pass doubles as the check that every enum code has a
-/// dictionary entry.
+/// by [`StoredColumn::new`] (both are derived data — cheaper to rebuild
+/// than to verify). The stats pass doubles as the check that every
+/// enum code has a dictionary entry.
 fn restore_column(cf: ColFile, name: &str) -> Result<StoredColumn, String> {
-    let stats = ColumnStats::compute(&cf.data);
     if let Some(values) = &cf.dict {
-        let codes_fit = match (&cf.data, &stats.max) {
-            (ColumnData::U8(_) | ColumnData::U16(_), None) => true,
-            (_, Some(Value::U8(c))) => (*c as usize) < values.len(),
-            (_, Some(Value::U16(c))) => (*c as usize) < values.len(),
-            _ => false,
-        };
-        if !codes_fit || values.len() > MAX_ENUM_CARD {
+        if values.len() > MAX_ENUM_CARD {
             return Err(format!(
                 "enum codes do not fit the {}-entry dictionary",
                 values.len()
             ));
         }
     }
-    let dict = cf.dict.map(EnumDict::new);
-    let logical = match &dict {
-        Some(d) => d.value_type(),
-        None => cf.data.scalar_type(),
-    };
-    if logical != cf.logical {
+    let mut sc = StoredColumn::new(
+        name.to_owned(),
+        cf.data,
+        cf.dict.map(EnumDict::new),
+        cf.has_summary,
+    );
+    if let Some(dict) = &sc.dict {
+        let codes_fit = match (&sc.data, &sc.stats.max) {
+            (Vector::U8(_) | Vector::U16(_), None) => true,
+            (_, Some(Value::U8(c))) => (*c as usize) < dict.cardinality(),
+            (_, Some(Value::U16(c))) => (*c as usize) < dict.cardinality(),
+            _ => false,
+        };
+        if !codes_fit {
+            return Err(format!(
+                "enum codes do not fit the {}-entry dictionary",
+                dict.cardinality()
+            ));
+        }
+    }
+    if sc.field.logical != cf.logical {
         return Err(format!(
             "logical type {:?} does not match payload {:?}",
-            cf.logical, logical
+            cf.logical, sc.field.logical
         ));
     }
-    let summary = if cf.has_summary {
-        let widened: Vec<i64> = match &cf.data {
-            ColumnData::I32(v) => v.iter().map(|&x| x as i64).collect(),
-            ColumnData::I64(v) => v.clone(),
-            _ => Vec::new(),
-        };
-        if widened.is_empty() && !cf.data.is_empty() {
-            None
-        } else {
-            Some(SummaryIndex::build(&widened))
-        }
-    } else {
-        None
-    };
-    Ok(StoredColumn {
-        field: Field {
-            name: name.to_owned(),
-            logical,
-        },
-        data: cf.data,
-        dict,
-        summary,
-        stats: Some(stats),
-        compressed: cf.compressed,
-        epoch: 0,
-        codec_epoch: cf.codec_done.then_some(0),
-    })
+    sc.compressed = cf.compressed;
+    sc.codec_epoch = cf.codec_done.then_some(0);
+    Ok(sc)
 }
 
 /// Recover a table from `dir`: newest valid manifest wins, every column

@@ -5,10 +5,11 @@
 //! the distinct values. MonetDB/X100 "automatically adds a `Fetch1Join`
 //! operation to retrieve the uncompressed value … when such columns are
 //! used in a query"; the engine crate performs that rewrite, driven by
-//! the [`EnumDict`] attached to a column here.
+//! the [`EnumDict`] attached to a column here. Codes and dictionary
+//! are plain [`Vector`]s, so decoding is the one gather
+//! ([`x100_vector::fetch::gather_at`]) with the codes as positions.
 
-use crate::column::ColumnData;
-use x100_vector::{ScalarType, Value};
+use x100_vector::{ScalarType, StrVec, Value, Vector};
 
 /// Maximum cardinality an enumeration type can hold (2-byte codes).
 pub const MAX_ENUM_CARD: usize = u16::MAX as usize + 1;
@@ -17,12 +18,12 @@ pub const MAX_ENUM_CARD: usize = u16::MAX as usize + 1;
 /// code order (`code` = `#rowId` into this dictionary).
 #[derive(Debug, Clone)]
 pub struct EnumDict {
-    values: ColumnData,
+    values: Vector,
 }
 
 impl EnumDict {
     /// Wrap a dictionary column. `values.len()` must fit enum codes.
-    pub fn new(values: ColumnData) -> Self {
+    pub fn new(values: Vector) -> Self {
         assert!(
             values.len() <= MAX_ENUM_CARD,
             "enum cardinality {} exceeds u16 codes",
@@ -42,7 +43,7 @@ impl EnumDict {
     }
 
     /// The dictionary values as a column (the mapping table).
-    pub fn values(&self) -> &ColumnData {
+    pub fn values(&self) -> &Vector {
         &self.values
     }
 
@@ -55,7 +56,7 @@ impl EnumDict {
 /// Result of dictionary-encoding a column: code column + dictionary.
 pub struct Encoded {
     /// `U8` codes if cardinality ≤ 256, else `U16` codes.
-    pub codes: ColumnData,
+    pub codes: Vector,
     /// The mapping table.
     pub dict: EnumDict,
 }
@@ -80,45 +81,49 @@ pub fn encode_str(values: impl Iterator<Item = String> + Clone) -> Option<Encode
             .expect("value in dict")
     };
     let codes = if distinct.len() <= 256 {
-        ColumnData::U8(values.map(|s| lookup(&s) as u8).collect())
+        Vector::U8(values.map(|s| lookup(&s) as u8).collect())
     } else {
-        ColumnData::U16(values.map(|s| lookup(&s) as u16).collect())
+        Vector::U16(values.map(|s| lookup(&s) as u16).collect())
     };
-    let mut dictcol = ColumnData::new(ScalarType::Str);
-    for v in &distinct {
-        dictcol.push_value(&Value::Str(v.clone()));
-    }
+    let dict: StrVec = distinct.iter().map(String::as_str).collect();
     Some(Encoded {
         codes,
-        dict: EnumDict::new(dictcol),
+        dict: EnumDict::new(Vector::Str(dict)),
     })
 }
 
 /// Dictionary-encode an `f64` column (e.g. TPC-H `l_discount`, `l_tax`,
 /// `l_quantity`, which the paper stores as enumerated types, §5.1).
 ///
-/// Values are keyed by bit pattern; order-preserving for the
-/// non-negative finite values TPC-H uses.
+/// Codes are order-preserving and decode bit-exactly, so a column
+/// holding NaN (no order) or `-0.0` (equal to `+0.0`, one code for two
+/// bit patterns) stays plain: `None`, as for too many distinct values.
 pub fn encode_f64(values: &[f64]) -> Option<Encoded> {
+    if values
+        .iter()
+        .any(|x| x.is_nan() || (*x == 0.0 && x.is_sign_negative()))
+    {
+        return None;
+    }
     let mut distinct: Vec<f64> = values.to_vec();
-    distinct.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN in enum columns"));
+    distinct.sort_unstable_by(f64::total_cmp);
     distinct.dedup();
     if distinct.len() > MAX_ENUM_CARD {
         return None;
     }
     let lookup = |x: f64| {
         distinct
-            .binary_search_by(|d| d.partial_cmp(&x).expect("no NaN"))
+            .binary_search_by(|d| d.total_cmp(&x))
             .expect("value in dict")
     };
     let codes = if distinct.len() <= 256 {
-        ColumnData::U8(values.iter().map(|&x| lookup(x) as u8).collect())
+        Vector::U8(values.iter().map(|&x| lookup(x) as u8).collect())
     } else {
-        ColumnData::U16(values.iter().map(|&x| lookup(x) as u16).collect())
+        Vector::U16(values.iter().map(|&x| lookup(x) as u16).collect())
     };
     Some(Encoded {
         codes,
-        dict: EnumDict::new(ColumnData::F64(distinct)),
+        dict: EnumDict::new(Vector::F64(distinct)),
     })
 }
 
@@ -132,13 +137,13 @@ pub fn encode_i64(values: &[i64]) -> Option<Encoded> {
     }
     let lookup = |x: i64| distinct.binary_search(&x).expect("value in dict");
     let codes = if distinct.len() <= 256 {
-        ColumnData::U8(values.iter().map(|&x| lookup(x) as u8).collect())
+        Vector::U8(values.iter().map(|&x| lookup(x) as u8).collect())
     } else {
-        ColumnData::U16(values.iter().map(|&x| lookup(x) as u16).collect())
+        Vector::U16(values.iter().map(|&x| lookup(x) as u16).collect())
     };
     Some(Encoded {
         codes,
-        dict: EnumDict::new(ColumnData::I64(distinct)),
+        dict: EnumDict::new(Vector::I64(distinct)),
     })
 }
 
@@ -179,6 +184,19 @@ mod tests {
     }
 
     #[test]
+    fn encode_f64_refuses_nan() {
+        assert!(encode_f64(&[0.05, f64::NAN, 0.0]).is_none());
+    }
+
+    #[test]
+    fn encode_f64_refuses_negative_zero() {
+        // One code cannot decode to both bit patterns.
+        assert!(encode_f64(&[0.0, -0.0, 0.05]).is_none());
+        let enc = encode_f64(&[0.0, 0.05, 0.0]).expect("fits");
+        assert_eq!(enc.dict.values().as_f64(), &[0.0, 0.05]);
+    }
+
+    #[test]
     fn wide_cardinality_uses_u16() {
         let data: Vec<i64> = (0..1000).map(|i| i % 500).collect();
         let enc = encode_i64(&data).expect("fits");
@@ -196,7 +214,7 @@ mod tests {
     fn compression_saves_space() {
         // 8-byte floats with 11 distinct values compress 8:1 to u8 codes.
         let data: Vec<f64> = (0..10_000).map(|i| (i % 11) as f64).collect();
-        let plain = ColumnData::F64(data.clone());
+        let plain = Vector::F64(data.clone());
         let enc = encode_f64(&data).expect("fits");
         let compressed = enc.codes.byte_size() + enc.dict.values().byte_size();
         assert!(

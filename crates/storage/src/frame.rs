@@ -18,7 +18,6 @@
 //! of "a typed array of values" shared by durable fragments, enum and
 //! PDICT dictionaries and spill blocks.
 
-use crate::column::ColumnData;
 use std::io::Read;
 use x100_vector::{ScalarType, StrVec, Vector};
 
@@ -229,19 +228,22 @@ impl Writer {
         self.put_slice(values);
     }
 
-    /// The raw value codec over a column fragment.
-    pub fn put_column(&mut self, data: &ColumnData) {
+    /// The raw value codec over a vector (a column fragment, a
+    /// dictionary, a spilled block column).
+    pub fn put_column(&mut self, data: &Vector) {
+        let ty = data.scalar_type();
         match data {
-            ColumnData::I8(v) => self.put_array(ScalarType::I8, v),
-            ColumnData::I16(v) => self.put_array(ScalarType::I16, v),
-            ColumnData::I32(v) => self.put_array(ScalarType::I32, v),
-            ColumnData::I64(v) => self.put_array(ScalarType::I64, v),
-            ColumnData::U8(v) => self.put_array(ScalarType::U8, v),
-            ColumnData::U16(v) => self.put_array(ScalarType::U16, v),
-            ColumnData::U32(v) => self.put_array(ScalarType::U32, v),
-            ColumnData::U64(v) => self.put_array(ScalarType::U64, v),
-            ColumnData::F64(v) => self.put_array(ScalarType::F64, v),
-            ColumnData::Str(s) => {
+            Vector::I8(v) => self.put_array(ty, v),
+            Vector::I16(v) => self.put_array(ty, v),
+            Vector::I32(v) => self.put_array(ty, v),
+            Vector::I64(v) => self.put_array(ty, v),
+            Vector::U8(v) => self.put_array(ty, v),
+            Vector::U16(v) => self.put_array(ty, v),
+            Vector::U32(v) => self.put_array(ty, v),
+            Vector::U64(v) => self.put_array(ty, v),
+            Vector::F64(v) => self.put_array(ty, v),
+            Vector::Bool(v) => self.put_array(ty, v),
+            Vector::Str(s) => {
                 self.put_type(ScalarType::Str);
                 self.put(s.len() as u64);
                 s.iter().for_each(|x| self.put_str(x));
@@ -385,8 +387,8 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// The raw value codec, decoded into a vector (the superset type:
-    /// `Bool` has no column twin).
+    /// The raw value codec, decoded into a vector (any type, `Bool`
+    /// included).
     pub fn vector(&mut self) -> Result<Vector, String> {
         let ty = self.get_type()?;
         let rows = self.count::<u64>(if ty == ScalarType::Str { 4 } else { ty.width() })?;
@@ -411,9 +413,13 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// The raw value codec, decoded into a column fragment.
-    pub fn column(&mut self) -> Result<ColumnData, String> {
-        ColumnData::try_from(self.vector()?).map_err(|_| "bool columns are not storable".into())
+    /// The raw value codec, decoded into a column fragment: a vector of
+    /// any type but `Bool`, which storage refuses.
+    pub fn column(&mut self) -> Result<Vector, String> {
+        match self.vector()? {
+            Vector::Bool(_) => Err("bool columns are not storable".into()),
+            v => Ok(v),
+        }
     }
 
     /// Every byte must have been consumed: trailing bytes mean the
@@ -439,6 +445,17 @@ mod tests {
             v.write(&mut b[..T::W]);
             byte_fold(a, &b[..T::W])
         })
+    }
+
+    #[test]
+    fn bool_columns_read_back_as_vectors_only() {
+        let mut w = Writer::new(Vec::new(), b"TEST", 1);
+        w.put_column(&Vector::Bool(vec![true, false]));
+        w.put_column(&Vector::Bool(vec![true]));
+        let bytes = w.seal();
+        let mut r = Reader::open(&bytes, b"TEST", 1).expect("sealed frame");
+        assert_eq!(r.vector(), Ok(Vector::Bool(vec![true, false])));
+        assert_eq!(r.column(), Err("bool columns are not storable".to_owned()));
     }
 
     proptest! {

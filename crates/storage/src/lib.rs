@@ -2,11 +2,15 @@
 //!
 //! The storage layer of the MonetDB/X100 reproduction (paper §4.3):
 //!
-//! * [`ColumnData`] — immutable vertical fragments (`BAT[void,T]`:
-//!   virtual dense `#rowId` head, value tail).
-//! * [`Table`] / [`TableBuilder`] — schemas over fragments, with
-//!   delta-based updates: a [`DeleteList`] plus uncompressed
+//! * [`Table`] / [`TableBuilder`] — schemas over immutable vertical
+//!   fragments (`BAT[void,T]`: virtual dense `#rowId` head, value tail),
+//!   with delta-based updates: a [`DeleteList`] plus uncompressed
 //!   [`InsertDelta`] columns, merged back by [`Table::reorganize`].
+//!   A fragment, a delta column and a dictionary are each an
+//!   [`x100_vector::Vector`] — the operators' own buffer type, so
+//!   storage and engine read them with the same gather
+//!   ([`x100_vector::fetch::gather_rows`]); `Bool` is vector-only and
+//!   never stored.
 //! * [`EnumDict`] & the `encode_*` helpers — enumeration types: one- or
 //!   two-byte codes referencing a mapping table, decompressed on use via
 //!   an automatically inserted `Fetch1Join` (done by the engine crate).
@@ -18,7 +22,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![forbid(unsafe_code)]
 
-pub mod column;
 pub mod columnbm;
 pub mod compress;
 pub mod delta;
@@ -29,7 +32,6 @@ pub mod morsel;
 pub mod summary;
 pub mod table;
 
-pub use column::ColumnData;
 pub use columnbm::{
     retry_with_backoff, BmStats, ChunkReadError, ColumnBM, FaultPlan, FaultSite, FaultState,
     PinnedFault, StorageFaultError, TornWrite, DEFAULT_CHUNK_BYTES,

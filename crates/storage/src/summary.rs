@@ -29,7 +29,7 @@ struct Entry {
 
 /// A summary index over an `i64`-comparable clustered column
 /// (dates are `i32` days, widened; decimals are scaled `i64`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SummaryIndex {
     entries: Vec<Entry>,
     granularity: usize,

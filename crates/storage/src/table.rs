@@ -1,13 +1,13 @@
 //! Tables: schemas, immutable fragments, deltas, and reorganization.
 //!
-//! A [`Table`] is a set of equally long vertical fragments
-//! ([`ColumnData`]), optionally enum-compressed and/or carrying a
-//! summary index, plus the delta structures of §4.3: a deletion list
-//! and uncompressed insert columns. Every table has a virtual `#rowId`
-//! column — a densely ascending number from 0 (never stored), which
-//! positional fetch-joins use as join key.
+//! A [`Table`] is a set of equally long vertical fragments — each an
+//! [`x100_vector::Vector`], the same buffer type the operators consume —
+//! optionally enum-compressed and/or carrying a summary index, plus the
+//! delta structures of §4.3: a deletion list and uncompressed insert
+//! columns. `Bool` is vector-only: a table refuses it. Every table has a
+//! virtual `#rowId` column — a densely ascending number from 0 (never
+//! stored), which positional fetch-joins use as join key.
 
-use crate::column::ColumnData;
 use crate::columnbm::{FaultSite, FaultState, StorageFaultError};
 use crate::compress::{choose_and_compress, ChunkFormat, CompressedColumn};
 use crate::delta::{DeleteList, InsertDelta};
@@ -16,6 +16,7 @@ use crate::enumcol::{encode_f64, encode_i64, encode_str, EnumDict};
 use crate::summary::SummaryIndex;
 use std::path::Path;
 use std::sync::Arc;
+use x100_vector::fetch::{gather_at, gather_rows};
 use x100_vector::{ScalarType, Value, Vector};
 
 /// A named, typed column slot in a table schema.
@@ -28,13 +29,13 @@ pub struct Field {
 }
 
 /// Per-fragment column statistics, harvested when the fragment is built
-/// (`TableBuilder::build` / `Table::reorganize`) — the fragment is
-/// immutable in between, so the stats stay exact until the next rebuild.
-/// They are the *source facts* of the engine's plan-level abstract
-/// interpretation (`engine::facts`): value range and sortedness of the
-/// physical data (codes for enum columns). A checkpoint's compressed
-/// chunks carry the same bounds per chunk (PFOR frame base/width);
-/// these are the fragment-wide rollup.
+/// (`TableBuilder::build` / `Table::reorganize` / `Table::open`) — the
+/// fragment is immutable in between, so the stats stay exact until the
+/// next rebuild. They are the *source facts* of the engine's plan-level
+/// abstract interpretation (`engine::facts`): value range and sortedness
+/// of the physical data (codes for enum columns). A checkpoint's
+/// compressed chunks carry the same bounds per chunk (PFOR frame
+/// base/width); these are the fragment-wide rollup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Minimum physical value. `None` for string or empty fragments, or
@@ -48,8 +49,8 @@ pub struct ColumnStats {
 
 impl ColumnStats {
     /// Compute stats over one fragment in a single pass.
-    pub fn compute(data: &ColumnData) -> ColumnStats {
-        fn ints<T: Copy + Ord>(v: &[T], mk: impl Fn(T) -> Value) -> ColumnStats {
+    pub fn compute(data: &Vector) -> ColumnStats {
+        fn fold<T: Copy + PartialOrd>(v: &[T], mk: impl Fn(T) -> Value) -> ColumnStats {
             let Some(&first) = v.first() else {
                 return ColumnStats {
                     min: None,
@@ -58,9 +59,11 @@ impl ColumnStats {
                 };
             };
             let (mut mn, mut mx, mut sorted, mut prev) = (first, first, true, first);
+            // Select expressions, not conditional stores: LLVM turns
+            // these into vector min/max.
             for &x in &v[1..] {
-                mn = mn.min(x);
-                mx = mx.max(x);
+                mn = if x < mn { x } else { mn };
+                mx = if mx < x { x } else { mx };
                 sorted &= prev <= x;
                 prev = x;
             }
@@ -71,47 +74,25 @@ impl ColumnStats {
             }
         }
         match data {
-            ColumnData::I8(v) => ints(v, Value::I8),
-            ColumnData::I16(v) => ints(v, Value::I16),
-            ColumnData::I32(v) => ints(v, Value::I32),
-            ColumnData::I64(v) => ints(v, Value::I64),
-            ColumnData::U8(v) => ints(v, Value::U8),
-            ColumnData::U16(v) => ints(v, Value::U16),
-            ColumnData::U32(v) => ints(v, Value::U32),
-            ColumnData::U64(v) => ints(v, Value::U64),
-            ColumnData::F64(v) => {
-                if v.is_empty() {
-                    return ColumnStats {
-                        min: None,
-                        max: None,
-                        sorted: true,
-                    };
-                }
-                if v.iter().any(|x| x.is_nan()) {
-                    // NaN poisons both the ordering and the range; the
-                    // analyzer treats the column as ⊤.
-                    return ColumnStats {
-                        min: None,
-                        max: None,
-                        sorted: false,
-                    };
-                }
-                let (mut mn, mut mx, mut sorted, mut prev) = (v[0], v[0], true, v[0]);
-                for &x in &v[1..] {
-                    mn = mn.min(x);
-                    mx = mx.max(x);
-                    sorted &= prev <= x;
-                    prev = x;
-                }
-                ColumnStats {
-                    min: Some(Value::F64(mn)),
-                    max: Some(Value::F64(mx)),
-                    sorted,
-                }
-            }
+            Vector::I8(v) => fold(v, Value::I8),
+            Vector::I16(v) => fold(v, Value::I16),
+            Vector::I32(v) => fold(v, Value::I32),
+            Vector::I64(v) => fold(v, Value::I64),
+            Vector::U8(v) => fold(v, Value::U8),
+            Vector::U16(v) => fold(v, Value::U16),
+            Vector::U32(v) => fold(v, Value::U32),
+            Vector::U64(v) => fold(v, Value::U64),
+            // NaN poisons both the ordering and the range; the analyzer
+            // treats the column as ⊤.
+            Vector::F64(v) if v.iter().any(|x| x.is_nan()) => ColumnStats {
+                min: None,
+                max: None,
+                sorted: false,
+            },
+            Vector::F64(v) => fold(v, Value::F64),
             // Strings carry no numeric range; lexicographic order is of
-            // no use to the analyzer.
-            ColumnData::Str(_) => ColumnStats {
+            // no use to the analyzer (and `Bool` is never stored).
+            Vector::Str(_) | Vector::Bool(_) => ColumnStats {
                 min: None,
                 max: None,
                 sorted: false,
@@ -127,11 +108,11 @@ pub struct StoredColumn {
     pub(crate) field: Field,
     /// Physical fragment: plain values, or `U8`/`U16` codes when `dict`
     /// is present.
-    pub(crate) data: ColumnData,
+    pub(crate) data: Vector,
     pub(crate) dict: Option<EnumDict>,
     pub(crate) summary: Option<SummaryIndex>,
-    /// Fragment statistics, refreshed whenever `data` is rebuilt.
-    pub(crate) stats: Option<ColumnStats>,
+    /// Fragment statistics, derived from `data` with it.
+    pub(crate) stats: ColumnStats,
     /// Compressed rewrite of `data`, present after a checkpoint. Scans
     /// prefer it; it always covers exactly the fragment rows.
     pub(crate) compressed: Option<CompressedColumn>,
@@ -145,13 +126,47 @@ pub struct StoredColumn {
 }
 
 impl StoredColumn {
+    /// A column named `name` over fragment `data` (codes when `dict` is
+    /// given), uncompressed at epoch 0, with its derived data — the one
+    /// place build, reorganize and open compute it: the fragment stats,
+    /// and with `summary` the summary index over an `I32`/`I64` fragment
+    /// (none over any other).
+    pub(crate) fn new(
+        name: String,
+        data: Vector,
+        dict: Option<EnumDict>,
+        summary: bool,
+    ) -> StoredColumn {
+        let logical = dict
+            .as_ref()
+            .map_or(data.scalar_type(), EnumDict::value_type);
+        let summary = match &data {
+            _ if !summary => None,
+            Vector::I32(v) => Some(SummaryIndex::build(
+                &v.iter().map(|&x| x as i64).collect::<Vec<_>>(),
+            )),
+            Vector::I64(v) => Some(SummaryIndex::build(v)),
+            _ => None,
+        };
+        StoredColumn {
+            field: Field { name, logical },
+            stats: ColumnStats::compute(&data),
+            data,
+            dict,
+            summary,
+            compressed: None,
+            epoch: 0,
+            codec_epoch: None,
+        }
+    }
+
     /// The schema field.
     pub fn field(&self) -> &Field {
         &self.field
     }
 
     /// The physical fragment (codes for enum columns).
-    pub fn physical(&self) -> &ColumnData {
+    pub fn physical(&self) -> &Vector {
         &self.data
     }
 
@@ -178,31 +193,35 @@ impl StoredColumn {
 
     /// Fragment statistics (physical values; codes for enum columns).
     /// Prefer [`Table::column_stats`], which widens under pending deltas.
-    pub fn stats(&self) -> Option<&ColumnStats> {
-        self.stats.as_ref()
+    pub fn stats(&self) -> &ColumnStats {
+        &self.stats
     }
 
     /// Decode one fragment value to its logical form (slow path).
     fn get_logical(&self, row: usize) -> Value {
-        match &self.dict {
-            None => self.data.get_value(row),
-            Some(dict) => {
-                let code = match &self.data {
-                    ColumnData::U8(c) => c[row] as usize,
-                    ColumnData::U16(c) => c[row] as usize,
-                    other => panic!("enum codes must be U8/U16, got {:?}", other.scalar_type()),
-                };
-                dict.decode(code)
-            }
+        match (&self.dict, self.data.get_value(row)) {
+            (Some(dict), Value::U8(code)) => dict.decode(code as usize),
+            (Some(dict), Value::U16(code)) => dict.decode(code as usize),
+            (_, v) => v,
         }
     }
+}
+
+/// A column added to a [`TableBuilder`], built into a [`StoredColumn`]
+/// by [`TableBuilder::build`].
+#[derive(Debug)]
+struct PendingColumn {
+    name: String,
+    data: Vector,
+    dict: Option<EnumDict>,
+    summary: bool,
 }
 
 /// Builds a [`Table`] column by column.
 #[derive(Debug, Default)]
 pub struct TableBuilder {
     name: String,
-    columns: Vec<StoredColumn>,
+    columns: Vec<PendingColumn>,
 }
 
 impl TableBuilder {
@@ -215,47 +234,34 @@ impl TableBuilder {
     }
 
     /// Add a plain (uncompressed) column.
-    pub fn column(mut self, name: impl Into<String>, data: ColumnData) -> Self {
-        let logical = data.scalar_type();
-        self.columns.push(StoredColumn {
-            field: Field {
-                name: name.into(),
-                logical,
-            },
+    ///
+    /// # Panics
+    /// Panics on a `Bool` vector: booleans are vector-only (store `U8`).
+    pub fn column(mut self, name: impl Into<String>, data: Vector) -> Self {
+        assert!(
+            data.scalar_type() != ScalarType::Bool,
+            "Bool is a vector-only type; store as U8"
+        );
+        self.columns.push(PendingColumn {
+            name: name.into(),
             data,
             dict: None,
-            summary: None,
-            stats: None,
-            compressed: None,
-            epoch: 0,
-            codec_epoch: None,
+            summary: false,
         });
         self
     }
 
     /// Add an enumeration-typed column from pre-built codes + dictionary.
-    pub fn enum_column(
-        mut self,
-        name: impl Into<String>,
-        codes: ColumnData,
-        dict: EnumDict,
-    ) -> Self {
+    pub fn enum_column(mut self, name: impl Into<String>, codes: Vector, dict: EnumDict) -> Self {
         assert!(
             matches!(codes.scalar_type(), ScalarType::U8 | ScalarType::U16),
             "enum codes must be U8 or U16"
         );
-        self.columns.push(StoredColumn {
-            field: Field {
-                name: name.into(),
-                logical: dict.value_type(),
-            },
+        self.columns.push(PendingColumn {
+            name: name.into(),
             data: codes,
             dict: Some(dict),
-            summary: None,
-            stats: None,
-            compressed: None,
-            epoch: 0,
-            codec_epoch: None,
+            summary: false,
         });
         self
     }
@@ -265,13 +271,10 @@ impl TableBuilder {
     pub fn auto_enum_str(self, name: impl Into<String>, values: Vec<String>) -> Self {
         match encode_str(values.clone().into_iter()) {
             Some(enc) => self.enum_column(name, enc.codes, enc.dict),
-            None => {
-                let mut col = ColumnData::new(ScalarType::Str);
-                for v in &values {
-                    col.push_value(&Value::Str(v.clone()));
-                }
-                self.column(name, col)
-            }
+            None => self.column(
+                name,
+                Vector::Str(values.iter().map(String::as_str).collect()),
+            ),
         }
     }
 
@@ -279,7 +282,7 @@ impl TableBuilder {
     pub fn auto_enum_f64(self, name: impl Into<String>, values: Vec<f64>) -> Self {
         match encode_f64(&values) {
             Some(enc) => self.enum_column(name, enc.codes, enc.dict),
-            None => self.column(name, ColumnData::F64(values)),
+            None => self.column(name, Vector::F64(values)),
         }
     }
 
@@ -287,7 +290,7 @@ impl TableBuilder {
     pub fn auto_enum_i64(self, name: impl Into<String>, values: Vec<i64>) -> Self {
         match encode_i64(&values) {
             Some(enc) => self.enum_column(name, enc.codes, enc.dict),
-            None => self.column(name, ColumnData::I64(values)),
+            None => self.column(name, Vector::I64(values)),
         }
     }
 
@@ -298,15 +301,12 @@ impl TableBuilder {
             .columns
             .last_mut()
             .expect("with_summary after a column");
-        let widened: Vec<i64> = match &col.data {
-            ColumnData::I32(v) => v.iter().map(|&x| x as i64).collect(),
-            ColumnData::I64(v) => v.clone(),
-            other => panic!(
-                "summary index needs I32/I64 column, got {:?}",
-                other.scalar_type()
-            ),
-        };
-        col.summary = Some(SummaryIndex::build(&widened));
+        let ty = col.data.scalar_type();
+        assert!(
+            col.dict.is_none() && matches!(ty, ScalarType::I32 | ScalarType::I64),
+            "summary index needs I32/I64 column, got {ty:?}"
+        );
+        col.summary = true;
         self
     }
 
@@ -316,18 +316,14 @@ impl TableBuilder {
     /// Panics if columns differ in length.
     pub fn build(self) -> Table {
         let rows = self.columns.first().map_or(0, |c| c.data.len());
-        let mut columns = self.columns;
-        for c in &mut columns {
-            assert_eq!(
-                c.data.len(),
-                rows,
-                "column {} length mismatch",
-                c.field.name
-            );
-            // Harvest fragment stats once at build: the fragment is
-            // immutable until the next reorganize, which recomputes.
-            c.stats = Some(ColumnStats::compute(&c.data));
-        }
+        let columns: Vec<StoredColumn> = self
+            .columns
+            .into_iter()
+            .map(|c| {
+                assert_eq!(c.data.len(), rows, "column {} length mismatch", c.name);
+                StoredColumn::new(c.name, c.data, c.dict, c.summary)
+            })
+            .collect();
         let types: Vec<ScalarType> = columns.iter().map(|c| c.field.logical).collect();
         Table {
             name: self.name,
@@ -416,7 +412,7 @@ impl Table {
         if !self.inserts.is_empty() {
             None
         } else {
-            self.columns[i].stats.as_ref()
+            Some(&self.columns[i].stats)
         }
     }
 
@@ -509,66 +505,10 @@ impl Table {
         }
     }
 
-    /// Read a fragment range of a column *logically* (decoding enums) into
-    /// a vector buffer. `start + rows` must stay within the fragments.
-    pub fn read_logical(&self, col: usize, start: usize, rows: usize, out: &mut Vector) {
-        assert!(
-            start + rows <= self.frag_rows,
-            "read_logical beyond fragments"
-        );
-        let c = &self.columns[col];
-        match &c.dict {
-            None => c.data.read_into(start, rows, out),
-            Some(dict) => {
-                out.clear();
-                match (&c.data, dict.values()) {
-                    (ColumnData::U8(codes), vals) => {
-                        gather_codes(vals, &codes[start..start + rows], out)
-                    }
-                    (ColumnData::U16(codes), vals) => {
-                        gather_codes16(vals, &codes[start..start + rows], out)
-                    }
-                    _ => unreachable!("enum codes are U8/U16"),
-                }
-            }
-        }
-    }
-
     /// Read a delta range of a column (delta rows are always logical).
     /// `start` is relative to the delta (0 = first inserted row).
     pub fn read_delta(&self, col: usize, start: usize, rows: usize, out: &mut Vector) {
         self.inserts.column(col).read_into(start, rows, out);
-    }
-
-    /// Gather logical values of arbitrary (live, fragment-or-delta) row
-    /// ids into a vector buffer — the storage half of `Fetch1Join`.
-    pub fn gather_logical(&self, col: usize, rowids: &[u32], out: &mut Vector) {
-        let c = &self.columns[col];
-        let all_in_frag = rowids.iter().all(|&r| (r as usize) < self.frag_rows);
-        if all_in_frag && c.dict.is_none() {
-            c.data.gather_into(rowids, out);
-            return;
-        }
-        // Slow path: mixed regions or enum decode.
-        out.clear();
-        for &r in rowids {
-            out.push_value(&self.column_value(col, r));
-        }
-    }
-
-    /// Column `col`'s logical value at `rowid`, from the fragment or the
-    /// insert delta (a deleted row still answers); `None` past the end.
-    pub fn value(&self, col: usize, rowid: u32) -> Option<Value> {
-        ((rowid as usize) < self.total_rows()).then(|| self.column_value(col, rowid))
-    }
-
-    fn column_value(&self, col: usize, rowid: u32) -> Value {
-        let r = rowid as usize;
-        if r < self.frag_rows {
-            self.columns[col].get_logical(r)
-        } else {
-            self.inserts.column(col).get_value(r - self.frag_rows)
-        }
     }
 
     /// Flip one payload byte of column `col`'s compressed chunk `ci`
@@ -726,88 +666,74 @@ impl Table {
     /// indices rebuild, and the delta structures empty (paper §4.3's
     /// "data storage should be reorganized").
     ///
+    /// Column by column, in vectors: the live positions are computed
+    /// once from the delete list, each fragment is gathered at them
+    /// (an enum column gathers its codes and decodes them through the
+    /// dictionary with the same kernel), the insert delta's live rows
+    /// are appended, and the `encode_*` helpers re-encode enum columns.
+    ///
     /// Row ids are re-densified (0..live_rows); callers holding old row
     /// ids (e.g. join indices) must re-derive them.
     pub fn reorganize(&mut self) {
-        let live: Vec<u32> = (0..self.total_rows() as u32)
-            .filter(|&r| !self.deletes.contains(r))
-            .collect();
-        let ncols = self.columns.len();
-        let mut new_cols = Vec::with_capacity(ncols);
-        for i in 0..ncols {
-            let old = &self.columns[i];
-            // Materialize logical values for live rows.
-            let logical = old.field.logical;
-            let had_summary = old.summary.is_some();
-            let was_enum = old.dict.is_some();
-            let was_compressed = old.compressed.is_some();
-            let mut values = ColumnData::new(logical);
-            for &r in &live {
-                values.push_value(&self.column_value(i, r));
+        // Live positions, split by region: fragment rows, then delta rows
+        // relative to the delta (the delete list is sorted).
+        let frag = self.frag_rows as u32;
+        let (mut frag_live, mut delta_live) = (Vec::new(), Vec::new());
+        let mut dels = self.deletes.ids().iter().peekable();
+        for r in 0..self.total_rows() as u32 {
+            if dels.next_if_eq(&&r).is_some() {
+                continue;
             }
-            let (data, dict) = if was_enum {
-                match &values {
-                    ColumnData::Str(s) => match encode_str(
-                        s.iter()
-                            .map(|x| x.to_owned())
-                            .collect::<Vec<_>>()
-                            .into_iter(),
-                    ) {
-                        Some(enc) => (enc.codes, Some(enc.dict)),
-                        None => (values, None),
-                    },
-                    ColumnData::F64(v) => match encode_f64(v) {
-                        Some(enc) => (enc.codes, Some(enc.dict)),
-                        None => (values, None),
-                    },
-                    ColumnData::I64(v) => match encode_i64(v) {
-                        Some(enc) => (enc.codes, Some(enc.dict)),
-                        None => (values, None),
-                    },
-                    _ => (values, None),
+            match r.checked_sub(frag) {
+                None => frag_live.push(r),
+                Some(d) => delta_live.push(d),
+            }
+        }
+        let live = frag_live.len() + delta_live.len();
+        let columns = std::mem::take(&mut self.columns);
+        for (i, old) in columns.into_iter().enumerate() {
+            let logical = old.field.logical;
+            let mut values = Vector::with_capacity(logical, live);
+            let gathered = match &old.dict {
+                None => gather_rows(&mut values, &old.data, &frag_live, None),
+                Some(dict) => {
+                    let mut codes = Vector::with_capacity(old.data.scalar_type(), 0);
+                    gather_rows(&mut codes, &old.data, &frag_live, None)
+                        && gather_at(&mut values, dict.values(), &codes, None)
                 }
-            } else {
-                (values, None)
             };
-            let summary = if had_summary {
-                let widened: Vec<i64> = match &data {
-                    ColumnData::I32(v) => v.iter().map(|&x| x as i64).collect(),
-                    ColumnData::I64(v) => v.clone(),
-                    _ => Vec::new(),
-                };
-                if widened.is_empty() && !data.is_empty() {
-                    None
-                } else {
-                    Some(SummaryIndex::build(&widened))
+            let mut tail = Vector::with_capacity(logical, delta_live.len());
+            let gathered =
+                gathered && gather_rows(&mut tail, self.inserts.column(i), &delta_live, None);
+            assert!(gathered, "live positions lie inside their region");
+            values.append_range(&tail, 0, tail.len());
+            let enc = match (&old.dict, &values) {
+                (None, _) => None,
+                (Some(_), Vector::Str(s)) => {
+                    encode_str(s.iter().map(str::to_owned).collect::<Vec<_>>().into_iter())
                 }
-            } else {
-                None
+                (Some(_), Vector::F64(v)) => encode_f64(v),
+                (Some(_), Vector::I64(v)) => encode_i64(v),
+                (Some(_), _) => None,
             };
+            let (data, dict) = match enc {
+                Some(enc) => (enc.codes, Some(enc.dict)),
+                None => (values, None),
+            };
+            let mut col = StoredColumn::new(old.field.name, data, dict, old.summary.is_some());
             // Checkpointed columns stay checkpointed: re-run the format
             // chooser over the merged fragment so the compressed chunks
             // track the data (the chooser may pick a different format
             // for the new value distribution, or fall back to raw).
-            let epoch = old.epoch + 1;
-            let (compressed, codec_epoch) = if was_compressed {
+            col.epoch = old.epoch + 1;
+            if old.compressed.is_some() {
                 self.codec_sweeps += 1;
-                (choose_and_compress(&data), Some(epoch))
-            } else {
-                (None, None)
-            };
-            let stats = Some(ColumnStats::compute(&data));
-            new_cols.push(StoredColumn {
-                field: old.field.clone(),
-                data,
-                dict,
-                summary,
-                stats,
-                compressed,
-                epoch,
-                codec_epoch,
-            });
+                col.compressed = choose_and_compress(&col.data);
+                col.codec_epoch = Some(col.epoch);
+            }
+            self.columns.push(col);
         }
-        self.frag_rows = live.len();
-        self.columns = new_cols;
+        self.frag_rows = live;
         self.deletes.clear();
         self.inserts.clear();
         // The disk checkpoint describes the *old* fragments; healing
@@ -817,49 +743,13 @@ impl Table {
     }
 }
 
-fn gather_codes(vals: &ColumnData, codes: &[u8], out: &mut Vector) {
-    match (vals, out) {
-        (ColumnData::F64(d), Vector::F64(o)) => o.extend(codes.iter().map(|&c| d[c as usize])),
-        (ColumnData::I64(d), Vector::I64(o)) => o.extend(codes.iter().map(|&c| d[c as usize])),
-        (ColumnData::I32(d), Vector::I32(o)) => o.extend(codes.iter().map(|&c| d[c as usize])),
-        (ColumnData::Str(d), Vector::Str(o)) => {
-            for &c in codes {
-                o.push(d.get(c as usize));
-            }
-        }
-        (v, o) => panic!(
-            "enum decode mismatch: dict {:?}, out {:?}",
-            v.scalar_type(),
-            o.scalar_type()
-        ),
-    }
-}
-
-fn gather_codes16(vals: &ColumnData, codes: &[u16], out: &mut Vector) {
-    match (vals, out) {
-        (ColumnData::F64(d), Vector::F64(o)) => o.extend(codes.iter().map(|&c| d[c as usize])),
-        (ColumnData::I64(d), Vector::I64(o)) => o.extend(codes.iter().map(|&c| d[c as usize])),
-        (ColumnData::I32(d), Vector::I32(o)) => o.extend(codes.iter().map(|&c| d[c as usize])),
-        (ColumnData::Str(d), Vector::Str(o)) => {
-            for &c in codes {
-                o.push(d.get(c as usize));
-            }
-        }
-        (v, o) => panic!(
-            "enum decode mismatch: dict {:?}, out {:?}",
-            v.scalar_type(),
-            o.scalar_type()
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn small_table() -> Table {
         TableBuilder::new("t")
-            .column("id", ColumnData::I64((0..10).collect()))
+            .column("id", Vector::I64((0..10).collect()))
             .auto_enum_str(
                 "flag",
                 (0..10)
@@ -868,7 +758,7 @@ mod tests {
             )
             .column(
                 "price",
-                ColumnData::F64((0..10).map(|i| i as f64 * 1.5).collect()),
+                Vector::F64((0..10).map(|i| i as f64 * 1.5).collect()),
             )
             .build()
     }
@@ -883,17 +773,6 @@ mod tests {
         assert_eq!(t.column_by_name("flag").physical_type(), ScalarType::U8);
         assert_eq!(t.column_by_name("flag").field().logical, ScalarType::Str);
         assert!(t.column_by_name("flag").dict().is_some());
-    }
-
-    #[test]
-    fn read_logical_decodes_enums() {
-        let t = small_table();
-        let mut v = Vector::with_capacity(ScalarType::Str, 4);
-        t.read_logical(1, 2, 4, &mut v);
-        assert_eq!(
-            v.as_str().iter().collect::<Vec<_>>(),
-            vec!["A", "B", "A", "B"]
-        );
     }
 
     #[test]
@@ -923,19 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_logical_mixed_regions() {
-        let mut t = small_table();
-        t.insert(&[Value::I64(42), Value::Str("Z".into()), Value::F64(0.5)]);
-        let mut v = Vector::with_capacity(ScalarType::I64, 3);
-        t.gather_logical(0, &[0, 10, 5], &mut v);
-        assert_eq!(v.as_i64(), &[0, 42, 5]);
-        let mut s = Vector::with_capacity(ScalarType::Str, 2);
-        t.gather_logical(1, &[10, 1], &mut s);
-        assert_eq!(s.as_str().get(0), "Z");
-        assert_eq!(s.as_str().get(1), "B");
-    }
-
-    #[test]
     fn reorganize_applies_deltas() {
         let mut t = small_table();
         t.delete(0);
@@ -961,6 +827,30 @@ mod tests {
     }
 
     #[test]
+    fn reorganize_keeps_nan_and_negative_zero_bit_exact() {
+        // An enum f64 column takes a NaN and a -0.0 from the insert
+        // delta: no order-preserving, bit-exact code exists for them,
+        // so the merged column is stored plain.
+        for odd in [f64::NAN, -0.0] {
+            let mut t = TableBuilder::new("t")
+                .auto_enum_f64("x", vec![0.0, 0.05, 0.0])
+                .build();
+            assert!(t.column(0).dict().is_some());
+            t.insert(&[Value::F64(odd)]);
+            t.reorganize();
+            assert!(t.column(0).dict().is_none(), "stays plain");
+            let bits: Vec<u64> = t
+                .column(0)
+                .physical()
+                .as_f64()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(bits, [0.0, 0.05, 0.0, odd].map(f64::to_bits));
+        }
+    }
+
+    #[test]
     fn maybe_reorganize_thresholds() {
         let mut t = small_table();
         t.insert(&[Value::I64(100), Value::Str("A".into()), Value::F64(0.0)]);
@@ -975,7 +865,7 @@ mod tests {
     #[test]
     fn summary_survives_reorganize() {
         let mut t = TableBuilder::new("dates")
-            .column("d", ColumnData::I32((0..5000).collect()))
+            .column("d", Vector::I32((0..5000).collect()))
             .with_summary()
             .build();
         assert!(t.column(0).summary().is_some());
@@ -997,10 +887,10 @@ mod tests {
     #[test]
     fn checkpoint_compresses_paying_columns() {
         let mut t = TableBuilder::new("t")
-            .column("key", ColumnData::I64((0..100_000).collect()))
+            .column("key", Vector::I64((0..100_000).collect()))
             .column(
                 "price",
-                ColumnData::F64((0..100_000).map(|i| (i % 9000) as f64 / 100.0).collect()),
+                Vector::F64((0..100_000).map(|i| (i % 9000) as f64 / 100.0).collect()),
             )
             .build();
         assert!(t.column(0).compressed().is_none());
@@ -1016,10 +906,10 @@ mod tests {
     #[test]
     fn checkpoint_caches_codec_decision_per_epoch() {
         let mut t = TableBuilder::new("t")
-            .column("key", ColumnData::I64((0..100_000).collect()))
+            .column("key", Vector::I64((0..100_000).collect()))
             .column(
                 "price",
-                ColumnData::F64((0..100_000).map(|i| (i % 9000) as f64 / 100.0).collect()),
+                Vector::F64((0..100_000).map(|i| (i % 9000) as f64 / 100.0).collect()),
             )
             .build();
         let first = t.checkpoint();
@@ -1090,12 +980,8 @@ mod tests {
     fn torn_checkpoint_write_caught_by_checksum() {
         use crate::columnbm::FaultPlan;
         use crate::compress::DecodeCursor;
-        use x100_vector::Vector;
         let mut t = TableBuilder::new("t")
-            .column(
-                "key",
-                ColumnData::I64((0..200_000).map(|i| i % 7000).collect()),
-            )
+            .column("key", Vector::I64((0..200_000).map(|i| i % 7000).collect()))
             .build();
         // The write itself succeeds — no error here, just silent damage.
         let fs = FaultState::new(FaultPlan::default().tear(0, 1, 9));
@@ -1115,7 +1001,7 @@ mod tests {
             .expect_err("chunk 1 is torn");
         assert!(err.contains("checksum mismatch"), "typed mismatch: {err}");
         // The raw fragment is untouched: recovery reads stay correct.
-        t.read_logical(0, 65_536, 4, &mut v);
+        t.column(0).physical().read_into(65_536, 4, &mut v);
         assert_eq!(
             v.as_i64()[..4],
             [65_536 % 7000, 65_537 % 7000, 65_538 % 7000, 65_539 % 7000]
@@ -1148,16 +1034,22 @@ mod tests {
 
     #[test]
     fn stats_edge_cases() {
-        let empty = ColumnStats::compute(&ColumnData::I32(vec![]));
+        let empty = ColumnStats::compute(&Vector::I32(vec![]));
         assert_eq!(empty.min, None);
         assert!(empty.sorted);
-        let nan = ColumnStats::compute(&ColumnData::F64(vec![1.0, f64::NAN]));
+        let nan = ColumnStats::compute(&Vector::F64(vec![1.0, f64::NAN]));
         assert_eq!(nan.min, None);
         assert!(!nan.sorted);
-        let f = ColumnStats::compute(&ColumnData::F64(vec![2.5, 1.5, 3.5]));
+        let f = ColumnStats::compute(&Vector::F64(vec![2.5, 1.5, 3.5]));
         assert_eq!(f.min, Some(Value::F64(1.5)));
         assert_eq!(f.max, Some(Value::F64(3.5)));
         assert!(!f.sorted);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector-only")]
+    fn bool_columns_are_refused() {
+        TableBuilder::new("t").column("b", Vector::Bool(vec![true]));
     }
 
     #[test]

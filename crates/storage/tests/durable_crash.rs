@@ -19,9 +19,7 @@
 
 use std::path::PathBuf;
 
-use x100_storage::{
-    encode_str, ColumnData, DurableError, DurableOptions, FaultSite, Table, TableBuilder,
-};
+use x100_storage::{encode_str, DurableError, DurableOptions, FaultSite, Table, TableBuilder};
 use x100_vector::Vector;
 
 /// Fresh scratch directory under the system temp dir.
@@ -42,8 +40,8 @@ fn sample_table(seed: i64) -> Table {
         .collect();
     let enc = encode_str(flags.into_iter()).expect("low cardinality");
     TableBuilder::new("crash")
-        .column("id", ColumnData::I64(ids))
-        .column("val", ColumnData::F64(vals))
+        .column("id", Vector::I64(ids))
+        .column("val", Vector::F64(vals))
         .enum_column("flag", enc.codes, enc.dict)
         .build()
 }

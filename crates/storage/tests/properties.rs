@@ -8,28 +8,78 @@
 
 use proptest::prelude::*;
 use x100_storage::{
-    choose_and_compress, compress_column_as, encode_i64, ChunkFormat, ColumnData, CompressedColumn,
-    DecodeCursor, SummaryIndex, TableBuilder,
+    choose_and_compress, compress_column_as, encode_i64, ChunkFormat, CompressedColumn,
+    DecodeCursor, SummaryIndex, Table, TableBuilder,
 };
 use x100_vector::{Value, Vector};
 
+/// One row of the four-column model table: plain `i64`, enum string,
+/// enum `f64`, and `i32` with a summary index.
+type Row = (i64, String, f64, i32);
+
+const MODES: [&str; 7] = ["", "AIR", "FOB", "MAIL", "RAIL", "SHIP", "TRUCK"];
+
+fn row_strategy() -> impl Strategy<Value = Row> {
+    (any::<i64>(), 0usize..MODES.len(), -3i32..9, any::<i32>())
+        .prop_map(|(v, s, f, d)| (v, MODES[s].to_owned(), f as f64 / 100.0, d))
+}
+
+fn row_values(r: &Row) -> Vec<Value> {
+    vec![
+        Value::I64(r.0),
+        Value::Str(r.1.clone()),
+        Value::F64(r.2),
+        Value::I32(r.3),
+    ]
+}
+
+/// The model's rows built fresh — what a reorganize must reproduce.
+fn build_table(rows: &[Row]) -> Table {
+    TableBuilder::new("t")
+        .column("v", Vector::I64(rows.iter().map(|r| r.0).collect()))
+        .auto_enum_str("s", rows.iter().map(|r| r.1.clone()).collect())
+        .auto_enum_f64("f", rows.iter().map(|r| r.2).collect())
+        .column("d", Vector::I32(rows.iter().map(|r| r.3).collect()))
+        .with_summary()
+        .build()
+}
+
 #[derive(Debug, Clone)]
 enum Op {
-    Insert(i64),
+    Insert(Row),
     Delete(usize),
-    Update(usize, i64),
+    Update(usize, Row),
     Reorganize,
     Checkpoint,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<i64>()).prop_map(Op::Insert),
+        row_strategy().prop_map(Op::Insert),
         (0usize..64).prop_map(Op::Delete),
-        (0usize..64, any::<i64>()).prop_map(|(i, v)| Op::Update(i, v)),
+        (0usize..64, row_strategy()).prop_map(|(i, r)| Op::Update(i, r)),
         Just(Op::Reorganize),
         Just(Op::Checkpoint),
     ]
+}
+
+/// A reorganized table equals a fresh build of its live rows column by
+/// column: physical codes, dictionary, stats, summary index and the
+/// format `checkpoint()` chooses.
+fn assert_same_as_fresh(table: &Table, rows: &[Row]) {
+    let fresh = build_table(rows);
+    for i in 0..fresh.num_columns() {
+        let (got, want) = (table.column(i), fresh.column(i));
+        let name = &want.field().name;
+        prop_assert!(bits_eq(got.physical(), want.physical()), "{name}: fragment");
+        match (got.dict(), want.dict()) {
+            (Some(g), Some(w)) => prop_assert!(bits_eq(g.values(), w.values()), "{name}: dict"),
+            (g, w) => prop_assert_eq!(g.is_some(), w.is_some(), "{}: enum-ness", name),
+        }
+        prop_assert_eq!(got.stats(), want.stats(), "{}: stats", name);
+        prop_assert_eq!(got.summary(), want.summary(), "{}: summary", name);
+    }
+    prop_assert_eq!(table.clone().checkpoint(), fresh.clone().checkpoint());
 }
 
 /// Bit-level vector equality: floats compare by representation, so a
@@ -46,7 +96,7 @@ fn bits_eq(a: &Vector, b: &Vector) -> bool {
 /// Decode `cc` in refills of the (cycled) `sizes` and demand the result
 /// is bit-identical to the physical column at every step — this drives
 /// the per-chunk cursor across chunk boundaries exactly like a scan.
-fn assert_decode_matches(cc: &CompressedColumn, data: &ColumnData, sizes: &[usize]) {
+fn assert_decode_matches(cc: &CompressedColumn, data: &Vector, sizes: &[usize]) {
     let rows = data.len();
     let mut cursor = DecodeCursor::default();
     let mut scratch = Vec::new();
@@ -71,22 +121,18 @@ fn assert_decode_matches(cc: &CompressedColumn, data: &ColumnData, sizes: &[usiz
 
 proptest! {
     #[test]
-    fn table_matches_row_model(init in prop::collection::vec(any::<i64>(), 0..40),
+    fn table_matches_row_model(init in prop::collection::vec(row_strategy(), 0..40),
                                ops in prop::collection::vec(op_strategy(), 0..40)) {
-        let mut table = TableBuilder::new("t")
-            .column("v", ColumnData::I64(init.clone()))
-            .build();
-        // Model: live rows in #rowId order, as (value) list.
-        let mut model: Vec<i64> = init.clone();
-        // Map from live position -> rowid is implicit; we track rowids.
+        let mut table = build_table(&init);
+        // Model: live rows in #rowId order, and their row ids.
+        let mut model: Vec<Row> = init.clone();
         let mut rowids: Vec<u32> = (0..init.len() as u32).collect();
 
         for op in ops {
             match op {
-                Op::Insert(v) => {
-                    let id = table.insert(&[Value::I64(v)]);
-                    model.push(v);
-                    rowids.push(id);
+                Op::Insert(r) => {
+                    rowids.push(table.insert(&row_values(&r)));
+                    model.push(r);
                 }
                 Op::Delete(pos) => {
                     if !model.is_empty() {
@@ -96,19 +142,20 @@ proptest! {
                         rowids.remove(pos);
                     }
                 }
-                Op::Update(pos, v) => {
+                Op::Update(pos, r) => {
                     if !model.is_empty() {
                         let pos = pos % model.len();
-                        let new_id = table.update(rowids[pos], &[Value::I64(v)]).expect("live row");
+                        let new_id = table.update(rowids[pos], &row_values(&r)).expect("live row");
                         model.remove(pos);
                         rowids.remove(pos);
-                        model.push(v);
+                        model.push(r);
                         rowids.push(new_id);
                     }
                 }
                 Op::Reorganize => {
                     table.reorganize();
                     rowids = (0..model.len() as u32).collect();
+                    assert_same_as_fresh(&table, &model);
                 }
                 Op::Checkpoint => {
                     table.checkpoint();
@@ -118,14 +165,16 @@ proptest! {
         }
         // Final check: every live row matches the model.
         for (pos, &id) in rowids.iter().enumerate() {
-            prop_assert_eq!(table.get_row(id), vec![Value::I64(model[pos])]);
+            prop_assert_eq!(table.get_row(id), row_values(&model[pos]));
         }
         // Any checkpoint-compressed fragment must decode bit-identically
         // to the physical column it mirrors.
-        let sc = table.column(0);
-        if let Some(cc) = sc.compressed() {
-            prop_assert_eq!(cc.rows(), sc.physical().len());
-            assert_decode_matches(cc, sc.physical(), &[7, 1, 13]);
+        for i in 0..table.num_columns() {
+            let sc = table.column(i);
+            if let Some(cc) = sc.compressed() {
+                prop_assert_eq!(cc.rows(), sc.physical().len());
+                assert_decode_matches(cc, sc.physical(), &[7, 1, 13]);
+            }
         }
     }
 
@@ -135,8 +184,8 @@ proptest! {
         let dict = enc.dict.values().as_i64();
         let decode = |i: usize| -> i64 {
             match &enc.codes {
-                ColumnData::U8(c) => dict[c[i] as usize],
-                ColumnData::U16(c) => dict[c[i] as usize],
+                Vector::U8(c) => dict[c[i] as usize],
+                Vector::U16(c) => dict[c[i] as usize],
                 _ => unreachable!(),
             }
         };
@@ -188,7 +237,7 @@ macro_rules! pfor_int_roundtrip {
                 #[test]
                 fn $test(values in prop::collection::vec(any::<$ty>(), 1..300),
                          sizes in prop::collection::vec(1usize..80, 1..5)) {
-                    let data = ColumnData::$variant(values);
+                    let data = Vector::$variant(values);
                     let cc = compress_column_as(&data, ChunkFormat::Pfor)
                         .expect("pfor accepts any integer column");
                     assert_decode_matches(&cc, &data, &sizes);
@@ -218,7 +267,7 @@ proptest! {
                                   sizes in prop::collection::vec(1usize..80, 1..5)) {
         let scale = [1i64, 10, 100, 1000, 10000][scale_idx];
         let values: Vec<f64> = cents.iter().map(|&c| c as f64 / scale as f64).collect();
-        let data = ColumnData::F64(values);
+        let data = Vector::F64(values);
         let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor accepts any f64 column");
         assert_decode_matches(&cc, &data, &sizes);
     }
@@ -236,7 +285,7 @@ proptest! {
                 if v.is_finite() { v } else { f64::from_bits(b & !(0x7ff << 52)) }
             })
             .collect();
-        let data = ColumnData::F64(values);
+        let data = Vector::F64(values);
         let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor accepts any f64 column");
         assert_decode_matches(&cc, &data, &sizes);
     }
@@ -249,12 +298,12 @@ proptest! {
                                 sizes in prop::collection::vec(1usize..80, 1..5)) {
         let mut acc = start;
         let sorted: Vec<i64> = deltas.iter().map(|&d| { acc += d as i64; acc }).collect();
-        let data = ColumnData::I64(sorted.clone());
+        let data = Vector::I64(sorted.clone());
         let cc = compress_column_as(&data, ChunkFormat::PforDelta)
             .expect("pfordelta accepts sorted input");
         assert_decode_matches(&cc, &data, &sizes);
         // Narrower physical types, same logical content.
-        let data32 = ColumnData::I32(sorted.iter().map(|&v| (v % (1 << 20)) as i32).collect());
+        let data32 = Vector::I32(sorted.iter().map(|&v| (v % (1 << 20)) as i32).collect());
         if let Some(cc) = compress_column_as(&data32, ChunkFormat::PforDelta) {
             assert_decode_matches(&cc, &data32, &sizes);
         }
@@ -267,7 +316,7 @@ proptest! {
                               seeks in prop::collection::vec((0usize..400, 1usize..60), 1..12)) {
         let mut acc = 0i64;
         let sorted: Vec<i64> = deltas.iter().map(|&d| { acc += d as i64; acc }).collect();
-        let data = ColumnData::I64(sorted.clone());
+        let data = Vector::I64(sorted.clone());
         let cc = compress_column_as(&data, ChunkFormat::PforDelta)
             .expect("pfordelta accepts sorted input");
         let mut cursor = DecodeCursor::default();
@@ -289,12 +338,12 @@ proptest! {
                        domain in prop::collection::vec(any::<i64>(), 12),
                        sizes in prop::collection::vec(1usize..80, 1..5)) {
         let ints: Vec<i64> = picks.iter().map(|&p| domain[p]).collect();
-        let data = ColumnData::I64(ints.clone());
+        let data = Vector::I64(ints.clone());
         let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality i64");
         assert_decode_matches(&cc, &data, &sizes);
 
         let floats: Vec<f64> = picks.iter().map(|&p| domain[p] as f64 + 0.5).collect();
-        let data = ColumnData::F64(floats);
+        let data = Vector::F64(floats);
         let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality f64");
         assert_decode_matches(&cc, &data, &sizes);
 
@@ -302,7 +351,7 @@ proptest! {
         for &p in &picks {
             strs.push(&format!("tag-{}", domain[p] % 16));
         }
-        let data = ColumnData::Str(strs);
+        let data = Vector::Str(strs);
         let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality str");
         assert_decode_matches(&cc, &data, &sizes);
     }
@@ -317,7 +366,7 @@ proptest! {
         if sort {
             values.sort_unstable();
         }
-        let data = ColumnData::I64(values);
+        let data = Vector::I64(values);
         if let Some(cc) = choose_and_compress(&data) {
             assert_decode_matches(&cc, &data, &sizes);
         }
@@ -336,7 +385,7 @@ use x100_storage::{PushOp, Pushdown};
 /// Native-comparison reference: filter the raw column over
 /// `[start, start + n)` exactly as a decode-then-select pipeline would,
 /// returning window-relative positions.
-fn ref_filter(data: &ColumnData, start: usize, n: usize, p: &Pushdown) -> Vec<u32> {
+fn ref_filter(data: &Vector, start: usize, n: usize, p: &Pushdown) -> Vec<u32> {
     fn keep<T: PartialOrd + Copy>(x: T, lo: T, hi: Option<T>, op: PushOp) -> bool {
         match op {
             PushOp::Eq => x == lo,
@@ -367,10 +416,10 @@ fn ref_filter(data: &ColumnData, start: usize, n: usize, p: &Pushdown) -> Vec<u3
         }};
     }
     match data {
-        ColumnData::I32(b) => f!(b, I32),
-        ColumnData::I64(b) => f!(b, I64),
-        ColumnData::F64(b) => f!(b, F64),
-        ColumnData::Str(b) => {
+        Vector::I32(b) => f!(b, I32),
+        Vector::I64(b) => f!(b, I64),
+        Vector::F64(b) => f!(b, F64),
+        Vector::Str(b) => {
             let lo = match p.lo() {
                 Value::Str(x) => x.as_str(),
                 other => panic!("constant {other:?} on Str column"),
@@ -391,7 +440,7 @@ fn ref_filter(data: &ColumnData, start: usize, n: usize, p: &Pushdown) -> Vec<u3
 /// the reference values.
 fn assert_pushdown_matches(
     cc: &CompressedColumn,
-    data: &ColumnData,
+    data: &Vector,
     op: PushOp,
     lo: &Value,
     hi: Option<&Value>,
@@ -486,7 +535,7 @@ proptest! {
         off in -2i64..3,
         sizes in prop::collection::vec(1usize..90, 1..5),
     ) {
-        let data = ColumnData::I64(values.clone());
+        let data = Vector::I64(values.clone());
         let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor i64");
         let lo = Value::I64(values[lit_i % values.len()] + off);
         let hi = Value::I64(values[(lit_i + 7) % values.len()].max(values[lit_i % values.len()] + off));
@@ -503,7 +552,7 @@ proptest! {
         sizes in prop::collection::vec(1usize..90, 1..5),
     ) {
         let floats: Vec<f64> = values.iter().map(|&v| v as f64 * 0.25).collect();
-        let data = ColumnData::F64(floats.clone());
+        let data = Vector::F64(floats.clone());
         let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor f64");
         let lo = Value::F64(floats[lit_i % floats.len()]);
         let hi = Value::F64(floats[(lit_i + 3) % floats.len()].max(floats[lit_i % floats.len()]));
@@ -522,7 +571,7 @@ proptest! {
     ) {
         let op = PDICT_OPS[op_i];
         let ints: Vec<i64> = picks.iter().map(|&p| domain[p]).collect();
-        let data = ColumnData::I64(ints.clone());
+        let data = Vector::I64(ints.clone());
         let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality i64");
         // In-dictionary and (likely) out-of-dictionary constants.
         for lo in [Value::I64(ints[lit_i % ints.len()]), Value::I64(domain[0].wrapping_add(1))] {
@@ -530,7 +579,7 @@ proptest! {
         }
 
         let floats: Vec<f64> = picks.iter().map(|&p| (domain[p] % 1000) as f64 + 0.5).collect();
-        let data = ColumnData::F64(floats.clone());
+        let data = Vector::F64(floats.clone());
         let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality f64");
         let lo = Value::F64(floats[lit_i % floats.len()]);
         assert_pushdown_matches(&cc, &data, op, &lo, None, &sizes);
@@ -539,7 +588,7 @@ proptest! {
         for &p in &picks {
             strs.push(&format!("tag-{}", domain[p] % 16));
         }
-        let data = ColumnData::Str(strs);
+        let data = Vector::Str(strs);
         let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality str");
         let lo = Value::Str(format!("tag-{}", domain[lit_i % 12] % 16));
         assert_pushdown_matches(&cc, &data, op, &lo, None, &sizes);
@@ -562,7 +611,7 @@ proptest! {
         if sort {
             values.sort_unstable();
         }
-        let data = ColumnData::I64(values.clone());
+        let data = Vector::I64(values.clone());
         if let Some(cc) = choose_and_compress(&data) {
             let mut out = Vector::with_capacity(data.scalar_type(), 0);
             let mut scratch = Vec::new();
@@ -585,7 +634,7 @@ proptest! {
     /// mistyped constant never compiles.
     #[test]
     fn pushdown_capability_matrix(values in prop::collection::vec(0i64..100, 10..200)) {
-        let data = ColumnData::I64(values.clone());
+        let data = Vector::I64(values.clone());
         let pfor = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor");
         prop_assert!(pfor.compile_pushdown(PushOp::Ne, &Value::I64(5), None).is_none());
         prop_assert!(pfor.compile_pushdown(PushOp::Lt, &Value::I32(5), None).is_none());
@@ -600,7 +649,7 @@ proptest! {
         prop_assert!(pdict.compile_pushdown(PushOp::Ne, &Value::I64(5), None).is_some());
         let mut sorted = values;
         sorted.sort_unstable();
-        let delta = compress_column_as(&ColumnData::I64(sorted), ChunkFormat::PforDelta)
+        let delta = compress_column_as(&Vector::I64(sorted), ChunkFormat::PforDelta)
             .expect("pfordelta");
         for op in PFOR_OPS {
             prop_assert!(delta.compile_pushdown(op, &Value::I64(5), Some(&Value::I64(9))).is_none());
@@ -622,7 +671,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use x100_storage::frame::{Writer, FRAME_OVERHEAD};
-use x100_storage::{fold_checksum, DurableError, DurableOptions, EnumDict, Table};
+use x100_storage::{fold_checksum, DurableError, DurableOptions, EnumDict};
 
 /// Stride of the exhaustive offset sweeps: every byte natively, a
 /// sample under the (slow) miri interpreter.
@@ -723,7 +772,7 @@ fn column_images() -> &'static [(String, CompressedColumn)] {
 
 fn build_column_images() -> Vec<(String, CompressedColumn)> {
     let mut out = Vec::new();
-    let mut add = |name: &str, data: ColumnData, format: ChunkFormat| {
+    let mut add = |name: &str, data: Vector, format: ChunkFormat| {
         let cc = compress_column_as(&data, format).expect("format applies");
         out.push((format!("{name}/{}", format.name()), cc));
     };
@@ -734,38 +783,34 @@ fn build_column_images() -> Vec<(String, CompressedColumn)> {
             let mut v: Vec<$t> = (0..150).map(|i| (i % 23) as $t).collect();
             v[7] = <$t>::MAX;
             v[90] = <$t>::MIN;
-            add(stringify!($t), ColumnData::$v(v), ChunkFormat::Pfor);
+            add(stringify!($t), Vector::$v(v), ChunkFormat::Pfor);
             // Two sync intervals, one delta exception.
             let v: Vec<$t> = (0..1100u32).map(|i| (i / 10 + (i / 1000) * 20) as $t).collect();
-            add(stringify!($t), ColumnData::$v(v), ChunkFormat::PforDelta);
+            add(stringify!($t), Vector::$v(v), ChunkFormat::PforDelta);
         )*};
     }
     ints!(i8 => I8, i16 => I16, i32 => I32, i64 => I64, u8 => U8, u16 => U16, u32 => U32, u64 => U64);
     let cents: Vec<f64> = (0..150).map(|i| (i % 40) as f64 / 100.0).collect();
     let mut odd = cents.clone();
     odd[11] = std::f64::consts::PI;
-    add("f64", ColumnData::F64(odd), ChunkFormat::Pfor);
-    add("f64", ColumnData::F64(cents), ChunkFormat::Pdict);
+    add("f64", Vector::F64(odd), ChunkFormat::Pfor);
+    add("f64", Vector::F64(cents), ChunkFormat::Pdict);
     let i32s = (0..150).map(|i| (i % 9) * 1000).collect();
-    add("i32", ColumnData::I32(i32s), ChunkFormat::Pdict);
+    add("i32", Vector::I32(i32s), ChunkFormat::Pdict);
     let i64s = (0..150).map(|i| (i % 9) * 1_000_000_007).collect();
-    add("i64", ColumnData::I64(i64s), ChunkFormat::Pdict);
+    add("i64", Vector::I64(i64s), ChunkFormat::Pdict);
     let strs = (0..150)
         .map(|i| ["AIR", "MAIL", "RAIL", "SHIP"][i % 4])
         .collect();
-    add("str", ColumnData::Str(strs), ChunkFormat::Pdict);
+    add("str", Vector::Str(strs), ChunkFormat::Pdict);
     let rows = x100_storage::CHUNK_ROWS + 5;
     add(
         "i64×2chunks",
-        ColumnData::I64(vec![42; rows]),
+        Vector::I64(vec![42; rows]),
         ChunkFormat::Pfor,
     );
     let stride = (0..rows as i64).map(|i| i * 3).collect();
-    add(
-        "i64×2chunks",
-        ColumnData::I64(stride),
-        ChunkFormat::PforDelta,
-    );
+    add("i64×2chunks", Vector::I64(stride), ChunkFormat::PforDelta);
     out
 }
 
@@ -826,10 +871,10 @@ fn durable_fixture(tag: &str, replicas: u32) -> (std::path::PathBuf, Vec<Vec<Val
     let _ = std::fs::remove_dir_all(&dir);
     let enc = x100_storage::encode_str((0..64).map(|i| format!("F{}", i % 5))).expect("enum");
     let mut t = TableBuilder::new("m")
-        .column("id", ColumnData::I64((0..64).collect()))
+        .column("id", Vector::I64((0..64).collect()))
         .column(
             "val",
-            ColumnData::F64((0..64).map(|i| (i % 7) as f64 * 0.25).collect()),
+            Vector::F64((0..64).map(|i| (i % 7) as f64 * 0.25).collect()),
         )
         .enum_column("flag", enc.codes, EnumDict::new(enc.dict.values().clone()))
         .build();

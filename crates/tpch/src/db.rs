@@ -14,47 +14,47 @@ use crate::gen::{RawLineitem, TpchData};
 use monet_mil::Bat;
 use std::collections::BTreeMap;
 use x100_engine::Database;
-use x100_storage::{ColumnData, Table, TableBuilder};
-use x100_vector::StrVec;
+use x100_storage::{Table, TableBuilder};
+use x100_vector::{StrVec, Vector};
 
-fn str_col(values: &[String]) -> ColumnData {
+fn str_col(values: &[String]) -> Vector {
     let mut s = StrVec::with_capacity(values.len(), 12);
     for v in values {
         s.push(v);
     }
-    ColumnData::Str(s)
+    Vector::Str(s)
 }
 
 /// Build the `lineitem` table (X100 physical design).
 pub fn build_lineitem(li: &RawLineitem) -> Table {
     let mut b = TableBuilder::new("lineitem");
     if !li.orderkey.is_empty() {
-        b = b.column("l_orderkey", ColumnData::I64(li.orderkey.clone()));
-        b = b.column("l_partkey", ColumnData::I64(li.partkey.clone()));
-        b = b.column("l_suppkey", ColumnData::I64(li.suppkey.clone()));
-        b = b.column("l_linenumber", ColumnData::I64(li.linenumber.clone()));
+        b = b.column("l_orderkey", Vector::I64(li.orderkey.clone()));
+        b = b.column("l_partkey", Vector::I64(li.partkey.clone()));
+        b = b.column("l_suppkey", Vector::I64(li.suppkey.clone()));
+        b = b.column("l_linenumber", Vector::I64(li.linenumber.clone()));
     }
     b = b
         .auto_enum_f64("l_quantity", li.quantity.clone())
-        .column("l_extendedprice", ColumnData::F64(li.extendedprice.clone()))
+        .column("l_extendedprice", Vector::F64(li.extendedprice.clone()))
         .auto_enum_f64("l_discount", li.discount.clone())
         .auto_enum_f64("l_tax", li.tax.clone())
         .auto_enum_str("l_returnflag", li.returnflag.clone())
         .auto_enum_str("l_linestatus", li.linestatus.clone())
-        .column("l_shipdate", ColumnData::I32(li.shipdate.clone()))
+        .column("l_shipdate", Vector::I32(li.shipdate.clone()))
         .with_summary();
     if !li.commitdate.is_empty() {
         b = b
-            .column("l_commitdate", ColumnData::I32(li.commitdate.clone()))
+            .column("l_commitdate", Vector::I32(li.commitdate.clone()))
             .with_summary()
-            .column("l_receiptdate", ColumnData::I32(li.receiptdate.clone()))
+            .column("l_receiptdate", Vector::I32(li.receiptdate.clone()))
             .with_summary()
             .auto_enum_str("l_shipinstruct", li.shipinstruct.clone())
             .auto_enum_str("l_shipmode", li.shipmode.clone())
-            .column("li_order_idx", ColumnData::U32(li.order_idx.clone()))
-            .column("li_part_idx", ColumnData::U32(li.part_idx.clone()))
-            .column("li_supp_idx", ColumnData::U32(li.supp_idx.clone()))
-            .column("li_ps_idx", ColumnData::U32(li.ps_idx.clone()));
+            .column("li_order_idx", Vector::U32(li.order_idx.clone()))
+            .column("li_part_idx", Vector::U32(li.part_idx.clone()))
+            .column("li_supp_idx", Vector::U32(li.supp_idx.clone()))
+            .column("li_ps_idx", Vector::U32(li.ps_idx.clone()));
     }
     b.build()
 }
@@ -64,67 +64,52 @@ pub fn build_x100_db(data: &TpchData) -> Database {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("region")
-            .column(
-                "r_regionkey",
-                ColumnData::I64(data.region.regionkey.clone()),
-            )
+            .column("r_regionkey", Vector::I64(data.region.regionkey.clone()))
             .auto_enum_str("r_name", data.region.name.clone())
             .build(),
     );
     db.register(
         TableBuilder::new("nation")
-            .column(
-                "n_nationkey",
-                ColumnData::I64(data.nation.nationkey.clone()),
-            )
+            .column("n_nationkey", Vector::I64(data.nation.nationkey.clone()))
             .auto_enum_str("n_name", data.nation.name.clone())
-            .column(
-                "n_regionkey",
-                ColumnData::I64(data.nation.regionkey.clone()),
-            )
+            .column("n_regionkey", Vector::I64(data.nation.regionkey.clone()))
             .column(
                 "n_region_idx",
-                ColumnData::U32(data.nation.regionkey.iter().map(|&r| r as u32).collect()),
+                Vector::U32(data.nation.regionkey.iter().map(|&r| r as u32).collect()),
             )
             .build(),
     );
     db.register(
         TableBuilder::new("supplier")
-            .column("s_suppkey", ColumnData::I64(data.supplier.suppkey.clone()))
+            .column("s_suppkey", Vector::I64(data.supplier.suppkey.clone()))
             .column("s_name", str_col(&data.supplier.name))
-            .column(
-                "s_nationkey",
-                ColumnData::I64(data.supplier.nationkey.clone()),
-            )
+            .column("s_nationkey", Vector::I64(data.supplier.nationkey.clone()))
             .column(
                 "s_nation_idx",
-                ColumnData::U32(data.supplier.nationkey.iter().map(|&n| n as u32).collect()),
+                Vector::U32(data.supplier.nationkey.iter().map(|&n| n as u32).collect()),
             )
-            .column("s_acctbal", ColumnData::F64(data.supplier.acctbal.clone()))
+            .column("s_acctbal", Vector::F64(data.supplier.acctbal.clone()))
             .column("s_comment", str_col(&data.supplier.comment))
             .build(),
     );
     db.register(
         TableBuilder::new("customer")
-            .column("c_custkey", ColumnData::I64(data.customer.custkey.clone()))
+            .column("c_custkey", Vector::I64(data.customer.custkey.clone()))
             .column("c_name", str_col(&data.customer.name))
-            .column(
-                "c_nationkey",
-                ColumnData::I64(data.customer.nationkey.clone()),
-            )
+            .column("c_nationkey", Vector::I64(data.customer.nationkey.clone()))
             .column(
                 "c_nation_idx",
-                ColumnData::U32(data.customer.nationkey.iter().map(|&n| n as u32).collect()),
+                Vector::U32(data.customer.nationkey.iter().map(|&n| n as u32).collect()),
             )
             .auto_enum_str("c_mktsegment", data.customer.mktsegment.clone())
-            .column("c_acctbal", ColumnData::F64(data.customer.acctbal.clone()))
+            .column("c_acctbal", Vector::F64(data.customer.acctbal.clone()))
             .column("c_phone", str_col(&data.customer.phone))
             .auto_enum_str("c_cntrycode", data.customer.cntrycode.clone())
             .build(),
     );
     db.register(
         TableBuilder::new("part")
-            .column("p_partkey", ColumnData::I64(data.part.partkey.clone()))
+            .column("p_partkey", Vector::I64(data.part.partkey.clone()))
             .column("p_name", str_col(&data.part.name))
             .auto_enum_str("p_name1", data.part.name1.clone())
             .auto_enum_str("p_brand", data.part.brand.clone())
@@ -134,23 +119,20 @@ pub fn build_x100_db(data: &TpchData) -> Database {
             .auto_enum_str("p_type3", data.part.type3.clone())
             .auto_enum_i64("p_size", data.part.size.clone())
             .auto_enum_str("p_container", data.part.container.clone())
-            .column(
-                "p_retailprice",
-                ColumnData::F64(data.part.retailprice.clone()),
-            )
+            .column("p_retailprice", Vector::F64(data.part.retailprice.clone()))
             .build(),
     );
     db.register(
         TableBuilder::new("partsupp")
-            .column("ps_partkey", ColumnData::I64(data.partsupp.partkey.clone()))
-            .column("ps_suppkey", ColumnData::I64(data.partsupp.suppkey.clone()))
+            .column("ps_partkey", Vector::I64(data.partsupp.partkey.clone()))
+            .column("ps_suppkey", Vector::I64(data.partsupp.suppkey.clone()))
             .column(
                 "ps_rowid",
-                ColumnData::U32((0..data.partsupp.partkey.len() as u32).collect()),
+                Vector::U32((0..data.partsupp.partkey.len() as u32).collect()),
             )
             .column(
                 "ps_part_idx",
-                ColumnData::U32(
+                Vector::U32(
                     data.partsupp
                         .partkey
                         .iter()
@@ -160,7 +142,7 @@ pub fn build_x100_db(data: &TpchData) -> Database {
             )
             .column(
                 "ps_supp_idx",
-                ColumnData::U32(
+                Vector::U32(
                     data.partsupp
                         .suppkey
                         .iter()
@@ -168,23 +150,20 @@ pub fn build_x100_db(data: &TpchData) -> Database {
                         .collect(),
                 ),
             )
-            .column(
-                "ps_availqty",
-                ColumnData::I64(data.partsupp.availqty.clone()),
-            )
+            .column("ps_availqty", Vector::I64(data.partsupp.availqty.clone()))
             .column(
                 "ps_supplycost",
-                ColumnData::F64(data.partsupp.supplycost.clone()),
+                Vector::F64(data.partsupp.supplycost.clone()),
             )
             .build(),
     );
     db.register(
         TableBuilder::new("orders")
-            .column("o_orderkey", ColumnData::I64(data.orders.orderkey.clone()))
-            .column("o_custkey", ColumnData::I64(data.orders.custkey.clone()))
+            .column("o_orderkey", Vector::I64(data.orders.orderkey.clone()))
+            .column("o_custkey", Vector::I64(data.orders.custkey.clone()))
             .column(
                 "o_cust_idx",
-                ColumnData::U32(
+                Vector::U32(
                     data.orders
                         .custkey
                         .iter()
@@ -193,22 +172,16 @@ pub fn build_x100_db(data: &TpchData) -> Database {
                 ),
             )
             .auto_enum_str("o_orderstatus", data.orders.orderstatus.clone())
-            .column(
-                "o_totalprice",
-                ColumnData::F64(data.orders.totalprice.clone()),
-            )
-            .column(
-                "o_orderdate",
-                ColumnData::I32(data.orders.orderdate.clone()),
-            )
+            .column("o_totalprice", Vector::F64(data.orders.totalprice.clone()))
+            .column("o_orderdate", Vector::I32(data.orders.orderdate.clone()))
             .with_summary()
             .auto_enum_str("o_orderpriority", data.orders.orderpriority.clone())
             .column(
                 "o_shippriority",
-                ColumnData::I64(data.orders.shippriority.clone()),
+                Vector::I64(data.orders.shippriority.clone()),
             )
-            .column("o_li_lo", ColumnData::U32(data.orders.li_lo.clone()))
-            .column("o_li_cnt", ColumnData::U32(data.orders.li_cnt.clone()))
+            .column("o_li_lo", Vector::U32(data.orders.li_lo.clone()))
+            .column("o_li_cnt", Vector::U32(data.orders.li_cnt.clone()))
             .column("o_comment", str_col(&data.orders.comment))
             .build(),
     );

@@ -20,8 +20,8 @@ use x100_engine::expr::{AggFunc, ArithOp, Expr};
 use x100_engine::ops::SortOrder;
 use x100_engine::plan::Plan;
 use x100_engine::{Database, PlanError};
-use x100_storage::{ColumnData, Table};
-use x100_vector::{CmpOp, Value};
+use x100_storage::Table;
+use x100_vector::{CmpOp, Value, Vector};
 
 /// A fully materialized dataflow: named BATs of equal length.
 #[derive(Debug, Default)]
@@ -82,8 +82,8 @@ fn column_to_bat(table: &Table, col: usize) -> Bat {
         Some(dict) => {
             // MIL storage is uncompressed: decode fully.
             let codes: Vec<u32> = match sc.physical() {
-                ColumnData::U8(c) => c.iter().map(|&x| x as u32).collect(),
-                ColumnData::U16(c) => c.iter().map(|&x| x as u32).collect(),
+                Vector::U8(c) => c.iter().map(|&x| x as u32).collect(),
+                Vector::U16(c) => c.iter().map(|&x| x as u32).collect(),
                 _ => unreachable!("enum codes are U8/U16"),
             };
             let oid = Bat::Oid(codes);

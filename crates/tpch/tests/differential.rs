@@ -15,8 +15,8 @@ use x100_engine::ops::OrdExp;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, execute_as_given, Database, ExecOptions};
 use x100_engine::{check_plan, check_plan_as_given};
-use x100_storage::{ColumnData, Table, TableBuilder};
-use x100_vector::{CmpOp, Value};
+use x100_storage::{Table, TableBuilder};
+use x100_vector::{CmpOp, Value, Vector};
 
 /// Rows of the dimension table `dim` that `t.rid` points into.
 const DIM_ROWS: u32 = 5;
@@ -29,17 +29,14 @@ fn make_dim(compress: bool, deltas: bool) -> Table {
     let tags = ["red", "green", "blue"];
     let n = DIM_ROWS as i64 + deltas as i64;
     let mut t = TableBuilder::new("dim")
-        .column(
-            "d_val",
-            ColumnData::I64((0..n).map(|i| i * 7 - 9).collect()),
-        )
+        .column("d_val", Vector::I64((0..n).map(|i| i * 7 - 9).collect()))
         .auto_enum_str(
             "d_tag",
             (0..n).map(|i| tags[(i % 3) as usize].to_owned()).collect(),
         )
         .column(
             "d_rid",
-            ColumnData::U32((0..n as u32).map(|i| (i * 3 + 1) % DIM_ROWS).collect()),
+            Vector::U32((0..n as u32).map(|i| (i * 3 + 1) % DIM_ROWS).collect()),
         )
         .build();
     if compress {
@@ -65,18 +62,18 @@ fn make_db_with(rows: &[(i64, f64, u8)], compress: bool, dim_deltas: bool) -> Da
         run
     });
     let mut t = TableBuilder::new("t")
-        .column("a", ColumnData::I64(rows.iter().map(|r| r.0).collect()))
-        .column("x", ColumnData::F64(rows.iter().map(|r| r.1).collect()))
+        .column("a", Vector::I64(rows.iter().map(|r| r.0).collect()))
+        .column("x", Vector::F64(rows.iter().map(|r| r.1).collect()))
         .auto_enum_str(
             "tag",
             rows.iter()
                 .map(|r| tags[(r.2 % 3) as usize].to_owned())
                 .collect(),
         )
-        .column("k", ColumnData::I64(k.collect()))
+        .column("k", Vector::I64(k.collect()))
         .column(
             "rid",
-            ColumnData::U32(rows.iter().map(|r| r.2 as u32 % DIM_ROWS).collect()),
+            Vector::U32(rows.iter().map(|r| r.2 as u32 % DIM_ROWS).collect()),
         )
         .build();
     if compress {

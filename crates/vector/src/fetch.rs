@@ -9,10 +9,13 @@
 //! enum code (`u8`, `u16`) — is the one generic kernel [`fetch`]: it
 //! bounds a whole vector with one max, then gathers with no per-tuple
 //! check. Its inner loop is the only `unsafe` block of the engine's
-//! crates.
+//! crates. [`gather_rows`] runs it over whole [`Vector`]s (strings
+//! through [`fetch_str`]) and is the only positional read of storage
+//! and engine: fetch-joins, enum decodes, join and ordered-aggregation
+//! materialization and a table's reorganization all go through it.
 
 use crate::sel::SelVec;
-use crate::vector::{StrVec, Vector};
+use crate::vector::{same_fixed, StrVec, Vector};
 
 /// A gather position: a `#rowId` or an enum code (`default()` is 0).
 pub trait Position: Copy + Ord + Default {
@@ -101,69 +104,77 @@ pub fn fetch<T: Copy, P: Position>(
     true
 }
 
-/// String gather: rebuilds a `StrVec` positionally (unselected positions
-/// become empty strings, preserving the positional contract).
-#[allow(clippy::needless_range_loop)] // positional writes under a selection
-pub fn fetch_str(res: &mut StrVec, base: &StrVec, idx: &[u32], n: usize, sel: Option<&SelVec>) {
+/// String gather: rebuilds a `StrVec` positionally, one string per
+/// position of `idx` (unselected positions become empty strings,
+/// preserving the positional contract). Returns `false` and writes
+/// nothing when a selected position is out of `base`.
+#[must_use]
+pub fn fetch_str<P: Position>(
+    res: &mut StrVec,
+    base: &StrVec,
+    idx: &[P],
+    sel: Option<&SelVec>,
+) -> bool {
+    if !in_range(idx, idx.len(), sel, base.len()) {
+        return false;
+    }
     res.clear();
     match sel {
-        None => {
-            for &j in idx.iter().take(n) {
-                res.push(base.get(j as usize));
-            }
-        }
+        None => idx.iter().for_each(|j| res.push(base.get(j.index()))),
         Some(sel) => {
             let mut next = sel.iter().peekable();
-            for i in 0..n {
-                if next.peek() == Some(&i) {
-                    next.next();
-                    res.push(base.get(idx[i] as usize));
-                } else {
-                    res.push("");
-                }
+            for (i, j) in idx.iter().enumerate() {
+                let keep = next.next_if_eq(&i).is_some();
+                res.push(if keep { base.get(j.index()) } else { "" });
             }
         }
     }
+    true
 }
 
-/// Typed gather over a whole [`Vector`]: `dst[i] = src[idx[i]]`, resizing
-/// `dst` to `idx.len()`. Strings rebuild through the `StrVec` gather path;
-/// every fixed-width type runs the [`fetch`] kernel. How
-/// cardinality-changing operators (hash join pair lists, ordered
-/// aggregation) materialize a column: one typed loop per vector.
+/// The typed gather over whole vectors — the one positional read of
+/// storage and engine: `dst[i] = src[idx[i]]` at the selected positions
+/// (all when `sel` is `None`), `dst` sized to `idx.len()`. Strings
+/// rebuild through [`fetch_str`]; every fixed-width type runs the
+/// [`fetch`] kernel. Returns the kernel's verdict: `false` when a
+/// selected position is out of `src` (a `#rowId` past the fragment, a
+/// code outside its dictionary), with no value gathered.
 ///
 /// # Panics
-/// When a position is out of `src` (the callers' positions are in range
-/// by construction).
-pub fn gather_rows(dst: &mut Vector, src: &Vector, idx: &[u32]) {
-    let n = idx.len();
-    let in_range = match (dst, src) {
-        (Vector::Str(d), Vector::Str(s)) => {
-            fetch_str(d, s, idx, n, None);
-            true
-        }
-        (d, s) => {
-            d.resize_zeroed(n);
-            match (d, s) {
-                (Vector::I8(d), Vector::I8(s)) => fetch(d, s, idx, None),
-                (Vector::I16(d), Vector::I16(s)) => fetch(d, s, idx, None),
-                (Vector::I32(d), Vector::I32(s)) => fetch(d, s, idx, None),
-                (Vector::I64(d), Vector::I64(s)) => fetch(d, s, idx, None),
-                (Vector::U8(d), Vector::U8(s)) => fetch(d, s, idx, None),
-                (Vector::U16(d), Vector::U16(s)) => fetch(d, s, idx, None),
-                (Vector::U32(d), Vector::U32(s)) => fetch(d, s, idx, None),
-                (Vector::U64(d), Vector::U64(s)) => fetch(d, s, idx, None),
-                (Vector::F64(d), Vector::F64(s)) => fetch(d, s, idx, None),
-                (Vector::Bool(d), Vector::Bool(s)) => fetch(d, s, idx, None),
-                (d, s) => panic!(
-                    "gather_rows type mismatch: dst {:?}, src {:?}",
-                    d.scalar_type(),
-                    s.scalar_type()
-                ),
-            }
-        }
-    };
-    assert!(in_range, "gather_rows: a position is out of range");
+/// On a type mismatch between `dst` and `src`.
+#[must_use]
+pub fn gather_rows<P: Position>(
+    dst: &mut Vector,
+    src: &Vector,
+    idx: &[P],
+    sel: Option<&SelVec>,
+) -> bool {
+    if let (Vector::Str(d), Vector::Str(s)) = (&mut *dst, src) {
+        return fetch_str(d, s, idx, sel);
+    }
+    dst.resize_zeroed(idx.len());
+    same_fixed!((dst, src), |d, s| fetch(d, s, idx, sel),
+        (d, s) => panic!(
+            "gather type mismatch: dst {:?}, src {:?}",
+            d.scalar_type(),
+            s.scalar_type()
+        )
+    )
+}
+
+/// [`gather_rows`] at positions held in a vector: `U8`/`U16` enum codes
+/// (dictionary decode) or `U32` row ids.
+///
+/// # Panics
+/// When `idx` holds another type.
+#[must_use]
+pub fn gather_at(dst: &mut Vector, src: &Vector, idx: &Vector, sel: Option<&SelVec>) -> bool {
+    match idx {
+        Vector::U8(p) => gather_rows(dst, src, p, sel),
+        Vector::U16(p) => gather_rows(dst, src, p, sel),
+        Vector::U32(p) => gather_rows(dst, src, p, sel),
+        other => panic!("gather positions of type {:?}", other.scalar_type()),
+    }
 }
 
 #[cfg(test)]
@@ -227,40 +238,71 @@ mod tests {
     #[test]
     fn string_gather() {
         let base: StrVec = ["alpha", "beta", "gamma"].into_iter().collect();
-        let idx = [2, 2, 0];
         let mut res = StrVec::new();
-        fetch_str(&mut res, &base, &idx, 3, None);
+        assert!(fetch_str(&mut res, &base, &[2u32, 2, 0], None));
         assert_eq!(
             res.iter().collect::<Vec<_>>(),
             vec!["gamma", "gamma", "alpha"]
         );
+        assert!(!fetch_str(&mut res, &base, &[3u8], None));
+        assert_eq!(res.len(), 3, "an out-of-range gather writes nothing");
     }
 
     #[test]
     fn string_gather_with_sel() {
         let base: StrVec = ["a", "b"].into_iter().collect();
-        let idx = [1, 0, 1];
         let sel = SelVec::from_positions(vec![0, 2]);
         let mut res = StrVec::new();
-        fetch_str(&mut res, &base, &idx, 3, Some(&sel));
+        // The unselected position may hold anything.
+        assert!(fetch_str(&mut res, &base, &[1u32, 7, 1], Some(&sel)));
         assert_eq!(res.iter().collect::<Vec<_>>(), vec!["b", "", "b"]);
     }
 
     #[test]
     fn gather_rows_all_types() {
         let idx = [2u32, 0, 2];
-        let src = Vector::I32(vec![5, 6, 7]);
-        let mut dst = Vector::with_capacity(crate::ScalarType::I32, 0);
-        gather_rows(&mut dst, &src, &idx);
-        assert_eq!(dst.as_i32(), &[7, 5, 7]);
+        let src = Vector::I64((0..50).map(|i| i * 10).collect());
+        let mut dst = Vector::with_capacity(crate::ScalarType::I64, 0);
+        assert!(gather_rows(&mut dst, &src, &[49u32, 0, 7], None));
+        assert_eq!(dst.as_i64(), &[490, 0, 70]);
 
         let s: StrVec = ["a", "b", "c"].into_iter().collect();
         let mut dst = Vector::Str(StrVec::new());
-        gather_rows(&mut dst, &Vector::Str(s), &idx);
+        assert!(gather_rows(&mut dst, &Vector::Str(s), &idx, None));
         assert_eq!(dst.as_str().iter().collect::<Vec<_>>(), vec!["c", "a", "c"]);
 
         let mut dst = Vector::Bool(vec![]);
-        gather_rows(&mut dst, &Vector::Bool(vec![true, false, true]), &idx);
+        let bools = Vector::Bool(vec![true, false, true]);
+        assert!(gather_rows(&mut dst, &bools, &idx, None));
         assert_eq!(dst.as_bool(), &[true, true, true]);
+        assert!(!gather_rows(&mut dst, &bools, &[3u32], None));
+    }
+
+    #[test]
+    fn gather_at_decodes_codes_under_a_selection() {
+        // An enum decode: U8 codes into a string dictionary, and U16
+        // codes into an f64 one, under the fetch's selection.
+        let dict = Vector::Str(["A", "N", "R"].into_iter().collect());
+        let sel = SelVec::from_positions(vec![1, 2]);
+        let mut out = Vector::Str(StrVec::new());
+        assert!(gather_at(
+            &mut out,
+            &dict,
+            &Vector::U8(vec![9, 2, 0]),
+            Some(&sel)
+        ));
+        assert_eq!(out.as_str().iter().collect::<Vec<_>>(), vec!["", "R", "A"]);
+        let dict = Vector::F64(vec![0.0, 0.05]);
+        let mut out = Vector::with_capacity(crate::ScalarType::F64, 0);
+        assert!(gather_at(&mut out, &dict, &Vector::U16(vec![1, 0]), None));
+        assert_eq!(out.as_f64(), &[0.05, 0.0]);
+        assert!(!gather_at(&mut out, &dict, &Vector::U16(vec![2]), None));
+    }
+
+    #[test]
+    #[should_panic(expected = "gather type mismatch")]
+    fn gather_type_mismatch_panics() {
+        let mut dst = Vector::with_capacity(crate::ScalarType::F64, 0);
+        let _ = gather_rows(&mut dst, &Vector::I32(vec![1]), &[0u32], None);
     }
 }

@@ -95,6 +95,24 @@ impl StrVec {
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+
+    /// Append `src[start..start + rows]`: one copy of the bytes, the
+    /// offsets shifted.
+    ///
+    /// # Panics
+    /// Panics if the range is past the end of `src`.
+    pub fn extend_range(&mut self, src: &StrVec, start: usize, rows: usize) {
+        let lo = src.offsets[start];
+        let hi = src.offsets[start + rows];
+        let shift = self.bytes.len() as u32;
+        self.bytes
+            .extend_from_slice(&src.bytes[lo as usize..hi as usize]);
+        self.offsets.extend(
+            src.offsets[start + 1..=start + rows]
+                .iter()
+                .map(|&o| o - lo + shift),
+        );
+    }
 }
 
 impl<'a> FromIterator<&'a str> for StrVec {
@@ -107,7 +125,9 @@ impl<'a> FromIterator<&'a str> for StrVec {
     }
 }
 
-/// A typed vector of values — the dataflow unit between X100 operators.
+/// A typed vector of values — the dataflow unit between X100 operators,
+/// and the buffer a stored column fragment lives in (`Bool` is
+/// vector-only: storage refuses it).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Vector {
     I8(Vec<i8>),
@@ -156,6 +176,28 @@ macro_rules! as_typed {
         }
     };
 }
+
+/// `match` a pair of vectors holding the same fixed-width type, binding
+/// their buffers as `$a`/`$b` in `$body` (one arm per type); any other
+/// pair (strings, mixed types) takes `$other`.
+macro_rules! same_fixed {
+    (($x:expr, $y:expr), |$a:ident, $b:ident| $body:expr, $other:pat => $rest:expr) => {
+        match ($x, $y) {
+            (Vector::I8($a), Vector::I8($b)) => $body,
+            (Vector::I16($a), Vector::I16($b)) => $body,
+            (Vector::I32($a), Vector::I32($b)) => $body,
+            (Vector::I64($a), Vector::I64($b)) => $body,
+            (Vector::U8($a), Vector::U8($b)) => $body,
+            (Vector::U16($a), Vector::U16($b)) => $body,
+            (Vector::U32($a), Vector::U32($b)) => $body,
+            (Vector::U64($a), Vector::U64($b)) => $body,
+            (Vector::F64($a), Vector::F64($b)) => $body,
+            (Vector::Bool($a), Vector::Bool($b)) => $body,
+            $other => $rest,
+        }
+    };
+}
+pub(crate) use same_fixed;
 
 impl Vector {
     /// Allocate an empty vector of `ty` with capacity `cap`.
@@ -284,6 +326,34 @@ impl Vector {
             Vector::Str(v) => v.byte_size(),
             other => other.len() * other.scalar_type().width(),
         }
+    }
+
+    /// Copy `rows` values starting at `start` into `out`, replacing its
+    /// contents — the explicit memory-to-cache routine of the paper's
+    /// "RAM" layer (a scan's refill from a fragment or delta column).
+    ///
+    /// # Panics
+    /// Panics on a type mismatch or a range past the end.
+    pub fn read_into(&self, start: usize, rows: usize, out: &mut Vector) {
+        out.clear();
+        out.append_range(self, start, rows);
+    }
+
+    /// Append `src[start..start + rows]` (same type).
+    ///
+    /// # Panics
+    /// Panics on a type mismatch or a range past the end.
+    pub fn append_range(&mut self, src: &Vector, start: usize, rows: usize) {
+        same_fixed!((self, src), |d, s| d.extend_from_slice(&s[start..start + rows]),
+            (d, s) => match (d, s) {
+                (Vector::Str(d), Vector::Str(s)) => d.extend_range(s, start, rows),
+                (d, s) => panic!(
+                    "append_range type mismatch: vector {:?}, source {:?}",
+                    d.scalar_type(),
+                    s.scalar_type()
+                ),
+            }
+        )
     }
 
     /// Read value `i` as a boxed [`Value`] (slow path: result rendering only).
@@ -441,6 +511,39 @@ mod tests {
     fn typed_accessor_mismatch_panics() {
         let v = Vector::zeroed(ScalarType::I32, 1);
         v.as_f64();
+    }
+
+    #[test]
+    fn read_into_copies_range() {
+        let col = Vector::F64((0..100).map(|i| i as f64).collect());
+        let mut v = Vector::with_capacity(ScalarType::F64, 10);
+        col.read_into(20, 10, &mut v);
+        assert_eq!(v.len(), 10);
+        assert_eq!(v.as_f64()[0], 20.0);
+        assert_eq!(v.as_f64()[9], 29.0);
+        // A re-read reuses the buffer.
+        col.read_into(0, 5, &mut v);
+        assert_eq!(v.as_f64(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn append_range_strings() {
+        let col: StrVec = ["x", "yy", "", "zzz"].into_iter().collect();
+        let col = Vector::Str(col);
+        let mut v = Vector::with_capacity(ScalarType::Str, 2);
+        col.read_into(1, 2, &mut v);
+        v.append_range(&col, 3, 1);
+        v.append_range(&col, 0, 0);
+        assert_eq!(v.as_str().iter().collect::<Vec<_>>(), vec!["yy", "", "zzz"]);
+        assert_eq!(v.get_value(2), Value::Str("zzz".into()));
+    }
+
+    #[test]
+    #[should_panic]
+    fn read_into_type_mismatch_panics() {
+        let col = Vector::I32(vec![1, 2, 3]);
+        let mut v = Vector::with_capacity(ScalarType::F64, 3);
+        col.read_into(0, 3, &mut v);
     }
 
     #[test]

@@ -72,6 +72,16 @@
 //!     rewritten-vs-as-given differential test
 //!     (`tpch/tests/differential.rs`). A rule cannot land silent or
 //!     untested against the plan as written.
+//! 11. **One buffer type** — a typed column buffer is an
+//!     `x100_vector::Vector`, in operators and storage alike: no enum
+//!     in `crates/{vector,storage,engine}/src` outside
+//!     `vector/src/vector.rs` has a typed-buffer variant, one named
+//!     after the scalar its `Vec` holds (`I8(Vec<i8>)`, `U16(Vec<u16>)`,
+//!     `F64(Vec<f64>)`, `Bool(Vec<bool>)`, `Str(StrVec)`), tests
+//!     included. A twin enum is how storage grew its own copy of
+//!     `Vector` and hand-written gathers between the two. MIL's `Bat`
+//!     (`crates/mil`) is the baseline system's own representation and
+//!     out of scope.
 //!
 //! Run as `cargo xtask lint` (alias in `.cargo/config.toml`).
 
@@ -196,6 +206,7 @@ fn lint() -> Vec<String> {
     durable_crash_coverage(&root, &mut failures);
     byte_layer_discipline(&root, &mut failures);
     rule_list_coverage(&root, &mut failures);
+    one_buffer_type(&root, &mut failures);
     failures
 }
 
@@ -736,6 +747,80 @@ fn rule_list_coverage(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// Rule 11: `Vector` is the only enum of typed column buffers.
+fn one_buffer_type(root: &Path, failures: &mut Vec<String>) {
+    let mut files = Vec::new();
+    for krate in ["vector", "storage", "engine"] {
+        rs_files(&root.join("crates").join(krate).join("src"), &mut files);
+    }
+    let home = root.join("crates/vector/src/vector.rs");
+    for path in files.iter().filter(|p| **p != home) {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let rel = path.strip_prefix(root).unwrap_or(path).display();
+        for ln in typed_buffer_enums(&text) {
+            failures.push(format!(
+                "one buffer type: {rel}:{ln} declares an enum with typed-buffer \
+                 variants (`I64(Vec<i64>)`, …) — hold the column in an \
+                 `x100_vector::Vector` and read it with `fetch::gather_rows`"
+            ));
+        }
+    }
+}
+
+/// 1-based line numbers of the `enum` declarations in `text` with a
+/// typed-buffer variant (test modules count too).
+fn typed_buffer_enums(text: &str) -> Vec<usize> {
+    let mut hits = Vec::new();
+    // The open enum: its declaration line and brace depth.
+    let mut open: Option<(usize, i64)> = None;
+    for (i, line) in text.lines().enumerate() {
+        let code = line.trim_start();
+        if code.starts_with("//") {
+            continue;
+        }
+        let body = match open {
+            Some(_) => code,
+            None => {
+                let head = code.split('{').next().unwrap_or_default();
+                if !head.split_whitespace().any(|w| w == "enum") {
+                    continue;
+                }
+                open = Some((i + 1, 0));
+                code.split_once('{').map_or("", |(_, b)| b)
+            }
+        };
+        let Some((decl, depth)) = &mut open else {
+            continue;
+        };
+        if body.split(',').any(is_typed_buffer_variant) && hits.last() != Some(decl) {
+            hits.push(*decl);
+        }
+        *depth += brace_delta(line);
+        if *depth <= 0 && line.contains('}') {
+            open = None;
+        }
+    }
+    hits
+}
+
+/// `Name(Vec<name>)` for a scalar `name`, or `Str(StrVec)`.
+fn is_typed_buffer_variant(piece: &str) -> bool {
+    const SCALARS: [&str; 10] = [
+        "i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64", "f64", "bool",
+    ];
+    let squeezed: String = piece
+        .chars()
+        .filter(|c| !c.is_whitespace() && !matches!(c, '{' | '}' | ','))
+        .collect();
+    let Some((name, inner)) = squeezed.split_once('(') else {
+        return false;
+    };
+    let lower = name.to_ascii_lowercase();
+    (SCALARS.contains(&lower.as_str()) && inner == format!("Vec<{lower}>)"))
+        || (name == "Str" && inner == "StrVec)")
+}
+
 /// The string literals of the `pub const RULES` array in `check.rs`.
 fn rule_ids(check_rs: &str) -> Vec<String> {
     let Some(start) = check_rs.find("pub const RULES") else {
@@ -778,6 +863,35 @@ mod tests {
                        }\n";
         assert_eq!(hand_rolled_le_sites(fixture), vec![3, 7]);
         assert!(hand_rolled_le_sites("let n = r.get::<u32>()?;\n").is_empty());
+    }
+
+    #[test]
+    fn one_buffer_rule_flags_typed_buffer_enums() {
+        let fixture = "/// A twin of `Vector`: I8(Vec<i8>) in a doc is fine.\n\
+                       pub enum ColumnData {\n\
+                       \x20   I8(Vec<i8>),\n\
+                       \x20   U16(Vec<u16>),\n\
+                       \x20   Str(StrVec),\n\
+                       }\n\
+                       enum Body {\n\
+                       \x20   Pdict(Vec<u8>),\n\
+                       \x20   Mask(Vec<u64>),\n\
+                       \x20   Pfor { lane: u32 },\n\
+                       }\n\
+                       #[cfg(test)]\n\
+                       mod tests {\n\
+                       \x20   enum Acc { F64(Vec<f64>), I64(Vec<i64>) }\n\
+                       \x20   enum Flags {\n\
+                       \x20       // Bool(Vec<bool>),\n\
+                       \x20       On,\n\
+                       \x20   }\n\
+                       \x20   enum Keys {\n\
+                       \x20       Bool(Vec< bool >),\n\
+                       \x20   }\n\
+                       }\n";
+        assert_eq!(typed_buffer_enums(fixture), vec![2, 14, 19]);
+        assert!(is_typed_buffer_variant("F64(Vec<f64>),"));
+        assert!(!is_typed_buffer_variant("Oid(Vec<u32>),"));
     }
 
     #[test]

@@ -8,14 +8,15 @@ use monetdb_x100::engine::expr::*;
 use monetdb_x100::engine::plan::Plan;
 use monetdb_x100::engine::session::{execute, Database, ExecOptions};
 use monetdb_x100::engine::AggExpr;
-use monetdb_x100::storage::{ColumnData, TableBuilder};
+use monetdb_x100::storage::TableBuilder;
+use monetdb_x100::vector::Vector;
 
 fn main() {
     // 1. Build a vertically fragmented table. Low-cardinality columns
     //    can be stored as enumeration types (dictionary codes).
     let n = 10_000i64;
     let table = TableBuilder::new("trades")
-        .column("id", ColumnData::I64((0..n).collect()))
+        .column("id", Vector::I64((0..n).collect()))
         .auto_enum_str(
             "symbol",
             (0..n)
@@ -24,11 +25,11 @@ fn main() {
         )
         .column(
             "price",
-            ColumnData::F64((0..n).map(|i| 50.0 + (i % 100) as f64).collect()),
+            Vector::F64((0..n).map(|i| 50.0 + (i % 100) as f64).collect()),
         )
         .column(
             "qty",
-            ColumnData::F64((0..n).map(|i| (1 + i % 9) as f64).collect()),
+            Vector::F64((0..n).map(|i| (1 + i % 9) as f64).collect()),
         )
         .build();
 

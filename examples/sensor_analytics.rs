@@ -15,8 +15,8 @@ use monetdb_x100::engine::ops::OrdExp;
 use monetdb_x100::engine::plan::Plan;
 use monetdb_x100::engine::session::{execute, Database, ExecOptions};
 use monetdb_x100::engine::AggExpr;
-use monetdb_x100::storage::{ColumnData, TableBuilder};
-use monetdb_x100::vector::Value;
+use monetdb_x100::storage::TableBuilder;
+use monetdb_x100::vector::{Value, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,10 +33,10 @@ fn main() {
     let temperature: Vec<f64> = (0..n).map(|_| 20.0 + rng.gen_range(0.0..80.0)).collect();
 
     let mut table = TableBuilder::new("readings")
-        .column("ts", ColumnData::I32(ts))
+        .column("ts", Vector::I32(ts))
         .with_summary()
         .auto_enum_str("device", device)
-        .column("temperature", ColumnData::F64(temperature))
+        .column("temperature", Vector::F64(temperature))
         .build();
 
     // Late-arriving corrections: updates go to the delta structures;

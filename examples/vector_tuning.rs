@@ -13,7 +13,8 @@ use monetdb_x100::engine::expr::*;
 use monetdb_x100::engine::plan::Plan;
 use monetdb_x100::engine::session::{execute, Database, ExecOptions};
 use monetdb_x100::engine::AggExpr;
-use monetdb_x100::storage::{ColumnData, TableBuilder};
+use monetdb_x100::storage::TableBuilder;
+use monetdb_x100::vector::Vector;
 use std::time::Instant;
 
 fn main() {
@@ -21,17 +22,14 @@ fn main() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("events")
-            .column(
-                "kind",
-                ColumnData::U8((0..n).map(|i| (i % 17) as u8).collect()),
-            )
+            .column("kind", Vector::U8((0..n).map(|i| (i % 17) as u8).collect()))
             .column(
                 "a",
-                ColumnData::F64((0..n).map(|i| (i % 1000) as f64).collect()),
+                Vector::F64((0..n).map(|i| (i % 1000) as f64).collect()),
             )
             .column(
                 "b",
-                ColumnData::F64((0..n).map(|i| ((i * 7) % 1000) as f64 / 10.0).collect()),
+                Vector::F64((0..n).map(|i| ((i * 7) % 1000) as f64 / 10.0).collect()),
             )
             .build(),
     );

@@ -15,8 +15,8 @@ use monetdb_x100::engine::expr::*;
 use monetdb_x100::engine::plan::Plan;
 use monetdb_x100::engine::session::{execute, Database, ExecOptions};
 use monetdb_x100::engine::{check_plan, AggExpr};
-use monetdb_x100::storage::{ColumnData, TableBuilder};
-use monetdb_x100::vector::CmpOp;
+use monetdb_x100::storage::TableBuilder;
+use monetdb_x100::vector::{CmpOp, Vector};
 use monetdb_x100::volcano::item::{ItemCmp, ItemCondAnd};
 use monetdb_x100::volcano::{
     build, AggKind, AggSpec, Counters, FieldType, HashAggregate, ItemOp, RecordTable, ScanSelect,
@@ -31,12 +31,9 @@ type Row = (u8, f64, f64);
 /// values).
 fn make_both(rows: &[Row]) -> (Database, RecordTable) {
     let t = TableBuilder::new("t")
-        .column(
-            "k",
-            ColumnData::I64(rows.iter().map(|r| r.0 as i64).collect()),
-        )
-        .column("v", ColumnData::F64(rows.iter().map(|r| r.1).collect()))
-        .column("w", ColumnData::F64(rows.iter().map(|r| r.2).collect()))
+        .column("k", Vector::I64(rows.iter().map(|r| r.0 as i64).collect()))
+        .column("v", Vector::F64(rows.iter().map(|r| r.1).collect()))
+        .column("w", Vector::F64(rows.iter().map(|r| r.2).collect()))
         .build();
     let mut db = Database::new();
     db.register(t);
@@ -226,12 +223,9 @@ proptest! {
 /// chunks and eligible selections fuse into the encoded-space pushdown.
 fn make_compressed(rows: &[Row]) -> Database {
     let mut t = TableBuilder::new("t")
-        .column(
-            "k",
-            ColumnData::I64(rows.iter().map(|r| r.0 as i64).collect()),
-        )
-        .column("v", ColumnData::F64(rows.iter().map(|r| r.1).collect()))
-        .column("w", ColumnData::F64(rows.iter().map(|r| r.2).collect()))
+        .column("k", Vector::I64(rows.iter().map(|r| r.0 as i64).collect()))
+        .column("v", Vector::F64(rows.iter().map(|r| r.1).collect()))
+        .column("w", Vector::F64(rows.iter().map(|r| r.2).collect()))
         .build();
     t.checkpoint();
     let mut db = Database::new();

@@ -4,9 +4,9 @@ use monetdb_x100::engine::expr::*;
 use monetdb_x100::engine::plan::Plan;
 use monetdb_x100::engine::session::{execute, Database, ExecOptions};
 use monetdb_x100::engine::AggExpr;
-use monetdb_x100::storage::{ColumnData, TableBuilder};
+use monetdb_x100::storage::TableBuilder;
 use monetdb_x100::tpch;
-use monetdb_x100::vector::Value;
+use monetdb_x100::vector::{Value, Vector};
 
 #[test]
 fn facade_reexports_work_together() {
@@ -29,7 +29,7 @@ fn updates_flow_through_queries() {
     // vectorized engine without reorganization; reorganization must not
     // change query answers.
     let mut t = TableBuilder::new("t")
-        .column("k", ColumnData::I64((0..100).collect()))
+        .column("k", Vector::I64((0..100).collect()))
         .auto_enum_str(
             "tag",
             (0..100)
@@ -76,10 +76,10 @@ fn columnbm_accounts_scans() {
     let mut db = Database::new();
     db.register(
         TableBuilder::new("wide")
-            .column("a", ColumnData::I64((0..n).collect()))
-            .column("b", ColumnData::F64(vec![0.5; n as usize]))
-            .column("c", ColumnData::F64(vec![1.5; n as usize]))
-            .column("unused", ColumnData::F64(vec![9.9; n as usize]))
+            .column("a", Vector::I64((0..n).collect()))
+            .column("b", Vector::F64(vec![0.5; n as usize]))
+            .column("c", Vector::F64(vec![1.5; n as usize]))
+            .column("unused", Vector::F64(vec![9.9; n as usize]))
             .build(),
     );
     let bm = Arc::new(ColumnBM::with_chunk_bytes(1024, 64 * 1024));
@@ -118,7 +118,7 @@ fn engines_cross_check_on_custom_data() {
     db.register(
         TableBuilder::new("d")
             .auto_enum_str("flag", flags.clone())
-            .column("v", ColumnData::F64(vals.clone()))
+            .column("v", Vector::F64(vals.clone()))
             .build(),
     );
     let plan = Plan::scan("d", &["flag", "v"])
