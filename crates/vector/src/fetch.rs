@@ -259,12 +259,21 @@ mod tests {
     }
 
     #[test]
-    fn gather_rows_all_types() {
-        let idx = [2u32, 0, 2];
+    fn gather_rows_fetches_rowids() {
         let src = Vector::I64((0..50).map(|i| i * 10).collect());
         let mut dst = Vector::with_capacity(crate::ScalarType::I64, 0);
         assert!(gather_rows(&mut dst, &src, &[49u32, 0, 7], None));
         assert_eq!(dst.as_i64(), &[490, 0, 70]);
+        assert!(!gather_rows(&mut dst, &src, &[50u32], None));
+    }
+
+    #[test]
+    fn gather_rows_all_types() {
+        let idx = [2u32, 0, 2];
+        let src = Vector::I32(vec![5, 6, 7]);
+        let mut dst = Vector::with_capacity(crate::ScalarType::I32, 0);
+        assert!(gather_rows(&mut dst, &src, &idx, None));
+        assert_eq!(dst.as_i32(), &[7, 5, 7]);
 
         let s: StrVec = ["a", "b", "c"].into_iter().collect();
         let mut dst = Vector::Str(StrVec::new());

@@ -498,6 +498,18 @@ mod tests {
     }
 
     #[test]
+    fn byte_size_counts_string_offsets_and_bytes() {
+        // A stored column's accounting: fixed-width payload, or for
+        // strings one u32 offset per row (plus the leading 0) and the
+        // content bytes.
+        let v = Vector::I64(vec![0; 1000]);
+        assert_eq!(v.byte_size(), 8000);
+        let v = Vector::Str(["ab", "", "cde"].into_iter().collect());
+        assert_eq!(v.byte_size(), 4 * 4 + 5);
+        assert_eq!(Vector::Str(StrVec::new()).byte_size(), 4);
+    }
+
+    #[test]
     fn get_push_value_roundtrip() {
         let mut v = Vector::with_capacity(ScalarType::I32, 4);
         v.push_value(&Value::I32(10));
