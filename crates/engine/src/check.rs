@@ -85,7 +85,7 @@ type FetchLists<'p> = (Vec<&'p (String, String)>, Vec<&'p (String, String)>);
 /// soundness argument of each. `cargo xtask lint` rule 10 keeps every
 /// id in a walk-log message and in the rewritten-vs-as-given
 /// differential test.
-pub const RULES: [&str; 2] = [
+pub const RULES: [&str; 3] = [
     // `Select` over `Fetch1Join`s: columns the predicate does not need
     // are fetched above the selection, and a predicate that reads only
     // one small, delta-free table is evaluated over that table once.
@@ -93,6 +93,11 @@ pub const RULES: [&str; 2] = [
     // `Aggr` whose keys are all proven sorted: the streaming ordered
     // aggregation instead of the hash table.
     "sorted-keys-ordered-aggr",
+    // `Aggr` whose keys are each an enum code (a column a `Scan` below
+    // decodes and only the grouping reads is scanned as codes) or an
+    // integer column with a proven range, over a domain no larger than
+    // the input: the direct table, one slot per key combination.
+    "dense-keys-direct-aggr",
 ];
 
 /// Name stem of the one-byte column rule `select-before-fetch` gathers
@@ -534,6 +539,62 @@ struct Checker<'a> {
     verified: BTreeSet<&'static str>,
 }
 
+/// What [`Checker::mark`] saves.
+struct WalkMark {
+    keeps: usize,
+    nodes: usize,
+    instrs: usize,
+    report: usize,
+    verified: BTreeSet<&'static str>,
+}
+
+/// Key columns of an `Aggr` that a `Scan` below it — directly, or under
+/// `Select`s — decodes from an enum dictionary and that nothing but the
+/// grouping reads: rule `dense-keys-direct-aggr` scans them as codes.
+struct Recode {
+    table: Arc<Table>,
+    /// Each column with its dictionary's cardinality.
+    cols: Vec<(String, u64)>,
+}
+
+/// `plan`, a `Scan` under `Select`s, with the columns of `r` scanned as
+/// codes.
+fn scan_codes(plan: &Plan, r: &Recode) -> Plan {
+    match plan {
+        Plan::Select { input, pred } => Plan::Select {
+            input: Box::new(scan_codes(input, r)),
+            pred: pred.clone(),
+        },
+        Plan::Scan {
+            table,
+            cols: scanned,
+            code_cols,
+            prune,
+        } => Plan::Scan {
+            table: table.clone(),
+            cols: scanned.clone(),
+            code_cols: (code_cols.iter().cloned())
+                .chain(r.cols.iter().map(|(c, _)| c.clone()))
+                .collect(),
+            prune: prune.clone(),
+        },
+        _ => unreachable!("recoded keys come from a Scan under Selects"),
+    }
+}
+
+/// Integer key types a direct table offsets by their proven minimum.
+fn offset_key(ty: ScalarType) -> bool {
+    matches!(ty, ScalarType::I32 | ScalarType::I64 | ScalarType::U32)
+}
+
+/// The proven range of an [`offset_key`] column as a direct table sees
+/// it: its smallest value, and how many values the range spans.
+fn int_domain(ty: ScalarType, fact: &ColFact) -> Option<(i64, u64)> {
+    let (lo, hi) = fact.range.filter(|_| offset_key(ty))?.as_int()?;
+    let span = i128::from(hi) - i128::from(lo) + 1;
+    Some((lo, span.try_into().unwrap_or(u64::MAX)))
+}
+
 /// `sig` is not in the registry, at `path`.
 fn unknown_signature(sig: &str, path: String) -> PlanError {
     PlanError::PlanCheck {
@@ -935,6 +996,34 @@ impl<'a> Checker<'a> {
         self.report.push(format!("{path}: rule {rule}: {what}"));
     }
 
+    /// Record why one of the [`RULES`] declined a node it matched.
+    fn rule_refused(&mut self, rule: &str, path: &str, why: String) {
+        debug_assert!(RULES.contains(&rule), "`{rule}` is not in RULES");
+        self.report
+            .push(format!("{path}: rule {rule} refused: {why}"));
+    }
+
+    /// The walk's state, to [`Self::rewind`] to before a subtree is
+    /// walked a second time.
+    fn mark(&self) -> WalkMark {
+        WalkMark {
+            keeps: self.keeps,
+            nodes: self.nodes,
+            instrs: self.instrs,
+            report: self.report.len(),
+            verified: self.verified.clone(),
+        }
+    }
+
+    /// Forget everything walked since `m` was taken.
+    fn rewind(&mut self, m: WalkMark) {
+        self.keeps = m.keeps;
+        self.nodes = m.nodes;
+        self.instrs = m.instrs;
+        self.report.truncate(m.report);
+        self.verified = m.verified;
+    }
+
     /// When a spill budget is configured, the buffering kernel this
     /// operator leans on must advertise spill capability in the catalog
     /// (`SigInfo::spills`) — otherwise the budget is a promise the
@@ -1039,30 +1128,7 @@ impl<'a> Checker<'a> {
                 let input = self.walk(input, &format!("{path}.Project.input"))?;
                 self.project_node(input, exprs, path)
             }
-            Plan::Aggr { input, keys, aggs } => {
-                let input = self.walk(input, &format!("{path}.Aggr.input"))?;
-                // The physical choice: direct aggregation iff *every* key
-                // is a bare reference to a dictionary code column.
-                let direct: Option<Vec<DirectKeySpec>> = keys
-                    .iter()
-                    .map(|(name, e)| match e {
-                        Expr::Col(c) => {
-                            let i = input.fields.iter().position(|f| &f.name == c)?;
-                            input.dicts[i].as_ref().map(|_| DirectKeySpec {
-                                name: name.clone(),
-                                col: c.clone(),
-                            })
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                match direct {
-                    Some(dkeys) if !dkeys.is_empty() => {
-                        self.check_direct(input, &dkeys, aggs, path)
-                    }
-                    _ => self.keyed_aggr(input, keys, aggs, path, false),
-                }
-            }
+            Plan::Aggr { input, keys, aggs } => self.aggr_node(input, keys, aggs, path),
             Plan::DirectAggr { input, keys, aggs } => {
                 let input = self.walk(input, &format!("{path}.DirectAggr.input"))?;
                 self.check_direct(input, keys, aggs, path)
@@ -1950,6 +2016,207 @@ impl<'a> Checker<'a> {
         })
     }
 
+    /// `Aggr(input, keys, aggs)`. As written, direct aggregation iff
+    /// every key is a bare reference to a dictionary code column, else
+    /// [`Self::keyed_aggr`]; rule `dense-keys-direct-aggr` widens the
+    /// direct case ([`Self::dense_keys`]). When it reads a key column as
+    /// codes, the input is walked again with that `Scan` rewritten, and
+    /// the first walk is forgotten.
+    fn aggr_node(
+        &mut self,
+        input: &Plan,
+        keys: &[(String, Expr)],
+        aggs: &[AggExpr],
+        path: &str,
+    ) -> Result<CheckedNode, PlanError> {
+        let ipath = format!("{path}.Aggr.input");
+        let recode = self
+            .rules
+            .then(|| self.recodable(input, keys, aggs))
+            .flatten();
+        let mark = recode.as_ref().map(|_| self.mark());
+        let node = self.walk(input, &ipath)?;
+        let bare = |(name, e): &(String, Expr)| match e {
+            Expr::Col(c) => Some(DirectKeySpec {
+                name: name.clone(),
+                col: c.clone(),
+            }),
+            _ => None,
+        };
+        let dkeys: Option<Vec<DirectKeySpec>> = keys.iter().map(bare).collect();
+        let coded = |k: &DirectKeySpec| {
+            let i = node.fields.iter().position(|f| f.name == k.col);
+            i.is_some_and(|i| node.dicts[i].is_some())
+        };
+        match dkeys {
+            Some(dkeys) if !dkeys.is_empty() && dkeys.iter().all(coded) => {
+                self.check_direct(node, &dkeys, aggs, path)
+            }
+            _ if !self.rules => self.keyed_aggr(node, keys, aggs, path, false),
+            _ => match self.dense_keys(&node, keys, recode.as_ref()) {
+                Err(why) => {
+                    self.rule_refused("dense-keys-direct-aggr", path, why);
+                    self.keyed_aggr(node, keys, aggs, path, false)
+                }
+                Ok(what) => {
+                    let node = match (recode, mark) {
+                        (Some(r), Some(m)) => {
+                            self.rewind(m);
+                            self.walk(&scan_codes(input, &r), &ipath)?
+                        }
+                        _ => node,
+                    };
+                    self.rule_note("dense-keys-direct-aggr", path, what);
+                    let dkeys: Vec<DirectKeySpec> = keys.iter().filter_map(bare).collect();
+                    self.check_direct(node, &dkeys, aggs, path)
+                }
+            },
+        }
+    }
+
+    /// The [`Recode`] of an `Aggr` over `input`: its bare keys that a
+    /// `Scan` under no more than `Select`s decodes from a dictionary,
+    /// and that no predicate of those `Select`s, no aggregate and no
+    /// computed key reads.
+    fn recodable(&self, input: &Plan, keys: &[(String, Expr)], aggs: &[AggExpr]) -> Option<Recode> {
+        let computed = keys.iter().filter(|(_, e)| !matches!(e, Expr::Col(_)));
+        let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+        let mut reads: Vec<&str> = computed
+            .map(|(_, e)| e)
+            .chain(args)
+            .flat_map(Expr::columns)
+            .collect();
+        let mut base = input;
+        while let Plan::Select { input, pred } = base {
+            reads.extend(pred.columns());
+            base = input;
+        }
+        let Plan::Scan {
+            table,
+            cols,
+            code_cols,
+            ..
+        } = base
+        else {
+            return None;
+        };
+        let t = self.db.table(table).ok()?;
+        let mut recode: Vec<(String, u64)> = Vec::new();
+        for (_, e) in keys {
+            let Expr::Col(c) = e else { continue };
+            if recode.iter().any(|(r, _)| r == c) {
+                continue; // one column, two keys
+            }
+            let decoded = cols.contains(c) && !code_cols.contains(c);
+            let only_grouped = !reads.contains(&c.as_str());
+            let dict = t.column_index(c).and_then(|i| t.column(i).dict());
+            if let (true, true, Some(d)) = (decoded, only_grouped, dict) {
+                recode.push((c.clone(), d.cardinality() as u64));
+            }
+        }
+        (!recode.is_empty()).then_some(Recode {
+            table: t,
+            cols: recode,
+        })
+    }
+
+    /// Rule `dense-keys-direct-aggr`: whether the `Aggr` with these
+    /// `keys` over the checked `input` groups in a direct table, and
+    /// what the walk log says about it either way. Every key must be a
+    /// bare column that is an enum code — in the dataflow, or a
+    /// [`Recode`] column of a table with no pending inserts (a raw-code
+    /// scan cannot read the insert delta) — or an `I32`/`I64`/`U32`
+    /// column with a proven integer range. The product of the key
+    /// domains must stay within [`DirectAggrOp::MAX_SLOTS`] and the
+    /// input's row bound, so the table is never larger than the data.
+    /// Keys that all stream (the rule `sorted-keys-ordered-aggr` fires)
+    /// keep their ordered aggregation, and a spill budget keeps the
+    /// hash table, which can spill where the direct table cannot.
+    fn dense_keys(
+        &self,
+        input: &CheckedNode,
+        keys: &[(String, Expr)],
+        recode: Option<&Recode>,
+    ) -> Result<String, String> {
+        if keys.is_empty() {
+            return Err("no grouping key".into());
+        }
+        let mut cols = Vec::with_capacity(keys.len());
+        for (name, e) in keys {
+            let Expr::Col(c) = e else {
+                return Err(format!("key `{name}` is computed"));
+            };
+            let i = (input.fields.iter().position(|f| &f.name == c))
+                .ok_or_else(|| format!("key `{name}` is not an input column"))?;
+            cols.push((c, i));
+        }
+        // As `keyed_aggr` decides it: runs of sorted, non-code, non-f64
+        // keys are groups.
+        let streams = cols.iter().all(|&(_, i)| {
+            input.facts.cols[i].sorted
+                && input.dicts[i].is_none()
+                && input.fields[i].ty != ScalarType::F64
+        });
+        if streams {
+            return Err("keys proven sorted: sorted-keys-ordered-aggr streams them".into());
+        }
+        if self.opts.spill_budget.is_some() {
+            return Err("a spill budget is set and the direct table cannot spill".into());
+        }
+        let mut slots = 1u64;
+        let mut shown = Vec::with_capacity(cols.len());
+        for &(c, i) in &cols {
+            let ty = input.fields[i].ty;
+            let recoded = recode.and_then(|r| {
+                let card = r.cols.iter().find(|(n, _)| n == c)?.1;
+                Some((&r.table, card))
+            });
+            let card = if let Some(d) = &input.dicts[i] {
+                shown.push(format!("`{c}` code"));
+                d.cardinality() as u64
+            } else if let Some((t, card)) = recoded {
+                if t.delta_rows() > 0 {
+                    let why = format!(
+                        "`{}` has pending inserts, so `{c}` cannot be scanned as codes",
+                        t.name()
+                    );
+                    return Err(why);
+                }
+                shown.push(format!("`{c}` as codes"));
+                card
+            } else if let Some((lo, card)) = int_domain(ty, &input.facts.cols[i]) {
+                shown.push(format!(
+                    "`{c}` in [{lo}, {}]",
+                    i128::from(lo) + i128::from(card) - 1
+                ));
+                card
+            } else if offset_key(ty) {
+                return Err(format!("key `{c}` has no proven range"));
+            } else {
+                return Err(format!(
+                    "key `{c}` is {ty}, not an enum code or i32/i64/u32"
+                ));
+            };
+            slots = slots.saturating_mul(card);
+        }
+        if slots > DirectAggrOp::MAX_SLOTS as u64 {
+            return Err(format!(
+                "{slots} slots exceed the direct table's {}",
+                DirectAggrOp::MAX_SLOTS
+            ));
+        }
+        match input.facts.rows_max {
+            Some(rows) if slots <= rows => Ok(format!(
+                "{} → direct table of {slots} slots (input ≤ {rows} rows)",
+                shown.join(" × ")
+            )),
+            Some(rows) => Err(format!("{slots} slots exceed the input's {rows} rows")),
+            None => Err(format!(
+                "{slots} slots, and the input's row count is unbounded"
+            )),
+        }
+    }
+
     /// Aggregation grouped on computed keys: the generic `Aggr` (code
     /// keys mixed with others; code-typed keys still group on codes and
     /// decode only at emission) and the `forced` `OrdAggr`. Rule
@@ -2102,7 +2369,8 @@ impl<'a> Checker<'a> {
     }
 
     /// Direct (array-indexed) aggregation: keys must be code columns
-    /// (dictionary or raw u8/u16) whose domain product stays small.
+    /// (dictionary or raw u8/u16) or `I32`/`I64`/`U32` columns with a
+    /// proven range, whose domain product stays small.
     fn check_direct(
         &mut self,
         input: CheckedNode,
@@ -2113,9 +2381,9 @@ impl<'a> Checker<'a> {
         let mut node = NodeShape::default();
         let mut dkeys = Vec::with_capacity(keys.len());
         let mut key_types = Vec::with_capacity(keys.len());
-        // The direct-group table has one slot per code combination, so
+        // The direct-group table has one slot per key combination, so
         // the group count is bounded by the product of the key domains.
-        let mut slots = 1usize;
+        let mut slots = 1u64;
         for (ki, k) in keys.iter().enumerate() {
             let i = input
                 .fields
@@ -2124,61 +2392,65 @@ impl<'a> Checker<'a> {
                 .ok_or_else(|| PlanError::UnknownColumn(k.col.clone()))?;
             let ty = input.fields[i].ty;
             let dict = input.dicts[i].clone();
-            let (card, out_ty, fact) = match (&dict, ty) {
-                (Some(d), _) => (
-                    d.cardinality() as u32,
+            // Raw codes and integers leave as read: their facts hold,
+            // but hash (and worker) order is not sorted.
+            let mut kf = input.facts.cols[i].clone();
+            kf.sorted = false;
+            let domain = int_domain(ty, &kf);
+            let (card, lo, out_ty, fact, digit) = match (&dict, ty, domain) {
+                (Some(d), _, _) => (
+                    d.cardinality() as u64,
+                    0,
                     d.value_type(),
                     ColFact {
                         distinct_max: Some(d.cardinality() as u64),
                         ..ColFact::top()
                     },
+                    format!("{}_col", ty.sig_name()),
                 ),
-                (None, ScalarType::U8 | ScalarType::U16) => {
-                    let mut kf = input
-                        .facts
-                        .cols
-                        .get(i)
-                        .cloned()
-                        .unwrap_or_else(ColFact::top);
-                    kf.sorted = false;
-                    (
-                        if ty == ScalarType::U8 {
-                            1 << 8
-                        } else {
-                            1 << 16
-                        },
-                        ty,
-                        kf,
-                    )
+                (None, ScalarType::U8 | ScalarType::U16, _) => {
+                    let card = if ty == ScalarType::U8 {
+                        1 << 8
+                    } else {
+                        1 << 16
+                    };
+                    (card, 0, ty, kf, format!("{}_col", ty.sig_name()))
                 }
-                (None, ty) => {
+                (None, _, Some((lo, card))) => {
+                    let t = ty.sig_name();
+                    (card, lo, ty, kf, format!("{t}_col_{t}_val"))
+                }
+                (None, ty, _) => {
                     return Err(PlanError::PlanCheck {
                         path: format!("{path}.DirectAggr.key[{}]", k.col),
                         violation: CheckViolation::TypeMismatch {
-                            signature: "map_directgrp_u8_col".to_owned(),
+                            signature: "map_uidx_u8_col".to_owned(),
                             detail: format!(
-                                "direct aggregation key `{}` is {ty}, not a code column",
+                                "direct aggregation key `{}` is {ty}, neither a code column \
+                                 nor an integer column with a proven range",
                                 k.col
                             ),
                         },
                     })
                 }
             };
-            // Mixed-radix code chaining: the first key starts the group
+            // Mixed-radix digit chaining: the first key starts the group
             // id, each further key extends it.
             let sig = match ki {
-                0 => format!("map_uidx_{}_col", ty.sig_name()),
-                _ => format!("map_directgrp_uidx_col_{}_col", ty.sig_name()),
+                0 => format!("map_uidx_{digit}"),
+                _ => format!("map_directgrp_uidx_col_{digit}"),
             };
             self.require(&sig, || format!("{path}.DirectAggr.key[{}]", k.col))?;
-            slots = slots.saturating_mul(card as usize);
+            slots = slots.saturating_mul(card);
             node.fields.push(OutField::new(k.name.clone(), out_ty));
             node.cols.push(fact);
             key_types.push(ty);
             dkeys.push(DirectKey {
                 name: k.name.clone(),
                 col: i,
-                card,
+                // Within `MAX_SLOTS` once the product is checked below.
+                card: u32::try_from(card).unwrap_or(u32::MAX),
+                lo,
                 dict: dict.as_deref().cloned(),
             });
         }
@@ -2190,17 +2462,12 @@ impl<'a> Checker<'a> {
             &mut node.fields,
             &mut node.cols,
         )?;
-        if slots > DirectAggrOp::MAX_SLOTS {
+        if slots > DirectAggrOp::MAX_SLOTS as u64 {
             return Err(PlanError::Invalid(format!(
                 "direct aggregation domain too large: {slots} slots"
             )));
         }
-        let rows_max = Some(
-            input
-                .facts
-                .rows_max
-                .map_or(slots as u64, |r| r.min(slots as u64)),
-        );
+        let rows_max = Some(input.facts.rows_max.map_or(slots, |r| r.min(slots)));
         self.note(
             path,
             format!("DirectAggr → {} keys, {} aggs", keys.len(), aggs.len()),

@@ -510,8 +510,9 @@ pub(crate) fn hash_keys(
     }
 }
 
-/// Append the keys of groups `[start, start+n)` to `out`, decoding
-/// code-typed keys through their dictionary.
+/// Append the keys of groups `[start, start+n)` to `out` (an empty
+/// vector), decoding code-typed keys through their dictionary with one
+/// gather.
 pub(crate) fn emit_key(
     out: &mut Vector,
     keys: &Vector,
@@ -522,14 +523,12 @@ pub(crate) fn emit_key(
     let Some(dict) = dict else {
         return out.append_range(keys, start, n);
     };
-    for g in start..start + n {
-        let code = match keys {
-            Vector::U8(c) => c[g] as usize,
-            Vector::U16(c) => c[g] as usize,
-            other => panic!("code key is {:?}", other.scalar_type()),
-        };
-        out.push_value(&dict.decode(code));
-    }
+    let decoded = match keys {
+        Vector::U8(c) => gather_rows(out, dict.values(), &c[start..start + n], None),
+        Vector::U16(c) => gather_rows(out, dict.values(), &c[start..start + n], None),
+        other => panic!("code key is {:?}", other.scalar_type()),
+    };
+    assert!(decoded, "a group key is a code of its dictionary");
 }
 
 /// `HashAggr(Dataflow, List<Exp>, List<AggrExp>)` — general grouping.
@@ -842,23 +841,116 @@ impl Operator for HashAggrOp {
     }
 }
 
-/// One key of a direct aggregation: a small-domain code column.
+/// One key of a direct aggregation: a column whose values map onto
+/// `card` consecutive slot digits — enum codes (`U8`/`U16`; the digit
+/// is the code), or an `I32`/`I64`/`U32` column the facts prove lies in
+/// `[lo, lo + card)` (the digit is the value minus `lo`).
 #[derive(Debug, Clone)]
 pub struct DirectKey {
     /// Output column name.
     pub name: String,
-    /// Input column (must be `U8` or `U16` codes in the dataflow).
+    /// Input column.
     pub col: usize,
-    /// Domain cardinality (dictionary size, or 256 for raw `u8`).
+    /// Domain cardinality: the dictionary size, 256 / 65536 for raw
+    /// codes, the width of an integer key's range.
     pub card: u32,
-    /// Dictionary to decode codes on emission (`None` emits raw codes).
+    /// The key value of digit 0: an integer key's proven minimum, 0
+    /// for codes.
+    pub lo: i64,
+    /// Dictionary to decode codes on emission (`None` emits the key as
+    /// the input carries it).
     pub dict: Option<EnumDict>,
 }
 
-/// `DirectAggr` — aggregate-table slots indexed by key bits (§4.1.2).
+impl DirectKey {
+    /// Start (`first`) or extend the slot ids in `grp` with this key's
+    /// digits of the vector `kv`; returns the kernel's signature.
+    fn group(
+        &self,
+        grp: &mut [u32],
+        kv: &Vector,
+        first: bool,
+        sel: Option<&SelVec>,
+    ) -> &'static str {
+        // `lo` is a value of the key's own type: its proven minimum.
+        let (lo, card) = (self.lo, self.card);
+        match (kv, first) {
+            (Vector::U8(c), true) => {
+                vhash::map_uidx_u8_col(grp, c, sel);
+                "map_uidx_u8_col"
+            }
+            (Vector::U8(c), false) => {
+                vhash::map_directgrp_uidx_col_u8_col(grp, c, card, sel);
+                "map_directgrp_uidx_col_u8_col"
+            }
+            (Vector::U16(c), true) => {
+                vhash::map_uidx_u16_col(grp, c, sel);
+                "map_uidx_u16_col"
+            }
+            (Vector::U16(c), false) => {
+                vhash::map_directgrp_uidx_col_u16_col(grp, c, card, sel);
+                "map_directgrp_uidx_col_u16_col"
+            }
+            (Vector::I32(c), true) => {
+                vhash::map_uidx_i32_col_i32_val(grp, c, lo as i32, sel);
+                "map_uidx_i32_col_i32_val"
+            }
+            (Vector::I32(c), false) => {
+                vhash::map_directgrp_uidx_col_i32_col_i32_val(grp, c, lo as i32, card, sel);
+                "map_directgrp_uidx_col_i32_col_i32_val"
+            }
+            (Vector::I64(c), true) => {
+                vhash::map_uidx_i64_col_i64_val(grp, c, lo, sel);
+                "map_uidx_i64_col_i64_val"
+            }
+            (Vector::I64(c), false) => {
+                vhash::map_directgrp_uidx_col_i64_col_i64_val(grp, c, lo, card, sel);
+                "map_directgrp_uidx_col_i64_col_i64_val"
+            }
+            (Vector::U32(c), true) => {
+                vhash::map_uidx_u32_col_u32_val(grp, c, lo as u32, sel);
+                "map_uidx_u32_col_u32_val"
+            }
+            (Vector::U32(c), false) => {
+                vhash::map_directgrp_uidx_col_u32_col_u32_val(grp, c, lo as u32, card, sel);
+                "map_directgrp_uidx_col_u32_col_u32_val"
+            }
+            (other, _) => panic!("direct key of type {:?}", other.scalar_type()),
+        }
+    }
+
+    /// Write the keys of the slots `ids` into the empty vector `out`:
+    /// this key's digit of a slot is `slot / stride % card`. With
+    /// `decode`, a dictionary key is decoded by one gather over the
+    /// dictionary; otherwise the key leaves as the input carried it
+    /// (raw codes, or integers with `lo` added back).
+    fn emit(&self, out: &mut Vector, ids: &[u32], stride: u32, decode: bool) {
+        let digits = ids.iter().map(|&slot| slot / stride % self.card);
+        let lo = self.lo;
+        if let (Some(dict), true) = (&self.dict, decode) {
+            let codes: Vec<u32> = digits.collect();
+            let decoded = gather_rows(out, dict.values(), &codes, None);
+            assert!(decoded, "a slot digit is a code of the key's dictionary");
+            return;
+        }
+        match out {
+            Vector::U8(o) => o.extend(digits.map(|d| d as u8)),
+            Vector::U16(o) => o.extend(digits.map(|d| d as u16)),
+            Vector::I32(o) => o.extend(digits.map(|d| (lo + i64::from(d)) as i32)),
+            Vector::I64(o) => o.extend(digits.map(|d| lo + i64::from(d))),
+            Vector::U32(o) => o.extend(digits.map(|d| (lo + i64::from(d)) as u32)),
+            other => panic!("direct key emitted as {:?}", other.scalar_type()),
+        }
+    }
+}
+
+/// `DirectAggr` — aggregate-table slots indexed by key digits (§4.1.2).
 pub struct DirectAggrOp {
     child: Box<dyn Operator>,
     keys: Vec<DirectKey>,
+    /// Per key, the product of the later keys' cardinalities: a slot is
+    /// `Σ digitᵢ · strideᵢ`.
+    strides: Vec<u32>,
     aggs: AggStates,
     fields: Vec<OutField>,
     slots: usize,
@@ -878,9 +970,9 @@ impl DirectAggrOp {
     /// Maximum accumulator-table size the check walk accepts.
     pub const MAX_SLOTS: usize = 1 << 20;
 
-    /// A direct aggregation over `child` on the code-column `keys` the
-    /// check walk resolved (their domain product is within
-    /// [`Self::MAX_SLOTS`]); `fields` is the output shape.
+    /// A direct aggregation over `child` on the `keys` the check walk
+    /// resolved (their domain product is within [`Self::MAX_SLOTS`]);
+    /// `fields` is the output shape.
     pub(crate) fn new(
         child: Box<dyn Operator>,
         keys: Vec<DirectKey>,
@@ -893,10 +985,15 @@ impl DirectAggrOp {
             .iter()
             .map(|f| VecPool::new(f.ty, vector_size))
             .collect();
+        let mut strides = vec![1u32; keys.len()];
+        for i in (1..keys.len()).rev() {
+            strides[i - 1] = strides[i] * keys[i].card;
+        }
         DirectAggrOp {
             child,
             slots: keys.iter().map(|k| k.card as usize).product(),
             keys,
+            strides,
             aggs: AggStates::new(aggs, vector_size),
             fields,
             group_counts: Vec::new(),
@@ -923,32 +1020,14 @@ impl DirectAggrOp {
             let sel = batch.sel.as_deref();
             let live = sel.map_or(n, |s| s.len());
             self.grp_buf.resize(n, 0);
-            // Direct group computation: mixed-radix code chaining.
+            // Direct group computation: mixed-radix digit chaining.
             for (ki, key) in self.keys.iter().enumerate() {
                 let t0 = prof.start();
                 let kv = &batch.columns[key.col];
-                let (sig, bytes) = match kv.as_ref() {
-                    Vector::U8(codes) => {
-                        if ki == 0 {
-                            vhash::map_directgrp_u8_col(&mut self.grp_buf, codes, sel);
-                            ("map_uidx_u8_col", live * 5)
-                        } else {
-                            vhash::map_directgrp_u8_chain(&mut self.grp_buf, codes, key.card, sel);
-                            ("map_directgrp_uidx_col_u8_col", live * 9)
-                        }
-                    }
-                    Vector::U16(codes) => {
-                        if ki == 0 {
-                            vhash::map_directgrp_u16_col(&mut self.grp_buf, codes, sel);
-                            ("map_uidx_u16_col", live * 6)
-                        } else {
-                            vhash::map_directgrp_u16_chain(&mut self.grp_buf, codes, key.card, sel);
-                            ("map_directgrp_uidx_col_u16_col", live * 10)
-                        }
-                    }
-                    other => panic!("direct key must be codes, got {:?}", other.scalar_type()),
-                };
-                prof.record_prim(sig, t0, live, bytes);
+                let sig = key.group(&mut self.grp_buf, kv, ki == 0, sel);
+                // The key column in, the slot ids out (read too when chaining).
+                let bytes = kv.scalar_type().width() + if ki == 0 { 4 } else { 8 };
+                prof.record_prim(sig, t0, live, live * bytes);
             }
             // Counts, first-seen occupancy and accumulators.
             self.aggs.update(
@@ -964,16 +1043,6 @@ impl DirectAggrOp {
         }
         self.built = true;
         Ok(())
-    }
-
-    /// Decode slot id into the key value for key `ki`.
-    fn key_code(&self, slot: u32, ki: usize) -> u32 {
-        // Keys chain as g = ((k0 * card1) + k1) * card2 + k2 …
-        let mut divisor = 1u32;
-        for k in self.keys.iter().skip(ki + 1) {
-            divisor *= k.card;
-        }
-        (slot / divisor) % self.keys[ki].card
     }
 }
 
@@ -994,28 +1063,20 @@ impl Operator for DirectAggrOp {
         self.emit_pos += n;
         self.out.reset();
         self.out.len = n;
-        let nkeys = self.keys.len();
-        for ki in 0..nkeys {
+        let ids = &self.occupied[start..start + n];
+        for (ki, key) in self.keys.iter().enumerate() {
             let mut v = self.pools[ki].writable();
-            for &slot in &self.occupied[start..start + n] {
-                let code = self.key_code(slot, ki);
-                match &self.keys[ki].dict {
-                    None => match &mut v {
-                        Vector::U8(b) => b.push(code as u8),
-                        Vector::U16(b) => b.push(code as u16),
-                        other => panic!("raw code emission into {:?}", other.scalar_type()),
-                    },
-                    Some(dict) => v.push_value(&dict.decode(code as usize)),
-                }
-            }
+            key.emit(&mut v, ids, self.strides[ki], true);
             self.pools[ki].publish(v, &mut self.out);
         }
-        // Compact the aggregate slots for occupied groups.
-        for (a, agg) in self.aggs.aggs.iter().enumerate() {
+        // The occupied slots' accumulators, compacted, then each
+        // aggregate's emission over them.
+        let nkeys = self.keys.len();
+        let counts = gather_counts(&self.group_counts, ids);
+        let accs = self.aggs.gather(&self.group_counts, ids);
+        for (a, (agg, acc)) in self.aggs.aggs.iter().zip(&accs).enumerate() {
             let mut v = self.pools[nkeys + a].writable();
-            for &slot in &self.occupied[start..start + n] {
-                agg.emit(&self.group_counts, &mut v, slot as usize, 1, prof);
-            }
+            emit_agg(agg.func, acc, counts.as_i64(), &mut v, 0, n, prof);
             self.pools[nkeys + a].publish(v, &mut self.out);
         }
         Ok(Some(&self.out))
@@ -1035,34 +1096,25 @@ impl Operator for DirectAggrOp {
         if !self.built {
             self.build(prof)?;
         }
-        // Compact the direct table down to occupied slots, emitting raw
-        // key codes; the merge stage re-groups by (code…) tuples.
-        let n = self.occupied.len();
-        let mut keys = Vec::with_capacity(self.keys.len());
-        for (ki, key) in self.keys.iter().enumerate() {
-            let ty = self.child.fields()[key.col].ty;
-            let mut v = Vector::with_capacity(ty, n);
-            for &slot in &self.occupied {
-                let code = self.key_code(slot, ki);
-                match &mut v {
-                    Vector::U8(b) => b.push(code as u8),
-                    Vector::U16(b) => b.push(code as u16),
-                    other => panic!("direct key codes are {:?}", other.scalar_type()),
-                }
-            }
-            keys.push(v);
-        }
-        let counts: Vec<i64> = self
-            .occupied
-            .iter()
-            .map(|&s| self.group_counts[s as usize])
+        // Compact the direct table down to occupied slots, emitting
+        // enum keys as raw codes and integer keys as values; the merge
+        // stage re-groups by key tuples.
+        let ids = &self.occupied;
+        let keys = (self.keys.iter().zip(&self.strides))
+            .map(|(key, &stride)| {
+                let mut v = Vector::with_capacity(self.child.fields()[key.col].ty, ids.len());
+                key.emit(&mut v, ids, stride, false);
+                v
+            })
             .collect();
-        let accs = self.aggs.gather(&self.group_counts, &self.occupied);
+        let Vector::I64(counts) = gather_counts(&self.group_counts, ids) else {
+            unreachable!("tuple counts are i64")
+        };
         Ok(Some(AggrPartial {
             keys,
             counts,
-            accs,
-            n_groups: n,
+            accs: self.aggs.gather(&self.group_counts, ids),
+            n_groups: ids.len(),
             runs: Vec::new(),
         }))
     }

@@ -50,13 +50,13 @@ use x100_storage::{EnumDict, Morsel, Table};
 /// here and get a join that probes the shared table.
 pub(crate) type SharedJoins<'a> = HashMap<&'a str, Arc<JoinTable>>;
 
-/// A key of a `DirectAggr`: must resolve to a code column with a known
-/// small domain.
+/// A key of a `DirectAggr`: must resolve to a code column, or to an
+/// `i32`/`i64`/`u32` column with a proven range, with a small domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DirectKeySpec {
     /// Output column name.
     pub name: String,
-    /// Input (dataflow) column holding enum codes.
+    /// Input (dataflow) column holding the key.
     pub col: String,
 }
 

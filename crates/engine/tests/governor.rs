@@ -7,7 +7,7 @@ use std::time::Duration;
 use x100_engine::expr::*;
 use x100_engine::ops::{JoinType, OrdExp};
 use x100_engine::plan::Plan;
-use x100_engine::session::{execute, Database, ExecOptions};
+use x100_engine::session::{execute, execute_as_given, Database, ExecOptions};
 use x100_engine::{AggExpr, CancelToken, EngineError};
 use x100_storage::TableBuilder;
 use x100_vector::Vector;
@@ -186,9 +186,23 @@ fn aggregation_respects_memory_budget() {
             .aggr(vec![("g", col(key))], vec![AggExpr::sum("s", col("v"))])
     };
     let opts = ExecOptions::default().with_mem_budget(32 * 1024);
-    match execute(&db, &by("g"), &opts) {
+    match execute_as_given(&db, &by("g"), &opts) {
         Err(EngineError::ResourceExhausted { operator, .. }) => {
             assert_eq!(operator, "hash aggregation table");
+        }
+        other => panic!("expected ResourceExhausted, got {other:?}"),
+    }
+    // `g` is dense ([0, n) over n rows), so rule `dense-keys-direct-aggr`
+    // groups it in a direct table: its fixed charge of a slot per key
+    // value, made before the first row, is what exceeds the budget.
+    match execute(&db, &by("g"), &opts) {
+        Err(EngineError::ResourceExhausted {
+            operator,
+            requested,
+            ..
+        }) => {
+            assert_eq!(operator, "direct aggregation table");
+            assert!(requested >= n as usize * 20, "{requested}");
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }

@@ -18,7 +18,7 @@ use std::time::Duration;
 use x100_engine::expr::*;
 use x100_engine::ops::OrdExp;
 use x100_engine::plan::Plan;
-use x100_engine::session::{execute, Database, ExecOptions};
+use x100_engine::session::{execute, execute_as_given, Database, ExecOptions};
 use x100_engine::{AggExpr, CancelToken, EngineError};
 use x100_storage::TableBuilder;
 use x100_vector::Vector;
@@ -355,14 +355,21 @@ fn resource_exhausted_only_when_spill_budget_is_gone_too() {
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }
-    // No spill budget at all: the original memory-budget error class.
+    // No spill budget at all: the hash table the plan wrote gets the
+    // original memory-budget error class.
     let opts = ExecOptions::default().with_mem_budget(mem);
-    match execute(&db, &plan, &opts) {
+    match execute_as_given(&db, &plan, &opts) {
         Err(EngineError::ResourceExhausted { operator, .. }) => {
             assert!(!operator.contains("(spill budget)"), "got {operator}");
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }
+    // Rule `dense-keys-direct-aggr` groups the selected `flag < 450` in a
+    // direct table instead: 450 slots fit the budget, so nothing is
+    // exhausted and the answer is the unbounded one.
+    let (want, _) = execute(&db, &plan, &ExecOptions::default()).expect("unbounded");
+    let (got, _) = execute(&db, &plan, &opts).expect("direct table fits the budget");
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
     assert!(live_spill_dirs().is_empty(), "spill dirs leaked");
 }
 

@@ -4,7 +4,8 @@
 //! column-at-a-time interpreter — and, for the random plans and all 22
 //! TPC-H plans alike, from the tree the check walk's rewrite rules plan
 //! (`x100_engine::RULES`: `select-before-fetch`,
-//! `sorted-keys-ordered-aggr`) and from the tree as the plan wrote it.
+//! `sorted-keys-ordered-aggr`, `dense-keys-direct-aggr`) and from the
+//! tree as the plan wrote it.
 
 use proptest::prelude::*;
 use tpch::gen::{generate, GenConfig};
@@ -93,6 +94,24 @@ fn make_db(rows: &[(i64, f64, u8)]) -> Database {
     make_db_inner(rows, false)
 }
 
+/// [`make_db`] with one insert pending on `t` (and none on `dim`).
+fn make_db_with_fact_inserts(rows: &[(i64, f64, u8)]) -> Database {
+    let db = make_db(rows);
+    let mut t = (*db.table("t").expect("t")).clone();
+    let k = t.total_rows() as i64;
+    t.insert(&[
+        Value::I64(0),
+        Value::F64(0.5),
+        Value::Str("blue".into()),
+        Value::I64(k),
+        Value::U32(0),
+    ]);
+    let mut out = Database::new();
+    out.register(t);
+    out.register(make_dim(false, false));
+    out
+}
+
 #[derive(Debug, Clone)]
 enum Step {
     SelectA(CmpOp, i64),
@@ -113,6 +132,9 @@ enum Step {
     SelectAcrossFetch,
     /// Group by the sorted key.
     AggrByK,
+    /// Group by an integer column and an enum column (a direct table
+    /// when the rows cover the key domain).
+    AggrByAAndTag,
     /// Group by the sorted key, reading only what the second hop brought
     /// (whose `#rowId` the first hop brought).
     SumSecondHopByK,
@@ -143,6 +165,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (any::<bool>(), 0u8..4).prop_map(|(e, t)| Step::SelectDTag(e, t)),
         Just(Step::SelectAcrossFetch),
         Just(Step::AggrByK),
+        Just(Step::AggrByAAndTag),
         Just(Step::SumSecondHopByK),
     ]
 }
@@ -259,6 +282,15 @@ fn build_plan(steps: &[Step]) -> (Plan, bool, bool) {
                 }
                 plan = plan.aggr(vec![("a", col("k"))], aggs);
                 has = (true, false, false);
+                (scanned, fetched, raw_codes) = (false, (false, false), false);
+            }
+            Step::AggrByAAndTag if has.0 && has.2 => {
+                let mut aggs = vec![AggExpr::count("n")];
+                if has.1 {
+                    aggs.push(AggExpr::sum("sx", col("x")));
+                }
+                plan = plan.aggr(vec![("a", col("a")), ("tag", col("tag"))], aggs);
+                has = (true, false, true);
                 (scanned, fetched, raw_codes) = (false, (false, false), false);
             }
             Step::SumSecondHopByK if scanned && fetched.1 => {
@@ -386,6 +418,14 @@ proptest! {
 fn rule_lines(db: &Database, plan: &Plan, opts: &ExecOptions, rule: &str) -> Vec<String> {
     let walk = check_plan(db, plan, opts).expect("checks");
     let tag = format!(": rule {rule}: ");
+    let lines = walk.report.into_iter().filter(|l| l.contains(&tag));
+    lines.collect()
+}
+
+/// The walk-log lines in which `rule` declines a node of `plan`.
+fn refusals(db: &Database, plan: &Plan, opts: &ExecOptions, rule: &str) -> Vec<String> {
+    let walk = check_plan(db, plan, opts).expect("checks");
+    let tag = format!(": rule {rule} refused: ");
     let lines = walk.report.into_iter().filter(|l| l.contains(&tag));
     lines.collect()
 }
@@ -554,9 +594,146 @@ fn rules_fire_on_their_conditions_only() {
         assert_eq!(prof.workers().is_empty(), sorted, "{shown}");
         assert_rewritten_matches_as_given(&db, &plan, &two, "threads 2");
     }
+
+    let rule = "dense-keys-direct-aggr";
+    // `a` is 0..=16 and `tag` an enum only the grouping reads: 17 × 3
+    // slots over 120 rows, `tag` scanned as codes, also under a
+    // selection that does not read it.
+    let tagged = || Plan::scan("t", &["a", "x", "tag", "k"]);
+    let group =
+        |input: Plan, keys: Vec<(&str, Expr)>| input.aggr(keys, vec![AggExpr::sum("sx", col("x"))]);
+    let a_tag = || vec![("a", col("a")), ("tag", col("tag"))];
+    let by_a_tag = || group(tagged(), a_tag());
+    let filtered = group(tagged().select(gt(col("x"), lit_f64(3.0))), a_tag());
+    for (what, plan) in [("scan", by_a_tag()), ("selection", filtered)] {
+        let fired = rule_lines(&db, &plan, &opts, rule);
+        assert!(
+            fired.len() == 1
+                && fired[0].contains("`a` in [0, 16] × `tag` as codes → direct table of 51 slots"),
+            "{what}: {fired:?}"
+        );
+        assert!(refusals(&db, &plan, &opts, rule).is_empty());
+        let (_, prof) = execute(&db, &plan, &opts.clone().profiled()).expect("runs");
+        assert!(prof.operators().any(|(name, _)| name == "Aggr(DIRECT)"));
+        for threads in [1, 2, 4] {
+            let o = ExecOptions::default()
+                .parallel(threads)
+                .with_morsel_size(16);
+            assert_rewritten_matches_as_given(
+                &db,
+                &plan,
+                &o,
+                &format!("{what}, threads {threads}"),
+            );
+        }
+    }
+    let spill = opts.clone().with_spill_budget(64 << 20);
+    let inserts = make_db_with_fact_inserts(&rows);
+    for (why, db, plan, o, reason) in [
+        (
+            "the key is sorted",
+            &db,
+            by(vec![("k", col("k"))]),
+            &opts,
+            "sorted-keys-ordered-aggr",
+        ),
+        (
+            "the domain is larger than the input",
+            &few,
+            by_a_tag(),
+            &opts,
+            "51 slots exceed the input's 30 rows",
+        ),
+        ("spill is armed", &db, by_a_tag(), &spill, "spill budget"),
+        (
+            "the table has pending inserts",
+            &inserts,
+            group(tagged(), vec![("tag", col("tag"))]),
+            &opts,
+            "`t` has pending inserts",
+        ),
+        (
+            "the key is a float",
+            &db,
+            by(vec![("x", col("x"))]),
+            &opts,
+            "key `x` is f64",
+        ),
+    ] {
+        let fired = rule_lines(db, &plan, o, rule);
+        assert!(fired.is_empty(), "{rule} fired although {why}: {fired:?}");
+        let refused = refusals(db, &plan, o, rule);
+        assert!(
+            refused.len() == 1 && refused[0].contains(reason),
+            "{why}: {refused:?}"
+        );
+        assert_rewritten_matches_as_given(db, &plan, o, why);
+    }
+    // The sorted key keeps its ordered aggregation.
+    let sorted = rule_lines(
+        &db,
+        &by(vec![("k", col("k"))]),
+        &opts,
+        "sorted-keys-ordered-aggr",
+    );
+    assert_eq!(sorted.len(), 1, "{sorted:?}");
+
     // As given, no rule leaves a line.
     let as_given = check_plan_as_given(&db, &on_dim(), &opts).expect("checks");
     assert!(!as_given.render().contains(": rule "));
+    let as_given = check_plan_as_given(&db, &by_a_tag(), &opts).expect("checks");
+    assert!(!as_given.render().contains(": rule "));
+}
+
+/// The benchmark's `hashagg` shape — `lineitem` grouped by ship date
+/// and discount, an integer range times an enum only the grouping
+/// reads — takes the direct table and answers exactly as the hash
+/// table the plan wrote: the same rows in the same order, raw and
+/// checkpointed, on one thread and under an Exchange.
+#[test]
+fn dense_ship_date_and_discount_groups_match_the_hash_table() {
+    use expr::*;
+    let li = tpch::gen::generate_lineitem_q1(&GenConfig { sf: 0.01, seed: 11 });
+    let raw = tpch::db::build_lineitem(&li);
+    let mut compressed = raw.clone();
+    compressed.checkpoint();
+    let plan = Plan::scan("lineitem", &["l_shipdate", "l_discount", "l_extendedprice"]).aggr(
+        vec![
+            ("l_shipdate", col("l_shipdate")),
+            ("l_discount", col("l_discount")),
+        ],
+        vec![
+            AggExpr::sum("revenue", col("l_extendedprice")),
+            AggExpr::count("n"),
+        ],
+    );
+    for (form, table) in [("raw", raw), ("checkpointed", compressed)] {
+        let mut db = Database::new();
+        db.register(table);
+        let fired = rule_lines(
+            &db,
+            &plan,
+            &ExecOptions::default(),
+            "dense-keys-direct-aggr",
+        );
+        assert!(
+            fired.len() == 1 && fired[0].contains("`l_discount` as codes"),
+            "{form}: {fired:?}"
+        );
+        for threads in [1, 2, 4] {
+            let o = ExecOptions::default()
+                .parallel(threads)
+                .with_morsel_size(4096);
+            let (_, prof) = execute(&db, &plan, &o.clone().profiled()).expect("runs");
+            assert!(prof.operators().any(|(name, _)| name == "Aggr(DIRECT)"));
+            assert_rewritten_matches_as_given(
+                &db,
+                &plan,
+                &o,
+                &format!("{form}, threads {threads}"),
+            );
+        }
+    }
 }
 
 /// The TPC-H corpus with every table checkpoint-compressed.
@@ -635,6 +812,14 @@ fn tpch_rewritten_matches_as_given_on_every_thread_count_and_storage_form() {
     assert!(
         fired(21, "select-before-fetch") > 0,
         "Q21 fetches s_name for the survivors"
+    );
+    assert!(
+        fired(15, "dense-keys-direct-aggr") > 0,
+        "Q15 groups revenue by supplier index"
+    );
+    assert!(
+        fired(17, "dense-keys-direct-aggr") > 0,
+        "Q17 averages quantity by part index"
     );
     for rule in x100_engine::RULES {
         let total: usize = (1..=22).map(|q| fired(q, rule)).sum();

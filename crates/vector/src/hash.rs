@@ -5,9 +5,11 @@
 //! table"). These primitives vectorize that computation: one pass hashes a
 //! whole key column; multi-column keys chain through `rehash` maps.
 //!
-//! `map_directgrp` implements the *direct aggregation* trick of §4.1.2 /
-//! §3.3: for small-domain keys the bit-concatenation of the key bytes is
-//! itself the aggregate-table slot (no hashing, no collision handling).
+//! `map_uidx_*` / `map_directgrp_uidx_col_*` implement the *direct
+//! aggregation* trick of §4.1.2 / §3.3: for small-domain keys the
+//! mixed-radix concatenation of the key digits (an enum code, or an
+//! integer key's distance from its proven minimum) is itself the
+//! aggregate-table slot (no hashing, no collision handling).
 //!
 //! `aggr_grouptable_*` are the vectorized lookup kernels of
 //! [`crate::group::GroupTable`]: a probe round that gathers one tagged
@@ -157,13 +159,13 @@ pub fn map_rehash_str_col(res: &mut [u64], col: &crate::StrVec, sel: Option<&Sel
 
 /// Direct-grouping start: slot = first key byte (paper `map_uidx_uchr_col`).
 #[inline]
-pub fn map_directgrp_u8_col(res: &mut [u32], col: &[u8], sel: Option<&SelVec>) {
+pub fn map_uidx_u8_col(res: &mut [u32], col: &[u8], sel: Option<&SelVec>) {
     crate::map::map1(res, col, sel, |x| x as u32);
 }
 
 /// Direct-grouping start over u16 codes.
 #[inline]
-pub fn map_directgrp_u16_col(res: &mut [u32], col: &[u16], sel: Option<&SelVec>) {
+pub fn map_uidx_u16_col(res: &mut [u32], col: &[u16], sel: Option<&SelVec>) {
     crate::map::map1(res, col, sel, |x| x as u32);
 }
 
@@ -171,7 +173,7 @@ pub fn map_directgrp_u16_col(res: &mut [u32], col: &[u16], sel: Option<&SelVec>)
 /// (paper `map_directgrp_uidx_col_uchr_col`; §3.3's
 /// `(returnflag << 8) + linestatus` is the `card = 256` case).
 #[inline]
-pub fn map_directgrp_u8_chain(res: &mut [u32], col: &[u8], card: u32, sel: Option<&SelVec>) {
+pub fn map_directgrp_uidx_col_u8_col(res: &mut [u32], col: &[u8], card: u32, sel: Option<&SelVec>) {
     match sel {
         None => {
             for (r, &x) in res.iter_mut().zip(col.iter()) {
@@ -188,7 +190,12 @@ pub fn map_directgrp_u8_chain(res: &mut [u32], col: &[u8], card: u32, sel: Optio
 
 /// Direct-grouping chain over u16 codes.
 #[inline]
-pub fn map_directgrp_u16_chain(res: &mut [u32], col: &[u16], card: u32, sel: Option<&SelVec>) {
+pub fn map_directgrp_uidx_col_u16_col(
+    res: &mut [u32],
+    col: &[u16],
+    card: u32,
+    sel: Option<&SelVec>,
+) {
     match sel {
         None => {
             for (r, &x) in res.iter_mut().zip(col.iter()) {
@@ -201,6 +208,44 @@ pub fn map_directgrp_u16_chain(res: &mut [u32], col: &[u16], card: u32, sel: Opt
             }
         }
     }
+}
+
+/// The start and chain kernels of direct grouping on integer keys with
+/// a known range `[lo, lo + card)`: the key's digit is its distance from
+/// `lo`. The caller proves the range, so the distance fits the `u32`
+/// slot (a value outside it wraps to a slot past the table, which the
+/// accumulator update rejects).
+macro_rules! directgrp_int_kernels {
+    ($($ty:ty => $start:ident, $chain:ident;)*) => {$(
+        #[doc = concat!("Direct-grouping start over `", stringify!($ty), "` keys: slot = key − `lo`.")]
+        #[inline]
+        pub fn $start(res: &mut [u32], col: &[$ty], lo: $ty, sel: Option<&SelVec>) {
+            crate::map::map1(res, col, sel, |x| x.wrapping_sub(lo) as u32);
+        }
+
+        #[doc = concat!("Direct-grouping chain over `", stringify!($ty), "` keys: `res[i] = res[i] * card + (key[i] − lo)`.")]
+        #[inline]
+        pub fn $chain(res: &mut [u32], col: &[$ty], lo: $ty, card: u32, sel: Option<&SelVec>) {
+            match sel {
+                None => {
+                    for (r, &x) in res.iter_mut().zip(col.iter()) {
+                        *r = *r * card + x.wrapping_sub(lo) as u32;
+                    }
+                }
+                Some(sel) => {
+                    for i in sel.iter() {
+                        res[i] = res[i] * card + col[i].wrapping_sub(lo) as u32;
+                    }
+                }
+            }
+        }
+    )*};
+}
+
+directgrp_int_kernels! {
+    i32 => map_uidx_i32_col_i32_val, map_directgrp_uidx_col_i32_col_i32_val;
+    i64 => map_uidx_i64_col_i64_val, map_directgrp_uidx_col_i64_col_i64_val;
+    u32 => map_uidx_u32_col_u32_val, map_directgrp_uidx_col_u32_col_u32_val;
 }
 
 /// Tag field of a bucket word for `hash` in a table of `1 << bits`
@@ -626,8 +671,8 @@ mod tests {
         let rf = [b'A', b'N', b'R'];
         let ls = [b'F', b'O', b'F'];
         let mut g = [0u32; 3];
-        map_directgrp_u8_col(&mut g, &rf, None);
-        map_directgrp_u8_chain(&mut g, &ls, 256, None);
+        map_uidx_u8_col(&mut g, &rf, None);
+        map_directgrp_uidx_col_u8_col(&mut g, &ls, 256, None);
         for i in 0..3 {
             assert_eq!(g[i], ((rf[i] as u32) << 8) + ls[i] as u32);
         }
@@ -638,7 +683,7 @@ mod tests {
         let codes = [1u8, 2, 3];
         let sel = SelVec::from_positions(vec![1]);
         let mut g = [100u32, 100, 100];
-        map_directgrp_u8_chain(&mut g, &codes, 10, Some(&sel));
+        map_directgrp_uidx_col_u8_col(&mut g, &codes, 10, Some(&sel));
         assert_eq!(g, [100, 1002, 100]);
     }
 
@@ -646,8 +691,30 @@ mod tests {
     fn directgrp_u16_start_respects_sel() {
         let sel = SelVec::from_positions(vec![0, 2]);
         let mut g = [9u32; 3];
-        map_directgrp_u16_col(&mut g, &[300, 301, 302], Some(&sel));
+        map_uidx_u16_col(&mut g, &[300, 301, 302], Some(&sel));
         assert_eq!(g, [300, 9, 302]);
+    }
+
+    #[test]
+    fn directgrp_int_keys_offset_by_their_smallest_value() {
+        // Two keys: days in [-3, 1] (card 5), then u32 ids in [10, 12].
+        let days = [-3i32, 1, 0, -3];
+        let ids = [12u32, 10, 11, 10];
+        let mut g = [0u32; 4];
+        map_uidx_i32_col_i32_val(&mut g, &days, -3, None);
+        map_directgrp_uidx_col_u32_col_u32_val(&mut g, &ids, 10, 3, None);
+        assert_eq!(g, [2, 12, 10, 0]);
+        // Under a selection only the selected slots move; i64 keys span
+        // more than an i32 from zero.
+        let sel = SelVec::from_positions(vec![1]);
+        let big = [0i64, 1 << 40, 0];
+        let mut g = [7u32; 3];
+        map_uidx_i64_col_i64_val(&mut g, &big, (1 << 40) - 2, Some(&sel));
+        assert_eq!(g, [7, 2, 7]);
+        map_directgrp_uidx_col_i64_col_i64_val(&mut g, &big, 1 << 40, 4, Some(&sel));
+        assert_eq!(g, [7, 8, 7]);
+        map_directgrp_uidx_col_i32_col_i32_val(&mut g, &days[..3], -3, 5, None);
+        assert_eq!(g, [35, 44, 38]);
     }
 
     #[test]

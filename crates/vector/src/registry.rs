@@ -356,30 +356,10 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             s.spills = true;
             return Ok(s);
         }
-        "map_uidx_u8_col" | "map_directgrp_u8_col" => {
-            return Ok(selful(vec![ArgTy::col(U8)], OutTy::Vec(U32), T::Positions))
-        }
-        "map_uidx_u16_col" | "map_directgrp_u16_col" => {
-            return Ok(selful(vec![ArgTy::col(U16)], OutTy::Vec(U32), T::Positions))
-        }
         "aggr_grouptable_probe_u64_col" | "aggr_grouptable_reprobe_u64_col" => {
             // Hash column in, candidate group ids out; driven by
             // position lists, never by a selection vector.
             return Ok(dense(vec![ArgTy::col(U64)], OutTy::Vec(U32), T::Positions));
-        }
-        "map_directgrp_u8_chain" | "map_directgrp_uidx_col_u8_col" => {
-            return Ok(selful(
-                vec![ArgTy::col(U32), ArgTy::col(U8)],
-                OutTy::Vec(U32),
-                T::Positions,
-            ))
-        }
-        "map_directgrp_u16_chain" | "map_directgrp_uidx_col_u16_col" => {
-            return Ok(selful(
-                vec![ArgTy::col(U32), ArgTy::col(U16)],
-                OutTy::Vec(U32),
-                T::Positions,
-            ))
         }
         "map_fused_sub_f64_val_f64_col_mul_f64_col"
         | "map_fused_add_f64_val_f64_col_mul_f64_col" => {
@@ -403,6 +383,31 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             return Ok(s);
         }
         _ => {}
+    }
+
+    // Direct grouping: a start `map_uidx_<key>` and a chain
+    // `map_directgrp_uidx_col_<key>` per key type, where `<key>` is a
+    // code column (`u8_col`, `u16_col`) or an integer column with its
+    // smallest value (`i32_col_i32_val`); the output is the slot.
+    let direct = (sig.strip_prefix("map_uidx_").map(|k| (k, vec![]))).or_else(|| {
+        sig.strip_prefix("map_directgrp_uidx_col_")
+            .map(|k| (k, vec![ArgTy::col(U32)]))
+    });
+    if let Some((key, mut inputs)) = direct {
+        let args = parse_args(&key.split('_').collect::<Vec<_>>())?;
+        let code = |t| matches!(t, U8 | U16);
+        let int = |t| matches!(t, I32 | I64 | U32);
+        match args.as_slice() {
+            [c] if c.shape == VecShape::Col && code(c.ty) => {}
+            [c, v]
+                if c.shape == VecShape::Col
+                    && v.shape == VecShape::Val
+                    && int(c.ty)
+                    && v.ty == c.ty => {}
+            _ => return Err(format!("direct-group signature `{sig}` malformed")),
+        }
+        inputs.extend(args);
+        return Ok(selful(inputs, OutTy::Vec(U32), T::Positions));
     }
 
     // Regular grammar: `<family>_<op>_<args…>`.
@@ -739,48 +744,26 @@ impl PrimitiveRegistry {
                 "rehash map (generated)",
             );
         }
-        reg.register(
-            "map_directgrp_u8_col",
-            PrimitiveKind::Hash,
-            "direct-group start",
-        );
-        reg.register(
-            "map_directgrp_u16_col",
-            PrimitiveKind::Hash,
-            "direct-group start (u16)",
-        );
-        reg.register(
-            "map_directgrp_u8_chain",
-            PrimitiveKind::Hash,
-            "direct-group chain",
-        );
-        reg.register(
-            "map_directgrp_u16_chain",
-            PrimitiveKind::Hash,
-            "direct-group chain (u16)",
-        );
         // Engine-side primitive instances: the operator kernels and the
         // extended maps the expression compiler can emit.
-        reg.register(
-            "map_uidx_u8_col",
-            PrimitiveKind::Hash,
-            "direct-group start (paper's map_uidx_uchr_col)",
-        );
-        reg.register(
-            "map_uidx_u16_col",
-            PrimitiveKind::Hash,
-            "direct-group start (u16)",
-        );
-        reg.register(
-            "map_directgrp_uidx_col_u8_col",
-            PrimitiveKind::Hash,
-            "direct-group chain (paper naming)",
-        );
-        reg.register(
-            "map_directgrp_uidx_col_u16_col",
-            PrimitiveKind::Hash,
-            "direct-group chain (u16, paper naming)",
-        );
+        for key in [
+            "u8_col",
+            "u16_col",
+            "i32_col_i32_val",
+            "i64_col_i64_val",
+            "u32_col_u32_val",
+        ] {
+            reg.register_owned(
+                format!("map_uidx_{key}"),
+                PrimitiveKind::Hash,
+                "direct-group start (paper's map_uidx_uchr_col)",
+            );
+            reg.register_owned(
+                format!("map_directgrp_uidx_col_{key}"),
+                PrimitiveKind::Hash,
+                "direct-group chain (paper's map_directgrp_uidx_col_uchr_col)",
+            );
+        }
         reg.register(
             "aggr_hashtable_maintain",
             PrimitiveKind::Aggr,
@@ -1093,6 +1076,22 @@ mod tests {
         assert_eq!(aggr.info.output, OutTy::State);
         assert_eq!(aggr.info.arity(), 2);
 
+        // Direct grouping: an integer key carries its minimum as a value.
+        let chain = reg
+            .get("map_directgrp_uidx_col_i32_col_i32_val")
+            .expect("registered");
+        assert_eq!(
+            chain.info.inputs,
+            vec![
+                ArgTy::col(ScalarType::U32),
+                ArgTy::col(ScalarType::I32),
+                ArgTy::val(ScalarType::I32)
+            ]
+        );
+        assert_eq!(chain.info.output, OutTy::Vec(ScalarType::U32));
+        let start = reg.get("map_uidx_u8_col").expect("registered");
+        assert_eq!(start.info.inputs, vec![ArgTy::col(ScalarType::U8)]);
+
         // Dense-only position-dependent kernels never consume a selection.
         for dense in [
             "sort_permutation",
@@ -1172,19 +1171,24 @@ mod tests {
     fn malformed_signatures_are_rejected() {
         for bad in [
             "map_frobnicate_q7_col",
-            "map_add_f64_col_i32_col",           // mixed arith types
-            "select_lt_f64",                     // missing shape
-            "aggr_sum_f64_col_i64_col",          // group arg must be u32
-            "aggr_sum_f64_x9_col_u32_col",       // fused family stops at 8
-            "aggr_sum_i64_x2_col_u32_col",       // fused sums are f64
-            "aggr_grouptable_verify_bool_col",   // not a group key type
-            "aggr_ordered_boundaries_uidx_col",  // an alias, not a vector type
-            "aggr_ordered_boundaries",           // the typed family replaced it
-            "cmp_pfor_ne_i64_col_val",           // != is not a frame range
-            "cmp_pfor_eq_str_col_val",           // PFOR is numeric-only
-            "cmp_pdict_between_i64_col_val_val", // between is PFOR-only
-            "cmp_pdict_eq_u8_col_val",           // not a dictionary-coded type
-            "decode_sel_pdict_u8_col",           // only strings decode under a selection
+            "map_add_f64_col_i32_col",                // mixed arith types
+            "select_lt_f64",                          // missing shape
+            "aggr_sum_f64_col_i64_col",               // group arg must be u32
+            "aggr_sum_f64_x9_col_u32_col",            // fused family stops at 8
+            "aggr_sum_i64_x2_col_u32_col",            // fused sums are f64
+            "aggr_grouptable_verify_bool_col",        // not a group key type
+            "aggr_ordered_boundaries_uidx_col",       // an alias, not a vector type
+            "aggr_ordered_boundaries",                // the typed family replaced it
+            "cmp_pfor_ne_i64_col_val",                // != is not a frame range
+            "cmp_pfor_eq_str_col_val",                // PFOR is numeric-only
+            "cmp_pdict_between_i64_col_val_val",      // between is PFOR-only
+            "cmp_pdict_eq_u8_col_val",                // not a dictionary-coded type
+            "decode_sel_pdict_u8_col",                // only strings decode under a selection
+            "map_directgrp_u8_col",                   // the direct-group start is map_uidx_u8_col
+            "map_uidx_i64_col",                       // an integer key needs its minimum
+            "map_uidx_u8_col_u8_val",                 // codes start at 0
+            "map_uidx_i32_col_i64_val",               // the minimum has the key's type
+            "map_directgrp_uidx_col_f64_col_f64_val", // no f64 slots
         ] {
             assert!(parse_signature(bad).is_err(), "{bad} should not parse");
         }

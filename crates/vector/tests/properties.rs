@@ -609,8 +609,8 @@ proptest! {
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
         let mut g = vec![0u32; n];
-        hash::map_directgrp_u8_col(&mut g, a, None);
-        hash::map_directgrp_u8_chain(&mut g, b, 5, None);
+        hash::map_uidx_u8_col(&mut g, a, None);
+        hash::map_directgrp_uidx_col_u8_col(&mut g, b, 5, None);
         for i in 0..n {
             prop_assert_eq!(g[i], a[i] as u32 * 5 + b[i] as u32);
             prop_assert!(g[i] < 35);

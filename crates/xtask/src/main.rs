@@ -315,11 +315,9 @@ fn registry_parity(root: &Path, failures: &mut Vec<String>) {
             || sig.starts_with("aggr_min_")
             || sig.starts_with("aggr_max_")
             || sig.starts_with("aggr_grouptable_verify_") // generic key verify (hash.rs)
-            || sig.starts_with("map_uidx_")       // generic widen (fetch.rs)
             || sig == "map_fill_const"            // interpreter inline fill
             || sig == "aggr_hashtable_maintain"   // GroupTable::lookup (group.rs)
             || sig == "sort_permutation"          // OrderOp infrastructure
-            || sig.starts_with("map_directgrp_")  // aggr.rs direct grouping
             || sig == "select_true_bool_col"      // select_true kernel
             || sig == "select_eq_str_col_val"     // select_str_eq kernel
             || sig == "map_eq_str_col_val"        // StrVec eq map (interpreter)
