@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use x100_storage::frame::{read_frame, Reader, Writer, FRAME_OVERHEAD};
-use x100_storage::{choose_and_compress, CompressedColumn, DecodeCursor, FaultSite};
+use x100_storage::{choose_and_compress, ColumnStats, CompressedColumn, DecodeCursor, FaultSite};
 use x100_vector::Vector;
 
 use crate::compile::PlanError;
@@ -738,7 +738,7 @@ impl RunReader {
 /// when the chooser takes it, the raw value codec otherwise (always for
 /// `Bool`, which no codec takes).
 fn put_column_section(w: &mut Writer, col: Vector) {
-    match choose_and_compress(&col) {
+    match choose_and_compress(&col, &ColumnStats::compute(&col)) {
         Some(cc) => {
             w.put(true);
             w.section(|w| cc.put(w));

@@ -5,8 +5,9 @@
 //! property tests: the [`Strategy`] trait with `prop_map` /
 //! `prop_flat_map`, range and tuple strategies, [`Just`], [`any`],
 //! `prop::collection::vec`, `prop::bool::ANY`, [`Union`] (behind
-//! `prop_oneof!`), [`ProptestConfig`], and the `proptest!` /
-//! `prop_assert*!` macros.
+//! `prop_oneof!`), [`ProptestConfig`] (whose default case count
+//! `PROPTEST_CASES` overrides), and the `proptest!` / `prop_assert*!`
+//! macros.
 //!
 //! Differences from real proptest: failing cases are not shrunk (the
 //! failing inputs are reported as-is by the assertion message), and
@@ -52,9 +53,12 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or as many as the `PROPTEST_CASES` environment
+    /// variable says (as in real proptest).
     fn default() -> Self {
+        let cases = std::env::var("PROPTEST_CASES").ok();
         ProptestConfig {
-            cases: 256,
+            cases: cases.and_then(|c| c.parse().ok()).unwrap_or(256),
             max_shrink_iters: 1024,
         }
     }

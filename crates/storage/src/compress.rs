@@ -1,17 +1,19 @@
 //! Compressed column fragments: the storage half of lightweight
 //! compression (paper §4.3 / §5).
 //!
-//! At checkpoint / reorganize time a per-column *format chooser* samples
-//! each fragment's value range, sort order and cardinality and rewrites
-//! it as a sequence of compressed chunks — PFOR, PFOR-DELTA or PDICT —
-//! each carrying a self-describing [`ChunkHeader`] plus exception
-//! blocks. Columns where compression would not pay (savings below 10%)
-//! stay raw. The scan decompresses vector-at-a-time through
+//! At checkpoint / reorganize time a per-column *format chooser* bounds
+//! each format's size from the fragment's sort order, a byte histogram
+//! and a sample's cardinality, encodes only the formats that can win,
+//! and rewrites the fragment as a sequence of compressed chunks — PFOR,
+//! PFOR-DELTA or PDICT — each carrying a self-describing
+//! [`ChunkHeader`] plus exception blocks. Columns where compression
+//! would not pay (savings below 10%) stay raw. The scan decompresses vector-at-a-time through
 //! [`CompressedColumn::decode_range`], so compressed data stays
 //! compressed in the buffer pool and expands only into cache-resident
 //! vectors.
 
 use crate::frame::{fold_checksum, fold_values, Le, Reader, Writer};
+use crate::table::ColumnStats;
 use x100_vector::compress as k;
 use x100_vector::{ScalarType, StrVec, Value, Vector};
 
@@ -1100,53 +1102,89 @@ pub fn compress_column_as(data: &Vector, format: ChunkFormat) -> Option<Compress
     ))
 }
 
-/// The per-column format chooser: samples sort order and cardinality,
-/// compresses with every applicable format, and keeps the smallest
-/// result — unless even the winner saves less than 10% of the raw
-/// bytes, in which case the column stays raw (`None`).
-pub fn choose_and_compress(data: &Vector) -> Option<CompressedColumn> {
-    let mut candidates: Vec<ChunkFormat> = Vec::new();
-    match data {
+/// The per-column format chooser: the smallest applicable format, unless
+/// even it saves less than 10% of the raw bytes — then the column stays
+/// raw (`None`).
+///
+/// Bound, then encode: every candidate first gets an exact lower bound
+/// on its size, computed without encoding ([`size_floor`]), and is
+/// encoded only when that bound could pass the 10% rule *and* beat the
+/// best format encoded so far. A skipped format's real size is at least
+/// its bound, so it could not have won: the verdict — format and bytes —
+/// is the full sweep's by construction, candidates tried in the same
+/// order and the earlier kept on a tie. `stats` are the fragment's own:
+/// PFOR-DELTA is a candidate only when they say it is non-decreasing.
+pub fn choose_and_compress(data: &Vector, stats: &ColumnStats) -> Option<CompressedColumn> {
+    use ChunkFormat::{Pdict, Pfor, PforDelta};
+    let candidates: &[ChunkFormat] = match data {
+        _ if data.is_empty() => return None,
         Vector::Bool(_) => return None,
-        Vector::Str(_) => candidates.push(ChunkFormat::Pdict),
-        Vector::F64(_) => {
-            candidates.push(ChunkFormat::Pfor);
-            candidates.push(ChunkFormat::Pdict);
+        Vector::Str(_) => &[Pdict],
+        Vector::F64(_) => &[Pfor, Pdict],
+        Vector::I32(_) | Vector::I64(_) if stats.sorted => &[Pfor, PforDelta, Pdict],
+        Vector::I32(_) | Vector::I64(_) => &[Pfor, Pdict],
+        _ if stats.sorted => &[Pfor, PforDelta],
+        _ => &[Pfor],
+    };
+    let raw = data.byte_size() as u64;
+    let pays = |bytes: u64| bytes * 10 <= raw * 9;
+    let mut best: Option<CompressedColumn> = None;
+    for &format in candidates {
+        let Some(floor) = size_floor(data, format) else {
+            continue;
+        };
+        if !pays(floor) || best.as_ref().is_some_and(|b| b.compressed_bytes <= floor) {
+            continue;
         }
-        _ => {
-            candidates.push(ChunkFormat::Pfor);
-            if is_sorted(data) {
-                candidates.push(ChunkFormat::PforDelta);
-            }
-            if matches!(data, Vector::I32(_) | Vector::I64(_)) {
-                candidates.push(ChunkFormat::Pdict);
+        if let Some(c) = compress_column_as(data, format) {
+            if best
+                .as_ref()
+                .is_none_or(|b| c.compressed_bytes < b.compressed_bytes)
+            {
+                best = Some(c);
             }
         }
     }
-    let best = candidates
-        .into_iter()
-        .filter_map(|f| compress_column_as(data, f))
-        .min_by_key(|c| c.compressed_bytes)?;
-    // Fall back to raw unless compression saves at least 10%.
-    if best.compressed_bytes * 10 <= best.raw_bytes * 9 {
-        Some(best)
-    } else {
-        None
+    best.filter(|b| pays(b.compressed_bytes))
+}
+
+/// A lower bound on `compress_column_as(data, format)`'s
+/// `compressed_bytes`, or `None` when that format is certain to refuse
+/// the column. Every chunk pays its header; beyond that:
+/// - **PFOR on 1-byte data** is priced exactly from a per-chunk 256-bin
+///   histogram: lane 0 costs an exception per value off the mode, any
+///   wider lane at least a byte per value.
+/// - **PDICT**: the distinct values of a strided sample are a subset of
+///   the column's. More than the cap means the format refuses; more than
+///   256 means 16-bit codes; and the dictionary is at least the sample's.
+fn size_floor(data: &Vector, format: ChunkFormat) -> Option<u64> {
+    let headers = (data.len().div_ceil(CHUNK_ROWS) * HEADER_BYTES) as u64;
+    match (format, data) {
+        (ChunkFormat::Pfor, Vector::U8(v)) => Some(one_byte_pfor_floor(v, |&x| x)),
+        (ChunkFormat::Pfor, Vector::I8(v)) => Some(one_byte_pfor_floor(v, |&x| x as u8)),
+        (ChunkFormat::Pdict, _) => {
+            let step = data.len().div_ceil(PDICT_SAMPLE_ROWS);
+            let sample = pdict_dictionary(data, step)?;
+            let code_bytes = if sample.len() <= 256 { 1 } else { 2 };
+            Some(headers + (data.len() * code_bytes + sample.byte_size()) as u64)
+        }
+        _ => Some(headers),
     }
 }
 
-fn is_sorted(data: &Vector) -> bool {
-    match data {
-        Vector::I8(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::I16(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::I32(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::I64(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::U8(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::U16(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::U32(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::U64(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        Vector::F64(_) | Vector::Str(_) | Vector::Bool(_) => false,
-    }
+/// PFOR's exact size over a 1-byte column (`key` maps a value to its
+/// histogram bin): per chunk, the header plus the cheaper of lane 0
+/// (every value off the mode an exception) and lane 8 (a byte each;
+/// wider lanes cost more).
+fn one_byte_pfor_floor<T>(v: &[T], key: impl Fn(&T) -> u8) -> u64 {
+    v.chunks(CHUNK_ROWS)
+        .map(|c| {
+            let mut hist = [0usize; 256];
+            c.iter().for_each(|x| hist[key(x) as usize] += 1);
+            let mode = hist.iter().copied().max().unwrap_or(0);
+            (HEADER_BYTES + ((c.len() - mode) * k::EXC_COST).min(c.len())) as u64
+        })
+        .sum()
 }
 
 fn pfor_header(format: ChunkFormat, rows: usize, c: &k::PforChunk) -> ChunkHeader {
@@ -1243,82 +1281,78 @@ const PDICT_NUMERIC_CAP: usize = 4096;
 /// Cardinality cap for PDICT on string columns (2-byte codes).
 const PDICT_STR_CAP: usize = 65536;
 
-fn pdict_chunks(data: &Vector) -> Option<(Vec<CompressedChunk>, Vector, u32)> {
+/// Rows in the chooser's strided PDICT sample: enough that a numeric
+/// column well over the cap shows more than the cap in the sample.
+const PDICT_SAMPLE_ROWS: usize = 2 * PDICT_NUMERIC_CAP;
+
+/// The sorted distinct values of every `step`-th row of `data` — with
+/// `step` 1 the column's PDICT dictionary — or `None` when they exceed
+/// the cap for the column's type or PDICT does not take the type.
+/// Floats are ordered by `total_cmp` and told apart by their bits.
+fn pdict_dictionary(data: &Vector, step: usize) -> Option<Vector> {
     macro_rules! numeric {
-        ($v:expr, $variant:ident, $comp:path) => {{
-            let mut dict: Vec<_> = $v.clone();
+        ($v:expr, $variant:ident) => {{
+            let mut dict: Vec<_> = $v.iter().step_by(step).copied().collect();
             dict.sort_unstable();
             dict.dedup();
-            if dict.len() > PDICT_NUMERIC_CAP {
-                return None;
-            }
-            let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
-            let chunks = $v
-                .chunks(CHUNK_ROWS)
-                .map(|s| {
-                    let payload = $comp(s, &dict, lane).expect("dict covers the column");
-                    CompressedChunk {
-                        header: pdict_header(s.len(), lane, &payload),
-                        body: ChunkBody::Pdict(payload),
-                    }
-                })
-                .collect();
-            Some((chunks, Vector::$variant(dict), lane))
+            (dict.len() <= PDICT_NUMERIC_CAP).then_some(Vector::$variant(dict))
         }};
     }
     match data {
-        Vector::I32(v) => numeric!(v, I32, k::compress_pdict_i32_col),
-        Vector::I64(v) => numeric!(v, I64, k::compress_pdict_i64_col),
+        Vector::I32(v) => numeric!(v, I32),
+        Vector::I64(v) => numeric!(v, I64),
         Vector::F64(v) => {
-            let mut dict: Vec<f64> = v.clone();
-            dict.sort_unstable_by(|a, b| a.total_cmp(b));
+            let mut dict: Vec<f64> = v.iter().step_by(step).copied().collect();
+            dict.sort_unstable_by(f64::total_cmp);
             dict.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            if dict.len() > PDICT_NUMERIC_CAP {
-                return None;
-            }
-            let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
-            let chunks = v
-                .chunks(CHUNK_ROWS)
-                .map(|s| {
-                    let payload =
-                        k::compress_pdict_f64_col(s, &dict, lane).expect("dict covers the column");
-                    CompressedChunk {
-                        header: pdict_header(s.len(), lane, &payload),
-                        body: ChunkBody::Pdict(payload),
-                    }
-                })
-                .collect();
-            Some((chunks, Vector::F64(dict), lane))
+            (dict.len() <= PDICT_NUMERIC_CAP).then_some(Vector::F64(dict))
         }
         Vector::Str(v) => {
-            let mut sorted: Vec<&str> = v.iter().collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() > PDICT_STR_CAP {
-                return None;
-            }
-            let dict: StrVec = sorted.iter().copied().collect();
-            let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
+            let mut dict: Vec<&str> = v.iter().step_by(step).collect();
+            dict.sort_unstable();
+            dict.dedup();
+            (dict.len() <= PDICT_STR_CAP).then(|| Vector::Str(dict.into_iter().collect()))
+        }
+        _ => None,
+    }
+}
+
+fn pdict_chunks(data: &Vector) -> Option<(Vec<CompressedChunk>, Vector, u32)> {
+    let dict = pdict_dictionary(data, 1)?;
+    let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
+    let chunk = |rows: usize, payload: Option<Vec<u8>>| {
+        let payload = payload.expect("dict covers the column");
+        CompressedChunk {
+            header: pdict_header(rows, lane, &payload),
+            body: ChunkBody::Pdict(payload),
+        }
+    };
+    macro_rules! numeric {
+        ($v:expr, $d:expr, $comp:path) => {
+            $v.chunks(CHUNK_ROWS)
+                .map(|s| chunk(s.len(), $comp(s, $d, lane)))
+                .collect()
+        };
+    }
+    let chunks = match (data, &dict) {
+        (Vector::I32(v), Vector::I32(d)) => numeric!(v, d, k::compress_pdict_i32_col),
+        (Vector::I64(v), Vector::I64(d)) => numeric!(v, d, k::compress_pdict_i64_col),
+        (Vector::F64(v), Vector::F64(d)) => numeric!(v, d, k::compress_pdict_f64_col),
+        (Vector::Str(v), Vector::Str(d)) => {
             let mut chunks = Vec::new();
             let mut start = 0usize;
             while start < v.len() {
                 let n = (v.len() - start).min(CHUNK_ROWS);
                 let mut slice = StrVec::with_capacity(n, 8);
-                for i in start..start + n {
-                    slice.push(v.get(i));
-                }
-                let payload =
-                    k::compress_pdict_str_col(&slice, &dict, lane).expect("dict covers the column");
-                chunks.push(CompressedChunk {
-                    header: pdict_header(n, lane, &payload),
-                    body: ChunkBody::Pdict(payload),
-                });
+                slice.extend_range(v, start, n);
+                chunks.push(chunk(n, k::compress_pdict_str_col(&slice, d, lane)));
                 start += n;
             }
-            Some((chunks, Vector::Str(dict), lane))
+            chunks
         }
-        _ => None,
-    }
+        _ => unreachable!("pdict_dictionary keeps the column's type"),
+    };
+    Some((chunks, dict, lane))
 }
 
 fn pdict_header(rows: usize, lane: u32, payload: &[u8]) -> ChunkHeader {
@@ -1432,8 +1466,8 @@ mod tests {
 
     #[test]
     fn chooser_prefers_delta_on_sorted_keys() {
-        let v: Vec<i64> = (0..100_000).collect();
-        let col = choose_and_compress(&Vector::I64(v)).expect("compresses");
+        let v = Vector::I64((0..100_000).collect());
+        let col = choose_and_compress(&v, &ColumnStats::compute(&v)).expect("compresses");
         assert_eq!(col.format(), ChunkFormat::PforDelta);
     }
 
@@ -1449,7 +1483,8 @@ mod tests {
                 x
             })
             .collect();
-        assert!(choose_and_compress(&Vector::U64(v)).is_none());
+        let v = Vector::U64(v);
+        assert!(choose_and_compress(&v, &ColumnStats::compute(&v)).is_none());
     }
 
     #[test]
@@ -1458,13 +1493,15 @@ mod tests {
         for i in 0..30_000 {
             s.push(if i % 2 == 0 { "YES" } else { "NO" });
         }
-        let col = choose_and_compress(&Vector::Str(s)).expect("compresses");
+        let s = Vector::Str(s);
+        let col = choose_and_compress(&s, &ColumnStats::compute(&s)).expect("compresses");
         assert_eq!(col.format(), ChunkFormat::Pdict);
     }
 
     #[test]
     fn empty_column_stays_raw() {
-        assert!(choose_and_compress(&Vector::I64(Vec::new())).is_none());
+        let empty = Vector::I64(Vec::new());
+        assert!(choose_and_compress(&empty, &ColumnStats::compute(&empty)).is_none());
         assert!(compress_column_as(&Vector::I64(Vec::new()), ChunkFormat::Pfor).is_none());
     }
 

@@ -9,6 +9,7 @@
 //! are plain [`Vector`]s, so decoding is the one gather
 //! ([`x100_vector::fetch::gather_at`]) with the codes as positions.
 
+use x100_vector::fetch::{gather_at, gather_rows};
 use x100_vector::{ScalarType, StrVec, Value, Vector};
 
 /// Maximum cardinality an enumeration type can hold (2-byte codes).
@@ -51,6 +52,75 @@ impl EnumDict {
     pub fn decode(&self, code: usize) -> Value {
         self.values.get_value(code)
     }
+
+    /// Re-encode a column whose rows are `codes` (into this dictionary)
+    /// followed by the logical values `tail`, without decoding `codes`:
+    /// reorganize's dictionary merge.
+    ///
+    /// One pass over `codes` marks the entries still used; the `encode_*`
+    /// helper for the dictionary's type then runs over the short input
+    /// "used entries ++ `tail`". The codes it gives the used entries form
+    /// an old-code → new-code remap, and the merged codes are one
+    /// [`gather_at`] through it (the dictionary-decode kernel) followed
+    /// by the codes it gave `tail`.
+    ///
+    /// The distinct values of that input are the distinct values of the
+    /// decoded column, so the result is exactly what encoding the decoded
+    /// column would give: sorted distinct values (unused entries
+    /// dropped), rank codes, `U8` up to 256 values and `U16` beyond. It is
+    /// `None` in exactly the cases that encoding refuses — NaN or `-0.0`
+    /// among the `f64` values, more than [`MAX_ENUM_CARD`] values — and
+    /// for a dictionary type no `encode_*` helper covers.
+    ///
+    /// # Panics
+    /// When `codes` are not `U8`/`U16` or name no entry, or `tail` is not
+    /// of the dictionary's type.
+    pub fn merge(&self, codes: &Vector, tail: &Vector) -> Option<Encoded> {
+        let encode: fn(&Vector) -> Option<Encoded> = match self.value_type() {
+            ScalarType::Str => |v| encode_str(&v.as_str().iter().collect::<Vec<_>>()),
+            ScalarType::F64 => |v| encode_f64(v.as_f64()),
+            ScalarType::I64 => |v| encode_i64(v.as_i64()),
+            _ => return None,
+        };
+        let mut used = vec![false; self.cardinality()];
+        match codes {
+            Vector::U8(c) => c.iter().for_each(|&x| used[x as usize] = true),
+            Vector::U16(c) => c.iter().for_each(|&x| used[x as usize] = true),
+            other => panic!("enum codes of type {:?}", other.scalar_type()),
+        }
+        let live: Vec<u32> = (0..used.len() as u32)
+            .filter(|&e| used[e as usize])
+            .collect();
+        let mut input = Vector::with_capacity(self.value_type(), live.len() + tail.len());
+        assert!(
+            gather_rows(&mut input, &self.values, &live, None),
+            "used entries lie inside the dictionary"
+        );
+        input.append_range(tail, 0, tail.len());
+        let enc = encode(&input)?;
+        // Old code → new code; entries no row uses keep code 0 and are
+        // never read.
+        let mut remap = Vector::zeroed(enc.codes.scalar_type(), used.len());
+        match (&mut remap, &enc.codes) {
+            (Vector::U8(r), Vector::U8(c)) => {
+                live.iter().zip(c).for_each(|(&e, &x)| r[e as usize] = x)
+            }
+            (Vector::U16(r), Vector::U16(c)) => {
+                live.iter().zip(c).for_each(|(&e, &x)| r[e as usize] = x)
+            }
+            _ => unreachable!("encode_* emits U8 or U16 codes"),
+        }
+        let mut merged = Vector::with_capacity(enc.codes.scalar_type(), codes.len() + tail.len());
+        assert!(
+            gather_at(&mut merged, &remap, codes, None),
+            "codes name dictionary entries"
+        );
+        merged.append_range(&enc.codes, live.len(), tail.len());
+        Some(Encoded {
+            codes: merged,
+            dict: enc.dict,
+        })
+    }
 }
 
 /// Result of dictionary-encoding a column: code column + dictionary.
@@ -68,24 +138,20 @@ pub struct Encoded {
 /// lexicographic order of the distinct values, making the encoding
 /// deterministic and order-preserving (`code_a < code_b ⇔ val_a < val_b`),
 /// which lets range predicates run directly on codes.
-pub fn encode_str(values: impl Iterator<Item = String> + Clone) -> Option<Encoded> {
-    let mut distinct: Vec<String> = values.clone().collect();
+pub fn encode_str<S: AsRef<str>>(values: &[S]) -> Option<Encoded> {
+    let mut distinct: Vec<&str> = values.iter().map(AsRef::as_ref).collect();
     distinct.sort_unstable();
     distinct.dedup();
     if distinct.len() > MAX_ENUM_CARD {
         return None;
     }
-    let lookup = |s: &str| {
-        distinct
-            .binary_search_by(|d| d.as_str().cmp(s))
-            .expect("value in dict")
-    };
+    let lookup = |s: &S| distinct.binary_search(&s.as_ref()).expect("value in dict");
     let codes = if distinct.len() <= 256 {
-        Vector::U8(values.map(|s| lookup(&s) as u8).collect())
+        Vector::U8(values.iter().map(|s| lookup(s) as u8).collect())
     } else {
-        Vector::U16(values.map(|s| lookup(&s) as u16).collect())
+        Vector::U16(values.iter().map(|s| lookup(s) as u16).collect())
     };
-    let dict: StrVec = distinct.iter().map(String::as_str).collect();
+    let dict: StrVec = distinct.into_iter().collect();
     Some(Encoded {
         codes,
         dict: EnumDict::new(Vector::Str(dict)),
@@ -159,7 +225,7 @@ mod tests {
             "N".to_string(),
             "R".to_string(),
         ];
-        let enc = encode_str(data.clone().into_iter()).expect("fits");
+        let enc = encode_str(&data).expect("fits");
         assert_eq!(enc.dict.cardinality(), 3);
         assert_eq!(enc.dict.value_type(), ScalarType::Str);
         let codes = enc.codes.as_u8();
@@ -208,6 +274,28 @@ mod tests {
     fn over_cardinality_returns_none() {
         let data: Vec<i64> = (0..(MAX_ENUM_CARD as i64 + 1)).collect();
         assert!(encode_i64(&data).is_none());
+    }
+
+    #[test]
+    fn merge_equals_encoding_the_decoded_column() {
+        // Unsorted dictionary with unused entries; the tail brings 300
+        // new values, so the merged codes widen to U16.
+        let dict = EnumDict::new(Vector::I64(vec![50, -7, 999, 3, 12]));
+        let codes = Vector::U8(vec![3, 1, 3, 0, 1]);
+        let tail: Vec<i64> = (0..300).map(|i| i * 2).collect();
+        let merged = dict
+            .merge(&codes, &Vector::I64(tail.clone()))
+            .expect("fits");
+        let mut decoded: Vec<i64> = vec![3, -7, 3, 50, -7];
+        decoded.extend(&tail);
+        let fresh = encode_i64(&decoded).expect("fits");
+        assert_eq!(merged.codes, fresh.codes);
+        assert_eq!(merged.codes.scalar_type(), ScalarType::U16);
+        assert_eq!(merged.dict.values(), fresh.dict.values());
+        // A NaN among the new values refuses, as encoding would.
+        let dict = EnumDict::new(Vector::F64(vec![0.5, 0.25]));
+        let nan = Vector::F64(vec![f64::NAN]);
+        assert!(dict.merge(&Vector::U8(vec![1, 0]), &nan).is_none());
     }
 
     #[test]

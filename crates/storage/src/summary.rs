@@ -28,7 +28,8 @@ struct Entry {
 }
 
 /// A summary index over an `i64`-comparable clustered column
-/// (dates are `i32` days, widened; decimals are scaled `i64`).
+/// (dates are `i32` days, widened as they are read; decimals are scaled
+/// `i64`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryIndex {
     entries: Vec<Entry>,
@@ -38,12 +39,12 @@ pub struct SummaryIndex {
 
 impl SummaryIndex {
     /// Build over `col` with the default granularity.
-    pub fn build(col: &[i64]) -> Self {
+    pub fn build<T: Copy + Into<i64>>(col: &[T]) -> Self {
         Self::build_with_granularity(col, DEFAULT_GRANULARITY)
     }
 
     /// Build over `col`, one entry per `granularity` rows.
-    pub fn build_with_granularity(col: &[i64], granularity: usize) -> Self {
+    pub fn build_with_granularity<T: Copy + Into<i64>>(col: &[T], granularity: usize) -> Self {
         assert!(granularity > 0, "granularity must be positive");
         let n = col.len();
         let nent = n.div_ceil(granularity);
@@ -54,7 +55,7 @@ impl SummaryIndex {
         for g in 0..nent {
             let end = ((g + 1) * granularity).min(n);
             while idx < end {
-                running_max = running_max.max(col[idx]);
+                running_max = running_max.max(col[idx].into());
                 idx += 1;
             }
             entries.push(Entry {
@@ -70,7 +71,7 @@ impl SummaryIndex {
             let start = g * granularity;
             while idx > start {
                 idx -= 1;
-                reverse_min = reverse_min.min(col[idx]);
+                reverse_min = reverse_min.min(col[idx].into());
             }
             entries[g].reverse_min = reverse_min;
         }
@@ -205,10 +206,10 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_columns() {
-        let idx = SummaryIndex::build(&[]);
+        let idx = SummaryIndex::build::<i64>(&[]);
         assert!(idx.is_empty());
         assert_eq!(idx.range_candidates(Some(0), Some(10)), (0, 0));
-        let idx = SummaryIndex::build(&[42]);
+        let idx = SummaryIndex::build(&[42i64]);
         assert_eq!(idx.len(), 1);
         check_conservative(&[42], &idx, Some(0), Some(100));
         check_conservative(&[42], &idx, Some(43), Some(100));
@@ -224,6 +225,16 @@ mod tests {
         // Entirely below the data.
         let (s2, e2) = idx.range_candidates(None, Some(0));
         assert_eq!(s2, e2);
+    }
+
+    #[test]
+    fn i32_build_equals_widened_build() {
+        let col: Vec<i32> = (0..2500).map(|i| (i * 7919) % 3001 - 1500).collect();
+        let wide: Vec<i64> = col.iter().map(|&x| x.into()).collect();
+        assert_eq!(
+            SummaryIndex::build_with_granularity(&col, 64),
+            SummaryIndex::build_with_granularity(&wide, 64)
+        );
     }
 
     #[test]

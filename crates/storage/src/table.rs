@@ -142,9 +142,7 @@ impl StoredColumn {
             .map_or(data.scalar_type(), EnumDict::value_type);
         let summary = match &data {
             _ if !summary => None,
-            Vector::I32(v) => Some(SummaryIndex::build(
-                &v.iter().map(|&x| x as i64).collect::<Vec<_>>(),
-            )),
+            Vector::I32(v) => Some(SummaryIndex::build(v)),
             Vector::I64(v) => Some(SummaryIndex::build(v)),
             _ => None,
         };
@@ -269,7 +267,7 @@ impl TableBuilder {
     /// Try to enum-encode a string column; falls back to plain storage
     /// if the cardinality exceeds 2-byte codes.
     pub fn auto_enum_str(self, name: impl Into<String>, values: Vec<String>) -> Self {
-        match encode_str(values.clone().into_iter()) {
+        match encode_str(&values) {
             Some(enc) => self.enum_column(name, enc.codes, enc.dict),
             None => self.column(
                 name,
@@ -556,7 +554,7 @@ impl Table {
                 if let Some(f) = fault {
                     f.check_site(FaultSite::CheckpointWrite, i as u32)?;
                 }
-                col.compressed = choose_and_compress(&col.data);
+                col.compressed = choose_and_compress(&col.data, &col.stats);
                 col.codec_epoch = Some(col.epoch);
                 sweeps += 1;
                 // Torn-write injection: the write "succeeded" but a
@@ -662,15 +660,25 @@ impl Table {
     }
 
     /// Rebuild the immutable fragments with all deltas applied: deleted
-    /// rows vanish, inserted rows append, enum columns re-encode, summary
-    /// indices rebuild, and the delta structures empty (paper §4.3's
-    /// "data storage should be reorganized").
+    /// rows vanish, inserted rows append, enum dictionaries merge,
+    /// summary indices rebuild, and the delta structures empty (paper
+    /// §4.3's "data storage should be reorganized").
     ///
     /// Column by column, in vectors: the live positions are computed
-    /// once from the delete list, each fragment is gathered at them
-    /// (an enum column gathers its codes and decodes them through the
-    /// dictionary with the same kernel), the insert delta's live rows
-    /// are appended, and the `encode_*` helpers re-encode enum columns.
+    /// once from the delete list, and each fragment is gathered at them.
+    /// A column then takes one of two paths:
+    /// - **plain**: the insert delta's live rows are appended;
+    /// - **dictionary merge** ([`EnumDict::merge`]): an enum column's
+    ///   codes stay codes. Only the dictionary entries still used and
+    ///   the delta's live rows are encoded, and the gathered codes are
+    ///   remapped through one gather. The result is exactly the encoding
+    ///   of the decoded column — sorted distinct live values, rank codes
+    ///   — so the table equals a fresh build of its live rows. Where that
+    ///   encoding is refused (NaN or `-0.0` in an `f64` column, too many
+    ///   values, a dictionary type no `encode_*` covers) the codes decode
+    ///   through the dictionary and the column goes the plain path.
+    ///
+    /// A column that was checkpointed re-runs the codec chooser.
     ///
     /// Row ids are re-densified (0..live_rows); callers holding old row
     /// ids (e.g. join indices) must re-derive them.
@@ -693,32 +701,33 @@ impl Table {
         let columns = std::mem::take(&mut self.columns);
         for (i, old) in columns.into_iter().enumerate() {
             let logical = old.field.logical;
-            let mut values = Vector::with_capacity(logical, live);
-            let gathered = match &old.dict {
-                None => gather_rows(&mut values, &old.data, &frag_live, None),
-                Some(dict) => {
-                    let mut codes = Vector::with_capacity(old.data.scalar_type(), 0);
-                    gather_rows(&mut codes, &old.data, &frag_live, None)
-                        && gather_at(&mut values, dict.values(), &codes, None)
-                }
-            };
+            let mut gathered = Vector::with_capacity(old.data.scalar_type(), live);
             let mut tail = Vector::with_capacity(logical, delta_live.len());
-            let gathered =
-                gathered && gather_rows(&mut tail, self.inserts.column(i), &delta_live, None);
-            assert!(gathered, "live positions lie inside their region");
-            values.append_range(&tail, 0, tail.len());
-            let enc = match (&old.dict, &values) {
-                (None, _) => None,
-                (Some(_), Vector::Str(s)) => {
-                    encode_str(s.iter().map(str::to_owned).collect::<Vec<_>>().into_iter())
+            assert!(
+                gather_rows(&mut gathered, &old.data, &frag_live, None)
+                    && gather_rows(&mut tail, self.inserts.column(i), &delta_live, None),
+                "live positions lie inside their region"
+            );
+            let merged = old.dict.as_ref().and_then(|d| d.merge(&gathered, &tail));
+            let (data, dict) = match (merged, &old.dict) {
+                (Some(enc), _) => (enc.codes, Some(enc.dict)),
+                (None, dict) => {
+                    // Plain: the gathered values, or the gathered codes
+                    // decoded through the dictionary the merge refused.
+                    let mut values = match dict {
+                        None => gathered,
+                        Some(d) => {
+                            let mut values = Vector::with_capacity(logical, live);
+                            assert!(
+                                gather_at(&mut values, d.values(), &gathered, None),
+                                "codes name dictionary entries"
+                            );
+                            values
+                        }
+                    };
+                    values.append_range(&tail, 0, tail.len());
+                    (values, None)
                 }
-                (Some(_), Vector::F64(v)) => encode_f64(v),
-                (Some(_), Vector::I64(v)) => encode_i64(v),
-                (Some(_), _) => None,
-            };
-            let (data, dict) = match enc {
-                Some(enc) => (enc.codes, Some(enc.dict)),
-                None => (values, None),
             };
             let mut col = StoredColumn::new(old.field.name, data, dict, old.summary.is_some());
             // Checkpointed columns stay checkpointed: re-run the format
@@ -728,7 +737,7 @@ impl Table {
             col.epoch = old.epoch + 1;
             if old.compressed.is_some() {
                 self.codec_sweeps += 1;
-                col.compressed = choose_and_compress(&col.data);
+                col.compressed = choose_and_compress(&col.data, &col.stats);
                 col.codec_epoch = Some(col.epoch);
             }
             self.columns.push(col);

@@ -38,7 +38,7 @@ fn sample_table(seed: i64) -> Table {
     let flags: Vec<String> = (0..n)
         .map(|i| format!("F{}", (i as i64 + seed) % 7))
         .collect();
-    let enc = encode_str(flags.into_iter()).expect("low cardinality");
+    let enc = encode_str(&flags).expect("low cardinality");
     TableBuilder::new("crash")
         .column("id", Vector::I64(ids))
         .column("val", Vector::F64(vals))

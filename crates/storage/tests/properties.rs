@@ -8,20 +8,56 @@
 
 use proptest::prelude::*;
 use x100_storage::{
-    choose_and_compress, compress_column_as, encode_i64, ChunkFormat, CompressedColumn,
-    DecodeCursor, SummaryIndex, Table, TableBuilder,
+    choose_and_compress, compress_column_as, encode_i64, ChunkFormat, ColumnStats,
+    CompressedColumn, DecodeCursor, EnumDict, SummaryIndex, Table, TableBuilder,
 };
 use x100_vector::{Value, Vector};
 
-/// One row of the four-column model table: plain `i64`, enum string,
-/// enum `f64`, and `i32` with a summary index.
-type Row = (i64, String, f64, i32);
+/// One row of the five-column model table: plain `i64`, enum string,
+/// enum `f64`, `i32` with a summary index, and enum `i64`.
+type Row = (i64, String, f64, i32, i64);
 
 const MODES: [&str; 7] = ["", "AIR", "FOB", "MAIL", "RAIL", "SHIP", "TRUCK"];
 
+/// Rows of one bulk insert: with the modes, more distinct strings than
+/// one-byte codes hold, so a reorganize widens the codes to `U16`.
+const BULK: std::ops::Range<usize> = 260..300;
+
 fn row_strategy() -> impl Strategy<Value = Row> {
-    (any::<i64>(), 0usize..MODES.len(), -3i32..9, any::<i32>())
-        .prop_map(|(v, s, f, d)| (v, MODES[s].to_owned(), f as f64 / 100.0, d))
+    (
+        (any::<i64>(), 0usize..MODES.len(), 0u16..480, any::<i32>()),
+        -4i64..6,
+    )
+        .prop_map(|((v, s, f, d), e)| (v, MODES[s].to_owned(), model_f64(f), d, e * 1000))
+}
+
+/// Cents in `[-0.03, 0.08]`, and rarely a value no enum code may hold:
+/// NaN (unordered) or `-0.0` (one code, two bit patterns).
+fn model_f64(f: u16) -> f64 {
+    match f {
+        0 => f64::NAN,
+        1 => -0.0,
+        _ => ((f % 12) as f64 - 3.0) / 100.0,
+    }
+}
+
+/// A row whose `f64` forces that column plain. The model keeps such rows
+/// live: a reorganize never turns a plain column back into an enum, so a
+/// fresh build matches only while they are there.
+fn pinned(r: &Row) -> bool {
+    r.2.is_nan() || r.2.to_bits() == (-0.0f64).to_bits()
+}
+
+/// The `k`-th row of a bulk insert: a string of its own.
+fn bulk_row(k: usize) -> Row {
+    let k64 = k as i64;
+    (
+        k64,
+        format!("b{k:03}"),
+        model_f64(2 + k as u16),
+        -(k as i32),
+        (k64 % 10 - 4) * 1000,
+    )
 }
 
 fn row_values(r: &Row) -> Vec<Value> {
@@ -30,7 +66,19 @@ fn row_values(r: &Row) -> Vec<Value> {
         Value::Str(r.1.clone()),
         Value::F64(r.2),
         Value::I32(r.3),
+        Value::I64(r.4),
     ]
+}
+
+/// Row values with floats as bit patterns: NaN equals itself and `-0.0`
+/// differs from `0.0`.
+fn row_bits(row: &[Value]) -> Vec<Value> {
+    row.iter()
+        .map(|v| match v {
+            Value::F64(x) => Value::U64(x.to_bits()),
+            v => v.clone(),
+        })
+        .collect()
 }
 
 /// The model's rows built fresh — what a reorganize must reproduce.
@@ -41,6 +89,33 @@ fn build_table(rows: &[Row]) -> Table {
         .auto_enum_f64("f", rows.iter().map(|r| r.2).collect())
         .column("d", Vector::I32(rows.iter().map(|r| r.3).collect()))
         .with_summary()
+        .auto_enum_i64("e", rows.iter().map(|r| r.4).collect())
+        .build()
+}
+
+/// The starting table: as [`build_table`], except that the `i64` enum
+/// column is built by hand over a dictionary that is unsorted (values
+/// descending) and holds entries no row uses. The first reorganize must
+/// still give exactly the fresh build.
+fn build_initial(rows: &[Row]) -> Table {
+    let mut values: Vec<i64> = rows.iter().map(|r| r.4).collect();
+    values.sort_unstable_by(|a, b| b.cmp(a));
+    values.dedup();
+    let dict: Vec<i64> = std::iter::once(777)
+        .chain(values)
+        .chain(std::iter::once(-123))
+        .collect();
+    let codes = rows
+        .iter()
+        .map(|r| dict.iter().position(|&x| x == r.4).expect("in dict") as u8)
+        .collect();
+    TableBuilder::new("t")
+        .column("v", Vector::I64(rows.iter().map(|r| r.0).collect()))
+        .auto_enum_str("s", rows.iter().map(|r| r.1.clone()).collect())
+        .auto_enum_f64("f", rows.iter().map(|r| r.2).collect())
+        .column("d", Vector::I32(rows.iter().map(|r| r.3).collect()))
+        .with_summary()
+        .enum_column("e", Vector::U8(codes), EnumDict::new(Vector::I64(dict)))
         .build()
 }
 
@@ -49,6 +124,13 @@ enum Op {
     Insert(Row),
     Delete(usize),
     Update(usize, Row),
+    /// Insert [`BULK`]`.start + n` rows of distinct strings.
+    Bulk(usize),
+    /// Delete every row holding `MODES[i]`, so its entry falls out of
+    /// the dictionary.
+    DeleteValue(usize),
+    /// Delete every bulk row, so the string codes narrow back to `U8`.
+    DeleteBulk,
     Reorganize,
     Checkpoint,
 }
@@ -58,9 +140,32 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         row_strategy().prop_map(Op::Insert),
         (0usize..64).prop_map(Op::Delete),
         (0usize..64, row_strategy()).prop_map(|(i, r)| Op::Update(i, r)),
+        (0usize..BULK.len()).prop_map(Op::Bulk),
+        (0usize..MODES.len()).prop_map(Op::DeleteValue),
+        Just(Op::DeleteBulk),
         Just(Op::Reorganize),
         Just(Op::Checkpoint),
     ]
+}
+
+/// Delete every live row `gone` picks (pinned rows stay), in the table
+/// and in the model.
+fn delete_where(
+    table: &mut Table,
+    model: &mut Vec<Row>,
+    rowids: &mut Vec<u32>,
+    gone: impl Fn(&Row) -> bool,
+) {
+    let mut kept = (Vec::new(), Vec::new());
+    for (r, id) in model.drain(..).zip(rowids.drain(..)) {
+        if gone(&r) && !pinned(&r) {
+            prop_assert!(table.delete(id));
+        } else {
+            kept.0.push(r);
+            kept.1.push(id);
+        }
+    }
+    (*model, *rowids) = kept;
 }
 
 /// A reorganized table equals a fresh build of its live rows column by
@@ -123,7 +228,7 @@ proptest! {
     #[test]
     fn table_matches_row_model(init in prop::collection::vec(row_strategy(), 0..40),
                                ops in prop::collection::vec(op_strategy(), 0..40)) {
-        let mut table = build_table(&init);
+        let mut table = build_initial(&init);
         // Model: live rows in #rowId order, and their row ids.
         let mut model: Vec<Row> = init.clone();
         let mut rowids: Vec<u32> = (0..init.len() as u32).collect();
@@ -135,7 +240,7 @@ proptest! {
                     model.push(r);
                 }
                 Op::Delete(pos) => {
-                    if !model.is_empty() {
+                    if !model.is_empty() && !pinned(&model[pos % model.len()]) {
                         let pos = pos % model.len();
                         prop_assert!(table.delete(rowids[pos]));
                         model.remove(pos);
@@ -143,7 +248,7 @@ proptest! {
                     }
                 }
                 Op::Update(pos, r) => {
-                    if !model.is_empty() {
+                    if !model.is_empty() && !pinned(&model[pos % model.len()]) {
                         let pos = pos % model.len();
                         let new_id = table.update(rowids[pos], &row_values(&r)).expect("live row");
                         model.remove(pos);
@@ -151,6 +256,18 @@ proptest! {
                         model.push(r);
                         rowids.push(new_id);
                     }
+                }
+                Op::Bulk(n) => {
+                    for r in (0..BULK.start + n).map(bulk_row) {
+                        rowids.push(table.insert(&row_values(&r)));
+                        model.push(r);
+                    }
+                }
+                Op::DeleteValue(i) => {
+                    delete_where(&mut table, &mut model, &mut rowids, |r| r.1 == MODES[i]);
+                }
+                Op::DeleteBulk => {
+                    delete_where(&mut table, &mut model, &mut rowids, |r| r.1.starts_with('b'));
                 }
                 Op::Reorganize => {
                     table.reorganize();
@@ -165,7 +282,7 @@ proptest! {
         }
         // Final check: every live row matches the model.
         for (pos, &id) in rowids.iter().enumerate() {
-            prop_assert_eq!(table.get_row(id), row_values(&model[pos]));
+            prop_assert_eq!(row_bits(&table.get_row(id)), row_bits(&row_values(&model[pos])));
         }
         // Any checkpoint-compressed fragment must decode bit-identically
         // to the physical column it mirrors.
@@ -367,8 +484,117 @@ proptest! {
             values.sort_unstable();
         }
         let data = Vector::I64(values);
-        if let Some(cc) = choose_and_compress(&data) {
+        if let Some(cc) = choose_and_compress(&data, &ColumnStats::compute(&data)) {
             assert_decode_matches(&cc, &data, &sizes);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chooser agreement: `choose_and_compress` bounds each format before it
+// encodes it, and must return exactly what encoding every format would.
+// ---------------------------------------------------------------------------
+
+/// The full sweep the chooser must agree with: every applicable format
+/// encoded, the smallest kept (the first on a tie), and raw (`None`)
+/// unless it saves at least 10% of the raw bytes.
+fn full_sweep(data: &Vector) -> Option<CompressedColumn> {
+    macro_rules! non_decreasing {
+        ($($variant:ident),*) => {
+            match data {
+                $(Vector::$variant(v) => v.windows(2).all(|w| w[0] <= w[1]),)*
+                _ => false,
+            }
+        };
+    }
+    let sorted = non_decreasing!(I8, I16, I32, I64, U8, U16, U32, U64);
+    [
+        ChunkFormat::Pfor,
+        ChunkFormat::PforDelta,
+        ChunkFormat::Pdict,
+    ]
+    .into_iter()
+    .filter(|&f| f != ChunkFormat::PforDelta || sorted)
+    .filter_map(|f| compress_column_as(data, f))
+    .min_by_key(|c| c.compressed_bytes())
+    .filter(|c| c.compressed_bytes() * 10 <= c.raw_bytes() * 9)
+}
+
+/// A column of stored type `ty` (an index into the ten stored types)
+/// with `rows` rows drawn from `seed`. `shape` picks up to `card`
+/// distinct values, a non-decreasing run, one value in twenty off a
+/// dominant one, or any values; values have `64 - shift` random bits.
+fn chooser_column(ty: usize, rows: usize, shape: u8, card: usize, shift: u32, seed: u64) -> Vector {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let pool: Vec<u64> = (0..card).map(|_| next() >> shift).collect();
+    let mut acc = next();
+    let raw: Vec<u64> = (0..rows)
+        .map(|_| match shape {
+            0 => pool[(next() % pool.len() as u64) as usize],
+            1 => {
+                acc = acc.wrapping_add(next() % 4);
+                acc
+            }
+            2 if next() % 20 != 0 => pool[0],
+            _ => next() >> shift,
+        })
+        .collect();
+    let cents = |r: u64| (r % 2_000_000) as f64 / 100.0;
+    match ty {
+        0 => Vector::I8(raw.iter().map(|&r| r as i8).collect()),
+        1 => Vector::I16(raw.iter().map(|&r| r as i16).collect()),
+        2 => Vector::I32(raw.iter().map(|&r| r as i32).collect()),
+        3 => Vector::I64(raw.iter().map(|&r| r as i64).collect()),
+        4 => Vector::U8(raw.iter().map(|&r| r as u8).collect()),
+        5 => Vector::U16(raw.iter().map(|&r| r as u16).collect()),
+        6 => Vector::U32(raw.iter().map(|&r| r as u32).collect()),
+        7 => Vector::U64(raw),
+        8 => Vector::F64(raw.iter().map(|&r| cents(r)).collect()),
+        _ => {
+            let mut s = x100_vector::StrVec::default();
+            raw.iter()
+                .for_each(|&r| s.push(&format!("v{}", r % 100_000)));
+            Vector::Str(s)
+        }
+    }
+}
+
+proptest! {
+    /// Same format and the same bytes as the full sweep, over every
+    /// stored type and value shapes on both sides of each bound: PFOR
+    /// lane 0 against lane 8 on 1-byte codes, PDICT over and under 256
+    /// values and over its cap, sorted columns for PFOR-DELTA.
+    #[test]
+    fn chooser_matches_full_sweep(ty in 0usize..10,
+                                  rows in 1usize..10_000,
+                                  shape in 0u8..4,
+                                  card_bits in 0u32..13,
+                                  width in 0usize..4,
+                                  seed in any::<u64>()) {
+        // Cardinalities spread evenly over powers of two up to 8192, and
+        // values 64, 32, 16 or 8 bits wide.
+        let card = (1usize << card_bits) + (seed as usize) % (1 << card_bits);
+        let shift = [0, 32, 48, 56][width];
+        let data = chooser_column(ty, rows, shape, card, shift, seed);
+        let got = choose_and_compress(&data, &ColumnStats::compute(&data));
+        match (got, full_sweep(&data)) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                prop_assert_eq!(g.format(), w.format());
+                prop_assert!(g.to_bytes() == w.to_bytes(), "{:?}: chunk bytes", w.format());
+            }
+            (g, w) => prop_assert!(
+                false,
+                "chooser {:?}, full sweep {:?}",
+                g.map(|c| c.format()),
+                w.map(|c| c.format())
+            ),
         }
     }
 }
@@ -612,7 +838,7 @@ proptest! {
             values.sort_unstable();
         }
         let data = Vector::I64(values.clone());
-        if let Some(cc) = choose_and_compress(&data) {
+        if let Some(cc) = choose_and_compress(&data, &ColumnStats::compute(&data)) {
             let mut out = Vector::with_capacity(data.scalar_type(), 0);
             let mut scratch = Vec::new();
             let mut cursor = DecodeCursor::default();
@@ -671,7 +897,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use x100_storage::frame::{Writer, FRAME_OVERHEAD};
-use x100_storage::{fold_checksum, DurableError, DurableOptions, EnumDict};
+use x100_storage::{fold_checksum, DurableError, DurableOptions};
 
 /// Stride of the exhaustive offset sweeps: every byte natively, a
 /// sample under the (slow) miri interpreter.
@@ -869,7 +1095,8 @@ proptest! {
 fn durable_fixture(tag: &str, replicas: u32) -> (std::path::PathBuf, Vec<Vec<Value>>) {
     let dir = std::env::temp_dir().join(format!("x100-mutate-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let enc = x100_storage::encode_str((0..64).map(|i| format!("F{}", i % 5))).expect("enum");
+    let flags: Vec<String> = (0..64).map(|i| format!("F{}", i % 5)).collect();
+    let enc = x100_storage::encode_str(&flags).expect("enum");
     let mut t = TableBuilder::new("m")
         .column("id", Vector::I64((0..64).collect()))
         .column(

@@ -32,7 +32,7 @@ use crate::vector::StrVec;
 
 /// Exception cost in bytes: a 4-byte chunk-relative position plus an
 /// 8-byte absolute frame.
-const EXC_COST: usize = 12;
+pub const EXC_COST: usize = 12;
 
 /// Sync-carry interval of PFOR-DELTA chunks: one absolute carry per
 /// this many values, so decode can start at any vector boundary without
@@ -315,20 +315,13 @@ fn exc_window<'a>(
 // PFOR
 // ---------------------------------------------------------------------
 
-/// Shared PFOR encoder over pre-framed values. `frames[i]` is
+/// Shared PFOR encoder over frames materialized once. `frames[i]` is
 /// `Ok(frame)` for regular values and `Err(raw)` for values that must
 /// be exceptions at every lane (non-representable scaled floats).
-fn pfor_encode_frames(frames: impl Iterator<Item = Result<u64, u64>> + Clone) -> PforChunk {
-    let mut rows = 0usize;
-    let mut forced = 0usize;
-    let mut sorted: Vec<u64> = Vec::new();
-    for f in frames.clone() {
-        rows += 1;
-        match f {
-            Ok(v) => sorted.push(v),
-            Err(_) => forced += 1,
-        }
-    }
+fn pfor_encode_frames(frames: &[Result<u64, u64>]) -> PforChunk {
+    let rows = frames.len();
+    let mut sorted: Vec<u64> = frames.iter().filter_map(|f| f.ok()).collect();
+    let forced = rows - sorted.len();
     sorted.sort_unstable();
     let (lane, base) = choose_lane_base(rows, &sorted, forced);
     let mask = lane_mask(lane);
@@ -340,18 +333,13 @@ fn pfor_encode_frames(frames: impl Iterator<Item = Result<u64, u64>> + Clone) ->
         exc_pos: Vec::new(),
         exc_frames: Vec::new(),
     };
-    for (i, f) in frames.enumerate() {
+    for (i, &f) in frames.iter().enumerate() {
         match f {
             Ok(v) if v >= base && v - base <= mask => push_lane(&mut c.payload, lane, v - base),
-            Ok(v) => {
+            Ok(v) | Err(v) => {
                 push_lane(&mut c.payload, lane, 0);
                 c.exc_pos.push(i as u32);
                 c.exc_frames.push(v);
-            }
-            Err(raw) => {
-                push_lane(&mut c.payload, lane, 0);
-                c.exc_pos.push(i as u32);
-                c.exc_frames.push(raw);
             }
         }
     }
@@ -359,7 +347,8 @@ fn pfor_encode_frames(frames: impl Iterator<Item = Result<u64, u64>> + Clone) ->
 }
 
 fn pfor_encode_int<T: FrameValue>(values: &[T]) -> PforChunk {
-    pfor_encode_frames(values.iter().map(|v| Ok(v.to_frame())))
+    let frames: Vec<Result<u64, u64>> = values.iter().map(|v| Ok(v.to_frame())).collect();
+    pfor_encode_frames(&frames)
 }
 
 fn pfor_decode_int<T: FrameValue>(
@@ -499,11 +488,11 @@ fn pfor_encode_f64(values: &[f64]) -> PforChunk {
         }
     }
     let scale_f = scale as f64;
-    let mut c = pfor_encode_frames(
-        values
-            .iter()
-            .map(|&v| f64_frame(v, scale_f).ok_or(v.to_bits())),
-    );
+    let frames: Vec<Result<u64, u64>> = values
+        .iter()
+        .map(|&v| f64_frame(v, scale_f).ok_or(v.to_bits()))
+        .collect();
+    let mut c = pfor_encode_frames(&frames);
     c.scale = scale;
     // A float exception is stored as its raw bits, also when the value
     // has a frame that merely fell outside the lane.
@@ -519,9 +508,9 @@ fn pfor_encode_f64(values: &[f64]) -> PforChunk {
         let mut merged_pos: Vec<u32> = Vec::new();
         let mut merged_frames: Vec<u64> = Vec::new();
         let mut old = 0usize;
-        for (p, &v) in values.iter().enumerate() {
-            let demote = match f64_frame(v, scale_f) {
-                Some(f) if f >= c.base && f - c.base <= mask => {
+        for (p, (&v, &frame)) in values.iter().zip(&frames).enumerate() {
+            let demote = match frame {
+                Ok(f) if f >= c.base && f - c.base <= mask => {
                     scaled_fast(f, hi, lo).to_bits() != v.to_bits()
                 }
                 _ => false, // already an exception
