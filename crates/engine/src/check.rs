@@ -38,14 +38,26 @@
 //! 3. **Undecoded enum columns**
 //!    ([`CheckViolation::UndecodedEnumColumn`]) — a dictionary-code
 //!    column used as an arithmetic or cast operand without the
-//!    sanctioned `Fetch1Join(ENUM)` decode. Bare code references,
-//!    equality predicates (rewritten to code comparisons), and group-by
-//!    keys are fine; doing *math* on codes is always a bug.
+//!    sanctioned `Fetch1Join(ENUM)` decode. The walk reads a column as
+//!    codes only for code readers (below), so no plan reaches this: it
+//!    guards that choice.
 //! 4. **Unknown signatures** ([`CheckViolation::UnknownSignature`]) — a
 //!    compiled instruction whose signature the registry has never heard
 //!    of, including instances the interpreter cannot dispatch (a
 //!    `map_eq_u64_col_col` projection would panic in kernel dispatch;
 //!    here it is rejected before execution).
+//!
+//! Which enum columns travel as codes is the walk's choice, not the
+//! plan's. Each node passes its input the columns it or its consumer
+//! reads as values ([`Values`]); a `Scan` or `Fetch1Join` reads every
+//! other enum column as its 1–2-byte codes, unless the table has pending
+//! inserts (the insert delta holds values). Code readers are a bare
+//! column passed on (by `Select`, `Project`, a fetch, a hash join's
+//! probe side), a bare key of a generic `Aggr` (decoded at emission), an
+//! enum-literal comparison `c = 'lit'` / `c <> 'lit'` anywhere in an
+//! expression (every expression compiles through one function, which
+//! rewrites it with [`plan::rewrite_enum_literals`]) and a `Fetch1Join`
+//! rowid.
 //!
 //! The walk also applies the engine's rewrite [`RULES`]: where a plan
 //! node and its already-checked input match a rule and the facts prove
@@ -62,7 +74,7 @@ use crate::ops::{
     fused_signature, AggSpec, DerivedCol, DirectAggrOp, DirectKey, FetchSource, FetchSpec,
     JoinParts, JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
 };
-use crate::plan::{self, DirectKeySpec, Plan};
+use crate::plan::{self, Plan};
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
 use std::collections::BTreeSet;
@@ -73,9 +85,56 @@ use x100_vector::{CmpOp, PrimitiveDesc, PrimitiveRegistry, ScalarType, Value, Ve
 /// A predicate conjunct over verified (shared, register-free) programs.
 type SelStep = PredStep<Arc<ExprCode>>;
 
-/// `(table column, output alias)` entries of one `Fetch1Join` plan
-/// node: of its decoded fetches, and of its code fetches.
-type FetchLists<'p> = (Vec<&'p (String, String)>, Vec<&'p (String, String)>);
+/// The `(table column, output alias)` entries of one `Fetch1Join` plan
+/// node.
+type FetchList<'p> = Vec<&'p (String, String)>;
+
+/// The columns a node's consumer reads as values; every other enum
+/// column may reach it as codes.
+#[derive(Clone)]
+enum Values {
+    /// Every column: the query's result.
+    All,
+    /// The named columns.
+    Of(BTreeSet<String>),
+}
+
+impl Values {
+    fn none() -> Self {
+        Values::Of(BTreeSet::new())
+    }
+
+    fn wants(&self, col: &str) -> bool {
+        match self {
+            Values::All => true,
+            Values::Of(cols) => cols.contains(col),
+        }
+    }
+
+    fn add(&mut self, col: &str) {
+        if let Values::Of(cols) = self {
+            cols.insert(col.to_owned());
+        }
+    }
+
+    /// With the columns `e` reads as values ([`plan::value_reads`]).
+    fn reading(mut self, e: &Expr) -> Self {
+        if let Values::Of(cols) = &mut self {
+            plan::value_reads(e, cols);
+        }
+        self
+    }
+
+    /// With what a `Fetch1Join` rowid reads as values: a bare column
+    /// widens to `u32` as codes (the sanctioned decode), a computed
+    /// rowid is an ordinary expression.
+    fn rowid(self, e: &Expr) -> Self {
+        match e {
+            Expr::Col(_) => self,
+            e => self.reading(e),
+        }
+    }
+}
 
 /// The rewrite rules of the plan walk, by id, in the order a node tries
 /// them. A rule matches one plan node against its already-checked
@@ -93,10 +152,9 @@ pub const RULES: [&str; 3] = [
     // `Aggr` whose keys are all proven sorted: the streaming ordered
     // aggregation instead of the hash table.
     "sorted-keys-ordered-aggr",
-    // `Aggr` whose keys are each an enum code (a column a `Scan` below
-    // decodes and only the grouping reads is scanned as codes) or an
-    // integer column with a proven range, over a domain no larger than
-    // the input: the direct table, one slot per key combination.
+    // `Aggr` whose keys are each an enum code or an integer column with
+    // a proven range, over a domain no larger than the input: the direct
+    // table, one slot per key combination.
     "dense-keys-direct-aggr",
 ];
 
@@ -423,18 +481,8 @@ fn check_with(
     opts: &ExecOptions,
     rules: bool,
 ) -> Result<CheckSummary, PlanError> {
-    let mut c = Checker {
-        db,
-        opts,
-        reg: registry(),
-        rules,
-        keeps: 0,
-        nodes: 0,
-        instrs: 0,
-        report: Vec::new(),
-        verified: BTreeSet::new(),
-    };
-    let root = c.walk(plan, "root")?;
+    let mut c = Checker::new(db, opts, rules);
+    let root = c.walk(plan, "root", &Values::All)?;
     let facts = PlanFacts {
         root,
         plan: plan.clone(),
@@ -539,49 +587,6 @@ struct Checker<'a> {
     verified: BTreeSet<&'static str>,
 }
 
-/// What [`Checker::mark`] saves.
-struct WalkMark {
-    keeps: usize,
-    nodes: usize,
-    instrs: usize,
-    report: usize,
-    verified: BTreeSet<&'static str>,
-}
-
-/// Key columns of an `Aggr` that a `Scan` below it — directly, or under
-/// `Select`s — decodes from an enum dictionary and that nothing but the
-/// grouping reads: rule `dense-keys-direct-aggr` scans them as codes.
-struct Recode {
-    table: Arc<Table>,
-    /// Each column with its dictionary's cardinality.
-    cols: Vec<(String, u64)>,
-}
-
-/// `plan`, a `Scan` under `Select`s, with the columns of `r` scanned as
-/// codes.
-fn scan_codes(plan: &Plan, r: &Recode) -> Plan {
-    match plan {
-        Plan::Select { input, pred } => Plan::Select {
-            input: Box::new(scan_codes(input, r)),
-            pred: pred.clone(),
-        },
-        Plan::Scan {
-            table,
-            cols: scanned,
-            code_cols,
-            prune,
-        } => Plan::Scan {
-            table: table.clone(),
-            cols: scanned.clone(),
-            code_cols: (code_cols.iter().cloned())
-                .chain(r.cols.iter().map(|(c, _)| c.clone()))
-                .collect(),
-            prune: prune.clone(),
-        },
-        _ => unreachable!("recoded keys come from a Scan under Selects"),
-    }
-}
-
 /// Integer key types a direct table offsets by their proven minimum.
 fn offset_key(ty: ScalarType) -> bool {
     matches!(ty, ScalarType::I32 | ScalarType::I64 | ScalarType::U32)
@@ -605,6 +610,23 @@ fn unknown_signature(sig: &str, path: String) -> PlanError {
     }
 }
 
+/// The dictionary of `t`'s column `ci` when the walk reads it as codes:
+/// an enum column that no reader wants as values (`value_read`), in a
+/// table without pending inserts (the insert delta holds values).
+fn code_dict(t: &Table, ci: usize, value_read: bool) -> Option<&EnumDict> {
+    t.column(ci)
+        .dict()
+        .filter(|_| !value_read && t.delta_rows() == 0)
+}
+
+/// The walk-log suffix that names the columns read as codes.
+fn codes_note(codes: &[&str]) -> String {
+    match codes {
+        [] => String::new(),
+        _ => format!(", codes [{}]", codes.join(", ")),
+    }
+}
+
 /// Resolve `table.col`, as every fetching operator reports a miss.
 fn fetch_column(t: &Table, col: &str) -> Result<usize, PlanError> {
     t.column_index(col)
@@ -612,6 +634,20 @@ fn fetch_column(t: &Table, col: &str) -> Result<usize, PlanError> {
 }
 
 impl<'a> Checker<'a> {
+    fn new(db: &'a Database, opts: &'a ExecOptions, rules: bool) -> Self {
+        Checker {
+            db,
+            opts,
+            reg: registry(),
+            rules,
+            keeps: 0,
+            nodes: 0,
+            instrs: 0,
+            report: Vec::new(),
+            verified: BTreeSet::new(),
+        }
+    }
+
     /// Validate registry membership of `sig` (the operator at `path`
     /// will run it) and record it as verified.
     fn require(
@@ -660,14 +696,18 @@ impl<'a> Checker<'a> {
     /// Compile `e` against `fields` (coercing the result to the type
     /// `target` picks), wrapping the compiler's type errors as
     /// `PlanCheck` at `path` (name-resolution errors pass through
-    /// unwrapped).
+    /// unwrapped). Enum-literal comparisons on code columns compare
+    /// codes ([`plan::rewrite_enum_literals`]) wherever they sit: this
+    /// is the one place every expression of a plan is compiled.
     fn compile_as_at(
         &mut self,
         e: &Expr,
         fields: &[OutField],
+        dicts: &[Option<Arc<EnumDict>>],
         path: &str,
         target: impl FnOnce(ScalarType) -> Result<ScalarType, PlanError>,
     ) -> Result<Arc<ExprCode>, PlanError> {
+        let e = &plan::rewrite_enum_literals(e, fields, dicts);
         ExprProg::compile_as(e, fields, target).map_err(|err| match err {
             PlanError::TypeMismatch(detail) => PlanError::PlanCheck {
                 path: path.to_owned(),
@@ -680,7 +720,7 @@ impl<'a> Checker<'a> {
         })
     }
 
-    /// Compile `e` as is ([`Self::compile_as_at`]), then
+    /// Compile `e` ([`Self::compile_as_at`]) to its own type, then
     /// [`Self::verify_prog`] it.
     fn compile_verified(
         &mut self,
@@ -689,7 +729,7 @@ impl<'a> Checker<'a> {
         dicts: &[Option<Arc<EnumDict>>],
         path: &str,
     ) -> Result<Arc<ExprCode>, PlanError> {
-        let prog = self.compile_as_at(e, fields, path, Ok)?;
+        let prog = self.compile_as_at(e, fields, dicts, path, Ok)?;
         self.verify_prog(&prog, fields, dicts, path, false)?;
         Ok(prog)
     }
@@ -779,8 +819,9 @@ impl<'a> Checker<'a> {
         dicts: &[Option<Arc<EnumDict>>],
         path: &str,
     ) -> Result<Vec<SelStep>, PlanError> {
+        let pred = plan::rewrite_enum_literals(pred, fields, dicts);
         let mut steps = Vec::new();
-        self.select_steps(pred, fields, dicts, path, &mut steps)?;
+        self.select_steps(&pred, fields, dicts, path, &mut steps)?;
         for (i, sig) in steps.iter().filter_map(|s| s.sig()).enumerate() {
             self.require(sig, || format!("{path}.step[{i}]"))?;
         }
@@ -870,7 +911,7 @@ impl<'a> Checker<'a> {
                 out.push(step);
             }
             other => {
-                let prog = self.compile_as_at(other, fields, path, Ok)?;
+                let prog = self.compile_as_at(other, fields, dicts, path, Ok)?;
                 if prog.result_type() != ScalarType::Bool {
                     return Err(PlanError::PlanCheck {
                         path: path.to_owned(),
@@ -915,7 +956,7 @@ impl<'a> Checker<'a> {
                 let e = spec.arg.as_ref().ok_or_else(|| {
                     PlanError::Invalid(format!("aggregate {} needs an argument", spec.name))
                 })?;
-                let prog = self.compile_as_at(e, fields, path, |t| {
+                let prog = self.compile_as_at(e, fields, dicts, path, |t| {
                     Ok(match (func, t) {
                         (AggFunc::Avg, _) => ScalarType::F64,
                         (_, t) if t.is_integer() => ScalarType::I64,
@@ -1003,27 +1044,6 @@ impl<'a> Checker<'a> {
             .push(format!("{path}: rule {rule} refused: {why}"));
     }
 
-    /// The walk's state, to [`Self::rewind`] to before a subtree is
-    /// walked a second time.
-    fn mark(&self) -> WalkMark {
-        WalkMark {
-            keeps: self.keeps,
-            nodes: self.nodes,
-            instrs: self.instrs,
-            report: self.report.len(),
-            verified: self.verified.clone(),
-        }
-    }
-
-    /// Forget everything walked since `m` was taken.
-    fn rewind(&mut self, m: WalkMark) {
-        self.keeps = m.keeps;
-        self.nodes = m.nodes;
-        self.instrs = m.instrs;
-        self.report.truncate(m.report);
-        self.verified = m.verified;
-    }
-
     /// When a spill budget is configured, the buffering kernel this
     /// operator leans on must advertise spill capability in the catalog
     /// (`SigInfo::spills`) — otherwise the budget is a promise the
@@ -1050,35 +1070,29 @@ impl<'a> Checker<'a> {
     }
 
     /// Resolve the columns an operator fetches from `t` into their
-    /// gather specs, appending output fields, dictionaries and facts.
+    /// gather specs, appending output fields, dictionaries and facts; an
+    /// enum column comes as codes ([`code_dict`]) when `values` leaves it
+    /// to code readers. Returns the specs and the aliases fetched as
+    /// codes.
     fn fetch_specs<'p>(
         &mut self,
         t: &Table,
         fetch: impl IntoIterator<Item = &'p (String, String)>,
-        as_codes: bool,
+        values: &Values,
         path: &str,
         node: &mut NodeShape,
-    ) -> Result<Vec<FetchSpec>, PlanError> {
-        let mut specs = Vec::new();
+    ) -> Result<(Vec<FetchSpec>, Vec<&'p str>), PlanError> {
+        let (mut specs, mut codes) = (Vec::new(), Vec::new());
         for (i, (src, alias)) in fetch.into_iter().enumerate() {
             let ci = fetch_column(t, src)?;
             let sc = t.column(ci);
-            let (ty, dict) = if as_codes {
-                let Some(dict) = sc.dict() else {
-                    return Err(PlanError::PlanCheck {
-                        path: format!("{path}[{i}]"),
-                        violation: CheckViolation::TypeMismatch {
-                            signature: format!("map_fetch_u32_col_{}_col", src),
-                            detail: format!(
-                                "code fetch of `{src}` requires an enum dictionary column"
-                            ),
-                        },
-                    });
-                };
-                (sc.physical_type(), Some(Arc::new(dict.clone())))
-            } else {
-                (sc.field().logical, None)
+            let dict = code_dict(t, ci, values.wants(alias));
+            let as_codes = dict.is_some();
+            let ty = match dict {
+                Some(_) => sc.physical_type(),
+                None => sc.field().logical,
             };
+            codes.extend(as_codes.then_some(alias.as_str()));
             let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
             self.require(&sig, || format!("{path}[{i}]"))?;
             specs.push(FetchSpec {
@@ -1087,59 +1101,67 @@ impl<'a> Checker<'a> {
                 as_codes,
             });
             node.fields.push(OutField::new(alias.clone(), ty));
-            node.dicts.push(dict);
+            node.dicts.push(dict.cloned().map(Arc::new));
             let mut f = facts::source_col_fact(t, ci, as_codes);
             f.sorted = false; // gather order follows the rowids
             node.cols.push(f);
         }
-        Ok(specs)
+        Ok((specs, codes))
     }
 
-    /// Walk one plan node: check its inputs, then plan and verify the
-    /// node itself.
-    fn walk(&mut self, plan: &Plan, path: &str) -> Result<CheckedNode, PlanError> {
+    /// Walk one plan node, whose consumer reads `values` as values:
+    /// check its inputs, then plan and verify the node itself.
+    fn walk(&mut self, plan: &Plan, path: &str, values: &Values) -> Result<CheckedNode, PlanError> {
         match plan {
-            Plan::Scan {
-                table,
-                cols,
-                code_cols,
-                prune,
-            } => self.scan_node(table, cols, code_cols, prune.as_ref(), path),
+            Plan::Scan { table, cols, prune } => {
+                self.scan_node(table, cols, values, prune.as_ref(), path)
+            }
             Plan::Select { input, pred } => {
                 // Rule `select-before-fetch` looks through the
                 // `Fetch1Join`s under the selection (innermost first),
                 // so the walk resumes below them.
                 let mut fetches = Vec::new();
                 let mut base = input.as_ref();
-                while let Plan::Fetch1Join { input, .. } = base {
+                let mut values = values.clone().reading(pred);
+                while let Plan::Fetch1Join { input, rowid, .. } = base {
                     fetches.push(base);
+                    values = values.rowid(rowid);
                     base = input;
                 }
                 if fetches.is_empty() {
-                    let node = self.walk(base, &format!("{path}.Select.input"))?;
+                    let node = self.walk(base, &format!("{path}.Select.input"), &values)?;
                     return self.select_node(node, Some(base), pred, path);
                 }
                 fetches.reverse();
                 let hops = ".Fetch1Join.input".repeat(fetches.len());
-                let node = self.walk(base, &format!("{path}.Select.input{hops}"))?;
-                self.select_over_fetches(node, &fetches, pred, path)
+                let node = self.walk(base, &format!("{path}.Select.input{hops}"), &values)?;
+                self.select_over_fetches(node, &fetches, pred, &values, path)
             }
             Plan::Project { input, exprs } => {
-                let input = self.walk(input, &format!("{path}.Project.input"))?;
+                // An alias of a bare column passes its own demand on.
+                let mut need = Values::none();
+                for (name, e) in exprs {
+                    match e {
+                        Expr::Col(_) if !values.wants(name) => {}
+                        Expr::Col(c) => need.add(c),
+                        e => need = need.reading(e),
+                    }
+                }
+                let input = self.walk(input, &format!("{path}.Project.input"), &need)?;
                 self.project_node(input, exprs, path)
             }
             Plan::Aggr { input, keys, aggs } => self.aggr_node(input, keys, aggs, path),
-            Plan::DirectAggr { input, keys, aggs } => {
-                let input = self.walk(input, &format!("{path}.DirectAggr.input"))?;
-                self.check_direct(input, keys, aggs, path)
-            }
             Plan::OrdAggr { input, keys, aggs } => {
-                let input = self.walk(input, &format!("{path}.OrdAggr.input"))?;
+                let need = (keys.iter().map(|(_, e)| e))
+                    .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                    .fold(Values::none(), Values::reading);
+                let input = self.walk(input, &format!("{path}.OrdAggr.input"), &need)?;
                 self.keyed_aggr(input, keys, aggs, path, true)
             }
-            Plan::Fetch1Join { input, .. } => {
-                let input = self.walk(input, &format!("{path}.Fetch1Join.input"))?;
-                self.fetch1_node(input, plan, None, None, path)
+            Plan::Fetch1Join { input, rowid, .. } => {
+                let need = values.clone().rowid(rowid);
+                let input = self.walk(input, &format!("{path}.Fetch1Join.input"), &need)?;
+                self.fetch1_node(input, plan, None, None, values, path)
             }
             Plan::FetchNJoin {
                 input,
@@ -1148,7 +1170,8 @@ impl<'a> Checker<'a> {
                 cnt,
                 fetch,
             } => {
-                let input = self.walk(input, &format!("{path}.FetchNJoin.input"))?;
+                let need = values.clone().reading(lo).reading(cnt);
+                let input = self.walk(input, &format!("{path}.FetchNJoin.input"), &need)?;
                 let t = self.db.table(table)?;
                 let mut bounds = Vec::with_capacity(2);
                 for (which, e) in [("lo", lo), ("cnt", cnt)] {
@@ -1190,10 +1213,10 @@ impl<'a> Checker<'a> {
                     r.checked_mul(chi)
                 });
                 let mut node = NodeShape::from_input(&input);
-                let cols = self.fetch_specs(
+                let (cols, _) = self.fetch_specs(
                     &t,
                     fetch,
-                    false,
+                    &Values::All,
                     &format!("{path}.FetchNJoin.fetch"),
                     &mut node,
                 )?;
@@ -1219,7 +1242,7 @@ impl<'a> Checker<'a> {
                 table,
                 fetch,
             } => {
-                let input = self.walk(input, &format!("{path}.CartProd.input"))?;
+                let input = self.walk(input, &format!("{path}.CartProd.input"), values)?;
                 let node = self.cart_prod(input, table, fetch, None, path)?;
                 self.note(path, format!("CartProd `{table}` → +{} cols", fetch.len()));
                 Ok(node)
@@ -1230,7 +1253,8 @@ impl<'a> Checker<'a> {
                 pred,
                 fetch,
             } => {
-                let input = self.walk(input, &format!("{path}.Join.input"))?;
+                let need = values.clone().reading(pred);
+                let input = self.walk(input, &format!("{path}.Join.input"), &need)?;
                 let node = self.cart_prod(input, table, fetch, Some(pred), path)?;
                 self.note(path, format!("Join `{table}` → +{} cols", fetch.len()));
                 Ok(node)
@@ -1243,8 +1267,15 @@ impl<'a> Checker<'a> {
                 payload,
                 join_type,
             } => {
-                let build = self.walk(build, &format!("{path}.HashJoin.build"))?;
-                let probe = self.walk(probe, &format!("{path}.HashJoin.probe"))?;
+                // Keys and build payload are read as values (the join
+                // keeps no payload dictionary); probe columns pass on.
+                let mut need = build_keys.iter().fold(Values::none(), Values::reading);
+                for (src, _) in payload {
+                    need.add(src);
+                }
+                let build = self.walk(build, &format!("{path}.HashJoin.build"), &need)?;
+                let need = probe_keys.iter().fold(values.clone(), Values::reading);
+                let probe = self.walk(probe, &format!("{path}.HashJoin.probe"), &need)?;
                 let mut bprogs = Vec::with_capacity(build_keys.len());
                 for (i, e) in build_keys.iter().enumerate() {
                     let kpath = format!("{path}.HashJoin.build_key[{i}]");
@@ -1380,7 +1411,11 @@ impl<'a> Checker<'a> {
                     Plan::TopN { limit, .. } => ("TopN", Some(*limit)),
                     _ => ("Order", None),
                 };
-                let input = self.walk(input, &format!("{path}.{kind}.input"))?;
+                let mut need = values.clone();
+                for k in keys {
+                    need.add(&k.col);
+                }
+                let input = self.walk(input, &format!("{path}.{kind}.input"), &need)?;
                 let mut bound = Vec::with_capacity(keys.len());
                 for k in keys {
                     let i = input
@@ -1454,19 +1489,19 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// `Scan(table, cols)`, the `code_cols` among them surfaced as raw
-    /// enum codes.
+    /// `Scan(table, cols)`, the enum columns that `values` leaves to
+    /// code readers surfaced as raw codes ([`code_dict`]).
     fn scan_node(
         &mut self,
         table: &str,
         cols: &[String],
-        code_cols: &[String],
+        values: &Values,
         prune: Option<&plan::RangePrune>,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let t = self.db.table(table)?;
         let mut node = NodeShape::default();
-        let mut scan_cols = Vec::new();
+        let (mut scan_cols, mut codes) = (Vec::new(), Vec::new());
         for name in cols {
             let ci = t
                 .column_index(name)
@@ -1478,10 +1513,14 @@ impl<'a> Checker<'a> {
             if let Some(cc) = sc.compressed() {
                 self.require_instr(cc.decode_sig(), || format!("{path}.Scan.col[{name}]"))?;
             }
-            let as_codes = code_cols.contains(name);
+            let code = code_dict(&t, ci, values.wants(name));
+            let as_codes = code.is_some();
             let (kind, ty) = match (sc.dict(), as_codes) {
                 (None, _) => (ScanCol::Plain, sc.field().logical),
-                (Some(_), true) => (ScanCol::Codes, sc.physical_type()),
+                (Some(_), true) => {
+                    codes.push(name.as_str());
+                    (ScanCol::Codes, sc.physical_type())
+                }
                 (Some(dict), false) => {
                     // Auto-decode via Fetch1Join(ENUM): the
                     // gather signature must be cataloged.
@@ -1495,22 +1534,9 @@ impl<'a> Checker<'a> {
                 }
             };
             scan_cols.push((ci, kind));
-            node.dicts
-                .push(sc.dict().filter(|_| as_codes).cloned().map(Arc::new));
+            node.dicts.push(code.cloned().map(Arc::new));
             node.fields.push(OutField::new(name.clone(), ty));
             node.cols.push(facts::source_col_fact(&t, ci, as_codes));
-        }
-        // Raw codes cannot be served from the (logical-value)
-        // insert delta: reject here rather than panic mid-scan.
-        if t.delta_rows() > 0 {
-            if let Some(name) = cols
-                .iter()
-                .find(|c| code_cols.contains(c) && t.column_by_name(c).dict().is_some())
-            {
-                return Err(PlanError::Invalid(format!(
-                    "raw-code scan of column `{name}` with pending insert deltas; reorganize first"
-                )));
-            }
         }
         let spec = ScanSpec {
             range: plan::scan_prune_range(&t, prune)?,
@@ -1519,7 +1545,8 @@ impl<'a> Checker<'a> {
             bm: self.db.buffer_manager(),
             table: t.clone(),
         };
-        self.note(path, format!("Scan `{table}` → {} cols", cols.len()));
+        let what = format!("Scan `{table}` → {} cols{}", cols.len(), codes_note(&codes));
+        self.note(path, what);
         Ok(node.finish(
             path,
             u64::try_from(t.total_rows()).ok(),
@@ -1548,11 +1575,12 @@ impl<'a> Checker<'a> {
         base: CheckedNode,
         fetches: &[&Plan],
         pred: &Expr,
+        values: &Values,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
-        let as_given: Vec<FetchLists> = fetches.iter().map(|f| fetch_lists(f)).collect();
+        let as_given: Vec<FetchList> = fetches.iter().map(|f| fetch_list(f)).collect();
         let mut early = as_given.clone();
-        let mut late = vec![FetchLists::default(); fetches.len()];
+        let mut late = vec![FetchList::default(); fetches.len()];
         let mut derived = None;
         if let Some(split) =
             split_fetches(&base.fields, &as_given, fetches, pred).filter(|_| self.rules)
@@ -1564,7 +1592,7 @@ impl<'a> Checker<'a> {
                     // The byte stands in for the predicate's operands
                     // below the selection; they are fetched above it
                     // with the rest.
-                    early[j] = FetchLists::default();
+                    early[j] = FetchList::default();
                     late[j] = as_given[j].clone();
                     self.keeps += 1;
                     derived = Some((j, d, format!("{KEEP_COL}{}", self.keeps)));
@@ -1575,10 +1603,9 @@ impl<'a> Checker<'a> {
         // selection, the late fetches (in the plan's order, so one whose
         // `#rowId` another brings in follows it), the restoring
         // projection.
-        let any = |(f, c): &FetchLists| !f.is_empty() || !c.is_empty();
         let holds_derived = |j: usize| derived.as_ref().is_some_and(|(dj, ..)| *dj == j);
-        let below = (0..fetches.len()).filter(|&j| any(&early[j]) || holds_derived(j));
-        let above = (0..fetches.len()).filter(|&j| any(&late[j]));
+        let below = (0..fetches.len()).filter(|&j| !early[j].is_empty() || holds_derived(j));
+        let above = (0..fetches.len()).filter(|&j| !late[j].is_empty());
         // The projection is there iff the pieces' columns are not the
         // plan's: a late fetch moved past a later one, or the byte.
         let restore = derived.is_some()
@@ -1621,7 +1648,7 @@ impl<'a> Checker<'a> {
         for j in below {
             let d = derived.as_ref().filter(|_| holds_derived(j));
             let d = d.map(|(_, d, name)| (name.as_str(), d.clone()));
-            node = self.fetch1_node(node, fetches[j], Some(&early[j]), d, next_path())?;
+            node = self.fetch1_node(node, fetches[j], Some(&early[j]), d, values, next_path())?;
         }
         let keep = derived.as_ref().map(|(_, _, name)| {
             let (name, zero) = (Expr::Col(name.clone()), Expr::Lit(Value::U8(0)));
@@ -1629,7 +1656,7 @@ impl<'a> Checker<'a> {
         });
         node = self.select_node(node, None, keep.as_ref().unwrap_or(pred), next_path())?;
         for j in above {
-            node = self.fetch1_node(node, fetches[j], Some(&late[j]), None, next_path())?;
+            node = self.fetch1_node(node, fetches[j], Some(&late[j]), None, values, next_path())?;
         }
         if restore {
             node = self.project_node(node, &written, next_path())?;
@@ -1648,7 +1675,7 @@ impl<'a> Checker<'a> {
     fn dimension_side(
         &mut self,
         fetch: &Plan,
-        reads: &FetchLists,
+        reads: &FetchList,
         base: &CheckedNode,
         pred: &Expr,
         path: &str,
@@ -1667,22 +1694,23 @@ impl<'a> Checker<'a> {
             self.rule_note("select-before-fetch", path, what);
             return Ok(None);
         }
-        let (decoded, codes) = reads;
-        let srcs: Vec<String> = (decoded.iter().chain(codes))
-            .map(|(src, _)| src.clone())
-            .collect();
+        let srcs: Vec<String> = reads.iter().map(|(src, _)| src.clone()).collect();
         if srcs.iter().collect::<BTreeSet<_>>().len() != srcs.len() {
             return Ok(None); // one column under two aliases
         }
-        let dpath = format!("{path}.Select.dimension");
-        let mut scan = self.scan_node(table, &srcs, &srcs[decoded.len()..], None, &dpath)?;
         // The predicate names the columns by their fetch aliases.
-        let aliases = decoded.iter().chain(codes).map(|(_, alias)| alias);
-        for (f, alias) in scan.fields.iter_mut().zip(aliases) {
+        let mut values = Values::none().reading(pred);
+        for (src, alias) in reads {
+            if values.wants(alias) {
+                values.add(src);
+            }
+        }
+        let dpath = format!("{path}.Select.dimension");
+        let mut scan = self.scan_node(table, &srcs, &values, None, &dpath)?;
+        for (f, (_, alias)) in scan.fields.iter_mut().zip(reads) {
             f.name.clone_from(alias);
         }
-        let pred = plan::rewrite_enum_literals(pred, &scan.fields, &scan.dicts);
-        let steps = self.check_select(&pred, &scan.fields, &scan.dicts, &dpath)?;
+        let steps = self.check_select(pred, &scan.fields, &scan.dicts, &dpath)?;
         // What the facts decide folds as written; no byte column.
         let truths = (steps.iter()).map(|s| facts::step_truth(s, &scan.facts.cols, self.reg));
         if steps.is_empty() || facts::conjunction_verdict(truths).is_some() {
@@ -1705,6 +1733,7 @@ impl<'a> Checker<'a> {
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let (fields, dicts) = (input_node.fields.clone(), input_node.dicts.clone());
+        // Rewritten here too: the facts refine on codes, as steps compare.
         let full = plan::rewrite_enum_literals(pred, &fields, &dicts);
         // Compression-aware fusion: Select over a Scan of a
         // checkpoint-compressed column pushes (part of) the
@@ -1714,12 +1743,9 @@ impl<'a> Checker<'a> {
         // Remaining conjuncts stay a normal Select. The
         // encoded-space comparison must be a cataloged primitive.
         let fused = match (scan_below, &input_node.op) {
-            (
-                Some(Plan::Scan {
-                    cols, code_cols, ..
-                }),
-                CheckedOp::Scan(spec),
-            ) => plan::fuse_scan_select(&spec.table, cols, code_cols, pred),
+            (Some(Plan::Scan { cols, .. }), CheckedOp::Scan(spec)) => {
+                plan::fuse_scan_select(&spec.table, cols, pred)
+            }
             _ => None,
         };
         let (steps, push, mut truths, what) = match fused {
@@ -1730,13 +1756,7 @@ impl<'a> Checker<'a> {
                 let steps = match &f.residual {
                     None => Vec::new(),
                     Some(res) => {
-                        let res = plan::rewrite_enum_literals(res, &fields, &dicts);
-                        self.check_select(
-                            &res,
-                            &fields,
-                            &dicts,
-                            &format!("{path}.Select.residual"),
-                        )?
+                        self.check_select(res, &fields, &dicts, &format!("{path}.Select.residual"))?
                     }
                 };
                 let what = format!(
@@ -1802,9 +1822,8 @@ impl<'a> Checker<'a> {
         let mut node = NodeShape::default();
         let mut progs = Vec::with_capacity(exprs.len());
         for (i, (name, e)) in exprs.iter().enumerate() {
-            let e = plan::rewrite_enum_literals(e, &input.fields, &input.dicts);
             let epath = format!("{path}.Project.expr[{i}]");
-            let prog = self.compile_verified(&e, &input.fields, &input.dicts, &epath)?;
+            let prog = self.compile_verified(e, &input.fields, &input.dicts, &epath)?;
             // Pass-through column refs keep their dict metadata.
             node.dicts
                 .push(prog.as_col_ref().and_then(|ci| input.dicts[ci].clone()));
@@ -1825,52 +1844,51 @@ impl<'a> Checker<'a> {
     }
 
     /// The `Fetch1Join` plan node `plan` over the checked `input`,
-    /// fetching `lists` in place of the columns the plan names (rule
-    /// `select-before-fetch` splits them between two nodes) and, with
-    /// `derived`, gathering that byte column under the given name.
+    /// fetching `list` in place of the columns the plan names (rule
+    /// `select-before-fetch` splits them between two nodes) — as codes
+    /// where `values` leaves them to code readers — and, with `derived`,
+    /// gathering that byte column under the given name.
     fn fetch1_node(
         &mut self,
         input: CheckedNode,
         plan: &Plan,
-        lists: Option<&FetchLists>,
+        list: Option<&FetchList>,
         derived: Option<(&str, Arc<DerivedCol>)>,
+        values: &Values,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let Plan::Fetch1Join {
             table,
             rowid,
             fetch,
-            fetch_codes,
             ..
         } = plan
         else {
             unreachable!("fetch1_node takes a Fetch1Join plan node")
         };
-        let (fetch, fetch_codes) = match lists {
-            Some(lists) => lists.clone(),
-            None => (fetch.iter().collect(), fetch_codes.iter().collect()),
-        };
+        let fetch = list.cloned().unwrap_or_else(|| fetch.iter().collect());
         let t = self.db.table(table)?;
         let rpath = format!("{path}.Fetch1Join.rowid");
         // A join index is u32; an enum code column widens to it
         // — that cast IS the sanctioned decode, so the
         // enum-escape rule does not apply to the rowid program.
         let mut natural = ScalarType::U32;
-        let rowid = self.compile_as_at(rowid, &input.fields, &rpath, |ty| match ty {
-            ScalarType::U32 | ScalarType::U8 | ScalarType::U16 => {
-                natural = ty;
-                Ok(ScalarType::U32)
-            }
-            other => Err(PlanError::PlanCheck {
-                path: rpath.clone(),
-                violation: CheckViolation::TypeMismatch {
-                    signature: "map_fetch_u32_col".to_owned(),
-                    detail: format!(
-                        "Fetch1Join rowid expression must be u32 (join index), got {other}"
-                    ),
-                },
-            }),
-        })?;
+        let rowid =
+            self.compile_as_at(rowid, &input.fields, &input.dicts, &rpath, |ty| match ty {
+                ScalarType::U32 | ScalarType::U8 | ScalarType::U16 => {
+                    natural = ty;
+                    Ok(ScalarType::U32)
+                }
+                other => Err(PlanError::PlanCheck {
+                    path: rpath.clone(),
+                    violation: CheckViolation::TypeMismatch {
+                        signature: "map_fetch_u32_col".to_owned(),
+                        detail: format!(
+                            "Fetch1Join rowid expression must be u32 (join index), got {other}"
+                        ),
+                    },
+                }),
+            })?;
         self.verify_prog(&rowid, &input.fields, &input.dicts, &rpath, true)?;
         // Fetch-bounds verdict (`--explain-facts`; the gather kernel
         // checks its own bounds): `#rowId ⊆ [0, fragment_rows)`, i.e.
@@ -1888,21 +1906,14 @@ impl<'a> Checker<'a> {
         let proved =
             rid_range.is_some_and(|(lo, hi)| lo >= 0 && u64::try_from(hi).is_ok_and(|h| h < frag));
         let mut node = NodeShape::from_input(&input);
-        let mut cols = self.fetch_specs(
+        let (mut cols, codes) = self.fetch_specs(
             &t,
             fetch.iter().copied(),
-            false,
+            values,
             &format!("{path}.Fetch1Join.fetch"),
             &mut node,
         )?;
-        self.instrs += cols.len();
-        cols.extend(self.fetch_specs(
-            &t,
-            fetch_codes.iter().copied(),
-            true,
-            &format!("{path}.Fetch1Join.fetch_codes"),
-            &mut node,
-        )?);
+        self.instrs += cols.len() - codes.len();
         if let Some((name, d)) = derived {
             let sig = "map_fetch_u32_col_u8_col".to_owned();
             self.require_instr(&sig, || format!("{path}.Fetch1Join.derived"))?;
@@ -1919,24 +1930,17 @@ impl<'a> Checker<'a> {
                 ..ColFact::top()
             });
         }
-        if !fetch_codes.is_empty() && (t.delta_rows() > 0 || !t.deletes().is_empty()) {
-            return Err(PlanError::Invalid(format!(
-                "code fetch from `{table}` requires a reorganized table"
-            )));
-        }
-        self.note(
-            path,
-            format!(
-                "Fetch1Join `{table}` → +{} fetched, +{} code cols{}",
-                fetch.len(),
-                fetch_codes.len(),
-                if cols.len() > fetch.len() + fetch_codes.len() {
-                    ", +1 derived"
-                } else {
-                    ""
-                }
-            ),
+        let what = format!(
+            "Fetch1Join `{table}` → +{} cols{}{}",
+            fetch.len(),
+            codes_note(&codes),
+            if cols.len() > fetch.len() {
+                ", +1 derived"
+            } else {
+                ""
+            }
         );
+        self.note(path, what);
         let rows_max = input.facts.rows_max;
         Ok(node.finish(
             path,
@@ -1986,6 +1990,7 @@ impl<'a> Checker<'a> {
         let steps = match pred {
             None => None,
             Some(pred) => {
+                // The facts refine on codes, as the steps compare them.
                 let pred = plan::rewrite_enum_literals(pred, &node.fields, &node.dicts);
                 let steps = self.check_select(
                     &pred,
@@ -1997,11 +2002,6 @@ impl<'a> Checker<'a> {
                 Some(steps)
             }
         };
-        if !t.deletes().is_empty() {
-            return Err(PlanError::Invalid(
-                "CartProd over a table with pending deletes; reorganize first".to_owned(),
-            ));
-        }
         Ok(CheckedNode {
             path: path.to_owned(),
             fields: node.fields,
@@ -2016,12 +2016,12 @@ impl<'a> Checker<'a> {
         })
     }
 
-    /// `Aggr(input, keys, aggs)`. As written, direct aggregation iff
-    /// every key is a bare reference to a dictionary code column, else
-    /// [`Self::keyed_aggr`]; rule `dense-keys-direct-aggr` widens the
-    /// direct case ([`Self::dense_keys`]). When it reads a key column as
-    /// codes, the input is walked again with that `Scan` rewritten, and
-    /// the first walk is forgotten.
+    /// `Aggr(input, keys, aggs)`: the input is walked with a fresh
+    /// demand — computed keys and aggregate arguments read values except
+    /// in an enum-literal comparison, bare keys take codes (decoded at
+    /// emission). As written the hash
+    /// aggregation ([`Self::keyed_aggr`]); rule `dense-keys-direct-aggr`
+    /// picks the direct table ([`Self::dense_keys`]).
     fn aggr_node(
         &mut self,
         input: &Plan,
@@ -2029,103 +2029,31 @@ impl<'a> Checker<'a> {
         aggs: &[AggExpr],
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
-        let ipath = format!("{path}.Aggr.input");
-        let recode = self
-            .rules
-            .then(|| self.recodable(input, keys, aggs))
-            .flatten();
-        let mark = recode.as_ref().map(|_| self.mark());
-        let node = self.walk(input, &ipath)?;
-        let bare = |(name, e): &(String, Expr)| match e {
-            Expr::Col(c) => Some(DirectKeySpec {
-                name: name.clone(),
-                col: c.clone(),
-            }),
-            _ => None,
-        };
-        let dkeys: Option<Vec<DirectKeySpec>> = keys.iter().map(bare).collect();
-        let coded = |k: &DirectKeySpec| {
-            let i = node.fields.iter().position(|f| f.name == k.col);
-            i.is_some_and(|i| node.dicts[i].is_some())
-        };
-        match dkeys {
-            Some(dkeys) if !dkeys.is_empty() && dkeys.iter().all(coded) => {
-                self.check_direct(node, &dkeys, aggs, path)
-            }
-            _ if !self.rules => self.keyed_aggr(node, keys, aggs, path, false),
-            _ => match self.dense_keys(&node, keys, recode.as_ref()) {
-                Err(why) => {
-                    self.rule_refused("dense-keys-direct-aggr", path, why);
-                    self.keyed_aggr(node, keys, aggs, path, false)
-                }
-                Ok(what) => {
-                    let node = match (recode, mark) {
-                        (Some(r), Some(m)) => {
-                            self.rewind(m);
-                            self.walk(&scan_codes(input, &r), &ipath)?
-                        }
-                        _ => node,
-                    };
-                    self.rule_note("dense-keys-direct-aggr", path, what);
-                    let dkeys: Vec<DirectKeySpec> = keys.iter().filter_map(bare).collect();
-                    self.check_direct(node, &dkeys, aggs, path)
-                }
-            },
-        }
-    }
-
-    /// The [`Recode`] of an `Aggr` over `input`: its bare keys that a
-    /// `Scan` under no more than `Select`s decodes from a dictionary,
-    /// and that no predicate of those `Select`s, no aggregate and no
-    /// computed key reads.
-    fn recodable(&self, input: &Plan, keys: &[(String, Expr)], aggs: &[AggExpr]) -> Option<Recode> {
         let computed = keys.iter().filter(|(_, e)| !matches!(e, Expr::Col(_)));
-        let args = aggs.iter().filter_map(|a| a.arg.as_ref());
-        let mut reads: Vec<&str> = computed
-            .map(|(_, e)| e)
-            .chain(args)
-            .flat_map(Expr::columns)
-            .collect();
-        let mut base = input;
-        while let Plan::Select { input, pred } = base {
-            reads.extend(pred.columns());
-            base = input;
+        let need = (computed.map(|(_, e)| e))
+            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+            .fold(Values::none(), Values::reading);
+        let node = self.walk(input, &format!("{path}.Aggr.input"), &need)?;
+        if !self.rules {
+            return self.keyed_aggr(node, keys, aggs, path, false);
         }
-        let Plan::Scan {
-            table,
-            cols,
-            code_cols,
-            ..
-        } = base
-        else {
-            return None;
-        };
-        let t = self.db.table(table).ok()?;
-        let mut recode: Vec<(String, u64)> = Vec::new();
-        for (_, e) in keys {
-            let Expr::Col(c) = e else { continue };
-            if recode.iter().any(|(r, _)| r == c) {
-                continue; // one column, two keys
+        match self.dense_keys(&node, keys) {
+            Err(why) => {
+                self.rule_refused("dense-keys-direct-aggr", path, why);
+                self.keyed_aggr(node, keys, aggs, path, false)
             }
-            let decoded = cols.contains(c) && !code_cols.contains(c);
-            let only_grouped = !reads.contains(&c.as_str());
-            let dict = t.column_index(c).and_then(|i| t.column(i).dict());
-            if let (true, true, Some(d)) = (decoded, only_grouped, dict) {
-                recode.push((c.clone(), d.cardinality() as u64));
+            Ok((what, dkeys)) => {
+                self.rule_note("dense-keys-direct-aggr", path, what);
+                self.check_direct(node, dkeys, aggs, path)
             }
         }
-        (!recode.is_empty()).then_some(Recode {
-            table: t,
-            cols: recode,
-        })
     }
 
     /// Rule `dense-keys-direct-aggr`: whether the `Aggr` with these
-    /// `keys` over the checked `input` groups in a direct table, and
-    /// what the walk log says about it either way. Every key must be a
-    /// bare column that is an enum code — in the dataflow, or a
-    /// [`Recode`] column of a table with no pending inserts (a raw-code
-    /// scan cannot read the insert delta) — or an `I32`/`I64`/`U32`
+    /// `keys` over the checked `input` groups in a direct table — with
+    /// its keys, resolved — and what the walk log says about it either
+    /// way. Every key must be a bare column that is an enum code (its
+    /// dictionary's cardinality is the domain) or an `I32`/`I64`/`U32`
     /// column with a proven integer range. The product of the key
     /// domains must stay within [`DirectAggrOp::MAX_SLOTS`] and the
     /// input's row bound, so the table is never larger than the data.
@@ -2136,8 +2064,7 @@ impl<'a> Checker<'a> {
         &self,
         input: &CheckedNode,
         keys: &[(String, Expr)],
-        recode: Option<&Recode>,
-    ) -> Result<String, String> {
+    ) -> Result<(String, Vec<DirectKey>), String> {
         if keys.is_empty() {
             return Err("no grouping key".into());
         }
@@ -2148,11 +2075,11 @@ impl<'a> Checker<'a> {
             };
             let i = (input.fields.iter().position(|f| &f.name == c))
                 .ok_or_else(|| format!("key `{name}` is not an input column"))?;
-            cols.push((c, i));
+            cols.push((name, c, i));
         }
         // As `keyed_aggr` decides it: runs of sorted, non-code, non-f64
         // keys are groups.
-        let streams = cols.iter().all(|&(_, i)| {
+        let streams = cols.iter().all(|&(_, _, i)| {
             input.facts.cols[i].sorted
                 && input.dicts[i].is_none()
                 && input.fields[i].ty != ScalarType::F64
@@ -2165,31 +2092,19 @@ impl<'a> Checker<'a> {
         }
         let mut slots = 1u64;
         let mut shown = Vec::with_capacity(cols.len());
-        for &(c, i) in &cols {
+        let mut dkeys = Vec::with_capacity(cols.len());
+        for &(name, c, i) in &cols {
             let ty = input.fields[i].ty;
-            let recoded = recode.and_then(|r| {
-                let card = r.cols.iter().find(|(n, _)| n == c)?.1;
-                Some((&r.table, card))
-            });
-            let card = if let Some(d) = &input.dicts[i] {
+            let dict = input.dicts[i].as_deref();
+            let (lo, card) = if let Some(d) = dict {
                 shown.push(format!("`{c}` code"));
-                d.cardinality() as u64
-            } else if let Some((t, card)) = recoded {
-                if t.delta_rows() > 0 {
-                    let why = format!(
-                        "`{}` has pending inserts, so `{c}` cannot be scanned as codes",
-                        t.name()
-                    );
-                    return Err(why);
-                }
-                shown.push(format!("`{c}` as codes"));
-                card
+                (0, d.cardinality() as u64)
             } else if let Some((lo, card)) = int_domain(ty, &input.facts.cols[i]) {
                 shown.push(format!(
                     "`{c}` in [{lo}, {}]",
                     i128::from(lo) + i128::from(card) - 1
                 ));
-                card
+                (lo, card)
             } else if offset_key(ty) {
                 return Err(format!("key `{c}` has no proven range"));
             } else {
@@ -2198,6 +2113,14 @@ impl<'a> Checker<'a> {
                 ));
             };
             slots = slots.saturating_mul(card);
+            dkeys.push(DirectKey {
+                name: name.clone(),
+                col: i,
+                // Within `MAX_SLOTS` once the product is checked below.
+                card: u32::try_from(card).unwrap_or(u32::MAX),
+                lo,
+                dict: dict.cloned(),
+            });
         }
         if slots > DirectAggrOp::MAX_SLOTS as u64 {
             return Err(format!(
@@ -2206,9 +2129,12 @@ impl<'a> Checker<'a> {
             ));
         }
         match input.facts.rows_max {
-            Some(rows) if slots <= rows => Ok(format!(
-                "{} → direct table of {slots} slots (input ≤ {rows} rows)",
-                shown.join(" × ")
+            Some(rows) if slots <= rows => Ok((
+                format!(
+                    "{} → direct table of {slots} slots (input ≤ {rows} rows)",
+                    shown.join(" × ")
+                ),
+                dkeys,
             )),
             Some(rows) => Err(format!("{slots} slots exceed the input's {rows} rows")),
             None => Err(format!(
@@ -2368,70 +2294,38 @@ impl<'a> Checker<'a> {
         Ok(shape.finish(&path, rows_max, vec![node], CheckedOp::Exchange { merge }))
     }
 
-    /// Direct (array-indexed) aggregation: keys must be code columns
-    /// (dictionary or raw u8/u16) or `I32`/`I64`/`U32` columns with a
-    /// proven range, whose domain product stays small.
+    /// Direct (array-indexed) aggregation over the `keys` that
+    /// [`Self::dense_keys`] resolved.
     fn check_direct(
         &mut self,
         input: CheckedNode,
-        keys: &[DirectKeySpec],
+        keys: Vec<DirectKey>,
         aggs: &[AggExpr],
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let mut node = NodeShape::default();
-        let mut dkeys = Vec::with_capacity(keys.len());
         let mut key_types = Vec::with_capacity(keys.len());
-        // The direct-group table has one slot per key combination, so
-        // the group count is bounded by the product of the key domains.
         let mut slots = 1u64;
         for (ki, k) in keys.iter().enumerate() {
-            let i = input
-                .fields
-                .iter()
-                .position(|f| f.name == k.col)
-                .ok_or_else(|| PlanError::UnknownColumn(k.col.clone()))?;
-            let ty = input.fields[i].ty;
-            let dict = input.dicts[i].clone();
-            // Raw codes and integers leave as read: their facts hold,
-            // but hash (and worker) order is not sorted.
-            let mut kf = input.facts.cols[i].clone();
-            kf.sorted = false;
-            let domain = int_domain(ty, &kf);
-            let (card, lo, out_ty, fact, digit) = match (&dict, ty, domain) {
-                (Some(d), _, _) => (
-                    d.cardinality() as u64,
-                    0,
+            let ty = input.fields[k.col].ty;
+            let (out_ty, fact, digit) = match &k.dict {
+                // Decoded at emission: only the distinct bound survives
+                // into value space.
+                Some(d) => (
                     d.value_type(),
                     ColFact {
-                        distinct_max: Some(d.cardinality() as u64),
+                        distinct_max: Some(u64::from(k.card)),
                         ..ColFact::top()
                     },
                     format!("{}_col", ty.sig_name()),
                 ),
-                (None, ScalarType::U8 | ScalarType::U16, _) => {
-                    let card = if ty == ScalarType::U8 {
-                        1 << 8
-                    } else {
-                        1 << 16
-                    };
-                    (card, 0, ty, kf, format!("{}_col", ty.sig_name()))
-                }
-                (None, _, Some((lo, card))) => {
+                // Integers leave as read: their facts hold, but hash (and
+                // worker) order is not sorted.
+                None => {
+                    let mut kf = input.facts.cols[k.col].clone();
+                    kf.sorted = false;
                     let t = ty.sig_name();
-                    (card, lo, ty, kf, format!("{t}_col_{t}_val"))
-                }
-                (None, ty, _) => {
-                    return Err(PlanError::PlanCheck {
-                        path: format!("{path}.DirectAggr.key[{}]", k.col),
-                        violation: CheckViolation::TypeMismatch {
-                            signature: "map_uidx_u8_col".to_owned(),
-                            detail: format!(
-                                "direct aggregation key `{}` is {ty}, neither a code column \
-                                 nor an integer column with a proven range",
-                                k.col
-                            ),
-                        },
-                    })
+                    (ty, kf, format!("{t}_col_{t}_val"))
                 }
             };
             // Mixed-radix digit chaining: the first key starts the group
@@ -2440,19 +2334,11 @@ impl<'a> Checker<'a> {
                 0 => format!("map_uidx_{digit}"),
                 _ => format!("map_directgrp_uidx_col_{digit}"),
             };
-            self.require(&sig, || format!("{path}.DirectAggr.key[{}]", k.col))?;
-            slots = slots.saturating_mul(card);
+            self.require(&sig, || format!("{path}.DirectAggr.key[{}]", k.name))?;
+            slots *= u64::from(k.card);
             node.fields.push(OutField::new(k.name.clone(), out_ty));
             node.cols.push(fact);
             key_types.push(ty);
-            dkeys.push(DirectKey {
-                name: k.name.clone(),
-                col: i,
-                // Within `MAX_SLOTS` once the product is checked below.
-                card: u32::try_from(card).unwrap_or(u32::MAX),
-                lo,
-                dict: dict.as_deref().cloned(),
-            });
         }
         let specs = self.check_aggs(
             aggs,
@@ -2462,11 +2348,7 @@ impl<'a> Checker<'a> {
             &mut node.fields,
             &mut node.cols,
         )?;
-        if slots > DirectAggrOp::MAX_SLOTS as u64 {
-            return Err(PlanError::Invalid(format!(
-                "direct aggregation domain too large: {slots} slots"
-            )));
-        }
+        // One slot per key combination bounds the group count.
         let rows_max = Some(input.facts.rows_max.map_or(slots, |r| r.min(slots)));
         self.note(
             path,
@@ -2477,31 +2359,25 @@ impl<'a> Checker<'a> {
         let merge = MergeSpec {
             fields: node.fields.clone(),
             key_types,
-            key_dicts: dkeys.iter().map(|k| k.dict.clone()).collect(),
+            key_dicts: keys.iter().map(|k| k.dict.clone()).collect(),
             aggs: specs.iter().map(|a| a.merge_rule()).collect(),
-            ungrouped: keys.is_empty(),
+            ungrouped: false,
         };
-        let op = CheckedOp::DirectAggr {
-            keys: dkeys,
-            aggs: specs,
-        };
+        let op = CheckedOp::DirectAggr { keys, aggs: specs };
         let node = node.finish(path, rows_max, vec![input], op);
         self.exchange(node, merge)
     }
 }
 
 /// The output names of fetch lists, in output order.
-fn fetched_aliases<'a, 'p>(lists: &'a [FetchLists<'p>]) -> impl Iterator<Item = &'p str> + 'a {
-    let cols = lists.iter().flat_map(|(f, c)| f.iter().chain(c));
-    cols.map(|(_, alias)| alias.as_str())
+fn fetched_aliases<'a, 'p>(lists: &'a [FetchList<'p>]) -> impl Iterator<Item = &'p str> + 'a {
+    lists.iter().flatten().map(|(_, alias)| alias.as_str())
 }
 
-/// The fetch lists a `Fetch1Join` plan node wrote.
-fn fetch_lists(f: &Plan) -> FetchLists<'_> {
+/// The fetch list a `Fetch1Join` plan node wrote.
+fn fetch_list(f: &Plan) -> FetchList<'_> {
     match f {
-        Plan::Fetch1Join {
-            fetch, fetch_codes, ..
-        } => (fetch.iter().collect(), fetch_codes.iter().collect()),
+        Plan::Fetch1Join { fetch, .. } => fetch.iter().collect(),
         _ => unreachable!("the chain holds Fetch1Join nodes"),
     }
 }
@@ -2512,9 +2388,9 @@ struct FetchSplit<'p> {
     /// Per fetch: what the selection needs below it — the predicate's
     /// operands, and the `#rowId` operands of every fetch that brings
     /// one of those in.
-    early: Vec<FetchLists<'p>>,
+    early: Vec<FetchList<'p>>,
     /// Per fetch: the rest, fetched above the selection.
-    late: Vec<FetchLists<'p>>,
+    late: Vec<FetchList<'p>>,
     /// The fetch that brings in everything the predicate reads, if one
     /// does.
     only: Option<usize>,
@@ -2527,7 +2403,7 @@ struct FetchSplit<'p> {
 /// resolves to.
 fn split_fetches<'p>(
     base_fields: &[OutField],
-    lists: &[FetchLists<'p>],
+    lists: &[FetchList<'p>],
     fetches: &[&'p Plan],
     pred: &'p Expr,
 ) -> Option<FetchSplit<'p>> {
@@ -2543,17 +2419,14 @@ fn split_fetches<'p>(
     let only = (0..lists.len()).find(|&j| !reads.is_empty() && reads.iter().all(|c| brings(j, c)));
     let mut needed = reads;
     let (mut early, mut late) = (Vec::new(), Vec::new());
-    for (f, (decoded, codes)) in fetches.iter().zip(lists).rev() {
-        let part = |cols: &[&'p (String, String)], want: bool| -> Vec<&'p (String, String)> {
-            let wanted = |(_, alias): &&&(String, String)| needed.contains(&alias.as_str()) == want;
-            cols.iter().filter(wanted).copied().collect()
-        };
-        let e = (part(decoded, true), part(codes, true));
-        late.push((part(decoded, false), part(codes, false)));
-        if let (false, Plan::Fetch1Join { rowid, .. }) = (e.0.is_empty() && e.1.is_empty(), f) {
+    for (f, list) in fetches.iter().zip(lists).rev() {
+        let (e, l): (FetchList, FetchList) =
+            (list.iter()).partition(|(_, alias)| needed.contains(&alias.as_str()));
+        if let (false, Plan::Fetch1Join { rowid, .. }) = (e.is_empty(), f) {
             needed.extend(rowid.columns());
         }
         early.push(e);
+        late.push(l);
     }
     early.reverse();
     late.reverse();
@@ -2626,5 +2499,41 @@ fn col_operands(instr: &Instr) -> (&'static str, Vec<Src>) {
         }
         Instr::YearOf { s, .. } => ("year() operand", vec![*s]),
         Instr::StrContainsCV { s, .. } => ("contains() operand", vec![*s]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::{add, col, lit_i64};
+    use x100_storage::TableBuilder;
+
+    /// The walk never hands arithmetic a code column, but the guard
+    /// stands: a program doing math on a field that carries a
+    /// dictionary is an undecoded enum column, unless it is the
+    /// `Fetch1Join` rowid's sanctioned widening.
+    #[test]
+    fn arithmetic_on_a_code_field_is_an_undecoded_enum_column() {
+        let t = TableBuilder::new("t")
+            .auto_enum_str("status", vec!["NEW".into(), "OPEN".into()])
+            .build();
+        let dict = t.column(0).dict().cloned().map(Arc::new);
+        let (db, opts) = (Database::new(), ExecOptions::default());
+        let mut c = Checker::new(&db, &opts, true);
+        let fields = [OutField::new("status", ScalarType::U8)];
+        let dicts = [dict];
+        let e = add(col("status"), lit_i64(1));
+        let prog = c
+            .compile_as_at(&e, &fields, &dicts, "p", Ok)
+            .expect("compiles");
+        match c.verify_prog(&prog, &fields, &dicts, "p", false) {
+            Err(PlanError::PlanCheck {
+                violation: CheckViolation::UndecodedEnumColumn { column, .. },
+                ..
+            }) => assert_eq!(column, "status"),
+            other => panic!("expected UndecodedEnumColumn, got {other:?}"),
+        }
+        c.verify_prog(&prog, &fields, &dicts, "p", true)
+            .expect("a rowid widens codes");
     }
 }

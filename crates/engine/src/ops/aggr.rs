@@ -851,8 +851,8 @@ pub struct DirectKey {
     pub name: String,
     /// Input column.
     pub col: usize,
-    /// Domain cardinality: the dictionary size, 256 / 65536 for raw
-    /// codes, the width of an integer key's range.
+    /// Domain cardinality: the dictionary size, or the width of an
+    /// integer key's range.
     pub card: u32,
     /// The key value of digit 0: an integer key's proven minimum, 0
     /// for codes.

@@ -221,8 +221,8 @@ pub(crate) fn gather_positional(
         return Ok(true);
     }
     let n = rowids.len();
-    // Code fetches run over delta-free tables only (the check walk's
-    // condition): past the fragment is past the end.
+    // Code fetches run over tables without pending inserts only (the
+    // check walk's condition): past the fragment is past the end.
     if as_codes || !vfetch::in_range(rowids, n, sel, table.total_rows()) {
         return Err(out_of_range(table, &sc.field().name, rowids, n, sel));
     }

@@ -79,8 +79,8 @@ pub struct CartProdOp {
 }
 
 impl CartProdOp {
-    /// A cross product of `child` with `table` (no pending deletes —
-    /// the check walk rejects those), emitting `fetch_cols` of the table
+    /// A cross product of `child` with the live rows of `table`
+    /// (pending deletes skipped), emitting `fetch_cols` of the table
     /// after the child's columns; `fields` is the output shape.
     pub(crate) fn new(
         child: Box<dyn Operator>,
@@ -141,28 +141,38 @@ impl Operator for CartProdOp {
             return Ok(None);
         }
         self.ctx.check()?;
-        let nrows = self.table.total_rows() as u32;
-        if nrows == 0 {
+        let table = Arc::clone(&self.table);
+        let nrows = table.total_rows() as u32;
+        let deletes = table.deletes();
+        if deletes.len() >= nrows as usize {
             self.done = true;
             return Ok(None);
         }
-        if self.cpos_idx >= self.cur_live.len() && !self.refill(prof)? {
-            self.done = true;
-            return Ok(None);
-        }
-        let t_op = prof.start();
-        // Gather up to vector_size (child pos, table row) pairs.
+        // Gather up to vector_size (child pos, table row) pairs; pending
+        // deletes drop out here, so a child batch may yield none.
         let mut cpos: Vec<u32> = Vec::with_capacity(self.vector_size);
         let mut trows: Vec<u32> = Vec::with_capacity(self.vector_size);
-        while cpos.len() < self.vector_size && self.cpos_idx < self.cur_live.len() {
-            cpos.push(self.cur_live[self.cpos_idx]);
-            trows.push(self.trow);
-            self.trow += 1;
-            if self.trow == nrows {
-                self.trow = 0;
-                self.cpos_idx += 1;
+        let t_op = loop {
+            if self.cpos_idx >= self.cur_live.len() && !self.refill(prof)? {
+                self.done = true;
+                return Ok(None);
             }
-        }
+            let t_op = prof.start();
+            while cpos.len() < self.vector_size && self.cpos_idx < self.cur_live.len() {
+                if !deletes.contains(self.trow) {
+                    cpos.push(self.cur_live[self.cpos_idx]);
+                    trows.push(self.trow);
+                }
+                self.trow += 1;
+                if self.trow == nrows {
+                    self.trow = 0;
+                    self.cpos_idx += 1;
+                }
+            }
+            if !cpos.is_empty() {
+                break t_op;
+            }
+        };
         let n = cpos.len();
         self.out.reset();
         self.out.len = n;

@@ -6,7 +6,8 @@
 //! fly by an automatically added positional fetch — surfaced in traces
 //! as the paper's `Fetch1Join(ENUM)` operator rows and
 //! `map_fetch_uchr_col_*` primitive rows (§4.3, Table 5) — unless the
-//! plan requests raw codes (direct aggregation groups on codes).
+//! check walk found only code readers above the column (predicates on
+//! string literals and grouping run on codes).
 //!
 //! The scan also consults the table's delta structures: deleted rows are
 //! masked via the batch selection vector, and insert-delta rows are
@@ -496,12 +497,11 @@ impl ScanOp {
                     .map_err(site_io)?;
             }
             let mut v = self.pools[k].writable();
-            // Delta rows are stored logically; code columns cannot be
-            // served from the delta (the binder rejects code scans on
-            // tables with pending inserts).
+            // Delta rows are stored logically; the check walk reads a
+            // table with pending inserts as values.
             match self.modes[k] {
                 ColMode::Codes => unreachable!(
-                    "raw-code scan of column `{}` with pending insert deltas rejected at bind",
+                    "code scan of column `{}` over pending inserts",
                     self.fields[k].name
                 ),
                 _ => self.table.read_delta(ci, start, n, &mut v),

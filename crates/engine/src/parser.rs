@@ -18,8 +18,9 @@
 //! This module parses that syntax into a [`Plan`]. Expressions use the
 //! paper's prefix notation (`+(a, b)`, `<(a, b)`); literals are
 //! `flt('1.0')`, `date('1998-09-02')`, `str('BUILDING')`, and bare
-//! integers. Extras beyond the paper's figures: `codes=[…]` on `Scan`
-//! (raw enum codes), `year(e)` and `contains(e, 'x')`.
+//! integers. Extras beyond the paper's figures: `year(e)` and
+//! `contains(e, 'x')`. Whether an enum column travels as codes is not
+//! written in a plan: the check walk derives it ([`crate::check`]).
 
 use crate::expr::{self, AggExpr, Expr};
 use crate::ops::{OrdExp, SortOrder};
@@ -199,17 +200,11 @@ impl<'a> Parser<'a> {
                 let rowid = self.expr()?;
                 self.eat(',')?;
                 let fetch = self.alias_list()?;
-                let fetch_codes = if self.eat_opt(',') {
-                    self.alias_list()?
-                } else {
-                    Vec::new()
-                };
                 Plan::Fetch1Join {
                     input: Box::new(input),
                     table,
                     rowid,
                     fetch,
-                    fetch_codes,
                 }
             }
             "FetchNJoin" => {
@@ -289,8 +284,7 @@ impl<'a> Parser<'a> {
     }
 
     fn scan(&mut self) -> Result<Plan, PlanError> {
-        // Scan(table, [cols]) or Scan(Table(name), [cols]); optional
-        // `, codes=[...]` trailer.
+        // Scan(table, [cols]) or Scan(Table(name), [cols]).
         self.skip_ws();
         let mut table = self.ident()?;
         if table == "Table" {
@@ -300,19 +294,9 @@ impl<'a> Parser<'a> {
         }
         self.eat(',')?;
         let cols = self.bracketed(|p| p.ident())?;
-        let mut code_cols = Vec::new();
-        if self.eat_opt(',') {
-            let kw = self.ident()?;
-            if kw != "codes" {
-                return Err(self.err("expected `codes=[...]`"));
-            }
-            self.eat('=')?;
-            code_cols = self.bracketed(|p| p.ident())?;
-        }
         Ok(Plan::Scan {
             table,
             cols,
-            code_cols,
             prune: None,
         })
     }
@@ -651,27 +635,32 @@ mod tests {
     }
 
     #[test]
-    fn parses_scan_codes_and_fetch() {
+    fn parses_scan_and_fetch() {
         let plan = parse_plan(
-            "Fetch1Join(Scan(lineitem, [li_order_idx], codes=[]), orders, li_order_idx, [o_orderdate as od], [o_orderpriority])",
+            "Fetch1Join(Scan(lineitem, [li_order_idx]), orders, li_order_idx, [o_orderdate as od, o_orderpriority])",
         )
         .expect("parses");
         match plan {
             Plan::Fetch1Join {
+                input,
                 table,
                 fetch,
-                fetch_codes,
                 ..
             } => {
+                assert_eq!(*input, Plan::scan("lineitem", &["li_order_idx"]));
                 assert_eq!(table, "orders");
-                assert_eq!(fetch, vec![("o_orderdate".to_owned(), "od".to_owned())]);
                 assert_eq!(
-                    fetch_codes,
-                    vec![("o_orderpriority".to_owned(), "o_orderpriority".to_owned())]
+                    fetch,
+                    vec![
+                        ("o_orderdate".to_owned(), "od".to_owned()),
+                        ("o_orderpriority".to_owned(), "o_orderpriority".to_owned())
+                    ]
                 );
             }
             other => panic!("unexpected {other:?}"),
         }
+        // A code hint is not part of the language.
+        assert!(parse_plan("Scan(lineitem, [l_returnflag], codes=[l_returnflag])").is_err());
     }
 
     #[test]

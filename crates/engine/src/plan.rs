@@ -13,18 +13,19 @@
 //! FetchNJoin(Dataflow, Table, Exp<int>, Exp<int>, Column, List<Column>)
 //! Project(Dataflow, List<Exp<*>>)                    : Dataflow
 //! Aggr(Dataflow, List<Exp<*>>, List<AggrExp>)        : Dataflow
-//! OrdAggr / DirectAggr / HashAggr(…)
+//! OrdAggr(…)
 //! TopN(Dataflow, List<OrdExp>, List<Exp<*>>, int)    : Dataflow
 //! Order(Table, List<OrdExp>, List<AggrExp>)          : Table
 //! ```
 //!
 //! A plan is checked once ([`crate::check::check_plan`]): that walk
 //! resolves table and column names against a
-//! [`crate::session::Database`], makes every physical decision — like the
-//! paper's (planned) optimizer, the generic `Aggr` variant becomes a
-//! *direct* aggregation when every key is a small-domain code column,
-//! *ordered* when every key is proven sorted, else *hash* — and returns
-//! the verified tree. [`Plan::bind`] and [`CheckedNode::instantiate`] only construct
+//! [`crate::session::Database`], makes every physical decision — which
+//! enum columns travel as codes (those only code readers consume), and,
+//! like the paper's (planned) optimizer, whether the generic `Aggr`
+//! becomes a *direct* aggregation over small-domain keys, *ordered* when
+//! every key is proven sorted, else *hash* — and returns the verified
+//! tree. [`Plan::bind`] and [`CheckedNode::instantiate`] only construct
 //! the operator pipeline from that tree. The planning helpers the walk
 //! calls (predicate fusion, enum-literal rewriting, scan pruning) live
 //! here, next to the algebra they rewrite.
@@ -40,25 +41,16 @@ use crate::ops::{
 };
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use x100_storage::{EnumDict, Morsel, Table};
+use x100_vector::{CmpOp, ScalarType, Value};
 
 /// Pre-built shared join tables, keyed by the path of the checked
 /// `HashJoin` node they were built for. An `Exchange` builds each join
 /// table of its spine once; worker instantiations look their node up
 /// here and get a join that probes the shared table.
 pub(crate) type SharedJoins<'a> = HashMap<&'a str, Arc<JoinTable>>;
-
-/// A key of a `DirectAggr`: must resolve to a code column, or to an
-/// `i32`/`i64`/`u32` column with a proven range, with a small domain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DirectKeySpec {
-    /// Output column name.
-    pub name: String,
-    /// Input (dataflow) column holding the key.
-    pub col: String,
-}
 
 /// Range pruning hint for `Scan`: restricts fragment rows via the
 /// column's summary index (§4.3). Conservative — an exact `Select` above
@@ -76,16 +68,14 @@ pub struct RangePrune {
 /// A declarative plan tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// Vector-at-a-time scan; enum columns listed in `code_cols` are
-    /// surfaced as raw codes (for direct aggregation), all others decode
-    /// automatically via `Fetch1Join(ENUM)`.
+    /// Vector-at-a-time scan. The check walk surfaces an enum column as
+    /// raw codes where only code readers consume it; elsewhere it
+    /// decodes automatically via `Fetch1Join(ENUM)`.
     Scan {
         /// Table name in the database.
         table: String,
         /// Columns to scan (only these are touched).
         cols: Vec<String>,
-        /// Enum columns to keep as codes.
-        code_cols: Vec<String>,
         /// Optional summary-index pruning.
         prune: Option<RangePrune>,
     },
@@ -112,15 +102,6 @@ pub enum Plan {
         /// Aggregates.
         aggs: Vec<AggExpr>,
     },
-    /// Force direct (array-indexed) aggregation on code columns.
-    DirectAggr {
-        /// Input dataflow.
-        input: Box<Plan>,
-        /// Code-column keys.
-        keys: Vec<DirectKeySpec>,
-        /// Aggregates.
-        aggs: Vec<AggExpr>,
-    },
     /// Force ordered aggregation (input clustered on the keys).
     OrdAggr {
         /// Input dataflow.
@@ -138,12 +119,10 @@ pub enum Plan {
         table: String,
         /// Row-id expression (u32).
         rowid: Expr,
-        /// `(target column, output alias)` pairs to fetch (decoded).
+        /// `(target column, output alias)` pairs to fetch (an enum
+        /// column as codes where only code readers consume it, like a
+        /// scanned one).
         fetch: Vec<(String, String)>,
-        /// Enum columns fetched as raw codes (dictionary metadata
-        /// propagates, enabling code predicates and direct aggregation
-        /// downstream).
-        fetch_codes: Vec<(String, String)>,
     },
     /// Positional 1:N join over a contiguous `#rowId` range.
     FetchNJoin {
@@ -414,14 +393,8 @@ pub(crate) struct FusedPushdown {
 /// column, type mismatch, unsupported codec/op pair, pending deltas —
 /// declines and the ordinary decode-then-select pipeline is planned
 /// instead.
-pub(crate) fn fuse_scan_select(
-    t: &Table,
-    cols: &[String],
-    code_cols: &[String],
-    pred: &Expr,
-) -> Option<FusedPushdown> {
+pub(crate) fn fuse_scan_select(t: &Table, cols: &[String], pred: &Expr) -> Option<FusedPushdown> {
     use x100_storage::{ChunkFormat, PushOp};
-    use x100_vector::CmpOp;
     // Delta rows bypass the compressed fragments; fusing would leave
     // them unfiltered, so decline until the table is reorganized.
     if t.delta_rows() > 0 {
@@ -433,14 +406,14 @@ pub(crate) fn fuse_scan_select(
         i: usize,
         col: &'a str,
         op: PushOp,
-        v: x100_vector::Value,
+        v: Value,
     }
     let mut cands: Vec<Cand> = Vec::new();
     for (i, e) in conj.iter().enumerate() {
         let Some((col, cmp, lit)) = conjunct_parts(e) else {
             continue;
         };
-        if !cols.iter().any(|c| c == col) || code_cols.iter().any(|c| c == col) {
+        if !cols.iter().any(|c| c == col) {
             continue;
         }
         let Some(ci) = t.column_index(col) else {
@@ -513,8 +486,7 @@ pub(crate) fn fuse_scan_select(
 /// when the value does not fit (no silent truncation — an out-of-range
 /// literal stays on the decode-then-select path, whose map layer
 /// promotes instead).
-fn coerce_lit(v: &x100_vector::Value, ty: x100_vector::ScalarType) -> Option<x100_vector::Value> {
-    use x100_vector::{ScalarType, Value};
+fn coerce_lit(v: &Value, ty: ScalarType) -> Option<Value> {
     if v.scalar_type() == ty {
         return Some(v.clone());
     }
@@ -547,8 +519,7 @@ fn coerce_lit(v: &x100_vector::Value, ty: x100_vector::ScalarType) -> Option<x10
 
 /// The integer just below `v` — `c < v` is `c <= v − 1` — or `None` for
 /// a non-integer or the type's minimum (nothing lies below it).
-fn int_below(v: &x100_vector::Value) -> Option<x100_vector::Value> {
-    use x100_vector::Value;
+fn int_below(v: &Value) -> Option<Value> {
     Some(match v {
         Value::I8(x) => Value::I8(x.checked_sub(1)?),
         Value::I16(x) => Value::I16(x.checked_sub(1)?),
@@ -593,6 +564,39 @@ pub(crate) fn scan_prune_range(
     Ok(Some(summary.range_candidates(p.lo, p.hi)))
 }
 
+/// The operator, column and string literal of an enum-literal
+/// comparison — `c = 'lit'` or `c <> 'lit'`, the literal on either side:
+/// the comparison [`rewrite_enum_literals`] runs on codes, and so the
+/// one expression that reads its column as codes ([`value_reads`]).
+fn enum_literal_cmp(e: &Expr) -> Option<(CmpOp, &String, &String)> {
+    let Expr::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), l, r) = e else {
+        return None;
+    };
+    match (l.as_ref(), r.as_ref()) {
+        (Expr::Col(c), Expr::Lit(Value::Str(s))) | (Expr::Lit(Value::Str(s)), Expr::Col(c)) => {
+            Some((*op, c, s))
+        }
+        _ => None,
+    }
+}
+
+/// Add to `out` the columns `e` reads as values: every column it names,
+/// except the column of an enum-literal comparison wherever
+/// [`rewrite_enum_literals`] reaches one.
+pub(crate) fn value_reads(e: &Expr, out: &mut BTreeSet<String>) {
+    if enum_literal_cmp(e).is_some() {
+        return;
+    }
+    match e {
+        Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(_, l, r) | Expr::Cmp(_, l, r) => {
+            value_reads(l, out);
+            value_reads(r, out);
+        }
+        Expr::Not(x) | Expr::Cast(_, x) => value_reads(x, out),
+        other => out.extend(other.columns().into_iter().map(str::to_owned)),
+    }
+}
+
 /// Rewrite string-literal equality comparisons on enum *code* columns
 /// into comparisons on the dictionary code, so predicates never decode
 /// (paper §4.3: enumeration types). Literals absent from the dictionary
@@ -602,7 +606,6 @@ pub(crate) fn rewrite_enum_literals(
     fields: &[crate::batch::OutField],
     dicts: &[Option<Arc<EnumDict>>],
 ) -> Expr {
-    use x100_vector::{CmpOp, ScalarType, Value};
     let code_of = |name: &str, lit: &str| -> Option<Option<Value>> {
         // Outer None: not a code column. Inner: the code, if present.
         let i = fields.iter().position(|f| f.name == name)?;
@@ -622,46 +625,26 @@ pub(crate) fn rewrite_enum_literals(
             }
         }))
     };
+    if let Some((op, c, s)) = enum_literal_cmp(e) {
+        // The literal moves to the right.
+        return match code_of(c, s) {
+            Some(Some(code)) => Expr::Cmp(
+                op,
+                Box::new(Expr::Col(c.clone())),
+                Box::new(Expr::Lit(code)),
+            ),
+            Some(None) => Expr::Lit(Value::Bool(op == CmpOp::Ne)),
+            None => e.clone(),
+        };
+    }
+    let re = |x: &Expr| Box::new(rewrite_enum_literals(x, fields, dicts));
     match e {
-        Expr::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), l, r) => {
-            // Normalize literal to the right.
-            let rewritten = (|| {
-                let (c, s) = match (l.as_ref(), r.as_ref()) {
-                    (Expr::Col(c), Expr::Lit(Value::Str(s))) => (c, s),
-                    (Expr::Lit(Value::Str(s)), Expr::Col(c)) => (c, s),
-                    _ => return None,
-                };
-                Some(match code_of(c, s)? {
-                    Some(code) => Expr::Cmp(
-                        *op,
-                        Box::new(Expr::Col(c.clone())),
-                        Box::new(Expr::Lit(code)),
-                    ),
-                    None => Expr::Lit(Value::Bool(*op == CmpOp::Ne)),
-                })
-            })();
-            rewritten.unwrap_or_else(|| e.clone())
-        }
-        Expr::And(l, r) => Expr::And(
-            Box::new(rewrite_enum_literals(l, fields, dicts)),
-            Box::new(rewrite_enum_literals(r, fields, dicts)),
-        ),
-        Expr::Or(l, r) => Expr::Or(
-            Box::new(rewrite_enum_literals(l, fields, dicts)),
-            Box::new(rewrite_enum_literals(r, fields, dicts)),
-        ),
-        Expr::Not(x) => Expr::Not(Box::new(rewrite_enum_literals(x, fields, dicts))),
-        Expr::Cast(ty, x) => Expr::Cast(*ty, Box::new(rewrite_enum_literals(x, fields, dicts))),
-        Expr::Arith(op, l, r) => Expr::Arith(
-            *op,
-            Box::new(rewrite_enum_literals(l, fields, dicts)),
-            Box::new(rewrite_enum_literals(r, fields, dicts)),
-        ),
-        Expr::Cmp(op, l, r) => Expr::Cmp(
-            *op,
-            Box::new(rewrite_enum_literals(l, fields, dicts)),
-            Box::new(rewrite_enum_literals(r, fields, dicts)),
-        ),
+        Expr::And(l, r) => Expr::And(re(l), re(r)),
+        Expr::Or(l, r) => Expr::Or(re(l), re(r)),
+        Expr::Not(x) => Expr::Not(re(x)),
+        Expr::Cast(ty, x) => Expr::Cast(*ty, re(x)),
+        Expr::Arith(op, l, r) => Expr::Arith(*op, re(l), re(r)),
+        Expr::Cmp(op, l, r) => Expr::Cmp(*op, re(l), re(r)),
         other => other.clone(),
     }
 }
@@ -673,17 +656,6 @@ impl Plan {
         Plan::Scan {
             table: table.into(),
             cols: cols.iter().map(|s| s.to_string()).collect(),
-            code_cols: Vec::new(),
-            prune: None,
-        }
-    }
-
-    /// `Scan` keeping the listed enum columns as raw codes.
-    pub fn scan_with_codes(table: impl Into<String>, cols: &[&str], code_cols: &[&str]) -> Plan {
-        Plan::Scan {
-            table: table.into(),
-            cols: cols.iter().map(|s| s.to_string()).collect(),
-            code_cols: code_cols.iter().map(|s| s.to_string()).collect(),
             prune: None,
         }
     }
@@ -691,15 +663,9 @@ impl Plan {
     /// Attach a summary-index range prune to a `Scan`.
     pub fn pruned(self, col: impl Into<String>, lo: Option<i64>, hi: Option<i64>) -> Plan {
         match self {
-            Plan::Scan {
+            Plan::Scan { table, cols, .. } => Plan::Scan {
                 table,
                 cols,
-                code_cols,
-                ..
-            } => Plan::Scan {
-                table,
-                cols,
-                code_cols,
                 prune: Some(RangePrune {
                     col: col.into(),
                     lo,
@@ -742,32 +708,6 @@ impl Plan {
             table: table.into(),
             rowid,
             fetch: fetch
-                .iter()
-                .map(|(a, b)| (a.to_string(), b.to_string()))
-                .collect(),
-            fetch_codes: Vec::new(),
-        }
-    }
-
-    /// `Fetch1Join` that additionally fetches enum columns as raw codes
-    /// (their dictionaries propagate for code predicates / direct
-    /// aggregation downstream).
-    pub fn fetch1_with_codes(
-        self,
-        table: impl Into<String>,
-        rowid: Expr,
-        fetch: &[(&str, &str)],
-        fetch_codes: &[(&str, &str)],
-    ) -> Plan {
-        Plan::Fetch1Join {
-            input: Box::new(self),
-            table: table.into(),
-            rowid,
-            fetch: fetch
-                .iter()
-                .map(|(a, b)| (a.to_string(), b.to_string()))
-                .collect(),
-            fetch_codes: fetch_codes
                 .iter()
                 .map(|(a, b)| (a.to_string(), b.to_string()))
                 .collect(),

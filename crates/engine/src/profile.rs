@@ -153,8 +153,9 @@ impl Profiler {
     }
 
     /// Add `n` to the named event counter (no-op when disabled). Counters
-    /// record *event counts* with no timing attached — Bloom-prepass
-    /// rejects, radix partition counts, per-partition build statistics.
+    /// record *event counts* with no timing attached — scanned bytes,
+    /// pushed-down vectors, decode recoveries, chunk heals, injected
+    /// faults.
     #[inline]
     pub fn add_counter(&mut self, name: &str, n: u64) {
         if self.enabled {

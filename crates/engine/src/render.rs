@@ -72,17 +72,8 @@ fn indent(depth: usize, out: &mut String) {
 fn render(plan: &Plan, depth: usize, out: &mut String) {
     indent(depth, out);
     match plan {
-        Plan::Scan {
-            table,
-            cols,
-            code_cols,
-            prune,
-        } => {
-            out.push_str(&format!("Scan({table}, [{}]", cols.join(", ")));
-            if !code_cols.is_empty() {
-                out.push_str(&format!(", codes=[{}]", code_cols.join(", ")));
-            }
-            out.push(')');
+        Plan::Scan { table, cols, prune } => {
+            out.push_str(&format!("Scan({table}, [{}])", cols.join(", ")));
             if let Some(p) = prune {
                 out.push_str(&format!(
                     " /* pruned on {} {:?}..{:?} */",
@@ -142,40 +133,21 @@ fn render(plan: &Plan, depth: usize, out: &mut String) {
                 .collect();
             out.push_str(&format!("[ {} ])", ags.join(", ")));
         }
-        Plan::DirectAggr { input, keys, aggs } => {
-            // DirectAggr has no textual form in the paper; render as Aggr
-            // with a comment.
-            let as_aggr = Plan::Aggr {
-                input: input.clone(),
-                keys: keys
-                    .iter()
-                    .map(|k| (k.name.clone(), Expr::Col(k.col.clone())))
-                    .collect(),
-                aggs: aggs.clone(),
-            };
-            render(&as_aggr, depth, out);
-            out.push_str(" /* DIRECT */");
-        }
         Plan::Fetch1Join {
             input,
             table,
             rowid,
             fetch,
-            fetch_codes,
         } => {
             out.push_str("Fetch1Join(\n");
             render(input, depth + 1, out);
             out.push_str(",\n");
             indent(depth + 1, out);
             out.push_str(&format!(
-                "{table}, {}, [{}]",
+                "{table}, {}, [{}])",
                 render_expr(rowid),
                 alias_list(fetch)
             ));
-            if !fetch_codes.is_empty() {
-                out.push_str(&format!(", [{}]", alias_list(fetch_codes)));
-            }
-            out.push(')');
         }
         Plan::FetchNJoin {
             input,
@@ -310,8 +282,8 @@ fn plans_equal(a: &Plan, b: &Plan) -> bool {
 }
 
 /// Expression and plan types that survive the textual round trip:
-/// everything except `HashJoin` (EXPLAIN-only), `DirectAggr`
-/// (canonicalized to `Aggr`), and scan pruning hints (comments).
+/// everything except `HashJoin` (EXPLAIN-only) and scan pruning hints
+/// (comments).
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +322,7 @@ mod tests {
 
     #[test]
     fn plans_roundtrip() {
-        let plan = Plan::scan_with_codes("lineitem", &["a", "b", "s"], &["s"])
+        let plan = Plan::scan("lineitem", &["a", "b", "s"])
             .select(expr::lt(expr::col("a"), expr::lit_i64(10)))
             .project(vec![
                 ("x", expr::mul(expr::col("a"), expr::col("b"))),
@@ -371,12 +343,8 @@ mod tests {
 
     #[test]
     fn fetch_joins_roundtrip() {
-        let plan = Plan::scan("t", &["k"]).fetch1_with_codes(
-            "dim",
-            expr::col("k"),
-            &[("v", "val")],
-            &[("tag", "tag")],
-        );
+        let plan =
+            Plan::scan("t", &["k"]).fetch1("dim", expr::col("k"), &[("v", "val"), ("tag", "tag")]);
         let text = render_plan(&plan);
         let back = parse_plan(&text).expect("parses");
         assert!(plans_equal(&plan, &back), "\n{text}");

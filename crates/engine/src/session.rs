@@ -57,8 +57,10 @@ pub struct ExecOptions {
     /// External cancellation token; triggering it aborts the query with
     /// [`PlanError::Cancelled`] at the next per-vector check.
     pub cancel: Option<CancelToken>,
-    /// Chunk-read fault injection plan for the attached ColumnBM
-    /// (active only with the `fault-inject` cargo feature).
+    /// Fault injection plan: a rate per [`x100_storage::FaultSite`],
+    /// from chunk, delta, dictionary and compressed reads to checkpoint,
+    /// spill and durable-store I/O (active only with the `fault-inject`
+    /// cargo feature).
     pub fault_plan: Option<FaultPlan>,
     /// Testing aid: deliberately panic inside the pipeline after this
     /// many governor checks (exercises worker-panic containment).
@@ -135,8 +137,8 @@ impl ExecOptions {
         self
     }
 
-    /// Inject chunk-read faults per `plan` (needs the `fault-inject`
-    /// cargo feature to actually fire).
+    /// Inject faults at the storage sites `plan` names (needs the
+    /// `fault-inject` cargo feature to actually fire).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self

@@ -26,6 +26,7 @@ fn db() -> Database {
                     .map(|i| ["NEW", "OPEN", "SHIPPED"][(i % 3) as usize].to_owned())
                     .collect(),
             )
+            .auto_enum_i64("grade", (0..n).map(|i| i % 4 * 10).collect())
             .build(),
     );
     db
@@ -95,20 +96,27 @@ fn rejects_sel_vector_misuse() {
         .expect("sel-aware map under a selection is legal");
 }
 
-/// Defect class 3: enum-code columns escaping without a
-/// `Fetch1Join(ENUM)` decode. Comparing and grouping on codes is the
-/// whole point (§4.3) — doing arithmetic on them is always a bug.
+/// Defect class 3, enum-code columns escaping without a
+/// `Fetch1Join(ENUM)` decode, is one no plan reaches: the walk reads an
+/// enum column as codes only for code readers, so arithmetic reads its
+/// values (the guard's own test is a unit test of `check.rs`).
 #[test]
-fn rejects_undecoded_enum_column() {
+fn arithmetic_on_an_enum_column_reads_its_values() {
     let db = db();
-    let plan = Plan::scan_with_codes("t", &["id", "status"], &["status"])
-        .project(vec![("y", add(col("status"), lit_i64(1)))]);
-    let (path, v) = expect_check(execute(&db, &plan, &ExecOptions::default()));
-    assert!(path.contains("Project.expr[0]"), "path was {path}");
-    match v {
-        CheckViolation::UndecodedEnumColumn { column, .. } => assert_eq!(column, "status"),
-        other => panic!("expected UndecodedEnumColumn, got {other}"),
-    }
+    let opts = ExecOptions::default();
+    let plan =
+        Plan::scan("t", &["id", "grade"]).project(vec![("y", add(col("grade"), lit_i64(1)))]);
+    let walk = check_plan(&db, &plan, &opts).expect("arithmetic on values checks");
+    assert!(!walk.render().contains("codes ["), "{}", walk.render());
+    let (res, _) = execute(&db, &plan, &opts).expect("runs");
+    assert_eq!(res.column_by_name("y").as_i64()[..4], [1, 11, 21, 31]);
+    // A string enum's values take no arithmetic: a type error, not codes.
+    let plan = Plan::scan("t", &["status"]).project(vec![("y", add(col("status"), lit_i64(1)))]);
+    let (_, v) = expect_check(execute(&db, &plan, &opts));
+    assert!(
+        !matches!(v, CheckViolation::UndecodedEnumColumn { .. }),
+        "{v}"
+    );
 }
 
 /// Defect class 4: registry-unknown signatures — both synthetic ones
@@ -172,7 +180,6 @@ fn bind_governed_is_gated_too() {
     for plan in [
         Plan::scan("t", &["id", "x"]).select(add(col("id"), lit_i64(1))),
         Plan::scan("t", &["status"]).project(vec![status_plus_one()]),
-        Plan::scan_with_codes("t", &["id", "status"], &["status"]).project(vec![status_plus_one()]),
         Plan::scan("t", &["id", "h1", "h2"]).select(eq(col("h1"), col("h2"))),
     ] {
         let want = check_plan(&db, &plan, &opts).expect_err("ill-typed plan");

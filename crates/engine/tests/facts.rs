@@ -290,8 +290,12 @@ fn out_of_range_rowid_is_a_typed_run_time_error() {
         cnt: col("cnt"),
         fetch: vec![("pay".into(), "pay".into())],
     };
-    let codes =
-        Plan::scan("facts", &["fk"]).fetch1_with_codes("dim", col("fk"), &[], &[("tag", "tag")]);
+    // Only the grouping reads `tag`: it is fetched as codes.
+    let codes = Plan::scan("facts", &["fk"])
+        .fetch1("dim", col("fk"), &[("tag", "tag")])
+        .aggr(vec![("tag", col("tag"))], vec![AggExpr::count("n")]);
+    let walk = check_plan(&db, &codes, &ExecOptions::default()).expect("checks");
+    assert!(walk.render().contains("codes [tag]"), "{}", walk.render());
     for (plan, column, rowid) in [(fetch1, "pay", 9), (codes, "tag", 9), (fetchn, "pay", 10)] {
         match execute(&db, &plan, &ExecOptions::default()).map(|(r, _)| r.row_strings()) {
             Err(PlanError::Invalid(why)) => assert!(

@@ -2,9 +2,9 @@
 
 use x100_engine::expr::*;
 use x100_engine::ops::{JoinType, OrdExp};
-use x100_engine::plan::{DirectKeySpec, Plan};
+use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
-use x100_engine::AggExpr;
+use x100_engine::{check_plan, AggExpr};
 use x100_storage::TableBuilder;
 use x100_vector::{CmpOp, ScalarType, Value, Vector};
 
@@ -64,14 +64,27 @@ fn scan_decodes_enum_columns() {
 }
 
 #[test]
-fn scan_code_cols_surface_codes() {
+fn scan_surfaces_codes_to_code_readers() {
     let db = sales_db();
-    let plan = Plan::scan_with_codes("sales", &["flag"], &["flag"]);
+    // Only the predicate reads `flag`: the scan surfaces its codes.
+    let plan = Plan::scan("sales", &["flag", "id"])
+        .select(eq(col("flag"), lit_str("B")))
+        .project(vec![("id", col("id"))]);
+    let walk = check_plan(&db, &plan, &opts()).expect("checks");
+    let select = &walk.facts.root().inputs()[0];
+    let scan = &select.inputs()[0];
+    assert_eq!(scan.fields()[0].ty, ScalarType::U8, "{}", walk.render());
+    assert!(walk
+        .render()
+        .contains("Scan `sales` → 2 cols, codes [flag]"));
     let (res, _) = execute(&db, &plan, &opts()).expect("runs");
-    assert_eq!(res.fields()[0].ty, ScalarType::U8);
-    // 'A' sorts before 'B' → code 0.
-    assert_eq!(res.value(0, 0), Value::U8(0));
-    assert_eq!(res.value(1, 0), Value::U8(1));
+    assert_eq!(res.column_by_name("id").as_i64()[0], 1);
+    // The result reads `flag` itself: the same scan decodes it.
+    let shown = Plan::scan("sales", &["flag", "id"]).select(eq(col("flag"), lit_str("B")));
+    let walk = check_plan(&db, &shown, &opts()).expect("checks");
+    assert!(!walk.render().contains("codes ["), "{}", walk.render());
+    let (res, _) = execute(&db, &shown, &opts()).expect("runs");
+    assert_eq!(res.value(0, 0), Value::Str("B".into()));
 }
 
 #[test]
@@ -162,8 +175,9 @@ fn hash_aggregation_groups_correctly() {
 #[test]
 fn direct_aggregation_on_enum_codes() {
     let db = sales_db();
-    // Group on the enum code column: binder picks DirectAggr via Aggr.
-    let plan = Plan::scan_with_codes("sales", &["flag", "qty"], &["flag"]).aggr(
+    // Group on the enum column: only the grouping reads it, so it is
+    // scanned as codes and rule dense-keys-direct-aggr picks DirectAggr.
+    let plan = Plan::scan("sales", &["flag", "qty"]).aggr(
         vec![("flag", col("flag"))],
         vec![AggExpr::count("cnt"), AggExpr::sum("sum_qty", col("qty"))],
     );
@@ -474,6 +488,39 @@ fn enum_fetches_across_fragment_and_delta_match_the_row_oracle() {
         let got: Vec<Value> = (1..4).map(|c| res.value(i, c)).collect();
         assert_eq!(got, oracle[i % 8], "cartprod row {i}");
     }
+    // Pending deletes, of a fragment row and a delta row, drop out.
+    let mut dim = (*db.table("dim").expect("registered")).clone();
+    dim.delete(2);
+    dim.delete(6);
+    db.register(dim);
+    let live: Vec<&Vec<Value>> = [0, 1, 3, 4, 5, 7].iter().map(|&r| &oracle[r]).collect();
+    let (res, _) = execute(&db, &plan, &ExecOptions::with_vector_size(3)).expect("cartprod runs");
+    assert_eq!(res.num_rows(), 8 * 6);
+    for i in 0..res.num_rows() {
+        let got: Vec<Value> = (1..4).map(|c| res.value(i, c)).collect();
+        assert_eq!(&got, live[i % 6], "cartprod row {i} over deletes");
+    }
+    // A deleted last row ends each pass early; with every row deleted
+    // the product is empty.
+    let mut dim = (*db.table("dim").expect("registered")).clone();
+    dim.delete(7);
+    db.register(dim.clone());
+    let (res, _) = execute(&db, &plan, &ExecOptions::with_vector_size(3)).expect("cartprod runs");
+    assert_eq!(res.num_rows(), 8 * 5);
+    for i in 0..res.num_rows() {
+        let got: Vec<Value> = (1..4).map(|c| res.value(i, c)).collect();
+        assert_eq!(
+            &got,
+            live[i % 5],
+            "cartprod row {i} over a deleted last row"
+        );
+    }
+    for r in [0, 1, 3, 4, 5] {
+        dim.delete(r);
+    }
+    db.register(dim);
+    let (res, _) = execute(&db, &plan, &ExecOptions::with_vector_size(3)).expect("cartprod runs");
+    assert_eq!(res.num_rows(), 0);
 }
 
 #[test]
@@ -766,31 +813,25 @@ fn binder_errors_are_reported() {
 fn direct_aggr_rejects_wide_domains() {
     let mut db = Database::new();
     let t = TableBuilder::new("t")
-        .column("a", Vector::U8(vec![0; 4]))
-        .column("b", Vector::U16(vec![0; 4]))
-        .column("c", Vector::U16(vec![0; 4]))
+        .column("a", Vector::I32(vec![0, 1023, 0, 0]))
+        .column("b", Vector::I32(vec![0, 2047, 0, 0]))
         .build();
     db.register(t);
-    // 256 * 65536 * 65536 slots — must be rejected.
-    let plan = Plan::DirectAggr {
-        input: Box::new(Plan::scan("t", &["a", "b", "c"])),
-        keys: vec![
-            DirectKeySpec {
-                name: "a".into(),
-                col: "a".into(),
-            },
-            DirectKeySpec {
-                name: "b".into(),
-                col: "b".into(),
-            },
-            DirectKeySpec {
-                name: "c".into(),
-                col: "c".into(),
-            },
-        ],
-        aggs: vec![AggExpr::count("n")],
-    };
-    assert!(execute(&db, &plan, &opts()).is_err());
+    // 1024 × 2048 slots exceed the direct table: the hash table groups.
+    let plan = Plan::scan("t", &["a", "b"]).aggr(
+        vec![("a", col("a")), ("b", col("b"))],
+        vec![AggExpr::count("n")],
+    );
+    let walk = check_plan(&db, &plan, &opts()).expect("checks").render();
+    assert!(
+        walk.contains(
+            "rule dense-keys-direct-aggr refused: 2097152 slots exceed the direct table's 1048576"
+        ),
+        "{walk}"
+    );
+    assert!(walk.contains("HashAggr"), "{walk}");
+    let (res, _) = execute(&db, &plan, &opts()).expect("runs");
+    assert_eq!(res.num_rows(), 2);
 }
 
 #[test]

@@ -469,20 +469,11 @@ fn exec(db: &Database, plan: &Plan, s: &mut MilSession) -> Result<MatFlow, PlanE
             let flow = exec(db, input, s)?;
             exec_aggr(db, flow, keys, aggs, s)
         }
-        Plan::DirectAggr { input, keys, aggs } => {
-            let flow = exec(db, input, s)?;
-            let keyexprs: Vec<(String, Expr)> = keys
-                .iter()
-                .map(|k| (k.name.clone(), Expr::Col(k.col.clone())))
-                .collect();
-            exec_aggr(db, flow, &keyexprs, aggs, s)
-        }
         Plan::Fetch1Join {
             input,
             table,
             rowid,
             fetch,
-            fetch_codes,
         } => {
             let mut flow = exec(db, input, s)?;
             let t = db.table(table)?;
@@ -490,8 +481,8 @@ fn exec(db: &Database, plan: &Plan, s: &mut MilSession) -> Result<MatFlow, PlanE
                 Bat::Oid(v) => Bat::Oid(v),
                 other => panic!("MIL fetch join needs oid rowids, got {}", other.tail_type()),
             };
-            // MIL storage has no enumeration types: code fetches decode.
-            for (src, alias) in fetch.iter().chain(fetch_codes.iter()) {
+            // MIL storage has no enumeration types: fetches decode.
+            for (src, alias) in fetch {
                 let ci = t
                     .column_index(src)
                     .ok_or_else(|| PlanError::UnknownColumn(src.clone()))?;

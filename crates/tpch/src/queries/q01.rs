@@ -37,7 +37,7 @@ pub fn q1_hi_date() -> i32 {
 pub fn x100_plan() -> Plan {
     let discountprice = mul(sub(lit_f64(1.0), col("l_discount")), col("l_extendedprice"));
     let charge = mul(add(lit_f64(1.0), col("l_tax")), discountprice.clone());
-    Plan::scan_with_codes(
+    Plan::scan(
         "lineitem",
         &[
             "l_returnflag",
@@ -48,7 +48,6 @@ pub fn x100_plan() -> Plan {
             "l_tax",
             "l_shipdate",
         ],
-        &["l_returnflag", "l_linestatus"],
     )
     .select(le(col("l_shipdate"), lit_date(1998, 9, 2)))
     .aggr(

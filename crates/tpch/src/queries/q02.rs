@@ -48,7 +48,7 @@ fn europe_partsupp() -> Plan {
         col("s_nation_idx"),
         &[("n_region_idx", "n_region_idx"), ("n_name", "n_name")],
     )
-    .fetch1_with_codes("region", col("n_region_idx"), &[], &[("r_name", "r_name")])
+    .fetch1("region", col("n_region_idx"), &[("r_name", "r_name")])
     .select(eq(col("r_name"), lit_str("EUROPE")))
 }
 
@@ -61,7 +61,7 @@ pub fn x100_plan() -> Plan {
     };
     let candidates = europe_partsupp()
         .fetch1("part", col("ps_part_idx"), &[("p_size", "p_size")])
-        .fetch1_with_codes("part", col("ps_part_idx"), &[], &[("p_type3", "p_type3")])
+        .fetch1("part", col("ps_part_idx"), &[("p_type3", "p_type3")])
         .select(and(
             eq(col("p_size"), lit_i64(15)),
             eq(col("p_type3"), lit_str("BRASS")),

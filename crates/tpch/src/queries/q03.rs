@@ -54,10 +54,9 @@ pub fn x100_plan() -> Plan {
         ],
     )
     .select(lt(col("o_orderdate"), lit_i32(cutoff())))
-    .fetch1_with_codes(
+    .fetch1(
         "customer",
         col("o_cust_idx"),
-        &[],
         &[("c_mktsegment", "c_mktsegment")],
     )
     .select(eq(col("c_mktsegment"), lit_str("BUILDING")))

@@ -28,16 +28,12 @@ pub fn x100_plan() -> Plan {
     let hi = to_days(1993, 10, 1);
     let late_lineitems = Plan::scan("lineitem", &["l_orderkey", "l_commitdate", "l_receiptdate"])
         .select(lt(col("l_commitdate"), col("l_receiptdate")));
-    let orders = Plan::scan_with_codes(
-        "orders",
-        &["o_orderkey", "o_orderdate", "o_orderpriority"],
-        &["o_orderpriority"],
-    )
-    .pruned("o_orderdate", Some(lo as i64), Some(hi as i64 - 1))
-    .select(and(
-        ge(col("o_orderdate"), lit_i32(lo)),
-        lt(col("o_orderdate"), lit_i32(hi)),
-    ));
+    let orders = Plan::scan("orders", &["o_orderkey", "o_orderdate", "o_orderpriority"])
+        .pruned("o_orderdate", Some(lo as i64), Some(hi as i64 - 1))
+        .select(and(
+            ge(col("o_orderdate"), lit_i32(lo)),
+            lt(col("o_orderdate"), lit_i32(hi)),
+        ));
     Plan::HashJoin {
         build: Box::new(late_lineitems),
         probe: Box::new(orders),

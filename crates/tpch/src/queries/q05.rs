@@ -62,13 +62,12 @@ pub fn x100_plan() -> Plan {
         &[("c_nationkey", "c_nationkey")],
     )
     .select(eq(col("c_nationkey"), col("s_nationkey")))
-    .fetch1_with_codes(
+    .fetch1(
         "nation",
         col("s_nation_idx"),
-        &[("n_region_idx", "n_region_idx")],
-        &[("n_name", "n_name")],
+        &[("n_region_idx", "n_region_idx"), ("n_name", "n_name")],
     )
-    .fetch1_with_codes("region", col("n_region_idx"), &[], &[("r_name", "r_name")])
+    .fetch1("region", col("n_region_idx"), &[("r_name", "r_name")])
     .select(eq(col("r_name"), lit_str("ASIA")))
     .aggr(
         vec![("n_name", col("n_name"))],

@@ -59,12 +59,7 @@ pub fn x100_plan() -> Plan {
         col("li_supp_idx"),
         &[("s_nation_idx", "s_nation_idx")],
     )
-    .fetch1_with_codes(
-        "nation",
-        col("s_nation_idx"),
-        &[],
-        &[("n_name", "supp_nation")],
-    )
+    .fetch1("nation", col("s_nation_idx"), &[("n_name", "supp_nation")])
     .fetch1(
         "orders",
         col("li_order_idx"),
@@ -75,12 +70,7 @@ pub fn x100_plan() -> Plan {
         col("o_cust_idx"),
         &[("c_nation_idx", "c_nation_idx")],
     )
-    .fetch1_with_codes(
-        "nation",
-        col("c_nation_idx"),
-        &[],
-        &[("n_name", "cust_nation")],
-    )
+    .fetch1("nation", col("c_nation_idx"), &[("n_name", "cust_nation")])
     .select(or(pair("FRANCE", "GERMANY"), pair("GERMANY", "FRANCE")))
     .project(vec![
         ("supp_nation", col("supp_nation")),

@@ -43,7 +43,7 @@ pub fn x100_plan() -> Plan {
             "li_order_idx",
         ],
     )
-    .fetch1_with_codes("part", col("li_part_idx"), &[], &[("p_type", "p_type")])
+    .fetch1("part", col("li_part_idx"), &[("p_type", "p_type")])
     .select(eq(col("p_type"), lit_str("ECONOMY ANODIZED STEEL")))
     .fetch1(
         "orders",
@@ -64,19 +64,14 @@ pub fn x100_plan() -> Plan {
         col("c_nation_idx"),
         &[("n_region_idx", "n_region_idx")],
     )
-    .fetch1_with_codes("region", col("n_region_idx"), &[], &[("r_name", "r_name")])
+    .fetch1("region", col("n_region_idx"), &[("r_name", "r_name")])
     .select(eq(col("r_name"), lit_str("AMERICA")))
     .fetch1(
         "supplier",
         col("li_supp_idx"),
         &[("s_nation_idx", "s_nation_idx")],
     )
-    .fetch1_with_codes(
-        "nation",
-        col("s_nation_idx"),
-        &[],
-        &[("n_name", "supp_nation")],
-    )
+    .fetch1("nation", col("s_nation_idx"), &[("n_name", "supp_nation")])
     .project(vec![
         ("o_year", year(col("o_orderdate"))),
         ("volume", volume.clone()),

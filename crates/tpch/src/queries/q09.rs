@@ -52,7 +52,7 @@ pub fn x100_plan() -> Plan {
         col("li_supp_idx"),
         &[("s_nation_idx", "s_nation_idx")],
     )
-    .fetch1_with_codes("nation", col("s_nation_idx"), &[], &[("n_name", "nation")])
+    .fetch1("nation", col("s_nation_idx"), &[("n_name", "nation")])
     .fetch1(
         "orders",
         col("li_order_idx"),

@@ -29,7 +29,7 @@ use x100_vector::date::to_days;
 pub fn x100_plan() -> Plan {
     let lo = to_days(1993, 10, 1);
     let hi = to_days(1994, 1, 1);
-    Plan::scan_with_codes(
+    Plan::scan(
         "lineitem",
         &[
             "l_extendedprice",
@@ -37,7 +37,6 @@ pub fn x100_plan() -> Plan {
             "l_returnflag",
             "li_order_idx",
         ],
-        &["l_returnflag"],
     )
     .select(eq(col("l_returnflag"), lit_str("R")))
     .fetch1(

@@ -43,7 +43,7 @@ fn germany_stock() -> Plan {
         col("ps_supp_idx"),
         &[("s_nation_idx", "s_nation_idx")],
     )
-    .fetch1_with_codes("nation", col("s_nation_idx"), &[], &[("n_name", "n_name")])
+    .fetch1("nation", col("s_nation_idx"), &[("n_name", "n_name")])
     .select(eq(col("n_name"), lit_str("GERMANY")))
     .project(vec![
         ("ps_partkey", col("ps_partkey")),

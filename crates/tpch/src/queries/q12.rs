@@ -39,7 +39,7 @@ pub fn x100_plan() -> Plan {
             eq(col("o_orderpriority"), lit_str("2-HIGH")),
         ),
     );
-    Plan::scan_with_codes(
+    Plan::scan(
         "lineitem",
         &[
             "l_shipmode",
@@ -48,7 +48,6 @@ pub fn x100_plan() -> Plan {
             "l_receiptdate",
             "li_order_idx",
         ],
-        &["l_shipmode"],
     )
     .select(and(
         or(
@@ -66,10 +65,9 @@ pub fn x100_plan() -> Plan {
             ),
         ),
     ))
-    .fetch1_with_codes(
+    .fetch1(
         "orders",
         col("li_order_idx"),
-        &[],
         &[("o_orderpriority", "o_orderpriority")],
     )
     .project(vec![

@@ -38,7 +38,7 @@ pub fn x100_plan() -> Plan {
         ge(col("l_shipdate"), lit_i32(lo)),
         lt(col("l_shipdate"), lit_i32(hi)),
     ))
-    .fetch1_with_codes("part", col("li_part_idx"), &[], &[("p_type1", "p_type1")])
+    .fetch1("part", col("li_part_idx"), &[("p_type1", "p_type1")])
     .project(vec![
         ("rev", rev.clone()),
         ("promo_rev", mul(rev, is_promo)),

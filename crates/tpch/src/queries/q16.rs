@@ -40,11 +40,11 @@ pub fn x100_plan() -> Plan {
         contains(col("s_comment"), "Complaints"),
     ));
     let candidates = Plan::scan("partsupp", &["ps_suppkey", "ps_part_idx"])
-        .fetch1_with_codes(
+        .fetch1(
             "part",
             col("ps_part_idx"),
-            &[("p_size", "p_size")],
             &[
+                ("p_size", "p_size"),
                 ("p_brand", "p_brand"),
                 ("p_type", "p_type"),
                 ("p_type1", "p_type1"),

@@ -31,10 +31,9 @@ pub fn x100_plan() -> Plan {
         "lineitem",
         &["li_part_idx", "l_quantity", "l_extendedprice"],
     )
-    .fetch1_with_codes(
+    .fetch1(
         "part",
         col("li_part_idx"),
-        &[],
         &[("p_brand", "p_brand"), ("p_container", "p_container")],
     )
     .select(and(

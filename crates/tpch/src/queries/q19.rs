@@ -53,7 +53,7 @@ fn branch(brand: &str, containers: &[&str], qty_lo: f64, size_hi: i64) -> Expr {
 
 /// The X100 plan; single output `revenue`.
 pub fn x100_plan() -> Plan {
-    Plan::scan_with_codes(
+    Plan::scan(
         "lineitem",
         &[
             "l_quantity",
@@ -63,17 +63,19 @@ pub fn x100_plan() -> Plan {
             "l_shipinstruct",
             "li_part_idx",
         ],
-        &["l_shipmode", "l_shipinstruct"],
     )
     .select(and(
         in_list("l_shipmode", &["AIR", "REG AIR"]),
         eq(col("l_shipinstruct"), lit_str("DELIVER IN PERSON")),
     ))
-    .fetch1_with_codes(
+    .fetch1(
         "part",
         col("li_part_idx"),
-        &[("p_size", "p_size")],
-        &[("p_brand", "p_brand"), ("p_container", "p_container")],
+        &[
+            ("p_size", "p_size"),
+            ("p_brand", "p_brand"),
+            ("p_container", "p_container"),
+        ],
     )
     .select(or(
         or(

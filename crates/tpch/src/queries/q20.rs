@@ -50,7 +50,7 @@ pub fn x100_plan() -> Plan {
                 "partsupp",
                 &["ps_rowid", "ps_availqty", "ps_part_idx", "ps_supp_idx"],
             )
-            .fetch1_with_codes("part", col("ps_part_idx"), &[], &[("p_name1", "p_name1")])
+            .fetch1("part", col("ps_part_idx"), &[("p_name1", "p_name1")])
             .select(eq(col("p_name1"), lit_str("forest"))),
         ),
         build_keys: vec![col("sh_ps")],
@@ -67,7 +67,7 @@ pub fn x100_plan() -> Plan {
         build: Box::new(qualifying),
         probe: Box::new(
             Plan::scan("supplier", &["s_suppkey", "s_name", "s_nation_idx"])
-                .fetch1_with_codes("nation", col("s_nation_idx"), &[], &[("n_name", "n_name")])
+                .fetch1("nation", col("s_nation_idx"), &[("n_name", "n_name")])
                 .select(eq(col("n_name"), lit_str("CANADA"))),
         ),
         build_keys: vec![cast(ScalarType::I64, col("ps_supp_idx"))],

@@ -65,10 +65,9 @@ pub fn x100_plan() -> Plan {
         ],
     );
     let probe = late_lineitems()
-        .fetch1_with_codes(
+        .fetch1(
             "orders",
             col("li_order_idx"),
-            &[],
             &[("o_orderstatus", "o_orderstatus")],
         )
         .select(eq(col("o_orderstatus"), lit_str("F")))
@@ -77,7 +76,7 @@ pub fn x100_plan() -> Plan {
             col("li_supp_idx"),
             &[("s_name", "s_name"), ("s_nation_idx", "s_nation_idx")],
         )
-        .fetch1_with_codes("nation", col("s_nation_idx"), &[], &[("n_name", "n_name")])
+        .fetch1("nation", col("s_nation_idx"), &[("n_name", "n_name")])
         .select(eq(col("n_name"), lit_str("SAUDI ARABIA")));
     let with_all = Plan::HashJoin {
         build: Box::new(all_supp),

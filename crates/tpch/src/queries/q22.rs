@@ -46,17 +46,13 @@ fn code_in_list() -> Expr {
 /// The two-phase spec; output `(cntrycode, numcust, totacctbal)`.
 pub fn x100_spec() -> TwoPhase {
     TwoPhase {
-        phase1: Plan::scan_with_codes("customer", &["c_acctbal", "c_cntrycode"], &["c_cntrycode"])
+        phase1: Plan::scan("customer", &["c_acctbal", "c_cntrycode"])
             .select(and(gt(col("c_acctbal"), lit_f64(0.0)), code_in_list()))
             .aggr(vec![], vec![AggExpr::avg("avgbal", col("c_acctbal"))]),
         scalar_col: "avgbal",
         phase2: |avgbal| {
-            let rich = Plan::scan_with_codes(
-                "customer",
-                &["c_custkey", "c_acctbal", "c_cntrycode"],
-                &["c_cntrycode"],
-            )
-            .select(and(gt(col("c_acctbal"), lit_f64(avgbal)), code_in_list()));
+            let rich = Plan::scan("customer", &["c_custkey", "c_acctbal", "c_cntrycode"])
+                .select(and(gt(col("c_acctbal"), lit_f64(avgbal)), code_in_list()));
             Plan::HashJoin {
                 build: Box::new(Plan::scan("orders", &["o_custkey"])),
                 probe: Box::new(rich),

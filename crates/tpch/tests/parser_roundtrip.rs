@@ -7,8 +7,8 @@ use tpch::queries::q01;
 use x100_engine::parser::parse_plan;
 use x100_engine::session::{execute, ExecOptions};
 
-/// Figure 9, adapted only in column naming (`l_*` as stored) and the
-/// code-columns annotation for the direct aggregation.
+/// Figure 9, adapted only in column naming (`l_*` as stored): the check
+/// walk finds on its own that the grouping keys travel as codes.
 const FIG9_Q1: &str = "
 Order(
   Project(
@@ -16,8 +16,7 @@ Order(
       Select(
         Scan(lineitem,
              [ l_returnflag, l_linestatus, l_quantity, l_extendedprice,
-               l_discount, l_tax, l_shipdate ],
-             codes=[ l_returnflag, l_linestatus ]),
+               l_discount, l_tax, l_shipdate ]),
         <=( l_shipdate, date('1998-09-02'))),
       [ l_returnflag, l_linestatus ],
       [ sum_qty = sum(l_quantity),
