@@ -9,10 +9,11 @@
 //! [`check_plan`] walks a [`Plan`] once, resolves its tables, derives each
 //! node's output shape and enum-dictionary metadata, rewrites enum
 //! literals, splits predicates, types aggregates, picks the physical
-//! variant (direct / hash / ordered aggregation, fused compressed
-//! scan-select, constant-folded selection, selection before fetch, the
-//! `Exchange` that runs an aggregation on morsel workers at `threads >
-//! 1`), compiles every expression exactly once, validates each emitted
+//! variant (direct / hash / ordered aggregation, hash / merge join,
+//! fused compressed scan-select, constant-folded selection, selection
+//! before fetch, the `Exchange` that runs an aggregation on morsel
+//! workers at `threads > 1`), compiles every expression exactly once,
+//! validates each emitted
 //! primitive instruction against the typed catalog
 //! ([`x100_vector::PrimitiveRegistry`]) and threads the facts analyzer
 //! ([`crate::facts`]) through the same pass.
@@ -144,7 +145,7 @@ impl Values {
 /// soundness argument of each. `cargo xtask lint` rule 10 keeps every
 /// id in a walk-log message and in the rewritten-vs-as-given
 /// differential test.
-pub const RULES: [&str; 3] = [
+pub const RULES: [&str; 4] = [
     // `Select` over `Fetch1Join`s: columns the predicate does not need
     // are fetched above the selection, and a predicate that reads only
     // one small, delta-free table is evaluated over that table once.
@@ -156,6 +157,9 @@ pub const RULES: [&str; 3] = [
     // a proven range, over a domain no larger than the input: the direct
     // table, one slot per key combination.
     "dense-keys-direct-aggr",
+    // `HashJoin` on one integer key proven sorted on both inputs: the
+    // streaming merge join instead of the hash table.
+    "sorted-inputs-merge-join",
 ];
 
 /// Name stem of the one-byte column rule `select-before-fetch` gathers
@@ -283,9 +287,9 @@ pub struct CheckedNode {
     /// The abstract state the facts analyzer inferred for this node's
     /// output.
     pub facts: NodeFacts,
-    /// Input nodes: none for leaves, `[build, probe]` for a hash join,
-    /// one otherwise. Shared, so an `Exchange`'s operator holds its
-    /// input subtree itself rather than a copy.
+    /// Input nodes: none for leaves, `[build, probe]` for a hash or
+    /// merge join, one otherwise. Shared, so an `Exchange`'s operator
+    /// holds its input subtree itself rather than a copy.
     pub(crate) inputs: Vec<Arc<CheckedNode>>,
     pub(crate) op: CheckedOp,
 }
@@ -345,6 +349,11 @@ pub(crate) enum CheckedOp {
         steps: Option<Vec<SelStep>>,
     },
     HashJoin(JoinParts),
+    /// A hash join whose one key both inputs are proven sorted on,
+    /// planned by rule `sorted-inputs-merge-join`
+    /// ([`crate::ops::MergeJoinOp`]): never a morsel-spine link, so no
+    /// `Exchange` spans it.
+    MergeJoin(JoinParts),
     /// `Order`, and — with `limit` — `TopN`.
     Sort {
         keys: Vec<(usize, SortOrder)>,
@@ -383,7 +392,7 @@ impl CheckedOp {
             // column is first gathered, not with the operator.
             CheckedOp::Fetch1Join { rowid, .. } => vec![rowid],
             CheckedOp::FetchNJoin { lo, cnt, .. } => vec![lo, cnt],
-            CheckedOp::HashJoin(parts) => {
+            CheckedOp::HashJoin(parts) | CheckedOp::MergeJoin(parts) => {
                 parts.build_keys.iter().chain(&parts.probe_keys).collect()
             }
             CheckedOp::Scan(_)
@@ -405,7 +414,7 @@ impl CheckedNode {
         &self.fields
     }
 
-    /// The node's input nodes (a hash join's build side first).
+    /// The node's input nodes (a join's build side first).
     pub fn inputs(&self) -> &[Arc<CheckedNode>] {
         &self.inputs
     }
@@ -1302,9 +1311,39 @@ impl<'a> Checker<'a> {
                     }
                     pprogs.push(prog);
                 }
+                if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
+                    return Err(PlanError::Invalid(
+                        "hash join needs matching, non-empty key lists".to_owned(),
+                    ));
+                }
+                if matches!(join_type, JoinType::LeftSemi | JoinType::LeftAnti)
+                    && !payload.is_empty()
+                {
+                    return Err(PlanError::Invalid(
+                        "semi/anti joins cannot carry build payload".to_owned(),
+                    ));
+                }
+                let merge = match self.rules {
+                    false => false,
+                    true => match sorted_inputs(&build, &probe, &bprogs, &pprogs, self.reg) {
+                        Ok(what) => {
+                            self.rule_note("sorted-inputs-merge-join", path, what);
+                            true
+                        }
+                        Err(why) => {
+                            self.rule_refused("sorted-inputs-merge-join", path, why);
+                            false
+                        }
+                    },
+                };
                 let mut node = NodeShape::from_input(&probe);
-                for f in &mut node.cols {
-                    f.sorted = false; // match order scrambles rows
+                if !merge {
+                    // A hash join emits probe rows in order too (DESIGN
+                    // §15), but no rule has yet been measured relying
+                    // on that: its probe columns drop `sorted`.
+                    for f in &mut node.cols {
+                        f.sorted = false;
+                    }
                 }
                 let mut payload_cols = Vec::with_capacity(payload.len());
                 let mut payload_fields = Vec::with_capacity(payload.len());
@@ -1335,28 +1374,22 @@ impl<'a> Checker<'a> {
                     });
                 }
                 node.fields.extend(payload_fields.iter().cloned());
-                if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
-                    return Err(PlanError::Invalid(
-                        "hash join needs matching, non-empty key lists".to_owned(),
-                    ));
-                }
-                if matches!(join_type, JoinType::LeftSemi | JoinType::LeftAnti)
-                    && !payload.is_empty()
-                {
-                    return Err(PlanError::Invalid(
-                        "semi/anti joins cannot carry build payload".to_owned(),
-                    ));
-                }
                 // The build and probe loops: key hashing, the group
-                // table's insert and its read-only probe rounds, and —
-                // where matches carry rows — one gather per output
-                // column. That kernel is total over vector types, so
-                // types outside the fetch catalog are legal and simply
-                // go untraced.
-                let jpath = format!("{path}.HashJoin");
-                self.require_hash(bprogs.iter().map(|p| p.result_type()), &jpath)?;
-                self.require("aggr_hashtable_maintain", || jpath.clone())?;
-                self.require("aggr_grouptable_probe_u64_col", || jpath.clone())?;
+                // table's insert and its read-only probe rounds — or the
+                // merge cursor over both sides — and, where matches
+                // carry rows, one gather per output column. That kernel
+                // is total over vector types, so types outside the fetch
+                // catalog are legal and simply go untraced.
+                let kind = if merge { "MergeJoin" } else { "HashJoin" };
+                let jpath = format!("{path}.{kind}");
+                if merge {
+                    let ty = bprogs[0].result_type().sig_name();
+                    self.require(&format!("merge_{ty}_col"), || jpath.clone())?;
+                } else {
+                    self.require_hash(bprogs.iter().map(|p| p.result_type()), &jpath)?;
+                    self.require("aggr_hashtable_maintain", || jpath.clone())?;
+                    self.require("aggr_grouptable_probe_u64_col", || jpath.clone())?;
+                }
                 let mut gather_sigs = Vec::new();
                 if join_type.keeps_rows() {
                     for f in &node.fields {
@@ -1366,7 +1399,7 @@ impl<'a> Checker<'a> {
                     }
                 }
                 // The probe positions whose key the table holds.
-                if matches!(join_type, JoinType::Inner | JoinType::LeftSemi) {
+                if !merge && matches!(join_type, JoinType::Inner | JoinType::LeftSemi) {
                     self.require("select_ne_u32_col_val", || jpath.clone())?;
                 }
                 let rows_max = match join_type {
@@ -1386,7 +1419,7 @@ impl<'a> Checker<'a> {
                 self.note(
                     path,
                     format!(
-                        "HashJoin → {} keys, +{} payload cols",
+                        "{kind} → {} keys, +{} payload cols",
                         build_keys.len(),
                         payload.len()
                     ),
@@ -1399,12 +1432,11 @@ impl<'a> Checker<'a> {
                     join_type: *join_type,
                     gather_sigs,
                 };
-                Ok(node.finish(
-                    path,
-                    rows_max,
-                    vec![build, probe],
-                    CheckedOp::HashJoin(parts),
-                ))
+                let op = match merge {
+                    true => CheckedOp::MergeJoin(parts),
+                    false => CheckedOp::HashJoin(parts),
+                };
+                Ok(node.finish(path, rows_max, vec![build, probe], op))
             }
             Plan::TopN { input, keys, .. } | Plan::Order { input, keys } => {
                 let (kind, limit) = match plan {
@@ -2367,6 +2399,44 @@ impl<'a> Checker<'a> {
         let node = node.finish(path, rows_max, vec![input], op);
         self.exchange(node, merge)
     }
+}
+
+/// Rule `sorted-inputs-merge-join`: whether a hash join of `build` and
+/// `probe` on the key programs `bkeys` / `pkeys` can walk both inputs in
+/// key order instead — one key pair, of an integer type (a sorted f64
+/// may interleave `0.0` and `-0.0`, which the hash join matches by
+/// bits), proven sorted on both sides by the facts — and what the walk
+/// log says about it either way. Join keys read values, never codes
+/// (`Values`), so both sides compare in one domain.
+fn sorted_inputs(
+    build: &CheckedNode,
+    probe: &CheckedNode,
+    bkeys: &[Arc<ExprCode>],
+    pkeys: &[Arc<ExprCode>],
+    reg: &PrimitiveRegistry,
+) -> Result<String, String> {
+    let ([b], [p]) = (bkeys, pkeys) else {
+        return Err(format!("{} keys; a merge join walks one", bkeys.len()));
+    };
+    let ty = b.result_type();
+    if !ty.is_integer() {
+        return Err(format!("the key is {ty}, not an integer"));
+    }
+    let mut names = Vec::with_capacity(2);
+    for (side, node, prog) in [("build", build, b), ("probe", probe, p)] {
+        let name = prog.as_col_ref().map_or_else(
+            || "computed".to_owned(),
+            |c| format!("`{}`", node.fields[c].name),
+        );
+        if !facts::eval_prog(prog, &node.facts.cols, reg).sorted {
+            return Err(format!("the {side} key {name} is not proven sorted"));
+        }
+        names.push(name);
+    }
+    Ok(format!(
+        "keys {} and {} proven sorted → merge join",
+        names[0], names[1]
+    ))
 }
 
 /// The output names of fetch lists, in output order.

@@ -1,4 +1,5 @@
-//! Joins: `CartProd` and the hash join over the group table.
+//! Joins: `CartProd`, the hash join over the group table, and the
+//! merge join of two inputs sorted on their key.
 //!
 //! "X100 currently only supports left-deep joins. The default physical
 //! implementation is a CartProd operator with a Select on top (i.e.
@@ -25,6 +26,12 @@
 //! morsel-parallel driver builds it once and every worker's
 //! [`HashJoinOp`] probes the same `Arc` with its own scratch (build
 //! once, probe many).
+//!
+//! Where the check walk proves both inputs sorted on one integer key
+//! (rule `sorted-inputs-merge-join`) the join builds nothing:
+//! [`MergeJoinOp`] walks both inputs in step with the `merge_<ty>_col`
+//! cursor and emits through the same pair lists and gathers ([`Pairs`]),
+//! so the two operators give the same rows in the same order.
 
 use super::aggr::hash_keys;
 use crate::batch::{Batch, OutField, SelPool, VecPool};
@@ -38,6 +45,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use x100_storage::Table;
 use x100_vector::fetch::gather_rows;
+use x100_vector::merge as vmerge;
 use x100_vector::select::select_cmp_col_val;
 use x100_vector::{CmpOp, GroupTable, ProbeScratch, ScalarType, SelVec, SelectStrategy, Vector};
 
@@ -403,6 +411,83 @@ pub(crate) enum BuildSide {
     Shared(Arc<JoinTable>),
 }
 
+/// The emission both equi-joins share: `(probe position, build row)`
+/// pairs, at most one vector of them, materialized by one typed gather
+/// per output column — the probe columns at the positions, the build
+/// payload at the rows.
+struct Pairs {
+    probe: Vec<u32>,
+    build: Vec<u32>,
+    pools: Vec<VecPool>,
+    /// Per output column, the catalogued gather it is traced under.
+    gather_sigs: Vec<Option<&'static str>>,
+    vector_size: usize,
+}
+
+impl Pairs {
+    fn new(fields: &[OutField], parts: &JoinParts, vector_size: usize) -> Self {
+        Pairs {
+            probe: Vec::with_capacity(vector_size),
+            build: Vec::with_capacity(vector_size),
+            pools: fields
+                .iter()
+                .map(|f| VecPool::new(f.ty, vector_size))
+                .collect(),
+            gather_sigs: parts.gather_sigs.clone(),
+            vector_size,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.probe.clear();
+        self.build.clear();
+    }
+
+    /// Whether one more pair would exceed a vector.
+    fn full(&self) -> bool {
+        self.probe.len() == self.vector_size
+    }
+
+    fn push(&mut self, probe: u32, build: u32) {
+        self.probe.push(probe);
+        self.build.push(build);
+    }
+
+    /// Gather the pairs into `out`: `probe_cols` at the probe positions,
+    /// then `payload` at the build rows.
+    fn gather(
+        &mut self,
+        out: &mut Batch,
+        probe_cols: &[Rc<Vector>],
+        payload: &[Vector],
+        prof: &mut Profiler,
+    ) {
+        let n = self.probe.len();
+        out.reset();
+        out.len = n;
+        let probe = probe_cols.iter().map(|c| (&**c, &self.probe));
+        let payload = payload.iter().map(|c| (c, &self.build));
+        for (k, (src, rows)) in probe.chain(payload).enumerate() {
+            let mut v = self.pools[k].writable();
+            let t0 = prof.start();
+            assert!(gather_rows(&mut v, src, rows, None));
+            if let Some(sig) = self.gather_sigs[k] {
+                prof.record_prim(sig, t0, n, n * (4 + 2 * v.scalar_type().width()));
+            }
+            self.pools[k].publish(v, out);
+        }
+    }
+}
+
+/// A semi/anti join's output: the probe vector's columns under the
+/// selection `found` of the rows that survive.
+fn emit_selection(out: &mut Batch, pool: &mut SelPool, probe: &Batch, found: SelVec) {
+    out.reset();
+    out.len = probe.len;
+    out.columns.extend(probe.columns.iter().cloned());
+    pool.publish(found, out);
+}
+
 /// Hash equi-join: build side fully consumed into a [`JoinTable`] (or
 /// handed in pre-built), probe side streamed.
 pub struct HashJoinOp {
@@ -413,7 +498,6 @@ pub struct HashJoinOp {
     probe_keys: Vec<ExprProg>,
     join_type: JoinType,
     fields: Vec<OutField>,
-    gather_sigs: Vec<Option<&'static str>>,
     // Probe scratch, all O(vector size).
     scratch: ProbeScratch,
     hash_buf: Vec<u64>,
@@ -425,12 +509,9 @@ pub struct HashJoinOp {
     pos: SelVec,
     cursor: usize,
     link: u32,
-    m_probe: Vec<u32>,
-    m_build: Vec<u32>,
-    pools: Vec<VecPool>,
+    pairs: Pairs,
     sel_pool: SelPool,
     out: Batch,
-    vector_size: usize,
     ctx: Arc<QueryContext>,
 }
 
@@ -458,13 +539,9 @@ impl HashJoinOp {
                 .iter()
                 .map(|c| ExprProg::new(c, vector_size))
                 .collect(),
-            pools: fields
-                .iter()
-                .map(|f| VecPool::new(f.ty, vector_size))
-                .collect(),
+            pairs: Pairs::new(&fields, parts, vector_size),
             fields,
             join_type: parts.join_type,
-            gather_sigs: parts.gather_sigs.clone(),
             scratch: ProbeScratch::default(),
             hash_buf: Vec::new(),
             grp_buf: Vec::new(),
@@ -472,11 +549,8 @@ impl HashJoinOp {
             pos: SelVec::default(),
             cursor: 0,
             link: END,
-            m_probe: Vec::with_capacity(vector_size),
-            m_build: Vec::with_capacity(vector_size),
             sel_pool: SelPool::default(),
             out: Batch::new(),
-            vector_size,
             ctx,
         }
     }
@@ -487,16 +561,14 @@ impl HashJoinOp {
     fn emit_pairs(&mut self, table: &JoinTable, prof: &mut Profiler) {
         let t_op = prof.start();
         let pos = self.pos.positions();
-        self.m_probe.clear();
-        self.m_build.clear();
+        self.pairs.clear();
         'vector: while self.cursor < pos.len() {
             let p = pos[self.cursor];
             while self.link != END {
-                if self.m_probe.len() == self.vector_size {
+                if self.pairs.full() {
                     break 'vector;
                 }
-                self.m_probe.push(p);
-                self.m_build.push(self.link);
+                self.pairs.push(p, self.link);
                 self.link = table.next_row(self.link);
             }
             self.cursor += 1;
@@ -504,20 +576,7 @@ impl HashJoinOp {
                 self.link = table.first_row(self.grp_buf[p as usize]);
             }
         }
-        let n = self.m_probe.len();
-        self.out.reset();
-        self.out.len = n;
-        let probe_cols = self.cur_cols.iter().map(|c| (&**c, &self.m_probe));
-        let payload = table.payload.iter().map(|c| (c, &self.m_build));
-        for (k, (src, rows)) in probe_cols.chain(payload).enumerate() {
-            let mut v = self.pools[k].writable();
-            let t0 = prof.start();
-            assert!(gather_rows(&mut v, src, rows, None));
-            if let Some(sig) = self.gather_sigs[k] {
-                prof.record_prim(sig, t0, n, n * (4 + 2 * v.scalar_type().width()));
-            }
-            self.pools[k].publish(v, &mut self.out);
-        }
+        (self.pairs).gather(&mut self.out, &self.cur_cols, &table.payload, prof);
         prof.record_op("HashJoin(probe)", t_op, 0);
     }
 }
@@ -599,10 +658,7 @@ impl Operator for HashJoinOp {
                 self.cursor = 0;
                 self.pos = found;
             } else if !found.is_empty() {
-                self.out.reset();
-                self.out.len = n;
-                self.out.columns.extend(batch.columns.iter().cloned());
-                self.sel_pool.publish(found, &mut self.out);
+                emit_selection(&mut self.out, &mut self.sel_pool, batch, found);
                 return Ok(Some(&self.out));
             }
         }
@@ -616,6 +672,398 @@ impl Operator for HashJoinOp {
         self.probe.reset();
         self.cur_cols.clear();
         self.pos.clear();
+        self.cursor = 0;
+    }
+}
+
+/// `merge_<ty>_col` over `keys` from cursor `from` (an index into the
+/// live positions of `sel`), bounded by the key `v[i]`: the cursor past
+/// the keys below it and past those equal to it, and the kernel's name.
+fn merge_cursor(
+    keys: &Vector,
+    sel: Option<&SelVec>,
+    from: usize,
+    v: &Vector,
+    i: usize,
+) -> ((usize, usize), &'static str) {
+    macro_rules! dispatch {
+        ($($variant:ident $kernel:ident,)*) => {
+            match (keys, v) {
+                $((Vector::$variant(k), Vector::$variant(v)) => {
+                    (vmerge::$kernel(k, sel, from, v[i]), stringify!($kernel))
+                })*
+                (k, v) => panic!(
+                    "merge join of {:?} and {:?} keys",
+                    k.scalar_type(),
+                    v.scalar_type()
+                ),
+            }
+        };
+    }
+    dispatch! {
+        I8 merge_i8_col,
+        I16 merge_i16_col,
+        I32 merge_i32_col,
+        I64 merge_i64_col,
+        U8 merge_u8_col,
+        U16 merge_u16_col,
+        U32 merge_u32_col,
+        U64 merge_u64_col,
+    }
+}
+
+/// Call `f` with the live positions `[a, b)` of a vector: indices into
+/// its selection, or the positions themselves when it has none.
+fn for_live(sel: Option<&SelVec>, a: usize, b: usize, f: impl FnMut(u32)) {
+    match sel {
+        None => (a as u32..b as u32).for_each(f),
+        Some(s) => s.positions()[a..b].iter().copied().for_each(f),
+    }
+}
+
+/// The build side of a [`MergeJoinOp`]: its input, walked in key order
+/// one vector at a time, and the rows of the runs (build rows of one
+/// key) that the probe vector being joined matched.
+struct BuildRuns {
+    input: Box<dyn Operator>,
+    key: ExprProg,
+    payload_cols: Vec<usize>,
+    keeps_rows: bool,
+    /// The build vector being walked: its live keys, compacted; the
+    /// positions they came from (all, in order, when `dense`); its
+    /// payload columns; and the cursor, the first key not yet passed.
+    keys: Vector,
+    pos: Vec<u32>,
+    dense: bool,
+    cols: Vec<Rc<Vector>>,
+    at: usize,
+    done: bool,
+    /// The current run's key; empty while there is none.
+    run_key: Vector,
+    /// Payload rows (`n_rows` of them, also without payload columns):
+    /// row 0 is the default row (0 / empty string) an unmatched outer
+    /// tuple takes, then the runs the probe vector matched; the current
+    /// run is `[run_start, n_rows)`.
+    rows: Vec<Vector>,
+    n_rows: usize,
+    run_start: usize,
+    scratch: Vec<Vector>,
+    /// Charged with the rows held and the build vector's keys.
+    mem: MemTracker,
+}
+
+impl BuildRuns {
+    /// Pull the next build vector that has a live row; `false` once the
+    /// input is exhausted.
+    fn pull(&mut self, prof: &mut Profiler) -> Result<bool, PlanError> {
+        while !self.done {
+            // Every row wanted from the last vector is taken: let the
+            // input recycle its columns.
+            self.cols.clear();
+            let Some(batch) = self.input.next(prof)? else {
+                self.done = true;
+                break;
+            };
+            let sel = batch.sel.as_deref();
+            let kv = self.key.eval(batch, sel, prof);
+            self.at = 0;
+            self.dense = sel.is_none();
+            match sel {
+                None => {
+                    self.keys.clear();
+                    self.keys.append_range(kv, 0, batch.len);
+                }
+                Some(s) => {
+                    assert!(gather_rows(&mut self.keys, kv, s.positions(), None));
+                    self.pos.clear();
+                    self.pos.extend_from_slice(s.positions());
+                }
+            }
+            if self.keeps_rows {
+                (self.cols).extend(self.payload_cols.iter().map(|&c| batch.columns[c].clone()));
+            }
+            if !self.keys.is_empty() {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Append the rows `[from, to)` of the build vector to the run.
+    fn take(&mut self, from: usize, to: usize) {
+        self.n_rows += to - from;
+        if !self.keeps_rows {
+            return;
+        }
+        let cols = self.rows.iter_mut().zip(&self.cols).zip(&mut self.scratch);
+        for ((dst, col), scratch) in cols {
+            if self.dense {
+                dst.append_range(col, from, to - from);
+            } else {
+                assert!(gather_rows(scratch, col, &self.pos[from..to], None));
+                dst.append_range(scratch, 0, to - from);
+            }
+        }
+    }
+
+    /// Make the run of the first build key `>= v[i]` current, its rows
+    /// appended after those already held, reading on into the next
+    /// build vectors while it continues; `false` when no build key is
+    /// that large.
+    fn advance(&mut self, v: &Vector, i: usize, prof: &mut Profiler) -> Result<bool, PlanError> {
+        self.run_key.clear();
+        self.run_start = self.n_rows;
+        loop {
+            if self.at == self.keys.len() && !self.pull(prof)? {
+                return Ok(false);
+            }
+            let t0 = prof.start();
+            let ((lt, _), sig) = merge_cursor(&self.keys, None, self.at, v, i);
+            let passed = lt - self.at;
+            prof.record_prim(sig, t0, passed, passed * self.keys.scalar_type().width());
+            self.at = lt;
+            if lt < self.keys.len() {
+                break;
+            }
+        }
+        self.run_key.append_range(&self.keys, self.at, 1);
+        loop {
+            let t0 = prof.start();
+            let ((_, eq), sig) = merge_cursor(&self.keys, None, self.at, &self.run_key, 0);
+            let passed = eq - self.at;
+            prof.record_prim(sig, t0, passed, passed * self.keys.scalar_type().width());
+            self.take(self.at, eq);
+            self.at = eq;
+            // Charge per build vector taken, as the hash build does, so
+            // a run longer than the budget stops where it overflows.
+            let rows: usize = self.rows.iter().map(Vector::byte_size).sum();
+            self.mem.ensure(rows + self.keys.byte_size())?;
+            if eq < self.keys.len() || !self.pull(prof)? {
+                break;
+            }
+        }
+        Ok(true)
+    }
+
+    /// Drop the rows of the runs before the current one — every pair
+    /// that referenced them has been gathered — keeping the default row.
+    fn compact(&mut self) {
+        if self.run_start == 1 {
+            return;
+        }
+        let keep = self.n_rows - self.run_start;
+        for (rows, scratch) in self.rows.iter_mut().zip(&mut self.scratch) {
+            scratch.clear();
+            scratch.resize_zeroed(1);
+            scratch.append_range(rows, self.run_start, keep);
+            std::mem::swap(rows, scratch);
+        }
+        (self.n_rows, self.run_start) = (1 + keep, 1);
+    }
+
+    fn reset(&mut self) {
+        self.input.reset();
+        self.keys.clear();
+        self.cols.clear();
+        (self.at, self.done) = (0, false);
+        self.run_key.clear();
+        for rows in &mut self.rows {
+            rows.clear();
+            rows.resize_zeroed(1);
+        }
+        (self.n_rows, self.run_start) = (1, 1);
+        self.mem.release_all();
+    }
+}
+
+/// Merge equi-join of two inputs the check walk proved sorted on their
+/// one integer key (rule `sorted-inputs-merge-join`): both sides are
+/// pulled lazily and walked in step by the `merge_<ty>_col` cursor.
+/// Only the build rows of the runs the current probe vector matches are
+/// held — no table, no spill — and the output keeps the probe order, a
+/// probe row's matches newest first as [`HashJoinOp`] emits them, so
+/// the two joins give the same rows in the same order.
+pub struct MergeJoinOp {
+    build: BuildRuns,
+    probe: Box<dyn Operator>,
+    probe_key: ExprProg,
+    join_type: JoinType,
+    fields: Vec<OutField>,
+    // Inner/outer: the probe vector being expanded — its columns, its
+    // `(probe position, first row, end row)` matches in probe order, and
+    // where the expansion stands (`matches[cursor]` continues below row
+    // `link`).
+    cur_cols: Vec<Rc<Vector>>,
+    matches: Vec<(u32, u32, u32)>,
+    cursor: usize,
+    link: u32,
+    pairs: Pairs,
+    sel_pool: SelPool,
+    out: Batch,
+    ctx: Arc<QueryContext>,
+}
+
+impl MergeJoinOp {
+    /// A merge join of `build` and `probe` from the verified `parts`
+    /// (one key each, both sorted).
+    pub(crate) fn new(
+        build: Box<dyn Operator>,
+        probe: Box<dyn Operator>,
+        parts: &JoinParts,
+        vector_size: usize,
+        ctx: Arc<QueryContext>,
+    ) -> Self {
+        let mut fields: Vec<OutField> = probe.fields().to_vec();
+        fields.extend(parts.payload_fields.iter().cloned());
+        let key = |c: &Arc<ExprCode>| ExprProg::new(c, vector_size);
+        let payload = |n| -> Vec<Vector> {
+            (parts.payload_fields.iter())
+                .map(|f| Vector::zeroed(f.ty, n))
+                .collect()
+        };
+        let build_key = key(&parts.build_keys[0]);
+        let key_ty = build_key.result_type();
+        MergeJoinOp {
+            build: BuildRuns {
+                input: build,
+                key: build_key,
+                payload_cols: parts.payload_cols.clone(),
+                keeps_rows: parts.join_type.keeps_rows(),
+                keys: Vector::with_capacity(key_ty, vector_size),
+                pos: Vec::new(),
+                dense: true,
+                cols: Vec::new(),
+                at: 0,
+                done: false,
+                run_key: Vector::with_capacity(key_ty, 1),
+                rows: payload(1),
+                n_rows: 1,
+                run_start: 1,
+                scratch: payload(0),
+                mem: MemTracker::new(ctx.clone(), "merge-join runs"),
+            },
+            probe,
+            probe_key: key(&parts.probe_keys[0]),
+            join_type: parts.join_type,
+            pairs: Pairs::new(&fields, parts, vector_size),
+            fields,
+            cur_cols: Vec::new(),
+            matches: Vec::with_capacity(vector_size),
+            cursor: 0,
+            link: 0,
+            sel_pool: SelPool::default(),
+            out: Batch::new(),
+            ctx,
+        }
+    }
+
+    /// Emit the next at most `vector_size` pairs of the probe vector
+    /// being expanded, then gather every output column.
+    fn emit_pairs(&mut self, prof: &mut Profiler) {
+        let t_op = prof.start();
+        self.pairs.clear();
+        while let Some(&(p, first, _)) = self.matches.get(self.cursor) {
+            // A run leaves newest first, as the hash join's chains do.
+            while self.link > first && !self.pairs.full() {
+                self.link -= 1;
+                self.pairs.push(p, self.link);
+            }
+            if self.link > first {
+                break;
+            }
+            self.cursor += 1;
+            self.link = self.matches.get(self.cursor).map_or(0, |m| m.2);
+        }
+        (self.pairs).gather(&mut self.out, &self.cur_cols, &self.build.rows, prof);
+        prof.record_op("MergeJoin", t_op, 0);
+    }
+}
+
+impl Operator for MergeJoinOp {
+    fn fields(&self) -> &[OutField] {
+        &self.fields
+    }
+
+    fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
+        loop {
+            self.ctx.check()?;
+            if self.cursor < self.matches.len() {
+                self.emit_pairs(prof);
+                return Ok(Some(&self.out));
+            }
+            // Every pair of the last probe vector is gathered: let the
+            // probe side recycle its vectors, and drop the runs before
+            // the current one (the next probe key may still match it).
+            self.cur_cols.clear();
+            self.matches.clear();
+            self.build.compact();
+            let Some(batch) = self.probe.next(prof)? else {
+                return Ok(None);
+            };
+            let sel = batch.sel.as_deref();
+            let live = batch.live();
+            let t_op = prof.start();
+            let keys = self.probe_key.eval(batch, sel, prof);
+            let mut found = self.sel_pool.writable();
+            let (build, matches) = (&mut self.build, &mut self.matches);
+            // Probe keys below the current run miss, keys equal to it
+            // match it; at a key above it the build side moves on to the
+            // run of the first build key that is not below.
+            let mut j = 0;
+            while j < live {
+                let (lt, eq) = match build.run_key.is_empty() {
+                    true => (j, j),
+                    false => {
+                        let t0 = prof.start();
+                        let (stops, sig) = merge_cursor(keys, sel, j, &build.run_key, 0);
+                        let passed = stops.1 - j;
+                        prof.record_prim(sig, t0, passed, passed * keys.scalar_type().width());
+                        stops
+                    }
+                };
+                let run = (build.run_start as u32, build.n_rows as u32);
+                match self.join_type {
+                    JoinType::LeftSemi => for_live(sel, lt, eq, |p| found.push(p)),
+                    JoinType::LeftAnti => for_live(sel, j, lt, |p| found.push(p)),
+                    JoinType::LeftOuter => {
+                        for_live(sel, j, lt, |p| matches.push((p, 0, 1)));
+                        for_live(sel, lt, eq, |p| matches.push((p, run.0, run.1)));
+                    }
+                    JoinType::Inner => for_live(sel, lt, eq, |p| matches.push((p, run.0, run.1))),
+                }
+                j = eq;
+                let at = |j: usize| sel.map_or(j, |s| s.positions()[j] as usize);
+                if j < live && !build.advance(keys, at(j), prof)? {
+                    // The build side is exhausted: the rest miss.
+                    match self.join_type {
+                        JoinType::LeftAnti => for_live(sel, j, live, |p| found.push(p)),
+                        JoinType::LeftOuter => for_live(sel, j, live, |p| matches.push((p, 0, 1))),
+                        JoinType::Inner | JoinType::LeftSemi => {}
+                    }
+                    j = live;
+                }
+            }
+            prof.record_op("MergeJoin", t_op, live);
+            if self.join_type.keeps_rows() {
+                self.sel_pool.recycle(found);
+                if let Some(&(_, _, end)) = self.matches.first() {
+                    self.cur_cols.clone_from(&batch.columns);
+                    (self.cursor, self.link) = (0, end);
+                }
+            } else if found.is_empty() {
+                self.sel_pool.recycle(found);
+            } else {
+                emit_selection(&mut self.out, &mut self.sel_pool, batch, found);
+                return Ok(Some(&self.out));
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.build.reset();
+        self.probe.reset();
+        self.cur_cols.clear();
+        self.matches.clear();
         self.cursor = 0;
     }
 }

@@ -27,7 +27,7 @@ pub use aggr::{AggrPartial, DirectAggrOp, DirectKey, HashAggrOp, MergeAgg, Merge
 pub use array::ArrayOp;
 pub(crate) use fetchjoin::{DerivedCol, FetchSource, FetchSpec};
 pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp};
-pub(crate) use join::{BuildSide, JoinParts, JoinTable};
+pub(crate) use join::{BuildSide, JoinParts, JoinTable, MergeJoinOp};
 pub use join::{CartProdOp, HashJoinOp, JoinType};
 pub use parallel::{ExchangeOp, MergeAggrOp};
 pub use project::ProjectOp;

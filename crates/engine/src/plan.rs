@@ -36,8 +36,8 @@ use crate::facts::{conjunct_parts, flatten_conjuncts};
 use crate::govern::QueryContext;
 use crate::ops::{
     ArrayOp, BuildSide, CartProdOp, DirectAggrOp, EmptyOp, ExchangeOp, Fetch1JoinOp, FetchNJoinOp,
-    HashAggrOp, HashJoinOp, JoinTable, JoinType, Operator, OrdAggrOp, OrdExp, OrderOp, ProjectOp,
-    ScanOp, SelectOp,
+    HashAggrOp, HashJoinOp, JoinTable, JoinType, MergeJoinOp, Operator, OrdAggrOp, OrdExp, OrderOp,
+    ProjectOp, ScanOp, SelectOp,
 };
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
@@ -264,6 +264,12 @@ impl CheckedNode {
                 let p = probe.instantiate(opts, morsels, shared, ctx)?;
                 return Ok(Box::new(HashJoinOp::new(b, p, parts, vs, ctx.clone())));
             }
+            CheckedOp::MergeJoin(parts) => {
+                // Never on a morsel spine: both sides run whole.
+                let b = self.inputs[0].instantiate(opts, None, shared, ctx)?;
+                let p = self.inputs[1].instantiate(opts, None, shared, ctx)?;
+                return Ok(Box::new(MergeJoinOp::new(b, p, parts, vs, ctx.clone())));
+            }
             CheckedOp::Exchange { merge } => {
                 let (input, merge) = (self.inputs[0].clone(), merge.clone());
                 return Ok(Box::new(ExchangeOp::new(
@@ -369,6 +375,7 @@ impl CheckedNode {
             CheckedOp::Scan(_)
             | CheckedOp::Array { .. }
             | CheckedOp::HashJoin(_)
+            | CheckedOp::MergeJoin(_)
             | CheckedOp::Exchange { .. } => unreachable!("instantiated above"),
         };
         Ok(op)

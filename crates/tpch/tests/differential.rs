@@ -4,15 +4,15 @@
 //! column-at-a-time interpreter — and, for the random plans and all 22
 //! TPC-H plans alike, from the tree the check walk's rewrite rules plan
 //! (`x100_engine::RULES`: `select-before-fetch`,
-//! `sorted-keys-ordered-aggr`, `dense-keys-direct-aggr`) and from the
-//! tree as the plan wrote it.
+//! `sorted-keys-ordered-aggr`, `dense-keys-direct-aggr`,
+//! `sorted-inputs-merge-join`) and from the tree as the plan wrote it.
 
 use proptest::prelude::*;
 use tpch::gen::{generate, GenConfig};
 use tpch::milql;
 use tpch::queries::{all_specs, QuerySpec};
 use x100_engine::expr::{self};
-use x100_engine::ops::OrdExp;
+use x100_engine::ops::{JoinType, OrdExp};
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, execute_as_given, Database, ExecOptions};
 use x100_engine::{check_plan, check_plan_as_given};
@@ -50,6 +50,25 @@ fn make_dim(compress: bool, deltas: bool) -> Table {
     t
 }
 
+/// `s`, sorted on `s_k` (keys 0..40, each twice but every fifth once,
+/// so `t.k` has keys `s` lacks and the other way round), with a payload
+/// `s_v` and a sorted f64 `s_x`.
+fn make_sorted(compress: bool) -> Table {
+    let keys: Vec<i64> = (0..40i64)
+        .flat_map(|k| std::iter::repeat_n(k, 1 + usize::from(k % 5 != 0)))
+        .collect();
+    let n = keys.len() as i64;
+    let mut t = TableBuilder::new("s")
+        .column("s_k", Vector::I64(keys))
+        .column("s_v", Vector::I64((0..n).map(|i| i * 3 % 11).collect()))
+        .column("s_x", Vector::F64((0..n).map(|i| i as f64).collect()))
+        .build();
+    if compress {
+        t.checkpoint();
+    }
+    t
+}
+
 /// Build a random table: i64 key-ish column, f64 value, enum tag, a
 /// sorted key `k` (runs of equal values) and `rid`, a `#rowId` into
 /// `dim`. With `compress`, the tables are checkpointed first so scans
@@ -83,6 +102,7 @@ fn make_db_with(rows: &[(i64, f64, u8)], compress: bool, dim_deltas: bool) -> Da
     let mut db = Database::new();
     db.register(t);
     db.register(make_dim(compress, dim_deltas));
+    db.register(make_sorted(compress));
     db
 }
 
@@ -109,6 +129,7 @@ fn make_db_with_fact_inserts(rows: &[(i64, f64, u8)]) -> Database {
     let mut out = Database::new();
     out.register(t);
     out.register(make_dim(false, false));
+    out.register(make_sorted(false));
     out
 }
 
@@ -139,6 +160,9 @@ enum Step {
     /// Group by the sorted key, reading only what the second hop brought
     /// (whose `#rowId` the first hop brought).
     SumSecondHopByK,
+    /// Join `s` on the sorted key (`s_k = k`), inner / left-outer (both
+    /// bringing `s_v`) / semi / anti: two sorted inputs.
+    JoinSorted(u8),
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -168,18 +192,26 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         Just(Step::AggrByK),
         Just(Step::AggrByAAndTag),
         Just(Step::SumSecondHopByK),
+        // Three times: the join needs `k` in scan order, which most
+        // step lists lose before it comes up.
+        (0u8..4).prop_map(Step::JoinSorted),
+        (0u8..4).prop_map(Step::JoinSorted),
+        (0u8..4).prop_map(Step::JoinSorted),
     ]
 }
 
-/// Compose the plan; returns `(plan, ordered)` where `ordered` says the
-/// output order is deterministic (ends in Order).
-fn build_plan(steps: &[Step]) -> (Plan, bool) {
+/// Compose the plan; returns `(plan, ordered, textual)` where `ordered`
+/// says the output order is deterministic (ends in Order) and `textual`
+/// that the plan survives the textual algebra (which has no hash join).
+fn build_plan(steps: &[Step]) -> (Plan, bool, bool) {
     use expr::*;
     let mut plan = Plan::scan("t", &["a", "x", "tag", "k", "rid"]);
     // Track which columns survive (projections/aggregations reshape).
     let mut has = (true, true, true); // (a, x, tag)
     let mut scanned = true; // `k` and `rid` are still there
     let mut fetched = (false, false); // (first hop, second hop) done
+    let mut joined = false;
+    let mut reordered = false; // an Order put `k` out of scan order
     let mut ordered = false;
     for s in steps {
         ordered = false;
@@ -240,6 +272,7 @@ fn build_plan(steps: &[Step]) -> (Plan, bool) {
             Step::OrderByA if has.0 => {
                 plan = plan.order(vec![OrdExp::asc("a")]);
                 ordered = true;
+                reordered = true;
             }
             Step::FetchDim if scanned && !fetched.0 => {
                 let all = [("d_val", "d_val"), ("d_tag", "d_tag"), ("d_rid", "d_rid")];
@@ -291,10 +324,33 @@ fn build_plan(steps: &[Step]) -> (Plan, bool) {
                 has = (true, false, false);
                 (scanned, fetched) = (false, (false, false));
             }
+            Step::JoinSorted(t) if scanned && !joined && !reordered => {
+                let join_type = [
+                    JoinType::Inner,
+                    JoinType::LeftOuter,
+                    JoinType::LeftSemi,
+                    JoinType::LeftAnti,
+                ][(*t % 4) as usize];
+                let payload = match join_type {
+                    JoinType::Inner | JoinType::LeftOuter => {
+                        vec![("s_v".to_owned(), "s_v".to_owned())]
+                    }
+                    JoinType::LeftSemi | JoinType::LeftAnti => vec![],
+                };
+                plan = Plan::HashJoin {
+                    build: Box::new(Plan::scan("s", &["s_k", "s_v"])),
+                    probe: Box::new(plan),
+                    build_keys: vec![col("s_k")],
+                    probe_keys: vec![col("k")],
+                    payload,
+                    join_type,
+                };
+                joined = true;
+            }
             _ => {} // step not applicable to current shape
         }
     }
-    (plan, ordered)
+    (plan, ordered, !joined)
 }
 
 /// Run `plan` through the rule list and as written and demand the same
@@ -320,7 +376,7 @@ proptest! {
     ) {
         let rows: Vec<(i64, f64, u8)> = rows.into_iter().map(|(a, x, t)| (a, x as f64, t)).collect();
         let db = make_db(&rows);
-        let (plan, ordered) = build_plan(&steps);
+        let (plan, ordered, textual) = build_plan(&steps);
 
         let (base, _) = execute(&db, &plan, &ExecOptions::with_vector_size(1024)).expect("x100");
         let mut base_rows = base.row_strings();
@@ -350,17 +406,21 @@ proptest! {
         if let Ok(walk) = check_plan(&ddb, &plan, &ExecOptions::default()) {
             let walk = walk.render();
             prop_assert!(!walk.contains("predicate runs once"), "dimension side over deltas:\n{}", walk);
+            // The join of `s` meets `t` in scan order: both sorted.
+            prop_assert_eq!(walk.contains("→ merge join"), !textual, "{}", walk);
         }
         // Textual algebra round trip: render → parse → execute.
-        let text = x100_engine::render_plan(&plan);
-        let reparsed = x100_engine::parse_plan(&text)
-            .unwrap_or_else(|e| panic!("render output failed to parse: {e}\n{text}"));
-        let (r, _) = execute(&db, &reparsed, &ExecOptions::default()).expect("reparsed plan");
-        let mut rr = r.row_strings();
-        if !ordered {
-            rr.sort();
+        if textual {
+            let text = x100_engine::render_plan(&plan);
+            let reparsed = x100_engine::parse_plan(&text)
+                .unwrap_or_else(|e| panic!("render output failed to parse: {e}\n{text}"));
+            let (r, _) = execute(&db, &reparsed, &ExecOptions::default()).expect("reparsed plan");
+            let mut rr = r.row_strings();
+            if !ordered {
+                rr.sort();
+            }
+            prop_assert_eq!(&rr, &base_rows, "render/parse roundtrip diverged:\n{}", text);
         }
-        prop_assert_eq!(&rr, &base_rows, "render/parse roundtrip diverged:\n{}", text);
         // Spill invariance: a hostile memory budget plus a spill budget
         // must degrade gracefully — buffering operators write runs to
         // disk and re-ingest them — with identical results. The tiny
@@ -665,6 +725,100 @@ fn rules_fire_on_their_conditions_only() {
     );
     assert_eq!(sorted.len(), 1, "{sorted:?}");
 
+    let rule = "sorted-inputs-merge-join";
+    // `s` and `t` are both sorted on their key: every join type merges,
+    // raw and checkpointed, on any thread count, and answers as the
+    // hash join the plan wrote.
+    let joined = |probe_key: Expr, build_key: Expr, join_type: JoinType| {
+        let payload = match join_type {
+            JoinType::Inner | JoinType::LeftOuter => vec![("s_v".to_owned(), "s_v".to_owned())],
+            JoinType::LeftSemi | JoinType::LeftAnti => vec![],
+        };
+        Plan::HashJoin {
+            build: Box::new(Plan::scan("s", &["s_k", "s_v", "s_x"])),
+            probe: Box::new(scan().select(gt(col("a"), lit_i64(2)))),
+            build_keys: vec![build_key],
+            probe_keys: vec![probe_key],
+            payload,
+            join_type,
+        }
+    };
+    let checkpointed_db = make_db_inner(&rows, true);
+    for join_type in [
+        JoinType::Inner,
+        JoinType::LeftOuter,
+        JoinType::LeftSemi,
+        JoinType::LeftAnti,
+    ] {
+        let plan = joined(col("k"), col("s_k"), join_type);
+        for (form, db) in [("raw", &db), ("checkpointed", &checkpointed_db)] {
+            let fired = rule_lines(db, &plan, &opts, rule);
+            assert!(
+                fired.len() == 1
+                    && fired[0].ends_with("keys `s_k` and `k` proven sorted → merge join"),
+                "{join_type:?} {form}: {fired:?}"
+            );
+            for threads in [1, 2, 4] {
+                let o = ExecOptions::default()
+                    .parallel(threads)
+                    .with_morsel_size(16);
+                let what = format!("{join_type:?} {form} threads {threads}");
+                assert_rewritten_matches_as_given(db, &plan, &o, &what);
+                // Neither tree splits the merge join into morsels.
+                let walk = check_plan(db, &plan, &o).expect("checks").render();
+                assert!(!walk.contains(": Exchange → "), "{what}: {walk}");
+            }
+        }
+        let (_, prof) = execute(&db, &plan, &opts.clone().profiled()).expect("runs");
+        assert!(prof.operators().any(|(name, _)| name == "MergeJoin"));
+    }
+    for (why, db, plan, reason) in [
+        (
+            "the probe key is unsorted",
+            &db,
+            joined(col("a"), col("s_k"), JoinType::Inner),
+            "the probe key `a` is not proven sorted",
+        ),
+        (
+            "the build key is unsorted",
+            &db,
+            joined(col("k"), col("s_v"), JoinType::Inner),
+            "the build key `s_v` is not proven sorted",
+        ),
+        (
+            "the probe key is computed",
+            &db,
+            joined(add(col("k"), lit_i64(1)), col("s_k"), JoinType::LeftSemi),
+            "the probe key computed is not proven sorted",
+        ),
+        (
+            "the key is an f64",
+            &db,
+            joined(col("x"), col("s_x"), JoinType::LeftSemi),
+            "the key is f64, not an integer",
+        ),
+        (
+            "the probe table has pending inserts (no statistics, so no order)",
+            &inserts,
+            joined(col("k"), col("s_k"), JoinType::LeftOuter),
+            "the probe key `k` is not proven sorted",
+        ),
+    ] {
+        let fired = rule_lines(db, &plan, &opts, rule);
+        assert!(fired.is_empty(), "{rule} fired although {why}: {fired:?}");
+        let refused = refusals(db, &plan, &opts, rule);
+        assert!(
+            refused.len() == 1 && refused[0].contains(reason),
+            "{why}: {refused:?}"
+        );
+        for threads in [1, 2, 4] {
+            let o = ExecOptions::default()
+                .parallel(threads)
+                .with_morsel_size(16);
+            assert_rewritten_matches_as_given(db, &plan, &o, &format!("{why}, threads {threads}"));
+        }
+    }
+
     // As given, no rule leaves a line.
     let as_given = check_plan_as_given(&db, &on_dim(), &opts).expect("checks");
     assert!(!as_given.render().contains(": rule "));
@@ -816,6 +970,27 @@ fn tpch_rewritten_matches_as_given_on_every_thread_count_and_storage_form() {
         fired(21, "select-before-fetch") > 0,
         "Q21 fetches s_name for the survivors"
     );
+    let rule = "sorted-inputs-merge-join";
+    assert_eq!(fired(4, rule), 1, "Q4's semi-join of two order-key streams");
+    assert_eq!(fired(18, rule), 1, "Q18's big orders against orders");
+    assert_eq!(fired(21, rule), 2, "both of Q21's per-order joins");
+    let q2 = plans.iter().filter(|(q, _)| *q == 2);
+    let q2: Vec<String> = q2
+        .flat_map(|(_, p)| refusals(&raw, p, &opts, rule))
+        .collect();
+    assert!(
+        !q2.is_empty()
+            && q2
+                .iter()
+                .all(|l| l.ends_with("2 keys; a merge join walks one")),
+        "Q2 joins on two keys: {q2:?}"
+    );
+    // Over pending inserts no key has statistics, so none is sorted.
+    let inserts = pending_inserts(&raw);
+    for (q, plan) in &plans {
+        let fired = rule_lines(&inserts, plan, &opts, rule);
+        assert!(fired.is_empty(), "q{q} over pending inserts: {fired:?}");
+    }
     assert!(
         fired(15, "dense-keys-direct-aggr") > 0,
         "Q15 groups revenue by supplier index"
@@ -830,9 +1005,11 @@ fn tpch_rewritten_matches_as_given_on_every_thread_count_and_storage_form() {
     }
 }
 
-/// Q18 and Q21 group `lineitem` by the key it is clustered on. Under a
-/// memory budget their hash tables did not fit in, the ordered
-/// aggregation neither fails nor spills: it holds one vector of groups.
+/// Q18 and Q21 group `lineitem` by the key it is clustered on, and join
+/// the groups to inputs sorted on it. Under a memory budget their hash
+/// tables did not fit in, the ordered aggregation and the merge join
+/// neither fail nor spill: they hold a vector of groups and the build
+/// rows of the keys one probe vector matches.
 #[test]
 fn sorted_key_aggregations_of_q18_and_q21_stream_under_a_memory_budget() {
     let data = generate(&GenConfig { sf: 0.01, seed: 7 });
@@ -857,17 +1034,27 @@ fn sorted_key_aggregations_of_q18_and_q21_stream_under_a_memory_budget() {
             peak(&streamed),
             peak(&hashed)
         );
-        // Between the two: the hash tables have to spill, the runs do not.
-        let budget = (peak(&streamed) + peak(&hashed)) / 2;
-        let tight = profiled
+        // At three quarters of its peak the plan as given completes by
+        // spilling its hash aggregations; its hash-join builds, which
+        // cannot spill, fit beside them.
+        let spill = 256 << 20;
+        let under = profiled
             .clone()
-            .with_mem_budget(budget)
-            .with_spill_budget(256 << 20);
-        let (_, prof) = execute_as_given(&db, plan(q), &tight).expect("as given, spilling");
+            .with_mem_budget(peak(&hashed) * 3 / 4)
+            .with_spill_budget(spill);
+        let (got, prof) = execute_as_given(&db, plan(q), &under).expect("as given, spilling");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
         assert!(
             prof.counter("spill_runs").unwrap_or(0) > 0,
             "q{q} as given should spill"
         );
+        // Between the two peaks the rewritten plan neither spills nor
+        // fails: the groups and runs fit.
+        let budget = (peak(&streamed) + peak(&hashed)) / 2;
+        let tight = profiled
+            .clone()
+            .with_mem_budget(budget)
+            .with_spill_budget(spill);
         let (got, prof) = execute(&db, plan(q), &tight).expect("rewritten, in budget");
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
         assert_eq!(

@@ -40,48 +40,44 @@ macro_rules! aggr_grouped {
         }
 
         /// Grouped MIN update. Initialize accumulators to the type's
-        /// maximum before the first update pass.
+        /// maximum before the first update pass. The accumulator is
+        /// always written, the smaller value chosen by a select rather
+        /// than a branch (Fig. 2's predicated shape): the comparison is
+        /// `v < acc`, so NaN and `-0.0` fold exactly as a branch would.
         #[inline]
         pub fn $min(acc: &mut [$ty], vals: &[$ty], grp: &[u32], sel: Option<&SelVec>) {
             match sel {
                 None => {
                     for (&v, &g) in vals.iter().zip(grp.iter()) {
                         let a = &mut acc[g as usize];
-                        if v < *a {
-                            *a = v;
-                        }
+                        *a = if v < *a { v } else { *a };
                     }
                 }
                 Some(sel) => {
                     for i in sel.iter() {
-                        let a = &mut acc[grp[i] as usize];
-                        if vals[i] < *a {
-                            *a = vals[i];
-                        }
+                        let (v, a) = (vals[i], &mut acc[grp[i] as usize]);
+                        *a = if v < *a { v } else { *a };
                     }
                 }
             }
         }
 
         /// Grouped MAX update. Initialize accumulators to the type's
-        /// minimum before the first update pass.
+        /// minimum before the first update pass. Branch-free like the
+        /// MIN update, on `v > acc`.
         #[inline]
         pub fn $max(acc: &mut [$ty], vals: &[$ty], grp: &[u32], sel: Option<&SelVec>) {
             match sel {
                 None => {
                     for (&v, &g) in vals.iter().zip(grp.iter()) {
                         let a = &mut acc[g as usize];
-                        if v > *a {
-                            *a = v;
-                        }
+                        *a = if v > *a { v } else { *a };
                     }
                 }
                 Some(sel) => {
                     for i in sel.iter() {
-                        let a = &mut acc[grp[i] as usize];
-                        if vals[i] > *a {
-                            *a = vals[i];
-                        }
+                        let (v, a) = (vals[i], &mut acc[grp[i] as usize]);
+                        *a = if v > *a { v } else { *a };
                     }
                 }
             }
@@ -325,6 +321,98 @@ mod tests {
         aggr_max_i64_col(&mut mx, &vals, &grp, None);
         assert_eq!(mn, [-1, 3]);
         assert_eq!(mx, [5, 9]);
+    }
+
+    /// Values with ties, NaN and both zeros, and a run-ordered or a
+    /// scattered group-id vector over `groups` groups.
+    fn min_max_inputs(n: usize, groups: u32, runs: bool, seed: u64) -> (Vec<f64>, Vec<u32>) {
+        let mut x = seed;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let special = [f64::NAN, 0.0, -0.0, 1.5, -1.5, f64::INFINITY];
+        let vals = (0..n)
+            .map(|_| match next() % 4 {
+                0 => special[(next() % special.len() as u64) as usize],
+                1 => (next() % 5) as f64 - 2.0,
+                _ => (next() % 2001) as f64 / 8.0 - 125.0,
+            })
+            .collect();
+        let grp = (0..n)
+            .map(|i| match runs {
+                true => (i as u32 * groups) / n as u32,
+                false => (next() % groups as u64) as u32,
+            })
+            .collect();
+        (vals, grp)
+    }
+
+    /// The branch-free MIN/MAX updates fold exactly as a branching
+    /// scalar loop does, bit for bit: random and tied values, NaN and
+    /// `-0.0`, dense and under a selection, run-ordered and scattered
+    /// group ids, f64 and the integer instances.
+    #[test]
+    fn grouped_min_max_match_a_scalar_reference() {
+        fn reference<T: Copy + PartialOrd>(
+            acc: &mut [T],
+            vals: &[T],
+            grp: &[u32],
+            live: &[usize],
+            min: bool,
+        ) {
+            for &i in live {
+                let a = &mut acc[grp[i] as usize];
+                if (min && vals[i] < *a) || (!min && vals[i] > *a) {
+                    *a = vals[i];
+                }
+            }
+        }
+        let groups = 13;
+        for (seed, runs) in [(1, true), (2, false), (3, true), (4, false)] {
+            let (vals, grp) = min_max_inputs(1000, groups, runs, seed);
+            let ints: Vec<i64> = vals.iter().map(|v| *v as i64).collect();
+            let narrow: Vec<i32> = ints.iter().map(|&v| v as i32).collect();
+            let picked: Vec<u32> = (0..1000u32).filter(|i| i % 3 != 1).collect();
+            let sel = SelVec::from_positions(picked.clone());
+            for sel in [None, Some(&sel)] {
+                let live: Vec<usize> = match sel {
+                    None => (0..vals.len()).collect(),
+                    Some(_) => picked.iter().map(|&i| i as usize).collect(),
+                };
+                let g = groups as usize;
+                // Seed some accumulators with NaN and -0.0 too.
+                let start = |init: f64| -> Vec<f64> {
+                    (0..g).map(|k| [init, f64::NAN, -0.0, 0.0][k % 4]).collect()
+                };
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for (min, init) in [(true, f64::MAX), (false, f64::MIN)] {
+                    let (mut got, mut want) = (start(init), start(init));
+                    match min {
+                        true => aggr_min_f64_col(&mut got, &vals, &grp, sel),
+                        false => aggr_max_f64_col(&mut got, &vals, &grp, sel),
+                    }
+                    reference(&mut want, &vals, &grp, &live, min);
+                    assert_eq!(bits(&got), bits(&want), "f64 min={min} runs={runs}");
+                }
+                let (mut mn, mut mx) = (vec![i64::MAX; g], vec![i64::MIN; g]);
+                aggr_min_i64_col(&mut mn, &ints, &grp, sel);
+                aggr_max_i64_col(&mut mx, &ints, &grp, sel);
+                let (mut wmn, mut wmx) = (vec![i64::MAX; g], vec![i64::MIN; g]);
+                reference(&mut wmn, &ints, &grp, &live, true);
+                reference(&mut wmx, &ints, &grp, &live, false);
+                assert_eq!((mn, mx), (wmn, wmx), "i64 runs={runs}");
+                let (mut mn, mut mx) = (vec![i32::MAX; g], vec![i32::MIN; g]);
+                aggr_min_i32_col(&mut mn, &narrow, &grp, sel);
+                aggr_max_i32_col(&mut mx, &narrow, &grp, sel);
+                let (mut wmn, mut wmx) = (vec![i32::MAX; g], vec![i32::MIN; g]);
+                reference(&mut wmn, &narrow, &grp, &live, true);
+                reference(&mut wmx, &narrow, &grp, &live, false);
+                assert_eq!((mn, mx), (wmn, wmx), "i32 runs={runs}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `map_*` (expression maps), `select_*` (predicates → selection
 //! vectors, in both *branch* and *predicated* shapes, Fig. 2), `aggr_*`
 //! (aggregate updates), `map_fetch_*` (positional gathers), hash /
-//! direct-group maps, and fused *compound* primitives.
+//! direct-group maps, `merge_*` (the merge join's cursor advance) and
+//! fused *compound* primitives.
 //!
 //! Design rules, straight from the paper:
 //!
@@ -32,6 +33,7 @@ pub mod fetch;
 pub mod group;
 pub mod hash;
 pub mod map;
+pub mod merge;
 pub mod registry;
 pub mod sel;
 pub mod select;

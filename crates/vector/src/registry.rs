@@ -45,6 +45,8 @@ pub enum PrimitiveKind {
     /// Chunk codec half: `compress_*` / `decompress_*` (PFOR, PDICT,
     /// PFOR-DELTA — paper §4.3/§5 lightweight compression).
     Compress,
+    /// Merge-join cursor advance over a sorted key column (`merge_*`).
+    Merge,
 }
 
 /// Shape of one primitive argument: a full column vector or a broadcast
@@ -383,6 +385,21 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             return Ok(s);
         }
         _ => {}
+    }
+
+    // Merge-join cursor: `merge_<ty>_col`, one sorted integer key
+    // column walked from a cursor over its live positions; the output
+    // is the two stops of the advance, positions in `[0, n]`.
+    if let Some(key) = sig.strip_prefix("merge_") {
+        let args = parse_args(&key.split('_').collect::<Vec<_>>())?;
+        return match args.as_slice() {
+            [k] if k.shape == VecShape::Col && k.ty.is_integer() && !key.starts_with("uidx") => {
+                Ok(selful(vec![*k], OutTy::Vec(U32), T::Positions))
+            }
+            _ => Err(format!(
+                "merge signature `{sig}` needs one integer key column"
+            )),
+        };
     }
 
     // Direct grouping: a start `map_uidx_<key>` and a chain
@@ -795,6 +812,15 @@ impl PrimitiveRegistry {
                 "ordered-aggregation run boundaries → group ids (generated)",
             );
         }
+        // Merge-join cursors: the list is emitted by the macro expansion
+        // that instantiates them (`merge_instances!` in `merge.rs`).
+        for sig in crate::merge::MERGE_SIGNATURES {
+            reg.register(
+                sig,
+                PrimitiveKind::Merge,
+                "merge-join cursor advance (generated)",
+            );
+        }
         reg.register(
             "aggr_ordered_starts_u32_col",
             PrimitiveKind::Aggr,
@@ -1004,6 +1030,7 @@ mod tests {
             PrimitiveKind::Hash,
             PrimitiveKind::Compound,
             PrimitiveKind::Compress,
+            PrimitiveKind::Merge,
         ]
         .into_iter()
         .map(|k| reg.count_kind(k))
@@ -1014,6 +1041,8 @@ mod tests {
         // 9 PFOR pairs + 8 PFOR-DELTA pairs + 4 PDICT pairs, plus the
         // PDICT string decode under a selection.
         assert_eq!(reg.count_kind(PrimitiveKind::Compress), 43);
+        // One merge cursor per integer key type.
+        assert_eq!(reg.count_kind(PrimitiveKind::Merge), 8);
     }
 
     #[test]
@@ -1128,6 +1157,7 @@ mod tests {
             ("aggr_grouptable_verify_f64_col", FactTransfer::Compare),
             ("aggr_ordered_boundaries_i64_col", FactTransfer::Positions),
             ("aggr_ordered_starts_u32_col", FactTransfer::Positions),
+            ("merge_i64_col", FactTransfer::Positions),
             ("compress_pdict_str_col", FactTransfer::Sink),
             ("aggr_avg_epilogue", FactTransfer::Opaque),
         ] {
@@ -1189,6 +1219,9 @@ mod tests {
             "map_uidx_u8_col_u8_val",                 // codes start at 0
             "map_uidx_i32_col_i64_val",               // the minimum has the key's type
             "map_directgrp_uidx_col_f64_col_f64_val", // no f64 slots
+            "merge_f64_col",                          // a sorted f64 may interleave 0.0 and -0.0
+            "merge_uidx_col",                         // an alias, not a vector type
+            "merge_i64_col_i64_val",                  // the bound is the other side's key
         ] {
             assert!(parse_signature(bad).is_err(), "{bad} should not parse");
         }

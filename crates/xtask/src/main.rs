@@ -5,7 +5,7 @@
 //! DESIGN.md §9). Rules:
 //!
 //! 1. **Registry parity** — every concrete exported `map_*` /
-//!    `select_*` / `aggr_*` kernel symbol in `crates/vector` resolves to
+//!    `select_*` / `aggr_*` / `merge_*` kernel symbol in `crates/vector` resolves to
 //!    a descriptor in `PrimitiveRegistry::builtin()`, every identifier
 //!    that *parses* as a primitive signature is registered, and every
 //!    registered signature is backed by code (a literal symbol, a
@@ -351,6 +351,7 @@ fn registry_parity(root: &Path, failures: &mut Vec<String>) {
                 if name.starts_with("map_")
                     || name.starts_with("select_")
                     || name.starts_with("aggr_")
+                    || name.starts_with("merge_")
                 {
                     let generic = rest[name.len()..].starts_with('<');
                     exported.push((path.clone(), *ln, name, generic));
@@ -363,7 +364,8 @@ fn registry_parity(root: &Path, failures: &mut Vec<String>) {
     // must be registered (this is what pins the `arith_instances!`
     // macro's stringified names to the catalog).
     for tok in &source_tokens {
-        if !(tok.starts_with("map_") || tok.starts_with("select_") || tok.starts_with("aggr_")) {
+        let family = ["map_", "select_", "aggr_", "merge_"];
+        if !family.iter().any(|f| tok.starts_with(f)) {
             continue;
         }
         if parse_signature(tok).is_ok() && !registered.contains(tok.as_str()) {
@@ -431,6 +433,7 @@ fn kernel_hygiene(root: &Path, failures: &mut Vec<String>) {
         "compound.rs",
         "sel.rs",
         "compress.rs",
+        "merge.rs",
     ];
     // Dense kernels must be zip loops (auto-vectorizable, no bounds
     // checks); position-producing/consuming kernels index by design.
