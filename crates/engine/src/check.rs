@@ -10,7 +10,8 @@
 //! node's output shape and enum-dictionary metadata, rewrites enum
 //! literals, splits predicates, types aggregates, picks the physical
 //! variant (direct / hash / ordered aggregation, hash / merge join,
-//! fused compressed scan-select, constant-folded selection, selection
+//! fused compressed scan-select, the summary-index row range of a
+//! scan under a range selection, constant-folded selection, selection
 //! before fetch, the `Exchange` that runs an aggregation on morsel
 //! workers at `threads > 1`), compiles every expression exactly once,
 //! validates each emitted
@@ -145,7 +146,7 @@ impl Values {
 /// soundness argument of each. `cargo xtask lint` rule 10 keeps every
 /// id in a walk-log message and in the rewritten-vs-as-given
 /// differential test.
-pub const RULES: [&str; 4] = [
+pub const RULES: [&str; 5] = [
     // `Select` over `Fetch1Join`s: columns the predicate does not need
     // are fetched above the selection, and a predicate that reads only
     // one small, delta-free table is evaluated over that table once.
@@ -160,6 +161,9 @@ pub const RULES: [&str; 4] = [
     // `HashJoin` on one integer key proven sorted on both inputs: the
     // streaming merge join instead of the hash table.
     "sorted-inputs-merge-join",
+    // `Select` over a `Scan` whose predicate bounds a column with a
+    // summary index: only the fragment rows that index leaves are read.
+    "summary-range-select",
 ];
 
 /// Name stem of the one-byte column rule `select-before-fetch` gathers
@@ -1122,9 +1126,7 @@ impl<'a> Checker<'a> {
     /// check its inputs, then plan and verify the node itself.
     fn walk(&mut self, plan: &Plan, path: &str, values: &Values) -> Result<CheckedNode, PlanError> {
         match plan {
-            Plan::Scan { table, cols, prune } => {
-                self.scan_node(table, cols, values, prune.as_ref(), path)
-            }
+            Plan::Scan { table, cols } => self.scan_node(table, cols, values, path),
             Plan::Select { input, pred } => {
                 // Rule `select-before-fetch` looks through the
                 // `Fetch1Join`s under the selection (innermost first),
@@ -1160,13 +1162,6 @@ impl<'a> Checker<'a> {
                 self.project_node(input, exprs, path)
             }
             Plan::Aggr { input, keys, aggs } => self.aggr_node(input, keys, aggs, path),
-            Plan::OrdAggr { input, keys, aggs } => {
-                let need = (keys.iter().map(|(_, e)| e))
-                    .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-                    .fold(Values::none(), Values::reading);
-                let input = self.walk(input, &format!("{path}.OrdAggr.input"), &need)?;
-                self.keyed_aggr(input, keys, aggs, path, true)
-            }
             Plan::Fetch1Join { input, rowid, .. } => {
                 let need = values.clone().rowid(rowid);
                 let input = self.walk(input, &format!("{path}.Fetch1Join.input"), &need)?;
@@ -1528,7 +1523,6 @@ impl<'a> Checker<'a> {
         table: &str,
         cols: &[String],
         values: &Values,
-        prune: Option<&plan::RangePrune>,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let t = self.db.table(table)?;
@@ -1571,7 +1565,7 @@ impl<'a> Checker<'a> {
             node.cols.push(facts::source_col_fact(&t, ci, as_codes));
         }
         let spec = ScanSpec {
-            range: plan::scan_prune_range(&t, prune)?,
+            range: None,
             cols: scan_cols,
             push: None,
             bm: self.db.buffer_manager(),
@@ -1738,7 +1732,7 @@ impl<'a> Checker<'a> {
             }
         }
         let dpath = format!("{path}.Select.dimension");
-        let mut scan = self.scan_node(table, &srcs, &values, None, &dpath)?;
+        let mut scan = self.scan_node(table, &srcs, &values, &dpath)?;
         for (f, (_, alias)) in scan.fields.iter_mut().zip(reads) {
             f.name.clone_from(alias);
         }
@@ -1832,6 +1826,9 @@ impl<'a> Checker<'a> {
         let steps = if verdict.is_some() { Vec::new() } else { steps };
         if let (None, CheckedOp::Scan(spec)) = (verdict, &mut input_node.op) {
             spec.push = push;
+            if self.rules {
+                self.summary_range(spec, &fields, &nf, path);
+            }
         }
         self.note(path, what);
         Ok(CheckedNode {
@@ -1842,6 +1839,45 @@ impl<'a> Checker<'a> {
             inputs: vec![Arc::new(input_node)],
             op: CheckedOp::Select { steps, verdict },
         })
+    }
+
+    /// Rule `summary-range-select` on the `spec` of the `Scan` under a
+    /// `Select` whose refined facts are `nf`: each plain scanned column
+    /// with a summary index and a proven integer range bounds the
+    /// fragment rows that can hold a passing row (§4.3), and the scan
+    /// reads only the rows every such column allows. Delta rows are
+    /// scanned as always, and the facts stay the predicate's, so no
+    /// other decision moves.
+    fn summary_range(
+        &mut self,
+        spec: &mut ScanSpec,
+        fields: &[OutField],
+        nf: &NodeFacts,
+        path: &str,
+    ) {
+        let n = spec.table.fragment_rows();
+        let (mut start, mut end) = (0, n);
+        let mut cuts = Vec::new();
+        for (((ci, kind), f), fact) in spec.cols.iter().zip(fields).zip(&nf.cols) {
+            let summary = spec.table.column(*ci).summary();
+            let (Some(summary), ScanCol::Plain) = (summary, kind) else {
+                continue;
+            };
+            let Some(FactRange::Int(lo, hi)) = fact.range else {
+                continue;
+            };
+            let (a, b) = summary.range_candidates(Some(lo), Some(hi));
+            if (a, b) != (0, n) {
+                cuts.push(format!("`{}` in [{lo}, {hi}]", f.name));
+                start = start.max(a);
+                end = end.min(b).max(start);
+            }
+        }
+        if !cuts.is_empty() {
+            spec.range = Some((start, end));
+            let what = format!("{} → rows {start}..{end} of {n}", cuts.join(", "));
+            self.rule_note("summary-range-select", path, what);
+        }
     }
 
     /// `Project(exprs)` over the checked `input`.
@@ -2067,12 +2103,12 @@ impl<'a> Checker<'a> {
             .fold(Values::none(), Values::reading);
         let node = self.walk(input, &format!("{path}.Aggr.input"), &need)?;
         if !self.rules {
-            return self.keyed_aggr(node, keys, aggs, path, false);
+            return self.keyed_aggr(node, keys, aggs, path);
         }
         match self.dense_keys(&node, keys) {
             Err(why) => {
                 self.rule_refused("dense-keys-direct-aggr", path, why);
-                self.keyed_aggr(node, keys, aggs, path, false)
+                self.keyed_aggr(node, keys, aggs, path)
             }
             Ok((what, dkeys)) => {
                 self.rule_note("dense-keys-direct-aggr", path, what);
@@ -2175,22 +2211,19 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Aggregation grouped on computed keys: the generic `Aggr` (code
-    /// keys mixed with others; code-typed keys still group on codes and
-    /// decode only at emission) and the `forced` `OrdAggr`. Rule
-    /// `sorted-keys-ordered-aggr` picks the variant of the former: every
-    /// key proven sorted — each non-decreasing, so equal key tuples are
-    /// adjacent — takes the streaming ordered aggregation, anything else
-    /// the hash table.
+    /// Aggregation grouped on computed keys, or on code keys mixed with
+    /// others (code-typed keys still group on codes and decode only at
+    /// emission). Rule `sorted-keys-ordered-aggr` picks the variant:
+    /// every key proven sorted — each non-decreasing, so equal key tuples
+    /// are adjacent — takes the streaming ordered aggregation, anything
+    /// else the hash table.
     fn keyed_aggr(
         &mut self,
         input: CheckedNode,
         keys: &[(String, Expr)],
         aggs: &[AggExpr],
         path: &str,
-        forced: bool,
     ) -> Result<CheckedNode, PlanError> {
-        let kind = if forced { "OrdAggr" } else { "Aggr" };
         let mut node = NodeShape::default();
         let mut key_progs = Vec::with_capacity(keys.len());
         let mut key_dicts = Vec::with_capacity(keys.len());
@@ -2202,12 +2235,11 @@ impl<'a> Checker<'a> {
         // interleave in a sorted f64 column, so runs are not groups.
         let mut runs_are_groups = true;
         for (i, (name, e)) in keys.iter().enumerate() {
-            let kpath = format!("{path}.{kind}.key[{i}]");
+            let kpath = format!("{path}.Aggr.key[{i}]");
             let prog = self.compile_verified(e, &input.fields, &input.dicts, &kpath)?;
             // Dictionaries only apply to code-typed bare column keys.
             let key_dict = prog
                 .as_col_ref()
-                .filter(|_| !forced)
                 .filter(|_| matches!(prog.result_type(), ScalarType::U8 | ScalarType::U16))
                 .and_then(|ci| input.dicts[ci].clone());
             let kf = match &key_dict {
@@ -2232,24 +2264,20 @@ impl<'a> Checker<'a> {
             key_dicts.push(key_dict.as_deref().cloned());
         }
         let key_types: Vec<ScalarType> = key_progs.iter().map(|p| p.result_type()).collect();
-        let apath = format!("{path}.{kind}");
+        let apath = format!("{path}.Aggr");
         // Runs are groups: the ordered aggregation streams them at a
         // fraction of a hash lookup, so no Exchange splits them, with
         // the rule on (`OrdAggr`) or off (a `HashAggr` as given).
         let streams = proven_sorted && runs_are_groups;
-        let by_rule = self.rules && !forced && streams;
-        if forced && !proven_sorted {
-            // Legal — clustered is weaker than sorted, and facts are
-            // conservative — but unclustered input repeats groups.
-            self.report
-                .push(format!("{path}: OrdAggr keys not proven sorted"));
-        } else if by_rule {
+        let by_rule = self.rules && streams;
+        if by_rule {
             let what = "keys proven sorted → ordered aggregation".to_owned();
             self.rule_note("sorted-keys-ordered-aggr", path, what);
         }
-        let specs = self.check_aggs(aggs, &input, kind, path, &mut node.fields, &mut node.cols)?;
+        let specs =
+            self.check_aggs(aggs, &input, "Aggr", path, &mut node.fields, &mut node.cols)?;
         node.dicts = vec![None; node.fields.len()];
-        if !forced && !by_rule {
+        if !by_rule {
             self.check_spill_capable("aggr_hashtable_maintain", "HashAggr", &apath)?;
             self.require_hash(key_types.iter().copied(), &apath)?;
             for kf in &mut node.cols[..keys.len()] {
@@ -2282,9 +2310,7 @@ impl<'a> Checker<'a> {
                 self.exchange(node, merge)
             };
         }
-        // Groups leave in input key order, so a sorted key stays
-        // sorted; runs of an unclustered input may repeat a key, so only
-        // the input's row bound holds.
+        // Groups leave in input key order, so a sorted key stays sorted.
         for ty in &key_types {
             let sig = format!("aggr_ordered_boundaries_{}_col", ty.sig_name());
             self.require(&sig, || apath.clone())?;

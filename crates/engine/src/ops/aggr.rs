@@ -1127,9 +1127,7 @@ impl Operator for DirectAggrOp {
 /// tuples are adjacent. Every run of equal keys becomes one output
 /// group, so unclustered input yields the same key more than once. The
 /// check walk picks this operator for a generic `Aggr` only when every
-/// key is proven sorted; a forced `Plan::OrdAggr` over keys it cannot
-/// prove sorted stays legal (clustered is weaker than sorted) and is
-/// noted in `--explain-check`.
+/// key is proven sorted (rule `sorted-keys-ordered-aggr`).
 ///
 /// Streaming: group ids are the run numbers within one input vector
 /// (`aggr_ordered_boundaries_*`), with the group the previous vector

@@ -12,10 +12,10 @@
 //! 1. builds each `HashJoin` table of the spine *once*; every worker's
 //!    [`crate::ops::HashJoinOp`] probes that one table, which it only
 //!    reads (build once, probe many);
-//! 2. cuts the scan's row space — the (summary-pruned) fragment range
-//!    plus the insert-delta tail — into [`Morsel`]s ([`spine_morsels`]).
-//!    Worker `w` of `T` statically takes morsels `w, w+T, w+2T, …`, so
-//!    assignment does not depend on thread timing;
+//! 2. cuts the scan's row space — the fragment plus the insert-delta
+//!    tail — into [`Morsel`]s ([`spine_morsels`]), clipped to the
+//!    summary-pruned range. Worker `w` of `T` statically takes morsels
+//!    `w, w+T, w+2T, …`, so assignment does not depend on thread timing;
 //! 3. has each worker instantiate its *own* clone of the aggregation
 //!    pipeline from the shared checked subtree (the `Rc`-based batch
 //!    machinery stays thread-local; verified programs and derived fetch
@@ -77,12 +77,23 @@ pub(crate) fn morsel_spine(
     }
 }
 
-/// The morsels of a spine's scan: its (pruned) fragment range and its
-/// pending insert-delta rows, `morsel_size` rows each.
+/// The morsels of a spine's scan: its fragment and its pending
+/// insert-delta rows, `morsel_size` rows each. A summary-pruned range
+/// clips the fragment's morsels (some to nothing) but moves no
+/// boundary, so every worker adds the rows that pass in the order the
+/// unpruned scan gives it: the rule `summary-range-select` cannot
+/// change an answer, not even an f64 sum's last ulp.
 pub(crate) fn spine_morsels(scan: &ScanSpec, morsel_size: usize) -> Vec<Morsel> {
     let t = &scan.table;
-    let range = scan.range.unwrap_or((0, t.fragment_rows()));
-    plan_morsels(range, t.delta_rows(), morsel_size)
+    let mut morsels = plan_morsels((0, t.fragment_rows()), t.delta_rows(), morsel_size);
+    if let Some((start, end)) = scan.range {
+        for m in morsels.iter_mut().filter(|m| !m.delta) {
+            let first = m.start.max(start);
+            m.len = (m.start + m.len).min(end).saturating_sub(first);
+            m.start = first;
+        }
+    }
+    morsels
 }
 
 /// `Exchange` — runs its input aggregation on `opts.threads` morsel

@@ -33,7 +33,8 @@ pub(crate) struct ScanSpec {
     pub table: Arc<Table>,
     /// Per scanned column: its index in `table` and how it is surfaced.
     pub cols: Vec<(usize, ScanCol)>,
-    /// Fragment row range left by summary-index pruning (`None` = all).
+    /// Fragment row range left by summary-index pruning (`None` = all):
+    /// rule `summary-range-select` sets it from the `Select` above.
     pub range: Option<(usize, usize)>,
     /// `CompressedScanSelect` fusion: the scanned-column position and
     /// the encoded-space predicate evaluated on refill. The column is a

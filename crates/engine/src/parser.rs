@@ -180,18 +180,6 @@ impl<'a> Parser<'a> {
                     aggs,
                 }
             }
-            "OrdAggr" => {
-                let input = self.plan()?;
-                self.eat(',')?;
-                let keys = self.named_expr_list()?;
-                self.eat(',')?;
-                let aggs = self.agg_list()?;
-                Plan::OrdAggr {
-                    input: Box::new(input),
-                    keys,
-                    aggs,
-                }
-            }
             "Fetch1Join" => {
                 let input = self.plan()?;
                 self.eat(',')?;
@@ -294,11 +282,7 @@ impl<'a> Parser<'a> {
         }
         self.eat(',')?;
         let cols = self.bracketed(|p| p.ident())?;
-        Ok(Plan::Scan {
-            table,
-            cols,
-            prune: None,
-        })
+        Ok(Plan::Scan { table, cols })
     }
 
     /// `[a, b = expr, …]` — bare identifiers name themselves.

@@ -13,7 +13,6 @@
 //! FetchNJoin(Dataflow, Table, Exp<int>, Exp<int>, Column, List<Column>)
 //! Project(Dataflow, List<Exp<*>>)                    : Dataflow
 //! Aggr(Dataflow, List<Exp<*>>, List<AggrExp>)        : Dataflow
-//! OrdAggr(…)
 //! TopN(Dataflow, List<OrdExp>, List<Exp<*>>, int)    : Dataflow
 //! Order(Table, List<OrdExp>, List<AggrExp>)          : Table
 //! ```
@@ -21,14 +20,16 @@
 //! A plan is checked once ([`crate::check::check_plan`]): that walk
 //! resolves table and column names against a
 //! [`crate::session::Database`], makes every physical decision — which
-//! enum columns travel as codes (those only code readers consume), and,
-//! like the paper's (planned) optimizer, whether the generic `Aggr`
-//! becomes a *direct* aggregation over small-domain keys, *ordered* when
-//! every key is proven sorted, else *hash* — and returns the verified
-//! tree. [`Plan::bind`] and [`CheckedNode::instantiate`] only construct
-//! the operator pipeline from that tree. The planning helpers the walk
-//! calls (predicate fusion, enum-literal rewriting, scan pruning) live
-//! here, next to the algebra they rewrite.
+//! enum columns travel as codes (those only code readers consume), which
+//! fragment rows a `Scan` under a range `Select` reads (its summary
+//! indices, §4.3), and, like the paper's (planned) optimizer, whether
+//! the generic `Aggr` becomes a *direct* aggregation over small-domain
+//! keys, *ordered* when every key is proven sorted, else *hash* — and
+//! returns the verified tree. The plan itself carries no physical hint.
+//! [`Plan::bind`] and [`CheckedNode::instantiate`] only construct the
+//! operator pipeline from that tree. The planning helpers the walk calls
+//! (predicate fusion, enum-literal rewriting) live here, next to the
+//! algebra they rewrite.
 
 use crate::check::{check_plan, CheckedNode, CheckedOp};
 use crate::expr::{AggExpr, Expr};
@@ -52,19 +53,6 @@ use x100_vector::{CmpOp, ScalarType, Value};
 /// here and get a join that probes the shared table.
 pub(crate) type SharedJoins<'a> = HashMap<&'a str, Arc<JoinTable>>;
 
-/// Range pruning hint for `Scan`: restricts fragment rows via the
-/// column's summary index (§4.3). Conservative — an exact `Select` above
-/// is still required.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangePrune {
-    /// Clustered column carrying a summary index.
-    pub col: String,
-    /// Lower bound (inclusive), widened to i64.
-    pub lo: Option<i64>,
-    /// Upper bound (inclusive), widened to i64.
-    pub hi: Option<i64>,
-}
-
 /// A declarative plan tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
@@ -76,8 +64,6 @@ pub enum Plan {
         table: String,
         /// Columns to scan (only these are touched).
         cols: Vec<String>,
-        /// Optional summary-index pruning.
-        prune: Option<RangePrune>,
     },
     /// Zero-copy selection.
     Select {
@@ -98,15 +84,6 @@ pub enum Plan {
         /// Input dataflow.
         input: Box<Plan>,
         /// Group-by keys (named expressions).
-        keys: Vec<(String, Expr)>,
-        /// Aggregates.
-        aggs: Vec<AggExpr>,
-    },
-    /// Force ordered aggregation (input clustered on the keys).
-    OrdAggr {
-        /// Input dataflow.
-        input: Box<Plan>,
-        /// Group-by keys.
         keys: Vec<(String, Expr)>,
         /// Aggregates.
         aggs: Vec<AggExpr>,
@@ -551,26 +528,6 @@ fn rebuild_residual(conj: &[&Expr], used: &[usize]) -> Option<Expr> {
     Some(it.fold(first, |acc, e| Expr::And(Box::new(acc), Box::new(e))))
 }
 
-/// A `Scan`'s summary-index prune range over its (resolved) table: the
-/// fragment rows that can hold qualifying values, `None` without a
-/// prune hint.
-pub(crate) fn scan_prune_range(
-    t: &Table,
-    prune: Option<&RangePrune>,
-) -> Result<Option<(usize, usize)>, PlanError> {
-    let Some(p) = prune else {
-        return Ok(None);
-    };
-    let ci = t
-        .column_index(&p.col)
-        .ok_or_else(|| PlanError::UnknownColumn(p.col.clone()))?;
-    let summary = t
-        .column(ci)
-        .summary()
-        .ok_or_else(|| PlanError::Invalid(format!("column `{}` has no summary index", p.col)))?;
-    Ok(Some(summary.range_candidates(p.lo, p.hi)))
-}
-
 /// The operator, column and string literal of an enum-literal
 /// comparison — `c = 'lit'` or `c <> 'lit'`, the literal on either side:
 /// the comparison [`rewrite_enum_literals`] runs on codes, and so the
@@ -663,23 +620,6 @@ impl Plan {
         Plan::Scan {
             table: table.into(),
             cols: cols.iter().map(|s| s.to_string()).collect(),
-            prune: None,
-        }
-    }
-
-    /// Attach a summary-index range prune to a `Scan`.
-    pub fn pruned(self, col: impl Into<String>, lo: Option<i64>, hi: Option<i64>) -> Plan {
-        match self {
-            Plan::Scan { table, cols, .. } => Plan::Scan {
-                table,
-                cols,
-                prune: Some(RangePrune {
-                    col: col.into(),
-                    lo,
-                    hi,
-                }),
-            },
-            other => panic!("pruned() applies to Scan, got {other:?}"),
         }
     }
 

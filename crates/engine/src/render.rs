@@ -72,14 +72,8 @@ fn indent(depth: usize, out: &mut String) {
 fn render(plan: &Plan, depth: usize, out: &mut String) {
     indent(depth, out);
     match plan {
-        Plan::Scan { table, cols, prune } => {
+        Plan::Scan { table, cols } => {
             out.push_str(&format!("Scan({table}, [{}])", cols.join(", ")));
-            if let Some(p) = prune {
-                out.push_str(&format!(
-                    " /* pruned on {} {:?}..{:?} */",
-                    p.col, p.lo, p.hi
-                ));
-            }
         }
         Plan::Select { input, pred } => {
             out.push_str("Select(\n");
@@ -100,12 +94,8 @@ fn render(plan: &Plan, depth: usize, out: &mut String) {
                 .collect();
             out.push_str(&format!("[ {} ])", items.join(", ")));
         }
-        Plan::Aggr { input, keys, aggs } | Plan::OrdAggr { input, keys, aggs } => {
-            out.push_str(if matches!(plan, Plan::OrdAggr { .. }) {
-                "OrdAggr(\n"
-            } else {
-                "Aggr(\n"
-            });
+        Plan::Aggr { input, keys, aggs } => {
+            out.push_str("Aggr(\n");
             render(input, depth + 1, out);
             out.push_str(",\n");
             indent(depth + 1, out);
@@ -282,8 +272,7 @@ fn plans_equal(a: &Plan, b: &Plan) -> bool {
 }
 
 /// Expression and plan types that survive the textual round trip:
-/// everything except `HashJoin` (EXPLAIN-only) and scan pruning hints
-/// (comments).
+/// everything except `HashJoin` (EXPLAIN-only).
 #[cfg(test)]
 mod tests {
     use super::*;

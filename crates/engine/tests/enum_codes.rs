@@ -215,7 +215,7 @@ fn sorted_rows(res: &x100_engine::session::QueryResult) -> Vec<String> {
 fn enum_literal_comparisons_outside_select_read_codes() {
     // `c = 'lit'` reads its column as codes wherever it sits: in an
     // aggregate argument (a CASE-style conditional sum), a computed
-    // `Aggr` or `OrdAggr` key, and a hash-join key on either side. Each
+    // `Aggr` key, and a hash-join key on either side. Each
     // plan answers raw and checkpointed, with the rules on and as given.
     let open = || eq(col("status"), lit_str("OPEN"));
     let orders = || Plan::scan("orders", &["id", "status", "amount"]);
@@ -246,15 +246,6 @@ fn enum_literal_comparisons_outside_select_read_codes() {
                 vec![AggExpr::count("n")],
             ),
             vec!["0|667", "1|333"],
-        ),
-        (
-            "computed OrdAggr key",
-            Plan::OrdAggr {
-                input: Box::new(orders().select(lt(col("id"), lit_i64(2)))),
-                keys: vec![("open".into(), cast(ScalarType::I64, open()))],
-                aggs: vec![AggExpr::count("n")],
-            },
-            vec!["0|1", "1|1"],
         ),
         (
             "probe key",

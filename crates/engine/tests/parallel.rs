@@ -11,7 +11,7 @@
 use x100_engine::expr::*;
 use x100_engine::ops::JoinType;
 use x100_engine::plan::Plan;
-use x100_engine::session::{execute, run_operator, Database, ExecOptions};
+use x100_engine::session::{execute, execute_as_given, run_operator, Database, ExecOptions};
 use x100_engine::{check_plan, AggExpr, Profiler, QueryContext};
 use x100_storage::TableBuilder;
 use x100_vector::{Value, Vector};
@@ -474,7 +474,10 @@ fn plans_without_an_aggregation_run_on_one_thread() {
 }
 
 /// The walk places no Exchange over a scan of at most one morsel: a
-/// summary-pruned range, or a table no larger than `morsel_size`.
+/// table no larger than `morsel_size`. A range the summary index cuts
+/// (rule `summary-range-select`) keeps the table's morsels, clipped, so
+/// it splits as the whole scan does — one worker's share is empty — and
+/// each worker adds the rows it would add with the rules off.
 #[test]
 fn one_morsel_scan_gets_no_exchange() {
     let mut db = Database::new();
@@ -484,26 +487,30 @@ fn one_morsel_scan_gets_no_exchange() {
         .with_summary()
         .build();
     db.register(t);
-    let per_k = |scan: Plan| {
-        scan.select(and(
-            ge(col("d"), lit_i64(50_000)),
-            le(col("d"), lit_i64(50_099)),
-        ))
-        .aggr(vec![("k", col("k"))], vec![AggExpr::count("n")])
+    let per_k = |pred: Expr| {
+        (Plan::scan("t", &["k", "d"]).select(pred))
+            .aggr(vec![("k", col("k"))], vec![AggExpr::count("n")])
     };
-    let pruned = per_k(Plan::scan("t", &["k", "d"]).pruned("d", Some(50_000), Some(50_099)));
-    let whole = per_k(Plan::scan("t", &["k", "d"]));
+    let pruned = per_k(and(
+        ge(col("d"), lit_i64(50_000)),
+        le(col("d"), lit_i64(50_099)),
+    ));
+    // `k` has no summary index: the scan stays whole.
+    let whole = per_k(lt(col("k"), lit_i64(5)));
     let opts = ExecOptions::default().profiled().parallel(4);
-    let (want, _) = execute(&db, &pruned, &ExecOptions::default()).expect("sequential");
-    for (plan, morsels) in [(&pruned, 1), (&whole, 2)] {
-        let split = morsels > 1;
-        assert_eq!(exchanges(&db, plan, &opts).len(), usize::from(split));
+    let whole_table = opts.clone().with_morsel_size(0);
+    for plan in [&pruned, &whole] {
+        let split = exchanges(&db, plan, &opts);
+        assert_eq!(split.len(), 1, "{split:?}");
+        assert!(split[0].contains("2 morsels"), "{split:?}");
+        let (want, _) = execute(&db, plan, &ExecOptions::default()).expect("sequential");
         let (got, prof) = execute(&db, plan, &opts).expect("runs");
         assert_eq!(sorted_rows(&got), sorted_rows(&want));
-        assert_eq!(prof.workers().len(), if split { morsels } else { 0 });
+        assert_eq!(prof.workers().len(), 2);
+        let (as_given, _) = execute_as_given(&db, plan, &opts).expect("as given");
+        assert_eq!(got.row_strings(), as_given.row_strings());
+        assert!(exchanges(&db, plan, &whole_table).is_empty());
     }
-    let whole_table = opts.clone().with_morsel_size(0);
-    assert!(exchanges(&db, &whole, &whole_table).is_empty());
 }
 
 /// Exchanges sit at any depth: on a hash join's build side (and over the

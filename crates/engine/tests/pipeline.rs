@@ -198,16 +198,23 @@ fn direct_aggregation_on_enum_codes() {
 #[test]
 fn ordered_aggregation_on_clustered_input() {
     let db = sales_db();
-    // id / 10 is non-decreasing: 0 for ids 0..10, 1 for 10..20. Use the
-    // day column (sorted) bucketed via integer-ish trick: day < 10.
-    let plan = Plan::OrdAggr {
-        input: Box::new(Plan::scan("sales", &["day", "qty"])),
-        keys: vec![("first_half".into(), lt(col("day"), lit_i32(10)))],
-        aggs: vec![AggExpr::count("cnt"), AggExpr::sum("sum_qty", col("qty"))],
-    };
-    let (res, _) = execute(&db, &plan, &opts()).expect("runs");
-    assert_eq!(res.num_rows(), 2);
-    assert_eq!(res.column_by_name("cnt").as_i64(), &[10, 10]);
+    // `day` is proven sorted (its column statistics), so the walk
+    // streams its groups in key order.
+    let plan = Plan::scan("sales", &["day", "qty"]).aggr(
+        vec![("day", col("day"))],
+        vec![AggExpr::count("cnt"), AggExpr::sum("sum_qty", col("qty"))],
+    );
+    let (res, prof) = execute(&db, &plan, &opts().profiled()).expect("runs");
+    let ops: Vec<&str> = prof.operators().map(|(name, _)| name).collect();
+    assert!(ops.contains(&"Aggr(ORDERED)"), "{ops:?}");
+    assert_eq!(res.num_rows(), 20);
+    assert_eq!(
+        res.column_by_name("day").as_i32(),
+        &(0..20).collect::<Vec<_>>()[..]
+    );
+    assert_eq!(res.column_by_name("cnt").as_i64(), &[1; 20]);
+    let qty: Vec<f64> = (0..20).map(|i| f64::from(i % 5)).collect();
+    assert_eq!(res.column_by_name("sum_qty").as_f64(), &qty[..]);
 }
 
 /// A table clustered on `k`: one group of ten vectors' worth of rows,
@@ -260,49 +267,25 @@ fn ordered_aggregation_streams_long_groups_and_runs_of_single_rows() {
                     _ => want.push((k[i], 1, v[i], v[i])),
                 }
             }
-            let forced = Plan::OrdAggr {
-                input: Box::new(input.clone()),
-                keys: vec![("k".into(), col("k"))],
-                aggs: aggs(),
-            };
-            let chosen = input.aggr(vec![("k", col("k"))], aggs());
-            for plan in [forced, chosen] {
-                let (res, prof) = execute(&db, &plan, &opts).expect("runs");
-                let ops: Vec<&str> = prof.operators().map(|(name, _)| name).collect();
-                assert!(ops.contains(&"Aggr(ORDERED)"), "{ops:?}");
-                assert!(!ops.contains(&"Aggr(HASH)"), "{ops:?}");
-                assert_eq!(res.num_rows(), want.len(), "vs {vs} filtered {filtered}");
-                for (r, (key, n, sum, lo)) in want.iter().enumerate() {
-                    assert_eq!(res.column_by_name("k").as_i64()[r], *key);
-                    assert_eq!(res.column_by_name("n").as_i64()[r], *n);
-                    assert_eq!(res.column_by_name("s").as_f64()[r], *sum, "group {key}");
-                    assert_eq!(res.column_by_name("lo").as_f64()[r], *lo);
-                    assert_eq!(res.column_by_name("mean").as_f64()[r], sum / *n as f64);
-                }
-                // One vector of groups in flight, however many there are.
-                let peak = prof.counter("gov_mem_peak").expect("tracked") as usize;
-                assert!(peak <= (2 * vs + 2) * 8 * 4, "vs {vs}: peak {peak}");
+            // `k` is proven sorted: the walk picks the ordered aggregation.
+            let plan = input.aggr(vec![("k", col("k"))], aggs());
+            let (res, prof) = execute(&db, &plan, &opts).expect("runs");
+            let ops: Vec<&str> = prof.operators().map(|(name, _)| name).collect();
+            assert!(ops.contains(&"Aggr(ORDERED)"), "{ops:?}");
+            assert!(!ops.contains(&"Aggr(HASH)"), "{ops:?}");
+            assert_eq!(res.num_rows(), want.len(), "vs {vs} filtered {filtered}");
+            for (r, (key, n, sum, lo)) in want.iter().enumerate() {
+                assert_eq!(res.column_by_name("k").as_i64()[r], *key);
+                assert_eq!(res.column_by_name("n").as_i64()[r], *n);
+                assert_eq!(res.column_by_name("s").as_f64()[r], *sum, "group {key}");
+                assert_eq!(res.column_by_name("lo").as_f64()[r], *lo);
+                assert_eq!(res.column_by_name("mean").as_f64()[r], sum / *n as f64);
             }
+            // One vector of groups in flight, however many there are.
+            let peak = prof.counter("gov_mem_peak").expect("tracked") as usize;
+            assert!(peak <= (2 * vs + 2) * 8 * 4, "vs {vs}: peak {peak}");
         }
     }
-}
-
-#[test]
-fn forced_ordered_aggregation_over_unsorted_keys_is_noted() {
-    let db = sales_db();
-    let by = |key: &str| Plan::OrdAggr {
-        input: Box::new(Plan::scan("sales", &[key, "qty"])),
-        keys: vec![("g".into(), col(key))],
-        aggs: vec![AggExpr::count("cnt")],
-    };
-    let note = "OrdAggr keys not proven sorted";
-    // `qty` cycles 0..5: legal, every run is a group, and the walk says so.
-    let text = x100_engine::explain_check(&db, &by("qty"), &opts());
-    assert!(text.contains(note), "{text}");
-    let (res, _) = execute(&db, &by("qty"), &opts()).expect("runs");
-    assert_eq!(res.num_rows(), 20, "one group per run");
-    let text = x100_engine::explain_check(&db, &by("day"), &opts());
-    assert!(!text.contains(note), "{text}");
 }
 
 #[test]
@@ -650,12 +633,11 @@ fn summary_prune_limits_scan() {
         .with_summary()
         .build();
     db.register(t);
-    let plan = Plan::scan("t", &["d"])
-        .pruned("d", Some(50_000), Some(50_099))
-        .select(and(
-            ge(col("d"), lit_i32(50_000)),
-            le(col("d"), lit_i32(50_099)),
-        ));
+    // The walk derives the row range from the `Select`.
+    let plan = Plan::scan("t", &["d"]).select(and(
+        ge(col("d"), lit_i32(50_000)),
+        le(col("d"), lit_i32(50_099)),
+    ));
     let (res, prof) = execute(&db, &plan, &ExecOptions::default().profiled()).expect("runs");
     assert_eq!(res.num_rows(), 100);
     // Scan touched ~2 granules, not 100k rows.

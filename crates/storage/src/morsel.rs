@@ -1,8 +1,8 @@
 //! Morsels: row-range work units for intra-query parallelism.
 //!
 //! The paper's engine is single-threaded; to parallelize a scan we
-//! split the table's row space — the (possibly summary-pruned) fragment
-//! range plus the insert-delta tail — into fixed-size *morsels* (à la
+//! split the table's row space — the fragment range plus the
+//! insert-delta tail — into fixed-size *morsels* (à la
 //! morsel-driven parallelism). Each worker thread scans a disjoint
 //! subset of morsels with its own operator pipeline; deletion masks and
 //! delta reads keep working because a morsel is just a row range

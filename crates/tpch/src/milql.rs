@@ -465,7 +465,7 @@ fn exec(db: &Database, plan: &Plan, s: &mut MilSession) -> Result<MatFlow, PlanE
             }
             Ok(out)
         }
-        Plan::Aggr { input, keys, aggs } | Plan::OrdAggr { input, keys, aggs } => {
+        Plan::Aggr { input, keys, aggs } => {
             let flow = exec(db, input, s)?;
             exec_aggr(db, flow, keys, aggs, s)
         }

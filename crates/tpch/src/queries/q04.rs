@@ -3,6 +3,9 @@
 //! An EXISTS sub-query (orders with at least one late lineitem),
 //! executed as a left-semi hash join — our extension beyond the paper's
 //! operator list, exercising the selection-vector-only semi-join path.
+//! The `o_orderdate` range is a plain `Select`: the check walk derives
+//! from it which rows of the date-clustered `orders` fragment to scan
+//! (rule `summary-range-select`, §4.3).
 //!
 //! The SQL being reproduced:
 //!
@@ -28,9 +31,8 @@ pub fn x100_plan() -> Plan {
     let hi = to_days(1993, 10, 1);
     let late_lineitems = Plan::scan("lineitem", &["l_orderkey", "l_commitdate", "l_receiptdate"])
         .select(lt(col("l_commitdate"), col("l_receiptdate")));
-    let orders = Plan::scan("orders", &["o_orderkey", "o_orderdate", "o_orderpriority"])
-        .pruned("o_orderdate", Some(lo as i64), Some(hi as i64 - 1))
-        .select(and(
+    let orders =
+        Plan::scan("orders", &["o_orderkey", "o_orderdate", "o_orderpriority"]).select(and(
             ge(col("o_orderdate"), lit_i32(lo)),
             lt(col("o_orderdate"), lit_i32(hi)),
         ));

@@ -3,7 +3,9 @@
 //! A ratio of conditional revenue over total revenue within one month.
 //! The `p_type LIKE 'PROMO%'` test uses the part table's first type
 //! word (`p_type1`, an enumeration) compared for equality, multiplied
-//! into the revenue as a boolean→f64 cast.
+//! into the revenue as a boolean→f64 cast. The one-month `l_shipdate`
+//! range cuts the scan to the rows its summary index allows (rule
+//! `summary-range-select`).
 //!
 //! The SQL being reproduced:
 //!
@@ -33,7 +35,6 @@ pub fn x100_plan() -> Plan {
         "lineitem",
         &["l_extendedprice", "l_discount", "l_shipdate", "li_part_idx"],
     )
-    .pruned("l_shipdate", Some(lo as i64), Some(hi as i64 - 1))
     .select(and(
         ge(col("l_shipdate"), lit_i32(lo)),
         lt(col("l_shipdate"), lit_i32(hi)),

@@ -2,7 +2,9 @@
 //!
 //! The `revenue` view becomes a per-supplier aggregation; the
 //! `= (select max(total_revenue) …)` scalar is phase 1 of a two-phase
-//! plan (an `Aggr` stacked on an `Aggr`).
+//! plan (an `Aggr` stacked on an `Aggr`). Both phases scan only the
+//! `lineitem` rows the quarter's `l_shipdate` summary allows (rule
+//! `summary-range-select`).
 //!
 //! The SQL being reproduced:
 //!
@@ -33,7 +35,6 @@ fn revenue_view() -> Plan {
         "lineitem",
         &["l_shipdate", "l_extendedprice", "l_discount", "li_supp_idx"],
     )
-    .pruned("l_shipdate", Some(lo as i64), Some(hi as i64 - 1))
     .select(and(
         ge(col("l_shipdate"), lit_i32(lo)),
         lt(col("l_shipdate"), lit_i32(hi)),

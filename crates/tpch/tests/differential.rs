@@ -5,7 +5,8 @@
 //! TPC-H plans alike, from the tree the check walk's rewrite rules plan
 //! (`x100_engine::RULES`: `select-before-fetch`,
 //! `sorted-keys-ordered-aggr`, `dense-keys-direct-aggr`,
-//! `sorted-inputs-merge-join`) and from the tree as the plan wrote it.
+//! `sorted-inputs-merge-join`, `summary-range-select`) and from the tree
+//! as the plan wrote it.
 
 use proptest::prelude::*;
 use tpch::gen::{generate, GenConfig};
@@ -873,6 +874,109 @@ fn dense_ship_date_and_discount_groups_match_the_hash_table() {
                 &o,
                 &format!("{form}, threads {threads}"),
             );
+        }
+    }
+}
+
+/// The rows the profiled `Scan`s of a run read.
+fn scanned(prof: &x100_engine::Profiler) -> u64 {
+    let scan = prof.operators().find(|(name, _)| *name == "Scan");
+    scan.map_or(0, |(_, s)| s.tuples)
+}
+
+/// Rule `summary-range-select`: a range `Select` over a summarized
+/// column reads only the fragment rows the summary index leaves, plus
+/// every pending delta row — inserts inside and outside the range, a
+/// delete inside it — and answers as the whole scan the plan wrote, bit
+/// for bit, on one thread and under an Exchange.
+#[test]
+fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
+    use expr::*;
+    const N: i32 = 8_000;
+    let fresh = || {
+        TableBuilder::new("r")
+            .column("d", Vector::I32((0..N).collect()))
+            .with_summary()
+            .column("g", Vector::I64((0..i64::from(N)).map(|i| i % 5).collect()))
+            .column(
+                "v",
+                Vector::F64(
+                    (0..N)
+                        .map(|i| f64::from(i * 37 % 101) * 0.37 - 11.0)
+                        .collect(),
+                ),
+            )
+            .build()
+    };
+    let mut pending = fresh();
+    for d in [4_050, 9_500, -3] {
+        pending.insert(&[Value::I32(d), Value::I64(7), Value::F64(0.1 * f64::from(d))]);
+    }
+    pending.delete(4_020);
+    let per_g = |pred: Expr| {
+        (Plan::scan("r", &["d", "g", "v"]).select(pred)).aggr(
+            vec![("g", col("g"))],
+            vec![AggExpr::sum("s", col("v")), AggExpr::count("n")],
+        )
+    };
+    let plan = per_g(and(
+        ge(col("d"), lit_i32(4_000)),
+        lt(col("d"), lit_i32(4_300)),
+    ));
+    let rule = "summary-range-select";
+    for (form, table) in [("no deltas", fresh()), ("pending deltas", pending)] {
+        let deltas = table.delta_rows() as u64;
+        let mut db = Database::new();
+        db.register(table);
+        let fired = rule_lines(&db, &plan, &ExecOptions::default(), rule);
+        assert!(
+            fired.len() == 1 && fired[0].ends_with("`d` in [4000, 4299] → rows 4000..5000 of 8000"),
+            "{form}: {fired:?}"
+        );
+        for threads in [1, 2] {
+            let o = ExecOptions::default()
+                .parallel(threads)
+                .with_morsel_size(1024);
+            let what = format!("{form}, threads {threads}");
+            assert_rewritten_matches_as_given(&db, &plan, &o, &what);
+            let profiled = o.clone().profiled();
+            let (_, cut) = execute(&db, &plan, &profiled).expect("runs");
+            let (_, whole) = execute_as_given(&db, &plan, &profiled).expect("runs");
+            let (cut, whole) = (scanned(&cut), scanned(&whole));
+            assert!(cut <= 1_000 + deltas, "{what}: scanned {cut}");
+            assert!(whole + 1 >= N as u64, "{what}: as given scanned {whole}");
+        }
+        // The insert inside the range (group 7) counts, the deleted row
+        // does not.
+        let (res, _) = execute(&db, &plan, &ExecOptions::default()).expect("runs");
+        let n: i64 = res.column_by_name("n").as_i64().iter().sum();
+        assert_eq!(n, 300, "{form}");
+        let g = res.column_by_name("g").as_i64();
+        assert_eq!(g.contains(&7), deltas > 0, "{form}");
+    }
+    // Nothing to cut: a column without a summary, a range the whole
+    // fragment falls in, and a bound the predicate does not refine.
+    let mut db = Database::new();
+    db.register(fresh());
+    for (why, pred) in [
+        ("`g` has no summary index", lt(col("g"), lit_i64(2))),
+        (
+            "every row's `d` is in range",
+            and(ge(col("d"), lit_i32(-5)), gt(col("v"), lit_f64(0.0))),
+        ),
+        (
+            "the bound is a disjunction",
+            or(lt(col("d"), lit_i32(10)), gt(col("d"), lit_i32(7_990))),
+        ),
+    ] {
+        let plan = per_g(pred);
+        let fired = rule_lines(&db, &plan, &ExecOptions::default(), rule);
+        assert!(fired.is_empty(), "{rule} fired although {why}: {fired:?}");
+        for threads in [1, 2] {
+            let o = ExecOptions::default()
+                .parallel(threads)
+                .with_morsel_size(1024);
+            assert_rewritten_matches_as_given(&db, &plan, &o, &format!("{why}, threads {threads}"));
         }
     }
 }

@@ -153,7 +153,8 @@ fn q6_matches_reference() {
         q06::reference(data),
         "q6 revenue",
     );
-    // The summary prune must have cut the scan down to ~1 year of data.
+    // Rule `summary-range-select` must have cut the scan down to ~1 year
+    // of data.
     let scanned = prof
         .operators()
         .find(|(k, _)| *k == "Scan")
@@ -251,5 +252,81 @@ fn vector_size_invariance_on_q1_and_q3() {
             let (r, _) = execute(db, &plan, &ExecOptions::with_vector_size(vs)).expect("run");
             assert_eq!(r.row_strings(), base.row_strings(), "vector size {vs}");
         }
+    }
+}
+
+/// The plans carry no pruning hint: the walk derives each `Scan`'s row
+/// range from its date `Select` (rule `summary-range-select`). On Q4's
+/// `orders` side, Q6, Q14 and both phases of Q15 that is exactly the
+/// range the date column's summary index gives for the query's bounds,
+/// and the profiled scan reads exactly that range.
+#[test]
+fn date_selections_cut_the_scan_to_the_summary_range() {
+    use x100_engine::plan::Plan;
+    let db = &full_db().1;
+    let opts = ExecOptions::default();
+    let day = |y, m| i64::from(x100_vector::date::to_days(y, m, 1));
+    // Q4 merges `orders` into `lineitem`, which it reads only as far as
+    // the orders reach: profile its `orders` side alone.
+    let Plan::Order { input, .. } = q04::x100_plan() else {
+        panic!("Q4 ends in an Order")
+    };
+    let Plan::Aggr { input, .. } = *input else {
+        panic!("Q4 orders an Aggr")
+    };
+    let Plan::HashJoin { probe: orders, .. } = *input else {
+        panic!("Q4 aggregates a join")
+    };
+    let q15 = q15::x100_spec();
+    let (r1, _) = execute(db, &q15.phase1, &opts).expect("q15 phase 1");
+    let max_revenue = r1.column_by_name(q15.scalar_col).as_f64()[0];
+    let shipped = ("lineitem", "l_shipdate");
+    let cases = [
+        (
+            "q4",
+            *orders,
+            ("orders", "o_orderdate"),
+            day(1993, 7),
+            day(1993, 10),
+        ),
+        ("q6", q06::x100_plan(), shipped, day(1994, 1), day(1995, 1)),
+        (
+            "q14",
+            q14::x100_plan(),
+            shipped,
+            day(1995, 9),
+            day(1995, 10),
+        ),
+        (
+            "q15 phase 1",
+            q15.phase1,
+            shipped,
+            day(1996, 1),
+            day(1996, 4),
+        ),
+        (
+            "q15 phase 2",
+            (q15.phase2)(max_revenue),
+            shipped,
+            day(1996, 1),
+            day(1996, 4),
+        ),
+    ];
+    for (what, plan, (table, col), lo, next) in cases {
+        let hi = next - 1;
+        let t = db.table(table).expect("table");
+        let summary = t.column_by_name(col).summary().expect("summary index");
+        let (start, end) = summary.range_candidates(Some(lo), Some(hi));
+        let n = t.fragment_rows();
+        assert!(end - start < n, "{what}: the summary cuts");
+        let walk = x100_engine::explain_check(db, &plan, &opts);
+        let line = format!(
+            "rule summary-range-select: `{col}` in [{lo}, {hi}] → rows {start}..{end} of {n}"
+        );
+        assert!(walk.contains(&line), "{what}: no `{line}` in\n{walk}");
+        let (_, prof) = execute(db, &plan, &opts.clone().profiled()).expect("runs");
+        let scan = prof.operators().find(|(k, _)| *k == "Scan");
+        let scanned = scan.map(|(_, s)| s.tuples).expect("scan traced");
+        assert_eq!(scanned, (end - start) as u64, "{what}");
     }
 }

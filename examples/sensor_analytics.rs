@@ -65,8 +65,8 @@ fn main() {
     // Dashboard query: per-device temperature profile over one window,
     // hottest devices first.
     let (lo, hi) = (200_000, 300_000);
+    // The check walk derives the pruned row range from the `ts` range.
     let plan = Plan::scan("readings", &["ts", "device", "temperature"])
-        .pruned("ts", Some(lo as i64), Some(hi as i64 - 1))
         .select(and(ge(col("ts"), lit_i32(lo)), lt(col("ts"), lit_i32(hi))))
         .aggr(
             vec![("device", col("device"))],
