@@ -333,20 +333,13 @@ fn bench_select(c: &mut Criterion) {
 }
 
 /// The scan refill, per codec: the dense decode of every window (what
-/// the scan runs, under a pushed selection too) and — for PDICT strings,
-/// per selectivity — the window decoded under the selection. ns per row
-/// of one 64 K-row chunk, read in 1024-row windows; `chunk_checksum` is
-/// the verification pass of a Q1-shaped f64 chunk (22 % exceptions).
+/// the scan runs, under a pushed selection too). ns per row of one
+/// 64 K-row chunk, read in 1024-row windows; `chunk_checksum` is the
+/// verification pass of a Q1-shaped f64 chunk (22 % exceptions).
 fn bench_refill(c: &mut Criterion) {
     use x100_storage::{compress_column_as, ChunkFormat, DecodeCursor};
     const ROWS: usize = 65_536;
     let mut rng = StdRng::seed_from_u64(12);
-    let mut strs = x100_vector::StrVec::new();
-    for _ in 0..ROWS {
-        strs.push(
-            ["AIR", "MAIL", "RAIL", "SHIP", "TRUCK", "FOB", "REG AIR"][rng.gen_range(0..7usize)],
-        );
-    }
     // l_extendedprice's shape: two in nine products that no decimal
     // scale round-trips.
     let prices: Vec<f64> = (0..ROWS)
@@ -367,16 +360,6 @@ fn bench_refill(c: &mut Criterion) {
             Vector::I32((0..ROWS).map(|_| rng.gen_range(8_000..11_000)).collect()),
         ),
         ("pfor f64", ChunkFormat::Pfor, Vector::F64(prices)),
-        (
-            "pdict i64",
-            ChunkFormat::Pdict,
-            Vector::I64(
-                (0..ROWS)
-                    .map(|_| rng.gen_range(0..11i64) * 1_000_003)
-                    .collect(),
-            ),
-        ),
-        ("pdict str", ChunkFormat::Pdict, Vector::Str(strs)),
     ];
     let mut g = c.benchmark_group("refill");
     g.throughput(Throughput::Elements(ROWS as u64));
@@ -388,38 +371,11 @@ fn bench_refill(c: &mut Criterion) {
             bch.iter(|| {
                 cursor = DecodeCursor::default(); // one verification per chunk, as a scan
                 for w in 0..ROWS / N {
-                    let st = cc.decode_range(w * N, N, None, &mut out, &mut cursor, &mut scratch);
+                    let st = cc.decode_range(w * N, N, &mut out, &mut cursor, &mut scratch);
                     black_box(st.expect("verifies"));
                 }
             })
         });
-        if data.scalar_type() == ScalarType::Str {
-            for pct in [0.5, 2.0, 10.0, 50.0, 98.0] {
-                let windows: Vec<Vec<u32>> = (0..ROWS / N)
-                    .map(|_| {
-                        (0..N as u32)
-                            .filter(|_| rng.gen_range(0.0..100.0) < pct)
-                            .collect()
-                    })
-                    .collect();
-                g.bench_function(format!("{name} under the selection ({pct} %)"), |bch| {
-                    bch.iter(|| {
-                        cursor = DecodeCursor::default();
-                        for (w, sel) in windows.iter().enumerate() {
-                            let st = cc.decode_range(
-                                w * N,
-                                N,
-                                Some(sel),
-                                &mut out,
-                                &mut cursor,
-                                &mut scratch,
-                            );
-                            black_box(st.expect("verifies"));
-                        }
-                    })
-                });
-            }
-        }
         if *name == "pfor f64" {
             g.bench_function("chunk_checksum (pfor f64, 22 % exceptions)", |bch| {
                 bch.iter(|| cc.verify_chunk(black_box(0)).expect("verifies"))

@@ -62,7 +62,7 @@ pub use plan::Plan;
 pub use profile::{Profiler, TraceStat, WorkerTrace};
 pub use render::{render_expr, render_plan};
 pub use session::{Database, ExecOptions, QueryResult, DEFAULT_MORSEL_SIZE};
-pub use spill::{gc_stale_spill_dirs, global_spill_used, set_global_spill_budget, spill_root};
+pub use spill::{gc_stale_spill_dirs, spill_root};
 pub use x100_storage::{
     DurableError, DurableOptions, DurableSource, FaultPlan, FaultSite, PinnedFault,
 };

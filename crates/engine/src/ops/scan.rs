@@ -99,8 +99,6 @@ struct PushSpec {
     k: usize,
     /// The compiled encoded-space predicate.
     p: Pushdown,
-    /// Whether the one-time dictionary-rewrite counter fired.
-    counted: bool,
 }
 
 /// The scan operator.
@@ -215,7 +213,6 @@ impl ScanOp {
             push: spec.push.as_ref().map(|(k, p)| PushSpec {
                 k: *k,
                 p: p.clone(),
-                counted: false,
             }),
             mem,
             bm: spec.bm.clone(),
@@ -243,8 +240,8 @@ impl ScanOp {
     /// With a fused predicate (`CompressedScanSelect`) the window's
     /// selection comes first, in encoded space, with the deletion mask
     /// folded in; the columns then refill exactly as in a plain scan —
-    /// numeric codecs decode the whole window, PDICT strings only the
-    /// survivors' slots — and the batch carries the selection vector.
+    /// every codec decodes the whole window — and the batch carries the
+    /// selection vector.
     fn emit_fragment(
         &mut self,
         start: usize,
@@ -275,8 +272,8 @@ impl ScanOp {
         };
         let buf = sel.buf_mut();
         let mut raw = false;
-        if let Some(mut ps) = self.push.take() {
-            let r = self.select_pushed(&mut ps, start, n, buf, prof);
+        if let Some(ps) = self.push.take() {
+            let r = self.select_pushed(&ps, start, n, buf, prof);
             self.push = Some(ps);
             raw = r?;
         } else if filtered {
@@ -303,7 +300,6 @@ impl ScanOp {
             prof.record_op(op, t_scan, n);
             return Ok(());
         }
-        let live = filtered.then_some(&buf[..]);
         // Decode-on-refill accounting across all compressed columns in
         // this fragment (raw-equivalent bytes, compressed bytes touched,
         // exception patches applied).
@@ -333,7 +329,7 @@ impl ScanOp {
                     let t0 = prof.start();
                     let window =
                         |cc: &CompressedColumn, cur: &mut DecodeCursor, scr: &mut Vec<u64>| {
-                            cc.decode_range(start, n, live, out, cur, scr)
+                            cc.decode_range(start, n, out, cur, scr)
                         };
                     decoded =
                         read_compressed(&self.table, ci, &mut cs.read, &self.ctx, prof, window)?;
@@ -440,15 +436,15 @@ impl ScanOp {
     }
 
     /// The fused predicate over `[start, start+n)`, in encoded space —
-    /// PFOR lanes compared packed, PDICT predicates rewritten against
-    /// the dictionary at bind — filling `out` with the window-relative
-    /// survivors. Returns `true` when the predicate column took the
-    /// ladder's raw rung: the survivors then come from the retained raw
-    /// fragment in value space (identical, never wrong rows), and the
-    /// whole window is served raw with that one `decode_recoveries`.
+    /// PFOR lanes compared packed — filling `out` with the
+    /// window-relative survivors. Returns `true` when the predicate
+    /// column took the ladder's raw rung: the survivors then come from
+    /// the retained raw fragment in value space (identical, never wrong
+    /// rows), and the whole window is served raw with that one
+    /// `decode_recoveries`.
     fn select_pushed(
         &mut self,
-        ps: &mut PushSpec,
+        ps: &PushSpec,
         start: usize,
         n: usize,
         out: &mut Vec<u32>,
@@ -479,10 +475,6 @@ impl ScanOp {
         }
         prof.add_counter("pushdown_vectors", 1);
         prof.max_counter("compress_ratio", cc.ratio_pct());
-        if ps.p.is_dict_rewrite() && !ps.counted {
-            ps.counted = true;
-            prof.add_counter("dict_predicate_rewrites", 1);
-        }
         Ok(raw)
     }
 

@@ -18,12 +18,15 @@
 //! This module parses that syntax into a [`Plan`]. Expressions use the
 //! paper's prefix notation (`+(a, b)`, `<(a, b)`); literals are
 //! `flt('1.0')`, `date('1998-09-02')`, `str('BUILDING')`, and bare
-//! integers. Extras beyond the paper's figures: `year(e)` and
-//! `contains(e, 'x')`. Whether an enum column travels as codes is not
-//! written in a plan: the check walk derives it ([`crate::check`]).
+//! integers. Extras beyond the paper's figures: `year(e)`,
+//! `contains(e, 'x')` and the hash join
+//! `HashJoin[<type>](build, probe, [build keys] = [probe keys], [payload])`
+//! as [`crate::render`] prints it. Whether an enum column travels as
+//! codes is not written in a plan: the check walk derives it
+//! ([`crate::check`]).
 
 use crate::expr::{self, AggExpr, Expr};
-use crate::ops::{OrdExp, SortOrder};
+use crate::ops::{JoinType, OrdExp, SortOrder};
 use crate::plan::Plan;
 use crate::PlanError;
 use x100_vector::date::to_days;
@@ -150,6 +153,9 @@ impl<'a> Parser<'a> {
     fn plan(&mut self) -> Result<Plan, PlanError> {
         self.skip_ws();
         let head = self.ident()?;
+        if head == "HashJoin" {
+            return self.hash_join();
+        }
         self.eat('(')?;
         let plan = match head.as_str() {
             "Scan" => self.scan()?,
@@ -269,6 +275,39 @@ impl<'a> Parser<'a> {
         };
         self.eat(')')?;
         Ok(plan)
+    }
+
+    /// `HashJoin[<type>](build, probe, [keys] = [keys], [payload])`, the
+    /// operator name already read.
+    fn hash_join(&mut self) -> Result<Plan, PlanError> {
+        self.eat('[')?;
+        let join_type = match self.ident()?.as_str() {
+            "Inner" => JoinType::Inner,
+            "LeftOuter" => JoinType::LeftOuter,
+            "LeftSemi" => JoinType::LeftSemi,
+            "LeftAnti" => JoinType::LeftAnti,
+            other => return Err(self.err(&format!("unknown join type `{other}`"))),
+        };
+        self.eat(']')?;
+        self.eat('(')?;
+        let build = self.plan()?;
+        self.eat(',')?;
+        let probe = self.plan()?;
+        self.eat(',')?;
+        let build_keys = self.bracketed(|p| p.expr())?;
+        self.eat('=')?;
+        let probe_keys = self.bracketed(|p| p.expr())?;
+        self.eat(',')?;
+        let payload = self.alias_list()?;
+        self.eat(')')?;
+        Ok(Plan::HashJoin {
+            build: Box::new(build),
+            probe: Box::new(probe),
+            build_keys,
+            probe_keys,
+            payload,
+            join_type,
+        })
     }
 
     fn scan(&mut self) -> Result<Plan, PlanError> {

@@ -412,7 +412,7 @@ pub(crate) fn fuse_scan_select(t: &Table, cols: &[String], pred: &Expr) -> Optio
         let Some(cc) = sc.compressed() else {
             continue;
         };
-        if !matches!(cc.format(), ChunkFormat::Pfor | ChunkFormat::Pdict) {
+        if cc.format() != ChunkFormat::Pfor {
             continue;
         }
         let op = match cmp {

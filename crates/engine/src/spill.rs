@@ -61,72 +61,6 @@ const RUN_HEADER_BYTES: u64 = FRAME_OVERHEAD as u64;
 /// Distinguishes spill temp dirs of concurrent queries in one process.
 static SPILL_EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide disk budget across *all* concurrent queries' spill
-/// dirs, in bytes; 0 = unlimited. Per-query budgets still apply on
-/// top (`ExecOptions::with_spill_budget`).
-static GLOBAL_SPILL_BUDGET: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently charged against the global budget.
-static GLOBAL_SPILL_USED: AtomicU64 = AtomicU64::new(0);
-
-/// Set (or clear, with `None`) the process-wide spill disk budget
-/// shared by all concurrent queries. With per-query budgets alone, N
-/// concurrent queries can write N × budget bytes; this caps the sum.
-pub fn set_global_spill_budget(bytes: Option<u64>) {
-    GLOBAL_SPILL_BUDGET.store(bytes.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// Bytes currently charged against the global spill budget.
-pub fn global_spill_used() -> u64 {
-    GLOBAL_SPILL_USED.load(Ordering::SeqCst)
-}
-
-/// Charge `bytes` against the global budget; lock-free CAS so a racing
-/// overflow never lets the sum exceed the cap.
-fn charge_global(op: &str, bytes: usize) -> Result<(), PlanError> {
-    let budget = GLOBAL_SPILL_BUDGET.load(Ordering::SeqCst);
-    if budget == 0 {
-        GLOBAL_SPILL_USED.fetch_add(bytes as u64, Ordering::SeqCst);
-        return Ok(());
-    }
-    let mut used = GLOBAL_SPILL_USED.load(Ordering::SeqCst);
-    loop {
-        let next = used + bytes as u64;
-        if next > budget {
-            return Err(PlanError::ResourceExhausted {
-                operator: format!("{op} (global spill budget)"),
-                requested: next as usize,
-                budget: budget as usize,
-            });
-        }
-        match GLOBAL_SPILL_USED.compare_exchange_weak(
-            used,
-            next,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
-            Ok(_) => return Ok(()),
-            Err(cur) => used = cur,
-        }
-    }
-}
-
-fn release_global(bytes: u64) {
-    // Saturating: a release can only race with charges, never below 0.
-    let mut used = GLOBAL_SPILL_USED.load(Ordering::SeqCst);
-    loop {
-        let next = used.saturating_sub(bytes);
-        match GLOBAL_SPILL_USED.compare_exchange_weak(
-            used,
-            next,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
-            Ok(_) => return,
-            Err(cur) => used = cur,
-        }
-    }
-}
-
 /// The shared spill root all queries' per-query dirs live under:
 /// `$TMPDIR/x100-spill/q-{pid}-{epoch}`. One root makes stale-dir
 /// garbage collection and the global disk budget possible.
@@ -354,7 +288,6 @@ impl Drop for SpillFile {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.path);
         self.ctx.release_spill(self.bytes as usize);
-        release_global(self.bytes);
     }
 }
 
@@ -536,12 +469,6 @@ impl RunWriter {
             self.blocks as u32,
         )?;
         self.ctx.charge_spill(&self.op, bytes.len())?;
-        if let Err(e) = charge_global(&self.op, bytes.len()) {
-            // Undo the per-query charge so the two ledgers stay in
-            // lock-step (drop refunds both by `self.bytes` only).
-            self.ctx.release_spill(bytes.len());
-            return Err(e);
-        }
         if let Err(e) = self.file.write_all(bytes) {
             // The charge stands until drop/finish refunds it with the
             // rest of the file.
@@ -613,7 +540,6 @@ impl Drop for RunWriter {
         if !self.finished {
             let _ = fs::remove_file(&self.path);
             self.ctx.release_spill(self.bytes as usize);
-            release_global(self.bytes);
         }
     }
 }
@@ -718,7 +644,7 @@ impl RunReader {
                 }
                 let mut v = Vector::with_capacity(cc.physical_type(), rows);
                 let mut cursor = DecodeCursor::default();
-                cc.decode_range(0, rows, None, &mut v, &mut cursor, &mut self.scratch)?;
+                cc.decode_range(0, rows, &mut v, &mut cursor, &mut self.scratch)?;
                 v
             } else {
                 s.vector()?

@@ -185,7 +185,9 @@ fn mid_query_rot_without_durable_copy_falls_back_to_raw() {
 /// `fact` widened with an enum column whose two-byte *codes* compress
 /// (mostly below 256: one-byte PFOR lanes plus a few exceptions), so the
 /// scan's `Fetch1Join(ENUM)` arm reads compressed chunks too, and a
-/// PDICT string column the pushed refill decodes under its selection.
+/// plain string column of the same shape: the checkpoint turns it into
+/// an enum column whose codes compress alike, read as a co-column of the
+/// pushed select.
 fn wide_fact() -> Table {
     TableBuilder::new("fact")
         // Ascending with uneven gaps: PFOR-DELTA with one-byte lanes.
@@ -211,8 +213,11 @@ fn wide_fact() -> Table {
         .column("tag", {
             let mut c = Vector::with_capacity(ScalarType::Str, 0);
             for i in 0..N {
-                let s = ["alpha", "beta", "gamma", "delta"][(i % 4) as usize];
-                c.push_value(&Value::Str(s.into()));
+                let t = match i % 50 {
+                    0 => 256 + (i / 50) % 44,
+                    _ => i % 256,
+                };
+                c.push_value(&Value::Str(format!("T{t:03}")));
             }
             c
         })
@@ -230,7 +235,7 @@ fn ladder_sites() -> Vec<(&'static str, Plan, usize)> {
         ("pushed select", pushed(), 1),
         ("pushed dense co-column", pushed(), 2),
         ("pushed PFOR-DELTA co-column", pushed(), 0),
-        ("pushed PDICT-str co-column", pushed(), 4),
+        ("pushed enum-str co-column", pushed(), 4),
     ]
 }
 

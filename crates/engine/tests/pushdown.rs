@@ -5,7 +5,8 @@
 //! never-checkpointed copy of the same rows, which has no compressed
 //! column and so runs the ordinary decode-then-select pipeline — the two
 //! must be byte-identical in all circumstances: residual conjuncts,
-//! deletes, string predicates, parallel morsels, and torn chunk writes.
+//! deletes, predicates on the columns a checkpoint turns into enum
+//! columns, parallel morsels, and torn chunk writes.
 
 use x100_engine::check_plan;
 use x100_engine::expr::*;
@@ -18,9 +19,9 @@ use x100_vector::{ScalarType, Value, Vector};
 
 const N: i64 = 50_000;
 
-/// A fact table engineered so the chooser picks a different codec per
-/// column: `id` sorted → PFOR-DELTA, `k` narrow unsorted → PFOR,
-/// `grp` few wide values → PDICT, `tag` low-card strings → PDICT,
+/// A fact table engineered so the checkpoint stores each column
+/// differently: `id` sorted → PFOR-DELTA, `k` narrow unsorted → PFOR,
+/// `grp` few wide values and `tag` low-card strings → enum columns,
 /// `qty` → PFOR (scaled f64).
 fn fact_table() -> Table {
     TableBuilder::new("fact")
@@ -82,9 +83,10 @@ fn fact_db() -> Database {
     };
     assert_eq!(fmt("id"), ChunkFormat::PforDelta, "{verdicts:?}");
     assert_eq!(fmt("k"), ChunkFormat::Pfor, "{verdicts:?}");
-    assert_eq!(fmt("grp"), ChunkFormat::Pdict, "{verdicts:?}");
-    assert_eq!(fmt("tag"), ChunkFormat::Pdict, "{verdicts:?}");
     assert_eq!(fmt("qty"), ChunkFormat::Pfor, "{verdicts:?}");
+    for name in ["grp", "tag"] {
+        assert!(t.column_by_name(name).dict().is_some(), "{name} enumerated");
+    }
     db_of(t)
 }
 
@@ -175,40 +177,62 @@ fn ge_le_conjunction_fuses_as_one_between() {
 }
 
 #[test]
-fn pdict_predicates_rewrite_once_over_the_dictionary() {
+fn enum_column_predicates_match_the_raw_table() {
     let (raw, db) = (raw_db(), fact_db());
-    for pred in [
-        eq(col("tag"), lit_str("beta")),
-        ne(col("tag"), lit_str("gamma")),
-        lt(col("grp"), lit_i64(1_000_000)),
-        eq(col("grp"), lit_i64(123_456_789)),
+    for (pred, codes) in [
+        (eq(col("tag"), lit_str("beta")), true),
+        (ne(col("tag"), lit_str("gamma")), true),
+        (lt(col("grp"), lit_i64(1_000_000)), false),
+        (eq(col("grp"), lit_i64(123_456_789)), false),
     ] {
-        let plan = Plan::scan("fact", &["id", "tag", "grp"]).select(pred);
-        let prof = assert_fused_matches(&raw, &db, &plan);
-        // The predicate collapsed to a code-set test at bind: exactly
-        // one dictionary evaluation per query, not one per vector.
-        assert_eq!(prof.counter("dict_predicate_rewrites"), Some(1));
+        let plan = Plan::scan("fact", &["id", "tag", "grp"]).select(pred.clone());
+        let (want, _) = execute(&raw, &plan, &profiled()).expect("raw");
+        let (got, prof) = execute(&db, &plan, &profiled()).expect("enum");
+        assert_eq!(want.row_strings(), got.row_strings(), "{pred:?}");
+        // An enum column is no pushdown target. Where only the predicate
+        // reads it, a string literal becomes its dictionary code and the
+        // select compares one-byte codes; any other predicate compares
+        // decoded values.
+        assert!(prof.counter("pushdown_vectors").is_none(), "{pred:?}");
+        let ids = Plan::scan("fact", &["id", "tag", "grp"])
+            .select(pred.clone())
+            .project(vec![("id", col("id"))]);
+        let log = check_plan(&db, &ids, &profiled()).expect("checks").render();
+        assert_eq!(log.contains("_u8_col_val"), codes, "{pred:?}: {log}");
     }
 }
 
+/// One answer per storage form: string ordering is not a predicate the
+/// engine runs, so `tag < 'c'` is the same typed error over the raw
+/// table, the checkpointed one (`tag` an enum column there), and the
+/// checkpointed one with a pending insert.
 #[test]
-fn string_range_predicates_only_exist_in_encoded_space() {
-    // The decode-then-select path supports only `=` / `!=` on strings;
-    // the dictionary rewrite evaluates any ordering once over the
-    // sorted dictionary, so `<` works — without ever touching a StrVec.
-    let (raw, db) = (raw_db(), fact_db());
-    let range = Plan::scan("fact", &["id", "tag"]).select(lt(col("tag"), lit_str("c")));
-    // `tag < "c"` keeps exactly {alpha, beta}; express that with two
-    // stacked `!=` selects the classic path can run.
-    let equiv = Plan::scan("fact", &["id", "tag"])
-        .select(ne(col("tag"), lit_str("gamma")))
-        .select(ne(col("tag"), lit_str("delta")));
-    let (want, _) = execute(&raw, &equiv, &profiled()).expect("equiv");
-    let (got, prof) = execute(&db, &range, &profiled()).expect("fused");
-    assert_eq!(want.row_strings(), got.row_strings());
-    assert_eq!(prof.counter("dict_predicate_rewrites"), Some(1));
-    // And the classic path indeed cannot run the range form.
-    assert!(execute(&raw, &range, &profiled()).is_err());
+fn string_ordering_is_refused_in_every_storage_form() {
+    let plan = Plan::scan("fact", &["id", "tag"]).select(lt(col("tag"), lit_str("c")));
+    let mut pending = fact_table_as(true);
+    pending.insert(&[
+        Value::I64(N),
+        Value::I64(42),
+        Value::I64(5),
+        Value::Str("beta".into()),
+        Value::F64(1.5),
+    ]);
+    for (form, db) in [
+        ("raw", raw_db()),
+        ("checkpointed", fact_db()),
+        ("checkpointed + insert", db_of(pending)),
+    ] {
+        match execute(&db, &plan, &profiled()) {
+            Err(x100_engine::PlanError::PlanCheck {
+                violation: x100_engine::CheckViolation::TypeMismatch { signature, detail },
+                ..
+            }) => {
+                assert_eq!(signature, "select_eq_str_col_val", "{form}");
+                assert!(detail.contains("only = / !="), "{form}: {detail}");
+            }
+            other => panic!("{form}: {:?}", other.map(|(r, _)| r.num_rows())),
+        }
+    }
 }
 
 #[test]
@@ -269,11 +293,12 @@ fn deletes_fold_into_the_encoded_selection() {
 }
 
 /// The pushed refill ≡ the raw table over the whole space its decisions
-/// span: selectivity {0, one row, ~2 %, ~50 %, all} × predicate codec
-/// {PFOR i32, PFOR f64 with 22 % exceptions, PDICT i64, PDICT str} with
-/// every other codec riding along as a co-column (incl. PFOR-DELTA and
-/// PDICT f64, aggregated under the select) × deletes × threads
-/// {1, 2, 4, 8} × vector size {7, 1024}.
+/// span: selectivity {0, one row, ~2 %, ~50 %, all} × predicate column
+/// {PFOR i32, PFOR f64 with 22 % exceptions, enum i64, enum str} with
+/// every other column riding along as a co-column (incl. PFOR-DELTA and
+/// enum f64, aggregated under the select) × deletes × threads
+/// {1, 2, 4, 8} × vector size {7, 1024}. Only the PFOR columns push
+/// their predicate; the enum columns answer the same rows from codes.
 mod matrix {
     use super::*;
 
@@ -282,8 +307,8 @@ mod matrix {
 
     /// `id` sorted → PFOR-DELTA; `p` even numbers, unsorted → PFOR i32;
     /// `f` Q1-shaped f64 → PFOR, two in nine values exceptions; `g` five
-    /// wide values → PDICT i64; `s` four strings → PDICT str; `d` 97
-    /// square roots, which no decimal scale makes exact → PDICT f64. Row
+    /// wide values → enum i64; `s` four strings → enum str; `d` 97
+    /// square roots, which no decimal scale makes exact → enum f64. Row
     /// `ONE` holds the one odd `p`, the maximum `f`, the one `g` = 42 and
     /// the one `s` = "zeta". Checkpointed or never (the oracle).
     fn table(deletes: bool, checkpoint: bool) -> Table {
@@ -331,13 +356,13 @@ mod matrix {
                 ("id", ChunkFormat::PforDelta),
                 ("p", ChunkFormat::Pfor),
                 ("f", ChunkFormat::Pfor),
-                ("g", ChunkFormat::Pdict),
-                ("s", ChunkFormat::Pdict),
-                ("d", ChunkFormat::Pdict),
             ];
             for (name, fmt) in want {
                 let got = verdicts.iter().find(|(n, _, _)| n == name).map(|v| v.1);
                 assert_eq!(got, Some(fmt), "{name}: {verdicts:?}");
+            }
+            for name in ["g", "s", "d"] {
+                assert!(t.column_by_name(name).dict().is_some(), "{name} enumerated");
             }
         }
         if deletes {
@@ -423,9 +448,11 @@ mod matrix {
                             let (want, _) = execute(&raw, plan, &opts).expect("raw");
                             let (got, prof) = execute(&db, plan, &opts).expect("pushed");
                             assert_eq!(got.row_strings(), want.row_strings(), "{case}");
-                            assert!(
+                            let pfor = what.starts_with('p') || what.starts_with('f');
+                            assert_eq!(
                                 prof.counter("pushdown_vectors").unwrap_or(0) > 0,
-                                "{case}: not pushed"
+                                pfor,
+                                "{case}: pushed only on a PFOR column"
                             );
                         }
                     }
@@ -479,8 +506,10 @@ fn checker_reports_the_fused_operator() {
 
 /// A star schema for the positional joins: the join-index `#rowId`
 /// column is sorted so the chooser PFOR-DELTA-encodes it, and the
-/// dimension's payload columns compress too. A fetch still gathers from
-/// the dimension's resident fragment; its chunks serve scans only.
+/// dimension's payload columns compress too — `name`, 300 strings
+/// mostly among the first 256, as an enum column whose two-byte codes
+/// take one-byte PFOR lanes. A fetch still gathers from the dimension's
+/// resident fragment; its chunks serve scans only.
 mod star {
     use super::*;
 
@@ -504,8 +533,11 @@ mod star {
             .column("name", {
                 let mut c = Vector::with_capacity(ScalarType::Str, 0);
                 for i in 0..DIM {
-                    let s = ["red", "green", "blue", "cyan", "teal"][(i % 5) as usize];
-                    c.push_value(&Value::Str(s.into()));
+                    let n = match i % 50 {
+                        0 => 256 + (i / 50) % 44,
+                        _ => i % 256,
+                    };
+                    c.push_value(&Value::Str(format!("N{n:03}")));
                 }
                 c
             })

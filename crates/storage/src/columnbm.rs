@@ -70,8 +70,8 @@ pub enum FaultSite {
     DeltaRead,
     /// Enum dictionary value lookups (code → value gather).
     DictLookup,
-    /// Compressed-chunk reads/decodes (PFOR / PDICT / PFOR-DELTA
-    /// expansion inside the scan).
+    /// Compressed-chunk reads/decodes (PFOR / PFOR-DELTA expansion
+    /// inside the scan).
     CompressedRead,
     /// Compressed-chunk writes during checkpoint / reorganize.
     CheckpointWrite,

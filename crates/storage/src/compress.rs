@@ -2,20 +2,25 @@
 //! compression (paper §4.3 / §5).
 //!
 //! At checkpoint / reorganize time a per-column *format chooser* bounds
-//! each format's size from the fragment's sort order, a byte histogram
-//! and a sample's cardinality, encodes only the formats that can win,
-//! and rewrites the fragment as a sequence of compressed chunks — PFOR,
-//! PFOR-DELTA or PDICT — each carrying a self-describing
-//! [`ChunkHeader`] plus exception blocks. Columns where compression
-//! would not pay (savings below 10%) stay raw. The scan decompresses vector-at-a-time through
+//! each format's size from the fragment's sort order and a byte
+//! histogram, encodes only the formats that can win, and rewrites the
+//! fragment as a sequence of compressed chunks — PFOR or PFOR-DELTA —
+//! each carrying a self-describing [`ChunkHeader`] plus exception
+//! blocks. Columns where compression would not pay (savings below 10%)
+//! stay raw. The scan decompresses vector-at-a-time through
 //! [`CompressedColumn::decode_range`], so compressed data stays
 //! compressed in the buffer pool and expands only into cache-resident
 //! vectors.
+//!
+//! Dictionary compression is not a chunk format: where a dictionary
+//! would beat every chunk format ([`dictionary_wins`]), the checkpoint
+//! turns the column into an enumeration type ([`crate::enumcol`]) and
+//! its codes go through this chooser like any other integer column.
 
-use crate::frame::{fold_checksum, fold_values, Le, Reader, Writer};
+use crate::frame::{fold_checksum, fold_values, Reader, Writer};
 use crate::table::ColumnStats;
 use x100_vector::compress as k;
-use x100_vector::{ScalarType, StrVec, Value, Vector};
+use x100_vector::{ScalarType, Value, Vector};
 
 /// Rows per compressed chunk. A multiple of the vector size and of
 /// [`k::DELTA_SYNC`], so vector refills decode aligned lanes.
@@ -26,7 +31,7 @@ pub const HEADER_BYTES: usize = 32;
 
 const HEADER_MAGIC: u8 = 0xCB;
 const COLUMN_MAGIC: &[u8; 4] = b"XCPC";
-const COLUMN_VERSION: u8 = 2;
+const COLUMN_VERSION: u8 = 3;
 
 /// Physical format of one compressed chunk (or of a whole column, as
 /// the chooser's verdict). The discriminant is the on-disk tag.
@@ -38,14 +43,12 @@ pub enum ChunkFormat {
     Pfor,
     /// PFOR over deltas of a non-decreasing column.
     PforDelta,
-    /// Dictionary codes into a column-wide sorted dictionary.
-    Pdict,
 }
 
 impl ChunkFormat {
     fn from_tag(tag: u8) -> Result<ChunkFormat, String> {
         use ChunkFormat::*;
-        let known = [Raw, Pfor, PforDelta, Pdict].get(tag as usize).copied();
+        let known = [Raw, Pfor, PforDelta].get(tag as usize).copied();
         known.ok_or_else(|| format!("unknown chunk format tag {tag}"))
     }
 
@@ -55,7 +58,6 @@ impl ChunkFormat {
             ChunkFormat::Raw => "raw",
             ChunkFormat::Pfor => "pfor",
             ChunkFormat::PforDelta => "pfordelta",
-            ChunkFormat::Pdict => "pdict",
         }
     }
 }
@@ -70,7 +72,7 @@ impl ChunkFormat {
 pub struct ChunkHeader {
     /// Chunk format tag.
     pub format: ChunkFormat,
-    /// Frame lane in bits (PFOR / PFOR-DELTA) or code width (PDICT).
+    /// Frame lane in bits.
     pub lane: u8,
     /// 8-bit fold of the payload + exception + sync bytes, written when
     /// the chunk is built and re-checked on every compressed read. A
@@ -128,21 +130,16 @@ impl ChunkHeader {
     /// `rows` rows inside a column of format `column`: the kernels index
     /// payload, patch and sync lists from these numbers without looking
     /// back. Payload *contents* stay guarded by `checksum`.
-    fn validate(&self, column: ChunkFormat, dict_lane: u32, rows: u64) -> Result<(), String> {
+    fn validate(&self, column: ChunkFormat, rows: u64) -> Result<(), String> {
         use ChunkFormat::*;
         let format_ok = self.format == column || (column == PforDelta && self.format == Pfor);
-        let lane_ok = match self.format {
-            Pdict => self.lane as u32 == dict_lane,
-            _ => matches!(self.lane, 0 | 8 | 16 | 32 | 64),
-        };
-        let lists_ok = match self.format {
-            PforDelta => self.sync_points as u64 == rows.div_ceil(k::DELTA_SYNC as u64),
-            Pfor => self.sync_points == 0,
-            _ => self.sync_points == 0 && self.exceptions == 0,
+        let syncs = match self.format {
+            PforDelta => rows.div_ceil(k::DELTA_SYNC as u64),
+            _ => 0,
         };
         if format_ok
-            && lane_ok
-            && lists_ok
+            && matches!(self.lane, 0 | 8 | 16 | 32 | 64)
+            && self.sync_points as u64 == syncs
             && self.rows as u64 == rows
             && self.payload_bytes as u64 == rows * self.lane as u64 / 8
             && self.exceptions as u64 <= rows
@@ -164,8 +161,6 @@ pub enum ChunkBody {
     Pfor(k::PforChunk),
     /// Delta frames + sync carries + exception block.
     PforDelta(k::PforDeltaChunk),
-    /// Packed dictionary codes (dictionary lives on the column).
-    Pdict(Vec<u8>),
 }
 
 /// One compressed chunk: header + typed body.
@@ -184,7 +179,6 @@ impl CompressedChunk {
             + match &self.body {
                 ChunkBody::Pfor(c) => c.byte_size(),
                 ChunkBody::PforDelta(c) => c.byte_size(),
-                ChunkBody::Pdict(p) => p.len(),
             }
     }
 }
@@ -223,9 +217,6 @@ pub struct CompressedColumn {
     chunks: Vec<CompressedChunk>,
     /// Byte offset of each chunk in the compressed stream.
     chunk_offsets: Vec<u64>,
-    /// Column-wide sorted dictionary (PDICT columns only).
-    dict: Option<Vector>,
-    dict_lane: u32,
     raw_bytes: u64,
     compressed_bytes: u64,
 }
@@ -256,7 +247,7 @@ impl CompressedColumn {
         self.raw_bytes
     }
 
-    /// Compressed size in bytes (headers + payloads + dictionary).
+    /// Compressed size in bytes (headers + payloads).
     pub fn compressed_bytes(&self) -> u64 {
         self.compressed_bytes
     }
@@ -293,7 +284,6 @@ impl CompressedColumn {
             ChunkFormat::Raw => "raw",
             ChunkFormat::Pfor => sig!("pfor"),
             ChunkFormat::PforDelta => sig!("pfordelta"),
-            ChunkFormat::Pdict => sig!("pdict"),
         }
     }
 
@@ -305,8 +295,6 @@ impl CompressedColumn {
         rows: usize,
         raw_bytes: u64,
         chunks: Vec<CompressedChunk>,
-        dict: Option<Vector>,
-        dict_lane: u32,
     ) -> CompressedColumn {
         let mut chunk_offsets = Vec::with_capacity(chunks.len());
         let mut off = 0u64;
@@ -314,17 +302,14 @@ impl CompressedColumn {
             chunk_offsets.push(off);
             off += c.byte_size() as u64;
         }
-        let compressed_bytes = off + dict.as_ref().map_or(0, |d| d.byte_size() as u64);
         CompressedColumn {
             format,
             physical,
             rows,
             chunks,
             chunk_offsets,
-            dict,
-            dict_lane,
             raw_bytes,
-            compressed_bytes,
+            compressed_bytes: off,
         }
     }
 
@@ -346,7 +331,7 @@ impl CompressedColumn {
     }
 
     /// Write the column as one self-describing section: a preamble
-    /// (format, physical type, rows, dictionary) followed by every chunk
+    /// (format, physical type, rows, raw size) followed by every chunk
     /// as header + body blocks in the order the chunk checksum folds
     /// them. Durable column files and spill blocks embed exactly this.
     /// The per-chunk checksums travel inside the headers, so a byte torn
@@ -357,12 +342,7 @@ impl CompressedColumn {
         w.put_type(self.physical);
         w.put(self.rows as u64);
         w.put(self.raw_bytes);
-        w.put(self.dict_lane);
         w.put(self.chunks.len() as u32);
-        w.put(self.dict.is_some());
-        if let Some(d) = &self.dict {
-            w.put_column(d);
-        }
         for c in &self.chunks {
             c.header.put(w);
             match &c.body {
@@ -377,7 +357,6 @@ impl CompressedColumn {
                     w.put_slice(&p.exc_pos);
                     w.put_slice(&p.exc_frames);
                 }
-                ChunkBody::Pdict(p) => w.put_slice(p),
             }
         }
     }
@@ -389,42 +368,28 @@ impl CompressedColumn {
     /// corruption inside a chunk body is deferred to the per-chunk
     /// checksum on the first decode touch.
     pub fn read(r: &mut Reader<'_>) -> Result<CompressedColumn, String> {
-        use ScalarType::{Str, F64, I32, I64};
         let format = ChunkFormat::from_tag(r.get()?)?;
         let physical = r.get_type()?;
         let rows = r.get::<u64>()?;
         let raw_bytes = r.get::<u64>()?;
-        let dict_lane = r.get::<u32>()?;
         let n_chunks = r.count::<u32>(HEADER_BYTES)?;
-        let dict = if r.get()? { Some(r.column()?) } else { None };
         let typed = match format {
             ChunkFormat::Raw => false,
             ChunkFormat::Pfor => physical.is_numeric(),
             ChunkFormat::PforDelta => physical.is_integer(),
-            ChunkFormat::Pdict => matches!(physical, I32 | I64 | F64 | Str),
         };
-        let dict_ok = match &dict {
-            None => format != ChunkFormat::Pdict && dict_lane == 0,
-            Some(d) => {
-                format == ChunkFormat::Pdict
-                    && d.scalar_type() == physical
-                    && matches!(dict_lane, 8 | 16)
-                    && d.len() <= 1 << dict_lane
-            }
-        };
-        if !typed || !dict_ok || n_chunks as u64 != rows.div_ceil(CHUNK_ROWS as u64) {
+        if !typed || n_chunks as u64 != rows.div_ceil(CHUNK_ROWS as u64) {
             return Err(format!(
                 "inconsistent column preamble: {} over {physical}, {rows} rows in {n_chunks} \
-                 chunks, dictionary {:?} at lane {dict_lane}",
+                 chunks",
                 format.name(),
-                dict.as_ref().map(Vector::scalar_type)
             ));
         }
         let mut chunks = Vec::with_capacity(n_chunks);
         let mut left = rows;
         for _ in 0..n_chunks {
             let header = ChunkHeader::read(r)?;
-            header.validate(format, dict_lane, left.min(CHUNK_ROWS as u64))?;
+            header.validate(format, left.min(CHUNK_ROWS as u64))?;
             left -= header.rows as u64;
             let payload = r.take(header.payload_bytes as usize)?.to_vec();
             let sync = r.slice(header.sync_points as usize)?;
@@ -454,22 +419,6 @@ impl CompressedColumn {
                     exc_pos,
                     exc_frames,
                 }),
-                ChunkFormat::Pdict => {
-                    // The one payload property a kernel indexes by:
-                    // every code must name a dictionary entry.
-                    let top = match lane {
-                        8 => payload.iter().max().map(|&c| c as usize),
-                        _ => payload
-                            .chunks_exact(2)
-                            .map(u16::read)
-                            .max()
-                            .map(usize::from),
-                    };
-                    if top >= dict.as_ref().map(Vector::len) {
-                        return Err(format!("dictionary code {top:?} has no entry"));
-                    }
-                    ChunkBody::Pdict(payload)
-                }
                 ChunkFormat::Raw => return Err("raw tag inside compressed chunk".into()),
             };
             chunks.push(CompressedChunk { header, body });
@@ -480,8 +429,6 @@ impl CompressedColumn {
             rows as usize,
             raw_bytes,
             chunks,
-            dict,
-            dict_lane,
         ))
     }
 
@@ -491,18 +438,12 @@ impl CompressedColumn {
     /// frame buffer the governor charges. Fails (typed upstream as
     /// `Io`) when a chunk's stored checksum no longer matches its body.
     ///
-    /// `sel` (window-relative, ascending) is the selection the caller
-    /// will apply. Only PDICT *string* columns use it: selected slots get
-    /// their dictionary value, every other slot the empty string (the
-    /// positional-gather convention), so a selective scan never copies
-    /// the strings it drops. Every other codec decodes the whole window
-    /// — a dense decode is cheaper than gathering even a few survivors
-    /// (DESIGN.md §11).
+    /// The whole window decodes even under a selection: a dense decode
+    /// is cheaper than gathering even a few survivors (DESIGN.md §11).
     pub fn decode_range(
         &self,
         start: usize,
         rows: usize,
-        sel: Option<&[u32]>,
         out: &mut Vector,
         cursor: &mut DecodeCursor,
         scratch: &mut Vec<u64>,
@@ -512,18 +453,14 @@ impl CompressedColumn {
             comp_offset: u64::MAX,
             ..DecodeStats::default()
         };
-        if self.physical == ScalarType::Str {
-            out.clear();
-        } else {
-            // Every numeric position is overwritten by the dense decode
-            // below, so only growth needs the zero fill — resizing in
-            // place (instead of clear + refill) skips one full store
-            // pass per refill once the vector reaches steady state.
-            out.resize_zeroed(rows);
-        }
+        // Every position is overwritten by the dense decode below, so
+        // only growth needs the zero fill — resizing in place (instead
+        // of clear + refill) skips one full store pass per refill once
+        // the vector reaches steady state.
+        out.resize_zeroed(rows);
         for (ci, local, n) in chunk_pieces(start, rows) {
             let at = ci * CHUNK_ROWS + local - start;
-            self.decode_chunk(ci, local, n, at, sel, out, cursor, scratch, &mut stats)?;
+            self.decode_chunk(ci, local, n, at, out, cursor, scratch, &mut stats)?;
         }
         if stats.comp_offset == u64::MAX {
             stats.comp_offset = 0;
@@ -532,7 +469,7 @@ impl CompressedColumn {
     }
 
     /// Decode `n` rows of chunk `ci` starting at chunk-local `local`
-    /// into `out` at position `at` (`sel` as in `decode_range`).
+    /// into `out` at position `at`.
     #[allow(clippy::too_many_arguments)]
     fn decode_chunk(
         &self,
@@ -540,7 +477,6 @@ impl CompressedColumn {
         local: usize,
         n: usize,
         at: usize,
-        sel: Option<&[u32]>,
         out: &mut Vector,
         cursor: &mut DecodeCursor,
         scratch: &mut Vec<u64>,
@@ -611,41 +547,6 @@ impl CompressedColumn {
                 cursor.next_row = abs + n;
                 cursor.carry = new_carry;
             }
-            ChunkBody::Pdict(payload) => {
-                let dict = self.dict.as_ref().expect("pdict column has a dictionary");
-                let lane = self.dict_lane;
-                match (out, dict) {
-                    (Vector::I32(dst), Vector::I32(d)) => {
-                        k::decompress_pdict_i32_col(&mut dst[at..at + n], payload, lane, local, d)
-                    }
-                    (Vector::I64(dst), Vector::I64(d)) => {
-                        k::decompress_pdict_i64_col(&mut dst[at..at + n], payload, lane, local, d)
-                    }
-                    (Vector::F64(dst), Vector::F64(d)) => {
-                        k::decompress_pdict_f64_col(&mut dst[at..at + n], payload, lane, local, d)
-                    }
-                    (Vector::Str(dst), Vector::Str(d)) => match sel {
-                        None => {
-                            k::decompress_pdict_str_col(dst, payload, lane, local, n, d, scratch)
-                        }
-                        Some(sel) => {
-                            // Survivors of this piece, as window positions;
-                            // the slots between them stay empty strings.
-                            let lo = sel.partition_point(|&p| (p as usize) < at);
-                            let hi = sel.partition_point(|&p| (p as usize) < at + n);
-                            let mut next = at;
-                            for &p in &sel[lo..hi] {
-                                (next..p as usize).for_each(|_| dst.push(""));
-                                let pos = (p as usize - at + local) as u32;
-                                k::decode_sel_pdict_str_col(dst, payload, lane, d, &[pos]);
-                                next = p as usize + 1;
-                            }
-                            (next..at + n).for_each(|_| dst.push(""));
-                        }
-                    },
-                    (o, _) => panic!("pdict decode into {:?}", o.scalar_type()),
-                }
-            }
         }
         let off = self.chunk_offsets[ci] + HEADER_BYTES as u64 + local as u64 * lane_bytes;
         stats.comp_offset = stats.comp_offset.min(off);
@@ -703,7 +604,6 @@ impl CompressedColumn {
         let payload = match &mut chunk.body {
             ChunkBody::Pfor(c) => &mut c.payload,
             ChunkBody::PforDelta(c) => &mut c.payload,
-            ChunkBody::Pdict(p) => p,
         };
         match payload.get_mut(at) {
             Some(b) => {
@@ -717,16 +617,9 @@ impl CompressedColumn {
     /// Compile `col ⟨op⟩ v` (or `col between v w`) into this column's
     /// encoded space. Returns `None` when no encoded-space kernel
     /// exists for the (format, type, op) triple — PFOR-DELTA columns
-    /// (prefix sums), `ne` over PFOR frames, `between` over dictionary
-    /// codes, or a constant whose type does not match the column — and
-    /// the caller falls back to decode-then-select.
-    ///
-    /// For PDICT this is where the dictionary-predicate rewrite
-    /// happens: the predicate is evaluated once over the sorted
-    /// dictionary and collapsed into a code-set test
-    /// ([`k::DictSel`]), so per-vector evaluation never touches the
-    /// dictionary values again — string predicates in particular never
-    /// materialize a `StrVec` until output.
+    /// (prefix sums), `ne` over PFOR frames, or a constant whose type
+    /// does not match the column — and the caller falls back to
+    /// decode-then-select.
     pub fn compile_pushdown(&self, op: PushOp, v: &Value, w: Option<&Value>) -> Option<Pushdown> {
         if v.scalar_type() != self.physical {
             return None;
@@ -739,75 +632,21 @@ impl CompressedColumn {
         } else if w.is_some() {
             return None;
         }
-        let opn = op.name();
+        if self.format != ChunkFormat::Pfor || op == PushOp::Ne {
+            return None;
+        }
         let ty = self.physical.sig_name();
-        match self.format {
-            ChunkFormat::Pfor => {
-                if op == PushOp::Ne || self.physical == ScalarType::Str {
-                    return None;
-                }
-                let sig = if op == PushOp::Between {
-                    format!("cmp_pfor_between_{ty}_col_val_val")
-                } else {
-                    format!("cmp_pfor_{opn}_{ty}_col_val")
-                };
-                Some(Pushdown {
-                    op,
-                    lo: v.clone(),
-                    hi: w.cloned(),
-                    dict: None,
-                    sig,
-                })
-            }
-            ChunkFormat::Pdict => {
-                if op == PushOp::Between {
-                    return None;
-                }
-                let dict = self.dict_predicate(op, v)?;
-                Some(Pushdown {
-                    op,
-                    lo: v.clone(),
-                    hi: None,
-                    dict: Some(dict),
-                    sig: format!("cmp_pdict_{opn}_{ty}_col_val"),
-                })
-            }
-            ChunkFormat::Raw | ChunkFormat::PforDelta => None,
-        }
-    }
-
-    /// The dictionary-predicate rewrite: evaluate `op v` over every
-    /// dictionary entry once and collapse the result.
-    fn dict_predicate(&self, op: PushOp, v: &Value) -> Option<k::DictSel> {
-        let dict = self.dict.as_ref()?;
-        macro_rules! pred {
-            ($d:expr, $x:expr) => {
-                match op {
-                    PushOp::Eq => $d == $x,
-                    PushOp::Ne => $d != $x,
-                    PushOp::Lt => $d < $x,
-                    PushOp::Le => $d <= $x,
-                    PushOp::Gt => $d > $x,
-                    PushOp::Ge => $d >= $x,
-                    PushOp::Between => false,
-                }
-            };
-        }
-        match (dict, v) {
-            (Vector::I32(d), Value::I32(x)) => {
-                Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
-            }
-            (Vector::I64(d), Value::I64(x)) => {
-                Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
-            }
-            (Vector::F64(d), Value::F64(x)) => {
-                Some(k::DictSel::from_pred(d.len(), |c| pred!(d[c], *x)))
-            }
-            (Vector::Str(d), Value::Str(x)) => Some(k::DictSel::from_pred(d.len(), |c| {
-                pred!(d.get(c), x.as_str())
-            })),
-            _ => None,
-        }
+        let sig = if op == PushOp::Between {
+            format!("cmp_pfor_between_{ty}_col_val_val")
+        } else {
+            format!("cmp_pfor_{}_{ty}_col_val", op.name())
+        };
+        Some(Pushdown {
+            op,
+            lo: v.clone(),
+            hi: w.cloned(),
+            sig,
+        })
     }
 
     /// Evaluate a compiled pushdown over rows `[start, start + rows)`
@@ -829,10 +668,6 @@ impl CompressedColumn {
             let before = out.len();
             match &chunk.body {
                 ChunkBody::Pfor(c) => pfor_chunk_select(p, c, local, n, out),
-                ChunkBody::Pdict(payload) => {
-                    let sel = p.dict.as_ref().expect("pdict pushdown carries a rewrite");
-                    k::pdict_select_codes(payload, self.dict_lane, local, n, sel, out);
-                }
                 ChunkBody::PforDelta(_) => {
                     return Err("pushdown over PFOR-DELTA chunks is not supported".into());
                 }
@@ -877,16 +712,14 @@ impl PushOp {
     }
 }
 
-/// One predicate compiled into a compressed column's encoded space.
-/// For PFOR the constant is re-translated per chunk (base and scale are
-/// per-chunk properties); for PDICT the dictionary was already
-/// evaluated at compile time and collapsed into a code-set test.
+/// One predicate compiled into a PFOR column's encoded space. The
+/// constant is re-translated per chunk (base and scale are per-chunk
+/// properties).
 #[derive(Debug, Clone)]
 pub struct Pushdown {
     op: PushOp,
     lo: Value,
     hi: Option<Value>,
-    dict: Option<k::DictSel>,
     sig: String,
 }
 
@@ -895,11 +728,6 @@ impl Pushdown {
     /// `engine::check` verifies it like any compiled instruction.
     pub fn sig(&self) -> &str {
         &self.sig
-    }
-
-    /// True when this pushdown is a dictionary-predicate rewrite.
-    pub fn is_dict_rewrite(&self) -> bool {
-        self.dict.is_some()
     }
 
     /// The comparison this pushdown evaluates.
@@ -1048,7 +876,6 @@ fn chunk_checksum(body: &ChunkBody) -> u8 {
     match body {
         ChunkBody::Pfor(c) => pfor_checksum(c),
         ChunkBody::PforDelta(c) => pfordelta_checksum(c),
-        ChunkBody::Pdict(p) => fold_checksum(p),
     }
 }
 
@@ -1076,20 +903,16 @@ fn window_exceptions(exc_pos: &[u32], start: usize, n: usize) -> u64 {
 }
 
 /// Compress `data` in a specific format, or `None` when the format does
-/// not apply to this column (wrong type, unsorted for PFOR-DELTA,
-/// cardinality too high for PDICT). `Raw` always yields `None`.
+/// not apply to this column (wrong type, unsorted for PFOR-DELTA). `Raw`
+/// always yields `None`.
 pub fn compress_column_as(data: &Vector, format: ChunkFormat) -> Option<CompressedColumn> {
     if data.is_empty() {
         return None;
     }
-    let (chunks, dict, dict_lane) = match format {
+    let chunks = match format {
         ChunkFormat::Raw => return None,
-        ChunkFormat::Pfor => (pfor_chunks(data)?, None, 0),
-        ChunkFormat::PforDelta => (pfordelta_chunks(data)?, None, 0),
-        ChunkFormat::Pdict => {
-            let (chunks, dict, lane) = pdict_chunks(data)?;
-            (chunks, Some(dict), lane)
-        }
+        ChunkFormat::Pfor => pfor_chunks(data)?,
+        ChunkFormat::PforDelta => pfordelta_chunks(data)?,
     };
     Some(CompressedColumn::assemble(
         format,
@@ -1097,8 +920,6 @@ pub fn compress_column_as(data: &Vector, format: ChunkFormat) -> Option<Compress
         data.len(),
         data.byte_size() as u64,
         chunks,
-        dict,
-        dict_lane,
     ))
 }
 
@@ -1115,14 +936,11 @@ pub fn compress_column_as(data: &Vector, format: ChunkFormat) -> Option<Compress
 /// order and the earlier kept on a tie. `stats` are the fragment's own:
 /// PFOR-DELTA is a candidate only when they say it is non-decreasing.
 pub fn choose_and_compress(data: &Vector, stats: &ColumnStats) -> Option<CompressedColumn> {
-    use ChunkFormat::{Pdict, Pfor, PforDelta};
+    use ChunkFormat::{Pfor, PforDelta};
     let candidates: &[ChunkFormat] = match data {
         _ if data.is_empty() => return None,
-        Vector::Bool(_) => return None,
-        Vector::Str(_) => &[Pdict],
-        Vector::F64(_) => &[Pfor, Pdict],
-        Vector::I32(_) | Vector::I64(_) if stats.sorted => &[Pfor, PforDelta, Pdict],
-        Vector::I32(_) | Vector::I64(_) => &[Pfor, Pdict],
+        Vector::Bool(_) | Vector::Str(_) => return None,
+        Vector::F64(_) => &[Pfor],
         _ if stats.sorted => &[Pfor, PforDelta],
         _ => &[Pfor],
     };
@@ -1130,9 +948,7 @@ pub fn choose_and_compress(data: &Vector, stats: &ColumnStats) -> Option<Compres
     let pays = |bytes: u64| bytes * 10 <= raw * 9;
     let mut best: Option<CompressedColumn> = None;
     for &format in candidates {
-        let Some(floor) = size_floor(data, format) else {
-            continue;
-        };
+        let floor = size_floor(data, format);
         if !pays(floor) || best.as_ref().is_some_and(|b| b.compressed_bytes <= floor) {
             continue;
         }
@@ -1149,26 +965,15 @@ pub fn choose_and_compress(data: &Vector, stats: &ColumnStats) -> Option<Compres
 }
 
 /// A lower bound on `compress_column_as(data, format)`'s
-/// `compressed_bytes`, or `None` when that format is certain to refuse
-/// the column. Every chunk pays its header; beyond that:
-/// - **PFOR on 1-byte data** is priced exactly from a per-chunk 256-bin
-///   histogram: lane 0 costs an exception per value off the mode, any
-///   wider lane at least a byte per value.
-/// - **PDICT**: the distinct values of a strided sample are a subset of
-///   the column's. More than the cap means the format refuses; more than
-///   256 means 16-bit codes; and the dictionary is at least the sample's.
-fn size_floor(data: &Vector, format: ChunkFormat) -> Option<u64> {
-    let headers = (data.len().div_ceil(CHUNK_ROWS) * HEADER_BYTES) as u64;
+/// `compressed_bytes`. Every chunk pays its header; beyond that, PFOR
+/// on 1-byte data is priced exactly from a per-chunk 256-bin histogram:
+/// lane 0 costs an exception per value off the mode, any wider lane at
+/// least a byte per value.
+fn size_floor(data: &Vector, format: ChunkFormat) -> u64 {
     match (format, data) {
-        (ChunkFormat::Pfor, Vector::U8(v)) => Some(one_byte_pfor_floor(v, |&x| x)),
-        (ChunkFormat::Pfor, Vector::I8(v)) => Some(one_byte_pfor_floor(v, |&x| x as u8)),
-        (ChunkFormat::Pdict, _) => {
-            let step = data.len().div_ceil(PDICT_SAMPLE_ROWS);
-            let sample = pdict_dictionary(data, step)?;
-            let code_bytes = if sample.len() <= 256 { 1 } else { 2 };
-            Some(headers + (data.len() * code_bytes + sample.byte_size()) as u64)
-        }
-        _ => Some(headers),
+        (ChunkFormat::Pfor, Vector::U8(v)) => one_byte_pfor_floor(v, |&x| x),
+        (ChunkFormat::Pfor, Vector::I8(v)) => one_byte_pfor_floor(v, |&x| x as u8),
+        _ => (data.len().div_ceil(CHUNK_ROWS) * HEADER_BYTES) as u64,
     }
 }
 
@@ -1274,104 +1079,79 @@ fn pfordelta_chunks(data: &Vector) -> Option<Vec<CompressedChunk>> {
     })
 }
 
-/// Cardinality cap for PDICT on numeric columns: beyond this the
-/// binary-search encode and the dictionary itself stop paying.
-const PDICT_NUMERIC_CAP: usize = 4096;
+/// Cardinality cap of the dictionary candidate on numeric columns:
+/// beyond this the dictionary itself stops paying.
+const DICT_NUMERIC_CAP: usize = 4096;
 
-/// Cardinality cap for PDICT on string columns (2-byte codes).
-const PDICT_STR_CAP: usize = 65536;
+/// Cardinality cap of the dictionary candidate on string columns
+/// (2-byte codes).
+const DICT_STR_CAP: usize = 65536;
 
-/// Rows in the chooser's strided PDICT sample: enough that a numeric
-/// column well over the cap shows more than the cap in the sample.
-const PDICT_SAMPLE_ROWS: usize = 2 * PDICT_NUMERIC_CAP;
+/// Rows in the dictionary candidate's strided sample: enough that a
+/// numeric column well over the cap shows more than the cap in the
+/// sample.
+const DICT_SAMPLE_ROWS: usize = 2 * DICT_NUMERIC_CAP;
 
-/// The sorted distinct values of every `step`-th row of `data` — with
-/// `step` 1 the column's PDICT dictionary — or `None` when they exceed
-/// the cap for the column's type or PDICT does not take the type.
-/// Floats are ordered by `total_cmp` and told apart by their bits.
-fn pdict_dictionary(data: &Vector, step: usize) -> Option<Vector> {
-    macro_rules! numeric {
-        ($v:expr, $variant:ident) => {{
-            let mut dict: Vec<_> = $v.iter().step_by(step).copied().collect();
+/// The chooser's dictionary candidate: whether dictionary codes would
+/// store `data` — an `i64`, `f64` or `str` fragment — in fewer bytes
+/// than `best`, the chooser's verdict for it (`None` = raw), while
+/// saving the 10% every format must. The candidate is priced as a chunk
+/// format: a header per [`CHUNK_ROWS`] rows, one code per row (one byte
+/// up to 256 distinct values, two beyond) and the dictionary itself.
+///
+/// Bound, then price: the distinct values of a strided sample are a
+/// subset of the column's, so more than the cap refuses, more than 256
+/// means 2-byte codes, and the dictionary is at least the sample's. The
+/// whole column's distinct values are collected only when that bound
+/// could still win. `Table::checkpoint` turns a column this answers
+/// `true` for into an enumeration type.
+pub fn dictionary_wins(data: &Vector, best: Option<&CompressedColumn>) -> bool {
+    if data.is_empty() {
+        return false;
+    }
+    let raw = data.byte_size() as u64;
+    let beats = |dict: Vector| {
+        let headers = data.len().div_ceil(CHUNK_ROWS) * HEADER_BYTES;
+        let codes = data.len() * if dict.len() <= 256 { 1 } else { 2 };
+        let bytes = (headers + codes + dict.byte_size()) as u64;
+        bytes * 10 <= raw * 9 && best.is_none_or(|b| bytes < b.compressed_bytes)
+    };
+    let step = data.len().div_ceil(DICT_SAMPLE_ROWS);
+    distinct_values(data, step).is_some_and(beats) && distinct_values(data, 1).is_some_and(beats)
+}
+
+/// The sorted distinct values of every `step`-th row of `data`, or
+/// `None` when they exceed the cap for the column's type or the type
+/// has no dictionary candidate. Floats are ordered by `total_cmp` and
+/// told apart by their bits.
+fn distinct_values(data: &Vector, step: usize) -> Option<Vector> {
+    match data {
+        Vector::I64(v) => {
+            let mut dict: Vec<i64> = v.iter().step_by(step).copied().collect();
             dict.sort_unstable();
             dict.dedup();
-            (dict.len() <= PDICT_NUMERIC_CAP).then_some(Vector::$variant(dict))
-        }};
-    }
-    match data {
-        Vector::I32(v) => numeric!(v, I32),
-        Vector::I64(v) => numeric!(v, I64),
+            (dict.len() <= DICT_NUMERIC_CAP).then_some(Vector::I64(dict))
+        }
         Vector::F64(v) => {
             let mut dict: Vec<f64> = v.iter().step_by(step).copied().collect();
             dict.sort_unstable_by(f64::total_cmp);
             dict.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            (dict.len() <= PDICT_NUMERIC_CAP).then_some(Vector::F64(dict))
+            (dict.len() <= DICT_NUMERIC_CAP).then_some(Vector::F64(dict))
         }
         Vector::Str(v) => {
             let mut dict: Vec<&str> = v.iter().step_by(step).collect();
             dict.sort_unstable();
             dict.dedup();
-            (dict.len() <= PDICT_STR_CAP).then(|| Vector::Str(dict.into_iter().collect()))
+            (dict.len() <= DICT_STR_CAP).then(|| Vector::Str(dict.into_iter().collect()))
         }
         _ => None,
-    }
-}
-
-fn pdict_chunks(data: &Vector) -> Option<(Vec<CompressedChunk>, Vector, u32)> {
-    let dict = pdict_dictionary(data, 1)?;
-    let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
-    let chunk = |rows: usize, payload: Option<Vec<u8>>| {
-        let payload = payload.expect("dict covers the column");
-        CompressedChunk {
-            header: pdict_header(rows, lane, &payload),
-            body: ChunkBody::Pdict(payload),
-        }
-    };
-    macro_rules! numeric {
-        ($v:expr, $d:expr, $comp:path) => {
-            $v.chunks(CHUNK_ROWS)
-                .map(|s| chunk(s.len(), $comp(s, $d, lane)))
-                .collect()
-        };
-    }
-    let chunks = match (data, &dict) {
-        (Vector::I32(v), Vector::I32(d)) => numeric!(v, d, k::compress_pdict_i32_col),
-        (Vector::I64(v), Vector::I64(d)) => numeric!(v, d, k::compress_pdict_i64_col),
-        (Vector::F64(v), Vector::F64(d)) => numeric!(v, d, k::compress_pdict_f64_col),
-        (Vector::Str(v), Vector::Str(d)) => {
-            let mut chunks = Vec::new();
-            let mut start = 0usize;
-            while start < v.len() {
-                let n = (v.len() - start).min(CHUNK_ROWS);
-                let mut slice = StrVec::with_capacity(n, 8);
-                slice.extend_range(v, start, n);
-                chunks.push(chunk(n, k::compress_pdict_str_col(&slice, d, lane)));
-                start += n;
-            }
-            chunks
-        }
-        _ => unreachable!("pdict_dictionary keeps the column's type"),
-    };
-    Some((chunks, dict, lane))
-}
-
-fn pdict_header(rows: usize, lane: u32, payload: &[u8]) -> ChunkHeader {
-    ChunkHeader {
-        format: ChunkFormat::Pdict,
-        lane: lane as u8,
-        checksum: fold_checksum(payload),
-        rows: rows as u32,
-        scale: 0,
-        base: 0,
-        payload_bytes: payload.len() as u32,
-        exceptions: 0,
-        sync_points: 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use x100_vector::StrVec;
 
     fn roundtrip(data: &Vector, format: ChunkFormat) -> CompressedColumn {
         let col = compress_column_as(data, format).expect("format applies");
@@ -1384,7 +1164,7 @@ mod tests {
         let mut at = 0usize;
         while at < data.len() {
             let n = (data.len() - at).min(1000);
-            col.decode_range(at, n, None, &mut out, &mut cursor, &mut scratch)
+            col.decode_range(at, n, &mut out, &mut cursor, &mut scratch)
                 .expect("checksum verifies");
             data.read_into(at, n, &mut want);
             assert_eq!(out, want, "window at {at}");
@@ -1438,30 +1218,10 @@ mod tests {
                 verified: None,
             };
             let n = 10.min(v.len() - start);
-            col.decode_range(start, n, None, &mut out, &mut cursor, &mut scratch)
+            col.decode_range(start, n, &mut out, &mut cursor, &mut scratch)
                 .expect("checksum verifies");
             assert_eq!(out.as_u64(), &v[start..start + n]);
         }
-    }
-
-    #[test]
-    fn pdict_str_column_roundtrip() {
-        let mut s = StrVec::new();
-        for i in 0..70_000 {
-            s.push(["AIR", "MAIL", "RAIL", "SHIP", "TRUCK"][i % 5]);
-        }
-        let col = roundtrip(&Vector::Str(s), ChunkFormat::Pdict);
-        assert_eq!(col.decode_sig(), "decompress_pdict_str_col");
-        assert!(col.ratio_pct() < 30, "1-byte codes vs 4+-byte strings");
-    }
-
-    #[test]
-    fn pdict_f64_column_roundtrip() {
-        let v: Vec<f64> = (0..50_000)
-            .map(|i| [0.0, -0.0, 0.04, 0.07][i % 4])
-            .collect();
-        let col = roundtrip(&Vector::F64(v), ChunkFormat::Pdict);
-        assert_eq!(col.format(), ChunkFormat::Pdict);
     }
 
     #[test]
@@ -1488,14 +1248,35 @@ mod tests {
     }
 
     #[test]
-    fn chooser_picks_pdict_for_low_cardinality_strings() {
+    fn dictionary_wins_on_low_cardinality_columns() {
         let mut s = StrVec::new();
         for i in 0..30_000 {
             s.push(if i % 2 == 0 { "YES" } else { "NO" });
         }
         let s = Vector::Str(s);
-        let col = choose_and_compress(&s, &ColumnStats::compute(&s)).expect("compresses");
-        assert_eq!(col.format(), ChunkFormat::Pdict);
+        assert!(choose_and_compress(&s, &ColumnStats::compute(&s)).is_none());
+        assert!(dictionary_wins(&s, None));
+        // Three wide values: the dictionary beats PFOR's 4-byte lane.
+        let wide = Vector::I64(
+            (0..30_000)
+                .map(|i| [1_000_000_007, 5, 123_456_789][i % 3])
+                .collect(),
+        );
+        let pfor = choose_and_compress(&wide, &ColumnStats::compute(&wide));
+        assert!(dictionary_wins(&wide, pfor.as_ref()));
+        // Narrow integers: PFOR's byte lane ties the codes and carries
+        // no dictionary; unique strings never pay; past the numeric cap
+        // the sample alone refuses.
+        let narrow = Vector::I64((0..30_000).map(|i| i % 100).collect());
+        let pfor = choose_and_compress(&narrow, &ColumnStats::compute(&narrow));
+        assert!(pfor.is_some() && !dictionary_wins(&narrow, pfor.as_ref()));
+        let mut unique = StrVec::new();
+        (0..30_000).for_each(|i| unique.push(&format!("k{i}")));
+        assert!(!dictionary_wins(&Vector::Str(unique), None));
+        let many = Vector::F64((0..30_000).map(|i| (i % 5_000) as f64 * 1e9).collect());
+        assert!(!dictionary_wins(&many, None));
+        // No dictionary candidate for other types.
+        assert!(!dictionary_wins(&Vector::I32(vec![7; 30_000]), None));
     }
 
     #[test]
@@ -1514,7 +1295,7 @@ mod tests {
         let mut cursor = DecodeCursor::default();
         let mut scratch = Vec::new();
         let stats = col
-            .decode_range(66_000, 1024, None, &mut out, &mut cursor, &mut scratch)
+            .decode_range(66_000, 1024, &mut out, &mut cursor, &mut scratch)
             .expect("checksum verifies");
         // Lane-8 frames: ~1 byte per row plus the header, far below raw.
         assert!(stats.comp_len >= 1024);
@@ -1549,7 +1330,6 @@ mod tests {
             let p = col
                 .compile_pushdown(op, &Value::I64(lo), w.as_ref())
                 .expect("pfor i64 pushdown compiles");
-            assert!(!p.is_dict_rewrite());
             let mut cursor = DecodeCursor::default();
             let mut scratch = Vec::new();
             let mut at = 0usize;
@@ -1563,69 +1343,12 @@ mod tests {
                 // The refill the selection is applied over: the dense
                 // window decode, sharing the select's cursor.
                 let mut out = Vector::with_capacity(ScalarType::I64, 64);
-                col.decode_range(at, n, None, &mut out, &mut cursor, &mut scratch)
+                col.decode_range(at, n, &mut out, &mut cursor, &mut scratch)
                     .expect("checksum verifies");
                 let gotv: Vec<i64> = got.iter().map(|&i| out.as_i64()[i as usize]).collect();
                 let wantv: Vec<i64> = got.iter().map(|&i| v[at + i as usize]).collect();
                 assert_eq!(gotv, wantv, "{op:?} values at {at}");
                 at += n;
-            }
-        }
-    }
-
-    #[test]
-    fn pushdown_pdict_str_never_decodes_unselected() {
-        let name = |i: usize| ["AIR", "MAIL", "RAIL", "SHIP", "TRUCK"][i % 5];
-        let mut s = StrVec::new();
-        for i in 0..70_000 {
-            s.push(name(i));
-        }
-        let col = compress_column_as(&Vector::Str(s), ChunkFormat::Pdict).expect("applies");
-        type Pred = Box<dyn Fn(&str) -> bool>;
-        let cases: Vec<(PushOp, Pred)> = vec![
-            (PushOp::Eq, Box::new(|x| x == "SHIP")),
-            (PushOp::Ne, Box::new(|x| x != "SHIP")),
-            (PushOp::Lt, Box::new(|x| x < "SHIP")),
-            (PushOp::Ge, Box::new(|x| x >= "SHIP")),
-        ];
-        for (op, f) in cases {
-            let p = col
-                .compile_pushdown(op, &Value::Str("SHIP".into()), None)
-                .expect("dict rewrite compiles");
-            assert!(p.is_dict_rewrite());
-            assert_eq!(p.sig(), format!("cmp_pdict_{}_str_col_val", op.name()));
-            let mut cursor = DecodeCursor::default();
-            let mut scratch = Vec::new();
-            let mut got = Vec::new();
-            // A window crossing the 65536-row chunk boundary.
-            col.select_range(&p, 64_000, 3_000, &mut got, &mut cursor)
-                .expect("checksum verifies");
-            let want: Vec<u32> = (0..3_000)
-                .filter(|&i| f(name(64_000 + i)))
-                .map(|i| i as u32)
-                .collect();
-            assert_eq!(got, want, "{op:?}");
-            // Decoding under the selection copies only the survivors;
-            // every other slot is the empty string.
-            let mut out = Vector::with_capacity(ScalarType::Str, 8);
-            col.decode_range(
-                64_000,
-                3_000,
-                Some(&got),
-                &mut out,
-                &mut cursor,
-                &mut scratch,
-            )
-            .expect("checksum verifies");
-            let sv = out.as_str();
-            assert_eq!(sv.len(), 3_000);
-            let mut live = got.iter().peekable();
-            for i in 0..3_000 {
-                let expect = match live.next_if(|&&p| p == i as u32) {
-                    Some(_) => name(64_000 + i),
-                    None => "",
-                };
-                assert_eq!(sv.get(i), expect, "{op:?} slot {i}");
             }
         }
     }
@@ -1642,11 +1365,11 @@ mod tests {
             "prefix sums cannot be compared in place"
         );
         let v: Vec<i64> = (0..80_000).map(|i| i % 100).collect();
-        let pfor = compress_column_as(&Vector::I64(v.clone()), ChunkFormat::Pfor).expect("ok");
+        let pfor = compress_column_as(&Vector::I64(v), ChunkFormat::Pfor).expect("ok");
         assert!(
             pfor.compile_pushdown(PushOp::Ne, &Value::I64(5), None)
                 .is_none(),
-            "ne needs dictionary codes"
+            "ne over a frame range is not contiguous"
         );
         assert!(
             pfor.compile_pushdown(PushOp::Eq, &Value::I32(5), None)
@@ -1662,19 +1385,6 @@ mod tests {
             pfor.compile_pushdown(PushOp::Between, &Value::I64(5), None)
                 .is_none(),
             "missing upper bound"
-        );
-        let pdict = compress_column_as(&Vector::I64(v), ChunkFormat::Pdict).expect("ok");
-        assert!(
-            pdict
-                .compile_pushdown(PushOp::Between, &Value::I64(5), Some(&Value::I64(9)))
-                .is_none(),
-            "between stays a PFOR-frame rewrite"
-        );
-        assert!(
-            pdict
-                .compile_pushdown(PushOp::Ne, &Value::I64(5), None)
-                .is_some(),
-            "ne over codes is the PDICT-only op"
         );
     }
 
@@ -1692,11 +1402,11 @@ mod tests {
         // The intact chunk still reads; any window touching the torn
         // chunk refuses — wrong rows can never escape.
         let mut cursor = DecodeCursor::default();
-        col.decode_range(0, 1000, None, &mut out, &mut cursor, &mut scratch)
+        col.decode_range(0, 1000, &mut out, &mut cursor, &mut scratch)
             .expect("chunk 0 is intact");
         let mut cursor = DecodeCursor::default();
         let err = col
-            .decode_range(66_000, 100, None, &mut out, &mut cursor, &mut scratch)
+            .decode_range(66_000, 100, &mut out, &mut cursor, &mut scratch)
             .unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
         let p = col
@@ -1711,9 +1421,9 @@ mod tests {
 
     /// Chunk checksums are stored bytes: these were written by the
     /// per-value fold the closed form replaced (PR 21's parent), so every
-    /// header, `XCPC` image and durable file written before still
-    /// verifies. The f64 column has Q1's shape: 22 % of its values do not
-    /// round-trip any decimal scale and ride the patch list.
+    /// chunk header written before still verifies. The f64 column has
+    /// Q1's shape: 22 % of its values do not round-trip any decimal scale
+    /// and ride the patch list.
     #[test]
     fn golden_chunk_checksums_are_unchanged() {
         let f: Vec<f64> = (0..70_000)
@@ -1738,7 +1448,9 @@ mod tests {
         };
         assert_eq!(sums(&pfor), [0x33, 0x71]);
         assert_eq!(sums(&delta), [0x55, 0x85]);
-        assert_eq!(pfor.to_bytes().last(), Some(&0x72));
-        assert_eq!(delta.to_bytes().last(), Some(&0x28));
+        // The sealed `XCPC` images (version 3: no dictionary in the
+        // preamble) end in the frame fold over all of the above.
+        assert_eq!(pfor.to_bytes().last(), Some(&0xc2));
+        assert_eq!(delta.to_bytes().last(), Some(&0x2f));
     }
 }

@@ -43,9 +43,10 @@ use x100_vector::{ScalarType, Value, Vector};
 
 /// Magic + version of one on-disk column-replica file.
 const CHUNK_MAGIC: &[u8; 4] = b"XDCF";
+const CHUNK_VERSION: u8 = 3;
 /// Magic + version of the committing manifest.
 const MANIFEST_MAGIC: &[u8; 4] = b"XMAN";
-const FORMAT_VERSION: u8 = 2;
+const MANIFEST_VERSION: u8 = 2;
 
 /// Retry budget for *real* IO errors when no fault plan supplies one
 /// (mirrors `FaultPlan::default()`).
@@ -135,7 +136,7 @@ struct ColFile {
 }
 
 fn encode_col_file(col: u32, sc: &StoredColumn) -> Vec<u8> {
-    let mut w = Writer::new(Vec::new(), CHUNK_MAGIC, FORMAT_VERSION);
+    let mut w = Writer::new(Vec::new(), CHUNK_MAGIC, CHUNK_VERSION);
     w.put(col);
     w.put(sc.data.len() as u64);
     w.put_type(sc.field.logical);
@@ -169,7 +170,7 @@ fn optional<'a, T>(
 }
 
 fn decode_col_file(bytes: &[u8]) -> Result<ColFile, String> {
-    let mut r = Reader::open(bytes, CHUNK_MAGIC, FORMAT_VERSION)?;
+    let mut r = Reader::open(bytes, CHUNK_MAGIC, CHUNK_VERSION)?;
     let col = r.get()?;
     let rows = r.get()?;
     let logical = r.get_type()?;
@@ -225,7 +226,7 @@ struct Manifest {
 }
 
 fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut w = Writer::new(Vec::new(), MANIFEST_MAGIC, FORMAT_VERSION);
+    let mut w = Writer::new(Vec::new(), MANIFEST_MAGIC, MANIFEST_VERSION);
     w.put(m.version);
     w.put(m.replicas);
     w.put_str(&m.table);
@@ -240,7 +241,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
 }
 
 fn decode_manifest(bytes: &[u8]) -> Result<Manifest, String> {
-    let mut r = Reader::open(bytes, MANIFEST_MAGIC, FORMAT_VERSION)?;
+    let mut r = Reader::open(bytes, MANIFEST_MAGIC, MANIFEST_VERSION)?;
     let version = r.get()?;
     let replicas = r.get()?;
     let table = r.str()?.to_owned();

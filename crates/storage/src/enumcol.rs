@@ -8,6 +8,13 @@
 //! the [`EnumDict`] attached to a column here. Codes and dictionary
 //! are plain [`Vector`]s, so decoding is the one gather
 //! ([`x100_vector::fetch::gather_at`]) with the codes as positions.
+//!
+//! Enum columns come from two places: a table built with them
+//! (`TableBuilder::enum_column` / `auto_enum_*`), and `Table::checkpoint`,
+//! which turns a plain `i64`/`f64`/`str` column into one through
+//! [`encode`] when a dictionary stores it smaller than any chunk format
+//! (`compress::dictionary_wins`). This is the only dictionary encoding:
+//! the checkpoint compresses the codes like any integer column.
 
 use x100_vector::fetch::{gather_at, gather_rows};
 use x100_vector::{ScalarType, StrVec, Value, Vector};
@@ -57,9 +64,8 @@ impl EnumDict {
     /// followed by the logical values `tail`, without decoding `codes`:
     /// reorganize's dictionary merge.
     ///
-    /// One pass over `codes` marks the entries still used; the `encode_*`
-    /// helper for the dictionary's type then runs over the short input
-    /// "used entries ++ `tail`". The codes it gives the used entries form
+    /// One pass over `codes` marks the entries still used; [`encode`]
+    /// then runs over the short input "used entries ++ `tail`". The codes it gives the used entries form
     /// an old-code → new-code remap, and the merged codes are one
     /// [`gather_at`] through it (the dictionary-decode kernel) followed
     /// by the codes it gave `tail`.
@@ -76,12 +82,6 @@ impl EnumDict {
     /// When `codes` are not `U8`/`U16` or name no entry, or `tail` is not
     /// of the dictionary's type.
     pub fn merge(&self, codes: &Vector, tail: &Vector) -> Option<Encoded> {
-        let encode: fn(&Vector) -> Option<Encoded> = match self.value_type() {
-            ScalarType::Str => |v| encode_str(&v.as_str().iter().collect::<Vec<_>>()),
-            ScalarType::F64 => |v| encode_f64(v.as_f64()),
-            ScalarType::I64 => |v| encode_i64(v.as_i64()),
-            _ => return None,
-        };
         let mut used = vec![false; self.cardinality()];
         match codes {
             Vector::U8(c) => c.iter().for_each(|&x| used[x as usize] = true),
@@ -129,6 +129,17 @@ pub struct Encoded {
     pub codes: Vector,
     /// The mapping table.
     pub dict: EnumDict,
+}
+
+/// Dictionary-encode a column with the `encode_*` helper for its type:
+/// `None` where that helper refuses, and for a type none covers.
+pub fn encode(values: &Vector) -> Option<Encoded> {
+    match values {
+        Vector::Str(v) => encode_str(&v.iter().collect::<Vec<_>>()),
+        Vector::F64(v) => encode_f64(v),
+        Vector::I64(v) => encode_i64(v),
+        _ => None,
+    }
 }
 
 /// Dictionary-encode a string column if its cardinality allows.

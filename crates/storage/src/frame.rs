@@ -15,8 +15,10 @@
 //! input could not hold. The trailer is the same 8-bit
 //! [`fold_checksum`] compressed chunks carry. The raw value codec
 //! ([`Writer::put_column`] / [`Reader::vector`]) is the single encoding
-//! of "a typed array of values" shared by durable fragments, enum and
-//! PDICT dictionaries and spill blocks.
+//! of "a typed array of values" shared by durable fragments, enum
+//! dictionaries and spill blocks. A checkpoint's dictionaries are enum
+//! dictionaries too: the column files carry them beside the codes, and
+//! no compressed column stream embeds one.
 
 use std::io::Read;
 use x100_vector::{ScalarType, StrVec, Vector};

@@ -14,6 +14,10 @@
 //! * [`EnumDict`] & the `encode_*` helpers — enumeration types: one- or
 //!   two-byte codes referencing a mapping table, decompressed on use via
 //!   an automatically inserted `Fetch1Join` (done by the engine crate).
+//!   Built by hand, or by [`Table::checkpoint`] where a dictionary beats
+//!   every chunk format.
+//! * [`CompressedColumn`] & [`choose_and_compress`] — PFOR / PFOR-DELTA
+//!   chunks a checkpoint writes beside a fragment.
 //! * [`SummaryIndex`] — coarse running-max / reverse-running-min
 //!   indices for `#rowId` range derivation on clustered columns.
 //! * [`ColumnBM`] — a simulation of the chunked column buffer manager,
@@ -37,12 +41,12 @@ pub use columnbm::{
     PinnedFault, StorageFaultError, TornWrite, DEFAULT_CHUNK_BYTES,
 };
 pub use compress::{
-    choose_and_compress, compress_column_as, ChunkFormat, ChunkHeader, CompressedColumn,
-    DecodeCursor, DecodeStats, PushOp, Pushdown, CHUNK_ROWS, HEADER_BYTES,
+    choose_and_compress, compress_column_as, dictionary_wins, ChunkFormat, ChunkHeader,
+    CompressedColumn, DecodeCursor, DecodeStats, PushOp, Pushdown, CHUNK_ROWS, HEADER_BYTES,
 };
 pub use delta::{DeleteList, InsertDelta};
 pub use durable::{DurableError, DurableOptions, DurableSource};
-pub use enumcol::{encode_f64, encode_i64, encode_str, Encoded, EnumDict, MAX_ENUM_CARD};
+pub use enumcol::{encode, encode_f64, encode_i64, encode_str, Encoded, EnumDict, MAX_ENUM_CARD};
 pub use frame::fold_checksum;
 pub use morsel::{plan_morsels, Morsel};
 pub use summary::{SummaryIndex, DEFAULT_GRANULARITY};

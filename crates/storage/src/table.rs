@@ -2,17 +2,18 @@
 //!
 //! A [`Table`] is a set of equally long vertical fragments — each an
 //! [`x100_vector::Vector`], the same buffer type the operators consume —
-//! optionally enum-compressed and/or carrying a summary index, plus the
+//! optionally enum-compressed (built so, or turned so by a checkpoint)
+//! and/or carrying a summary index, plus the
 //! delta structures of §4.3: a deletion list and uncompressed insert
 //! columns. `Bool` is vector-only: a table refuses it. Every table has a
 //! virtual `#rowId` column — a densely ascending number from 0 (never
 //! stored), which positional fetch-joins use as join key.
 
 use crate::columnbm::{FaultSite, FaultState, StorageFaultError};
-use crate::compress::{choose_and_compress, ChunkFormat, CompressedColumn};
+use crate::compress::{choose_and_compress, dictionary_wins, ChunkFormat, CompressedColumn};
 use crate::delta::{DeleteList, InsertDelta};
 use crate::durable::{DurableError, DurableOptions, DurableSource};
-use crate::enumcol::{encode_f64, encode_i64, encode_str, EnumDict};
+use crate::enumcol::{encode, encode_f64, encode_i64, encode_str, EnumDict};
 use crate::summary::SummaryIndex;
 use std::path::Path;
 use std::sync::Arc;
@@ -193,6 +194,31 @@ impl StoredColumn {
     /// Prefer [`Table::column_stats`], which widens under pending deltas.
     pub fn stats(&self) -> &ColumnStats {
         &self.stats
+    }
+
+    /// Run the codec chooser over the fragment and record its verdict
+    /// as current. A plain `i64`/`f64`/`str` column without a summary
+    /// index whose dictionary candidate wins ([`dictionary_wins`])
+    /// becomes an enumeration type first — codes plus dictionary, the
+    /// epoch bumped — unless encoding refuses it (NaN or `-0.0` among
+    /// `f64` values); its codes then go through the chooser like any
+    /// enum column's.
+    fn choose_codec(&mut self) {
+        let best = choose_and_compress(&self.data, &self.stats);
+        let enumerate = self.dict.is_none()
+            && self.summary.is_none()
+            && dictionary_wins(&self.data, best.as_ref());
+        match enumerate.then(|| encode(&self.data)).flatten() {
+            Some(enc) => {
+                let name = std::mem::take(&mut self.field.name);
+                let epoch = self.epoch + 1;
+                *self = StoredColumn::new(name, enc.codes, Some(enc.dict), false);
+                self.epoch = epoch;
+                self.compressed = choose_and_compress(&self.data, &self.stats);
+            }
+            None => self.compressed = best,
+        }
+        self.codec_epoch = Some(self.epoch);
     }
 
     /// Decode one fragment value to its logical form (slow path).
@@ -525,8 +551,11 @@ impl Table {
     /// Checkpoint: run the format chooser over every column fragment
     /// and rewrite paying columns as compressed chunks (paper §4.3/§5 —
     /// "light-weight compression" applied when data is reorganized).
-    /// Returns per-column verdicts `(name, format, ratio_pct)`; raw
-    /// columns report `ChunkFormat::Raw` at 100%.
+    /// A plain column a dictionary compresses best becomes an
+    /// enumeration type, and its codes are what the chooser compresses.
+    /// Returns per-column verdicts `(name, format, ratio_pct)` of the
+    /// stored fragment (codes for enum columns); raw fragments report
+    /// `ChunkFormat::Raw` at 100%.
     pub fn checkpoint(&mut self) -> Vec<(String, ChunkFormat, u64)> {
         match self.try_checkpoint(None) {
             Ok(v) => v,
@@ -554,8 +583,7 @@ impl Table {
                 if let Some(f) = fault {
                     f.check_site(FaultSite::CheckpointWrite, i as u32)?;
                 }
-                col.compressed = choose_and_compress(&col.data, &col.stats);
-                col.codec_epoch = Some(col.epoch);
+                col.choose_codec();
                 sweeps += 1;
                 // Torn-write injection: the write "succeeded" but a
                 // payload byte is wrong. Nothing errors here — the
@@ -678,7 +706,8 @@ impl Table {
     ///   values, a dictionary type no `encode_*` covers) the codes decode
     ///   through the dictionary and the column goes the plain path.
     ///
-    /// A column that was checkpointed re-runs the codec chooser.
+    /// A column that was checkpointed re-runs the codec chooser, which
+    /// may turn a plain column into an enum column as a checkpoint does.
     ///
     /// Row ids are re-densified (0..live_rows); callers holding old row
     /// ids (e.g. join indices) must re-derive them.
@@ -737,8 +766,7 @@ impl Table {
             col.epoch = old.epoch + 1;
             if old.compressed.is_some() {
                 self.codec_sweeps += 1;
-                col.compressed = choose_and_compress(&col.data, &col.stats);
-                col.codec_epoch = Some(col.epoch);
+                col.choose_codec();
             }
             self.columns.push(col);
         }
@@ -913,6 +941,49 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_enumerates_columns_a_dictionary_compresses_best() {
+        let n = 20_000;
+        let tags: Vec<&str> = (0..n).map(|i| ["AIR", "MAIL", "SHIP"][i % 3]).collect();
+        let roots = |nan: bool| -> Vec<f64> {
+            (0..n)
+                .map(|i| match i {
+                    7 if nan => f64::NAN,
+                    _ => ((i % 5) as f64 + 2.0).sqrt(),
+                })
+                .collect()
+        };
+        let mut t = TableBuilder::new("t")
+            .column("tag", Vector::Str(tags.iter().copied().collect()))
+            .column("root", Vector::F64(roots(false)))
+            .column("root_nan", Vector::F64(roots(true)))
+            .column(
+                "key",
+                Vector::I64(
+                    (0..n)
+                        .map(|i| [1_000_000_007, 5, 123_456_789][i % 3])
+                        .collect(),
+                ),
+            )
+            .with_summary()
+            .build();
+        let want: Vec<Vec<Value>> = (0..n as u32).map(|r| t.get_row(r)).collect();
+        t.checkpoint();
+        assert_eq!(t.codec_sweeps(), 4);
+        let tag = t.column(0);
+        assert_eq!(tag.physical_type(), ScalarType::U8);
+        assert_eq!(tag.field().logical, ScalarType::Str);
+        assert_eq!(tag.dict().expect("enumerated").cardinality(), 3);
+        assert!(t.column(1).dict().is_some(), "six square roots enumerate");
+        assert!(t.column(2).dict().is_none(), "a NaN keeps the column plain");
+        assert!(t.column(3).dict().is_none(), "a summary column stays plain");
+        let got: Vec<Vec<Value>> = (0..n as u32).map(|r| t.get_row(r)).collect();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        // The verdict is cached like any other: no second sweep.
+        t.checkpoint();
+        assert_eq!(t.codec_sweeps(), 4);
+    }
+
+    #[test]
     fn checkpoint_caches_codec_decision_per_epoch() {
         let mut t = TableBuilder::new("t")
             .column("key", Vector::I64((0..100_000).collect()))
@@ -1003,10 +1074,10 @@ mod tests {
         let mut v = Vector::zeroed(ScalarType::I64, 0);
         let mut cur = DecodeCursor::default();
         let mut scratch = Vec::new();
-        c.decode_range(0, 1024, None, &mut v, &mut cur, &mut scratch)
+        c.decode_range(0, 1024, &mut v, &mut cur, &mut scratch)
             .expect("chunk 0 is intact");
         let err = c
-            .decode_range(65_536, 1024, None, &mut v, &mut cur, &mut scratch)
+            .decode_range(65_536, 1024, &mut v, &mut cur, &mut scratch)
             .expect_err("chunk 1 is torn");
         assert!(err.contains("checksum mismatch"), "typed mismatch: {err}");
         // The raw fragment is untouched: recovery reads stay correct.

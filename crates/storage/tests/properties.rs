@@ -2,33 +2,47 @@
 //!
 //! Key invariants:
 //! * a table behaves like a simple row-store model under any sequence of
-//!   inserts / deletes / updates / reorganizes;
+//!   inserts / deletes / updates / reorganizes / checkpoints, including
+//!   the checkpoint that turns a plain column into an enum column, and
+//!   across a durable checkpoint and reopen;
 //! * enum encoding roundtrips and is order-preserving;
 //! * summary indices are always conservative.
 
 use proptest::prelude::*;
 use x100_storage::{
-    choose_and_compress, compress_column_as, encode_i64, ChunkFormat, ColumnStats,
-    CompressedColumn, DecodeCursor, EnumDict, SummaryIndex, Table, TableBuilder,
+    choose_and_compress, compress_column_as, dictionary_wins, encode_i64, ChunkFormat, ColumnStats,
+    CompressedColumn, DecodeCursor, DurableOptions, EnumDict, SummaryIndex, Table, TableBuilder,
 };
 use x100_vector::{Value, Vector};
 
-/// One row of the five-column model table: plain `i64`, enum string,
-/// enum `f64`, `i32` with a summary index, and enum `i64`.
-type Row = (i64, String, f64, i32, i64);
+/// One row of the seven-column model table: plain `i64`, enum string,
+/// enum `f64`, `i32` with a summary index, enum `i64`, and a plain
+/// low-cardinality string and `f64` that a checkpoint enumerates.
+type Row = (i64, String, f64, i32, i64, String, f64);
 
 const MODES: [&str; 7] = ["", "AIR", "FOB", "MAIL", "RAIL", "SHIP", "TRUCK"];
+
+/// The plain string column's common values.
+const LOW: [&str; 4] = ["east", "north", "south", "west"];
 
 /// Rows of one bulk insert: with the modes, more distinct strings than
 /// one-byte codes hold, so a reorganize widens the codes to `U16`.
 const BULK: std::ops::Range<usize> = 260..300;
 
+/// Low-cardinality rows inserted before the checkpoint that must
+/// enumerate the plain string and `f64` columns: enough that a
+/// dictionary beats every chunk format on them.
+const ENUM_ROWS: usize = 512;
+
 fn row_strategy() -> impl Strategy<Value = Row> {
     (
         (any::<i64>(), 0usize..MODES.len(), 0u16..480, any::<i32>()),
-        -4i64..6,
+        (-4i64..6, 0u16..40, 0u16..240),
     )
-        .prop_map(|((v, s, f, d), e)| (v, MODES[s].to_owned(), model_f64(f), d, e * 1000))
+        .prop_map(|((v, s, f, d), (e, p, g))| {
+            let (s, f, e) = (MODES[s].to_owned(), model_f64(f), e * 1000);
+            (v, s, f, d, e, low_str(p), low_f64(g))
+        })
 }
 
 /// Cents in `[-0.03, 0.08]`, and rarely a value no enum code may hold:
@@ -41,9 +55,27 @@ fn model_f64(f: u16) -> f64 {
     }
 }
 
-/// A row whose `f64` forces that column plain. The model keeps such rows
-/// live: a reorganize never turns a plain column back into an enum, so a
-/// fresh build matches only while they are there.
+/// Mostly one of [`LOW`], one time in ten a value of its own.
+fn low_str(p: u16) -> String {
+    match p % 10 {
+        9 => format!("p{p}"),
+        _ => LOW[p as usize % LOW.len()].to_owned(),
+    }
+}
+
+/// One of six square roots — no decimal scale makes them exact, so PFOR
+/// patches every one and only a dictionary compresses them — and rarely
+/// a NaN, which keeps the column plain.
+fn low_f64(g: u16) -> f64 {
+    match g {
+        0 => f64::NAN,
+        _ => ((g % 6) as f64 + 2.0).sqrt(),
+    }
+}
+
+/// A row whose `f64` forces the enum `f64` column plain. The model keeps
+/// such rows live: a reorganize never turns that column back into an
+/// enum, so a fresh build matches only while they are there.
 fn pinned(r: &Row) -> bool {
     r.2.is_nan() || r.2.to_bits() == (-0.0f64).to_bits()
 }
@@ -57,6 +89,8 @@ fn bulk_row(k: usize) -> Row {
         model_f64(2 + k as u16),
         -(k as i32),
         (k64 % 10 - 4) * 1000,
+        LOW[k % LOW.len()].to_owned(),
+        low_f64(1 + k as u16),
     )
 }
 
@@ -67,6 +101,8 @@ fn row_values(r: &Row) -> Vec<Value> {
         Value::F64(r.2),
         Value::I32(r.3),
         Value::I64(r.4),
+        Value::Str(r.5.clone()),
+        Value::F64(r.6),
     ]
 }
 
@@ -81,22 +117,48 @@ fn row_bits(row: &[Value]) -> Vec<Value> {
         .collect()
 }
 
-/// The model's rows built fresh — what a reorganize must reproduce.
-fn build_table(rows: &[Row]) -> Table {
-    TableBuilder::new("t")
-        .column("v", Vector::I64(rows.iter().map(|r| r.0).collect()))
+/// Every live row of `table` (row ids `rowids`) reads as the model's.
+fn assert_rows(table: &Table, model: &[Row], rowids: &[u32]) {
+    for (r, &id) in model.iter().zip(rowids) {
+        prop_assert_eq!(row_bits(&table.get_row(id)), row_bits(&row_values(r)));
+    }
+}
+
+/// The model's rows built fresh — what a reorganize must reproduce. The
+/// columns a table may hold either way (`v`, `p`, `g`: plain until a
+/// checkpoint enumerates them) are enum columns where `like` has one.
+fn build_table(rows: &[Row], like: &Table) -> Table {
+    let enumerated = |i: usize| like.column(i).dict().is_some();
+    let b = TableBuilder::new("t");
+    let v: Vec<i64> = rows.iter().map(|r| r.0).collect();
+    let b = match enumerated(0) {
+        true => b.auto_enum_i64("v", v),
+        false => b.column("v", Vector::I64(v)),
+    };
+    let b = b
         .auto_enum_str("s", rows.iter().map(|r| r.1.clone()).collect())
         .auto_enum_f64("f", rows.iter().map(|r| r.2).collect())
         .column("d", Vector::I32(rows.iter().map(|r| r.3).collect()))
         .with_summary()
-        .auto_enum_i64("e", rows.iter().map(|r| r.4).collect())
-        .build()
+        .auto_enum_i64("e", rows.iter().map(|r| r.4).collect());
+    let p: Vec<String> = rows.iter().map(|r| r.5.clone()).collect();
+    let b = match enumerated(5) {
+        true => b.auto_enum_str("p", p),
+        false => b.column("p", Vector::Str(p.iter().map(String::as_str).collect())),
+    };
+    let g: Vec<f64> = rows.iter().map(|r| r.6).collect();
+    match enumerated(6) {
+        true => b.auto_enum_f64("g", g),
+        false => b.column("g", Vector::F64(g)),
+    }
+    .build()
 }
 
-/// The starting table: as [`build_table`], except that the `i64` enum
-/// column is built by hand over a dictionary that is unsorted (values
-/// descending) and holds entries no row uses. The first reorganize must
-/// still give exactly the fresh build.
+/// The starting table: as [`build_table`] with every column that may be
+/// plain plain, except that the `i64` enum column is built by hand over
+/// a dictionary that is unsorted (values descending) and holds entries
+/// no row uses. The first reorganize must still give exactly the fresh
+/// build.
 fn build_initial(rows: &[Row]) -> Table {
     let mut values: Vec<i64> = rows.iter().map(|r| r.4).collect();
     values.sort_unstable_by(|a, b| b.cmp(a));
@@ -116,6 +178,11 @@ fn build_initial(rows: &[Row]) -> Table {
         .column("d", Vector::I32(rows.iter().map(|r| r.3).collect()))
         .with_summary()
         .enum_column("e", Vector::U8(codes), EnumDict::new(Vector::I64(dict)))
+        .column(
+            "p",
+            Vector::Str(rows.iter().map(|r| r.5.as_str()).collect()),
+        )
+        .column("g", Vector::F64(rows.iter().map(|r| r.6).collect()))
         .build()
 }
 
@@ -148,31 +215,100 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Delete every live row `gone` picks (pinned rows stay), in the table
-/// and in the model.
-fn delete_where(
-    table: &mut Table,
-    model: &mut Vec<Row>,
-    rowids: &mut Vec<u32>,
-    gone: impl Fn(&Row) -> bool,
-) {
-    let mut kept = (Vec::new(), Vec::new());
-    for (r, id) in model.drain(..).zip(rowids.drain(..)) {
-        if gone(&r) && !pinned(&r) {
-            prop_assert!(table.delete(id));
-        } else {
-            kept.0.push(r);
-            kept.1.push(id);
-        }
+/// The model: live rows in `#rowId` order and their row ids, kept in
+/// step with the table every operation runs on.
+struct Model {
+    rows: Vec<Row>,
+    rowids: Vec<u32>,
+}
+
+impl Model {
+    fn insert(&mut self, table: &mut Table, r: Row) {
+        self.rowids.push(table.insert(&row_values(&r)));
+        self.rows.push(r);
     }
-    (*model, *rowids) = kept;
+
+    /// Delete every live row `gone` picks (pinned rows stay).
+    fn delete_where(&mut self, table: &mut Table, gone: impl Fn(&Row) -> bool) {
+        let mut kept = (Vec::new(), Vec::new());
+        for (r, id) in self.rows.drain(..).zip(self.rowids.drain(..)) {
+            if gone(&r) && !pinned(&r) {
+                prop_assert!(table.delete(id));
+            } else {
+                kept.0.push(r);
+                kept.1.push(id);
+            }
+        }
+        (self.rows, self.rowids) = kept;
+    }
+
+    /// A reorganize re-densifies the row ids.
+    fn reorganized(&mut self, table: &Table) {
+        self.rowids = (0..self.rows.len() as u32).collect();
+        assert_same_as_fresh(table, &self.rows);
+    }
+
+    fn apply(&mut self, table: &mut Table, op: Op) {
+        match op {
+            Op::Insert(r) => self.insert(table, r),
+            Op::Delete(pos) => {
+                if !self.rows.is_empty() && !pinned(&self.rows[pos % self.rows.len()]) {
+                    let pos = pos % self.rows.len();
+                    prop_assert!(table.delete(self.rowids[pos]));
+                    self.rows.remove(pos);
+                    self.rowids.remove(pos);
+                }
+            }
+            Op::Update(pos, r) => {
+                if !self.rows.is_empty() && !pinned(&self.rows[pos % self.rows.len()]) {
+                    let pos = pos % self.rows.len();
+                    let new_id = table
+                        .update(self.rowids[pos], &row_values(&r))
+                        .expect("live row");
+                    self.rows.remove(pos);
+                    self.rowids.remove(pos);
+                    self.rows.push(r);
+                    self.rowids.push(new_id);
+                }
+            }
+            Op::Bulk(n) => {
+                for r in (0..BULK.start + n).map(bulk_row) {
+                    self.insert(table, r);
+                }
+            }
+            Op::DeleteValue(i) => self.delete_where(table, |r| r.1 == MODES[i]),
+            Op::DeleteBulk => self.delete_where(table, |r| r.1.starts_with('b')),
+            Op::Reorganize => {
+                table.reorganize();
+                self.reorganized(table);
+            }
+            Op::Checkpoint => {
+                let before: Vec<bool> = (0..7).map(|i| table.column(i).dict().is_some()).collect();
+                table.checkpoint();
+                // Enumeration changes the storage, never a row; an enum
+                // column stays one.
+                for (i, was) in before.into_iter().enumerate() {
+                    prop_assert!(!was || table.column(i).dict().is_some(), "column {i}");
+                }
+                assert_rows(table, &self.rows, &self.rowids);
+            }
+        }
+        prop_assert_eq!(table.live_rows(), self.rows.len());
+    }
+}
+
+/// Whether the `f64` fragment holds a value no enum code may hold.
+fn has_unencodable(v: &Vector) -> bool {
+    v.as_f64()
+        .iter()
+        .any(|x| x.is_nan() || x.to_bits() == (-0.0f64).to_bits())
 }
 
 /// A reorganized table equals a fresh build of its live rows column by
 /// column: physical codes, dictionary, stats, summary index and the
 /// format `checkpoint()` chooses.
 fn assert_same_as_fresh(table: &Table, rows: &[Row]) {
-    let fresh = build_table(rows);
+    let fresh = build_table(rows, table);
     for i in 0..fresh.num_columns() {
         let (got, want) = (table.column(i), fresh.column(i));
         let name = &want.field().name;
@@ -212,7 +348,7 @@ fn assert_decode_matches(cc: &CompressedColumn, data: &Vector, sizes: &[usize]) 
     while at < rows {
         let n = sizes[k % sizes.len()].clamp(1, rows - at);
         k += 1;
-        cc.decode_range(at, n, None, &mut got, &mut cursor, &mut scratch)
+        cc.decode_range(at, n, &mut got, &mut cursor, &mut scratch)
             .expect("decode");
         data.read_into(at, n, &mut want);
         prop_assert!(
@@ -224,73 +360,82 @@ fn assert_decode_matches(cc: &CompressedColumn, data: &Vector, sizes: &[usize]) 
     }
 }
 
+/// A fresh directory for one durable checkpoint of the row model.
+fn model_dir() -> std::path::PathBuf {
+    static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let case = CASE.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    let dir = std::env::temp_dir().join(format!("x100-model-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 proptest! {
+    /// The row model through four phases: random operations; enough
+    /// low-cardinality rows, a reorganize and the checkpoint that
+    /// enumerates the plain string column and — unless a NaN sits in
+    /// its fragment — the plain `f64` column; values those dictionaries
+    /// lack, deletes and more random operations; then a reorganize, a
+    /// durable checkpoint and `open`.
     #[test]
     fn table_matches_row_model(init in prop::collection::vec(row_strategy(), 0..40),
-                               ops in prop::collection::vec(op_strategy(), 0..40)) {
+                               before in prop::collection::vec(op_strategy(), 0..24),
+                               after in prop::collection::vec(op_strategy(), 0..16)) {
         let mut table = build_initial(&init);
-        // Model: live rows in #rowId order, and their row ids.
-        let mut model: Vec<Row> = init.clone();
-        let mut rowids: Vec<u32> = (0..init.len() as u32).collect();
+        let mut model = Model { rows: init.clone(), rowids: (0..init.len() as u32).collect() };
+        for op in before {
+            model.apply(&mut table, op);
+        }
 
-        for op in ops {
-            match op {
-                Op::Insert(r) => {
-                    rowids.push(table.insert(&row_values(&r)));
-                    model.push(r);
-                }
-                Op::Delete(pos) => {
-                    if !model.is_empty() && !pinned(&model[pos % model.len()]) {
-                        let pos = pos % model.len();
-                        prop_assert!(table.delete(rowids[pos]));
-                        model.remove(pos);
-                        rowids.remove(pos);
-                    }
-                }
-                Op::Update(pos, r) => {
-                    if !model.is_empty() && !pinned(&model[pos % model.len()]) {
-                        let pos = pos % model.len();
-                        let new_id = table.update(rowids[pos], &row_values(&r)).expect("live row");
-                        model.remove(pos);
-                        rowids.remove(pos);
-                        model.push(r);
-                        rowids.push(new_id);
-                    }
-                }
-                Op::Bulk(n) => {
-                    for r in (0..BULK.start + n).map(bulk_row) {
-                        rowids.push(table.insert(&row_values(&r)));
-                        model.push(r);
-                    }
-                }
-                Op::DeleteValue(i) => {
-                    delete_where(&mut table, &mut model, &mut rowids, |r| r.1 == MODES[i]);
-                }
-                Op::DeleteBulk => {
-                    delete_where(&mut table, &mut model, &mut rowids, |r| r.1.starts_with('b'));
-                }
-                Op::Reorganize => {
-                    table.reorganize();
-                    rowids = (0..model.len() as u32).collect();
-                    assert_same_as_fresh(&table, &model);
-                }
-                Op::Checkpoint => {
-                    table.checkpoint();
-                }
-            }
-            prop_assert_eq!(table.live_rows(), model.len());
+        for k in 0..ENUM_ROWS {
+            let mut r = bulk_row(k);
+            r.1 = MODES[k % MODES.len()].to_owned();
+            model.insert(&mut table, r);
         }
+        model.apply(&mut table, Op::Reorganize);
+        model.apply(&mut table, Op::Checkpoint);
+        prop_assert!(table.column(5).dict().is_some(), "low-cardinality strings enumerate");
+        let g = table.column(6);
+        match g.dict() {
+            Some(d) => prop_assert!(!has_unencodable(d.values())),
+            None => prop_assert!(has_unencodable(g.physical()), "g stays plain only for a NaN"),
+        }
+
+        // Values neither dictionary holds, then deletes.
+        for k in 0..3u16 {
+            let mut r = bulk_row(k as usize);
+            (r.5, r.6) = (format!("late{k}"), (1000.0 + k as f64).sqrt());
+            model.insert(&mut table, r);
+        }
+        model.delete_where(&mut table, |r| r.5 == LOW[1]);
+        for op in after {
+            model.apply(&mut table, op);
+        }
+        model.apply(&mut table, Op::Reorganize);
+        prop_assert!(table.column(5).dict().is_some(), "a string merge never refuses");
+
+        let dir = model_dir();
+        table
+            .checkpoint_durable(&dir, &DurableOptions::default().with_replicas(1))
+            .expect("durable checkpoint");
+        let opened = Table::open(&dir).expect("reopen");
+        let _ = std::fs::remove_dir_all(&dir);
+        for i in 0..table.num_columns() {
+            prop_assert_eq!(opened.column(i).dict().is_some(), table.column(i).dict().is_some());
+        }
+        assert_rows(&opened, &model.rows, &model.rowids);
+        assert_same_as_fresh(&opened, &model.rows);
+
         // Final check: every live row matches the model.
-        for (pos, &id) in rowids.iter().enumerate() {
-            prop_assert_eq!(row_bits(&table.get_row(id)), row_bits(&row_values(&model[pos])));
-        }
+        assert_rows(&table, &model.rows, &model.rowids);
         // Any checkpoint-compressed fragment must decode bit-identically
         // to the physical column it mirrors.
-        for i in 0..table.num_columns() {
-            let sc = table.column(i);
-            if let Some(cc) = sc.compressed() {
-                prop_assert_eq!(cc.rows(), sc.physical().len());
-                assert_decode_matches(cc, sc.physical(), &[7, 1, 13]);
+        for t in [&table, &opened] {
+            for i in 0..t.num_columns() {
+                let sc = t.column(i);
+                if let Some(cc) = sc.compressed() {
+                    prop_assert_eq!(cc.rows(), sc.physical().len());
+                    assert_decode_matches(cc, sc.physical(), &[7, 1, 13]);
+                }
             }
         }
     }
@@ -443,34 +588,10 @@ proptest! {
         for (start, n) in seeks {
             let start = start % sorted.len();
             let n = n.min(sorted.len() - start).max(1);
-            cc.decode_range(start, n, None, &mut got, &mut cursor, &mut scratch).expect("decode");
+            cc.decode_range(start, n, &mut got, &mut cursor, &mut scratch).expect("decode");
             data.read_into(start, n, &mut want);
             prop_assert!(bits_eq(&got, &want), "seek mismatch at [{start}, {})", start + n);
         }
-    }
-
-    /// PDICT round-trips for low-cardinality i64 / f64 / string columns.
-    #[test]
-    fn pdict_roundtrip(picks in prop::collection::vec(0usize..12, 1..300),
-                       domain in prop::collection::vec(any::<i64>(), 12),
-                       sizes in prop::collection::vec(1usize..80, 1..5)) {
-        let ints: Vec<i64> = picks.iter().map(|&p| domain[p]).collect();
-        let data = Vector::I64(ints.clone());
-        let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality i64");
-        assert_decode_matches(&cc, &data, &sizes);
-
-        let floats: Vec<f64> = picks.iter().map(|&p| domain[p] as f64 + 0.5).collect();
-        let data = Vector::F64(floats);
-        let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality f64");
-        assert_decode_matches(&cc, &data, &sizes);
-
-        let mut strs = x100_vector::StrVec::default();
-        for &p in &picks {
-            strs.push(&format!("tag-{}", domain[p] % 16));
-        }
-        let data = Vector::Str(strs);
-        let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality str");
-        assert_decode_matches(&cc, &data, &sizes);
     }
 
     /// The chooser must never pick a format that fails to round-trip,
@@ -495,10 +616,64 @@ proptest! {
 // encodes it, and must return exactly what encoding every format would.
 // ---------------------------------------------------------------------------
 
-/// The full sweep the chooser must agree with: every applicable format
-/// encoded, the smallest kept (the first on a tie), and raw (`None`)
-/// unless it saves at least 10% of the raw bytes.
-fn full_sweep(data: &Vector) -> Option<CompressedColumn> {
+/// What the checkpoint stores a column as: dictionary codes, a chunk
+/// format, or the raw fragment.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Dictionary,
+    Chunks(ChunkFormat, Vec<u8>),
+    Raw,
+}
+
+/// The full sweep the chooser must agree with: every applicable chunk
+/// format encoded and the dictionary candidate priced — a header per
+/// chunk, a code per row (two bytes past 256 values), the dictionary —
+/// the smallest kept (a chunk format on a tie), and raw unless it saves
+/// at least 10% of the raw bytes.
+fn full_sweep(data: &Vector) -> Verdict {
+    let chunks = chunk_sweep(data);
+    let raw = data.byte_size() as u64;
+    let best = chunks
+        .as_ref()
+        .map_or(raw, CompressedColumn::compressed_bytes);
+    match (dictionary_bytes(data), chunks) {
+        (Some(d), _) if d * 10 <= raw * 9 && d < best => Verdict::Dictionary,
+        (_, Some(c)) => Verdict::Chunks(c.format(), c.to_bytes()),
+        (_, None) => Verdict::Raw,
+    }
+}
+
+/// The dictionary candidate's size, from the distinct values counted
+/// one by one: `None` for a type it does not cover or past the cap
+/// (4096 numeric values, 65536 strings).
+fn dictionary_bytes(data: &Vector) -> Option<u64> {
+    use std::collections::BTreeSet;
+    let (distinct, dict_bytes, cap) = match data {
+        Vector::I64(v) => {
+            let d: BTreeSet<i64> = v.iter().copied().collect();
+            (d.len(), d.len() * 8, 4096)
+        }
+        Vector::F64(v) => {
+            let d: BTreeSet<u64> = v.iter().map(|x| x.to_bits()).collect();
+            (d.len(), d.len() * 8, 4096)
+        }
+        Vector::Str(v) => {
+            let d: BTreeSet<&str> = v.iter().collect();
+            let dict: Vector = Vector::Str(d.iter().copied().collect());
+            (d.len(), dict.byte_size(), 65536)
+        }
+        _ => return None,
+    };
+    let chunks = data.len().div_ceil(x100_storage::CHUNK_ROWS);
+    let code = if distinct <= 256 { 1 } else { 2 };
+    (distinct <= cap)
+        .then(|| (chunks * x100_storage::HEADER_BYTES + data.len() * code + dict_bytes) as u64)
+}
+
+/// The chunk formats alone: every applicable one encoded, the smallest
+/// kept (the first on a tie), and `None` unless it saves at least 10%
+/// of the raw bytes.
+fn chunk_sweep(data: &Vector) -> Option<CompressedColumn> {
     macro_rules! non_decreasing {
         ($($variant:ident),*) => {
             match data {
@@ -508,16 +683,12 @@ fn full_sweep(data: &Vector) -> Option<CompressedColumn> {
         };
     }
     let sorted = non_decreasing!(I8, I16, I32, I64, U8, U16, U32, U64);
-    [
-        ChunkFormat::Pfor,
-        ChunkFormat::PforDelta,
-        ChunkFormat::Pdict,
-    ]
-    .into_iter()
-    .filter(|&f| f != ChunkFormat::PforDelta || sorted)
-    .filter_map(|f| compress_column_as(data, f))
-    .min_by_key(|c| c.compressed_bytes())
-    .filter(|c| c.compressed_bytes() * 10 <= c.raw_bytes() * 9)
+    [ChunkFormat::Pfor, ChunkFormat::PforDelta]
+        .into_iter()
+        .filter(|&f| f != ChunkFormat::PforDelta || sorted)
+        .filter_map(|f| compress_column_as(data, f))
+        .min_by_key(|c| c.compressed_bytes())
+        .filter(|c| c.compressed_bytes() * 10 <= c.raw_bytes() * 9)
 }
 
 /// A column of stored type `ty` (an index into the ten stored types)
@@ -566,10 +737,12 @@ fn chooser_column(ty: usize, rows: usize, shape: u8, card: usize, shift: u32, se
 }
 
 proptest! {
-    /// Same format and the same bytes as the full sweep, over every
-    /// stored type and value shapes on both sides of each bound: PFOR
-    /// lane 0 against lane 8 on 1-byte codes, PDICT over and under 256
-    /// values and over its cap, sorted columns for PFOR-DELTA.
+    /// The chooser and the dictionary candidate decide as the full sweep
+    /// — dictionary, or the same chunk format with the same bytes, or
+    /// raw — over every stored type and value shapes on both sides of
+    /// each bound: PFOR lane 0 against lane 8 on 1-byte codes, a
+    /// dictionary over and under 256 values and over its cap, sorted
+    /// columns for PFOR-DELTA.
     #[test]
     fn chooser_matches_full_sweep(ty in 0usize..10,
                                   rows in 1usize..10_000,
@@ -582,20 +755,22 @@ proptest! {
         let card = (1usize << card_bits) + (seed as usize) % (1 << card_bits);
         let shift = [0, 32, 48, 56][width];
         let data = chooser_column(ty, rows, shape, card, shift, seed);
-        let got = choose_and_compress(&data, &ColumnStats::compute(&data));
-        match (got, full_sweep(&data)) {
-            (None, None) => {}
-            (Some(g), Some(w)) => {
-                prop_assert_eq!(g.format(), w.format());
-                prop_assert!(g.to_bytes() == w.to_bytes(), "{:?}: chunk bytes", w.format());
-            }
-            (g, w) => prop_assert!(
-                false,
-                "chooser {:?}, full sweep {:?}",
-                g.map(|c| c.format()),
-                w.map(|c| c.format())
-            ),
-        }
+        let chunks = choose_and_compress(&data, &ColumnStats::compute(&data));
+        let got = match (dictionary_wins(&data, chunks.as_ref()), chunks) {
+            (true, _) => Verdict::Dictionary,
+            (false, Some(c)) => Verdict::Chunks(c.format(), c.to_bytes()),
+            (false, None) => Verdict::Raw,
+        };
+        let want = full_sweep(&data);
+        prop_assert!(got == want, "{:?} against the full sweep's {:?}", kind(&got), kind(&want));
+    }
+}
+
+/// A verdict without its bytes, for failure messages.
+fn kind(v: &Verdict) -> Option<ChunkFormat> {
+    match v {
+        Verdict::Chunks(f, _) => Some(*f),
+        _ => None,
     }
 }
 
@@ -662,8 +837,7 @@ fn ref_filter(data: &Vector, start: usize, n: usize, p: &Pushdown) -> Vec<u32> {
 /// Drive `select_range` in refills of the (cycled) `sizes` — sharing
 /// one cursor, exactly like a scan — and demand window-relative
 /// positions identical to the reference filter; then read the window
-/// through the scan's refill, under the selection and dense, and demand
-/// the reference values.
+/// through the scan's dense refill and demand the reference values.
 fn assert_pushdown_matches(
     cc: &CompressedColumn,
     data: &Vector,
@@ -697,22 +871,9 @@ fn assert_pushdown_matches(
             at + n
         );
         data.read_into(at, n, &mut want);
-        // The scan's refill: the window decoded under the selection —
-        // every survivor must read its value (strings leave the other
-        // slots empty).
-        cc.decode_range(at, n, Some(&sel), &mut got, &mut cursor, &mut scratch)
-            .expect("decode_range");
-        let dense: Vec<Value> = sel.iter().map(|&i| want.get_value(i as usize)).collect();
-        let refill: Vec<Value> = sel.iter().map(|&i| got.get_value(i as usize)).collect();
-        prop_assert_eq!(
-            refill,
-            dense,
-            "refill diverged in window [{}, {})",
-            at,
-            at + n
-        );
-        // The dense refill of the same window: every row reads its value.
-        cc.decode_range(at, n, None, &mut got, &mut cursor, &mut scratch)
+        // The scan's refill: the whole window decoded, sharing the
+        // select's cursor — every row reads its value.
+        cc.decode_range(at, n, &mut got, &mut cursor, &mut scratch)
             .expect("decode_range");
         prop_assert_eq!(
             &got,
@@ -733,14 +894,6 @@ const PFOR_OPS: [PushOp; 6] = [
     PushOp::Gt,
     PushOp::Ge,
     PushOp::Between,
-];
-const PDICT_OPS: [PushOp; 6] = [
-    PushOp::Eq,
-    PushOp::Ne,
-    PushOp::Lt,
-    PushOp::Le,
-    PushOp::Gt,
-    PushOp::Ge,
 ];
 
 proptest! {
@@ -785,53 +938,17 @@ proptest! {
         assert_pushdown_matches(&cc, &data, PFOR_OPS[op_i], &lo, Some(&hi).filter(|_| PFOR_OPS[op_i] == PushOp::Between), &sizes);
     }
 
-    /// PDICT pushdown evaluates the predicate once over the dictionary;
-    /// i64, f64, and string domains, any comparison operator.
-    #[test]
-    fn pdict_pushdown_matches_decode_then_select(
-        picks in prop::collection::vec(0usize..12, 1..300),
-        domain in prop::collection::vec(any::<i64>(), 12),
-        op_i in 0usize..6,
-        lit_i in 0usize..300,
-        sizes in prop::collection::vec(1usize..90, 1..5),
-    ) {
-        let op = PDICT_OPS[op_i];
-        let ints: Vec<i64> = picks.iter().map(|&p| domain[p]).collect();
-        let data = Vector::I64(ints.clone());
-        let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality i64");
-        // In-dictionary and (likely) out-of-dictionary constants.
-        for lo in [Value::I64(ints[lit_i % ints.len()]), Value::I64(domain[0].wrapping_add(1))] {
-            assert_pushdown_matches(&cc, &data, op, &lo, None, &sizes);
-        }
-
-        let floats: Vec<f64> = picks.iter().map(|&p| (domain[p] % 1000) as f64 + 0.5).collect();
-        let data = Vector::F64(floats.clone());
-        let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality f64");
-        let lo = Value::F64(floats[lit_i % floats.len()]);
-        assert_pushdown_matches(&cc, &data, op, &lo, None, &sizes);
-
-        let mut strs = x100_vector::StrVec::default();
-        for &p in &picks {
-            strs.push(&format!("tag-{}", domain[p] % 16));
-        }
-        let data = Vector::Str(strs);
-        let cc = compress_column_as(&data, ChunkFormat::Pdict).expect("low-cardinality str");
-        let lo = Value::Str(format!("tag-{}", domain[lit_i % 12] % 16));
-        assert_pushdown_matches(&cc, &data, op, &lo, None, &sizes);
-    }
-
     /// `decode_range` agrees with the raw column for windows in any
     /// order — ascending runs, restarts, repeats — across every codec
-    /// the chooser picks, dense and under a selection, sharing one
-    /// cursor: a window that does not continue the last one seeks from
-    /// the nearest PFOR-DELTA sync point.
+    /// the chooser picks, sharing one cursor: a window that does not
+    /// continue the last one seeks from the nearest PFOR-DELTA sync
+    /// point.
     #[test]
     fn decode_range_matches_raw_for_any_windows(
         values in prop::collection::vec(-5000i64..5000, 1..3000),
         sort in any::<bool>(),
         starts in prop::collection::vec(0usize..3000, 1..50),
         len in 1usize..90,
-        stride in 1u32..5,
     ) {
         let mut values = values;
         if sort {
@@ -845,19 +962,15 @@ proptest! {
             for &s in &starts {
                 let at = s % values.len();
                 let n = len.min(values.len() - at);
-                let sel: Vec<u32> = (0..n as u32).step_by(stride as usize).collect();
-                for sel in [None, Some(&sel[..])] {
-                    cc.decode_range(at, n, sel, &mut out, &mut cursor, &mut scratch)
-                        .expect("decode_range");
-                    prop_assert_eq!(out.as_i64(), &values[at..at + n], "window at {}", at);
-                }
+                cc.decode_range(at, n, &mut out, &mut cursor, &mut scratch)
+                    .expect("decode_range");
+                prop_assert_eq!(out.as_i64(), &values[at..at + n], "window at {}", at);
             }
         }
     }
 
-    /// Codec capability matrix is exact: PFOR refuses `!=`, PDICT
-    /// refuses `Between`, PFOR-DELTA refuses all pushdowns, and a
-    /// mistyped constant never compiles.
+    /// Codec capability matrix is exact: PFOR refuses `!=`, PFOR-DELTA
+    /// refuses all pushdowns, and a mistyped constant never compiles.
     #[test]
     fn pushdown_capability_matrix(values in prop::collection::vec(0i64..100, 10..200)) {
         let data = Vector::I64(values.clone());
@@ -868,11 +981,6 @@ proptest! {
         prop_assert!(pfor
             .compile_pushdown(PushOp::Between, &Value::I64(2), Some(&Value::I64(7)))
             .is_some());
-        let pdict = compress_column_as(&data, ChunkFormat::Pdict).expect("pdict");
-        prop_assert!(pdict
-            .compile_pushdown(PushOp::Between, &Value::I64(2), Some(&Value::I64(7)))
-            .is_none());
-        prop_assert!(pdict.compile_pushdown(PushOp::Ne, &Value::I64(5), None).is_some());
         let mut sorted = values;
         sorted.sort_unstable();
         let delta = compress_column_as(&Vector::I64(sorted), ChunkFormat::PforDelta)
@@ -897,7 +1005,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use x100_storage::frame::{Writer, FRAME_OVERHEAD};
-use x100_storage::{fold_checksum, DurableError, DurableOptions};
+use x100_storage::{fold_checksum, DurableError};
 
 /// Stride of the exhaustive offset sweeps: every byte natively, a
 /// sample under the (slow) miri interpreter.
@@ -956,33 +1064,24 @@ fn drive_column(cc: &CompressedColumn) {
     for at in (0..rows).step_by(1000) {
         let n = (rows - at).min(1000);
         if cc
-            .decode_range(at, n, None, &mut out, &mut cursor, &mut scratch)
+            .decode_range(at, n, &mut out, &mut cursor, &mut scratch)
             .is_ok()
             && first.is_none()
         {
             first = Some(out.get_value(0));
         }
     }
-    // Out-of-order windows, dense and under a selection: each seeks
-    // afresh (PFOR-DELTA from its nearest sync point).
+    // Out-of-order windows: each seeks afresh (PFOR-DELTA from its
+    // nearest sync point).
     for at in [rows / 2, rows / 3, rows.saturating_sub(1), 0] {
         let n = (rows - at).min(70);
-        let every_other: Vec<u32> = (0..n as u32).step_by(2).collect();
-        let _ = cc.decode_range(at, n, None, &mut out, &mut cursor, &mut scratch);
-        let _ = cc.decode_range(
-            at,
-            n,
-            Some(&every_other),
-            &mut out,
-            &mut cursor,
-            &mut scratch,
-        );
+        let _ = cc.decode_range(at, n, &mut out, &mut cursor, &mut scratch);
     }
     let pushed = first.and_then(|v| cc.compile_pushdown(PushOp::Ge, &v, None));
     if let Some(p) = pushed {
         let n = rows.min(1500);
         if cc.select_range(&p, 0, n, &mut sel, &mut cursor).is_ok() {
-            let _ = cc.decode_range(0, n, Some(&sel), &mut out, &mut cursor, &mut scratch);
+            let _ = cc.decode_range(0, n, &mut out, &mut cursor, &mut scratch);
         }
     }
 }
@@ -1016,19 +1115,9 @@ fn build_column_images() -> Vec<(String, CompressedColumn)> {
         )*};
     }
     ints!(i8 => I8, i16 => I16, i32 => I32, i64 => I64, u8 => U8, u16 => U16, u32 => U32, u64 => U64);
-    let cents: Vec<f64> = (0..150).map(|i| (i % 40) as f64 / 100.0).collect();
-    let mut odd = cents.clone();
-    odd[11] = std::f64::consts::PI;
-    add("f64", Vector::F64(odd), ChunkFormat::Pfor);
-    add("f64", Vector::F64(cents), ChunkFormat::Pdict);
-    let i32s = (0..150).map(|i| (i % 9) * 1000).collect();
-    add("i32", Vector::I32(i32s), ChunkFormat::Pdict);
-    let i64s = (0..150).map(|i| (i % 9) * 1_000_000_007).collect();
-    add("i64", Vector::I64(i64s), ChunkFormat::Pdict);
-    let strs = (0..150)
-        .map(|i| ["AIR", "MAIL", "RAIL", "SHIP"][i % 4])
-        .collect();
-    add("str", Vector::Str(strs), ChunkFormat::Pdict);
+    let mut cents: Vec<f64> = (0..150).map(|i| (i % 40) as f64 / 100.0).collect();
+    cents[11] = std::f64::consts::PI;
+    add("f64", Vector::F64(cents), ChunkFormat::Pfor);
     let rows = x100_storage::CHUNK_ROWS + 5;
     add(
         "i64×2chunks",

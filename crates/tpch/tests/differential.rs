@@ -73,7 +73,7 @@ fn make_sorted(compress: bool) -> Table {
 /// Build a random table: i64 key-ish column, f64 value, enum tag, a
 /// sorted key `k` (runs of equal values) and `rid`, a `#rowId` into
 /// `dim`. With `compress`, the tables are checkpointed first so scans
-/// run over the compressed chunk store (PFOR/PDICT decode paths)
+/// run over the compressed chunk store (PFOR / PFOR-DELTA decode paths)
 /// instead of the plain in-memory columns.
 fn make_db_with(rows: &[(i64, f64, u8)], compress: bool, dim_deltas: bool) -> Database {
     let tags = ["red", "green", "blue"];
@@ -444,7 +444,7 @@ proptest! {
         }
         prop_assert_eq!(&mm, &base_rows, "MIL diverged");
         // Compressed-chunk invariance: checkpoint the table so scans
-        // decode PFOR/PDICT chunks; small vector sizes force the decode
+        // decode PFOR / PFOR-DELTA chunks; small vector sizes force the decode
         // cursor to continue mid-chunk across refills.
         let cdb = make_db_inner(&rows, true);
         for vs in [3usize, 1024] {

@@ -1,4 +1,4 @@
-//! Lightweight compression kernels: PFOR, PFOR-DELTA and PDICT.
+//! Lightweight compression kernels: PFOR and PFOR-DELTA.
 //!
 //! The paper's ColumnBM trades "a few cheap, branch-free CPU cycles" of
 //! decompression for scarce memory bandwidth, expanding compressed
@@ -10,9 +10,10 @@
 //!   frame width are *exceptions*, patched in after the dense unpack.
 //! * **PFOR-DELTA** — PFOR over the deltas of a non-decreasing (key)
 //!   column, with periodic sync carries so a scan can seek mid-chunk.
-//! * **PDICT** — dictionary codes for low-cardinality columns, packed
-//!   at one or two bytes per code and expanded through a positional
-//!   gather (the enum-decode machinery generalized to a chunk codec).
+//!
+//! Low-cardinality columns are not a chunk codec: a checkpoint turns
+//! them into enumeration types (`x100_storage::enumcol`, paper §4.3),
+//! whose one- or two-byte codes then go through these same kernels.
 //!
 //! Frames are **byte-aligned** (0, 8, 16, 32 or 64 bits per value)
 //! rather than bit-packed: the decode loops become exact-width iterator
@@ -27,8 +28,6 @@
 //! *byte-identically* (floats included — an f64 value only avoids the
 //! exception list if its decimal-scaled round trip reproduces its exact
 //! bit pattern).
-
-use crate::vector::StrVec;
 
 /// Exception cost in bytes: a 4-byte chunk-relative position plus an
 /// 8-byte absolute frame.
@@ -751,137 +750,16 @@ pfordelta_instances! {
 }
 
 // ---------------------------------------------------------------------
-// PDICT
-// ---------------------------------------------------------------------
-
-/// Catalog of the PDICT codec instances (hand-instantiated like the
-/// irregular fetch kernels; the dictionary build lives in storage,
-/// reusing the enum-encode machinery).
-pub const PDICT_SIGNATURES: &[&str] = &[
-    "compress_pdict_i32_col",
-    "decompress_pdict_i32_col",
-    "compress_pdict_i64_col",
-    "decompress_pdict_i64_col",
-    "compress_pdict_f64_col",
-    "decompress_pdict_f64_col",
-    "compress_pdict_str_col",
-    "decompress_pdict_str_col",
-];
-
-/// Pack one code at the dictionary lane width (8 or 16 bits).
-#[inline(always)]
-fn push_code(payload: &mut Vec<u8>, lane: u32, code: usize) {
-    if lane <= 8 {
-        payload.push(code as u8);
-    } else {
-        payload.extend_from_slice(&(code as u16).to_le_bytes());
-    }
-}
-
-/// Unpack dictionary codes `[start, start+out.len())`.
-fn unpack_codes(out: &mut [u64], payload: &[u8], lane: u32, start: usize) {
-    unpack_frames(out, payload, if lane <= 8 { 8 } else { 16 }, 0, start);
-}
-
-macro_rules! pdict_numeric {
-    ($( $ty:ty : $comp:ident / $decomp:ident => $cmp:expr );* $(;)?) => {
-        $(
-            /// PDICT chunk compressor: looks every value up in the
-            /// sorted dictionary and packs its code at `lane` bits.
-            /// Returns `None` if a value is missing from the dictionary.
-            pub fn $comp(values: &[$ty], dict: &[$ty], lane: u32) -> Option<Vec<u8>> {
-                let mut payload = Vec::with_capacity(values.len() * (lane as usize / 8));
-                for v in values {
-                    let code = dict.binary_search_by(|d| ($cmp)(d, v)).ok()?;
-                    push_code(&mut payload, lane, code);
-                }
-                Some(payload)
-            }
-
-            /// PDICT chunk decompressor: gathers the dictionary value of
-            /// each code straight off its packed lane, with no scratch
-            /// round-trip (the scan's dense refill runs this under a
-            /// pushed selection too).
-            pub fn $decomp(
-                out: &mut [$ty],
-                payload: &[u8],
-                lane: u32,
-                start: usize,
-                dict: &[$ty],
-            ) {
-                let lane = if lane <= 8 { 8 } else { 16 };
-                unpack_map(out, payload, lane, start, |code| dict[code as usize]);
-            }
-        )*
-    };
-}
-
-pdict_numeric! {
-    i32: compress_pdict_i32_col / decompress_pdict_i32_col => |d: &i32, v: &i32| d.cmp(v);
-    i64: compress_pdict_i64_col / decompress_pdict_i64_col => |d: &i64, v: &i64| d.cmp(v);
-    f64: compress_pdict_f64_col / decompress_pdict_f64_col => |d: &f64, v: &f64| d.total_cmp(v);
-}
-
-/// PDICT chunk compressor for strings: codes into a sorted [`StrVec`]
-/// dictionary. Returns `None` if a value is missing.
-pub fn compress_pdict_str_col(values: &StrVec, dict: &StrVec, lane: u32) -> Option<Vec<u8>> {
-    let mut payload = Vec::with_capacity(values.len() * (lane as usize / 8));
-    for i in 0..values.len() {
-        // lint: allow-index-loop (StrVec exposes positional access only)
-        let v = values.get(i);
-        let code = str_dict_search(dict, v)?;
-        push_code(&mut payload, lane, code);
-    }
-    Some(payload)
-}
-
-/// PDICT chunk decompressor for strings: appends the decoded values
-/// (string vectors are append-only).
-pub fn decompress_pdict_str_col(
-    out: &mut StrVec,
-    payload: &[u8],
-    lane: u32,
-    start: usize,
-    n: usize,
-    dict: &StrVec,
-    scratch: &mut Vec<u64>,
-) {
-    scratch.resize(n, 0);
-    unpack_codes(&mut scratch[..n], payload, lane, start);
-    for &code in scratch.iter() {
-        out.push(dict.get(code as usize));
-    }
-}
-
-/// Binary search a sorted string dictionary.
-fn str_dict_search(dict: &StrVec, v: &str) -> Option<usize> {
-    let mut lo = 0usize;
-    let mut hi = dict.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        match dict.get(mid).cmp(v) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Some(mid),
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------
-// Encoded-space selection and selective decode (compression-aware
-// execution)
+// Encoded-space selection (compression-aware execution)
 // ---------------------------------------------------------------------
 //
 // Pushdown half of the codec design: a comparison constant is
-// translated into the chunk's frame (or code) domain once, the packed
-// lanes are scanned *without* materializing values into a selection
-// vector. The refill under it decodes densely, except PDICT strings,
-// which copy only the survivors through `decode_sel_pdict_str_col` at
-// the bottom of this section. Exceptions take
-// a patched slow lane: the merged walk substitutes each exception's
-// absolute payload at its position, so an all-exception chunk degrades
-// to decode-then-select cost, never to wrong answers.
+// translated into the chunk's frame domain once, the packed lanes are
+// scanned *without* materializing values into a selection vector. The
+// refill under it decodes densely. Exceptions take a patched slow
+// lane: the merged walk substitutes each exception's absolute payload
+// at its position, so an all-exception chunk degrades to
+// decode-then-select cost, never to wrong answers.
 
 /// Merged single-pass selection over one PFOR window `[start, start+n)`:
 /// dense slots test their packed *relative* frame against `dense` (an
@@ -1292,332 +1170,6 @@ pub const CMP_PFOR_SIGNATURES: &[&str] = &[
     "cmp_pfor_between_f64_col_val_val",
 ];
 
-// -- PDICT predicate rewriting ----------------------------------------
-
-/// A predicate rewritten into dictionary-code space: the predicate is
-/// evaluated once over the (sorted) dictionary and each chunk then only
-/// tests packed codes — values, and in particular strings, are never
-/// materialized until output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DictSel {
-    /// No dictionary code satisfies the predicate.
-    None,
-    /// Every code satisfies it.
-    All,
-    /// Exactly the codes `lo..=hi` satisfy it (range predicates over a
-    /// sorted dictionary are contiguous in code space).
-    Range(u32, u32),
-    /// Arbitrary code set, one bit per code.
-    Mask(Vec<u64>),
-}
-
-impl DictSel {
-    /// Evaluate `pred` over every code and collapse to the cheapest
-    /// representation (`None`/`All`/contiguous range/bitset).
-    pub fn from_pred(len: usize, pred: impl Fn(usize) -> bool) -> DictSel {
-        let mut first = usize::MAX;
-        let mut last = 0usize;
-        let mut count = 0usize;
-        for c in 0..len {
-            // lint: allow-index-loop (predicate is over code space itself)
-            if pred(c) {
-                if first == usize::MAX {
-                    first = c;
-                }
-                last = c;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            return DictSel::None;
-        }
-        if count == len {
-            return DictSel::All;
-        }
-        if count == last - first + 1 {
-            return DictSel::Range(first as u32, last as u32);
-        }
-        let mut mask = vec![0u64; len.div_ceil(64)];
-        for c in 0..len {
-            // lint: allow-index-loop (bitset build over code space)
-            if pred(c) {
-                mask[c / 64] |= 1 << (c % 64);
-            }
-        }
-        DictSel::Mask(mask)
-    }
-
-    /// Does `code` satisfy the rewritten predicate?
-    #[inline(always)]
-    pub fn matches(&self, code: u64) -> bool {
-        match self {
-            DictSel::None => false,
-            DictSel::All => true,
-            DictSel::Range(lo, hi) => *lo as u64 <= code && code <= *hi as u64,
-            DictSel::Mask(m) => m
-                .get((code / 64) as usize)
-                .is_some_and(|w| (w >> (code % 64)) & 1 == 1),
-        }
-    }
-}
-
-/// Selection over one PDICT window `[start, start+n)`: tests each
-/// packed code against the rewritten predicate, appending matching
-/// chunk-relative positions in ascending order.
-pub fn pdict_select_codes(
-    payload: &[u8],
-    lane: u32,
-    start: usize,
-    n: usize,
-    sel: &DictSel,
-    out: &mut Vec<u32>,
-) {
-    match sel {
-        DictSel::None => {}
-        DictSel::All => out.extend(start as u32..(start + n) as u32),
-        DictSel::Range(lo, hi) => code_range_walk(payload, lane, start, n, *lo, *hi, out),
-        DictSel::Mask(_) => code_walk(payload, lane, start, n, move |c| sel.matches(c), out),
-    }
-}
-
-/// Per-lane packed-code walk shared by the PDICT selection forms.
-/// Branch-free walk for a contiguous code range — the shape every
-/// ordered-dictionary range rewrite collapses to. Compares stay in the
-/// native lane width and fold into a 32-slot mask that is drained with
-/// `trailing_zeros`, so the hot loop carries no data-dependent branch.
-fn code_range_walk(
-    payload: &[u8],
-    lane: u32,
-    start: usize,
-    n: usize,
-    lo: u32,
-    hi: u32,
-    out: &mut Vec<u32>,
-) {
-    out.reserve(n);
-    macro_rules! walk {
-        ($t:ty, $w:expr, $load:expr) => {{
-            // Codes are bounded by the lane domain, so both bounds fit.
-            let sp = (hi - lo) as $t;
-            let lo = lo as $t;
-            let bytes = &payload[start * $w..(start + n) * $w];
-            let mut i = 0usize;
-            let mut blocks = bytes.chunks_exact($w * 32);
-            for blk in blocks.by_ref() {
-                let mut mask = 0u32;
-                for (j, ch) in blk.chunks_exact($w).enumerate() {
-                    let c: $t = $load(ch);
-                    mask |= ((c.wrapping_sub(lo) <= sp) as u32) << j;
-                }
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    out.push((start + i + j) as u32);
-                    mask &= mask - 1;
-                }
-                i += 32;
-            }
-            for (j, ch) in blocks.remainder().chunks_exact($w).enumerate() {
-                let c: $t = $load(ch);
-                if c.wrapping_sub(lo) <= sp {
-                    out.push((start + i + j) as u32);
-                }
-            }
-        }};
-    }
-    if lane <= 8 {
-        walk!(u8, 1, |ch: &[u8]| ch[0])
-    } else {
-        walk!(u16, 2, |ch: &[u8]| u16::from_le_bytes([ch[0], ch[1]]))
-    }
-}
-
-fn code_walk<F: Fn(u64) -> bool + Copy>(
-    payload: &[u8],
-    lane: u32,
-    start: usize,
-    n: usize,
-    f: F,
-    out: &mut Vec<u32>,
-) {
-    if lane <= 8 {
-        for (i, &b) in payload[start..start + n].iter().enumerate() {
-            if f(b as u64) {
-                out.push((start + i) as u32);
-            }
-        }
-    } else {
-        let bytes = &payload[start * 2..(start + n) * 2];
-        for (i, ch) in bytes.chunks_exact(2).enumerate() {
-            if f(u16::from_le_bytes([ch[0], ch[1]]) as u64) {
-                out.push((start + i) as u32);
-            }
-        }
-    }
-}
-
-macro_rules! cmp_pdict_numeric {
-    ($( $ty:ty : $eq:ident / $ne:ident / $lt:ident / $le:ident / $gt:ident / $ge:ident
-        => $eqf:expr, $ltf:expr );* $(;)?) => {
-        $(
-            /// Dictionary-code `==`: predicate evaluated once over the
-            /// dictionary, then a pure code-space window scan.
-            pub fn $eq(
-                dict: &[$ty], payload: &[u8], lane: u32,
-                start: usize, n: usize, v: $ty, out: &mut Vec<u32>,
-            ) {
-                let sel = DictSel::from_pred(dict.len(), |c| ($eqf)(dict[c], v));
-                pdict_select_codes(payload, lane, start, n, &sel, out);
-            }
-
-            /// Dictionary-code `!=`.
-            pub fn $ne(
-                dict: &[$ty], payload: &[u8], lane: u32,
-                start: usize, n: usize, v: $ty, out: &mut Vec<u32>,
-            ) {
-                let sel = DictSel::from_pred(dict.len(), |c| !($eqf)(dict[c], v));
-                pdict_select_codes(payload, lane, start, n, &sel, out);
-            }
-
-            /// Dictionary-code `<`.
-            pub fn $lt(
-                dict: &[$ty], payload: &[u8], lane: u32,
-                start: usize, n: usize, v: $ty, out: &mut Vec<u32>,
-            ) {
-                let sel = DictSel::from_pred(dict.len(), |c| ($ltf)(dict[c], v));
-                pdict_select_codes(payload, lane, start, n, &sel, out);
-            }
-
-            /// Dictionary-code `<=`.
-            pub fn $le(
-                dict: &[$ty], payload: &[u8], lane: u32,
-                start: usize, n: usize, v: $ty, out: &mut Vec<u32>,
-            ) {
-                let sel = DictSel::from_pred(dict.len(), |c| {
-                    ($ltf)(dict[c], v) || ($eqf)(dict[c], v)
-                });
-                pdict_select_codes(payload, lane, start, n, &sel, out);
-            }
-
-            /// Dictionary-code `>`.
-            pub fn $gt(
-                dict: &[$ty], payload: &[u8], lane: u32,
-                start: usize, n: usize, v: $ty, out: &mut Vec<u32>,
-            ) {
-                let sel = DictSel::from_pred(dict.len(), |c| {
-                    !($ltf)(dict[c], v) && !($eqf)(dict[c], v)
-                });
-                pdict_select_codes(payload, lane, start, n, &sel, out);
-            }
-
-            /// Dictionary-code `>=`.
-            pub fn $ge(
-                dict: &[$ty], payload: &[u8], lane: u32,
-                start: usize, n: usize, v: $ty, out: &mut Vec<u32>,
-            ) {
-                let sel = DictSel::from_pred(dict.len(), |c| !($ltf)(dict[c], v));
-                pdict_select_codes(payload, lane, start, n, &sel, out);
-            }
-        )*
-    };
-}
-
-cmp_pdict_numeric! {
-    i32: cmp_pdict_eq_i32_col_val / cmp_pdict_ne_i32_col_val / cmp_pdict_lt_i32_col_val
-        / cmp_pdict_le_i32_col_val / cmp_pdict_gt_i32_col_val / cmp_pdict_ge_i32_col_val
-        => |d: i32, v: i32| d == v, |d: i32, v: i32| d < v;
-    i64: cmp_pdict_eq_i64_col_val / cmp_pdict_ne_i64_col_val / cmp_pdict_lt_i64_col_val
-        / cmp_pdict_le_i64_col_val / cmp_pdict_gt_i64_col_val / cmp_pdict_ge_i64_col_val
-        => |d: i64, v: i64| d == v, |d: i64, v: i64| d < v;
-    f64: cmp_pdict_eq_f64_col_val / cmp_pdict_ne_f64_col_val / cmp_pdict_lt_f64_col_val
-        / cmp_pdict_le_f64_col_val / cmp_pdict_gt_f64_col_val / cmp_pdict_ge_f64_col_val
-        => |d: f64, v: f64| d == v, |d: f64, v: f64| d < v;
-}
-
-macro_rules! cmp_pdict_str {
-    ($( $name:ident => $pred:expr );* $(;)?) => {
-        $(
-            /// Dictionary-code string comparison: the predicate runs
-            /// once over the dictionary; chunk scans never touch a
-            /// [`StrVec`].
-            pub fn $name(
-                dict: &StrVec, payload: &[u8], lane: u32,
-                start: usize, n: usize, v: &str, out: &mut Vec<u32>,
-            ) {
-                let sel = DictSel::from_pred(dict.len(), |c| ($pred)(dict.get(c), v));
-                pdict_select_codes(payload, lane, start, n, &sel, out);
-            }
-        )*
-    };
-}
-
-cmp_pdict_str! {
-    cmp_pdict_eq_str_col_val => |d: &str, v: &str| d == v;
-    cmp_pdict_ne_str_col_val => |d: &str, v: &str| d != v;
-    cmp_pdict_lt_str_col_val => |d: &str, v: &str| d < v;
-    cmp_pdict_le_str_col_val => |d: &str, v: &str| d <= v;
-    cmp_pdict_gt_str_col_val => |d: &str, v: &str| d > v;
-    cmp_pdict_ge_str_col_val => |d: &str, v: &str| d >= v;
-}
-
-/// Catalog of the dictionary-code selection kernels.
-pub const CMP_PDICT_SIGNATURES: &[&str] = &[
-    "cmp_pdict_eq_i32_col_val",
-    "cmp_pdict_ne_i32_col_val",
-    "cmp_pdict_lt_i32_col_val",
-    "cmp_pdict_le_i32_col_val",
-    "cmp_pdict_gt_i32_col_val",
-    "cmp_pdict_ge_i32_col_val",
-    "cmp_pdict_eq_i64_col_val",
-    "cmp_pdict_ne_i64_col_val",
-    "cmp_pdict_lt_i64_col_val",
-    "cmp_pdict_le_i64_col_val",
-    "cmp_pdict_gt_i64_col_val",
-    "cmp_pdict_ge_i64_col_val",
-    "cmp_pdict_eq_f64_col_val",
-    "cmp_pdict_ne_f64_col_val",
-    "cmp_pdict_lt_f64_col_val",
-    "cmp_pdict_le_f64_col_val",
-    "cmp_pdict_gt_f64_col_val",
-    "cmp_pdict_ge_f64_col_val",
-    "cmp_pdict_eq_str_col_val",
-    "cmp_pdict_ne_str_col_val",
-    "cmp_pdict_lt_str_col_val",
-    "cmp_pdict_le_str_col_val",
-    "cmp_pdict_gt_str_col_val",
-    "cmp_pdict_ge_str_col_val",
-];
-
-// -- selective decode -------------------------------------------------
-
-/// Random-access read of one packed PDICT code (8- or 16-bit lane).
-#[inline(always)]
-fn lane_rel(payload: &[u8], lane: u32, i: usize) -> u64 {
-    match lane {
-        8 => payload[i] as u64,
-        _ => u16::from_le_bytes([payload[i * 2], payload[i * 2 + 1]]) as u64,
-    }
-}
-
-/// Selective PDICT decoder for strings: appends the dictionary value of
-/// each selected position (string vectors are append-only). This is the
-/// only point where a dictionary-predicate query touches a [`StrVec`].
-pub fn decode_sel_pdict_str_col(
-    out: &mut StrVec,
-    payload: &[u8],
-    lane: u32,
-    dict: &StrVec,
-    sel: &[u32],
-) {
-    let lane = if lane <= 8 { 8 } else { 16 };
-    for &p in sel {
-        out.push(dict.get(lane_rel(payload, lane, p as usize) as usize));
-    }
-}
-
-/// Catalog of the selective-decode kernels; each has a dense
-/// `decompress_*` twin (lint rule 5 checks the pairing).
-pub const DECODE_SEL_SIGNATURES: &[&str] = &["decode_sel_pdict_str_col"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1771,36 +1323,6 @@ mod tests {
         assert_eq!(out, v[1400..1600]);
     }
 
-    #[test]
-    fn pdict_numeric_roundtrip() {
-        let dict = vec![-5i64, 0, 17, 250];
-        let v: Vec<i64> = (0..500).map(|i| dict[i % 4]).collect();
-        let payload = compress_pdict_i64_col(&v, &dict, 8).expect("all in dict");
-        let mut out = vec![0i64; 100];
-        decompress_pdict_i64_col(&mut out, &payload, 8, 250, &dict);
-        assert_eq!(out, v[250..350]);
-        assert!(compress_pdict_i64_col(&[99], &dict, 8).is_none());
-    }
-
-    #[test]
-    fn pdict_str_roundtrip() {
-        let mut dict = StrVec::with_capacity(3, 4);
-        for s in ["AIR", "RAIL", "SHIP"] {
-            dict.push(s);
-        }
-        let mut v = StrVec::with_capacity(10, 4);
-        for i in 0..10 {
-            v.push(["RAIL", "AIR", "SHIP"][i % 3]);
-        }
-        let payload = compress_pdict_str_col(&v, &dict, 8).expect("all in dict");
-        let mut out = StrVec::with_capacity(4, 4);
-        let mut scratch = Vec::new();
-        decompress_pdict_str_col(&mut out, &payload, 8, 3, 4, &dict, &mut scratch);
-        for (i, want) in (3..7).enumerate() {
-            assert_eq!(out.get(i), v.get(want));
-        }
-    }
-
     fn expect_sel<T: Copy>(v: &[T], start: usize, n: usize, pred: impl Fn(T) -> bool) -> Vec<u32> {
         (start..start + n)
             .filter(|&i| pred(v[i]))
@@ -1894,91 +1416,5 @@ mod tests {
         let mut got = Vec::new();
         cmp_pfor_ge_f64_col_val(&c, 0, v.len(), 0.1 + 32.0 * 1e-13, &mut got);
         assert_eq!(got, expect_sel(&v, 0, v.len(), |x| x >= 0.1 + 32.0 * 1e-13));
-    }
-
-    #[test]
-    fn dict_sel_collapses_forms() {
-        let dict = [10i64, 20, 30, 40];
-        assert_eq!(
-            DictSel::from_pred(4, |c| dict[c] == 30),
-            DictSel::Range(2, 2)
-        );
-        assert_eq!(
-            DictSel::from_pred(4, |c| dict[c] < 35),
-            DictSel::Range(0, 2)
-        );
-        assert_eq!(DictSel::from_pred(4, |c| dict[c] > 99), DictSel::None);
-        assert_eq!(DictSel::from_pred(4, |c| dict[c] > 0), DictSel::All);
-        let ne = DictSel::from_pred(4, |c| dict[c] != 20);
-        assert!(matches!(ne, DictSel::Mask(_)));
-        assert!(ne.matches(0) && !ne.matches(1) && ne.matches(3));
-    }
-
-    #[test]
-    #[allow(clippy::type_complexity)]
-    fn pdict_pushdown_matches_decode_then_select() {
-        let dict = vec![-5i64, 0, 17, 250];
-        let v: Vec<i64> = (0..500).map(|i| dict[(i * 7) % 4]).collect();
-        let payload = compress_pdict_i64_col(&v, &dict, 8).expect("all in dict");
-        let (start, n) = (13, 400);
-        let kernels: [(
-            fn(&[i64], &[u8], u32, usize, usize, i64, &mut Vec<u32>),
-            fn(i64, i64) -> bool,
-        ); 6] = [
-            (cmp_pdict_eq_i64_col_val, |x, t| x == t),
-            (cmp_pdict_ne_i64_col_val, |x, t| x != t),
-            (cmp_pdict_lt_i64_col_val, |x, t| x < t),
-            (cmp_pdict_le_i64_col_val, |x, t| x <= t),
-            (cmp_pdict_gt_i64_col_val, |x, t| x > t),
-            (cmp_pdict_ge_i64_col_val, |x, t| x >= t),
-        ];
-        for t in [-5i64, 17, 99] {
-            for (kernel, pred) in kernels {
-                let mut got = Vec::new();
-                kernel(&dict, &payload, 8, start, n, t, &mut got);
-                assert_eq!(got, expect_sel(&v, start, n, |x| pred(x, t)), "t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn pdict_str_pushdown_never_materializes() {
-        let mut dict = StrVec::with_capacity(3, 4);
-        for s in ["AIR", "RAIL", "SHIP"] {
-            dict.push(s);
-        }
-        let mut v = StrVec::with_capacity(9, 4);
-        let vals = ["RAIL", "AIR", "SHIP"];
-        for i in 0..9 {
-            v.push(vals[i % 3]);
-        }
-        let payload = compress_pdict_str_col(&v, &dict, 8).expect("all in dict");
-        let mut got = Vec::new();
-        cmp_pdict_eq_str_col_val(&dict, &payload, 8, 0, 9, "RAIL", &mut got);
-        assert_eq!(got, vec![0, 3, 6]);
-        got.clear();
-        cmp_pdict_ge_str_col_val(&dict, &payload, 8, 2, 6, "RAIL", &mut got);
-        let want: Vec<u32> = (2..8)
-            .filter(|&i| v.get(i) >= "RAIL")
-            .map(|i| i as u32)
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn decode_sel_pdict_gathers() {
-        let mut sdict = StrVec::with_capacity(2, 4);
-        sdict.push("AA");
-        sdict.push("BB");
-        let mut sv = StrVec::with_capacity(6, 4);
-        for i in 0..6 {
-            sv.push(["AA", "BB"][i % 2]);
-        }
-        let spayload = compress_pdict_str_col(&sv, &sdict, 8).expect("all in dict");
-        let mut sout = StrVec::with_capacity(3, 4);
-        decode_sel_pdict_str_col(&mut sout, &spayload, 8, &sdict, &[0, 3, 4]);
-        assert_eq!(sout.get(0), "AA");
-        assert_eq!(sout.get(1), "BB");
-        assert_eq!(sout.get(2), "AA");
     }
 }

@@ -42,7 +42,7 @@ pub enum PrimitiveKind {
     Hash,
     /// Fused compound primitive for an expression sub-tree.
     Compound,
-    /// Chunk codec half: `compress_*` / `decompress_*` (PFOR, PDICT,
+    /// Chunk codec half: `compress_*` / `decompress_*` (PFOR,
     /// PFOR-DELTA — paper §4.3/§5 lightweight compression).
     Compress,
     /// Merge-join cursor advance over a sorted key column (`merge_*`).
@@ -137,8 +137,7 @@ pub enum FactTransfer {
     /// Produces a selection vector: downstream facts are refined (a
     /// subset of positions survives), never widened.
     Refine,
-    /// Codec round trip: values pass through unchanged (decompress and
-    /// the PDICT string decode under a selection).
+    /// Codec round trip: values pass through unchanged (decompress).
     Passthrough,
     /// Aggregate-state update: folded by the aggregation transfer at
     /// the plan node (sum/min/max/count range algebra).
@@ -493,7 +492,7 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             }
             Ok(selful(args, OutTy::Sel, T::Refine))
         }
-        ("compress", c) | ("decompress", c) if ["pfor", "pfordelta", "pdict"].contains(&c) => {
+        ("compress", c) | ("decompress", c) if ["pfor", "pfordelta"].contains(&c) => {
             // compress_<codec>_<ty>_col / decompress_<codec>_<ty>_col.
             // Compressors read one typed column chunk and produce codec
             // state (a self-describing compressed chunk); decompressors
@@ -518,23 +517,17 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
                 Ok(dense(vec![ArgTy::col(ty)], OutTy::Vec(ty), T::Passthrough))
             }
         }
-        ("cmp", c) if ["pfor", "pdict"].contains(&c) => {
-            // cmp_<codec>_<op>_<ty>_col_val[_val]: encoded-space
-            // selection — the constant is translated into the codec's
-            // frame (PFOR) or code (PDICT) domain once per chunk and the
-            // packed lanes are scanned without decoding. `between`
-            // (PFOR only) carries a second broadcast constant; `ne` over
-            // a frame range is not contiguous, so PFOR omits it while
-            // PDICT rewrites it as a code-set mask.
+        ("cmp", "pfor") => {
+            // cmp_pfor_<op>_<ty>_col_val[_val]: encoded-space selection
+            // — the constant is translated into the chunk's frame domain
+            // once per chunk and the packed lanes are scanned without
+            // decoding. `between` carries a second broadcast constant;
+            // `ne` over a frame range is not contiguous, so it is absent.
             let Some((cmp, args)) = rest.split_first() else {
                 return Err(format!("pushdown signature `{sig}` malformed"));
             };
             let between = *cmp == "between";
-            let known = if c == "pfor" {
-                between || (CMP_OPS.contains(cmp) && *cmp != "ne")
-            } else {
-                CMP_OPS.contains(cmp)
-            };
+            let known = between || (CMP_OPS.contains(cmp) && *cmp != "ne");
             if !known {
                 return Err(format!("bad pushdown op in `{sig}`"));
             }
@@ -547,28 +540,10 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             {
                 return Err(format!("pushdown signature `{sig}` needs col + val args"));
             }
-            if c == "pdict" && !matches!(args[0].ty, I32 | I64 | F64 | Str) {
-                return Err(format!("type not dictionary-codable in `{sig}`"));
-            }
-            if c == "pfor" && args[0].ty == Str {
+            if args[0].ty == Str {
                 return Err(format!("PFOR pushdown is numeric-only: `{sig}`"));
             }
             Ok(selful(args, OutTy::Sel, T::Refine))
-        }
-        ("decode", "sel") => {
-            // decode_sel_pdict_str_col: the PDICT string refill under a
-            // pushdown selection — copies only the survivors' strings.
-            // Every other column decodes densely, so it is the only one.
-            let ["pdict", "str", "col"] = rest else {
-                return Err(format!(
-                    "only PDICT strings decode under a selection: `{sig}`"
-                ));
-            };
-            Ok(dense(
-                vec![ArgTy::col(Str)],
-                OutTy::Vec(Str),
-                T::Passthrough,
-            ))
         }
         ("aggr", "grouptable") => {
             // aggr_grouptable_verify_<ty>_col: stored key column, probe
@@ -892,33 +867,15 @@ impl PrimitiveRegistry {
                 "PFOR-DELTA chunk codec (generated)",
             );
         }
-        for sig in crate::compress::PDICT_SIGNATURES {
-            reg.register(sig, PrimitiveKind::Compress, "PDICT chunk codec");
-        }
-        // Compression-aware execution: encoded-space selections (typed
+        // Compression-aware execution: encoded-space selections, typed
         // like any other select primitive, so the bind-time verifier can
-        // reject codec/type mismatches) and the PDICT string decode
-        // under a selection. Signature lists are emitted next to the
-        // kernels in `compress.rs`.
+        // reject codec/type mismatches. The signature list is emitted
+        // next to the kernels in `compress.rs`.
         for sig in crate::compress::CMP_PFOR_SIGNATURES {
             reg.register(
                 sig,
                 PrimitiveKind::Select,
                 "encoded-space PFOR selection (generated)",
-            );
-        }
-        for sig in crate::compress::CMP_PDICT_SIGNATURES {
-            reg.register(
-                sig,
-                PrimitiveKind::Select,
-                "dictionary-code selection (generated)",
-            );
-        }
-        for sig in crate::compress::DECODE_SEL_SIGNATURES {
-            reg.register(
-                sig,
-                PrimitiveKind::Compress,
-                "PDICT string decode under a selection",
             );
         }
         reg
@@ -1038,9 +995,8 @@ mod tests {
         assert_eq!(total, reg.len());
         assert!(reg.count_kind(PrimitiveKind::Select) >= 84);
         assert_eq!(reg.count_kind(PrimitiveKind::Compound), 3);
-        // 9 PFOR pairs + 8 PFOR-DELTA pairs + 4 PDICT pairs, plus the
-        // PDICT string decode under a selection.
-        assert_eq!(reg.count_kind(PrimitiveKind::Compress), 43);
+        // 9 PFOR pairs + 8 PFOR-DELTA pairs.
+        assert_eq!(reg.count_kind(PrimitiveKind::Compress), 34);
         // One merge cursor per integer key type.
         assert_eq!(reg.count_kind(PrimitiveKind::Merge), 8);
     }
@@ -1049,11 +1005,7 @@ mod tests {
     fn every_compress_kernel_has_decompress_counterpart() {
         let reg = PrimitiveRegistry::builtin();
         for d in reg.iter().filter(|d| d.kind == PrimitiveKind::Compress) {
-            // The selective decode twins with the dense decoder of the
-            // same codec/type; compress/decompress twin each other.
-            let twin = if let Some(rest) = d.signature.strip_prefix("decode_sel_") {
-                format!("decompress_{rest}")
-            } else if let Some(rest) = d.signature.strip_prefix("de") {
+            let twin = if let Some(rest) = d.signature.strip_prefix("de") {
                 rest.to_string()
             } else {
                 format!("de{}", d.signature)
@@ -1150,7 +1102,6 @@ mod tests {
             ("select_ge_i32_col_val", FactTransfer::Refine),
             ("cmp_pfor_le_i64_col_val", FactTransfer::Refine),
             ("decompress_pfor_i64_col", FactTransfer::Passthrough),
-            ("decode_sel_pdict_str_col", FactTransfer::Passthrough),
             ("aggr_sum_f64_col_u32_col", FactTransfer::Aggregate),
             ("aggr_sum_f64_x5_col_u32_col", FactTransfer::Aggregate),
             ("aggr_grouptable_probe_u64_col", FactTransfer::Positions),
@@ -1158,7 +1109,7 @@ mod tests {
             ("aggr_ordered_boundaries_i64_col", FactTransfer::Positions),
             ("aggr_ordered_starts_u32_col", FactTransfer::Positions),
             ("merge_i64_col", FactTransfer::Positions),
-            ("compress_pdict_str_col", FactTransfer::Sink),
+            ("compress_pfor_f64_col", FactTransfer::Sink),
             ("aggr_avg_epilogue", FactTransfer::Opaque),
         ] {
             assert_eq!(
@@ -1211,9 +1162,6 @@ mod tests {
             "aggr_ordered_boundaries",                // the typed family replaced it
             "cmp_pfor_ne_i64_col_val",                // != is not a frame range
             "cmp_pfor_eq_str_col_val",                // PFOR is numeric-only
-            "cmp_pdict_between_i64_col_val_val",      // between is PFOR-only
-            "cmp_pdict_eq_u8_col_val",                // not a dictionary-coded type
-            "decode_sel_pdict_u8_col",                // only strings decode under a selection
             "map_directgrp_u8_col",                   // the direct-group start is map_uidx_u8_col
             "map_uidx_i64_col",                       // an integer key needs its minimum
             "map_uidx_u8_col_u8_val",                 // codes start at 0

@@ -30,17 +30,14 @@
 //!    registered `decompress_*` counterpart and vice versa (a one-way
 //!    codec is unreadable data), and every codec-shaped identifier in
 //!    `crates/vector` source resolves to a registry descriptor, so the
-//!    macro-generated PFOR/PDICT/PFOR-DELTA instances cannot drift from
-//!    the catalog that `engine::check` trusts for decode placement.
+//!    macro-generated PFOR/PFOR-DELTA instances cannot drift from the
+//!    catalog that `engine::check` trusts for decode placement.
 //! 5. **Compressed-execution parity** — every `cmp_*` encoded-space
-//!    selection and `decode_sel_*` selective decode in `crates/vector`
-//!    resolves to a registry descriptor, and every registered
-//!    `decode_sel_<codec>_<ty>_col` (today only the PDICT string one)
-//!    has its dense `decompress_<codec>_<ty>_col` twin. The scan refill
-//!    under a pushed selection is the dense twin (a
-//!    `CompressedScanSelect` only produces a selection vector); PDICT
-//!    strings decode under it to copy only the survivors. Fetch-joins
-//!    never read chunks: they gather from the resident fragment.
+//!    selection in `crates/vector` resolves to a registry descriptor.
+//!    The scan refill under a pushed selection is the dense
+//!    `decompress_*` (a `CompressedScanSelect` only produces a selection
+//!    vector). Fetch-joins never read chunks: they gather from the
+//!    resident fragment.
 //! 6. **Fault-site coverage** — every `FaultSite` variant declared in
 //!    `storage/src/columnbm.rs` is exercised by name in the engine's
 //!    fault-injection suite (`engine/tests/fault_sites.rs`). A new
@@ -548,16 +545,15 @@ fn codec_parity(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
-/// Rule 5: compressed execution cannot drift from the catalog or lose
-/// its decode path.
+/// Rule 5: compressed execution cannot drift from the catalog.
 fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
     let reg = PrimitiveRegistry::builtin();
     let registered: BTreeSet<&str> = reg.iter().map(|d| d.signature).collect();
 
-    // 5a. Every `cmp_*` / `decode_sel_*`-shaped identifier in
-    // crates/vector (macro tokens and the signature catalogs included)
-    // that parses as a signature must be registered, and every exported
-    // kernel symbol with those prefixes must resolve to a descriptor.
+    // Every `cmp_*`-shaped identifier in crates/vector (macro tokens and
+    // the signature catalog included) that parses as a signature must be
+    // registered, and every exported `cmp_*` kernel symbol must resolve
+    // to a descriptor.
     let vector_src = root.join("crates/vector/src");
     let mut files = Vec::new();
     rs_files(&vector_src, &mut files);
@@ -567,7 +563,7 @@ fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
         }
         let f = strip_tests(path);
         for tok in tokens(&f) {
-            if !(tok.starts_with("cmp_") || tok.starts_with("decode_sel_")) {
+            if !tok.starts_with("cmp_") {
                 continue;
             }
             if parse_signature(&tok).is_ok() && !registered.contains(tok.as_str()) {
@@ -585,29 +581,13 @@ fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
                     .chars()
                     .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
                     .collect();
-                if (name.starts_with("cmp_") || name.starts_with("decode_sel_"))
-                    && !registered.contains(name.as_str())
-                {
+                if name.starts_with("cmp_") && !registered.contains(name.as_str()) {
                     failures.push(format!(
                         "compressed-exec parity: exported kernel `{name}` ({}:{ln}) has \
                          no registry descriptor",
                         path.strip_prefix(root).unwrap_or(path).display()
                     ));
                 }
-            }
-        }
-    }
-
-    // 5b. Every selective decode has its dense decompress twin — what
-    // the scan refill runs for every other column.
-    for sig in &registered {
-        if let Some(rest) = sig.strip_prefix("decode_sel_") {
-            let twin = format!("decompress_{rest}");
-            if !registered.contains(twin.as_str()) {
-                failures.push(format!(
-                    "compressed-exec parity: `{sig}` is registered with no dense \
-                     `{twin}` twin (the scan refill would have nothing to run)"
-                ));
             }
         }
     }
@@ -875,7 +855,7 @@ mod tests {
                        \x20   Str(StrVec),\n\
                        }\n\
                        enum Body {\n\
-                       \x20   Pdict(Vec<u8>),\n\
+                       \x20   Codes(Vec<u8>),\n\
                        \x20   Mask(Vec<u64>),\n\
                        \x20   Pfor { lane: u32 },\n\
                        }\n\
