@@ -2,7 +2,11 @@
 //! print per-query wall time — quick health check of the whole stack.
 //!
 //! Usage: `suite_check [--sf 0.01] [--profile 1] [--explain-check 1]
-//!                     [--explain-facts 1]`
+//!                     [--explain-facts 1] [--pending-inserts 1]`
+//!
+//! With `--pending-inserts 1`, every table first gets a copy of its last
+//! row pending as an insert (`tpch::db::pending_inserts`): the queries
+//! then run, and are explained, over the insert deltas.
 //!
 //! With `--explain-check 1`, each query's bind-time verification walk
 //! (`engine::check`) is rendered before it runs: one line per plan node
@@ -25,10 +29,19 @@ fn main() {
     let profile = arg_usize("--profile", 0) != 0;
     let explain = arg_usize("--explain-check", 0) != 0;
     let facts = arg_usize("--explain-facts", 0) != 0;
+    let pending = arg_usize("--pending-inserts", 0) != 0;
     let t0 = Instant::now();
     let data = generate(&GenConfig::new(sf));
-    let db = tpch::build_x100_db(&data);
-    println!("generate+load SF={sf}: {:?}", t0.elapsed());
+    let mut db = tpch::build_x100_db(&data);
+    if pending {
+        db = tpch::db::pending_inserts(&db);
+    }
+    let deltas = if pending {
+        ", one pending insert per table"
+    } else {
+        ""
+    };
+    println!("generate+load SF={sf}{deltas}: {:?}", t0.elapsed());
     let opts = if profile {
         ExecOptions::default().profiled()
     } else {

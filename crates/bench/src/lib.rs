@@ -12,7 +12,8 @@
 //! | `fig2`   | Figure 2 — branch vs predicated selection |
 //! | `fig10`  | Figure 10 — Q1 time vs vector size |
 //! | `durable` | beyond the paper — kill-and-restart durability smoke |
-//! | `suite_check` | all 22 TPC-H queries once; `--explain-check` / `--explain-facts` |
+//! | `suite_check` | all 22 TPC-H queries once; `--explain-check` / `--explain-facts` / `--pending-inserts` |
+//! | `deltas` | beyond the paper — the 22 queries raw vs over one pending insert / delete per table |
 //!
 //! plus Criterion micro-benchmarks (`benches/`) covering primitives and
 //! the ablations called out in `DESIGN.md`.

@@ -52,8 +52,8 @@
 //! Which enum columns travel as codes is the walk's choice, not the
 //! plan's. Each node passes its input the columns it or its consumer
 //! reads as values ([`Values`]); a `Scan` or `Fetch1Join` reads every
-//! other enum column as its 1–2-byte codes, unless the table has pending
-//! inserts (the insert delta holds values). Code readers are a bare
+//! other enum column as its 1–2-byte codes, pending inserts or not (the
+//! insert delta holds codes too). Code readers are a bare
 //! column passed on (by `Select`, `Project`, a fetch, a hash join's
 //! probe side), a bare key of a generic `Aggr` (decoded at emission), an
 //! enum-literal comparison `c = 'lit'` / `c <> 'lit'` anywhere in an
@@ -624,12 +624,11 @@ fn unknown_signature(sig: &str, path: String) -> PlanError {
 }
 
 /// The dictionary of `t`'s column `ci` when the walk reads it as codes:
-/// an enum column that no reader wants as values (`value_read`), in a
-/// table without pending inserts (the insert delta holds values).
+/// an enum column that no reader wants as values (`value_read`). Pending
+/// inserts change nothing: the insert delta holds the column's codes
+/// into the same dictionary.
 fn code_dict(t: &Table, ci: usize, value_read: bool) -> Option<&EnumDict> {
-    t.column(ci)
-        .dict()
-        .filter(|_| !value_read && t.delta_rows() == 0)
+    t.column(ci).dict().filter(|_| !value_read)
 }
 
 /// The walk-log suffix that names the columns read as codes.
@@ -1570,6 +1569,7 @@ impl<'a> Checker<'a> {
             push: None,
             bm: self.db.buffer_manager(),
             table: t.clone(),
+            keep_deleted: false,
         };
         let what = format!("Scan `{table}` → {} cols{}", cols.len(), codes_note(&codes));
         self.note(path, what);
@@ -1693,8 +1693,9 @@ impl<'a> Checker<'a> {
     /// The dimension side of rule `select-before-fetch`: `pred` reads
     /// only the columns `reads` that `fetch` brings in, so it can be
     /// evaluated over the fetch's table instead of the gathered copies —
-    /// if scan position there is `#rowId` (no pending insert or delete
-    /// deltas), and the table is at most an eighth of `base`'s row bound
+    /// a scan of fragment ++ insert delta that keeps deleted rows, so
+    /// scan position is `#rowId` and every row a fetch can address has
+    /// its byte — if the table is at most an eighth of `base`'s row bound
     /// (the query has already produced that many rows, so one pass over
     /// the table is noise even when an earlier filter was selective).
     /// `None` keeps the predicate on the stream.
@@ -1713,11 +1714,6 @@ impl<'a> Checker<'a> {
         let rows = t.total_rows() as u64;
         let small = |so_far: u64| rows.saturating_mul(8) <= so_far;
         if !base.facts.rows_max.is_some_and(small) {
-            return Ok(None);
-        }
-        if t.delta_rows() > 0 || !t.deletes().is_empty() {
-            let what = format!("predicate stays on the stream: `{table}` has pending deltas");
-            self.rule_note("select-before-fetch", path, what);
             return Ok(None);
         }
         let srcs: Vec<String> = reads.iter().map(|(src, _)| src.clone()).collect();
@@ -1742,9 +1738,10 @@ impl<'a> Checker<'a> {
         if steps.is_empty() || facts::conjunction_verdict(truths).is_some() {
             return Ok(None);
         }
-        let CheckedOp::Scan(spec) = scan.op else {
+        let CheckedOp::Scan(mut spec) = scan.op else {
             unreachable!("a Scan plan checks to a Scan node")
         };
+        spec.keep_deleted = true;
         Ok(Some(Arc::new(DerivedCol::new(spec, scan.fields, steps))))
     }
 

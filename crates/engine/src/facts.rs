@@ -5,8 +5,9 @@
 //! module supplies the *abstract domain* it threads through that walk:
 //! per column a [`ColFact`] (value range, distinct bound, sortedness,
 //! dictionary domain), per node a [`NodeFacts`] (columns + row-count
-//! bound). Facts originate from fragment statistics harvested at table
-//! build time ([`x100_storage::ColumnStats`]) and from enum dictionary
+//! bound). Facts originate from column statistics — harvested at table
+//! build time, and over the pending insert delta when asked, so they
+//! cover it ([`x100_storage::ColumnStats`]) — and from enum dictionary
 //! domains, are refined by `Select` predicates, and flow through
 //! compiled expression programs via the per-primitive transfer
 //! functions declared in the registry ([`x100_vector::FactTransfer`]).
@@ -25,8 +26,8 @@
 //!   range doubles as an overflow-freedom certificate.
 //!
 //! The analysis is conservatively sound: any unknown primitive,
-//! [`FactTransfer::Opaque`] kernel, pending insert delta, NaN-bearing
-//! float fragment, or unmodeled operator widens to ⊤ and the engine
+//! [`FactTransfer::Opaque`] kernel, NaN-bearing float column, or
+//! unmodeled operator widens to ⊤ and the engine
 //! runs exactly as without the analyzer.
 
 use crate::batch::OutField;
@@ -195,33 +196,30 @@ fn range_from_stats(min: &Option<Value>, max: &Option<Value>) -> Option<FactRang
 /// Source fact for one stored column of `t`, as the scan emits it.
 ///
 /// `as_codes = true` reads the physical enum codes; `false` the decoded
-/// values. Pending insert deltas widen plain-column ranges to ⊤
-/// (fragment stats do not cover the delta), but *not* enum-code or
-/// decoded-value facts: deltas store codes into the same dictionary, so
-/// the dictionary domain stays a sound bound.
+/// values. The statistics cover fragment ++ insert delta
+/// ([`Table::column_stats`]), and an insert delta holds an enum column's
+/// codes into the same dictionary (a value it lacked is appended), so
+/// the dictionary's domain bounds every row, pending or not.
 pub fn source_col_fact(t: &Table, ci: usize, as_codes: bool) -> ColFact {
     let sc = t.column(ci);
     match sc.dict() {
         Some(d) => {
             let card = d.cardinality() as u32;
             if as_codes {
-                // Code domain: [0, card). Fragment stats may be tighter,
-                // but only when no delta rows exist.
-                let range = t
-                    .column_stats(ci)
-                    .as_ref()
-                    .and_then(|s| range_from_stats(&s.min, &s.max))
+                // Code domain: [0, card), or the tighter stats.
+                let stats = t.column_stats(ci);
+                let range = range_from_stats(&stats.min, &stats.max)
                     .or(Some(FactRange::Int(0, card.saturating_sub(1) as i64)));
                 ColFact {
                     range,
                     non_null: true,
                     distinct_max: Some(card as u64),
-                    sorted: t.column_stats(ci).map(|s| s.sorted).unwrap_or(false),
+                    sorted: stats.sorted,
                     dict_card: Some(card),
                 }
             } else {
                 // Decoded values are drawn from the dictionary; its
-                // min/max bound every row, delta or not.
+                // min/max bound every row.
                 let ds = ColumnStats::compute(d.values());
                 ColFact {
                     range: range_from_stats(&ds.min, &ds.max),
@@ -232,17 +230,16 @@ pub fn source_col_fact(t: &Table, ci: usize, as_codes: bool) -> ColFact {
                 }
             }
         }
-        None => match t.column_stats(ci) {
-            Some(s) => ColFact {
-                range: range_from_stats(&s.min, &s.max),
+        None => {
+            let stats = t.column_stats(ci);
+            ColFact {
+                range: range_from_stats(&stats.min, &stats.max),
                 non_null: true,
                 distinct_max: None,
-                sorted: s.sorted,
+                sorted: stats.sorted,
                 dict_card: None,
-            },
-            // Pending delta: fragment stats don't cover it — widen.
-            None => ColFact::top(),
-        },
+            }
+        }
     }
 }
 

@@ -19,7 +19,7 @@ use crate::ops::{Operator, PredStep, ScanOp, ScanSpec};
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::{Arc, Mutex};
-use x100_storage::{StoredColumn, Table};
+use x100_storage::Table;
 use x100_vector::{fetch as vfetch, SelVec, Vector};
 
 /// A column to fetch from the target table, as the check walk resolved
@@ -46,10 +46,11 @@ pub(crate) enum FetchSource {
 
 /// The dimension side of a selection that reads only what one fetch
 /// brings in: the predicate over the target table's own columns,
-/// evaluated once over the whole table (which has no pending deltas —
-/// the check walk's condition — so scan position = `#rowId`) into one
-/// byte per row, 1 where the row passes. The fetch gathers that byte and
-/// the selection above it keeps the non-zero ones.
+/// evaluated once over the whole table — fragment ++ insert delta, with
+/// its deleted rows (a fetch may still address one), so scan position
+/// = `#rowId` — into one byte per row, 1 where the row passes. The
+/// fetch gathers that byte and the selection above it keeps the
+/// non-zero ones.
 #[derive(Debug)]
 pub(crate) struct DerivedCol {
     /// Scan of the columns the predicate reads, `fields` naming them by
@@ -94,7 +95,7 @@ impl DerivedCol {
         if let Some(b) = slot.as_ref() {
             return Ok(b.clone());
         }
-        let rows = self.scan.table.fragment_rows();
+        let rows = self.scan.table.total_rows();
         let mut mem = MemTracker::new(ctx.clone(), "derived fetch column");
         mem.ensure(rows)?;
         let mut scan = ScanOp::new(&self.scan, &self.fields, None, vector_size, ctx.clone())?;
@@ -164,8 +165,8 @@ fn fetch_gather(
             }
             let bytes = fc.derived.as_ref().expect("just fetched");
             out.resize_zeroed(n);
-            // One byte per fragment row of a delta-free table: a rowid
-            // the kernel refuses is past the table's end.
+            // One byte per row id: a rowid the kernel refuses is past
+            // the table's end.
             if !vfetch::fetch(out.as_u8_mut(), bytes, rowids, sel) {
                 return Err(out_of_range(table, "derived predicate", rowids, n, sel));
             }
@@ -201,13 +202,11 @@ fn out_of_range(
 }
 
 /// Fetch `table[rowids[i]].col` positionally into `out` under `sel`;
-/// `Ok(true)` when every gathered rowid was inside the fragment. The
-/// gather kernel's one range check per vector is the fragment-vs-delta
-/// test ([`gather_fragment`]). A vector reaching past the fragment
-/// gathers its fragment rows and its insert-delta rows apart, each
-/// under its own selection, and one more gather over the two results
-/// side by side takes each position from its region; a rowid past the
-/// table's end is a typed error.
+/// `Ok(true)` when every gathered rowid was inside the fragment. An enum
+/// column (unless `as_codes`) gathers its codes, then decodes them as
+/// the scan does ([`decode_codes`]) under the same selection: the insert
+/// delta holds codes into the same dictionary, so one decode serves
+/// both regions.
 pub(crate) fn gather_positional(
     table: &Table,
     col: usize,
@@ -217,13 +216,38 @@ pub(crate) fn gather_positional(
     out: &mut Vector,
 ) -> Result<bool, PlanError> {
     let sc = table.column(col);
-    if gather_fragment(sc, as_codes, rowids, sel, out) {
+    match sc.dict().filter(|_| !as_codes) {
+        None => gather_stored(table, col, rowids, sel, out),
+        Some(dict) => {
+            let mut codes = Vector::with_capacity(sc.physical_type(), rowids.len());
+            let in_frag = gather_stored(table, col, rowids, sel, &mut codes)?;
+            decode_codes(&codes, dict.values(), sel, out);
+            Ok(in_frag)
+        }
+    }
+}
+
+/// Gather column `col` as stored — values, or an enum column's codes —
+/// at `rowids` under `sel`. The gather kernel's one range check per
+/// vector is the fragment-vs-delta test: `Ok(true)` when every selected
+/// rowid lay in the fragment. A vector reaching past the fragment
+/// gathers its fragment rows and its insert-delta rows apart, each
+/// under its own selection, and one more gather over the two results
+/// side by side takes each position from its region; a rowid past the
+/// table's end is a typed error.
+fn gather_stored(
+    table: &Table,
+    col: usize,
+    rowids: &[u32],
+    sel: Option<&SelVec>,
+    out: &mut Vector,
+) -> Result<bool, PlanError> {
+    let sc = table.column(col);
+    if vfetch::gather_rows(out, sc.physical(), rowids, sel) {
         return Ok(true);
     }
     let n = rowids.len();
-    // Code fetches run over tables without pending inserts only (the
-    // check walk's condition): past the fragment is past the end.
-    if as_codes || !vfetch::in_range(rowids, n, sel, table.total_rows()) {
+    if !vfetch::in_range(rowids, n, sel, table.total_rows()) {
         return Err(out_of_range(table, &sc.field().name, rowids, n, sel));
     }
     let frag = table.fragment_rows() as u32;
@@ -235,13 +259,9 @@ pub(crate) fn gather_positional(
     let in_delta = SelVec::from_positions(in_delta);
     let mut both = Vector::with_capacity(out.scalar_type(), 2 * n);
     let mut tail = Vector::with_capacity(out.scalar_type(), n);
-    let gathered = gather_fragment(sc, false, rowids, Some(&in_frag), &mut both)
-        && vfetch::gather_rows(
-            &mut tail,
-            table.inserts().column(col),
-            &delta_ids,
-            Some(&in_delta),
-        );
+    let delta = table.inserts().column(col);
+    let gathered = vfetch::gather_rows(&mut both, sc.physical(), rowids, Some(&in_frag))
+        && vfetch::gather_rows(&mut tail, delta, &delta_ids, Some(&in_delta));
     assert!(gathered, "each live rowid lies in its region");
     both.append_range(&tail, 0, n);
     let pick: Vec<u32> = (0..n as u32)
@@ -255,31 +275,6 @@ pub(crate) fn gather_positional(
         .collect();
     assert!(vfetch::gather_rows(out, &both, &pick, sel));
     Ok(false)
-}
-
-/// Gather `sc`'s fragment at `rowids` under `sel` into `out`: the
-/// physical values, or for an enum column (unless `as_codes`) a code
-/// gather plus the scan's dictionary decode under the same selection.
-/// `false`, with nothing gathered, when a selected rowid lies past the
-/// fragment.
-fn gather_fragment(
-    sc: &StoredColumn,
-    as_codes: bool,
-    rowids: &[u32],
-    sel: Option<&SelVec>,
-    out: &mut Vector,
-) -> bool {
-    match sc.dict().filter(|_| !as_codes) {
-        None => vfetch::gather_rows(out, sc.physical(), rowids, sel),
-        Some(dict) => {
-            let mut codes = Vector::with_capacity(sc.physical_type(), rowids.len());
-            let in_frag = vfetch::gather_rows(&mut codes, sc.physical(), rowids, sel);
-            if in_frag {
-                decode_codes(&codes, dict.values(), sel, out);
-            }
-            in_frag
-        }
-    }
 }
 
 /// `Fetch1Join(Dataflow, Table, Exp<int>, List<Column>)` — 1:1

@@ -42,6 +42,10 @@ pub(crate) struct ScanSpec {
     pub push: Option<(usize, Pushdown)>,
     /// The catalog's buffer manager, if attached.
     pub bm: Option<Arc<ColumnBM>>,
+    /// Read deleted rows too, so that batch position is `#rowId`: a
+    /// derived fetch column needs a byte at every row a fetch can
+    /// address, deleted or not.
+    pub keep_deleted: bool,
 }
 
 /// How a scanned column is surfaced.
@@ -112,6 +116,8 @@ pub struct ScanOp {
     out: Batch,
     /// Fragment row range to scan (possibly pruned by a summary index).
     range: (usize, usize),
+    /// [`ScanSpec::keep_deleted`].
+    keep_deleted: bool,
     pos: usize,
     delta_pos: usize,
     /// Morsel mode: scan only these row ranges (parallel workers get
@@ -201,6 +207,7 @@ impl ScanOp {
             sel_pool: SelPool::default(),
             out: Batch::new(),
             range,
+            keep_deleted: spec.keep_deleted,
             pos: range.0,
             delta_pos: 0,
             morsels: morsels.map(|m| m.to_vec()),
@@ -252,12 +259,7 @@ impl ScanOp {
         self.out.len = n;
         let t_scan = prof.start();
         // Deletion mask of the window, folded into its selection.
-        self.scratch_del.clear();
-        self.table.deletes().deleted_in_range(
-            start as u32,
-            (start + n) as u32,
-            &mut self.scratch_del,
-        );
+        self.deleted_in(start, n);
         let pushed = self.push.is_some();
         let op = if pushed {
             "CompressedScanSelect"
@@ -397,34 +399,7 @@ impl ScanOp {
             self.bm_read(ci, offset, len)?;
         }
         self.scratch_reads = reads;
-        // Decode pass: one Fetch1Join(ENUM) per enum column. The
-        // dictionary gather is its own fault-injection site.
-        for (k, &ci) in self.cols.iter().enumerate() {
-            if let ColMode::Decode { codes, sig } = &self.modes[k] {
-                if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(FaultSite::DictLookup, ci as u32)
-                        .map_err(site_io)?;
-                }
-                let dict = self.table.column(ci).dict().ok_or_else(|| {
-                    PlanError::Invalid(format!(
-                        "decode mode without dictionary on column `{}`",
-                        self.fields[k].name
-                    ))
-                })?;
-                let t0 = prof.start();
-                let mut v = self.pools[k].writable();
-                // Every code of a refilled window is valid, so fixed-width
-                // values decode densely (faster than the selection's
-                // loop); strings copy only the survivors.
-                let is_str = dict.value_type() == ScalarType::Str;
-                let dsel = filtered.then_some(&sel).filter(|_| is_str);
-                decode_codes(codes, dict.values(), dsel, &mut v);
-                let bytes = codes.byte_size() + v.byte_size();
-                prof.record_prim(sig, t0, n, bytes);
-                prof.record_op("Fetch1Join(ENUM)", t0, n);
-                self.pools[k].publish_at(v, &mut self.out, k);
-            }
-        }
+        self.decode_pass(n, filtered.then_some(&sel), prof)?;
         // A window every row survives goes on without a selection, so
         // the operators above take their dense primitives.
         if filtered && sel.len() < n {
@@ -478,8 +453,57 @@ impl ScanOp {
         Ok(raw)
     }
 
+    /// The deleted rows of `[start, start+n)` (row ids), relative to
+    /// `start`, into `scratch_del` — none when the scan keeps them.
+    fn deleted_in(&mut self, start: usize, n: usize) {
+        self.scratch_del.clear();
+        if !self.keep_deleted {
+            let (lo, hi) = (start as u32, (start + n) as u32);
+            (self.table.deletes()).deleted_in_range(lo, hi, &mut self.scratch_del);
+        }
+    }
+
+    /// Decode pass: one `Fetch1Join(ENUM)` per decoded enum column, over
+    /// the codes the window read into its scratch. Every code of a
+    /// window is valid, so fixed-width values decode densely (faster
+    /// than the selection's loop); strings copy only the survivors
+    /// `sel`. The dictionary gather is its own fault-injection site.
+    fn decode_pass(
+        &mut self,
+        n: usize,
+        sel: Option<&SelVec>,
+        prof: &mut Profiler,
+    ) -> Result<(), PlanError> {
+        for (k, &ci) in self.cols.iter().enumerate() {
+            if let ColMode::Decode { codes, sig } = &self.modes[k] {
+                if let Some(fs) = self.ctx.fault_state() {
+                    fs.check_site(FaultSite::DictLookup, ci as u32)
+                        .map_err(site_io)?;
+                }
+                let dict = self.table.column(ci).dict().ok_or_else(|| {
+                    PlanError::Invalid(format!(
+                        "decode mode without dictionary on column `{}`",
+                        self.fields[k].name
+                    ))
+                })?;
+                let t0 = prof.start();
+                let mut v = self.pools[k].writable();
+                let dsel = sel.filter(|_| dict.value_type() == ScalarType::Str);
+                decode_codes(codes, dict.values(), dsel, &mut v);
+                let bytes = codes.byte_size() + v.byte_size();
+                prof.record_prim(sig, t0, n, bytes);
+                prof.record_op("Fetch1Join(ENUM)", t0, n);
+                self.pools[k].publish_at(v, &mut self.out, k);
+            }
+        }
+        Ok(())
+    }
+
     /// Produce one batch from the delta region. Delta reads are their
     /// own fault-injection site, distinct from chunked fragment reads.
+    /// A delta column holds what its fragment holds — an enum column's
+    /// codes too — so each column surfaces as in a fragment window: as
+    /// stored, or its codes through the same decode pass.
     fn emit_delta(&mut self, start: usize, n: usize, prof: &mut Profiler) -> Result<(), PlanError> {
         self.out.reset();
         self.out.len = n;
@@ -489,25 +513,21 @@ impl ScanOp {
                 fs.check_site(FaultSite::DeltaRead, ci as u32)
                     .map_err(site_io)?;
             }
-            let mut v = self.pools[k].writable();
-            // Delta rows are stored logically; the check walk reads a
-            // table with pending inserts as values.
-            match self.modes[k] {
-                ColMode::Codes => unreachable!(
-                    "code scan of column `{}` over pending inserts",
-                    self.fields[k].name
-                ),
-                _ => self.table.read_delta(ci, start, n, &mut v),
+            match &mut self.modes[k] {
+                ColMode::Plain | ColMode::Codes => {
+                    let mut v = self.pools[k].writable();
+                    self.table.read_delta(ci, start, n, &mut v);
+                    self.pools[k].publish(v, &mut self.out);
+                }
+                ColMode::Decode { codes, .. } => {
+                    self.table.read_delta(ci, start, n, codes);
+                    self.out.columns.push(self.placeholder.clone());
+                }
             }
-            self.pools[k].publish(v, &mut self.out);
         }
         prof.record_op("Scan(delta)", t_scan, n);
-        let base = (self.table.fragment_rows() + start) as u32;
-        self.scratch_del.clear();
-        self.table
-            .deletes()
-            .deleted_in_range(base, base + n as u32, &mut self.scratch_del);
-        if !self.scratch_del.is_empty() {
+        self.deleted_in(self.table.fragment_rows() + start, n);
+        let sel = (!self.scratch_del.is_empty()).then(|| {
             let mut sel = self.sel_pool.writable();
             let buf = sel.buf_mut();
             let mut d = 0usize;
@@ -518,6 +538,10 @@ impl ScanOp {
                     buf.push(i);
                 }
             }
+            sel
+        });
+        self.decode_pass(n, sel.as_ref(), prof)?;
+        if let Some(sel) = sel {
             self.sel_pool.publish(sel, &mut self.out);
         }
         Ok(())

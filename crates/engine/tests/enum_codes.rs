@@ -149,25 +149,55 @@ fn fetched_codes_propagate_dictionary() {
 }
 
 #[test]
-fn pending_inserts_keep_enum_columns_values() {
-    // The insert delta holds values: with a pending insert in `dim` the
-    // same plan fetches `grade` decoded and still answers, and the walk
-    // log names no code column.
-    let mut db = db();
+fn pending_inserts_read_enum_columns_as_codes() {
+    // The insert delta holds codes: with pending inserts in `dim` — one
+    // of a value its dictionary lacks — and in `orders`, the fetch and
+    // the scan still read `grade` and `status` as codes, and the plan
+    // answers as over the same tables reorganized.
     let mut dim = dim();
-    dim.insert(&[Value::I64(4), Value::Str("gold".into())]);
-    db.register(dim);
-    let plan = Plan::scan("orders", &["dim_idx", "amount"])
+    dim.insert(&[Value::I64(4), Value::Str("platinum".into())]);
+    assert_eq!(dim.inserts().column(1), &Vector::U8(vec![3]));
+    let mut orders = orders_table();
+    orders.insert(&[
+        Value::I64(1000),
+        Value::Str("LOST".into()),
+        Value::U32(4),
+        Value::F64(0.5),
+    ]);
+    orders.insert(&[
+        Value::I64(1001),
+        Value::Str("OPEN".into()),
+        Value::U32(4),
+        Value::F64(1.5),
+    ]);
+    let plan = Plan::scan("orders", &["dim_idx", "status", "amount"])
         .fetch1("dim", col("dim_idx"), &[("grade", "grade")])
-        .select(eq(col("grade"), lit_str("gold")))
-        .aggr(vec![("grade", col("grade"))], vec![AggExpr::count("n")]);
-    let log = check_plan(&db, &plan, &ExecOptions::default())
+        .select(ne(col("status"), lit_str("NEW")))
+        .aggr(
+            vec![("grade", col("grade")), ("status", col("status"))],
+            vec![AggExpr::count("n")],
+        );
+    let (mut pending, mut merged) = (Database::new(), Database::new());
+    for t in [dim, orders] {
+        let mut m = t.clone();
+        m.reorganize();
+        pending.register(t);
+        merged.register(m);
+    }
+    let log = check_plan(&pending, &plan, &ExecOptions::default())
         .expect("checks")
         .render();
-    assert!(!log.contains("codes ["), "{log}");
-    let (res, _) = execute(&db, &plan, &ExecOptions::default()).expect("runs");
-    assert_eq!(res.value(0, 0).to_string(), "gold");
-    assert_eq!(res.column_by_name("n").as_i64()[0], 500);
+    assert!(
+        log.contains("Scan `orders` → 3 cols, codes [status]"),
+        "{log}"
+    );
+    assert!(log.contains("codes [grade]"), "{log}");
+    let (got, _) = execute(&pending, &plan, &ExecOptions::default()).expect("runs");
+    let (want, _) = execute(&merged, &plan, &ExecOptions::default()).expect("runs");
+    assert_eq!(sorted_rows(&got), sorted_rows(&want));
+    for row in ["platinum|LOST|1", "platinum|OPEN|1"] {
+        assert!(sorted_rows(&got).contains(&row.to_owned()), "{row}");
+    }
 }
 
 #[test]

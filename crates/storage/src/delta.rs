@@ -7,6 +7,12 @@
 //! *update* is a delete followed by an insert. When the deltas exceed a
 //! small percentile of the table, storage is reorganized
 //! ([`crate::table::Table::reorganize`]) and the deltas become empty.
+//!
+//! A delta column holds what its fragment holds: values for a plain
+//! column, and for an enum column its codes, of the fragment's width,
+//! into the column's dictionary (`Table::insert` encodes each value as
+//! it arrives). Codes are still uncompressed — one code per row, never
+//! a chunk format.
 
 use x100_vector::{ScalarType, Value, Vector};
 
@@ -66,7 +72,8 @@ impl DeleteList {
     }
 }
 
-/// Append-only insert deltas: one uncompressed column per table column.
+/// Append-only insert deltas: one uncompressed column per table column,
+/// of the fragment's physical type.
 ///
 /// Delta columns are never compressed (paper: "updates just go to the
 /// delta columns (which are never compressed) and do not complicate the
@@ -78,7 +85,7 @@ pub struct InsertDelta {
 }
 
 impl InsertDelta {
-    /// Empty deltas for a table with the given column types.
+    /// Empty deltas for a table with the given physical column types.
     ///
     /// # Panics
     /// Panics on `Bool`, a vector-only type (store it as `U8`).
@@ -93,15 +100,35 @@ impl InsertDelta {
         }
     }
 
-    /// Append one row.
+    /// Append one row of physical values.
     ///
     /// # Panics
     /// Panics if `row` arity or types mismatch.
     pub fn append(&mut self, row: &[Value]) {
         assert_eq!(row.len(), self.cols.len(), "row arity mismatch");
-        for (col, v) in self.cols.iter_mut().zip(row.iter()) {
-            col.push_value(v);
+        for (i, v) in row.iter().enumerate() {
+            self.push(i, v);
         }
+        self.end_row();
+    }
+
+    /// Append `v` to column `i` of the row being added.
+    pub(crate) fn push(&mut self, i: usize, v: &Value) {
+        self.cols[i].push_value(v);
+    }
+
+    /// Append enum code `code` to column `i` (of `U8` or `U16` codes) of
+    /// the row being added.
+    pub(crate) fn push_code(&mut self, i: usize, code: usize) {
+        match &mut self.cols[i] {
+            Vector::U8(c) => c.push(code as u8),
+            Vector::U16(c) => c.push(code as u16),
+            other => panic!("enum codes of type {:?}", other.scalar_type()),
+        }
+    }
+
+    /// Close the row every column has had its value pushed for.
+    pub(crate) fn end_row(&mut self) {
         self.rows += 1;
     }
 
@@ -120,11 +147,11 @@ impl InsertDelta {
         &self.cols[i]
     }
 
-    /// Drop all rows (after a reorganize), keeping column types.
-    pub fn clear(&mut self) {
-        let types: Vec<ScalarType> = self.cols.iter().map(|c| c.scalar_type()).collect();
-        self.cols = types.iter().map(|&t| Vector::with_capacity(t, 0)).collect();
-        self.rows = 0;
+    /// Replace column `i` by the same rows in another form (an enum
+    /// column's codes widened or decoded).
+    pub(crate) fn replace_column(&mut self, i: usize, col: Vector) {
+        assert_eq!(col.len(), self.rows, "a delta column of every row");
+        self.cols[i] = col;
     }
 }
 
@@ -169,9 +196,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.column(0).get_value(1), Value::I32(2));
         assert_eq!(d.column(1).get_value(0), Value::Str("a".into()));
-        d.clear();
-        assert!(d.is_empty());
-        assert_eq!(d.column(0).scalar_type(), ScalarType::I32);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use crate::columnbm::{retry_with_backoff, FaultSite, FaultState, StorageFaultError};
 use crate::compress::CompressedColumn;
-use crate::delta::{DeleteList, InsertDelta};
+use crate::delta::DeleteList;
 use crate::enumcol::{EnumDict, MAX_ENUM_CARD};
 use crate::frame::{Reader, Writer};
 use crate::table::{StoredColumn, Table};
@@ -650,15 +650,14 @@ fn open_from_manifest(
         heals += h;
         columns.push(sc);
     }
-    let types: Vec<ScalarType> = columns.iter().map(|c| c.field.logical).collect();
     let source = DurableSource::new(dir.to_path_buf(), manifest.clone());
     source.heals.fetch_add(heals, Ordering::SeqCst);
     Ok(Table {
         name: manifest.table,
+        inserts: crate::table::empty_delta(&columns),
         columns,
         frag_rows: manifest.frag_rows as usize,
         deletes: DeleteList::default(),
-        inserts: InsertDelta::new(&types),
         codec_sweeps: 0,
         durable: Some(Arc::new(source)),
     })

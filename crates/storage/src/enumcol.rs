@@ -16,6 +16,9 @@
 //! (`compress::dictionary_wins`). This is the only dictionary encoding:
 //! the checkpoint compresses the codes like any integer column.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 use x100_vector::fetch::{gather_at, gather_rows};
 use x100_vector::{ScalarType, StrVec, Value, Vector};
 
@@ -24,9 +27,29 @@ pub const MAX_ENUM_CARD: usize = u16::MAX as usize + 1;
 
 /// The mapping table of an enumeration-typed column: distinct values in
 /// code order (`code` = `#rowId` into this dictionary).
-#[derive(Debug, Clone)]
+///
+/// A dictionary `encode` builds is *rank-ordered*: its entries ascend,
+/// so codes compare as their values do. `Table::insert` appends a value
+/// the dictionary lacks as a new code past those entries
+/// (`EnumDict::push`), so an enum column's insert delta holds codes
+/// too; equality, IN lists and grouping hold on every code, and a
+/// reorganize renumbers the merged dictionary to rank codes again
+/// ([`EnumDict::merge`]). No reader of codes relies on their order:
+/// ordered comparisons and sorts read the decoded values.
+#[derive(Clone)]
 pub struct EnumDict {
     values: Vector,
+    /// The entries by value, built by the first [`EnumDict::code_of`]
+    /// and kept by [`EnumDict::push`].
+    index: OnceLock<ValueIndex>,
+}
+
+/// The values only: the index is a cache, its layout drawn at random.
+impl std::fmt::Debug for EnumDict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("EnumDict");
+        d.field("values", &self.values).finish_non_exhaustive()
+    }
 }
 
 impl EnumDict {
@@ -37,7 +60,10 @@ impl EnumDict {
             "enum cardinality {} exceeds u16 codes",
             values.len()
         );
-        EnumDict { values }
+        EnumDict {
+            values,
+            index: OnceLock::new(),
+        }
     }
 
     /// Cardinality of the enumeration.
@@ -60,28 +86,78 @@ impl EnumDict {
         self.values.get_value(code)
     }
 
-    /// Re-encode a column whose rows are `codes` (into this dictionary)
-    /// followed by the logical values `tail`, without decoding `codes`:
-    /// reorganize's dictionary merge.
+    /// The code of `v`, if the dictionary holds it: one probe sequence of
+    /// the value index, typed once per call. Floats match by their bits,
+    /// so `-0.0` never finds `0.0`.
+    ///
+    /// # Panics
+    /// When `v` is not of the dictionary's type.
+    pub(crate) fn code_of(&self, v: &Value) -> Option<usize> {
+        let ix = self.index.get_or_init(|| ValueIndex::build(&self.values));
+        macro_rules! typed {
+            ($($var:ident),*) => {
+                match (&self.values, v) {
+                    $((Vector::$var(d), Value::$var(x)) => {
+                        ix.find(ix.word(*x as u64), |i| d[i] == *x)
+                    })*
+                    (Vector::F64(d), Value::F64(x)) => {
+                        ix.find(ix.word(x.to_bits()), |i| d[i].to_bits() == x.to_bits())
+                    }
+                    (Vector::Str(d), Value::Str(x)) => {
+                        ix.find(ix.str(x), |i| d.get_bytes(i) == x.as_bytes())
+                    }
+                    (d, v) => panic!(
+                        "a {:?} value for a {:?} enum dictionary",
+                        v.scalar_type(),
+                        d.scalar_type()
+                    ),
+                }
+            };
+        }
+        typed!(I8, I16, I32, I64, U8, U16, U32, U64)
+    }
+
+    /// Append `v`, which the dictionary lacks, as the next code past
+    /// every entry, and return that code.
+    ///
+    /// # Panics
+    /// When the dictionary is full ([`MAX_ENUM_CARD`]) or `v` is not of
+    /// its type.
+    pub(crate) fn push(&mut self, v: &Value) -> usize {
+        let code = self.values.len();
+        assert!(code < MAX_ENUM_CARD, "enum dictionary is full");
+        self.values.push_value(v);
+        match self.index.get_mut() {
+            Some(ix) if 2 * (code + 1) < ix.slots.len() => ix.insert(&self.values, code),
+            // Past half full, the next lookup builds a larger index.
+            Some(_) => self.index = OnceLock::new(),
+            None => {}
+        }
+        code
+    }
+
+    /// Re-encode a column whose rows are `codes` into this dictionary,
+    /// without decoding them: reorganize's dictionary merge (the codes
+    /// of the fragment's live rows, then of the insert delta's).
     ///
     /// One pass over `codes` marks the entries still used; [`encode`]
-    /// then runs over the short input "used entries ++ `tail`". The codes it gives the used entries form
-    /// an old-code → new-code remap, and the merged codes are one
-    /// [`gather_at`] through it (the dictionary-decode kernel) followed
-    /// by the codes it gave `tail`.
+    /// then runs over the short input "used entries", in code order.
+    /// The codes it gives them form an old-code → new-code remap, and the
+    /// merged codes are one [`gather_at`] through it (the
+    /// dictionary-decode kernel).
     ///
     /// The distinct values of that input are the distinct values of the
     /// decoded column, so the result is exactly what encoding the decoded
     /// column would give: sorted distinct values (unused entries
-    /// dropped), rank codes, `U8` up to 256 values and `U16` beyond. It is
-    /// `None` in exactly the cases that encoding refuses — NaN or `-0.0`
-    /// among the `f64` values, more than [`MAX_ENUM_CARD`] values — and
-    /// for a dictionary type no `encode_*` helper covers.
+    /// dropped, appended ones ranked), rank codes, `U8` up to 256 values
+    /// and `U16` beyond. It is `None` in exactly the cases that encoding
+    /// refuses — NaN or `-0.0` among the `f64` values, which only a
+    /// dictionary built by hand can hold — and for a dictionary type no
+    /// `encode_*` helper covers.
     ///
     /// # Panics
-    /// When `codes` are not `U8`/`U16` or name no entry, or `tail` is not
-    /// of the dictionary's type.
-    pub fn merge(&self, codes: &Vector, tail: &Vector) -> Option<Encoded> {
+    /// When `codes` are not `U8`/`U16` or name no entry.
+    pub fn merge(&self, codes: &Vector) -> Option<Encoded> {
         let mut used = vec![false; self.cardinality()];
         match codes {
             Vector::U8(c) => c.iter().for_each(|&x| used[x as usize] = true),
@@ -91,12 +167,11 @@ impl EnumDict {
         let live: Vec<u32> = (0..used.len() as u32)
             .filter(|&e| used[e as usize])
             .collect();
-        let mut input = Vector::with_capacity(self.value_type(), live.len() + tail.len());
+        let mut input = Vector::with_capacity(self.value_type(), live.len());
         assert!(
             gather_rows(&mut input, &self.values, &live, None),
             "used entries lie inside the dictionary"
         );
-        input.append_range(tail, 0, tail.len());
         let enc = encode(&input)?;
         // Old code → new code; entries no row uses keep code 0 and are
         // never read.
@@ -110,17 +185,111 @@ impl EnumDict {
             }
             _ => unreachable!("encode_* emits U8 or U16 codes"),
         }
-        let mut merged = Vector::with_capacity(enc.codes.scalar_type(), codes.len() + tail.len());
+        let mut merged = Vector::with_capacity(enc.codes.scalar_type(), codes.len());
         assert!(
             gather_at(&mut merged, &remap, codes, None),
             "codes name dictionary entries"
         );
-        merged.append_range(&enc.codes, live.len(), tail.len());
         Some(Encoded {
             codes: merged,
             dict: enc.dict,
         })
     }
+}
+
+/// An open-addressing index of a dictionary's entries by value: slot →
+/// code + 1 (0 = empty), a power of two over twice the entries, linear
+/// probing. The hash is multiplicative with an odd key drawn from the
+/// process's random hasher state, so values chosen to collide cannot be
+/// chosen without it.
+#[derive(Clone)]
+struct ValueIndex {
+    slots: Vec<u32>,
+    key: u64,
+}
+
+impl ValueIndex {
+    /// The index over every entry of `values`.
+    fn build(values: &Vector) -> ValueIndex {
+        let mut ix = ValueIndex {
+            slots: vec![0; (2 * values.len() + 2).next_power_of_two()],
+            key: RandomState::new().hash_one(values.len()) | 1,
+        };
+        (0..values.len()).for_each(|i| ix.insert(values, i));
+        ix
+    }
+
+    /// The hash of a fixed-width value's bits.
+    fn word(&self, x: u64) -> u64 {
+        x.wrapping_mul(self.key)
+    }
+
+    /// The hash of a string, eight bytes at a step.
+    fn str(&self, s: &str) -> u64 {
+        let mut words = s.as_bytes().chunks_exact(8);
+        let mut h = s.len() as u64;
+        for w in &mut words {
+            h = self.word(h.rotate_left(5) ^ u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder().iter().rev();
+        self.word(h.rotate_left(5) ^ tail.fold(0, |t, &b| t << 8 | u64::from(b)))
+    }
+
+    /// The hash of entry `i` of `values`, as [`EnumDict::code_of`]
+    /// hashes a value.
+    fn entry(&self, values: &Vector, i: usize) -> u64 {
+        match values {
+            Vector::I8(d) => self.word(d[i] as u64),
+            Vector::I16(d) => self.word(d[i] as u64),
+            Vector::I32(d) => self.word(d[i] as u64),
+            Vector::I64(d) => self.word(d[i] as u64),
+            Vector::U8(d) => self.word(u64::from(d[i])),
+            Vector::U16(d) => self.word(u64::from(d[i])),
+            Vector::U32(d) => self.word(u64::from(d[i])),
+            Vector::U64(d) => self.word(d[i]),
+            Vector::F64(d) => self.word(d[i].to_bits()),
+            Vector::Str(d) => self.str(d.get(i)),
+            Vector::Bool(_) => unreachable!("Bool is never stored"),
+        }
+    }
+
+    /// The first slot of hash `h`'s probe sequence.
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The next slot of a probe sequence.
+    fn next(&self, at: usize) -> usize {
+        (at + 1) & (self.slots.len() - 1)
+    }
+
+    /// Index entry `code` of `values`.
+    fn insert(&mut self, values: &Vector, code: usize) {
+        let mut at = self.home(self.entry(values, code));
+        while self.slots[at] != 0 {
+            at = self.next(at);
+        }
+        self.slots[at] = code as u32 + 1;
+    }
+
+    /// The entry `eq` accepts along hash `h`'s probe sequence.
+    fn find(&self, h: u64, eq: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut at = self.home(h);
+        loop {
+            match self.slots[at] {
+                0 => return None,
+                e if eq(e as usize - 1) => return Some(e as usize - 1),
+                _ => at = self.next(at),
+            }
+        }
+    }
+}
+
+/// Whether an enum dictionary may hold `v`: every value but an `f64`
+/// NaN (no order) or `-0.0` (equal to `0.0`, one code for two bit
+/// patterns) — what [`encode_f64`] refuses.
+pub(crate) fn holds(v: &Value) -> bool {
+    !matches!(v, Value::F64(x) if x.is_nan() || (*x == 0.0 && x.is_sign_negative()))
 }
 
 /// Result of dictionary-encoding a column: code column + dictionary.
@@ -145,10 +314,10 @@ pub fn encode(values: &Vector) -> Option<Encoded> {
 /// Dictionary-encode a string column if its cardinality allows.
 ///
 /// Returns `None` if the column has more than [`MAX_ENUM_CARD`] distinct
-/// values (then plain storage must be used). Codes are assigned in first
+/// values (then plain storage must be used). Codes are assigned in
 /// lexicographic order of the distinct values, making the encoding
-/// deterministic and order-preserving (`code_a < code_b ⇔ val_a < val_b`),
-/// which lets range predicates run directly on codes.
+/// deterministic and rank-ordered (`code_a < code_b ⇔ val_a < val_b`)
+/// until an insert appends a value (`EnumDict::push`).
 pub fn encode_str<S: AsRef<str>>(values: &[S]) -> Option<Encoded> {
     let mut distinct: Vec<&str> = values.iter().map(AsRef::as_ref).collect();
     distinct.sort_unstable();
@@ -289,24 +458,55 @@ mod tests {
 
     #[test]
     fn merge_equals_encoding_the_decoded_column() {
-        // Unsorted dictionary with unused entries; the tail brings 300
-        // new values, so the merged codes widen to U16.
-        let dict = EnumDict::new(Vector::I64(vec![50, -7, 999, 3, 12]));
-        let codes = Vector::U8(vec![3, 1, 3, 0, 1]);
+        // Unsorted dictionary with unused entries, then 300 appended
+        // values, so the merged codes widen to U16.
+        let mut dict = EnumDict::new(Vector::I64(vec![50, -7, 999, 3, 12]));
         let tail: Vec<i64> = (0..300).map(|i| i * 2).collect();
-        let merged = dict
-            .merge(&codes, &Vector::I64(tail.clone()))
-            .expect("fits");
+        let mut codes = vec![3u16, 1, 3, 0, 1];
+        for &x in &tail {
+            let v = Value::I64(x);
+            let code = dict.code_of(&v).unwrap_or_else(|| dict.push(&v));
+            codes.push(code as u16);
+        }
+        let merged = dict.merge(&Vector::U16(codes)).expect("fits");
         let mut decoded: Vec<i64> = vec![3, -7, 3, 50, -7];
         decoded.extend(&tail);
         let fresh = encode_i64(&decoded).expect("fits");
         assert_eq!(merged.codes, fresh.codes);
         assert_eq!(merged.codes.scalar_type(), ScalarType::U16);
         assert_eq!(merged.dict.values(), fresh.dict.values());
-        // A NaN among the new values refuses, as encoding would.
-        let dict = EnumDict::new(Vector::F64(vec![0.5, 0.25]));
-        let nan = Vector::F64(vec![f64::NAN]);
-        assert!(dict.merge(&Vector::U8(vec![1, 0]), &nan).is_none());
+        // A NaN in a dictionary built by hand refuses, as encoding would.
+        let dict = EnumDict::new(Vector::F64(vec![0.5, f64::NAN]));
+        assert!(dict.merge(&Vector::U8(vec![1, 0])).is_none());
+    }
+
+    #[test]
+    fn code_of_finds_ranked_and_appended_entries() {
+        let mut dict = encode_str(&["MAIL", "AIR", "SHIP"]).expect("fits").dict;
+        let code = |d: &EnumDict, s: &str| d.code_of(&Value::Str(s.into()));
+        assert_eq!(code(&dict, "AIR"), Some(0));
+        assert_eq!(code(&dict, "SHIP"), Some(2));
+        assert_eq!(code(&dict, "RAIL"), None);
+        // Appended values take the next codes, whatever their rank, and
+        // the index grows past half full.
+        for (i, s) in ["RAIL", "FOB", "TRUCK", "REG AIR"].into_iter().enumerate() {
+            assert_eq!(dict.push(&Value::Str(s.into())), 3 + i);
+        }
+        let all = ["AIR", "MAIL", "SHIP", "RAIL", "FOB", "TRUCK", "REG AIR"];
+        for (i, s) in all.into_iter().enumerate() {
+            assert_eq!(code(&dict, s), Some(i), "{s}");
+        }
+        assert_eq!(dict.decode(4), Value::Str("FOB".into()));
+        // A dictionary built by hand out of order; floats match by bits.
+        let dict = EnumDict::new(Vector::F64(vec![0.5, 0.25, 0.75, 0.0]));
+        for (i, x) in [0.5, 0.25, 0.75, 0.0].into_iter().enumerate() {
+            assert_eq!(dict.code_of(&Value::F64(x)), Some(i));
+        }
+        assert_eq!(dict.code_of(&Value::F64(-0.0)), None, "-0.0 is not 0.0");
+        assert_eq!(dict.code_of(&Value::F64(f64::NAN)), None);
+        let dict = EnumDict::new(Vector::I64((0..1000).map(|i| i * 7 - 3500).collect()));
+        assert!((0..1000).all(|i| dict.code_of(&Value::I64(i * 7 - 3500)) == Some(i as usize)));
+        assert_eq!(dict.code_of(&Value::I64(1)), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::columnbm::{FaultSite, FaultState, StorageFaultError};
 use crate::compress::{choose_and_compress, dictionary_wins, ChunkFormat, CompressedColumn};
 use crate::delta::{DeleteList, InsertDelta};
 use crate::durable::{DurableError, DurableOptions, DurableSource};
-use crate::enumcol::{encode, encode_f64, encode_i64, encode_str, EnumDict};
+use crate::enumcol::{self, encode, encode_f64, encode_i64, encode_str, EnumDict, MAX_ENUM_CARD};
 use crate::summary::SummaryIndex;
 use std::path::Path;
 use std::sync::Arc;
@@ -29,14 +29,15 @@ pub struct Field {
     pub logical: ScalarType,
 }
 
-/// Per-fragment column statistics, harvested when the fragment is built
+/// Column statistics, harvested when a fragment is built
 /// (`TableBuilder::build` / `Table::reorganize` / `Table::open`) — the
 /// fragment is immutable in between, so the stats stay exact until the
-/// next rebuild. They are the *source facts* of the engine's plan-level
-/// abstract interpretation (`engine::facts`): value range and sortedness
-/// of the physical data (codes for enum columns). A checkpoint's
-/// compressed chunks carry the same bounds per chunk (PFOR frame
-/// base/width); these are the fragment-wide rollup.
+/// next rebuild — and over the insert delta when asked. They
+/// are the *source facts* of the engine's plan-level abstract
+/// interpretation (`engine::facts`): value range and sortedness of the
+/// physical data (codes for enum columns). A checkpoint's compressed
+/// chunks carry the same bounds per chunk (PFOR frame base/width);
+/// these are the fragment-wide rollup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Minimum physical value. `None` for string or empty fragments, or
@@ -85,20 +86,64 @@ impl ColumnStats {
             Vector::U64(v) => fold(v, Value::U64),
             // NaN poisons both the ordering and the range; the analyzer
             // treats the column as ⊤.
-            Vector::F64(v) if v.iter().any(|x| x.is_nan()) => ColumnStats {
-                min: None,
-                max: None,
-                sorted: false,
-            },
+            Vector::F64(v) if v.iter().any(|x| x.is_nan()) => ColumnStats::unknown(),
             Vector::F64(v) => fold(v, Value::F64),
             // Strings carry no numeric range; lexicographic order is of
             // no use to the analyzer (and `Bool` is never stored).
-            Vector::Str(_) | Vector::Bool(_) => ColumnStats {
-                min: None,
-                max: None,
-                sorted: false,
-            },
+            Vector::Str(_) | Vector::Bool(_) => ColumnStats::unknown(),
         }
+    }
+
+    /// No range and no order.
+    fn unknown() -> ColumnStats {
+        ColumnStats {
+            min: None,
+            max: None,
+            sorted: false,
+        }
+    }
+
+    /// The stats of these `n` rows followed by `next`'s `m`: the min of
+    /// the minima, the max of the maxima, and sorted when both parts are
+    /// and `next` starts at or above this part's maximum (a sorted
+    /// part starts at its minimum).
+    pub(crate) fn then(&self, n: usize, next: &ColumnStats, m: usize) -> ColumnStats {
+        match (n, m) {
+            (_, 0) => return self.clone(),
+            (0, _) => return next.clone(),
+            _ => {}
+        }
+        match (&self.min, &self.max, &next.min, &next.max) {
+            (Some(a), Some(b), Some(c), Some(d)) => ColumnStats {
+                min: Some(if lt(c, a) { c } else { a }.clone()),
+                max: Some(if lt(b, d) { d } else { b }.clone()),
+                sorted: self.sorted && next.sorted && !lt(c, b),
+            },
+            _ => ColumnStats::unknown(),
+        }
+    }
+}
+
+/// `a < b` for two numeric values of one type.
+///
+/// # Panics
+/// On values of two types, or of a type without an order here.
+fn lt(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::I8(a), Value::I8(b)) => a < b,
+        (Value::I16(a), Value::I16(b)) => a < b,
+        (Value::I32(a), Value::I32(b)) => a < b,
+        (Value::I64(a), Value::I64(b)) => a < b,
+        (Value::U8(a), Value::U8(b)) => a < b,
+        (Value::U16(a), Value::U16(b)) => a < b,
+        (Value::U32(a), Value::U32(b)) => a < b,
+        (Value::U64(a), Value::U64(b)) => a < b,
+        (Value::F64(a), Value::F64(b)) => a < b,
+        (a, b) => panic!(
+            "no order between {:?} and {:?}",
+            a.scalar_type(),
+            b.scalar_type()
+        ),
     }
 }
 
@@ -201,11 +246,13 @@ impl StoredColumn {
     /// index whose dictionary candidate wins ([`dictionary_wins`])
     /// becomes an enumeration type first — codes plus dictionary, the
     /// epoch bumped — unless encoding refuses it (NaN or `-0.0` among
-    /// `f64` values); its codes then go through the chooser like any
-    /// enum column's.
-    fn choose_codec(&mut self) {
+    /// `f64` values) or rows are `pending` in its insert delta (they hold
+    /// values; the reorganize that merges them runs the chooser again);
+    /// its codes then go through the chooser like any enum column's.
+    fn choose_codec(&mut self, pending: bool) {
         let best = choose_and_compress(&self.data, &self.stats);
-        let enumerate = self.dict.is_none()
+        let enumerate = !pending
+            && self.dict.is_none()
             && self.summary.is_none()
             && dictionary_wins(&self.data, best.as_ref());
         match enumerate.then(|| encode(&self.data)).flatten() {
@@ -221,9 +268,10 @@ impl StoredColumn {
         self.codec_epoch = Some(self.epoch);
     }
 
-    /// Decode one fragment value to its logical form (slow path).
-    fn get_logical(&self, row: usize) -> Value {
-        match (&self.dict, self.data.get_value(row)) {
+    /// One physical value of this column — a fragment or delta row —
+    /// in its logical form (slow path).
+    fn logical(&self, v: Value) -> Value {
+        match (&self.dict, v) {
             (Some(dict), Value::U8(code)) => dict.decode(code as usize),
             (Some(dict), Value::U16(code)) => dict.decode(code as usize),
             (_, v) => v,
@@ -348,17 +396,23 @@ impl TableBuilder {
                 StoredColumn::new(c.name, c.data, c.dict, c.summary)
             })
             .collect();
-        let types: Vec<ScalarType> = columns.iter().map(|c| c.field.logical).collect();
         Table {
             name: self.name,
+            inserts: empty_delta(&columns),
             columns,
             frag_rows: rows,
             deletes: DeleteList::default(),
-            inserts: InsertDelta::new(&types),
             codec_sweeps: 0,
             durable: None,
         }
     }
+}
+
+/// An empty insert delta for `columns`: a column of each fragment's
+/// physical type (codes for an enum column).
+pub(crate) fn empty_delta(columns: &[StoredColumn]) -> InsertDelta {
+    let types: Vec<ScalarType> = columns.iter().map(|c| c.data.scalar_type()).collect();
+    InsertDelta::new(&types)
 }
 
 /// A vertically fragmented table with delta-based updates.
@@ -426,17 +480,21 @@ impl Table {
         self.inserts.len()
     }
 
-    /// Fragment statistics for column `i`, *widened to unknown* while
-    /// insert-delta rows are pending: delta values bypass the fragment
-    /// and are not covered by the stats, so any range claim would be
-    /// unsound. Deletes do not widen — visible rows are a subset of the
-    /// fragment the stats describe. Reorganization merges the deltas
-    /// and recomputes, restoring precision.
-    pub fn column_stats(&self, i: usize) -> Option<&ColumnStats> {
-        if !self.inserts.is_empty() {
-            None
-        } else {
-            Some(&self.columns[i].stats)
+    /// Statistics of column `i` over every row id — fragment ++ insert
+    /// delta (`ColumnStats::then`). The delta's are computed when asked:
+    /// one vectorized pass over rows a scan of the column reads anyway,
+    /// where folding each value in at insert would slow every insert.
+    /// Deleted rows stay covered: the visible rows are a subset, so
+    /// every claim still holds for them.
+    pub fn column_stats(&self, i: usize) -> ColumnStats {
+        let (frag, n) = (&self.columns[i].stats, self.inserts.len());
+        match n {
+            0 => frag.clone(),
+            _ => frag.then(
+                self.frag_rows,
+                &ColumnStats::compute(self.inserts.column(i)),
+                n,
+            ),
         }
     }
 
@@ -474,10 +532,94 @@ impl Table {
     }
 
     /// Insert a row (logical values). Returns its `#rowId`.
+    ///
+    /// An enum column stores the value's code (`EnumDict::code_of`),
+    /// and a value its dictionary lacks is appended as the next code
+    /// (`EnumDict::push`), so the delta holds codes of the fragment's
+    /// width. Where that width cannot name the new entry — a 257th on
+    /// `U8` codes — the column's codes widen to `U16` first; where no
+    /// enum column can hold the value — a 65 537th entry, NaN or `-0.0`
+    /// in an `f64` dictionary — the column turns plain. Either is done in
+    /// place, fragment and delta alike (`Table::reform`).
+    ///
+    /// # Panics
+    /// Panics if `row` arity or types mismatch.
     pub fn insert(&mut self, row: &[Value]) -> u32 {
+        assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
         let id = self.total_rows() as u32;
-        self.inserts.append(row);
+        for (i, v) in row.iter().enumerate() {
+            let col = &self.columns[i];
+            let code = match col.dict.as_ref().map(|d| d.code_of(v)) {
+                None => None,
+                Some(Some(code)) => Some(code),
+                Some(None) => self.append_entry(i, v),
+            };
+            match code {
+                None => self.inserts.push(i, v),
+                Some(code) => self.inserts.push_code(i, code),
+            }
+        }
+        self.inserts.end_row();
         id
+    }
+
+    /// Append `v`, which enum column `i`'s dictionary lacks, and return
+    /// its code — `None` when the column had to turn plain for it.
+    #[cold]
+    fn append_entry(&mut self, i: usize, v: &Value) -> Option<usize> {
+        let card = self.columns[i]
+            .dict
+            .as_ref()
+            .map_or(0, EnumDict::cardinality);
+        if !enumcol::holds(v) || card == MAX_ENUM_CARD {
+            self.reform(i, false);
+            return None;
+        }
+        if card == 256 && self.columns[i].data.scalar_type() == ScalarType::U8 {
+            self.reform(i, true);
+        }
+        Some(
+            self.columns[i]
+                .dict
+                .as_mut()
+                .expect("an enum column")
+                .push(v),
+        )
+    }
+
+    /// Rebuild enum column `i`, fragment and insert delta, in another
+    /// form with the same row ids: its `U8` codes widened to `U16`
+    /// (`widen`), or decoded through the dictionary into a plain column.
+    /// The result is what a reorganize would store or refuse to merge:
+    /// the epoch bumps, a checkpointed column's chunks are chosen again
+    /// (never enumerating it: no third form), and the durable source
+    /// detaches, as after a reorganize.
+    fn reform(&mut self, i: usize, widen: bool) {
+        let col = &mut self.columns[i];
+        let dict = col.dict.take().expect("an enum column");
+        let reformed = |codes: &Vector| match widen {
+            true => Vector::U16(codes.as_u8().iter().map(|&c| u16::from(c)).collect()),
+            false => {
+                let mut values = Vector::with_capacity(dict.value_type(), codes.len());
+                assert!(
+                    gather_at(&mut values, dict.values(), codes, None),
+                    "codes name dictionary entries"
+                );
+                values
+            }
+        };
+        let (data, delta) = (reformed(&col.data), reformed(self.inserts.column(i)));
+        let name = std::mem::take(&mut col.field.name);
+        let mut new = StoredColumn::new(name, data, widen.then_some(dict), false);
+        new.epoch = col.epoch + 1;
+        if col.compressed.is_some() {
+            new.compressed = choose_and_compress(&new.data, &new.stats);
+            new.codec_epoch = Some(new.epoch);
+            self.codec_sweeps += 1;
+        }
+        *col = new;
+        self.inserts.replace_column(i, delta);
+        self.durable = None;
     }
 
     /// Delete a row by `#rowId`. Returns `false` if it did not exist or
@@ -519,18 +661,20 @@ impl Table {
         assert!(!self.deletes.contains(rowid), "row {rowid} is deleted");
         let r = rowid as usize;
         if r < self.frag_rows {
-            self.columns.iter().map(|c| c.get_logical(r)).collect()
+            let row = self.columns.iter().map(|c| c.logical(c.data.get_value(r)));
+            row.collect()
         } else {
             let d = r - self.frag_rows;
             assert!(d < self.inserts.len(), "row {rowid} out of range");
-            (0..self.columns.len())
-                .map(|i| self.inserts.column(i).get_value(d))
+            let row = self.columns.iter().enumerate();
+            row.map(|(i, c)| c.logical(self.inserts.column(i).get_value(d)))
                 .collect()
         }
     }
 
-    /// Read a delta range of a column (delta rows are always logical).
-    /// `start` is relative to the delta (0 = first inserted row).
+    /// Read a delta range of a column as stored: values, or the codes of
+    /// an enum column. `start` is relative to the delta (0 = first
+    /// inserted row).
     pub fn read_delta(&self, col: usize, start: usize, rows: usize, out: &mut Vector) {
         self.inserts.column(col).read_into(start, rows, out);
     }
@@ -583,7 +727,13 @@ impl Table {
                 if let Some(f) = fault {
                     f.check_site(FaultSite::CheckpointWrite, i as u32)?;
                 }
-                col.choose_codec();
+                col.choose_codec(!self.inserts.is_empty());
+                // A column just enumerated (its delta is empty) takes
+                // codes in its delta from now on.
+                let ty = col.data.scalar_type();
+                if self.inserts.column(i).scalar_type() != ty {
+                    self.inserts.replace_column(i, Vector::with_capacity(ty, 0));
+                }
                 sweeps += 1;
                 // Torn-write injection: the write "succeeded" but a
                 // payload byte is wrong. Nothing errors here — the
@@ -693,18 +843,20 @@ impl Table {
     /// §4.3's "data storage should be reorganized").
     ///
     /// Column by column, in vectors: the live positions are computed
-    /// once from the delete list, and each fragment is gathered at them.
-    /// A column then takes one of two paths:
-    /// - **plain**: the insert delta's live rows are appended;
+    /// once from the delete list, and each fragment and its insert delta
+    /// are gathered at them — values, or an enum column's codes (the
+    /// delta holds codes of the fragment's width). A column then takes
+    /// one of two paths:
+    /// - **plain**: the gathered values are the new fragment;
     /// - **dictionary merge** ([`EnumDict::merge`]): an enum column's
-    ///   codes stay codes. Only the dictionary entries still used and
-    ///   the delta's live rows are encoded, and the gathered codes are
-    ///   remapped through one gather. The result is exactly the encoding
-    ///   of the decoded column — sorted distinct live values, rank codes
-    ///   — so the table equals a fresh build of its live rows. Where that
-    ///   encoding is refused (NaN or `-0.0` in an `f64` column, too many
-    ///   values, a dictionary type no `encode_*` covers) the codes decode
-    ///   through the dictionary and the column goes the plain path.
+    ///   codes stay codes. Only the dictionary entries still used are
+    ///   encoded, and the gathered codes are remapped through one
+    ///   gather. The result is exactly the encoding of the decoded
+    ///   column — sorted distinct live values, rank codes — so the table
+    ///   equals a fresh build of its live rows. Where that encoding is
+    ///   refused (a dictionary type no `encode_*` covers, or a NaN or
+    ///   `-0.0` in a dictionary built by hand) the codes decode through
+    ///   the dictionary and the column goes the plain path.
     ///
     /// A column that was checkpointed re-runs the codec chooser, which
     /// may turn a plain column into an enum column as a checkpoint does.
@@ -729,34 +881,27 @@ impl Table {
         let live = frag_live.len() + delta_live.len();
         let columns = std::mem::take(&mut self.columns);
         for (i, old) in columns.into_iter().enumerate() {
-            let logical = old.field.logical;
             let mut gathered = Vector::with_capacity(old.data.scalar_type(), live);
-            let mut tail = Vector::with_capacity(logical, delta_live.len());
+            let mut tail = Vector::with_capacity(old.data.scalar_type(), delta_live.len());
             assert!(
                 gather_rows(&mut gathered, &old.data, &frag_live, None)
                     && gather_rows(&mut tail, self.inserts.column(i), &delta_live, None),
                 "live positions lie inside their region"
             );
-            let merged = old.dict.as_ref().and_then(|d| d.merge(&gathered, &tail));
-            let (data, dict) = match (merged, &old.dict) {
-                (Some(enc), _) => (enc.codes, Some(enc.dict)),
-                (None, dict) => {
-                    // Plain: the gathered values, or the gathered codes
-                    // decoded through the dictionary the merge refused.
-                    let mut values = match dict {
-                        None => gathered,
-                        Some(d) => {
-                            let mut values = Vector::with_capacity(logical, live);
-                            assert!(
-                                gather_at(&mut values, d.values(), &gathered, None),
-                                "codes name dictionary entries"
-                            );
-                            values
-                        }
-                    };
-                    values.append_range(&tail, 0, tail.len());
-                    (values, None)
-                }
+            gathered.append_range(&tail, 0, tail.len());
+            let (data, dict) = match &old.dict {
+                None => (gathered, None),
+                Some(d) => match d.merge(&gathered) {
+                    Some(enc) => (enc.codes, Some(enc.dict)),
+                    None => {
+                        let mut values = Vector::with_capacity(d.value_type(), live);
+                        assert!(
+                            gather_at(&mut values, d.values(), &gathered, None),
+                            "codes name dictionary entries"
+                        );
+                        (values, None)
+                    }
+                },
             };
             let mut col = StoredColumn::new(old.field.name, data, dict, old.summary.is_some());
             // Checkpointed columns stay checkpointed: re-run the format
@@ -766,13 +911,13 @@ impl Table {
             col.epoch = old.epoch + 1;
             if old.compressed.is_some() {
                 self.codec_sweeps += 1;
-                col.choose_codec();
+                col.choose_codec(false);
             }
             self.columns.push(col);
         }
         self.frag_rows = live;
         self.deletes.clear();
-        self.inserts.clear();
+        self.inserts = empty_delta(&self.columns);
         // The disk checkpoint describes the *old* fragments; healing
         // from it would resurrect stale rows. Detach until the next
         // durable checkpoint rewrites it.
@@ -873,7 +1018,11 @@ mod tests {
                 .auto_enum_f64("x", vec![0.0, 0.05, 0.0])
                 .build();
             assert!(t.column(0).dict().is_some());
+            t.insert(&[Value::F64(0.05)]);
             t.insert(&[Value::F64(odd)]);
+            // The insert turns the column plain at once, delta included.
+            assert!(t.column(0).dict().is_none());
+            assert_eq!(t.inserts().column(0).as_f64()[0], 0.05);
             t.reorganize();
             assert!(t.column(0).dict().is_none(), "stays plain");
             let bits: Vec<u64> = t
@@ -883,7 +1032,7 @@ mod tests {
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();
-            assert_eq!(bits, [0.0, 0.05, 0.0, odd].map(f64::to_bits));
+            assert_eq!(bits, [0.0, 0.05, 0.0, 0.05, odd].map(f64::to_bits));
         }
     }
 
@@ -981,6 +1130,27 @@ mod tests {
         // The verdict is cached like any other: no second sweep.
         t.checkpoint();
         assert_eq!(t.codec_sweeps(), 4);
+    }
+
+    #[test]
+    fn inserts_after_a_checkpoint_enumerates_a_column_store_codes() {
+        let tags: Vec<&str> = (0..20_000)
+            .map(|i| ["AIR", "MAIL", "SHIP"][i % 3])
+            .collect();
+        let mut t = TableBuilder::new("t")
+            .column("tag", Vector::Str(tags.iter().copied().collect()))
+            .build();
+        // Pending inserts hold values: the checkpoint leaves the column
+        // plain until the reorganize that merges them.
+        t.insert(&[Value::Str("RAIL".into())]);
+        t.checkpoint();
+        assert!(t.column(0).dict().is_none());
+        t.reorganize();
+        t.checkpoint();
+        assert!(t.column(0).dict().is_some(), "enumerated");
+        t.insert(&[Value::Str("FOB".into())]);
+        assert_eq!(t.inserts().column(0), &Vector::U8(vec![4]));
+        assert_eq!(t.get_row(20_001)[0], Value::Str("FOB".into()));
     }
 
     #[test]
@@ -1089,27 +1259,77 @@ mod tests {
     }
 
     #[test]
-    fn stats_harvested_at_build_and_widened_by_deltas() {
+    fn stats_cover_fragment_and_delta() {
         let mut t = small_table();
-        let id = t.column_stats(0).expect("built tables carry stats");
+        let id = t.column_stats(0);
         assert_eq!(id.min, Some(Value::I64(0)));
         assert_eq!(id.max, Some(Value::I64(9)));
         assert!(id.sorted);
         // Enum stats cover the physical codes ("A"/"B" → 0/1).
-        let flag = t.column_stats(1).expect("code stats");
+        let flag = t.column_stats(1);
         assert_eq!(flag.min, Some(Value::U8(0)));
         assert_eq!(flag.max, Some(Value::U8(1)));
-        // Deletes don't widen (subset of the fragment)…
+        // Deletes change nothing: the visible rows are a subset.
         t.delete(3);
-        assert!(t.column_stats(0).is_some());
-        // …but pending insert-delta rows do: they bypass the fragment.
-        t.insert(&[Value::I64(999), Value::Str("A".into()), Value::F64(0.0)]);
-        assert!(t.column_stats(0).is_none(), "delta rows widen stats");
-        // Reorganize merges deltas and recomputes exact stats.
+        assert_eq!(t.column_stats(0), id);
+        // An appended key above the fragment's keeps the order.
+        t.insert(&[Value::I64(999), Value::Str("C".into()), Value::F64(0.0)]);
+        let id = t.column_stats(0);
+        assert_eq!((&id.max, id.sorted), (&Some(Value::I64(999)), true));
+        // The delta's code for "C" is past the fragment's.
+        assert_eq!(t.column_stats(1).max, Some(Value::U8(2)));
+        // One below it does not.
+        t.insert(&[Value::I64(5), Value::Str("A".into()), Value::F64(0.0)]);
+        let id = t.column_stats(0);
+        assert_eq!((&id.max, id.sorted), (&Some(Value::I64(999)), false));
+        // Reorganize merges deltas and recomputes the same bounds.
         t.reorganize();
-        let id = t.column_stats(0).expect("recomputed");
-        assert_eq!(id.max, Some(Value::I64(999)));
-        assert!(id.sorted, "999 appended after an ascending prefix");
+        assert_eq!(t.column_stats(0), id);
+    }
+
+    #[test]
+    fn inserts_store_enum_codes() {
+        let mut t = small_table();
+        t.insert(&[Value::I64(10), Value::Str("B".into()), Value::F64(1.0)]);
+        // A value the dictionary lacks takes the next code.
+        t.insert(&[Value::I64(11), Value::Str("AA".into()), Value::F64(1.0)]);
+        assert_eq!(t.inserts().column(1), &Vector::U8(vec![1, 2]));
+        assert_eq!(t.column(1).dict().expect("enum").cardinality(), 3);
+        assert_eq!(t.get_row(11)[1], Value::Str("AA".into()));
+        // The merge ranks it between "A" and "B".
+        t.reorganize();
+        let dict = t.column(1).dict().expect("enum");
+        assert_eq!(
+            dict.values(),
+            &Vector::Str(["A", "AA", "B"].into_iter().collect())
+        );
+        assert_eq!(t.get_row(11)[1], Value::Str("AA".into()));
+        assert_eq!(t.get_row(10)[1], Value::Str("B".into()));
+    }
+
+    #[test]
+    fn a_257th_entry_widens_the_codes_in_place() {
+        let tags = |n: usize| (0..n).map(|i| format!("t{i:03}")).collect::<Vec<_>>();
+        let mut t = TableBuilder::new("t").auto_enum_str("s", tags(256)).build();
+        t.checkpoint();
+        t.insert(&[Value::Str("t000".into())]);
+        assert_eq!(t.column(0).physical_type(), ScalarType::U8);
+        t.insert(&[Value::Str("t256".into())]);
+        assert_eq!(t.column(0).physical_type(), ScalarType::U16);
+        assert_eq!(t.inserts().column(0), &Vector::U16(vec![0, 256]));
+        assert_eq!(t.column_stats(0).max, Some(Value::U16(256)));
+        assert!(t.column(0).compressed().is_some(), "still checkpointed");
+        assert_eq!(t.get_row(255)[0], Value::Str("t255".into()));
+        assert_eq!(t.get_row(257)[0], Value::Str("t256".into()));
+        t.reorganize();
+        let mut all = tags(257);
+        all.insert(256, "t000".into());
+        let fresh = TableBuilder::new("t").auto_enum_str("s", all).build();
+        assert_eq!(t.column(0).physical(), fresh.column(0).physical());
+        assert_eq!(
+            t.column(0).dict().map(EnumDict::values),
+            fresh.column(0).dict().map(EnumDict::values)
+        );
     }
 
     #[test]

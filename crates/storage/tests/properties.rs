@@ -4,7 +4,11 @@
 //! * a table behaves like a simple row-store model under any sequence of
 //!   inserts / deletes / updates / reorganizes / checkpoints, including
 //!   the checkpoint that turns a plain column into an enum column, and
-//!   across a durable checkpoint and reopen;
+//!   across a durable checkpoint and reopen; an insert delta holds an
+//!   enum column's codes — values new to its dictionary, a `U8` column
+//!   pushed past 256 entries, NaN / `-0.0` into an enum `f64` column —
+//!   and a scan of fragment ++ delta reads the model's rows, within the
+//!   column statistics;
 //! * enum encoding roundtrips and is order-preserving;
 //! * summary indices are always conservative.
 
@@ -13,6 +17,7 @@ use x100_storage::{
     choose_and_compress, compress_column_as, dictionary_wins, encode_i64, ChunkFormat, ColumnStats,
     CompressedColumn, DecodeCursor, DurableOptions, EnumDict, SummaryIndex, Table, TableBuilder,
 };
+use x100_vector::fetch::gather_at;
 use x100_vector::{Value, Vector};
 
 /// One row of the seven-column model table: plain `i64`, enum string,
@@ -124,6 +129,34 @@ fn assert_rows(table: &Table, model: &[Row], rowids: &[u32]) {
     }
 }
 
+/// A scan of every column — its fragment then its insert delta, read as
+/// stored and decoded through the dictionary as the engine's scan does —
+/// reads the model's rows at their row ids, and the column statistics
+/// are those of what it read as stored (codes for an enum column).
+fn assert_scan(table: &Table, model: &[Row], rowids: &[u32]) {
+    for i in 0..table.num_columns() {
+        let sc = table.column(i);
+        let mut stored = sc.physical().clone();
+        let mut delta = Vector::with_capacity(stored.scalar_type(), 0);
+        table.read_delta(i, 0, table.delta_rows(), &mut delta);
+        prop_assert_eq!(delta.scalar_type(), stored.scalar_type());
+        stored.append_range(&delta, 0, delta.len());
+        prop_assert_eq!(table.column_stats(i), ColumnStats::compute(&stored));
+        let values = match sc.dict() {
+            None => stored,
+            Some(d) => {
+                let mut values = Vector::with_capacity(d.value_type(), stored.len());
+                prop_assert!(gather_at(&mut values, d.values(), &stored, None));
+                values
+            }
+        };
+        for (r, &id) in model.iter().zip(rowids) {
+            let want = &row_bits(&row_values(r))[i];
+            prop_assert_eq!(&row_bits(&[values.get_value(id as usize)])[0], want);
+        }
+    }
+}
+
 /// The model's rows built fresh — what a reorganize must reproduce. The
 /// columns a table may hold either way (`v`, `p`, `g`: plain until a
 /// checkpoint enumerates them) are enum columns where `like` has one.
@@ -198,6 +231,8 @@ enum Op {
     DeleteValue(usize),
     /// Delete every bulk row, so the string codes narrow back to `U8`.
     DeleteBulk,
+    /// Insert a row whose `f64`s no enum code may hold: NaN, or `-0.0`.
+    Odd(bool),
     Reorganize,
     Checkpoint,
 }
@@ -210,6 +245,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..BULK.len()).prop_map(Op::Bulk),
         (0usize..MODES.len()).prop_map(Op::DeleteValue),
         Just(Op::DeleteBulk),
+        any::<bool>().prop_map(Op::Odd),
         Just(Op::Reorganize),
         Just(Op::Checkpoint),
     ]
@@ -276,6 +312,12 @@ impl Model {
                     self.insert(table, r);
                 }
             }
+            Op::Odd(nan) => {
+                let mut r = bulk_row(BULK.end);
+                let odd = if nan { f64::NAN } else { -0.0 };
+                (r.2, r.6) = (odd, odd);
+                self.insert(table, r);
+            }
             Op::DeleteValue(i) => self.delete_where(table, |r| r.1 == MODES[i]),
             Op::DeleteBulk => self.delete_where(table, |r| r.1.starts_with('b')),
             Op::Reorganize => {
@@ -294,6 +336,8 @@ impl Model {
             }
         }
         prop_assert_eq!(table.live_rows(), self.rows.len());
+        assert_scan(table, &self.rows, &self.rowids);
+        assert_rows(table, &self.rows, &self.rowids);
     }
 }
 
@@ -406,6 +450,7 @@ proptest! {
             (r.5, r.6) = (format!("late{k}"), (1000.0 + k as f64).sqrt());
             model.insert(&mut table, r);
         }
+        assert_scan(&table, &model.rows, &model.rowids);
         model.delete_where(&mut table, |r| r.5 == LOW[1]);
         for op in after {
             model.apply(&mut table, op);

@@ -189,6 +189,35 @@ pub fn build_x100_db(data: &TpchData) -> Database {
     db
 }
 
+/// `db` with `change` applied to a copy of every table.
+pub fn each_table(db: &Database, change: impl Fn(&mut Table)) -> Database {
+    let names: Vec<String> = db.table_names().map(str::to_owned).collect();
+    let mut out = Database::new();
+    for name in names {
+        let mut t = (*db.table(&name).expect("listed table")).clone();
+        change(&mut t);
+        out.register(t);
+    }
+    out
+}
+
+/// `db` with a copy of each table's last row pending as an insert: the
+/// smallest insert delta, over which every plan must answer as over the
+/// tables reorganized.
+pub fn pending_inserts(db: &Database) -> Database {
+    each_table(db, |t| {
+        let row = t.get_row(t.total_rows() as u32 - 1);
+        t.insert(&row);
+    })
+}
+
+/// `db` with each table's last row pending as a delete.
+pub fn pending_deletes(db: &Database) -> Database {
+    each_table(db, |t| {
+        t.delete(t.total_rows() as u32 - 1);
+    })
+}
+
 /// X100 database holding only the Q1 lineitem columns (large-SF runs).
 pub fn build_x100_q1_db(li: &RawLineitem) -> Database {
     let mut db = Database::new();

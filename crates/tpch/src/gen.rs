@@ -455,7 +455,13 @@ pub fn generate(cfg: &GenConfig) -> TpchData {
     let mut li_rowid: u32 = 0;
     for (oi, &odate) in order_dates.iter().enumerate() {
         let orderkey = (oi as i64) * 4 + 1; // sparse keys like dbgen
-        let custkey = rng.gen_range(1..=n_cust as i64);
+
+        // As dbgen: no order goes to a custkey divisible by three, so a
+        // third of the customers have none (Q13's zero bucket, Q22's
+        // answer). The k-th key that is no multiple of three is
+        // k + (k - 1) / 2.
+        let k = rng.gen_range(1..=(n_cust - n_cust / 3) as i64);
+        let custkey = k + (k - 1) / 2;
         let nlines = rng.gen_range(1..=7usize);
         let mut total = 0.0f64;
         let mut all_f = true;

@@ -80,6 +80,15 @@ impl StrVec {
         std::str::from_utf8(&self.bytes[lo..hi]).expect("StrVec holds UTF-8")
     }
 
+    /// The bytes of string `i` (no UTF-8 check: an equality test).
+    ///
+    /// # Panics
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn get_bytes(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Remove all strings, keeping allocations.
     pub fn clear(&mut self) {
         self.offsets.truncate(1);
