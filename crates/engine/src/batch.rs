@@ -42,6 +42,11 @@ pub struct Batch {
     pub sel: Option<Rc<SelVec>>,
     /// Full vector length (including unselected positions).
     pub len: usize,
+    /// The first fragment row id of a scan's fragment batch, which
+    /// holds rows `first..first + len` (`None` for delta rows and every
+    /// batch an operator computes): what a `Select` over the scan checks
+    /// against the windows the summary index proved its steps in.
+    pub frag_start: Option<usize>,
 }
 
 impl Batch {
@@ -73,6 +78,14 @@ impl Batch {
         self.columns.clear();
         self.sel = None;
         self.len = 0;
+        self.frag_start = None;
+    }
+
+    /// Whether the batch holds only fragment rows inside `window`
+    /// (`[start, end)` row ids). Delta batches never do.
+    pub fn within(&self, window: (usize, usize)) -> bool {
+        self.frag_start
+            .is_some_and(|a| window.0 <= a && a + self.len <= window.1)
     }
 }
 
@@ -167,6 +180,19 @@ impl SelPool {
         batch.sel = Some(rc);
     }
 
+    /// Publish `s`, the positions of `batch` an operator kept — unless
+    /// the operator's input had no selection (`dense_in`) and `s` keeps
+    /// every row: then the batch goes on dense, so the primitives above
+    /// run their dense loops, and the buffer is kept for reuse. A
+    /// selection over an input that had one is always published.
+    pub fn publish_survivors(&mut self, s: SelVec, dense_in: bool, batch: &mut Batch) {
+        if dense_in && s.len() == batch.len {
+            self.recycle(s);
+        } else {
+            self.publish(s, batch);
+        }
+    }
+
     /// Keep a selection vector that was not published, for reuse.
     pub fn recycle(&mut self, s: SelVec) {
         self.slot = Some(Rc::new(s));
@@ -211,6 +237,35 @@ mod tests {
         let v2 = pool.writable();
         drop(retained);
         assert_eq!(v2.len(), 0); // fresh buffer, not the retained one
+    }
+
+    #[test]
+    fn whole_survivors_of_a_dense_input_go_on_dense() {
+        let mut pool = SelPool::default();
+        let mut batch = Batch::new();
+        batch.len = 3;
+        pool.publish_survivors(SelVec::identity(3), true, &mut batch);
+        assert!(batch.sel.is_none());
+        // The buffer comes back for the next vector.
+        assert!(pool.writable().buf_mut().capacity() >= 3);
+        // One row fewer, or an input that had a selection: published.
+        pool.publish_survivors(SelVec::from_positions(vec![0, 2]), true, &mut batch);
+        assert_eq!(batch.live(), 2);
+        batch.sel = None;
+        pool.publish_survivors(SelVec::identity(3), false, &mut batch);
+        assert_eq!(batch.sel_ref().map(SelVec::len), Some(3));
+    }
+
+    #[test]
+    fn within_needs_a_fragment_batch_inside_the_window() {
+        let mut b = Batch::new();
+        b.len = 10;
+        assert!(!b.within((0, 100)), "a batch of no fragment rows");
+        b.frag_start = Some(20);
+        assert!(b.within((20, 30)) && b.within((0, 100)));
+        assert!(!b.within((21, 100)) && !b.within((0, 29)));
+        b.reset();
+        assert_eq!(b.frag_start, None);
     }
 
     #[test]

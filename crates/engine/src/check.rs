@@ -74,14 +74,14 @@ use crate::facts::{self, ColFact, FactRange, NodeFacts};
 use crate::ops::parallel::{morsel_spine, spine_morsels};
 use crate::ops::{
     fused_signature, AggSpec, DerivedCol, DirectAggrOp, DirectKey, FetchSource, FetchSpec,
-    JoinParts, JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder,
+    JoinParts, JoinType, MergeSpec, PredStep, PushSpec, ScanCol, ScanSpec, SortOrder, Window,
 };
 use crate::plan::{self, Plan};
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
-use x100_storage::{EnumDict, Table};
+use x100_storage::{EnumDict, PushOp, Pushdown, Table};
 use x100_vector::{CmpOp, PrimitiveDesc, PrimitiveRegistry, ScalarType, Value, VecShape};
 
 /// A predicate conjunct over verified (shared, register-free) programs.
@@ -303,10 +303,13 @@ pub struct CheckedNode {
 pub(crate) enum CheckedOp {
     Scan(ScanSpec),
     /// `steps` is empty when `verdict` folded the predicate or a fused
-    /// pushdown on the input scan consumed all of it.
+    /// pushdown on the input scan consumed all of it. `certain` holds,
+    /// per step, the fragment rows rule `summary-range-select` proved it
+    /// for (empty when the rule did not run).
     Select {
         steps: Vec<SelStep>,
         verdict: Option<bool>,
+        certain: Vec<Option<Window>>,
     },
     Project {
         exprs: Vec<Arc<ExprCode>>,
@@ -636,6 +639,48 @@ fn codes_note(codes: &[&str]) -> String {
     match codes {
         [] => String::new(),
         _ => format!(", codes [{}]", codes.join(", ")),
+    }
+}
+
+/// Integer literal `v` as a compare against a summarized column of type
+/// `ty` reads it: `None` unless `ty` is `i32` or `i64` (the types a
+/// summary index covers) and holds the value exactly.
+fn int_literal(v: &Value, ty: ScalarType) -> Option<i64> {
+    let x = match v {
+        Value::I8(_) | Value::I16(_) | Value::I32(_) | Value::I64(_) => v.as_i64(),
+        Value::U8(_) | Value::U16(_) | Value::U32(_) => v.as_i64(),
+        _ => return None,
+    };
+    match ty {
+        ScalarType::I32 => i32::try_from(x).ok().map(i64::from),
+        ScalarType::I64 => Some(x),
+        _ => None,
+    }
+}
+
+/// The inclusive `(lo, hi)` bounds of `col ⊙ x` over integers, for the
+/// range comparisons (`None` for `=` / `<>`, and past the type's end).
+fn cmp_bounds(op: CmpOp, x: i64) -> Option<(Option<i64>, Option<i64>)> {
+    match op {
+        CmpOp::Le => Some((None, Some(x))),
+        CmpOp::Lt => Some((None, Some(x.checked_sub(1)?))),
+        CmpOp::Ge => Some((Some(x), None)),
+        CmpOp::Gt => Some((Some(x.checked_add(1)?), None)),
+        CmpOp::Eq | CmpOp::Ne => None,
+    }
+}
+
+/// The inclusive bounds of an encoded-space pushdown's compare over a
+/// column of type `ty`.
+fn push_bounds(p: &Pushdown, ty: ScalarType) -> Option<(Option<i64>, Option<i64>)> {
+    let lo = int_literal(p.lo(), ty)?;
+    match p.op() {
+        PushOp::Between => Some((Some(lo), Some(int_literal(p.hi()?, ty)?))),
+        PushOp::Le => cmp_bounds(CmpOp::Le, lo),
+        PushOp::Lt => cmp_bounds(CmpOp::Lt, lo),
+        PushOp::Ge => cmp_bounds(CmpOp::Ge, lo),
+        PushOp::Gt => cmp_bounds(CmpOp::Gt, lo),
+        PushOp::Eq | PushOp::Ne => None,
     }
 }
 
@@ -1765,9 +1810,25 @@ impl<'a> Checker<'a> {
         // from the packed lanes; the columns refill as in any scan.
         // Remaining conjuncts stay a normal Select. The
         // encoded-space comparison must be a cataloged primitive.
+        let mut declined = None;
         let fused = match (scan_below, &input_node.op) {
             (Some(Plan::Scan { cols, .. }), CheckedOp::Scan(spec)) => {
-                plan::fuse_scan_select(&spec.table, cols, pred)
+                let f = plan::fuse_scan_select(&spec.table, cols, pred);
+                // Pending inserts bypass the compressed fragment: a
+                // fusion would leave them unfiltered.
+                let pending = spec.table.delta_rows();
+                match f {
+                    Some(f) if pending > 0 => {
+                        declined = Some(format!(
+                            "CompressedScanSelect `{}` [{}] declined: pending inserts \
+                             ({pending} rows) bypass the compressed fragment",
+                            f.col,
+                            f.push.sig()
+                        ));
+                        None
+                    }
+                    f => f,
+                }
             }
             _ => None,
         };
@@ -1797,7 +1858,12 @@ impl<'a> Checker<'a> {
                     .iter()
                     .position(|fl| fl.name == f.col)
                     .expect("fused column is scanned");
-                (steps, Some((k, f.push)), truths, what)
+                let push = PushSpec {
+                    k,
+                    p: f.push,
+                    certain: None,
+                };
+                (steps, Some(push), truths, what)
             }
             None => {
                 let steps =
@@ -1821,37 +1887,54 @@ impl<'a> Checker<'a> {
         }
         facts::refine_with_pred(&full, &fields, &mut nf);
         let steps = if verdict.is_some() { Vec::new() } else { steps };
+        let mut certain = Vec::new();
         if let (None, CheckedOp::Scan(spec)) = (verdict, &mut input_node.op) {
             spec.push = push;
             if self.rules {
-                self.summary_range(spec, &fields, &nf, path);
+                certain = self.summary_range(spec, &steps, &fields, &nf, path);
             }
         }
         self.note(path, what);
+        if let Some(why) = declined {
+            self.report.push(format!("{path}: {why}"));
+        }
         Ok(CheckedNode {
             path: path.to_owned(),
             fields,
             dicts,
             facts: nf,
             inputs: vec![Arc::new(input_node)],
-            op: CheckedOp::Select { steps, verdict },
+            op: CheckedOp::Select {
+                steps,
+                verdict,
+                certain,
+            },
         })
     }
 
     /// Rule `summary-range-select` on the `spec` of the `Scan` under a
-    /// `Select` whose refined facts are `nf`: each plain scanned column
-    /// with a summary index and a proven integer range bounds the
-    /// fragment rows that can hold a passing row (§4.3), and the scan
-    /// reads only the rows every such column allows. Delta rows are
-    /// scanned as always, and the facts stay the predicate's, so no
-    /// other decision moves.
+    /// `Select` whose refined facts are `nf` and whose refinement chain
+    /// is `steps` (§4.3):
+    ///
+    /// * each plain scanned column with a summary index and a proven
+    ///   integer range bounds the fragment rows that can hold a passing
+    ///   row, and the scan reads only the rows every such column allows;
+    /// * each step — and the fused pushdown — comparing such a column
+    ///   with an integer literal is proven on the rows the index
+    ///   certainly qualifies: the pushdown keeps its window, the steps'
+    ///   are returned, and a scan batch inside a window skips that
+    ///   compare.
+    ///
+    /// Delta rows are scanned and evaluated as always, and the facts stay
+    /// the predicate's, so no other decision moves.
     fn summary_range(
         &mut self,
         spec: &mut ScanSpec,
+        steps: &[SelStep],
         fields: &[OutField],
         nf: &NodeFacts,
         path: &str,
-    ) {
+    ) -> Vec<Option<Window>> {
         let n = spec.table.fragment_rows();
         let (mut start, mut end) = (0, n);
         let mut cuts = Vec::new();
@@ -1870,11 +1953,47 @@ impl<'a> Checker<'a> {
                 end = end.min(b).max(start);
             }
         }
+        let mut parts = Vec::new();
         if !cuts.is_empty() {
             spec.range = Some((start, end));
-            let what = format!("{} → rows {start}..{end} of {n}", cuts.join(", "));
-            self.rule_note("summary-range-select", path, what);
+            parts.push(format!("{} → rows {start}..{end} of {n}", cuts.join(", ")));
         }
+        // The proven rows of one compare of scanned column `k`, within
+        // the rows the scan reads.
+        let proven = |k: usize, bounds: Option<(Option<i64>, Option<i64>)>| {
+            let (ci, ScanCol::Plain) = spec.cols.get(k)? else {
+                return None;
+            };
+            let (lo, hi) = bounds?;
+            let (a, b) = spec.table.column(*ci).summary()?.certain_range(lo, hi);
+            let (a, b) = (a.max(start), b.min(end));
+            (a < b).then_some((a, b))
+        };
+        let certain: Vec<Option<Window>> = steps
+            .iter()
+            .map(|step| match step {
+                PredStep::CmpVal { lhs, op, v, .. } => {
+                    let x = int_literal(v, lhs.result_type())?;
+                    proven(lhs.as_col_ref()?, cmp_bounds(*op, x))
+                }
+                _ => None,
+            })
+            .collect();
+        for (i, (w, step)) in certain.iter().zip(steps).enumerate() {
+            if let (Some((a, b)), Some(sig)) = (w, step.sig()) {
+                parts.push(format!("step[{i}] `{sig}` certain rows {a}..{b}"));
+            }
+        }
+        if let Some(push) = &mut spec.push {
+            push.certain = proven(push.k, push_bounds(&push.p, fields[push.k].ty));
+            if let Some((a, b)) = push.certain {
+                parts.push(format!("`{}` certain rows {a}..{b}", push.p.sig()));
+            }
+        }
+        if !parts.is_empty() {
+            self.rule_note("summary-range-select", path, parts.join("; "));
+        }
+        certain
     }
 
     /// `Project(exprs)` over the checked `input`.

@@ -99,15 +99,17 @@ impl DerivedCol {
         let mut mem = MemTracker::new(ctx.clone(), "derived fetch column");
         mem.ensure(rows)?;
         let mut scan = ScanOp::new(&self.scan, &self.fields, None, vector_size, ctx.clone())?;
-        let mut chain = PredChain::new(&self.steps, vector_size);
+        let mut chain = PredChain::new(&self.steps, &[], vector_size);
         let mut keep = vec![0u8; rows];
         let mut base = 0;
         while let Some(batch) = scan.next(prof)? {
             ctx.check()?;
-            if let Some(sel) = chain.run(batch, prof) {
-                for i in sel.iter() {
-                    keep[base + i] = 1;
-                }
+            let sel = chain.run(batch, prof);
+            match sel.as_ref().or(batch.sel.as_deref()) {
+                Some(s) => s.iter().for_each(|i| keep[base + i] = 1),
+                None => keep[base..base + batch.len].fill(1),
+            }
+            if let Some(sel) = sel {
                 chain.recycle(sel);
             }
             base += batch.len;

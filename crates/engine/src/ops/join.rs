@@ -480,12 +480,13 @@ impl Pairs {
 }
 
 /// A semi/anti join's output: the probe vector's columns under the
-/// selection `found` of the rows that survive.
+/// selection `found` of the rows that survive (none when every row of a
+/// dense probe vector does).
 fn emit_selection(out: &mut Batch, pool: &mut SelPool, probe: &Batch, found: SelVec) {
     out.reset();
     out.len = probe.len;
     out.columns.extend(probe.columns.iter().cloned());
-    pool.publish(found, out);
+    pool.publish_survivors(found, probe.sel.is_none(), out);
 }
 
 /// Hash equi-join: build side fully consumed into a [`JoinTable`] (or

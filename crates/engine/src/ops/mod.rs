@@ -32,9 +32,9 @@ pub use join::{CartProdOp, HashJoinOp, JoinType};
 pub use parallel::{ExchangeOp, MergeAggrOp};
 pub use project::ProjectOp;
 pub use scan::ScanOp;
-pub(crate) use scan::{ScanCol, ScanSpec};
-pub(crate) use select::PredStep;
+pub(crate) use scan::{PushSpec, ScanCol, ScanSpec};
 pub use select::SelectOp;
+pub(crate) use select::{PredStep, Window};
 pub use sort::{OrdExp, OrderOp, SortOrder};
 
 /// A dataflow with the right shape and zero rows: what a `Select` whose

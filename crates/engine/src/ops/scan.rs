@@ -15,7 +15,7 @@
 
 use crate::batch::{Batch, OutField, SelPool, VecPool};
 use crate::govern::{MemTracker, QueryContext};
-use crate::ops::Operator;
+use crate::ops::{Operator, Window};
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
@@ -36,10 +36,9 @@ pub(crate) struct ScanSpec {
     /// Fragment row range left by summary-index pruning (`None` = all):
     /// rule `summary-range-select` sets it from the `Select` above.
     pub range: Option<(usize, usize)>,
-    /// `CompressedScanSelect` fusion: the scanned-column position and
-    /// the encoded-space predicate evaluated on refill. The column is a
-    /// plain checkpoint-compressed column whose codec supports it.
-    pub push: Option<(usize, Pushdown)>,
+    /// `CompressedScanSelect` fusion: the encoded-space predicate
+    /// evaluated on refill.
+    pub push: Option<PushSpec>,
     /// The catalog's buffer manager, if attached.
     pub bm: Option<Arc<ColumnBM>>,
     /// Read deleted rows too, so that batch position is `#rowId`: a
@@ -97,12 +96,19 @@ struct CompRead {
 /// A predicate pushed into the compressed scan (the fused
 /// `CompressedScanSelect` refill): the comparison runs in encoded space
 /// over the packed lanes and yields the batch's selection vector; the
-/// columns then refill exactly as in a plain scan (DESIGN.md §11).
-struct PushSpec {
+/// columns then refill exactly as in a plain scan (DESIGN.md §11). The
+/// column is a plain checkpoint-compressed column whose codec supports
+/// the comparison.
+#[derive(Debug, Clone)]
+pub(crate) struct PushSpec {
     /// Index (into `cols`) of the predicate column.
-    k: usize,
+    pub k: usize,
     /// The compiled encoded-space predicate.
-    p: Pushdown,
+    pub p: Pushdown,
+    /// The fragment rows where the predicate certainly holds, as rule
+    /// `summary-range-select` proved them: a window inside skips the
+    /// compare.
+    pub certain: Option<Window>,
 }
 
 /// The scan operator.
@@ -217,10 +223,7 @@ impl ScanOp {
             scratch_del: Vec::new(),
             scratch_reads: Vec::new(),
             comp,
-            push: spec.push.as_ref().map(|(k, p)| PushSpec {
-                k: *k,
-                p: p.clone(),
-            }),
+            push: spec.push.clone(),
             mem,
             bm: spec.bm.clone(),
             ctx,
@@ -246,9 +249,10 @@ impl ScanOp {
     ///
     /// With a fused predicate (`CompressedScanSelect`) the window's
     /// selection comes first, in encoded space, with the deletion mask
-    /// folded in; the columns then refill exactly as in a plain scan —
-    /// every codec decodes the whole window — and the batch carries the
-    /// selection vector.
+    /// folded in — unless the window lies inside the rows the predicate
+    /// is proven for; the columns then refill exactly as in a plain scan
+    /// — every codec decodes the whole window — and the batch carries
+    /// the selection vector, if a row failed.
     fn emit_fragment(
         &mut self,
         start: usize,
@@ -257,15 +261,16 @@ impl ScanOp {
     ) -> Result<(), PlanError> {
         self.out.reset();
         self.out.len = n;
+        self.out.frag_start = Some(start);
         let t_scan = prof.start();
         // Deletion mask of the window, folded into its selection.
         self.deleted_in(start, n);
-        let pushed = self.push.is_some();
-        let op = if pushed {
-            "CompressedScanSelect"
-        } else {
-            "Scan"
+        let op = match &self.push {
+            Some(_) => "CompressedScanSelect",
+            None => "Scan",
         };
+        let proven = |ps: &PushSpec| ps.certain.is_some_and(|w| self.out.within(w));
+        let pushed = self.push.as_ref().is_some_and(|ps| !proven(ps));
         let filtered = pushed || !self.scratch_del.is_empty();
         let mut sel = if filtered {
             self.sel_pool.writable()
@@ -274,7 +279,8 @@ impl ScanOp {
         };
         let buf = sel.buf_mut();
         let mut raw = false;
-        if let Some(ps) = self.push.take() {
+        if pushed {
+            let ps = self.push.take().expect("a pushed predicate");
             let r = self.select_pushed(&ps, start, n, buf, prof);
             self.push = Some(ps);
             raw = r?;
@@ -400,12 +406,8 @@ impl ScanOp {
         }
         self.scratch_reads = reads;
         self.decode_pass(n, filtered.then_some(&sel), prof)?;
-        // A window every row survives goes on without a selection, so
-        // the operators above take their dense primitives.
-        if filtered && sel.len() < n {
-            self.sel_pool.publish(sel, &mut self.out);
-        } else if filtered {
-            self.sel_pool.recycle(sel);
+        if filtered {
+            self.sel_pool.publish_survivors(sel, true, &mut self.out);
         }
         Ok(())
     }
@@ -542,7 +544,7 @@ impl ScanOp {
         });
         self.decode_pass(n, sel.as_ref(), prof)?;
         if let Some(sel) = sel {
-            self.sel_pool.publish(sel, &mut self.out);
+            self.sel_pool.publish_survivors(sel, true, &mut self.out);
         }
         Ok(())
     }

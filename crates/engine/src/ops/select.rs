@@ -14,6 +14,13 @@
 //!   by `select_true`.
 //!
 //! Every select primitive runs in the predicated code shape (Fig. 2).
+//!
+//! A vector every row of which passes, over an input without a
+//! selection, goes on dense ([`SelPool::publish_survivors`]), so the
+//! primitives above run their dense loops. A step that rule
+//! `summary-range-select` proved for a window of fragment rows does not
+//! run on a scan batch inside it; a batch that skips every step goes on
+//! as it came.
 
 use crate::batch::{Batch, OutField, SelPool};
 use crate::compile::{ExprCode, ExprProg};
@@ -108,42 +115,70 @@ impl PredStep<Arc<ExprCode>> {
 /// the `select` Criterion group the numbers at vector size).
 const SHAPE: SelectStrategy = SelectStrategy::Predicated;
 
+/// The fragment rows where one step of a `Select` over a scan certainly
+/// holds (`[start, end)` row ids), as rule `summary-range-select`
+/// proved them from the summary index ([`crate::check`]).
+pub(crate) type Window = (usize, usize);
+
 /// A runnable refinement chain: the conjuncts of one predicate, each
 /// narrowing the selection the previous one left.
 pub(crate) struct PredChain {
     steps: Vec<PredStep<ExprProg>>,
-    scratch: SelVec,
+    /// Per step, the fragment rows it is proven to hold in (empty: none
+    /// is). A batch wholly inside skips the step.
+    certain: Vec<Option<Window>>,
+    /// Selection buffers for the steps to refine into (at most two).
+    spare: Vec<SelVec>,
 }
 
 impl PredChain {
-    pub(crate) fn new(steps: &[PredStep<Arc<ExprCode>>], vector_size: usize) -> Self {
+    pub(crate) fn new(
+        steps: &[PredStep<Arc<ExprCode>>],
+        certain: &[Option<Window>],
+        vector_size: usize,
+    ) -> Self {
         PredChain {
             steps: steps.iter().map(|s| s.instantiate(vector_size)).collect(),
-            scratch: SelVec::default(),
+            certain: certain.to_vec(),
+            spare: Vec::new(),
         }
     }
 
     /// Hand a selection buffer back for reuse.
     pub(crate) fn recycle(&mut self, sel: SelVec) {
-        self.scratch = sel;
+        if self.spare.len() < 2 {
+            self.spare.push(sel);
+        }
     }
 
-    /// The positions of `batch` that pass every conjunct (`None`: the
-    /// chain is empty and the batch has no selection — all of them).
+    /// The positions of `batch` that pass every conjunct, refined from
+    /// the batch's own selection (borrowed, never copied). `None`: no
+    /// step ran — each was proven for the batch's rows — and the batch
+    /// goes on as it came.
     pub(crate) fn run(&mut self, batch: &Batch, prof: &mut Profiler) -> Option<SelVec> {
         let n = batch.len;
-        // Refinement chain: `cur` is the live selection so far.
-        // `None` means "all of 0..n".
-        let mut cur: Option<SelVec> = batch.sel.as_deref().cloned();
-        for step in &mut self.steps {
+        let PredChain {
+            steps,
+            certain,
+            spare,
+        } = self;
+        // Refinement chain: `cur` is the selection the steps that ran
+        // left; `None` means the input's.
+        let mut cur: Option<SelVec> = None;
+        for (k, step) in steps.iter_mut().enumerate() {
+            let proven = certain.get(k).copied().flatten();
+            if proven.is_some_and(|w| batch.within(w)) {
+                continue;
+            }
+            let sel_in = cur.as_ref().or(batch.sel.as_deref());
             let t_op = prof.start();
-            let live_in = cur.as_ref().map_or(n, |s| s.len());
-            let mut next_sel = std::mem::take(&mut self.scratch);
+            let live_in = sel_in.map_or(n, |s| s.len());
+            let mut next_sel = spare.pop().unwrap_or_default();
             let survivors = match step {
                 PredStep::CmpVal { lhs, op, v, sig } => {
-                    let lv = lhs.eval(batch, cur.as_ref(), prof);
+                    let lv = lhs.eval(batch, sel_in, prof);
                     let t0 = prof.start();
-                    let cnt = run_select_val(&mut next_sel, lv, *op, v, cur.as_ref());
+                    let cnt = run_select_val(&mut next_sel, lv, *op, v, sel_in);
                     prof.record_prim(
                         sig,
                         t0,
@@ -155,10 +190,10 @@ impl PredChain {
                 PredStep::CmpCol { lhs, rhs, op, sig } => {
                     // Evaluate both sides under the current selection.
                     // The programs own disjoint register files.
-                    let lv = lhs.eval(batch, cur.as_ref(), prof);
-                    let rv = rhs.eval(batch, cur.as_ref(), prof);
+                    let lv = lhs.eval(batch, sel_in, prof);
+                    let rv = rhs.eval(batch, sel_in, prof);
                     let t0 = prof.start();
-                    let cnt = run_select_col(&mut next_sel, lv, rv, *op, cur.as_ref());
+                    let cnt = run_select_col(&mut next_sel, lv, rv, *op, sel_in);
                     prof.record_prim(
                         sig,
                         t0,
@@ -168,14 +203,14 @@ impl PredChain {
                     cnt
                 }
                 PredStep::StrEq { lhs, v, negate } => {
-                    let lv = lhs.eval(batch, cur.as_ref(), prof);
+                    let lv = lhs.eval(batch, sel_in, prof);
                     let t0 = prof.start();
                     let cnt = if *negate {
                         // select where != v: run eq then complement
                         // against the current selection.
                         let strv = lv.as_str();
                         let buf = next_sel.buf_mut();
-                        match cur.as_ref() {
+                        match sel_in {
                             None => {
                                 for i in 0..n {
                                     if strv.get(i) != v.as_str() {
@@ -193,15 +228,15 @@ impl PredChain {
                         }
                         buf.len()
                     } else {
-                        select_str_eq(&mut next_sel, lv.as_str(), v, cur.as_ref())
+                        select_str_eq(&mut next_sel, lv.as_str(), v, sel_in)
                     };
                     prof.record_prim("select_eq_str_col_val", t0, live_in, live_in * 16 + cnt * 4);
                     cnt
                 }
                 PredStep::Bool(prog) => {
-                    let bv = prog.eval(batch, cur.as_ref(), prof);
+                    let bv = prog.eval(batch, sel_in, prof);
                     let t0 = prof.start();
-                    let cnt = select_true(&mut next_sel, bv.as_bool(), cur.as_ref(), SHAPE);
+                    let cnt = select_true(&mut next_sel, bv.as_bool(), sel_in, SHAPE);
                     prof.record_prim("select_true_bool_col", t0, live_in, live_in + cnt * 4);
                     cnt
                 }
@@ -211,9 +246,10 @@ impl PredChain {
                 }
             };
             prof.record_op("Select", t_op, live_in);
-            // Recycle the previous selection buffer as scratch.
-            self.scratch = cur.take().unwrap_or_default();
-            cur = Some(next_sel);
+            // The previous selection buffer becomes a spare.
+            if let Some(prev) = cur.replace(next_sel) {
+                spare.push(prev);
+            }
             if survivors == 0 {
                 break;
             }
@@ -232,16 +268,18 @@ pub struct SelectOp {
 }
 
 impl SelectOp {
-    /// A selection running the verified `steps` over `child`.
+    /// A selection running the verified `steps` over `child`, each
+    /// skipped on the batches inside its `certain` window.
     pub(crate) fn new(
         child: Box<dyn Operator>,
         steps: &[PredStep<Arc<ExprCode>>],
+        certain: &[Option<Window>],
         vector_size: usize,
         ctx: Arc<QueryContext>,
     ) -> Self {
         SelectOp {
             child,
-            chain: PredChain::new(steps, vector_size),
+            chain: PredChain::new(steps, certain, vector_size),
             sel_pool: SelPool::default(),
             out: Batch::new(),
             ctx,
@@ -308,21 +346,30 @@ impl Operator for SelectOp {
                 None => return Ok(None),
                 Some(b) => b,
             };
-            let sel = match self.chain.run(batch, prof) {
-                Some(sel) if sel.is_empty() => {
-                    // Entire vector filtered out: pull the next one (the
-                    // paper's operators also skip empty vectors).
+            // The selection published last time is free again: the
+            // steps refine into it.
+            self.chain.recycle(self.sel_pool.writable());
+            let sel = self.chain.run(batch, prof);
+            if sel.as_ref().map_or(batch.live(), SelVec::len) == 0 {
+                // Entire vector filtered out: pull the next one (the
+                // paper's operators also skip empty vectors).
+                if let Some(sel) = sel {
                     self.chain.recycle(sel);
-                    continue;
                 }
-                sel => sel,
-            };
-            // Publish: pass through columns, narrow the selection.
+                continue;
+            }
+            // Publish: pass through columns, narrow the selection — or
+            // go on dense when every row of a dense input passed.
             self.out.reset();
             self.out.len = batch.len;
             self.out.columns.extend(batch.columns.iter().cloned());
-            if let Some(sel) = sel {
-                self.sel_pool.publish(sel, &mut self.out);
+            match sel {
+                Some(sel) => {
+                    let dense_in = batch.sel.is_none();
+                    self.sel_pool
+                        .publish_survivors(sel, dense_in, &mut self.out);
+                }
+                None => self.out.sel = batch.sel.clone(),
             }
             return Ok(Some(&self.out));
         }

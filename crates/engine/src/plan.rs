@@ -259,13 +259,18 @@ impl CheckedNode {
             // Every other node streams over its one input.
             _ => self.inputs[0].instantiate(opts, morsels, shared, ctx)?,
         };
-        let select = |child, steps| Box::new(SelectOp::new(child, steps, vs, ctx.clone()));
+        let select =
+            |child, steps, certain| Box::new(SelectOp::new(child, steps, certain, vs, ctx.clone()));
         let op: Box<dyn Operator> = match &self.op {
-            CheckedOp::Select { steps, verdict, .. } => match verdict {
+            CheckedOp::Select {
+                steps,
+                verdict,
+                certain,
+            } => match verdict {
                 Some(false) => Box::new(EmptyOp::new(self.fields.clone())),
                 // Proven always-true, or wholly pushed into the scan.
                 _ if steps.is_empty() => child,
-                _ => select(child, steps),
+                _ => select(child, steps, certain),
             },
             CheckedOp::Project { exprs, .. } => Box::new(ProjectOp::new(
                 child,
@@ -343,7 +348,7 @@ impl CheckedNode {
                 ));
                 match steps {
                     None => cart,
-                    Some(steps) => select(cart, steps),
+                    Some(steps) => select(cart, steps, &[]),
                 }
             }
             CheckedOp::Sort { keys, limit, .. } => {
@@ -374,16 +379,12 @@ pub(crate) struct FusedPushdown {
 
 /// Decide whether (part of) `pred` can run in encoded space over one of
 /// the columns scanned from `t`. Conservative: any doubt — unknown
-/// column, type mismatch, unsupported codec/op pair, pending deltas —
-/// declines and the ordinary decode-then-select pipeline is planned
-/// instead.
+/// column, type mismatch, unsupported codec/op pair — declines and the
+/// ordinary decode-then-select pipeline is planned instead. Pending
+/// inserts are the caller's to weigh: their rows bypass the compressed
+/// fragments, so a fusion would leave them unfiltered.
 pub(crate) fn fuse_scan_select(t: &Table, cols: &[String], pred: &Expr) -> Option<FusedPushdown> {
     use x100_storage::{ChunkFormat, PushOp};
-    // Delta rows bypass the compressed fragments; fusing would leave
-    // them unfiltered, so decline until the table is reorganized.
-    if t.delta_rows() > 0 {
-        return None;
-    }
     let mut conj: Vec<&Expr> = Vec::new();
     flatten_conjuncts(pred, &mut conj);
     struct Cand<'a> {

@@ -1341,3 +1341,95 @@ fn left_outer_defaults_cover_every_payload_type() {
     assert_eq!(at(1, "c_f64"), Value::F64(6.4));
     assert_eq!(at(1, "c_str"), Value::Str("match".into()));
 }
+
+/// A 20-row table whose every row has `a < b` although the column ranges
+/// overlap (so no fact proves the comparison and a `Select` runs it),
+/// except at `fail`, where `a == b`; `delete` is a pending delete.
+fn pairs_db(fail: Option<i64>, delete: Option<u32>) -> Database {
+    let n = 20i64;
+    let b = (0..n).map(|i| if Some(i) == fail { i } else { i + 1 });
+    let mut t = TableBuilder::new("t")
+        .column("a", Vector::I64((0..n).collect()))
+        .column("b", Vector::I64(b.collect()))
+        .build();
+    if let Some(row) = delete {
+        t.delete(row);
+    }
+    let mut db = Database::new();
+    db.register(t);
+    db
+}
+
+/// The live positions of the first batch `plan` produces (`None`: the
+/// batch is dense), and its length.
+fn first_batch(db: &Database, plan: &Plan) -> (usize, Option<Vec<u32>>) {
+    let mut op = plan.bind(db, &opts()).expect("binds");
+    let mut prof = x100_engine::Profiler::new(false);
+    let batch = op.next(&mut prof).expect("runs").expect("a batch");
+    let sel = batch.sel_ref().map(|s| s.positions().to_vec());
+    (batch.len, sel)
+}
+
+#[test]
+fn a_select_every_row_passes_publishes_no_selection() {
+    let plan = Plan::scan("t", &["a", "b"]).select(lt(col("a"), col("b")));
+    assert_eq!(first_batch(&pairs_db(None, None), &plan), (20, None));
+    // One failing row: a selection of the other 19.
+    let (len, sel) = first_batch(&pairs_db(Some(7), None), &plan);
+    let want: Vec<u32> = (0..20).filter(|&i| i != 7).collect();
+    assert_eq!((len, sel), (20, Some(want)));
+}
+
+#[test]
+fn a_select_keeps_the_selection_its_input_had() {
+    // The scan's deletion mask is a selection; a select every live row
+    // passes narrows nothing, and the selection still stands.
+    let plan = Plan::scan("t", &["a", "b"]).select(lt(col("a"), col("b")));
+    let (len, sel) = first_batch(&pairs_db(None, Some(3)), &plan);
+    let want: Vec<u32> = (0..20).filter(|&i| i != 3).collect();
+    assert_eq!((len, sel), (20, Some(want)));
+}
+
+#[test]
+fn a_semi_join_whose_probe_vector_all_matches_goes_on_dense() {
+    let n = 50i64;
+    for (form, build) in [
+        ("sorted keys (merge join)", (0..n).collect::<Vec<_>>()),
+        ("unsorted keys (hash join)", (0..n).rev().collect()),
+    ] {
+        let mut db = Database::new();
+        db.register(
+            TableBuilder::new("b")
+                .column("k", Vector::I64(build))
+                .build(),
+        );
+        db.register(
+            TableBuilder::new("p")
+                .column("k", Vector::I64((0..n).map(|i| i / 2).collect()))
+                .build(),
+        );
+        let semi = |probe: Plan| Plan::HashJoin {
+            build: Box::new(Plan::scan("b", &["k"])),
+            probe: Box::new(probe),
+            build_keys: vec![col("k")],
+            probe_keys: vec![col("k")],
+            payload: vec![],
+            join_type: JoinType::LeftSemi,
+        };
+        // Every probe key has a build row: the vector goes on dense.
+        let whole = semi(Plan::scan("p", &["k"]));
+        let walk = check_plan(&db, &whole, &opts()).expect("checks");
+        let merged = (walk.report.iter()).any(|l| l.contains("rule sorted-inputs-merge-join:"));
+        assert_eq!(
+            merged,
+            form.starts_with("sorted"),
+            "{form}: {:?}",
+            walk.report
+        );
+        assert_eq!(first_batch(&db, &whole), (50, None), "{form}");
+        // Over a probe vector that had a selection, the selection stays.
+        let narrowed = semi(Plan::scan("p", &["k"]).select(lt(col("k"), lit_i64(10))));
+        let (len, sel) = first_batch(&db, &narrowed);
+        assert_eq!((len, sel), (50, Some((0..20).collect())), "{form}");
+    }
+}

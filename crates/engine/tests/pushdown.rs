@@ -480,8 +480,25 @@ fn delta_rows_disable_fusion_until_reorganize() {
     let (got, prof) = execute(&inserted(true), &plan, &profiled()).expect("fused opts");
     assert_eq!(want.row_strings(), got.row_strings());
     // Unfiltered delta rows must never leak: with pending inserts the
-    // binder declines to fuse.
+    // binder declines to fuse, and the walk log says so under the Select.
     assert!(prof.counter("pushdown_vectors").is_none());
+    let walk = check_plan(&inserted(true), &plan, &profiled()).expect("checks");
+    let at = walk
+        .report
+        .iter()
+        .position(|l| l.starts_with("root: Select →"));
+    assert_eq!(
+        at.and_then(|i| walk.report.get(i + 1)).map(String::as_str),
+        Some(
+            "root: CompressedScanSelect `k` [cmp_pfor_lt_i64_col_val] declined: \
+             pending inserts (1 rows) bypass the compressed fragment"
+        ),
+        "{:?}",
+        walk.report
+    );
+    // Nothing to decline over a raw table.
+    let walk = check_plan(&inserted(false), &plan, &profiled()).expect("checks");
+    assert!(!walk.render().contains("declined"), "{}", walk.render());
 }
 
 #[test]

@@ -10,6 +10,12 @@
 //! * rows **after** the last entry whose *reverse running min* is below
 //!   `hi` cannot satisfy `col <= hi`.
 //!
+//! Read the other way round, the same entries prove where a range
+//! predicate *certainly* holds ([`SummaryIndex::certain_range`]): every
+//! row of a prefix whose running max is at most `hi` satisfies
+//! `col <= hi`, every row of a suffix whose reverse running min is at
+//! least `lo` satisfies `col >= lo`.
+//!
 //! Because vertical fragments are immutable, summary indices require no
 //! maintenance; delta columns are small and always scanned.
 
@@ -132,6 +138,37 @@ impl SummaryIndex {
         };
         (start.min(self.rows), end.max(start).min(self.rows))
     }
+
+    /// Derive the `[start_row, end_row)` range in which *every* row
+    /// satisfies `lo <= col[row] <= hi` (either bound may be `None`) —
+    /// the other side of [`Self::range_candidates`]:
+    ///
+    /// * for an upper bound, the prefix of granules whose running max is
+    ///   at most `hi`;
+    /// * for a lower bound, the suffix of granules whose reverse running
+    ///   min is at least `lo`.
+    ///
+    /// The range is *certain*, not tight: rows outside it may qualify
+    /// too, but none inside fails. It is empty (`start == end`) when no
+    /// granule is proven.
+    pub fn certain_range(&self, lo: Option<i64>, hi: Option<i64>) -> (usize, usize) {
+        // entries[g].reverse_min covers rows from granule g's start to the
+        // end and is non-decreasing in g: from the first granule whose
+        // minimum reaches `lo`, every row does.
+        let start = match lo {
+            None => 0,
+            Some(lo) => self.entries.partition_point(|e| e.reverse_min < lo) * self.granularity,
+        };
+        // entries[g].running_max covers rows `0..entries[g].row` and is
+        // non-decreasing in g: up to the last granule whose maximum is
+        // still within `hi`, every row is.
+        let end = match hi {
+            None => self.rows,
+            Some(hi) => self.entries.partition_point(|e| e.running_max <= hi) * self.granularity,
+        };
+        let start = start.min(self.rows);
+        (start, end.min(self.rows).max(start))
+    }
 }
 
 #[cfg(test)]
@@ -148,6 +185,119 @@ mod tests {
                     "row {i} (v={v}) outside candidate range [{s},{e}) for {lo:?}..{hi:?}"
                 );
             }
+        }
+    }
+
+    /// Every row inside the certain range qualifies (the mirror of
+    /// [`check_conservative`]), and the range lies inside the candidate
+    /// range.
+    fn check_certain(col: &[i64], idx: &SummaryIndex, lo: Option<i64>, hi: Option<i64>) {
+        let (s, e) = idx.certain_range(lo, hi);
+        assert!(s <= e && e <= col.len(), "[{s},{e}) of {}", col.len());
+        for (i, &v) in col.iter().enumerate().take(e).skip(s) {
+            let qualifies = lo.is_none_or(|lo| v >= lo) && hi.is_none_or(|hi| v <= hi);
+            assert!(
+                qualifies,
+                "row {i} (v={v}) inside certain range [{s},{e}) fails {lo:?}..{hi:?}"
+            );
+        }
+        let (cs, ce) = idx.range_candidates(lo, hi);
+        assert!(
+            s == e || (cs <= s && e <= ce),
+            "[{s},{e}) outside [{cs},{ce})"
+        );
+    }
+
+    #[test]
+    fn certain_range_on_a_sorted_column_is_granule_tight() {
+        let col: Vec<i64> = (0..10_000).collect();
+        let idx = SummaryIndex::build_with_granularity(&col, 100);
+        assert_eq!(idx.certain_range(None, Some(5_049)), (0, 5_000));
+        assert_eq!(idx.certain_range(None, Some(5_099)), (0, 5_100));
+        assert_eq!(idx.certain_range(Some(5_001), None), (5_100, 10_000));
+        assert_eq!(idx.certain_range(Some(5_000), None), (5_000, 10_000));
+        assert_eq!(idx.certain_range(Some(2_000), Some(7_999)), (2_000, 8_000));
+        for (lo, hi) in [
+            (None, Some(5_049)),
+            (Some(5_001), None),
+            (Some(2_050), Some(7_949)),
+            (Some(4_000), Some(3_000)),
+        ] {
+            check_certain(&col, &idx, lo, hi);
+        }
+    }
+
+    #[test]
+    fn certain_range_on_an_almost_sorted_column() {
+        let mut col: Vec<i64> = (0..5000).collect();
+        for c in col.chunks_mut(37) {
+            c.reverse();
+        }
+        let idx = SummaryIndex::build_with_granularity(&col, 64);
+        for (lo, hi) in [
+            (None, Some(100)),
+            (None, Some(3_000)),
+            (Some(4_900), None),
+            (Some(1_000), None),
+            (Some(1_000), Some(1_200)),
+            (Some(1_000), Some(4_000)),
+            (None, None),
+        ] {
+            check_certain(&col, &idx, lo, hi);
+        }
+        let (s, e) = idx.certain_range(None, Some(3_000));
+        assert!(s == 0 && e > 2_800, "[{s},{e})");
+    }
+
+    #[test]
+    fn certain_range_on_an_unsorted_column_is_empty() {
+        // The extremes sit in the first and last granule: no prefix stays
+        // below a bound, no suffix above one.
+        let mut col: Vec<i64> = (0..1000).collect();
+        col[0] = 999_999;
+        col[999] = -999_999;
+        let idx = SummaryIndex::build_with_granularity(&col, 100);
+        for (lo, hi) in [(Some(500), Some(600)), (None, Some(998)), (Some(1), None)] {
+            let (s, e) = idx.certain_range(lo, hi);
+            assert_eq!(s, e, "{lo:?}..{hi:?}");
+            check_certain(&col, &idx, lo, hi);
+        }
+    }
+
+    #[test]
+    fn certain_range_open_ended() {
+        let col: Vec<i64> = (0..1000).collect();
+        let idx = SummaryIndex::build_with_granularity(&col, 10);
+        assert_eq!(idx.certain_range(None, None), (0, 1000));
+        // Bounds every row meets prove the whole column.
+        assert_eq!(idx.certain_range(Some(-5), None), (0, 1000));
+        assert_eq!(idx.certain_range(None, Some(5_000)), (0, 1000));
+        // Bounds no row meets prove nothing.
+        let (s, e) = idx.certain_range(Some(1_000), None);
+        assert_eq!(s, e);
+        let (s, e) = idx.certain_range(None, Some(-1));
+        assert_eq!(s, e);
+        // A partial last granule is proven up to the last row.
+        let col: Vec<i64> = (0..995).collect();
+        let idx = SummaryIndex::build_with_granularity(&col, 10);
+        assert_eq!(idx.certain_range(Some(990), None), (990, 995));
+        check_certain(&col, &idx, Some(985), None);
+    }
+
+    #[test]
+    fn certain_range_on_empty_and_one_row_columns() {
+        let idx = SummaryIndex::build::<i64>(&[]);
+        assert_eq!(idx.certain_range(None, None), (0, 0));
+        assert_eq!(idx.certain_range(Some(0), Some(10)), (0, 0));
+        let idx = SummaryIndex::build(&[42i64]);
+        assert_eq!(idx.certain_range(Some(0), Some(100)), (0, 1));
+        assert_eq!(idx.certain_range(Some(42), Some(42)), (0, 1));
+        let (s, e) = idx.certain_range(Some(43), Some(100));
+        assert_eq!(s, e);
+        let (s, e) = idx.certain_range(None, Some(41));
+        assert_eq!(s, e);
+        for (lo, hi) in [(Some(0), Some(100)), (Some(43), None), (None, Some(41))] {
+            check_certain(&[42], &idx, lo, hi);
         }
     }
 

@@ -895,22 +895,114 @@ fn dense_ship_date_and_discount_groups_match_the_hash_table() {
 
 /// The rows the profiled `Scan`s of a run read.
 fn scanned(prof: &x100_engine::Profiler) -> u64 {
-    let scan = prof.operators().find(|(name, _)| *name == "Scan");
-    scan.map_or(0, |(_, s)| s.tuples)
+    let scans = ["Scan", "CompressedScanSelect"];
+    let scan = prof.operators().filter(|(name, _)| scans.contains(name));
+    scan.map(|(_, s)| s.tuples).sum()
+}
+
+/// One compare of a range `Select` over `r.d` (whose value is its row
+/// id): the values it passes (inclusive bounds) and the fragment rows
+/// rule `summary-range-select` proves it for.
+#[derive(Clone, Copy, Debug)]
+struct RangeCmp {
+    lo: Option<i64>,
+    hi: Option<i64>,
+    proven: Option<(usize, usize)>,
+}
+
+impl RangeCmp {
+    fn passes(&self, d: i64) -> bool {
+        self.lo.is_none_or(|lo| d >= lo) && self.hi.is_none_or(|hi| d <= hi)
+    }
+
+    /// The conjunction of two compares, as one fused pushdown runs it.
+    fn and(self, c: RangeCmp) -> RangeCmp {
+        let hi = match (self.hi, c.hi) {
+            (Some(x), Some(y)) => Some(x.min(y)),
+            (x, y) => x.or(y),
+        };
+        let proven = self.proven.zip(c.proven);
+        RangeCmp {
+            lo: self.lo.max(c.lo),
+            hi,
+            proven: proven.map(|(x, y)| (x.0.max(y.0), x.1.min(y.1))),
+        }
+    }
+}
+
+/// The fragment batches `[start, end)` a scan of `range` emits: vectors
+/// of `vs` rows, inside morsels of `morsel` rows (the whole table's
+/// boundaries, clipped) when an `Exchange` runs it.
+fn fragment_batches(
+    range: (usize, usize),
+    vs: usize,
+    morsel: Option<usize>,
+) -> Vec<(usize, usize)> {
+    let mut morsels = Vec::new();
+    match morsel {
+        None => morsels.push(range),
+        Some(m) => {
+            let mut b = range.0 / m * m;
+            while b < range.1 {
+                morsels.push((b.max(range.0), (b + m).min(range.1)));
+                b += m;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (mut p, e) in morsels {
+        while p < e {
+            let n = (e - p).min(vs);
+            out.push((p, p + n));
+            p += n;
+        }
+    }
+    out
+}
+
+/// The rows the select primitives of `compares` (run in order) read: a
+/// compare reads the live rows earlier compares left, of every fragment
+/// batch not wholly inside its proven rows, and of every delta row.
+fn select_inputs(
+    compares: &[RangeCmp],
+    batches: &[(usize, usize)],
+    deleted: &[usize],
+    inserted: &[i64],
+) -> u64 {
+    let mut total = 0;
+    for (k, c) in compares.iter().enumerate() {
+        let reach = |d: i64| compares[..k].iter().all(|p| p.passes(d));
+        for &(s, e) in batches {
+            if c.proven.is_some_and(|(a, b)| a <= s && e <= b) {
+                continue;
+            }
+            let live = (s..e).filter(|r| !deleted.contains(r) && reach(*r as i64));
+            total += live.count() as u64;
+        }
+        total += inserted.iter().filter(|&&d| reach(d)).count() as u64;
+    }
+    total
 }
 
 /// Rule `summary-range-select`: a range `Select` over a summarized
-/// column reads only the fragment rows the summary index leaves, plus
-/// every pending delta row — inserts inside and outside the range, a
-/// delete inside it — and answers as the whole scan the plan wrote, bit
-/// for bit, on one thread and under an Exchange.
+/// column reads only the fragment rows the summary index leaves, skips
+/// each compare on the vectors inside the rows the index proves it for,
+/// and evaluates every pending delta row — inserts inside and outside
+/// the proven rows' values, deletes inside them — answering as the
+/// whole scan the plan wrote, bit for bit, at two vector sizes, on one
+/// thread and under an Exchange, raw and checkpointed.
 #[test]
 fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
     use expr::*;
     const N: i32 = 8_000;
+    // `d` is the row id with rows 0 and 1 swapped: every granule's
+    // bounds and every compare's passing rows are the row id's, but the
+    // column is not sorted, so a checkpoint stores it as PFOR and the
+    // compares fuse into the scan.
+    let d = (0..N).map(|i| if i < 2 { 1 - i } else { i });
     let fresh = || {
         TableBuilder::new("r")
-            .column("d", Vector::I32((0..N).collect()))
+            .column("d", Vector::I32(d.clone().collect()))
             .with_summary()
             .column("g", Vector::I64((0..i64::from(N)).map(|i| i % 5).collect()))
             .column(
@@ -923,62 +1015,149 @@ fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
             )
             .build()
     };
-    let mut pending = fresh();
-    for d in [4_050, 9_500, -3] {
-        pending.insert(&[Value::I32(d), Value::I64(7), Value::F64(0.1 * f64::from(d))]);
-    }
-    pending.delete(4_020);
+    // Inserts below, inside and above every range; deletes inside the
+    // proven prefix (100), the proven suffix (7 900) and a cut (4 020).
+    let (inserted, deleted) = ([4_050i64, 9_500, -3], [100usize, 4_020, 7_900]);
+    let pending = |mut t: Table| {
+        for d in inserted {
+            let d = d as i32;
+            t.insert(&[Value::I32(d), Value::I64(7), Value::F64(0.1 * f64::from(d))]);
+        }
+        for row in deleted {
+            t.delete(row as u32);
+        }
+        t
+    };
+    let checkpointed = |mut t: Table| {
+        t.checkpoint();
+        t
+    };
     let per_g = |pred: Expr| {
         (Plan::scan("r", &["d", "g", "v"]).select(pred)).aggr(
             vec![("g", col("g"))],
             vec![AggExpr::sum("s", col("v")), AggExpr::count("n")],
         )
     };
-    let plan = per_g(and(
-        ge(col("d"), lit_i32(4_000)),
-        lt(col("d"), lit_i32(4_300)),
-    ));
+    let (le_4499, ge_3500) = (
+        RangeCmp {
+            lo: None,
+            hi: Some(4_499),
+            proven: Some((0, 4_000)),
+        },
+        RangeCmp {
+            lo: Some(3_500),
+            hi: None,
+            proven: Some((4_000, 8_000)),
+        },
+    );
+    // (predicate, the rows the scan reads, its compares in step order)
+    let cases = [
+        (le(col("d"), lit_i32(4_499)), (0, 5_000), vec![le_4499]),
+        (lt(col("d"), lit_i32(4_500)), (0, 5_000), vec![le_4499]),
+        (ge(col("d"), lit_i32(3_500)), (3_000, 8_000), vec![ge_3500]),
+        (gt(col("d"), lit_i32(3_499)), (3_000, 8_000), vec![ge_3500]),
+        (
+            and(ge(col("d"), lit_i32(2_500)), lt(col("d"), lit_i32(5_500))),
+            (2_000, 6_000),
+            vec![
+                RangeCmp {
+                    lo: Some(2_500),
+                    hi: None,
+                    proven: Some((3_000, 6_000)),
+                },
+                RangeCmp {
+                    lo: None,
+                    hi: Some(5_499),
+                    proven: Some((2_000, 5_000)),
+                },
+            ],
+        ),
+    ];
     let rule = "summary-range-select";
-    for (form, table) in [("no deltas", fresh()), ("pending deltas", pending)] {
-        let deltas = table.delta_rows() as u64;
+    let forms: [(&str, Table); 4] = [
+        ("raw", fresh()),
+        ("raw, pending deltas", pending(fresh())),
+        ("checkpointed", checkpointed(fresh())),
+        (
+            "checkpointed, pending deltas",
+            pending(checkpointed(fresh())),
+        ),
+    ];
+    for (form, table) in forms {
+        let with_deltas = table.delta_rows() > 0;
+        let (inserted, deleted): (&[i64], &[usize]) = match with_deltas {
+            true => (&inserted, &deleted),
+            false => (&[], &[]),
+        };
         let mut db = Database::new();
         db.register(table);
-        let fired = rule_lines(&db, &plan, &ExecOptions::default(), rule);
-        assert!(
-            fired.len() == 1 && fired[0].ends_with("`d` in [4000, 4299] → rows 4000..5000 of 8000"),
-            "{form}: {fired:?}"
-        );
-        for threads in [1, 2] {
-            let o = ExecOptions::default()
-                .parallel(threads)
-                .with_morsel_size(1024);
-            let what = format!("{form}, threads {threads}");
-            assert_rewritten_matches_as_given(&db, &plan, &o, &what);
-            let profiled = o.clone().profiled();
-            let (_, cut) = execute(&db, &plan, &profiled).expect("runs");
-            let (_, whole) = execute_as_given(&db, &plan, &profiled).expect("runs");
-            let (cut, whole) = (scanned(&cut), scanned(&whole));
-            assert!(cut <= 1_000 + deltas, "{what}: scanned {cut}");
-            assert!(whole + 1 >= N as u64, "{what}: as given scanned {whole}");
+        for (pred, (start, end), steps) in &cases {
+            let plan = per_g(pred.clone());
+            let walk = check_plan(&db, &plan, &ExecOptions::default()).expect("checks");
+            let fused = (walk.report.iter())
+                .any(|l| l.contains(": CompressedScanSelect `d`") && l.contains(" residual ["));
+            let declined = walk
+                .report
+                .iter()
+                .any(|l| l.contains("declined: pending inserts"));
+            let what = format!("{form}, `{}`", x100_engine::render_expr(pred));
+            assert_eq!(fused, form == "checkpointed", "{what}: {:?}", walk.report);
+            assert_eq!(declined, form == "checkpointed, pending deltas", "{what}");
+            // A fused pushdown runs the whole range as one compare, proven
+            // where every step is.
+            let compares = match fused {
+                false => steps.clone(),
+                true => vec![steps[1..].iter().fold(steps[0], |a, c| a.and(*c))],
+            };
+            let fired = rule_lines(&db, &plan, &ExecOptions::default(), rule);
+            let line = fired.concat();
+            assert!(
+                fired.len() == 1 && line.contains(&format!("→ rows {start}..{end} of {N}")),
+                "{what}: {fired:?}"
+            );
+            for c in &compares {
+                let (a, b) = c.proven.expect("every case proves its compares");
+                let proven = format!("certain rows {a}..{b}");
+                assert!(line.contains(&proven), "{what}: no `{proven}` in {line}");
+            }
+            let passes = |d: i64| compares.iter().all(|c| c.passes(d));
+            let rows = (0..N as usize).filter(|r| !deleted.contains(r) && passes(*r as i64));
+            let want = rows.count() + inserted.iter().filter(|&&d| passes(d)).count();
+            for threads in [1, 2] {
+                for vs in [7, 1024] {
+                    let o = ExecOptions::with_vector_size(vs)
+                        .parallel(threads)
+                        .with_morsel_size(1024);
+                    let what = format!("{what}, threads {threads}, vector size {vs}");
+                    assert_rewritten_matches_as_given(&db, &plan, &o, &what);
+                    let walk = check_plan(&db, &plan, &o).expect("checks");
+                    let exchange = walk.report.iter().any(|l| l.contains(": Exchange → "));
+                    let batches = fragment_batches((*start, *end), vs, exchange.then_some(1024));
+                    let profiled = o.clone().profiled();
+                    let (res, prof) = execute(&db, &plan, &profiled).expect("runs");
+                    let n: i64 = res.column_by_name("n").as_i64().iter().sum();
+                    assert_eq!(n as usize, want, "{what}");
+                    let read: u64 = (prof.primitives())
+                        .filter(|(sig, _)| {
+                            sig.starts_with("select_") || sig.starts_with("cmp_pfor_")
+                        })
+                        .map(|(_, s)| s.tuples)
+                        .sum();
+                    let expect = select_inputs(&compares, &batches, deleted, inserted);
+                    assert_eq!(read, expect, "{what}: select primitives' input rows");
+                    let (_, whole) = execute_as_given(&db, &plan, &profiled).expect("runs");
+                    assert_eq!(scanned(&prof), (end - start) as u64, "{what}");
+                    assert_eq!(scanned(&whole), N as u64, "{what}: as given");
+                }
+            }
         }
-        // The insert inside the range (group 7) counts, the deleted row
-        // does not.
-        let (res, _) = execute(&db, &plan, &ExecOptions::default()).expect("runs");
-        let n: i64 = res.column_by_name("n").as_i64().iter().sum();
-        assert_eq!(n, 300, "{form}");
-        let g = res.column_by_name("g").as_i64();
-        assert_eq!(g.contains(&7), deltas > 0, "{form}");
     }
-    // Nothing to cut: a column without a summary, a range the whole
-    // fragment falls in, and a bound the predicate does not refine.
+    // Nothing to cut or prove: a column without a summary, and a bound
+    // the predicate does not refine.
     let mut db = Database::new();
     db.register(fresh());
     for (why, pred) in [
         ("`g` has no summary index", lt(col("g"), lit_i64(2))),
-        (
-            "every row's `d` is in range",
-            and(ge(col("d"), lit_i32(-5)), gt(col("v"), lit_f64(0.0))),
-        ),
         (
             "the bound is a disjunction",
             or(lt(col("d"), lit_i32(10)), gt(col("d"), lit_i32(7_990))),
@@ -993,6 +1172,32 @@ fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
                 .with_morsel_size(1024);
             assert_rewritten_matches_as_given(&db, &plan, &o, &format!("{why}, threads {threads}"));
         }
+    }
+    // A range the whole fragment falls in cuts nothing, but proves its
+    // compare for every fragment row: only the other one runs there.
+    let plan = per_g(and(ge(col("d"), lit_i32(-5)), gt(col("v"), lit_f64(0.0))));
+    let fired = rule_lines(&db, &plan, &ExecOptions::default(), rule);
+    assert!(
+        fired.len() == 1
+            && fired[0].ends_with("step[0] `select_ge_i32_col_val` certain rows 0..8000"),
+        "{fired:?}"
+    );
+    let (_, prof) = execute(&db, &plan, &ExecOptions::default().profiled()).expect("runs");
+    assert!(prof.primitive("select_ge_i32_col_val").is_none());
+    assert_eq!(
+        prof.primitive("select_gt_f64_col_val").map(|s| s.tuples),
+        Some(N as u64)
+    );
+    for threads in [1, 2] {
+        let o = ExecOptions::default()
+            .parallel(threads)
+            .with_morsel_size(1024);
+        assert_rewritten_matches_as_given(
+            &db,
+            &plan,
+            &o,
+            &format!("whole range, threads {threads}"),
+        );
     }
 }
 
