@@ -73,7 +73,7 @@ fn main() {
             let mut i = 0usize;
             loop {
                 // Fresh table per round: the checkpoint recompresses and
-                // rewrites every chunk file, giving the kill plenty of
+                // rewrites every segment, giving the kill plenty of
                 // in-flight writes to land in.
                 let mut t = tpch::db::build_lineitem(&data);
                 let fault = FaultState::new(FaultPlan::default().durable_rates(rate));

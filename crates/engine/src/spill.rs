@@ -6,7 +6,7 @@
 //! temp file of blocks, each a sealed frame of the storage byte layer
 //! ([`x100_storage::frame`]) holding one column section per operator
 //! column — the same "raw or compressed column" sections a durable
-//! column file holds. Sections reuse the storage layer's chunked codecs
+//! column frame holds. Sections reuse the storage layer's chunked codecs
 //! ([`choose_and_compress`]) so spilled data stays compressed on disk;
 //! columns the chooser declines (and `Bool`, which has no fragment
 //! twin) fall back to the raw value codec. The frame's fold trailer

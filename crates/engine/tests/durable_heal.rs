@@ -69,18 +69,30 @@ fn open_heals_corrupt_disk_replica_and_queries_match() {
     let mut t = fact_table();
     t.checkpoint_durable(&dir, &DurableOptions::default())
         .expect("durable checkpoint");
-    let version = t.durable_source().expect("durable").version();
+    let ds = t.durable_source().expect("durable").clone();
+    let extent = |col: usize, r: u32| {
+        let (path, offset, len) = ds.extent(col, r).expect("extent");
+        let bytes = std::fs::read(path).expect("segment");
+        bytes[offset as usize..(offset + len) as usize].to_vec()
+    };
+    let before: Vec<Vec<u8>> = (0..t.num_columns()).map(|c| extent(c, 0)).collect();
     drop(t);
 
-    // Corrupt replica 0 of the predicate column (`k` is col 1).
-    let bad = dir.join(format!("col001-v{version:010}-r0.chunks"));
-    let mut bytes = std::fs::read(&bad).expect("replica 0");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x5a;
-    std::fs::write(&bad, &bytes).expect("corrupt replica 0");
+    // Corrupt replica 0 of the predicate column (`k` is col 1), one
+    // byte in the middle of its extent.
+    let (seg0, offset, len) = ds.extent(1, 0).expect("extent");
+    let mut bytes = std::fs::read(&seg0).expect("replica 0");
+    bytes[(offset + len / 2) as usize] ^= 0x5a;
+    std::fs::write(&seg0, &bytes).expect("corrupt replica 0");
 
     let rec = Table::open(&dir).expect("open heals from the other copy");
     let ds = rec.durable_source().expect("durable").clone();
+    // The bad extent now equals replica 1's, byte for byte; every other
+    // extent of replica 0 is as it was.
+    assert_eq!(extent(1, 0), extent(1, 1));
+    for (c, want) in before.iter().enumerate() {
+        assert_eq!(&extent(c, 0), want, "extent {c}");
+    }
     let mut db = Database::new();
     db.register(rec);
 
@@ -153,6 +165,45 @@ fn concurrent_queries_heal_the_same_chunk_exactly_once() {
         }
     });
     assert_eq!(ds.heals(), 1, "concurrent damage heals exactly once");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_chunk_torn_before_the_durable_checkpoint_reopens_from_raw_values() {
+    let dir = scratch("torn");
+    let plan = test_plan();
+    let want = clean_rows(&plan);
+
+    // The chunks are the only durable copy of a compressed column, so a
+    // commit stores a column whose chunks no longer verify as its raw
+    // values instead.
+    let mut t = fact_table();
+    t.checkpoint();
+    assert!(t.corrupt_compressed_payload(1, 0, 13));
+    t.checkpoint_durable(&dir, &DurableOptions::default())
+        .expect("durable checkpoint");
+    drop(t);
+
+    let rec = Table::open(&dir).expect("reopen");
+    assert!(rec.column(1).compressed().is_none(), "`k` reopens raw");
+    assert!(
+        rec.column(0).compressed().is_some(),
+        "`id` keeps its chunks"
+    );
+    // Its verdict came back stale: the next checkpoint compresses it
+    // again, to the clean table's chunks.
+    let (mut again, mut clean) = (rec.clone(), fact_table());
+    again.checkpoint();
+    clean.checkpoint();
+    let chunks = |t: &Table| t.column(1).compressed().map(|c| c.to_bytes());
+    assert!(chunks(&clean).is_some());
+    assert_eq!(chunks(&again), chunks(&clean));
+    let mut db = Database::new();
+    db.register(rec);
+    let (got, prof) = execute(&db, &plan, &opts()).expect("query after reopen");
+    assert_eq!(got.row_strings(), want);
+    assert_eq!(prof.counter("decode_recoveries").unwrap_or(0), 0);
+    assert_eq!(prof.counter("chunk_heals").unwrap_or(0), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -333,7 +333,7 @@ impl CompressedColumn {
     /// Write the column as one self-describing section: a preamble
     /// (format, physical type, rows, raw size) followed by every chunk
     /// as header + body blocks in the order the chunk checksum folds
-    /// them. Durable column files and spill blocks embed exactly this.
+    /// them. Durable column frames and spill blocks embed exactly this.
     /// The per-chunk checksums travel inside the headers, so a byte torn
     /// in a body *before* it was serialized is still caught on the first
     /// decode touch after [`CompressedColumn::read`].

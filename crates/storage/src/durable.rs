@@ -1,67 +1,77 @@
 //! Durable chunk store: crash-consistent checkpoints with replicated
 //! self-healing recovery (DESIGN.md §14).
 //!
-//! A durable checkpoint is a per-table directory holding one file per
-//! (column, replica) pair plus a versioned manifest:
+//! A durable checkpoint is a per-table directory holding one segment
+//! file per replica plus a versioned manifest:
 //!
 //! ```text
-//! manifest-0000000003.xman        committed checkpoint version 3
-//! col000-v0000000003-r0.chunks    column 0, replica 0
-//! col000-v0000000003-r1.chunks    column 0, replica 1
-//! col001-v0000000003-r0.chunks    ...
+//! manifest-0000000003.xman    committed checkpoint version 3
+//! seg-v0000000003-r0.seg      every column of version 3, replica 0
+//! seg-v0000000003-r1.seg      the same bytes, replica 1
 //! ```
 //!
-//! Every file is written temp → fsync → atomic-rename → directory
-//! fsync, and the manifest is written *last*, so the manifest's
-//! existence implies every file it names is complete. A crash at any
-//! write step leaves either no manifest for the new version (recovery
-//! uses the previous one, still fully readable) or a committed version
-//! whose files all made it. Orphan `.tmp` and stale-version files are
-//! pruned on the next successful commit.
+//! A segment is each column's sealed `XDCF` frame of the byte layer
+//! ([`crate::frame`]), back to back; the manifest records every
+//! column's *extent* in it (offset, length, trailer byte). A column
+//! whose compressed chunks verify is stored as those chunks and its
+//! enum dictionary only — `open` rebuilds the fragment by dense decode,
+//! and a copy whose chunks fail to decode counts as a bad copy. A
+//! column without chunks, or whose chunks no longer verify, is stored
+//! as its raw values.
 //!
-//! Each chunk file is one sealed frame of the byte layer
-//! ([`crate::frame`]) carrying the column's raw fragment, its compressed
-//! rewrite (when the codec chooser found a paying format) and its enum
-//! dictionary as sections. [`DurableOptions::replicas`]
-//! (default 2) copies of every file are kept: a checksum, torn-write,
-//! or IO failure on one copy transparently heals from another —
-//! rewriting the bad copy in place and counting `chunk_heals` — and a
-//! typed [`DurableError::Io`] surfaces only when *all* copies fail.
+//! A segment's name carries its version, which is never reused (a new
+//! commit outnumbers every version in the directory, aborted ones
+//! included), so segments are written under their final names: every
+//! extent to every replica, one `fsync` per segment, one directory
+//! `fsync`, and then the manifest, temp → fsync → atomic rename →
+//! directory fsync. The manifest's rename is the single commit point: a
+//! crash before it leaves orphan segments no manifest names (recovery
+//! uses the previous version, still fully readable), a crash after it a
+//! committed version whose segments are all durable. Orphans and older
+//! versions are pruned on the next successful commit.
+//!
+//! [`DurableOptions::replicas`] (default 2) segments are kept. A
+//! checksum, torn-write, or IO failure on one copy of an extent
+//! transparently heals from another — the good bytes are written over
+//! the bad extent in place, which never changes the segment's size, and
+//! `chunk_heals` counts it — and a typed [`DurableError::Io`] surfaces
+//! only when *all* copies fail.
 
 use crate::columnbm::{retry_with_backoff, FaultSite, FaultState, StorageFaultError};
-use crate::compress::CompressedColumn;
+use crate::compress::{CompressedColumn, DecodeCursor};
 use crate::delta::DeleteList;
 use crate::enumcol::{EnumDict, MAX_ENUM_CARD};
 use crate::frame::{Reader, Writer};
 use crate::table::{StoredColumn, Table};
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use x100_vector::{ScalarType, Value, Vector};
 
-/// Magic + version of one on-disk column-replica file.
+/// Magic + version of one column's frame in a segment.
 const CHUNK_MAGIC: &[u8; 4] = b"XDCF";
-const CHUNK_VERSION: u8 = 3;
+const CHUNK_VERSION: u8 = 4;
 /// Magic + version of the committing manifest.
 const MANIFEST_MAGIC: &[u8; 4] = b"XMAN";
-const MANIFEST_VERSION: u8 = 2;
+const MANIFEST_VERSION: u8 = 3;
 
 /// Retry budget for *real* IO errors when no fault plan supplies one
 /// (mirrors `FaultPlan::default()`).
 const DEFAULT_MAX_RETRIES: u32 = 6;
 const DEFAULT_BACKOFF_US: u64 = 20;
-/// Most copies a checkpoint keeps of one file; a manifest claiming more
-/// is corrupt (recovery probes every replica it names).
+/// Most copies a checkpoint keeps of one segment; a manifest claiming
+/// more is corrupt (recovery probes every replica it names).
 const MAX_REPLICAS: u32 = 8;
 
 /// Tuning knobs of the durable checkpoint path.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
-    /// Copies kept of every chunk file. With 2 (the default) any
+    /// Copies kept of every segment. With 2 (the default) any
     /// single-copy corruption heals transparently; 1 disables
-    /// replication (a bad file is unrecoverable).
+    /// replication (a bad extent is unrecoverable).
     pub replicas: u32,
 }
 
@@ -83,7 +93,7 @@ impl DurableOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DurableError {
     /// An IO step kept failing after its retry budget — or, on read,
-    /// *every* replica of some file failed.
+    /// *every* replica of some column failed.
     Io {
         /// The fault site of the failing step.
         site: FaultSite,
@@ -118,16 +128,23 @@ impl From<StorageFaultError> for DurableError {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk file (one column replica): XDCF
+// Column frame (one extent of a segment): XDCF
 // ---------------------------------------------------------------------------
 
-/// Everything one column replica file decodes to.
+/// What a column frame stores of the fragment.
+enum Stored {
+    /// The raw values: the column has no chunks that verify.
+    Raw(Vector),
+    /// The compressed chunks alone; the fragment is their dense decode.
+    Chunks(CompressedColumn),
+}
+
+/// Everything one column frame decodes to.
 struct ColFile {
     col: u32,
     rows: u64,
     logical: ScalarType,
-    data: Vector,
-    compressed: Option<CompressedColumn>,
+    stored: Stored,
     dict: Option<Vector>,
     has_summary: bool,
     /// Whether the codec chooser's verdict (including "stay raw") was
@@ -135,17 +152,28 @@ struct ColFile {
     codec_done: bool,
 }
 
-fn encode_col_file(col: u32, sc: &StoredColumn) -> Vec<u8> {
-    let mut w = Writer::new(Vec::new(), CHUNK_MAGIC, CHUNK_VERSION);
+/// Column `col`'s frame, built in `buf`'s allocation. Chunks that fail
+/// their checksums (torn in memory since the checkpoint compressed
+/// them) must not become the only durable copy: the raw values are
+/// stored instead, and the verdict is marked stale so the chooser runs
+/// again after a reopen.
+fn encode_col_file(col: u32, sc: &StoredColumn, buf: Vec<u8>) -> Vec<u8> {
+    let rows = sc.data.len();
+    let chunks = sc
+        .compressed
+        .as_ref()
+        .filter(|c| c.rows() == rows && c.verify_all().is_ok());
+    let current = sc.codec_epoch == Some(sc.epoch) && chunks.is_some() == sc.compressed.is_some();
+    let mut w = Writer::new(buf, CHUNK_MAGIC, CHUNK_VERSION);
     w.put(col);
-    w.put(sc.data.len() as u64);
+    w.put(rows as u64);
     w.put_type(sc.field.logical);
     w.put(sc.summary.is_some());
-    w.put(sc.codec_epoch == Some(sc.epoch));
-    w.section(|w| w.put_column(&sc.data));
-    w.put(sc.compressed.is_some());
-    if let Some(c) = &sc.compressed {
-        w.section(|w| c.put(w));
+    w.put(current);
+    w.put(chunks.is_some());
+    match chunks {
+        Some(c) => w.section(|w| c.put(w)),
+        None => w.section(|w| w.put_column(&sc.data)),
     }
     w.put(sc.dict.is_some());
     if let Some(d) = &sc.dict {
@@ -176,25 +204,29 @@ fn decode_col_file(bytes: &[u8]) -> Result<ColFile, String> {
     let logical = r.get_type()?;
     let has_summary = r.get()?;
     let codec_done = r.get()?;
-    let mut raw = r.section()?;
-    let data = raw.column()?;
-    raw.finish()?;
-    let compressed = optional(&mut r, CompressedColumn::read)?;
+    let chunked = r.get::<bool>()?;
+    let mut s = r.section()?;
+    let stored = match chunked {
+        true => Stored::Chunks(CompressedColumn::read(&mut s)?),
+        false => Stored::Raw(s.column()?),
+    };
+    s.finish()?;
     let dict = optional(&mut r, Reader::column)?;
     r.finish()?;
-    let covered = compressed.as_ref().map_or(rows, |c| c.rows() as u64);
-    if data.len() as u64 != rows || covered != rows {
+    let covered = match &stored {
+        Stored::Raw(data) => data.len(),
+        Stored::Chunks(c) => c.rows(),
+    };
+    if covered as u64 != rows {
         return Err(format!(
-            "row count mismatch: header {rows}, fragment {}, chunks {covered}",
-            data.len()
+            "row count mismatch: header {rows}, stored {covered}"
         ));
     }
     Ok(ColFile {
         col,
         rows,
         logical,
-        data,
-        compressed,
+        stored,
         dict,
         has_summary,
         codec_done,
@@ -205,14 +237,17 @@ fn decode_col_file(bytes: &[u8]) -> Result<ColFile, String> {
 // Manifest: XMAN
 // ---------------------------------------------------------------------------
 
-/// One column's entry in a committed manifest.
+/// One column's entry in a committed manifest: its extent, the same in
+/// every replica's segment.
 #[derive(Debug, Clone)]
 struct ManifestCol {
     name: String,
-    /// Size of the (identical) replica files, trailer included.
-    file_bytes: u64,
-    /// The file's trailing fold checksum — cross-checked at open so a
-    /// stale or swapped file cannot impersonate a committed one.
+    /// Byte offset of the column's frame in the segment.
+    offset: u64,
+    /// Length of the frame, trailer included.
+    len: u64,
+    /// The frame's trailing fold checksum — cross-checked at open so a
+    /// stale or swapped extent cannot impersonate a committed one.
     checksum: u8,
 }
 
@@ -234,7 +269,8 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     w.put(m.cols.len() as u32);
     for c in &m.cols {
         w.put_str(&c.name);
-        w.put(c.file_bytes);
+        w.put(c.offset);
+        w.put(c.len);
         w.put(c.checksum);
     }
     w.seal()
@@ -246,13 +282,14 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, String> {
     let replicas = r.get()?;
     let table = r.str()?.to_owned();
     let frag_rows = r.get()?;
-    // A column entry is at least its name length, size and checksum.
-    let ncols = r.count::<u32>(4 + 8 + 1)?;
+    // A column entry is at least its name length, extent and checksum.
+    let ncols = r.count::<u32>(4 + 8 + 8 + 1)?;
     let mut cols = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         cols.push(ManifestCol {
             name: r.str()?.to_owned(),
-            file_bytes: r.get()?,
+            offset: r.get()?,
+            len: r.get()?,
             checksum: r.get()?,
         });
     }
@@ -270,15 +307,15 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, String> {
 }
 
 // ---------------------------------------------------------------------------
-// File naming + atomic write
+// File naming + IO steps
 // ---------------------------------------------------------------------------
 
 fn manifest_name(version: u64) -> String {
     format!("manifest-{version:010}.xman")
 }
 
-fn col_file_name(col: u32, version: u64, replica: u32) -> String {
-    format!("col{col:03}-v{version:010}-r{replica}.chunks")
+fn segment_name(version: u64, replica: u32) -> String {
+    format!("seg-v{version:010}-r{replica}.seg")
 }
 
 /// Parse `manifest-{v}.xman` back to `v`.
@@ -287,10 +324,9 @@ fn parse_manifest_name(name: &str) -> Option<u64> {
     v.parse().ok()
 }
 
-/// Parse `colNNN-vVVV-rR.chunks` back to its version.
-fn parse_col_file_version(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("col")?.strip_suffix(".chunks")?;
-    let (_, rest) = rest.split_once("-v")?;
+/// Parse `seg-v{v}-r{r}.seg` back to `v`.
+fn parse_segment_version(name: &str) -> Option<u64> {
+    let rest = name.strip_prefix("seg-v")?.strip_suffix(".seg")?;
     let (v, _) = rest.split_once("-r")?;
     v.parse().ok()
 }
@@ -302,22 +338,61 @@ fn io_budget(fault: Option<&FaultState>) -> (u32, u64) {
     }
 }
 
-/// Read one file with bounded-backoff retry over real IO errors.
-fn read_file_retrying(
+/// Run one IO step on `path` with bounded-backoff retry over real IO
+/// errors; a step that keeps failing is a typed `Io` at `site`.
+fn io_retry<T>(
+    site: FaultSite,
     path: &Path,
     fault: Option<&FaultState>,
-    site: FaultSite,
-) -> Result<Vec<u8>, DurableError> {
+    step: impl FnMut(u32) -> std::io::Result<T>,
+) -> Result<T, DurableError> {
     let (max_retries, backoff) = io_budget(fault);
-    retry_with_backoff(max_retries, backoff, |_| std::fs::read(path)).map_or_else(
-        |(e, attempts)| {
-            Err(DurableError::Io {
-                site,
-                detail: format!("{}: {e} after {attempts} attempts", path.display()),
-            })
-        },
-        |(bytes, _)| Ok(bytes),
-    )
+    retry_with_backoff(max_retries, backoff, step)
+        .map(|(v, _)| v)
+        .map_err(|(e, attempts)| DurableError::Io {
+            site,
+            detail: format!("{}: {e} after {attempts} attempts", path.display()),
+        })
+}
+
+/// One fault-plan check of `site` — a kill-point of the crash suite.
+fn kill_point(fault: Option<&FaultState>, site: FaultSite, col: u32) -> Result<(), DurableError> {
+    fault.map_or(Ok(()), |f| f.check_site(site, col))?;
+    Ok(())
+}
+
+/// Persist `dir`'s entries (a created or renamed name); without this a
+/// crash can forget the entry even though the data blocks survived.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Read `len` bytes at `offset` of the segment at `path`. The segment's
+/// size is checked first, so a damaged extent never sizes an
+/// allocation beyond the file.
+fn read_extent(
+    path: &Path,
+    offset: u64,
+    len: u64,
+    fault: Option<&FaultState>,
+) -> Result<Vec<u8>, DurableError> {
+    io_retry(FaultSite::DurableChunkRead, path, fault, |_| {
+        let mut f = File::open(path)?;
+        let size = f.metadata()?.len();
+        if offset.checked_add(len).is_none_or(|end| end > size) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("extent {offset}+{len} runs past the {size}-byte segment"),
+            ));
+        }
+        f.seek(SeekFrom::Start(offset))?;
+        let mut bytes = vec![0; len as usize];
+        f.read_exact(&mut bytes)?;
+        Ok(bytes)
+    })
 }
 
 /// Write `bytes` to `dir/name` crash-consistently: temp file → fsync →
@@ -325,7 +400,8 @@ fn read_file_retrying(
 /// points a dying process can leave distinct on-disk states — before
 /// the temp file is complete (a stray `.tmp`, ignored by recovery) and
 /// before the rename (the final name never appears). Real IO errors
-/// retry with the same bounded-backoff budget.
+/// retry with the same bounded-backoff budget. The manifest is the one
+/// file written this way.
 fn write_atomic(
     dir: &Path,
     name: &str,
@@ -333,49 +409,25 @@ fn write_atomic(
     site: FaultSite,
     fault: Option<&FaultState>,
 ) -> Result<(), DurableError> {
-    let (max_retries, backoff) = io_budget(fault);
     let tmp = dir.join(format!("{name}.tmp"));
     let fin = dir.join(name);
 
     // Kill-point 1: died before the temp write finished. A partial
     // `.tmp` may remain; recovery never reads `.tmp` files.
-    if let Some(f) = fault {
-        f.check_site(site, 0)?;
-    }
-    let write_step = |_| -> std::io::Result<()> {
-        let mut fh = std::fs::File::create(&tmp)?;
+    kill_point(fault, site, 0)?;
+    io_retry(site, &tmp, fault, |_| {
+        let mut fh = File::create(&tmp)?;
         fh.write_all(bytes)?;
         fh.sync_all()
-    };
-    if let Err((e, attempts)) = retry_with_backoff(max_retries, backoff, write_step) {
-        return Err(DurableError::Io {
-            site,
-            detail: format!("{}: {e} after {attempts} attempts", tmp.display()),
-        });
-    }
+    })?;
 
     // Kill-point 2: died between the temp write and the commit rename.
     // The final name never appears; the previous version is untouched.
-    if let Some(f) = fault {
-        f.check_site(site, 0)?;
-    }
-    let rename_step = |_| -> std::io::Result<()> {
+    kill_point(fault, site, 0)?;
+    io_retry(site, &fin, fault, |_| {
         std::fs::rename(&tmp, &fin)?;
-        // Persist the directory entry itself; without this a crash can
-        // forget the rename even though the data blocks survived.
-        #[cfg(unix)]
-        {
-            std::fs::File::open(dir)?.sync_all()?;
-        }
-        Ok(())
-    };
-    if let Err((e, attempts)) = retry_with_backoff(max_retries, backoff, rename_step) {
-        return Err(DurableError::Io {
-            site,
-            detail: format!("{}: {e} after {attempts} attempts", fin.display()),
-        });
-    }
-    Ok(())
+        sync_dir(dir)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -383,8 +435,8 @@ fn write_atomic(
 // ---------------------------------------------------------------------------
 
 /// Largest committed (or orphaned) version present in `dir`, from both
-/// manifest and chunk-file names — a new commit must outnumber aborted
-/// attempts too, or their orphan files could collide with ours.
+/// manifest and segment names — a new commit must outnumber aborted
+/// attempts too, so its segments never reuse an orphan's name.
 fn newest_version_in_dir(dir: &Path) -> u64 {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
@@ -393,7 +445,7 @@ fn newest_version_in_dir(dir: &Path) -> u64 {
     for e in entries.flatten() {
         let name = e.file_name();
         let Some(name) = name.to_str() else { continue };
-        if let Some(v) = parse_manifest_name(name).or_else(|| parse_col_file_version(name)) {
+        if let Some(v) = parse_manifest_name(name).or_else(|| parse_segment_version(name)) {
             newest = newest.max(v);
         }
     }
@@ -401,40 +453,65 @@ fn newest_version_in_dir(dir: &Path) -> u64 {
 }
 
 /// Persist every column of `table` to `dir` as checkpoint version
-/// `newest + 1`: all chunk files first (each `opts.replicas` times),
-/// the manifest last. Returns the [`DurableSource`] describing the
-/// committed version. Called by [`Table::try_checkpoint_durable`].
+/// `newest + 1`: one column frame at a time, encoded once and appended
+/// to every replica's segment, then the segments and the directory
+/// synced, the manifest last. Returns the [`DurableSource`] describing
+/// the committed version. Called by [`Table::try_checkpoint_durable`].
+///
+/// Kill-points (site [`FaultSite::DurableChunkWrite`]): before each
+/// extent write to each replica, once all extents are written but none
+/// synced, and once the segments and directory are durable but no
+/// manifest names them; then the manifest's two
+/// ([`FaultSite::ManifestWrite`]).
 pub(crate) fn commit_checkpoint(
     table: &Table,
     dir: &Path,
     opts: &DurableOptions,
     fault: Option<&FaultState>,
 ) -> Result<Arc<DurableSource>, DurableError> {
+    let site = FaultSite::DurableChunkWrite;
     std::fs::create_dir_all(dir).map_err(|e| DurableError::Io {
-        site: FaultSite::DurableChunkWrite,
+        site,
         detail: format!("create {}: {e}", dir.display()),
     })?;
     let replicas = opts.replicas.clamp(1, MAX_REPLICAS);
     let version = newest_version_in_dir(dir) + 1;
+    let paths: Vec<PathBuf> = (0..replicas)
+        .map(|r| dir.join(segment_name(version, r)))
+        .collect();
+    let mut segments = Vec::with_capacity(paths.len());
+    for path in &paths {
+        segments.push(io_retry(site, path, fault, |_| File::create(path))?);
+    }
     let mut cols = Vec::with_capacity(table.columns.len());
+    let mut buf = Vec::new();
+    let mut offset = 0u64;
     for (i, sc) in table.columns.iter().enumerate() {
-        let bytes = encode_col_file(i as u32, sc);
-        let checksum = bytes.last().copied().unwrap_or(0);
-        for r in 0..replicas {
-            write_atomic(
-                dir,
-                &col_file_name(i as u32, version, r),
-                &bytes,
-                FaultSite::DurableChunkWrite,
-                fault,
-            )?;
+        buf = encode_col_file(i as u32, sc, buf);
+        for (seg, path) in segments.iter_mut().zip(&paths) {
+            kill_point(fault, site, i as u32)?;
+            io_retry(site, path, fault, |_| {
+                seg.seek(SeekFrom::Start(offset))?;
+                seg.write_all(&buf)
+            })?;
         }
         cols.push(ManifestCol {
             name: sc.field.name.clone(),
-            file_bytes: bytes.len() as u64,
-            checksum,
+            offset,
+            len: buf.len() as u64,
+            checksum: buf.last().copied().unwrap_or(0),
         });
+        offset += buf.len() as u64;
     }
+    // Every extent is written, none is durable yet.
+    kill_point(fault, site, 0)?;
+    for (seg, path) in segments.iter().zip(&paths) {
+        io_retry(site, path, fault, |_| seg.sync_all())?;
+    }
+    drop(segments);
+    io_retry(site, dir, fault, |_| sync_dir(dir))?;
+    // The segments are durable; no manifest names them yet.
+    kill_point(fault, site, 0)?;
     let manifest = Manifest {
         version,
         replicas,
@@ -454,7 +531,8 @@ pub(crate) fn commit_checkpoint(
 }
 
 /// Best-effort cleanup after a successful commit: older versions'
-/// manifests and chunk files, plus `.tmp` orphans of crashed attempts.
+/// manifests and every segment but the committed version's (older
+/// ones, and orphans of crashed attempts), plus `.tmp` orphans.
 /// Failures are ignored — stale files cost disk, never correctness.
 fn prune_stale(dir: &Path, keep_version: u64) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -465,7 +543,7 @@ fn prune_stale(dir: &Path, keep_version: u64) {
         let Some(name) = name.to_str() else { continue };
         let stale = name.ends_with(".tmp")
             || parse_manifest_name(name).is_some_and(|v| v < keep_version)
-            || parse_col_file_version(name).is_some_and(|v| v != keep_version);
+            || parse_segment_version(name).is_some_and(|v| v != keep_version);
         if stale {
             let _ = std::fs::remove_file(e.path());
         }
@@ -476,13 +554,40 @@ fn prune_stale(dir: &Path, keep_version: u64) {
 // Open (recovery path)
 // ---------------------------------------------------------------------------
 
-/// Read column `col` of manifest `m` from its first replica that is
-/// readable, matches the manifest's size and checksum, parses,
+/// Write a good copy of an extent over a bad one, in place, then sync:
+/// a whole segment's size never changes, so a crash mid-heal leaves
+/// this extent no worse than it was and every other extent untouched.
+/// A lost segment is recreated one extent at a time (`open` reads every
+/// column, so it heals them all). Best-effort: `false` leaves the bad
+/// copy for the next heal to retry.
+fn heal_extent(
+    path: &Path,
+    offset: u64,
+    bytes: &[u8],
+    col: u32,
+    fault: Option<&FaultState>,
+) -> bool {
+    let site = FaultSite::DurableChunkWrite;
+    kill_point(fault, site, col).is_ok()
+        && io_retry(site, path, fault, |_| {
+            let mut f = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)?;
+            f.seek(SeekFrom::Start(offset))?;
+            f.write_all(bytes)?;
+            f.sync_data()
+        })
+        .is_ok()
+}
+
+/// Read column `col` of manifest `m` from the first replica whose
+/// extent is readable, matches the manifest's trailer byte, parses,
 /// identifies as this column and passes `accept`. Every copy that failed
-/// before it is then rewritten from the good bytes — best-effort: a
-/// failed rewrite leaves the bad copy for the next heal to retry.
-/// Returns `accept`'s value and how many copies were rewritten, or a
-/// typed `Io` once *all* replicas have failed.
+/// before it is then healed from the good bytes. Returns `accept`'s
+/// value and how many copies were healed, or a typed `Io` once *all*
+/// replicas have failed.
 fn read_replicas<T>(
     dir: &Path,
     m: &Manifest,
@@ -492,30 +597,24 @@ fn read_replicas<T>(
 ) -> Result<(T, u64), DurableError> {
     let meta = &m.cols[col as usize];
     let site = FaultSite::DurableChunkRead;
-    let mut bad: Vec<String> = Vec::new();
+    let mut bad: Vec<PathBuf> = Vec::new();
     let mut last_err = String::new();
     for r in 0..m.replicas {
-        let name = col_file_name(col, m.version, r);
-        let path = dir.join(&name);
+        let path = dir.join(segment_name(m.version, r));
         // A read fault that exhausts its retry budget marks this copy
         // bad and falls over to the next replica — replication is the
         // second line of defense after retry.
-        let parsed = fault
-            .map_or(Ok(()), |f| f.check_site(site, col))
-            .map_err(DurableError::from)
-            .and_then(|()| read_file_retrying(&path, fault, site))
+        let parsed = kill_point(fault, site, col)
+            .and_then(|()| read_extent(&path, meta.offset, meta.len, fault))
             .map_err(|e| e.to_string())
             .and_then(|bytes| {
-                if bytes.len() as u64 != meta.file_bytes || bytes.last() != Some(&meta.checksum) {
-                    return Err(format!(
-                        "{} bytes, size or checksum differs from manifest",
-                        bytes.len()
-                    ));
+                if bytes.last() != Some(&meta.checksum) {
+                    return Err("extent checksum differs from manifest".to_owned());
                 }
                 let cf = decode_col_file(&bytes)?;
                 if cf.col != col || cf.rows != m.frag_rows {
                     return Err(format!(
-                        "file identifies as col {} × {} rows, manifest says col {col} × {}",
+                        "extent identifies as col {} × {} rows, manifest says col {col} × {}",
                         cf.col, cf.rows, m.frag_rows
                     ));
                 }
@@ -523,14 +622,15 @@ fn read_replicas<T>(
             });
         match parsed {
             Ok((v, bytes)) => {
-                let rewrite = |n: &&String| {
-                    write_atomic(dir, n, &bytes, FaultSite::DurableChunkWrite, fault).is_ok()
-                };
-                return Ok((v, bad.iter().filter(rewrite).count() as u64));
+                let healed = bad
+                    .iter()
+                    .filter(|p| heal_extent(p, meta.offset, &bytes, col, fault))
+                    .count();
+                return Ok((v, healed as u64));
             }
             Err(e) => {
                 last_err = format!("{}: {e}", path.display());
-                bad.push(name);
+                bad.push(path);
             }
         }
     }
@@ -543,7 +643,9 @@ fn read_replicas<T>(
     })
 }
 
-/// Rebuild a [`StoredColumn`] named `name` from a decoded replica file:
+/// Rebuild a [`StoredColumn`] named `name` from a decoded column frame:
+/// the fragment is the stored raw values or the dense decode of the
+/// stored chunks (a chunk that fails its checksum fails the copy), the
 /// dictionary re-wrapped, summary index and fragment stats recomputed
 /// by [`StoredColumn::new`] (both are derived data — cheaper to rebuild
 /// than to verify). The stats pass doubles as the check that every
@@ -557,9 +659,18 @@ fn restore_column(cf: ColFile, name: &str) -> Result<StoredColumn, String> {
             ));
         }
     }
+    let (data, compressed) = match cf.stored {
+        Stored::Raw(data) => (data, None),
+        Stored::Chunks(c) => {
+            let mut data = Vector::with_capacity(c.physical_type(), 0);
+            let mut cursor = DecodeCursor::default();
+            c.decode_range(0, c.rows(), &mut data, &mut cursor, &mut Vec::new())?;
+            (data, Some(c))
+        }
+    };
     let mut sc = StoredColumn::new(
         name.to_owned(),
-        cf.data,
+        data,
         cf.dict.map(EnumDict::new),
         cf.has_summary,
     );
@@ -583,7 +694,7 @@ fn restore_column(cf: ColFile, name: &str) -> Result<StoredColumn, String> {
             cf.logical, sc.field.logical
         ));
     }
-    sc.compressed = cf.compressed;
+    sc.compressed = compressed;
     sc.codec_epoch = cf.codec_done.then_some(0);
     Ok(sc)
 }
@@ -613,11 +724,11 @@ pub(crate) fn open_table(dir: &Path, fault: Option<&FaultState>) -> Result<Table
         // A manifest-read fault past its retry budget is a hard error
         // (the site models the directory being unreadable, not one
         // stale file); a *corrupt* manifest falls back a version.
-        if let Some(f) = fault {
-            f.check_site(FaultSite::ManifestRead, 0)?;
-        }
-        let bytes =
-            read_file_retrying(&dir.join(manifest_name(v)), fault, FaultSite::ManifestRead)?;
+        kill_point(fault, FaultSite::ManifestRead, 0)?;
+        let path = dir.join(manifest_name(v));
+        let bytes = io_retry(FaultSite::ManifestRead, &path, fault, |_| {
+            std::fs::read(&path)
+        })?;
         let manifest = match decode_manifest(&bytes) {
             Ok(m) if m.version == v => m,
             Ok(m) => {
@@ -671,9 +782,9 @@ fn open_from_manifest(
 ///
 /// Scans hold it through `Table::durable_source()`: when a compressed
 /// chunk fails its checksum mid-query (in-memory torn write, bit rot),
-/// [`DurableSource::recover_column`] re-reads the column from a disk
-/// replica, verifies *every* chunk of the parsed copy, heals bad disk
-/// replicas in place, and caches the verified copy so concurrent
+/// [`DurableSource::recover_column`] re-reads the column's extent from
+/// a disk replica, verifies *every* chunk of the parsed copy, heals bad
+/// disk extents in place, and caches the verified copy so concurrent
 /// queries hitting the same damage pay for exactly one heal.
 #[derive(Debug)]
 pub struct DurableSource {
@@ -710,6 +821,18 @@ impl DurableSource {
         self.manifest.replicas
     }
 
+    /// Column `col`'s extent in replica `replica`: the segment's path,
+    /// the frame's byte offset and its length. For tests that damage
+    /// one column's copy on disk.
+    #[doc(hidden)]
+    pub fn extent(&self, col: usize, replica: u32) -> Option<(PathBuf, u64, u64)> {
+        let meta = self.manifest.cols.get(col)?;
+        (replica < self.manifest.replicas).then(|| {
+            let path = self.dir.join(segment_name(self.manifest.version, replica));
+            (path, meta.offset, meta.len)
+        })
+    }
+
     /// Chunk heals performed so far: replica-to-replica rewrites at
     /// open plus mid-query recoveries (each counted once, however many
     /// queries observed the damage).
@@ -744,11 +867,12 @@ impl DurableSource {
             return Ok((Arc::clone(c), false));
         }
         let (arc, _) = read_replicas(&self.dir, &self.manifest, col, fault, |cf| {
-            // The whole-file fold proves the *disk bytes* match what
-            // was written; the per-chunk pass additionally rejects a
-            // copy that was already torn in memory before it was
-            // written.
-            let c = cf.compressed.ok_or("no compressed chunks on disk")?;
+            // The frame's fold proves the *disk bytes* match what was
+            // written; the per-chunk pass additionally rejects a copy
+            // that was already torn in memory before it was written.
+            let Stored::Chunks(c) = cf.stored else {
+                return Err("no compressed chunks on disk".into());
+            };
             c.verify_all()?;
             Ok(Arc::new(c))
         })?;

@@ -2,8 +2,8 @@
 //! (DESIGN.md §10, "Byte layer").
 //!
 //! Every container this repo writes — `XCPC` column streams, `XDCF`
-//! column files, `XMAN` manifests, `XSPR` spill runs and their `XSPB`
-//! blocks — is a **sealed frame**:
+//! column frames (back to back in durable segments), `XMAN` manifests,
+//! `XSPR` spill runs and their `XSPB` blocks — is a **sealed frame**:
 //!
 //! ```text
 //! magic[4] · version u8 · body_len u64 · body … · fold u8
@@ -17,7 +17,7 @@
 //! ([`Writer::put_column`] / [`Reader::vector`]) is the single encoding
 //! of "a typed array of values" shared by durable fragments, enum
 //! dictionaries and spill blocks. A checkpoint's dictionaries are enum
-//! dictionaries too: the column files carry them beside the codes, and
+//! dictionaries too: the column frames carry them beside the codes, and
 //! no compressed column stream embeds one.
 
 use std::io::Read;

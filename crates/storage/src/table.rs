@@ -767,11 +767,12 @@ impl Table {
     }
 
     /// Durable checkpoint: compress (as [`Table::checkpoint`]), then
-    /// persist every column — raw fragment, compressed chunks, and
-    /// dictionary — to `dir` with [`DurableOptions::replicas`] copies
-    /// each, committed by a versioned manifest written last. A crash at
-    /// any point leaves the previous checkpoint fully readable; see
-    /// [`Table::open`] for recovery.
+    /// persist every column to `dir` — its compressed chunks when they
+    /// verify (the fragment is their decode), its raw values otherwise,
+    /// and its dictionary — as one segment file per replica
+    /// ([`DurableOptions::replicas`]), committed by a versioned manifest
+    /// written last. A crash at any point leaves the previous checkpoint
+    /// fully readable; see [`Table::open`] for recovery.
     ///
     /// Pending deltas are merged first (`reorganize`) so the persisted
     /// state is the complete table.
@@ -783,13 +784,14 @@ impl Table {
         self.try_checkpoint_durable(dir, opts, None)
     }
 
-    /// Fallible durable checkpoint: every file write step consults the
-    /// fault plan ([`FaultSite::DurableChunkWrite`] per chunk file,
+    /// Fallible durable checkpoint: every write step consults the fault
+    /// plan ([`FaultSite::DurableChunkWrite`] per column extent per
+    /// replica, before the segments' sync and after the directory's,
     /// [`FaultSite::ManifestWrite`] for the manifest temp-write and the
     /// committing rename) with bounded-backoff retry. On error the
-    /// directory may hold orphan files of the aborted version, but the
-    /// previous manifest — and therefore the previous checkpoint — is
-    /// untouched and fully readable.
+    /// directory may hold orphan segments of the aborted version, but
+    /// the previous manifest — and therefore the previous checkpoint —
+    /// is untouched and fully readable.
     pub fn try_checkpoint_durable(
         &mut self,
         dir: &Path,
@@ -809,8 +811,8 @@ impl Table {
     /// newest manifest that parses and checksums clean wins (a crash
     /// mid-checkpoint leaves its version uncommitted, so recovery falls
     /// back to the previous one), every column loads from the first
-    /// replica that passes its whole-file checksum, and bad replicas
-    /// are healed in place from a good copy.
+    /// replica whose extent passes its checksum and decodes, and bad
+    /// extents are healed in place from a good copy.
     pub fn open(dir: &Path) -> Result<Table, DurableError> {
         Table::try_open(dir, None)
     }

@@ -2,13 +2,18 @@
 //!
 //! `FaultPlan::pin_site(site, nth)` makes the nth governor check of a
 //! durable fault site fail *hard* (one attempt, no retry) — the
-//! process-model equivalent of SIGKILL at that exact write step.
-//! `write_atomic` checks its site twice per file (before the temp
-//! write, before the commit rename), so sweeping `nth` upward kills
-//! the checkpoint at every distinct on-disk state it can leave behind:
-//! partial `.tmp`, complete-but-unrenamed temp, each chunk replica,
-//! and the manifest itself. After every kill, `Table::open` must
-//! recover the *previous* checkpoint byte-identically.
+//! process-model equivalent of SIGKILL at that exact write step. A
+//! commit checks [`FaultSite::DurableChunkWrite`] before every column
+//! extent it appends to every replica's segment, once all extents are
+//! written but none synced, and once the segments and the directory are
+//! synced but no manifest names them; the manifest's `write_atomic`
+//! checks [`FaultSite::ManifestWrite`] before its temp write and before
+//! the committing rename. Sweeping `nth` upward kills the checkpoint at
+//! every distinct on-disk state it can leave behind — a partial
+//! segment, unsynced segments, durable orphan segments, a stray
+//! manifest `.tmp`, a complete but unrenamed one — and after every kill
+//! `Table::open` must recover the *previous* checkpoint
+//! byte-identically.
 //!
 //! Exercised sites: [`FaultSite::DurableChunkWrite`],
 //! [`FaultSite::ManifestWrite`], [`FaultSite::ManifestRead`],
@@ -70,13 +75,14 @@ fn snapshot(t: &Table) -> Vec<(String, Vec<u8>)> {
 /// the checkpoint finally succeeds; after each kill the directory must
 /// still open to the exact previous checkpoint.
 #[cfg(feature = "fault-inject")]
-fn sweep_kill_points(site: FaultSite, tag: &str) {
+fn sweep_kill_points(site: FaultSite, tag: &str) -> u32 {
     use x100_storage::{FaultPlan, FaultState};
     let dir = scratch(tag);
     let opts = DurableOptions::default();
     let mut t1 = sample_table(0);
     t1.checkpoint_durable(&dir, &opts).expect("seed checkpoint");
-    let mut base = snapshot(&Table::open(&dir).expect("seed open"));
+    let base = snapshot(&Table::open(&dir).expect("seed open"));
+    let committed = t1.durable_source().expect("durable").version();
 
     let mut kills = 0u32;
     for nth in 0..256u32 {
@@ -93,6 +99,16 @@ fn sweep_kill_points(site: FaultSite, tag: &str) {
                     base,
                     "kill at {site} #{nth} lost the previous checkpoint"
                 );
+                assert_eq!(rec.durable_source().expect("durable").version(), committed);
+                // Every attempt so far left its segments behind (or at
+                // least created them), and each new attempt outnumbers
+                // them all: no version is reused.
+                let orphans = segment_versions(&dir);
+                assert_eq!(
+                    orphans.iter().max(),
+                    Some(&(committed + u64::from(kills))),
+                    "kill at {site} #{nth}: {orphans:?}"
+                );
                 // The *next* attempt must also survive the orphan
                 // files this kill left behind — `base` stays.
             }
@@ -102,26 +118,78 @@ fn sweep_kill_points(site: FaultSite, tag: &str) {
                 assert!(kills >= 2, "{site}: expected several kill points");
                 let rec = Table::open(&dir).expect("open after commit");
                 assert_eq!(snapshot(&rec), snapshot(&t2));
-                base = snapshot(&rec);
-                let _ = base;
+                let version = rec.durable_source().expect("durable").version();
+                assert_eq!(version, committed + u64::from(kills) + 1);
+                // The commit pruned every orphan and the old version.
+                assert_committed_shape(&dir, version, opts.replicas);
                 let _ = std::fs::remove_dir_all(&dir);
-                return;
+                return kills;
             }
         }
     }
     panic!("checkpoint never succeeded while sweeping {site}");
 }
 
+/// Versions of the segments in `dir`, from their names.
+#[cfg(feature = "fault-inject")]
+fn segment_versions(dir: &std::path::Path) -> Vec<u64> {
+    let names = std::fs::read_dir(dir).expect("dir").flatten();
+    let names = names.filter_map(|e| e.file_name().into_string().ok());
+    let versions = names.filter_map(|n| {
+        let v = n.strip_prefix("seg-v")?.split_once("-r")?.0.to_owned();
+        v.parse().ok()
+    });
+    versions.collect()
+}
+
+/// A committed directory holds exactly `replicas` segments of `version`
+/// plus its one manifest.
+fn assert_committed_shape(dir: &std::path::Path, version: u64, replicas: u32) {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("dir")
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    let mut want: Vec<String> = (0..replicas)
+        .map(|r| format!("seg-v{version:010}-r{r}.seg"))
+        .collect();
+    want.insert(0, format!("manifest-{version:010}.xman"));
+    assert_eq!(names, want);
+}
+
+#[test]
+fn a_committed_directory_is_one_segment_per_replica_and_a_manifest() {
+    let dir = scratch("shape");
+    for replicas in [1u32, 2, 3] {
+        let mut t = sample_table(i64::from(replicas));
+        t.checkpoint_durable(&dir, &DurableOptions::default().with_replicas(replicas))
+            .expect("checkpoint");
+        let version = t.durable_source().expect("durable").version();
+        assert_committed_shape(&dir, version, replicas);
+        let rec = Table::open(&dir).expect("open");
+        assert_eq!(snapshot(&rec), snapshot(&t));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(feature = "fault-inject")]
 #[test]
 fn kill_at_every_chunk_write_point_recovers_previous_checkpoint() {
-    sweep_kill_points(FaultSite::DurableChunkWrite, "chunkwrite");
+    // One kill per column extent per replica (a partial segment), one
+    // with every extent written but none synced, one with the segments
+    // durable but no manifest naming them.
+    let kills = sweep_kill_points(FaultSite::DurableChunkWrite, "chunkwrite");
+    let (columns, replicas) = (3, DurableOptions::default().replicas);
+    assert_eq!(kills, columns * replicas + 2);
 }
 
 #[cfg(feature = "fault-inject")]
 #[test]
 fn kill_at_every_manifest_write_point_recovers_previous_checkpoint() {
-    sweep_kill_points(FaultSite::ManifestWrite, "manifestwrite");
+    // Before the manifest's temp write, and before its rename.
+    let kills = sweep_kill_points(FaultSite::ManifestWrite, "manifestwrite");
+    assert_eq!(kills, 2);
 }
 
 #[cfg(feature = "fault-inject")]
@@ -162,6 +230,29 @@ fn chunk_read_fault_fails_over_to_the_other_replica() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flip one byte in the middle of column `col`'s extent of replica 0.
+fn corrupt_extent(t: &Table, col: usize, mask: u8) {
+    let (path, offset, len) = t
+        .durable_source()
+        .expect("durable")
+        .extent(col, 0)
+        .expect("extent");
+    let mut bytes = std::fs::read(&path).expect("segment");
+    bytes[(offset + len / 2) as usize] ^= mask;
+    std::fs::write(&path, &bytes).expect("corrupt extent");
+}
+
+/// Column `col`'s extent of replica `r`, as bytes on disk.
+fn extent_bytes(t: &Table, col: usize, r: u32) -> Vec<u8> {
+    let (path, offset, len) = t
+        .durable_source()
+        .expect("durable")
+        .extent(col, r)
+        .expect("extent");
+    let bytes = std::fs::read(path).expect("segment");
+    bytes[offset as usize..(offset + len) as usize].to_vec()
+}
+
 #[test]
 fn corrupt_replica_heals_in_place_on_open() {
     let dir = scratch("heal");
@@ -169,27 +260,51 @@ fn corrupt_replica_heals_in_place_on_open() {
     t.checkpoint_durable(&dir, &DurableOptions::default())
         .expect("checkpoint");
     let base = snapshot(&t);
-    let version = t.durable_source().expect("durable").version();
+    let clean: Vec<Vec<u8>> = (0..t.num_columns())
+        .map(|c| extent_bytes(&t, c, 0))
+        .collect();
+    let (seg0, _, _) = t
+        .durable_source()
+        .expect("durable")
+        .extent(0, 0)
+        .expect("extent");
+    let size = std::fs::metadata(&seg0).expect("segment").len();
 
-    // Flip one byte in the middle of column 0's first replica.
-    let bad = dir.join(format!("col000-v{version:010}-r0.chunks"));
-    let mut bytes = std::fs::read(&bad).expect("replica 0");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x5a;
-    std::fs::write(&bad, &bytes).expect("corrupt replica 0");
+    corrupt_extent(&t, 0, 0x5a);
+    assert_ne!(extent_bytes(&t, 0, 0), clean[0]);
 
     let rec = Table::open(&dir).expect("open with one bad replica");
     assert_eq!(snapshot(&rec), base, "healed open must be byte-identical");
     assert_eq!(rec.durable_source().expect("durable").heals(), 1);
 
-    // The bad copy was rewritten in place from the good one …
-    let healed = std::fs::read(&bad).expect("healed replica 0");
-    let good =
-        std::fs::read(dir.join(format!("col000-v{version:010}-r1.chunks"))).expect("replica 1");
-    assert_eq!(healed, good);
+    // The bad extent was rewritten in place from the good copy, every
+    // other extent is untouched, and the segment kept its size …
+    assert_eq!(extent_bytes(&rec, 0, 0), extent_bytes(&rec, 0, 1));
+    for (c, want) in clean.iter().enumerate() {
+        assert_eq!(&extent_bytes(&rec, c, 0), want, "extent {c}");
+    }
+    assert_eq!(std::fs::metadata(&seg0).expect("segment").len(), size);
     // … so the next open needs no heal at all.
     let again = Table::open(&dir).expect("reopen");
     assert_eq!(again.durable_source().expect("durable").heals(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_lost_segment_is_rebuilt_extent_by_extent_on_open() {
+    let dir = scratch("lost");
+    let mut t = sample_table(9);
+    t.checkpoint_durable(&dir, &DurableOptions::default())
+        .expect("checkpoint");
+    let ds = t.durable_source().expect("durable");
+    let (seg0, _, _) = ds.extent(0, 0).expect("extent");
+    let (seg1, _, _) = ds.extent(0, 1).expect("extent");
+    std::fs::remove_file(&seg0).expect("lose replica 0");
+
+    let rec = Table::open(&dir).expect("open from replica 1");
+    assert_eq!(snapshot(&rec), snapshot(&t));
+    assert_eq!(rec.durable_source().expect("durable").heals(), 3);
+    assert_eq!(std::fs::read(&seg0).ok(), std::fs::read(&seg1).ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -199,18 +314,18 @@ fn all_replicas_bad_is_a_typed_io_error() {
     let mut t = sample_table(6);
     t.checkpoint_durable(&dir, &DurableOptions::default().with_replicas(1))
         .expect("checkpoint");
-    let version = t.durable_source().expect("durable").version();
-    let only = dir.join(format!("col001-v{version:010}-r0.chunks"));
-    let mut bytes = std::fs::read(&only).expect("sole replica");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&only, &bytes).expect("corrupt sole replica");
+    let others: Vec<Vec<u8>> = [0, 2].iter().map(|&c| extent_bytes(&t, c, 0)).collect();
+    corrupt_extent(&t, 1, 0xff);
 
     let err = Table::open(&dir).expect_err("no good copy left");
     assert!(
         matches!(err, DurableError::Io { site, .. } if site == FaultSite::DurableChunkRead),
         "wrong error: {err}"
     );
+    // Nothing to heal from: the other extents are untouched.
+    for (c, want) in [0, 2].iter().zip(&others) {
+        assert_eq!(&extent_bytes(&t, *c, 0), want, "extent {c}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -404,6 +404,14 @@ fn assert_decode_matches(cc: &CompressedColumn, data: &Vector, sizes: &[usize]) 
     }
 }
 
+/// A vector's bytes as the byte layer writes them: `f64` values as
+/// their bit patterns, so NaN payloads and `-0.0` compare exactly.
+fn image(v: &Vector) -> Vec<u8> {
+    let mut w = x100_storage::frame::Writer::new(Vec::new(), b"IMAG", 1);
+    w.put_column(v);
+    w.seal()
+}
+
 /// A fresh directory for one durable checkpoint of the row model.
 fn model_dir() -> std::path::PathBuf {
     static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -465,7 +473,14 @@ proptest! {
         let opened = Table::open(&dir).expect("reopen");
         let _ = std::fs::remove_dir_all(&dir);
         for i in 0..table.num_columns() {
-            prop_assert_eq!(opened.column(i).dict().is_some(), table.column(i).dict().is_some());
+            // Bit for bit: a fragment `open` rebuilt by decoding chunks
+            // keeps every NaN payload and `-0.0`.
+            let (got, want) = (opened.column(i), table.column(i));
+            prop_assert_eq!(image(got.physical()), image(want.physical()), "column {}", i);
+            prop_assert_eq!(
+                got.dict().map(|d| image(d.values())),
+                want.dict().map(|d| image(d.values()))
+            );
         }
         assert_rows(&opened, &model.rows, &model.rowids);
         assert_same_as_fresh(&opened, &model.rows);
@@ -1040,7 +1055,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Structure-aware mutation suite over the one decoder (`x100_storage::
 // frame`): for a valid image of every container — `XCPC` column streams
-// per codec × type, `XDCF` column files, `XMAN` manifests — truncate at
+// per codec × type, `XDCF` column frames, `XMAN` manifests — truncate at
 // every prefix, overwrite every field-sized span with {0, 1, MAX}, flip
 // random bytes, and re-seal so the mutation reaches the parser. Every
 // outcome must be a typed `Err`, or an `Ok` whose every decode path then
@@ -1247,18 +1262,22 @@ fn durable_fixture(tag: &str, replicas: u32) -> (std::path::PathBuf, Vec<Vec<Val
 
 /// The `XMAN` layout, rebuilt with the public writer: the test both
 /// pins the documented layout and can point a manifest at a mutated
-/// column file (size and trailer are cross-checked at open).
-fn manifest_image(replicas: u32, files: &[(&str, &[u8])]) -> Vec<u8> {
-    let mut w = Writer::new(Vec::new(), b"XMAN", 2);
+/// column frame (each extent's trailer byte is cross-checked at open).
+/// Extents lie back to back in the segment, in column order.
+fn manifest_image(replicas: u32, frames: &[(&str, &[u8])]) -> Vec<u8> {
+    let mut w = Writer::new(Vec::new(), b"XMAN", 3);
     w.put(1u64); // checkpoint version
     w.put(replicas);
     w.put_str("m");
     w.put(64u64); // fragment rows
-    w.put(files.len() as u32);
-    for (name, bytes) in files {
+    w.put(frames.len() as u32);
+    let mut offset = 0u64;
+    for (name, bytes) in frames {
         w.put_str(name);
+        w.put(offset);
         w.put(bytes.len() as u64);
         w.put(bytes.last().copied().unwrap_or(0));
+        offset += bytes.len() as u64;
     }
     w.seal()
 }
@@ -1282,43 +1301,51 @@ fn open_and_drive(dir: &std::path::Path) -> Result<Table, DurableError> {
 fn durable_file_mutants_open_typed_or_readable() {
     let (dir, want) = durable_fixture("files", 1);
     let names = ["id", "val", "flag"];
-    let paths: Vec<_> = (0..3)
-        .map(|c| dir.join(format!("col{c:03}-v0000000001-r0.chunks")))
+    let segment = dir.join("seg-v0000000001-r0.seg");
+    let whole = std::fs::read(&segment).expect("segment");
+    let t = Table::open(&dir).expect("fixture opens");
+    let ds = t.durable_source().expect("durable");
+    let frames: Vec<Vec<u8>> = (0..3)
+        .map(|c| {
+            let (path, offset, len) = ds.extent(c, 0).expect("extent");
+            assert_eq!(path, segment);
+            whole[offset as usize..(offset + len) as usize].to_vec()
+        })
         .collect();
-    let files: Vec<Vec<u8>> = paths
-        .iter()
-        .map(|p| std::fs::read(p).expect("file"))
-        .collect();
+    assert_eq!(frames.concat(), whole, "extents tile the segment");
     let manifest = dir.join("manifest-0000000001.xman");
-    let entries = |files: &[Vec<u8>]| -> Vec<u8> {
+    let entries = |frames: &[Vec<u8>]| -> Vec<u8> {
         let e: Vec<_> = names
             .iter()
             .copied()
-            .zip(files.iter().map(Vec::as_slice))
+            .zip(frames.iter().map(Vec::as_slice))
             .collect();
         manifest_image(1, &e)
     };
-    assert_eq!(std::fs::read(&manifest).expect("manifest"), entries(&files));
+    assert_eq!(
+        std::fs::read(&manifest).expect("manifest"),
+        entries(&frames)
+    );
     for c in 0..3 {
-        for_each_mutant(&files[c], |m| {
-            // Point the manifest at the mutant so the size and trailer
-            // cross-checks pass and the damage reaches the file parser.
-            let mut mutated = files.clone();
+        for_each_mutant(&frames[c], |m| {
+            // Point the manifest at the mutant so the extent and trailer
+            // cross-checks pass and the damage reaches the frame parser.
+            let mut mutated = frames.clone();
             mutated[c] = m;
-            std::fs::write(&paths[c], &mutated[c]).expect("write mutant");
+            std::fs::write(&segment, mutated.concat()).expect("write mutant");
             std::fs::write(&manifest, entries(&mutated)).expect("write manifest");
             if let Ok(t) = open_and_drive(&dir) {
                 assert_eq!(t.fragment_rows(), 64);
             }
         });
-        std::fs::write(&paths[c], &files[c]).expect("restore");
+        std::fs::write(&segment, &whole).expect("restore");
     }
-    // Manifest mutants over intact files.
-    for_each_mutant(&entries(&files), |m| {
+    // Manifest mutants over an intact segment.
+    for_each_mutant(&entries(&frames), |m| {
         std::fs::write(&manifest, m).expect("write manifest");
         let _ = open_and_drive(&dir);
     });
-    std::fs::write(&manifest, entries(&files)).expect("restore manifest");
+    std::fs::write(&manifest, entries(&frames)).expect("restore manifest");
     let t = open_and_drive(&dir).expect("restored directory opens");
     assert_eq!((0..64).map(|r| t.get_row(r)).collect::<Vec<_>>(), want);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1331,13 +1358,19 @@ fn durable_file_mutants_open_typed_or_readable() {
 fn wrapped_length_in_column_file_is_typed_and_heals_from_replica() {
     for replicas in [1u32, 2] {
         let (dir, want) = durable_fixture(&format!("wrap{replicas}"), replicas);
-        let path = dir.join("col000-v0000000001-r0.chunks");
-        let mut bytes = std::fs::read(&path).expect("replica 0");
-        // The raw fragment's section length: head (13), col u32, rows
-        // u64, logical tag, two flags.
-        let at = 13 + 4 + 8 + 3;
+        let (path, offset, len) = Table::open(&dir)
+            .expect("fixture opens")
+            .durable_source()
+            .expect("durable")
+            .extent(0, 0)
+            .expect("extent");
+        let mut segment = std::fs::read(&path).expect("replica 0");
+        let bytes = &mut segment[offset as usize..(offset + len) as usize];
+        // The stored section's length (column 0's chunks): head (13),
+        // col u32, rows u64, logical tag, three flags.
+        let at = 13 + 4 + 8 + 4;
         bytes[at..at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
-        // Re-tear a don't-care byte until the file's fold matches the
+        // Re-tear a don't-care byte until the frame's fold matches the
         // manifest again: only the parser can catch the damage now.
         let want_sum = *bytes.last().expect("trailer");
         let end = bytes.len() - 1;
@@ -1346,7 +1379,7 @@ fn wrapped_length_in_column_file_is_typed_and_heals_from_replica() {
             fold_checksum(&bytes[..end]) == want_sum
         });
         assert!(fixed, "some byte value restores the 8-bit fold");
-        std::fs::write(&path, &bytes).expect("write torn replica");
+        std::fs::write(&path, &segment).expect("write torn replica");
         match (replicas, open_and_drive(&dir)) {
             (1, Err(DurableError::Io { detail, .. })) => {
                 assert!(detail.contains("all 1 replicas failed"), "{detail}")

@@ -314,15 +314,80 @@ fn exc_window<'a>(
 // PFOR
 // ---------------------------------------------------------------------
 
+/// The byte-aligned lanes, narrowest first.
+const LANES: [u32; 5] = [0, 8, 16, 32, 64];
+
+/// Most buckets (as a power of two) of [`spanning_lane_base`]'s
+/// histogram: a coarser histogram only loosens the bound.
+const SPAN_HIST_BITS: u32 = 12;
+
+/// [`choose_lane_base`]'s verdict, proven without sorting — or `None`
+/// when the proof fails and the sort must decide.
+///
+/// One pass finds the frames' `[min, max]` and the narrowest lane `S`
+/// spanning it: at `S` every frame fits, so its cost is
+/// `rows * S/8 + forced * EXC_COST` with base `min`, and every wider
+/// lane costs more. A narrower lane `L` covers at most the densest
+/// window of `2^L` consecutive frames, and such a window touches at
+/// most two adjacent aligned buckets of a histogram whose buckets are
+/// at least `2^L` wide — the next-narrower lane's width, or coarser.
+/// When that bound leaves every narrower lane strictly costlier than
+/// `S` (or no cheaper than lane 64, which `choose_lane_base` keeps on a
+/// tie), the verdict is `(S, min)` exactly as the sorted path finds it.
+fn spanning_lane_base(frames: &[Result<u64, u64>]) -> Option<(u32, u64)> {
+    let (mut min, mut max, mut n) = (u64::MAX, 0u64, 0usize);
+    for &v in frames.iter().flatten() {
+        min = min.min(v);
+        max = max.max(v);
+        n += 1;
+    }
+    if n == 0 {
+        return None;
+    }
+    let (rows, span) = (frames.len(), max - min);
+    let s = LANES.iter().position(|&l| span <= lane_mask(l))?;
+    let lane = LANES[s];
+    let cost = rows * (lane as usize / 8) + (rows - n) * EXC_COST;
+    if s == 0 {
+        return Some((lane, min));
+    }
+    let bits = 64 - span.leading_zeros();
+    let shift = LANES[s - 1].max(bits.saturating_sub(SPAN_HIST_BITS));
+    let mut hist = vec![0u32; (span >> shift) as usize + 1];
+    for &v in frames.iter().flatten() {
+        hist[((v - min) >> shift) as usize] += 1;
+    }
+    let densest = hist.windows(2).map(|w| w[0] + w[1]).max();
+    let densest = densest.unwrap_or(hist[0]) as usize;
+    let beaten = |l: &u32| {
+        let floor = rows * (*l as usize / 8) + (rows - densest) * EXC_COST;
+        floor > cost || (lane == 64 && floor == cost)
+    };
+    LANES[..s].iter().all(beaten).then_some((lane, min))
+}
+
+/// [`choose_lane_base`] over the sorted regular frames.
+fn sorted_lane_base(frames: &[Result<u64, u64>]) -> (u32, u64) {
+    let mut sorted: Vec<u64> = frames.iter().filter_map(|f| f.ok()).collect();
+    let forced = frames.len() - sorted.len();
+    sorted.sort_unstable();
+    choose_lane_base(frames.len(), &sorted, forced)
+}
+
 /// Shared PFOR encoder over frames materialized once. `frames[i]` is
 /// `Ok(frame)` for regular values and `Err(raw)` for values that must
-/// be exceptions at every lane (non-representable scaled floats).
+/// be exceptions at every lane (non-representable scaled floats). The
+/// lane and base are [`spanning_lane_base`]'s when it proves them, the
+/// sorted path's otherwise — the same verdict either way.
 fn pfor_encode_frames(frames: &[Result<u64, u64>]) -> PforChunk {
+    let (lane, base) = spanning_lane_base(frames).unwrap_or_else(|| sorted_lane_base(frames));
+    pfor_pack(frames, lane, base)
+}
+
+/// Pack `frames` at `lane` bits above `base`; a frame outside the lane,
+/// or forced, becomes an exception.
+fn pfor_pack(frames: &[Result<u64, u64>], lane: u32, base: u64) -> PforChunk {
     let rows = frames.len();
-    let mut sorted: Vec<u64> = frames.iter().filter_map(|f| f.ok()).collect();
-    let forced = rows - sorted.len();
-    sorted.sort_unstable();
-    let (lane, base) = choose_lane_base(rows, &sorted, forced);
     let mask = lane_mask(lane);
     let mut c = PforChunk {
         lane,
@@ -1173,6 +1238,132 @@ pub const CMP_PFOR_SIGNATURES: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The encoder with every verdict from the sorted frames: the
+    /// oracle the proof must match.
+    fn pfor_encode_frames_sorted(frames: &[Result<u64, u64>]) -> PforChunk {
+        let (lane, base) = sorted_lane_base(frames);
+        pfor_pack(frames, lane, base)
+    }
+
+    fn same_chunk(a: &PforChunk, b: &PforChunk) -> bool {
+        (
+            a.lane,
+            a.base,
+            a.scale,
+            &a.payload,
+            &a.exc_pos,
+            &a.exc_frames,
+        ) == (
+            b.lane,
+            b.base,
+            b.scale,
+            &b.payload,
+            &b.exc_pos,
+            &b.exc_frames,
+        )
+    }
+
+    /// Frames of `n` values of type `ty` (i32, i64, u8, u16, f64 at a
+    /// decimal scale, f64 unscaled): a cluster `bits` wide at a random
+    /// base, `outliers` per mille anywhere in the type's domain, and for
+    /// floats as many forced exceptions (values no scale represents).
+    fn sample_frames(
+        ty: usize,
+        bits: u32,
+        seed: u64,
+        n: usize,
+        outliers: u32,
+    ) -> Vec<Result<u64, u64>> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let spread = lane_mask(bits.min(63)) >> 1;
+        let base = next();
+        (0..n)
+            .map(|_| {
+                let r = next();
+                let odd = (r % 1000) < outliers as u64;
+                let v = if odd {
+                    next()
+                } else {
+                    base.wrapping_add(next() & spread)
+                };
+                match ty {
+                    0 => Ok((v as i32).to_frame()),
+                    1 => Ok((v as i64).to_frame()),
+                    2 => Ok((v as u8).to_frame()),
+                    3 => Ok((v as u16).to_frame()),
+                    _ => {
+                        let scale = if ty == 4 {
+                            F64_SCALES[(seed % 5) as usize]
+                        } else {
+                            1
+                        };
+                        let f = (v as i32 as f64) / scale as f64;
+                        let f = if odd && r % 2 == 0 { f + 1e-9 } else { f };
+                        f64_frame(f, scale as f64).ok_or(f.to_bits())
+                    }
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(miri) { 4 } else { 512 },
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn sort_free_lane_choice_matches_the_sorted_path(
+            ty in 0usize..6,
+            bits in 0u32..40,
+            seed in any::<u64>(),
+            shape in (1usize..2500, 0u32..400),
+        ) {
+            let (n, outliers) = shape;
+            let outliers = if seed.is_multiple_of(3) { 0 } else { outliers };
+            let frames = sample_frames(ty, bits, seed, n, outliers);
+            let got = pfor_encode_frames(&frames);
+            let want = pfor_encode_frames_sorted(&frames);
+            prop_assert!(same_chunk(&got, &want), "ty {ty} bits {bits} seed {seed} n {n}");
+        }
+    }
+
+    #[test]
+    fn spread_columns_take_the_sort_free_verdict() {
+        // Prices in cents over a wide range, dates over seven years:
+        // the shapes of `l_extendedprice` and `l_shipdate`.
+        let prices: Vec<Result<u64, u64>> = (0..65_536u64)
+            .map(|i| Ok((90_000 + (i * 7_919) % 10_400_000).to_frame()))
+            .collect();
+        let dates: Vec<Result<u64, u64>> = (0..65_536u64)
+            .map(|i| Ok(((8_035 + (i * 31) % 2_526) as i32).to_frame()))
+            .collect();
+        for frames in [prices, dates] {
+            let proven = spanning_lane_base(&frames);
+            assert!(proven.is_some(), "the bound decides a spread column");
+            let want = pfor_encode_frames_sorted(&frames);
+            assert_eq!(proven, Some((want.lane, want.base)));
+        }
+        // A tight cluster with far outliers needs the sort: the spanning
+        // lane is wide and a narrow lane with exceptions may win.
+        let mut clustered: Vec<Result<u64, u64>> =
+            (0..4_096u64).map(|i| Ok(1_000 + i % 200)).collect();
+        clustered[7] = Ok(u64::MAX / 3);
+        assert_eq!(spanning_lane_base(&clustered), None);
+        assert!(same_chunk(
+            &pfor_encode_frames(&clustered),
+            &pfor_encode_frames_sorted(&clustered)
+        ));
+        assert_eq!(pfor_encode_frames(&clustered).lane, 8);
+    }
 
     fn roundtrip_pfor_i64(values: &[i64]) {
         let c = compress_pfor_i64_col(values);
