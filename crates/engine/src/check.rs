@@ -12,7 +12,8 @@
 //! variant (direct / hash / ordered aggregation, hash / merge join,
 //! fused compressed scan-select, the summary-index row range of a
 //! scan under a range selection, constant-folded selection, selection
-//! before fetch, the `Exchange` that runs an aggregation on morsel
+//! before fetch, the columns no node reads left ungathered, the
+//! `Exchange` that runs an aggregation on morsel
 //! workers at `threads > 1`), compiles every expression exactly once,
 //! validates each emitted
 //! primitive instruction against the typed catalog
@@ -49,11 +50,14 @@
 //!    `map_eq_u64_col_col` projection would panic in kernel dispatch;
 //!    here it is rejected before execution).
 //!
-//! Which enum columns travel as codes is the walk's choice, not the
-//! plan's. Each node passes its input the columns it or its consumer
-//! reads as values ([`Values`]); a `Scan` or `Fetch1Join` reads every
-//! other enum column as its 1–2-byte codes, pending inserts or not (the
-//! insert delta holds codes too). Code readers are a bare
+//! Which enum columns travel as codes, and which columns travel at all,
+//! is the walk's choice, not the plan's. Each node passes its input a
+//! [`Demand`]: the columns it or its consumer reads at all, and of
+//! those the ones it reads as values. The root demands its whole
+//! schema. A `Scan` or `Fetch1Join` reads every enum column outside the
+//! values as its 1–2-byte codes, pending inserts or not (the insert
+//! delta holds codes too), and — rule `unread-not-fetched` — gathers no
+//! column outside the demand at all. Code readers are a bare
 //! column passed on (by `Select`, `Project`, a fetch, a hash join's
 //! probe side), a bare key of a generic `Aggr` (decoded at emission), an
 //! enum-literal comparison `c = 'lit'` / `c <> 'lit'` anywhere in an
@@ -79,7 +83,7 @@ use crate::ops::{
 use crate::plan::{self, Plan};
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 use x100_storage::{EnumDict, PushOp, Pushdown, Table};
 use x100_vector::{CmpOp, PrimitiveDesc, PrimitiveRegistry, ScalarType, Value, VecShape};
@@ -91,48 +95,79 @@ type SelStep = PredStep<Arc<ExprCode>>;
 /// node.
 type FetchList<'p> = Vec<&'p (String, String)>;
 
-/// The columns a node's consumer reads as values; every other enum
-/// column may reach it as codes.
+/// What a node's consumer reads of its output: the columns it reads at
+/// all, and of those the ones it reads as values. Every other enum
+/// column may reach it as codes, and (rule `unread-not-fetched`) every
+/// other column need not reach it.
+/// Column names are borrowed from the plan being walked.
 #[derive(Clone)]
-enum Values {
-    /// Every column: the query's result.
+enum Demand<'p> {
+    /// Every column, as values: the query's result.
     All,
-    /// The named columns.
-    Of(BTreeSet<String>),
+    /// Each column read, with whether it is read as values.
+    Of(BTreeMap<&'p str, bool>),
 }
 
-impl Values {
+impl<'p> Demand<'p> {
     fn none() -> Self {
-        Values::Of(BTreeSet::new())
+        Demand::Of(BTreeMap::new())
     }
 
+    /// Whether the consumer reads `col` at all.
+    fn reads(&self, col: &str) -> bool {
+        match self {
+            Demand::All => true,
+            Demand::Of(cols) => cols.contains_key(col),
+        }
+    }
+
+    /// Whether the consumer reads `col` as values.
     fn wants(&self, col: &str) -> bool {
         match self {
-            Values::All => true,
-            Values::Of(cols) => cols.contains(col),
+            Demand::All => true,
+            Demand::Of(cols) => cols.get(col) == Some(&true),
         }
     }
 
-    fn add(&mut self, col: &str) {
-        if let Values::Of(cols) = self {
-            cols.insert(col.to_owned());
+    /// Read `col` — as values, or as codes where it is an enum column.
+    fn take(&mut self, col: &'p str, as_values: bool) {
+        if let Demand::Of(cols) = self {
+            *cols.entry(col).or_default() |= as_values;
         }
     }
 
-    /// With the columns `e` reads as values ([`plan::value_reads`]).
-    fn reading(mut self, e: &Expr) -> Self {
-        if let Values::Of(cols) = &mut self {
-            plan::value_reads(e, cols);
+    /// Read `col`, as codes where it is an enum column.
+    fn read(&mut self, col: &'p str) {
+        self.take(col, false);
+    }
+
+    /// Read `col` as values.
+    fn add(&mut self, col: &'p str) {
+        self.take(col, true);
+    }
+
+    /// With the columns `e` reads, as values those
+    /// [`plan::value_reads`] names.
+    fn reading(mut self, e: &'p Expr) -> Self {
+        if let Demand::Of(_) = self {
+            let mut values = Vec::new();
+            plan::value_reads(e, &mut values);
+            for c in e.columns() {
+                self.take(c, values.contains(&c));
+            }
         }
         self
     }
 
-    /// With what a `Fetch1Join` rowid reads as values: a bare column
-    /// widens to `u32` as codes (the sanctioned decode), a computed
-    /// rowid is an ordinary expression.
-    fn rowid(self, e: &Expr) -> Self {
+    /// With what a `Fetch1Join` rowid reads: a bare column widens to
+    /// `u32` as codes (the sanctioned decode), a computed rowid is an
+    /// ordinary expression.
+    fn rowid(mut self, e: &'p Expr) -> Self {
         match e {
-            Expr::Col(_) => self,
+            Expr::Col(c) => {
+                self.read(c);
+                self
+            }
             e => self.reading(e),
         }
     }
@@ -146,7 +181,7 @@ impl Values {
 /// soundness argument of each. `cargo xtask lint` rule 10 keeps every
 /// id in a walk-log message and in the rewritten-vs-as-given
 /// differential test.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     // `Select` over `Fetch1Join`s: columns the predicate does not need
     // are fetched above the selection, and a predicate that reads only
     // one small, delta-free table is evaluated over that table once.
@@ -164,6 +199,10 @@ pub const RULES: [&str; 5] = [
     // `Select` over a `Scan` whose predicate bounds a column with a
     // summary index: only the fragment rows that index leaves are read.
     "summary-range-select",
+    // `Scan` / `Fetch1Join`: a column no node above reads and the root
+    // does not return is not gathered (a scan keeps one column; a fetch
+    // left with none does not run).
+    "unread-not-fetched",
 ];
 
 /// Name stem of the one-byte column rule `select-before-fetch` gathers
@@ -260,6 +299,18 @@ impl PlanFacts {
     pub fn programs(&self) -> Vec<&Arc<ExprCode>> {
         let mut out = Vec::new();
         self.root.visit(&mut |n| out.extend(n.op.programs()));
+        out
+    }
+
+    /// Every column a `Scan` or `Fetch1Join` of the tree emits that no
+    /// operator above it reads and the root does not return, as
+    /// `<path>: <column>` — read off the operators' verified programs,
+    /// not the plan. A scan that no one reads keeps one column, which is
+    /// not listed. Hidden: the corpus test of rule `unread-not-fetched`.
+    #[doc(hidden)]
+    pub fn unread_gathers(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        unread_below(&self.root, vec![true; self.root.fields.len()], &mut out);
         out
     }
 
@@ -498,7 +549,7 @@ fn check_with(
     rules: bool,
 ) -> Result<CheckSummary, PlanError> {
     let mut c = Checker::new(db, opts, rules);
-    let root = c.walk(plan, "root", &Values::All)?;
+    let root = c.walk(plan, "root", &Demand::All)?;
     let facts = PlanFacts {
         root,
         plan: plan.clone(),
@@ -1128,14 +1179,14 @@ impl<'a> Checker<'a> {
 
     /// Resolve the columns an operator fetches from `t` into their
     /// gather specs, appending output fields, dictionaries and facts; an
-    /// enum column comes as codes ([`code_dict`]) when `values` leaves it
+    /// enum column comes as codes ([`code_dict`]) when `demand` leaves it
     /// to code readers. Returns the specs and the aliases fetched as
     /// codes.
     fn fetch_specs<'p>(
         &mut self,
         t: &Table,
         fetch: impl IntoIterator<Item = &'p (String, String)>,
-        values: &Values,
+        demand: &Demand<'_>,
         path: &str,
         node: &mut NodeShape,
     ) -> Result<(Vec<FetchSpec>, Vec<&'p str>), PlanError> {
@@ -1143,7 +1194,7 @@ impl<'a> Checker<'a> {
         for (i, (src, alias)) in fetch.into_iter().enumerate() {
             let ci = fetch_column(t, src)?;
             let sc = t.column(ci);
-            let dict = code_dict(t, ci, values.wants(alias));
+            let dict = code_dict(t, ci, demand.wants(alias));
             let as_codes = dict.is_some();
             let ty = match dict {
                 Some(_) => sc.physical_type(),
@@ -1166,39 +1217,48 @@ impl<'a> Checker<'a> {
         Ok((specs, codes))
     }
 
-    /// Walk one plan node, whose consumer reads `values` as values:
-    /// check its inputs, then plan and verify the node itself.
-    fn walk(&mut self, plan: &Plan, path: &str, values: &Values) -> Result<CheckedNode, PlanError> {
+    /// Walk one plan node, whose consumer reads `demand`: check its
+    /// inputs, then plan and verify the node itself.
+    fn walk<'p>(
+        &mut self,
+        plan: &'p Plan,
+        path: &str,
+        demand: &Demand<'p>,
+    ) -> Result<CheckedNode, PlanError> {
         match plan {
-            Plan::Scan { table, cols } => self.scan_node(table, cols, values, path),
+            Plan::Scan { table, cols } => self.scan_node(table, cols, demand, path),
             Plan::Select { input, pred } => {
                 // Rule `select-before-fetch` looks through the
                 // `Fetch1Join`s under the selection (innermost first),
-                // so the walk resumes below them.
+                // so the walk resumes below them, demanding what the
+                // pieces above it read: the predicate, and the `#rowId`
+                // of every fetch rule `unread-not-fetched` keeps.
                 let mut fetches = Vec::new();
                 let mut base = input.as_ref();
-                let mut values = values.clone().reading(pred);
+                let mut need = demand.clone().reading(pred);
                 while let Plan::Fetch1Join { input, rowid, .. } = base {
                     fetches.push(base);
-                    values = values.rowid(rowid);
+                    if self.runs(base, &need) {
+                        need = need.rowid(rowid);
+                    }
                     base = input;
                 }
                 if fetches.is_empty() {
-                    let node = self.walk(base, &format!("{path}.Select.input"), &values)?;
+                    let node = self.walk(base, &format!("{path}.Select.input"), &need)?;
                     return self.select_node(node, Some(base), pred, path);
                 }
                 fetches.reverse();
                 let hops = ".Fetch1Join.input".repeat(fetches.len());
-                let node = self.walk(base, &format!("{path}.Select.input{hops}"), &values)?;
-                self.select_over_fetches(node, &fetches, pred, &values, path)
+                let node = self.walk(base, &format!("{path}.Select.input{hops}"), &need)?;
+                self.select_over_fetches(node, &fetches, pred, demand, path)
             }
             Plan::Project { input, exprs } => {
                 // An alias of a bare column passes its own demand on.
-                let mut need = Values::none();
+                let mut need = Demand::none();
                 for (name, e) in exprs {
                     match e {
-                        Expr::Col(_) if !values.wants(name) => {}
-                        Expr::Col(c) => need.add(c),
+                        Expr::Col(c) if demand.wants(name) => need.add(c),
+                        Expr::Col(c) => need.read(c),
                         e => need = need.reading(e),
                     }
                 }
@@ -1206,10 +1266,32 @@ impl<'a> Checker<'a> {
                 self.project_node(input, exprs, path)
             }
             Plan::Aggr { input, keys, aggs } => self.aggr_node(input, keys, aggs, path),
-            Plan::Fetch1Join { input, rowid, .. } => {
-                let need = values.clone().rowid(rowid);
+            Plan::Fetch1Join {
+                input,
+                rowid,
+                table,
+                fetch,
+            } => {
+                let mut list: FetchList = fetch.iter().collect();
+                let dropped = self.unread_not_fetched(table, &mut list, demand)?;
+                if list.is_empty() && !dropped.is_empty() {
+                    // Nothing to gather: the fetch does not run, and its
+                    // `#rowId` is not read.
+                    let node = self.walk(input, &format!("{path}.Fetch1Join.input"), demand)?;
+                    let what = format!(
+                        "not fetched: [{}]; the fetch of `{table}` does not run",
+                        dropped.join(", ")
+                    );
+                    self.rule_note("unread-not-fetched", path, what);
+                    return Ok(node);
+                }
+                let need = demand.clone().rowid(rowid);
                 let input = self.walk(input, &format!("{path}.Fetch1Join.input"), &need)?;
-                self.fetch1_node(input, plan, None, None, values, path)
+                if !dropped.is_empty() {
+                    let what = format!("not fetched: [{}]", dropped.join(", "));
+                    self.rule_note("unread-not-fetched", path, what);
+                }
+                self.fetch1_node(input, plan, &list, None, demand, path)
             }
             Plan::FetchNJoin {
                 input,
@@ -1218,7 +1300,7 @@ impl<'a> Checker<'a> {
                 cnt,
                 fetch,
             } => {
-                let need = values.clone().reading(lo).reading(cnt);
+                let need = demand.clone().reading(lo).reading(cnt);
                 let input = self.walk(input, &format!("{path}.FetchNJoin.input"), &need)?;
                 let t = self.db.table(table)?;
                 let mut bounds = Vec::with_capacity(2);
@@ -1264,7 +1346,7 @@ impl<'a> Checker<'a> {
                 let (cols, _) = self.fetch_specs(
                     &t,
                     fetch,
-                    &Values::All,
+                    &Demand::All,
                     &format!("{path}.FetchNJoin.fetch"),
                     &mut node,
                 )?;
@@ -1290,7 +1372,7 @@ impl<'a> Checker<'a> {
                 table,
                 fetch,
             } => {
-                let input = self.walk(input, &format!("{path}.CartProd.input"), values)?;
+                let input = self.walk(input, &format!("{path}.CartProd.input"), demand)?;
                 let node = self.cart_prod(input, table, fetch, None, path)?;
                 self.note(path, format!("CartProd `{table}` → +{} cols", fetch.len()));
                 Ok(node)
@@ -1301,7 +1383,7 @@ impl<'a> Checker<'a> {
                 pred,
                 fetch,
             } => {
-                let need = values.clone().reading(pred);
+                let need = demand.clone().reading(pred);
                 let input = self.walk(input, &format!("{path}.Join.input"), &need)?;
                 let node = self.cart_prod(input, table, fetch, Some(pred), path)?;
                 self.note(path, format!("Join `{table}` → +{} cols", fetch.len()));
@@ -1317,12 +1399,12 @@ impl<'a> Checker<'a> {
             } => {
                 // Keys and build payload are read as values (the join
                 // keeps no payload dictionary); probe columns pass on.
-                let mut need = build_keys.iter().fold(Values::none(), Values::reading);
+                let mut need = build_keys.iter().fold(Demand::none(), Demand::reading);
                 for (src, _) in payload {
                     need.add(src);
                 }
                 let build = self.walk(build, &format!("{path}.HashJoin.build"), &need)?;
-                let need = probe_keys.iter().fold(values.clone(), Values::reading);
+                let need = probe_keys.iter().fold(demand.clone(), Demand::reading);
                 let probe = self.walk(probe, &format!("{path}.HashJoin.probe"), &need)?;
                 let mut bprogs = Vec::with_capacity(build_keys.len());
                 for (i, e) in build_keys.iter().enumerate() {
@@ -1482,7 +1564,7 @@ impl<'a> Checker<'a> {
                     Plan::TopN { limit, .. } => ("TopN", Some(*limit)),
                     _ => ("Order", None),
                 };
-                let mut need = values.clone();
+                let mut need = demand.clone();
                 for k in keys {
                     need.add(&k.col);
                 }
@@ -1560,22 +1642,48 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// `Scan(table, cols)`, the enum columns that `values` leaves to
-    /// code readers surfaced as raw codes ([`code_dict`]).
+    /// `Scan(table, cols)`, the enum columns that `demand` leaves to
+    /// code readers surfaced as raw codes ([`code_dict`]). Rule
+    /// `unread-not-fetched` leaves out the columns `demand` does not
+    /// read — all but the cheapest one (uncompressed, narrowest) when it
+    /// reads none, since a scan's row count travels with its columns.
     fn scan_node(
         &mut self,
         table: &str,
         cols: &[String],
-        values: &Values,
+        demand: &Demand<'_>,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let t = self.db.table(table)?;
-        let mut node = NodeShape::default();
-        let (mut scan_cols, mut codes) = (Vec::new(), Vec::new());
+        let mut resolved = Vec::with_capacity(cols.len());
         for name in cols {
             let ci = t
                 .column_index(name)
                 .ok_or_else(|| PlanError::UnknownColumn(name.clone()))?;
+            resolved.push((name, ci));
+        }
+        if self.rules {
+            let read = |(name, _): &(&String, usize)| demand.reads(name);
+            let cost = |&(_, ci): &(&String, usize)| {
+                let sc = t.column(ci);
+                (sc.compressed().is_some(), sc.physical_type().width())
+            };
+            let keep = match resolved.iter().any(read) {
+                true => None,
+                false => resolved.iter().min_by_key(|c| cost(c)).copied(),
+            };
+            let (kept, dropped): (Vec<_>, Vec<_>) =
+                (resolved.into_iter()).partition(|c| read(c) || Some(*c) == keep);
+            if !dropped.is_empty() {
+                let names: Vec<&str> = dropped.iter().map(|(n, _)| n.as_str()).collect();
+                let what = format!("not scanned: [{}]", names.join(", "));
+                self.rule_note("unread-not-fetched", path, what);
+            }
+            resolved = kept;
+        }
+        let mut node = NodeShape::default();
+        let (mut scan_cols, mut codes) = (Vec::new(), Vec::new());
+        for (name, ci) in resolved.iter().copied() {
             let sc = t.column(ci);
             // Checkpoint-compressed columns decode on refill:
             // the decompress primitive the scan will call must
@@ -1583,7 +1691,7 @@ impl<'a> Checker<'a> {
             if let Some(cc) = sc.compressed() {
                 self.require_instr(cc.decode_sig(), || format!("{path}.Scan.col[{name}]"))?;
             }
-            let code = code_dict(&t, ci, values.wants(name));
+            let code = code_dict(&t, ci, demand.wants(name));
             let as_codes = code.is_some();
             let (kind, ty) = match (sc.dict(), as_codes) {
                 (None, _) => (ScanCol::Plain, sc.field().logical),
@@ -1608,6 +1716,12 @@ impl<'a> Checker<'a> {
             node.fields.push(OutField::new(name.clone(), ty));
             node.cols.push(facts::source_col_fact(&t, ci, as_codes));
         }
+        let what = format!(
+            "Scan `{table}` → {} cols{}",
+            scan_cols.len(),
+            codes_note(&codes)
+        );
+        self.note(path, what);
         let spec = ScanSpec {
             range: None,
             cols: scan_cols,
@@ -1616,8 +1730,6 @@ impl<'a> Checker<'a> {
             table: t.clone(),
             keep_deleted: false,
         };
-        let what = format!("Scan `{table}` → {} cols{}", cols.len(), codes_note(&codes));
-        self.note(path, what);
         Ok(node.finish(
             path,
             u64::try_from(t.total_rows()).ok(),
@@ -1627,8 +1739,8 @@ impl<'a> Checker<'a> {
     }
 
     /// `Select(pred)` over `fetches` (a non-empty chain of `Fetch1Join`
-    /// plan nodes, innermost first) over the checked `base`, planned by
-    /// rule `select-before-fetch`:
+    /// plan nodes, innermost first) over the checked `base`, whose
+    /// consumer reads `demand`, planned by rule `select-before-fetch`:
     ///
     /// * a fetched column that neither the predicate nor the `#rowId`
     ///   of a fetch the predicate depends on reads is fetched *above*
@@ -1638,15 +1750,17 @@ impl<'a> Checker<'a> {
     ///   ([`Self::dimension_side`]) and the fetch gathers its one-byte
     ///   result for a `select_ne_u8_col_val`.
     ///
-    /// A closing `Project` restores the columns the plan wrote, in its
-    /// order. With the rule off or nothing to move, every node is as
-    /// written.
-    fn select_over_fetches(
+    /// Rule `unread-not-fetched` then leaves out, piece by piece from the
+    /// top, every column no piece above and no consumer reads; a fetch
+    /// left with nothing to gather is no piece. A closing `Project`
+    /// restores the plan's order of the columns that are left. With the
+    /// rules off, every node is as written.
+    fn select_over_fetches<'p>(
         &mut self,
         base: CheckedNode,
-        fetches: &[&Plan],
-        pred: &Expr,
-        values: &Values,
+        fetches: &[&'p Plan],
+        pred: &'p Expr,
+        demand: &Demand<'p>,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let as_given: Vec<FetchList> = fetches.iter().map(|f| fetch_list(f)).collect();
@@ -1670,18 +1784,55 @@ impl<'a> Checker<'a> {
                 }
             }
         }
+        let moved = early != as_given;
+        let holds_derived = |j: usize| derived.as_ref().is_some_and(|(dj, ..)| *dj == j);
+        // Each piece's demand, top-down: the consumer's, then what the
+        // pieces above add — a fetch that gathers anything its `#rowId`,
+        // the selection its predicate (or only the byte).
+        let rowid = |j: usize| match fetches[j] {
+            Plan::Fetch1Join { rowid, .. } => rowid,
+            _ => unreachable!("the chain holds Fetch1Join nodes"),
+        };
+        let (mut late_need, mut early_need) = (Vec::new(), Vec::new());
+        let mut need = demand.clone();
+        for j in (0..fetches.len()).rev() {
+            self.unread_not_fetched(fetch_table(fetches[j]), &mut late[j], &need)?;
+            late_need.push(need.clone());
+            if !late[j].is_empty() {
+                need = need.rowid(rowid(j));
+            }
+        }
+        if derived.is_none() {
+            need = need.reading(pred);
+        }
+        for j in (0..fetches.len()).rev() {
+            let list = &mut early[j];
+            self.unread_not_fetched(fetch_table(fetches[j]), list, &need)?;
+            early_need.push(need.clone());
+            if !list.is_empty() || holds_derived(j) {
+                need = need.rowid(rowid(j));
+            }
+        }
+        late_need.reverse();
+        early_need.reverse();
         // The pieces, bottom-up: the fetches the selection needs, the
         // selection, the late fetches (in the plan's order, so one whose
         // `#rowId` another brings in follows it), the restoring
         // projection.
-        let holds_derived = |j: usize| derived.as_ref().is_some_and(|(dj, ..)| *dj == j);
         let below = (0..fetches.len()).filter(|&j| !early[j].is_empty() || holds_derived(j));
         let above = (0..fetches.len()).filter(|&j| !late[j].is_empty());
-        // The projection is there iff the pieces' columns are not the
-        // plan's: a late fetch moved past a later one, or the byte.
+        // The plan's fetched columns that are left, in its order.
+        let left: BTreeSet<&str> = fetched_aliases(&early)
+            .chain(fetched_aliases(&late))
+            .collect();
+        let written = || fetched_aliases(&as_given).filter(|a| left.contains(a));
+        let dropped: Vec<&str> = fetched_aliases(&as_given)
+            .filter(|a| !left.contains(a))
+            .collect();
+        // The projection is there iff the pieces' columns are not in the
+        // plan's order: a late fetch moved past a later one, or the byte.
         let restore = derived.is_some()
-            || (fetched_aliases(&early).chain(fetched_aliases(&late)))
-                .ne(fetched_aliases(&as_given));
+            || (fetched_aliases(&early).chain(fetched_aliases(&late))).ne(written());
         let mut kinds = vec!["Fetch1Join"; below.clone().count()];
         kinds.push("Select");
         kinds.resize(kinds.len() + above.clone().count(), "Fetch1Join");
@@ -1693,25 +1844,31 @@ impl<'a> Checker<'a> {
         }
         let mut paths = paths.iter().rev();
         let mut next_path = || paths.next().expect("one path per piece");
-        if early != as_given {
-            let mut what = Vec::new();
-            if let Some((_, d, _)) = &derived {
-                let t = &d.scan.table;
-                what.push(format!(
-                    "predicate runs once over `{}` ({} rows) and the fetch gathers its result",
-                    t.name(),
-                    t.total_rows()
-                ));
-            }
-            let late: Vec<&str> = fetched_aliases(&late).collect();
+        let mut what = Vec::new();
+        if let Some((_, d, _)) = &derived {
+            let t = &d.scan.table;
+            what.push(format!(
+                "predicate runs once over `{}` ({} rows) and the fetch gathers its result",
+                t.name(),
+                t.total_rows()
+            ));
+        }
+        let after: Vec<&str> = fetched_aliases(&late).collect();
+        if moved && !after.is_empty() {
             what.push(format!(
                 "fetched after the selection: [{}]",
-                late.join(", ")
+                after.join(", ")
             ));
+        }
+        if !what.is_empty() {
             self.rule_note("select-before-fetch", path, what.join("; "));
         }
+        if !dropped.is_empty() {
+            let what = format!("not fetched: [{}]", dropped.join(", "));
+            self.rule_note("unread-not-fetched", path, what);
+        }
         let written: Vec<(String, Expr)> = (base.fields.iter().map(|f| f.name.as_str()))
-            .chain(fetched_aliases(&as_given))
+            .chain(written())
             .filter(|_| restore)
             .map(|n| (n.to_owned(), Expr::Col(n.to_owned())))
             .collect();
@@ -1719,7 +1876,7 @@ impl<'a> Checker<'a> {
         for j in below {
             let d = derived.as_ref().filter(|_| holds_derived(j));
             let d = d.map(|(_, d, name)| (name.as_str(), d.clone()));
-            node = self.fetch1_node(node, fetches[j], Some(&early[j]), d, values, next_path())?;
+            node = self.fetch1_node(node, fetches[j], &early[j], d, &early_need[j], next_path())?;
         }
         let keep = derived.as_ref().map(|(_, _, name)| {
             let (name, zero) = (Expr::Col(name.clone()), Expr::Lit(Value::U8(0)));
@@ -1727,12 +1884,44 @@ impl<'a> Checker<'a> {
         });
         node = self.select_node(node, None, keep.as_ref().unwrap_or(pred), next_path())?;
         for j in above {
-            node = self.fetch1_node(node, fetches[j], Some(&late[j]), None, values, next_path())?;
+            node =
+                self.fetch1_node(node, fetches[j], &late[j], None, &late_need[j], next_path())?;
         }
         if restore {
             node = self.project_node(node, &written, next_path())?;
         }
         Ok(node)
+    }
+
+    /// Whether the `Fetch1Join` plan node `fetch` runs under `demand`:
+    /// with rule `unread-not-fetched` on, only when it gathers a column
+    /// `demand` reads (a fetch that writes none runs as written).
+    fn runs(&self, fetch: &Plan, demand: &Demand<'_>) -> bool {
+        let list = fetch_list(fetch);
+        !self.rules || list.is_empty() || list.iter().any(|(_, alias)| demand.reads(alias))
+    }
+
+    /// Rule `unread-not-fetched` on the fetch list `list` of table
+    /// `table`: every column is resolved (so a plan names the same
+    /// columns with the rule as without), then the ones `demand` does not
+    /// read are removed and returned. Nothing changes with the rules off.
+    fn unread_not_fetched<'p>(
+        &self,
+        table: &str,
+        list: &mut FetchList<'p>,
+        demand: &Demand<'_>,
+    ) -> Result<Vec<&'p str>, PlanError> {
+        if !self.rules {
+            return Ok(Vec::new());
+        }
+        let t = self.db.table(table)?;
+        for (src, _) in list.iter() {
+            fetch_column(&t, src)?;
+        }
+        let (kept, dropped): (FetchList, FetchList) =
+            (list.iter()).partition(|(_, alias)| demand.reads(alias));
+        *list = kept;
+        Ok(dropped.iter().map(|(_, alias)| alias.as_str()).collect())
     }
 
     /// The dimension side of rule `select-before-fetch`: `pred` reads
@@ -1744,12 +1933,12 @@ impl<'a> Checker<'a> {
     /// (the query has already produced that many rows, so one pass over
     /// the table is noise even when an earlier filter was selective).
     /// `None` keeps the predicate on the stream.
-    fn dimension_side(
+    fn dimension_side<'p>(
         &mut self,
         fetch: &Plan,
-        reads: &FetchList,
+        reads: &FetchList<'p>,
         base: &CheckedNode,
-        pred: &Expr,
+        pred: &'p Expr,
         path: &str,
     ) -> Result<Option<Arc<DerivedCol>>, PlanError> {
         let Plan::Fetch1Join { table, .. } = fetch else {
@@ -1765,15 +1954,18 @@ impl<'a> Checker<'a> {
         if srcs.iter().collect::<BTreeSet<_>>().len() != srcs.len() {
             return Ok(None); // one column under two aliases
         }
-        // The predicate names the columns by their fetch aliases.
-        let mut values = Values::none().reading(pred);
+        // The predicate names the columns by their fetch aliases, and
+        // reads every one of them.
+        let by_alias = Demand::none().reading(pred);
+        let mut demand = Demand::none();
         for (src, alias) in reads {
-            if values.wants(alias) {
-                values.add(src);
+            match by_alias.wants(alias) {
+                true => demand.add(src),
+                false => demand.read(src),
             }
         }
         let dpath = format!("{path}.Select.dimension");
-        let mut scan = self.scan_node(table, &srcs, &values, &dpath)?;
+        let mut scan = self.scan_node(table, &srcs, &demand, &dpath)?;
         for (f, (_, alias)) in scan.fields.iter_mut().zip(reads) {
             f.name.clone_from(alias);
         }
@@ -2028,29 +2220,23 @@ impl<'a> Checker<'a> {
     }
 
     /// The `Fetch1Join` plan node `plan` over the checked `input`,
-    /// fetching `list` in place of the columns the plan names (rule
-    /// `select-before-fetch` splits them between two nodes) — as codes
-    /// where `values` leaves them to code readers — and, with `derived`,
+    /// fetching `fetch` in place of the columns the plan names (rule
+    /// `select-before-fetch` splits them between two nodes, rule
+    /// `unread-not-fetched` leaves out the unread ones) — as codes where
+    /// `demand` leaves them to code readers — and, with `derived`,
     /// gathering that byte column under the given name.
     fn fetch1_node(
         &mut self,
         input: CheckedNode,
         plan: &Plan,
-        list: Option<&FetchList>,
+        fetch: &FetchList,
         derived: Option<(&str, Arc<DerivedCol>)>,
-        values: &Values,
+        demand: &Demand<'_>,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
-        let Plan::Fetch1Join {
-            table,
-            rowid,
-            fetch,
-            ..
-        } = plan
-        else {
+        let Plan::Fetch1Join { table, rowid, .. } = plan else {
             unreachable!("fetch1_node takes a Fetch1Join plan node")
         };
-        let fetch = list.cloned().unwrap_or_else(|| fetch.iter().collect());
         let t = self.db.table(table)?;
         let rpath = format!("{path}.Fetch1Join.rowid");
         // A join index is u32; an enum code column widens to it
@@ -2093,7 +2279,7 @@ impl<'a> Checker<'a> {
         let (mut cols, codes) = self.fetch_specs(
             &t,
             fetch.iter().copied(),
-            values,
+            demand,
             &format!("{path}.Fetch1Join.fetch"),
             &mut node,
         )?;
@@ -2203,7 +2389,7 @@ impl<'a> Checker<'a> {
     /// `Aggr(input, keys, aggs)`: the input is walked with a fresh
     /// demand — computed keys and aggregate arguments read values except
     /// in an enum-literal comparison, bare keys take codes (decoded at
-    /// emission). As written the hash
+    /// emission), and no other column is read. As written the hash
     /// aggregation ([`Self::keyed_aggr`]); rule `dense-keys-direct-aggr`
     /// picks the direct table ([`Self::dense_keys`]).
     fn aggr_node(
@@ -2214,9 +2400,14 @@ impl<'a> Checker<'a> {
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let computed = keys.iter().filter(|(_, e)| !matches!(e, Expr::Col(_)));
-        let need = (computed.map(|(_, e)| e))
+        let mut need = (computed.map(|(_, e)| e))
             .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-            .fold(Values::none(), Values::reading);
+            .fold(Demand::none(), Demand::reading);
+        for (_, e) in keys {
+            if let Expr::Col(c) = e {
+                need.read(c);
+            }
+        }
         let node = self.walk(input, &format!("{path}.Aggr.input"), &need)?;
         if !self.rules {
             return self.keyed_aggr(node, keys, aggs, path);
@@ -2549,7 +2740,7 @@ impl<'a> Checker<'a> {
 /// may interleave `0.0` and `-0.0`, which the hash join matches by
 /// bits), proven sorted on both sides by the facts — and what the walk
 /// log says about it either way. Join keys read values, never codes
-/// (`Values`), so both sides compare in one domain.
+/// (`Demand`), so both sides compare in one domain.
 fn sorted_inputs(
     build: &CheckedNode,
     probe: &CheckedNode,
@@ -2590,6 +2781,14 @@ fn fetched_aliases<'a, 'p>(lists: &'a [FetchList<'p>]) -> impl Iterator<Item = &
 fn fetch_list(f: &Plan) -> FetchList<'_> {
     match f {
         Plan::Fetch1Join { fetch, .. } => fetch.iter().collect(),
+        _ => unreachable!("the chain holds Fetch1Join nodes"),
+    }
+}
+
+/// The table a `Fetch1Join` plan node fetches from.
+fn fetch_table(f: &Plan) -> &str {
+    match f {
+        Plan::Fetch1Join { table, .. } => table,
         _ => unreachable!("the chain holds Fetch1Join nodes"),
     }
 }
@@ -2690,6 +2889,84 @@ impl NodeShape {
             op,
         }
     }
+}
+
+/// The input columns a program reads.
+fn program_columns(p: &ExprCode) -> impl Iterator<Item = usize> + '_ {
+    let operands = p.instr_list().iter().flat_map(|(i, _)| col_operands(i).1);
+    (operands.chain([p.result_src()])).filter_map(|s| match s {
+        Src::Col(c) => Some(usize::from(c)),
+        Src::Reg(_) => None,
+    })
+}
+
+/// Mark in `d` the input columns `progs` read (a nested-loop join's
+/// predicate also reads the columns it adds, past the end of `d`).
+fn mark_read<'a>(d: &mut [bool], progs: impl IntoIterator<Item = &'a Arc<ExprCode>>) {
+    for c in progs.into_iter().flat_map(|p| program_columns(p)) {
+        if let Some(r) = d.get_mut(c) {
+            *r = true;
+        }
+    }
+}
+
+/// [`PlanFacts::unread_gathers`] below `node`, whose consumers read its
+/// columns `read`.
+fn unread_below(node: &CheckedNode, read: Vec<bool>, out: &mut Vec<String>) {
+    let mut unread = |i: usize| out.push(format!("{}: {}", node.path, node.fields[i].name));
+    match &node.op {
+        CheckedOp::Scan(spec) => {
+            let pushed = spec.push.as_ref().map(|p| p.k);
+            let idle = read.len() == 1 && !read[0] && pushed.is_none();
+            let skipped = (0..read.len()).filter(|&i| !read[i] && pushed != Some(i));
+            skipped.filter(|_| !idle).for_each(&mut unread);
+            return;
+        }
+        CheckedOp::Array { .. } => return,
+        CheckedOp::HashJoin(parts) | CheckedOp::MergeJoin(parts) => {
+            let [build, probe] = &node.inputs[..] else {
+                unreachable!("a join has a build and a probe input")
+            };
+            let mut b = vec![false; build.fields.len()];
+            mark_read(&mut b, &parts.build_keys);
+            for &c in &parts.payload_cols {
+                b[c] = true;
+            }
+            unread_below(build, b, out);
+            let mut d = read[..probe.fields.len()].to_vec();
+            mark_read(&mut d, &parts.probe_keys);
+            unread_below(probe, d, out);
+            return;
+        }
+        CheckedOp::Fetch1Join { cols, .. } => {
+            let m = node.inputs[0].fields.len();
+            let stored = cols.iter().enumerate();
+            let stored = stored.filter(|(_, c)| matches!(c.src, FetchSource::Column(_)));
+            stored
+                .map(|(k, _)| m + k)
+                .filter(|&i| !read[i])
+                .for_each(&mut unread);
+        }
+        _ => {}
+    }
+    let input = &node.inputs[0];
+    let m = input.fields.len();
+    // Operators that pass their input's columns on, and those that
+    // emit columns of their own.
+    let mut d = match &node.op {
+        CheckedOp::Project { .. }
+        | CheckedOp::HashAggr { .. }
+        | CheckedOp::DirectAggr { .. }
+        | CheckedOp::OrdAggr { .. } => vec![false; m],
+        _ => read[..m].to_vec(),
+    };
+    mark_read(&mut d, node.op.programs());
+    match &node.op {
+        CheckedOp::Sort { keys, .. } => keys.iter().for_each(|&(k, _)| d[k] = true),
+        CheckedOp::DirectAggr { keys, .. } => keys.iter().for_each(|k| d[k.col] = true),
+        _ => {}
+    }
+    unread_below(input, d, out);
 }
 
 /// The batch-column operands of one instruction, with the context label

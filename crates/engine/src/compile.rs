@@ -1136,12 +1136,12 @@ fn exec_instr(
             match sel {
                 None => {
                     for i in 0..n {
-                        o[i] = (lv.get(i) == v.as_str()) != *negate;
+                        o[i] = (lv.get_bytes(i) == v.as_bytes()) != *negate;
                     }
                 }
                 Some(s) => {
                     for i in s.iter() {
-                        o[i] = (lv.get(i) == v.as_str()) != *negate;
+                        o[i] = (lv.get_bytes(i) == v.as_bytes()) != *negate;
                     }
                 }
             }

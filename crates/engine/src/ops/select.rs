@@ -205,31 +205,7 @@ impl PredChain {
                 PredStep::StrEq { lhs, v, negate } => {
                     let lv = lhs.eval(batch, sel_in, prof);
                     let t0 = prof.start();
-                    let cnt = if *negate {
-                        // select where != v: run eq then complement
-                        // against the current selection.
-                        let strv = lv.as_str();
-                        let buf = next_sel.buf_mut();
-                        match sel_in {
-                            None => {
-                                for i in 0..n {
-                                    if strv.get(i) != v.as_str() {
-                                        buf.push(i as u32);
-                                    }
-                                }
-                            }
-                            Some(s) => {
-                                for i in s.iter() {
-                                    if strv.get(i) != v.as_str() {
-                                        buf.push(i as u32);
-                                    }
-                                }
-                            }
-                        }
-                        buf.len()
-                    } else {
-                        select_str_eq(&mut next_sel, lv.as_str(), v, sel_in)
-                    };
+                    let cnt = select_str_eq(&mut next_sel, lv.as_str(), v, *negate, sel_in);
                     prof.record_prim("select_eq_str_col_val", t0, live_in, live_in * 16 + cnt * 4);
                     cnt
                 }

@@ -42,7 +42,7 @@ use crate::ops::{
 };
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use x100_storage::{EnumDict, Morsel, Table};
 use x100_vector::{CmpOp, ScalarType, Value};
@@ -548,7 +548,7 @@ fn enum_literal_cmp(e: &Expr) -> Option<(CmpOp, &String, &String)> {
 /// Add to `out` the columns `e` reads as values: every column it names,
 /// except the column of an enum-literal comparison wherever
 /// [`rewrite_enum_literals`] reaches one.
-pub(crate) fn value_reads(e: &Expr, out: &mut BTreeSet<String>) {
+pub(crate) fn value_reads<'e>(e: &'e Expr, out: &mut Vec<&'e str>) {
     if enum_literal_cmp(e).is_some() {
         return;
     }
@@ -558,7 +558,7 @@ pub(crate) fn value_reads(e: &Expr, out: &mut BTreeSet<String>) {
             value_reads(r, out);
         }
         Expr::Not(x) | Expr::Cast(_, x) => value_reads(x, out),
-        other => out.extend(other.columns().into_iter().map(str::to_owned)),
+        other => out.extend(other.columns()),
     }
 }
 

@@ -707,7 +707,7 @@ fn compressed_scan_reports_counters_and_matches_plain() {
     };
     let plan = Plan::scan("m", &["id", "qty"])
         .select(lt(col("qty"), lit_f64(25.0)))
-        .project(vec![("v", mul(col("qty"), lit_f64(2.0)))]);
+        .project(vec![("v", mul(col("qty"), lit_f64(2.0))), ("i", col("id"))]);
     let mut plain = Database::new();
     plain.register(build());
     let (base, _) = execute(&plain, &plan, &opts()).expect("plain");

@@ -5,8 +5,8 @@
 //! TPC-H plans alike, from the tree the check walk's rewrite rules plan
 //! (`x100_engine::RULES`: `select-before-fetch`,
 //! `sorted-keys-ordered-aggr`, `dense-keys-direct-aggr`,
-//! `sorted-inputs-merge-join`, `summary-range-select`) and from the tree
-//! as the plan wrote it.
+//! `sorted-inputs-merge-join`, `summary-range-select`,
+//! `unread-not-fetched`) and from the tree as the plan wrote it.
 
 use proptest::prelude::*;
 use tpch::db::{each_table, pending_deletes, pending_inserts};
@@ -522,14 +522,17 @@ fn rules_fire_on_their_conditions_only() {
         "{fired:?}"
     );
     // A late fetch whose #rowId an earlier late fetch brings in: both
-    // hops run after the selection, in the plan's order, whatever the
-    // nodes above read.
+    // hops run after the selection, in the plan's order. Rule
+    // `unread-not-fetched` leaves out what the nodes above do not read,
+    // but never the first hop's `d_rid`, which the second hop reads.
     let filtered = || two_hops().select(gt(col("a"), lit_i64(3)));
-    for (what, plan) in [
-        ("result", filtered()),
+    for (what, plan, after, unread) in [
+        ("result", filtered(), "[d_val, d_rid, d_val2]", None),
         (
             "Project",
             filtered().project(vec![("a", col("a")), ("v", col("d_val2"))]),
+            "[d_rid, d_val2]",
+            Some("not fetched: [d_val]"),
         ),
         (
             "Aggr",
@@ -537,14 +540,28 @@ fn rules_fire_on_their_conditions_only() {
                 vec![("a", col("a"))],
                 vec![AggExpr::sum("s", col("d_val2"))],
             ),
+            "[d_rid, d_val2]",
+            Some("not fetched: [d_val]"),
         ),
     ] {
         let fired = rule_lines(&db, &plan, &opts, rule);
         assert!(
             fired.len() == 1
-                && fired[0].ends_with("fetched after the selection: [d_val, d_rid, d_val2]"),
+                && fired[0].ends_with(&format!("fetched after the selection: {after}")),
             "{what} above: {fired:?}"
         );
+        let fetched = rule_lines(&db, &plan, &opts, "unread-not-fetched");
+        let fetched: Vec<&String> = fetched
+            .iter()
+            .filter(|l| l.contains("not fetched"))
+            .collect();
+        match unread {
+            None => assert!(fetched.is_empty(), "{what} above: {fetched:?}"),
+            Some(u) => assert!(
+                fetched.len() == 1 && fetched[0].ends_with(u),
+                "{what} above: {fetched:?}"
+            ),
+        }
         assert_rewritten_matches_as_given(&db, &plan, &opts, what);
     }
     for (why, db, plan) in [
@@ -840,6 +857,179 @@ fn rules_fire_on_their_conditions_only() {
     assert!(!as_given.render().contains(": rule "));
     let as_given = check_plan_as_given(&db, &by_a_tag(), &opts).expect("checks");
     assert!(!as_given.render().contains(": rule "));
+}
+
+/// The `not fetched` / `not scanned` lists rule `unread-not-fetched`
+/// logs for `plan`, one string per line.
+fn unread_lists(db: &Database, plan: &Plan) -> Vec<String> {
+    let lines = rule_lines(db, plan, &ExecOptions::default(), "unread-not-fetched");
+    let lists = lines
+        .iter()
+        .map(|l| l.split(": rule unread-not-fetched: ").nth(1));
+    lists.map(|l| l.expect("rule line").to_owned()).collect()
+}
+
+/// Rule `unread-not-fetched` on every kind of reader: a column read only
+/// as a sort key, as hash-join build payload or as a `FetchNJoin` range
+/// is gathered, one no node reads is not — a fetch left with nothing
+/// does not run, a scan read for its row count alone keeps one column —
+/// and the answers are the plan's as written, bit for bit, over raw,
+/// checkpointed and pending-delta tables, at two vector sizes and two
+/// thread counts.
+#[test]
+fn unread_columns_are_not_gathered_and_every_reader_keeps_its_own() {
+    use expr::*;
+    let rows: Vec<(i64, f64, u8)> = (0..150)
+        .map(|i| (i % 13, i as f64 * 0.5, i as u8))
+        .collect();
+    let scan = || Plan::scan("t", &["a", "x", "k", "rid"]);
+    let fetch = |cols: &[(&str, &str)]| scan().fetch1("dim", col("rid"), cols);
+    let cases = [
+        (
+            "a fetch none of whose columns is read",
+            fetch(&[("d_val", "d_val"), ("d_tag", "d_tag")])
+                .aggr(vec![("k", col("k"))], vec![AggExpr::sum("sx", col("x"))])
+                .order(vec![OrdExp::asc("k")]),
+            &[
+                "not scanned: [a, rid]",
+                "not fetched: [d_val, d_tag]; the fetch of `dim` does not run",
+            ][..],
+        ),
+        (
+            "a count that reads no column",
+            Plan::scan("t", &["a", "x", "tag"]).aggr(vec![], vec![AggExpr::count("n")]),
+            &["not scanned: [a, x]"][..],
+        ),
+        (
+            "a column read only as a TopN sort key",
+            fetch(&[("d_val", "d_val"), ("d_rid", "d_rid")])
+                .topn(vec![OrdExp::desc("d_val"), OrdExp::asc("x")], 7)
+                .project(vec![("a", col("a")), ("x", col("x"))]),
+            &["not scanned: [k]", "not fetched: [d_rid]"][..],
+        ),
+        (
+            "a column read only as hash-join build payload",
+            Plan::HashJoin {
+                build: Box::new(fetch(&[("d_val", "d_val"), ("d_tag", "d_tag")])),
+                probe: Box::new(Plan::scan("s", &["s_k", "s_v"])),
+                build_keys: vec![col("k")],
+                probe_keys: vec![col("s_k")],
+                payload: vec![("d_val".into(), "pv".into())],
+                join_type: JoinType::Inner,
+            }
+            .aggr(
+                vec![],
+                vec![AggExpr::sum("t", col("pv")), AggExpr::count("n")],
+            ),
+            &[
+                "not scanned: [a, x]",
+                "not fetched: [d_tag]",
+                "not scanned: [s_v]",
+            ][..],
+        ),
+        (
+            "a column read only by a FetchNJoin range",
+            Plan::FetchNJoin {
+                input: Box::new(fetch(&[("d_rid", "d_rid"), ("d_val", "d_val")])),
+                table: "s".into(),
+                lo: col("rid"),
+                cnt: col("d_rid"),
+                fetch: vec![("s_v".into(), "s_v".into())],
+            }
+            .aggr(
+                vec![],
+                vec![AggExpr::sum("t", col("s_v")), AggExpr::count("n")],
+            ),
+            &["not scanned: [a, x, k]", "not fetched: [d_val]"][..],
+        ),
+    ];
+    let forms = [
+        ("raw", make_db(&rows)),
+        ("checkpointed", make_db_inner(&rows, true)),
+        ("dim deltas", make_db_with(&rows, false, true)),
+        ("fact inserts", make_db_with_fact_inserts(&rows)),
+    ];
+    for (what, plan, want) in &cases {
+        let mut lists = unread_lists(&forms[0].1, plan);
+        lists.sort();
+        let mut want: Vec<String> = want.iter().map(|w| w.to_string()).collect();
+        want.sort();
+        assert_eq!(lists, want, "{what}");
+        for (form, db) in &forms {
+            for (vs, threads) in [(7, 1), (7, 2), (1024, 1), (1024, 2)] {
+                let o = ExecOptions::with_vector_size(vs)
+                    .parallel(threads)
+                    .with_morsel_size(64);
+                let at = format!("{what}: {form}, vector size {vs}, threads {threads}");
+                assert_rewritten_matches_as_given(db, plan, &o, &at);
+            }
+        }
+    }
+}
+
+/// The two-hop chain `lineitem → orders → customer` under a filter on a
+/// fact column: rule `select-before-fetch` moves both hops above the
+/// selection, and no node above reads the first hop's `o_cust_idx` —
+/// only the second hop's `#rowId` does. It is gathered; what no one
+/// reads (`o_totalprice`, `l_quantity`) is not; and the answers are the
+/// plan's as written over raw, pending-insert and checkpointed tables,
+/// at vector sizes 7 and 1024 and at one and two threads.
+#[test]
+fn a_middle_rowid_read_only_by_the_next_hop_is_gathered() {
+    use expr::*;
+    let plan = Plan::scan(
+        "lineitem",
+        &["l_quantity", "l_extendedprice", "li_order_idx"],
+    )
+    .fetch1(
+        "orders",
+        col("li_order_idx"),
+        &[
+            ("o_cust_idx", "o_cust_idx"),
+            ("o_totalprice", "o_totalprice"),
+        ],
+    )
+    .fetch1(
+        "customer",
+        col("o_cust_idx"),
+        &[("c_acctbal", "c_acctbal"), ("c_nation_idx", "c_nation_idx")],
+    )
+    .select(lt(col("l_extendedprice"), lit_f64(20000.0)))
+    .aggr(
+        vec![("c_nation_idx", col("c_nation_idx"))],
+        vec![AggExpr::sum("bal", col("c_acctbal")), AggExpr::count("n")],
+    )
+    .order(vec![OrdExp::asc("c_nation_idx")]);
+    let data = generate(&GenConfig { sf: 0.002, seed: 7 });
+    let raw = tpch::build_x100_db(&data);
+    let moved = rule_lines(&raw, &plan, &ExecOptions::default(), "select-before-fetch");
+    assert!(
+        moved.len() == 1
+            && moved[0]
+                .ends_with("fetched after the selection: [o_cust_idx, c_acctbal, c_nation_idx]"),
+        "{moved:?}"
+    );
+    let mut lists = unread_lists(&raw, &plan);
+    lists.sort();
+    assert_eq!(
+        lists,
+        ["not fetched: [o_totalprice]", "not scanned: [l_quantity]"]
+    );
+    let (inserts, compressed) = (pending_inserts(&raw), checkpointed(&raw));
+    for (form, db) in [
+        ("raw", &raw),
+        ("pending inserts", &inserts),
+        ("checkpointed", &compressed),
+    ] {
+        assert_eq!(unread_lists(db, &plan), unread_lists(&raw, &plan), "{form}");
+        for (vs, threads) in [(7, 1), (7, 2), (1024, 1), (1024, 2)] {
+            let o = ExecOptions::with_vector_size(vs)
+                .parallel(threads)
+                .with_morsel_size(4096);
+            let at = format!("{form}, vector size {vs}, threads {threads}");
+            assert_rewritten_matches_as_given(db, &plan, &o, &at);
+        }
+    }
 }
 
 /// The benchmark's `hashagg` shape — `lineitem` grouped by ship date
@@ -1274,6 +1464,12 @@ fn tpch_rewritten_matches_as_given_on_every_thread_count_and_storage_form() {
         fired(21, "select-before-fetch") > 0,
         "Q21 fetches s_name for the survivors"
     );
+    for q in [2, 9, 21] {
+        assert!(
+            fired(q, "unread-not-fetched") > 0,
+            "Q{q} gathers columns no node reads"
+        );
+    }
     let rule = "sorted-inputs-merge-join";
     assert_eq!(fired(4, rule), 1, "Q4's semi-join of two order-key streams");
     assert_eq!(fired(18, rule), 1, "Q18's big orders against orders");

@@ -3,14 +3,15 @@
 //! EVERY `Fetch1Join`/`FetchNJoin` in every query — zero false
 //! rejections — and the checked tree must account for
 //! everything execution does: every
-//! primitive a run traces was validated by the walk, and every program
-//! the walk compiled is the one an operator runs.
+//! primitive a run traces was validated by the walk, every program
+//! the walk compiled is the one an operator runs, and every column a
+//! scan or fetch gathers is read by an operator above it.
 
 use std::sync::Arc;
 use tpch::gen::{generate, GenConfig};
 use tpch::queries::{all_specs, QuerySpec};
-use x100_engine::check_plan;
 use x100_engine::session::{execute, Database, ExecOptions};
+use x100_engine::{check_plan, check_plan_as_given};
 use x100_engine::{Plan, QueryContext};
 
 fn corpus_plans(
@@ -146,4 +147,45 @@ fn verified_covers_executed_for_entire_corpus() {
         }
     }
     assert!(in_range > 0, "no in-range gathers across the corpus");
+}
+
+/// Nothing gathered unread: in the checked tree of every plan (both
+/// phases of the two-phase queries), over raw tables, over one pending
+/// insert per table and at two threads, every column a `Scan` or
+/// `Fetch1Join` emits is read by some operator above it or returned by
+/// the root — as the operators' own programs say, not the plan. The
+/// plans as written gather unread columns (Q2's `s_name` for an
+/// aggregation that reads none), so the check has something to find.
+#[test]
+fn nothing_is_gathered_unread_across_the_corpus() {
+    let data = generate(&GenConfig { sf: 0.002, seed: 3 });
+    let raw = tpch::build_x100_db(&data);
+    let inserts = tpch::db::pending_inserts(&raw);
+    let sequential = ExecOptions::default();
+    let two_threads = sequential.clone().parallel(2).with_morsel_size(1024);
+    let mut plans = 0;
+    for (label, db, opts) in [
+        ("raw", &raw, &sequential),
+        ("pending inserts", &inserts, &sequential),
+        ("threads=2", &raw, &two_threads),
+    ] {
+        for (q, phase, plan) in corpus_plans(db, opts) {
+            let facts = check_plan(db, &plan, opts).expect("check").facts;
+            let unread = facts.unread_gathers();
+            assert!(unread.is_empty(), "{label} q{q}{phase}: {unread:?}");
+            plans += 1;
+        }
+    }
+    assert!(plans >= 3 * 23, "{plans} plans");
+    let mut as_given = Vec::new();
+    for (q, _, plan) in corpus_plans(&raw, &sequential) {
+        let walk = check_plan_as_given(&raw, &plan, &sequential).expect("check");
+        as_given.extend(walk.facts.unread_gathers().into_iter().map(|c| (q, c)));
+    }
+    assert!(
+        as_given
+            .iter()
+            .any(|(q, c)| *q == 2 && c.ends_with(": s_name")),
+        "as given, Q2 gathers s_name unread: {as_given:?}"
+    );
 }

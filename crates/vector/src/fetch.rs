@@ -105,9 +105,12 @@ pub fn fetch<T: Copy, P: Position>(
 }
 
 /// String gather: rebuilds a `StrVec` positionally, one string per
-/// position of `idx` (unselected positions become empty strings,
-/// preserving the positional contract). Returns `false` and writes
-/// nothing when a selected position is out of `base`.
+/// position of `idx`. Only the selected positions are read: each copies
+/// its string's bytes (valid UTF-8 already, so not checked again), and
+/// each run of unselected positions before it becomes empty strings in
+/// one offsets `resize` — the positional contract holds. Returns
+/// `false` and writes nothing when a selected position is out of
+/// `base` ([`in_range`], once per vector).
 #[must_use]
 pub fn fetch_str<P: Position>(
     res: &mut StrVec,
@@ -120,13 +123,13 @@ pub fn fetch_str<P: Position>(
     }
     res.clear();
     match sel {
-        None => idx.iter().for_each(|j| res.push(base.get(j.index()))),
+        None => idx.iter().for_each(|j| res.push_from(base, j.index())),
         Some(sel) => {
-            let mut next = sel.iter().peekable();
-            for (i, j) in idx.iter().enumerate() {
-                let keep = next.next_if_eq(&i).is_some();
-                res.push(if keep { base.get(j.index()) } else { "" });
+            for i in sel.iter() {
+                res.pad_to(i);
+                res.push_from(base, idx[i].index());
             }
+            res.pad_to(idx.len());
         }
     }
     true

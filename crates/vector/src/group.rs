@@ -332,8 +332,8 @@ impl GroupTable {
         let idmask = (1u32 << self.bits) - 1;
         let same_key = |stores: &[Vector], g: usize, i: usize| {
             stores.iter().zip(keys).all(|(store, key)| {
-                with_key_column!(store, *key, |s, v| s[g].same(v[i]), |s, v| s.get(g)
-                    == v.get(i))
+                with_key_column!(store, *key, |s, v| s[g].same(v[i]), |s, v| s.get_bytes(g)
+                    == v.get_bytes(i))
             })
         };
         let mut found = 0;
@@ -354,7 +354,7 @@ impl GroupTable {
                             self.hashes.push(h);
                             for (store, key) in self.keys.iter_mut().zip(keys) {
                                 with_key_column!(store, *key, |s, v| s.push(v[i]), |s, v| s
-                                    .push(v.get(i)));
+                                    .push_from(v, i));
                             }
                             self.buckets[b] = tag | (g + 1);
                             break g;

@@ -129,12 +129,12 @@ pub fn map_hash_str_col(res: &mut [u64], col: &crate::StrVec, sel: Option<&SelVe
     match sel {
         None => {
             for (i, r) in res.iter_mut().enumerate().take(col.len()) {
-                *r = hash_bytes(0x5151_5151_5151_5151, col.get(i).as_bytes());
+                *r = hash_bytes(0x5151_5151_5151_5151, col.get_bytes(i));
             }
         }
         Some(sel) => {
             for i in sel.iter() {
-                res[i] = hash_bytes(0x5151_5151_5151_5151, col.get(i).as_bytes());
+                res[i] = hash_bytes(0x5151_5151_5151_5151, col.get_bytes(i));
             }
         }
     }
@@ -146,12 +146,12 @@ pub fn map_rehash_str_col(res: &mut [u64], col: &crate::StrVec, sel: Option<&Sel
     match sel {
         None => {
             for (i, r) in res.iter_mut().enumerate().take(col.len()) {
-                *r = hash_bytes(*r, col.get(i).as_bytes());
+                *r = hash_bytes(*r, col.get_bytes(i));
             }
         }
         Some(sel) => {
             for i in sel.iter() {
-                res[i] = hash_bytes(res[i], col.get(i).as_bytes());
+                res[i] = hash_bytes(res[i], col.get_bytes(i));
             }
         }
     }
@@ -442,7 +442,9 @@ pub fn aggr_grouptable_verify_str_col(
     ne: &mut [u8],
     first: bool,
 ) -> bool {
-    verify_keys(cand, grp, ne, first, |g, i| store.get(g) != key.get(i))
+    verify_keys(cand, grp, ne, first, |g, i| {
+        store.get_bytes(g) != key.get_bytes(i)
+    })
 }
 
 /// Ordered-aggregation group ids: walk the live positions in arrival
@@ -536,8 +538,8 @@ pub fn aggr_ordered_boundaries_str_col(
     sel: Option<&SelVec>,
     first: bool,
 ) -> usize {
-    let head = |i: usize| open.is_some_and(|o| o != key.get(i));
-    let differs = |p: usize, i: usize| key.get(p) != key.get(i);
+    let head = |i: usize| open.is_some_and(|o| o.as_bytes() != key.get_bytes(i));
+    let differs = |p: usize, i: usize| key.get_bytes(p) != key.get_bytes(i);
     match sel {
         None => ordered_boundaries(grp, 0..key.len(), first, head, differs),
         Some(sel) => ordered_boundaries(grp, sel.iter(), first, head, differs),

@@ -207,26 +207,24 @@ pub fn select_true(
     }
 }
 
-/// Select rows whose string equals `v` (column-vs-constant on `StrVec`).
+/// Select rows whose string equals `v` — or, with `negate`, differs
+/// from it (column-vs-constant on `StrVec`). Compared as bytes: equal
+/// strings are equal byte sequences, so no row's UTF-8 is checked again.
 #[inline]
-pub fn select_str_eq(out: &mut SelVec, a: &crate::StrVec, v: &str, sel: Option<&SelVec>) -> usize {
+pub fn select_str_eq(
+    out: &mut SelVec,
+    a: &crate::StrVec,
+    v: &str,
+    negate: bool,
+    sel: Option<&SelVec>,
+) -> usize {
+    let v = v.as_bytes();
+    let keep = |i: &u32| (a.get_bytes(*i as usize) == v) != negate;
     let buf = out.buf_mut();
     buf.clear();
     match sel {
-        None => {
-            for i in 0..a.len() {
-                if a.get(i) == v {
-                    buf.push(i as u32);
-                }
-            }
-        }
-        Some(s) => {
-            for i in s.iter() {
-                if a.get(i) == v {
-                    buf.push(i as u32);
-                }
-            }
-        }
+        None => buf.extend((0..a.len() as u32).filter(keep)),
+        Some(s) => buf.extend(s.positions().iter().copied().filter(keep)),
     }
     buf.len()
 }
@@ -345,8 +343,12 @@ mod tests {
     fn select_str_eq_works() {
         let v: crate::StrVec = ["a", "b", "a", "c"].into_iter().collect();
         let mut s = SelVec::default();
-        assert_eq!(select_str_eq(&mut s, &v, "a", None), 2);
+        assert_eq!(select_str_eq(&mut s, &v, "a", false, None), 2);
         assert_eq!(s.positions(), &[0, 2]);
+        // Negated, and under a selection.
+        let under = SelVec::from_positions(vec![0, 1, 3]);
+        assert_eq!(select_str_eq(&mut s, &v, "a", true, Some(&under)), 2);
+        assert_eq!(s.positions(), &[1, 3]);
     }
 
     #[test]

@@ -89,6 +89,27 @@ impl StrVec {
         &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Append string `i` of `src` as bytes: it was valid UTF-8 when `src`
+    /// took it, so no check runs again.
+    ///
+    /// # Panics
+    /// Panics if `i >= src.len()`.
+    #[inline]
+    pub fn push_from(&mut self, src: &StrVec, i: usize) {
+        self.bytes.extend_from_slice(src.get_bytes(i));
+        self.offsets.push(self.bytes.len() as u32);
+    }
+
+    /// Append empty strings until `len` strings are stored (one
+    /// `resize` of the offsets; nothing when there are already that many).
+    #[inline]
+    pub fn pad_to(&mut self, len: usize) {
+        let end = self.bytes.len() as u32;
+        if len > self.len() {
+            self.offsets.resize(len + 1, end);
+        }
+    }
+
     /// Remove all strings, keeping allocations.
     pub fn clear(&mut self) {
         self.offsets.truncate(1);

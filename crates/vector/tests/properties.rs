@@ -13,7 +13,8 @@
 //! 7. the ordered-aggregation kernels number the runs of equal keys the
 //!    way a tuple-at-a-time comparison with the previous tuple does;
 //! 8. the gather kernel reads what a scalar loop reads when every read
-//!    position is in range, and otherwise refuses the vector untouched.
+//!    position is in range, and otherwise refuses the vector untouched —
+//!    the string gather too, which writes only the selected strings.
 
 use proptest::prelude::*;
 use x100_vector::map::{self, CmpOp};
@@ -273,6 +274,56 @@ proptest! {
                 prop_assert!(!gathered, "case {case}: gathered out of range");
                 prop_assert_eq!(res, before);
             }
+        }
+    }
+}
+
+/// The strings of `v`, in order.
+fn strings(v: &StrVec) -> Vec<String> {
+    v.iter().map(str::to_owned).collect()
+}
+
+proptest! {
+    #[test]
+    fn fetch_str_matches_the_per_position_reference(
+        (base_len, n) in (1usize..30, 0usize..40),
+        draws in prop::collection::vec(0u32..1000, 40),
+        mask in prop::collection::vec(prop::bool::ANY, 40),
+        case in 0usize..5,
+    ) {
+        // Multi-byte strings of several lengths, the empty one included.
+        let owned: Vec<String> = (0..base_len).map(|j| "é".repeat(j % 4) + &"x".repeat(j % 3)).collect();
+        let base: StrVec = owned.iter().map(String::as_str).collect();
+        let len = base_len as u32;
+        let mut idx: Vec<u32> = draws[..n].iter().map(|&d| d % len).collect();
+        let every: Vec<u32> = (0..n as u32).collect();
+        let sel: Option<Vec<u32>> = match case {
+            0 => None,
+            1 => Some(Vec::new()),
+            2 => Some(every),
+            3 => Some(every.last().copied().into_iter().collect()),
+            _ => Some(every.into_iter().filter(|&i| mask[i as usize]).collect()),
+        };
+        let selected = |i: usize| sel.as_ref().is_none_or(|pos| pos.contains(&(i as u32)));
+        // Unselected slots may hold any id (a delta row's).
+        for (i, j) in idx.iter_mut().enumerate() {
+            if !selected(i) {
+                *j = len + draws[i];
+            }
+        }
+        let sv = sel.clone().map(SelVec::from_positions);
+        let mut res: StrVec = ["stale", "é"].into_iter().collect();
+        prop_assert!(fetch::fetch_str(&mut res, &base, &idx, sv.as_ref()));
+        let want: Vec<String> = (0..n)
+            .map(|i| if selected(i) { owned[idx[i] as usize].clone() } else { String::new() })
+            .collect();
+        prop_assert_eq!(strings(&res), want);
+        // One selected position out of range: refused, nothing written.
+        if let Some(p) = (0..n).rev().find(|&i| selected(i)) {
+            let before = strings(&res);
+            idx[p] = len + draws[p] % 3;
+            prop_assert!(!fetch::fetch_str(&mut res, &base, &idx, sv.as_ref()));
+            prop_assert_eq!(strings(&res), before);
         }
     }
 }

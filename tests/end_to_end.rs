@@ -85,7 +85,12 @@ fn columnbm_accounts_scans() {
     let bm = Arc::new(ColumnBM::with_chunk_bytes(1024, 64 * 1024));
     db.attach_buffer_manager(bm.clone());
 
-    let plan = Plan::scan("wide", &["a", "b"]).aggr(vec![], vec![AggExpr::sum("s", col("b"))]);
+    // The aggregation reads both scanned columns (a column no operator
+    // reads is not scanned at all).
+    let plan = Plan::scan("wide", &["a", "b"]).aggr(
+        vec![],
+        vec![AggExpr::sum("s", col("b")), AggExpr::sum("t", col("a"))],
+    );
     let (_, _) = execute(&db, &plan, &ExecOptions::default()).expect("scan");
     let stats = bm.stats();
     // Only the two touched columns cost I/O: a (800KB) + b (800KB) in
