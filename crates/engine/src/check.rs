@@ -1274,22 +1274,23 @@ impl<'a> Checker<'a> {
             } => {
                 let mut list: FetchList = fetch.iter().collect();
                 let dropped = self.unread_not_fetched(table, &mut list, demand)?;
-                if list.is_empty() && !dropped.is_empty() {
-                    // Nothing to gather: the fetch does not run, and its
-                    // `#rowId` is not read.
-                    let node = self.walk(input, &format!("{path}.Fetch1Join.input"), demand)?;
-                    let what = format!(
-                        "not fetched: [{}]; the fetch of `{table}` does not run",
-                        dropped.join(", ")
-                    );
-                    self.rule_note("unread-not-fetched", path, what);
-                    return Ok(node);
-                }
-                let need = demand.clone().rowid(rowid);
+                // With nothing to gather the fetch does not run, and its
+                // `#rowId` is not read.
+                let runs = !list.is_empty() || dropped.is_empty();
+                let need = match runs {
+                    true => demand.clone().rowid(rowid),
+                    false => demand.clone(),
+                };
                 let input = self.walk(input, &format!("{path}.Fetch1Join.input"), &need)?;
                 if !dropped.is_empty() {
-                    let what = format!("not fetched: [{}]", dropped.join(", "));
+                    let mut what = format!("not fetched: [{}]", dropped.join(", "));
+                    if !runs {
+                        what.push_str(&format!("; the fetch of `{table}` does not run"));
+                    }
                     self.rule_note("unread-not-fetched", path, what);
+                }
+                if !runs {
+                    return Ok(input);
                 }
                 self.fetch1_node(input, plan, &list, None, demand, path)
             }
