@@ -332,12 +332,12 @@ fn bench_select(c: &mut Criterion) {
     g.finish();
 }
 
-/// The scan refill, per codec: the dense decode of every window (what
-/// the scan runs, under a pushed selection too). ns per row of one
-/// 64 K-row chunk, read in 1024-row windows; `chunk_checksum` is the
-/// verification pass of a Q1-shaped f64 chunk (22 % exceptions).
-fn bench_refill(c: &mut Criterion) {
-    use x100_storage::{compress_column_as, ChunkFormat, DecodeCursor};
+/// The decode `Table::open` runs, per codec: ns per row of one 64 K-row
+/// chunk decoded whole, its checksum verified first; `chunk_checksum`
+/// is the verification pass alone of a Q1-shaped f64 chunk (22 %
+/// exceptions).
+fn bench_decode(c: &mut Criterion) {
+    use x100_storage::{compress_column_as, ChunkFormat};
     const ROWS: usize = 65_536;
     let mut rng = StdRng::seed_from_u64(12);
     // l_extendedprice's shape: two in nine products that no decimal
@@ -361,24 +361,16 @@ fn bench_refill(c: &mut Criterion) {
         ),
         ("pfor f64", ChunkFormat::Pfor, Vector::F64(prices)),
     ];
-    let mut g = c.benchmark_group("refill");
+    let mut g = c.benchmark_group("decode");
     g.throughput(Throughput::Elements(ROWS as u64));
     for (name, format, data) in &columns {
         let cc = compress_column_as(data, *format).expect("codec applies");
-        let mut out = Vector::with_capacity(data.scalar_type(), N);
-        let (mut cursor, mut scratch) = (DecodeCursor::default(), Vec::new());
-        g.bench_function(format!("{name} dense"), |bch| {
-            bch.iter(|| {
-                cursor = DecodeCursor::default(); // one verification per chunk, as a scan
-                for w in 0..ROWS / N {
-                    let st = cc.decode_range(w * N, N, &mut out, &mut cursor, &mut scratch);
-                    black_box(st.expect("verifies"));
-                }
-            })
+        g.bench_function(format!("{name} whole chunk"), |bch| {
+            bch.iter(|| black_box(cc.decode().expect("verifies")))
         });
         if *name == "pfor f64" {
             g.bench_function("chunk_checksum (pfor f64, 22 % exceptions)", |bch| {
-                bch.iter(|| cc.verify_chunk(black_box(0)).expect("verifies"))
+                bch.iter(|| black_box(&cc).verify_all().expect("verifies"))
             });
         }
     }
@@ -392,6 +384,6 @@ criterion_group!(
     bench_ordaggr,
     bench_join,
     bench_select,
-    bench_refill
+    bench_decode
 );
 criterion_main!(benches);

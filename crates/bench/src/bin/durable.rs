@@ -6,8 +6,7 @@
 //!   durably, reopen from disk, run TPC-H Q1 and write the rows to
 //!   `<dir>/q1-baseline.txt`.
 //! * `churn`  — re-checkpoint the same data in a loop, every durable
-//!   write site failing at `--rate` (needs `--features fault-inject`
-//!   for the rate to bite). CI SIGKILLs this mid-commit: whatever
+//!   write site failing at `--rate`. CI SIGKILLs this mid-commit: whatever
 //!   instant the process dies at, the directory must keep a fully
 //!   readable checkpoint.
 //! * `verify` — after the kill: recover with `Table::open`, run Q1

@@ -128,17 +128,6 @@ impl VecPool {
         }
     }
 
-    /// Take a writable vector *without* clearing it: the caller promises
-    /// to overwrite every position it publishes (dense decode paths).
-    /// Skipping the clear lets a length-preserving refill avoid the
-    /// zero-fill store pass that `resize` after `clear` would pay.
-    pub fn writable_dirty(&mut self) -> Vector {
-        match self.slot.take().and_then(|rc| Rc::try_unwrap(rc).ok()) {
-            Some(v) => v,
-            None => Vector::with_capacity(self.ty, self.cap),
-        }
-    }
-
     /// Hand the filled vector to a batch, keeping a handle for reuse.
     pub fn publish(&mut self, v: Vector, batch: &mut Batch) {
         let rc = Rc::new(v);

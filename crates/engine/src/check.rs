@@ -78,14 +78,14 @@ use crate::facts::{self, ColFact, FactRange, NodeFacts};
 use crate::ops::parallel::{morsel_spine, spine_morsels};
 use crate::ops::{
     fused_signature, AggSpec, DerivedCol, DirectAggrOp, DirectKey, FetchSource, FetchSpec,
-    JoinParts, JoinType, MergeSpec, PredStep, PushSpec, ScanCol, ScanSpec, SortOrder, Window,
+    JoinParts, JoinType, MergeSpec, PredStep, ScanCol, ScanSpec, SortOrder, Window,
 };
 use crate::plan::{self, Plan};
 use crate::session::{Database, ExecOptions};
 use crate::PlanError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
-use x100_storage::{EnumDict, PushOp, Pushdown, Table};
+use x100_storage::{EnumDict, Table};
 use x100_vector::{CmpOp, PrimitiveDesc, PrimitiveRegistry, ScalarType, Value, VecShape};
 
 /// A predicate conjunct over verified (shared, register-free) programs.
@@ -353,8 +353,7 @@ pub struct CheckedNode {
 #[derive(Debug)]
 pub(crate) enum CheckedOp {
     Scan(ScanSpec),
-    /// `steps` is empty when `verdict` folded the predicate or a fused
-    /// pushdown on the input scan consumed all of it. `certain` holds,
+    /// `steps` is empty when `verdict` folded the predicate. `certain` holds,
     /// per step, the fragment rows rule `summary-range-select` proved it
     /// for (empty when the rule did not run).
     Select {
@@ -718,20 +717,6 @@ fn cmp_bounds(op: CmpOp, x: i64) -> Option<(Option<i64>, Option<i64>)> {
         CmpOp::Ge => Some((Some(x), None)),
         CmpOp::Gt => Some((Some(x.checked_add(1)?), None)),
         CmpOp::Eq | CmpOp::Ne => None,
-    }
-}
-
-/// The inclusive bounds of an encoded-space pushdown's compare over a
-/// column of type `ty`.
-fn push_bounds(p: &Pushdown, ty: ScalarType) -> Option<(Option<i64>, Option<i64>)> {
-    let lo = int_literal(p.lo(), ty)?;
-    match p.op() {
-        PushOp::Between => Some((Some(lo), Some(int_literal(p.hi()?, ty)?))),
-        PushOp::Le => cmp_bounds(CmpOp::Le, lo),
-        PushOp::Lt => cmp_bounds(CmpOp::Lt, lo),
-        PushOp::Ge => cmp_bounds(CmpOp::Ge, lo),
-        PushOp::Gt => cmp_bounds(CmpOp::Gt, lo),
-        PushOp::Eq | PushOp::Ne => None,
     }
 }
 
@@ -1245,7 +1230,7 @@ impl<'a> Checker<'a> {
                 }
                 if fetches.is_empty() {
                     let node = self.walk(base, &format!("{path}.Select.input"), &need)?;
-                    return self.select_node(node, Some(base), pred, path);
+                    return self.select_node(node, pred, path);
                 }
                 fetches.reverse();
                 let hops = ".Fetch1Join.input".repeat(fetches.len());
@@ -1646,8 +1631,8 @@ impl<'a> Checker<'a> {
     /// `Scan(table, cols)`, the enum columns that `demand` leaves to
     /// code readers surfaced as raw codes ([`code_dict`]). Rule
     /// `unread-not-fetched` leaves out the columns `demand` does not
-    /// read — all but the cheapest one (uncompressed, narrowest) when it
-    /// reads none, since a scan's row count travels with its columns.
+    /// read — all but the narrowest one when it reads none, since a
+    /// scan's row count travels with its columns.
     fn scan_node(
         &mut self,
         table: &str,
@@ -1665,10 +1650,7 @@ impl<'a> Checker<'a> {
         }
         if self.rules {
             let read = |(name, _): &(&String, usize)| demand.reads(name);
-            let cost = |&(_, ci): &(&String, usize)| {
-                let sc = t.column(ci);
-                (sc.compressed().is_some(), sc.physical_type().width())
-            };
+            let cost = |&(_, ci): &(&String, usize)| t.column(ci).physical_type().width();
             let keep = match resolved.iter().any(read) {
                 true => None,
                 false => resolved.iter().min_by_key(|c| cost(c)).copied(),
@@ -1686,12 +1668,6 @@ impl<'a> Checker<'a> {
         let (mut scan_cols, mut codes) = (Vec::new(), Vec::new());
         for (name, ci) in resolved.iter().copied() {
             let sc = t.column(ci);
-            // Checkpoint-compressed columns decode on refill:
-            // the decompress primitive the scan will call must
-            // be cataloged, same rule as the enum fetch below.
-            if let Some(cc) = sc.compressed() {
-                self.require_instr(cc.decode_sig(), || format!("{path}.Scan.col[{name}]"))?;
-            }
             let code = code_dict(&t, ci, demand.wants(name));
             let as_codes = code.is_some();
             let (kind, ty) = match (sc.dict(), as_codes) {
@@ -1726,8 +1702,6 @@ impl<'a> Checker<'a> {
         let spec = ScanSpec {
             range: None,
             cols: scan_cols,
-            push: None,
-            bm: self.db.buffer_manager(),
             table: t.clone(),
             keep_deleted: false,
         };
@@ -1883,7 +1857,7 @@ impl<'a> Checker<'a> {
             let (name, zero) = (Expr::Col(name.clone()), Expr::Lit(Value::U8(0)));
             Expr::Cmp(CmpOp::Ne, Box::new(name), Box::new(zero))
         });
-        node = self.select_node(node, None, keep.as_ref().unwrap_or(pred), next_path())?;
+        node = self.select_node(node, keep.as_ref().unwrap_or(pred), next_path())?;
         for j in above {
             node =
                 self.fetch1_node(node, fetches[j], &late[j], None, &late_need[j], next_path())?;
@@ -1983,96 +1957,22 @@ impl<'a> Checker<'a> {
         Ok(Some(Arc::new(DerivedCol::new(spec, scan.fields, steps))))
     }
 
-    /// `Select(pred)` over the checked `input_node`; `scan_below` is the
-    /// plan of a `Scan` directly under it, whose refill can take (part
-    /// of) the predicate in encoded space.
+    /// `Select(pred)` over the checked `input_node`.
     fn select_node(
         &mut self,
         mut input_node: CheckedNode,
-        scan_below: Option<&Plan>,
         pred: &Expr,
         path: &str,
     ) -> Result<CheckedNode, PlanError> {
         let (fields, dicts) = (input_node.fields.clone(), input_node.dicts.clone());
         // Rewritten here too: the facts refine on codes, as steps compare.
         let full = plan::rewrite_enum_literals(pred, &fields, &dicts);
-        // Compression-aware fusion: Select over a Scan of a
-        // checkpoint-compressed column pushes (part of) the
-        // predicate into encoded space — the scan refill becomes
-        // a `CompressedScanSelect` whose selection vector comes
-        // from the packed lanes; the columns refill as in any scan.
-        // Remaining conjuncts stay a normal Select. The
-        // encoded-space comparison must be a cataloged primitive.
-        let mut declined = None;
-        let fused = match (scan_below, &input_node.op) {
-            (Some(Plan::Scan { cols, .. }), CheckedOp::Scan(spec)) => {
-                let f = plan::fuse_scan_select(&spec.table, cols, pred);
-                // Pending inserts bypass the compressed fragment: a
-                // fusion would leave them unfiltered.
-                let pending = spec.table.delta_rows();
-                match f {
-                    Some(f) if pending > 0 => {
-                        declined = Some(format!(
-                            "CompressedScanSelect `{}` [{}] declined: pending inserts \
-                             ({pending} rows) bypass the compressed fragment",
-                            f.col,
-                            f.push.sig()
-                        ));
-                        None
-                    }
-                    f => f,
-                }
-            }
-            _ => None,
-        };
-        let (steps, push, mut truths, what) = match fused {
-            Some(f) => {
-                self.require_instr(f.push.sig(), || {
-                    format!("{path}.Select.pushdown[{}]", f.col)
-                })?;
-                let steps = match &f.residual {
-                    None => Vec::new(),
-                    Some(res) => {
-                        self.check_select(res, &fields, &dicts, &format!("{path}.Select.residual"))?
-                    }
-                };
-                let what = format!(
-                    "CompressedScanSelect `{}` [{}] residual [{}]",
-                    f.col,
-                    f.push.sig(),
-                    step_sigs(&steps)
-                );
-                let truths: Vec<FactRange> = f
-                    .pushed
-                    .iter()
-                    .map(|e| facts::conjunct_truth(e, &fields, &input_node.facts.cols))
-                    .collect();
-                let k = fields
-                    .iter()
-                    .position(|fl| fl.name == f.col)
-                    .expect("fused column is scanned");
-                let push = PushSpec {
-                    k,
-                    p: f.push,
-                    certain: None,
-                };
-                (steps, Some(push), truths, what)
-            }
-            None => {
-                let steps =
-                    self.check_select(&full, &fields, &dicts, &format!("{path}.Select.pred"))?;
-                let what = format!("Select → steps [{}]", step_sigs(&steps));
-                (steps, None, Vec::new(), what)
-            }
-        };
+        let steps = self.check_select(&full, &fields, &dicts, &format!("{path}.Select.pred"))?;
+        let what = format!("Select → steps [{}]", step_sigs(&steps));
         // Constant-fold sink: a predicate proven always-true is a
         // pass-through of the input, proven always-false an empty
-        // dataflow; either way no step (nor pushdown) runs.
-        truths.extend(
-            steps
-                .iter()
-                .map(|s| facts::step_truth(s, &input_node.facts.cols, self.reg)),
-        );
+        // dataflow; either way no step runs.
+        let truths = (steps.iter()).map(|s| facts::step_truth(s, &input_node.facts.cols, self.reg));
         let verdict = facts::conjunction_verdict(truths);
         let mut nf = input_node.facts.clone();
         if verdict == Some(false) {
@@ -2081,16 +1981,10 @@ impl<'a> Checker<'a> {
         facts::refine_with_pred(&full, &fields, &mut nf);
         let steps = if verdict.is_some() { Vec::new() } else { steps };
         let mut certain = Vec::new();
-        if let (None, CheckedOp::Scan(spec)) = (verdict, &mut input_node.op) {
-            spec.push = push;
-            if self.rules {
-                certain = self.summary_range(spec, &steps, &fields, &nf, path);
-            }
+        if let (None, CheckedOp::Scan(spec), true) = (verdict, &mut input_node.op, self.rules) {
+            certain = self.summary_range(spec, &steps, &fields, &nf, path);
         }
         self.note(path, what);
-        if let Some(why) = declined {
-            self.report.push(format!("{path}: {why}"));
-        }
         Ok(CheckedNode {
             path: path.to_owned(),
             fields,
@@ -2112,11 +2006,10 @@ impl<'a> Checker<'a> {
     /// * each plain scanned column with a summary index and a proven
     ///   integer range bounds the fragment rows that can hold a passing
     ///   row, and the scan reads only the rows every such column allows;
-    /// * each step — and the fused pushdown — comparing such a column
-    ///   with an integer literal is proven on the rows the index
-    ///   certainly qualifies: the pushdown keeps its window, the steps'
-    ///   are returned, and a scan batch inside a window skips that
-    ///   compare.
+    /// * each step comparing such a column with an integer literal is
+    ///   proven on the rows the index certainly qualifies: the steps'
+    ///   windows are returned, and a scan batch inside a window skips
+    ///   that compare.
     ///
     /// Delta rows are scanned and evaluated as always, and the facts stay
     /// the predicate's, so no other decision moves.
@@ -2175,12 +2068,6 @@ impl<'a> Checker<'a> {
         for (i, (w, step)) in certain.iter().zip(steps).enumerate() {
             if let (Some((a, b)), Some(sig)) = (w, step.sig()) {
                 parts.push(format!("step[{i}] `{sig}` certain rows {a}..{b}"));
-            }
-        }
-        if let Some(push) = &mut spec.push {
-            push.certain = proven(push.k, push_bounds(&push.p, fields[push.k].ty));
-            if let Some((a, b)) = push.certain {
-                parts.push(format!("`{}` certain rows {a}..{b}", push.p.sig()));
             }
         }
         if !parts.is_empty() {
@@ -2916,10 +2803,9 @@ fn mark_read<'a>(d: &mut [bool], progs: impl IntoIterator<Item = &'a Arc<ExprCod
 fn unread_below(node: &CheckedNode, read: Vec<bool>, out: &mut Vec<String>) {
     let mut unread = |i: usize| out.push(format!("{}: {}", node.path, node.fields[i].name));
     match &node.op {
-        CheckedOp::Scan(spec) => {
-            let pushed = spec.push.as_ref().map(|p| p.k);
-            let idle = read.len() == 1 && !read[0] && pushed.is_none();
-            let skipped = (0..read.len()).filter(|&i| !read[i] && pushed != Some(i));
+        CheckedOp::Scan(_) => {
+            let idle = read.len() == 1 && !read[0];
+            let skipped = (0..read.len()).filter(|&i| !read[i]);
             skipped.filter(|_| !idle).for_each(&mut unread);
             return;
         }

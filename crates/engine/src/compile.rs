@@ -159,13 +159,13 @@ pub enum PlanError {
         cause: String,
     },
     /// A storage access kept failing after its retry budget (or, with
-    /// `unrecoverable`, every fallback path failed too — e.g. a torn
-    /// compressed chunk whose retained raw fragment also faults).
+    /// `unrecoverable`, failed in a way no retry can mend — e.g. a
+    /// spill run whose bytes are damaged, or a real write error).
     Io {
         /// The storage access path that failed.
         site: x100_storage::FaultSite,
-        /// True when no recovery path remains: retries were exhausted
-        /// *and* the fallback source (raw fragment, re-read) failed.
+        /// True when no retry can help: the failure is not the
+        /// injector's transient class.
         unrecoverable: bool,
         /// Human-readable failure detail.
         detail: String,

@@ -692,20 +692,6 @@ pub(crate) fn step_truth(
     }
 }
 
-/// Truth range of a `col ⊙ literal` conjunct (the shape an encoded-space
-/// pushdown consumes) over the input column facts.
-pub(crate) fn conjunct_truth(e: &Expr, fields: &[OutField], cols: &[ColFact]) -> FactRange {
-    let Some((name, op, lit)) = conjunct_parts(e) else {
-        return BOOL_TOP;
-    };
-    let col = fields
-        .iter()
-        .position(|f| f.name == name)
-        .and_then(|i| cols.get(i))
-        .and_then(|c| c.range);
-    cmp_range(op, col, value_range(lit))
-}
-
 /// Fold the truth ranges of a conjunction's parts into a verdict:
 /// `Some(true)` when every part always holds, `Some(false)` when some
 /// part never does, `None` when undecided.

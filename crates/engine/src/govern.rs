@@ -1,5 +1,5 @@
 //! Per-query resource governor: memory budgets, cancellation,
-//! deadlines, and fault-injection state.
+//! deadlines, and fault injection state.
 //!
 //! One [`QueryContext`] is created per `execute()` call and shared
 //! (`Arc`) by every operator the plan binds — including all morsel
@@ -17,7 +17,8 @@
 //!   vectorized interpretation cheap makes governance cheap).
 //!   [`CancelToken`] lets a caller kill a query from another thread.
 //! * **Fault injection** — carries the per-query
-//!   [`x100_storage::FaultState`] consulted by chunk reads, plus a
+//!   [`x100_storage::FaultState`] consulted by delta reads, dictionary
+//!   lookups and spill I/O, plus a
 //!   deliberate panic probe used to exercise worker-panic containment.
 //!
 //! Counters are published into the profiler at the end of execution:
@@ -39,9 +40,9 @@ use x100_storage::{FaultPlan, FaultState};
 use crate::compile::PlanError;
 use crate::profile::Profiler;
 
-/// The one bounded-backoff retry loop every `FaultSite` shares — chunk
-/// reads, spill IO, checkpoint writes, and the durable store's
-/// manifest/chunk-file steps all retry through this helper (it lives in
+/// The one bounded-backoff retry loop every `FaultSite` shares — scan
+/// reads, spill IO, and the durable store's manifest/segment steps all
+/// retry through this helper (it lives in
 /// the storage crate; re-exported here because the governor owns the
 /// retry policy).
 pub use x100_storage::retry_with_backoff;
@@ -213,7 +214,8 @@ impl QueryContext {
         self.mem_peak.load(Ordering::Relaxed)
     }
 
-    /// Per-query fault-injection state for chunk reads, if configured.
+    /// Per-query fault injection state for the storage sites, if
+    /// configured.
     pub fn fault_state(&self) -> Option<&FaultState> {
         self.fault.as_ref()
     }

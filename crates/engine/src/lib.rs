@@ -63,6 +63,4 @@ pub use profile::{Profiler, TraceStat, WorkerTrace};
 pub use render::{render_expr, render_plan};
 pub use session::{Database, ExecOptions, QueryResult, DEFAULT_MORSEL_SIZE};
 pub use spill::{gc_stale_spill_dirs, spill_root};
-pub use x100_storage::{
-    DurableError, DurableOptions, DurableSource, FaultPlan, FaultSite, PinnedFault,
-};
+pub use x100_storage::{DurableError, DurableOptions, DurableSource, FaultPlan, FaultSite};

@@ -98,7 +98,7 @@ impl DerivedCol {
         let rows = self.scan.table.total_rows();
         let mut mem = MemTracker::new(ctx.clone(), "derived fetch column");
         mem.ensure(rows)?;
-        let mut scan = ScanOp::new(&self.scan, &self.fields, None, vector_size, ctx.clone())?;
+        let mut scan = ScanOp::new(&self.scan, &self.fields, None, vector_size, ctx.clone());
         let mut chain = PredChain::new(&self.steps, &[], vector_size);
         let mut keep = vec![0u8; rows];
         let mut base = 0;
@@ -142,9 +142,8 @@ fn fetch_cols(specs: &[FetchSpec], vector_size: usize) -> Vec<FetchCol> {
 
 /// Positional fetch (§4.1.2: a lookup into the resident fragment). Every
 /// stored column gathers from its fragment through
-/// [`gather_positional`], checkpointed or not — a column's compressed
-/// chunks serve scans only, so a fetch never reads one; a derived
-/// source gathers its byte column. `fetch_unchecked_dispatches` counts
+/// [`gather_positional`] — the one copy a column has, whatever the
+/// table's history; a derived source gathers its byte column. `fetch_unchecked_dispatches` counts
 /// the vectors that lay inside the fragment (the kernel checked each
 /// once, not per tuple).
 fn fetch_gather(

@@ -32,7 +32,7 @@ pub use join::{CartProdOp, HashJoinOp, JoinType};
 pub use parallel::{ExchangeOp, MergeAggrOp};
 pub use project::ProjectOp;
 pub use scan::ScanOp;
-pub(crate) use scan::{PushSpec, ScanCol, ScanSpec};
+pub(crate) use scan::{ScanCol, ScanSpec};
 pub use select::SelectOp;
 pub(crate) use select::{PredStep, Window};
 pub use sort::{OrdExp, OrderOp, SortOrder};

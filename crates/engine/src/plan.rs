@@ -33,7 +33,6 @@
 
 use crate::check::{check_plan, CheckedNode, CheckedOp};
 use crate::expr::{AggExpr, Expr};
-use crate::facts::{conjunct_parts, flatten_conjuncts};
 use crate::govern::QueryContext;
 use crate::ops::{
     ArrayOp, BuildSide, CartProdOp, DirectAggrOp, EmptyOp, ExchangeOp, Fetch1JoinOp, FetchNJoinOp,
@@ -44,7 +43,7 @@ use crate::session::{Database, ExecOptions};
 use crate::PlanError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use x100_storage::{EnumDict, Morsel, Table};
+use x100_storage::{EnumDict, Morsel};
 use x100_vector::{CmpOp, ScalarType, Value};
 
 /// Pre-built shared join tables, keyed by the path of the checked
@@ -223,7 +222,7 @@ impl CheckedNode {
         let vs = opts.vector_size;
         let child = match &self.op {
             CheckedOp::Scan(spec) => {
-                let scan = ScanOp::new(spec, &self.fields, morsels, vs, ctx.clone())?;
+                let scan = ScanOp::new(spec, &self.fields, morsels, vs, ctx.clone());
                 return Ok(Box::new(scan));
             }
             CheckedOp::Array { dims, total } => {
@@ -362,171 +361,6 @@ impl CheckedNode {
         };
         Ok(op)
     }
-}
-
-/// A successful `Scan→Select` fusion decision: the encoded-space
-/// predicate plus whatever conjuncts could not be pushed.
-pub(crate) struct FusedPushdown {
-    /// Scanned column the pushdown binds to.
-    pub col: String,
-    /// The compiled encoded-space predicate.
-    pub push: x100_storage::Pushdown,
-    /// The `col ⊙ literal` conjuncts the pushdown consumed.
-    pub pushed: Vec<Expr>,
-    /// Conjuncts left for a normal `Select` above the fused scan.
-    pub residual: Option<Expr>,
-}
-
-/// Decide whether (part of) `pred` can run in encoded space over one of
-/// the columns scanned from `t`. Conservative: any doubt — unknown
-/// column, type mismatch, unsupported codec/op pair — declines and the
-/// ordinary decode-then-select pipeline is planned instead. Pending
-/// inserts are the caller's to weigh: their rows bypass the compressed
-/// fragments, so a fusion would leave them unfiltered.
-pub(crate) fn fuse_scan_select(t: &Table, cols: &[String], pred: &Expr) -> Option<FusedPushdown> {
-    use x100_storage::{ChunkFormat, PushOp};
-    let mut conj: Vec<&Expr> = Vec::new();
-    flatten_conjuncts(pred, &mut conj);
-    struct Cand<'a> {
-        i: usize,
-        col: &'a str,
-        op: PushOp,
-        v: Value,
-    }
-    let mut cands: Vec<Cand> = Vec::new();
-    for (i, e) in conj.iter().enumerate() {
-        let Some((col, cmp, lit)) = conjunct_parts(e) else {
-            continue;
-        };
-        if !cols.iter().any(|c| c == col) {
-            continue;
-        }
-        let Some(ci) = t.column_index(col) else {
-            continue;
-        };
-        let sc = t.column(ci);
-        // Enum columns have their own rewrite (string literal →
-        // dictionary code); the lane pushdown handles plain columns.
-        if sc.dict().is_some() {
-            continue;
-        }
-        let Some(cc) = sc.compressed() else {
-            continue;
-        };
-        if cc.format() != ChunkFormat::Pfor {
-            continue;
-        }
-        let op = match cmp {
-            CmpOp::Eq => PushOp::Eq,
-            CmpOp::Ne => PushOp::Ne,
-            CmpOp::Lt => PushOp::Lt,
-            CmpOp::Le => PushOp::Le,
-            CmpOp::Gt => PushOp::Gt,
-            CmpOp::Ge => PushOp::Ge,
-        };
-        let Some(v) = coerce_lit(lit, sc.physical_type()) else {
-            continue;
-        };
-        cands.push(Cand { i, col, op, v });
-    }
-    let cc_of = |col: &str| {
-        let ci = t.column_index(col).expect("candidate column resolved");
-        t.column(ci).compressed().expect("candidate is compressed")
-    };
-    let fused = |col: &str, push, used: &[usize]| FusedPushdown {
-        col: col.to_owned(),
-        push,
-        pushed: used.iter().map(|&i| conj[i].clone()).collect(),
-        residual: rebuild_residual(&conj, used),
-    };
-    // Prefer a range pair fused as one Between: `lo <= c AND c <= hi`,
-    // or over integers `lo <= c AND c < hi` as `Between(lo, hi − 1)`.
-    for a in &cands {
-        for b in &cands {
-            if a.i == b.i || a.col != b.col || a.op != PushOp::Ge {
-                continue;
-            }
-            let hi = match b.op {
-                PushOp::Le => Some(b.v.clone()),
-                PushOp::Lt => int_below(&b.v),
-                _ => None,
-            };
-            let Some(hi) = hi else {
-                continue;
-            };
-            if let Some(p) = cc_of(a.col).compile_pushdown(PushOp::Between, &a.v, Some(&hi)) {
-                return Some(fused(a.col, p, &[a.i, b.i]));
-            }
-        }
-    }
-    for c in &cands {
-        if let Some(p) = cc_of(c.col).compile_pushdown(c.op, &c.v, None) {
-            return Some(fused(c.col, p, &[c.i]));
-        }
-    }
-    None
-}
-
-/// Coerce a comparison literal to the column's physical type, declining
-/// when the value does not fit (no silent truncation — an out-of-range
-/// literal stays on the decode-then-select path, whose map layer
-/// promotes instead).
-fn coerce_lit(v: &Value, ty: ScalarType) -> Option<Value> {
-    if v.scalar_type() == ty {
-        return Some(v.clone());
-    }
-    let as_i = match v {
-        Value::I8(x) => *x as i64,
-        Value::I16(x) => *x as i64,
-        Value::I32(x) => *x as i64,
-        Value::I64(x) => *x,
-        Value::U8(x) => *x as i64,
-        Value::U16(x) => *x as i64,
-        Value::U32(x) => *x as i64,
-        Value::U64(x) => i64::try_from(*x).ok()?,
-        _ => return None,
-    };
-    match ty {
-        ScalarType::I8 => i8::try_from(as_i).ok().map(Value::I8),
-        ScalarType::I16 => i16::try_from(as_i).ok().map(Value::I16),
-        ScalarType::I32 => i32::try_from(as_i).ok().map(Value::I32),
-        ScalarType::I64 => Some(Value::I64(as_i)),
-        ScalarType::U8 => u8::try_from(as_i).ok().map(Value::U8),
-        ScalarType::U16 => u16::try_from(as_i).ok().map(Value::U16),
-        ScalarType::U32 => u32::try_from(as_i).ok().map(Value::U32),
-        ScalarType::U64 => u64::try_from(as_i).ok().map(Value::U64),
-        // Integer literal against a float column is exact in f64 for
-        // anything the PFOR scale trick can represent.
-        ScalarType::F64 => Some(Value::F64(as_i as f64)),
-        _ => None,
-    }
-}
-
-/// The integer just below `v` — `c < v` is `c <= v − 1` — or `None` for
-/// a non-integer or the type's minimum (nothing lies below it).
-fn int_below(v: &Value) -> Option<Value> {
-    Some(match v {
-        Value::I8(x) => Value::I8(x.checked_sub(1)?),
-        Value::I16(x) => Value::I16(x.checked_sub(1)?),
-        Value::I32(x) => Value::I32(x.checked_sub(1)?),
-        Value::I64(x) => Value::I64(x.checked_sub(1)?),
-        Value::U8(x) => Value::U8(x.checked_sub(1)?),
-        Value::U16(x) => Value::U16(x.checked_sub(1)?),
-        Value::U32(x) => Value::U32(x.checked_sub(1)?),
-        Value::U64(x) => Value::U64(x.checked_sub(1)?),
-        _ => return None,
-    })
-}
-
-/// Re-`And` the conjuncts not consumed by the pushdown.
-fn rebuild_residual(conj: &[&Expr], used: &[usize]) -> Option<Expr> {
-    let mut it = conj
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !used.contains(i))
-        .map(|(_, e)| (*e).clone());
-    let first = it.next()?;
-    Some(it.fold(first, |acc, e| Expr::And(Box::new(acc), Box::new(e))))
 }
 
 /// The operator, column and string literal of an enum-literal

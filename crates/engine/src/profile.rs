@@ -379,36 +379,36 @@ mod tests {
     #[test]
     fn counters_aggregate_and_render() {
         let mut p = Profiler::new(true);
-        p.add_counter("pushdown_vectors", 10);
-        p.add_counter("pushdown_vectors", 5);
+        p.add_counter("fetch_unchecked_dispatches", 10);
+        p.add_counter("fetch_unchecked_dispatches", 5);
         p.max_counter("gov_mem_peak", 100);
         p.max_counter("gov_mem_peak", 40);
-        assert_eq!(p.counter("pushdown_vectors"), Some(15));
+        assert_eq!(p.counter("fetch_unchecked_dispatches"), Some(15));
         assert_eq!(p.counter("gov_mem_peak"), Some(100));
         // Worker counters fold in additively — except high-water marks,
         // which take the max (summing would scale with thread count).
         let mut w = Profiler::new(true);
-        w.add_counter("pushdown_vectors", 7);
+        w.add_counter("fetch_unchecked_dispatches", 7);
         w.max_counter("gov_mem_peak", 60);
-        w.max_counter("compress_ratio", 65);
+        w.max_counter("spill_runs", 65);
         p.absorb_worker("worker-0", 1, w);
-        assert_eq!(p.counter("pushdown_vectors"), Some(22));
+        assert_eq!(p.counter("fetch_unchecked_dispatches"), Some(22));
         assert_eq!(p.counter("gov_mem_peak"), Some(100));
-        assert_eq!(p.counter("compress_ratio"), Some(65));
+        assert_eq!(p.counter("spill_runs"), Some(65));
         let mut w2 = Profiler::new(true);
-        w2.max_counter("compress_ratio", 65);
+        w2.max_counter("spill_runs", 65);
         p.absorb_worker("worker-1", 1, w2);
-        assert_eq!(p.counter("compress_ratio"), Some(65), "max, not sum");
+        assert_eq!(p.counter("spill_runs"), Some(65), "max, not sum");
         let out = p.render_table5();
         assert!(out.contains("event counter"));
-        assert!(out.contains("pushdown_vectors"));
+        assert!(out.contains("fetch_unchecked_dispatches"));
     }
 
     #[test]
     fn disabled_profiler_skips_counters() {
         let mut p = Profiler::new(false);
-        p.add_counter("pushdown_vectors", 3);
-        assert_eq!(p.counter("pushdown_vectors"), None);
+        p.add_counter("fetch_unchecked_dispatches", 3);
+        assert_eq!(p.counter("fetch_unchecked_dispatches"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use x100_storage::{ColumnBM, FaultPlan, Table};
+use x100_storage::{FaultPlan, Table};
 use x100_vector::fetch::gather_rows;
 use x100_vector::{Value, Vector, DEFAULT_VECTOR_SIZE};
 
@@ -57,10 +57,8 @@ pub struct ExecOptions {
     /// External cancellation token; triggering it aborts the query with
     /// [`PlanError::Cancelled`] at the next per-vector check.
     pub cancel: Option<CancelToken>,
-    /// Fault injection plan: a rate per [`x100_storage::FaultSite`],
-    /// from chunk, delta, dictionary and compressed reads to checkpoint,
-    /// spill and durable-store I/O (active only with the `fault-inject`
-    /// cargo feature).
+    /// Fault injection plan: a rate per [`x100_storage::FaultSite`] the
+    /// query touches — delta reads, dictionary lookups and spill I/O.
     pub fault_plan: Option<FaultPlan>,
     /// Testing aid: deliberately panic inside the pipeline after this
     /// many governor checks (exercises worker-panic containment).
@@ -137,8 +135,7 @@ impl ExecOptions {
         self
     }
 
-    /// Inject faults at the storage sites `plan` names (needs the
-    /// `fault-inject` cargo feature to actually fire).
+    /// Inject faults at the storage sites `plan` names.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -171,11 +168,10 @@ impl ExecOptions {
     }
 }
 
-/// The catalog: named tables plus an optional buffer manager.
+/// The catalog: named tables.
 #[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Arc<Table>>,
-    bm: Option<Arc<ColumnBM>>,
     /// Process-unique identity of this catalog and the number of changes
     /// made to it: what a checked plan records so it is only ever
     /// instantiated against the catalog state it was checked for.
@@ -188,7 +184,6 @@ impl Default for Database {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Database {
             tables: BTreeMap::new(),
-            bm: None,
             id: NEXT_ID.fetch_add(1, Ordering::SeqCst),
             version: 0,
         }
@@ -230,18 +225,6 @@ impl Database {
     /// Table names in the catalog.
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(|s| s.as_str())
-    }
-
-    /// Attach a (simulated) ColumnBM buffer manager; scans will account
-    /// their accesses against it.
-    pub fn attach_buffer_manager(&mut self, bm: Arc<ColumnBM>) {
-        self.version += 1;
-        self.bm = Some(bm);
-    }
-
-    /// The attached buffer manager, if any.
-    pub fn buffer_manager(&self) -> Option<Arc<ColumnBM>> {
-        self.bm.clone()
     }
 }
 

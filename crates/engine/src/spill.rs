@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use x100_storage::frame::{read_frame, Reader, Writer, FRAME_OVERHEAD};
-use x100_storage::{choose_and_compress, ColumnStats, CompressedColumn, DecodeCursor, FaultSite};
+use x100_storage::{choose_and_compress, ColumnStats, CompressedColumn, FaultSite};
 use x100_vector::Vector;
 
 use crate::compile::PlanError;
@@ -560,7 +560,6 @@ pub struct RunReader {
     n_cols: usize,
     block_no: u32,
     buf: Vec<u8>,
-    scratch: Vec<u64>,
 }
 
 impl RunReader {
@@ -598,7 +597,6 @@ impl RunReader {
             n_cols,
             block_no: 0,
             buf,
-            scratch: Vec::new(),
         })
     }
 
@@ -642,10 +640,7 @@ impl RunReader {
                 if cc.rows() != rows {
                     return Err("compressed section row-count mismatch".into());
                 }
-                let mut v = Vector::with_capacity(cc.physical_type(), rows);
-                let mut cursor = DecodeCursor::default();
-                cc.decode_range(0, rows, &mut v, &mut cursor, &mut self.scratch)?;
-                v
+                cc.decode()?
             } else {
                 s.vector()?
             };

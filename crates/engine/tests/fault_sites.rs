@@ -1,9 +1,7 @@
-//! Fault injection beyond chunk reads: delta-insert reads and enum
+//! Fault injection at every storage site: delta-insert reads and enum
 //! dictionary lookups each surface a typed `PlanError::Io` through the
-//! governor when their retry budget is exhausted (DESIGN.md §8).
-//!
-//! Run with `cargo test --features fault-inject`.
-#![cfg(feature = "fault-inject")]
+//! governor when their retry budget is exhausted, and the spill and
+//! durable sites fail independently (DESIGN.md §8).
 
 use x100_engine::expr::*;
 use x100_engine::plan::Plan;
@@ -86,71 +84,6 @@ fn dict_lookup_fault_surfaces_typed_io() {
 }
 
 #[test]
-fn chunk_read_fault_still_surfaces_typed_io() {
-    // The original site keeps working alongside the new ones.
-    let fs = FaultState::new(certain(|p| p.delta_rate(1.0)));
-    assert!(fs.check_site(FaultSite::ChunkRead, 0).is_ok());
-    let err = fs.check_site(FaultSite::DeltaRead, 3).unwrap_err();
-    assert_eq!(err.site, FaultSite::DeltaRead);
-    assert_eq!(err.col, 3);
-    assert_eq!(err.attempts, 3); // 1 initial + max_retries(2)
-}
-
-#[test]
-fn compressed_read_fault_surfaces_typed_io() {
-    let n = 500i64;
-    let mut t = TableBuilder::new("orders")
-        .column("id", Vector::I64((0..n).collect()))
-        .column(
-            "amount",
-            Vector::F64((0..n).map(|i| (i % 7) as f64).collect()),
-        )
-        .build();
-    t.checkpoint();
-    assert!(
-        t.column(1).compressed().is_some(),
-        "low-entropy f64 column should compress"
-    );
-    let mut db = Database::new();
-    db.register(t);
-    let plan = Plan::scan("orders", &["id", "amount"]).select(gt(col("amount"), lit_f64(-1.0)));
-    let opts = ExecOptions::default().with_fault_plan(certain(|p| p.compressed_rate(1.0)));
-    match execute(&db, &plan, &opts) {
-        Err(PlanError::Io { site, detail, .. }) => {
-            assert_eq!(site, FaultSite::CompressedRead);
-            assert!(
-                detail.contains("compressed chunk read"),
-                "message was: {detail}"
-            )
-        }
-        other => panic!("expected Io from the compressed-read site, got {other:?}"),
-    }
-    // The plain chunk-read site never fires when every scanned column
-    // decodes from compressed chunks.
-    let opts = ExecOptions::default().with_fault_plan(certain(|p| p.compressed_rate(0.0)));
-    let (res, _) = execute(&db, &plan, &opts).expect("fault-free compressed scan");
-    assert_eq!(res.num_rows(), 500);
-}
-
-#[test]
-fn checkpoint_write_fault_is_typed_and_recoverable() {
-    let n = 200i64;
-    let mut t = TableBuilder::new("t")
-        .column("id", Vector::I64((0..n).collect()))
-        .build();
-    let fs = FaultState::new(certain(|p| p.checkpoint_rate(1.0)));
-    let err = t
-        .try_checkpoint(Some(&fs))
-        .expect_err("checkpoint must fail under injected write faults");
-    assert_eq!(err.site, FaultSite::CheckpointWrite);
-    // The failed checkpoint leaves the table readable and a fault-free
-    // retry succeeds (partial progress is not corruption).
-    let formats = t.try_checkpoint(None).expect("clean retry");
-    assert!(!formats.is_empty());
-    assert!(t.column(0).compressed().is_some());
-}
-
-#[test]
 fn spill_write_fault_surfaces_typed_io() {
     let fs = FaultState::new(certain(|p| p.spill_write_rate(1.0)));
     assert!(fs.check_site(FaultSite::SpillRead, 0).is_ok());
@@ -173,7 +106,7 @@ fn spill_read_fault_surfaces_typed_io() {
 fn site_rates_are_independent() {
     let fs = FaultState::new(certain(|p| p.dict_rate(1.0)));
     assert!(fs.check_site(FaultSite::DeltaRead, 0).is_ok());
-    assert!(fs.check_site(FaultSite::ChunkRead, 0).is_ok());
+    assert!(fs.check_site(FaultSite::SpillRead, 0).is_ok());
     assert!(fs.check_site(FaultSite::DictLookup, 0).is_err());
     // Counters aggregated across sites: 1 error = retries + final.
     assert_eq!(fs.injected(), 3);

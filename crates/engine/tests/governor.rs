@@ -1,6 +1,6 @@
 //! Resource-governor integration tests: memory budgets, cancellation,
-//! deadlines, worker-panic containment, and (feature-gated) storage
-//! fault injection — exercised through whole query pipelines.
+//! deadlines, worker-panic containment, and storage fault injection —
+//! exercised through whole query pipelines.
 
 use std::time::Duration;
 
@@ -353,100 +353,137 @@ fn governed_results_match_ungoverned_results() {
     }
 }
 
-/// Storage fault injection end-to-end: only meaningful with the
-/// `fault-inject` cargo feature (otherwise `FaultPlan` is inert).
-#[cfg(feature = "fault-inject")]
+/// Storage fault injection end-to-end, at the two scan sites: the
+/// dictionary lookup of an enum column read as values, and the read of
+/// a pending insert delta.
 mod fault_inject {
     use super::*;
-    use std::sync::Arc;
-    use x100_engine::FaultPlan;
-    use x100_storage::ColumnBM;
+    use x100_engine::{FaultPlan, FaultSite};
+    use x100_vector::Value;
 
-    /// `fact_db` with a ColumnBM attached so scans go through the
-    /// (fault-injectable) chunk-read path. Small chunks make even a
-    /// modest table span many chunk reads.
-    fn fact_db_with_bm(n: i64) -> Database {
-        let mut db = fact_db(n);
-        db.attach_buffer_manager(Arc::new(ColumnBM::with_chunk_bytes(1024, 4 * 1024)));
+    /// `fact` with an enum column `tag` and, with `pending`, inserts
+    /// waiting in its delta.
+    fn tagged_db(n: i64, pending: i64) -> Database {
+        let mut t = TableBuilder::new("fact")
+            .column("k", Vector::I64((0..n).map(|i| i % 97).collect()))
+            .column("v", Vector::F64((0..n).map(|i| (i % 13) as f64).collect()))
+            .auto_enum_str(
+                "tag",
+                (0..n)
+                    .map(|i| ["AIR", "MAIL", "SHIP"][(i % 3) as usize].into())
+                    .collect(),
+            )
+            .build();
+        for i in 0..pending {
+            t.insert(&[
+                Value::I64(i % 97),
+                Value::F64(0.5),
+                Value::Str("RAIL".into()),
+            ]);
+        }
+        let mut db = Database::new();
+        db.register(t);
         db
     }
 
-    #[test]
-    fn pinned_chunk_failing_twice_still_yields_correct_results() {
-        let db = fact_db_with_bm(20_000);
-        let plan = Plan::scan("fact", &["k", "v"])
-            .aggr(vec![("k", col("k"))], vec![AggExpr::sum("s", col("v"))])
-            .order(vec![OrdExp::asc("k")]);
-        let (want, _) = execute(&db, &plan, &ExecOptions::default()).expect("no faults");
-        let fault = FaultPlan {
+    /// `tag` is read as values: every vector gathers through the
+    /// dictionary (site `DictLookup`), fragment and delta alike.
+    fn tagged_plan() -> Plan {
+        Plan::scan("fact", &["k", "v", "tag"])
+    }
+
+    /// Faults at `rate` on one site, retried without sleeping.
+    fn faults(site: FaultSite, rate: f64, max_retries: u32) -> FaultPlan {
+        let plan = FaultPlan {
+            max_retries,
             backoff_base_us: 0,
+            seed: 0xDEC0DE,
             ..FaultPlan::default()
+        };
+        match site {
+            FaultSite::DeltaRead => plan.delta_rate(rate),
+            _ => plan.dict_rate(rate),
         }
-        .pin(0, 0, 2)
-        .pin(1, 3, 2);
-        let opts = ExecOptions::default().profiled().with_fault_plan(fault);
-        let (got, prof) = execute(&db, &plan, &opts).expect("faults retried away");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert_eq!(prof.counter("io_faults_injected"), Some(4));
-        assert_eq!(prof.counter("io_retries"), Some(4));
     }
 
     #[test]
-    fn random_faults_under_retry_budget_do_not_change_results() {
-        let db = fact_db_with_bm(50_000);
+    fn dict_faults_within_the_budget_leave_answers_identical() {
+        let db = tagged_db(20_000, 0);
+        let (want, _) = execute(&db, &tagged_plan(), &ExecOptions::default()).expect("clean");
+        let opts = (ExecOptions::default().profiled()).with_fault_plan(faults(
+            FaultSite::DictLookup,
+            0.3,
+            20,
+        ));
+        let (got, prof) = execute(&db, &tagged_plan(), &opts).expect("faults retried away");
+        assert_eq!(want.row_strings(), got.row_strings());
+        // Every injected fault was retried away: none exhausted a budget.
+        let injected = prof.counter("io_faults_injected").unwrap_or(0);
+        assert!(injected > 0);
+        assert_eq!(prof.counter("io_retries"), Some(injected));
+    }
+
+    #[test]
+    fn random_delta_faults_under_retry_budget_do_not_change_results() {
+        let db = tagged_db(50_000, 3_000);
         let plan = Plan::scan("fact", &["k", "v"])
             .select(lt(col("k"), lit_i64(90)))
             .aggr(vec![("k", col("k"))], vec![AggExpr::sum("s", col("v"))])
             .order(vec![OrdExp::asc("k")]);
-        let (want, _) = execute(&db, &plan, &ExecOptions::default()).expect("no faults");
-        let fault = FaultPlan {
-            max_retries: 20,
-            backoff_base_us: 0,
-            ..FaultPlan::with_rate(0.05, 0xDEC0DE)
-        };
-        let opts = ExecOptions::default().profiled().with_fault_plan(fault);
-        let (got, prof) = execute(&db, &plan, &opts).expect("faults retried away");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert!(prof.counter("io_faults_injected").unwrap_or(0) > 0);
+        let (want, _) = execute(&db, &plan, &ExecOptions::default()).expect("clean");
+        for threads in [1usize, 2] {
+            let opts = (ExecOptions::default().profiled().parallel(threads))
+                .with_fault_plan(faults(FaultSite::DeltaRead, 0.05, 20));
+            let (got, prof) = execute(&db, &plan, &opts).expect("faults retried away");
+            assert_eq!(want.row_strings(), got.row_strings(), "threads={threads}");
+            assert!(prof.counter("io_faults_injected").unwrap_or(0) > 0);
+        }
     }
 
     #[test]
     fn exhausted_retries_surface_a_typed_io_error() {
-        let db = fact_db_with_bm(20_000);
-        let plan = Plan::scan("fact", &["k", "v"]);
-        // A pinned chunk failing more times than the retry budget allows.
-        let fault = FaultPlan {
-            max_retries: 2,
-            backoff_base_us: 0,
-            ..FaultPlan::default()
-        }
-        .pin(0, 0, 10);
-        let opts = ExecOptions::default().with_fault_plan(fault);
-        match execute(&db, &plan, &opts) {
-            Err(EngineError::Io { site, detail, .. }) => {
-                assert_eq!(site, x100_storage::FaultSite::ChunkRead);
-                assert!(detail.contains("chunk"), "got {detail:?}");
+        for (site, pending, what) in [
+            (FaultSite::DictLookup, 0, "dictionary lookup"),
+            (FaultSite::DeltaRead, 10, "delta read"),
+        ] {
+            let db = tagged_db(20_000, pending);
+            let opts = ExecOptions::default().with_fault_plan(faults(site, 1.0, 2));
+            match execute(&db, &tagged_plan(), &opts) {
+                Err(EngineError::Io {
+                    site: got, detail, ..
+                }) => {
+                    assert_eq!(got, site);
+                    assert!(detail.contains(what), "got {detail:?}");
+                    assert!(detail.contains("after 3 attempts"), "got {detail:?}");
+                }
+                other => panic!("expected Io at {site}, got {other:?}"),
             }
-            other => panic!("expected Io error, got {other:?}"),
         }
     }
 
     #[test]
     fn concurrent_queries_have_independent_fault_state() {
-        // Two governed runs with the same pinned plan each consume their
-        // own failures — per-query FaultState, not global.
-        let db = fact_db_with_bm(20_000);
-        let plan = Plan::scan("fact", &["k"]);
-        for _ in 0..2 {
-            let fault = FaultPlan {
-                backoff_base_us: 0,
-                ..FaultPlan::default()
-            }
-            .pin(0, 0, 2);
-            let opts = ExecOptions::default().profiled().with_fault_plan(fault);
-            let (res, prof) = execute(&db, &plan, &opts).expect("runs");
+        // Queries with the same seeded plan each draw their own faults —
+        // per-query FaultState, not global: run alone or side by side,
+        // each injects exactly as many.
+        let db = tagged_db(20_000, 0);
+        let opts = (ExecOptions::default().profiled()).with_fault_plan(faults(
+            FaultSite::DictLookup,
+            0.3,
+            20,
+        ));
+        let injected = || {
+            let (res, prof) = execute(&db, &tagged_plan(), &opts).expect("runs");
             assert_eq!(res.num_rows(), 20_000);
-            assert_eq!(prof.counter("io_faults_injected"), Some(2));
-        }
+            prof.counter("io_faults_injected").unwrap_or(0)
+        };
+        let alone = injected();
+        assert!(alone > 0);
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2).map(|_| s.spawn(injected)).collect();
+            for r in runs {
+                assert_eq!(r.join().expect("query thread"), alone);
+            }
+        });
     }
 }

@@ -693,53 +693,6 @@ fn profiler_traces_primitives_and_operators() {
     assert!(render.contains("Project"));
 }
 
-#[test]
-fn compressed_scan_reports_counters_and_matches_plain() {
-    let n = 4000i64;
-    let build = || {
-        TableBuilder::new("m")
-            .column("id", Vector::I64((0..n).collect()))
-            .column(
-                "qty",
-                Vector::F64((0..n).map(|i| 1.0 + (i % 50) as f64).collect()),
-            )
-            .build()
-    };
-    let plan = Plan::scan("m", &["id", "qty"])
-        .select(lt(col("qty"), lit_f64(25.0)))
-        .project(vec![("v", mul(col("qty"), lit_f64(2.0))), ("i", col("id"))]);
-    let mut plain = Database::new();
-    plain.register(build());
-    let (base, _) = execute(&plain, &plan, &opts()).expect("plain");
-
-    let mut comp = Database::new();
-    let mut t = build();
-    let verdicts = t.checkpoint();
-    assert!(
-        verdicts
-            .iter()
-            .any(|(_, f, _)| *f != x100_storage::ChunkFormat::Raw),
-        "expected at least one column to compress: {verdicts:?}"
-    );
-    comp.register(t);
-    // The Select fuses into the compressed scan: same rows, the pushdown
-    // counter proves the encoded-space path ran, and the dense refill
-    // under its selection reports its counters — every scanned byte came
-    // from compressed chunks, and the ratio reflects the worst column.
-    let (res, prof) = execute(&comp, &plan, &ExecOptions::default().profiled()).expect("comp");
-    assert_eq!(res.row_strings(), base.row_strings());
-    assert!(prof.counter("pushdown_vectors").is_some());
-    let raw = prof.counter("scan_bytes_raw").expect("scan_bytes_raw");
-    let cmp = prof
-        .counter("scan_bytes_compressed")
-        .expect("scan_bytes_compressed");
-    assert_eq!(raw, n as u64 * 16, "both columns are 8-byte scalars");
-    assert!(cmp > 0 && cmp < raw, "compressed {cmp} vs raw {raw}");
-    let ratio = prof.counter("compress_ratio").expect("compress_ratio");
-    assert!(ratio > 0 && ratio < 100, "ratio_pct {ratio}");
-    assert!(prof.counter("decode_exceptions").is_some());
-}
-
 /// The select primitives run predicated at every selectivity: runs of
 /// 0 %, 50 % and 100 % several vectors long, on dense input, under an
 /// earlier step's selection, column-vs-column and through `select_true`,

@@ -1,25 +1,29 @@
-//! Compression-aware execution: fused `CompressedScanSelect` tests.
+//! Checkpointed tables answer as raw ones.
 //!
-//! Every test compares a plan over a checkpoint-compressed table, where
-//! the predicate runs in encoded space, against the same plan over a
-//! never-checkpointed copy of the same rows, which has no compressed
-//! column and so runs the ordinary decode-then-select pipeline — the two
-//! must be byte-identical in all circumstances: residual conjuncts,
-//! deletes, predicates on the columns a checkpoint turns into enum
-//! columns, parallel morsels, and torn chunk writes.
+//! Every test compares a plan over a table in one of the storage forms
+//! a checkpoint leaves — `Table::checkpoint` (low-cardinality columns
+//! turned into enum columns) or a durable checkpoint reopened with
+//! `Table::open` (every fragment decoded back from its PFOR or
+//! PFOR-DELTA chunks, which are then dropped) — against the same plan
+//! over a never-checkpointed copy of the same rows. The two must be
+//! byte-identical in all circumstances: predicates per operator, enum
+//! columns, deletes, parallel morsels, positional fetches, and chunks
+//! torn between encode and write. A scan reads only the resident
+//! fragment, whatever the form.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use x100_engine::check_plan;
 use x100_engine::expr::*;
 use x100_engine::ops::OrdExp;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
-use x100_engine::AggExpr;
-use x100_storage::{ChunkFormat, Table, TableBuilder};
+use x100_engine::{AggExpr, DurableOptions, FaultPlan};
+use x100_storage::{ChunkFormat, FaultState, Table, TableBuilder, Verdicts};
 use x100_vector::{ScalarType, Value, Vector};
 
 const N: i64 = 50_000;
 
-/// A fact table engineered so the checkpoint stores each column
+/// A fact table engineered so the durable checkpoint stores each column
 /// differently: `id` sorted → PFOR-DELTA, `k` narrow unsorted → PFOR,
 /// `grp` few wide values and `tag` low-card strings → enum columns,
 /// `qty` → PFOR (scaled f64).
@@ -57,7 +61,27 @@ fn db_of(t: Table) -> Database {
     db
 }
 
-/// The fact table, checkpoint-compressed or never (the oracle).
+/// `t` durably checkpointed (under `fault`, if any) and reopened from
+/// its segments, with the commit's verdicts.
+fn reopened(mut t: Table, fault: Option<&FaultState>) -> (Table, Verdicts) {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let case = CASE.fetch_add(1, Ordering::SeqCst);
+    let dir = std::env::temp_dir().join(format!("x100-reopened-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let verdicts = t
+        .try_checkpoint_durable(&dir, &DurableOptions::default(), fault)
+        .expect("durable checkpoint");
+    let back = Table::open(&dir).expect("reopen");
+    let _ = std::fs::remove_dir_all(&dir);
+    (back, verdicts)
+}
+
+/// `name`'s format in `verdicts`.
+fn format_of(verdicts: &Verdicts, name: &str) -> Option<ChunkFormat> {
+    verdicts.iter().find(|(n, _, _)| n == name).map(|v| v.1)
+}
+
+/// The fact table, checkpointed (enumerated) or never (the oracle).
 fn fact_table_as(checkpoint: bool) -> Table {
     let mut t = fact_table();
     if checkpoint {
@@ -71,19 +95,24 @@ fn raw_db() -> Database {
     db_of(fact_table())
 }
 
+/// The fact table reopened from its durable checkpoint.
 fn fact_db() -> Database {
-    let mut t = fact_table();
-    let verdicts = t.checkpoint();
-    let fmt = |name: &str| {
-        verdicts
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, f, _)| *f)
-            .unwrap()
-    };
-    assert_eq!(fmt("id"), ChunkFormat::PforDelta, "{verdicts:?}");
-    assert_eq!(fmt("k"), ChunkFormat::Pfor, "{verdicts:?}");
-    assert_eq!(fmt("qty"), ChunkFormat::Pfor, "{verdicts:?}");
+    let (t, verdicts) = reopened(fact_table(), None);
+    assert_eq!(
+        format_of(&verdicts, "id"),
+        Some(ChunkFormat::PforDelta),
+        "{verdicts:?}"
+    );
+    assert_eq!(
+        format_of(&verdicts, "k"),
+        Some(ChunkFormat::Pfor),
+        "{verdicts:?}"
+    );
+    assert_eq!(
+        format_of(&verdicts, "qty"),
+        Some(ChunkFormat::Pfor),
+        "{verdicts:?}"
+    );
     for name in ["grp", "tag"] {
         assert!(t.column_by_name(name).dict().is_some(), "{name} enumerated");
     }
@@ -94,19 +123,13 @@ fn profiled() -> ExecOptions {
     ExecOptions::default().profiled()
 }
 
-/// Run `plan` over the raw copy and the compressed table; assert
-/// identical rows and that the compressed run actually took the
-/// pushdown path. Returns its profiler for extra counter assertions.
-fn assert_fused_matches(raw: &Database, db: &Database, plan: &Plan) -> x100_engine::Profiler {
-    let (want, rp) = execute(raw, plan, &profiled()).expect("raw");
-    assert!(rp.counter("pushdown_vectors").is_none(), "raw scan pushed");
-    let (got, fp) = execute(db, plan, &profiled()).expect("fused");
+/// Run `plan` over the raw copy and the checkpointed table; assert
+/// identical rows. Returns the checkpointed run's profiler.
+fn assert_matches(raw: &Database, db: &Database, plan: &Plan) -> x100_engine::Profiler {
+    let (want, _) = execute(raw, plan, &profiled()).expect("raw");
+    let (got, prof) = execute(db, plan, &profiled()).expect("checkpointed");
     assert_eq!(want.row_strings(), got.row_strings());
-    assert!(
-        fp.counter("pushdown_vectors").unwrap_or(0) > 0,
-        "no pushdown"
-    );
-    fp
+    prof
 }
 
 #[test]
@@ -121,59 +144,14 @@ fn pfor_predicates_match_ablation_per_operator() {
         // Literal-on-the-left normalizes by flipping the operator.
         gt(lit_i64(50), col("k")),
     ];
-    let windows = (N as usize).div_ceil(profiled().vector_size) as u64;
     for pred in preds {
         let plan = Plan::scan("fact", &["id", "k", "qty"]).select(pred.clone());
-        let prof = assert_fused_matches(&raw, &db, &plan);
-        // One encoded-space selection per refill; the columns then
-        // refill as in any scan and report the same decode counters.
-        assert_eq!(prof.counter("pushdown_vectors"), Some(windows), "{pred:?}");
-        assert!(prof.counter("scan_bytes_compressed").unwrap_or(0) > 0);
-        assert!(prof.counter("decode_exceptions").is_some());
-        // One operator row covers select + refill.
-        let ops: Vec<&str> = prof.operators().map(|(op, _)| op).collect();
-        assert_eq!(ops, ["CompressedScanSelect"], "{pred:?}");
+        let prof = assert_matches(&raw, &db, &plan);
+        // A plain scan of the fragment under an ordinary select.
+        let mut ops: Vec<&str> = prof.operators().map(|(op, _)| op).collect();
+        ops.sort_unstable();
+        assert_eq!(ops, ["Scan", "Select"], "{pred:?}");
     }
-}
-
-#[test]
-fn ge_lt_over_integers_fuses_as_one_between() {
-    let (raw, db) = (raw_db(), fact_db());
-    // `k >= 200 AND k < 251` is `k BETWEEN 200 AND 250`.
-    let plan = Plan::scan("fact", &["id", "k"])
-        .select(and(ge(col("k"), lit_i64(200)), lt(col("k"), lit_i64(251))));
-    let prof = assert_fused_matches(&raw, &db, &plan);
-    assert!(prof.primitive("cmp_pfor_between_i64_col_val_val").is_some());
-    let log = check_plan(&db, &plan, &profiled())
-        .expect("checks")
-        .render();
-    assert!(log.contains("residual []"), "no conjunct left above: {log}");
-    // Below the type's minimum there is no `hi − 1`: the pair stays two
-    // conjuncts (one pushed, one residual), and still selects nothing.
-    let plan = Plan::scan("fact", &["id", "k"]).select(and(
-        ge(col("k"), lit_i64(200)),
-        lt(col("k"), lit_i64(i64::MIN)),
-    ));
-    let summary = check_plan(&db, &plan, &profiled()).expect("checks");
-    assert!(
-        !summary.render().contains("between"),
-        "{}",
-        summary.render()
-    );
-    let (got, _) = execute(&db, &plan, &profiled()).expect("runs");
-    assert_eq!(got.num_rows(), 0);
-}
-
-#[test]
-fn ge_le_conjunction_fuses_as_one_between() {
-    let (raw, db) = (raw_db(), fact_db());
-    let plan = Plan::scan("fact", &["id", "k"])
-        .select(and(ge(col("k"), lit_i64(200)), le(col("k"), lit_i64(250))));
-    let prof = assert_fused_matches(&raw, &db, &plan);
-    assert!(
-        prof.primitive("cmp_pfor_between_i64_col_val_val").is_some(),
-        "range pair should collapse into a single encoded Between"
-    );
 }
 
 #[test]
@@ -187,13 +165,11 @@ fn enum_column_predicates_match_the_raw_table() {
     ] {
         let plan = Plan::scan("fact", &["id", "tag", "grp"]).select(pred.clone());
         let (want, _) = execute(&raw, &plan, &profiled()).expect("raw");
-        let (got, prof) = execute(&db, &plan, &profiled()).expect("enum");
+        let (got, _) = execute(&db, &plan, &profiled()).expect("enum");
         assert_eq!(want.row_strings(), got.row_strings(), "{pred:?}");
-        // An enum column is no pushdown target. Where only the predicate
-        // reads it, a string literal becomes its dictionary code and the
-        // select compares one-byte codes; any other predicate compares
-        // decoded values.
-        assert!(prof.counter("pushdown_vectors").is_none(), "{pred:?}");
+        // Where only the predicate reads an enum column, a string
+        // literal becomes its dictionary code and the select compares
+        // one-byte codes; any other predicate compares decoded values.
         let ids = Plan::scan("fact", &["id", "tag", "grp"])
             .select(pred.clone())
             .project(vec![("id", col("id"))]);
@@ -219,7 +195,8 @@ fn string_ordering_is_refused_in_every_storage_form() {
     ]);
     for (form, db) in [
         ("raw", raw_db()),
-        ("checkpointed", fact_db()),
+        ("checkpointed", db_of(fact_table_as(true))),
+        ("reopened", fact_db()),
         ("checkpointed + insert", db_of(pending)),
     ] {
         match execute(&db, &plan, &profiled()) {
@@ -237,68 +214,19 @@ fn string_ordering_is_refused_in_every_storage_form() {
 
 #[test]
 fn int_literal_coerces_to_narrow_and_float_columns() {
-    // `k` is I64 so this exercises same-type; `qty` is F64 and the
-    // I64 literal must coerce rather than falling back.
+    // `qty` is F64 (PFOR-encoded on disk): the I64 literal is promoted
+    // by the select, as over the raw table.
     let plan = Plan::scan("fact", &["k", "qty"]).select(lt(col("qty"), lit_i64(10)));
-    assert_fused_matches(&raw_db(), &fact_db(), &plan);
+    assert_matches(&raw_db(), &fact_db(), &plan);
 }
 
-#[test]
-fn residual_conjuncts_run_as_a_select_above_the_fused_scan() {
-    // `qty * 2 < k` is not pushable (expression over two columns); it
-    // must survive as a residual Select over compacted batches.
-    let plan = Plan::scan("fact", &["id", "k", "qty"]).select(and(
-        lt(col("k"), lit_i64(300)),
-        lt(
-            mul(col("qty"), lit_f64(2.0)),
-            cast(ScalarType::F64, col("k")),
-        ),
-    ));
-    assert_fused_matches(&raw_db(), &fact_db(), &plan);
-}
-
-#[test]
-fn pushdown_under_aggregation_across_threads() {
-    let db = fact_db();
-    let plan = Plan::scan("fact", &["k", "grp", "qty"])
-        .select(lt(col("k"), lit_i64(100)))
-        .aggr(
-            vec![("grp", col("grp"))],
-            vec![AggExpr::sum("s", col("qty")), AggExpr::count("c")],
-        )
-        .order(vec![OrdExp::asc("grp")]);
-    let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("raw");
-    for threads in [1usize, 2, 4, 8] {
-        let (got, prof) = execute(&db, &plan, &profiled().parallel(threads)).expect("fused");
-        assert_eq!(want.row_strings(), got.row_strings(), "threads={threads}");
-        assert!(
-            prof.counter("pushdown_vectors").unwrap_or(0) > 0,
-            "threads={threads} skipped the pushdown"
-        );
-    }
-}
-
-#[test]
-fn deletes_fold_into_the_encoded_selection() {
-    // Delete a mix of rows that would and would not pass `k < 100`.
-    let deleted = |checkpoint: bool| {
-        let mut t = fact_table_as(checkpoint);
-        for r in (0..N as u32).step_by(17) {
-            assert!(t.delete(r));
-        }
-        db_of(t)
-    };
-    let plan = Plan::scan("fact", &["id", "k", "tag"]).select(lt(col("k"), lit_i64(100)));
-    assert_fused_matches(&deleted(false), &deleted(true), &plan);
-}
-
-/// The pushed refill ≡ the raw table over the whole space its decisions
-/// span: selectivity {0, one row, ~2 %, ~50 %, all} × predicate column
-/// {PFOR i32, PFOR f64 with 22 % exceptions, enum i64, enum str} with
-/// every other column riding along as a co-column (incl. PFOR-DELTA and
-/// enum f64, aggregated under the select) × deletes × threads
-/// {1, 2, 4, 8} × vector size {7, 1024}. Only the PFOR columns push
-/// their predicate; the enum columns answer the same rows from codes.
+/// A reopened table ≡ the raw table over the whole space a scan's
+/// decisions span: selectivity {0, one row, ~2 %, ~50 %, all} ×
+/// predicate column {PFOR i32, PFOR f64 with 22 % exceptions, enum i64,
+/// enum str} with every other column riding along as a co-column (incl.
+/// PFOR-DELTA and enum f64, aggregated under the select) × deletes ×
+/// threads {1, 2, 4, 8} × vector size {7, 1024}. The enum columns
+/// answer the same rows from codes.
 mod matrix {
     use super::*;
 
@@ -310,7 +238,8 @@ mod matrix {
     /// wide values → enum i64; `s` four strings → enum str; `d` 97
     /// square roots, which no decimal scale makes exact → enum f64. Row
     /// `ONE` holds the one odd `p`, the maximum `f`, the one `g` = 42 and
-    /// the one `s` = "zeta". Checkpointed or never (the oracle).
+    /// the one `s` = "zeta". Reopened from a durable checkpoint or
+    /// never checkpointed (the oracle); deletes are pending.
     fn table(deletes: bool, checkpoint: bool) -> Table {
         let gs = |i: usize| match i {
             ONE => 42,
@@ -351,15 +280,19 @@ mod matrix {
             )
             .build();
         if checkpoint {
-            let verdicts = t.checkpoint();
+            let verdicts;
+            (t, verdicts) = reopened(t, None);
             let want = [
                 ("id", ChunkFormat::PforDelta),
                 ("p", ChunkFormat::Pfor),
                 ("f", ChunkFormat::Pfor),
             ];
             for (name, fmt) in want {
-                let got = verdicts.iter().find(|(n, _, _)| n == name).map(|v| v.1);
-                assert_eq!(got, Some(fmt), "{name}: {verdicts:?}");
+                assert_eq!(
+                    format_of(&verdicts, name),
+                    Some(fmt),
+                    "{name}: {verdicts:?}"
+                );
             }
             for name in ["g", "s", "d"] {
                 assert!(t.column_by_name(name).dict().is_some(), "{name} enumerated");
@@ -384,8 +317,8 @@ mod matrix {
 
     /// Per predicate column: predicates selecting no row, one row,
     /// ~2 %, ~50 % and every row. A predicate true on every row is
-    /// folded away by the facts before it could be pushed, so "all" is
-    /// every row but the one holding the extreme value.
+    /// folded away by the facts before it runs, so "all" is every row
+    /// but the one holding the extreme value.
     fn predicates() -> Vec<(&'static str, Expr)> {
         let p_max = (0..ROWS).map(p_at).max().expect("rows");
         vec![
@@ -413,7 +346,7 @@ mod matrix {
     }
 
     #[test]
-    fn pushed_refill_matches_ablation_across_the_matrix() {
+    fn reopened_tables_match_raw_across_the_matrix() {
         for deletes in [false, true] {
             let (raw, db) = (db_of(table(deletes, false)), db_of(table(deletes, true)));
             for (what, pred) in predicates() {
@@ -446,14 +379,8 @@ mod matrix {
                         };
                         for plan in plans {
                             let (want, _) = execute(&raw, plan, &opts).expect("raw");
-                            let (got, prof) = execute(&db, plan, &opts).expect("pushed");
+                            let (got, _) = execute(&db, plan, &opts).expect("reopened");
                             assert_eq!(got.row_strings(), want.row_strings(), "{case}");
-                            let pfor = what.starts_with('p') || what.starts_with('f');
-                            assert_eq!(
-                                prof.counter("pushdown_vectors").unwrap_or(0) > 0,
-                                pfor,
-                                "{case}: pushed only on a PFOR column"
-                            );
                         }
                     }
                 }
@@ -462,71 +389,12 @@ mod matrix {
     }
 }
 
-#[test]
-fn delta_rows_disable_fusion_until_reorganize() {
-    let inserted = |checkpoint: bool| {
-        let mut t = fact_table_as(checkpoint);
-        t.insert(&[
-            Value::I64(N),
-            Value::I64(42),
-            Value::I64(5),
-            Value::Str("beta".into()),
-            Value::F64(1.5),
-        ]);
-        db_of(t)
-    };
-    let plan = Plan::scan("fact", &["id", "k"]).select(lt(col("k"), lit_i64(100)));
-    let (want, _) = execute(&inserted(false), &plan, &profiled()).expect("raw");
-    let (got, prof) = execute(&inserted(true), &plan, &profiled()).expect("fused opts");
-    assert_eq!(want.row_strings(), got.row_strings());
-    // Unfiltered delta rows must never leak: with pending inserts the
-    // binder declines to fuse, and the walk log says so under the Select.
-    assert!(prof.counter("pushdown_vectors").is_none());
-    let walk = check_plan(&inserted(true), &plan, &profiled()).expect("checks");
-    let at = walk
-        .report
-        .iter()
-        .position(|l| l.starts_with("root: Select →"));
-    assert_eq!(
-        at.and_then(|i| walk.report.get(i + 1)).map(String::as_str),
-        Some(
-            "root: CompressedScanSelect `k` [cmp_pfor_lt_i64_col_val] declined: \
-             pending inserts (1 rows) bypass the compressed fragment"
-        ),
-        "{:?}",
-        walk.report
-    );
-    // Nothing to decline over a raw table.
-    let walk = check_plan(&inserted(false), &plan, &profiled()).expect("checks");
-    assert!(!walk.render().contains("declined"), "{}", walk.render());
-}
-
-#[test]
-fn checker_reports_the_fused_operator() {
-    let db = fact_db();
-    let plan = Plan::scan("fact", &["id", "k", "qty"]).select(and(
-        lt(col("k"), lit_i64(100)),
-        lt(
-            mul(col("qty"), lit_f64(2.0)),
-            cast(ScalarType::F64, col("k")),
-        ),
-    ));
-    let summary = check_plan(&db, &plan, &profiled()).expect("checks");
-    let log = summary.render();
-    assert!(log.contains("CompressedScanSelect"), "{log}");
-    assert!(log.contains("cmp_pfor_lt_i64_col_val"), "{log}");
-    // The raw table checks (and binds) the classic Scan→Select shape.
-    let summary = check_plan(&raw_db(), &plan, &profiled()).expect("checks");
-    let log = summary.render();
-    assert!(!log.contains("CompressedScanSelect"), "{log}");
-}
-
 /// A star schema for the positional joins: the join-index `#rowId`
 /// column is sorted so the chooser PFOR-DELTA-encodes it, and the
 /// dimension's payload columns compress too — `name`, 300 strings
 /// mostly among the first 256, as an enum column whose two-byte codes
-/// take one-byte PFOR lanes. A fetch still gathers from the dimension's
-/// resident fragment; its chunks serve scans only.
+/// take one-byte PFOR lanes. A fetch gathers from the dimension's
+/// resident fragment, which `open` decoded from those chunks.
 mod star {
     use super::*;
 
@@ -573,27 +441,25 @@ mod star {
             .build()
     }
 
-    /// The star, checkpointed or not; `tear` then flips a payload byte
-    /// of every dimension column's chunk in memory.
+    /// The star, reopened from durable checkpoints or never
+    /// checkpointed; with `tear`, the dimension's commit flips a payload
+    /// byte of each of its columns' first chunk between encode and write.
     fn star_db(checkpoint: bool, tear: bool) -> Database {
         let (mut f, mut d) = (facts(), dim());
         if checkpoint {
-            let vf = f.checkpoint();
-            assert!(
-                vf.iter()
-                    .any(|(n, fmt, _)| n == "fk" && *fmt == ChunkFormat::PforDelta),
-                "join index should PFOR-DELTA-encode: {vf:?}"
-            );
-            let vd = d.checkpoint();
-            assert!(
-                vd.iter().all(|(_, fmt, _)| *fmt != ChunkFormat::Raw),
-                "dimension columns should compress: {vd:?}"
-            );
-        }
-        if tear {
-            for col in 0..2 {
-                assert!(d.corrupt_compressed_payload(col, 0, 7), "column {col}");
-            }
+            let vf;
+            (f, vf) = reopened(f, None);
+            assert_eq!(format_of(&vf, "fk"), Some(ChunkFormat::PforDelta), "{vf:?}");
+            let fault = FaultState::new(FaultPlan::default().tear(0, 0, 7).tear(1, 0, 7));
+            let vd;
+            (d, vd) = reopened(d, tear.then_some(&fault));
+            let want = if tear {
+                ChunkFormat::Raw
+            } else {
+                ChunkFormat::Pfor
+            };
+            assert!(vd.iter().all(|v| v.1 == want), "dimension columns: {vd:?}");
+            assert_eq!(fault.injected(), if tear { 2 } else { 0 });
         }
         let mut db = Database::new();
         db.register(f);
@@ -629,100 +495,23 @@ mod star {
     }
 
     #[test]
-    fn fetchnjoin_ranges_seek_from_sync_points() {
+    fn fetchnjoin_ranges_read_the_reopened_fragment() {
         let plan = fetchn_plan();
         let (want, _) = execute(&star_db(false, false), &plan, &profiled()).expect("raw");
         let (got, _) = execute(&star_db(true, false), &plan, &profiled()).expect("compressed");
         assert_eq!(want.row_strings(), got.row_strings());
     }
 
-    /// A fetch never reads chunks: with every dimension chunk torn in
-    /// memory, both fetch-joins return the never-checkpointed answer and
-    /// the recovery ladder never runs — no recovery, no heal.
+    /// A fetch never reads chunks: with every dimension chunk torn on its
+    /// way to disk, the commit stores raw values instead, and both
+    /// fetch-joins return the never-checkpointed answer.
     #[test]
     fn fetches_never_read_torn_dimension_chunks() {
         for plan in [fetch1_plan(), fetchn_plan()] {
             let (want, _) = execute(&star_db(false, false), &plan, &profiled()).expect("raw");
             let (got, prof) = execute(&star_db(true, true), &plan, &profiled()).expect("torn");
             assert_eq!(want.row_strings(), got.row_strings());
-            assert_eq!(prof.counter("decode_recoveries"), None);
-            assert_eq!(prof.counter("chunk_heals"), None);
             assert!(prof.counter("fetch_unchecked_dispatches").unwrap_or(0) > 0);
         }
-    }
-
-    /// A dimension chunk torn by the checkpoint write itself: the fetch
-    /// gathers from the fragment, so it never meets the torn chunk.
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn torn_checkpoint_write_never_reaches_a_fetch() {
-        use x100_engine::FaultPlan;
-        use x100_storage::FaultState;
-        let plan = fetch1_plan();
-        let (want, _) = execute(&star_db(false, false), &plan, &profiled()).expect("raw");
-        let (mut f, mut d) = (facts(), dim());
-        f.checkpoint();
-        let fs = FaultState::new(FaultPlan::default().tear(0, 0, 7));
-        d.try_checkpoint(Some(&fs))
-            .expect("torn write appears to succeed");
-        assert_eq!(fs.injected(), 1);
-        let mut db = Database::new();
-        db.register(f);
-        db.register(d);
-        let (got, prof) = execute(&db, &plan, &profiled()).expect("fetches");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert_eq!(prof.counter("decode_recoveries"), None);
-    }
-}
-
-/// Torn-write fault mode end-to-end: a checkpoint whose compressed
-/// chunk is silently corrupted must surface through the per-chunk
-/// checksum and recover from the retained raw fragment — correct rows,
-/// never wrong ones, with the recovery visible in the profile.
-#[cfg(feature = "fault-inject")]
-mod torn {
-    use super::*;
-    use x100_engine::FaultPlan;
-    use x100_storage::FaultState;
-
-    fn torn_db(col: u32, chunk: u32, byte: u32) -> Database {
-        let mut t = fact_table();
-        let fs = FaultState::new(FaultPlan::default().tear(col, chunk, byte));
-        t.try_checkpoint(Some(&fs))
-            .expect("torn write appears to succeed");
-        assert_eq!(fs.injected(), 1);
-        db_of(t)
-    }
-
-    #[test]
-    fn torn_predicate_column_recovers_with_correct_rows() {
-        let plan = Plan::scan("fact", &["id", "k", "tag"]).select(lt(col("k"), lit_i64(100)));
-        let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("clean");
-        // Column 1 is `k`, the pushdown target (one chunk at 50k rows).
-        let db = torn_db(1, 0, 13);
-        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn torn_payload_column_recovers_with_correct_rows() {
-        let plan = Plan::scan("fact", &["id", "k", "qty"]).select(lt(col("k"), lit_i64(100)));
-        let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("clean");
-        // Column 4 is `qty`, a lazily-decoded co-column.
-        let db = torn_db(4, 0, 21);
-        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn torn_chunk_on_dense_scan_recovers_too() {
-        let plan = Plan::scan("fact", &["id", "k", "qty"]);
-        let (want, _) = execute(&raw_db(), &plan, &profiled()).expect("clean");
-        let db = torn_db(4, 0, 3);
-        let (got, prof) = execute(&db, &plan, &profiled()).expect("recovers");
-        assert_eq!(want.row_strings(), got.row_strings());
-        assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
     }
 }

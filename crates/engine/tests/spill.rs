@@ -420,7 +420,6 @@ fn no_temp_files_survive_cancellation_or_worker_panic() {
     );
 }
 
-#[cfg(feature = "fault-inject")]
 mod faults {
     use super::*;
     use x100_engine::FaultPlan;

@@ -1,26 +1,25 @@
 //! Compressed column fragments: the storage half of lightweight
 //! compression (paper §4.3 / §5).
 //!
-//! At checkpoint / reorganize time a per-column *format chooser* bounds
-//! each format's size from the fragment's sort order and a byte
-//! histogram, encodes only the formats that can win, and rewrites the
-//! fragment as a sequence of compressed chunks — PFOR or PFOR-DELTA —
-//! each carrying a self-describing [`ChunkHeader`] plus exception
-//! blocks. Columns where compression would not pay (savings below 10%)
-//! stay raw. The scan decompresses vector-at-a-time through
-//! [`CompressedColumn::decode_range`], so compressed data stays
-//! compressed in the buffer pool and expands only into cache-resident
-//! vectors.
+//! Chunks are the durable encoding: a durable checkpoint runs a
+//! per-column *format chooser* that bounds each format's size from the
+//! fragment's sort order and a byte histogram, encodes only the formats
+//! that can win, and writes the fragment as a sequence of compressed
+//! chunks — PFOR or PFOR-DELTA — each carrying a self-describing
+//! [`ChunkHeader`] plus exception blocks. Columns where compression
+//! would not pay (savings below 10%) are written raw. `Table::open`
+//! decodes the chunks back into the fragment ([`CompressedColumn::decode`])
+//! and keeps none: queries read only the fragment (DESIGN.md §11).
 //!
 //! Dictionary compression is not a chunk format: where a dictionary
-//! would beat every chunk format ([`dictionary_wins`]), the checkpoint
+//! would beat every chunk format ([`dictionary_wins`]), `Table::checkpoint`
 //! turns the column into an enumeration type ([`crate::enumcol`]) and
 //! its codes go through this chooser like any other integer column.
 
 use crate::frame::{fold_checksum, fold_values, Reader, Writer};
 use crate::table::ColumnStats;
 use x100_vector::compress as k;
-use x100_vector::{ScalarType, Value, Vector};
+use x100_vector::{ScalarType, Vector};
 
 /// Rows per compressed chunk. A multiple of the vector size and of
 /// [`k::DELTA_SYNC`], so vector refills decode aligned lanes.
@@ -183,31 +182,6 @@ impl CompressedChunk {
     }
 }
 
-/// Decode progress of one scan over one compressed column. Sequential
-/// refills continue PFOR-DELTA prefix sums from the saved carry instead
-/// of replaying from the nearest sync point.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DecodeCursor {
-    chunk: usize,
-    next_row: usize,
-    carry: u64,
-    /// Last chunk whose checksum this cursor verified — sequential
-    /// scans pay the verification pass once per chunk, not per refill.
-    verified: Option<usize>,
-}
-
-/// Accounting of one `decode_range` call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DecodeStats {
-    /// Exception patches applied in the decoded window.
-    pub exceptions: u64,
-    /// Byte offset of the first compressed byte touched (for chunked
-    /// buffer-manager accounting).
-    pub comp_offset: u64,
-    /// Compressed bytes touched (payload window + exceptions + header).
-    pub comp_len: u64,
-}
-
 /// One column fragment rewritten as compressed chunks.
 #[derive(Debug, Clone)]
 pub struct CompressedColumn {
@@ -215,8 +189,6 @@ pub struct CompressedColumn {
     physical: ScalarType,
     rows: usize,
     chunks: Vec<CompressedChunk>,
-    /// Byte offset of each chunk in the compressed stream.
-    chunk_offsets: Vec<u64>,
     raw_bytes: u64,
     compressed_bytes: u64,
 }
@@ -259,36 +231,8 @@ impl CompressedColumn {
             .unwrap_or(100)
     }
 
-    /// The registered decompress-primitive signature the scan must run
-    /// to expand this column — `engine::check` verifies it against the
-    /// primitive registry like any other compiled instruction.
-    pub fn decode_sig(&self) -> &'static str {
-        macro_rules! sig {
-            ($codec:literal) => {
-                match self.physical {
-                    ScalarType::I8 => concat!("decompress_", $codec, "_i8_col"),
-                    ScalarType::I16 => concat!("decompress_", $codec, "_i16_col"),
-                    ScalarType::I32 => concat!("decompress_", $codec, "_i32_col"),
-                    ScalarType::I64 => concat!("decompress_", $codec, "_i64_col"),
-                    ScalarType::U8 => concat!("decompress_", $codec, "_u8_col"),
-                    ScalarType::U16 => concat!("decompress_", $codec, "_u16_col"),
-                    ScalarType::U32 => concat!("decompress_", $codec, "_u32_col"),
-                    ScalarType::U64 => concat!("decompress_", $codec, "_u64_col"),
-                    ScalarType::F64 => concat!("decompress_", $codec, "_f64_col"),
-                    ScalarType::Str => concat!("decompress_", $codec, "_str_col"),
-                    ScalarType::Bool => unreachable!("Bool is not a storage type"),
-                }
-            };
-        }
-        match self.format {
-            ChunkFormat::Raw => "raw",
-            ChunkFormat::Pfor => sig!("pfor"),
-            ChunkFormat::PforDelta => sig!("pfordelta"),
-        }
-    }
-
-    /// Finish a column from its parts: chunk offsets and the compressed
-    /// footprint are derived, never stored.
+    /// Finish a column from its parts: the compressed footprint is
+    /// derived, never stored.
     fn assemble(
         format: ChunkFormat,
         physical: ScalarType,
@@ -296,20 +240,14 @@ impl CompressedColumn {
         raw_bytes: u64,
         chunks: Vec<CompressedChunk>,
     ) -> CompressedColumn {
-        let mut chunk_offsets = Vec::with_capacity(chunks.len());
-        let mut off = 0u64;
-        for c in &chunks {
-            chunk_offsets.push(off);
-            off += c.byte_size() as u64;
-        }
+        let compressed_bytes = chunks.iter().map(|c| c.byte_size() as u64).sum();
         CompressedColumn {
             format,
             physical,
             rows,
             chunks,
-            chunk_offsets,
             raw_bytes,
-            compressed_bytes: off,
+            compressed_bytes,
         }
     }
 
@@ -432,144 +370,72 @@ impl CompressedColumn {
         ))
     }
 
-    /// Decompress rows `[start, start + rows)` into `out` (cleared and
-    /// refilled, mirroring `Vector::read_into`). `cursor` carries
-    /// sequential decode state between refills; `scratch` is the reused
-    /// frame buffer the governor charges. Fails (typed upstream as
-    /// `Io`) when a chunk's stored checksum no longer matches its body.
-    ///
-    /// The whole window decodes even under a selection: a dense decode
-    /// is cheaper than gathering even a few survivors (DESIGN.md §11).
-    pub fn decode_range(
-        &self,
-        start: usize,
-        rows: usize,
-        out: &mut Vector,
-        cursor: &mut DecodeCursor,
-        scratch: &mut Vec<u64>,
-    ) -> Result<DecodeStats, String> {
-        assert!(start + rows <= self.rows, "decode_range beyond fragment");
-        let mut stats = DecodeStats {
-            comp_offset: u64::MAX,
-            ..DecodeStats::default()
-        };
-        // Every position is overwritten by the dense decode below, so
-        // only growth needs the zero fill — resizing in place (instead
-        // of clear + refill) skips one full store pass per refill once
-        // the vector reaches steady state.
-        out.resize_zeroed(rows);
-        for (ci, local, n) in chunk_pieces(start, rows) {
-            let at = ci * CHUNK_ROWS + local - start;
-            self.decode_chunk(ci, local, n, at, out, cursor, scratch, &mut stats)?;
-        }
-        if stats.comp_offset == u64::MAX {
-            stats.comp_offset = 0;
-        }
-        Ok(stats)
-    }
-
-    /// Decode `n` rows of chunk `ci` starting at chunk-local `local`
-    /// into `out` at position `at`.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_chunk(
-        &self,
-        ci: usize,
-        local: usize,
-        n: usize,
-        at: usize,
-        out: &mut Vector,
-        cursor: &mut DecodeCursor,
-        scratch: &mut Vec<u64>,
-        stats: &mut DecodeStats,
-    ) -> Result<(), String> {
-        let chunk = self.verified(ci, cursor)?;
-        let lane_bytes = (chunk.header.lane as u64) / 8;
-        let mut touched = HEADER_BYTES as u64 + n as u64 * lane_bytes;
-        match &chunk.body {
-            ChunkBody::Pfor(c) => {
-                let exc = window_exceptions(&c.exc_pos, local, n);
-                touched += exc * 12;
-                stats.exceptions += exc;
-                macro_rules! arm {
-                    ($($variant:ident => $dec:path),+ $(,)?) => {
-                        match out {
-                            $(Vector::$variant(dst) => $dec(&mut dst[at..at + n], c, local, scratch),)+
-                            other => panic!("pfor decode into {:?}", other.scalar_type()),
-                        }
-                    };
-                }
-                arm! {
-                    I8 => k::decompress_pfor_i8_col,
-                    I16 => k::decompress_pfor_i16_col,
-                    I32 => k::decompress_pfor_i32_col,
-                    I64 => k::decompress_pfor_i64_col,
-                    U8 => k::decompress_pfor_u8_col,
-                    U16 => k::decompress_pfor_u16_col,
-                    U32 => k::decompress_pfor_u32_col,
-                    U64 => k::decompress_pfor_u64_col,
-                    F64 => k::decompress_pfor_f64_col,
-                }
-            }
-            ChunkBody::PforDelta(c) => {
-                // Sequential refills continue from the cursor carry; any
-                // other entry replays from the preceding sync carry.
-                let abs = ci * CHUNK_ROWS + local;
-                let (seek, carry) = if cursor.chunk == ci && cursor.next_row == abs && abs != 0 {
-                    (local, cursor.carry)
-                } else {
-                    let sk = local / k::DELTA_SYNC;
-                    (sk * k::DELTA_SYNC, c.sync[sk])
-                };
-                let exc = window_exceptions(&c.exc_pos, seek, local + n - seek);
-                touched += exc * 12 + (local - seek) as u64 * lane_bytes + 8;
-                stats.exceptions += exc;
-                macro_rules! arm {
-                    ($($variant:ident => $dec:path),+ $(,)?) => {
-                        match out {
-                            $(Vector::$variant(dst) => {
-                                $dec(&mut dst[at..at + n], c, seek, carry, local, scratch)
-                            })+
-                            other => panic!("pfordelta decode into {:?}", other.scalar_type()),
-                        }
-                    };
-                }
-                let new_carry = arm! {
-                    I8 => k::decompress_pfordelta_i8_col,
-                    I16 => k::decompress_pfordelta_i16_col,
-                    I32 => k::decompress_pfordelta_i32_col,
-                    I64 => k::decompress_pfordelta_i64_col,
-                    U8 => k::decompress_pfordelta_u8_col,
-                    U16 => k::decompress_pfordelta_u16_col,
-                    U32 => k::decompress_pfordelta_u32_col,
-                    U64 => k::decompress_pfordelta_u64_col,
-                };
-                cursor.chunk = ci;
-                cursor.next_row = abs + n;
-                cursor.carry = new_carry;
-            }
-        }
-        let off = self.chunk_offsets[ci] + HEADER_BYTES as u64 + local as u64 * lane_bytes;
-        stats.comp_offset = stats.comp_offset.min(off);
-        stats.comp_len += touched;
-        Ok(())
-    }
-
-    /// Chunk `ci`, its checksum verified at most once per cursor —
-    /// sequential scans pay the verification pass per chunk, not per
-    /// refill. Every decode path enters a chunk through here.
-    fn verified(&self, ci: usize, cursor: &mut DecodeCursor) -> Result<&CompressedChunk, String> {
-        if cursor.verified != Some(ci) {
+    /// Decompress the whole column, chunk by chunk, each chunk's
+    /// checksum verified before its body is trusted. Fails (typed
+    /// upstream as a bad copy) when a chunk's stored checksum no longer
+    /// matches its body. `Table::open` and the spill reader are the
+    /// decoders; no query reads chunks.
+    pub fn decode(&self) -> Result<Vector, String> {
+        let mut out = Vector::zeroed(self.physical, self.rows);
+        let mut scratch = Vec::new();
+        for (ci, chunk) in self.chunks.iter().enumerate() {
             self.verify_chunk(ci)?;
-            cursor.verified = Some(ci);
+            let at = ci * CHUNK_ROWS;
+            let n = chunk.header.rows as usize;
+            match &chunk.body {
+                ChunkBody::Pfor(c) => {
+                    macro_rules! arm {
+                        ($($variant:ident => $dec:path),+ $(,)?) => {
+                            match &mut out {
+                                $(Vector::$variant(dst) => $dec(&mut dst[at..at + n], c, 0, &mut scratch),)+
+                                other => panic!("pfor decode into {:?}", other.scalar_type()),
+                            }
+                        };
+                    }
+                    arm! {
+                        I8 => k::decompress_pfor_i8_col,
+                        I16 => k::decompress_pfor_i16_col,
+                        I32 => k::decompress_pfor_i32_col,
+                        I64 => k::decompress_pfor_i64_col,
+                        U8 => k::decompress_pfor_u8_col,
+                        U16 => k::decompress_pfor_u16_col,
+                        U32 => k::decompress_pfor_u32_col,
+                        U64 => k::decompress_pfor_u64_col,
+                        F64 => k::decompress_pfor_f64_col,
+                    }
+                }
+                ChunkBody::PforDelta(c) => {
+                    // The whole chunk replays from its first sync carry.
+                    macro_rules! arm {
+                        ($($variant:ident => $dec:path),+ $(,)?) => {
+                            match &mut out {
+                                $(Vector::$variant(dst) => {
+                                    $dec(&mut dst[at..at + n], c, 0, c.sync[0], 0, &mut scratch);
+                                })+
+                                other => panic!("pfordelta decode into {:?}", other.scalar_type()),
+                            }
+                        };
+                    }
+                    arm! {
+                        I8 => k::decompress_pfordelta_i8_col,
+                        I16 => k::decompress_pfordelta_i16_col,
+                        I32 => k::decompress_pfordelta_i32_col,
+                        I64 => k::decompress_pfordelta_i64_col,
+                        U8 => k::decompress_pfordelta_u8_col,
+                        U16 => k::decompress_pfordelta_u16_col,
+                        U32 => k::decompress_pfordelta_u32_col,
+                        U64 => k::decompress_pfordelta_u64_col,
+                    }
+                }
+            }
         }
-        Ok(&self.chunks[ci])
+        Ok(out)
     }
 
     /// Recompute chunk `ci`'s body checksum and compare with the header
     /// copy. A mismatch means the chunk bytes were torn after the
-    /// header was written — the scan surfaces it as a typed `Io` error
-    /// and falls back to the retained raw fragment.
-    pub fn verify_chunk(&self, ci: usize) -> Result<(), String> {
+    /// header was written.
+    fn verify_chunk(&self, ci: usize) -> Result<(), String> {
         let chunk = &self.chunks[ci];
         let got = chunk_checksum(&chunk.body);
         if got != chunk.header.checksum {
@@ -581,10 +447,10 @@ impl CompressedColumn {
         Ok(())
     }
 
-    /// Verify every chunk's body checksum — the durable heal path runs
-    /// this over a freshly parsed replica before trusting it, so a copy
-    /// that was torn *before* it reached disk (file-level checksum
-    /// intact, chunk-level wrong) is rejected rather than healed from.
+    /// Verify every chunk's body checksum — a durable checkpoint runs
+    /// this over the chunks it just encoded before it writes them, so a
+    /// chunk torn between encode and write is stored as raw values
+    /// instead of becoming the only durable copy.
     pub fn verify_all(&self) -> Result<(), String> {
         for ci in 0..self.chunks.len() {
             self.verify_chunk(ci)?;
@@ -595,8 +461,9 @@ impl CompressedColumn {
     /// Flip one payload byte of chunk `ci` *without* touching the
     /// header checksum — a torn write: the write "succeeded", the bytes
     /// are wrong, and only checksum verification can tell. Fault
-    /// injection and tests only. Returns `false` when the chunk has no
-    /// payload byte at `at` (e.g. a constant lane-0 chunk).
+    /// injection (`FaultPlan::tear`) and tests only. Returns `false`
+    /// when the chunk has no payload byte at `at` (e.g. a constant
+    /// lane-0 chunk).
     pub fn corrupt_payload_byte(&mut self, ci: usize, at: usize) -> bool {
         let Some(chunk) = self.chunks.get_mut(ci) else {
             return false;
@@ -612,251 +479,6 @@ impl CompressedColumn {
             }
             None => false,
         }
-    }
-
-    /// Compile `col ⟨op⟩ v` (or `col between v w`) into this column's
-    /// encoded space. Returns `None` when no encoded-space kernel
-    /// exists for the (format, type, op) triple — PFOR-DELTA columns
-    /// (prefix sums), `ne` over PFOR frames, or a constant whose type
-    /// does not match the column — and the caller falls back to
-    /// decode-then-select.
-    pub fn compile_pushdown(&self, op: PushOp, v: &Value, w: Option<&Value>) -> Option<Pushdown> {
-        if v.scalar_type() != self.physical {
-            return None;
-        }
-        if op == PushOp::Between {
-            match w {
-                Some(w) if w.scalar_type() == self.physical => {}
-                _ => return None,
-            }
-        } else if w.is_some() {
-            return None;
-        }
-        if self.format != ChunkFormat::Pfor || op == PushOp::Ne {
-            return None;
-        }
-        let ty = self.physical.sig_name();
-        let sig = if op == PushOp::Between {
-            format!("cmp_pfor_between_{ty}_col_val_val")
-        } else {
-            format!("cmp_pfor_{}_{ty}_col_val", op.name())
-        };
-        Some(Pushdown {
-            op,
-            lo: v.clone(),
-            hi: w.cloned(),
-            sig,
-        })
-    }
-
-    /// Evaluate a compiled pushdown over rows `[start, start + rows)`
-    /// entirely in encoded space: appends the *window-relative*
-    /// ascending positions (0 = row `start`) of qualifying rows to
-    /// `out` without decoding a single value. `cursor` shares
-    /// checksum-verification state with `decode_range`.
-    pub fn select_range(
-        &self,
-        p: &Pushdown,
-        start: usize,
-        rows: usize,
-        out: &mut Vec<u32>,
-        cursor: &mut DecodeCursor,
-    ) -> Result<(), String> {
-        assert!(start + rows <= self.rows, "select_range beyond fragment");
-        for (ci, local, n) in chunk_pieces(start, rows) {
-            let chunk = self.verified(ci, cursor)?;
-            let before = out.len();
-            match &chunk.body {
-                ChunkBody::Pfor(c) => pfor_chunk_select(p, c, local, n, out),
-                ChunkBody::PforDelta(_) => {
-                    return Err("pushdown over PFOR-DELTA chunks is not supported".into());
-                }
-            }
-            // Chunk-relative → window-relative, adjusted in place over
-            // the freshly appended tail (no bounce buffer).
-            let rebase = (ci * CHUNK_ROWS) as i64 - start as i64;
-            if rebase != 0 {
-                for pos in &mut out[before..] {
-                    *pos = (*pos as i64 + rebase) as u32;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Comparison operator of a pushed-down predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Between,
-}
-
-impl PushOp {
-    /// Lowercase signature fragment (`eq`, `lt`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            PushOp::Eq => "eq",
-            PushOp::Ne => "ne",
-            PushOp::Lt => "lt",
-            PushOp::Le => "le",
-            PushOp::Gt => "gt",
-            PushOp::Ge => "ge",
-            PushOp::Between => "between",
-        }
-    }
-}
-
-/// One predicate compiled into a PFOR column's encoded space. The
-/// constant is re-translated per chunk (base and scale are per-chunk
-/// properties).
-#[derive(Debug, Clone)]
-pub struct Pushdown {
-    op: PushOp,
-    lo: Value,
-    hi: Option<Value>,
-    sig: String,
-}
-
-impl Pushdown {
-    /// The registered compare-primitive signature this pushdown runs —
-    /// `engine::check` verifies it like any compiled instruction.
-    pub fn sig(&self) -> &str {
-        &self.sig
-    }
-
-    /// The comparison this pushdown evaluates.
-    pub fn op(&self) -> PushOp {
-        self.op
-    }
-
-    /// The (lower) comparison constant, in value space.
-    pub fn lo(&self) -> &Value {
-        &self.lo
-    }
-
-    /// The upper bound of a `Between`, in value space.
-    pub fn hi(&self) -> Option<&Value> {
-        self.hi.as_ref()
-    }
-}
-
-/// Per-chunk PFOR dispatch: translate the typed constant into this
-/// chunk's encoded space and walk the packed lanes.
-fn pfor_chunk_select(p: &Pushdown, c: &k::PforChunk, local: usize, n: usize, out: &mut Vec<u32>) {
-    macro_rules! ops {
-        ($variant:ident, $v:expr, $eq:path, $lt:path, $le:path, $gt:path, $ge:path, $bt:path) => {
-            match p.op {
-                PushOp::Eq => $eq(c, local, n, $v, out),
-                PushOp::Lt => $lt(c, local, n, $v, out),
-                PushOp::Le => $le(c, local, n, $v, out),
-                PushOp::Gt => $gt(c, local, n, $v, out),
-                PushOp::Ge => $ge(c, local, n, $v, out),
-                PushOp::Between => match &p.hi {
-                    Some(Value::$variant(w)) => $bt(c, local, n, $v, *w, out),
-                    other => unreachable!("between upper bound {other:?}"),
-                },
-                PushOp::Ne => unreachable!("ne is not a PFOR pushdown"),
-            }
-        };
-    }
-    match &p.lo {
-        Value::I8(v) => ops!(
-            I8,
-            *v,
-            k::cmp_pfor_eq_i8_col_val,
-            k::cmp_pfor_lt_i8_col_val,
-            k::cmp_pfor_le_i8_col_val,
-            k::cmp_pfor_gt_i8_col_val,
-            k::cmp_pfor_ge_i8_col_val,
-            k::cmp_pfor_between_i8_col_val_val
-        ),
-        Value::I16(v) => ops!(
-            I16,
-            *v,
-            k::cmp_pfor_eq_i16_col_val,
-            k::cmp_pfor_lt_i16_col_val,
-            k::cmp_pfor_le_i16_col_val,
-            k::cmp_pfor_gt_i16_col_val,
-            k::cmp_pfor_ge_i16_col_val,
-            k::cmp_pfor_between_i16_col_val_val
-        ),
-        Value::I32(v) => ops!(
-            I32,
-            *v,
-            k::cmp_pfor_eq_i32_col_val,
-            k::cmp_pfor_lt_i32_col_val,
-            k::cmp_pfor_le_i32_col_val,
-            k::cmp_pfor_gt_i32_col_val,
-            k::cmp_pfor_ge_i32_col_val,
-            k::cmp_pfor_between_i32_col_val_val
-        ),
-        Value::I64(v) => ops!(
-            I64,
-            *v,
-            k::cmp_pfor_eq_i64_col_val,
-            k::cmp_pfor_lt_i64_col_val,
-            k::cmp_pfor_le_i64_col_val,
-            k::cmp_pfor_gt_i64_col_val,
-            k::cmp_pfor_ge_i64_col_val,
-            k::cmp_pfor_between_i64_col_val_val
-        ),
-        Value::U8(v) => ops!(
-            U8,
-            *v,
-            k::cmp_pfor_eq_u8_col_val,
-            k::cmp_pfor_lt_u8_col_val,
-            k::cmp_pfor_le_u8_col_val,
-            k::cmp_pfor_gt_u8_col_val,
-            k::cmp_pfor_ge_u8_col_val,
-            k::cmp_pfor_between_u8_col_val_val
-        ),
-        Value::U16(v) => ops!(
-            U16,
-            *v,
-            k::cmp_pfor_eq_u16_col_val,
-            k::cmp_pfor_lt_u16_col_val,
-            k::cmp_pfor_le_u16_col_val,
-            k::cmp_pfor_gt_u16_col_val,
-            k::cmp_pfor_ge_u16_col_val,
-            k::cmp_pfor_between_u16_col_val_val
-        ),
-        Value::U32(v) => ops!(
-            U32,
-            *v,
-            k::cmp_pfor_eq_u32_col_val,
-            k::cmp_pfor_lt_u32_col_val,
-            k::cmp_pfor_le_u32_col_val,
-            k::cmp_pfor_gt_u32_col_val,
-            k::cmp_pfor_ge_u32_col_val,
-            k::cmp_pfor_between_u32_col_val_val
-        ),
-        Value::U64(v) => ops!(
-            U64,
-            *v,
-            k::cmp_pfor_eq_u64_col_val,
-            k::cmp_pfor_lt_u64_col_val,
-            k::cmp_pfor_le_u64_col_val,
-            k::cmp_pfor_gt_u64_col_val,
-            k::cmp_pfor_ge_u64_col_val,
-            k::cmp_pfor_between_u64_col_val_val
-        ),
-        Value::F64(v) => ops!(
-            F64,
-            *v,
-            k::cmp_pfor_eq_f64_col_val,
-            k::cmp_pfor_lt_f64_col_val,
-            k::cmp_pfor_le_f64_col_val,
-            k::cmp_pfor_gt_f64_col_val,
-            k::cmp_pfor_ge_f64_col_val,
-            k::cmp_pfor_between_f64_col_val_val
-        ),
-        other => unreachable!("pfor pushdown constant {other:?}"),
     }
 }
 
@@ -877,29 +499,6 @@ fn chunk_checksum(body: &ChunkBody) -> u8 {
         ChunkBody::Pfor(c) => pfor_checksum(c),
         ChunkBody::PforDelta(c) => pfordelta_checksum(c),
     }
-}
-
-/// The per-chunk pieces `(chunk, chunk-local start, rows)` covering rows
-/// `[start, start + rows)` of a column. Every chunk but the last holds
-/// exactly [`CHUNK_ROWS`] rows, so no header needs consulting.
-fn chunk_pieces(start: usize, rows: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    let end = start + rows;
-    let mut abs = start;
-    std::iter::from_fn(move || {
-        (abs < end).then(|| {
-            let (ci, local) = (abs / CHUNK_ROWS, abs % CHUNK_ROWS);
-            let n = (end - abs).min(CHUNK_ROWS - local);
-            abs += n;
-            (ci, local, n)
-        })
-    })
-}
-
-/// Exceptions falling in `[start, start + n)` of a sorted patch list.
-fn window_exceptions(exc_pos: &[u32], start: usize, n: usize) -> u64 {
-    let lo = exc_pos.partition_point(|&p| (p as usize) < start);
-    let hi = exc_pos.partition_point(|&p| (p as usize) < start + n);
-    (hi - lo) as u64
 }
 
 /// Compress `data` in a specific format, or `None` when the format does
@@ -1092,32 +691,70 @@ const DICT_STR_CAP: usize = 65536;
 /// sample.
 const DICT_SAMPLE_ROWS: usize = 2 * DICT_NUMERIC_CAP;
 
-/// The chooser's dictionary candidate: whether dictionary codes would
-/// store `data` — an `i64`, `f64` or `str` fragment — in fewer bytes
-/// than `best`, the chooser's verdict for it (`None` = raw), while
-/// saving the 10% every format must. The candidate is priced as a chunk
-/// format: a header per [`CHUNK_ROWS`] rows, one code per row (one byte
-/// up to 256 distinct values, two beyond) and the dictionary itself.
+/// The chooser's dictionary candidate, priced against raw: the bytes
+/// dictionary codes would store `data` in — an `i64`, `f64` or `str`
+/// fragment — when that saves the 10% every format must, `None`
+/// otherwise. The candidate is priced as a chunk format: a header per
+/// [`CHUNK_ROWS`] rows, one code per row (one byte up to 256 distinct
+/// values, two beyond) and the dictionary itself.
 ///
 /// Bound, then price: the distinct values of a strided sample are a
 /// subset of the column's, so more than the cap refuses, more than 256
 /// means 2-byte codes, and the dictionary is at least the sample's. The
 /// whole column's distinct values are collected only when that bound
-/// could still win. `Table::checkpoint` turns a column this answers
-/// `true` for into an enumeration type.
-pub fn dictionary_wins(data: &Vector, best: Option<&CompressedColumn>) -> bool {
+/// could still pay. `Table::checkpoint` runs the chunk formats' sweep
+/// only for a column this prices.
+pub fn dictionary_bytes(data: &Vector) -> Option<u64> {
     if data.is_empty() {
-        return false;
+        return None;
     }
     let raw = data.byte_size() as u64;
-    let beats = |dict: Vector| {
+    let price = |dict: Vector| {
         let headers = data.len().div_ceil(CHUNK_ROWS) * HEADER_BYTES;
         let codes = data.len() * if dict.len() <= 256 { 1 } else { 2 };
-        let bytes = (headers + codes + dict.byte_size()) as u64;
-        bytes * 10 <= raw * 9 && best.is_none_or(|b| bytes < b.compressed_bytes)
+        Some((headers + codes + dict.byte_size()) as u64).filter(|b| b * 10 <= raw * 9)
     };
     let step = data.len().div_ceil(DICT_SAMPLE_ROWS);
-    distinct_values(data, step).is_some_and(beats) && distinct_values(data, 1).is_some_and(beats)
+    price(distinct_values(data, step)?)?;
+    price(distinct_values(data, 1)?)
+}
+
+/// Whether dictionary codes would store `data` in fewer bytes than
+/// `best`, the chooser's verdict for it (`None` = raw), while saving the
+/// 10% every format must ([`dictionary_bytes`]). `Table::checkpoint`
+/// turns a column this answers `true` for into an enumeration type.
+pub fn dictionary_wins(data: &Vector, best: Option<&CompressedColumn>) -> bool {
+    dictionary_bytes(data).is_some_and(|d| best.is_none_or(|b| d < b.compressed_bytes))
+}
+
+/// Whether `keys` hold more than `cap` distinct values: an
+/// open-addressing set of them, left as soon as it passes the cap, so
+/// refusing a column of mostly distinct numbers (`l_extendedprice`)
+/// costs a few thousand probes instead of a sort.
+fn over_cap(keys: impl Iterator<Item = u64>, cap: usize) -> bool {
+    let mask = (4 * cap).next_power_of_two() - 1;
+    let mut slots = vec![0u64; mask + 1];
+    let (mut zero, mut n) = (false, 0);
+    for k in keys {
+        if k == 0 {
+            n += usize::from(!zero);
+            zero = true;
+        } else {
+            let mut i = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & mask;
+            while slots[i] != k {
+                if slots[i] == 0 {
+                    slots[i] = k;
+                    n += 1;
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        if n > cap {
+            return true;
+        }
+    }
+    false
 }
 
 /// The sorted distinct values of every `step`-th row of `data`, or
@@ -1126,6 +763,17 @@ pub fn dictionary_wins(data: &Vector, best: Option<&CompressedColumn>) -> bool {
 /// told apart by their bits.
 fn distinct_values(data: &Vector, step: usize) -> Option<Vector> {
     match data {
+        Vector::I64(v) if over_cap(v.iter().step_by(step).map(|&x| x as u64), DICT_NUMERIC_CAP) => {
+            None
+        }
+        Vector::F64(v)
+            if over_cap(
+                v.iter().step_by(step).map(|x| x.to_bits()),
+                DICT_NUMERIC_CAP,
+            ) =>
+        {
+            None
+        }
         Vector::I64(v) => {
             let mut dict: Vec<i64> = v.iter().step_by(step).copied().collect();
             dict.sort_unstable();
@@ -1155,21 +803,11 @@ mod tests {
 
     fn roundtrip(data: &Vector, format: ChunkFormat) -> CompressedColumn {
         let col = compress_column_as(data, format).expect("format applies");
-        let mut out = Vector::with_capacity(data.scalar_type(), 1024);
-        let mut cursor = DecodeCursor::default();
-        let mut scratch = Vec::new();
-        // Decode in 1000-row vectors (deliberately misaligned with both
-        // CHUNK_ROWS and DELTA_SYNC) and compare to read_into.
-        let mut want = Vector::with_capacity(data.scalar_type(), 1024);
-        let mut at = 0usize;
-        while at < data.len() {
-            let n = (data.len() - at).min(1000);
-            col.decode_range(at, n, &mut out, &mut cursor, &mut scratch)
-                .expect("checksum verifies");
-            data.read_into(at, n, &mut want);
-            assert_eq!(out, want, "window at {at}");
-            at += n;
-        }
+        let got = col.decode().expect("checksums verify");
+        assert_eq!(&got, data);
+        // The stream a durable frame embeds parses back to the same.
+        let back = CompressedColumn::from_bytes(&col.to_bytes()).expect("parses");
+        assert_eq!(&back.decode().expect("checksums verify"), data);
         col
     }
 
@@ -1179,7 +817,6 @@ mod tests {
         let col = roundtrip(&Vector::I64(v), ChunkFormat::Pfor);
         assert_eq!(col.num_chunks(), 3);
         assert!(col.ratio_pct() < 20, "8-byte ints in a 1-byte range");
-        assert_eq!(col.decode_sig(), "decompress_pfor_i64_col");
     }
 
     #[test]
@@ -1194,34 +831,15 @@ mod tests {
     }
 
     #[test]
-    fn pfordelta_column_roundtrip_with_cursor() {
+    fn pfordelta_column_roundtrip() {
         let v: Vec<i32> = (0..200_000).map(|i| i * 2).collect();
         let col = roundtrip(&Vector::I32(v), ChunkFormat::PforDelta);
         assert!(col.ratio_pct() < 40, "constant deltas: {}", col.ratio_pct());
-        assert_eq!(col.decode_sig(), "decompress_pfordelta_i32_col");
-    }
-
-    #[test]
-    fn pfordelta_random_access_ignores_cursor() {
-        let v: Vec<u64> = (0..100_000u64).map(|i| i * i / 1000).collect();
-        let data = Vector::U64(v.clone());
-        let col = compress_column_as(&data, ChunkFormat::PforDelta).expect("sorted");
-        let mut out = Vector::with_capacity(ScalarType::U64, 64);
-        let mut scratch = Vec::new();
-        // Jump around: each decode must be position-correct regardless
-        // of the stale cursor.
-        for start in [70_000usize, 3, 65_530, 99_990, 0] {
-            let mut cursor = DecodeCursor {
-                chunk: 1,
-                next_row: 12345,
-                carry: 999,
-                verified: None,
-            };
-            let n = 10.min(v.len() - start);
-            col.decode_range(start, n, &mut out, &mut cursor, &mut scratch)
-                .expect("checksum verifies");
-            assert_eq!(out.as_u64(), &v[start..start + n]);
-        }
+        // A non-decreasing column with a decreasing chunk: that chunk
+        // falls back to PFOR inside the PFOR-DELTA column.
+        let mut v: Vec<u64> = (0..100_000u64).map(|i| i * i / 1000).collect();
+        v[70_000..].reverse();
+        roundtrip(&Vector::U64(v), ChunkFormat::PforDelta);
     }
 
     #[test]
@@ -1287,136 +905,19 @@ mod tests {
     }
 
     #[test]
-    fn decode_stats_account_compressed_bytes() {
-        let v: Vec<i64> = (0..70_000).map(|i| i % 100).collect();
-        let data = Vector::I64(v);
-        let col = compress_column_as(&data, ChunkFormat::Pfor).expect("compresses");
-        let mut out = Vector::with_capacity(ScalarType::I64, 1024);
-        let mut cursor = DecodeCursor::default();
-        let mut scratch = Vec::new();
-        let stats = col
-            .decode_range(66_000, 1024, &mut out, &mut cursor, &mut scratch)
-            .expect("checksum verifies");
-        // Lane-8 frames: ~1 byte per row plus the header, far below raw.
-        assert!(stats.comp_len >= 1024);
-        assert!(stats.comp_len < 8 * 1024);
-        assert!(stats.comp_offset > 0, "second chunk starts past the first");
-    }
-
-    #[test]
-    fn pushdown_pfor_matches_decode_then_select() {
-        let mut v: Vec<i64> = (0..150_000).map(|i| 50 + (i * 7) % 200).collect();
-        // Outliers become exception-patched slow-lane entries.
-        v[123] = 1_000_000;
-        v[70_000] = -5;
-        let data = Vector::I64(v.clone());
-        let col = compress_column_as(&data, ChunkFormat::Pfor).expect("applies");
-        type Pred = Box<dyn Fn(i64) -> bool>;
-        let cases: Vec<(PushOp, i64, Option<i64>, Pred)> = vec![
-            (PushOp::Eq, 57, None, Box::new(|x| x == 57)),
-            (PushOp::Lt, 60, None, Box::new(|x| x < 60)),
-            (PushOp::Le, 60, None, Box::new(|x| x <= 60)),
-            (PushOp::Gt, 240, None, Box::new(|x| x > 240)),
-            (PushOp::Ge, 240, None, Box::new(|x| x >= 240)),
-            (
-                PushOp::Between,
-                55,
-                Some(65),
-                Box::new(|x| (55..=65).contains(&x)),
-            ),
-        ];
-        for (op, lo, hi, f) in cases {
-            let w = hi.map(Value::I64);
-            let p = col
-                .compile_pushdown(op, &Value::I64(lo), w.as_ref())
-                .expect("pfor i64 pushdown compiles");
-            let mut cursor = DecodeCursor::default();
-            let mut scratch = Vec::new();
-            let mut at = 0usize;
-            while at < v.len() {
-                let n = (v.len() - at).min(1000);
-                let mut got = Vec::new();
-                col.select_range(&p, at, n, &mut got, &mut cursor)
-                    .expect("checksum verifies");
-                let want: Vec<u32> = (0..n).filter(|&i| f(v[at + i])).map(|i| i as u32).collect();
-                assert_eq!(got, want, "{op:?} window at {at}");
-                // The refill the selection is applied over: the dense
-                // window decode, sharing the select's cursor.
-                let mut out = Vector::with_capacity(ScalarType::I64, 64);
-                col.decode_range(at, n, &mut out, &mut cursor, &mut scratch)
-                    .expect("checksum verifies");
-                let gotv: Vec<i64> = got.iter().map(|&i| out.as_i64()[i as usize]).collect();
-                let wantv: Vec<i64> = got.iter().map(|&i| v[at + i as usize]).collect();
-                assert_eq!(gotv, wantv, "{op:?} values at {at}");
-                at += n;
-            }
-        }
-    }
-
-    #[test]
-    fn pushdown_rejects_unsupported_triples() {
-        let sorted: Vec<i64> = (0..100_000).collect();
-        let delta =
-            compress_column_as(&Vector::I64(sorted), ChunkFormat::PforDelta).expect("sorted");
-        assert!(
-            delta
-                .compile_pushdown(PushOp::Eq, &Value::I64(5), None)
-                .is_none(),
-            "prefix sums cannot be compared in place"
-        );
-        let v: Vec<i64> = (0..80_000).map(|i| i % 100).collect();
-        let pfor = compress_column_as(&Vector::I64(v), ChunkFormat::Pfor).expect("ok");
-        assert!(
-            pfor.compile_pushdown(PushOp::Ne, &Value::I64(5), None)
-                .is_none(),
-            "ne over a frame range is not contiguous"
-        );
-        assert!(
-            pfor.compile_pushdown(PushOp::Eq, &Value::I32(5), None)
-                .is_none(),
-            "constant type must match the column"
-        );
-        assert!(
-            pfor.compile_pushdown(PushOp::Eq, &Value::I64(5), Some(&Value::I64(9)))
-                .is_none(),
-            "stray upper bound"
-        );
-        assert!(
-            pfor.compile_pushdown(PushOp::Between, &Value::I64(5), None)
-                .is_none(),
-            "missing upper bound"
-        );
-    }
-
-    #[test]
     fn checksum_detects_torn_write() {
         let v: Vec<i64> = (0..150_000).map(|i| i % 100).collect();
         let data = Vector::I64(v);
         let mut col = compress_column_as(&data, ChunkFormat::Pfor).expect("applies");
-        assert!(col.verify_chunk(1).is_ok());
+        assert!(col.verify_all().is_ok());
         assert!(col.corrupt_payload_byte(1, 7), "chunk 1 has payload");
-        let err = col.verify_chunk(1).unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        let mut out = Vector::with_capacity(ScalarType::I64, 1024);
-        let mut scratch = Vec::new();
-        // The intact chunk still reads; any window touching the torn
-        // chunk refuses — wrong rows can never escape.
-        let mut cursor = DecodeCursor::default();
-        col.decode_range(0, 1000, &mut out, &mut cursor, &mut scratch)
-            .expect("chunk 0 is intact");
-        let mut cursor = DecodeCursor::default();
-        let err = col
-            .decode_range(66_000, 100, &mut out, &mut cursor, &mut scratch)
-            .unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        let p = col
-            .compile_pushdown(PushOp::Ge, &Value::I64(50), None)
-            .expect("compiles");
-        let mut got = Vec::new();
-        let mut cursor = DecodeCursor::default();
-        assert!(col
-            .select_range(&p, 66_000, 100, &mut got, &mut cursor)
-            .is_err());
+        assert!(!col.corrupt_payload_byte(3, 0), "there is no chunk 3");
+        // The torn chunk refuses both the check and the decode: wrong
+        // rows can never escape.
+        let err = col.verify_all().unwrap_err();
+        assert!(err.contains("chunk 1 checksum mismatch"), "{err}");
+        let err = col.decode().unwrap_err();
+        assert!(err.contains("chunk 1 checksum mismatch"), "{err}");
     }
 
     /// Chunk checksums are stored bytes: these were written by the

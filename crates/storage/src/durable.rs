@@ -12,12 +12,13 @@
 //!
 //! A segment is each column's sealed `XDCF` frame of the byte layer
 //! ([`crate::frame`]), back to back; the manifest records every
-//! column's *extent* in it (offset, length, trailer byte). A column
-//! whose compressed chunks verify is stored as those chunks and its
-//! enum dictionary only — `open` rebuilds the fragment by dense decode,
-//! and a copy whose chunks fail to decode counts as a bad copy. A
-//! column without chunks, or whose chunks no longer verify, is stored
-//! as its raw values.
+//! column's *extent* in it (offset, length, trailer byte). The codec
+//! chooser runs per column straight into the segment buffer: a column
+//! whose chunks pay and verify is stored as those chunks and its enum
+//! dictionary only — `open` rebuilds the fragment by dense decode and
+//! keeps no chunks, and a copy whose chunks fail to decode counts as a
+//! bad copy. A column no chunk format pays for, or whose chunks were
+//! torn between encode and verification, is stored as its raw values.
 //!
 //! A segment's name carries its version, which is never reused (a new
 //! commit outnumbers every version in the directory, aborted ones
@@ -34,26 +35,25 @@
 //! checksum, torn-write, or IO failure on one copy of an extent
 //! transparently heals from another — the good bytes are written over
 //! the bad extent in place, which never changes the segment's size, and
-//! `chunk_heals` counts it — and a typed [`DurableError::Io`] surfaces
-//! only when *all* copies fail.
+//! [`DurableSource::heals`] counts it — and a typed [`DurableError::Io`]
+//! surfaces only when *all* copies fail.
 
-use crate::columnbm::{retry_with_backoff, FaultSite, FaultState, StorageFaultError};
-use crate::compress::{CompressedColumn, DecodeCursor};
+use crate::compress::{choose_and_compress, ChunkFormat, CompressedColumn};
 use crate::delta::DeleteList;
 use crate::enumcol::{EnumDict, MAX_ENUM_CARD};
+use crate::fault::{retry_with_backoff, FaultSite, FaultState, StorageFaultError};
 use crate::frame::{Reader, Writer};
-use crate::table::{StoredColumn, Table};
-use std::collections::HashMap;
+use crate::table::{StoredColumn, Table, Verdicts};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use x100_vector::{ScalarType, Value, Vector};
 
 /// Magic + version of one column's frame in a segment.
 const CHUNK_MAGIC: &[u8; 4] = b"XDCF";
-const CHUNK_VERSION: u8 = 4;
+const CHUNK_VERSION: u8 = 5;
 /// Magic + version of the committing manifest.
 const MANIFEST_MAGIC: &[u8; 4] = b"XMAN";
 const MANIFEST_VERSION: u8 = 3;
@@ -133,7 +133,7 @@ impl From<StorageFaultError> for DurableError {
 
 /// What a column frame stores of the fragment.
 enum Stored {
-    /// The raw values: the column has no chunks that verify.
+    /// The raw values: no chunk format pays, or its chunks were torn.
     Raw(Vector),
     /// The compressed chunks alone; the fragment is their dense decode.
     Chunks(CompressedColumn),
@@ -147,39 +147,54 @@ struct ColFile {
     stored: Stored,
     dict: Option<Vector>,
     has_summary: bool,
-    /// Whether the codec chooser's verdict (including "stay raw") was
-    /// current at checkpoint time — restores the sweep cache at open.
-    codec_done: bool,
 }
 
-/// Column `col`'s frame, built in `buf`'s allocation. Chunks that fail
-/// their checksums (torn in memory since the checkpoint compressed
-/// them) must not become the only durable copy: the raw values are
-/// stored instead, and the verdict is marked stale so the chooser runs
-/// again after a reopen.
-fn encode_col_file(col: u32, sc: &StoredColumn, buf: Vec<u8>) -> Vec<u8> {
+/// Column `col`'s frame and the verdict `(format, ratio_pct)` of what it
+/// stores. The codec chooser runs here, once per column per commit, and
+/// its chunks live only until they are written; the frame is allocated
+/// once the chooser's scratch is gone, at about its final size. Chunks
+/// that fail their checksums (torn between encode and write — `fault`'s
+/// torn writes land there) must not become the only durable copy: the
+/// raw values are stored instead.
+fn encode_col_file(
+    col: u32,
+    sc: &StoredColumn,
+    fault: Option<&FaultState>,
+) -> (Vec<u8>, (ChunkFormat, u64)) {
     let rows = sc.data.len();
-    let chunks = sc
-        .compressed
+    let mut chunks = choose_and_compress(&sc.data, &sc.stats);
+    if let (Some(f), Some(c)) = (fault, chunks.as_mut()) {
+        for t in f.take_torn(col) {
+            c.corrupt_payload_byte(t.chunk as usize, t.byte as usize);
+        }
+    }
+    let chunks = chunks.filter(|c| c.verify_all().is_ok());
+    let stored = chunks
         .as_ref()
-        .filter(|c| c.rows() == rows && c.verify_all().is_ok());
-    let current = sc.codec_epoch == Some(sc.epoch) && chunks.is_some() == sc.compressed.is_some();
+        .map_or(sc.data.byte_size(), |c| c.compressed_bytes() as usize);
+    let dict = sc.dict.as_ref().map_or(0, |d| d.values().byte_size());
+    let buf = Vec::with_capacity(stored + dict + 128);
     let mut w = Writer::new(buf, CHUNK_MAGIC, CHUNK_VERSION);
     w.put(col);
     w.put(rows as u64);
     w.put_type(sc.field.logical);
     w.put(sc.summary.is_some());
-    w.put(current);
     w.put(chunks.is_some());
-    match chunks {
-        Some(c) => w.section(|w| c.put(w)),
-        None => w.section(|w| w.put_column(&sc.data)),
-    }
+    let verdict = match &chunks {
+        Some(c) => {
+            w.section(|w| c.put(w));
+            (c.format(), c.ratio_pct())
+        }
+        None => {
+            w.section(|w| w.put_column(&sc.data));
+            (ChunkFormat::Raw, 100)
+        }
+    };
     w.put(sc.dict.is_some());
     if let Some(d) = &sc.dict {
         w.section(|w| w.put_column(d.values()));
     }
-    w.seal()
+    (w.seal(), verdict)
 }
 
 /// One flag-guarded section: present iff the flag byte is set, parsed
@@ -203,7 +218,6 @@ fn decode_col_file(bytes: &[u8]) -> Result<ColFile, String> {
     let rows = r.get()?;
     let logical = r.get_type()?;
     let has_summary = r.get()?;
-    let codec_done = r.get()?;
     let chunked = r.get::<bool>()?;
     let mut s = r.section()?;
     let stored = match chunked {
@@ -229,7 +243,6 @@ fn decode_col_file(bytes: &[u8]) -> Result<ColFile, String> {
         stored,
         dict,
         has_summary,
-        codec_done,
     })
 }
 
@@ -456,7 +469,8 @@ fn newest_version_in_dir(dir: &Path) -> u64 {
 /// `newest + 1`: one column frame at a time, encoded once and appended
 /// to every replica's segment, then the segments and the directory
 /// synced, the manifest last. Returns the [`DurableSource`] describing
-/// the committed version. Called by [`Table::try_checkpoint_durable`].
+/// the committed version and every column's verdict `(name, format,
+/// ratio_pct)`. Called by [`Table::try_checkpoint_durable`].
 ///
 /// Kill-points (site [`FaultSite::DurableChunkWrite`]): before each
 /// extent write to each replica, once all extents are written but none
@@ -468,7 +482,7 @@ pub(crate) fn commit_checkpoint(
     dir: &Path,
     opts: &DurableOptions,
     fault: Option<&FaultState>,
-) -> Result<Arc<DurableSource>, DurableError> {
+) -> Result<(Arc<DurableSource>, Verdicts), DurableError> {
     let site = FaultSite::DurableChunkWrite;
     std::fs::create_dir_all(dir).map_err(|e| DurableError::Io {
         site,
@@ -484,10 +498,11 @@ pub(crate) fn commit_checkpoint(
         segments.push(io_retry(site, path, fault, |_| File::create(path))?);
     }
     let mut cols = Vec::with_capacity(table.columns.len());
-    let mut buf = Vec::new();
+    let mut verdicts = Vec::with_capacity(table.columns.len());
     let mut offset = 0u64;
     for (i, sc) in table.columns.iter().enumerate() {
-        buf = encode_col_file(i as u32, sc, buf);
+        let (buf, (format, ratio)) = encode_col_file(i as u32, sc, fault);
+        verdicts.push((sc.field.name.clone(), format, ratio));
         for (seg, path) in segments.iter_mut().zip(&paths) {
             kill_point(fault, site, i as u32)?;
             io_retry(site, path, fault, |_| {
@@ -527,7 +542,10 @@ pub(crate) fn commit_checkpoint(
         fault,
     )?;
     prune_stale(dir, version);
-    Ok(Arc::new(DurableSource::new(dir.to_path_buf(), manifest)))
+    Ok((
+        Arc::new(DurableSource::new(dir.to_path_buf(), manifest)),
+        verdicts,
+    ))
 }
 
 /// Best-effort cleanup after a successful commit: older versions'
@@ -645,7 +663,8 @@ fn read_replicas<T>(
 
 /// Rebuild a [`StoredColumn`] named `name` from a decoded column frame:
 /// the fragment is the stored raw values or the dense decode of the
-/// stored chunks (a chunk that fails its checksum fails the copy), the
+/// stored chunks, which are then dropped (a chunk that fails its
+/// checksum fails the copy), the
 /// dictionary re-wrapped, summary index and fragment stats recomputed
 /// by [`StoredColumn::new`] (both are derived data — cheaper to rebuild
 /// than to verify). The stats pass doubles as the check that every
@@ -659,16 +678,11 @@ fn restore_column(cf: ColFile, name: &str) -> Result<StoredColumn, String> {
             ));
         }
     }
-    let (data, compressed) = match cf.stored {
-        Stored::Raw(data) => (data, None),
-        Stored::Chunks(c) => {
-            let mut data = Vector::with_capacity(c.physical_type(), 0);
-            let mut cursor = DecodeCursor::default();
-            c.decode_range(0, c.rows(), &mut data, &mut cursor, &mut Vec::new())?;
-            (data, Some(c))
-        }
+    let data = match cf.stored {
+        Stored::Raw(data) => data,
+        Stored::Chunks(c) => c.decode()?,
     };
-    let mut sc = StoredColumn::new(
+    let sc = StoredColumn::new(
         name.to_owned(),
         data,
         cf.dict.map(EnumDict::new),
@@ -694,8 +708,6 @@ fn restore_column(cf: ColFile, name: &str) -> Result<StoredColumn, String> {
             cf.logical, sc.field.logical
         ));
     }
-    sc.compressed = compressed;
-    sc.codec_epoch = cf.codec_done.then_some(0);
     Ok(sc)
 }
 
@@ -775,24 +787,16 @@ fn open_from_manifest(
 }
 
 // ---------------------------------------------------------------------------
-// DurableSource: mid-query self-healing
+// DurableSource
 // ---------------------------------------------------------------------------
 
-/// Handle to the committed checkpoint backing an open table.
-///
-/// Scans hold it through `Table::durable_source()`: when a compressed
-/// chunk fails its checksum mid-query (in-memory torn write, bit rot),
-/// [`DurableSource::recover_column`] re-reads the column's extent from
-/// a disk replica, verifies *every* chunk of the parsed copy, heals bad
-/// disk extents in place, and caches the verified copy so concurrent
-/// queries hitting the same damage pay for exactly one heal.
+/// Handle to the committed checkpoint backing an open table
+/// (`Table::durable_source()`): where its segments are and how many
+/// bad copies `open` healed.
 #[derive(Debug)]
 pub struct DurableSource {
     dir: PathBuf,
     manifest: Manifest,
-    /// Columns already healed this process lifetime: verified
-    /// compressed copies, shared by all queries over this table.
-    healed: Mutex<HashMap<u32, Arc<CompressedColumn>>>,
     heals: AtomicU64,
 }
 
@@ -801,7 +805,6 @@ impl DurableSource {
         DurableSource {
             dir,
             manifest,
-            healed: Mutex::new(HashMap::new()),
             heals: AtomicU64::new(0),
         }
     }
@@ -833,51 +836,9 @@ impl DurableSource {
         })
     }
 
-    /// Chunk heals performed so far: replica-to-replica rewrites at
-    /// open plus mid-query recoveries (each counted once, however many
-    /// queries observed the damage).
+    /// Replica-to-replica rewrites `open` performed: one per bad copy
+    /// of a column it healed from a good one.
     pub fn heals(&self) -> u64 {
         self.heals.load(Ordering::SeqCst)
-    }
-
-    /// Recover column `col`'s compressed chunks from a disk replica.
-    ///
-    /// Returns the verified copy and whether *this call* performed the
-    /// heal (`false` = served from the heal cache). The per-source lock
-    /// is held across the disk read on purpose: two queries racing on
-    /// the same corrupt chunk serialize here, the first heals, the
-    /// second gets the cached copy.
-    ///
-    /// Errors when the column has no compressed form on disk or when
-    /// every replica fails — the caller falls back to the raw fragment
-    /// (and then to a typed `Io`, the PR 6 contract).
-    pub fn recover_column(
-        &self,
-        col: u32,
-        fault: Option<&FaultState>,
-    ) -> Result<(Arc<CompressedColumn>, bool), DurableError> {
-        if col as usize >= self.manifest.cols.len() {
-            return Err(DurableError::Corrupt(format!(
-                "column {col} out of range ({} columns)",
-                self.manifest.cols.len()
-            )));
-        }
-        let mut healed = self.healed.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(c) = healed.get(&col) {
-            return Ok((Arc::clone(c), false));
-        }
-        let (arc, _) = read_replicas(&self.dir, &self.manifest, col, fault, |cf| {
-            // The frame's fold proves the *disk bytes* match what was
-            // written; the per-chunk pass additionally rejects a copy
-            // that was already torn in memory before it was written.
-            let Stored::Chunks(c) = cf.stored else {
-                return Err("no compressed chunks on disk".into());
-            };
-            c.verify_all()?;
-            Ok(Arc::new(c))
-        })?;
-        self.heals.fetch_add(1, Ordering::SeqCst);
-        healed.insert(col, Arc::clone(&arc));
-        Ok((arc, true))
     }
 }

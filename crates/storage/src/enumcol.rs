@@ -14,7 +14,7 @@
 //! which turns a plain `i64`/`f64`/`str` column into one through
 //! [`encode`] when a dictionary stores it smaller than any chunk format
 //! (`compress::dictionary_wins`). This is the only dictionary encoding:
-//! the checkpoint compresses the codes like any integer column.
+//! a durable checkpoint compresses the codes like any integer column.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;

@@ -17,37 +17,38 @@
 //!   Built by hand, or by [`Table::checkpoint`] where a dictionary beats
 //!   every chunk format.
 //! * [`CompressedColumn`] & [`choose_and_compress`] — PFOR / PFOR-DELTA
-//!   chunks a checkpoint writes beside a fragment.
+//!   chunks, the durable encoding of a fragment: a durable checkpoint
+//!   writes them into its segments and `open` decodes them back; no
+//!   chunk stays resident.
 //! * [`SummaryIndex`] — coarse running-max / reverse-running-min
 //!   indices for `#rowId` range derivation on clustered columns.
-//! * [`ColumnBM`] — a simulation of the chunked column buffer manager,
-//!   accounting chunk loads, cache hits and bandwidth amplification.
+//! * [`FaultPlan`] / [`FaultState`] — per-query fault injection at the
+//!   storage sites ([`FaultSite`]) with bounded-backoff retry.
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![forbid(unsafe_code)]
 
-pub mod columnbm;
 pub mod compress;
 pub mod delta;
 pub mod durable;
 pub mod enumcol;
+pub mod fault;
 pub mod frame;
 pub mod morsel;
 pub mod summary;
 pub mod table;
 
-pub use columnbm::{
-    retry_with_backoff, BmStats, ChunkReadError, ColumnBM, FaultPlan, FaultSite, FaultState,
-    PinnedFault, StorageFaultError, TornWrite, DEFAULT_CHUNK_BYTES,
-};
 pub use compress::{
-    choose_and_compress, compress_column_as, dictionary_wins, ChunkFormat, ChunkHeader,
-    CompressedColumn, DecodeCursor, DecodeStats, PushOp, Pushdown, CHUNK_ROWS, HEADER_BYTES,
+    choose_and_compress, compress_column_as, dictionary_bytes, dictionary_wins, ChunkFormat,
+    ChunkHeader, CompressedColumn, CHUNK_ROWS, HEADER_BYTES,
 };
 pub use delta::{DeleteList, InsertDelta};
 pub use durable::{DurableError, DurableOptions, DurableSource};
 pub use enumcol::{encode, encode_f64, encode_i64, encode_str, Encoded, EnumDict, MAX_ENUM_CARD};
+pub use fault::{
+    retry_with_backoff, FaultPlan, FaultSite, FaultState, StorageFaultError, TornWrite,
+};
 pub use frame::fold_checksum;
 pub use morsel::{plan_morsels, Morsel};
 pub use summary::{SummaryIndex, DEFAULT_GRANULARITY};
-pub use table::{ColumnStats, Field, StoredColumn, Table, TableBuilder};
+pub use table::{ColumnStats, Field, StoredColumn, Table, TableBuilder, Verdicts};

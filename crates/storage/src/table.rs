@@ -9,16 +9,21 @@
 //! virtual `#rowId` column — a densely ascending number from 0 (never
 //! stored), which positional fetch-joins use as join key.
 
-use crate::columnbm::{FaultSite, FaultState, StorageFaultError};
-use crate::compress::{choose_and_compress, dictionary_wins, ChunkFormat, CompressedColumn};
+use crate::compress::{choose_and_compress, dictionary_bytes, ChunkFormat, CompressedColumn};
 use crate::delta::{DeleteList, InsertDelta};
 use crate::durable::{DurableError, DurableOptions, DurableSource};
 use crate::enumcol::{self, encode, encode_f64, encode_i64, encode_str, EnumDict, MAX_ENUM_CARD};
+use crate::fault::FaultState;
 use crate::summary::SummaryIndex;
 use std::path::Path;
 use std::sync::Arc;
 use x100_vector::fetch::{gather_at, gather_rows};
 use x100_vector::{ScalarType, Value, Vector};
+
+/// A durable checkpoint's per-column verdicts `(name, format,
+/// ratio_pct)`: what its segment stores of each column (codes for an
+/// enum column); a column stored raw reports `ChunkFormat::Raw` at 100%.
+pub type Verdicts = Vec<(String, ChunkFormat, u64)>;
 
 /// A named, typed column slot in a table schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +40,7 @@ pub struct Field {
 /// next rebuild — and over the insert delta when asked. They
 /// are the *source facts* of the engine's plan-level abstract
 /// interpretation (`engine::facts`): value range and sortedness of the
-/// physical data (codes for enum columns). A checkpoint's compressed
+/// physical data (codes for enum columns). A durable checkpoint's
 /// chunks carry the same bounds per chunk (PFOR frame base/width);
 /// these are the fragment-wide rollup.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,21 +164,11 @@ pub struct StoredColumn {
     pub(crate) summary: Option<SummaryIndex>,
     /// Fragment statistics, derived from `data` with it.
     pub(crate) stats: ColumnStats,
-    /// Compressed rewrite of `data`, present after a checkpoint. Scans
-    /// prefer it; it always covers exactly the fragment rows.
-    pub(crate) compressed: Option<CompressedColumn>,
-    /// Monotonic fragment-data version; bumps when `data` is rebuilt
-    /// (reorganize). The fragment is immutable in between.
-    pub(crate) epoch: u64,
-    /// The `epoch` at which the codec chooser last ran. `Some(epoch)`
-    /// means the verdict in `compressed` (including `None` = stay raw)
-    /// is current, and `checkpoint()` skips the full format sweep.
-    pub(crate) codec_epoch: Option<u64>,
 }
 
 impl StoredColumn {
     /// A column named `name` over fragment `data` (codes when `dict` is
-    /// given), uncompressed at epoch 0, with its derived data — the one
+    /// given), with its derived data — the one
     /// place build, reorganize and open compute it: the fragment stats,
     /// and with `summary` the summary index over an `I32`/`I64` fragment
     /// (none over any other).
@@ -198,9 +193,6 @@ impl StoredColumn {
             data,
             dict,
             summary,
-            compressed: None,
-            epoch: 0,
-            codec_epoch: None,
         }
     }
 
@@ -229,10 +221,12 @@ impl StoredColumn {
         self.summary.as_ref()
     }
 
-    /// The compressed fragment rewrite, if the column was checkpointed
-    /// and the format chooser found a paying format.
+    /// Always `None`: a column is resident once, as its fragment, and
+    /// compressed chunks exist only inside a durable checkpoint's
+    /// segments (`Table::checkpoint_durable` reports their formats).
+    /// Kept for the callers that still ask; it goes with them.
     pub fn compressed(&self) -> Option<&CompressedColumn> {
-        self.compressed.as_ref()
+        None
     }
 
     /// Fragment statistics (physical values; codes for enum columns).
@@ -241,31 +235,32 @@ impl StoredColumn {
         &self.stats
     }
 
-    /// Run the codec chooser over the fragment and record its verdict
-    /// as current. A plain `i64`/`f64`/`str` column without a summary
-    /// index whose dictionary candidate wins ([`dictionary_wins`])
-    /// becomes an enumeration type first — codes plus dictionary, the
-    /// epoch bumped — unless encoding refuses it (NaN or `-0.0` among
-    /// `f64` values) or rows are `pending` in its insert delta (they hold
-    /// values; the reorganize that merges them runs the chooser again);
-    /// its codes then go through the chooser like any enum column's.
-    fn choose_codec(&mut self, pending: bool) {
-        let best = choose_and_compress(&self.data, &self.stats);
-        let enumerate = !pending
-            && self.dict.is_none()
-            && self.summary.is_none()
-            && dictionary_wins(&self.data, best.as_ref());
-        match enumerate.then(|| encode(&self.data)).flatten() {
-            Some(enc) => {
-                let name = std::mem::take(&mut self.field.name);
-                let epoch = self.epoch + 1;
-                *self = StoredColumn::new(name, enc.codes, Some(enc.dict), false);
-                self.epoch = epoch;
-                self.compressed = choose_and_compress(&self.data, &self.stats);
-            }
-            None => self.compressed = best,
+    /// Turn a plain `i64`/`f64`/`str` column without a summary index
+    /// into an enumeration type — codes plus dictionary — when its
+    /// dictionary candidate beats every chunk format
+    /// ([`crate::compress::dictionary_wins`]), unless encoding refuses
+    /// it (NaN or `-0.0` among `f64` values). The chunk formats are
+    /// priced (one sweep, counted in `sweeps`) only for a column whose
+    /// dictionary already pays against raw ([`dictionary_bytes`]).
+    /// Returns whether the column was enumerated.
+    fn enumerate(&mut self, sweeps: &mut u64) -> bool {
+        if self.dict.is_some() || self.summary.is_some() {
+            return false;
         }
-        self.codec_epoch = Some(self.epoch);
+        let Some(dict_bytes) = dictionary_bytes(&self.data) else {
+            return false;
+        };
+        *sweeps += 1;
+        let best = choose_and_compress(&self.data, &self.stats);
+        if best.is_some_and(|b| b.compressed_bytes() <= dict_bytes) {
+            return false;
+        }
+        let Some(enc) = encode(&self.data) else {
+            return false;
+        };
+        let name = std::mem::take(&mut self.field.name);
+        *self = StoredColumn::new(name, enc.codes, Some(enc.dict), false);
+        true
     }
 
     /// One physical value of this column — a fragment or delta row —
@@ -423,13 +418,12 @@ pub struct Table {
     pub(crate) frag_rows: usize,
     pub(crate) deletes: DeleteList,
     pub(crate) inserts: InsertDelta,
-    /// Full format sweeps the codec chooser has run (cache misses).
+    /// Format sweeps the codec chooser has run ([`Table::codec_sweeps`]).
     pub(crate) codec_sweeps: u64,
     /// The on-disk checkpoint this table was opened from (or last
-    /// committed to). Scans use it to heal corrupt chunks from a
-    /// replica mid-query; `None` for purely in-memory tables, and reset
-    /// by `reorganize()` (the disk copy no longer matches the
-    /// fragments until the next durable checkpoint).
+    /// committed to); `None` for purely in-memory tables, and reset by
+    /// `reorganize()` (the disk copy no longer matches the fragments
+    /// until the next durable checkpoint).
     pub(crate) durable: Option<Arc<DurableSource>>,
 }
 
@@ -590,10 +584,8 @@ impl Table {
     /// Rebuild enum column `i`, fragment and insert delta, in another
     /// form with the same row ids: its `U8` codes widened to `U16`
     /// (`widen`), or decoded through the dictionary into a plain column.
-    /// The result is what a reorganize would store or refuse to merge:
-    /// the epoch bumps, a checkpointed column's chunks are chosen again
-    /// (never enumerating it: no third form), and the durable source
-    /// detaches, as after a reorganize.
+    /// The result is what a reorganize would store or refuse to merge,
+    /// and the durable source detaches, as after a reorganize.
     fn reform(&mut self, i: usize, widen: bool) {
         let col = &mut self.columns[i];
         let dict = col.dict.take().expect("an enum column");
@@ -610,14 +602,7 @@ impl Table {
         };
         let (data, delta) = (reformed(&col.data), reformed(self.inserts.column(i)));
         let name = std::mem::take(&mut col.field.name);
-        let mut new = StoredColumn::new(name, data, widen.then_some(dict), false);
-        new.epoch = col.epoch + 1;
-        if col.compressed.is_some() {
-            new.compressed = choose_and_compress(&new.data, &new.stats);
-            new.codec_epoch = Some(new.epoch);
-            self.codec_sweeps += 1;
-        }
-        *col = new;
+        *col = StoredColumn::new(name, data, widen.then_some(dict), false);
         self.inserts.replace_column(i, delta);
         self.durable = None;
     }
@@ -679,100 +664,56 @@ impl Table {
         self.inserts.column(col).read_into(start, rows, out);
     }
 
-    /// Flip one payload byte of column `col`'s compressed chunk `ci`
-    /// in memory (see [`CompressedColumn::corrupt_payload_byte`]) —
-    /// bit-rot simulation for fault injection and tests only. The
-    /// durable copies on disk are untouched, so a scan hitting the bad
-    /// chunk can heal from a replica. Returns `false` when the column
-    /// has no compressed form or the chunk no payload byte at `at`.
-    pub fn corrupt_compressed_payload(&mut self, col: usize, ci: usize, at: usize) -> bool {
-        match &mut self.columns[col].compressed {
-            Some(cc) => cc.corrupt_payload_byte(ci, at),
-            None => false,
-        }
-    }
-
-    /// Checkpoint: run the format chooser over every column fragment
-    /// and rewrite paying columns as compressed chunks (paper §4.3/§5 —
-    /// "light-weight compression" applied when data is reorganized).
-    /// A plain column a dictionary compresses best becomes an
-    /// enumeration type, and its codes are what the chooser compresses.
-    /// Returns per-column verdicts `(name, format, ratio_pct)` of the
-    /// stored fragment (codes for enum columns); raw fragments report
-    /// `ChunkFormat::Raw` at 100%.
-    pub fn checkpoint(&mut self) -> Vec<(String, ChunkFormat, u64)> {
-        match self.try_checkpoint(None) {
-            Ok(v) => v,
-            Err(_) => unreachable!("checkpoint without a fault plan cannot fail"),
-        }
-    }
-
-    /// Fallible checkpoint: each column's compressed-chunk write is
-    /// checked against the fault plan (site
-    /// [`FaultSite::CheckpointWrite`]). On error, columns already
-    /// checkpointed keep their new chunks (each column is independently
-    /// consistent); the remainder stay as they were.
-    pub fn try_checkpoint(
-        &mut self,
-        fault: Option<&FaultState>,
-    ) -> Result<Vec<(String, ChunkFormat, u64)>, StorageFaultError> {
-        let mut verdicts = Vec::with_capacity(self.columns.len());
-        let mut sweeps = 0u64;
+    /// Checkpoint: turn every plain column a dictionary compresses best
+    /// into an enumeration type (paper §4.3/§5 — "light-weight
+    /// compression" applied when data is reorganized), pricing the chunk
+    /// formats only where the dictionary pays against raw. A column
+    /// with rows pending in its insert delta stays as it is (they hold
+    /// values; a checkpoint after the reorganize that merges them
+    /// decides again). Nothing else is rewritten: the chunk formats are
+    /// chosen where their output is written, by
+    /// [`Table::checkpoint_durable`]. Returns the names of the columns
+    /// this checkpoint enumerated.
+    pub fn checkpoint(&mut self) -> Vec<String> {
+        let mut enumerated = Vec::new();
+        let mut sweeps = 0;
         for (i, col) in self.columns.iter_mut().enumerate() {
-            // Codec-decision cache: the fragment is immutable between
-            // reorganizations, so an unchanged epoch means the last
-            // verdict (including "stay raw") still holds — nothing is
-            // rewritten and the full format sweep is skipped.
-            if col.codec_epoch != Some(col.epoch) {
-                if let Some(f) = fault {
-                    f.check_site(FaultSite::CheckpointWrite, i as u32)?;
-                }
-                col.choose_codec(!self.inserts.is_empty());
-                // A column just enumerated (its delta is empty) takes
-                // codes in its delta from now on.
+            if self.inserts.column(i).is_empty() && col.enumerate(&mut sweeps) {
+                // An enumerated column takes codes in its (empty) delta
+                // from now on.
                 let ty = col.data.scalar_type();
-                if self.inserts.column(i).scalar_type() != ty {
-                    self.inserts.replace_column(i, Vector::with_capacity(ty, 0));
-                }
-                sweeps += 1;
-                // Torn-write injection: the write "succeeded" but a
-                // payload byte is wrong. Nothing errors here — the
-                // per-chunk checksum catches it on the next read.
-                if let (Some(f), Some(c)) = (fault, col.compressed.as_mut()) {
-                    for t in f.take_torn(i as u32) {
-                        c.corrupt_payload_byte(t.chunk as usize, t.byte as usize);
-                    }
-                }
+                self.inserts.replace_column(i, Vector::with_capacity(ty, 0));
+                enumerated.push(col.field.name.clone());
             }
-            verdicts.push(match &col.compressed {
-                Some(c) => (col.field.name.clone(), c.format(), c.ratio_pct()),
-                None => (col.field.name.clone(), ChunkFormat::Raw, 100),
-            });
         }
         self.codec_sweeps += sweeps;
-        Ok(verdicts)
+        enumerated
     }
 
-    /// Full format sweeps run so far — a second `checkpoint()` over an
-    /// unchanged table adds zero.
+    /// Format sweeps run so far: one per column per durable commit,
+    /// plus one per dictionary candidate `checkpoint()` priced.
     pub fn codec_sweeps(&self) -> u64 {
         self.codec_sweeps
     }
 
     /// The durable checkpoint backing this table, if it was opened from
-    /// disk or durably checkpointed since the last reorganize. Scans
-    /// use it to heal a corrupt compressed chunk from a replica.
+    /// disk or durably checkpointed since the last reorganize.
     pub fn durable_source(&self) -> Option<&Arc<DurableSource>> {
         self.durable.as_ref()
     }
 
-    /// Durable checkpoint: compress (as [`Table::checkpoint`]), then
-    /// persist every column to `dir` — its compressed chunks when they
-    /// verify (the fragment is their decode), its raw values otherwise,
-    /// and its dictionary — as one segment file per replica
-    /// ([`DurableOptions::replicas`]), committed by a versioned manifest
-    /// written last. A crash at any point leaves the previous checkpoint
-    /// fully readable; see [`Table::open`] for recovery.
+    /// Durable checkpoint: enumerate (as [`Table::checkpoint`]), then
+    /// persist every column to `dir` — the codec chooser runs once per
+    /// column, straight into the segment buffer: its compressed chunks
+    /// when they pay and verify (the fragment is their decode), its raw
+    /// values otherwise, and its dictionary — as one segment file per
+    /// replica ([`DurableOptions::replicas`]), committed by a versioned
+    /// manifest written last. The chunks are dropped once written; the
+    /// table keeps only its fragments. A crash at any point leaves the
+    /// previous checkpoint fully readable; see [`Table::open`] for
+    /// recovery. Returns per-column verdicts `(name, format, ratio_pct)`
+    /// of what each segment stores (codes for enum columns); a column
+    /// stored raw reports `ChunkFormat::Raw` at 100%.
     ///
     /// Pending deltas are merged first (`reorganize`) so the persisted
     /// state is the complete table.
@@ -780,15 +721,17 @@ impl Table {
         &mut self,
         dir: &Path,
         opts: &DurableOptions,
-    ) -> Result<Vec<(String, ChunkFormat, u64)>, DurableError> {
+    ) -> Result<Verdicts, DurableError> {
         self.try_checkpoint_durable(dir, opts, None)
     }
 
     /// Fallible durable checkpoint: every write step consults the fault
-    /// plan ([`FaultSite::DurableChunkWrite`] per column extent per
+    /// plan (`FaultSite::DurableChunkWrite` per column extent per
     /// replica, before the segments' sync and after the directory's,
-    /// [`FaultSite::ManifestWrite`] for the manifest temp-write and the
-    /// committing rename) with bounded-backoff retry. On error the
+    /// `FaultSite::ManifestWrite` for the manifest temp-write and the
+    /// committing rename) with bounded-backoff retry, and its torn
+    /// writes flip chunk bytes between encode and verification (that
+    /// column is then stored raw). On error the
     /// directory may hold orphan segments of the aborted version, but
     /// the previous manifest — and therefore the previous checkpoint —
     /// is untouched and fully readable.
@@ -797,12 +740,13 @@ impl Table {
         dir: &Path,
         opts: &DurableOptions,
         fault: Option<&FaultState>,
-    ) -> Result<Vec<(String, ChunkFormat, u64)>, DurableError> {
+    ) -> Result<Verdicts, DurableError> {
         if !self.inserts.is_empty() || !self.deletes.is_empty() {
             self.reorganize();
         }
-        let verdicts = self.try_checkpoint(fault)?;
-        let source = crate::durable::commit_checkpoint(self, dir, opts, fault)?;
+        self.checkpoint();
+        let (source, verdicts) = crate::durable::commit_checkpoint(self, dir, opts, fault)?;
+        self.codec_sweeps += self.columns.len() as u64;
         self.durable = Some(source);
         Ok(verdicts)
     }
@@ -818,7 +762,7 @@ impl Table {
     }
 
     /// [`Table::open`] with fault injection: replica reads consult
-    /// [`FaultSite::DurableChunkRead`] / [`FaultSite::ManifestRead`]
+    /// `FaultSite::DurableChunkRead` / `FaultSite::ManifestRead`
     /// and a read that exhausts its retry budget counts as a bad copy,
     /// falling over to the next replica. A typed error surfaces only
     /// when *all* copies of some column fail.
@@ -859,9 +803,6 @@ impl Table {
     ///   refused (a dictionary type no `encode_*` covers, or a NaN or
     ///   `-0.0` in a dictionary built by hand) the codes decode through
     ///   the dictionary and the column goes the plain path.
-    ///
-    /// A column that was checkpointed re-runs the codec chooser, which
-    /// may turn a plain column into an enum column as a checkpoint does.
     ///
     /// Row ids are re-densified (0..live_rows); callers holding old row
     /// ids (e.g. join indices) must re-derive them.
@@ -905,24 +846,14 @@ impl Table {
                     }
                 },
             };
-            let mut col = StoredColumn::new(old.field.name, data, dict, old.summary.is_some());
-            // Checkpointed columns stay checkpointed: re-run the format
-            // chooser over the merged fragment so the compressed chunks
-            // track the data (the chooser may pick a different format
-            // for the new value distribution, or fall back to raw).
-            col.epoch = old.epoch + 1;
-            if old.compressed.is_some() {
-                self.codec_sweeps += 1;
-                col.choose_codec(false);
-            }
+            let col = StoredColumn::new(old.field.name, data, dict, old.summary.is_some());
             self.columns.push(col);
         }
         self.frag_rows = live;
         self.deletes.clear();
         self.inserts = empty_delta(&self.columns);
-        // The disk checkpoint describes the *old* fragments; healing
-        // from it would resurrect stale rows. Detach until the next
-        // durable checkpoint rewrites it.
+        // The disk checkpoint describes the *old* fragments. Detach
+        // until the next durable checkpoint rewrites it.
         self.durable = None;
     }
 }
@@ -1072,6 +1003,13 @@ mod tests {
         assert!(t.byte_size() > before);
     }
 
+    /// A fresh directory for one test's durable checkpoint.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("x100-table-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn checkpoint_compresses_paying_columns() {
         let mut t = TableBuilder::new("t")
@@ -1081,14 +1019,18 @@ mod tests {
                 Vector::F64((0..100_000).map(|i| (i % 9000) as f64 / 100.0).collect()),
             )
             .build();
-        assert!(t.column(0).compressed().is_none());
-        let verdicts = t.checkpoint();
+        let dir = scratch_dir("compresses");
+        let verdicts = t
+            .checkpoint_durable(&dir, &DurableOptions::default())
+            .expect("durable checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(verdicts.len(), 2);
-        let key = t.column(0).compressed().expect("sorted keys compress");
-        assert_eq!(key.format(), ChunkFormat::PforDelta);
-        let price = t.column(1).compressed().expect("cents compress");
-        assert!(price.ratio_pct() < 50);
-        assert_eq!(price.rows(), t.fragment_rows());
+        assert_eq!(verdicts[0].1, ChunkFormat::PforDelta, "sorted keys");
+        assert_eq!(verdicts[1].1, ChunkFormat::Pfor, "cents");
+        assert!(verdicts[1].2 < 50);
+        // The chunks were the segment's; the table keeps its fragments.
+        assert!(t.column(0).compressed().is_none());
+        assert_eq!(t.column(1).physical().len(), t.fragment_rows());
     }
 
     #[test]
@@ -1118,8 +1060,10 @@ mod tests {
             .with_summary()
             .build();
         let want: Vec<Vec<Value>> = (0..n as u32).map(|r| t.get_row(r)).collect();
-        t.checkpoint();
-        assert_eq!(t.codec_sweeps(), 4);
+        assert_eq!(t.checkpoint(), ["tag", "root"]);
+        // The chunk formats were priced for the three columns whose
+        // dictionary pays against raw; the summary column has none.
+        assert_eq!(t.codec_sweeps(), 3);
         let tag = t.column(0);
         assert_eq!(tag.physical_type(), ScalarType::U8);
         assert_eq!(tag.field().logical, ScalarType::Str);
@@ -1129,8 +1073,9 @@ mod tests {
         assert!(t.column(3).dict().is_none(), "a summary column stays plain");
         let got: Vec<Vec<Value>> = (0..n as u32).map(|r| t.get_row(r)).collect();
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        // The verdict is cached like any other: no second sweep.
-        t.checkpoint();
+        // A second checkpoint enumerates nothing more; only the plain
+        // column whose dictionary pays is priced again.
+        assert!(t.checkpoint().is_empty());
         assert_eq!(t.codec_sweeps(), 4);
     }
 
@@ -1156,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_caches_codec_decision_per_epoch() {
+    fn codec_sweeps_count_one_per_column_per_durable_commit() {
         let mut t = TableBuilder::new("t")
             .column("key", Vector::I64((0..100_000).collect()))
             .column(
@@ -1164,100 +1109,46 @@ mod tests {
                 Vector::F64((0..100_000).map(|i| (i % 9000) as f64 / 100.0).collect()),
             )
             .build();
-        let first = t.checkpoint();
-        assert_eq!(t.codec_sweeps(), 2, "cold start sweeps every column");
-        // Unchanged fragments: the verdicts replay from the cache.
-        let second = t.checkpoint();
-        assert_eq!(t.codec_sweeps(), 2, "no fragment changed, no sweep");
-        assert_eq!(first, second);
-        assert!(t.column(0).compressed().is_some());
-        // Deltas alone don't invalidate (they live outside the
-        // fragments); a reorganize rebuilds the fragment and re-sweeps.
+        // 9000 distinct prices: past the dictionary cap, nothing priced.
+        assert!(t.checkpoint().is_empty());
+        assert_eq!(t.codec_sweeps(), 0);
+        let dir = scratch_dir("sweeps");
+        let opts = DurableOptions::default();
+        t.checkpoint_durable(&dir, &opts).expect("commit");
+        assert_eq!(t.codec_sweeps(), 2, "one sweep per column");
+        // Nothing is kept between commits: the next one sweeps again.
         t.insert(&[Value::I64(100_000), Value::F64(1.0)]);
-        t.checkpoint();
-        assert_eq!(t.codec_sweeps(), 2, "delta rows don't bump the epoch");
-        t.reorganize();
-        assert_eq!(t.codec_sweeps(), 4, "reorganize re-ran the chooser");
-        t.checkpoint();
-        assert_eq!(t.codec_sweeps(), 4, "reorganize verdict is already cached");
-        assert_eq!(
-            t.column(0).compressed().expect("still compressed").rows(),
-            t.fragment_rows()
-        );
+        t.checkpoint_durable(&dir, &opts).expect("commit");
+        assert_eq!(t.codec_sweeps(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reorganize_preserves_checkpoint() {
-        let mut t = small_table();
-        t.checkpoint();
-        let before: Vec<bool> = (0..t.num_columns())
-            .map(|i| t.column(i).compressed().is_some())
+        // What a checkpoint leaves — enumerated columns — survives a
+        // reorganize: the dictionary merges, the codes stay codes.
+        let tags: Vec<&str> = (0..20_000)
+            .map(|i| ["AIR", "MAIL", "SHIP"][i % 3])
             .collect();
+        let mut t = TableBuilder::new("t")
+            .column("id", Vector::I64((0..20_000).collect()))
+            .column("tag", Vector::Str(tags.iter().copied().collect()))
+            .build();
+        assert_eq!(t.checkpoint(), ["tag"]);
         t.delete(0);
-        t.insert(&[Value::I64(50), Value::Str("A".into()), Value::F64(5.0)]);
+        t.insert(&[Value::I64(50), Value::Str("RAIL".into())]);
         t.reorganize();
         assert_eq!(t.delta_rows(), 0);
-        for (i, was) in before.iter().enumerate() {
-            if *was {
-                let c = t.column(i).compressed().expect("still checkpointed");
-                assert_eq!(c.rows(), t.fragment_rows());
-            }
-        }
-        // Never-checkpointed tables stay uncompressed through reorganize.
+        let tag = t.column(1);
+        assert_eq!(tag.physical_type(), ScalarType::U8);
+        assert_eq!(tag.dict().expect("still enumerated").cardinality(), 4);
+        assert_eq!(t.get_row(0)[1], Value::Str("MAIL".into()));
+        assert_eq!(t.get_row(19_999)[1], Value::Str("RAIL".into()));
+        // Never-checkpointed tables are not enumerated by a reorganize.
         let mut u = small_table();
         u.insert(&[Value::I64(11), Value::Str("B".into()), Value::F64(1.0)]);
         u.reorganize();
-        assert!(u.column(0).compressed().is_none());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn checkpoint_write_faults_surface() {
-        use crate::columnbm::FaultPlan;
-        let mut t = small_table();
-        let plan = FaultPlan {
-            checkpoint_fault_rate: 1.0,
-            max_retries: 2,
-            backoff_base_us: 0,
-            ..FaultPlan::default()
-        };
-        let fs = FaultState::new(plan);
-        let err = t.try_checkpoint(Some(&fs)).expect_err("always faults");
-        assert_eq!(err.site, FaultSite::CheckpointWrite);
-        assert_eq!(err.attempts, 3);
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn torn_checkpoint_write_caught_by_checksum() {
-        use crate::columnbm::FaultPlan;
-        use crate::compress::DecodeCursor;
-        let mut t = TableBuilder::new("t")
-            .column("key", Vector::I64((0..200_000).map(|i| i % 7000).collect()))
-            .build();
-        // The write itself succeeds — no error here, just silent damage.
-        let fs = FaultState::new(FaultPlan::default().tear(0, 1, 9));
-        t.try_checkpoint(Some(&fs))
-            .expect("torn writes don't error");
-        assert_eq!(fs.injected(), 1);
-        let c = t.column(0).compressed().expect("column compressed");
-        // An untouched chunk decodes fine; the torn one is refused with
-        // a checksum mismatch, so wrong rows can never escape.
-        let mut v = Vector::zeroed(ScalarType::I64, 0);
-        let mut cur = DecodeCursor::default();
-        let mut scratch = Vec::new();
-        c.decode_range(0, 1024, &mut v, &mut cur, &mut scratch)
-            .expect("chunk 0 is intact");
-        let err = c
-            .decode_range(65_536, 1024, &mut v, &mut cur, &mut scratch)
-            .expect_err("chunk 1 is torn");
-        assert!(err.contains("checksum mismatch"), "typed mismatch: {err}");
-        // The raw fragment is untouched: recovery reads stay correct.
-        t.column(0).physical().read_into(65_536, 4, &mut v);
-        assert_eq!(
-            v.as_i64()[..4],
-            [65_536 % 7000, 65_537 % 7000, 65_538 % 7000, 65_539 % 7000]
-        );
+        assert!(u.column(0).dict().is_none());
     }
 
     #[test]
@@ -1320,7 +1211,6 @@ mod tests {
         assert_eq!(t.column(0).physical_type(), ScalarType::U16);
         assert_eq!(t.inserts().column(0), &Vector::U16(vec![0, 256]));
         assert_eq!(t.column_stats(0).max, Some(Value::U16(256)));
-        assert!(t.column(0).compressed().is_some(), "still checkpointed");
         assert_eq!(t.get_row(255)[0], Value::Str("t255".into()));
         assert_eq!(t.get_row(257)[0], Value::Str("t256".into()));
         t.reorganize();

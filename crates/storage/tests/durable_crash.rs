@@ -18,9 +18,8 @@
 //! Exercised sites: [`FaultSite::DurableChunkWrite`],
 //! [`FaultSite::ManifestWrite`], [`FaultSite::ManifestRead`],
 //! [`FaultSite::DurableChunkRead`] (xtask lint rule 8 requires each
-//! durable variant by name here). The fault-driven tests need
-//! `cargo test --features fault-inject`; the on-disk corruption tests
-//! run in every build.
+//! durable variant by name here). The fault-driven tests and the
+//! on-disk corruption tests run in every build.
 
 use std::path::PathBuf;
 
@@ -74,7 +73,6 @@ fn snapshot(t: &Table) -> Vec<(String, Vec<u8>)> {
 /// Kill the checkpoint at the nth check of `site`, for every nth until
 /// the checkpoint finally succeeds; after each kill the directory must
 /// still open to the exact previous checkpoint.
-#[cfg(feature = "fault-inject")]
 fn sweep_kill_points(site: FaultSite, tag: &str) -> u32 {
     use x100_storage::{FaultPlan, FaultState};
     let dir = scratch(tag);
@@ -131,7 +129,6 @@ fn sweep_kill_points(site: FaultSite, tag: &str) -> u32 {
 }
 
 /// Versions of the segments in `dir`, from their names.
-#[cfg(feature = "fault-inject")]
 fn segment_versions(dir: &std::path::Path) -> Vec<u64> {
     let names = std::fs::read_dir(dir).expect("dir").flatten();
     let names = names.filter_map(|e| e.file_name().into_string().ok());
@@ -173,7 +170,6 @@ fn a_committed_directory_is_one_segment_per_replica_and_a_manifest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "fault-inject")]
 #[test]
 fn kill_at_every_chunk_write_point_recovers_previous_checkpoint() {
     // One kill per column extent per replica (a partial segment), one
@@ -184,7 +180,6 @@ fn kill_at_every_chunk_write_point_recovers_previous_checkpoint() {
     assert_eq!(kills, columns * replicas + 2);
 }
 
-#[cfg(feature = "fault-inject")]
 #[test]
 fn kill_at_every_manifest_write_point_recovers_previous_checkpoint() {
     // Before the manifest's temp write, and before its rename.
@@ -192,7 +187,6 @@ fn kill_at_every_manifest_write_point_recovers_previous_checkpoint() {
     assert_eq!(kills, 2);
 }
 
-#[cfg(feature = "fault-inject")]
 #[test]
 fn manifest_read_fault_is_a_hard_error() {
     use x100_storage::{FaultPlan, FaultState};
@@ -212,7 +206,6 @@ fn manifest_read_fault_is_a_hard_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "fault-inject")]
 #[test]
 fn chunk_read_fault_fails_over_to_the_other_replica() {
     use x100_storage::{FaultPlan, FaultState};
@@ -329,7 +322,6 @@ fn all_replicas_bad_is_a_typed_io_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "fault-inject")]
 #[test]
 fn checkpoint_under_random_durable_faults_retries_through() {
     use x100_storage::{FaultPlan, FaultState};

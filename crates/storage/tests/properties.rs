@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use x100_storage::{
     choose_and_compress, compress_column_as, dictionary_wins, encode_i64, ChunkFormat, ColumnStats,
-    CompressedColumn, DecodeCursor, DurableOptions, EnumDict, SummaryIndex, Table, TableBuilder,
+    CompressedColumn, DurableOptions, EnumDict, SummaryIndex, Table, TableBuilder,
 };
 use x100_vector::fetch::gather_at;
 use x100_vector::{Value, Vector};
@@ -350,7 +350,7 @@ fn has_unencodable(v: &Vector) -> bool {
 
 /// A reorganized table equals a fresh build of its live rows column by
 /// column: physical codes, dictionary, stats, summary index and the
-/// format `checkpoint()` chooses.
+/// columns `checkpoint()` enumerates.
 fn assert_same_as_fresh(table: &Table, rows: &[Row]) {
     let fresh = build_table(rows, table);
     for i in 0..fresh.num_columns() {
@@ -378,30 +378,11 @@ fn bits_eq(a: &Vector, b: &Vector) -> bool {
     }
 }
 
-/// Decode `cc` in refills of the (cycled) `sizes` and demand the result
-/// is bit-identical to the physical column at every step — this drives
-/// the per-chunk cursor across chunk boundaries exactly like a scan.
-fn assert_decode_matches(cc: &CompressedColumn, data: &Vector, sizes: &[usize]) {
-    let rows = data.len();
-    let mut cursor = DecodeCursor::default();
-    let mut scratch = Vec::new();
-    let mut got = Vector::with_capacity(data.scalar_type(), 0);
-    let mut want = Vector::with_capacity(data.scalar_type(), 0);
-    let mut at = 0usize;
-    let mut k = 0usize;
-    while at < rows {
-        let n = sizes[k % sizes.len()].clamp(1, rows - at);
-        k += 1;
-        cc.decode_range(at, n, &mut got, &mut cursor, &mut scratch)
-            .expect("decode");
-        data.read_into(at, n, &mut want);
-        prop_assert!(
-            bits_eq(&got, &want),
-            "decode mismatch at rows [{at}, {})",
-            at + n
-        );
-        at += n;
-    }
+/// The whole-column decode `open` runs reproduces `data` bit for bit.
+fn assert_decode_matches(cc: &CompressedColumn, data: &Vector) {
+    prop_assert_eq!(cc.rows(), data.len());
+    let got = cc.decode().expect("checksums verify");
+    prop_assert!(bits_eq(&got, data), "decode mismatch");
 }
 
 /// A vector's bytes as the byte layer writes them: `f64` values as
@@ -487,17 +468,6 @@ proptest! {
 
         // Final check: every live row matches the model.
         assert_rows(&table, &model.rows, &model.rowids);
-        // Any checkpoint-compressed fragment must decode bit-identically
-        // to the physical column it mirrors.
-        for t in [&table, &opened] {
-            for i in 0..t.num_columns() {
-                let sc = t.column(i);
-                if let Some(cc) = sc.compressed() {
-                    prop_assert_eq!(cc.rows(), sc.physical().len());
-                    assert_decode_matches(cc, sc.physical(), &[7, 1, 13]);
-                }
-            }
-        }
     }
 
     #[test]
@@ -549,20 +519,19 @@ proptest! {
     }
 }
 
-/// PFOR round-trips for every integer column type: arbitrary values,
-/// arbitrary refill sizes. `compress_column_as` must accept (PFOR has a
-/// raw-exception escape hatch for any distribution).
+/// PFOR round-trips for every integer column type: arbitrary values.
+/// `compress_column_as` must accept (PFOR has a raw-exception escape
+/// hatch for any distribution).
 macro_rules! pfor_int_roundtrip {
     ($($test:ident : $ty:ty => $variant:ident);* $(;)?) => {
         proptest! {
             $(
                 #[test]
-                fn $test(values in prop::collection::vec(any::<$ty>(), 1..300),
-                         sizes in prop::collection::vec(1usize..80, 1..5)) {
+                fn $test(values in prop::collection::vec(any::<$ty>(), 1..300)) {
                     let data = Vector::$variant(values);
                     let cc = compress_column_as(&data, ChunkFormat::Pfor)
                         .expect("pfor accepts any integer column");
-                    assert_decode_matches(&cc, &data, &sizes);
+                    assert_decode_matches(&cc, &data);
                 }
             )*
         }
@@ -585,21 +554,19 @@ proptest! {
     /// value must survive the scaled round trip bit-exactly.
     #[test]
     fn pfor_roundtrip_f64_decimal(cents in prop::collection::vec(-2_000_000i64..2_000_000, 1..300),
-                                  scale_idx in 0usize..5,
-                                  sizes in prop::collection::vec(1usize..80, 1..5)) {
+                                  scale_idx in 0usize..5) {
         let scale = [1i64, 10, 100, 1000, 10000][scale_idx];
         let values: Vec<f64> = cents.iter().map(|&c| c as f64 / scale as f64).collect();
         let data = Vector::F64(values);
         let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor accepts any f64 column");
-        assert_decode_matches(&cc, &data, &sizes);
+        assert_decode_matches(&cc, &data);
     }
 
     /// PFOR over arbitrary finite doubles: almost none are representable
     /// as scaled integers, so this exercises all-exception blocks — the
     /// payload is noise and every value rides the patch list.
     #[test]
-    fn pfor_roundtrip_f64_all_exceptions(bits in prop::collection::vec(any::<u64>(), 1..200),
-                                         sizes in prop::collection::vec(1usize..80, 1..5)) {
+    fn pfor_roundtrip_f64_all_exceptions(bits in prop::collection::vec(any::<u64>(), 1..200)) {
         let values: Vec<f64> = bits
             .iter()
             .map(|&b| {
@@ -609,48 +576,45 @@ proptest! {
             .collect();
         let data = Vector::F64(values);
         let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor accepts any f64 column");
-        assert_decode_matches(&cc, &data, &sizes);
+        assert_decode_matches(&cc, &data);
     }
 
     /// PFOR-DELTA round-trips over every integer type (sorted input is a
     /// precondition of the format; the chooser enforces it upstream).
     #[test]
     fn pfordelta_roundtrip_ints(deltas in prop::collection::vec(0u32..1000, 1..300),
-                                start in -1_000_000i64..1_000_000,
-                                sizes in prop::collection::vec(1usize..80, 1..5)) {
+                                start in -1_000_000i64..1_000_000) {
         let mut acc = start;
         let sorted: Vec<i64> = deltas.iter().map(|&d| { acc += d as i64; acc }).collect();
         let data = Vector::I64(sorted.clone());
         let cc = compress_column_as(&data, ChunkFormat::PforDelta)
             .expect("pfordelta accepts sorted input");
-        assert_decode_matches(&cc, &data, &sizes);
+        assert_decode_matches(&cc, &data);
         // Narrower physical types, same logical content.
         let data32 = Vector::I32(sorted.iter().map(|&v| (v % (1 << 20)) as i32).collect());
         if let Some(cc) = compress_column_as(&data32, ChunkFormat::PforDelta) {
-            assert_decode_matches(&cc, &data32, &sizes);
+            assert_decode_matches(&cc, &data32);
         }
     }
 
-    /// PFOR-DELTA decode must also be correct under *random seeks* (a
-    /// pruned scan entering mid-chunk replays from the last sync point).
+    /// PFOR-DELTA's sync carries stay in the format: the kernel started
+    /// at any sync point from its stored carry — not only the chunk's
+    /// first — must reproduce the values from there on.
     #[test]
-    fn pfordelta_random_seeks(deltas in prop::collection::vec(0u32..50, 50..400),
-                              seeks in prop::collection::vec((0usize..400, 1usize..60), 1..12)) {
+    fn pfordelta_random_seeks(deltas in prop::collection::vec(0u32..50, 50..4000),
+                              seeks in prop::collection::vec((0usize..4000, 1usize..60), 1..12)) {
+        use x100_vector::compress::{compress_pfordelta_i64_col, decompress_pfordelta_i64_col, DELTA_SYNC};
         let mut acc = 0i64;
         let sorted: Vec<i64> = deltas.iter().map(|&d| { acc += d as i64; acc }).collect();
-        let data = Vector::I64(sorted.clone());
-        let cc = compress_column_as(&data, ChunkFormat::PforDelta)
-            .expect("pfordelta accepts sorted input");
-        let mut cursor = DecodeCursor::default();
+        let chunk = compress_pfordelta_i64_col(&sorted).expect("pfordelta accepts sorted input");
         let mut scratch = Vec::new();
-        let mut got = Vector::with_capacity(data.scalar_type(), 0);
-        let mut want = Vector::with_capacity(data.scalar_type(), 0);
         for (start, n) in seeks {
             let start = start % sorted.len();
             let n = n.min(sorted.len() - start).max(1);
-            cc.decode_range(start, n, &mut got, &mut cursor, &mut scratch).expect("decode");
-            data.read_into(start, n, &mut want);
-            prop_assert!(bits_eq(&got, &want), "seek mismatch at [{start}, {})", start + n);
+            let sync = start / DELTA_SYNC;
+            let mut got = vec![0i64; n];
+            decompress_pfordelta_i64_col(&mut got, &chunk, sync * DELTA_SYNC, chunk.sync[sync], start, &mut scratch);
+            prop_assert_eq!(&got[..], &sorted[start..start + n], "seek to {}", start);
         }
     }
 
@@ -658,15 +622,14 @@ proptest! {
     /// whatever the distribution thrown at it.
     #[test]
     fn chooser_roundtrip_any_distribution(values in prop::collection::vec(-5000i64..5000, 1..300),
-                                          sort in any::<bool>(),
-                                          sizes in prop::collection::vec(1usize..80, 1..5)) {
+                                          sort in any::<bool>()) {
         let mut values = values;
         if sort {
             values.sort_unstable();
         }
         let data = Vector::I64(values);
         if let Some(cc) = choose_and_compress(&data, &ColumnStats::compute(&data)) {
-            assert_decode_matches(&cc, &data, &sizes);
+            assert_decode_matches(&cc, &data);
         }
     }
 }
@@ -835,224 +798,6 @@ fn kind(v: &Verdict) -> Option<ChunkFormat> {
 }
 
 // ---------------------------------------------------------------------------
-// Encoded-space predicate pushdown: `select_range` + the refill under
-// its selection must be observationally equivalent to decode-then-select, across
-// codec × type × predicate × selectivity — including all-exception
-// chunks and windowed refills that stride chunk boundaries.
-// ---------------------------------------------------------------------------
-
-use x100_storage::{PushOp, Pushdown};
-
-/// Native-comparison reference: filter the raw column over
-/// `[start, start + n)` exactly as a decode-then-select pipeline would,
-/// returning window-relative positions.
-fn ref_filter(data: &Vector, start: usize, n: usize, p: &Pushdown) -> Vec<u32> {
-    fn keep<T: PartialOrd + Copy>(x: T, lo: T, hi: Option<T>, op: PushOp) -> bool {
-        match op {
-            PushOp::Eq => x == lo,
-            PushOp::Ne => x != lo,
-            PushOp::Lt => x < lo,
-            PushOp::Le => x <= lo,
-            PushOp::Gt => x > lo,
-            PushOp::Ge => x >= lo,
-            PushOp::Between => x >= lo && hi.is_some_and(|h| x <= h),
-        }
-    }
-    macro_rules! f {
-        ($b:expr, $vv:ident) => {{
-            let lo = match p.lo() {
-                Value::$vv(x) => *x,
-                other => panic!("constant {other:?} on {} column", stringify!($vv)),
-            };
-            let hi = p.hi().map(|h| match h {
-                Value::$vv(x) => *x,
-                other => panic!("constant {other:?} on {} column", stringify!($vv)),
-            });
-            $b[start..start + n]
-                .iter()
-                .enumerate()
-                .filter(|(_, &x)| keep(x, lo, hi, p.op()))
-                .map(|(i, _)| i as u32)
-                .collect()
-        }};
-    }
-    match data {
-        Vector::I32(b) => f!(b, I32),
-        Vector::I64(b) => f!(b, I64),
-        Vector::F64(b) => f!(b, F64),
-        Vector::Str(b) => {
-            let lo = match p.lo() {
-                Value::Str(x) => x.as_str(),
-                other => panic!("constant {other:?} on Str column"),
-            };
-            (0..n)
-                .filter(|&i| keep(b.get(start + i), lo, None, p.op()))
-                .map(|i| i as u32)
-                .collect()
-        }
-        other => panic!("unexercised column type {:?}", other.scalar_type()),
-    }
-}
-
-/// Drive `select_range` in refills of the (cycled) `sizes` — sharing
-/// one cursor, exactly like a scan — and demand window-relative
-/// positions identical to the reference filter; then read the window
-/// through the scan's dense refill and demand the reference values.
-fn assert_pushdown_matches(
-    cc: &CompressedColumn,
-    data: &Vector,
-    op: PushOp,
-    lo: &Value,
-    hi: Option<&Value>,
-    sizes: &[usize],
-) {
-    let Some(p) = cc.compile_pushdown(op, lo, hi) else {
-        return; // unsupported codec/op pair: binder falls back
-    };
-    let rows = data.len();
-    let mut cursor = DecodeCursor::default();
-    let (mut sel, mut scratch) = (Vec::new(), Vec::new());
-    let mut got = Vector::with_capacity(data.scalar_type(), 0);
-    let mut want = Vector::with_capacity(data.scalar_type(), 0);
-    let (mut at, mut k) = (0usize, 0usize);
-    while at < rows {
-        let n = sizes[k % sizes.len()].clamp(1, rows - at);
-        k += 1;
-        sel.clear();
-        cc.select_range(&p, at, n, &mut sel, &mut cursor)
-            .expect("select_range");
-        let expect = ref_filter(data, at, n, &p);
-        prop_assert_eq!(
-            &sel,
-            &expect,
-            "pushdown {} diverged in window [{}, {})",
-            p.sig(),
-            at,
-            at + n
-        );
-        data.read_into(at, n, &mut want);
-        // The scan's refill: the whole window decoded, sharing the
-        // select's cursor — every row reads its value.
-        cc.decode_range(at, n, &mut got, &mut cursor, &mut scratch)
-            .expect("decode_range");
-        prop_assert_eq!(
-            &got,
-            &want,
-            "dense refill diverged in window [{}, {})",
-            at,
-            at + n
-        );
-        at += n;
-    }
-}
-
-/// Predicate operators each codec claims to support.
-const PFOR_OPS: [PushOp; 6] = [
-    PushOp::Eq,
-    PushOp::Lt,
-    PushOp::Le,
-    PushOp::Gt,
-    PushOp::Ge,
-    PushOp::Between,
-];
-
-proptest! {
-    /// PFOR i64 pushdown with patched exceptions: each value is either
-    /// in-lane or an outlier, so chunks range from exception-free to
-    /// all-exception. Constants drawn from the data (plus the random
-    /// offset) sweep selectivity from ~0% to ~100%.
-    #[test]
-    fn pfor_pushdown_matches_decode_then_select(
-        values in prop::collection::vec(
-            (0i64..120, any::<bool>()).prop_map(|(v, wide)| {
-                if wide { v * 1_000_000_007 } else { v }
-            }),
-            1..400,
-        ),
-        op_i in 0usize..6,
-        lit_i in 0usize..400,
-        off in -2i64..3,
-        sizes in prop::collection::vec(1usize..90, 1..5),
-    ) {
-        let data = Vector::I64(values.clone());
-        let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor i64");
-        let lo = Value::I64(values[lit_i % values.len()] + off);
-        let hi = Value::I64(values[(lit_i + 7) % values.len()].max(values[lit_i % values.len()] + off));
-        assert_pushdown_matches(&cc, &data, PFOR_OPS[op_i], &lo, Some(&hi).filter(|_| PFOR_OPS[op_i] == PushOp::Between), &sizes);
-    }
-
-    /// Scaled-f64 PFOR: the encoded-space translation must honor the
-    /// scale trick; quarter steps keep every value representable.
-    #[test]
-    fn pfor_f64_pushdown_matches(
-        values in prop::collection::vec(-300i64..300, 1..300),
-        op_i in 0usize..6,
-        lit_i in 0usize..300,
-        sizes in prop::collection::vec(1usize..90, 1..5),
-    ) {
-        let floats: Vec<f64> = values.iter().map(|&v| v as f64 * 0.25).collect();
-        let data = Vector::F64(floats.clone());
-        let cc = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor f64");
-        let lo = Value::F64(floats[lit_i % floats.len()]);
-        let hi = Value::F64(floats[(lit_i + 3) % floats.len()].max(floats[lit_i % floats.len()]));
-        assert_pushdown_matches(&cc, &data, PFOR_OPS[op_i], &lo, Some(&hi).filter(|_| PFOR_OPS[op_i] == PushOp::Between), &sizes);
-    }
-
-    /// `decode_range` agrees with the raw column for windows in any
-    /// order — ascending runs, restarts, repeats — across every codec
-    /// the chooser picks, sharing one cursor: a window that does not
-    /// continue the last one seeks from the nearest PFOR-DELTA sync
-    /// point.
-    #[test]
-    fn decode_range_matches_raw_for_any_windows(
-        values in prop::collection::vec(-5000i64..5000, 1..3000),
-        sort in any::<bool>(),
-        starts in prop::collection::vec(0usize..3000, 1..50),
-        len in 1usize..90,
-    ) {
-        let mut values = values;
-        if sort {
-            values.sort_unstable();
-        }
-        let data = Vector::I64(values.clone());
-        if let Some(cc) = choose_and_compress(&data, &ColumnStats::compute(&data)) {
-            let mut out = Vector::with_capacity(data.scalar_type(), 0);
-            let mut scratch = Vec::new();
-            let mut cursor = DecodeCursor::default();
-            for &s in &starts {
-                let at = s % values.len();
-                let n = len.min(values.len() - at);
-                cc.decode_range(at, n, &mut out, &mut cursor, &mut scratch)
-                    .expect("decode_range");
-                prop_assert_eq!(out.as_i64(), &values[at..at + n], "window at {}", at);
-            }
-        }
-    }
-
-    /// Codec capability matrix is exact: PFOR refuses `!=`, PFOR-DELTA
-    /// refuses all pushdowns, and a mistyped constant never compiles.
-    #[test]
-    fn pushdown_capability_matrix(values in prop::collection::vec(0i64..100, 10..200)) {
-        let data = Vector::I64(values.clone());
-        let pfor = compress_column_as(&data, ChunkFormat::Pfor).expect("pfor");
-        prop_assert!(pfor.compile_pushdown(PushOp::Ne, &Value::I64(5), None).is_none());
-        prop_assert!(pfor.compile_pushdown(PushOp::Lt, &Value::I32(5), None).is_none());
-        prop_assert!(pfor.compile_pushdown(PushOp::Lt, &Value::I64(5), None).is_some());
-        prop_assert!(pfor
-            .compile_pushdown(PushOp::Between, &Value::I64(2), Some(&Value::I64(7)))
-            .is_some());
-        let mut sorted = values;
-        sorted.sort_unstable();
-        let delta = compress_column_as(&Vector::I64(sorted), ChunkFormat::PforDelta)
-            .expect("pfordelta");
-        for op in PFOR_OPS {
-            prop_assert!(delta.compile_pushdown(op, &Value::I64(5), Some(&Value::I64(9))).is_none());
-            prop_assert!(delta.compile_pushdown(op, &Value::I64(5), None).is_none());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Structure-aware mutation suite over the one decoder (`x100_storage::
 // frame`): for a valid image of every container — `XCPC` column streams
 // per codec × type, `XDCF` column frames, `XMAN` manifests — truncate at
@@ -1111,39 +856,11 @@ fn for_each_mutant(image: &[u8], mut check: impl FnMut(Vec<u8>)) {
     }
 }
 
-/// Run every decode path of a parsed column to completion. Results may
-/// be errors (a chunk refusing its checksum) — the point is that they
-/// return.
+/// Run the decode of a parsed column to completion. The result may be
+/// an error (a chunk refusing its checksum) — the point is that it
+/// returns.
 fn drive_column(cc: &CompressedColumn) {
-    let rows = cc.rows();
-    let mut out = Vector::with_capacity(cc.physical_type(), 0);
-    let mut cursor = DecodeCursor::default();
-    let (mut scratch, mut sel) = (Vec::new(), Vec::new());
-    let mut first = None;
-    // Windows deliberately misaligned with chunk and sync boundaries.
-    for at in (0..rows).step_by(1000) {
-        let n = (rows - at).min(1000);
-        if cc
-            .decode_range(at, n, &mut out, &mut cursor, &mut scratch)
-            .is_ok()
-            && first.is_none()
-        {
-            first = Some(out.get_value(0));
-        }
-    }
-    // Out-of-order windows: each seeks afresh (PFOR-DELTA from its
-    // nearest sync point).
-    for at in [rows / 2, rows / 3, rows.saturating_sub(1), 0] {
-        let n = (rows - at).min(70);
-        let _ = cc.decode_range(at, n, &mut out, &mut cursor, &mut scratch);
-    }
-    let pushed = first.and_then(|v| cc.compile_pushdown(PushOp::Ge, &v, None));
-    if let Some(p) = pushed {
-        let n = rows.min(1500);
-        if cc.select_range(&p, 0, n, &mut sel, &mut cursor).is_ok() {
-            let _ = cc.decode_range(0, n, &mut out, &mut cursor, &mut scratch);
-        }
-    }
+    let _ = cc.decode();
 }
 
 /// One valid `XCPC` image per codec × type the chooser can produce,
@@ -1283,16 +1000,11 @@ fn manifest_image(replicas: u32, frames: &[(&str, &[u8])]) -> Vec<u8> {
 }
 
 /// `Table::open` must return — a typed error, or a table every row of
-/// which reads back and every compressed column of which decodes.
+/// which reads back.
 fn open_and_drive(dir: &std::path::Path) -> Result<Table, DurableError> {
     let t = Table::open(dir)?;
     for r in 0..t.fragment_rows() {
         let _ = t.get_row(r as u32);
-    }
-    for c in 0..t.num_columns() {
-        if let Some(cc) = t.column(c).compressed() {
-            drive_column(cc);
-        }
     }
     Ok(t)
 }
@@ -1367,8 +1079,8 @@ fn wrapped_length_in_column_file_is_typed_and_heals_from_replica() {
         let mut segment = std::fs::read(&path).expect("replica 0");
         let bytes = &mut segment[offset as usize..(offset + len) as usize];
         // The stored section's length (column 0's chunks): head (13),
-        // col u32, rows u64, logical tag, three flags.
-        let at = 13 + 4 + 8 + 4;
+        // col u32, rows u64, logical tag, two flags.
+        let at = 13 + 4 + 8 + 3;
         bytes[at..at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
         // Re-tear a don't-care byte until the frame's fold matches the
         // manifest again: only the parser can catch the damage now.

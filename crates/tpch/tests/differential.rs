@@ -73,9 +73,8 @@ fn make_sorted(compress: bool) -> Table {
 
 /// Build a random table: i64 key-ish column, f64 value, enum tag, a
 /// sorted key `k` (runs of equal values) and `rid`, a `#rowId` into
-/// `dim`. With `compress`, the tables are checkpointed first so scans
-/// run over the compressed chunk store (PFOR / PFOR-DELTA decode paths)
-/// instead of the plain in-memory columns.
+/// `dim`. With `compress`, the tables are checkpointed first, so the
+/// columns a dictionary compresses best are enum columns.
 fn make_db_with(rows: &[(i64, f64, u8)], compress: bool, dim_deltas: bool) -> Database {
     let tags = ["red", "green", "blue"];
     let mut run = 0i64;
@@ -1085,8 +1084,7 @@ fn dense_ship_date_and_discount_groups_match_the_hash_table() {
 
 /// The rows the profiled `Scan`s of a run read.
 fn scanned(prof: &x100_engine::Profiler) -> u64 {
-    let scans = ["Scan", "CompressedScanSelect"];
-    let scan = prof.operators().filter(|(name, _)| scans.contains(name));
+    let scan = prof.operators().filter(|(name, _)| *name == "Scan");
     scan.map(|(_, s)| s.tuples).sum()
 }
 
@@ -1103,20 +1101,6 @@ struct RangeCmp {
 impl RangeCmp {
     fn passes(&self, d: i64) -> bool {
         self.lo.is_none_or(|lo| d >= lo) && self.hi.is_none_or(|hi| d <= hi)
-    }
-
-    /// The conjunction of two compares, as one fused pushdown runs it.
-    fn and(self, c: RangeCmp) -> RangeCmp {
-        let hi = match (self.hi, c.hi) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        };
-        let proven = self.proven.zip(c.proven);
-        RangeCmp {
-            lo: self.lo.max(c.lo),
-            hi,
-            proven: proven.map(|(x, y)| (x.0.max(y.0), x.1.min(y.1))),
-        }
     }
 }
 
@@ -1187,8 +1171,7 @@ fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
     const N: i32 = 8_000;
     // `d` is the row id with rows 0 and 1 swapped: every granule's
     // bounds and every compare's passing rows are the row id's, but the
-    // column is not sorted, so a checkpoint stores it as PFOR and the
-    // compares fuse into the scan.
+    // column is not sorted.
     let d = (0..N).map(|i| if i < 2 { 1 - i } else { i });
     let fresh = || {
         TableBuilder::new("r")
@@ -1283,29 +1266,15 @@ fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
         db.register(table);
         for (pred, (start, end), steps) in &cases {
             let plan = per_g(pred.clone());
-            let walk = check_plan(&db, &plan, &ExecOptions::default()).expect("checks");
-            let fused = (walk.report.iter())
-                .any(|l| l.contains(": CompressedScanSelect `d`") && l.contains(" residual ["));
-            let declined = walk
-                .report
-                .iter()
-                .any(|l| l.contains("declined: pending inserts"));
             let what = format!("{form}, `{}`", x100_engine::render_expr(pred));
-            assert_eq!(fused, form == "checkpointed", "{what}: {:?}", walk.report);
-            assert_eq!(declined, form == "checkpointed, pending deltas", "{what}");
-            // A fused pushdown runs the whole range as one compare, proven
-            // where every step is.
-            let compares = match fused {
-                false => steps.clone(),
-                true => vec![steps[1..].iter().fold(steps[0], |a, c| a.and(*c))],
-            };
+            let compares = steps;
             let fired = rule_lines(&db, &plan, &ExecOptions::default(), rule);
             let line = fired.concat();
             assert!(
                 fired.len() == 1 && line.contains(&format!("→ rows {start}..{end} of {N}")),
                 "{what}: {fired:?}"
             );
-            for c in &compares {
+            for c in compares {
                 let (a, b) = c.proven.expect("every case proves its compares");
                 let proven = format!("certain rows {a}..{b}");
                 assert!(line.contains(&proven), "{what}: no `{proven}` in {line}");
@@ -1328,12 +1297,10 @@ fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
                     let n: i64 = res.column_by_name("n").as_i64().iter().sum();
                     assert_eq!(n as usize, want, "{what}");
                     let read: u64 = (prof.primitives())
-                        .filter(|(sig, _)| {
-                            sig.starts_with("select_") || sig.starts_with("cmp_pfor_")
-                        })
+                        .filter(|(sig, _)| sig.starts_with("select_"))
                         .map(|(_, s)| s.tuples)
                         .sum();
-                    let expect = select_inputs(&compares, &batches, deleted, inserted);
+                    let expect = select_inputs(compares, &batches, deleted, inserted);
                     assert_eq!(read, expect, "{what}: select primitives' input rows");
                     let (_, whole) = execute_as_given(&db, &plan, &profiled).expect("runs");
                     assert_eq!(scanned(&prof), (end - start) as u64, "{what}");
@@ -1391,8 +1358,7 @@ fn summary_range_select_cuts_the_fragment_and_keeps_every_delta_row() {
     }
 }
 
-/// `db` with `change` applied to a copy of every table.
-/// The TPC-H corpus with every table checkpoint-compressed.
+/// The TPC-H corpus with every table checkpointed.
 fn checkpointed(db: &Database) -> Database {
     each_table(db, |t| {
         t.checkpoint();

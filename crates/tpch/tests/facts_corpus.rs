@@ -62,7 +62,8 @@ fn fetch_bounds_proven_for_entire_corpus() {
     );
 }
 
-/// The corpus database with every table checkpoint-compressed.
+/// The corpus database with every table checkpointed (the columns a
+/// dictionary compresses best enumerated).
 fn checkpointed(db: &Database) -> Database {
     let names: Vec<String> = db.table_names().map(str::to_owned).collect();
     let mut out = Database::new();
@@ -76,8 +77,8 @@ fn checkpointed(db: &Database) -> Database {
 
 /// Verified ⊇ executed, table-driven over storage form and thread
 /// count: every primitive signature a profiled run records (positional
-/// gathers, encoded-space compares, chunk decodes, the AVG
-/// epilogue and the merge stage's rehash included) was validated by the
+/// gathers, enum decodes, the AVG epilogue and the merge stage's rehash
+/// included) was validated by the
 /// check walk of that very plan; and, sequentially, each program the
 /// walk compiled is held by exactly one instantiated operator — none is
 /// compiled again, none is dead code (bare column references need no
@@ -104,7 +105,7 @@ fn verified_covers_executed_for_entire_corpus() {
             "checkpointed",
             &compressed,
             &sequential,
-            &["cmp_pfor_", "decompress_"][..],
+            &["map_fetch_u8_col_str_col"][..],
         ),
         ("threads=2", &raw, &two_threads, &["map_rehash_"][..]),
     ] {

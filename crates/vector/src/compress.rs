@@ -1,15 +1,19 @@
 //! Lightweight compression kernels: PFOR and PFOR-DELTA.
 //!
-//! The paper's ColumnBM trades "a few cheap, branch-free CPU cycles" of
-//! decompression for scarce memory bandwidth, expanding compressed
-//! chunks vector-at-a-time into the CPU cache (§4.3, §5). These kernels
-//! are the codec half of that design:
+//! The paper's chunked buffer manager trades "a few cheap, branch-free
+//! CPU cycles" of decompression for scarce memory bandwidth, expanding
+//! compressed chunks vector-at-a-time into the CPU cache (§4.3, §5).
+//! Here scans are not bandwidth-bound, so chunks are only the durable
+//! encoding: a durable checkpoint encodes with these kernels and
+//! `Table::open` decodes whole columns back into resident fragments
+//! (DESIGN.md §11):
 //!
 //! * **PFOR** — patched frame-of-reference: values are stored as small
 //!   offsets from a per-chunk base; values that do not fit the chosen
 //!   frame width are *exceptions*, patched in after the dense unpack.
 //! * **PFOR-DELTA** — PFOR over the deltas of a non-decreasing (key)
-//!   column, with periodic sync carries so a scan can seek mid-chunk.
+//!   column, with periodic sync carries so a decode can start at any
+//!   sync point mid-chunk.
 //!
 //! Low-cardinality columns are not a chunk codec: a checkpoint turns
 //! them into enumeration types (`x100_storage::enumcol`, paper §4.3),
@@ -814,427 +818,6 @@ pfordelta_instances! {
     u64: compress_pfordelta_u64_col / decompress_pfordelta_u64_col;
 }
 
-// ---------------------------------------------------------------------
-// Encoded-space selection (compression-aware execution)
-// ---------------------------------------------------------------------
-//
-// Pushdown half of the codec design: a comparison constant is
-// translated into the chunk's frame domain once, the packed lanes are
-// scanned *without* materializing values into a selection vector. The
-// refill under it decodes densely. Exceptions take a patched slow
-// lane: the merged walk substitutes each exception's absolute payload
-// at its position, so an all-exception chunk degrades to
-// decode-then-select cost, never to wrong answers.
-
-/// Merged single-pass selection over one PFOR window `[start, start+n)`:
-/// dense slots test their packed *relative* frame against `dense` (an
-/// inclusive range; `None` means no dense slot can match), exception
-/// slots test their absolute payload via `exc_test`. Matching
-/// *chunk-relative* positions append to `out` in ascending order.
-fn pfor_select_walk<FE: Fn(u64) -> bool + Copy>(
-    c: &PforChunk,
-    start: usize,
-    n: usize,
-    dense: Option<(u64, u64)>,
-    exc_test: FE,
-    out: &mut Vec<u32>,
-) {
-    let (rlo, rhi) = dense.unwrap_or((1, 0));
-    let (epos, efr) = exc_window(&c.exc_pos, &c.exc_frames, start, n);
-    if epos.is_empty() {
-        // No exceptions in the window: the selection is a pure range
-        // test over packed relative frames. Run it branch-free in the
-        // X100 style — unconditionally store the candidate position,
-        // advance the cursor by the predicate bit — so the loop speed
-        // is independent of selectivity and the compiler keeps the
-        // whole body in registers.
-        let Some((rlo, rhi)) = dense else { return };
-        // Blocks of 32 slots fold their predicate bits into one u32
-        // mask — the compare stays in the lane's *native* width so the
-        // auto-vectorizer can pack a full register of lanes per packed
-        // compare — and only the set bits pay for a position append. At
-        // the selectivities pushdown targets, most blocks drain in a
-        // couple of `trailing_zeros` steps.
-        out.reserve(n);
-        macro_rules! walk {
-            ($t:ty, $w:expr, $load:expr) => {{
-                let max = <$t>::MAX as u64;
-                if rlo <= max {
-                    let lo = rlo as $t;
-                    let sp = (rhi.min(max) - rlo) as $t;
-                    let bytes = &c.payload[start * $w..(start + n) * $w];
-                    let mut i = 0usize;
-                    let mut blocks = bytes.chunks_exact($w * 32);
-                    for blk in blocks.by_ref() {
-                        let mut mask = 0u32;
-                        for (j, ch) in blk.chunks_exact($w).enumerate() {
-                            let rel: $t = $load(ch);
-                            mask |= ((rel.wrapping_sub(lo) <= sp) as u32) << j;
-                        }
-                        while mask != 0 {
-                            let j = mask.trailing_zeros() as usize;
-                            out.push((start + i + j) as u32);
-                            mask &= mask - 1;
-                        }
-                        i += 32;
-                    }
-                    for (j, ch) in blocks.remainder().chunks_exact($w).enumerate() {
-                        let rel: $t = $load(ch);
-                        if rel.wrapping_sub(lo) <= sp {
-                            out.push((start + i + j) as u32);
-                        }
-                    }
-                }
-            }};
-        }
-        match c.lane {
-            0 => {
-                if rlo == 0 {
-                    out.extend((start..start + n).map(|p| p as u32));
-                }
-            }
-            8 => walk!(u8, 1, |ch: &[u8]| ch[0]),
-            16 => walk!(u16, 2, |ch: &[u8]| u16::from_le_bytes([ch[0], ch[1]])),
-            32 => walk!(u32, 4, |ch: &[u8]| {
-                u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]])
-            }),
-            _ => walk!(u64, 8, |ch: &[u8]| {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(ch);
-                u64::from_le_bytes(w)
-            }),
-        }
-        return;
-    }
-    let mut exc = epos.iter().zip(efr.iter()).peekable();
-    let mut test = |i: usize, rel: u64, out: &mut Vec<u32>| {
-        let p = (start + i) as u32;
-        if let Some(&(&ep, &ef)) = exc.peek() {
-            if ep == p {
-                exc.next();
-                if exc_test(ef) {
-                    out.push(p);
-                }
-                return;
-            }
-        }
-        if rel >= rlo && rel <= rhi {
-            out.push(p);
-        }
-    };
-    match c.lane {
-        0 => {
-            for i in 0..n {
-                // lint: allow-index-loop (lane-0 slots carry no payload)
-                test(i, 0, out);
-            }
-        }
-        8 => {
-            for (i, &b) in c.payload[start..start + n].iter().enumerate() {
-                test(i, b as u64, out);
-            }
-        }
-        16 => {
-            let bytes = &c.payload[start * 2..(start + n) * 2];
-            for (i, ch) in bytes.chunks_exact(2).enumerate() {
-                test(i, u16::from_le_bytes([ch[0], ch[1]]) as u64, out);
-            }
-        }
-        32 => {
-            let bytes = &c.payload[start * 4..(start + n) * 4];
-            for (i, ch) in bytes.chunks_exact(4).enumerate() {
-                test(
-                    i,
-                    u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) as u64,
-                    out,
-                );
-            }
-        }
-        _ => {
-            let bytes = &c.payload[start * 8..(start + n) * 8];
-            for (i, ch) in bytes.chunks_exact(8).enumerate() {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(ch);
-                test(i, u64::from_le_bytes(w), out);
-            }
-        }
-    }
-}
-
-/// Inclusive absolute-frame-range selection over one integer PFOR
-/// window. Integer exceptions are stored as absolute frames, so dense
-/// slots and exceptions share one order-preserving domain; an empty
-/// range (`lo > hi`) matches nothing.
-pub fn pfor_select_frames(
-    c: &PforChunk,
-    start: usize,
-    n: usize,
-    lo: u64,
-    hi: u64,
-    out: &mut Vec<u32>,
-) {
-    if lo > hi {
-        return;
-    }
-    let dense = if hi < c.base {
-        None
-    } else {
-        Some((lo.max(c.base) - c.base, hi - c.base))
-    };
-    pfor_select_walk(c, start, n, dense, move |f| lo <= f && f <= hi, out);
-}
-
-/// Smallest scaled frame `k` with `(k as f64) / scale >= v` (or `> v`
-/// when `strict`). `v` must not be NaN. The rounded-multiply guess is
-/// corrected against the *exact* division expression the decoder's
-/// slow path uses (and that the encoder verified every dense frame
-/// against), so the boundary agrees with decode-then-select
-/// bit-for-bit; the correction walks a provably tiny plateau.
-fn f64_scaled_lower(v: f64, scale: f64, strict: bool) -> i64 {
-    let approx = (v * scale).floor();
-    if !approx.is_finite() {
-        return if v < 0.0 { i64::MIN } else { i64::MAX };
-    }
-    let mut k = approx.clamp(-9.3e18, 9.2e18) as i64;
-    let ok = |k: i64| {
-        let q = (k as f64) / scale;
-        if strict {
-            q > v
-        } else {
-            q >= v
-        }
-    };
-    let mut up = 0;
-    while up < 64 && !ok(k) && k < i64::MAX {
-        k += 1;
-        up += 1;
-    }
-    let mut down = 0;
-    while down < 64 && k > i64::MIN && ok(k - 1) {
-        k -= 1;
-        down += 1;
-    }
-    k
-}
-
-/// Scaled-frame-range selection over one f64 PFOR window. Dense slots
-/// compare in the scaled integer domain `[lo_k, hi_k]`; exceptions hold
-/// raw `f64::to_bits` payloads and are compared as floats.
-pub fn pfor_select_f64<FE: Fn(f64) -> bool + Copy>(
-    c: &PforChunk,
-    start: usize,
-    n: usize,
-    lo_k: i64,
-    hi_k: i64,
-    exc_test: FE,
-    out: &mut Vec<u32>,
-) {
-    let (lo, hi) = ((lo_k as u64) ^ SIGN, (hi_k as u64) ^ SIGN);
-    let dense = if lo_k > hi_k || hi < c.base {
-        None
-    } else {
-        Some((lo.max(c.base) - c.base, hi - c.base))
-    };
-    pfor_select_walk(
-        c,
-        start,
-        n,
-        dense,
-        move |bits| exc_test(f64::from_bits(bits)),
-        out,
-    );
-}
-
-macro_rules! cmp_pfor_int_instances {
-    ($( $ty:ty : $eq:ident / $lt:ident / $le:ident / $gt:ident / $ge:ident / $bt:ident );* $(;)?) => {
-        $(
-            /// Encoded-space `==` over one PFOR window (no unpack).
-            pub fn $eq(c: &PforChunk, start: usize, n: usize, v: $ty, out: &mut Vec<u32>) {
-                let f = v.to_frame();
-                pfor_select_frames(c, start, n, f, f, out);
-            }
-
-            /// Encoded-space `<` over one PFOR window.
-            pub fn $lt(c: &PforChunk, start: usize, n: usize, v: $ty, out: &mut Vec<u32>) {
-                if let Some(hi) = v.to_frame().checked_sub(1) {
-                    pfor_select_frames(c, start, n, 0, hi, out);
-                }
-            }
-
-            /// Encoded-space `<=` over one PFOR window.
-            pub fn $le(c: &PforChunk, start: usize, n: usize, v: $ty, out: &mut Vec<u32>) {
-                pfor_select_frames(c, start, n, 0, v.to_frame(), out);
-            }
-
-            /// Encoded-space `>` over one PFOR window.
-            pub fn $gt(c: &PforChunk, start: usize, n: usize, v: $ty, out: &mut Vec<u32>) {
-                if let Some(lo) = v.to_frame().checked_add(1) {
-                    pfor_select_frames(c, start, n, lo, u64::MAX, out);
-                }
-            }
-
-            /// Encoded-space `>=` over one PFOR window.
-            pub fn $ge(c: &PforChunk, start: usize, n: usize, v: $ty, out: &mut Vec<u32>) {
-                pfor_select_frames(c, start, n, v.to_frame(), u64::MAX, out);
-            }
-
-            /// Encoded-space inclusive `BETWEEN` over one PFOR window.
-            pub fn $bt(c: &PforChunk, start: usize, n: usize, v: $ty, w: $ty, out: &mut Vec<u32>) {
-                pfor_select_frames(c, start, n, v.to_frame(), w.to_frame(), out);
-            }
-        )*
-    };
-}
-
-cmp_pfor_int_instances! {
-    i8:  cmp_pfor_eq_i8_col_val / cmp_pfor_lt_i8_col_val / cmp_pfor_le_i8_col_val
-        / cmp_pfor_gt_i8_col_val / cmp_pfor_ge_i8_col_val / cmp_pfor_between_i8_col_val_val;
-    i16: cmp_pfor_eq_i16_col_val / cmp_pfor_lt_i16_col_val / cmp_pfor_le_i16_col_val
-        / cmp_pfor_gt_i16_col_val / cmp_pfor_ge_i16_col_val / cmp_pfor_between_i16_col_val_val;
-    i32: cmp_pfor_eq_i32_col_val / cmp_pfor_lt_i32_col_val / cmp_pfor_le_i32_col_val
-        / cmp_pfor_gt_i32_col_val / cmp_pfor_ge_i32_col_val / cmp_pfor_between_i32_col_val_val;
-    i64: cmp_pfor_eq_i64_col_val / cmp_pfor_lt_i64_col_val / cmp_pfor_le_i64_col_val
-        / cmp_pfor_gt_i64_col_val / cmp_pfor_ge_i64_col_val / cmp_pfor_between_i64_col_val_val;
-    u8:  cmp_pfor_eq_u8_col_val / cmp_pfor_lt_u8_col_val / cmp_pfor_le_u8_col_val
-        / cmp_pfor_gt_u8_col_val / cmp_pfor_ge_u8_col_val / cmp_pfor_between_u8_col_val_val;
-    u16: cmp_pfor_eq_u16_col_val / cmp_pfor_lt_u16_col_val / cmp_pfor_le_u16_col_val
-        / cmp_pfor_gt_u16_col_val / cmp_pfor_ge_u16_col_val / cmp_pfor_between_u16_col_val_val;
-    u32: cmp_pfor_eq_u32_col_val / cmp_pfor_lt_u32_col_val / cmp_pfor_le_u32_col_val
-        / cmp_pfor_gt_u32_col_val / cmp_pfor_ge_u32_col_val / cmp_pfor_between_u32_col_val_val;
-    u64: cmp_pfor_eq_u64_col_val / cmp_pfor_lt_u64_col_val / cmp_pfor_le_u64_col_val
-        / cmp_pfor_gt_u64_col_val / cmp_pfor_ge_u64_col_val / cmp_pfor_between_u64_col_val_val;
-}
-
-/// Encoded-space `==` over one scaled-f64 PFOR window: the constant
-/// translates to a (possibly empty) run of scaled frames; exceptions
-/// compare as floats from their raw bit patterns.
-pub fn cmp_pfor_eq_f64_col_val(c: &PforChunk, start: usize, n: usize, v: f64, out: &mut Vec<u32>) {
-    if v.is_nan() {
-        return;
-    }
-    let scale = c.scale.max(1) as f64;
-    let lo = f64_scaled_lower(v, scale, false);
-    let hi = f64_scaled_lower(v, scale, true).saturating_sub(1);
-    pfor_select_f64(c, start, n, lo, hi, move |x| x == v, out);
-}
-
-/// Encoded-space `<` over one scaled-f64 PFOR window.
-pub fn cmp_pfor_lt_f64_col_val(c: &PforChunk, start: usize, n: usize, v: f64, out: &mut Vec<u32>) {
-    if v.is_nan() {
-        return;
-    }
-    let scale = c.scale.max(1) as f64;
-    let hi = f64_scaled_lower(v, scale, false).saturating_sub(1);
-    pfor_select_f64(c, start, n, i64::MIN, hi, move |x| x < v, out);
-}
-
-/// Encoded-space `<=` over one scaled-f64 PFOR window.
-pub fn cmp_pfor_le_f64_col_val(c: &PforChunk, start: usize, n: usize, v: f64, out: &mut Vec<u32>) {
-    if v.is_nan() {
-        return;
-    }
-    let scale = c.scale.max(1) as f64;
-    let hi = f64_scaled_lower(v, scale, true).saturating_sub(1);
-    pfor_select_f64(c, start, n, i64::MIN, hi, move |x| x <= v, out);
-}
-
-/// Encoded-space `>` over one scaled-f64 PFOR window.
-pub fn cmp_pfor_gt_f64_col_val(c: &PforChunk, start: usize, n: usize, v: f64, out: &mut Vec<u32>) {
-    if v.is_nan() {
-        return;
-    }
-    let scale = c.scale.max(1) as f64;
-    let lo = f64_scaled_lower(v, scale, true);
-    pfor_select_f64(c, start, n, lo, i64::MAX, move |x| x > v, out);
-}
-
-/// Encoded-space `>=` over one scaled-f64 PFOR window.
-pub fn cmp_pfor_ge_f64_col_val(c: &PforChunk, start: usize, n: usize, v: f64, out: &mut Vec<u32>) {
-    if v.is_nan() {
-        return;
-    }
-    let scale = c.scale.max(1) as f64;
-    let lo = f64_scaled_lower(v, scale, false);
-    pfor_select_f64(c, start, n, lo, i64::MAX, move |x| x >= v, out);
-}
-
-/// Encoded-space inclusive `BETWEEN` over one scaled-f64 PFOR window.
-pub fn cmp_pfor_between_f64_col_val_val(
-    c: &PforChunk,
-    start: usize,
-    n: usize,
-    v: f64,
-    w: f64,
-    out: &mut Vec<u32>,
-) {
-    if v.is_nan() || w.is_nan() {
-        return;
-    }
-    let scale = c.scale.max(1) as f64;
-    let lo = f64_scaled_lower(v, scale, false);
-    let hi = f64_scaled_lower(w, scale, true).saturating_sub(1);
-    pfor_select_f64(c, start, n, lo, hi, move |x| v <= x && x <= w, out);
-}
-
-/// Catalog of the encoded-space PFOR selection kernels (registry +
-/// `cargo xtask lint` rule 5).
-pub const CMP_PFOR_SIGNATURES: &[&str] = &[
-    "cmp_pfor_eq_i8_col_val",
-    "cmp_pfor_lt_i8_col_val",
-    "cmp_pfor_le_i8_col_val",
-    "cmp_pfor_gt_i8_col_val",
-    "cmp_pfor_ge_i8_col_val",
-    "cmp_pfor_between_i8_col_val_val",
-    "cmp_pfor_eq_i16_col_val",
-    "cmp_pfor_lt_i16_col_val",
-    "cmp_pfor_le_i16_col_val",
-    "cmp_pfor_gt_i16_col_val",
-    "cmp_pfor_ge_i16_col_val",
-    "cmp_pfor_between_i16_col_val_val",
-    "cmp_pfor_eq_i32_col_val",
-    "cmp_pfor_lt_i32_col_val",
-    "cmp_pfor_le_i32_col_val",
-    "cmp_pfor_gt_i32_col_val",
-    "cmp_pfor_ge_i32_col_val",
-    "cmp_pfor_between_i32_col_val_val",
-    "cmp_pfor_eq_i64_col_val",
-    "cmp_pfor_lt_i64_col_val",
-    "cmp_pfor_le_i64_col_val",
-    "cmp_pfor_gt_i64_col_val",
-    "cmp_pfor_ge_i64_col_val",
-    "cmp_pfor_between_i64_col_val_val",
-    "cmp_pfor_eq_u8_col_val",
-    "cmp_pfor_lt_u8_col_val",
-    "cmp_pfor_le_u8_col_val",
-    "cmp_pfor_gt_u8_col_val",
-    "cmp_pfor_ge_u8_col_val",
-    "cmp_pfor_between_u8_col_val_val",
-    "cmp_pfor_eq_u16_col_val",
-    "cmp_pfor_lt_u16_col_val",
-    "cmp_pfor_le_u16_col_val",
-    "cmp_pfor_gt_u16_col_val",
-    "cmp_pfor_ge_u16_col_val",
-    "cmp_pfor_between_u16_col_val_val",
-    "cmp_pfor_eq_u32_col_val",
-    "cmp_pfor_lt_u32_col_val",
-    "cmp_pfor_le_u32_col_val",
-    "cmp_pfor_gt_u32_col_val",
-    "cmp_pfor_ge_u32_col_val",
-    "cmp_pfor_between_u32_col_val_val",
-    "cmp_pfor_eq_u64_col_val",
-    "cmp_pfor_lt_u64_col_val",
-    "cmp_pfor_le_u64_col_val",
-    "cmp_pfor_gt_u64_col_val",
-    "cmp_pfor_ge_u64_col_val",
-    "cmp_pfor_between_u64_col_val_val",
-    "cmp_pfor_eq_f64_col_val",
-    "cmp_pfor_lt_f64_col_val",
-    "cmp_pfor_le_f64_col_val",
-    "cmp_pfor_gt_f64_col_val",
-    "cmp_pfor_ge_f64_col_val",
-    "cmp_pfor_between_f64_col_val_val",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1512,100 +1095,5 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(out, v[1400..1600]);
-    }
-
-    fn expect_sel<T: Copy>(v: &[T], start: usize, n: usize, pred: impl Fn(T) -> bool) -> Vec<u32> {
-        (start..start + n)
-            .filter(|&i| pred(v[i]))
-            .map(|i| i as u32)
-            .collect()
-    }
-
-    #[test]
-    #[allow(clippy::type_complexity)]
-    fn pfor_pushdown_matches_decode_then_select_i64() {
-        let mut v: Vec<i64> = (0..5000).map(|i| 100 + (i % 50)).collect();
-        v[17] = i64::MAX;
-        v[140] = -3;
-        v[4032] = i64::MIN;
-        let c = compress_pfor_i64_col(&v);
-        let (start, n) = (10, 4500);
-        let t = 125i64;
-        let kernels: [(
-            fn(&PforChunk, usize, usize, i64, &mut Vec<u32>),
-            fn(i64, i64) -> bool,
-        ); 5] = [
-            (cmp_pfor_eq_i64_col_val, |x, t| x == t),
-            (cmp_pfor_lt_i64_col_val, |x, t| x < t),
-            (cmp_pfor_le_i64_col_val, |x, t| x <= t),
-            (cmp_pfor_gt_i64_col_val, |x, t| x > t),
-            (cmp_pfor_ge_i64_col_val, |x, t| x >= t),
-        ];
-        for (kernel, pred) in kernels {
-            let mut got = Vec::new();
-            kernel(&c, start, n, t, &mut got);
-            assert_eq!(got, expect_sel(&v, start, n, |x| pred(x, t)));
-        }
-        let mut got = Vec::new();
-        cmp_pfor_between_i64_col_val_val(&c, start, n, 110, 130, &mut got);
-        assert_eq!(got, expect_sel(&v, start, n, |x| (110..=130).contains(&x)));
-        // Extreme thresholds exercise the empty-range edges.
-        let mut got = Vec::new();
-        cmp_pfor_lt_i64_col_val(&c, 0, v.len(), i64::MIN, &mut got);
-        assert!(got.is_empty());
-        let mut got = Vec::new();
-        cmp_pfor_gt_i64_col_val(&c, 0, v.len(), i64::MAX, &mut got);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    #[allow(clippy::type_complexity)]
-    fn pfor_pushdown_matches_decode_then_select_f64() {
-        // Cents (scale 100) with float exceptions sprinkled in.
-        let mut v: Vec<f64> = (0..4096).map(|i| (i % 3000) as f64 / 100.0).collect();
-        v[7] = 0.005;
-        v[99] = -1.0 / 3.0;
-        v[3000] = f64::NAN;
-        let c = compress_pfor_f64_col(&v);
-        assert_eq!(c.scale, 100);
-        assert!(!c.exc_pos.is_empty());
-        let (start, n) = (3, 4000);
-        for t in [14.99, 0.005, 15.0, -0.17, 29.994] {
-            let kernels: [(
-                fn(&PforChunk, usize, usize, f64, &mut Vec<u32>),
-                fn(f64, f64) -> bool,
-            ); 5] = [
-                (cmp_pfor_eq_f64_col_val, |x, t| x == t),
-                (cmp_pfor_lt_f64_col_val, |x, t| x < t),
-                (cmp_pfor_le_f64_col_val, |x, t| x <= t),
-                (cmp_pfor_gt_f64_col_val, |x, t| x > t),
-                (cmp_pfor_ge_f64_col_val, |x, t| x >= t),
-            ];
-            for (kernel, pred) in kernels {
-                let mut got = Vec::new();
-                kernel(&c, start, n, t, &mut got);
-                assert_eq!(got, expect_sel(&v, start, n, |x| pred(x, t)), "t={t}");
-            }
-        }
-        let mut got = Vec::new();
-        cmp_pfor_between_f64_col_val_val(&c, start, n, 0.005, 14.99, &mut got);
-        assert_eq!(
-            got,
-            expect_sel(&v, start, n, |x| (0.005..=14.99).contains(&x))
-        );
-        // NaN constants match nothing.
-        let mut got = Vec::new();
-        cmp_pfor_lt_f64_col_val(&c, start, n, f64::NAN, &mut got);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn pfor_pushdown_all_exception_chunk() {
-        let v: Vec<f64> = (0..64).map(|i| 0.1 + i as f64 * 1e-13).collect();
-        let c = compress_pfor_f64_col(&v);
-        assert_eq!(c.lane, 0);
-        let mut got = Vec::new();
-        cmp_pfor_ge_f64_col_val(&c, 0, v.len(), 0.1 + 32.0 * 1e-13, &mut got);
-        assert_eq!(got, expect_sel(&v, 0, v.len(), |x| x >= 0.1 + 32.0 * 1e-13));
     }
 }

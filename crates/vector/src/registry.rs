@@ -499,8 +499,7 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             // are the inverse, expanding a positional window of that
             // state into a typed vector. Both are dense-only: chunk
             // codecs are position-defined and never run under a
-            // selection (selections apply *after* decode, on the
-            // cache-resident vector).
+            // selection.
             let [ty, shape] = rest else {
                 return Err(format!("codec signature `{sig}` malformed"));
             };
@@ -516,34 +515,6 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             } else {
                 Ok(dense(vec![ArgTy::col(ty)], OutTy::Vec(ty), T::Passthrough))
             }
-        }
-        ("cmp", "pfor") => {
-            // cmp_pfor_<op>_<ty>_col_val[_val]: encoded-space selection
-            // — the constant is translated into the chunk's frame domain
-            // once per chunk and the packed lanes are scanned without
-            // decoding. `between` carries a second broadcast constant;
-            // `ne` over a frame range is not contiguous, so it is absent.
-            let Some((cmp, args)) = rest.split_first() else {
-                return Err(format!("pushdown signature `{sig}` malformed"));
-            };
-            let between = *cmp == "between";
-            let known = between || (CMP_OPS.contains(cmp) && *cmp != "ne");
-            if !known {
-                return Err(format!("bad pushdown op in `{sig}`"));
-            }
-            let args = parse_args(args)?;
-            let want = if between { 3 } else { 2 };
-            if args.len() != want
-                || args.iter().any(|a| a.ty != args[0].ty)
-                || args[0].shape != VecShape::Col
-                || args[1..].iter().any(|a| a.shape != VecShape::Val)
-            {
-                return Err(format!("pushdown signature `{sig}` needs col + val args"));
-            }
-            if args[0].ty == Str {
-                return Err(format!("PFOR pushdown is numeric-only: `{sig}`"));
-            }
-            Ok(selful(args, OutTy::Sel, T::Refine))
         }
         ("aggr", "grouptable") => {
             // aggr_grouptable_verify_<ty>_col: stored key column, probe
@@ -867,17 +838,6 @@ impl PrimitiveRegistry {
                 "PFOR-DELTA chunk codec (generated)",
             );
         }
-        // Compression-aware execution: encoded-space selections, typed
-        // like any other select primitive, so the bind-time verifier can
-        // reject codec/type mismatches. The signature list is emitted
-        // next to the kernels in `compress.rs`.
-        for sig in crate::compress::CMP_PFOR_SIGNATURES {
-            reg.register(
-                sig,
-                PrimitiveKind::Select,
-                "encoded-space PFOR selection (generated)",
-            );
-        }
         reg
     }
 
@@ -1100,7 +1060,6 @@ mod tests {
             ("map_hash_i64_col", FactTransfer::Domain),
             ("sort_permutation", FactTransfer::Positions),
             ("select_ge_i32_col_val", FactTransfer::Refine),
-            ("cmp_pfor_le_i64_col_val", FactTransfer::Refine),
             ("decompress_pfor_i64_col", FactTransfer::Passthrough),
             ("aggr_sum_f64_col_u32_col", FactTransfer::Aggregate),
             ("aggr_sum_f64_x5_col_u32_col", FactTransfer::Aggregate),
@@ -1160,8 +1119,6 @@ mod tests {
             "aggr_grouptable_verify_bool_col",        // not a group key type
             "aggr_ordered_boundaries_uidx_col",       // an alias, not a vector type
             "aggr_ordered_boundaries",                // the typed family replaced it
-            "cmp_pfor_ne_i64_col_val",                // != is not a frame range
-            "cmp_pfor_eq_str_col_val",                // PFOR is numeric-only
             "map_directgrp_u8_col",                   // the direct-group start is map_uidx_u8_col
             "map_uidx_i64_col",                       // an integer key needs its minimum
             "map_uidx_u8_col_u8_val",                 // codes start at 0

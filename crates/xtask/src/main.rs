@@ -22,8 +22,8 @@
 //!    once per vector and holds the crate's one `unsafe` block (the
 //!    crate denies `unsafe_code` everywhere else).
 //! 3. **Ordering discipline** — `Ordering::Relaxed` appears only in the
-//!    governor's counters (`engine/src/govern.rs`), the buffer-manager
-//!    statistics (`storage/src/columnbm.rs`), and the loom shim's own
+//!    governor's counters (`engine/src/govern.rs`), the fault injector's
+//!    RNG and counters (`storage/src/fault.rs`), and the loom shim's own
 //!    seed plumbing (`crates/loom`). Everywhere else, relaxed atomics
 //!    are a review smell the loom model cannot vouch for.
 //! 4. **Codec parity** — every registered `compress_*` signature has a
@@ -31,16 +31,12 @@
 //!    codec is unreadable data), and every codec-shaped identifier in
 //!    `crates/vector` source resolves to a registry descriptor, so the
 //!    macro-generated PFOR/PFOR-DELTA instances cannot drift from the
-//!    catalog that `engine::check` trusts for decode placement.
-//! 5. **Compressed-execution parity** — every `cmp_*` encoded-space
-//!    selection in `crates/vector` resolves to a registry descriptor.
-//!    The scan refill under a pushed selection is the dense
-//!    `decompress_*` (a `CompressedScanSelect` only produces a selection
-//!    vector). Fetch-joins never read chunks: they gather from the
-//!    resident fragment.
+//!    catalog of the durable encoding.
+//! 5. *(No rule: compressed-execution parity went with the encoded-space
+//!    kernels. The other rules keep their numbers, which docs cite.)*
 //! 6. **Fault-site coverage** — every `FaultSite` variant declared in
-//!    `storage/src/columnbm.rs` is exercised by name in the engine's
-//!    fault-injection suite (`engine/tests/fault_sites.rs`). A new
+//!    `storage/src/fault.rs` is exercised by name in the engine's
+//!    fault injection suite (`engine/tests/fault_sites.rs`). A new
 //!    injection point cannot land without a test that proves its error
 //!    surfaces typed.
 //! 7. **Fact-transfer totality** — every registered primitive declares
@@ -197,7 +193,6 @@ fn lint() -> Vec<String> {
     kernel_hygiene(&root, &mut failures);
     ordering_discipline(&root, &mut failures);
     codec_parity(&root, &mut failures);
-    compressed_exec_parity(&root, &mut failures);
     fault_site_coverage(&root, &mut failures);
     fact_transfer_totality(&mut failures);
     durable_crash_coverage(&root, &mut failures);
@@ -468,7 +463,7 @@ fn kernel_hygiene(root: &Path, failures: &mut Vec<String>) {
 fn ordering_discipline(root: &Path, failures: &mut Vec<String>) {
     const ALLOWED: &[&str] = &[
         "crates/engine/src/govern.rs",
-        "crates/storage/src/columnbm.rs",
+        "crates/storage/src/fault.rs",
         "crates/loom/src/lib.rs",
     ];
     let mut files = Vec::new();
@@ -545,63 +540,15 @@ fn codec_parity(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
-/// Rule 5: compressed execution cannot drift from the catalog.
-fn compressed_exec_parity(root: &Path, failures: &mut Vec<String>) {
-    let reg = PrimitiveRegistry::builtin();
-    let registered: BTreeSet<&str> = reg.iter().map(|d| d.signature).collect();
-
-    // Every `cmp_*`-shaped identifier in crates/vector (macro tokens and
-    // the signature catalog included) that parses as a signature must be
-    // registered, and every exported `cmp_*` kernel symbol must resolve
-    // to a descriptor.
-    let vector_src = root.join("crates/vector/src");
-    let mut files = Vec::new();
-    rs_files(&vector_src, &mut files);
-    for path in &files {
-        if path.file_name().is_some_and(|n| n == "registry.rs") {
-            continue;
-        }
-        let f = strip_tests(path);
-        for tok in tokens(&f) {
-            if !tok.starts_with("cmp_") {
-                continue;
-            }
-            if parse_signature(&tok).is_ok() && !registered.contains(tok.as_str()) {
-                failures.push(format!(
-                    "compressed-exec parity: `{tok}` in {} parses as an encoded-space \
-                     signature but has no registry descriptor",
-                    path.strip_prefix(root).unwrap_or(path).display()
-                ));
-            }
-        }
-        for (ln, line) in &f.lines {
-            let t = line.trim_start();
-            if let Some(rest) = t.strip_prefix("pub fn ") {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                if name.starts_with("cmp_") && !registered.contains(name.as_str()) {
-                    failures.push(format!(
-                        "compressed-exec parity: exported kernel `{name}` ({}:{ln}) has \
-                         no registry descriptor",
-                        path.strip_prefix(root).unwrap_or(path).display()
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Parse the `FaultSite` variant names out of `storage/src/columnbm.rs`
+/// Parse the `FaultSite` variant names out of `storage/src/fault.rs`
 /// (variant = a capitalized identifier line ending in `,`). Shared by
 /// rules 6 and 8.
 fn fault_site_variants(root: &Path, failures: &mut Vec<String>) -> Vec<String> {
-    let decl = root.join("crates/storage/src/columnbm.rs");
+    let decl = root.join("crates/storage/src/fault.rs");
     let text =
         std::fs::read_to_string(&decl).unwrap_or_else(|e| panic!("read {}: {e}", decl.display()));
     let Some(start) = text.find("pub enum FaultSite") else {
-        failures.push("fault-site coverage: FaultSite enum not found in columnbm.rs".into());
+        failures.push("fault-site coverage: FaultSite enum not found in fault.rs".into());
         return Vec::new();
     };
     let body_start = match text[start..].find('{') {
@@ -634,7 +581,7 @@ fn fault_site_variants(root: &Path, failures: &mut Vec<String>) -> Vec<String> {
 /// Rule 6: every injection point has a typed-error test.
 ///
 /// Every `FaultSite` variant must appear by name in the engine's
-/// fault-injection suite (`engine/tests/fault_sites.rs`).
+/// fault injection suite (`engine/tests/fault_sites.rs`).
 fn fault_site_coverage(root: &Path, failures: &mut Vec<String>) {
     let suite = root.join("crates/engine/tests/fault_sites.rs");
     let tests =

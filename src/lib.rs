@@ -7,8 +7,8 @@
 //!   execution primitives (`map_*`, `select_*`, `aggr_*`, fetch, hash,
 //!   compound).
 //! * [`storage`] — vertically fragmented columnar storage: immutable
-//!   fragments, delta updates, enumeration types, summary indices and a
-//!   ColumnBM-style chunked block store.
+//!   fragments, delta updates, enumeration types, summary indices and
+//!   durable checkpoints whose segments hold compressed chunks.
 //! * [`engine`] — the X100 query engine itself: relational algebra
 //!   operators over a Volcano-style *vector-at-a-time* pipeline, an
 //!   expression compiler targeting the primitives, and per-primitive

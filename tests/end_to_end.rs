@@ -69,47 +69,6 @@ fn updates_flow_through_queries() {
 }
 
 #[test]
-fn columnbm_accounts_scans() {
-    use monetdb_x100::storage::ColumnBM;
-    use std::sync::Arc;
-    let n = 100_000i64;
-    let mut db = Database::new();
-    db.register(
-        TableBuilder::new("wide")
-            .column("a", Vector::I64((0..n).collect()))
-            .column("b", Vector::F64(vec![0.5; n as usize]))
-            .column("c", Vector::F64(vec![1.5; n as usize]))
-            .column("unused", Vector::F64(vec![9.9; n as usize]))
-            .build(),
-    );
-    let bm = Arc::new(ColumnBM::with_chunk_bytes(1024, 64 * 1024));
-    db.attach_buffer_manager(bm.clone());
-
-    // The aggregation reads both scanned columns (a column no operator
-    // reads is not scanned at all).
-    let plan = Plan::scan("wide", &["a", "b"]).aggr(
-        vec![],
-        vec![AggExpr::sum("s", col("b")), AggExpr::sum("t", col("a"))],
-    );
-    let (_, _) = execute(&db, &plan, &ExecOptions::default()).expect("scan");
-    let stats = bm.stats();
-    // Only the two touched columns cost I/O: a (800KB) + b (800KB) in
-    // 64KB chunks ≈ 26 chunk loads; the unused columns cost nothing.
-    assert!(
-        stats.misses >= 24 && stats.misses <= 30,
-        "misses {}",
-        stats.misses
-    );
-    assert_eq!(stats.bytes_read, stats.misses * 64 * 1024);
-
-    // Rescanning is served from the buffer pool.
-    let (_, _) = execute(&db, &plan, &ExecOptions::default()).expect("rescan");
-    let stats2 = bm.stats();
-    assert_eq!(stats2.misses, stats.misses, "rescan should hit the pool");
-    assert!(stats2.hits > 0);
-}
-
-#[test]
 fn engines_cross_check_on_custom_data() {
     // Build the same dataset for MIL and X100 and cross-check an
     // aggregation (mirrors the TPC-H cross-checks on non-TPC-H data).
