@@ -21,8 +21,8 @@ use crate::table::ColumnStats;
 use x100_vector::compress as k;
 use x100_vector::{ScalarType, Vector};
 
-/// Rows per compressed chunk. A multiple of the vector size and of
-/// [`k::DELTA_SYNC`], so vector refills decode aligned lanes.
+/// Rows per compressed chunk. A multiple of [`k::DELTA_SYNC`], so every
+/// chunk starts at a sync point.
 pub const CHUNK_ROWS: usize = 65536;
 
 /// Encoded size of a [`ChunkHeader`].
@@ -387,7 +387,7 @@ impl CompressedColumn {
                     macro_rules! arm {
                         ($($variant:ident => $dec:path),+ $(,)?) => {
                             match &mut out {
-                                $(Vector::$variant(dst) => $dec(&mut dst[at..at + n], c, 0, &mut scratch),)+
+                                $(Vector::$variant(dst) => $dec(&mut dst[at..at + n], c),)+
                                 other => panic!("pfor decode into {:?}", other.scalar_type()),
                             }
                         };
@@ -405,13 +405,10 @@ impl CompressedColumn {
                     }
                 }
                 ChunkBody::PforDelta(c) => {
-                    // The whole chunk replays from its first sync carry.
                     macro_rules! arm {
                         ($($variant:ident => $dec:path),+ $(,)?) => {
                             match &mut out {
-                                $(Vector::$variant(dst) => {
-                                    $dec(&mut dst[at..at + n], c, 0, c.sync[0], 0, &mut scratch);
-                                })+
+                                $(Vector::$variant(dst) => $dec(&mut dst[at..at + n], c, &mut scratch),)+
                                 other => panic!("pfordelta decode into {:?}", other.scalar_type()),
                             }
                         };
@@ -701,7 +698,7 @@ const DICT_SAMPLE_ROWS: usize = 2 * DICT_NUMERIC_CAP;
 /// Bound, then price: the distinct values of a strided sample are a
 /// subset of the column's, so more than the cap refuses, more than 256
 /// means 2-byte codes, and the dictionary is at least the sample's. The
-/// whole column's distinct values are collected only when that bound
+/// whole column's distinct values are counted only when that bound
 /// could still pay. `Table::checkpoint` runs the chunk formats' sweep
 /// only for a column this prices.
 pub fn dictionary_bytes(data: &Vector) -> Option<u64> {
@@ -709,30 +706,62 @@ pub fn dictionary_bytes(data: &Vector) -> Option<u64> {
         return None;
     }
     let raw = data.byte_size() as u64;
-    let price = |dict: Vector| {
+    let price = |(distinct, dict_bytes): (usize, usize)| {
         let headers = data.len().div_ceil(CHUNK_ROWS) * HEADER_BYTES;
-        let codes = data.len() * if dict.len() <= 256 { 1 } else { 2 };
-        Some((headers + codes + dict.byte_size()) as u64).filter(|b| b * 10 <= raw * 9)
+        let codes = data.len() * if distinct <= 256 { 1 } else { 2 };
+        Some((headers + codes + dict_bytes) as u64).filter(|b| b * 10 <= raw * 9)
     };
     let step = data.len().div_ceil(DICT_SAMPLE_ROWS);
-    price(distinct_values(data, step)?)?;
-    price(distinct_values(data, 1)?)
+    price(dictionary_of(data, step)?)?;
+    price(dictionary_of(data, 1)?)
+}
+
+/// Whether a dictionary of `dict_bytes` ([`dictionary_bytes`]) stores a
+/// column in fewer bytes than `best`, the chooser's verdict for it
+/// (`None` = raw). `Table::checkpoint` turns a column this answers
+/// `true` for into an enumeration type.
+pub fn dictionary_beats(dict_bytes: u64, best: Option<&CompressedColumn>) -> bool {
+    best.is_none_or(|b| dict_bytes < b.compressed_bytes)
 }
 
 /// Whether dictionary codes would store `data` in fewer bytes than
-/// `best`, the chooser's verdict for it (`None` = raw), while saving the
-/// 10% every format must ([`dictionary_bytes`]). `Table::checkpoint`
-/// turns a column this answers `true` for into an enumeration type.
+/// `best` while saving the 10% every format must: [`dictionary_bytes`]
+/// judged by [`dictionary_beats`].
 pub fn dictionary_wins(data: &Vector, best: Option<&CompressedColumn>) -> bool {
-    dictionary_bytes(data).is_some_and(|d| best.is_none_or(|b| d < b.compressed_bytes))
+    dictionary_bytes(data).is_some_and(|d| dictionary_beats(d, best))
 }
 
-/// Whether `keys` hold more than `cap` distinct values: an
-/// open-addressing set of them, left as soon as it passes the cap, so
-/// refusing a column of mostly distinct numbers (`l_extendedprice`)
-/// costs a few thousand probes instead of a sort.
-fn over_cap(keys: impl Iterator<Item = u64>, cap: usize) -> bool {
-    let mask = (4 * cap).next_power_of_two() - 1;
+/// The number of distinct values in every `step`-th row of `data` and
+/// the bytes of their dictionary, or `None` when they exceed the cap
+/// for the column's type or the type has no dictionary candidate. A
+/// numeric dictionary is one fixed-width value per entry, so only
+/// strings are collected; floats are told apart by their bits.
+fn dictionary_of(data: &Vector, step: usize) -> Option<(usize, usize)> {
+    let numeric = |n: usize| (n, n * data.scalar_type().width());
+    match data {
+        Vector::I64(v) => distinct_count(v.iter().step_by(step).map(|&x| x as u64)).map(numeric),
+        Vector::F64(v) => distinct_count(v.iter().step_by(step).map(|x| x.to_bits())).map(numeric),
+        Vector::Str(v) => {
+            let mut dict: Vec<&str> = v.iter().step_by(step).collect();
+            dict.sort_unstable();
+            dict.dedup();
+            (dict.len() <= DICT_STR_CAP).then(|| {
+                (
+                    dict.len(),
+                    Vector::Str(dict.into_iter().collect()).byte_size(),
+                )
+            })
+        }
+        _ => None,
+    }
+}
+
+/// How many distinct values `keys` hold, or `None` past
+/// [`DICT_NUMERIC_CAP`]: an open-addressing set of them, left as soon as
+/// it passes the cap, so refusing a column of mostly distinct numbers
+/// (`l_extendedprice`) costs a few thousand probes.
+fn distinct_count(keys: impl Iterator<Item = u64>) -> Option<usize> {
+    let mask = (4 * DICT_NUMERIC_CAP).next_power_of_two() - 1;
     let mut slots = vec![0u64; mask + 1];
     let (mut zero, mut n) = (false, 0);
     for k in keys {
@@ -750,50 +779,11 @@ fn over_cap(keys: impl Iterator<Item = u64>, cap: usize) -> bool {
                 i = (i + 1) & mask;
             }
         }
-        if n > cap {
-            return true;
+        if n > DICT_NUMERIC_CAP {
+            return None;
         }
     }
-    false
-}
-
-/// The sorted distinct values of every `step`-th row of `data`, or
-/// `None` when they exceed the cap for the column's type or the type
-/// has no dictionary candidate. Floats are ordered by `total_cmp` and
-/// told apart by their bits.
-fn distinct_values(data: &Vector, step: usize) -> Option<Vector> {
-    match data {
-        Vector::I64(v) if over_cap(v.iter().step_by(step).map(|&x| x as u64), DICT_NUMERIC_CAP) => {
-            None
-        }
-        Vector::F64(v)
-            if over_cap(
-                v.iter().step_by(step).map(|x| x.to_bits()),
-                DICT_NUMERIC_CAP,
-            ) =>
-        {
-            None
-        }
-        Vector::I64(v) => {
-            let mut dict: Vec<i64> = v.iter().step_by(step).copied().collect();
-            dict.sort_unstable();
-            dict.dedup();
-            (dict.len() <= DICT_NUMERIC_CAP).then_some(Vector::I64(dict))
-        }
-        Vector::F64(v) => {
-            let mut dict: Vec<f64> = v.iter().step_by(step).copied().collect();
-            dict.sort_unstable_by(f64::total_cmp);
-            dict.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            (dict.len() <= DICT_NUMERIC_CAP).then_some(Vector::F64(dict))
-        }
-        Vector::Str(v) => {
-            let mut dict: Vec<&str> = v.iter().step_by(step).collect();
-            dict.sort_unstable();
-            dict.dedup();
-            (dict.len() <= DICT_STR_CAP).then(|| Vector::Str(dict.into_iter().collect()))
-        }
-        _ => None,
-    }
+    Some(n)
 }
 
 #[cfg(test)]

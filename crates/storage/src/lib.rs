@@ -39,8 +39,8 @@ pub mod summary;
 pub mod table;
 
 pub use compress::{
-    choose_and_compress, compress_column_as, dictionary_bytes, dictionary_wins, ChunkFormat,
-    ChunkHeader, CompressedColumn, CHUNK_ROWS, HEADER_BYTES,
+    choose_and_compress, compress_column_as, dictionary_beats, dictionary_bytes, dictionary_wins,
+    ChunkFormat, ChunkHeader, CompressedColumn, CHUNK_ROWS, HEADER_BYTES,
 };
 pub use delta::{DeleteList, InsertDelta};
 pub use durable::{DurableError, DurableOptions, DurableSource};

@@ -9,7 +9,9 @@
 //! virtual `#rowId` column — a densely ascending number from 0 (never
 //! stored), which positional fetch-joins use as join key.
 
-use crate::compress::{choose_and_compress, dictionary_bytes, ChunkFormat, CompressedColumn};
+use crate::compress::{
+    choose_and_compress, dictionary_beats, dictionary_bytes, ChunkFormat, CompressedColumn,
+};
 use crate::delta::{DeleteList, InsertDelta};
 use crate::durable::{DurableError, DurableOptions, DurableSource};
 use crate::enumcol::{self, encode, encode_f64, encode_i64, encode_str, EnumDict, MAX_ENUM_CARD};
@@ -237,11 +239,11 @@ impl StoredColumn {
 
     /// Turn a plain `i64`/`f64`/`str` column without a summary index
     /// into an enumeration type — codes plus dictionary — when its
-    /// dictionary candidate beats every chunk format
-    /// ([`crate::compress::dictionary_wins`]), unless encoding refuses
-    /// it (NaN or `-0.0` among `f64` values). The chunk formats are
-    /// priced (one sweep, counted in `sweeps`) only for a column whose
-    /// dictionary already pays against raw ([`dictionary_bytes`]).
+    /// dictionary candidate beats every chunk format ([`dictionary_beats`],
+    /// the verdict `compress::dictionary_wins` gives), unless encoding
+    /// refuses it (NaN or `-0.0` among `f64` values). The chunk formats
+    /// are priced (one sweep, counted in `sweeps`) only for a column
+    /// whose dictionary already pays against raw ([`dictionary_bytes`]).
     /// Returns whether the column was enumerated.
     fn enumerate(&mut self, sweeps: &mut u64) -> bool {
         if self.dict.is_some() || self.summary.is_some() {
@@ -251,8 +253,10 @@ impl StoredColumn {
             return false;
         };
         *sweeps += 1;
-        let best = choose_and_compress(&self.data, &self.stats);
-        if best.is_some_and(|b| b.compressed_bytes() <= dict_bytes) {
+        if !dictionary_beats(
+            dict_bytes,
+            choose_and_compress(&self.data, &self.stats).as_ref(),
+        ) {
             return false;
         }
         let Some(enc) = encode(&self.data) else {
