@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use x100_vector::select::{select_cmp_col_val, SelectStrategy};
+use x100_vector::select::select_cmp_col_val;
 use x100_vector::{
     aggr, fetch, hash, map, CmpOp, GroupTable, ProbeScratch, ScalarType, SelVec, Vector,
 };
@@ -299,9 +299,9 @@ fn bench_join(c: &mut Criterion) {
     g.finish();
 }
 
-/// Figure 2 at vector granularity: the two select code shapes at the
-/// selectivities that decide which one the engine runs (`fig2` sweeps
-/// the same kernels over 4 M values).
+/// The engine's predicated select at vector granularity over the
+/// selectivities of Figure 2 (`fig2` sweeps both code shapes over 4 M
+/// values).
 fn bench_select(c: &mut Criterion) {
     let col: Vec<i32> = {
         let mut rng = StdRng::seed_from_u64(9);
@@ -311,11 +311,9 @@ fn bench_select(c: &mut Criterion) {
     let mut g = c.benchmark_group("select");
     g.throughput(Throughput::Elements(N as u64));
     for pct in [0, 1, 3, 10, 50, 99] {
-        for (name, shape) in [
-            ("branch", SelectStrategy::Branch),
-            ("predicated", SelectStrategy::Predicated),
-        ] {
-            g.bench_function(format!("select_lt_i32_col_val {name} ({pct} %)"), |bch| {
+        g.bench_function(
+            format!("select_lt_i32_col_val predicated ({pct} %)"),
+            |bch| {
                 bch.iter(|| {
                     select_cmp_col_val(
                         black_box(&mut out),
@@ -323,11 +321,10 @@ fn bench_select(c: &mut Criterion) {
                         pct * 10,
                         CmpOp::Lt,
                         None,
-                        shape,
                     )
                 })
-            });
-        }
+            },
+        );
     }
     g.finish();
 }

@@ -47,7 +47,7 @@ use x100_storage::Table;
 use x100_vector::fetch::gather_rows;
 use x100_vector::merge as vmerge;
 use x100_vector::select::select_cmp_col_val;
-use x100_vector::{CmpOp, GroupTable, ProbeScratch, ScalarType, SelVec, SelectStrategy, Vector};
+use x100_vector::{CmpOp, GroupTable, ProbeScratch, ScalarType, SelVec, Vector};
 
 /// Join semantics for [`HashJoinOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -645,8 +645,7 @@ impl Operator for HashJoinOp {
                 }
                 JoinType::Inner | JoinType::LeftSemi => {
                     let t0 = prof.start();
-                    let (ne, pred) = (CmpOp::Ne, SelectStrategy::Predicated);
-                    select_cmp_col_val(&mut found, grp, GroupTable::ABSENT, ne, sel, pred);
+                    select_cmp_col_val(&mut found, grp, GroupTable::ABSENT, CmpOp::Ne, sel);
                     prof.record_prim("select_ne_u32_col_val", t0, live, live * 8);
                 }
             }

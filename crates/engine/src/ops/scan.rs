@@ -25,7 +25,7 @@ use crate::ops::Operator;
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
-use x100_storage::{FaultSite, Morsel, Table};
+use x100_storage::{Morsel, Table};
 use x100_vector::{ScalarType, SelVec, Vector};
 
 /// A `Scan` as the check walk resolved it ([`crate::check`]): the table,
@@ -236,7 +236,7 @@ impl ScanOp {
     /// the codes the window read into its scratch. Every code of a
     /// window is valid, so fixed-width values decode densely (faster
     /// than the selection's loop); strings copy only the survivors
-    /// `sel`. The dictionary gather is its own fault injection site.
+    /// `sel`.
     fn decode_pass(
         &mut self,
         n: usize,
@@ -245,10 +245,6 @@ impl ScanOp {
     ) -> Result<(), PlanError> {
         for (k, &ci) in self.cols.iter().enumerate() {
             if let ColMode::Decode { codes, sig } = &self.modes[k] {
-                if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(FaultSite::DictLookup, ci as u32)
-                        .map_err(site_io)?;
-                }
                 let dict = self.table.column(ci).dict().ok_or_else(|| {
                     PlanError::Invalid(format!(
                         "decode mode without dictionary on column `{}`",
@@ -268,8 +264,7 @@ impl ScanOp {
         Ok(())
     }
 
-    /// Produce one batch from the delta region. Delta reads are their
-    /// own fault injection site.
+    /// Produce one batch from the delta region.
     /// A delta column holds what its fragment holds — an enum column's
     /// codes too — so each column surfaces as in a fragment window: as
     /// stored, or its codes through the same decode pass.
@@ -278,10 +273,6 @@ impl ScanOp {
         self.out.len = n;
         let t_scan = prof.start();
         for (k, &ci) in self.cols.iter().enumerate() {
-            if let Some(fs) = self.ctx.fault_state() {
-                fs.check_site(FaultSite::DeltaRead, ci as u32)
-                    .map_err(site_io)?;
-            }
             match &mut self.modes[k] {
                 ColMode::Plain | ColMode::Codes => {
                     let mut v = self.pools[k].writable();
@@ -314,15 +305,6 @@ impl ScanOp {
             self.sel_pool.publish_survivors(sel, true, &mut self.out);
         }
         Ok(())
-    }
-}
-
-/// Typed I/O error for a storage-fault site that exhausted its retries.
-fn site_io(e: x100_storage::StorageFaultError) -> PlanError {
-    PlanError::Io {
-        site: e.site,
-        unrecoverable: false,
-        detail: e.to_string(),
     }
 }
 

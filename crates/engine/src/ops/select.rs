@@ -13,7 +13,11 @@
 //! * anything else (OR / NOT trees) falls back to a boolean map followed
 //!   by `select_true`.
 //!
-//! Every select primitive runs in the predicated code shape (Fig. 2).
+//! Every select primitive runs in the predicated code shape (Fig. 2),
+//! the only one `x100_vector::select` offers: on cache-resident vectors
+//! it costs the same at every selectivity and is never behind the
+//! branching shape by more than the case of a vector nothing survives
+//! (`results/fig2.txt` has the sweep).
 //!
 //! A vector every row of which passes, over an input without a
 //! selection, goes on dense ([`SelPool::publish_survivors`]), so the
@@ -30,7 +34,7 @@ use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
 use x100_vector::select::{select_cmp_col_col, select_cmp_col_val, select_str_eq, select_true};
-use x100_vector::{CmpOp, SelVec, SelectStrategy, Value, Vector};
+use x100_vector::{CmpOp, SelVec, Value, Vector};
 
 /// One conjunct of a predicate, split by the check walk
 /// ([`crate::check`]). `P` is the program representation: shared
@@ -107,13 +111,6 @@ impl PredStep<Arc<ExprCode>> {
         }
     }
 }
-
-/// The code shape every select primitive of the engine runs (Fig. 2):
-/// predicated. On cache-resident vectors it costs the same at every
-/// selectivity and is never behind the branching shape by more than the
-/// case of a vector nothing survives (`results/fig2.txt` has the sweep,
-/// the `select` Criterion group the numbers at vector size).
-const SHAPE: SelectStrategy = SelectStrategy::Predicated;
 
 /// The fragment rows where one step of a `Select` over a scan certainly
 /// holds (`[start, end)` row ids), as rule `summary-range-select`
@@ -212,7 +209,7 @@ impl PredChain {
                 PredStep::Bool(prog) => {
                     let bv = prog.eval(batch, sel_in, prof);
                     let t0 = prof.start();
-                    let cnt = select_true(&mut next_sel, bv.as_bool(), sel_in, SHAPE);
+                    let cnt = select_true(&mut next_sel, bv.as_bool(), sel_in);
                     prof.record_prim("select_true_bool_col", t0, live_in, live_in + cnt * 4);
                     cnt
                 }
@@ -272,14 +269,14 @@ fn run_select_val(
     sel: Option<&SelVec>,
 ) -> usize {
     match lhs {
-        Vector::I8(a) => select_cmp_col_val(out, a, v.as_i64() as i8, op, sel, SHAPE),
-        Vector::I16(a) => select_cmp_col_val(out, a, v.as_i64() as i16, op, sel, SHAPE),
-        Vector::I32(a) => select_cmp_col_val(out, a, v.as_i64() as i32, op, sel, SHAPE),
-        Vector::I64(a) => select_cmp_col_val(out, a, v.as_i64(), op, sel, SHAPE),
-        Vector::U8(a) => select_cmp_col_val(out, a, v.as_i64() as u8, op, sel, SHAPE),
-        Vector::U16(a) => select_cmp_col_val(out, a, v.as_i64() as u16, op, sel, SHAPE),
-        Vector::U32(a) => select_cmp_col_val(out, a, v.as_i64() as u32, op, sel, SHAPE),
-        Vector::F64(a) => select_cmp_col_val(out, a, v.as_f64(), op, sel, SHAPE),
+        Vector::I8(a) => select_cmp_col_val(out, a, v.as_i64() as i8, op, sel),
+        Vector::I16(a) => select_cmp_col_val(out, a, v.as_i64() as i16, op, sel),
+        Vector::I32(a) => select_cmp_col_val(out, a, v.as_i64() as i32, op, sel),
+        Vector::I64(a) => select_cmp_col_val(out, a, v.as_i64(), op, sel),
+        Vector::U8(a) => select_cmp_col_val(out, a, v.as_i64() as u8, op, sel),
+        Vector::U16(a) => select_cmp_col_val(out, a, v.as_i64() as u16, op, sel),
+        Vector::U32(a) => select_cmp_col_val(out, a, v.as_i64() as u32, op, sel),
+        Vector::F64(a) => select_cmp_col_val(out, a, v.as_f64(), op, sel),
         other => unreachable!(
             "select_val on {:?}: unsupported types are routed to the boolean path at bind",
             other.scalar_type()
@@ -295,12 +292,12 @@ fn run_select_col(
     sel: Option<&SelVec>,
 ) -> usize {
     match (lhs, rhs) {
-        (Vector::I32(a), Vector::I32(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
-        (Vector::I64(a), Vector::I64(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
-        (Vector::F64(a), Vector::F64(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
-        (Vector::U8(a), Vector::U8(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
-        (Vector::U16(a), Vector::U16(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
-        (Vector::U32(a), Vector::U32(b)) => select_cmp_col_col(out, a, b, op, sel, SHAPE),
+        (Vector::I32(a), Vector::I32(b)) => select_cmp_col_col(out, a, b, op, sel),
+        (Vector::I64(a), Vector::I64(b)) => select_cmp_col_col(out, a, b, op, sel),
+        (Vector::F64(a), Vector::F64(b)) => select_cmp_col_col(out, a, b, op, sel),
+        (Vector::U8(a), Vector::U8(b)) => select_cmp_col_col(out, a, b, op, sel),
+        (Vector::U16(a), Vector::U16(b)) => select_cmp_col_col(out, a, b, op, sel),
+        (Vector::U32(a), Vector::U32(b)) => select_cmp_col_col(out, a, b, op, sel),
         (a, b) => unreachable!(
             "select_col on {:?} vs {:?}: unsupported pairs are routed to the boolean path at bind",
             a.scalar_type(),

@@ -353,70 +353,71 @@ fn governed_results_match_ungoverned_results() {
     }
 }
 
-/// Storage fault injection end-to-end, at the two scan sites: the
-/// dictionary lookup of an enum column read as values, and the read of
-/// a pending insert delta.
+/// Storage fault injection end-to-end, at the spill sites: an
+/// aggregation over a memory budget its groups do not fit writes
+/// partitioned runs (site `SpillWrite`) and reads them back to merge
+/// (site `SpillRead`) — the file I/O a query does.
 mod fault_inject {
     use super::*;
     use x100_engine::{FaultPlan, FaultSite};
-    use x100_vector::Value;
 
-    /// `fact` with an enum column `tag` and, with `pending`, inserts
-    /// waiting in its delta.
-    fn tagged_db(n: i64, pending: i64) -> Database {
-        let mut t = TableBuilder::new("fact")
-            .column("k", Vector::I64((0..n).map(|i| i % 97).collect()))
-            .column("v", Vector::F64((0..n).map(|i| (i % 13) as f64).collect()))
-            .auto_enum_str(
-                "tag",
-                (0..n)
-                    .map(|i| ["AIR", "MAIL", "SHIP"][(i % 3) as usize].into())
-                    .collect(),
+    /// `fact` with 500 unsorted keys; every `f64` is a multiple of
+    /// 0.25, so sums merged in any order are exact.
+    fn spill_db(n: i64) -> Database {
+        let t = TableBuilder::new("fact")
+            .column("k", Vector::I64((0..n).map(|i| (i * 7919) % 500).collect()))
+            .column(
+                "v",
+                Vector::F64((0..n).map(|i| ((i * 31) % 400) as f64 * 0.25).collect()),
             )
             .build();
-        for i in 0..pending {
-            t.insert(&[
-                Value::I64(i % 97),
-                Value::F64(0.5),
-                Value::Str("RAIL".into()),
-            ]);
-        }
         let mut db = Database::new();
         db.register(t);
         db
     }
 
-    /// `tag` is read as values: every vector gathers through the
-    /// dictionary (site `DictLookup`), fragment and delta alike.
-    fn tagged_plan() -> Plan {
-        Plan::scan("fact", &["k", "v", "tag"])
+    /// A grouped aggregation that spills under [`spilling`].
+    fn agg_plan() -> Plan {
+        Plan::scan("fact", &["k", "v"])
+            .aggr(
+                vec![("k", col("k"))],
+                vec![
+                    AggExpr::sum("s", col("v")),
+                    AggExpr::min("m", col("v")),
+                    AggExpr::count("n"),
+                ],
+            )
+            .order(vec![OrdExp::asc("k")])
     }
 
-    /// Faults at `rate` on one site, retried without sleeping.
-    fn faults(site: FaultSite, rate: f64, max_retries: u32) -> FaultPlan {
+    /// A memory budget [`agg_plan`] spills under, shared by `threads`
+    /// workers, with faults at `rate` on one site, retried without
+    /// sleeping.
+    fn spilling(threads: usize, site: FaultSite, rate: f64, max_retries: u32) -> ExecOptions {
         let plan = FaultPlan {
             max_retries,
             backoff_base_us: 0,
             seed: 0xDEC0DE,
             ..FaultPlan::default()
         };
-        match site {
-            FaultSite::DeltaRead => plan.delta_rate(rate),
-            _ => plan.dict_rate(rate),
-        }
+        let faults = match site {
+            FaultSite::SpillWrite => plan.spill_write_rate(rate),
+            _ => plan.spill_read_rate(rate),
+        };
+        (ExecOptions::default().profiled().parallel(threads))
+            .with_mem_budget((48 << 10) / threads)
+            .with_spill_budget(256 << 20)
+            .with_fault_plan(faults)
     }
 
     #[test]
-    fn dict_faults_within_the_budget_leave_answers_identical() {
-        let db = tagged_db(20_000, 0);
-        let (want, _) = execute(&db, &tagged_plan(), &ExecOptions::default()).expect("clean");
-        let opts = (ExecOptions::default().profiled()).with_fault_plan(faults(
-            FaultSite::DictLookup,
-            0.3,
-            20,
-        ));
-        let (got, prof) = execute(&db, &tagged_plan(), &opts).expect("faults retried away");
+    fn spill_write_faults_within_the_budget_leave_answers_identical() {
+        let db = spill_db(60_000);
+        let (want, _) = execute(&db, &agg_plan(), &ExecOptions::default()).expect("clean");
+        let opts = spilling(1, FaultSite::SpillWrite, 0.3, 20);
+        let (got, prof) = execute(&db, &agg_plan(), &opts).expect("faults retried away");
         assert_eq!(want.row_strings(), got.row_strings());
+        assert!(prof.counter("spill_runs").unwrap_or(0) > 0, "must spill");
         // Every injected fault was retried away: none exhausted a budget.
         let injected = prof.counter("io_faults_injected").unwrap_or(0);
         assert!(injected > 0);
@@ -424,17 +425,12 @@ mod fault_inject {
     }
 
     #[test]
-    fn random_delta_faults_under_retry_budget_do_not_change_results() {
-        let db = tagged_db(50_000, 3_000);
-        let plan = Plan::scan("fact", &["k", "v"])
-            .select(lt(col("k"), lit_i64(90)))
-            .aggr(vec![("k", col("k"))], vec![AggExpr::sum("s", col("v"))])
-            .order(vec![OrdExp::asc("k")]);
-        let (want, _) = execute(&db, &plan, &ExecOptions::default()).expect("clean");
+    fn random_spill_read_faults_under_retry_budget_do_not_change_results() {
+        let db = spill_db(60_000);
+        let (want, _) = execute(&db, &agg_plan(), &ExecOptions::default()).expect("clean");
         for threads in [1usize, 2] {
-            let opts = (ExecOptions::default().profiled().parallel(threads))
-                .with_fault_plan(faults(FaultSite::DeltaRead, 0.05, 20));
-            let (got, prof) = execute(&db, &plan, &opts).expect("faults retried away");
+            let opts = spilling(threads, FaultSite::SpillRead, 0.05, 20);
+            let (got, prof) = execute(&db, &agg_plan(), &opts).expect("faults retried away");
             assert_eq!(want.row_strings(), got.row_strings(), "threads={threads}");
             assert!(prof.counter("io_faults_injected").unwrap_or(0) > 0);
         }
@@ -442,13 +438,12 @@ mod fault_inject {
 
     #[test]
     fn exhausted_retries_surface_a_typed_io_error() {
-        for (site, pending, what) in [
-            (FaultSite::DictLookup, 0, "dictionary lookup"),
-            (FaultSite::DeltaRead, 10, "delta read"),
+        let db = spill_db(60_000);
+        for (site, what) in [
+            (FaultSite::SpillWrite, "spill run write"),
+            (FaultSite::SpillRead, "spill run read"),
         ] {
-            let db = tagged_db(20_000, pending);
-            let opts = ExecOptions::default().with_fault_plan(faults(site, 1.0, 2));
-            match execute(&db, &tagged_plan(), &opts) {
+            match execute(&db, &agg_plan(), &spilling(1, site, 1.0, 2)) {
                 Err(EngineError::Io {
                     site: got, detail, ..
                 }) => {
@@ -466,15 +461,11 @@ mod fault_inject {
         // Queries with the same seeded plan each draw their own faults —
         // per-query FaultState, not global: run alone or side by side,
         // each injects exactly as many.
-        let db = tagged_db(20_000, 0);
-        let opts = (ExecOptions::default().profiled()).with_fault_plan(faults(
-            FaultSite::DictLookup,
-            0.3,
-            20,
-        ));
+        let db = spill_db(60_000);
+        let opts = spilling(1, FaultSite::SpillWrite, 0.3, 20);
         let injected = || {
-            let (res, prof) = execute(&db, &tagged_plan(), &opts).expect("runs");
-            assert_eq!(res.num_rows(), 20_000);
+            let (res, prof) = execute(&db, &agg_plan(), &opts).expect("runs");
+            assert_eq!(res.num_rows(), 500);
             prof.counter("io_faults_injected").unwrap_or(0)
         };
         let alone = injected();

@@ -445,9 +445,9 @@ mod faults {
             ),
         ] {
             let (base, _) = execute(&db, &plan, &ExecOptions::default()).expect("unbounded");
-            for threads in [1, 4] {
-                // Four workers share the budget; a quarter of it keeps
-                // each one's share as tight as the sequential run's.
+            for threads in THREADS {
+                // The workers share the budget; dividing it keeps each
+                // one's share as tight as the sequential run's.
                 let mem = mem / threads;
                 let fp = FaultPlan {
                     max_retries: 6,

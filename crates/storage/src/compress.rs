@@ -1,11 +1,12 @@
-//! Compressed column fragments: the storage half of lightweight
-//! compression (paper §4.3 / §5).
+//! Compressed column fragments: the chunk format of lightweight
+//! compression (paper §4.3 / §5), owned by storage alone.
 //!
 //! Chunks are the durable encoding: a durable checkpoint runs a
 //! per-column *format chooser* that bounds each format's size from the
 //! fragment's sort order and a byte histogram, encodes only the formats
 //! that can win, and writes the fragment as a sequence of compressed
-//! chunks — PFOR or PFOR-DELTA — each carrying a self-describing
+//! chunks — PFOR or PFOR-DELTA, whose payloads the kernels in
+//! `pfor` pack — each carrying a self-describing
 //! [`ChunkHeader`] plus exception blocks. Columns where compression
 //! would not pay (savings below 10%) are written raw. `Table::open`
 //! decodes the chunks back into the fragment ([`CompressedColumn::decode`])
@@ -17,20 +18,42 @@
 //! its codes go through this chooser like any other integer column.
 
 use crate::frame::{fold_checksum, fold_values, Reader, Writer};
+use crate::pfor::{self, FrameValue, PforChunk, PforDeltaChunk, EXC_COST};
 use crate::table::ColumnStats;
-use x100_vector::compress as k;
 use x100_vector::{ScalarType, Vector};
 
-/// Rows per compressed chunk. A multiple of [`k::DELTA_SYNC`], so every
-/// chunk starts at a sync point.
+/// Rows per compressed chunk.
 pub const CHUNK_ROWS: usize = 65536;
 
-/// Encoded size of a [`ChunkHeader`].
+/// Encoded size of a [`ChunkHeader`]: 28 bytes of fields and a
+/// reserved zero word. The word keeps every chunk's price, and with it
+/// every verdict of the chooser, what it was when the header counted
+/// PFOR-DELTA sync carries; a format change that needs header bytes
+/// can take it.
 pub const HEADER_BYTES: usize = 32;
 
 const HEADER_MAGIC: u8 = 0xCB;
 const COLUMN_MAGIC: &[u8; 4] = b"XCPC";
-const COLUMN_VERSION: u8 = 3;
+const COLUMN_VERSION: u8 = 4;
+
+/// `$body` with `$v` bound to the slice of an integer vector `$data`,
+/// else `$rest` with `$other` bound to the vector: the chunk kernels
+/// are generic over every integer frame type.
+macro_rules! on_ints {
+    ($data:expr, |$v:ident| $body:expr, $other:ident => $rest:expr) => {
+        match $data {
+            Vector::I8($v) => $body,
+            Vector::I16($v) => $body,
+            Vector::I32($v) => $body,
+            Vector::I64($v) => $body,
+            Vector::U8($v) => $body,
+            Vector::U16($v) => $body,
+            Vector::U32($v) => $body,
+            Vector::U64($v) => $body,
+            $other => $rest,
+        }
+    };
+}
 
 /// Physical format of one compressed chunk (or of a whole column, as
 /// the chooser's verdict). The discriminant is the on-disk tag.
@@ -65,15 +88,15 @@ impl ChunkFormat {
 ///
 /// The header is what makes a chunk readable without consulting the
 /// catalog: format tag, row count, frame lane, frame base, decimal
-/// scale, payload length and the sizes of the exception / sync blocks
-/// that follow the payload.
+/// scale, payload length and the size of the exception block that
+/// follows the payload (and, in a PFOR-DELTA chunk, its carry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkHeader {
     /// Chunk format tag.
     pub format: ChunkFormat,
     /// Frame lane in bits.
     pub lane: u8,
-    /// 8-bit fold of the payload + exception + sync bytes, written when
+    /// 8-bit fold of the payload + exception + carry bytes, written when
     /// the chunk is built and re-checked on every compressed read. A
     /// mismatch means the body was torn after the header was written.
     pub checksum: u8,
@@ -87,8 +110,6 @@ pub struct ChunkHeader {
     pub payload_bytes: u32,
     /// Entries in the exception block.
     pub exceptions: u32,
-    /// Entries in the sync-carry block (PFOR-DELTA only).
-    pub sync_points: u32,
 }
 
 impl ChunkHeader {
@@ -103,7 +124,7 @@ impl ChunkHeader {
         w.put(self.base);
         w.put(self.payload_bytes);
         w.put(self.exceptions);
-        w.put(self.sync_points);
+        w.put(0u32);
     }
 
     /// Parse the on-chunk byte layout back.
@@ -112,7 +133,7 @@ impl ChunkHeader {
         if magic != HEADER_MAGIC {
             return Err(format!("bad chunk magic 0x{magic:02x}"));
         }
-        Ok(ChunkHeader {
+        let header = ChunkHeader {
             format: ChunkFormat::from_tag(r.get()?)?,
             lane: r.get()?,
             checksum: r.get()?,
@@ -121,24 +142,22 @@ impl ChunkHeader {
             base: r.get()?,
             payload_bytes: r.get()?,
             exceptions: r.get()?,
-            sync_points: r.get()?,
-        })
+        };
+        match r.get::<u32>()? {
+            0 => Ok(header),
+            w => Err(format!("reserved chunk header word is {w}, not 0")),
+        }
     }
 
     /// Check every field a decode kernel later trusts, for a chunk of
     /// `rows` rows inside a column of format `column`: the kernels index
-    /// payload, patch and sync lists from these numbers without looking
-    /// back. Payload *contents* stay guarded by `checksum`.
+    /// payload and patch lists from these numbers without looking back.
+    /// Payload *contents* stay guarded by `checksum`.
     fn validate(&self, column: ChunkFormat, rows: u64) -> Result<(), String> {
         use ChunkFormat::*;
         let format_ok = self.format == column || (column == PforDelta && self.format == Pfor);
-        let syncs = match self.format {
-            PforDelta => rows.div_ceil(k::DELTA_SYNC as u64),
-            _ => 0,
-        };
         if format_ok
             && matches!(self.lane, 0 | 8 | 16 | 32 | 64)
-            && self.sync_points as u64 == syncs
             && self.rows as u64 == rows
             && self.payload_bytes as u64 == rows * self.lane as u64 / 8
             && self.exceptions as u64 <= rows
@@ -155,25 +174,25 @@ impl ChunkHeader {
 
 /// Compressed payload of one chunk.
 #[derive(Debug, Clone)]
-pub enum ChunkBody {
+enum ChunkBody {
     /// Patched frame-of-reference frames + exception block.
-    Pfor(k::PforChunk),
-    /// Delta frames + sync carries + exception block.
-    PforDelta(k::PforDeltaChunk),
+    Pfor(PforChunk),
+    /// Delta frames + the starting carry + exception block.
+    PforDelta(PforDeltaChunk),
 }
 
 /// One compressed chunk: header + typed body.
 #[derive(Debug, Clone)]
-pub struct CompressedChunk {
+struct CompressedChunk {
     /// The self-describing header.
-    pub header: ChunkHeader,
+    header: ChunkHeader,
     /// The compressed payload.
-    pub body: ChunkBody,
+    body: ChunkBody,
 }
 
 impl CompressedChunk {
     /// Total compressed footprint including the header.
-    pub fn byte_size(&self) -> usize {
+    fn byte_size(&self) -> usize {
         HEADER_BYTES
             + match &self.body {
                 ChunkBody::Pfor(c) => c.byte_size(),
@@ -291,7 +310,7 @@ impl CompressedColumn {
                 }
                 ChunkBody::PforDelta(p) => {
                     w.put_slice(&p.payload);
-                    w.put_slice(&p.sync);
+                    w.put(p.carry);
                     w.put_slice(&p.exc_pos);
                     w.put_slice(&p.exc_frames);
                 }
@@ -330,7 +349,10 @@ impl CompressedColumn {
             header.validate(format, left.min(CHUNK_ROWS as u64))?;
             left -= header.rows as u64;
             let payload = r.take(header.payload_bytes as usize)?.to_vec();
-            let sync = r.slice(header.sync_points as usize)?;
+            let carry = match header.format {
+                ChunkFormat::PforDelta => r.get::<u64>()?,
+                _ => 0,
+            };
             let exc_pos: Vec<u32> = r.slice(header.exceptions as usize)?;
             let exc_frames = r.slice(header.exceptions as usize)?;
             if !exc_pos.windows(2).all(|w| w[0] < w[1])
@@ -341,7 +363,7 @@ impl CompressedColumn {
             let lane = header.lane as u32;
             let base = header.base;
             let body = match header.format {
-                ChunkFormat::Pfor => ChunkBody::Pfor(k::PforChunk {
+                ChunkFormat::Pfor => ChunkBody::Pfor(PforChunk {
                     lane,
                     base,
                     scale: header.scale,
@@ -349,11 +371,11 @@ impl CompressedColumn {
                     exc_pos,
                     exc_frames,
                 }),
-                ChunkFormat::PforDelta => ChunkBody::PforDelta(k::PforDeltaChunk {
+                ChunkFormat::PforDelta => ChunkBody::PforDelta(PforDeltaChunk {
                     lane,
                     base,
                     payload,
-                    sync,
+                    carry,
                     exc_pos,
                     exc_frames,
                 }),
@@ -382,48 +404,21 @@ impl CompressedColumn {
             self.verify_chunk(ci)?;
             let at = ci * CHUNK_ROWS;
             let n = chunk.header.rows as usize;
+            let rows = at..at + n;
             match &chunk.body {
-                ChunkBody::Pfor(c) => {
-                    macro_rules! arm {
-                        ($($variant:ident => $dec:path),+ $(,)?) => {
-                            match &mut out {
-                                $(Vector::$variant(dst) => $dec(&mut dst[at..at + n], c),)+
-                                other => panic!("pfor decode into {:?}", other.scalar_type()),
-                            }
-                        };
-                    }
-                    arm! {
-                        I8 => k::decompress_pfor_i8_col,
-                        I16 => k::decompress_pfor_i16_col,
-                        I32 => k::decompress_pfor_i32_col,
-                        I64 => k::decompress_pfor_i64_col,
-                        U8 => k::decompress_pfor_u8_col,
-                        U16 => k::decompress_pfor_u16_col,
-                        U32 => k::decompress_pfor_u32_col,
-                        U64 => k::decompress_pfor_u64_col,
-                        F64 => k::decompress_pfor_f64_col,
-                    }
-                }
-                ChunkBody::PforDelta(c) => {
-                    macro_rules! arm {
-                        ($($variant:ident => $dec:path),+ $(,)?) => {
-                            match &mut out {
-                                $(Vector::$variant(dst) => $dec(&mut dst[at..at + n], c, &mut scratch),)+
-                                other => panic!("pfordelta decode into {:?}", other.scalar_type()),
-                            }
-                        };
-                    }
-                    arm! {
-                        I8 => k::decompress_pfordelta_i8_col,
-                        I16 => k::decompress_pfordelta_i16_col,
-                        I32 => k::decompress_pfordelta_i32_col,
-                        I64 => k::decompress_pfordelta_i64_col,
-                        U8 => k::decompress_pfordelta_u8_col,
-                        U16 => k::decompress_pfordelta_u16_col,
-                        U32 => k::decompress_pfordelta_u32_col,
-                        U64 => k::decompress_pfordelta_u64_col,
-                    }
-                }
+                ChunkBody::Pfor(c) => match &mut out {
+                    Vector::F64(dst) => pfor::decode_f64(&mut dst[rows], c),
+                    out => on_ints!(
+                        out,
+                        |dst| pfor::decode(&mut dst[rows], c),
+                        other => panic!("pfor decode into {:?}", other.scalar_type())
+                    ),
+                },
+                ChunkBody::PforDelta(c) => on_ints!(
+                    &mut out,
+                    |dst| pfor::delta_decode(&mut dst[rows], c, &mut scratch),
+                    other => panic!("pfordelta decode into {:?}", other.scalar_type())
+                ),
             }
         }
         Ok(out)
@@ -479,14 +474,14 @@ impl CompressedColumn {
     }
 }
 
-fn pfor_checksum(c: &k::PforChunk) -> u8 {
+fn pfor_checksum(c: &PforChunk) -> u8 {
     let a = fold_values(fold_checksum(&c.payload), &c.exc_pos);
     fold_values(a, &c.exc_frames)
 }
 
-fn pfordelta_checksum(c: &k::PforDeltaChunk) -> u8 {
+fn pfordelta_checksum(c: &PforDeltaChunk) -> u8 {
     let a = fold_values(fold_checksum(&c.payload), &c.exc_pos);
-    fold_values(fold_values(a, &c.exc_frames), &c.sync)
+    fold_values(fold_values(a, &c.exc_frames), &[c.carry])
 }
 
 /// The checksum stored in a chunk's header: an 8-bit fold over every
@@ -583,96 +578,70 @@ fn one_byte_pfor_floor<T>(v: &[T], key: impl Fn(&T) -> u8) -> u64 {
             let mut hist = [0usize; 256];
             c.iter().for_each(|x| hist[key(x) as usize] += 1);
             let mode = hist.iter().copied().max().unwrap_or(0);
-            (HEADER_BYTES + ((c.len() - mode) * k::EXC_COST).min(c.len())) as u64
+            (HEADER_BYTES + ((c.len() - mode) * EXC_COST).min(c.len())) as u64
         })
         .sum()
 }
 
-fn pfor_header(format: ChunkFormat, rows: usize, c: &k::PforChunk) -> ChunkHeader {
-    ChunkHeader {
-        format,
+/// A PFOR chunk of `rows` rows with its header.
+fn pfor_chunk(rows: usize, c: PforChunk) -> CompressedChunk {
+    let header = ChunkHeader {
+        format: ChunkFormat::Pfor,
         lane: c.lane as u8,
-        checksum: pfor_checksum(c),
+        checksum: pfor_checksum(&c),
         rows: rows as u32,
         scale: c.scale,
         base: c.base,
         payload_bytes: c.payload.len() as u32,
         exceptions: c.exc_pos.len() as u32,
-        sync_points: 0,
-    }
+    };
+    let body = ChunkBody::Pfor(c);
+    CompressedChunk { header, body }
+}
+
+/// A PFOR-DELTA chunk of `rows` rows with its header.
+fn delta_chunk(rows: usize, c: PforDeltaChunk) -> CompressedChunk {
+    let header = ChunkHeader {
+        format: ChunkFormat::PforDelta,
+        lane: c.lane as u8,
+        checksum: pfordelta_checksum(&c),
+        rows: rows as u32,
+        scale: 0,
+        base: c.base,
+        payload_bytes: c.payload.len() as u32,
+        exceptions: c.exc_pos.len() as u32,
+    };
+    let body = ChunkBody::PforDelta(c);
+    CompressedChunk { header, body }
 }
 
 fn pfor_chunks(data: &Vector) -> Option<Vec<CompressedChunk>> {
-    macro_rules! chunked {
-        ($v:expr, $comp:path) => {
-            $v.chunks(CHUNK_ROWS)
-                .map(|s| {
-                    let c = $comp(s);
-                    CompressedChunk {
-                        header: pfor_header(ChunkFormat::Pfor, s.len(), &c),
-                        body: ChunkBody::Pfor(c),
-                    }
-                })
-                .collect()
-        };
+    match data {
+        Vector::F64(v) => Some(chunked(v, |s| pfor_chunk(s.len(), pfor::encode_f64(s)))),
+        _ => on_ints!(data, |v| Some(chunked(v, pfor_int_chunk)), _other => None),
     }
-    Some(match data {
-        Vector::I8(v) => chunked!(v, k::compress_pfor_i8_col),
-        Vector::I16(v) => chunked!(v, k::compress_pfor_i16_col),
-        Vector::I32(v) => chunked!(v, k::compress_pfor_i32_col),
-        Vector::I64(v) => chunked!(v, k::compress_pfor_i64_col),
-        Vector::U8(v) => chunked!(v, k::compress_pfor_u8_col),
-        Vector::U16(v) => chunked!(v, k::compress_pfor_u16_col),
-        Vector::U32(v) => chunked!(v, k::compress_pfor_u32_col),
-        Vector::U64(v) => chunked!(v, k::compress_pfor_u64_col),
-        Vector::F64(v) => chunked!(v, k::compress_pfor_f64_col),
-        Vector::Str(_) | Vector::Bool(_) => return None,
-    })
 }
 
+/// A chunk that is not non-decreasing falls back to plain PFOR inside a
+/// PFOR-DELTA column, its header self-describing the switch.
 fn pfordelta_chunks(data: &Vector) -> Option<Vec<CompressedChunk>> {
-    macro_rules! chunked {
-        ($v:expr, $comp:path, $pfor:path) => {
-            $v.chunks(CHUNK_ROWS)
-                .map(|s| match $comp(s) {
-                    // A chunk that is not non-decreasing falls back to
-                    // plain PFOR; its header self-describes the switch.
-                    None => {
-                        let c = $pfor(s);
-                        CompressedChunk {
-                            header: pfor_header(ChunkFormat::Pfor, s.len(), &c),
-                            body: ChunkBody::Pfor(c),
-                        }
-                    }
-                    Some(c) => CompressedChunk {
-                        header: ChunkHeader {
-                            format: ChunkFormat::PforDelta,
-                            lane: c.lane as u8,
-                            checksum: pfordelta_checksum(&c),
-                            rows: s.len() as u32,
-                            scale: 0,
-                            base: c.base,
-                            payload_bytes: c.payload.len() as u32,
-                            exceptions: c.exc_pos.len() as u32,
-                            sync_points: c.sync.len() as u32,
-                        },
-                        body: ChunkBody::PforDelta(c),
-                    },
-                })
-                .collect()
-        };
+    on_ints!(data, |v| Some(chunked(v, delta_int_chunk)), _other => None)
+}
+
+/// `encode` over every [`CHUNK_ROWS`]-row slice of `v`.
+fn chunked<T>(v: &[T], encode: fn(&[T]) -> CompressedChunk) -> Vec<CompressedChunk> {
+    v.chunks(CHUNK_ROWS).map(encode).collect()
+}
+
+fn pfor_int_chunk<T: FrameValue>(s: &[T]) -> CompressedChunk {
+    pfor_chunk(s.len(), pfor::encode(s))
+}
+
+fn delta_int_chunk<T: FrameValue>(s: &[T]) -> CompressedChunk {
+    match pfor::delta_encode(s) {
+        Some(c) => delta_chunk(s.len(), c),
+        None => pfor_int_chunk(s),
     }
-    Some(match data {
-        Vector::I8(v) => chunked!(v, k::compress_pfordelta_i8_col, k::compress_pfor_i8_col),
-        Vector::I16(v) => chunked!(v, k::compress_pfordelta_i16_col, k::compress_pfor_i16_col),
-        Vector::I32(v) => chunked!(v, k::compress_pfordelta_i32_col, k::compress_pfor_i32_col),
-        Vector::I64(v) => chunked!(v, k::compress_pfordelta_i64_col, k::compress_pfor_i64_col),
-        Vector::U8(v) => chunked!(v, k::compress_pfordelta_u8_col, k::compress_pfor_u8_col),
-        Vector::U16(v) => chunked!(v, k::compress_pfordelta_u16_col, k::compress_pfor_u16_col),
-        Vector::U32(v) => chunked!(v, k::compress_pfordelta_u32_col, k::compress_pfor_u32_col),
-        Vector::U64(v) => chunked!(v, k::compress_pfordelta_u64_col, k::compress_pfor_u64_col),
-        Vector::F64(_) | Vector::Str(_) | Vector::Bool(_) => return None,
-    })
 }
 
 /// Cardinality cap of the dictionary candidate on numeric columns:
@@ -801,6 +770,123 @@ mod tests {
         col
     }
 
+    fn roundtrip_pfor_i64(values: &[i64]) {
+        let c = pfor::encode(values);
+        let mut out = vec![0i64; values.len()];
+        pfor::decode(&mut out, &c);
+        assert_eq!(out, values);
+    }
+
+    #[test]
+    fn pfor_roundtrips_lanes() {
+        roundtrip_pfor_i64(&[]);
+        roundtrip_pfor_i64(&[42]);
+        roundtrip_pfor_i64(&[7; 100]); // lane 0
+        roundtrip_pfor_i64(&(0..300).collect::<Vec<_>>()); // lane 8/16
+        roundtrip_pfor_i64(&[1_000_000, 2_000_000, 3_000_000]); // lane 32
+        roundtrip_pfor_i64(&[i64::MIN, i64::MAX, 0, -1, 1]); // lane 64
+    }
+
+    #[test]
+    fn pfor_exceptions_patch() {
+        // A tight cluster plus wild outliers: outliers become exceptions.
+        let mut v: Vec<i64> = (0..5000).map(|i| 100 + (i % 50)).collect();
+        v[17] = i64::MAX;
+        v[4032] = i64::MIN;
+        let c = pfor::encode(&v);
+        assert_eq!(c.lane, 8, "cluster fits one byte");
+        assert_eq!(c.exc_pos.len(), 2);
+        let mut out = vec![0i64; v.len()];
+        pfor::decode(&mut out, &c);
+        assert_eq!(out, v);
+    }
+
+    /// Decode a float chunk and compare bit patterns.
+    fn assert_f64_roundtrip(c: &PforChunk, v: &[f64]) {
+        let mut out = vec![0f64; v.len()];
+        pfor::decode_f64(&mut out, c);
+        for (a, b) in out.iter().zip(v) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn pfor_all_exceptions_block() {
+        // Values spread over the full u64 range but with a forced-lane
+        // encode path: f64 NaN-ish values that never scale exactly.
+        let v: Vec<f64> = (0..64).map(|i| 0.1 + i as f64 * 1e-13).collect();
+        let c = pfor::encode_f64(&v);
+        assert!(c.exc_pos.len() >= 63, "nearly nothing scales exactly");
+        assert_eq!(c.lane, 0, "all-exception chunk needs no payload");
+        assert_f64_roundtrip(&c, &v);
+    }
+
+    #[test]
+    fn pfor_f64_decimal_scaling() {
+        let v: Vec<f64> = (0..2048).map(|i| (i % 5000) as f64 / 100.0).collect();
+        let c = pfor::encode_f64(&v);
+        assert_eq!(c.scale, 100);
+        assert!(c.exc_pos.is_empty());
+        assert!(c.lane <= 16, "scaled cents fit two bytes, got {}", c.lane);
+        assert_f64_roundtrip(&c, &v);
+    }
+
+    #[test]
+    fn pfor_f64_out_of_lane_value_is_a_raw_exception() {
+        // Representable at the chunk's scale, but outside the byte lane
+        // the cluster picks: the exception must hold the value's bits,
+        // like every float exception, not its frame. Both decimal scale
+        // 1 and a scale the double-product decode path takes.
+        for scale in [1.0, 100.0] {
+            let mut v: Vec<f64> = (0..400).map(|i| (100 + i % 50) as f64 / scale).collect();
+            v[7] = 1.0e6 / scale;
+            v[311] = -1.0e6 / scale;
+            let c = pfor::encode_f64(&v);
+            assert_eq!((c.lane, c.exc_pos.as_slice()), (8, &[7, 311][..]));
+            assert_f64_roundtrip(&c, &v);
+        }
+    }
+
+    #[test]
+    fn pfor_f64_negative_zero_is_exception() {
+        let v = [0.0f64, -0.0, 1.5];
+        assert_f64_roundtrip(&pfor::encode_f64(&v), &v);
+    }
+
+    #[test]
+    fn pfordelta_roundtrip_and_seek() {
+        let v: Vec<u32> = (0..10_000u32).map(|i| i * 3 + (i % 7)).collect();
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        let c = pfor::delta_encode(&sorted).expect("monotone");
+        assert!(c.lane <= 8, "small deltas, got lane {}", c.lane);
+        let mut out = vec![0u32; sorted.len()];
+        pfor::delta_decode(&mut out, &c, &mut Vec::new());
+        assert_eq!(out, sorted);
+        // The chunk's one seek point is its start: the carry is the
+        // first value's frame less the artificial first delta.
+        assert_eq!(c.carry, u64::from(sorted[0]).wrapping_sub(c.base));
+    }
+
+    #[test]
+    fn pfordelta_rejects_decreasing() {
+        assert!(pfor::delta_encode(&[5i32, 4]).is_none());
+        assert!(pfor::delta_encode(&[1i32, 2, 3]).is_some());
+    }
+
+    #[test]
+    fn pfordelta_jump_exception() {
+        let mut v: Vec<i64> = (0..3000).collect();
+        for x in v.iter_mut().skip(1500) {
+            *x += 1_000_000_000;
+        }
+        let c = pfor::delta_encode(&v).expect("monotone");
+        assert_eq!(c.exc_pos, vec![1500]);
+        let mut out = vec![0i64; v.len()];
+        pfor::delta_decode(&mut out, &c, &mut Vec::new());
+        assert_eq!(out, v);
+    }
+
     #[test]
     fn pfor_column_roundtrip_multi_chunk() {
         let v: Vec<i64> = (0..150_000).map(|i| 50 + (i * 7) % 200).collect();
@@ -910,11 +996,14 @@ mod tests {
         assert!(err.contains("chunk 1 checksum mismatch"), "{err}");
     }
 
-    /// Chunk checksums are stored bytes: these were written by the
-    /// per-value fold the closed form replaced (PR 21's parent), so every
-    /// chunk header written before still verifies. The f64 column has
-    /// Q1's shape: 22 % of its values do not round-trip any decimal scale
-    /// and ride the patch list.
+    /// Chunk checksums are stored bytes: the PFOR pins were written by
+    /// the per-value fold the closed form replaced, so every PFOR chunk
+    /// header written before still verifies. A PFOR-DELTA chunk's fold
+    /// ends in its one carry where it ended in a sync carry per 1 024
+    /// rows, so its pins are the closed form's over the one-carry body
+    /// (a chunk of at most 1 024 rows folds the same bytes as before).
+    /// The f64 column has Q1's shape: 22 % of its values do not
+    /// round-trip any decimal scale and ride the patch list.
     #[test]
     fn golden_chunk_checksums_are_unchanged() {
         let f: Vec<f64> = (0..70_000)
@@ -928,7 +1017,7 @@ mod tests {
             .map(|c| c.header.exceptions as usize)
             .sum();
         assert!((15_000..16_000).contains(&exc), "{exc} exceptions");
-        // Sorted with a jump every 1000 rows: delta exceptions + syncs.
+        // Sorted with a jump every 1000 rows: delta exceptions + carry.
         let d: Vec<u64> = (0..70_000u64)
             .map(|i| i * 3 + (i / 1000) * 1_000_000)
             .collect();
@@ -938,10 +1027,12 @@ mod tests {
             c.chunks.iter().map(|c| c.header.checksum).collect()
         };
         assert_eq!(sums(&pfor), [0x33, 0x71]);
-        assert_eq!(sums(&delta), [0x55, 0x85]);
-        // The sealed `XCPC` images (version 3: no dictionary in the
-        // preamble) end in the frame fold over all of the above.
-        assert_eq!(pfor.to_bytes().last(), Some(&0xc2));
-        assert_eq!(delta.to_bytes().last(), Some(&0x2f));
+        assert_eq!(sums(&delta), [0x26, 0xf6]);
+        // The sealed `XCPC` images (version 4: one carry per PFOR-DELTA
+        // chunk, a reserved header word) end in the frame fold over all
+        // of the above; the PFOR image differs from version 3's in its
+        // version byte alone.
+        assert_eq!(pfor.to_bytes().last(), Some(&0x41));
+        assert_eq!(delta.to_bytes().last(), Some(&0x4c));
     }
 }

@@ -53,7 +53,7 @@ use x100_vector::{ScalarType, Value, Vector};
 
 /// Magic + version of one column's frame in a segment.
 const CHUNK_MAGIC: &[u8; 4] = b"XDCF";
-const CHUNK_VERSION: u8 = 5;
+const CHUNK_VERSION: u8 = 6;
 /// Magic + version of the committing manifest.
 const MANIFEST_MAGIC: &[u8; 4] = b"XMAN";
 const MANIFEST_VERSION: u8 = 3;

@@ -20,13 +20,12 @@ use std::sync::Mutex;
 
 /// Which storage access path a fault targets. Each site fails
 /// independently (different code paths, different recovery
-/// characteristics), with its own rate knob on [`FaultPlan`].
+/// characteristics), with its own rate knob on [`FaultPlan`]. Every
+/// site is real file I/O: spill runs and the durable store. A scan
+/// reads memory only — fragment, insert delta and dictionary — and has
+/// no site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Insert-delta reads appended after the fragments during a scan.
-    DeltaRead,
-    /// Enum dictionary value lookups (code → value gather).
-    DictLookup,
     /// Spill-run writes: a memory-pressured operator flushing a sorted
     /// run or a partitioned aggregate table to its temp file.
     SpillWrite,
@@ -48,8 +47,6 @@ pub enum FaultSite {
 impl std::fmt::Display for FaultSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FaultSite::DeltaRead => write!(f, "delta read"),
-            FaultSite::DictLookup => write!(f, "dictionary lookup"),
             FaultSite::SpillWrite => write!(f, "spill run write"),
             FaultSite::SpillRead => write!(f, "spill run read"),
             FaultSite::ManifestWrite => write!(f, "manifest write"),
@@ -137,15 +134,11 @@ pub struct TornWrite {
 
 /// Declarative description of storage faults to inject.
 ///
-/// Carried by the engine's `ExecOptions` (query-time sites) or passed
+/// Carried by the engine's `ExecOptions` (the spill sites) or passed
 /// to the durable paths as a [`FaultState`] (`Table::try_open`,
 /// `Table::try_checkpoint_durable`).
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Probability in `[0, 1]` that one delta-read attempt fails.
-    pub delta_fault_rate: f64,
-    /// Probability in `[0, 1]` that one dictionary-lookup attempt fails.
-    pub dict_fault_rate: f64,
     /// Probability in `[0, 1]` that one spill-run write attempt fails.
     pub spill_write_fault_rate: f64,
     /// Probability in `[0, 1]` that one spill-run read attempt fails.
@@ -180,8 +173,6 @@ pub struct FaultPlan {
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
-            delta_fault_rate: 0.0,
-            dict_fault_rate: 0.0,
             spill_write_fault_rate: 0.0,
             spill_read_fault_rate: 0.0,
             manifest_write_fault_rate: 0.0,
@@ -198,18 +189,6 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// Set the probability that a delta-insert read attempt fails.
-    pub fn delta_rate(mut self, rate: f64) -> Self {
-        self.delta_fault_rate = rate;
-        self
-    }
-
-    /// Set the probability that a dictionary-lookup attempt fails.
-    pub fn dict_rate(mut self, rate: f64) -> Self {
-        self.dict_fault_rate = rate;
-        self
-    }
-
     /// Set the probability that a spill-run write attempt fails.
     pub fn spill_write_rate(mut self, rate: f64) -> Self {
         self.spill_write_fault_rate = rate;
@@ -274,8 +253,6 @@ impl FaultPlan {
     /// The failure probability of one attempt at `site`.
     fn rate(&self, site: FaultSite) -> f64 {
         match site {
-            FaultSite::DeltaRead => self.delta_fault_rate,
-            FaultSite::DictLookup => self.dict_fault_rate,
             FaultSite::SpillWrite => self.spill_write_fault_rate,
             FaultSite::SpillRead => self.spill_read_fault_rate,
             FaultSite::ManifestWrite => self.manifest_write_fault_rate,
@@ -453,33 +430,33 @@ mod tests {
         let injected = |seed: u64| {
             let fs = quick(FaultPlan {
                 seed,
-                ..FaultPlan::default().dict_rate(0.2)
+                ..FaultPlan::default().spill_read_rate(0.2)
             });
             for c in 0..512 {
-                fs.check_site(FaultSite::DictLookup, c).unwrap();
+                fs.check_site(FaultSite::SpillRead, c).unwrap();
             }
             fs.injected()
         };
         assert_eq!(injected(42), injected(42), "same seed, same faults");
-        assert!(injected(42) > 0, "20% over 512 lookups injects something");
+        assert!(injected(42) > 0, "20% over 512 reads injects something");
     }
 
     #[test]
     fn exhausted_retries_surface_a_typed_error() {
         let fs = quick(FaultPlan {
             max_retries: 3,
-            ..FaultPlan::default().delta_rate(1.0)
+            ..FaultPlan::default().spill_write_rate(1.0)
         });
-        let err = fs.check_site(FaultSite::DeltaRead, 2).unwrap_err();
+        let err = fs.check_site(FaultSite::SpillWrite, 2).unwrap_err();
         let want = StorageFaultError {
-            site: FaultSite::DeltaRead,
+            site: FaultSite::SpillWrite,
             col: 2,
             attempts: 4,
         };
         assert_eq!(err, want);
         assert_eq!((fs.injected(), fs.retries()), (4, 3));
         // Other sites draw at their own rate: zero here.
-        assert!(fs.check_site(FaultSite::DictLookup, 2).is_ok());
+        assert!(fs.check_site(FaultSite::SpillRead, 2).is_ok());
     }
 
     #[test]

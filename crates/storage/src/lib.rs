@@ -19,7 +19,9 @@
 //! * [`CompressedColumn`] & [`choose_and_compress`] — PFOR / PFOR-DELTA
 //!   chunks, the durable encoding of a fragment: a durable checkpoint
 //!   writes them into its segments and `open` decodes them back; no
-//!   chunk stays resident.
+//!   chunk stays resident. The chunk format — header, payload kernels,
+//!   exceptions, carry and checksum — is this crate's alone; no query
+//!   primitive compresses or decompresses.
 //! * [`SummaryIndex`] — coarse running-max / reverse-running-min
 //!   indices for `#rowId` range derivation on clustered columns.
 //! * [`FaultPlan`] / [`FaultState`] — per-query fault injection at the
@@ -35,6 +37,7 @@ pub mod enumcol;
 pub mod fault;
 pub mod frame;
 pub mod morsel;
+mod pfor;
 pub mod summary;
 pub mod table;
 

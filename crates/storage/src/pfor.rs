@@ -1,23 +1,23 @@
-//! Lightweight compression kernels: PFOR and PFOR-DELTA.
+//! The chunk payload kernels: PFOR and PFOR-DELTA.
 //!
 //! The paper's chunked buffer manager trades "a few cheap, branch-free
-//! CPU cycles" of decompression for scarce memory bandwidth, expanding
-//! compressed chunks vector-at-a-time into the CPU cache (§4.3, §5).
+//! CPU cycles" of decompression for scarce memory bandwidth (§4.3, §5).
 //! Here scans are not bandwidth-bound, so chunks are only the durable
-//! encoding: a durable checkpoint encodes with these kernels and
-//! `Table::open` decodes whole columns back into resident fragments
-//! (DESIGN.md §11):
+//! encoding: these kernels are storage's own, called by the chunk
+//! format in [`crate::compress`] when a durable checkpoint or a spill
+//! run encodes a column and when `Table::open` or the spill reader
+//! decodes it back into a fragment (DESIGN.md §10/§11). No query runs
+//! them.
 //!
 //! * **PFOR** — patched frame-of-reference: values are stored as small
 //!   offsets from a per-chunk base; values that do not fit the chosen
 //!   frame width are *exceptions*, patched in after the dense unpack.
 //! * **PFOR-DELTA** — PFOR over the deltas of a non-decreasing (key)
-//!   column, with periodic sync carries in the format (today's decoder
-//!   replays each chunk whole from its first carry).
+//!   column, replayed as a prefix sum from the chunk's one carry.
 //!
 //! Low-cardinality columns are not a chunk codec: a checkpoint turns
-//! them into enumeration types (`x100_storage::enumcol`, paper §4.3),
-//! whose one- or two-byte codes then go through these same kernels.
+//! them into enumeration types ([`crate::enumcol`], paper §4.3), whose
+//! one- or two-byte codes then go through these same kernels.
 //!
 //! Frames are **byte-aligned** (0, 8, 16, 32 or 64 bits per value)
 //! rather than bit-packed: the decode loops become exact-width iterator
@@ -32,20 +32,20 @@
 //! *byte-identically* (floats included — an f64 value only avoids the
 //! exception list if its decimal-scaled round trip reproduces its exact
 //! bit pattern).
+//!
+//! The lane packing converts frames to and from little-endian bytes by
+//! hand: that is the payload's own encoding, not a container field, so
+//! this module stays outside the byte layer's framed-container rule
+//! (`cargo xtask lint` rule 9), which covers the headers and blocks
+//! [`crate::compress`] writes around these payloads.
 
 /// Exception cost in bytes: a 4-byte chunk-relative position plus an
 /// 8-byte absolute frame.
-pub const EXC_COST: usize = 12;
-
-/// Sync-carry interval of PFOR-DELTA chunks: one absolute carry per
-/// this many values, so a decoder could start at any vector boundary
-/// without replaying the whole chunk. The decoders here decode whole
-/// chunks; the carries are kept for the byte layout.
-pub const DELTA_SYNC: usize = 1024;
+pub(crate) const EXC_COST: usize = 12;
 
 /// Order-preserving bijection between a scalar type and the `u64`
 /// *frame domain* all integer codecs work in.
-pub trait FrameValue: Copy + PartialEq {
+pub(crate) trait FrameValue: Copy + PartialEq {
     /// Widen to the frame domain.
     fn to_frame(self) -> u64;
     /// Narrow back from the frame domain.
@@ -82,55 +82,53 @@ frame_signed!(i8, i16, i32, i64);
 /// One PFOR-compressed chunk: `lane`-bit frames relative to `base`,
 /// plus patch lists for the values that did not fit.
 #[derive(Debug, Clone, Default)]
-pub struct PforChunk {
+pub(crate) struct PforChunk {
     /// Bits per packed frame: 0, 8, 16, 32 or 64.
-    pub lane: u32,
+    pub(crate) lane: u32,
     /// Frame-domain base (the chunk minimum over non-exception values).
-    pub base: u64,
+    pub(crate) base: u64,
     /// Decimal scale for f64 columns (`0` marks integer frames): the
     /// stored frame is `round(value * scale)`, offset-encoded.
-    pub scale: u32,
+    pub(crate) scale: u32,
     /// Little-endian packed frames, `rows * lane / 8` bytes.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// Ascending chunk-relative positions of exceptions.
-    pub exc_pos: Vec<u32>,
+    pub(crate) exc_pos: Vec<u32>,
     /// Exception payloads: absolute frames for integer chunks, raw
     /// `f64::to_bits` patterns for scaled-float chunks.
-    pub exc_frames: Vec<u64>,
+    pub(crate) exc_frames: Vec<u64>,
 }
 
 impl PforChunk {
     /// Compressed footprint (payload + patch lists), excluding headers.
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         self.payload.len() + self.exc_pos.len() * EXC_COST
     }
 }
 
 /// One PFOR-DELTA-compressed chunk: PFOR over the deltas of a
-/// non-decreasing sequence, with absolute sync carries every
-/// [`DELTA_SYNC`] values.
+/// non-decreasing sequence, plus the carry its prefix sum starts from.
 #[derive(Debug, Clone, Default)]
-pub struct PforDeltaChunk {
+pub(crate) struct PforDeltaChunk {
     /// Bits per packed delta frame: 0, 8, 16, 32 or 64.
-    pub lane: u32,
+    pub(crate) lane: u32,
     /// Minimum delta over the chunk (frame domain).
-    pub base: u64,
+    pub(crate) base: u64,
     /// Little-endian packed `delta - base` frames.
-    pub payload: Vec<u8>,
-    /// `sync[k]` is the carry in effect at position `k * DELTA_SYNC`:
-    /// the accumulated frame of the *previous* value, so decode may
-    /// start at any sync boundary.
-    pub sync: Vec<u64>,
+    pub(crate) payload: Vec<u8>,
+    /// The accumulated frame before the chunk's first value: its frame
+    /// less `base`, the artificial first delta.
+    pub(crate) carry: u64,
     /// Ascending chunk-relative positions of delta exceptions.
-    pub exc_pos: Vec<u32>,
+    pub(crate) exc_pos: Vec<u32>,
     /// Absolute delta frames of the exceptions.
-    pub exc_frames: Vec<u64>,
+    pub(crate) exc_frames: Vec<u64>,
 }
 
 impl PforDeltaChunk {
-    /// Compressed footprint (payload + sync carries + patch lists).
-    pub fn byte_size(&self) -> usize {
-        self.payload.len() + self.sync.len() * 8 + self.exc_pos.len() * EXC_COST
+    /// Compressed footprint (payload + carry + patch lists).
+    pub(crate) fn byte_size(&self) -> usize {
+        self.payload.len() + 8 + self.exc_pos.len() * EXC_COST
     }
 }
 
@@ -192,7 +190,7 @@ fn choose_lane_base(rows: usize, sorted: &[u64], forced: usize) -> (u32, u64) {
         let mut base = best_base;
         let mut lo = 0usize;
         for hi in 0..sorted.len() {
-            // lint: allow-index-loop (two-pointer window over sorted frames)
+            // Two-pointer window over the sorted frames.
             while sorted[hi] - sorted[lo] > width {
                 lo += 1;
             }
@@ -357,12 +355,14 @@ fn pfor_pack(frames: &[Result<u64, u64>], lane: u32, base: u64) -> PforChunk {
     c
 }
 
-fn pfor_encode_int<T: FrameValue>(values: &[T]) -> PforChunk {
+/// PFOR-encode one chunk of integers.
+pub(crate) fn encode<T: FrameValue>(values: &[T]) -> PforChunk {
     let frames: Vec<Result<u64, u64>> = values.iter().map(|v| Ok(v.to_frame())).collect();
     pfor_encode_frames(&frames)
 }
 
-fn pfor_decode_int<T: FrameValue>(out: &mut [T], c: &PforChunk) {
+/// Decode a whole PFOR chunk of integers into `out` (`out.len()` rows).
+pub(crate) fn decode<T: FrameValue>(out: &mut [T], c: &PforChunk) {
     let base = c.base;
     unpack_map(out, &c.payload, c.lane, move |rel| {
         T::from_frame(base.wrapping_add(rel))
@@ -472,7 +472,9 @@ fn scaled_fast(f: u64, hi: f64, lo: f64) -> f64 {
     x * hi + x * lo
 }
 
-fn pfor_encode_f64(values: &[f64]) -> PforChunk {
+/// PFOR-encode one chunk of floats at the smallest decimal scale that
+/// represents (nearly) every value.
+pub(crate) fn encode_f64(values: &[f64]) -> PforChunk {
     // Sample-pick the smallest decimal scale that makes (nearly) every
     // value exactly representable; stragglers become exceptions.
     let step = (values.len() / 1024).max(1);
@@ -534,7 +536,8 @@ fn pfor_encode_f64(values: &[f64]) -> PforChunk {
     c
 }
 
-fn pfor_decode_f64(out: &mut [f64], c: &PforChunk) {
+/// Decode a whole PFOR chunk of floats into `out` (`out.len()` rows).
+pub(crate) fn decode_f64(out: &mut [f64], c: &PforChunk) {
     let scale_u = c.scale.max(1);
     // Fold base, the sign-bit flip, and the conversion magic into one
     // additive constant: `x ^ SIGN == x + SIGN (mod 2^64)` because only
@@ -568,51 +571,17 @@ fn pfor_decode_f64(out: &mut [f64], c: &PforChunk) {
     }
 }
 
-macro_rules! pfor_instances {
-    ($( $ty:ty : $comp:ident / $decomp:ident => $enc:ident / $dec:ident );* $(;)?) => {
-        $(
-            /// Macro-generated PFOR chunk compressor.
-            pub fn $comp(values: &[$ty]) -> PforChunk {
-                $enc(values)
-            }
-
-            /// Macro-generated PFOR chunk decompressor: writes the
-            /// whole chunk, `out.len()` rows.
-            pub fn $decomp(out: &mut [$ty], chunk: &PforChunk) {
-                $dec(out, chunk)
-            }
-        )*
-
-        /// Catalog of the macro-generated PFOR codec instances, emitted
-        /// by the same expansion that defines the kernels (used by the
-        /// primitive registry and `cargo xtask lint`).
-        pub const PFOR_SIGNATURES: &[&str] = &[
-            $( stringify!($comp), stringify!($decomp), )*
-        ];
-    };
-}
-
-pfor_instances! {
-    i8:  compress_pfor_i8_col  / decompress_pfor_i8_col  => pfor_encode_int / pfor_decode_int;
-    i16: compress_pfor_i16_col / decompress_pfor_i16_col => pfor_encode_int / pfor_decode_int;
-    i32: compress_pfor_i32_col / decompress_pfor_i32_col => pfor_encode_int / pfor_decode_int;
-    i64: compress_pfor_i64_col / decompress_pfor_i64_col => pfor_encode_int / pfor_decode_int;
-    u8:  compress_pfor_u8_col  / decompress_pfor_u8_col  => pfor_encode_int / pfor_decode_int;
-    u16: compress_pfor_u16_col / decompress_pfor_u16_col => pfor_encode_int / pfor_decode_int;
-    u32: compress_pfor_u32_col / decompress_pfor_u32_col => pfor_encode_int / pfor_decode_int;
-    u64: compress_pfor_u64_col / decompress_pfor_u64_col => pfor_encode_int / pfor_decode_int;
-    f64: compress_pfor_f64_col / decompress_pfor_f64_col => pfor_encode_f64 / pfor_decode_f64;
-}
-
 // ---------------------------------------------------------------------
 // PFOR-DELTA
 // ---------------------------------------------------------------------
 
-fn pfordelta_encode_int<T: FrameValue>(values: &[T]) -> Option<PforDeltaChunk> {
+/// PFOR-DELTA-encode one chunk of integers, or `None` when the values
+/// are not non-decreasing (the chunk format falls back to plain PFOR).
+pub(crate) fn delta_encode<T: FrameValue>(values: &[T]) -> Option<PforDeltaChunk> {
     let n = values.len();
     // Deltas: d[0] is an artificial `base` (so the decode loop is
     // uniform); d[i] = frame[i] - frame[i-1] for i >= 1. Any decrease
-    // disqualifies the chunk (the chooser falls back to plain PFOR).
+    // disqualifies the chunk.
     let mut frames = Vec::with_capacity(n);
     for v in values {
         frames.push(v.to_frame());
@@ -638,7 +607,7 @@ fn pfordelta_encode_int<T: FrameValue>(values: &[T]) -> Option<PforDeltaChunk> {
     };
     let mut wide = [0usize; 4];
     for i in 0..n {
-        // lint: allow-index-loop (delta stream is position-defined)
+        // The delta stream is position-defined.
         let need = lane_for(delta_at(i) - base);
         for (slot, lane) in wide.iter_mut().zip([0u32, 8, 16, 32]) {
             if need > lane {
@@ -651,19 +620,11 @@ fn pfordelta_encode_int<T: FrameValue>(values: &[T]) -> Option<PforDeltaChunk> {
         lane,
         base,
         payload: Vec::with_capacity(n * (lane as usize / 8)),
-        sync: Vec::with_capacity(n / DELTA_SYNC + 1),
+        carry: frames.first().map_or(0, |f| f.wrapping_sub(base)),
         exc_pos: Vec::new(),
         exc_frames: Vec::new(),
     };
-    let mut carry = if n == 0 {
-        0
-    } else {
-        frames[0].wrapping_sub(base)
-    };
-    for (i, &frame) in frames.iter().enumerate() {
-        if i % DELTA_SYNC == 0 {
-            c.sync.push(carry);
-        }
+    for i in 0..n {
         let d = delta_at(i);
         let rel = d - base;
         if lane_for(rel) <= lane {
@@ -673,15 +634,19 @@ fn pfordelta_encode_int<T: FrameValue>(values: &[T]) -> Option<PforDeltaChunk> {
             c.exc_pos.push(i as u32);
             c.exc_frames.push(d);
         }
-        carry = frame;
     }
     Some(c)
 }
 
-/// Uniform PFOR-DELTA decode of a whole chunk: unpack the delta frames
-/// into `scratch` (reused across chunks), patch the exceptions, and
-/// replay the prefix sum from the first sync carry.
-fn pfordelta_decode_int<T: FrameValue>(out: &mut [T], c: &PforDeltaChunk, scratch: &mut Vec<u64>) {
+/// Uniform PFOR-DELTA decode of a whole chunk into `out` (`out.len()`
+/// rows): unpack the delta frames into `scratch` (reused across
+/// chunks), patch the exceptions, and replay the prefix sum from the
+/// chunk's carry.
+pub(crate) fn delta_decode<T: FrameValue>(
+    out: &mut [T],
+    c: &PforDeltaChunk,
+    scratch: &mut Vec<u64>,
+) {
     let base = c.base;
     scratch.resize(out.len(), 0);
     let deltas = &mut scratch[..out.len()];
@@ -691,46 +656,11 @@ fn pfordelta_decode_int<T: FrameValue>(out: &mut [T], c: &PforDeltaChunk, scratc
     for (&p, &d) in c.exc_pos.iter().zip(&c.exc_frames) {
         deltas[p as usize] = d;
     }
-    let mut carry = c.sync.first().copied().unwrap_or(0);
+    let mut carry = c.carry;
     for (o, &d) in out.iter_mut().zip(deltas.iter()) {
         carry = carry.wrapping_add(d);
         *o = T::from_frame(carry);
     }
-}
-
-macro_rules! pfordelta_instances {
-    ($( $ty:ty : $comp:ident / $decomp:ident );* $(;)?) => {
-        $(
-            /// Macro-generated PFOR-DELTA chunk compressor. Returns
-            /// `None` when the values are not non-decreasing.
-            pub fn $comp(values: &[$ty]) -> Option<PforDeltaChunk> {
-                pfordelta_encode_int(values)
-            }
-
-            /// Macro-generated PFOR-DELTA chunk decompressor: writes
-            /// the whole chunk, `out.len()` rows; `scratch` holds the
-            /// delta frames.
-            pub fn $decomp(out: &mut [$ty], chunk: &PforDeltaChunk, scratch: &mut Vec<u64>) {
-                pfordelta_decode_int(out, chunk, scratch)
-            }
-        )*
-
-        /// Catalog of the macro-generated PFOR-DELTA codec instances.
-        pub const PFORDELTA_SIGNATURES: &[&str] = &[
-            $( stringify!($comp), stringify!($decomp), )*
-        ];
-    };
-}
-
-pfordelta_instances! {
-    i8:  compress_pfordelta_i8_col  / decompress_pfordelta_i8_col;
-    i16: compress_pfordelta_i16_col / decompress_pfordelta_i16_col;
-    i32: compress_pfordelta_i32_col / decompress_pfordelta_i32_col;
-    i64: compress_pfordelta_i64_col / decompress_pfordelta_i64_col;
-    u8:  compress_pfordelta_u8_col  / decompress_pfordelta_u8_col;
-    u16: compress_pfordelta_u16_col / decompress_pfordelta_u16_col;
-    u32: compress_pfordelta_u32_col / decompress_pfordelta_u32_col;
-    u64: compress_pfordelta_u64_col / decompress_pfordelta_u64_col;
 }
 
 #[cfg(test)]
@@ -861,133 +791,5 @@ mod tests {
             &pfor_encode_frames_sorted(&clustered)
         ));
         assert_eq!(pfor_encode_frames(&clustered).lane, 8);
-    }
-
-    fn roundtrip_pfor_i64(values: &[i64]) {
-        let c = compress_pfor_i64_col(values);
-        let mut out = vec![0i64; values.len()];
-        decompress_pfor_i64_col(&mut out, &c);
-        assert_eq!(out, values);
-    }
-
-    #[test]
-    fn pfor_roundtrips_lanes() {
-        roundtrip_pfor_i64(&[]);
-        roundtrip_pfor_i64(&[42]);
-        roundtrip_pfor_i64(&[7; 100]); // lane 0
-        roundtrip_pfor_i64(&(0..300).collect::<Vec<_>>()); // lane 8/16
-        roundtrip_pfor_i64(&[1_000_000, 2_000_000, 3_000_000]); // lane 32
-        roundtrip_pfor_i64(&[i64::MIN, i64::MAX, 0, -1, 1]); // lane 64
-    }
-
-    #[test]
-    fn pfor_exceptions_patch() {
-        // A tight cluster plus wild outliers: outliers become exceptions.
-        let mut v: Vec<i64> = (0..5000).map(|i| 100 + (i % 50)).collect();
-        v[17] = i64::MAX;
-        v[4032] = i64::MIN;
-        let c = compress_pfor_i64_col(&v);
-        assert_eq!(c.lane, 8, "cluster fits one byte");
-        assert_eq!(c.exc_pos.len(), 2);
-        let mut out = vec![0i64; v.len()];
-        decompress_pfor_i64_col(&mut out, &c);
-        assert_eq!(out, v);
-    }
-
-    #[test]
-    fn pfor_all_exceptions_block() {
-        // Values spread over the full u64 range but with a forced-lane
-        // encode path: f64 NaN-ish values that never scale exactly.
-        let v: Vec<f64> = (0..64).map(|i| 0.1 + i as f64 * 1e-13).collect();
-        let c = compress_pfor_f64_col(&v);
-        assert!(c.exc_pos.len() >= 63, "nearly nothing scales exactly");
-        assert_eq!(c.lane, 0, "all-exception chunk needs no payload");
-        let mut out = vec![0f64; v.len()];
-        decompress_pfor_f64_col(&mut out, &c);
-        for (a, b) in out.iter().zip(&v) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn pfor_f64_decimal_scaling() {
-        let v: Vec<f64> = (0..2048).map(|i| (i % 5000) as f64 / 100.0).collect();
-        let c = compress_pfor_f64_col(&v);
-        assert_eq!(c.scale, 100);
-        assert!(c.exc_pos.is_empty());
-        assert!(c.lane <= 16, "scaled cents fit two bytes, got {}", c.lane);
-        let mut out = vec![0f64; v.len()];
-        decompress_pfor_f64_col(&mut out, &c);
-        for (a, b) in out.iter().zip(&v) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn pfor_f64_out_of_lane_value_is_a_raw_exception() {
-        // Representable at the chunk's scale, but outside the byte lane
-        // the cluster picks: the exception must hold the value's bits,
-        // like every float exception, not its frame. Both decimal scale
-        // 1 and a scale the double-product decode path takes.
-        for scale in [1.0, 100.0] {
-            let mut v: Vec<f64> = (0..400).map(|i| (100 + i % 50) as f64 / scale).collect();
-            v[7] = 1.0e6 / scale;
-            v[311] = -1.0e6 / scale;
-            let c = compress_pfor_f64_col(&v);
-            assert_eq!((c.lane, c.exc_pos.as_slice()), (8, &[7, 311][..]));
-            let mut out = vec![0f64; v.len()];
-            decompress_pfor_f64_col(&mut out, &c);
-            for (a, b) in out.iter().zip(&v) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn pfor_f64_negative_zero_is_exception() {
-        let v = [0.0f64, -0.0, 1.5];
-        let c = compress_pfor_f64_col(&v);
-        let mut out = [0f64; 3];
-        decompress_pfor_f64_col(&mut out, &c);
-        for (a, b) in out.iter().zip(&v) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn pfordelta_roundtrip_and_seek() {
-        let v: Vec<u32> = (0..10_000u32).map(|i| i * 3 + (i % 7)).collect();
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        let c = compress_pfordelta_u32_col(&sorted).expect("monotone");
-        assert!(c.lane <= 8, "small deltas, got lane {}", c.lane);
-        let mut out = vec![0u32; sorted.len()];
-        decompress_pfordelta_u32_col(&mut out, &c, &mut Vec::new());
-        assert_eq!(out, sorted);
-        // A seek point of the format: each sync carry past the first is
-        // the frame of the value before its sync point.
-        assert_eq!(c.sync.len(), sorted.len().div_ceil(DELTA_SYNC));
-        for (k, &carry) in c.sync.iter().enumerate().skip(1) {
-            assert_eq!(carry, sorted[k * DELTA_SYNC - 1].to_frame(), "sync {k}");
-        }
-    }
-
-    #[test]
-    fn pfordelta_rejects_decreasing() {
-        assert!(compress_pfordelta_i32_col(&[5, 4]).is_none());
-        assert!(compress_pfordelta_i32_col(&[1, 2, 3]).is_some());
-    }
-
-    #[test]
-    fn pfordelta_jump_exception() {
-        let mut v: Vec<i64> = (0..3000).collect();
-        for x in v.iter_mut().skip(1500) {
-            *x += 1_000_000_000;
-        }
-        let c = compress_pfordelta_i64_col(&v).expect("monotone");
-        assert_eq!(c.exc_pos, vec![1500]);
-        let mut out = vec![0i64; v.len()];
-        decompress_pfordelta_i64_col(&mut out, &c, &mut Vec::new());
-        assert_eq!(out, v);
     }
 }

@@ -597,23 +597,28 @@ proptest! {
         }
     }
 
-    /// PFOR-DELTA's sync carries stay in the format: at every sync point
-    /// past the chunk's first, the stored carry is the frame of the value
-    /// before it, so a decoder may start there; the whole-chunk decode,
-    /// which replays from the first carry, reproduces every value.
+    /// PFOR-DELTA over sorted keys with jumps, across chunk boundaries:
+    /// the jumps ride the exception list, each chunk replays from its
+    /// one carry, and the whole column decodes to its input.
     #[test]
-    fn pfordelta_random_seeks(deltas in prop::collection::vec(0u32..50, 50..4000)) {
-        use x100_vector::compress::{compress_pfordelta_i64_col, decompress_pfordelta_i64_col, FrameValue, DELTA_SYNC};
-        let mut acc = 0i64;
-        let sorted: Vec<i64> = deltas.iter().map(|&d| { acc += d as i64; acc }).collect();
-        let chunk = compress_pfordelta_i64_col(&sorted).expect("pfordelta accepts sorted input");
-        prop_assert_eq!(chunk.sync.len(), sorted.len().div_ceil(DELTA_SYNC));
-        for (k, &carry) in chunk.sync.iter().enumerate().skip(1) {
-            prop_assert_eq!(carry, sorted[k * DELTA_SYNC - 1].to_frame(), "sync point {}", k);
+    fn pfordelta_roundtrip_sorted_with_jumps(deltas in prop::collection::vec(0u32..50, 50..4000),
+                                             jumps in prop::collection::vec((0usize..4000, any::<u32>()), 0..8),
+                                             repeat in 1usize..40) {
+        let mut d: Vec<u64> = deltas.iter().map(|&x| u64::from(x)).collect();
+        for (at, by) in jumps {
+            let at = at % d.len();
+            d[at] += u64::from(by) << 8;
         }
-        let mut got = vec![0i64; sorted.len()];
-        decompress_pfordelta_i64_col(&mut got, &chunk, &mut Vec::new());
-        prop_assert_eq!(got, sorted);
+        // Up to ~160 K rows: columns span one to three chunks.
+        let mut acc = -(1i64 << 40);
+        let sorted: Vec<i64> = (0..repeat)
+            .flat_map(|_| d.iter())
+            .map(|&x| { acc += x as i64; acc })
+            .collect();
+        let data = Vector::I64(sorted);
+        let cc = compress_column_as(&data, ChunkFormat::PforDelta)
+            .expect("pfordelta accepts sorted input");
+        assert_decode_matches(&cc, &data);
     }
 
     /// The chooser must never pick a format that fails to round-trip,
@@ -862,7 +867,7 @@ fn drive_column(cc: &CompressedColumn) {
 }
 
 /// One valid `XCPC` image per codec × type the chooser can produce,
-/// patch lists and sync blocks populated, plus two multi-chunk images
+/// patch lists and carries populated, plus two multi-chunk images
 /// small enough to sweep (lane-0 payloads).
 fn column_images() -> &'static [(String, CompressedColumn)] {
     static IMAGES: std::sync::OnceLock<Vec<(String, CompressedColumn)>> =
@@ -884,7 +889,7 @@ fn build_column_images() -> Vec<(String, CompressedColumn)> {
             v[7] = <$t>::MAX;
             v[90] = <$t>::MIN;
             add(stringify!($t), Vector::$v(v), ChunkFormat::Pfor);
-            // Two sync intervals, one delta exception.
+            // One delta exception.
             let v: Vec<$t> = (0..1100u32).map(|i| (i / 10 + (i / 1000) * 20) as $t).collect();
             add(stringify!($t), Vector::$v(v), ChunkFormat::PforDelta);
         )*};

@@ -105,7 +105,7 @@ const PINNED: [Pinned; 8] = [
             ("c_phone", Raw),
             ("c_cntrycode", Raw),
         ],
-        74_321,
+        74_313,
     ),
     (
         "lineitem",
@@ -139,7 +139,7 @@ const PINNED: [Pinned; 8] = [
             ("li_supp_idx", Pfor),
             ("li_ps_idx", Pfor),
         ],
-        1_844_467,
+        1_843_539,
     ),
     (
         "nation",
@@ -168,7 +168,7 @@ const PINNED: [Pinned; 8] = [
             ("o_li_cnt", Pfor),
             ("o_comment", Raw),
         ],
-        645_656,
+        645_320,
     ),
     (
         "part",
@@ -196,7 +196,7 @@ const PINNED: [Pinned; 8] = [
             ("p_container", Raw),
             ("p_retailprice", Pfor),
         ],
-        34_360,
+        34_352,
     ),
     (
         "partsupp",
@@ -210,7 +210,7 @@ const PINNED: [Pinned; 8] = [
             ("ps_availqty", Pfor),
             ("ps_supplycost", Pfor),
         ],
-        80_836,
+        80_668,
     ),
     (
         "region",

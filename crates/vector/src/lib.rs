@@ -4,7 +4,7 @@
 //! [`Vector`]s, [`SelVec`] selection vectors, and the full family of
 //! vectorized execution primitives the paper describes in §4.2 —
 //! `map_*` (expression maps), `select_*` (predicates → selection
-//! vectors, in both *branch* and *predicated* shapes, Fig. 2), `aggr_*`
+//! vectors, predicated; the *branch* shape only as Fig. 2's kernel), `aggr_*`
 //! (aggregate updates), `map_fetch_*` (positional gathers), hash /
 //! direct-group maps, `merge_*` (the merge join's cursor advance) and
 //! fused *compound* primitives.
@@ -28,7 +28,6 @@
 
 pub mod aggr;
 pub mod compound;
-pub mod compress;
 pub mod fetch;
 pub mod group;
 pub mod hash;
@@ -47,6 +46,5 @@ pub use registry::{
     SigInfo, VecShape,
 };
 pub use sel::SelVec;
-pub use select::SelectStrategy;
 pub use types::{date, ScalarType, Value};
 pub use vector::{StrVec, Vector, DEFAULT_VECTOR_SIZE};

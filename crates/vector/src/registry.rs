@@ -42,9 +42,6 @@ pub enum PrimitiveKind {
     Hash,
     /// Fused compound primitive for an expression sub-tree.
     Compound,
-    /// Chunk codec half: `compress_*` / `decompress_*` (PFOR,
-    /// PFOR-DELTA — paper §4.3/§5 lightweight compression).
-    Compress,
     /// Merge-join cursor advance over a sorted key column (`merge_*`).
     Merge,
 }
@@ -93,8 +90,8 @@ pub enum OutTy {
     Vec(ScalarType),
     /// A selection vector (positions of qualifying tuples).
     Sel,
-    /// In-place state update (aggregate tables, compressed chunks) —
-    /// no result vector flows downstream.
+    /// In-place state update (aggregate tables) — no result vector
+    /// flows downstream.
     State,
     /// Polymorphic output (e.g. `map_fill_const` broadcasts any type).
     Poly,
@@ -137,14 +134,9 @@ pub enum FactTransfer {
     /// Produces a selection vector: downstream facts are refined (a
     /// subset of positions survives), never widened.
     Refine,
-    /// Codec round trip: values pass through unchanged (decompress).
-    Passthrough,
     /// Aggregate-state update: folded by the aggregation transfer at
     /// the plan node (sum/min/max/count range algebra).
     Aggregate,
-    /// Side-effecting state sink (compress): no value facts flow
-    /// downstream.
-    Sink,
     /// Explicitly unmodeled: facts widen to ⊤. Every `Opaque` primitive
     /// must appear in the xtask lint allowlist — no silent defaults.
     Opaque,
@@ -163,8 +155,8 @@ pub struct SigInfo {
     pub output: OutTy,
     /// Whether the kernel honors an incoming selection vector
     /// (`Option<&SelVec>` parameter). `false` marks *dense-only*
-    /// position-dependent kernels (chunk codecs, sort permutation,
-    /// hash-table maintenance) that must never run under a selection.
+    /// position-dependent kernels (sort permutation, hash-table
+    /// maintenance) that must never run under a selection.
     pub consumes_sel: bool,
     /// Whether the kernel's output is a selection vector. Only a
     /// predicate root may produce one; the verifier rejects programs
@@ -492,30 +484,6 @@ pub fn parse_signature(sig: &str) -> Result<SigInfo, String> {
             }
             Ok(selful(args, OutTy::Sel, T::Refine))
         }
-        ("compress", c) | ("decompress", c) if ["pfor", "pfordelta"].contains(&c) => {
-            // compress_<codec>_<ty>_col / decompress_<codec>_<ty>_col.
-            // Compressors read one typed column chunk and produce codec
-            // state (a self-describing compressed chunk); decompressors
-            // are the inverse, expanding a positional window of that
-            // state into a typed vector. Both are dense-only: chunk
-            // codecs are position-defined and never run under a
-            // selection.
-            let [ty, shape] = rest else {
-                return Err(format!("codec signature `{sig}` malformed"));
-            };
-            let ty = ty_token(ty).ok_or_else(|| format!("bad codec type in `{sig}`"))?;
-            if shape_token(shape) != Some(VecShape::Col) {
-                return Err(format!("codec signature `{sig}` must end in _col"));
-            }
-            if c == "pfordelta" && !ty.is_integer() {
-                return Err(format!("pfordelta only covers integer keys: `{sig}`"));
-            }
-            if family == "compress" {
-                Ok(dense(vec![ArgTy::col(ty)], OutTy::State, T::Sink))
-            } else {
-                Ok(dense(vec![ArgTy::col(ty)], OutTy::Vec(ty), T::Passthrough))
-            }
-        }
         ("aggr", "grouptable") => {
             // aggr_grouptable_verify_<ty>_col: stored key column, probe
             // key column and candidate group ids in, a 0/1 mismatch
@@ -824,20 +792,6 @@ impl PrimitiveRegistry {
             PrimitiveKind::Compound,
             "fused ((a-b)^2)/c",
         );
-        // Chunk codec instances: like the arithmetic maps, each signature
-        // list is emitted by the same macro expansion that instantiates
-        // the codec kernels (`pfor_instances!` / `pfordelta_instances!`
-        // in `compress.rs`), so catalog and code move together.
-        for sig in crate::compress::PFOR_SIGNATURES {
-            reg.register(sig, PrimitiveKind::Compress, "PFOR chunk codec (generated)");
-        }
-        for sig in crate::compress::PFORDELTA_SIGNATURES {
-            reg.register(
-                sig,
-                PrimitiveKind::Compress,
-                "PFOR-DELTA chunk codec (generated)",
-            );
-        }
         reg
     }
 
@@ -946,7 +900,6 @@ mod tests {
             PrimitiveKind::Fetch,
             PrimitiveKind::Hash,
             PrimitiveKind::Compound,
-            PrimitiveKind::Compress,
             PrimitiveKind::Merge,
         ]
         .into_iter()
@@ -955,27 +908,8 @@ mod tests {
         assert_eq!(total, reg.len());
         assert!(reg.count_kind(PrimitiveKind::Select) >= 84);
         assert_eq!(reg.count_kind(PrimitiveKind::Compound), 3);
-        // 9 PFOR pairs + 8 PFOR-DELTA pairs.
-        assert_eq!(reg.count_kind(PrimitiveKind::Compress), 34);
         // One merge cursor per integer key type.
         assert_eq!(reg.count_kind(PrimitiveKind::Merge), 8);
-    }
-
-    #[test]
-    fn every_compress_kernel_has_decompress_counterpart() {
-        let reg = PrimitiveRegistry::builtin();
-        for d in reg.iter().filter(|d| d.kind == PrimitiveKind::Compress) {
-            let twin = if let Some(rest) = d.signature.strip_prefix("de") {
-                rest.to_string()
-            } else {
-                format!("de{}", d.signature)
-            };
-            assert!(
-                reg.contains(&twin),
-                "{} lacks its codec twin {twin}",
-                d.signature
-            );
-        }
     }
 
     #[test]
@@ -1034,11 +968,7 @@ mod tests {
         assert_eq!(start.info.inputs, vec![ArgTy::col(ScalarType::U8)]);
 
         // Dense-only position-dependent kernels never consume a selection.
-        for dense in [
-            "sort_permutation",
-            "aggr_hashtable_maintain",
-            "compress_pfor_i64_col",
-        ] {
+        for dense in ["sort_permutation", "aggr_hashtable_maintain"] {
             assert!(
                 !reg.get(dense).expect("registered").info.consumes_sel,
                 "{dense} must be dense-only"
@@ -1060,7 +990,6 @@ mod tests {
             ("map_hash_i64_col", FactTransfer::Domain),
             ("sort_permutation", FactTransfer::Positions),
             ("select_ge_i32_col_val", FactTransfer::Refine),
-            ("decompress_pfor_i64_col", FactTransfer::Passthrough),
             ("aggr_sum_f64_col_u32_col", FactTransfer::Aggregate),
             ("aggr_sum_f64_x5_col_u32_col", FactTransfer::Aggregate),
             ("aggr_grouptable_probe_u64_col", FactTransfer::Positions),
@@ -1068,7 +997,6 @@ mod tests {
             ("aggr_ordered_boundaries_i64_col", FactTransfer::Positions),
             ("aggr_ordered_starts_u32_col", FactTransfer::Positions),
             ("merge_i64_col", FactTransfer::Positions),
-            ("compress_pfor_f64_col", FactTransfer::Sink),
             ("aggr_avg_epilogue", FactTransfer::Opaque),
         ] {
             assert_eq!(

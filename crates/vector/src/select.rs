@@ -4,22 +4,21 @@
 //! a select primitive fills a result array with the *positions* of
 //! qualifying tuples and returns how many qualified (paper §4.2).
 //!
-//! Two code shapes are provided, reproducing the paper's Figure 2
-//! micro-benchmark:
+//! Every select is **predicated** — `out[j] = i; j += pred as usize`:
+//! branch-free, with a selectivity-independent cost (Ross \[17\], as
+//! cited by the paper). The **branch** shape — `if pred { out[j] = i;
+//! j += 1 }`, fast at extreme selectivities and mispredicting near 50% —
+//! survives only as the paper's Figure 2 micro-benchmark kernel
+//! ([`sel_lt_i32_col_i32_val_branch`]).
 //!
-//! * **branch** — `if pred { out[j] = i; j += 1 }`: fast at extreme
-//!   selectivities, suffers branch mispredictions near 50%.
-//! * **predicated** — `out[j] = i; j += pred as usize`: branch-free,
-//!   selectivity-independent cost (Ross \[17\], as cited by the paper).
-//!
-//! Every variant also accepts an *input* selection vector, refining the
+//! Every select also accepts an *input* selection vector, refining the
 //! positions a previous predicate already selected (conjunctions chain
 //! select primitives without copying data).
 
 use crate::map::CmpOp;
 use crate::sel::SelVec;
 
-/// Branching select kernel: dense input.
+/// Branching select kernel: dense input (Figure 2's branch version).
 #[inline]
 fn select_dense_branch<T: Copy, F: Fn(T) -> bool>(out: &mut Vec<u32>, a: &[T], f: F) -> usize {
     out.clear();
@@ -50,23 +49,6 @@ fn select_dense_pred<T: Copy, F: Fn(T) -> bool>(out: &mut Vec<u32>, a: &[T], f: 
     j
 }
 
-/// Branching select kernel refining an existing selection.
-#[inline]
-fn select_sel_branch<T: Copy, F: Fn(T) -> bool>(
-    out: &mut Vec<u32>,
-    a: &[T],
-    sel: &SelVec,
-    f: F,
-) -> usize {
-    out.clear();
-    for i in sel.iter() {
-        if f(a[i]) {
-            out.push(i as u32);
-        }
-    }
-    out.len()
-}
-
 /// Predicated select kernel refining an existing selection.
 #[inline]
 fn select_sel_pred<T: Copy, F: Fn(T) -> bool>(
@@ -87,19 +69,8 @@ fn select_sel_pred<T: Copy, F: Fn(T) -> bool>(
     j
 }
 
-/// Code shape of a selection primitive (paper Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectStrategy {
-    /// Data-dependent branch; best at very low/high selectivity.
-    Branch,
-    /// Branch-free boolean arithmetic; selectivity-independent. The
-    /// shape the engine runs (`engine::ops::select`).
-    #[default]
-    Predicated,
-}
-
 /// Generic column-vs-constant select: fills `out` with the positions where
-/// `a[i] ⊙ v` holds, honoring `sel` and `strategy`. Returns the match count.
+/// `a[i] ⊙ v` holds, honoring `sel`. Returns the match count.
 #[inline]
 pub fn select_cmp_col_val<T: Copy + PartialOrd>(
     out: &mut SelVec,
@@ -107,15 +78,12 @@ pub fn select_cmp_col_val<T: Copy + PartialOrd>(
     v: T,
     op: CmpOp,
     sel: Option<&SelVec>,
-    strategy: SelectStrategy,
 ) -> usize {
     macro_rules! dispatch {
         ($f:expr) => {
-            match (sel, strategy) {
-                (None, SelectStrategy::Branch) => select_dense_branch(out.buf_mut(), a, $f),
-                (None, SelectStrategy::Predicated) => select_dense_pred(out.buf_mut(), a, $f),
-                (Some(s), SelectStrategy::Branch) => select_sel_branch(out.buf_mut(), a, s, $f),
-                (Some(s), SelectStrategy::Predicated) => select_sel_pred(out.buf_mut(), a, s, $f),
+            match sel {
+                None => select_dense_pred(out.buf_mut(), a, $f),
+                Some(s) => select_sel_pred(out.buf_mut(), a, s, $f),
             }
         };
     }
@@ -137,22 +105,14 @@ pub fn select_cmp_col_col<T: Copy + PartialOrd>(
     b: &[T],
     op: CmpOp,
     sel: Option<&SelVec>,
-    strategy: SelectStrategy,
 ) -> usize {
     debug_assert_eq!(a.len(), b.len());
     let out = out.buf_mut();
     out.clear();
     macro_rules! run {
         ($pred:expr) => {
-            match (sel, strategy) {
-                (None, SelectStrategy::Branch) => {
-                    for i in 0..a.len() {
-                        if $pred(a[i], b[i]) {
-                            out.push(i as u32);
-                        }
-                    }
-                }
-                (None, SelectStrategy::Predicated) => {
+            match sel {
+                None => {
                     out.resize(a.len(), 0);
                     let mut j = 0usize;
                     for i in 0..a.len() {
@@ -161,14 +121,7 @@ pub fn select_cmp_col_col<T: Copy + PartialOrd>(
                     }
                     out.truncate(j);
                 }
-                (Some(s), SelectStrategy::Branch) => {
-                    for i in s.iter() {
-                        if $pred(a[i], b[i]) {
-                            out.push(i as u32);
-                        }
-                    }
-                }
-                (Some(s), SelectStrategy::Predicated) => {
+                Some(s) => {
                     out.resize(s.len(), 0);
                     let mut j = 0usize;
                     for i in s.iter() {
@@ -193,17 +146,10 @@ pub fn select_cmp_col_col<T: Copy + PartialOrd>(
 
 /// Select on a boolean column (result of a nested boolean expression).
 #[inline]
-pub fn select_true(
-    out: &mut SelVec,
-    a: &[bool],
-    sel: Option<&SelVec>,
-    strategy: SelectStrategy,
-) -> usize {
-    match (sel, strategy) {
-        (None, SelectStrategy::Branch) => select_dense_branch(out.buf_mut(), a, |x| x),
-        (None, SelectStrategy::Predicated) => select_dense_pred(out.buf_mut(), a, |x| x),
-        (Some(s), SelectStrategy::Branch) => select_sel_branch(out.buf_mut(), a, s, |x| x),
-        (Some(s), SelectStrategy::Predicated) => select_sel_pred(out.buf_mut(), a, s, |x| x),
+pub fn select_true(out: &mut SelVec, a: &[bool], sel: Option<&SelVec>) -> usize {
+    match sel {
+        None => select_dense_pred(out.buf_mut(), a, |x| x),
+        Some(s) => select_sel_pred(out.buf_mut(), a, s, |x| x),
     }
 }
 
@@ -249,61 +195,41 @@ mod tests {
 
     #[test]
     fn branch_and_pred_agree_dense() {
+        // Figure 2's branch kernel against the engine's predicated select.
         let a: Vec<i32> = (0..100).map(|i| (i * 37) % 100).collect();
-        let mut s1 = SelVec::default();
+        let mut s1 = Vec::new();
         let mut s2 = SelVec::default();
         for v in [0, 13, 50, 99, 100] {
-            let n1 = select_cmp_col_val(&mut s1, &a, v, CmpOp::Lt, None, SelectStrategy::Branch);
-            let n2 =
-                select_cmp_col_val(&mut s2, &a, v, CmpOp::Lt, None, SelectStrategy::Predicated);
+            let n1 = sel_lt_i32_col_i32_val_branch(&mut s1, &a, v);
+            let n2 = select_cmp_col_val(&mut s2, &a, v, CmpOp::Lt, None);
             assert_eq!(n1, n2, "count mismatch at v={v}");
-            assert_eq!(s1, s2, "positions mismatch at v={v}");
+            assert_eq!(&s1[..], s2.positions(), "positions mismatch at v={v}");
         }
     }
 
     #[test]
     fn branch_and_pred_agree_with_input_sel() {
-        let a: Vec<i64> = (0..64).map(|i| i * 3 % 17).collect();
+        // Refining an input selection keeps exactly the selected
+        // positions the dense branch kernel accepts.
+        let a: Vec<i32> = (0..64).map(|i| i * 3 % 17).collect();
         let pre = SelVec::from_positions((0..64).filter(|i| i % 2 == 0).collect());
-        let mut s1 = SelVec::default();
-        let mut s2 = SelVec::default();
-        let n1 = select_cmp_col_val(
-            &mut s1,
-            &a,
-            8,
-            CmpOp::Le,
-            Some(&pre),
-            SelectStrategy::Branch,
-        );
-        let n2 = select_cmp_col_val(
-            &mut s2,
-            &a,
-            8,
-            CmpOp::Le,
-            Some(&pre),
-            SelectStrategy::Predicated,
-        );
-        assert_eq!(n1, n2);
-        assert_eq!(s1, s2);
-        // All surviving positions must come from the input selection.
-        assert!(s1.iter().all(|p| p % 2 == 0));
+        let mut dense = Vec::new();
+        sel_lt_i32_col_i32_val_branch(&mut dense, &a, 9);
+        let want: Vec<u32> = dense.into_iter().filter(|p| p % 2 == 0).collect();
+        let mut s = SelVec::default();
+        let n = select_cmp_col_val(&mut s, &a, 8, CmpOp::Le, Some(&pre));
+        assert_eq!(n, want.len());
+        assert_eq!(s.positions(), &want[..]);
     }
 
     #[test]
     fn refinement_narrows() {
         let a = [5, 1, 8, 3, 9, 2];
         let mut first = SelVec::default();
-        select_cmp_col_val(&mut first, &a, 8, CmpOp::Lt, None, SelectStrategy::Branch);
+        select_cmp_col_val(&mut first, &a, 8, CmpOp::Lt, None);
         assert_eq!(first.positions(), &[0, 1, 3, 5]);
         let mut second = SelVec::default();
-        select_cmp_col_val(
-            &mut second,
-            &a,
-            2,
-            CmpOp::Gt,
-            Some(&first),
-            SelectStrategy::Branch,
-        );
+        select_cmp_col_val(&mut second, &a, 2, CmpOp::Gt, Some(&first));
         assert_eq!(second.positions(), &[0, 3]);
     }
 
@@ -312,18 +238,13 @@ mod tests {
         let a = [1, 5, 3, 7];
         let b = [2, 2, 9, 7];
         let mut s = SelVec::default();
-        let n = select_cmp_col_col(&mut s, &a, &b, CmpOp::Lt, None, SelectStrategy::Branch);
+        let n = select_cmp_col_col(&mut s, &a, &b, CmpOp::Lt, None);
         assert_eq!(n, 2);
         assert_eq!(s.positions(), &[0, 2]);
-        let n2 = select_cmp_col_col(&mut s, &a, &b, CmpOp::Lt, None, SelectStrategy::Predicated);
-        assert_eq!(n2, 2);
-        assert_eq!(s.positions(), &[0, 2]);
         let pre = SelVec::from_positions(vec![1, 2, 3]);
-        for strategy in [SelectStrategy::Branch, SelectStrategy::Predicated] {
-            let n = select_cmp_col_col(&mut s, &a, &b, CmpOp::Le, Some(&pre), strategy);
-            assert_eq!(n, 2);
-            assert_eq!(s.positions(), &[2, 3]);
-        }
+        let n = select_cmp_col_col(&mut s, &a, &b, CmpOp::Le, Some(&pre));
+        assert_eq!(n, 2);
+        assert_eq!(s.positions(), &[2, 3]);
     }
 
     #[test]
@@ -331,12 +252,10 @@ mod tests {
         let a = [true, false, true, true];
         let mut s = SelVec::default();
         let pre = SelVec::from_positions(vec![1, 2]);
-        for strategy in [SelectStrategy::Branch, SelectStrategy::Predicated] {
-            assert_eq!(select_true(&mut s, &a, None, strategy), 3);
-            assert_eq!(s.positions(), &[0, 2, 3]);
-            assert_eq!(select_true(&mut s, &a, Some(&pre), strategy), 1);
-            assert_eq!(s.positions(), &[2]);
-        }
+        assert_eq!(select_true(&mut s, &a, None), 3);
+        assert_eq!(s.positions(), &[0, 2, 3]);
+        assert_eq!(select_true(&mut s, &a, Some(&pre)), 1);
+        assert_eq!(s.positions(), &[2]);
     }
 
     #[test]
@@ -368,13 +287,8 @@ mod tests {
     fn empty_input() {
         let a: [i32; 0] = [];
         let mut s = SelVec::default();
-        assert_eq!(
-            select_cmp_col_val(&mut s, &a, 1, CmpOp::Lt, None, SelectStrategy::Branch),
-            0
-        );
-        assert_eq!(
-            select_cmp_col_val(&mut s, &a, 1, CmpOp::Lt, None, SelectStrategy::Predicated),
-            0
-        );
+        assert_eq!(select_cmp_col_val(&mut s, &a, 1, CmpOp::Lt, None), 0);
+        let mut o = Vec::new();
+        assert_eq!(sel_lt_i32_col_i32_val_branch(&mut o, &a, 1), 0);
     }
 }

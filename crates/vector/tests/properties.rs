@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use x100_vector::map::{self, CmpOp};
-use x100_vector::select::{select_cmp_col_val, SelectStrategy};
+use x100_vector::select::select_cmp_col_val;
 use x100_vector::{
     aggr, compound, fetch, hash, GroupTable, ProbeScratch, ScalarType, SelVec, StrVec, Vector,
 };
@@ -570,15 +570,18 @@ proptest! {
         }
     }
 
+    /// The predicated select against the branching form written out:
+    /// a scalar filter.
     #[test]
     fn branch_equals_predicated((data, _) in data_and_sel(), v in -1000i64..1000) {
-        let mut s1 = SelVec::default();
-        let mut s2 = SelVec::default();
+        let mut s = SelVec::default();
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            let n1 = select_cmp_col_val(&mut s1, &data, v, op, None, SelectStrategy::Branch);
-            let n2 = select_cmp_col_val(&mut s2, &data, v, op, None, SelectStrategy::Predicated);
-            prop_assert_eq!(n1, n2);
-            prop_assert_eq!(&s1, &s2);
+            let want: Vec<u32> = (0..data.len() as u32)
+                .filter(|&i| op.eval(data[i as usize], v))
+                .collect();
+            let n = select_cmp_col_val(&mut s, &data, v, op, None);
+            prop_assert_eq!(n, want.len());
+            prop_assert_eq!(s.positions(), &want[..]);
         }
     }
 
@@ -605,9 +608,9 @@ proptest! {
     fn chained_selects_equal_conjunction((data, _) in data_and_sel(), lo in -500i64..0, hi in 0i64..500) {
         // sel(ge lo) then refine with (lt hi)  ==  filter(lo <= x < hi)
         let mut s1 = SelVec::default();
-        select_cmp_col_val(&mut s1, &data, lo, CmpOp::Ge, None, SelectStrategy::Branch);
+        select_cmp_col_val(&mut s1, &data, lo, CmpOp::Ge, None);
         let mut s2 = SelVec::default();
-        select_cmp_col_val(&mut s2, &data, hi, CmpOp::Lt, Some(&s1), SelectStrategy::Predicated);
+        select_cmp_col_val(&mut s2, &data, hi, CmpOp::Lt, Some(&s1));
         let expect: Vec<u32> = data
             .iter()
             .enumerate()
